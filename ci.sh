@@ -15,6 +15,16 @@ cargo build --release --workspace
 echo "==> cargo test (tier 1)"
 cargo test -q --workspace
 
+echo "==> repository benchmark (frozen API surface: --check + unit tests)"
+# benchmark/ is its own package and nothing in the workspace builds it, so
+# a change that breaks what it uses of the public API (`CrashState`,
+# `CheckpointImage.state`, `restore_from`, the two policy traits) would
+# otherwise pass CI and fail the pipeline. Both build into the workspace
+# target directory.
+CARGO_TARGET_DIR="$PWD/target/benchmark" benchmark/run --check >/dev/null
+CARGO_TARGET_DIR="$PWD/target/benchmark" \
+  cargo test -q --offline --manifest-path benchmark/Cargo.toml
+
 echo "==> cargo bench --no-run (harness must keep compiling)"
 cargo bench --no-run --workspace >/dev/null
 

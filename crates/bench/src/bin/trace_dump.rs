@@ -58,15 +58,15 @@
 //!   (and, with `--section profile`, the profile views).
 
 use fpga::{ConfigPort, ConfigTiming};
-use fsim::{span, SimDuration, SimRng};
+use fsim::{span, SimDuration, SimRng, SimTime};
 use std::collections::BTreeMap;
 use vfpga::manager::dynload::DynLoadManager;
 use vfpga::manager::partition::{PartitionManager, PartitionMode};
 use vfpga::{
     run_fleet, run_with_crashes_traced, AdmissionPolicy, CheckpointConfig, CircuitLib, CrashPlan,
     DegradationConfig, DeviceFaultPlan, FaultPlan, FleetConfig, MigrationPlan, Op, PlacementPolicy,
-    PreemptAction, RecoveryPolicy, RoundRobinScheduler, SchedulabilityConfig, System, SystemConfig,
-    WatchdogConfig,
+    PreemptAction, RecoveryPolicy, RoundRobinScheduler, RunOutcome, SchedulabilityConfig, System,
+    SystemConfig, SystemImage, WatchdogConfig,
 };
 use workload::{poisson_tasks, tenant_tasks, Domain, MixParams, TenantMixParams};
 
@@ -375,20 +375,22 @@ fn main() {
             .map(String::from)
             .to_vec();
     }
+    let ckpt_cfg = {
+        let cfg = CheckpointConfig::new(SimDuration::from_millis(5));
+        if args.section("delta") {
+            cfg.with_delta_checkpoints(4)
+        } else {
+            cfg
+        }
+    };
     let run = || {
         if args.section("checkpoints") {
-            let cfg = CheckpointConfig::new(SimDuration::from_millis(5));
-            let cfg = if args.section("delta") {
-                cfg.with_delta_checkpoints(4)
-            } else {
-                cfg
-            };
             let plan = CrashPlan {
                 seed: args.seed,
                 crash_rate_per_s: 25.0,
                 max_crashes: 3,
             };
-            run_with_crashes_traced(build, cfg, plan).expect("deadlock")
+            run_with_crashes_traced(build, ckpt_cfg, plan).expect("deadlock")
         } else {
             build().with_trace().run_traced().expect("deadlock")
         }
@@ -457,6 +459,27 @@ fn main() {
             c.replay_time.as_secs_f64(),
             c.stale_discards,
         );
+        // What one checkpoint weighs in each of its two forms: cut a
+        // probe run halfway and size the image it leaves behind.
+        let halfway = SimTime::ZERO + SimDuration::from_nanos(report.makespan.as_nanos() / 2);
+        let probe = build()
+            .with_checkpoints(ckpt_cfg)
+            .expect("partition manager snapshots")
+            .run_until(Some(halfway))
+            .expect("deadlock");
+        if let RunOutcome::Crashed(state) = probe {
+            if let Some(image) = &state.image {
+                let typed = SystemImage::from_json(&image.state).expect("own image reads back");
+                println!(
+                    "checkpoint image #{} at {:.3} s: ~{} bytes as the typed image the host keeps, \
+                     {} bytes rendered as vfpga-ckpt/1 JSON when it leaves the host",
+                    image.seq,
+                    image.at.as_secs_f64(),
+                    typed.approx_bytes(),
+                    image.state.render().len(),
+                );
+            }
+        }
     }
     if args.section("delta") {
         // Per-tenant download split: every download is exactly one of

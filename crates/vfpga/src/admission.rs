@@ -266,11 +266,11 @@ pub struct AdmissionStats {
     pub degrade_exits: u64,
 }
 
-/// Runtime admission state carried by the system (crate-internal).
-#[derive(Debug)]
-pub(crate) struct AdmissionRt {
-    /// The policy in force.
-    pub policy: AdmissionPolicy,
+/// The mutable half of the admission runtime: everything a checkpoint
+/// image must carry (the policy is configuration and is rebuilt with the
+/// system).
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct AdmissionState {
     /// Admitted, non-terminal task count per tenant.
     pub in_flight: BTreeMap<u32, u32>,
     /// Deferred task indices per tenant, FIFO.
@@ -291,17 +291,28 @@ pub(crate) struct AdmissionRt {
     pub stats: AdmissionStats,
 }
 
+/// Runtime admission state carried by the system (crate-internal).
+#[derive(Debug)]
+pub(crate) struct AdmissionRt {
+    /// The policy in force.
+    pub policy: AdmissionPolicy,
+    /// Quotas, queues, watchdog generations and counters.
+    pub st: AdmissionState,
+}
+
 impl AdmissionRt {
     pub(crate) fn new(policy: AdmissionPolicy, tasks: usize) -> Self {
         AdmissionRt {
             policy,
-            in_flight: BTreeMap::new(),
-            deferred: BTreeMap::new(),
-            wd_seq: vec![0; tasks],
-            wd_trips: vec![0; tasks],
-            degraded: vec![false; tasks],
-            degrade_mode: false,
-            stats: AdmissionStats::default(),
+            st: AdmissionState {
+                in_flight: BTreeMap::new(),
+                deferred: BTreeMap::new(),
+                wd_seq: vec![0; tasks],
+                wd_trips: vec![0; tasks],
+                degraded: vec![false; tasks],
+                degrade_mode: false,
+                stats: AdmissionStats::default(),
+            },
         }
     }
 }
@@ -444,7 +455,7 @@ mod tests {
 
     #[test]
     fn runtime_state_sized_to_task_count() {
-        let rt = AdmissionRt::new(AdmissionPolicy::default(), 5);
+        let rt = AdmissionRt::new(AdmissionPolicy::default(), 5).st;
         assert_eq!(rt.wd_seq.len(), 5);
         assert_eq!(rt.wd_trips.len(), 5);
         assert_eq!(rt.degraded.len(), 5);

@@ -7,10 +7,15 @@
 //! stream). This module makes the system survive that:
 //!
 //! * a **checkpoint** is taken every [`CheckpointConfig::interval`]: the
-//!   full mutable [`crate::System`] state serialized through the
-//!   [`fsim::json`] writer (and round-tripped through the parser at
-//!   capture time, proving it restores), charged the realistic readback
-//!   cost of the resident frames as background port traffic;
+//!   full mutable [`crate::System`] state copied into a typed
+//!   [`SystemImage`](crate::image::SystemImage), charged the realistic
+//!   readback cost of the resident frames as background port traffic.
+//!   The host keeps the typed image; it is rendered through the
+//!   [`fsim::json`] writer into a [`CheckpointImage`] only when it leaves
+//!   the host inside a [`CrashState`] (a crash, a failover, a migration),
+//!   and read back strictly on the other side. That the rendering
+//!   restores is proved by the image property tests and, in debug
+//!   builds, re-checked on every image that leaves;
 //! * every configuration download is logged as a [`WalRecord`] — the
 //!   OS-level view of the `fpga::journal` write-ahead log. Records after
 //!   the last checkpoint are the ones a restore must reconcile: the
@@ -80,7 +85,8 @@ impl CheckpointConfig {
     }
 }
 
-/// One captured checkpoint: the serialized system state.
+/// One captured checkpoint in its durable form: the system state as it
+/// exists outside the host that captured it.
 #[derive(Debug, Clone)]
 pub struct CheckpointImage {
     /// Monotone checkpoint number.
@@ -91,7 +97,12 @@ pub struct CheckpointImage {
     /// `>= wal_len` happened after this checkpoint and must be
     /// reconciled on restore.
     pub wal_len: usize,
-    /// The serialized state (already round-tripped through the parser).
+    /// The state, rendered as a `vfpga-ckpt/1` tree by
+    /// [`SystemImage::to_json`](crate::image::SystemImage::to_json) when
+    /// the image left its host. A restore reads it back with the strict
+    /// [`SystemImage::from_json`](crate::image::SystemImage::from_json),
+    /// so a damaged tree is a
+    /// [`CheckpointCorrupt`](VfpgaError::CheckpointCorrupt) error.
     pub state: Json,
 }
 

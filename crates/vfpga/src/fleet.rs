@@ -1657,6 +1657,79 @@ mod tests {
         }
     }
 
+    /// A failover or a migration discards every residency claim while the
+    /// FPGA segment restored from the image runs on; under the partition
+    /// manager its next slice expiry used to panic in `preempt`
+    /// ("preempted circuit is resident").
+    #[test]
+    fn partition_shards_survive_failover_and_migration_mid_segment() {
+        use crate::manager::partition::{PartitionManager, PartitionMode};
+        let (lib, ids) = lib_n(3);
+        // FPGA runs several slices long, so a cut usually lands inside one.
+        let sp: Vec<TaskSpec> = (0..12u32)
+            .map(|i| {
+                TaskSpec::new(
+                    format!("p{i}"),
+                    SimTime::ZERO + us(500 * u64::from(i)),
+                    vec![
+                        Op::Cpu(us(300)),
+                        Op::FpgaRun {
+                            circuit: ids[i as usize % ids.len()],
+                            cycles: 200_000,
+                        },
+                    ],
+                )
+                .with_tenant(i % 4)
+            })
+            .collect();
+        let build = |ctx: &ShardCtx<'_>| {
+            let mgr = PartitionManager::new(
+                lib.clone(),
+                timing(),
+                PartitionMode::Variable,
+                PreemptAction::SaveRestore,
+            )?;
+            Ok(System::new(
+                lib.clone(),
+                mgr,
+                RoundRobinScheduler::new(ms(1)),
+                SystemConfig {
+                    preempt: PreemptAction::SaveRestore,
+                    ..Default::default()
+                },
+                ctx.specs.to_vec(),
+            ))
+        };
+        let base = FleetConfig::new(3)
+            .with_max_shards_per_device(8)
+            .with_checkpoints(CheckpointConfig::new(ms(1)));
+        for seed in 0..16u64 {
+            let faults_only = base.clone().with_device_faults(DeviceFaultPlan {
+                seed,
+                crash_rate_per_s: 300.0,
+                outage: ms(2),
+                max_crashes: 3,
+            });
+            let migrations_only = base.clone().with_migrations(MigrationPlan {
+                seed,
+                rate_per_s: 400.0,
+                max_migrations: 4,
+                delta_copy: false,
+                crash: None,
+            });
+            for (what, cfg) in [("faults", faults_only), ("migrations", migrations_only)] {
+                let fleet = run_fleet(&cfg, sp.clone(), build)
+                    .unwrap_or_else(|e| panic!("{what} seed {seed}: {e}"));
+                assert_eq!(fleet.merged.tasks.len(), sp.len(), "{what} seed {seed}");
+                for (m, s) in fleet.merged.tasks.iter().zip(&sp) {
+                    assert_eq!(m.name, s.name, "{what} seed {seed}: workload order");
+                }
+                assert_eq!(fleet.stats.lost_in_flight, 0, "{what} seed {seed}");
+                assert!(fleet.merged.tasks.iter().all(|m| !m.lost_in_flight));
+            }
+        }
+    }
+
     #[test]
     fn migration_without_checkpoint_journal_is_rejected() {
         let (lib, ids) = lib_n(1);

@@ -1,0 +1,424 @@
+//! Properties of typed checkpoint images: the `vfpga-ckpt/1` rendering
+//! round-trips and is byte-stable, a restored system captures the image
+//! it was restored from, and the strict reader turns every damaged image
+//! into an error.
+
+use crate::admission::AdmissionPolicy;
+use crate::checkpoint::{CheckpointConfig, RunOutcome};
+use crate::circuit::{CircuitId, CircuitLib};
+use crate::error::VfpgaError;
+use crate::image::SystemImage;
+use crate::manager::dynload::DynLoadManager;
+use crate::manager::overlay::{OverlayManager, Replacement};
+use crate::manager::partition::{PartitionManager, PartitionMode};
+use crate::manager::{FpgaManager, PreemptAction};
+use crate::recovery::RecoveryPolicy;
+use crate::sched::{EdfScheduler, PriorityScheduler, RoundRobinScheduler, Scheduler};
+use crate::system::{System, SystemConfig};
+use crate::system_tests::{lib_n, ms, timing};
+use crate::task::{Op, TaskSpec};
+use fsim::json::Json;
+use fsim::{FaultPlan, SimDuration, SimTime};
+use std::sync::Arc;
+
+fn us(v: u64) -> SimDuration {
+    SimDuration::from_micros(v)
+}
+
+const SAVE_RESTORE: SystemConfig = SystemConfig {
+    preempt: PreemptAction::SaveRestore,
+    completion: crate::system::CompletionDetect::Exact,
+};
+
+fn faults() -> (FaultPlan, RecoveryPolicy) {
+    (
+        FaultPlan {
+            seed: 7,
+            download_corruption: 0.2,
+            seu_rate_per_s: 300.0,
+            column_failure_rate_per_s: 0.0,
+        },
+        RecoveryPolicy {
+            scrub_interval: Some(ms(2)),
+            ..Default::default()
+        },
+    )
+}
+
+fn tight_admission() -> AdmissionPolicy {
+    AdmissionPolicy {
+        max_in_flight: 1,
+        queue_cap: 4,
+        ..Default::default()
+    }
+}
+
+/// `n` tasks over two tenants, each a CPU burst, one FPGA run, a CPU
+/// burst; priorities and deadlines set so every scheduler has something
+/// to order by.
+fn specs(ids: &[CircuitId], n: u32) -> Vec<TaskSpec> {
+    (0..n)
+        .map(|i| {
+            TaskSpec::new(
+                format!("g{i}"),
+                SimTime::ZERO + us(300 * u64::from(i)),
+                vec![
+                    Op::Cpu(us(200)),
+                    Op::FpgaRun {
+                        circuit: ids[i as usize % ids.len()],
+                        cycles: 150_000,
+                    },
+                    Op::Cpu(us(100)),
+                ],
+            )
+            .with_tenant(i % 2)
+            .with_priority((i % 3) as u8)
+            .with_deadline(ms(30))
+        })
+        .collect()
+}
+
+/// The pinned small case behind `golden/ckpt_small.json`: dynamic
+/// loading, round-robin, faults and a tight admission gate, cut at
+/// 4.6 ms (so the image is the capture at 4 ms).
+fn pinned_small(
+    lib: &Arc<CircuitLib>,
+    ids: &[CircuitId],
+) -> System<DynLoadManager, RoundRobinScheduler> {
+    let mgr = DynLoadManager::new(lib.clone(), timing(), PreemptAction::SaveRestore);
+    let (plan, policy) = faults();
+    System::new(
+        lib.clone(),
+        mgr,
+        RoundRobinScheduler::new(ms(1)),
+        SAVE_RESTORE,
+        specs(ids, 4),
+    )
+    .with_faults(plan, policy)
+    .with_admission(tight_admission())
+    .unwrap()
+    .with_checkpoints(CheckpointConfig::new(ms(1)))
+    .unwrap()
+}
+
+const PINNED_CUT_US: u64 = 4600;
+
+/// The durable image a crash at `cut_us` leaves behind, if the run got
+/// that far and had captured one.
+fn image_at<M: FpgaManager, S: Scheduler>(sys: System<M, S>, cut_us: u64) -> Option<Json> {
+    match sys.run_until(Some(SimTime::ZERO + us(cut_us))).unwrap() {
+        RunOutcome::Crashed(state) => state.image.map(|i| i.state),
+        RunOutcome::Completed(..) => None,
+    }
+}
+
+/// For every cut point that yields an image: the rendering parses back to
+/// the same typed image, and a fresh system restored from it captures it
+/// again. `drops_ghosts` marks managers whose restore deliberately
+/// forgets delta bases (the fabric they described was wiped): their
+/// `manager` section settles one restore later.
+fn check_round_trips<M: FpgaManager, S: Scheduler>(
+    label: &str,
+    drops_ghosts: bool,
+    build: impl Fn() -> System<M, S>,
+) {
+    let mut images = 0;
+    for cut_us in [1500, 2500, 4000, 6000, 9000, 14000] {
+        let Some(durable) = image_at(build(), cut_us) else {
+            continue;
+        };
+        images += 1;
+        let img = SystemImage::from_json(&durable)
+            .unwrap_or_else(|e| panic!("{label} @{cut_us}us: boundary image rejected: {e}"));
+        let text = img.to_json().render();
+        assert_eq!(text, durable.render(), "{label} @{cut_us}us: re-rendering");
+        let back = SystemImage::from_json(&Json::parse(&text).unwrap()).unwrap();
+        assert_eq!(back, img, "{label} @{cut_us}us: render/parse round trip");
+
+        let recapture = |img: &SystemImage| {
+            let mut fresh = build();
+            fresh
+                .restore(img)
+                .unwrap_or_else(|e| panic!("{label} @{cut_us}us: restore failed: {e}"));
+            fresh.capture(img.at)
+        };
+        let again = recapture(&img);
+        if !drops_ghosts {
+            assert_eq!(again.manager, img.manager, "{label} @{cut_us}us: manager");
+        }
+        let mut expect = img.clone();
+        expect.manager = again.manager.clone();
+        assert_eq!(again, expect, "{label} @{cut_us}us: restore then capture");
+        assert_eq!(recapture(&again), again, "{label} @{cut_us}us: fixed point");
+    }
+    assert!(
+        images >= 3,
+        "{label}: only {images} cut points had an image"
+    );
+}
+
+/// One manager under round-robin, priority-with-aging and EDF, each with
+/// and without the admission gate and fault injector.
+fn check_all_schedulers<M: FpgaManager>(
+    label: &str,
+    drops_ghosts: bool,
+    ckpt: CheckpointConfig,
+    ids: &[CircuitId],
+    lib: &Arc<CircuitLib>,
+    manager: impl Fn() -> M,
+) {
+    fn finish<M: FpgaManager, S: Scheduler>(
+        sys: System<M, S>,
+        guarded: bool,
+        ckpt: CheckpointConfig,
+    ) -> System<M, S> {
+        let sys = if guarded {
+            let (plan, policy) = faults();
+            sys.with_faults(plan, policy)
+                .with_admission(tight_admission())
+                .unwrap()
+        } else {
+            sys
+        };
+        sys.with_checkpoints(ckpt).unwrap()
+    }
+    for guarded in [false, true] {
+        let sp = || specs(ids, 8);
+        let tag = |s: &str| format!("{label}/{s}/guarded={guarded}");
+        check_round_trips(&tag("rr"), drops_ghosts, || {
+            let sched = RoundRobinScheduler::new(ms(1));
+            finish(
+                System::new(lib.clone(), manager(), sched, SAVE_RESTORE, sp()),
+                guarded,
+                ckpt,
+            )
+        });
+        check_round_trips(&tag("priority"), drops_ghosts, || {
+            let sched = PriorityScheduler::with_aging(Some(ms(1)), ms(2));
+            finish(
+                System::new(lib.clone(), manager(), sched, SAVE_RESTORE, sp()),
+                guarded,
+                ckpt,
+            )
+        });
+        check_round_trips(&tag("edf"), drops_ghosts, || {
+            let sched = EdfScheduler::for_tasks(&sp(), Some(ms(1)));
+            finish(
+                System::new(lib.clone(), manager(), sched, SAVE_RESTORE, sp()),
+                guarded,
+                ckpt,
+            )
+        });
+    }
+}
+
+#[test]
+fn images_round_trip_and_restore_to_themselves() {
+    let (lib, ids) = lib_n(3);
+    let plain = CheckpointConfig::new(ms(1));
+    check_all_schedulers("dynload", false, plain, &ids, &lib, || {
+        DynLoadManager::new(lib.clone(), timing(), PreemptAction::SaveRestore)
+    });
+    let widest = ids.iter().map(|&c| lib.get(c).shape().0).max().unwrap();
+    let cols = timing().spec.cols;
+    let mut widths = vec![widest; (cols / widest) as usize];
+    *widths.last_mut().unwrap() += cols % widest;
+    check_all_schedulers("partition-fixed", false, plain, &ids, &lib, || {
+        PartitionManager::new(
+            lib.clone(),
+            timing(),
+            PartitionMode::Fixed(widths.clone()),
+            PreemptAction::SaveRestore,
+        )
+        .unwrap()
+    });
+    let delta = plain.with_delta_checkpoints(3);
+    check_all_schedulers("partition-variable-delta", true, delta, &ids, &lib, || {
+        let mut mgr = PartitionManager::new(
+            lib.clone(),
+            timing(),
+            PartitionMode::Variable,
+            PreemptAction::SaveRestore,
+        )
+        .unwrap();
+        mgr.enable_delta();
+        mgr
+    });
+}
+
+#[test]
+fn overlay_manager_cannot_be_checkpointed() {
+    // No snapshot, so no image to round-trip: refused up front.
+    let (lib, ids) = lib_n(3);
+    let widest = ids.iter().map(|&c| lib.get(c).shape().0).max().unwrap();
+    let mgr = OverlayManager::new(
+        lib.clone(),
+        timing(),
+        vec![ids[0]],
+        widest,
+        Replacement::Lru,
+    )
+    .unwrap();
+    let sys = System::new(
+        lib,
+        mgr,
+        RoundRobinScheduler::new(ms(1)),
+        SAVE_RESTORE,
+        specs(&ids, 4),
+    );
+    assert!(matches!(
+        sys.with_checkpoints(CheckpointConfig::new(ms(1))),
+        Err(VfpgaError::CheckpointUnsupported { .. })
+    ));
+}
+
+#[test]
+fn pinned_image_renders_the_golden_bytes() {
+    // The golden file is what the JSON-tree capture this module replaced
+    // produced for the pinned case: the rendering must not drift.
+    let (lib, ids) = lib_n(2);
+    let durable = image_at(pinned_small(&lib, &ids), PINNED_CUT_US).unwrap();
+    assert_eq!(durable.render(), include_str!("../golden/ckpt_small.json"));
+}
+
+/// The object field `key` of `v`, for damaging a parsed image in place.
+fn field<'a>(v: &'a mut Json, key: &str) -> &'a mut Json {
+    match v {
+        Json::Obj(fields) => fields
+            .iter_mut()
+            .find(|(k, _)| k == key)
+            .map(|(_, v)| v)
+            .unwrap_or_else(|| panic!("no field '{key}'")),
+        other => panic!("not an object: {other:?}"),
+    }
+}
+
+fn items(v: &mut Json) -> &mut Vec<Json> {
+    match v {
+        Json::Arr(items) => items,
+        other => panic!("not an array: {other:?}"),
+    }
+}
+
+#[test]
+fn damaged_images_are_errors_not_panics() {
+    let text = include_str!("../golden/ckpt_small.json");
+    let good = Json::parse(text).unwrap();
+    let img = SystemImage::from_json(&good).unwrap();
+    let read = |t: &str| -> Result<SystemImage, String> {
+        SystemImage::from_json(&Json::parse(t).map_err(|e| e.to_string())?)
+    };
+
+    // Every truncation short of the closing brace.
+    let body = text.trim_end();
+    for cut in 0..body.len() {
+        assert!(read(&body[..cut]).is_err(), "prefix of {cut} bytes read");
+    }
+
+    // Every structural character, damaged three ways: blanked, turned
+    // into garbage, and swapped for the structural character it is most
+    // easily confused with.
+    let mut bytes = text.as_bytes().to_vec();
+    for at in 0..bytes.len() {
+        let orig = bytes[at];
+        let confusable = match orig {
+            b'{' => b'[',
+            b'[' => b'{',
+            b'}' => b']',
+            b']' => b'}',
+            b':' => b',',
+            b',' => b':',
+            b'"' => b'\'',
+            _ => continue,
+        };
+        for damage in [b' ', b'x', confusable] {
+            bytes[at] = damage;
+            let t = std::str::from_utf8(&bytes).unwrap();
+            assert!(
+                read(t).is_err(),
+                "byte {at} '{}' -> '{}' read",
+                orig as char,
+                damage as char
+            );
+        }
+        bytes[at] = orig;
+    }
+
+    // Per-task arrays one entry short or long.
+    for key in [
+        "tasks",
+        "metrics",
+        "op_full",
+        "op_done",
+        "rollbacks",
+        "dl_attempts",
+        "fault_restarts",
+        "poisoned",
+    ] {
+        let mut short = good.clone();
+        items(field(&mut short, key)).pop();
+        assert!(SystemImage::from_json(&short).is_err(), "short '{key}'");
+        let mut long = good.clone();
+        let arr = items(field(&mut long, key));
+        arr.push(arr[0].clone());
+        assert!(SystemImage::from_json(&long).is_err(), "long '{key}'");
+    }
+    for key in ["wd_seq", "wd_trips", "degraded"] {
+        let mut short = good.clone();
+        items(field(field(&mut short, "admission"), key)).pop();
+        assert!(
+            SystemImage::from_json(&short).is_err(),
+            "short admission '{key}'"
+        );
+    }
+    let mut rng = good.clone();
+    items(&mut items(field(&mut rng, "rng"))[1]).pop();
+    assert!(SystemImage::from_json(&rng).is_err(), "short rng stream");
+
+    // Names the reader does not know.
+    let mut schema = good.clone();
+    *field(&mut schema, "schema") = Json::from("vfpga-ckpt/2");
+    assert!(SystemImage::from_json(&schema)
+        .unwrap_err()
+        .contains("schema"));
+    let mut state = good.clone();
+    *field(&mut items(field(&mut state, "tasks"))[0], "state") = Json::from("zombie");
+    assert!(SystemImage::from_json(&state)
+        .unwrap_err()
+        .contains("zombie"));
+    let mut kind = good.clone();
+    items(&mut items(field(&mut kind, "pending"))[0])[1] = Json::from("reboot");
+    assert!(SystemImage::from_json(&kind)
+        .unwrap_err()
+        .contains("reboot"));
+
+    // Fields missing, unexpected, or too large for their type.
+    let mut extra = good.clone();
+    if let Json::Obj(fields) = &mut extra {
+        fields.push(("epilogue".into(), Json::Null));
+    }
+    assert!(SystemImage::from_json(&extra).is_err(), "extra field");
+    let mut missing = good.clone();
+    if let Json::Obj(fields) = &mut missing {
+        fields.retain(|(k, _)| k != "stale");
+    }
+    assert!(SystemImage::from_json(&missing).is_err(), "missing field");
+    let mut wide = good.clone();
+    *field(field(&mut wide, "running"), "tid") = Json::from(u64::from(u32::MAX) + 1);
+    assert!(SystemImage::from_json(&wide).is_err(), "64-bit task id");
+
+    // Well-formed images that describe some other system.
+    let (lib, ids) = lib_n(2);
+    let mut ghost_task = img.clone();
+    ghost_task.running.as_mut().unwrap().tid.0 = 99;
+    assert!(pinned_small(&lib, &ids).restore(&ghost_task).is_err());
+    let mut fewer = img.clone();
+    fewer.tasks.pop();
+    assert!(pinned_small(&lib, &ids).restore(&fewer).is_err());
+    let mut unguarded = img.clone();
+    unguarded.admission = None;
+    assert!(pinned_small(&lib, &ids).restore(&unguarded).is_err());
+    pinned_small(&lib, &ids)
+        .restore(&img)
+        .expect("the undamaged image restores");
+}

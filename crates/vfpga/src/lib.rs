@@ -33,8 +33,9 @@
 //! * [`recovery`] / [`error`] — fault detection and recovery: retry of
 //!   CRC-rejected downloads, configuration scrubbing with upset repair,
 //!   permanent column retirement, and the typed error surface,
-//! * [`checkpoint`] — crash consistency: periodic whole-system
-//!   checkpoints, a configuration write-ahead log, seeded host-crash
+//! * [`checkpoint`] / [`image`] — crash consistency: periodic
+//!   whole-system checkpoints held as typed images (JSON only where they
+//!   leave the host), a configuration write-ahead log, seeded host-crash
 //!   injection with restore, and the differential verifier proving a
 //!   crashed-and-restored run matches the uninterrupted one,
 //! * [`admission`] — overload resilience: per-tenant admission quotas,
@@ -53,6 +54,7 @@ pub mod checkpoint;
 pub mod circuit;
 pub mod error;
 pub mod fleet;
+pub mod image;
 pub mod iomux;
 pub mod manager;
 pub mod metrics;
@@ -81,6 +83,7 @@ pub use fsim::{
     CrashInjector, CrashPlan, DeviceFaultInjector, DeviceFaultPlan, FaultInjector, FaultPlan,
     MigrationCrashWindow, MigrationPlan,
 };
+pub use image::SystemImage;
 pub use manager::{Activation, DeviceUsage, FpgaManager, ManagerStats, PreemptAction, PreemptCost};
 pub use metrics::{OverheadBreakdown, Report, TaskMetrics};
 pub use migrate::{CounterBaseline, MigrateInReceipt, MigrationEngine, MigrationManifest};
@@ -90,5 +93,7 @@ pub use syscall::{FpgaHandle, OpenError, OsInterface};
 pub use system::{CompletionDetect, FailoverReceipt, System, SystemConfig};
 pub use task::{Op, TaskId, TaskSpec};
 
+#[cfg(test)]
+mod image_tests;
 #[cfg(test)]
 mod system_tests;

@@ -725,11 +725,16 @@ impl FpgaManager for PartitionManager {
                 // fabric. No readback is needed *unless* the partition gets
                 // reassigned, which this manager never does while the op is
                 // unfinished (owner stays set). So preemption is free.
-                let i = self
-                    .find_resident(cid)
-                    .expect("preempted circuit is resident");
-                if let Slot::Resident { owner, .. } = &mut self.parts[i].slot {
-                    debug_assert_eq!(*owner, Some(tid));
+                //
+                // The circuit can be gone all the same: a failover or a
+                // migration discards every residency claim of the fabric
+                // it left behind, while the segment restored from the
+                // image runs on. Preempting it is still free, and its
+                // next activation pays the download like any other miss.
+                if let Some(i) = self.find_resident(cid) {
+                    if let Slot::Resident { owner, .. } = &self.parts[i].slot {
+                        debug_assert_eq!(*owner, Some(tid));
+                    }
                 }
                 PreemptCost {
                     overhead: SimDuration::ZERO,

@@ -16,17 +16,17 @@ use crate::checkpoint::{
 };
 use crate::circuit::{CircuitId, CircuitLib};
 use crate::error::VfpgaError;
+use crate::image::{Capture, FpgaSeg, Latent, Running, SystemImage};
 use crate::manager::{redownload_cost, Activation, FpgaManager, PreemptAction};
 use crate::metrics::{Report, TaskMetrics};
 use crate::recovery::{FaultStats, RecoveryPolicy, UpsetRecovery};
 use crate::sched::Scheduler;
-use crate::task::{Op, TaskId, TaskRun, TaskSpec, TaskState};
-use fsim::json::{Json, Obj};
+use crate::task::{Op, TaskId, TaskSlot, TaskSpec, TaskState};
 use fsim::{
     span, EventQueue, FaultInjector, FaultPlan, HistSet, Metrics, SimDuration, SimTime,
     TimelineSet, Trace, TraceEvent,
 };
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 /// How the OS learns an FPGA operation has finished (§3).
@@ -71,8 +71,8 @@ impl Default for SystemConfig {
     }
 }
 
-#[derive(Debug, Clone)]
-enum Ev {
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum Ev {
     Arrive(TaskId),
     /// The running segment of `tid` ends.
     Timer(TaskId),
@@ -101,71 +101,6 @@ enum Ev {
         tid: TaskId,
         seq: u64,
     },
-}
-
-#[derive(Debug, Clone)]
-struct Running {
-    tid: TaskId,
-    /// Executed op time in this segment (excludes overhead and slack).
-    dur: SimDuration,
-    /// When the executed portion starts (after dispatch overhead), so an
-    /// upset mid-segment can split valid from garbage progress.
-    exec_start: SimTime,
-    /// FPGA context when the op is an FPGA run.
-    fpga: Option<FpgaSeg>,
-}
-
-/// An injected configuration upset that has not been repaired yet.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Latent {
-    /// When the (earliest) strike happened, for MTTR.
-    struck_at: SimTime,
-    /// Whether a scrub pass has found it (repair may still be deferred
-    /// until the victim circuit's current op drains).
-    detected: bool,
-}
-
-/// Stable names for [`TaskState`] inside checkpoint images.
-fn state_str(s: TaskState) -> &'static str {
-    match s {
-        TaskState::Future => "future",
-        TaskState::Ready => "ready",
-        TaskState::Running => "running",
-        TaskState::Blocked => "blocked",
-        TaskState::Deferred => "deferred",
-        TaskState::Done => "done",
-        TaskState::Failed => "failed",
-        TaskState::Quarantined => "quarantined",
-        TaskState::Rejected => "rejected",
-        TaskState::Migrated => "migrated",
-    }
-}
-
-fn state_from_str(s: &str) -> Result<TaskState, String> {
-    Ok(match s {
-        "future" => TaskState::Future,
-        "ready" => TaskState::Ready,
-        "running" => TaskState::Running,
-        "blocked" => TaskState::Blocked,
-        "deferred" => TaskState::Deferred,
-        "done" => TaskState::Done,
-        "failed" => TaskState::Failed,
-        "quarantined" => TaskState::Quarantined,
-        "rejected" => TaskState::Rejected,
-        "migrated" => TaskState::Migrated,
-        other => return Err(format!("unknown task state '{other}'")),
-    })
-}
-
-#[derive(Debug, Clone, Copy)]
-struct FpgaSeg {
-    cid: crate::circuit::CircuitId,
-    /// Whether the op completes at the end of this segment.
-    completes: bool,
-    /// Detection slack charged after completion.
-    slack: SimDuration,
-    /// Poll CPU cost folded into overhead.
-    poll_cost: SimDuration,
 }
 
 /// What [`System::fail_over_from`] found in the carried state: the
@@ -206,6 +141,42 @@ pub(crate) struct DeviceCtx<M: FpgaManager> {
     /// OS-level write-ahead log of configuration downloads (empty unless
     /// checkpointing is on).
     pub(crate) wal: Vec<WalRecord>,
+    /// Per column: a WAL-logged download rewrote it since the last
+    /// checkpoint capture. Set where the record is appended, cleared at
+    /// capture — what a delta capture must read back.
+    pub(crate) dirty_cols: Vec<bool>,
+}
+
+/// Index of the first journal record the carried checkpoint does not
+/// cover. A checkpoint claiming more records than the journal holds is
+/// corrupt.
+fn wal_base(state: &CrashState) -> Result<usize, VfpgaError> {
+    let base = state.image.as_ref().map_or(0, |i| i.wal_len);
+    if base > state.wal.len() {
+        return Err(VfpgaError::CheckpointCorrupt {
+            reason: format!(
+                "image covers {base} journal records, the journal holds {}",
+                state.wal.len()
+            ),
+        });
+    }
+    Ok(base)
+}
+
+impl<M: FpgaManager> DeviceCtx<M> {
+    /// Journal a configuration download and mark the columns it rewrote
+    /// for the next delta capture.
+    fn log_download(&mut self, rec: WalRecord) {
+        for dirty in self
+            .dirty_cols
+            .iter_mut()
+            .skip(rec.col0 as usize)
+            .take(rec.width as usize)
+        {
+            *dirty = true;
+        }
+        self.wal.push(rec);
+    }
 }
 
 /// The simulator.
@@ -214,14 +185,10 @@ pub struct System<M: FpgaManager, S: Scheduler> {
     dev: DeviceCtx<M>,
     sched: S,
     config: SystemConfig,
-    tasks: Vec<TaskRun>,
-    metrics: Vec<TaskMetrics>,
-    /// Full duration of the task's current FPGA op (for rollback).
-    op_full: Vec<SimDuration>,
-    /// Executed time of the current op so far (for rollback loss account).
-    op_done_so_far: Vec<SimDuration>,
-    /// Consecutive rollbacks of the current op (livelock guard).
-    rollbacks: Vec<u64>,
+    /// The immutable task descriptions, by task id.
+    specs: Vec<TaskSpec>,
+    /// Everything mutable about each task, by task id.
+    slots: Vec<TaskSlot>,
     queue: EventQueue<Ev>,
     running: Option<Running>,
     trace: Trace,
@@ -232,14 +199,6 @@ pub struct System<M: FpgaManager, S: Scheduler> {
     timelines: TimelineSet,
     recovery: RecoveryPolicy,
     fault: FaultStats,
-    /// Corrupt download attempts for the task's current request streak.
-    dl_attempts: Vec<u32>,
-    /// Fault-recovery restarts of the task's current op (cap guard).
-    fault_restarts: Vec<u32>,
-    /// Valid progress at the moment an upset poisoned the task's current
-    /// op (`None` = unpoisoned). Everything executed past this point is
-    /// garbage and is discarded when the upset is repaired.
-    poisoned: Vec<Option<SimDuration>>,
     /// Tasks neither Done nor Failed; fault events stop rescheduling at 0.
     unfinished: usize,
     /// Checkpoint cadence + journal switch; `None` = no checkpointing.
@@ -252,7 +211,7 @@ pub struct System<M: FpgaManager, S: Scheduler> {
     /// failover) — the next capture must be a full image.
     ckpt_dirty_all: bool,
     /// Most recent captured image (the durable restore point).
-    last_ckpt: Option<CheckpointImage>,
+    last_ckpt: Option<Capture>,
     /// Checkpoint/crash accounting (carried across restarts).
     crash: CrashStats,
     /// Admission-control runtime (quotas, watchdogs, degradation);
@@ -276,18 +235,11 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
         // (arrival + dispatch + completion + timer per task); reserving
         // up front keeps the hot loop reallocation-free.
         let mut queue = EventQueue::with_capacity(specs.len() * 4 + 8);
-        let mut tasks = Vec::with_capacity(specs.len());
-        let mut metrics = Vec::with_capacity(specs.len());
-        for (i, spec) in specs.into_iter().enumerate() {
+        for (i, spec) in specs.iter().enumerate() {
             queue.schedule_at(spec.arrival, Ev::Arrive(TaskId(i as u32)));
-            metrics.push(TaskMetrics {
-                name: spec.name.clone(),
-                arrival: spec.arrival,
-                ..Default::default()
-            });
-            tasks.push(TaskRun::new(spec));
         }
-        let n = tasks.len();
+        let slots: Vec<TaskSlot> = specs.iter().map(TaskSlot::new).collect();
+        let cols = manager.timing().spec.cols as usize;
         System {
             lib,
             dev: DeviceCtx {
@@ -297,14 +249,13 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
                 latent: BTreeMap::new(),
                 stale: BTreeSet::new(),
                 wal: Vec::new(),
+                dirty_cols: vec![false; cols],
             },
             sched,
             config,
-            tasks,
-            metrics,
-            op_full: vec![SimDuration::ZERO; n],
-            op_done_so_far: vec![SimDuration::ZERO; n],
-            rollbacks: vec![0; n],
+            unfinished: slots.len(),
+            specs,
+            slots,
             queue,
             running: None,
             trace: Trace::disabled(),
@@ -313,10 +264,6 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
             timelines: TimelineSet::new(),
             recovery: RecoveryPolicy::default(),
             fault: FaultStats::default(),
-            dl_attempts: vec![0; n],
-            fault_restarts: vec![0; n],
-            poisoned: vec![None; n],
-            unfinished: n,
             ckpt: None,
             ckpt_seq: 0,
             ckpt_chain: 0,
@@ -426,7 +373,7 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
     /// byte-identically to one predating the admission subsystem.
     pub fn with_admission(mut self, policy: AdmissionPolicy) -> Result<Self, VfpgaError> {
         policy.validate()?;
-        self.admission = Some(AdmissionRt::new(policy, self.tasks.len()));
+        self.admission = Some(AdmissionRt::new(policy, self.slots.len()));
         Ok(self)
     }
 
@@ -630,11 +577,10 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
                 Ev::Retry(tid) => {
                     // Backoff elapsed; the task may probe the manager
                     // again (a manager wake may already have freed it).
-                    let t = &mut self.tasks[tid.0 as usize];
-                    if t.state == TaskState::Blocked {
-                        t.state = TaskState::Ready;
-                        let prio = t.spec.priority;
-                        self.sched.on_ready(tid, prio, now);
+                    let ti = tid.0 as usize;
+                    if self.slots[ti].state == TaskState::Blocked {
+                        self.slots[ti].state = TaskState::Ready;
+                        self.sched.on_ready(tid, self.specs[ti].priority, now);
                         self.dispatch(now);
                     }
                 }
@@ -643,7 +589,7 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
                     // A crash after the last task finished changes nothing
                     // observable: the run completed first.
                     if self.unfinished > 0 {
-                        let state = self.crash_now(now);
+                        let state = span::time("crash", || self.crash_now(now));
                         return Ok(RunOutcome::Crashed(Box::new(state)));
                     }
                 }
@@ -661,10 +607,10 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
         }
         // Every task must have left the system — completed or explicitly
         // failed by recovery; anything else is a deadlock.
-        for t in &self.tasks {
-            if !t.state.is_terminal() {
+        for (slot, spec) in self.slots.iter().zip(&self.specs) {
+            if !slot.state.is_terminal() {
                 return Err(VfpgaError::Deadlock {
-                    task: t.spec.name.clone(),
+                    task: spec.name.clone(),
                 });
             }
         }
@@ -676,8 +622,14 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
     /// is in. Shared by the normal completion path and
     /// [`abandon_lost`](Self::abandon_lost).
     fn into_report(mut self) -> (Report, Trace) {
-        let makespan = self
-            .metrics
+        // The rows take the names out of the specs; nothing below reads them.
+        let tasks: Vec<TaskMetrics> = self
+            .slots
+            .iter()
+            .zip(&mut self.specs)
+            .map(|(slot, spec)| slot.metrics(std::mem::take(&mut spec.name)))
+            .collect();
+        let makespan = tasks
             .iter()
             .map(|m| m.completion)
             .max()
@@ -685,7 +637,7 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
             - SimTime::ZERO;
         if self.obs_on {
             self.reg.set_gauge("makespan_s", makespan.as_secs_f64());
-            for m in &self.metrics {
+            for m in &tasks {
                 self.reg
                     .observe("turnaround_s", m.turnaround().as_secs_f64());
                 self.reg.observe("waiting_s", m.waiting().as_secs_f64());
@@ -694,8 +646,8 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
         if let Some(lat) = self.lat.as_mut() {
             // Per-tenant tails: `@t<n>` labels keep one series per tenant
             // so E17-style sweeps expose p99 turnaround, not just means.
-            for (m, t) in self.metrics.iter().zip(&self.tasks) {
-                let tenant = t.spec.tenant;
+            for (m, spec) in tasks.iter().zip(&self.specs) {
+                let tenant = spec.tenant;
                 lat.record(&format!("turnaround@t{tenant}"), m.turnaround().as_nanos());
                 lat.record(&format!("waiting@t{tenant}"), m.waiting().as_nanos());
             }
@@ -704,12 +656,12 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
             Report {
                 manager: self.dev.manager.name(),
                 scheduler: self.sched.name(),
-                tasks: self.metrics,
+                tasks,
                 makespan,
                 manager_stats: self.dev.manager.stats(),
                 fault: self.fault,
                 crash: self.crash,
-                admission: self.admission.as_ref().map(|a| a.stats),
+                admission: self.admission.as_ref().map(|a| a.st.stats),
                 delta: self.dev.manager.delta_stats(),
                 metrics: self.reg,
                 timelines: self.timelines,
@@ -728,19 +680,18 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
     /// is stamped with the abandon time (never before arrival), so the
     /// slice is disjoint from `failed`/`quarantined`/`rejected`.
     pub fn abandon_lost(mut self, at: SimTime) -> Report {
-        for (t, m) in self.tasks.iter().zip(self.metrics.iter_mut()) {
-            if !t.state.is_terminal() {
-                m.lost_in_flight = true;
-                m.completion = at.max(m.arrival);
+        for slot in &mut self.slots {
+            if !slot.state.is_terminal() {
+                slot.lost_in_flight = true;
+                slot.completion = at.max(slot.arrival);
             }
         }
         self.into_report().0
     }
 
-    /// Capture a periodic checkpoint: serialize the full mutable state,
-    /// prove it round-trips through the JSON parser, and charge the
-    /// readback cost of the resident frames as background port traffic
-    /// (like scrubbing — never billed to a task).
+    /// Capture a periodic checkpoint: copy the full mutable state into a
+    /// typed image and charge the readback cost of the resident frames as
+    /// background port traffic (like scrubbing — never billed to a task).
     fn on_checkpoint(&mut self, now: SimTime) {
         let Some(cfg) = self.ckpt else { return };
         if self.unfinished == 0 {
@@ -759,8 +710,8 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
         // failover) raises `ckpt_dirty_all` and forces a full image, as
         // does the every-`k` chain anchor.
         let delta = match (cfg.delta_full_every, &self.last_ckpt) {
-            (Some(k), Some(img)) if !self.ckpt_dirty_all && self.ckpt_chain + 1 < k => {
-                let recent = &self.dev.wal[img.wal_len.min(self.dev.wal.len())..];
+            (Some(k), Some(_)) if !self.ckpt_dirty_all && self.ckpt_chain + 1 < k => {
+                let dirty = &self.dev.dirty_cols;
                 let mut changed = 0u32;
                 for r in &regions {
                     if self.lib.get(r.cid).is_sequential() {
@@ -768,7 +719,7 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
                         changed += r.width;
                     } else {
                         changed += (r.col0..r.col0 + r.width)
-                            .filter(|&c| recent.iter().any(|w| w.overlaps(c, 1)))
+                            .filter(|&c| dirty.get(c as usize).is_some_and(|&d| d))
                             .count() as u32;
                     }
                 }
@@ -776,6 +727,7 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
             }
             _ => None,
         };
+        self.dev.dirty_cols.fill(false);
         let read = delta.unwrap_or(frames);
         let cost = self.dev.manager.timing().readback_time(read as usize);
         self.ckpt_seq += 1;
@@ -784,14 +736,7 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
         // The stored image is always the full snapshot — delta capture
         // changes what crosses the readback port (the cost model), never
         // what a restore can rely on.
-        let state = span::time("capture", || {
-            let state = self.snapshot_json(now);
-            // The round trip is the point: an image that does not survive
-            // the writer/parser pair could never be restored after a real
-            // crash.
-            Json::parse(&state.render())
-                .expect("checkpoint image must survive a render/parse round trip")
-        });
+        let image = span::time("capture", || self.capture(now));
         match delta {
             Some(changed) => {
                 self.ckpt_chain += 1;
@@ -823,12 +768,120 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
                 }
             }
         }
-        self.last_ckpt = Some(CheckpointImage {
+        self.last_ckpt = Some(Capture {
             seq: self.ckpt_seq,
-            at: now,
             wal_len: self.dev.wal.len(),
-            state,
+            image,
         });
+    }
+
+    /// Copy the full mutable state into a typed image.
+    pub(crate) fn capture(&self, now: SimTime) -> SystemImage {
+        SystemImage {
+            at: now,
+            tasks: self.slots.clone(),
+            latent: self.dev.latent.clone(),
+            unfinished: self.unfinished,
+            stale: self.dev.stale.clone(),
+            running: self.running,
+            pending: self
+                .queue
+                .pending_in_order()
+                .into_iter()
+                // The crash is the one event that must NOT survive: the
+                // next segment gets its own crash time.
+                .filter(|e| e.event != Ev::Crash)
+                .map(|e| (e.at, e.event))
+                .collect(),
+            fault: self.fault,
+            rng: self.dev.injector.as_ref().map(|inj| inj.stream_states()),
+            admission: self.admission.as_ref().map(|a| a.st.clone()),
+            sched: self.sched.snapshot().expect("validated at enable"),
+            manager: self.dev.manager.snapshot().expect("validated at enable"),
+        }
+    }
+
+    /// Load a captured image into this freshly built system. Fails when
+    /// the image does not describe this system: another task count, a
+    /// task id or op index out of range, or a fault injector or admission
+    /// policy on one side only.
+    pub(crate) fn restore(&mut self, img: &SystemImage) -> Result<(), String> {
+        let n = self.slots.len();
+        if img.tasks.len() != n {
+            return Err(format!("image has {} tasks, want {n}", img.tasks.len()));
+        }
+        for (slot, spec) in img.tasks.iter().zip(&self.specs) {
+            if !slot.state.is_terminal() && slot.op_idx >= spec.ops.len() {
+                return Err(format!("live task '{}' is past its last op", spec.name));
+            }
+        }
+        let in_range = |t: TaskId| -> Result<(), String> {
+            if (t.0 as usize) < n {
+                Ok(())
+            } else {
+                Err(format!("task id {} out of range ({n} tasks)", t.0))
+            }
+        };
+        if let Some(run) = &img.running {
+            in_range(run.tid)?;
+        }
+        for (_, ev) in &img.pending {
+            match *ev {
+                Ev::Arrive(t) | Ev::Timer(t) | Ev::RetryDone(t) | Ev::Retry(t) => in_range(t)?,
+                Ev::Watchdog { tid, .. } => in_range(tid)?,
+                _ => {}
+            }
+        }
+        match (img.rng, self.dev.injector.as_mut()) {
+            (None, None) => {}
+            (Some(states), Some(inj)) => inj.restore_stream_states(states),
+            _ => return Err("fault injector presence differs from the image".into()),
+        }
+        match (&img.admission, self.admission.as_mut()) {
+            (None, None) => {}
+            (Some(a), Some(adm)) => {
+                if a.wd_seq.len() != n || a.wd_trips.len() != n || a.degraded.len() != n {
+                    return Err(format!("admission state is not sized for {n} tasks"));
+                }
+                for &t in a.deferred.values().flatten() {
+                    in_range(TaskId(t))?;
+                }
+                adm.st = a.clone();
+            }
+            _ => return Err("admission presence differs from the image".into()),
+        }
+        self.sched
+            .restore(&img.sched)
+            .map_err(|e| format!("scheduler: {e}"))?;
+        self.dev
+            .manager
+            .restore(&img.manager)
+            .map_err(|e| format!("manager: {e}"))?;
+        self.slots.clone_from(&img.tasks);
+        self.dev.latent.clone_from(&img.latent);
+        self.dev.stale.clone_from(&img.stale);
+        self.unfinished = img.unfinished;
+        self.running = img.running;
+        self.fault = img.fault;
+        // Pending events last: the fresh queue (clock still at zero)
+        // re-learns every in-flight timer at its absolute time.
+        self.queue.clear();
+        for &(at, ev) in &img.pending {
+            self.queue.schedule_at(at, ev);
+        }
+        Ok(())
+    }
+
+    /// Adopt a durable checkpoint as this incarnation's restore point:
+    /// parse it back into a typed image, load it, and remember it as the
+    /// last capture, covering `wal_len` records of this device's journal.
+    fn adopt_image(&mut self, image: &CheckpointImage, wal_len: usize) -> Result<(), VfpgaError> {
+        let corrupt = |reason| VfpgaError::CheckpointCorrupt { reason };
+        let capture = Capture::from_durable(image, wal_len).map_err(corrupt)?;
+        self.restore(&capture.image).map_err(corrupt)?;
+        self.ckpt_seq = capture.seq;
+        self.last_ckpt = Some(capture);
+        Ok(())
     }
 
     /// The host dies at `now`: bundle up everything that survives on
@@ -855,7 +908,7 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
         }
         CrashState {
             at: now,
-            image: self.last_ckpt.clone(),
+            image: self.last_ckpt.as_ref().map(Capture::to_durable),
             wal: std::mem::take(&mut self.dev.wal),
             stats: self.crash,
         }
@@ -880,12 +933,9 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
         // capture must be a full image.
         self.ckpt_dirty_all = true;
         self.dev.wal = state.wal.clone();
-        let base = state.image.as_ref().map(|i| i.wal_len).unwrap_or(0);
+        let base = wal_base(state)?;
         if let Some(image) = &state.image {
-            self.apply_image(image)
-                .map_err(|reason| VfpgaError::CheckpointCorrupt { reason })?;
-            self.ckpt_seq = image.seq;
-            self.last_ckpt = Some(image.clone());
+            self.adopt_image(image, image.wal_len)?;
         }
         // Cold restart (no image): the fresh construction state IS the
         // restart state — arrivals and the first checkpoint are already
@@ -960,7 +1010,7 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
                 if let Some(f) = &run.fpga {
                     if self.dev.stale.contains(&f.cid.0) {
                         let ti = run.tid.0 as usize;
-                        self.metrics[ti].corrupted = true;
+                        self.slots[ti].corrupted = true;
                         self.crash.silent_corruptions += 1;
                     }
                 }
@@ -993,18 +1043,13 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
         // Fresh fabric on the destination device: full capture next.
         self.ckpt_dirty_all = true;
         let crash_at = state.at;
-        let base = state.image.as_ref().map(|i| i.wal_len).unwrap_or(0);
+        let base = wal_base(state)?;
         let mut redo_window = crash_at - SimTime::ZERO;
         if let Some(image) = &state.image {
-            self.apply_image(image)
-                .map_err(|reason| VfpgaError::CheckpointCorrupt { reason })?;
-            self.ckpt_seq = image.seq;
-            redo_window = crash_at - image.at;
             // The journal restarts empty on the destination: its records
             // describe downloads to fabric that no longer exists.
-            let mut img = image.clone();
-            img.wal_len = 0;
-            self.last_ckpt = Some(img);
+            self.adopt_image(image, 0)?;
+            redo_window = crash_at - image.at;
         }
         let torn = state.wal[base..]
             .iter()
@@ -1034,9 +1079,10 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
 
     /// Non-terminal tasks of `tenant` still inside this system.
     pub fn live_tasks_of(&self, tenant: u32) -> u32 {
-        self.tasks
+        self.slots
             .iter()
-            .filter(|t| t.spec.tenant == tenant && !t.state.is_terminal())
+            .zip(&self.specs)
+            .filter(|(slot, spec)| spec.tenant == tenant && !slot.state.is_terminal())
             .count() as u32
     }
 
@@ -1052,21 +1098,19 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
         resume_at: SimTime,
         pred: impl Fn(&TaskSpec) -> bool,
     ) -> u32 {
-        let mut gone = vec![false; self.tasks.len()];
+        let mut gone = vec![false; self.slots.len()];
         let mut moved: Vec<TaskId> = Vec::new();
-        for (ti, slot) in gone.iter_mut().enumerate() {
-            if self.tasks[ti].state.is_terminal() || !pred(&self.tasks[ti].spec) {
+        for (ti, (slot, spec)) in self.slots.iter_mut().zip(&self.specs).enumerate() {
+            if slot.state.is_terminal() || !pred(spec) {
                 continue;
             }
             // A task that has not even arrived yet "migrates" at its
             // arrival — stamping earlier would record a negative lifetime.
-            let at = stamp_at.max(self.tasks[ti].spec.arrival);
-            self.tasks[ti].state = TaskState::Migrated;
-            self.tasks[ti].completed_at = at;
-            self.metrics[ti].completion = at;
-            self.poisoned[ti] = None;
+            slot.state = TaskState::Migrated;
+            slot.completion = stamp_at.max(spec.arrival);
+            slot.poisoned = None;
             self.unfinished -= 1;
-            *slot = true;
+            gone[ti] = true;
             moved.push(TaskId(ti as u32));
         }
         if moved.is_empty() {
@@ -1113,8 +1157,8 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
     ) -> crate::migrate::MigrationManifest {
         let moved = self.retire_tasks_where(cut_at, resume_at, |s| s.tenant == tenant);
         if let Some(adm) = self.admission.as_mut() {
-            adm.in_flight.remove(&tenant);
-            adm.deferred.remove(&tenant);
+            adm.st.in_flight.remove(&tenant);
+            adm.st.deferred.remove(&tenant);
         }
         let freed = if free { self.free_migrated(tenant) } else { 0 };
         self.queue.schedule_at(resume_at, Ev::Dispatch);
@@ -1132,16 +1176,16 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
     /// finds nothing to discard.
     pub fn free_migrated(&mut self, tenant: u32) -> u32 {
         let mut exclusive: BTreeSet<u32> = BTreeSet::new();
-        for t in &self.tasks {
-            if t.spec.tenant == tenant {
-                for cid in t.spec.circuits_used() {
+        for spec in &self.specs {
+            if spec.tenant == tenant {
+                for cid in spec.circuits_used() {
                     exclusive.insert(cid.0);
                 }
             }
         }
-        for t in &self.tasks {
-            if t.spec.tenant != tenant {
-                for cid in t.spec.circuits_used() {
+        for spec in &self.specs {
+            if spec.tenant != tenant {
+                for cid in spec.circuits_used() {
                     exclusive.remove(&cid.0);
                 }
             }
@@ -1181,20 +1225,15 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
         // Fresh fabric on the destination device: full capture next.
         self.ckpt_dirty_all = true;
         let cut_at = state.at;
-        let base = state.image.as_ref().map(|i| i.wal_len).unwrap_or(0);
+        let base = wal_base(state)?;
         let mut redo_window = cut_at - SimTime::ZERO;
         let mut resume_at = SimTime::ZERO;
         if let Some(image) = &state.image {
-            self.apply_image(image)
-                .map_err(|reason| VfpgaError::CheckpointCorrupt { reason })?;
-            self.ckpt_seq = image.seq;
-            redo_window = cut_at - image.at;
-            resume_at = image.at;
             // The journal restarts empty on the destination: its records
             // describe downloads to fabric that no longer exists.
-            let mut img = image.clone();
-            img.wal_len = 0;
-            self.last_ckpt = Some(img);
+            self.adopt_image(image, 0)?;
+            redo_window = cut_at - image.at;
+            resume_at = image.at;
         }
         let torn = state.wal[base..]
             .iter()
@@ -1206,10 +1245,10 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
         // discarded. The tenant's own claims are what the staged copy
         // re-creates here — remember their geometry for the implant.
         let tenant_circuits: BTreeSet<u32> = self
-            .tasks
+            .specs
             .iter()
-            .filter(|t| t.spec.tenant == tenant)
-            .flat_map(|t| t.spec.circuits_used().into_iter().map(|c| c.0))
+            .filter(|spec| spec.tenant == tenant)
+            .flat_map(|spec| spec.circuits_used().into_iter().map(|c| c.0))
             .collect();
         let mut migrated = 0u32;
         let mut staged: Vec<(u32, u32, crate::circuit::CircuitId)> = Vec::new();
@@ -1225,8 +1264,8 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
         // Everyone but the migrating tenant continues on the source.
         self.retire_tasks_where(resume_at, resume_at, |s| s.tenant != tenant);
         if let Some(adm) = self.admission.as_mut() {
-            adm.in_flight.retain(|k, _| *k == tenant);
-            adm.deferred.retain(|k, _| *k == tenant);
+            adm.st.in_flight.retain(|k, _| *k == tenant);
+            adm.st.deferred.retain(|k, _| *k == tenant);
         }
         self.queue.schedule_at(resume_at, Ev::Dispatch);
         // Counters restored from the image are the source's cumulative
@@ -1237,7 +1276,7 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
             manager: self.dev.manager.stats(),
             fault: self.fault,
             crash: self.crash,
-            admission: self.admission.as_ref().map(|a| a.stats),
+            admission: self.admission.as_ref().map(|a| a.st.stats),
             delta: self.dev.manager.delta_stats(),
         };
         let mut ghosts = 0u32;
@@ -1262,561 +1301,12 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
         })
     }
 
-    /// Serialize the full mutable system state. Observability state
-    /// (trace buffer, registry, timelines) is deliberately excluded: it
-    /// never influences simulated behaviour, and a real in-memory trace
-    /// dies with its host anyway.
-    fn snapshot_json(&self, now: SimTime) -> Json {
-        let dur = |d: SimDuration| Json::from(d.as_nanos());
-        let time = |t: SimTime| Json::from((t - SimTime::ZERO).as_nanos());
-        let tasks: Vec<Json> = self
-            .tasks
-            .iter()
-            .map(|t| {
-                Obj::new()
-                    .set("state", state_str(t.state))
-                    .set("op_idx", t.op_idx as u64)
-                    .set("op_remaining", dur(t.op_remaining))
-                    .set("completed_at", time(t.completed_at))
-                    .build()
-            })
-            .collect();
-        let metrics: Vec<Json> = self
-            .metrics
-            .iter()
-            .map(|m| {
-                Obj::new()
-                    .set("arrival", time(m.arrival))
-                    .set("completion", time(m.completion))
-                    .set("cpu", dur(m.cpu_time))
-                    .set("fpga", dur(m.fpga_time))
-                    .set("overhead", dur(m.overhead_time))
-                    .set("lost", dur(m.lost_time))
-                    .set("fault_lost", dur(m.fault_lost_time))
-                    .set("blocked", m.blocked_count)
-                    .set("failed", m.failed)
-                    .set("corrupted", m.corrupted)
-                    .set("degraded", dur(m.degraded_time))
-                    .set("quarantined", m.quarantined)
-                    .set("rejected", m.rejected)
-                    .set("unschedulable", m.unschedulable)
-                    .set("deadline_missed", m.deadline_missed)
-                    .set("lost_in_flight", m.lost_in_flight)
-                    .build()
-            })
-            .collect();
-        let latent: Vec<Json> = self
-            .dev
-            .latent
-            .iter()
-            .map(|(cid, l)| {
-                Json::Arr(vec![
-                    Json::from(u64::from(*cid)),
-                    time(l.struck_at),
-                    Json::from(l.detected),
-                ])
-            })
-            .collect();
-        let running = match &self.running {
-            None => Json::Null,
-            Some(r) => Obj::new()
-                .set("tid", u64::from(r.tid.0))
-                .set("dur", dur(r.dur))
-                .set("exec_start", time(r.exec_start))
-                .set(
-                    "fpga",
-                    match &r.fpga {
-                        None => Json::Null,
-                        Some(f) => Obj::new()
-                            .set("cid", u64::from(f.cid.0))
-                            .set("completes", f.completes)
-                            .set("slack", dur(f.slack))
-                            .set("poll", dur(f.poll_cost))
-                            .build(),
-                    },
-                )
-                .build(),
-        };
-        let pending: Vec<Json> = self
-            .queue
-            .pending_in_order()
-            .into_iter()
-            .filter_map(|e| {
-                let (kind, arg) = match e.event {
-                    Ev::Arrive(t) => ("arrive", Json::from(u64::from(t.0))),
-                    Ev::Timer(t) => ("timer", Json::from(u64::from(t.0))),
-                    Ev::Dispatch => ("dispatch", Json::Null),
-                    Ev::Seu => ("seu", Json::Null),
-                    Ev::Scrub => ("scrub", Json::Null),
-                    Ev::ColumnFail(None) => ("colfail", Json::Null),
-                    Ev::ColumnFail(Some(c)) => ("colfail_at", Json::from(u64::from(c))),
-                    Ev::RetryDone(t) => ("retry_done", Json::from(u64::from(t.0))),
-                    Ev::Retry(t) => ("retry", Json::from(u64::from(t.0))),
-                    Ev::Checkpoint => ("ckpt", Json::Null),
-                    Ev::Watchdog { tid, seq } => (
-                        "watchdog",
-                        Json::Arr(vec![Json::from(u64::from(tid.0)), Json::from(seq)]),
-                    ),
-                    // The crash is the one event that must NOT survive:
-                    // the next segment gets its own crash time.
-                    Ev::Crash => return None,
-                };
-                Some(Json::Arr(vec![time(e.at), Json::from(kind), arg]))
-            })
-            .collect();
-        let f = &self.fault;
-        let fault = Obj::new()
-            .set("download_faults", f.download_faults)
-            .set("seu_faults", f.seu_faults)
-            .set("seu_benign", f.seu_benign)
-            .set("column_faults", f.column_faults)
-            .set("crc_mismatches", f.crc_mismatches)
-            .set("retries", f.retries)
-            .set("retry_time", dur(f.retry_time))
-            .set("tasks_failed", f.tasks_failed)
-            .set("scrub_passes", f.scrub_passes)
-            .set("scrub_time", dur(f.scrub_time))
-            .set("repairs", f.repairs)
-            .set("repair_time", dur(f.repair_time))
-            .set("work_lost", dur(f.work_lost))
-            .set("columns_retired", f.columns_retired)
-            .set("retire_time", dur(f.retire_time))
-            .set("mttr_total", dur(f.mttr_total))
-            .build();
-        let rng = match &self.dev.injector {
-            None => Json::Null,
-            Some(inj) => Json::Arr(
-                inj.stream_states()
-                    .iter()
-                    .map(|s| Json::Arr(s.iter().map(|&w| Json::from(w)).collect()))
-                    .collect(),
-            ),
-        };
-        let admission = match &self.admission {
-            None => Json::Null,
-            Some(a) => {
-                let in_flight: Vec<Json> = a
-                    .in_flight
-                    .iter()
-                    .map(|(t, c)| {
-                        Json::Arr(vec![Json::from(u64::from(*t)), Json::from(u64::from(*c))])
-                    })
-                    .collect();
-                let deferred: Vec<Json> = a
-                    .deferred
-                    .iter()
-                    .map(|(t, q)| {
-                        Json::Arr(vec![
-                            Json::from(u64::from(*t)),
-                            Json::Arr(q.iter().map(|&x| Json::from(u64::from(x))).collect()),
-                        ])
-                    })
-                    .collect();
-                let st = &a.stats;
-                Obj::new()
-                    .set("in_flight", in_flight)
-                    .set("deferred", deferred)
-                    .set("wd_seq", a.wd_seq.clone())
-                    .set(
-                        "wd_trips",
-                        a.wd_trips.iter().map(|&v| u64::from(v)).collect::<Vec<_>>(),
-                    )
-                    .set(
-                        "degraded",
-                        a.degraded
-                            .iter()
-                            .map(|&b| Json::from(b))
-                            .collect::<Vec<_>>(),
-                    )
-                    .set("degrade_mode", a.degrade_mode)
-                    .set(
-                        "stats",
-                        Obj::new()
-                            .set("admitted", st.admitted)
-                            .set("deferred", st.deferred)
-                            .set("rejected", st.rejected)
-                            .set("quarantined", st.quarantined)
-                            .set("deadline_missed", st.deadline_missed)
-                            .set("wd_armed", st.watchdog_armed)
-                            .set("wd_fired", st.watchdog_fired)
-                            .set("wd_preempt", dur(st.watchdog_preempt_time))
-                            .set("wd_lost", dur(st.watchdog_lost_time))
-                            .set("degraded_dispatches", st.degraded_dispatches)
-                            .set("degraded_time", dur(st.degraded_time))
-                            .set("unschedulable", st.unschedulable)
-                            .set("degrade_enters", st.degrade_enters)
-                            .set("degrade_exits", st.degrade_exits)
-                            .build(),
-                    )
-                    .build()
-            }
-        };
-        Obj::new()
-            .set("schema", "vfpga-ckpt/1")
-            .set("at", time(now))
-            .set("tasks", tasks)
-            .set("metrics", metrics)
-            .set(
-                "op_full",
-                self.op_full.iter().map(|&d| dur(d)).collect::<Vec<_>>(),
-            )
-            .set(
-                "op_done",
-                self.op_done_so_far
-                    .iter()
-                    .map(|&d| dur(d))
-                    .collect::<Vec<_>>(),
-            )
-            .set("rollbacks", self.rollbacks.clone())
-            .set(
-                "dl_attempts",
-                self.dl_attempts
-                    .iter()
-                    .map(|&v| u64::from(v))
-                    .collect::<Vec<_>>(),
-            )
-            .set(
-                "fault_restarts",
-                self.fault_restarts
-                    .iter()
-                    .map(|&v| u64::from(v))
-                    .collect::<Vec<_>>(),
-            )
-            .set(
-                "poisoned",
-                self.poisoned
-                    .iter()
-                    .map(|p| p.map(dur).unwrap_or(Json::Null))
-                    .collect::<Vec<_>>(),
-            )
-            .set("latent", latent)
-            .set("unfinished", self.unfinished as u64)
-            .set(
-                "stale",
-                self.dev
-                    .stale
-                    .iter()
-                    .map(|&c| u64::from(c))
-                    .collect::<Vec<_>>(),
-            )
-            .set("running", running)
-            .set("pending", pending)
-            .set("fault", fault)
-            .set("rng", rng)
-            .set("admission", admission)
-            .set("sched", self.sched.snapshot().expect("validated at enable"))
-            .set(
-                "manager",
-                self.dev.manager.snapshot().expect("validated at enable"),
-            )
-            .build()
-    }
-
-    /// Restore the state [`snapshot_json`](Self::snapshot_json) captured
-    /// into this freshly built system.
-    fn apply_image(&mut self, image: &CheckpointImage) -> Result<(), String> {
-        let s = &image.state;
-        let n = self.tasks.len();
-        let get = |key: &str| -> Result<&Json, String> {
-            s.get(key).ok_or_else(|| format!("missing '{key}'"))
-        };
-        let u64_of = |v: &Json, what: &str| -> Result<u64, String> {
-            match v {
-                Json::UInt(x) => Ok(*x),
-                other => Err(format!("'{what}' not a u64: {other:?}")),
-            }
-        };
-        let field = |v: &Json, key: &str| -> Result<u64, String> {
-            u64_of(v.get(key).ok_or_else(|| format!("missing '{key}'"))?, key)
-        };
-        let fdur = |v: &Json, key: &str| field(v, key).map(SimDuration::from_nanos);
-        let ftime = |v: &Json, key: &str| {
-            field(v, key).map(|ns| SimTime::ZERO + SimDuration::from_nanos(ns))
-        };
-        let fbool = |v: &Json, key: &str| -> Result<bool, String> {
-            match v.get(key) {
-                Some(Json::Bool(b)) => Ok(*b),
-                other => Err(format!("'{key}' not a bool: {other:?}")),
-            }
-        };
-        fn arr_of<'a>(v: &'a Json, what: &str) -> Result<&'a [Json], String> {
-            v.as_arr().ok_or_else(|| format!("'{what}' not an array"))
-        }
-        fn fixed<'a>(v: &'a Json, what: &str, n: usize) -> Result<&'a [Json], String> {
-            let a = arr_of(v, what)?;
-            if a.len() != n {
-                return Err(format!("'{what}' has {} entries, want {n}", a.len()));
-            }
-            Ok(a)
-        }
-
-        for (i, t) in fixed(get("tasks")?, "tasks", n)?.iter().enumerate() {
-            let st = match t.get("state") {
-                Some(Json::Str(v)) => state_from_str(v)?,
-                other => return Err(format!("task state: {other:?}")),
-            };
-            let run = &mut self.tasks[i];
-            run.state = st;
-            run.op_idx = field(t, "op_idx")? as usize;
-            run.op_remaining = fdur(t, "op_remaining")?;
-            run.completed_at = ftime(t, "completed_at")?;
-        }
-        for (i, m) in fixed(get("metrics")?, "metrics", n)?.iter().enumerate() {
-            let mm = &mut self.metrics[i];
-            mm.arrival = ftime(m, "arrival")?;
-            mm.completion = ftime(m, "completion")?;
-            mm.cpu_time = fdur(m, "cpu")?;
-            mm.fpga_time = fdur(m, "fpga")?;
-            mm.overhead_time = fdur(m, "overhead")?;
-            mm.lost_time = fdur(m, "lost")?;
-            mm.fault_lost_time = fdur(m, "fault_lost")?;
-            mm.blocked_count = field(m, "blocked")?;
-            mm.failed = fbool(m, "failed")?;
-            mm.corrupted = fbool(m, "corrupted")?;
-            mm.degraded_time = fdur(m, "degraded")?;
-            mm.quarantined = fbool(m, "quarantined")?;
-            mm.rejected = fbool(m, "rejected")?;
-            mm.unschedulable = fbool(m, "unschedulable")?;
-            mm.deadline_missed = fbool(m, "deadline_missed")?;
-            mm.lost_in_flight = fbool(m, "lost_in_flight")?;
-        }
-        let vec_u64 = |key: &'static str| -> Result<Vec<u64>, String> {
-            fixed(get(key)?, key, n)?
-                .iter()
-                .map(|v| u64_of(v, key))
-                .collect()
-        };
-        self.op_full = vec_u64("op_full")?
-            .into_iter()
-            .map(SimDuration::from_nanos)
-            .collect();
-        self.op_done_so_far = vec_u64("op_done")?
-            .into_iter()
-            .map(SimDuration::from_nanos)
-            .collect();
-        self.rollbacks = vec_u64("rollbacks")?;
-        self.dl_attempts = vec_u64("dl_attempts")?
-            .into_iter()
-            .map(|v| v as u32)
-            .collect();
-        self.fault_restarts = vec_u64("fault_restarts")?
-            .into_iter()
-            .map(|v| v as u32)
-            .collect();
-        self.poisoned = fixed(get("poisoned")?, "poisoned", n)?
-            .iter()
-            .map(|v| match v {
-                Json::Null => Ok(None),
-                Json::UInt(ns) => Ok(Some(SimDuration::from_nanos(*ns))),
-                other => Err(format!("poisoned entry: {other:?}")),
-            })
-            .collect::<Result<_, String>>()?;
-        self.dev.latent.clear();
-        for v in arr_of(get("latent")?, "latent")? {
-            match v.as_arr() {
-                Some([Json::UInt(cid), Json::UInt(struck), Json::Bool(detected)]) => {
-                    self.dev.latent.insert(
-                        *cid as u32,
-                        Latent {
-                            struck_at: SimTime::ZERO + SimDuration::from_nanos(*struck),
-                            detected: *detected,
-                        },
-                    );
-                }
-                _ => return Err(format!("latent entry: {v:?}")),
-            }
-        }
-        self.unfinished = u64_of(get("unfinished")?, "unfinished")? as usize;
-        self.dev.stale = arr_of(get("stale")?, "stale")?
-            .iter()
-            .map(|v| u64_of(v, "stale").map(|c| c as u32))
-            .collect::<Result<_, String>>()?;
-        self.running = match get("running")? {
-            Json::Null => None,
-            r => Some(Running {
-                tid: TaskId(field(r, "tid")? as u32),
-                dur: fdur(r, "dur")?,
-                exec_start: ftime(r, "exec_start")?,
-                fpga: match r.get("fpga") {
-                    Some(Json::Null) => None,
-                    Some(f) => Some(FpgaSeg {
-                        cid: CircuitId(field(f, "cid")? as u32),
-                        completes: fbool(f, "completes")?,
-                        slack: fdur(f, "slack")?,
-                        poll_cost: fdur(f, "poll")?,
-                    }),
-                    None => return Err("running missing 'fpga'".into()),
-                },
-            }),
-        };
-        let f = get("fault")?;
-        self.fault = FaultStats {
-            download_faults: field(f, "download_faults")?,
-            seu_faults: field(f, "seu_faults")?,
-            seu_benign: field(f, "seu_benign")?,
-            column_faults: field(f, "column_faults")?,
-            crc_mismatches: field(f, "crc_mismatches")?,
-            retries: field(f, "retries")?,
-            retry_time: fdur(f, "retry_time")?,
-            tasks_failed: field(f, "tasks_failed")?,
-            scrub_passes: field(f, "scrub_passes")?,
-            scrub_time: fdur(f, "scrub_time")?,
-            repairs: field(f, "repairs")?,
-            repair_time: fdur(f, "repair_time")?,
-            work_lost: fdur(f, "work_lost")?,
-            columns_retired: field(f, "columns_retired")?,
-            retire_time: fdur(f, "retire_time")?,
-            mttr_total: fdur(f, "mttr_total")?,
-        };
-        match (get("rng")?, self.dev.injector.as_mut()) {
-            (Json::Null, None) => {}
-            (Json::Arr(streams), Some(inj)) => {
-                let mut states = [[0u64; 4]; 3];
-                if streams.len() != 3 {
-                    return Err("rng wants 3 streams".into());
-                }
-                for (i, st) in streams.iter().enumerate() {
-                    let words = arr_of(st, "rng stream")?;
-                    if words.len() != 4 {
-                        return Err("rng stream wants 4 words".into());
-                    }
-                    for (j, w) in words.iter().enumerate() {
-                        states[i][j] = u64_of(w, "rng word")?;
-                    }
-                }
-                inj.restore_stream_states(states);
-            }
-            _ => {
-                return Err("fault injector presence differs from the image".into());
-            }
-        }
-        match (get("admission")?, self.admission.as_mut()) {
-            (Json::Null, None) => {}
-            (a @ Json::Obj(_), Some(adm)) => {
-                adm.in_flight.clear();
-                for v in arr_of(
-                    a.get("in_flight").ok_or("missing 'in_flight'")?,
-                    "in_flight",
-                )? {
-                    match v.as_arr() {
-                        Some([Json::UInt(t), Json::UInt(c)]) => {
-                            adm.in_flight.insert(*t as u32, *c as u32);
-                        }
-                        _ => return Err(format!("in_flight entry: {v:?}")),
-                    }
-                }
-                adm.deferred.clear();
-                for v in arr_of(a.get("deferred").ok_or("missing 'deferred'")?, "deferred")? {
-                    match v.as_arr() {
-                        Some([Json::UInt(t), q]) => {
-                            let q: VecDeque<u32> = arr_of(q, "deferred queue")?
-                                .iter()
-                                .map(|x| u64_of(x, "deferred tid").map(|x| x as u32))
-                                .collect::<Result<_, String>>()?;
-                            adm.deferred.insert(*t as u32, q);
-                        }
-                        _ => return Err(format!("deferred entry: {v:?}")),
-                    }
-                }
-                adm.wd_seq = fixed(a.get("wd_seq").ok_or("missing 'wd_seq'")?, "wd_seq", n)?
-                    .iter()
-                    .map(|v| u64_of(v, "wd_seq"))
-                    .collect::<Result<_, String>>()?;
-                adm.wd_trips = fixed(
-                    a.get("wd_trips").ok_or("missing 'wd_trips'")?,
-                    "wd_trips",
-                    n,
-                )?
-                .iter()
-                .map(|v| u64_of(v, "wd_trips").map(|x| x as u32))
-                .collect::<Result<_, String>>()?;
-                adm.degraded = fixed(
-                    a.get("degraded").ok_or("missing 'degraded'")?,
-                    "degraded",
-                    n,
-                )?
-                .iter()
-                .map(|v| match v {
-                    Json::Bool(b) => Ok(*b),
-                    other => Err(format!("degraded entry: {other:?}")),
-                })
-                .collect::<Result<_, String>>()?;
-                adm.degrade_mode = match a.get("degrade_mode").ok_or("missing 'degrade_mode'")? {
-                    Json::Bool(b) => *b,
-                    other => return Err(format!("degrade_mode: {other:?}")),
-                };
-                let st = a.get("stats").ok_or("missing admission 'stats'")?;
-                adm.stats = crate::admission::AdmissionStats {
-                    admitted: field(st, "admitted")?,
-                    deferred: field(st, "deferred")?,
-                    rejected: field(st, "rejected")?,
-                    quarantined: field(st, "quarantined")?,
-                    deadline_missed: field(st, "deadline_missed")?,
-                    watchdog_armed: field(st, "wd_armed")?,
-                    watchdog_fired: field(st, "wd_fired")?,
-                    watchdog_preempt_time: fdur(st, "wd_preempt")?,
-                    watchdog_lost_time: fdur(st, "wd_lost")?,
-                    degraded_dispatches: field(st, "degraded_dispatches")?,
-                    degraded_time: fdur(st, "degraded_time")?,
-                    unschedulable: field(st, "unschedulable")?,
-                    degrade_enters: field(st, "degrade_enters")?,
-                    degrade_exits: field(st, "degrade_exits")?,
-                };
-            }
-            _ => {
-                return Err("admission presence differs from the image".into());
-            }
-        }
-        self.sched
-            .restore(get("sched")?)
-            .map_err(|e| format!("scheduler: {e}"))?;
-        self.dev
-            .manager
-            .restore(get("manager")?)
-            .map_err(|e| format!("manager: {e}"))?;
-        // Pending events last: the fresh queue (clock still at zero)
-        // re-learns every in-flight timer at its absolute time.
-        self.queue.clear();
-        for v in arr_of(get("pending")?, "pending")? {
-            let Some([at, Json::Str(kind), arg]) = v.as_arr() else {
-                return Err(format!("pending entry: {v:?}"));
-            };
-            let at = SimTime::ZERO + SimDuration::from_nanos(u64_of(at, "pending at")?);
-            let tid = || -> Result<TaskId, String> {
-                u64_of(arg, "pending arg").map(|t| TaskId(t as u32))
-            };
-            let ev = match kind.as_str() {
-                "arrive" => Ev::Arrive(tid()?),
-                "timer" => Ev::Timer(tid()?),
-                "dispatch" => Ev::Dispatch,
-                "seu" => Ev::Seu,
-                "scrub" => Ev::Scrub,
-                "colfail" => Ev::ColumnFail(None),
-                "colfail_at" => Ev::ColumnFail(Some(u64_of(arg, "pending arg")? as u32)),
-                "retry_done" => Ev::RetryDone(tid()?),
-                "retry" => Ev::Retry(tid()?),
-                "ckpt" => Ev::Checkpoint,
-                "watchdog" => match arg.as_arr() {
-                    Some([Json::UInt(t), Json::UInt(sq)]) => Ev::Watchdog {
-                        tid: TaskId(*t as u32),
-                        seq: *sq,
-                    },
-                    _ => return Err(format!("watchdog arg: {arg:?}")),
-                },
-                other => return Err(format!("unknown pending event '{other}'")),
-            };
-            self.queue.schedule_at(at, ev);
-        }
-        Ok(())
-    }
-
     fn wake(&mut self, wake: Vec<TaskId>, now: SimTime) {
         for w in wake {
-            let t = &mut self.tasks[w.0 as usize];
-            if t.state == TaskState::Blocked {
-                t.state = TaskState::Ready;
-                let prio = t.spec.priority;
-                self.sched.on_ready(w, prio, now);
+            let wi = w.0 as usize;
+            if self.slots[wi].state == TaskState::Blocked {
+                self.slots[wi].state = TaskState::Ready;
+                self.sched.on_ready(w, self.specs[wi].priority, now);
             }
         }
     }
@@ -1825,14 +1315,13 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
     /// leaves the system, frees its resources, and the rest keeps running.
     fn fail_task(&mut self, tid: TaskId, now: SimTime, reason: &'static str) {
         let ti = tid.0 as usize;
-        debug_assert!(!self.tasks[ti].state.is_terminal());
-        self.tasks[ti].state = TaskState::Failed;
-        self.tasks[ti].completed_at = now;
-        self.metrics[ti].completion = now;
-        self.metrics[ti].failed = true;
+        debug_assert!(!self.slots[ti].state.is_terminal());
+        self.slots[ti].state = TaskState::Failed;
+        self.slots[ti].completion = now;
+        self.slots[ti].failed = true;
         self.fault.tasks_failed += 1;
         self.unfinished -= 1;
-        self.poisoned[ti] = None;
+        self.slots[ti].poisoned = None;
         if self.trace.is_enabled() {
             self.record(
                 now,
@@ -1852,9 +1341,9 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
     /// FIFO, and load-shedding; without it, the task is always admitted.
     fn on_arrive(&mut self, tid: TaskId, now: SimTime) {
         let ti = tid.0 as usize;
-        debug_assert_eq!(self.tasks[ti].state, TaskState::Future);
+        debug_assert_eq!(self.slots[ti].state, TaskState::Future);
         if self.trace.is_enabled() {
-            let info = self.tasks[ti].spec.name.clone();
+            let info = self.specs[ti].name.clone();
             self.record(
                 now,
                 TraceEvent::TaskState {
@@ -1869,7 +1358,7 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
             Defer,
             Reject,
         }
-        let tenant = self.tasks[ti].spec.tenant;
+        let tenant = self.specs[ti].tenant;
         // Arrival-time schedulability test, ahead of quota accounting: a
         // provably unmeetable deadline rejects the task before it can
         // consume an in-flight slot or queue entry. The margin-scaled §3
@@ -1877,17 +1366,17 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
         // queued backlog) is optimistic — it ignores contention from other
         // tenants — so anything it already rules out is a guaranteed miss.
         let unsched: Option<(SimDuration, SimDuration)> = match self.admission.as_ref() {
-            Some(adm) => match (adm.policy.schedulability, self.tasks[ti].spec.deadline) {
+            Some(adm) => match (adm.policy.schedulability, self.specs[ti].deadline) {
                 (Some(sc), Some(dl)) => {
                     let mut est = self.service_estimate(ti);
-                    if let Some(q) = adm.deferred.get(&tenant) {
+                    if let Some(q) = adm.st.deferred.get(&tenant) {
                         for &t in q {
                             est += self.service_estimate(t as usize);
                         }
                     }
                     let est =
                         SimDuration::from_nanos((sc.margin * est.as_nanos() as f64).round() as u64);
-                    (now + est > self.tasks[ti].spec.arrival + dl).then_some((est, dl))
+                    (now + est > self.specs[ti].arrival + dl).then_some((est, dl))
                 }
                 _ => None,
             },
@@ -1895,11 +1384,10 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
         };
         if let Some((est, dl)) = unsched {
             let adm = self.admission.as_mut().expect("checked above");
-            adm.stats.unschedulable += 1;
-            self.tasks[ti].state = TaskState::Rejected;
-            self.tasks[ti].completed_at = now;
-            self.metrics[ti].completion = now;
-            self.metrics[ti].unschedulable = true;
+            adm.st.stats.unschedulable += 1;
+            self.slots[ti].state = TaskState::Rejected;
+            self.slots[ti].completion = now;
+            self.slots[ti].unschedulable = true;
             self.unfinished -= 1;
             if self.trace.is_enabled() {
                 self.record(
@@ -1917,36 +1405,35 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
         let decision = match self.admission.as_mut() {
             None => Decision::Admit,
             Some(adm) => {
-                let in_flight = adm.in_flight.entry(tenant).or_insert(0);
+                let in_flight = adm.st.in_flight.entry(tenant).or_insert(0);
                 if *in_flight < adm.policy.max_in_flight {
                     *in_flight += 1;
-                    adm.stats.admitted += 1;
+                    adm.st.stats.admitted += 1;
                     Decision::Admit
-                } else if (adm.deferred.get(&tenant).map_or(0, |q| q.len()) as u64)
+                } else if (adm.st.deferred.get(&tenant).map_or(0, |q| q.len()) as u64)
                     < u64::from(adm.policy.queue_cap)
                 {
-                    adm.deferred.entry(tenant).or_default().push_back(tid.0);
-                    adm.stats.deferred += 1;
+                    adm.st.deferred.entry(tenant).or_default().push_back(tid.0);
+                    adm.st.stats.deferred += 1;
                     Decision::Defer
                 } else {
-                    adm.stats.rejected += 1;
+                    adm.st.stats.rejected += 1;
                     Decision::Reject
                 }
             }
         };
         match decision {
             Decision::Admit => {
-                self.tasks[ti].state = TaskState::Ready;
-                let prio = self.tasks[ti].spec.priority;
+                self.slots[ti].state = TaskState::Ready;
+                let prio = self.specs[ti].priority;
                 self.sched.on_ready(tid, prio, now);
                 self.dispatch(now);
             }
-            Decision::Defer => self.tasks[ti].state = TaskState::Deferred,
+            Decision::Defer => self.slots[ti].state = TaskState::Deferred,
             Decision::Reject => {
-                self.tasks[ti].state = TaskState::Rejected;
-                self.tasks[ti].completed_at = now;
-                self.metrics[ti].completion = now;
-                self.metrics[ti].rejected = true;
+                self.slots[ti].state = TaskState::Rejected;
+                self.slots[ti].completion = now;
+                self.slots[ti].rejected = true;
                 self.unfinished -= 1;
                 if self.trace.is_enabled() {
                     self.record(
@@ -1966,16 +1453,15 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
     /// quarantined — the end-of-run deadlock sweep never sees it.
     fn quarantine_task(&mut self, tid: TaskId, now: SimTime, reason: &'static str) {
         let ti = tid.0 as usize;
-        debug_assert!(!self.tasks[ti].state.is_terminal());
-        self.tasks[ti].state = TaskState::Quarantined;
-        self.tasks[ti].completed_at = now;
-        self.metrics[ti].completion = now;
-        self.metrics[ti].quarantined = true;
+        debug_assert!(!self.slots[ti].state.is_terminal());
+        self.slots[ti].state = TaskState::Quarantined;
+        self.slots[ti].completion = now;
+        self.slots[ti].quarantined = true;
         if let Some(adm) = self.admission.as_mut() {
-            adm.stats.quarantined += 1;
+            adm.st.stats.quarantined += 1;
         }
         self.unfinished -= 1;
-        self.poisoned[ti] = None;
+        self.slots[ti].poisoned = None;
         if self.trace.is_enabled() {
             self.record(
                 now,
@@ -1995,17 +1481,17 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
     /// deferred task of that tenant, if any. Callers dispatch afterwards.
     fn admission_on_terminal(&mut self, tid: TaskId, now: SimTime) {
         let ti = tid.0 as usize;
-        let tenant = self.tasks[ti].spec.tenant;
+        let tenant = self.specs[ti].tenant;
         let next = match self.admission.as_mut() {
             None => return,
             Some(adm) => {
-                let slots = adm.in_flight.entry(tenant).or_insert(0);
+                let slots = adm.st.in_flight.entry(tenant).or_insert(0);
                 *slots = slots.saturating_sub(1);
                 if *slots < adm.policy.max_in_flight {
-                    match adm.deferred.get_mut(&tenant).and_then(|q| q.pop_front()) {
+                    match adm.st.deferred.get_mut(&tenant).and_then(|q| q.pop_front()) {
                         Some(t) => {
                             *slots += 1;
-                            adm.stats.admitted += 1;
+                            adm.st.stats.admitted += 1;
                             Some(TaskId(t))
                         }
                         None => None,
@@ -2017,9 +1503,9 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
         };
         if let Some(nt) = next {
             let ni = nt.0 as usize;
-            debug_assert_eq!(self.tasks[ni].state, TaskState::Deferred);
-            self.tasks[ni].state = TaskState::Ready;
-            let prio = self.tasks[ni].spec.priority;
+            debug_assert_eq!(self.slots[ni].state, TaskState::Deferred);
+            self.slots[ni].state = TaskState::Ready;
+            let prio = self.specs[ni].priority;
             self.sched.on_ready(nt, prio, now);
         }
     }
@@ -2034,7 +1520,7 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
         let timing = self.dev.manager.timing();
         let resident = self.dev.manager.resident_regions();
         let mut est = SimDuration::ZERO;
-        for op in &self.tasks[ti].spec.ops {
+        for op in &self.specs[ti].ops {
             match op {
                 Op::Cpu(d) => est += *d,
                 Op::FpgaRun { circuit, cycles } => {
@@ -2064,7 +1550,7 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
             return;
         };
         let (high, low, explicit) = (dg.high_mark(), dg.low_mark(), dg.has_hysteresis());
-        let mode = adm.degrade_mode;
+        let mode = adm.st.degrade_mode;
         let u = self.dev.manager.usage();
         let used = u.used_clbs as f64;
         let total = u.total_clbs as f64;
@@ -2074,12 +1560,12 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
             return;
         }
         let adm = self.admission.as_mut().expect("checked above");
-        adm.degrade_mode = next;
+        adm.st.degrade_mode = next;
         if explicit {
             if next {
-                adm.stats.degrade_enters += 1;
+                adm.st.stats.degrade_enters += 1;
             } else {
-                adm.stats.degrade_exits += 1;
+                adm.st.stats.degrade_exits += 1;
             }
             if self.trace.is_enabled() {
                 let (used, total) = (u.used_clbs, u.total_clbs);
@@ -2104,11 +1590,11 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
     fn degrade_target(&self, circuit: CircuitId, ti: usize) -> Option<u64> {
         let adm = self.admission.as_ref()?;
         let dg = adm.policy.degradation.as_ref()?;
-        if self.tasks[ti].spec.hang_op == Some(self.tasks[ti].op_idx) {
+        if self.specs[ti].hang_op == Some(self.slots[ti].op_idx) {
             return None; // the hang models a broken circuit, not a slow one
         }
         let sw_ns = *dg.sw_ns_per_cycle.get(&circuit.0)?;
-        if !adm.degrade_mode {
+        if !adm.st.degrade_mode {
             return None;
         }
         if self
@@ -2133,18 +1619,18 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
             let Some(adm) = self.admission.as_mut() else {
                 return false;
             };
-            if adm.wd_seq[ti] != seq {
+            if adm.st.wd_seq[ti] != seq {
                 return false;
             }
             debug_assert!(
                 matches!(&self.running, Some(r) if r.tid == tid),
                 "a live watchdog generation implies the task is mid-segment"
             );
-            adm.wd_seq[ti] += 1; // consumed: nothing else may fire on this segment
-            adm.wd_trips[ti] += 1;
-            adm.stats.watchdog_fired += 1;
+            adm.st.wd_seq[ti] += 1; // consumed: nothing else may fire on this segment
+            adm.st.wd_trips[ti] += 1;
+            adm.st.stats.watchdog_fired += 1;
             let max = adm.policy.watchdog.map(|w| w.max_trips).unwrap_or(0);
-            (adm.wd_trips[ti], max)
+            (adm.st.wd_trips[ti], max)
         };
         let run = self.running.take().expect("watchdog fired on an idle CPU");
         debug_assert_eq!(run.tid, tid);
@@ -2156,13 +1642,13 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
         // a rollback. The CPU was genuinely held for the whole overrun
         // (co-processor model), so the elapsed wall time is charged lost.
         let elapsed = now - run.exec_start;
-        let done = self.op_done_so_far[ti];
+        let done = self.slots[ti].op_done_so_far;
         let lost = done + elapsed;
-        self.metrics[ti].fpga_time -= done;
-        self.metrics[ti].lost_time += lost;
-        self.tasks[ti].op_remaining = self.op_full[ti];
-        self.op_done_so_far[ti] = SimDuration::ZERO;
-        self.poisoned[ti] = None; // discarded along with the progress
+        self.slots[ti].fpga_time -= done;
+        self.slots[ti].lost_time += lost;
+        self.slots[ti].op_remaining = self.slots[ti].op_full;
+        self.slots[ti].op_done_so_far = SimDuration::ZERO;
+        self.slots[ti].poisoned = None; // discarded along with the progress
 
         // Reclaim the device through the existing machinery: a preemption
         // where the policy supports one, otherwise a forced completion
@@ -2171,17 +1657,17 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
             && self.dev.manager.preemptable()
         {
             let pc = self.dev.manager.preempt(tid, f.cid);
-            self.metrics[ti].overhead_time += pc.overhead;
+            self.slots[ti].overhead_time += pc.overhead;
             pc.overhead
         } else {
             let (ovh, wake) = self.dev.manager.op_done(tid, f.cid);
-            self.metrics[ti].overhead_time += ovh;
+            self.slots[ti].overhead_time += ovh;
             self.wake(wake, now);
             ovh
         };
         if let Some(adm) = self.admission.as_mut() {
-            adm.stats.watchdog_lost_time += lost;
-            adm.stats.watchdog_preempt_time += post;
+            adm.st.stats.watchdog_lost_time += lost;
+            adm.st.stats.watchdog_preempt_time += post;
         }
         if self.trace.is_enabled() {
             self.record(
@@ -2197,8 +1683,8 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
         if trip > max_trips {
             self.quarantine_task(tid, now, "watchdog trips exhausted");
         } else {
-            self.tasks[ti].state = TaskState::Ready;
-            let prio = self.tasks[ti].spec.priority;
+            self.slots[ti].state = TaskState::Ready;
+            let prio = self.specs[ti].priority;
             self.sched.on_ready(tid, prio, now);
         }
         if post > SimDuration::ZERO {
@@ -2256,9 +1742,10 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
                     if let Some(f) = run.fpga {
                         if f.cid == r.cid {
                             let ti = run.tid.0 as usize;
-                            if self.poisoned[ti].is_none() {
+                            if self.slots[ti].poisoned.is_none() {
                                 let elapsed = (now - run.exec_start).min(run.dur);
-                                self.poisoned[ti] = Some(self.op_done_so_far[ti] + elapsed);
+                                self.slots[ti].poisoned =
+                                    Some(self.slots[ti].op_done_so_far + elapsed);
                             }
                         }
                     }
@@ -2389,15 +1876,15 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
         self.fault.repair_time += cost;
         self.fault.mttr_total += now - l.struck_at;
         let mut lost_total = SimDuration::ZERO;
-        for ti in 0..self.tasks.len() {
+        for ti in 0..self.slots.len() {
             let on_this = matches!(
-                self.tasks[ti].current_op(),
+                self.slots[ti].current_op(&self.specs[ti]),
                 Some(Op::FpgaRun { circuit, .. }) if circuit == cid
             );
-            if !on_this || self.tasks[ti].state.is_terminal() {
+            if !on_this || self.slots[ti].state.is_terminal() {
                 continue;
             }
-            if let Some(valid) = self.poisoned[ti].take() {
+            if let Some(valid) = self.slots[ti].poisoned.take() {
                 // Combinational circuits lose only post-strike items; a
                 // sequential circuit under Rollback restarts from its
                 // initial inputs.
@@ -2407,15 +1894,15 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
                     } else {
                         SimDuration::ZERO
                     };
-                let lost = self.op_done_so_far[ti] - preserved;
+                let lost = self.slots[ti].op_done_so_far - preserved;
                 if lost > SimDuration::ZERO {
-                    self.metrics[ti].fpga_time -= lost;
-                    self.metrics[ti].fault_lost_time += lost;
+                    self.slots[ti].fpga_time -= lost;
+                    self.slots[ti].fault_lost_time += lost;
                     self.fault.work_lost += lost;
                     lost_total += lost;
                 }
-                self.op_done_so_far[ti] = preserved;
-                self.tasks[ti].op_remaining = self.op_full[ti] - preserved;
+                self.slots[ti].op_done_so_far = preserved;
+                self.slots[ti].op_remaining = self.slots[ti].op_full - preserved;
             }
         }
         if self.trace.is_enabled() {
@@ -2488,7 +1975,7 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
             // Capacity shrank: every blocked task re-probes the manager so
             // requests that became unservable fail instead of hanging.
             let blocked: Vec<TaskId> = self
-                .tasks
+                .slots
                 .iter()
                 .enumerate()
                 .filter(|(_, t)| t.state == TaskState::Blocked)
@@ -2507,7 +1994,7 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
         let run = self.running.take().expect("retry-done without runner");
         debug_assert_eq!(run.tid, tid);
         let ti = tid.0 as usize;
-        if self.dl_attempts[ti] > self.recovery.max_download_retries {
+        if self.slots[ti].dl_attempts > self.recovery.max_download_retries {
             // Under admission control a task that exhausts its recovery
             // budget is quarantined (reported separately from genuine
             // failures); legacy runs keep the Failed classification.
@@ -2519,7 +2006,7 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
             self.dispatch(now);
             return;
         }
-        let attempt = self.dl_attempts[ti];
+        let attempt = self.slots[ti].dl_attempts;
         let backoff = self.recovery.backoff_for(attempt);
         self.fault.retries += 1;
         if self.trace.is_enabled() {
@@ -2532,7 +2019,7 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
                 },
             );
         }
-        self.tasks[ti].state = TaskState::Blocked;
+        self.slots[ti].state = TaskState::Blocked;
         self.queue.schedule_at(now + backoff, Ev::Retry(tid));
         self.dispatch(now);
     }
@@ -2546,10 +2033,10 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
                 return;
             };
             let ti = tid.0 as usize;
-            if self.tasks[ti].state != TaskState::Ready {
+            if self.slots[ti].state != TaskState::Ready {
                 continue; // stale queue entry
             }
-            let Some(op) = self.tasks[ti].current_op() else {
+            let Some(op) = self.slots[ti].current_op(&self.specs[ti]) else {
                 unreachable!("ready task with no ops");
             };
 
@@ -2562,9 +2049,9 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
 
             if let Op::FpgaRun { circuit, cycles } = op {
                 self.update_degrade_mode(now);
-                let already_degraded = self.admission.as_ref().is_some_and(|a| a.degraded[ti]);
+                let already_degraded = self.admission.as_ref().is_some_and(|a| a.st.degraded[ti]);
                 let degrade_now = !already_degraded
-                    && self.op_done_so_far[ti] == SimDuration::ZERO
+                    && self.slots[ti].op_done_so_far == SimDuration::ZERO
                     && self.degrade_target(circuit, ti).is_some();
                 if already_degraded {
                     // Mid-op re-dispatch of a degraded segment: stay on
@@ -2575,15 +2062,15 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
                         .degrade_target(circuit, ti)
                         .expect("checked just above");
                     let d = SimDuration::from_nanos(cycles.saturating_mul(sw_ns));
-                    self.op_full[ti] = d;
-                    self.tasks[ti].op_remaining = d;
-                    self.op_done_so_far[ti] = SimDuration::ZERO;
+                    self.slots[ti].op_full = d;
+                    self.slots[ti].op_remaining = d;
+                    self.slots[ti].op_done_so_far = SimDuration::ZERO;
                     // Any hardware garbage from an earlier poisoned attempt
                     // is moot: the op restarts from scratch in software.
-                    self.poisoned[ti] = None;
+                    self.slots[ti].poisoned = None;
                     let adm = self.admission.as_mut().expect("degrade implies admission");
-                    adm.degraded[ti] = true;
-                    adm.stats.degraded_dispatches += 1;
+                    adm.st.degraded[ti] = true;
+                    adm.st.stats.degraded_dispatches += 1;
                     software_op = true;
                     if self.trace.is_enabled() {
                         self.record(
@@ -2603,11 +2090,11 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
                     // Skip the whole hardware path below.
                 } else {
                     // Resolve the op duration on first activation.
-                    if self.op_full[ti] == SimDuration::ZERO {
+                    if self.slots[ti].op_full == SimDuration::ZERO {
                         let d = self.lib.get(circuit).run_time(cycles);
-                        self.op_full[ti] = d;
-                        self.tasks[ti].op_remaining = d;
-                        self.op_done_so_far[ti] = SimDuration::ZERO;
+                        self.slots[ti].op_full = d;
+                        self.slots[ti].op_remaining = d;
+                        self.slots[ti].op_done_so_far = SimDuration::ZERO;
                     }
                     // A stats snapshot lets us detect whether this activation
                     // downloaded: fault injection corrupts downloads, and the
@@ -2619,8 +2106,8 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
                     };
                     match self.dev.manager.activate(tid, circuit) {
                         Activation::Blocked => {
-                            self.tasks[ti].state = TaskState::Blocked;
-                            self.metrics[ti].blocked_count += 1;
+                            self.slots[ti].state = TaskState::Blocked;
+                            self.slots[ti].blocked_count += 1;
                             if self.trace.is_enabled() {
                                 self.record(
                                     now,
@@ -2658,8 +2145,8 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
                                 self.fault.crc_mismatches += 1;
                                 self.fault.retry_time +=
                                     self.dev.manager.stats().config_time - before.config_time;
-                                self.dl_attempts[ti] += 1;
-                                self.metrics[ti].overhead_time += o;
+                                self.slots[ti].dl_attempts += 1;
+                                self.slots[ti].overhead_time += o;
                                 if self.trace.is_enabled() {
                                     self.record(
                                         now,
@@ -2680,7 +2167,7 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
                                 }
                                 // The CPU is held for the wasted attempt; the
                                 // retry decision happens when it elapses.
-                                self.tasks[ti].state = TaskState::Running;
+                                self.slots[ti].state = TaskState::Running;
                                 self.running = Some(Running {
                                     tid,
                                     dur: SimDuration::ZERO,
@@ -2690,7 +2177,7 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
                                 self.queue.schedule_at(now + o, Ev::RetryDone(tid));
                                 return;
                             }
-                            self.dl_attempts[ti] = 0;
+                            self.slots[ti].dl_attempts = 0;
                             if self.ckpt.is_some() {
                                 let before = dl_before.as_ref().expect("snapshot taken above");
                                 let after = self.dev.manager.stats();
@@ -2706,7 +2193,7 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
                                         .find(|r| r.cid == circuit)
                                         .map(|r| (r.col0, r.width))
                                         .unwrap_or((0, self.dev.manager.timing().spec.cols));
-                                    self.dev.wal.push(WalRecord {
+                                    self.dev.log_download(WalRecord {
                                         seq: self.dev.wal.len() as u64,
                                         cid: circuit,
                                         col0,
@@ -2719,7 +2206,7 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
                                     // Residency "hit" on a claim a crash
                                     // invalidated (journal off): the op runs on
                                     // garbage and nothing detects it.
-                                    self.metrics[ti].corrupted = true;
+                                    self.slots[ti].corrupted = true;
                                     self.crash.silent_corruptions += 1;
                                 }
                             }
@@ -2727,9 +2214,9 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
                             // nothing computed from here on is trustworthy.
                             if self.dev.injector.is_some()
                                 && self.dev.latent.contains_key(&circuit.0)
-                                && self.poisoned[ti].is_none()
+                                && self.slots[ti].poisoned.is_none()
                             {
-                                self.poisoned[ti] = Some(self.op_done_so_far[ti]);
+                                self.slots[ti].poisoned = Some(self.slots[ti].op_done_so_far);
                             }
                             overhead = o;
                             fpga_ctx = Some(FpgaSeg {
@@ -2748,11 +2235,11 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
             // completion timer. Only the watchdog armed below, or the
             // end-of-run deadlock sweep, can reclaim the CPU.
             let hanging =
-                fpga_ctx.is_some() && self.tasks[ti].spec.hang_op == Some(self.tasks[ti].op_idx);
+                fpga_ctx.is_some() && self.specs[ti].hang_op == Some(self.slots[ti].op_idx);
 
             // Segment length: slice for CPU ops; FPGA ops are sliced only
             // when the preemption policy permits interruption.
-            let remaining = self.tasks[ti].op_remaining;
+            let remaining = self.slots[ti].op_remaining;
             let slice = self.sched.slice();
             let slicable = match op {
                 Op::Cpu(_) => true,
@@ -2778,7 +2265,7 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
                         CompletionDetect::Exact => {}
                         CompletionDetect::Estimate { factor } => {
                             debug_assert!(factor >= 1.0, "underestimates lose results");
-                            let full = self.op_full[ti];
+                            let full = self.slots[ti].op_full;
                             let slack_ns = ((factor - 1.0) * full.as_nanos() as f64).round() as u64;
                             ctx.slack = SimDuration::from_nanos(slack_ns);
                         }
@@ -2807,8 +2294,8 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
                     },
                 );
             }
-            self.metrics[ti].overhead_time += overhead;
-            self.tasks[ti].state = TaskState::Running;
+            self.slots[ti].overhead_time += overhead;
+            self.slots[ti].state = TaskState::Running;
             self.running = Some(Running {
                 tid,
                 dur,
@@ -2826,9 +2313,9 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
             let arm = match self.admission.as_mut() {
                 Some(adm) if fpga_ctx.is_some() && !software_op => match adm.policy.watchdog {
                     Some(wd) => {
-                        adm.wd_seq[ti] += 1;
-                        adm.stats.watchdog_armed += 1;
-                        Some((adm.wd_seq[ti], wd.slack))
+                        adm.st.wd_seq[ti] += 1;
+                        adm.st.stats.watchdog_armed += 1;
+                        Some((adm.st.wd_seq[ti], wd.slack))
                     }
                     None => None,
                 },
@@ -2865,33 +2352,33 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
         // is now stale (generation bump makes the pending event a no-op).
         if run.fpga.is_some() {
             if let Some(adm) = self.admission.as_mut() {
-                adm.wd_seq[ti] += 1;
+                adm.st.wd_seq[ti] += 1;
             }
         }
 
         // Account executed time.
-        match self.tasks[ti].current_op() {
-            Some(Op::Cpu(_)) => self.metrics[ti].cpu_time += run.dur,
+        match self.slots[ti].current_op(&self.specs[ti]) {
+            Some(Op::Cpu(_)) => self.slots[ti].cpu_time += run.dur,
             Some(Op::FpgaRun { .. }) => {
-                let degraded = self.admission.as_ref().is_some_and(|a| a.degraded[ti]);
+                let degraded = self.admission.as_ref().is_some_and(|a| a.st.degraded[ti]);
                 if degraded {
                     // Software-emulation path: useful work, but accounted
                     // apart from real fabric time.
-                    self.metrics[ti].degraded_time += run.dur;
+                    self.slots[ti].degraded_time += run.dur;
                     if let Some(adm) = self.admission.as_mut() {
-                        adm.stats.degraded_time += run.dur;
+                        adm.st.stats.degraded_time += run.dur;
                     }
                 } else {
-                    self.metrics[ti].fpga_time += run.dur;
+                    self.slots[ti].fpga_time += run.dur;
                 }
                 if let Some(f) = run.fpga {
-                    self.metrics[ti].overhead_time += f.slack + f.poll_cost;
+                    self.slots[ti].overhead_time += f.slack + f.poll_cost;
                 }
             }
             None => unreachable!("running task with no op"),
         }
-        self.tasks[ti].op_remaining -= run.dur;
-        self.op_done_so_far[ti] += run.dur;
+        self.slots[ti].op_remaining -= run.dur;
+        self.slots[ti].op_done_so_far += run.dur;
 
         // A scrub pass detected an upset on this task's circuit while the
         // segment was in flight: repair now that the segment drained. The
@@ -2901,15 +2388,15 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
             let detected = self.dev.latent.get(&f.cid.0).is_some_and(|l| l.detected);
             if detected {
                 self.repair_circuit(f.cid, now);
-                if self.tasks[ti].op_remaining > SimDuration::ZERO {
+                if self.slots[ti].op_remaining > SimDuration::ZERO {
                     // The op did not complete cleanly; release the device
                     // slot and go around again (a fault restart, not a
                     // preemption — the manager's preempt path never runs).
                     let (ovh, wake) = self.dev.manager.op_done(tid, f.cid);
-                    self.metrics[ti].overhead_time += ovh;
+                    self.slots[ti].overhead_time += ovh;
                     self.wake(wake, now);
-                    self.fault_restarts[ti] += 1;
-                    if self.fault_restarts[ti] > self.recovery.max_op_recoveries {
+                    self.slots[ti].fault_restarts += 1;
+                    if self.slots[ti].fault_restarts > self.recovery.max_op_recoveries {
                         if self.admission.is_some() {
                             self.quarantine_task(tid, now, "upset recovery limit");
                         } else {
@@ -2918,8 +2405,8 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
                         self.dispatch(now);
                         return;
                     }
-                    self.tasks[ti].state = TaskState::Ready;
-                    let prio = self.tasks[ti].spec.priority;
+                    self.slots[ti].state = TaskState::Ready;
+                    let prio = self.specs[ti].priority;
                     self.sched.on_ready(tid, prio, now);
                     self.dispatch(now);
                     return;
@@ -2927,47 +2414,46 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
             }
         }
 
-        if self.tasks[ti].op_remaining == SimDuration::ZERO {
+        if self.slots[ti].op_remaining == SimDuration::ZERO {
             // Op complete.
             if let Some(f) = run.fpga {
                 let (ovh, wake) = self.dev.manager.op_done(tid, f.cid);
-                self.metrics[ti].overhead_time += ovh;
+                self.slots[ti].overhead_time += ovh;
                 self.wake(wake, now);
             }
-            self.op_full[ti] = SimDuration::ZERO;
-            self.op_done_so_far[ti] = SimDuration::ZERO;
-            self.rollbacks[ti] = 0;
-            self.fault_restarts[ti] = 0;
-            self.dl_attempts[ti] = 0;
+            self.slots[ti].op_full = SimDuration::ZERO;
+            self.slots[ti].op_done_so_far = SimDuration::ZERO;
+            self.slots[ti].rollbacks = 0;
+            self.slots[ti].fault_restarts = 0;
+            self.slots[ti].dl_attempts = 0;
             if let Some(adm) = self.admission.as_mut() {
                 // The degradation decision is per op; the next op competes
                 // for fabric again.
-                adm.degraded[ti] = false;
+                adm.st.degraded[ti] = false;
             }
             // An undetected upset at op completion (no scrub configured, or
             // the pass hasn't come round yet) is *silent* corruption: the
             // simulator, like the real system, delivers the result anyway.
-            self.poisoned[ti] = None;
-            if self.tasks[ti].advance_op() {
-                self.tasks[ti].state = TaskState::Ready;
-                let prio = self.tasks[ti].spec.priority;
+            self.slots[ti].poisoned = None;
+            if self.slots[ti].advance_op(&self.specs[ti]) {
+                self.slots[ti].state = TaskState::Ready;
+                let prio = self.specs[ti].priority;
                 self.sched.on_ready(tid, prio, now);
                 self.dispatch(now);
             } else {
-                self.tasks[ti].state = TaskState::Done;
-                self.tasks[ti].completed_at = now;
-                self.metrics[ti].completion = now;
+                self.slots[ti].state = TaskState::Done;
+                self.slots[ti].completion = now;
                 self.unfinished -= 1;
-                if let Some(d) = self.tasks[ti].spec.deadline {
-                    if now > self.tasks[ti].spec.arrival + d {
-                        self.metrics[ti].deadline_missed = true;
+                if let Some(d) = self.specs[ti].deadline {
+                    if now > self.specs[ti].arrival + d {
+                        self.slots[ti].deadline_missed = true;
                         if let Some(adm) = self.admission.as_mut() {
-                            adm.stats.deadline_missed += 1;
+                            adm.st.stats.deadline_missed += 1;
                         }
                     }
                 }
                 if self.trace.is_enabled() {
-                    let info = self.tasks[ti].spec.name.clone();
+                    let info = self.specs[ti].name.clone();
                     self.record(
                         now,
                         TraceEvent::TaskState {
@@ -2989,8 +2475,8 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
             // OS lets the task continue — preemption exists only to give
             // the CPU to someone else.
             if self.sched.is_empty() {
-                self.tasks[ti].state = TaskState::Ready;
-                let prio = self.tasks[ti].spec.priority;
+                self.slots[ti].state = TaskState::Ready;
+                let prio = self.specs[ti].priority;
                 self.sched.on_ready(tid, prio, now);
                 self.dispatch(now);
                 return;
@@ -2999,7 +2485,7 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
             if let Some(f) = run.fpga {
                 let pc = self.dev.manager.preempt(tid, f.cid);
                 post_overhead = pc.overhead;
-                self.metrics[ti].overhead_time += pc.overhead;
+                self.slots[ti].overhead_time += pc.overhead;
                 if self.trace.is_enabled() {
                     let policy = match self.config.preempt {
                         PreemptAction::WaitCompletion => "wait-completion",
@@ -3007,7 +2493,7 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
                         PreemptAction::SaveRestore => "save-restore",
                     };
                     let rolled_back = if pc.lose_progress {
-                        self.op_done_so_far[ti]
+                        self.slots[ti].op_done_so_far
                     } else {
                         SimDuration::ZERO
                     };
@@ -3023,22 +2509,23 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
                 }
                 if pc.lose_progress {
                     // Everything executed on this op so far is discarded.
-                    self.metrics[ti].lost_time += self.op_done_so_far[ti];
-                    self.metrics[ti].fpga_time -= self.op_done_so_far[ti];
-                    self.tasks[ti].op_remaining = self.op_full[ti];
-                    self.op_done_so_far[ti] = SimDuration::ZERO;
-                    self.rollbacks[ti] += 1;
+                    let slot = &mut self.slots[ti];
+                    slot.lost_time += slot.op_done_so_far;
+                    slot.fpga_time -= slot.op_done_so_far;
+                    slot.op_remaining = slot.op_full;
+                    slot.op_done_so_far = SimDuration::ZERO;
+                    slot.rollbacks += 1;
                     assert!(
-                        self.rollbacks[ti] < 100_000,
+                        slot.rollbacks < 100_000,
                         "task {} is rolling back forever: its FPGA op ({}) never \
                          fits inside the time slice — use SaveRestore or WaitCompletion",
-                        self.tasks[ti].spec.name,
-                        self.op_full[ti]
+                        self.specs[ti].name,
+                        slot.op_full
                     );
                 }
             }
-            self.tasks[ti].state = TaskState::Ready;
-            let prio = self.tasks[ti].spec.priority;
+            self.slots[ti].state = TaskState::Ready;
+            let prio = self.specs[ti].priority;
             self.sched.on_ready(tid, prio, now);
             if post_overhead > SimDuration::ZERO {
                 self.queue.schedule_at(now + post_overhead, Ev::Dispatch);

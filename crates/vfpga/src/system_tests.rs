@@ -17,11 +17,11 @@ use fsim::{SimDuration, SimTime};
 use pnr::{compile, CompileOptions};
 use std::sync::Arc;
 
-fn ms(v: u64) -> SimDuration {
+pub(crate) fn ms(v: u64) -> SimDuration {
     SimDuration::from_millis(v)
 }
 
-fn lib_n(n: usize) -> (Arc<CircuitLib>, Vec<CircuitId>) {
+pub(crate) fn lib_n(n: usize) -> (Arc<CircuitLib>, Vec<CircuitId>) {
     let spec = fpga::device::part("VF400");
     let mut lib = CircuitLib::new();
     let ids = (0..n)
@@ -39,7 +39,7 @@ fn lib_n(n: usize) -> (Arc<CircuitLib>, Vec<CircuitId>) {
     (Arc::new(lib), ids)
 }
 
-fn timing() -> ConfigTiming {
+pub(crate) fn timing() -> ConfigTiming {
     ConfigTiming {
         spec: fpga::device::part("VF400"),
         port: ConfigPort::SerialFast,

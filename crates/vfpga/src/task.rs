@@ -6,6 +6,7 @@
 //! algorithms at different points of the task itself" (§3).
 
 use crate::circuit::CircuitId;
+use crate::metrics::TaskMetrics;
 use fsim::{SimDuration, SimTime};
 
 /// Task identifier (index into the system's task table).
@@ -185,62 +186,145 @@ impl TaskState {
     }
 }
 
-/// Runtime bookkeeping for one task (used by [`crate::system::System`]).
-#[derive(Debug, Clone)]
-pub struct TaskRun {
-    /// Static spec.
-    pub spec: TaskSpec,
+/// Everything mutable about one task, as one `Copy` record: lifecycle,
+/// progress through the current op, recovery bookkeeping, and the numeric
+/// accounting that becomes the task's [`TaskMetrics`] row. The immutable
+/// identity (name, program, tenant) stays in the [`TaskSpec`], so a
+/// checkpoint captures the whole task table with one flat copy.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct TaskSlot {
     /// Lifecycle state.
     pub state: TaskState,
     /// Index of the current op.
     pub op_idx: usize,
     /// Remaining time of the current op.
     pub op_remaining: SimDuration,
-    /// Completion time (valid once Done).
-    pub completed_at: SimTime,
+    /// Full duration of the current FPGA op (for rollback); zero until
+    /// the op's first activation resolves it from the circuit clock.
+    pub op_full: SimDuration,
+    /// Executed time of the current op so far (rollback loss account).
+    pub op_done_so_far: SimDuration,
+    /// Consecutive rollbacks of the current op (livelock guard).
+    pub rollbacks: u64,
+    /// Corrupt download attempts in the current request streak.
+    pub dl_attempts: u32,
+    /// Fault-recovery restarts of the current op (cap guard).
+    pub fault_restarts: u32,
+    /// Valid progress at the moment an upset poisoned the current op
+    /// (`None` = unpoisoned). Everything executed past this point is
+    /// garbage and is discarded when the upset is repaired.
+    pub poisoned: Option<SimDuration>,
+    /// Arrival time.
+    pub arrival: SimTime,
+    /// When the task left the system (valid once terminal).
+    pub completion: SimTime,
+    /// See [`TaskMetrics::cpu_time`].
+    pub cpu_time: SimDuration,
+    /// See [`TaskMetrics::fpga_time`].
+    pub fpga_time: SimDuration,
+    /// See [`TaskMetrics::overhead_time`].
+    pub overhead_time: SimDuration,
+    /// See [`TaskMetrics::lost_time`].
+    pub lost_time: SimDuration,
+    /// See [`TaskMetrics::fault_lost_time`].
+    pub fault_lost_time: SimDuration,
+    /// See [`TaskMetrics::degraded_time`].
+    pub degraded_time: SimDuration,
+    /// See [`TaskMetrics::blocked_count`].
+    pub blocked_count: u64,
+    /// See [`TaskMetrics::failed`].
+    pub failed: bool,
+    /// See [`TaskMetrics::quarantined`].
+    pub quarantined: bool,
+    /// See [`TaskMetrics::rejected`].
+    pub rejected: bool,
+    /// See [`TaskMetrics::unschedulable`].
+    pub unschedulable: bool,
+    /// See [`TaskMetrics::deadline_missed`].
+    pub deadline_missed: bool,
+    /// See [`TaskMetrics::corrupted`].
+    pub corrupted: bool,
+    /// See [`TaskMetrics::lost_in_flight`].
+    pub lost_in_flight: bool,
 }
 
-impl TaskRun {
-    /// Wrap a spec in its initial runtime state.
-    pub fn new(spec: TaskSpec) -> Self {
-        let first = spec.ops.first().copied();
-        let mut tr = TaskRun {
-            spec,
+/// Full duration of an op as far as the spec knows it; FPGA run durations
+/// depend on the circuit clock, so they are zero here and the system
+/// overwrites `op_remaining` at first activation.
+fn spec_duration(op: Option<&Op>) -> SimDuration {
+    match op {
+        Some(Op::Cpu(d)) => *d,
+        Some(Op::FpgaRun { .. }) | None => SimDuration::ZERO,
+    }
+}
+
+impl TaskSlot {
+    /// The initial runtime state of a task that has not arrived yet.
+    pub fn new(spec: &TaskSpec) -> Self {
+        TaskSlot {
             state: TaskState::Future,
             op_idx: 0,
-            op_remaining: SimDuration::ZERO,
-            completed_at: SimTime::ZERO,
-        };
-        if let Some(op) = first {
-            tr.op_remaining = tr.op_full_duration(op);
+            op_remaining: spec_duration(spec.ops.first()),
+            op_full: SimDuration::ZERO,
+            op_done_so_far: SimDuration::ZERO,
+            rollbacks: 0,
+            dl_attempts: 0,
+            fault_restarts: 0,
+            poisoned: None,
+            arrival: spec.arrival,
+            completion: SimTime::ZERO,
+            cpu_time: SimDuration::ZERO,
+            fpga_time: SimDuration::ZERO,
+            overhead_time: SimDuration::ZERO,
+            lost_time: SimDuration::ZERO,
+            fault_lost_time: SimDuration::ZERO,
+            degraded_time: SimDuration::ZERO,
+            blocked_count: 0,
+            failed: false,
+            quarantined: false,
+            rejected: false,
+            unschedulable: false,
+            deadline_missed: false,
+            corrupted: false,
+            lost_in_flight: false,
         }
-        tr
     }
 
-    /// Full duration of an op; FPGA run durations are resolved later by
-    /// the system (they depend on the circuit clock), so this returns zero
-    /// for them and the system overwrites `op_remaining` at activation.
-    fn op_full_duration(&self, op: Op) -> SimDuration {
-        match op {
-            Op::Cpu(d) => d,
-            Op::FpgaRun { .. } => SimDuration::ZERO,
-        }
-    }
-
-    /// The current op, if any remain.
-    pub fn current_op(&self) -> Option<Op> {
-        self.spec.ops.get(self.op_idx).copied()
+    /// The current op of `spec`'s program, if any remain.
+    pub fn current_op(&self, spec: &TaskSpec) -> Option<Op> {
+        spec.ops.get(self.op_idx).copied()
     }
 
     /// Advance to the next op; returns false when the program is finished.
-    pub fn advance_op(&mut self) -> bool {
+    pub fn advance_op(&mut self, spec: &TaskSpec) -> bool {
         self.op_idx += 1;
-        match self.spec.ops.get(self.op_idx) {
-            Some(&op) => {
-                self.op_remaining = self.op_full_duration(op);
-                true
-            }
-            None => false,
+        let next = spec.ops.get(self.op_idx);
+        if next.is_some() {
+            self.op_remaining = spec_duration(next);
+        }
+        next.is_some()
+    }
+
+    /// The task's report row.
+    pub fn metrics(&self, name: String) -> TaskMetrics {
+        TaskMetrics {
+            name,
+            arrival: self.arrival,
+            completion: self.completion,
+            cpu_time: self.cpu_time,
+            fpga_time: self.fpga_time,
+            overhead_time: self.overhead_time,
+            lost_time: self.lost_time,
+            fault_lost_time: self.fault_lost_time,
+            degraded_time: self.degraded_time,
+            blocked_count: self.blocked_count,
+            failed: self.failed,
+            quarantined: self.quarantined,
+            rejected: self.rejected,
+            unschedulable: self.unschedulable,
+            deadline_missed: self.deadline_missed,
+            corrupted: self.corrupted,
+            lost_in_flight: self.lost_in_flight,
         }
     }
 }
@@ -284,11 +368,11 @@ mod tests {
     #[test]
     fn run_advances_through_ops() {
         let spec = TaskSpec::new("t", SimTime::ZERO, vec![Op::Cpu(ms(1)), Op::Cpu(ms(2))]);
-        let mut run = TaskRun::new(spec);
+        let mut run = TaskSlot::new(&spec);
         assert_eq!(run.op_remaining, ms(1));
-        assert!(run.advance_op());
+        assert!(run.advance_op(&spec));
         assert_eq!(run.op_remaining, ms(2));
-        assert!(!run.advance_op());
-        assert_eq!(run.current_op(), None);
+        assert!(!run.advance_op(&spec));
+        assert_eq!(run.current_op(&spec), None);
     }
 }
