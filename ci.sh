@@ -41,6 +41,19 @@ JDIFF=./target/release/jdiff
 "$JDIFF" "$E15_TMP/a.json" "$E15_TMP/b.json" \
   || { echo "e15 smoke: same-seed runs are not identical modulo host"; exit 1; }
 
+echo "==> committed goldens (partition experiments: e05, e06, e20 smoke exports)"
+# Every other gate compares a build with itself; these compare it with
+# exports committed from a known-good commit, so a change to routing,
+# partitioning, GC or delta pricing that shifts any simulated number fails
+# here even when it is perfectly deterministic. Refresh a golden only in a
+# PR that means to change the numbers:
+#   ./target/release/<exp> --smoke --json crates/bench/golden/<exp>.smoke.json
+for exp in e05_partitioning e06_fragmentation_gc e20_delta; do
+  ./target/release/$exp --smoke --json "$E15_TMP/$exp.golden.json" >/dev/null
+  "$JDIFF" "crates/bench/golden/$exp.smoke.json" "$E15_TMP/$exp.golden.json" \
+    || { echo "$exp: smoke export drifted from crates/bench/golden/$exp.smoke.json"; exit 1; }
+done
+
 echo "==> parallel determinism smoke (--threads 4 vs --threads 1)"
 # The sweep engine must be a pure performance knob: any thread count has
 # to reproduce the serial export exactly, modulo the host section.

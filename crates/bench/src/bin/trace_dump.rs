@@ -60,6 +60,7 @@
 use fpga::{ConfigPort, ConfigTiming};
 use fsim::{span, SimDuration, SimRng, SimTime};
 use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex};
 use vfpga::manager::dynload::DynLoadManager;
 use vfpga::manager::partition::{PartitionManager, PartitionMode};
 use vfpga::{
@@ -231,7 +232,7 @@ fn main() {
         .expect("delta family base compiles");
         let mut dlib = CircuitLib::new();
         let dids = workload::variant_family(&mut dlib, base, 3, 0.5, args.seed);
-        (std::sync::Arc::new(dlib), dids)
+        (Arc::new(dlib), dids)
     } else {
         (lib, ids)
     };
@@ -279,6 +280,9 @@ fn main() {
             poisson_tasks(&mix, &ids, &mut rng)
         }
     };
+    // The run consumes the system, manager included; its routing counters
+    // stay out of the report, so a probe carries them past the run.
+    let route_stats = Arc::new(Mutex::new(pnr::RouteStats::default()));
     let build = || {
         let mut mgr = PartitionManager::new(
             lib.clone(),
@@ -358,7 +362,10 @@ fn main() {
         if profile {
             sys = sys.with_latency_profile();
         }
-        sys
+        let seen = Arc::clone(&route_stats);
+        sys.with_manager_probe(move |m: &PartitionManager| {
+            *seen.lock().expect("probe runs on this thread") = m.route_stats();
+        })
     };
     let mut tags = args.tags.clone();
     if args.section("admission") && tags.is_empty() && !args.section("checkpoints") {
@@ -444,6 +451,32 @@ fn main() {
         report.makespan.as_secs_f64(),
         report.tasks.len(),
         report.overhead_fraction() * 100.0
+    );
+    let m = &report.manager_stats;
+    println!(
+        "manager: {} hits / {} misses, {} downloads ({} frames), {} evictions, \
+         {} gc runs, {} relocations ({} failed)",
+        m.hits,
+        m.misses,
+        m.downloads,
+        m.frames_written,
+        m.evictions,
+        m.gc_runs,
+        m.relocations,
+        m.failed_relocations,
+    );
+    let r = *route_stats.lock().expect("probe ran on this thread");
+    println!(
+        "routing{}: {} connections translated from their template, {} searched, \
+         {} circuits failed to route",
+        if args.section("checkpoints") {
+            " (since the last restore)"
+        } else {
+            ""
+        },
+        r.templated_conns,
+        r.searched_conns,
+        r.failed_circuits,
     );
     if args.section("checkpoints") {
         let c = &report.crash;

@@ -35,6 +35,6 @@ pub use emit::{emit_bitstream, PinAssignment};
 pub use flow::{compile, CompileOptions, CompiledCircuit};
 pub use pack::{BlockSource, PackedBlock, PackedCircuit};
 pub use place::{place, PlaceError, PlacedCircuit};
-pub use route::{RouteError, RoutingFabric};
+pub use route::{RouteError, RouteStats, RouteTemplate, RoutingFabric};
 pub use timing::{critical_path_ns, CLB_DELAY_NS, WIRE_DELAY_PER_HOP_NS};
 pub use variant::mutate_tables;

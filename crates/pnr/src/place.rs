@@ -103,6 +103,15 @@ pub fn place(
         });
     }
     let es = edges(pc);
+    // Per block, the edges it is an end of (a self-loop listed once), so a
+    // move re-prices only those instead of scanning every edge.
+    let mut incident: Vec<Vec<u32>> = vec![Vec::new(); n];
+    for (e, &(a, b)) in es.iter().enumerate() {
+        incident[a as usize].push(e as u32);
+        if b != a {
+            incident[b as usize].push(e as u32);
+        }
+    }
 
     // Greedy seed: blocks in index order (already topological-ish from
     // packing) snake through the region so connected blocks start near
@@ -149,21 +158,22 @@ pub fn place(
             let other = occ[at(tc, tr)];
 
             // Delta cost: recompute edges touching the moved block(s).
-            fn touches(es: &[(u32, u32)], coords: &[(u32, u32)], blk: u32) -> u64 {
-                es.iter()
-                    .filter(|&&(a, b)| a == blk || b == blk)
-                    .map(|&(a, b)| {
+            let touches = |coords: &[(u32, u32)], blk: usize| -> u64 {
+                incident[blk]
+                    .iter()
+                    .map(|&e| {
+                        let (a, b) = es[e as usize];
                         let (ax, ay) = coords[a as usize];
                         let (bx, by) = coords[b as usize];
                         (ax.abs_diff(bx) + ay.abs_diff(by)) as u64
                     })
                     .sum()
-            }
+            };
             let pair_cost = |coords: &[(u32, u32)]| {
-                touches(&es, coords, bi as u32)
+                touches(coords, bi)
                     + other.map_or(0, |o| {
                         if o as usize != bi {
-                            touches(&es, coords, o)
+                            touches(coords, o as usize)
                         } else {
                             0
                         }

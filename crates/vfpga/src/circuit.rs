@@ -7,8 +7,9 @@
 //! metadata the managers reason about (area, shape, frames, state bits,
 //! clock period).
 
+use fpga::Bitstream;
 use fsim::SimDuration;
-use pnr::CompiledCircuit;
+use pnr::{CompiledCircuit, RouteTemplate};
 use std::sync::Arc;
 
 /// Index into the OS circuit table.
@@ -20,20 +21,50 @@ pub struct CircuitId(pub u32);
 pub struct CircuitImage {
     /// The compiled, relocatable circuit.
     pub compiled: Arc<CompiledCircuit>,
+    /// What loading the circuit needs and no load origin changes, derived
+    /// once at registration.
+    relocatable: Arc<Relocatable>,
+}
+
+#[derive(Debug)]
+struct Relocatable {
+    routes: RouteTemplate,
+    base_image: Bitstream,
 }
 
 impl CircuitImage {
     /// Wrap a compiled circuit.
     pub fn new(compiled: CompiledCircuit) -> Self {
-        CircuitImage {
-            compiled: Arc::new(compiled),
-        }
+        CircuitImage::from_shared(Arc::new(compiled))
     }
 
     /// Wrap an already-shared compiled circuit (e.g. from the process-wide
     /// compile cache) without copying it.
     pub fn from_shared(compiled: Arc<CompiledCircuit>) -> Self {
-        CircuitImage { compiled }
+        let placed = &compiled.placed;
+        let pins =
+            pnr::PinAssignment::contiguous(placed.circuit.num_inputs, placed.circuit.outputs.len());
+        let relocatable = Relocatable {
+            routes: RouteTemplate::new(placed),
+            base_image: pnr::emit_bitstream(placed, (0, 0), &pins, false),
+        };
+        CircuitImage {
+            compiled,
+            relocatable: Arc::new(relocatable),
+        }
+    }
+
+    /// The circuit's routing decisions in region-relative coordinates;
+    /// the partition manager translates them to each load origin.
+    pub fn route_template(&self) -> &RouteTemplate {
+        &self.relocatable.routes
+    }
+
+    /// The partial bitstream of the circuit at origin `(0, 0)` on
+    /// contiguous pins. Emission is relocatable, so a frame diff between
+    /// two of these prices a delta download at every origin.
+    pub fn base_image(&self) -> &Bitstream {
+        &self.relocatable.base_image
     }
 
     /// Circuit name.
@@ -165,6 +196,26 @@ mod tests {
         assert_eq!(lib.get(ids[0]).name(), "a");
         assert_eq!(lib.get(ids[1]).name(), "b");
         assert_eq!(lib.iter().count(), 2);
+    }
+
+    #[test]
+    fn relocatable_artefacts_are_derived_once_and_shared() {
+        let (lib, ids) = lib_with(&["a", "b"]);
+        let img = lib.get(ids[1]);
+        let placed = &img.compiled.placed;
+        let pins =
+            pnr::PinAssignment::contiguous(placed.circuit.num_inputs, placed.circuit.outputs.len());
+        assert_eq!(
+            img.base_image(),
+            &pnr::emit_bitstream(placed, (0, 0), &pins, false)
+        );
+        assert!(img.route_template().connections() > 0);
+        // A subset library re-uses them instead of routing and emitting again.
+        let sub = lib.subset(&[ids[1]]);
+        assert!(std::ptr::eq(
+            sub.get(CircuitId(0)).route_template(),
+            img.route_template()
+        ));
     }
 
     #[test]

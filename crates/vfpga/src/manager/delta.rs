@@ -86,15 +86,8 @@ impl DeltaTable {
         if let Some(&n) = self.memo.get(&(old.0, new.0)) {
             return n;
         }
-        let emit = |cid: CircuitId| {
-            let c = &lib.get(cid).compiled;
-            let pins = pnr::PinAssignment::contiguous(
-                c.placed.circuit.num_inputs,
-                c.placed.circuit.outputs.len(),
-            );
-            pnr::emit_bitstream(&c.placed, (0, 0), &pins, false)
-        };
-        let n = fpga::Bitstream::diff(&emit(old), &emit(new)).changed_frames;
+        let n = fpga::Bitstream::diff(lib.get(old).base_image(), lib.get(new).base_image())
+            .changed_frames;
         self.memo.insert((old.0, new.0), n);
         n
     }

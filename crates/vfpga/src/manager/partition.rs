@@ -236,6 +236,12 @@ impl PartitionManager {
         1.0 - largest as f64 / total as f64
     }
 
+    /// How loads, GC moves and relocations were routed since the manager
+    /// was built or last restored (diagnostic).
+    pub fn route_stats(&self) -> pnr::RouteStats {
+        self.routing.route_stats()
+    }
+
     /// Number of partitions (diagnostic).
     pub fn partition_count(&self) -> usize {
         self.parts.len()
@@ -253,11 +259,10 @@ impl PartitionManager {
     fn load_into(&mut self, idx: usize, cid: CircuitId, tid: TaskId) -> Option<SimDuration> {
         let need_w = self.lib.get(cid).shape().0;
         let origin = (self.parts[idx].col, 0u32);
-        let compiled = std::sync::Arc::clone(&self.lib.get(cid).compiled);
-        let routes = match self.routing.route_circuit(&compiled.placed, origin) {
-            Ok(r) => r,
-            Err(_) => return None,
-        };
+        let routes = self
+            .routing
+            .route_template(self.lib.get(cid).route_template(), origin)
+            .ok()?;
         // Split in variable mode when the partition is wider than needed.
         if matches!(self.mode, PartitionMode::Variable) && self.parts[idx].width > need_w {
             let leftover = Partition {
@@ -392,8 +397,6 @@ impl PartitionManager {
         self.routing.release(&routes);
         self.parts[idx].slot = Slot::Free;
         let need_w = self.lib.get(cid).shape().0;
-        let compiled = std::sync::Arc::clone(&self.lib.get(cid).compiled);
-        let placed = &compiled.placed;
         // Candidate destinations: free partitions wide enough, tried in
         // column order. No split — the survivor may sit loosely until the
         // next GC tightens things up.
@@ -406,7 +409,8 @@ impl PartitionManager {
             .collect();
         for i in candidates {
             let origin = (self.parts[i].col, 0u32);
-            if let Ok(new_routes) = self.routing.route_circuit(placed, origin) {
+            let template = self.lib.get(cid).route_template();
+            if let Ok(new_routes) = self.routing.route_template(template, origin) {
                 // The relocation download rewrites the destination columns
                 // outside the delta path: stale bases there are gone.
                 if let Some(dt) = &mut self.delta {
@@ -523,14 +527,13 @@ impl PartitionManager {
                 Slot::Resident { cid, .. } => *cid,
                 Slot::Free | Slot::Retired => unreachable!(),
             };
-            let compiled = std::sync::Arc::clone(&self.lib.get(cid).compiled);
-            let placed = &compiled.placed;
+            let template = self.lib.get(cid).route_template();
             let old_routes = match &p.slot {
                 Slot::Resident { routes, .. } => routes.clone(),
                 Slot::Free | Slot::Retired => unreachable!(),
             };
             self.routing.release(&old_routes);
-            match self.routing.route_circuit(placed, (cursor, 0)) {
+            match self.routing.route_template(template, (cursor, 0)) {
                 Ok(new_routes) => {
                     let frames = p.width as usize;
                     overhead += charge_partial_download(
@@ -554,7 +557,7 @@ impl PartitionManager {
                     // Keep the circuit where it was; restore its routes.
                     let restored = self
                         .routing
-                        .route_circuit(placed, (p.col, 0))
+                        .route_template(template, (p.col, 0))
                         .expect("re-routing at the original origin must succeed");
                     if let Slot::Resident { routes, .. } = &mut p.slot {
                         *routes = restored;
@@ -986,13 +989,11 @@ impl FpgaManager for PartitionManager {
                 Some(Json::Str(k)) if k == "retired" => Slot::Retired,
                 Some(Json::Str(k)) if k == "resident" => {
                     let cid = CircuitId(u32_of(p.get("cid"), "cid")?);
-                    let compiled = std::sync::Arc::clone(&self.lib.get(cid).compiled);
-                    let placed = &compiled.placed;
                     // Re-route at the original origin; partitions are
                     // disjoint column ranges, so routing each resident in
                     // image order reproduces a valid fabric state.
                     let routes = routing
-                        .route_circuit(placed, (col, 0))
+                        .route_template(self.lib.get(cid).route_template(), (col, 0))
                         .map_err(|e| format!("re-routing circuit {} at col {col}: {e:?}", cid.0))?;
                     Slot::Resident {
                         cid,

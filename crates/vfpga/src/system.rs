@@ -220,7 +220,12 @@ pub struct System<M: FpgaManager, S: Scheduler> {
     /// Simulated-time latency histograms per operation class; `None`
     /// unless [`with_latency_profile`](Self::with_latency_profile) ran.
     lat: Option<HistSet>,
+    /// Shown the manager as the run left it, just before the report is
+    /// built (see [`with_manager_probe`](Self::with_manager_probe)).
+    manager_probe: Option<ManagerProbe<M>>,
 }
+
+type ManagerProbe<M> = Box<dyn FnOnce(&M) + Send>;
 
 impl<M: FpgaManager, S: Scheduler> System<M, S> {
     /// Build a system over a task set.
@@ -272,6 +277,7 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
             crash: CrashStats::default(),
             admission: None,
             lat: None,
+            manager_probe: None,
         }
     }
 
@@ -338,6 +344,17 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
         self.obs_on = true;
         self.dev.manager.set_recording(true);
         self.lat = Some(HistSet::new());
+        self
+    }
+
+    /// Look at the manager once the run is over. A run consumes the
+    /// system, so this is the only window onto a manager's own diagnostic
+    /// accessors (`PartitionManager::route_stats`, `fragmentation`, …) —
+    /// numbers that deliberately stay out of [`Report`] and the exports.
+    /// `probe` runs when the report is built; a segment cut short by a
+    /// crash never calls it.
+    pub fn with_manager_probe(mut self, probe: impl FnOnce(&M) + Send + 'static) -> Self {
+        self.manager_probe = Some(Box::new(probe));
         self
     }
 
@@ -622,6 +639,9 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
     /// is in. Shared by the normal completion path and
     /// [`abandon_lost`](Self::abandon_lost).
     fn into_report(mut self) -> (Report, Trace) {
+        if let Some(probe) = self.manager_probe.take() {
+            probe(&self.dev.manager);
+        }
         // The rows take the names out of the specs; nothing below reads them.
         let tasks: Vec<TaskMetrics> = self
             .slots

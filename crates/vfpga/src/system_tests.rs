@@ -90,8 +90,10 @@ fn partition_system_reaches_steady_state_hits() {
         PreemptAction::SaveRestore,
     )
     .unwrap();
+    let routed = Arc::new(std::sync::Mutex::new(None));
+    let seen = Arc::clone(&routed);
     let r = System::new(
-        lib,
+        lib.clone(),
         mgr,
         RoundRobinScheduler::new(ms(5)),
         SystemConfig {
@@ -100,11 +102,23 @@ fn partition_system_reaches_steady_state_hits() {
         },
         specs,
     )
+    .with_manager_probe(move |m: &PartitionManager| {
+        *seen.lock().unwrap() = Some(m.route_stats());
+    })
     .run()
     .unwrap();
     check_invariants(&r);
     assert_eq!(r.manager_stats.downloads, 3, "exactly the cold loads");
     assert_eq!(r.manager_stats.hits, 6);
+    // The probe saw the manager as the run left it: each cold load
+    // translated its circuit's template once, and nothing was searched.
+    let routed = routed.lock().unwrap().expect("probe ran");
+    let conns: usize = ids
+        .iter()
+        .map(|&c| lib.get(c).route_template().connections())
+        .sum();
+    assert_eq!(routed.templated_conns, conns as u64);
+    assert_eq!((routed.searched_conns, routed.failed_circuits), (0, 0));
 }
 
 #[test]
