@@ -3,7 +3,7 @@
 //! `cargo bench --bench substrate` (hand-rolled harness, no Criterion).
 
 use bench::microbench::Suite;
-use fsim::{EventQueue, SimRng, SimTime};
+use fsim::{EventQueue, SimDuration, SimRng, SimTime};
 use netlist::{map_to_luts, MapOptions};
 use pnr::route::RoutingFabric;
 use pnr::{compile, CompileOptions};
@@ -43,6 +43,24 @@ fn main() {
         let mut popped = 0u32;
         while q.pop().is_some() {
             popped += 1;
+        }
+        popped
+    });
+
+    // The simulator's shape: 100k arrivals loaded in firing order, each
+    // one arming a short timer when it pops, so one or two dynamically
+    // scheduled events are in flight among the pending arrivals.
+    suite.case("eventq_sorted_preload_hold_100k", 10, || {
+        let mut q = EventQueue::with_capacity(100_000);
+        for i in 0..100_000u64 {
+            q.schedule_at(SimTime(i * 100), 0u32);
+        }
+        let mut popped = 0u32;
+        while let Some(ev) = q.pop() {
+            popped += 1;
+            if ev.event == 0 {
+                q.schedule_in(SimDuration::from_nanos(150), 1u32);
+            }
         }
         popped
     });

@@ -280,9 +280,13 @@ fn main() {
             poisson_tasks(&mix, &ids, &mut rng)
         }
     };
-    // The run consumes the system, manager included; its routing counters
-    // stay out of the report, so a probe carries them past the run.
-    let route_stats = Arc::new(Mutex::new(pnr::RouteStats::default()));
+    // The run consumes the system, manager and event queue included;
+    // their routing and traffic counters stay out of the report, so a
+    // probe carries them past the run.
+    let run_stats = Arc::new(Mutex::new((
+        pnr::RouteStats::default(),
+        fsim::QueueStats::default(),
+    )));
     let build = || {
         let mut mgr = PartitionManager::new(
             lib.clone(),
@@ -362,9 +366,9 @@ fn main() {
         if profile {
             sys = sys.with_latency_profile();
         }
-        let seen = Arc::clone(&route_stats);
-        sys.with_manager_probe(move |m: &PartitionManager| {
-            *seen.lock().expect("probe runs on this thread") = m.route_stats();
+        let seen = Arc::clone(&run_stats);
+        sys.with_run_probe(move |m: &PartitionManager, queue| {
+            *seen.lock().expect("probe runs on this thread") = (m.route_stats(), queue);
         })
     };
     let mut tags = args.tags.clone();
@@ -465,18 +469,20 @@ fn main() {
         m.relocations,
         m.failed_relocations,
     );
-    let r = *route_stats.lock().expect("probe ran on this thread");
+    let (r, q) = *run_stats.lock().expect("probe ran on this thread");
+    let since = if args.section("checkpoints") {
+        " (since the last restore)"
+    } else {
+        ""
+    };
     println!(
-        "routing{}: {} connections translated from their template, {} searched, \
+        "routing{since}: {} connections translated from their template, {} searched, \
          {} circuits failed to route",
-        if args.section("checkpoints") {
-            " (since the last restore)"
-        } else {
-            ""
-        },
-        r.templated_conns,
-        r.searched_conns,
-        r.failed_circuits,
+        r.templated_conns, r.searched_conns, r.failed_circuits,
+    );
+    println!(
+        "queue{since}: {} events scheduled, {} via the heap, peak {} pending ({} in the heap)",
+        q.scheduled, q.via_heap, q.peak_pending, q.peak_heap,
     );
     if args.section("checkpoints") {
         let c = &report.crash;

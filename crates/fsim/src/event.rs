@@ -5,10 +5,34 @@
 //! scheduled earlier at the same instant fire first (FIFO tie-break). This
 //! stability is load-bearing: the OS simulator schedules "preempt task" and
 //! "start next task" at the same instant and relies on insertion order.
+//!
+//! # Two lanes
+//!
+//! A simulator's traffic is not heap-shaped: arrivals are generated
+//! sorted and loaded up front (hundreds of thousands of them), while only
+//! a handful of dynamically scheduled events (a timer, a dispatch) are in
+//! flight at any instant — almost always earlier than every pending
+//! arrival. In a single heap each of those sifts from a leaf to the root
+//! and back down through a structure that does not fit in cache.
+//!
+//! So the pending set is split. The *run lane* is a `VecDeque` kept
+//! nondecreasing in `at`: [`schedule_at`](EventQueue::schedule_at)
+//! appends to it whenever the new event fires no earlier than the lane's
+//! last one, and otherwise pushes to the heap. Sequence numbers only
+//! grow, so an appended event is later in `(at, seq)` than everything
+//! already in the lane and the lane is sorted by the full key. `pop`
+//! takes whichever of the two heads has the smaller `(at, seq)` — the
+//! minimum of the whole set, hence the same total order a single heap
+//! pops. Which lane an event rides is invisible to the caller.
+//!
+//! Degenerate traffic costs what the single heap did, plus one
+//! comparison an operation: a strictly descending preload puts one event
+//! in the lane and the rest in the heap; so does a far-future sentinel
+//! scheduled first.
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// An event of payload type `E` scheduled to fire at a given instant.
 #[derive(Debug, Clone)]
@@ -21,9 +45,17 @@ pub struct ScheduledEvent<E> {
     pub event: E,
 }
 
+impl<E> ScheduledEvent<E> {
+    /// The pop order: earlier instant first, insertion order on ties.
+    #[inline]
+    fn key(&self) -> (SimTime, u64) {
+        (self.at, self.seq)
+    }
+}
+
 impl<E> PartialEq for ScheduledEvent<E> {
     fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
+        self.key() == other.key()
     }
 }
 impl<E> Eq for ScheduledEvent<E> {}
@@ -37,12 +69,32 @@ impl<E> PartialOrd for ScheduledEvent<E> {
 impl<E> Ord for ScheduledEvent<E> {
     /// Reversed so that `BinaryHeap` (a max-heap) pops the *earliest* event.
     fn cmp(&self, other: &Self) -> Ordering {
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
+        other.key().cmp(&self.key())
     }
 }
+
+/// Lifetime counters of one [`EventQueue`]: how much traffic it saw and
+/// how the two lanes shared it. `peak_heap` is the number to read: heap
+/// operations cost the logarithm of the heap's size, so a large `via_heap`
+/// is harmless while `peak_heap` stays a handful (in-flight timers among
+/// a sorted preload), and a `peak_heap` that tracks `peak_pending` means
+/// the preload itself was scheduled out of order and pays heap prices.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct QueueStats {
+    /// Events ever scheduled (reloads after a `clear` count again).
+    pub scheduled: u64,
+    /// Of those, the ones that fired before the run lane's last event
+    /// and went to the heap instead.
+    pub via_heap: u64,
+    /// Most events pending at once, both lanes together.
+    pub peak_pending: usize,
+    /// Most events pending at once in the heap alone.
+    pub peak_heap: usize,
+}
+
+/// Heap slots reserved by [`EventQueue::with_capacity`]: room for the
+/// handful of in-flight events a simulator keeps beside its preload.
+const HEAP_RESERVE: usize = 16;
 
 /// A deterministic pending-event set.
 ///
@@ -50,9 +102,17 @@ impl<E> Ord for ScheduledEvent<E> {
 /// firing times, insertion order is preserved.
 #[derive(Debug)]
 pub struct EventQueue<E> {
+    /// The run lane: nondecreasing in `(at, seq)`, appended at the back,
+    /// popped at the front.
+    lane: VecDeque<ScheduledEvent<E>>,
+    /// Every event that fired before the lane's last one when scheduled.
     heap: BinaryHeap<ScheduledEvent<E>>,
     next_seq: u64,
     now: SimTime,
+    // The counters behind [`QueueStats`]; `scheduled` is `next_seq`.
+    via_heap: u64,
+    peak_pending: usize,
+    peak_heap: usize,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -65,20 +125,25 @@ impl<E> EventQueue<E> {
     /// An empty queue positioned at `SimTime::ZERO`.
     pub fn new() -> Self {
         EventQueue {
+            lane: VecDeque::new(),
             heap: BinaryHeap::new(),
             next_seq: 0,
             now: SimTime::ZERO,
+            via_heap: 0,
+            peak_pending: 0,
+            peak_heap: 0,
         }
     }
 
-    /// An empty queue with heap space reserved for `capacity` pending
-    /// events, so steady-state scheduling in the simulator's hot loop
-    /// never reallocates.
+    /// An empty queue with space reserved for `capacity` pending events
+    /// scheduled in firing order (a sorted preload), so filling it never
+    /// reallocates. Out-of-order events get a small fixed reservation
+    /// and grow on demand.
     pub fn with_capacity(capacity: usize) -> Self {
         EventQueue {
-            heap: BinaryHeap::with_capacity(capacity),
-            next_seq: 0,
-            now: SimTime::ZERO,
+            lane: VecDeque::with_capacity(capacity),
+            heap: BinaryHeap::with_capacity(HEAP_RESERVE),
+            ..Self::new()
         }
     }
 
@@ -92,13 +157,25 @@ impl<E> EventQueue<E> {
     /// Number of pending events.
     #[inline]
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.lane.len() + self.heap.len()
     }
 
     /// Whether no events are pending.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.lane.is_empty() && self.heap.is_empty()
+    }
+
+    /// Traffic counters since the queue was built.
+    #[inline]
+    pub fn stats(&self) -> QueueStats {
+        QueueStats {
+            // Every scheduled event took the next sequence number.
+            scheduled: self.next_seq,
+            via_heap: self.via_heap,
+            peak_pending: self.peak_pending,
+            peak_heap: self.peak_heap,
+        }
     }
 
     /// Schedule `event` to fire at absolute time `at`.
@@ -114,7 +191,15 @@ impl<E> EventQueue<E> {
         );
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.heap.push(ScheduledEvent { at, seq, event });
+        let ev = ScheduledEvent { at, seq, event };
+        if self.lane.back().is_none_or(|last| at >= last.at) {
+            self.lane.push_back(ev);
+        } else {
+            self.heap.push(ev);
+            self.via_heap += 1;
+            self.peak_heap = self.peak_heap.max(self.heap.len());
+        }
+        self.peak_pending = self.peak_pending.max(self.len());
         seq
     }
 
@@ -124,22 +209,43 @@ impl<E> EventQueue<E> {
         self.schedule_at(at, event)
     }
 
+    /// Whether the earliest pending event sits in the heap rather than
+    /// at the front of the run lane.
+    #[inline]
+    fn heap_is_next(&self) -> bool {
+        match (self.lane.front(), self.heap.peek()) {
+            (Some(l), Some(h)) => h.key() < l.key(),
+            (None, Some(_)) => true,
+            (_, None) => false,
+        }
+    }
+
     /// Pop the earliest pending event, advancing the clock to its firing
     /// time. Returns `None` when the queue is empty (the clock stays put).
     pub fn pop(&mut self) -> Option<ScheduledEvent<E>> {
-        let ev = self.heap.pop()?;
-        debug_assert!(ev.at >= self.now, "heap returned an event in the past");
+        let ev = if self.heap_is_next() {
+            self.heap.pop()
+        } else {
+            self.lane.pop_front()
+        }?;
+        debug_assert!(ev.at >= self.now, "queue returned an event in the past");
         self.now = ev.at;
         Some(ev)
     }
 
     /// Firing time of the earliest pending event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.at)
+        if self.heap_is_next() {
+            self.heap.peek()
+        } else {
+            self.lane.front()
+        }
+        .map(|e| e.at)
     }
 
     /// Drop every pending event (the clock is unchanged).
     pub fn clear(&mut self) {
+        self.lane.clear();
         self.heap.clear();
     }
 }
@@ -150,12 +256,20 @@ impl<E: Clone> EventQueue<E> {
     /// checkpointing, which must serialize the pending set and then keep
     /// running; a destructive drain would advance `now` and turn later
     /// `schedule_at` calls into causality panics.
+    ///
+    /// One pass over the run lane with the heap's events, sorted, merged in.
     pub fn pending_in_order(&self) -> Vec<ScheduledEvent<E>> {
-        let mut copy = self.heap.clone();
-        let mut out = Vec::with_capacity(copy.len());
-        while let Some(ev) = copy.pop() {
-            out.push(ev);
+        let mut strays: Vec<ScheduledEvent<E>> = self.heap.iter().cloned().collect();
+        strays.sort_unstable_by_key(ScheduledEvent::key);
+        let mut strays = strays.into_iter().peekable();
+        let mut out = Vec::with_capacity(self.len());
+        for ev in &self.lane {
+            while let Some(s) = strays.next_if(|s| s.key() < ev.key()) {
+                out.push(s);
+            }
+            out.push(ev.clone());
         }
+        out.extend(strays);
         out
     }
 }
@@ -256,5 +370,25 @@ mod tests {
         q.schedule_at(SimTime(20), 2);
         assert_eq!(q.pop().unwrap().event, 2);
         assert_eq!(q.pop().unwrap().event, 3);
+    }
+
+    #[test]
+    fn in_order_traffic_never_touches_the_heap() {
+        // The simulator's shape: a sorted preload, then timers that fire
+        // before the remaining arrivals.
+        let mut q = EventQueue::with_capacity(100);
+        for i in 0..100u64 {
+            q.schedule_at(SimTime(i * 10), i);
+        }
+        assert_eq!(q.stats().via_heap, 0);
+        assert_eq!(q.stats().peak_pending, 100);
+        for _ in 0..50 {
+            q.pop().unwrap();
+            q.schedule_in(SimDuration::from_nanos(5), 1000);
+            assert_eq!(q.pop().unwrap().event, 1000);
+        }
+        let s = q.stats();
+        assert_eq!((s.scheduled, s.via_heap, s.peak_heap), (150, 50, 1));
+        assert_eq!(q.len(), 50);
     }
 }

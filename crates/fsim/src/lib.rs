@@ -5,7 +5,8 @@
 //! simulation:
 //!
 //! * [`SimTime`] / [`SimDuration`] — nanosecond-resolution simulated time,
-//! * [`EventQueue`] — a stable (FIFO-on-tie) pending-event set,
+//! * [`EventQueue`] — a stable (FIFO-on-tie) pending-event set: a sorted
+//!   run lane for in-order traffic beside a heap for the rest,
 //! * [`rng`] — a small deterministic PRNG plus the distributions the
 //!   workload generators need (uniform, exponential, Zipf, bounded Pareto),
 //! * [`stats`] — streaming summary statistics and fixed-bin histograms,
@@ -32,7 +33,7 @@ pub mod stats;
 pub mod time;
 pub mod trace;
 
-pub use event::{EventQueue, ScheduledEvent};
+pub use event::{EventQueue, QueueStats, ScheduledEvent};
 pub use fault::{
     CrashInjector, CrashPlan, DeviceFaultInjector, DeviceFaultPlan, FaultInjector, FaultPlan,
     MigrationCrashWindow, MigrationInjector, MigrationPlan,

@@ -1,0 +1,471 @@
+//! The two-lane [`fsim::EventQueue`] against the queue it replaced.
+//!
+//! `reference` is the `BinaryHeap`-only queue exactly as it stood before
+//! the run lane existed. Both queues are driven with the same calls and
+//! must agree on everything a caller can see: each popped
+//! `(at, seq, event)`, `now()`, `len()`, `is_empty()`, `peek_time()` and
+//! `pending_in_order()`. Inputs come from [`SimRng`], so a failure names
+//! its seed.
+
+use fsim::{EventQueue, SimDuration, SimRng, SimTime};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
+/// The pre-two-lane queue, verbatim.
+#[allow(dead_code)]
+mod reference {
+    use fsim::SimTime;
+    use std::cmp::Ordering;
+    use std::collections::BinaryHeap;
+
+    /// An event of payload type `E` scheduled to fire at a given instant.
+    #[derive(Debug, Clone)]
+    pub struct ScheduledEvent<E> {
+        /// When the event fires.
+        pub at: SimTime,
+        /// Insertion sequence number; unique per queue, breaks ties FIFO.
+        pub seq: u64,
+        /// The payload.
+        pub event: E,
+    }
+
+    impl<E> PartialEq for ScheduledEvent<E> {
+        fn eq(&self, other: &Self) -> bool {
+            self.at == other.at && self.seq == other.seq
+        }
+    }
+    impl<E> Eq for ScheduledEvent<E> {}
+
+    impl<E> PartialOrd for ScheduledEvent<E> {
+        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+
+    impl<E> Ord for ScheduledEvent<E> {
+        /// Reversed so that `BinaryHeap` (a max-heap) pops the *earliest* event.
+        fn cmp(&self, other: &Self) -> Ordering {
+            other
+                .at
+                .cmp(&self.at)
+                .then_with(|| other.seq.cmp(&self.seq))
+        }
+    }
+
+    /// A deterministic pending-event set.
+    ///
+    /// Events are popped in nondecreasing time order; among events with equal
+    /// firing times, insertion order is preserved.
+    #[derive(Debug)]
+    pub struct EventQueue<E> {
+        heap: BinaryHeap<ScheduledEvent<E>>,
+        next_seq: u64,
+        now: SimTime,
+    }
+
+    impl<E> Default for EventQueue<E> {
+        fn default() -> Self {
+            Self::new()
+        }
+    }
+
+    impl<E> EventQueue<E> {
+        /// An empty queue positioned at `SimTime::ZERO`.
+        pub fn new() -> Self {
+            EventQueue {
+                heap: BinaryHeap::new(),
+                next_seq: 0,
+                now: SimTime::ZERO,
+            }
+        }
+
+        /// An empty queue with heap space reserved for `capacity` pending
+        /// events, so steady-state scheduling in the simulator's hot loop
+        /// never reallocates.
+        pub fn with_capacity(capacity: usize) -> Self {
+            EventQueue {
+                heap: BinaryHeap::with_capacity(capacity),
+                next_seq: 0,
+                now: SimTime::ZERO,
+            }
+        }
+
+        /// The current simulated time: the firing time of the most recently
+        /// popped event (or zero before the first pop).
+        #[inline]
+        pub fn now(&self) -> SimTime {
+            self.now
+        }
+
+        /// Number of pending events.
+        #[inline]
+        pub fn len(&self) -> usize {
+            self.heap.len()
+        }
+
+        /// Whether no events are pending.
+        #[inline]
+        pub fn is_empty(&self) -> bool {
+            self.heap.is_empty()
+        }
+
+        /// Schedule `event` to fire at absolute time `at`.
+        ///
+        /// # Panics
+        /// Panics if `at` is in the simulated past (`at < self.now()`): a
+        /// causality violation always indicates a bug in the caller.
+        pub fn schedule_at(&mut self, at: SimTime, event: E) -> u64 {
+            assert!(
+                at >= self.now,
+                "causality violation: scheduling at {at} but now is {}",
+                self.now
+            );
+            let seq = self.next_seq;
+            self.next_seq += 1;
+            self.heap.push(ScheduledEvent { at, seq, event });
+            seq
+        }
+
+        /// Schedule `event` to fire `delay` after the current time.
+        pub fn schedule_in(&mut self, delay: fsim::SimDuration, event: E) -> u64 {
+            let at = self.now + delay;
+            self.schedule_at(at, event)
+        }
+
+        /// Pop the earliest pending event, advancing the clock to its firing
+        /// time. Returns `None` when the queue is empty (the clock stays put).
+        pub fn pop(&mut self) -> Option<ScheduledEvent<E>> {
+            let ev = self.heap.pop()?;
+            debug_assert!(ev.at >= self.now, "heap returned an event in the past");
+            self.now = ev.at;
+            Some(ev)
+        }
+
+        /// Firing time of the earliest pending event, if any.
+        pub fn peek_time(&self) -> Option<SimTime> {
+            self.heap.peek().map(|e| e.at)
+        }
+
+        /// Drop every pending event (the clock is unchanged).
+        pub fn clear(&mut self) {
+            self.heap.clear();
+        }
+    }
+
+    impl<E: Clone> EventQueue<E> {
+        /// Snapshot the pending events in firing order *without* disturbing
+        /// the queue — neither the clock nor the pending set changes. Used by
+        /// checkpointing, which must serialize the pending set and then keep
+        /// running; a destructive drain would advance `now` and turn later
+        /// `schedule_at` calls into causality panics.
+        pub fn pending_in_order(&self) -> Vec<ScheduledEvent<E>> {
+            let mut copy = self.heap.clone();
+            let mut out = Vec::with_capacity(copy.len());
+            while let Some(ev) = copy.pop() {
+                out.push(ev);
+            }
+            out
+        }
+    }
+}
+
+type Key = (SimTime, u64, u32);
+
+/// Both queues behind one set of calls; every call checks they agree.
+struct Pair {
+    new: EventQueue<u32>,
+    old: reference::EventQueue<u32>,
+    ctx: String,
+}
+
+impl Pair {
+    fn new(ctx: impl Into<String>) -> Self {
+        Pair {
+            new: EventQueue::new(),
+            old: reference::EventQueue::new(),
+            ctx: ctx.into(),
+        }
+    }
+
+    fn check(&self) {
+        let ctx = &self.ctx;
+        assert_eq!(self.new.now(), self.old.now(), "{ctx}: now");
+        assert_eq!(self.new.len(), self.old.len(), "{ctx}: len");
+        assert_eq!(self.new.is_empty(), self.old.is_empty(), "{ctx}: is_empty");
+        assert_eq!(
+            self.new.peek_time(),
+            self.old.peek_time(),
+            "{ctx}: peek_time"
+        );
+    }
+
+    fn schedule_at(&mut self, at: SimTime, ev: u32) {
+        let a = self.new.schedule_at(at, ev);
+        let b = self.old.schedule_at(at, ev);
+        assert_eq!(a, b, "{}: seq handed out", self.ctx);
+        self.check();
+    }
+
+    fn schedule_in(&mut self, delay: SimDuration, ev: u32) {
+        let a = self.new.schedule_in(delay, ev);
+        let b = self.old.schedule_in(delay, ev);
+        assert_eq!(a, b, "{}: seq handed out", self.ctx);
+        self.check();
+    }
+
+    fn pop(&mut self) -> Option<Key> {
+        let a = self.new.pop().map(|e| (e.at, e.seq, e.event));
+        let b = self.old.pop().map(|e| (e.at, e.seq, e.event));
+        assert_eq!(a, b, "{}: pop", self.ctx);
+        self.check();
+        a
+    }
+
+    fn snapshot(&self) -> Vec<Key> {
+        let a: Vec<Key> = self
+            .new
+            .pending_in_order()
+            .into_iter()
+            .map(|e| (e.at, e.seq, e.event))
+            .collect();
+        let b: Vec<Key> = self
+            .old
+            .pending_in_order()
+            .into_iter()
+            .map(|e| (e.at, e.seq, e.event))
+            .collect();
+        assert_eq!(a, b, "{}: pending_in_order", self.ctx);
+        self.check();
+        a
+    }
+
+    fn clear(&mut self) {
+        self.new.clear();
+        self.old.clear();
+        self.check();
+    }
+
+    /// What restore and `retire_tasks_where` do: snapshot, clear, and
+    /// schedule the survivors again in snapshot order.
+    fn clear_and_reload(&mut self, keep: impl Fn(u32) -> bool) {
+        let pending = self.snapshot();
+        self.clear();
+        for (at, _, ev) in pending {
+            if keep(ev) {
+                self.schedule_at(at, ev);
+            }
+        }
+    }
+
+    fn drain(&mut self) -> Vec<Key> {
+        std::iter::from_fn(|| self.pop()).collect()
+    }
+
+    fn now(&self) -> SimTime {
+        self.new.now()
+    }
+}
+
+/// Seeded random interleavings of every call, with firing times drawn
+/// from a window a few ticks wide so that ties are the common case.
+#[test]
+fn random_interleavings_match_the_heap_only_queue() {
+    for seed in 0..300u64 {
+        let mut rng = SimRng::new(seed);
+        let mut p = Pair::new(format!("seed {seed}"));
+        // Per-seed mix: how push-heavy the run is and how wide the window.
+        let push_pct = 35 + rng.below(40);
+        let window = 1 + rng.below(12);
+        let mut next_ev = 0u32;
+        for _ in 0..600 {
+            let roll = rng.below(100);
+            if roll < push_pct {
+                next_ev += 1;
+                if rng.below(2) == 0 {
+                    p.schedule_at(SimTime(p.now().0 + rng.below(window)), next_ev);
+                } else {
+                    p.schedule_in(SimDuration::from_nanos(rng.below(window)), next_ev);
+                }
+            } else if roll < 92 {
+                p.pop();
+            } else if roll < 96 {
+                p.snapshot();
+            } else if roll < 98 {
+                p.clear_and_reload(|ev| ev % 3 != 0);
+            } else {
+                p.clear();
+            }
+        }
+        p.snapshot();
+        p.drain();
+        assert!(p.new.is_empty());
+    }
+}
+
+/// `stream`: a sorted preload with ties, and one to four short timers in
+/// flight between consecutive arrivals.
+#[test]
+fn sorted_preload_with_in_flight_timers() {
+    for timers in 1..=4u64 {
+        let mut rng = SimRng::new(0x57 + timers);
+        let mut p = Pair::new(format!("{timers} timers"));
+        let mut at = 0u64;
+        for i in 0..2000u32 {
+            at += rng.below(4);
+            p.schedule_at(SimTime(at), i);
+        }
+        assert_eq!(p.new.stats().via_heap, 0, "a sorted preload is all lane");
+        let mut popped = 0usize;
+        while let Some((_, _, ev)) = p.pop() {
+            popped += 1;
+            // Arrivals re-arm the timers; timers (>= 10_000) do not.
+            if ev < 10_000 {
+                for k in 0..timers {
+                    p.schedule_in(SimDuration::from_nanos(rng.below(3)), 10_000 + k as u32);
+                }
+            }
+        }
+        assert_eq!(popped as u64, 2000 * (1 + timers));
+        // Tied arrivals pop before the timers they armed, so a few
+        // rounds of timers overlap; the heap still never sees the preload.
+        assert!(
+            p.new.stats().peak_heap <= 64,
+            "in-flight events stayed few: {:?}",
+            p.new.stats()
+        );
+    }
+}
+
+/// Strictly descending: one event rides the lane, the rest the heap.
+#[test]
+fn descending_preload_falls_to_the_heap() {
+    let mut p = Pair::new("descending");
+    for i in 0..500u32 {
+        p.schedule_at(SimTime(u64::from(1000 - i)), i);
+    }
+    let stats = p.new.stats();
+    assert_eq!(
+        (stats.via_heap, stats.peak_heap, stats.peak_pending),
+        (499, 499, 500)
+    );
+    p.snapshot();
+    let order = p.drain();
+    assert_eq!(order.first().map(|k| k.2), Some(499));
+    assert_eq!(order.len(), 500);
+}
+
+/// A sentinel scheduled first pins the lane's tail: everything after it
+/// is earlier and goes to the heap, and the sentinel still pops last.
+#[test]
+fn far_future_sentinel_scheduled_first() {
+    let mut rng = SimRng::new(0x5E);
+    let mut p = Pair::new("sentinel");
+    p.schedule_at(SimTime(u64::MAX), 0);
+    for i in 1..=300u32 {
+        p.schedule_at(SimTime(p.now().0 + rng.below(50)), i);
+        if i % 3 == 0 {
+            p.pop();
+        }
+    }
+    p.snapshot();
+    let order = p.drain();
+    assert_eq!(order.last().map(|k| k.2), Some(0));
+}
+
+/// The lane empties completely and is then refilled, first by events
+/// later than anything seen, then by one earlier than its new tail.
+#[test]
+fn lane_drained_then_refilled() {
+    let mut p = Pair::new("refill");
+    for i in 0..10u32 {
+        p.schedule_at(SimTime(u64::from(i) * 5), i);
+    }
+    assert_eq!(p.drain().len(), 10);
+    for i in 10..20u32 {
+        p.schedule_in(SimDuration::from_nanos(u64::from(i)), i);
+    }
+    p.schedule_in(SimDuration::from_nanos(3), 99);
+    p.schedule_in(SimDuration::from_nanos(19), 100);
+    p.snapshot();
+    let order: Vec<u32> = p.drain().into_iter().map(|k| k.2).collect();
+    assert_eq!(order[0], 99);
+    assert_eq!(order[order.len() - 2..], [19, 100]);
+}
+
+/// Restore: the snapshot of a half-run queue is loaded into a fresh pair
+/// (clock at zero, sequence numbers restarting) and both halves finish
+/// with the same event order.
+#[test]
+fn clear_and_reload_of_pending_in_order() {
+    let mut rng = SimRng::new(0xC1);
+    let mut p = Pair::new("restore source");
+    for i in 0..400u32 {
+        p.schedule_at(SimTime(rng.below(200)), i);
+    }
+    for _ in 0..150 {
+        p.pop();
+    }
+    // In-flight events earlier than the remaining preload.
+    for i in 400..404u32 {
+        p.schedule_in(SimDuration::from_nanos(rng.below(5)), i);
+    }
+    let image = p.snapshot();
+
+    let mut fresh = Pair::new("restored");
+    for i in 0..400u32 {
+        fresh.schedule_at(SimTime(u64::from(i)), i);
+    }
+    fresh.clear();
+    for &(at, _, ev) in &image {
+        fresh.schedule_at(at, ev);
+    }
+    assert_eq!(
+        fresh.new.stats().via_heap,
+        0,
+        "a snapshot is sorted, so its reload is all lane"
+    );
+    let resumed: Vec<(SimTime, u32)> = fresh.drain().into_iter().map(|k| (k.0, k.2)).collect();
+    let original: Vec<(SimTime, u32)> = p.drain().into_iter().map(|k| (k.0, k.2)).collect();
+    assert_eq!(resumed, original);
+
+    // In place, dropping a third of the events (`retire_tasks_where`).
+    let mut q = Pair::new("retire");
+    for i in 0..300u32 {
+        q.schedule_at(SimTime(rng.below(100)), i);
+    }
+    q.clear_and_reload(|ev| ev % 3 != 1);
+    assert_eq!(q.drain().len(), 200);
+}
+
+/// Scheduling into the past panics whichever lane advanced the clock.
+#[test]
+fn causality_panic_from_either_lane() {
+    let panics = |f: &mut dyn FnMut()| catch_unwind(AssertUnwindSafe(f)).is_err();
+
+    // Clock advanced by a lane event; the late event would join the heap.
+    let mut p = Pair::new("lane");
+    p.schedule_at(SimTime(10), 0);
+    p.schedule_at(SimTime(20), 1);
+    assert_eq!(p.new.stats().via_heap, 0);
+    p.pop();
+    assert!(panics(&mut || {
+        p.new.schedule_at(SimTime(9), 2);
+    }));
+    assert!(panics(&mut || {
+        p.old.schedule_at(SimTime(9), 2);
+    }));
+
+    // Clock advanced by a heap event, the lane still holding a later one.
+    let mut p = Pair::new("heap");
+    p.schedule_at(SimTime(20), 0);
+    p.schedule_at(SimTime(10), 1);
+    assert_eq!(p.new.stats().via_heap, 1);
+    assert_eq!(p.pop(), Some((SimTime(10), 1, 1)));
+    assert!(panics(&mut || {
+        p.new.schedule_at(SimTime(9), 2);
+    }));
+    assert!(panics(&mut || {
+        p.old.schedule_at(SimTime(9), 2);
+    }));
+    // Neither failed call left anything behind.
+    assert_eq!(p.drain(), [(SimTime(20), 0, 0)]);
+}

@@ -9,18 +9,16 @@ use fsim::{EventQueue, Histogram, SimDuration, SimRng, SimTime, Summary};
 
 const SEEDS: u64 = 64;
 
-/// Events always pop in nondecreasing time order, FIFO on ties.
+/// Events always pop in nondecreasing time order, FIFO on ties — also
+/// when pops are interleaved with pushes at or after the current time.
 #[test]
 fn event_queue_total_order() {
     for seed in 0..SEEDS {
         let mut rng = SimRng::new(seed);
         let n = 1 + rng.below(200) as usize;
         let mut q = EventQueue::new();
-        for i in 0..n {
-            q.schedule_at(SimTime(rng.below(1000)), i);
-        }
         let mut last: Option<(SimTime, usize)> = None;
-        while let Some(ev) = q.pop() {
+        let mut check = |ev: fsim::ScheduledEvent<usize>| {
             if let Some((lt, li)) = last {
                 assert!(ev.at >= lt, "seed {seed}: time went backwards");
                 if ev.at == lt {
@@ -28,7 +26,20 @@ fn event_queue_total_order() {
                 }
             }
             last = Some((ev.at, ev.event));
+        };
+        let mut popped = 0usize;
+        for i in 0..n {
+            q.schedule_at(SimTime(q.now().0 + rng.below(1000)), i);
+            if rng.below(3) == 0 {
+                check(q.pop().expect("just pushed"));
+                popped += 1;
+            }
         }
+        while let Some(ev) = q.pop() {
+            check(ev);
+            popped += 1;
+        }
+        assert_eq!(popped, n, "seed {seed}: every event pops exactly once");
     }
 }
 

@@ -34,6 +34,7 @@ use fsim::{
     DeviceFaultInjector, DeviceFaultPlan, HistSet, LogHistogram, Metrics, MigrationCrashWindow,
     MigrationPlan, SimDuration, SimTime, TimelineSet, Trace, TraceEvent,
 };
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// Identifies one physical device in a fleet. Single-device systems are
@@ -488,21 +489,13 @@ where
 {
     cfg.validate()?;
     let total_tasks = specs.len();
-    let placement = place_tenants(cfg, &specs);
-    let device_of = |tenant: u32| -> u32 {
-        placement
-            .iter()
-            .find(|(t, _)| *t == tenant)
-            .map(|&(_, d)| d)
-            .expect("placement covers every tenant")
-    };
+    let device_of: BTreeMap<u32, u32> = place_tenants(cfg, &specs).into_iter().collect();
 
     // One shard per device that received at least one tenant, device
     // order; tasks keep their original workload order within the shard.
-    let mut shards: Vec<ShardRun<M, S>> = Vec::new();
-    for d in 0..cfg.devices {
-        let mut sh = ShardRun {
-            shard: shards.len() as u32,
+    let mut shards: Vec<ShardRun<M, S>> = (0..cfg.devices)
+        .map(|d| ShardRun {
+            shard: 0,
             home: d,
             host: d,
             tenants: Vec::new(),
@@ -515,19 +508,19 @@ where
             mig_baseline: None,
             pending: None,
             done: None,
-        };
-        for (i, s) in specs.iter().enumerate() {
-            if device_of(s.tenant) == d {
-                if !sh.tenants.contains(&s.tenant) {
-                    sh.tenants.push(s.tenant);
-                }
-                sh.specs.push(s.clone());
-                sh.orig.push(i);
-            }
+        })
+        .collect();
+    for (i, s) in specs.iter().enumerate() {
+        let sh = &mut shards[device_of[&s.tenant] as usize];
+        if !sh.tenants.contains(&s.tenant) {
+            sh.tenants.push(s.tenant);
         }
-        if !sh.specs.is_empty() {
-            shards.push(sh);
-        }
+        sh.specs.push(s.clone());
+        sh.orig.push(i);
+    }
+    shards.retain(|sh| !sh.specs.is_empty());
+    for (i, sh) in shards.iter_mut().enumerate() {
+        sh.shard = i as u32;
     }
 
     let inj = DeviceFaultInjector::new(cfg.faults);

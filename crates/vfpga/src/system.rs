@@ -23,7 +23,7 @@ use crate::recovery::{FaultStats, RecoveryPolicy, UpsetRecovery};
 use crate::sched::Scheduler;
 use crate::task::{Op, TaskId, TaskSlot, TaskSpec, TaskState};
 use fsim::{
-    span, EventQueue, FaultInjector, FaultPlan, HistSet, Metrics, SimDuration, SimTime,
+    span, EventQueue, FaultInjector, FaultPlan, HistSet, Metrics, QueueStats, SimDuration, SimTime,
     TimelineSet, Trace, TraceEvent,
 };
 use std::collections::{BTreeMap, BTreeSet};
@@ -220,12 +220,13 @@ pub struct System<M: FpgaManager, S: Scheduler> {
     /// Simulated-time latency histograms per operation class; `None`
     /// unless [`with_latency_profile`](Self::with_latency_profile) ran.
     lat: Option<HistSet>,
-    /// Shown the manager as the run left it, just before the report is
-    /// built (see [`with_manager_probe`](Self::with_manager_probe)).
-    manager_probe: Option<ManagerProbe<M>>,
+    /// Shown the manager and the event queue's counters as the run left
+    /// them, just before the report is built (see
+    /// [`with_run_probe`](Self::with_run_probe)).
+    run_probe: Option<RunProbe<M>>,
 }
 
-type ManagerProbe<M> = Box<dyn FnOnce(&M) + Send>;
+type RunProbe<M> = Box<dyn FnOnce(&M, QueueStats) + Send>;
 
 impl<M: FpgaManager, S: Scheduler> System<M, S> {
     /// Build a system over a task set.
@@ -236,10 +237,12 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
         config: SystemConfig,
         specs: Vec<TaskSpec>,
     ) -> Self {
-        // Pending events stay within a small multiple of the task count
-        // (arrival + dispatch + completion + timer per task); reserving
-        // up front keeps the hot loop reallocation-free.
-        let mut queue = EventQueue::with_capacity(specs.len() * 4 + 8);
+        // One pending arrival per task, in the queue's run lane when the
+        // specs are arrival-sorted (every generator's are). What the run
+        // schedules on top is in flight a handful at a time — one segment
+        // timer, a dispatch, a checkpoint, a watchdog — and has its own
+        // small reservation.
+        let mut queue = EventQueue::with_capacity(specs.len());
         for (i, spec) in specs.iter().enumerate() {
             queue.schedule_at(spec.arrival, Ev::Arrive(TaskId(i as u32)));
         }
@@ -277,7 +280,7 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
             crash: CrashStats::default(),
             admission: None,
             lat: None,
-            manager_probe: None,
+            run_probe: None,
         }
     }
 
@@ -347,14 +350,15 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
         self
     }
 
-    /// Look at the manager once the run is over. A run consumes the
-    /// system, so this is the only window onto a manager's own diagnostic
-    /// accessors (`PartitionManager::route_stats`, `fragmentation`, …) —
-    /// numbers that deliberately stay out of [`Report`] and the exports.
-    /// `probe` runs when the report is built; a segment cut short by a
-    /// crash never calls it.
-    pub fn with_manager_probe(mut self, probe: impl FnOnce(&M) + Send + 'static) -> Self {
-        self.manager_probe = Some(Box::new(probe));
+    /// Look at the manager and the event queue's traffic counters once
+    /// the run is over. A run consumes the system, so this is the only
+    /// window onto a manager's own diagnostic accessors
+    /// (`PartitionManager::route_stats`, `fragmentation`, …) and onto
+    /// [`EventQueue::stats`] — numbers that deliberately stay out of
+    /// [`Report`] and the exports. `probe` runs when the report is built;
+    /// a segment cut short by a crash never calls it.
+    pub fn with_run_probe(mut self, probe: impl FnOnce(&M, QueueStats) + Send + 'static) -> Self {
+        self.run_probe = Some(Box::new(probe));
         self
     }
 
@@ -639,8 +643,8 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
     /// is in. Shared by the normal completion path and
     /// [`abandon_lost`](Self::abandon_lost).
     fn into_report(mut self) -> (Report, Trace) {
-        if let Some(probe) = self.manager_probe.take() {
-            probe(&self.dev.manager);
+        if let Some(probe) = self.run_probe.take() {
+            probe(&self.dev.manager, self.queue.stats());
         }
         // The rows take the names out of the specs; nothing below reads them.
         let tasks: Vec<TaskMetrics> = self

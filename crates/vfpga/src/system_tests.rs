@@ -102,8 +102,8 @@ fn partition_system_reaches_steady_state_hits() {
         },
         specs,
     )
-    .with_manager_probe(move |m: &PartitionManager| {
-        *seen.lock().unwrap() = Some(m.route_stats());
+    .with_run_probe(move |m: &PartitionManager, queue| {
+        *seen.lock().unwrap() = Some((m.route_stats(), queue));
     })
     .run()
     .unwrap();
@@ -112,13 +112,17 @@ fn partition_system_reaches_steady_state_hits() {
     assert_eq!(r.manager_stats.hits, 6);
     // The probe saw the manager as the run left it: each cold load
     // translated its circuit's template once, and nothing was searched.
-    let routed = routed.lock().unwrap().expect("probe ran");
+    let (routed, queue) = routed.lock().unwrap().expect("probe ran");
     let conns: usize = ids
         .iter()
         .map(|&c| lib.get(c).route_template().connections())
         .sum();
     assert_eq!(routed.templated_conns, conns as u64);
     assert_eq!((routed.searched_conns, routed.failed_circuits), (0, 0));
+    // And the queue's counters: the nine sorted arrivals rode the run
+    // lane, so the heap only ever held events in flight.
+    assert_eq!(queue.peak_pending, 9, "{queue:?}");
+    assert!(queue.scheduled > 9 && queue.peak_heap <= 2, "{queue:?}");
 }
 
 #[test]

@@ -28,7 +28,10 @@
 //!     the legacy single watermark, and a wide pair is sticky (zero
 //!     exits once entered);
 //! 11. the deadline-era state — EDF queue, schedulability gate,
-//!     hysteresis mode bit — survives crash-and-restore.
+//!     hysteresis mode bit — survives crash-and-restore;
+//! 12. specs that are not arrival-sorted (so their arrivals miss the
+//!     event queue's run lane) give the outcomes pinned before that lane
+//!     existed, uninterrupted and across crash-and-restore.
 
 use fsim::{SimDuration, SimRng, SimTime};
 use std::collections::BTreeMap;
@@ -596,6 +599,87 @@ fn deadline_era_state_survives_crash_and_restore() {
         assert!(
             d.is_empty(),
             "crash seed {seed}: restored run diverged: {d:?}"
+        );
+    }
+    assert!(crashed_somewhere, "no seed ever crashed — dead test");
+}
+
+/// FNV-1a, a word at a time, over every task's completion instant and
+/// outcome flags.
+fn outcome_digest(r: &Report) -> u64 {
+    r.tasks.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, t| {
+        let flags = [
+            t.failed,
+            t.quarantined,
+            t.rejected,
+            t.unschedulable,
+            t.deadline_missed,
+            t.corrupted,
+            t.lost_in_flight,
+        ]
+        .iter()
+        .fold(0u64, |acc, &f| acc << 1 | u64::from(f));
+        [t.completion.as_nanos(), flags]
+            .iter()
+            .fold(h, |h, &w| (h ^ w).wrapping_mul(0x0000_0100_0000_01b3))
+    })
+}
+
+#[test]
+fn unsorted_specs_reproduce_the_pinned_outcomes() {
+    // The event queue keeps in-order traffic in a sorted run lane and
+    // everything else in a heap; which lane an event rides must never
+    // show. Here the specs come latest-first with arrivals tied in pairs,
+    // so every arrival but one goes to the heap, and a watchdog at slack
+    // 1.0 fires at the very instant of its segment's timer. The digest
+    // was taken with the single-heap queue this layout replaced.
+    const PINNED: u64 = 0xbe54_5a7b_5d0c_3315;
+    let policy = || AdmissionPolicy {
+        max_in_flight: 3,
+        queue_cap: 4,
+        watchdog: Some(WatchdogConfig {
+            slack: 1.0,
+            max_trips: 1,
+        }),
+        ..AdmissionPolicy::default()
+    };
+    let build_sys = || {
+        build_with(
+            |ids| {
+                let mut specs = workload_ext(ids, 12, 5, &[3], |_| None);
+                for (i, s) in specs.iter_mut().enumerate() {
+                    s.arrival = SimTime::ZERO + SimDuration::from_micros((i / 2) as u64 * 90);
+                }
+                specs.reverse();
+                specs
+            },
+            |_| RoundRobinScheduler::new(SimDuration::from_millis(2)),
+            Some(policy()),
+        )
+    };
+    let baseline = build_sys().run().unwrap();
+    let stats = baseline.admission.as_ref().unwrap();
+    assert!(stats.watchdog_fired > 0, "dead test: watchdog never fired");
+    assert!(stats.deferred > 0, "dead test: quota never deferred");
+    assert_eq!(
+        outcome_digest(&baseline),
+        PINNED,
+        "unsorted input changed task outcomes"
+    );
+    let mut crashed_somewhere = false;
+    for seed in 0..4u64 {
+        let plan = CrashPlan {
+            seed,
+            crash_rate_per_s: 200.0,
+            max_crashes: 3,
+        };
+        let cfg = CheckpointConfig::new(SimDuration::from_micros(2_500));
+        let r = run_with_crashes(build_sys, cfg, plan).unwrap();
+        crashed_somewhere |= r.crash.crashes > 0;
+        assert_eq!(
+            outcome_digest(&r),
+            PINNED,
+            "crash seed {seed}: restored run changed task outcomes"
         );
     }
     assert!(crashed_somewhere, "no seed ever crashed — dead test");
