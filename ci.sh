@@ -41,17 +41,17 @@ JDIFF=./target/release/jdiff
 "$JDIFF" "$E15_TMP/a.json" "$E15_TMP/b.json" \
   || { echo "e15 smoke: same-seed runs are not identical modulo host"; exit 1; }
 
-echo "==> committed goldens (smoke exports: e05, e06, e20 partition side; e14, e16, e17, e21 kernel side)"
+echo "==> committed goldens (smoke exports: e05, e06, e20 partition side; e14, e16, e17, e19, e21 kernel side)"
 # Every other gate compares a build with itself; these compare it with
 # exports committed from a known-good commit, so a change to routing,
 # partitioning, GC or delta pricing (e05, e06, e20) or to the event
-# kernel, its queue, checkpoint/restore, admission or migration (e14,
-# e16, e17, e21) that shifts any simulated number fails here even when
-# it is perfectly deterministic. Refresh a golden only in a PR that means
-# to change the numbers:
+# kernel, its queue, checkpoint/restore, admission, failover or migration
+# (e14, e16, e17, e19, e21) that shifts any simulated number fails here
+# even when it is perfectly deterministic. Refresh a golden only in a PR
+# that means to change the numbers:
 #   ./target/release/<exp> --smoke --json crates/bench/golden/<exp>.smoke.json
 for exp in e05_partitioning e06_fragmentation_gc e20_delta \
-           e14_schedulers e16_crash_restore e17_overload e21_migration; do
+           e14_schedulers e16_crash_restore e17_overload e19_fleet e21_migration; do
   ./target/release/$exp --smoke --json "$E15_TMP/$exp.golden.json" >/dev/null
   "$JDIFF" "crates/bench/golden/$exp.smoke.json" "$E15_TMP/$exp.golden.json" \
     || { echo "$exp: smoke export drifted from crates/bench/golden/$exp.smoke.json"; exit 1; }

@@ -509,13 +509,25 @@ fn main() {
         if let RunOutcome::Crashed(state) = probe {
             if let Some(image) = &state.image {
                 let typed = SystemImage::from_json(&image.state).expect("own image reads back");
+                let section = |key| image.state.get(key).expect("own image has a task table");
+                let len = |key| {
+                    section(key)
+                        .as_arr()
+                        .expect("the task table is arrays")
+                        .len()
+                };
+                let rows = len("tasks");
                 println!(
                     "checkpoint image #{} at {:.3} s: ~{} bytes as the typed image the host keeps, \
-                     {} bytes rendered as vfpga-ckpt/1 JSON when it leaves the host",
+                     {} bytes rendered as vfpga-ckpt/2 JSON when it leaves the host \
+                     ({} task rows x {} columns, {} bytes a row)",
                     image.seq,
                     image.at.as_secs_f64(),
                     typed.approx_bytes(),
                     image.state.render().len(),
+                    rows,
+                    len("task_columns"),
+                    section("tasks").render().len() / rows.max(1),
                 );
             }
         }

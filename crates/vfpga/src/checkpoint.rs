@@ -97,7 +97,7 @@ pub struct CheckpointImage {
     /// `>= wal_len` happened after this checkpoint and must be
     /// reconciled on restore.
     pub wal_len: usize,
-    /// The state, rendered as a `vfpga-ckpt/1` tree by
+    /// The state, rendered as a `vfpga-ckpt/2` tree by
     /// [`SystemImage::to_json`](crate::image::SystemImage::to_json) when
     /// the image left its host. A restore reads it back with the strict
     /// [`SystemImage::from_json`](crate::image::SystemImage::from_json),

@@ -10,13 +10,19 @@
 //!
 //! JSON enters only where state crosses the durability boundary — a host
 //! crash, a failover, a migration — through [`SystemImage::to_json`],
-//! which renders the `vfpga-ckpt/1` schema. [`SystemImage::from_json`] is
-//! its strict inverse: fields must appear exactly as the writer emits
-//! them, every per-task array must have one entry per task, and every
-//! number must fit its typed field; anything else is an error, never a
-//! panic. Observability state (trace buffer, registry, timelines) is
-//! deliberately not part of an image: it never influences simulated
-//! behaviour, and a real in-memory trace dies with its host anyway.
+//! which renders the `vfpga-ckpt/2` schema: the task table is one
+//! `task_columns` header (the [`TaskSlot`] field names, once) and one
+//! positional row of scalars per task, so a crash allocates one array
+//! and one state name a task and no keys. [`SystemImage::from_json`] is
+//! its strict inverse:
+//! fields must appear exactly as the writer emits them, the header must
+//! be the writer's, every row must have one cell per column, and every
+//! cell must have its column's JSON kind and fit its typed field;
+//! anything else is an error, never a panic. Earlier schemas are not
+//! read: no image outlives the process that wrote it. Observability state
+//! (trace buffer, registry, timelines) is deliberately not part of an
+//! image: it never influences simulated behaviour, and a real in-memory
+//! trace dies with its host anyway.
 
 use crate::admission::{AdmissionState, AdmissionStats};
 use crate::checkpoint::CheckpointImage;
@@ -29,7 +35,7 @@ use fsim::{span, SimDuration, SimTime};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// Schema tag of the rendered image.
-const SCHEMA: &str = "vfpga-ckpt/1";
+const SCHEMA: &str = "vfpga-ckpt/2";
 
 /// The segment holding the CPU.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -78,7 +84,7 @@ pub(crate) struct Capture {
 }
 
 impl Capture {
-    /// The capture as it leaves the host: rendered to its `vfpga-ckpt/1`
+    /// The capture as it leaves the host: rendered to its `vfpga-ckpt/2`
     /// tree. Debug builds prove here that the rendering parses back to
     /// the same typed image; release builds rely on the property tests.
     pub(crate) fn to_durable(&self) -> CheckpointImage {
@@ -124,8 +130,6 @@ pub struct SystemImage {
     pub(crate) tasks: Vec<TaskSlot>,
     /// Unrepaired upsets by struck circuit id.
     pub(crate) latent: BTreeMap<u32, Latent>,
-    /// Tasks not yet terminal.
-    pub(crate) unfinished: usize,
     /// Circuits whose residency claim a journal-off restore left stale.
     pub(crate) stale: BTreeSet<u32>,
     pub(crate) running: Option<Running>,
@@ -154,18 +158,6 @@ fn json_bytes(v: &Json) -> usize {
                 .sum(),
             _ => 0,
         }
-}
-
-fn dur(d: SimDuration) -> Json {
-    Json::from(d.as_nanos())
-}
-
-fn time(t: SimTime) -> Json {
-    Json::from(t.as_nanos())
-}
-
-fn tid(t: TaskId) -> Json {
-    Json::from(u64::from(t.0))
 }
 
 /// Stable names for [`TaskState`] inside checkpoint images.
@@ -225,16 +217,14 @@ impl SystemImage {
             + json_bytes(&self.manager)
     }
 
-    /// Render the image as a `vfpga-ckpt/1` JSON tree.
+    /// Render the image as a `vfpga-ckpt/2` JSON tree.
     pub fn to_json(&self) -> Json {
-        let per_task =
-            |f: fn(&TaskSlot) -> Json| -> Vec<Json> { self.tasks.iter().map(f).collect() };
         let running = match &self.running {
             None => Json::Null,
             Some(r) => Obj::new()
-                .set("tid", tid(r.tid))
-                .set("dur", dur(r.dur))
-                .set("exec_start", time(r.exec_start))
+                .set("tid", r.tid.0.json())
+                .set("dur", r.dur.json())
+                .set("exec_start", r.exec_start.json())
                 .set(
                     "fpga",
                     match &r.fpga {
@@ -242,8 +232,8 @@ impl SystemImage {
                         Some(f) => Obj::new()
                             .set("cid", u64::from(f.cid.0))
                             .set("completes", f.completes)
-                            .set("slack", dur(f.slack))
-                            .set("poll", dur(f.poll_cost))
+                            .set("slack", f.slack.json())
+                            .set("poll", f.poll_cost.json())
                             .build(),
                     },
                 )
@@ -254,22 +244,22 @@ impl SystemImage {
             .iter()
             .map(|&(at, ev)| {
                 let (kind, arg) = match ev {
-                    Ev::Arrive(t) => ("arrive", tid(t)),
-                    Ev::Timer(t) => ("timer", tid(t)),
+                    Ev::Arrive(t) => ("arrive", t.0.json()),
+                    Ev::Timer(t) => ("timer", t.0.json()),
                     Ev::Dispatch => ("dispatch", Json::Null),
                     Ev::Seu => ("seu", Json::Null),
                     Ev::Scrub => ("scrub", Json::Null),
                     Ev::ColumnFail(None) => ("colfail", Json::Null),
                     Ev::ColumnFail(Some(c)) => ("colfail_at", Json::from(u64::from(c))),
-                    Ev::RetryDone(t) => ("retry_done", tid(t)),
-                    Ev::Retry(t) => ("retry", tid(t)),
+                    Ev::RetryDone(t) => ("retry_done", t.0.json()),
+                    Ev::Retry(t) => ("retry", t.0.json()),
                     Ev::Checkpoint => ("ckpt", Json::Null),
                     Ev::Watchdog { tid: t, seq } => {
-                        ("watchdog", Json::Arr(vec![tid(t), Json::from(seq)]))
+                        ("watchdog", Json::Arr(vec![t.0.json(), Json::from(seq)]))
                     }
                     Ev::Crash => unreachable!("capture drops the crash event"),
                 };
-                Json::Arr(vec![time(at), Json::from(kind), arg])
+                Json::Arr(vec![at.json(), Json::from(kind), arg])
             })
             .collect();
         let rng = match &self.rng {
@@ -283,50 +273,9 @@ impl SystemImage {
         };
         Obj::new()
             .set("schema", SCHEMA)
-            .set("at", time(self.at))
-            .set(
-                "tasks",
-                per_task(|t| {
-                    Obj::new()
-                        .set("state", state_str(t.state))
-                        .set("op_idx", t.op_idx as u64)
-                        .set("op_remaining", dur(t.op_remaining))
-                        .set("completed_at", time(t.completion))
-                        .build()
-                }),
-            )
-            .set(
-                "metrics",
-                per_task(|m| {
-                    Obj::new()
-                        .set("arrival", time(m.arrival))
-                        .set("completion", time(m.completion))
-                        .set("cpu", dur(m.cpu_time))
-                        .set("fpga", dur(m.fpga_time))
-                        .set("overhead", dur(m.overhead_time))
-                        .set("lost", dur(m.lost_time))
-                        .set("fault_lost", dur(m.fault_lost_time))
-                        .set("blocked", m.blocked_count)
-                        .set("failed", m.failed)
-                        .set("corrupted", m.corrupted)
-                        .set("degraded", dur(m.degraded_time))
-                        .set("quarantined", m.quarantined)
-                        .set("rejected", m.rejected)
-                        .set("unschedulable", m.unschedulable)
-                        .set("deadline_missed", m.deadline_missed)
-                        .set("lost_in_flight", m.lost_in_flight)
-                        .build()
-                }),
-            )
-            .set("op_full", per_task(|t| dur(t.op_full)))
-            .set("op_done", per_task(|t| dur(t.op_done_so_far)))
-            .set("rollbacks", per_task(|t| Json::from(t.rollbacks)))
-            .set("dl_attempts", per_task(|t| Json::from(t.dl_attempts)))
-            .set("fault_restarts", per_task(|t| Json::from(t.fault_restarts)))
-            .set(
-                "poisoned",
-                per_task(|t| t.poisoned.map(dur).unwrap_or(Json::Null)),
-            )
+            .set("at", self.at.json())
+            .set("task_columns", TASK_COLUMNS.to_vec())
+            .set("tasks", self.tasks.iter().map(task_row).collect::<Vec<_>>())
             .set(
                 "latent",
                 self.latent
@@ -334,13 +283,12 @@ impl SystemImage {
                     .map(|(cid, l)| {
                         Json::Arr(vec![
                             Json::from(*cid),
-                            time(l.struck_at),
+                            l.struck_at.json(),
                             Json::from(l.detected),
                         ])
                     })
                     .collect::<Vec<_>>(),
             )
-            .set("unfinished", self.unfinished)
             .set("stale", self.stale.iter().copied().collect::<Vec<u32>>())
             .set("running", running)
             .set("pending", pending)
@@ -358,62 +306,43 @@ impl SystemImage {
             .build()
     }
 
-    /// Rebuild the typed image from its `vfpga-ckpt/1` rendering. Strict:
-    /// an unknown schema, a missing, extra or reordered field, a per-task
-    /// array of the wrong length, an unknown task-state or event-kind
-    /// name, or a number too large for its field is an error.
+    /// Rebuild the typed image from its `vfpga-ckpt/2` rendering. Strict:
+    /// an unknown schema, a missing, extra or reordered field, a foreign
+    /// `task_columns` header, a task row or per-task array of the wrong
+    /// length, a cell of the wrong JSON kind, an unknown task-state or
+    /// event-kind name, or a number too large for its field is an error.
     pub fn from_json(v: &Json) -> Result<SystemImage, String> {
         let mut top = Fields::of(v, "image")?;
         match top.str("schema")? {
             SCHEMA => {}
             other => return Err(format!("unknown image schema '{other}'")),
         }
-        let at = top.time("at")?;
-        let runs = arr_of(top.next("tasks")?, "tasks")?;
-        let n = runs.len();
-        let metrics = fixed(top.next("metrics")?, "metrics", n)?;
-        let mut tasks = Vec::with_capacity(n);
-        for (t, m) in runs.iter().zip(metrics) {
-            tasks.push(slot_from_json(t, m)?);
+        let at = top.get("at")?;
+        if *top.next("task_columns")? != Json::from(TASK_COLUMNS.to_vec()) {
+            return Err("'task_columns' is not the header this reader knows".into());
         }
-        // The parallel per-task arrays, one entry per task each.
-        let mut column = |key: &'static str| fixed(top.next(key)?, key, n);
-        for (t, v) in tasks.iter_mut().zip(column("op_full")?) {
-            t.op_full = SimDuration::from_nanos(as_u64(v, "op_full")?);
-        }
-        for (t, v) in tasks.iter_mut().zip(column("op_done")?) {
-            t.op_done_so_far = SimDuration::from_nanos(as_u64(v, "op_done")?);
-        }
-        for (t, v) in tasks.iter_mut().zip(column("rollbacks")?) {
-            t.rollbacks = as_u64(v, "rollbacks")?;
-        }
-        for (t, v) in tasks.iter_mut().zip(column("dl_attempts")?) {
-            t.dl_attempts = as_u32(v, "dl_attempts")?;
-        }
-        for (t, v) in tasks.iter_mut().zip(column("fault_restarts")?) {
-            t.fault_restarts = as_u32(v, "fault_restarts")?;
-        }
-        for (t, v) in tasks.iter_mut().zip(column("poisoned")?) {
-            t.poisoned = match v {
-                Json::Null => None,
-                v => Some(SimDuration::from_nanos(as_u64(v, "poisoned")?)),
-            };
-        }
+        let tasks = arr_of(top.next("tasks")?, "tasks")?
+            .iter()
+            .map(slot_from_row)
+            .collect::<Result<Vec<_>, String>>()?;
+        let n = tasks.len();
         let mut latent = BTreeMap::new();
         for v in arr_of(top.next("latent")?, "latent")? {
             let [cid, struck, detected] = tuple(v, "latent entry")?;
             let l = Latent {
-                struck_at: SimTime(as_u64(struck, "latent strike time")?),
-                detected: as_bool(detected, "latent detected flag")?,
+                struck_at: SimTime::read(struck, "latent strike time")?,
+                detected: bool::read(detected, "latent detected flag")?,
             };
-            if latent.insert(as_u32(cid, "latent circuit")?, l).is_some() {
+            if latent
+                .insert(u32::read(cid, "latent circuit")?, l)
+                .is_some()
+            {
                 return Err("latent lists a circuit twice".into());
             }
         }
-        let unfinished = top.usize("unfinished")?;
         let mut stale = BTreeSet::new();
         for v in arr_of(top.next("stale")?, "stale")? {
-            if !stale.insert(as_u32(v, "stale circuit")?) {
+            if !stale.insert(u32::read(v, "stale circuit")?) {
                 return Err("stale lists a circuit twice".into());
             }
         }
@@ -432,7 +361,7 @@ impl SystemImage {
                 let mut states = [[0u64; 4]; 3];
                 for (state, words) in states.iter_mut().zip(fixed(v, "rng", 3)?) {
                     for (w, v) in state.iter_mut().zip(fixed(words, "rng stream", 4)?) {
-                        *w = as_u64(v, "rng word")?;
+                        *w = u64::read(v, "rng word")?;
                     }
                 }
                 Some(states)
@@ -449,7 +378,6 @@ impl SystemImage {
             at,
             tasks,
             latent,
-            unfinished,
             stale,
             running,
             pending,
@@ -462,66 +390,71 @@ impl SystemImage {
     }
 }
 
-fn slot_from_json(run: &Json, metrics: &Json) -> Result<TaskSlot, String> {
-    let mut t = Fields::of(run, "task")?;
-    let state = state_from_str(t.str("state")?)?;
-    let op_idx = t.usize("op_idx")?;
-    let op_remaining = t.dur("op_remaining")?;
-    let completion = t.time("completed_at")?;
-    t.end()?;
-    let mut m = Fields::of(metrics, "task metrics")?;
-    let arrival = m.time("arrival")?;
-    // The image writes the one completion instant in both places.
-    if m.time("completion")? != completion {
-        return Err("task 'completion' disagrees with 'completed_at'".into());
-    }
-    let slot = TaskSlot {
-        state,
-        op_idx,
-        op_remaining,
-        // The parallel per-task arrays fill these in afterwards.
-        op_full: SimDuration::ZERO,
-        op_done_so_far: SimDuration::ZERO,
-        rollbacks: 0,
-        dl_attempts: 0,
-        fault_restarts: 0,
-        poisoned: None,
-        arrival,
-        completion,
-        cpu_time: m.dur("cpu")?,
-        fpga_time: m.dur("fpga")?,
-        overhead_time: m.dur("overhead")?,
-        lost_time: m.dur("lost")?,
-        fault_lost_time: m.dur("fault_lost")?,
-        blocked_count: m.u64("blocked")?,
-        failed: m.bool("failed")?,
-        corrupted: m.bool("corrupted")?,
-        degraded_time: m.dur("degraded")?,
-        quarantined: m.bool("quarantined")?,
-        rejected: m.bool("rejected")?,
-        unschedulable: m.bool("unschedulable")?,
-        deadline_missed: m.bool("deadline_missed")?,
-        lost_in_flight: m.bool("lost_in_flight")?,
+/// The task table, declared once: [`TaskSlot`]'s fields in declaration
+/// order. Expands to the `task_columns` header, the writer of one task's
+/// positional row and its strict reader, so the three cannot drift apart
+/// (a field missing here does not compile).
+macro_rules! task_table {
+    ($($field:ident),*) => {
+        const TASK_COLUMNS: &[&str] = &[$(stringify!($field)),*];
+
+        fn task_row(t: &TaskSlot) -> Json {
+            Json::Arr(vec![$(t.$field.json()),*])
+        }
+
+        fn slot_from_row(row: &Json) -> Result<TaskSlot, String> {
+            let mut cells = fixed(row, "task row", TASK_COLUMNS.len())?.iter();
+            let mut cell = || cells.next().expect("one cell per column");
+            Ok(TaskSlot {
+                $($field: Scalar::read(cell(), stringify!($field))?),*
+            })
+        }
     };
-    m.end()?;
-    Ok(slot)
 }
+
+task_table!(
+    state,
+    op_idx,
+    op_remaining,
+    op_full,
+    op_done_so_far,
+    rollbacks,
+    dl_attempts,
+    fault_restarts,
+    poisoned,
+    arrival,
+    completion,
+    cpu_time,
+    fpga_time,
+    overhead_time,
+    lost_time,
+    fault_lost_time,
+    degraded_time,
+    blocked_count,
+    failed,
+    quarantined,
+    rejected,
+    unschedulable,
+    deadline_missed,
+    corrupted,
+    lost_in_flight
+);
 
 fn running_from_json(v: &Json) -> Result<Running, String> {
     let mut r = Fields::of(v, "running")?;
     let run = Running {
-        tid: TaskId(r.u32("tid")?),
-        dur: r.dur("dur")?,
-        exec_start: r.time("exec_start")?,
+        tid: TaskId(r.get("tid")?),
+        dur: r.get("dur")?,
+        exec_start: r.get("exec_start")?,
         fpga: match r.next("fpga")? {
             Json::Null => None,
             f => {
                 let mut f = Fields::of(f, "running fpga segment")?;
                 let seg = FpgaSeg {
-                    cid: CircuitId(f.u32("cid")?),
-                    completes: f.bool("completes")?,
-                    slack: f.dur("slack")?,
-                    poll_cost: f.dur("poll")?,
+                    cid: CircuitId(f.get("cid")?),
+                    completes: f.get("completes")?,
+                    slack: f.get("slack")?,
+                    poll_cost: f.get("poll")?,
                 };
                 f.end()?;
                 Some(seg)
@@ -537,7 +470,7 @@ fn pending_from_json(v: &Json) -> Result<(SimTime, Ev), String> {
     let Json::Str(kind) = kind else {
         return Err(format!("pending event kind is {}", kind_of(kind)));
     };
-    let task = || as_u32(arg, "pending event task").map(TaskId);
+    let task = || u32::read(arg, "pending event task").map(TaskId);
     let no_arg = |ev: Ev| match arg {
         Json::Null => Ok(ev),
         other => Err(format!("'{kind}' event carries {}", kind_of(other))),
@@ -549,20 +482,20 @@ fn pending_from_json(v: &Json) -> Result<(SimTime, Ev), String> {
         "seu" => no_arg(Ev::Seu)?,
         "scrub" => no_arg(Ev::Scrub)?,
         "colfail" => no_arg(Ev::ColumnFail(None))?,
-        "colfail_at" => Ev::ColumnFail(Some(as_u32(arg, "failed column")?)),
+        "colfail_at" => Ev::ColumnFail(Some(u32::read(arg, "failed column")?)),
         "retry_done" => Ev::RetryDone(task()?),
         "retry" => Ev::Retry(task()?),
         "ckpt" => no_arg(Ev::Checkpoint)?,
         "watchdog" => {
             let [t, seq] = tuple(arg, "watchdog arg")?;
             Ev::Watchdog {
-                tid: TaskId(as_u32(t, "watchdog task")?),
-                seq: as_u64(seq, "watchdog generation")?,
+                tid: TaskId(u32::read(t, "watchdog task")?),
+                seq: u64::read(seq, "watchdog generation")?,
             }
         }
         other => return Err(format!("unknown pending event '{other}'")),
     };
-    Ok((SimTime(as_u64(at, "pending event time")?), ev))
+    Ok((SimTime::read(at, "pending event time")?, ev))
 }
 
 fn fault_to_json(f: &FaultStats) -> Json {
@@ -573,38 +506,38 @@ fn fault_to_json(f: &FaultStats) -> Json {
         .set("column_faults", f.column_faults)
         .set("crc_mismatches", f.crc_mismatches)
         .set("retries", f.retries)
-        .set("retry_time", dur(f.retry_time))
+        .set("retry_time", f.retry_time.json())
         .set("tasks_failed", f.tasks_failed)
         .set("scrub_passes", f.scrub_passes)
-        .set("scrub_time", dur(f.scrub_time))
+        .set("scrub_time", f.scrub_time.json())
         .set("repairs", f.repairs)
-        .set("repair_time", dur(f.repair_time))
-        .set("work_lost", dur(f.work_lost))
+        .set("repair_time", f.repair_time.json())
+        .set("work_lost", f.work_lost.json())
         .set("columns_retired", f.columns_retired)
-        .set("retire_time", dur(f.retire_time))
-        .set("mttr_total", dur(f.mttr_total))
+        .set("retire_time", f.retire_time.json())
+        .set("mttr_total", f.mttr_total.json())
         .build()
 }
 
 fn fault_from_json(v: &Json) -> Result<FaultStats, String> {
     let mut f = Fields::of(v, "fault")?;
     let stats = FaultStats {
-        download_faults: f.u64("download_faults")?,
-        seu_faults: f.u64("seu_faults")?,
-        seu_benign: f.u64("seu_benign")?,
-        column_faults: f.u64("column_faults")?,
-        crc_mismatches: f.u64("crc_mismatches")?,
-        retries: f.u64("retries")?,
-        retry_time: f.dur("retry_time")?,
-        tasks_failed: f.u64("tasks_failed")?,
-        scrub_passes: f.u64("scrub_passes")?,
-        scrub_time: f.dur("scrub_time")?,
-        repairs: f.u64("repairs")?,
-        repair_time: f.dur("repair_time")?,
-        work_lost: f.dur("work_lost")?,
-        columns_retired: f.u64("columns_retired")?,
-        retire_time: f.dur("retire_time")?,
-        mttr_total: f.dur("mttr_total")?,
+        download_faults: f.get("download_faults")?,
+        seu_faults: f.get("seu_faults")?,
+        seu_benign: f.get("seu_benign")?,
+        column_faults: f.get("column_faults")?,
+        crc_mismatches: f.get("crc_mismatches")?,
+        retries: f.get("retries")?,
+        retry_time: f.get("retry_time")?,
+        tasks_failed: f.get("tasks_failed")?,
+        scrub_passes: f.get("scrub_passes")?,
+        scrub_time: f.get("scrub_time")?,
+        repairs: f.get("repairs")?,
+        repair_time: f.get("repair_time")?,
+        work_lost: f.get("work_lost")?,
+        columns_retired: f.get("columns_retired")?,
+        retire_time: f.get("retire_time")?,
+        mttr_total: f.get("mttr_total")?,
     };
     f.end()?;
     Ok(stats)
@@ -644,10 +577,10 @@ fn admission_to_json(a: &AdmissionState) -> Json {
                 .set("deadline_missed", st.deadline_missed)
                 .set("wd_armed", st.watchdog_armed)
                 .set("wd_fired", st.watchdog_fired)
-                .set("wd_preempt", dur(st.watchdog_preempt_time))
-                .set("wd_lost", dur(st.watchdog_lost_time))
+                .set("wd_preempt", st.watchdog_preempt_time.json())
+                .set("wd_lost", st.watchdog_lost_time.json())
                 .set("degraded_dispatches", st.degraded_dispatches)
-                .set("degraded_time", dur(st.degraded_time))
+                .set("degraded_time", st.degraded_time.json())
                 .set("unschedulable", st.unschedulable)
                 .set("degrade_enters", st.degrade_enters)
                 .set("degrade_exits", st.degrade_exits)
@@ -661,9 +594,9 @@ fn admission_from_json(v: &Json, n: usize) -> Result<AdmissionState, String> {
     let mut in_flight = BTreeMap::new();
     for v in arr_of(a.next("in_flight")?, "in_flight")? {
         let [t, c] = tuple(v, "in_flight entry")?;
-        let c = as_u32(c, "in_flight count")?;
+        let c = u32::read(c, "in_flight count")?;
         if in_flight
-            .insert(as_u32(t, "in_flight tenant")?, c)
+            .insert(u32::read(t, "in_flight tenant")?, c)
             .is_some()
         {
             return Err("in_flight lists a tenant twice".into());
@@ -674,41 +607,44 @@ fn admission_from_json(v: &Json, n: usize) -> Result<AdmissionState, String> {
         let [t, q] = tuple(v, "deferred entry")?;
         let q: VecDeque<u32> = arr_of(q, "deferred queue")?
             .iter()
-            .map(|x| as_u32(x, "deferred task"))
+            .map(|x| u32::read(x, "deferred task"))
             .collect::<Result<_, String>>()?;
-        if deferred.insert(as_u32(t, "deferred tenant")?, q).is_some() {
+        if deferred
+            .insert(u32::read(t, "deferred tenant")?, q)
+            .is_some()
+        {
             return Err("deferred lists a tenant twice".into());
         }
     }
     let wd_seq = fixed(a.next("wd_seq")?, "wd_seq", n)?
         .iter()
-        .map(|v| as_u64(v, "wd_seq"))
+        .map(|v| u64::read(v, "wd_seq"))
         .collect::<Result<_, String>>()?;
     let wd_trips = fixed(a.next("wd_trips")?, "wd_trips", n)?
         .iter()
-        .map(|v| as_u32(v, "wd_trips"))
+        .map(|v| u32::read(v, "wd_trips"))
         .collect::<Result<_, String>>()?;
     let degraded = fixed(a.next("degraded")?, "degraded", n)?
         .iter()
-        .map(|v| as_bool(v, "degraded"))
+        .map(|v| bool::read(v, "degraded"))
         .collect::<Result<_, String>>()?;
-    let degrade_mode = a.bool("degrade_mode")?;
+    let degrade_mode = a.get("degrade_mode")?;
     let mut st = Fields::of(a.next("stats")?, "admission stats")?;
     let stats = AdmissionStats {
-        admitted: st.u64("admitted")?,
-        deferred: st.u64("deferred")?,
-        rejected: st.u64("rejected")?,
-        quarantined: st.u64("quarantined")?,
-        deadline_missed: st.u64("deadline_missed")?,
-        watchdog_armed: st.u64("wd_armed")?,
-        watchdog_fired: st.u64("wd_fired")?,
-        watchdog_preempt_time: st.dur("wd_preempt")?,
-        watchdog_lost_time: st.dur("wd_lost")?,
-        degraded_dispatches: st.u64("degraded_dispatches")?,
-        degraded_time: st.dur("degraded_time")?,
-        unschedulable: st.u64("unschedulable")?,
-        degrade_enters: st.u64("degrade_enters")?,
-        degrade_exits: st.u64("degrade_exits")?,
+        admitted: st.get("admitted")?,
+        deferred: st.get("deferred")?,
+        rejected: st.get("rejected")?,
+        quarantined: st.get("quarantined")?,
+        deadline_missed: st.get("deadline_missed")?,
+        watchdog_armed: st.get("wd_armed")?,
+        watchdog_fired: st.get("wd_fired")?,
+        watchdog_preempt_time: st.get("wd_preempt")?,
+        watchdog_lost_time: st.get("wd_lost")?,
+        degraded_dispatches: st.get("degraded_dispatches")?,
+        degraded_time: st.get("degraded_time")?,
+        unschedulable: st.get("unschedulable")?,
+        degrade_enters: st.get("degrade_enters")?,
+        degrade_exits: st.get("degrade_exits")?,
     };
     st.end()?;
     a.end()?;
@@ -736,24 +672,99 @@ fn kind_of(v: &Json) -> &'static str {
     }
 }
 
-fn as_u64(v: &Json, what: &str) -> Result<u64, String> {
-    match v {
-        Json::UInt(x) => Ok(*x),
-        other => Err(format!(
-            "{what} is {}, not an unsigned integer",
-            kind_of(other)
-        )),
+/// A typed scalar as one JSON value: how every number, flag and state
+/// name of an image is written and strictly read back (`what` names the
+/// value in the error).
+trait Scalar: Sized {
+    fn json(self) -> Json;
+    fn read(v: &Json, what: &str) -> Result<Self, String>;
+}
+
+impl Scalar for u64 {
+    fn json(self) -> Json {
+        Json::UInt(self)
+    }
+    fn read(v: &Json, what: &str) -> Result<u64, String> {
+        match v {
+            Json::UInt(x) => Ok(*x),
+            other => Err(format!(
+                "{what} is {}, not an unsigned integer",
+                kind_of(other)
+            )),
+        }
     }
 }
 
-fn as_u32(v: &Json, what: &str) -> Result<u32, String> {
-    u32::try_from(as_u64(v, what)?).map_err(|_| format!("{what} does not fit in 32 bits"))
+impl Scalar for u32 {
+    fn json(self) -> Json {
+        Json::from(self)
+    }
+    fn read(v: &Json, what: &str) -> Result<u32, String> {
+        u32::try_from(u64::read(v, what)?).map_err(|_| format!("{what} does not fit in 32 bits"))
+    }
 }
 
-fn as_bool(v: &Json, what: &str) -> Result<bool, String> {
-    match v {
-        Json::Bool(b) => Ok(*b),
-        other => Err(format!("{what} is {}, not a bool", kind_of(other))),
+impl Scalar for usize {
+    fn json(self) -> Json {
+        Json::from(self)
+    }
+    fn read(v: &Json, what: &str) -> Result<usize, String> {
+        usize::try_from(u64::read(v, what)?).map_err(|_| format!("{what} does not fit in usize"))
+    }
+}
+
+impl Scalar for bool {
+    fn json(self) -> Json {
+        Json::Bool(self)
+    }
+    fn read(v: &Json, what: &str) -> Result<bool, String> {
+        match v {
+            Json::Bool(b) => Ok(*b),
+            other => Err(format!("{what} is {}, not a bool", kind_of(other))),
+        }
+    }
+}
+
+impl Scalar for SimDuration {
+    fn json(self) -> Json {
+        Json::UInt(self.as_nanos())
+    }
+    fn read(v: &Json, what: &str) -> Result<SimDuration, String> {
+        u64::read(v, what).map(SimDuration::from_nanos)
+    }
+}
+
+impl Scalar for SimTime {
+    fn json(self) -> Json {
+        Json::UInt(self.as_nanos())
+    }
+    fn read(v: &Json, what: &str) -> Result<SimTime, String> {
+        u64::read(v, what).map(SimTime)
+    }
+}
+
+/// `null` is "none": a poisoned mark that was never set.
+impl Scalar for Option<SimDuration> {
+    fn json(self) -> Json {
+        self.map_or(Json::Null, Scalar::json)
+    }
+    fn read(v: &Json, what: &str) -> Result<Option<SimDuration>, String> {
+        match v {
+            Json::Null => Ok(None),
+            v => SimDuration::read(v, what).map(Some),
+        }
+    }
+}
+
+impl Scalar for TaskState {
+    fn json(self) -> Json {
+        Json::from(state_str(self))
+    }
+    fn read(v: &Json, what: &str) -> Result<TaskState, String> {
+        match v {
+            Json::Str(s) => state_from_str(s),
+            other => Err(format!("{what} is {}, not a string", kind_of(other))),
+        }
     }
 }
 
@@ -811,28 +822,8 @@ impl<'a> Fields<'a> {
         }
     }
 
-    fn u64(&mut self, key: &str) -> Result<u64, String> {
-        as_u64(self.next(key)?, key)
-    }
-
-    fn u32(&mut self, key: &str) -> Result<u32, String> {
-        as_u32(self.next(key)?, key)
-    }
-
-    fn usize(&mut self, key: &str) -> Result<usize, String> {
-        usize::try_from(self.u64(key)?).map_err(|_| format!("'{key}' does not fit in usize"))
-    }
-
-    fn dur(&mut self, key: &str) -> Result<SimDuration, String> {
-        self.u64(key).map(SimDuration::from_nanos)
-    }
-
-    fn time(&mut self, key: &str) -> Result<SimTime, String> {
-        self.u64(key).map(SimTime)
-    }
-
-    fn bool(&mut self, key: &str) -> Result<bool, String> {
-        as_bool(self.next(key)?, key)
+    fn get<T: Scalar>(&mut self, key: &str) -> Result<T, String> {
+        T::read(self.next(key)?, key)
     }
 
     fn str(&mut self, key: &str) -> Result<&'a str, String> {

@@ -1,4 +1,4 @@
-//! Properties of typed checkpoint images: the `vfpga-ckpt/1` rendering
+//! Properties of typed checkpoint images: the `vfpga-ckpt/2` rendering
 //! round-trips and is byte-stable, a restored system captures the image
 //! it was restored from, and the strict reader turns every damaged image
 //! into an error.
@@ -123,6 +123,7 @@ fn check_round_trips<M: FpgaManager, S: Scheduler>(
     build: impl Fn() -> System<M, S>,
 ) {
     let mut images = 0;
+    let mut stale: Option<SystemImage> = None;
     for cut_us in [1500, 2500, 4000, 6000, 9000, 14000] {
         let Some(durable) = image_at(build(), cut_us) else {
             continue;
@@ -135,21 +136,28 @@ fn check_round_trips<M: FpgaManager, S: Scheduler>(
         let back = SystemImage::from_json(&Json::parse(&text).unwrap()).unwrap();
         assert_eq!(back, img, "{label} @{cut_us}us: render/parse round trip");
 
-        let recapture = |img: &SystemImage| {
+        let recapture = |img: &SystemImage, recycled: Option<SystemImage>| {
             let mut fresh = build();
             fresh
                 .restore(img)
                 .unwrap_or_else(|e| panic!("{label} @{cut_us}us: restore failed: {e}"));
-            fresh.capture(img.at)
+            fresh.capture(img.at, recycled)
         };
-        let again = recapture(&img);
+        let again = recapture(&img, None);
+        // Refilling the buffers of an image from another cut changes nothing.
+        let recycled = recapture(&img, stale.replace(img.clone()));
+        assert_eq!(recycled, again, "{label} @{cut_us}us: recycled capture");
         if !drops_ghosts {
             assert_eq!(again.manager, img.manager, "{label} @{cut_us}us: manager");
         }
         let mut expect = img.clone();
         expect.manager = again.manager.clone();
         assert_eq!(again, expect, "{label} @{cut_us}us: restore then capture");
-        assert_eq!(recapture(&again), again, "{label} @{cut_us}us: fixed point");
+        assert_eq!(
+            recapture(&again, None),
+            again,
+            "{label} @{cut_us}us: fixed point"
+        );
     }
     assert!(
         images >= 3,
@@ -274,8 +282,8 @@ fn overlay_manager_cannot_be_checkpointed() {
 
 #[test]
 fn pinned_image_renders_the_golden_bytes() {
-    // The golden file is what the JSON-tree capture this module replaced
-    // produced for the pinned case: the rendering must not drift.
+    // The golden file is the pinned case as `vfpga-ckpt/2` first rendered
+    // it: the rendering must not drift.
     let (lib, ids) = lib_n(2);
     let durable = image_at(pinned_small(&lib, &ids), PINNED_CUT_US).unwrap();
     assert_eq!(durable.render(), include_str!("../golden/ckpt_small.json"));
@@ -344,24 +352,61 @@ fn damaged_images_are_errors_not_panics() {
         bytes[at] = orig;
     }
 
-    // Per-task arrays one entry short or long.
-    for key in [
-        "tasks",
-        "metrics",
-        "op_full",
-        "op_done",
-        "rollbacks",
-        "dl_attempts",
-        "fault_restarts",
-        "poisoned",
-    ] {
-        let mut short = good.clone();
-        items(field(&mut short, key)).pop();
-        assert!(SystemImage::from_json(&short).is_err(), "short '{key}'");
-        let mut long = good.clone();
-        let arr = items(field(&mut long, key));
-        arr.push(arr[0].clone());
-        assert!(SystemImage::from_json(&long).is_err(), "long '{key}'");
+    // The task table: a header that is not the writer's, rows one cell
+    // short or long, the table itself one row short or long (the
+    // admission vectors then disagree with it).
+    let damaged_header = |damage: fn(&mut Vec<Json>)| {
+        let mut doc = good.clone();
+        damage(items(field(&mut doc, "task_columns")));
+        SystemImage::from_json(&doc).unwrap_err()
+    };
+    assert!(damaged_header(|h| h[3] = Json::from("op_total")).contains("task_columns"));
+    assert!(damaged_header(|h| h.swap(9, 10)).contains("task_columns"));
+    assert!(damaged_header(|h| drop(h.pop())).contains("task_columns"));
+    assert!(damaged_header(|h| h.push(Json::from("epilogue"))).contains("task_columns"));
+    let damaged_table = |damage: fn(&mut Vec<Json>)| {
+        let mut doc = good.clone();
+        damage(items(field(&mut doc, "tasks")));
+        SystemImage::from_json(&doc)
+    };
+    assert!(
+        damaged_table(|t| drop(items(&mut t[1]).pop())).is_err(),
+        "short row"
+    );
+    assert!(
+        damaged_table(|t| items(&mut t[1]).push(Json::from(false))).is_err(),
+        "long row"
+    );
+    assert!(damaged_table(|t| drop(t.pop())).is_err(), "short table");
+    assert!(
+        damaged_table(|t| t.push(t[0].clone())).is_err(),
+        "long table"
+    );
+
+    // Every cell of a row, swapped for the other scalar kind: the error
+    // names the column.
+    let columns = good.get("task_columns").and_then(Json::as_arr).unwrap();
+    assert_eq!(columns.len(), 25);
+    let column = |name: &str| columns.iter().position(|c| *c == Json::from(name)).unwrap();
+    for (col, name) in columns.iter().enumerate() {
+        let Json::Str(name) = name else {
+            panic!("not a column name: {name:?}")
+        };
+        let mut doc = good.clone();
+        let cell = &mut items(&mut items(field(&mut doc, "tasks"))[0])[col];
+        *cell = match cell {
+            Json::Bool(_) => Json::from(1u64),
+            _ => Json::from(true),
+        };
+        let err = SystemImage::from_json(&doc).unwrap_err();
+        assert!(err.contains(name.as_str()), "column '{name}': {err}");
+    }
+    for name in ["dl_attempts", "fault_restarts"] {
+        let mut doc = good.clone();
+        items(&mut items(field(&mut doc, "tasks"))[0])[column(name)] =
+            Json::from(u64::from(u32::MAX) + 1);
+        let err = SystemImage::from_json(&doc).unwrap_err();
+        assert!(err.contains(name), "64-bit '{name}': {err}");
     }
     for key in ["wd_seq", "wd_trips", "degraded"] {
         let mut short = good.clone();
@@ -377,12 +422,12 @@ fn damaged_images_are_errors_not_panics() {
 
     // Names the reader does not know.
     let mut schema = good.clone();
-    *field(&mut schema, "schema") = Json::from("vfpga-ckpt/2");
+    *field(&mut schema, "schema") = Json::from("vfpga-ckpt/1");
     assert!(SystemImage::from_json(&schema)
         .unwrap_err()
-        .contains("schema"));
+        .contains("schema 'vfpga-ckpt/1'"));
     let mut state = good.clone();
-    *field(&mut items(field(&mut state, "tasks"))[0], "state") = Json::from("zombie");
+    items(&mut items(field(&mut state, "tasks"))[0])[0] = Json::from("zombie");
     assert!(SystemImage::from_json(&state)
         .unwrap_err()
         .contains("zombie"));
@@ -403,6 +448,15 @@ fn damaged_images_are_errors_not_panics() {
         fields.retain(|(k, _)| k != "stale");
     }
     assert!(SystemImage::from_json(&missing).is_err(), "missing field");
+    // The live-task count is recounted by `restore`, never stored.
+    let mut counted = good.clone();
+    if let Json::Obj(fields) = &mut counted {
+        let stale = fields.iter().position(|(k, _)| k == "stale").unwrap();
+        fields.insert(stale, ("unfinished".into(), Json::from(4u64)));
+    }
+    assert!(SystemImage::from_json(&counted)
+        .unwrap_err()
+        .contains("unfinished"));
     let mut wide = good.clone();
     *field(field(&mut wide, "running"), "tid") = Json::from(u64::from(u32::MAX) + 1);
     assert!(SystemImage::from_json(&wide).is_err(), "64-bit task id");
@@ -421,4 +475,15 @@ fn damaged_images_are_errors_not_panics() {
     pinned_small(&lib, &ids)
         .restore(&img)
         .expect("the undamaged image restores");
+    // Right task count, wrong task set: through the public door.
+    let cut = SimTime::ZERO + us(PINNED_CUT_US);
+    let Ok(RunOutcome::Crashed(mut state)) = pinned_small(&lib, &ids).run_until(Some(cut)) else {
+        panic!("the pinned run is cut, not completed");
+    };
+    let tasks = field(&mut state.image.as_mut().unwrap().state, "tasks");
+    items(&mut items(tasks)[2])[column("arrival")] = Json::from(601_000u64);
+    assert!(matches!(
+        pinned_small(&lib, &ids).restore_from(&state),
+        Err(VfpgaError::CheckpointCorrupt { reason }) if reason.contains("arrives")
+    ));
 }

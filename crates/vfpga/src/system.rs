@@ -760,7 +760,8 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
         // The stored image is always the full snapshot — delta capture
         // changes what crosses the readback port (the cost model), never
         // what a restore can rely on.
-        let image = span::time("capture", || self.capture(now));
+        let recycled = self.last_ckpt.take().map(|c| c.image);
+        let image = span::time("capture", || self.capture(now, recycled));
         match delta {
             Some(changed) => {
                 self.ckpt_chain += 1;
@@ -799,24 +800,35 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
         });
     }
 
-    /// Copy the full mutable state into a typed image.
-    pub(crate) fn capture(&self, now: SimTime) -> SystemImage {
-        SystemImage {
-            at: now,
-            tasks: self.slots.clone(),
-            latent: self.dev.latent.clone(),
-            unfinished: self.unfinished,
-            stale: self.dev.stale.clone(),
-            running: self.running,
-            pending: self
-                .queue
+    /// Copy the full mutable state into a typed image. `recycled` is an
+    /// image nobody needs any more (the previous capture): only its
+    /// per-task buffers are kept, and they are refilled in place rather
+    /// than allocated again.
+    pub(crate) fn capture(&self, now: SimTime, recycled: Option<SystemImage>) -> SystemImage {
+        let (mut tasks, mut latent, mut stale, mut pending) = match recycled {
+            Some(old) => (old.tasks, old.latent, old.stale, old.pending),
+            None => Default::default(),
+        };
+        tasks.clone_from(&self.slots);
+        latent.clone_from(&self.dev.latent);
+        stale.clone_from(&self.dev.stale);
+        pending.clear();
+        pending.extend(
+            self.queue
                 .pending_in_order()
                 .into_iter()
                 // The crash is the one event that must NOT survive: the
                 // next segment gets its own crash time.
                 .filter(|e| e.event != Ev::Crash)
-                .map(|e| (e.at, e.event))
-                .collect(),
+                .map(|e| (e.at, e.event)),
+        );
+        SystemImage {
+            at: now,
+            tasks,
+            latent,
+            stale,
+            running: self.running,
+            pending,
             fault: self.fault,
             rng: self.dev.injector.as_ref().map(|inj| inj.stream_states()),
             admission: self.admission.as_ref().map(|a| a.st.clone()),
@@ -827,14 +839,19 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
 
     /// Load a captured image into this freshly built system. Fails when
     /// the image does not describe this system: another task count, a
-    /// task id or op index out of range, or a fault injector or admission
-    /// policy on one side only.
+    /// task that arrives at another time than its spec, a task id or op
+    /// index out of range, or a fault injector or admission policy on one
+    /// side only.
     pub(crate) fn restore(&mut self, img: &SystemImage) -> Result<(), String> {
         let n = self.slots.len();
         if img.tasks.len() != n {
             return Err(format!("image has {} tasks, want {n}", img.tasks.len()));
         }
         for (slot, spec) in img.tasks.iter().zip(&self.specs) {
+            // Right count is not yet right set: arrivals never change.
+            if slot.arrival != spec.arrival {
+                return Err(format!("task '{}' arrives at another time", spec.name));
+            }
             if !slot.state.is_terminal() && slot.op_idx >= spec.ops.len() {
                 return Err(format!("live task '{}' is past its last op", spec.name));
             }
@@ -884,7 +901,7 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
         self.slots.clone_from(&img.tasks);
         self.dev.latent.clone_from(&img.latent);
         self.dev.stale.clone_from(&img.stale);
-        self.unfinished = img.unfinished;
+        self.unfinished = self.slots.iter().filter(|s| !s.state.is_terminal()).count();
         self.running = img.running;
         self.fault = img.fault;
         // Pending events last: the fresh queue (clock still at zero)
