@@ -57,17 +57,15 @@
 //! * `--summary` — skip the event listing, print only the per-tag counts
 //!   (and, with `--section profile`, the profile views).
 
-use fpga::{ConfigPort, ConfigTiming};
 use fsim::{span, SimDuration, SimRng, SimTime};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
-use vfpga::manager::dynload::DynLoadManager;
-use vfpga::manager::partition::{PartitionManager, PartitionMode};
+use vfpga::manager::partition::PartitionManager;
 use vfpga::{
     run_fleet, run_with_crashes_traced, AdmissionPolicy, CheckpointConfig, CircuitLib, CrashPlan,
-    DegradationConfig, DeviceFaultPlan, FaultPlan, FleetConfig, MigrationPlan, Op, PlacementPolicy,
-    PreemptAction, RecoveryPolicy, RoundRobinScheduler, RunOutcome, SchedulabilityConfig, System,
-    SystemConfig, SystemImage, WatchdogConfig,
+    DegradationConfig, DeviceFaultPlan, FaultPlan, FleetConfig, MigrationPlan, PlacementPolicy,
+    RecoveryPolicy, RoundRobinScheduler, RunOutcome, SchedulabilityConfig, System, SystemImage,
+    WatchdogConfig,
 };
 use workload::{poisson_tasks, tenant_tasks, Domain, MixParams, TenantMixParams};
 
@@ -236,10 +234,7 @@ fn main() {
     } else {
         (lib, ids)
     };
-    let timing = ConfigTiming {
-        spec,
-        port: ConfigPort::SerialFast,
-    };
+    let timing = bench::setup::serial_fast(spec);
     let mix = MixParams {
         tasks: 12,
         mean_interarrival: SimDuration::from_millis(2),
@@ -288,13 +283,7 @@ fn main() {
         fsim::QueueStats::default(),
     )));
     let build = || {
-        let mut mgr = PartitionManager::new(
-            lib.clone(),
-            timing,
-            PartitionMode::Variable,
-            PreemptAction::SaveRestore,
-        )
-        .unwrap();
+        let mut mgr = bench::setup::variable_partitions(&lib, timing);
         if args.section("delta") {
             mgr.enable_delta();
         }
@@ -302,10 +291,7 @@ fn main() {
             lib.clone(),
             mgr,
             RoundRobinScheduler::new(SimDuration::from_millis(10)),
-            SystemConfig {
-                preempt: PreemptAction::SaveRestore,
-                ..Default::default()
-            },
+            bench::setup::save_restore(),
             specs.clone(),
         );
         if args.section("faults") {
@@ -679,9 +665,9 @@ fn main() {
             println!(
                 "miss latency (completion past deadline): p50 {}, p90 {}, max {} \
                  ({} misses)",
-                bench::perf::fmt_ns(miss_lat.quantile_ns(0.50)),
-                bench::perf::fmt_ns(miss_lat.quantile_ns(0.90)),
-                bench::perf::fmt_ns(miss_lat.max_ns()),
+                bench::report::fmt_ns(miss_lat.quantile_ns(0.50)),
+                bench::report::fmt_ns(miss_lat.quantile_ns(0.90)),
+                bench::report::fmt_ns(miss_lat.max_ns()),
                 miss_lat.count(),
             );
         } else {
@@ -704,10 +690,10 @@ fn main() {
                     "{:<24} {:>7} {:>12} {:>12} {:>12} {:>12}",
                     label,
                     h.count(),
-                    bench::perf::fmt_ns(h.quantile_ns(0.50)),
-                    bench::perf::fmt_ns(h.quantile_ns(0.90)),
-                    bench::perf::fmt_ns(h.quantile_ns(0.99)),
-                    bench::perf::fmt_ns(h.max_ns()),
+                    bench::report::fmt_ns(h.quantile_ns(0.50)),
+                    bench::report::fmt_ns(h.quantile_ns(0.90)),
+                    bench::report::fmt_ns(h.quantile_ns(0.99)),
+                    bench::report::fmt_ns(h.max_ns()),
                 );
             }
         }
@@ -723,29 +709,8 @@ fn fleet_view(args: &Args) {
     let (lib, ids, sw) =
         bench::setup::compile_suite_lib_sw(&[Domain::Telecom, Domain::Storage], spec);
     let sw = std::sync::Arc::new(sw);
-    let timing = ConfigTiming {
-        spec,
-        port: ConfigPort::SerialFast,
-    };
-    let specs = {
-        let mut rng = SimRng::new(args.seed);
-        tenant_tasks(
-            &TenantMixParams {
-                base: MixParams {
-                    tasks: 12,
-                    mean_interarrival: SimDuration::from_millis(2),
-                    mean_cpu_burst: SimDuration::from_millis(2),
-                    fpga_ops_per_task: 4,
-                    cycles: (60_000, 250_000),
-                },
-                tenants: 4,
-                affinity_devices: 3,
-                ..Default::default()
-            },
-            &ids,
-            &mut rng,
-        )
-    };
+    let timing = bench::setup::serial_fast(spec);
+    let specs = bench::setup::fleet_specs(&ids, args.seed, 3);
     let cfg = FleetConfig::new(3)
         .with_placement(PlacementPolicy::Affinity)
         .with_checkpoints(CheckpointConfig::new(SimDuration::from_millis(1)))
@@ -762,31 +727,8 @@ fn fleet_view(args: &Args) {
             delta_copy: false,
             crash: None,
         });
-    let fleet = run_fleet(&cfg, specs.clone(), |ctx| {
-        let mut shard_specs = ctx.specs.to_vec();
-        if ctx.software {
-            for s in &mut shard_specs {
-                for op in &mut s.ops {
-                    if let Op::FpgaRun { circuit, cycles } = *op {
-                        let ns = sw.get(&circuit.0).copied().unwrap_or(1);
-                        *op = Op::Cpu(SimDuration::from_nanos(ns.saturating_mul(cycles)));
-                    }
-                }
-            }
-        }
-        let mgr = DynLoadManager::new(lib.clone(), timing, PreemptAction::SaveRestore);
-        Ok(System::new(
-            lib.clone(),
-            mgr,
-            RoundRobinScheduler::new(SimDuration::from_millis(4)),
-            SystemConfig {
-                preempt: PreemptAction::SaveRestore,
-                ..Default::default()
-            },
-            shard_specs,
-        ))
-    })
-    .expect("fleet runs");
+    let shards = bench::exp::e19_fleet::shard_builder(lib.clone(), sw.clone(), timing);
+    let fleet = run_fleet(&cfg, specs.clone(), shards).expect("fleet runs");
 
     // The fleet trace carries only fleet-level events, so the default
     // listing is unfiltered; --tag still narrows it.
@@ -950,9 +892,9 @@ fn fleet_view(args: &Args) {
         println!(
             "migration latency (redo window + backoff): p50 {}, p90 {}, max {} \
              ({} migrations)",
-            bench::perf::fmt_ns(lat.quantile_ns(0.50)),
-            bench::perf::fmt_ns(lat.quantile_ns(0.90)),
-            bench::perf::fmt_ns(lat.max_ns()),
+            bench::report::fmt_ns(lat.quantile_ns(0.50)),
+            bench::report::fmt_ns(lat.quantile_ns(0.90)),
+            bench::report::fmt_ns(lat.max_ns()),
             lat.count(),
         );
     } else {

@@ -20,7 +20,7 @@
 //! time, thread count, and throughput, rendered into that volatile `host`
 //! section by [`crate::Exporter::host`].
 
-use crate::json::{Json, Obj};
+use crate::{Json, Obj};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
@@ -96,7 +96,6 @@ pub fn resolve_threads(requested: usize) -> usize {
 #[derive(Debug)]
 pub struct HostProfile {
     threads: usize,
-    points: usize,
     started: Instant,
     phases: Vec<(String, Duration)>,
 }
@@ -106,7 +105,6 @@ impl HostProfile {
     pub fn new(threads: usize) -> Self {
         HostProfile {
             threads,
-            points: 0,
             started: Instant::now(),
             phases: Vec::new(),
         }
@@ -127,38 +125,36 @@ impl HostProfile {
         out
     }
 
-    /// Record how many sweep points the run executed.
-    pub fn points(&mut self, n: usize) -> &mut Self {
-        self.points = n;
-        self
+    /// The run's sweep: [`run_sweep`] over `points` on this run's workers,
+    /// timed as the [`crate::sections::PHASE_SWEEP`] phase.
+    pub fn sweep<P: Sync, R: Send>(
+        &mut self,
+        points: &[P],
+        f: impl Fn(usize, &P) -> R + Sync,
+    ) -> Vec<R> {
+        let threads = self.threads;
+        self.phase(crate::sections::PHASE_SWEEP, || {
+            run_sweep(threads, points, f)
+        })
     }
 
-    /// Worker count the run used.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Total wall time since construction.
-    pub fn elapsed(&self) -> Duration {
-        self.started.elapsed()
-    }
-
-    /// Render the volatile `host` section.
-    pub fn to_json(&self) -> Json {
-        let total = self.elapsed();
+    /// Render the volatile `host` section of a run that executed `points`
+    /// sweep points.
+    pub fn to_json(&self, points: usize) -> Json {
+        let total = self.started.elapsed();
         let mut phases = Obj::new();
         for (name, d) in &self.phases {
             phases = phases.set(name, d.as_secs_f64() * 1e3);
         }
-        let pps = if total.as_secs_f64() > 0.0 && self.points > 0 {
-            self.points as f64 / total.as_secs_f64()
+        let pps = if total.as_secs_f64() > 0.0 && points > 0 {
+            points as f64 / total.as_secs_f64()
         } else {
             0.0
         };
         let cache = pnr::cache_stats();
         Obj::new()
             .set("threads", self.threads as u64)
-            .set("points", self.points as u64)
+            .set("points", points as u64)
             .set("wall_ms", total.as_secs_f64() * 1e3)
             .set("phases_ms", phases)
             .set("points_per_sec", pps)
@@ -218,8 +214,7 @@ mod tests {
     fn host_profile_renders_expected_keys() {
         let mut hp = HostProfile::new(4);
         hp.phase("sweep", || std::thread::sleep(Duration::from_millis(1)));
-        hp.points(10);
-        let j = hp.to_json().render();
+        let j = hp.to_json(10).render();
         for needle in [
             "\"threads\": 4",
             "\"points\": 10",

@@ -10,14 +10,14 @@
 //! reconfiguration of 10/25/50% of frames, and state readback of 25% of
 //! frames.
 
-use bench::report::{ms, Table};
-use bench::{run_sweep, threads_arg, Exporter, HostProfile};
+use super::RunArgs;
+use crate::report::{ms, Table};
+use crate::{Exporter, HostProfile};
 use fpga::{ConfigPort, ConfigTiming, PARTS};
 use fsim::{SimTime, Timeline};
 
-fn main() {
-    let threads = threads_arg();
-    let mut host = HostProfile::new(threads);
+pub fn run(args: &RunArgs) -> Result<Exporter, String> {
+    let mut host = HostProfile::new(args.threads);
     let mut ex = Exporter::new("e01", "configuration & readback time by device and port");
     ex.seed(0)
         .param("parts", PARTS.len())
@@ -63,47 +63,43 @@ fn main() {
         .iter()
         .flat_map(|spec| ports.iter().map(move |&(pname, port)| (spec, pname, port)))
         .collect();
-    let rows = host.phase(bench::sections::PHASE_SWEEP, || {
-        run_sweep(threads, &points, |_, &(spec, pname, port)| {
-            let timing = ConfigTiming { spec: *spec, port };
-            let frames = |pct: f64| ((spec.cols as f64 * pct).round() as usize).max(1);
-            let partial = |pct: f64| {
-                if port.supports_partial() {
-                    let cell = fpga::ClbCell::comb(0, [fpga::ClbSource::None; 4]);
-                    let fw: Vec<fpga::FrameWrite> = (0..frames(pct) as u32)
-                        .map(|c| fpga::FrameWrite {
-                            col: c,
-                            row0: 0,
-                            cells: vec![Some(cell); spec.rows as usize],
-                        })
-                        .collect();
-                    let bs = fpga::Bitstream::new("p", fw, vec![], false);
-                    ms(timing.download_time(&bs).as_millis_f64())
-                } else {
-                    "n/a (full only)".into()
-                }
-            };
-            vec![
-                spec.name.into(),
-                format!("{}x{}", spec.cols, spec.rows),
-                spec.io_pins.to_string(),
-                pname.into(),
-                ms(timing.full_config_time().as_millis_f64()),
-                partial(0.10),
-                partial(0.25),
-                partial(0.50),
-                ms(timing.readback_time(frames(0.25)).as_millis_f64()),
-            ]
-        })
+    let rows = host.sweep(&points, |_, &(spec, pname, port)| {
+        let timing = ConfigTiming { spec: *spec, port };
+        let frames = |pct: f64| ((spec.cols as f64 * pct).round() as usize).max(1);
+        let partial = |pct: f64| {
+            if port.supports_partial() {
+                let cell = fpga::ClbCell::comb(0, [fpga::ClbSource::None; 4]);
+                let fw: Vec<fpga::FrameWrite> = (0..frames(pct) as u32)
+                    .map(|c| fpga::FrameWrite {
+                        col: c,
+                        row0: 0,
+                        cells: vec![Some(cell); spec.rows as usize],
+                    })
+                    .collect();
+                let bs = fpga::Bitstream::new("p", fw, vec![], false);
+                ms(timing.download_time(&bs).as_millis_f64())
+            } else {
+                "n/a (full only)".into()
+            }
+        };
+        vec![
+            spec.name.into(),
+            format!("{}x{}", spec.cols, spec.rows),
+            spec.io_pins.to_string(),
+            pname.into(),
+            ms(timing.full_config_time().as_millis_f64()),
+            partial(0.10),
+            partial(0.25),
+            partial(0.50),
+            ms(timing.readback_time(frames(0.25)).as_millis_f64()),
+        ]
     });
     for row in rows {
         t.row(row);
     }
     t.print();
     ex.table(&t);
-    host.points(points.len());
-    ex.host(&host);
-    ex.write_if_requested();
+    ex.host(host, points.len());
 
     println!(
         "\nAnchor check: VF800 full serial-slow = {} (paper: \"no more than 200 ms\")",
@@ -114,4 +110,5 @@ fn main() {
         .full_config_time()
         .as_millis_f64())
     );
+    Ok(ex)
 }

@@ -11,20 +11,20 @@
 //! every switch) and (b) the partial-reconfiguration port. The overhead
 //! fraction collapses once the slice dwarfs the download time.
 
-use bench::report::{f3, pct, Table};
-use bench::setup::compile_suite_lib;
-use bench::{run_sweep, threads_arg, Exporter, HostProfile, Json};
+use super::RunArgs;
+use crate::report::{f3, pct, Table};
+use crate::setup::{compile_suite_lib, save_restore};
+use crate::{Exporter, HostProfile, Json};
 use fpga::{ConfigPort, ConfigTiming};
 use fsim::{SimDuration, SimRng};
 use vfpga::manager::dynload::DynLoadManager;
-use vfpga::{PreemptAction, RoundRobinScheduler, System, SystemConfig};
+use vfpga::{PreemptAction, RoundRobinScheduler, System};
 use workload::{poisson_tasks, Domain, MixParams};
 
-fn main() {
-    let threads = threads_arg();
-    let mut host = HostProfile::new(threads);
+pub fn run(args: &RunArgs) -> Result<Exporter, String> {
+    let mut host = HostProfile::new(args.threads);
     let spec = fpga::device::part("VF800");
-    let (lib, ids) = host.phase(bench::sections::PHASE_COMPILE, || {
+    let (lib, ids) = host.phase(crate::sections::PHASE_COMPILE, || {
         compile_suite_lib(&[Domain::Telecom, Domain::Storage], spec)
     });
 
@@ -57,46 +57,41 @@ fn main() {
     .into_iter()
     .flat_map(|(pname, port)| slices_ms.iter().map(move |&s| (pname, port, s)))
     .collect();
-    let results = host.phase(bench::sections::PHASE_SWEEP, || {
-        run_sweep(threads, &points, |_, &(pname, port, slice)| {
-            let timing = ConfigTiming { spec, port };
-            let mut rng = SimRng::new(0xE02);
-            let params = MixParams {
-                tasks: 6,
-                mean_interarrival: SimDuration::from_millis(1),
-                mean_cpu_burst: SimDuration::from_millis(8),
-                fpga_ops_per_task: 4,
-                cycles: (100_000, 400_000),
-            };
-            let specs = poisson_tasks(&params, &ids, &mut rng);
-            // SaveRestore so FPGA operations are themselves time-sliced:
-            // at small slices every preemption lets another task's circuit
-            // evict this one, forcing a re-download on resume — the
-            // thrashing regime the paper warns about.
-            let mgr = DynLoadManager::new(lib.clone(), timing, PreemptAction::SaveRestore);
-            let sys = System::new(
-                lib.clone(),
-                mgr,
-                RoundRobinScheduler::new(SimDuration::from_millis(slice)),
-                SystemConfig {
-                    preempt: PreemptAction::SaveRestore,
-                    ..Default::default()
-                },
-                specs,
-            )
-            .with_trace_capacity(4096);
-            let r = sys.run().unwrap();
-            let row = vec![
-                format!("{slice} ms"),
-                pname.into(),
-                r.manager_stats.downloads.to_string(),
-                pct(r.overhead_fraction()),
-                pct(r.cpu_utilization()),
-                f3(r.makespan.as_secs_f64()),
-                f3(r.mean_turnaround_s()),
-            ];
-            (format!("{pname}/slice-{slice}ms"), r, row)
-        })
+    let results = host.sweep(&points, |_, &(pname, port, slice)| {
+        let timing = ConfigTiming { spec, port };
+        let mut rng = SimRng::new(0xE02);
+        let params = MixParams {
+            tasks: 6,
+            mean_interarrival: SimDuration::from_millis(1),
+            mean_cpu_burst: SimDuration::from_millis(8),
+            fpga_ops_per_task: 4,
+            cycles: (100_000, 400_000),
+        };
+        let specs = poisson_tasks(&params, &ids, &mut rng);
+        // SaveRestore so FPGA operations are themselves time-sliced:
+        // at small slices every preemption lets another task's circuit
+        // evict this one, forcing a re-download on resume — the
+        // thrashing regime the paper warns about.
+        let mgr = DynLoadManager::new(lib.clone(), timing, PreemptAction::SaveRestore);
+        let sys = System::new(
+            lib.clone(),
+            mgr,
+            RoundRobinScheduler::new(SimDuration::from_millis(slice)),
+            save_restore(),
+            specs,
+        )
+        .with_trace_capacity(4096);
+        let r = sys.run().unwrap();
+        let row = vec![
+            format!("{slice} ms"),
+            pname.into(),
+            r.manager_stats.downloads.to_string(),
+            pct(r.overhead_fraction()),
+            pct(r.cpu_utilization()),
+            f3(r.makespan.as_secs_f64()),
+            f3(r.mean_turnaround_s()),
+        ];
+        (format!("{pname}/slice-{slice}ms"), r, row)
     });
     for (label, r, row) in &results {
         ex.report(label, r);
@@ -104,9 +99,7 @@ fn main() {
     }
     t.print();
     ex.table(&t);
-    host.points(points.len());
-    ex.host(&host);
-    ex.write_if_requested();
+    ex.host(host, points.len());
     println!(
         "\nReference: full serial-slow download = {:.1} ms, partial (per circuit) ≈ a few ms.",
         ConfigTiming {
@@ -116,4 +109,5 @@ fn main() {
         .full_config_time()
         .as_millis_f64()
     );
+    Ok(ex)
 }

@@ -9,10 +9,10 @@
 //! (zero per-switch overhead, one boot download), then area/pins overflow
 //! and only dynamic loading can serve the set — at a per-switch price.
 
-use bench::report::{f3, Table};
-use bench::setup::compile_suite_lib;
-use bench::{run_sweep, threads_arg, Exporter, HostProfile};
-use fpga::{ConfigPort, ConfigTiming};
+use super::RunArgs;
+use crate::report::{f3, Table};
+use crate::setup::{compile_suite_lib, serial_fast};
+use crate::{Exporter, HostProfile};
 use fsim::{SimDuration, SimRng};
 use std::sync::Arc;
 use vfpga::manager::dynload::DynLoadManager;
@@ -20,11 +20,10 @@ use vfpga::manager::merged::MergedManager;
 use vfpga::{CircuitId, PreemptAction, RoundRobinScheduler, System, SystemConfig};
 use workload::{poisson_tasks, Domain, MixParams};
 
-fn main() {
-    let threads = threads_arg();
-    let mut host = HostProfile::new(threads);
+pub fn run(args: &RunArgs) -> Result<Exporter, String> {
+    let mut host = HostProfile::new(args.threads);
     let spec = fpga::device::part("VF400");
-    let (full_lib, all_ids) = host.phase(bench::sections::PHASE_COMPILE, || {
+    let (full_lib, all_ids) = host.phase(crate::sections::PHASE_COMPILE, || {
         compile_suite_lib(
             &[Domain::Telecom, Domain::Storage, Domain::Networking],
             spec,
@@ -49,60 +48,55 @@ fn main() {
     );
 
     let points: Vec<usize> = (2..=all_ids.len()).collect();
-    let results = host.phase(bench::sections::PHASE_SWEEP, || {
-        run_sweep(threads, &points, |_, &n| {
-            // Sub-library with circuits renumbered 0..n.
-            let lib = Arc::new(full_lib.subset(&all_ids[..n]));
-            let ids: Vec<CircuitId> = (0..n as u32).map(CircuitId).collect();
-            let total_cols: u32 = ids.iter().map(|&i| lib.get(i).shape().0).sum();
-            let timing = ConfigTiming {
-                spec,
-                port: ConfigPort::SerialFast,
-            };
+    let results = host.sweep(&points, |_, &n| {
+        // Sub-library with circuits renumbered 0..n.
+        let lib = Arc::new(full_lib.subset(&all_ids[..n]));
+        let ids: Vec<CircuitId> = (0..n as u32).map(CircuitId).collect();
+        let total_cols: u32 = ids.iter().map(|&i| lib.get(i).shape().0).sum();
+        let timing = serial_fast(spec);
 
-            let mut rng = SimRng::new(0xE03);
-            let params = MixParams {
-                tasks: n,
-                mean_interarrival: SimDuration::from_millis(1),
-                mean_cpu_burst: SimDuration::from_millis(2),
-                fpga_ops_per_task: 5,
-                cycles: (50_000, 200_000),
-            };
-            let specs = poisson_tasks(&params, &ids, &mut rng);
+        let mut rng = SimRng::new(0xE03);
+        let params = MixParams {
+            tasks: n,
+            mean_interarrival: SimDuration::from_millis(1),
+            mean_cpu_burst: SimDuration::from_millis(2),
+            fpga_ops_per_task: 5,
+            cycles: (50_000, 200_000),
+        };
+        let specs = poisson_tasks(&params, &ids, &mut rng);
 
-            let dyn_r = {
-                let mgr = DynLoadManager::new(lib.clone(), timing, PreemptAction::WaitCompletion);
+        let dyn_r = {
+            let mgr = DynLoadManager::new(lib.clone(), timing, PreemptAction::WaitCompletion);
+            System::new(
+                lib.clone(),
+                mgr,
+                RoundRobinScheduler::new(SimDuration::from_millis(5)),
+                SystemConfig::default(),
+                specs.clone(),
+            )
+            .with_trace_capacity(4096)
+            .run()
+            .expect("deadlock")
+        };
+
+        let merged = match MergedManager::new(lib.clone(), timing) {
+            Ok(mgr) => Some(
                 System::new(
                     lib.clone(),
                     mgr,
                     RoundRobinScheduler::new(SimDuration::from_millis(5)),
                     SystemConfig::default(),
-                    specs.clone(),
+                    specs,
                 )
                 .with_trace_capacity(4096)
                 .run()
-                .expect("deadlock")
-            };
-
-            let merged = match MergedManager::new(lib.clone(), timing) {
-                Ok(mgr) => Some(
-                    System::new(
-                        lib.clone(),
-                        mgr,
-                        RoundRobinScheduler::new(SimDuration::from_millis(5)),
-                        SystemConfig::default(),
-                        specs,
-                    )
-                    .with_trace_capacity(4096)
-                    .run()
-                    .unwrap(),
-                ),
-                Err(e) => {
-                    return (n, total_cols, dyn_r, Err(e.to_string()));
-                }
-            };
-            (n, total_cols, dyn_r, Ok(merged.unwrap()))
-        })
+                .unwrap(),
+            ),
+            Err(e) => {
+                return (n, total_cols, dyn_r, Err(e.to_string()));
+            }
+        };
+        (n, total_cols, dyn_r, Ok(merged.unwrap()))
     });
 
     for (n, total_cols, dyn_r, merged) in &results {
@@ -138,7 +132,6 @@ fn main() {
     }
     t.print();
     ex.table(&t);
-    host.points(points.len());
-    ex.host(&host);
-    ex.write_if_requested();
+    ex.host(host, points.len());
+    Ok(ex)
 }

@@ -10,14 +10,13 @@
 //! The same Poisson task mix runs under all three managers; partitioning
 //! should show the fewest downloads and the lowest waiting time.
 
-use bench::report::{f3, pct, Table};
-use bench::setup::compile_suite_lib;
-use bench::{run_sweep, threads_arg, Exporter, HostProfile};
-use fpga::{ConfigPort, ConfigTiming};
+use super::RunArgs;
+use crate::report::{f3, pct, Table};
+use crate::setup::{compile_suite_lib, save_restore, serial_fast, variable_partitions};
+use crate::{Exporter, HostProfile};
 use fsim::{SimDuration, SimRng};
 use vfpga::manager::dynload::DynLoadManager;
 use vfpga::manager::exclusive::ExclusiveManager;
-use vfpga::manager::partition::{PartitionManager, PartitionMode};
 use vfpga::{PreemptAction, Report, RoundRobinScheduler, System, SystemConfig, TaskSpec};
 use workload::{poisson_tasks, Domain, MixParams};
 
@@ -35,17 +34,13 @@ fn record(r: &Report, t: &mut Table, ex: &mut Exporter) {
     ]);
 }
 
-fn main() {
-    let threads = threads_arg();
-    let mut host = HostProfile::new(threads);
+pub fn run(args: &RunArgs) -> Result<Exporter, String> {
+    let mut host = HostProfile::new(args.threads);
     let spec = fpga::device::part("VF800");
-    let (lib, ids) = host.phase(bench::sections::PHASE_COMPILE, || {
+    let (lib, ids) = host.phase(crate::sections::PHASE_COMPILE, || {
         compile_suite_lib(&[Domain::Telecom, Domain::Storage], spec)
     });
-    let timing = ConfigTiming {
-        spec,
-        port: ConfigPort::SerialFast,
-    };
+    let timing = serial_fast(spec);
     let slice = SimDuration::from_millis(10);
 
     let specs: Vec<TaskSpec> = {
@@ -83,55 +78,43 @@ fn main() {
 
     // One sweep point per manager.
     let points = [0usize, 1, 2];
-    let results = host.phase(bench::sections::PHASE_SWEEP, || {
-        run_sweep(threads, &points, |_, &which| match which {
-            0 => System::new(
-                lib.clone(),
-                ExclusiveManager::new(lib.clone(), timing),
-                RoundRobinScheduler::new(slice),
-                SystemConfig::default(),
-                specs.clone(),
-            )
-            .with_trace_capacity(4096)
-            .run()
-            .unwrap(),
-            1 => System::new(
-                lib.clone(),
-                DynLoadManager::new(lib.clone(), timing, PreemptAction::WaitCompletion),
-                RoundRobinScheduler::new(slice),
-                SystemConfig::default(),
-                specs.clone(),
-            )
-            .with_trace_capacity(4096)
-            .run()
-            .unwrap(),
-            _ => System::new(
-                lib.clone(),
-                PartitionManager::new(
-                    lib.clone(),
-                    timing,
-                    PartitionMode::Variable,
-                    PreemptAction::SaveRestore,
-                )
-                .unwrap(),
-                RoundRobinScheduler::new(slice),
-                SystemConfig {
-                    preempt: PreemptAction::SaveRestore,
-                    ..Default::default()
-                },
-                specs.clone(),
-            )
-            .with_trace_capacity(4096)
-            .run()
-            .unwrap(),
-        })
+    let results = host.sweep(&points, |_, &which| match which {
+        0 => System::new(
+            lib.clone(),
+            ExclusiveManager::new(lib.clone(), timing),
+            RoundRobinScheduler::new(slice),
+            SystemConfig::default(),
+            specs.clone(),
+        )
+        .with_trace_capacity(4096)
+        .run()
+        .unwrap(),
+        1 => System::new(
+            lib.clone(),
+            DynLoadManager::new(lib.clone(), timing, PreemptAction::WaitCompletion),
+            RoundRobinScheduler::new(slice),
+            SystemConfig::default(),
+            specs.clone(),
+        )
+        .with_trace_capacity(4096)
+        .run()
+        .unwrap(),
+        _ => System::new(
+            lib.clone(),
+            variable_partitions(&lib, timing),
+            RoundRobinScheduler::new(slice),
+            save_restore(),
+            specs.clone(),
+        )
+        .with_trace_capacity(4096)
+        .run()
+        .unwrap(),
     });
     for r in &results {
         record(r, &mut t, &mut ex);
     }
     t.print();
     ex.table(&t);
-    host.points(points.len());
-    ex.host(&host);
-    ex.write_if_requested();
+    ex.host(host, points.len());
+    Ok(ex)
 }

@@ -9,20 +9,19 @@
 //! The same heterogeneous mix runs under uniform fixed widths 4/5/10 and
 //! under variable partitioning.
 
-use bench::report::{f3, pct, Table};
-use bench::setup::compile_suite_lib;
-use bench::{run_sweep, threads_arg, Exporter, HostProfile};
-use fpga::{ConfigPort, ConfigTiming};
+use super::RunArgs;
+use crate::report::{f3, pct, Table};
+use crate::setup::{compile_suite_lib, save_restore, serial_fast};
+use crate::{Exporter, HostProfile};
 use fsim::{SimDuration, SimRng};
 use vfpga::manager::partition::{PartitionManager, PartitionMode};
-use vfpga::{PreemptAction, RoundRobinScheduler, System, SystemConfig};
+use vfpga::{PreemptAction, RoundRobinScheduler, System};
 use workload::{poisson_tasks, Domain, MixParams};
 
-fn main() {
-    let threads = threads_arg();
-    let mut host = HostProfile::new(threads);
+pub fn run(args: &RunArgs) -> Result<Exporter, String> {
+    let mut host = HostProfile::new(args.threads);
     let spec = fpga::device::part("VF400"); // 20 columns
-    let (lib, ids) = host.phase(bench::sections::PHASE_COMPILE, || {
+    let (lib, ids) = host.phase(crate::sections::PHASE_COMPILE, || {
         compile_suite_lib(&[Domain::Multimedia, Domain::Telecom], spec)
     });
 
@@ -66,71 +65,63 @@ fn main() {
     );
     println!("circuit widths: {widths:?} (max {wmax})");
 
-    let results = host.phase(bench::sections::PHASE_SWEEP, || {
-        run_sweep(threads, &modes, |_, (name, mode)| {
-            // Internal fragmentation estimate: mean over circuits of
-            // (slot_width - circuit_width)/slot_width for the smallest fixed
-            // slot that fits (circuits wider than every slot can never load —
-            // they would block forever, so skip mixes containing them).
-            let (feasible, int_frag) = match mode {
-                PartitionMode::Fixed(ws) => {
-                    let max_slot = *ws.iter().max().unwrap();
-                    let feasible = widths.iter().all(|&w| w <= max_slot);
-                    let frag = if feasible {
-                        let mut acc = 0.0;
-                        for &w in &widths {
-                            let slot = ws.iter().copied().filter(|&s| s >= w).min().unwrap();
-                            acc += (slot - w) as f64 / slot as f64;
-                        }
-                        acc / widths.len() as f64
-                    } else {
-                        f64::NAN
-                    };
-                    (feasible, frag)
-                }
-                PartitionMode::Variable => (true, 0.0),
-            };
-            if !feasible {
-                return None;
+    let results = host.sweep(&modes, |_, (name, mode)| {
+        // Internal fragmentation estimate: mean over circuits of
+        // (slot_width - circuit_width)/slot_width for the smallest fixed
+        // slot that fits (circuits wider than every slot can never load —
+        // they would block forever, so skip mixes containing them).
+        let (feasible, int_frag) = match mode {
+            PartitionMode::Fixed(ws) => {
+                let max_slot = *ws.iter().max().unwrap();
+                let feasible = widths.iter().all(|&w| w <= max_slot);
+                let frag = if feasible {
+                    let mut acc = 0.0;
+                    for &w in &widths {
+                        let slot = ws.iter().copied().filter(|&s| s >= w).min().unwrap();
+                        acc += (slot - w) as f64 / slot as f64;
+                    }
+                    acc / widths.len() as f64
+                } else {
+                    f64::NAN
+                };
+                (feasible, frag)
             }
+            PartitionMode::Variable => (true, 0.0),
+        };
+        if !feasible {
+            return None;
+        }
 
-            let mut rng = SimRng::new(0xE05);
-            let specs = poisson_tasks(
-                &MixParams {
-                    tasks: 10,
-                    mean_interarrival: SimDuration::from_millis(2),
-                    mean_cpu_burst: SimDuration::from_millis(2),
-                    fpga_ops_per_task: 5,
-                    cycles: (50_000, 200_000),
-                },
-                &ids,
-                &mut rng,
-            );
-            let mgr = PartitionManager::new(
-                lib.clone(),
-                ConfigTiming {
-                    spec,
-                    port: ConfigPort::SerialFast,
-                },
-                mode.clone(),
-                PreemptAction::SaveRestore,
-            )
-            .unwrap();
-            let r = System::new(
-                lib.clone(),
-                mgr,
-                RoundRobinScheduler::new(SimDuration::from_millis(10)),
-                SystemConfig {
-                    preempt: PreemptAction::SaveRestore,
-                    ..Default::default()
-                },
-                specs,
-            )
-            .with_trace_capacity(4096)
-            .run()
-            .unwrap();
-            Some((name.clone(), r, int_frag))
-        })
+        let mut rng = SimRng::new(0xE05);
+        let specs = poisson_tasks(
+            &MixParams {
+                tasks: 10,
+                mean_interarrival: SimDuration::from_millis(2),
+                mean_cpu_burst: SimDuration::from_millis(2),
+                fpga_ops_per_task: 5,
+                cycles: (50_000, 200_000),
+            },
+            &ids,
+            &mut rng,
+        );
+        let mgr = PartitionManager::new(
+            lib.clone(),
+            serial_fast(spec),
+            mode.clone(),
+            PreemptAction::SaveRestore,
+        )
+        .unwrap();
+        let r = System::new(
+            lib.clone(),
+            mgr,
+            RoundRobinScheduler::new(SimDuration::from_millis(10)),
+            save_restore(),
+            specs,
+        )
+        .with_trace_capacity(4096)
+        .run()
+        .unwrap();
+        Some((name.clone(), r, int_frag))
     });
 
     for ((name, _), result) in modes.iter().zip(&results) {
@@ -167,7 +158,6 @@ fn main() {
     }
     t.print();
     ex.table(&t);
-    host.points(modes.len());
-    ex.host(&host);
-    ex.write_if_requested();
+    ex.host(host, modes.len());
+    Ok(ex)
 }

@@ -13,18 +13,15 @@
 //! holes; the collector relocates idle residents instead of destroying
 //! them. Part B is a stochastic churn workload on the full system.
 
-use bench::report::{f3, pct, Table};
-use bench::{run_sweep, threads_arg, Exporter, HostProfile};
-use fpga::{ConfigPort, ConfigTiming};
+use super::RunArgs;
+use crate::report::{f3, pct, Table};
+use crate::setup::{save_restore, serial_fast, variable_partitions};
+use crate::{run_sweep, Exporter, HostProfile};
 use fsim::{SimDuration, SimRng, SimTime};
 use pnr::{compile_shared, CompileOptions};
 use std::sync::Arc;
-use vfpga::manager::partition::{PartitionManager, PartitionMode};
 use vfpga::manager::{Activation, FpgaManager};
-use vfpga::{
-    CircuitId, CircuitLib, Op, PreemptAction, RoundRobinScheduler, System, SystemConfig, TaskId,
-    TaskSpec,
-};
+use vfpga::{CircuitId, CircuitLib, Op, RoundRobinScheduler, System, TaskId, TaskSpec};
 
 fn build_lib(spec: fpga::DeviceSpec) -> (Arc<CircuitLib>, Vec<CircuitId>, Vec<CircuitId>) {
     let mut lib = CircuitLib::new();
@@ -55,10 +52,7 @@ fn micro_trace(
     wide: &[CircuitId],
     ex: &mut Exporter,
 ) {
-    let timing = ConfigTiming {
-        spec,
-        port: ConfigPort::SerialFast,
-    };
+    let timing = serial_fast(spec);
     let mut t = Table::new(
         "E6a: micro-trace — wide circuit arrives into fragmented free space",
         &[
@@ -72,13 +66,7 @@ fn micro_trace(
         ],
     );
     let rows = run_sweep(threads, &[true, false], |_, &gc| {
-        let mut m = PartitionManager::new(
-            lib.clone(),
-            timing,
-            PartitionMode::Variable,
-            PreemptAction::SaveRestore,
-        )
-        .unwrap();
+        let mut m = variable_partitions(lib, timing);
         m.gc_enabled = gc;
         // Fill the device left-to-right with the four narrow circuits,
         // finishing each op so they become idle residents. LRU order is
@@ -128,10 +116,7 @@ fn churn(
     wide: &[CircuitId],
     ex: &mut Exporter,
 ) {
-    let timing = ConfigTiming {
-        spec,
-        port: ConfigPort::SerialFast,
-    };
+    let timing = serial_fast(spec);
     let build_specs = |seed: u64| -> Vec<TaskSpec> {
         let mut rng = SimRng::new(seed);
         let mut specs = Vec::new();
@@ -181,22 +166,13 @@ fn churn(
         ],
     );
     let results = run_sweep(threads, &[true, false], |_, &gc| {
-        let mut mgr = PartitionManager::new(
-            lib.clone(),
-            timing,
-            PartitionMode::Variable,
-            PreemptAction::SaveRestore,
-        )
-        .unwrap();
+        let mut mgr = variable_partitions(lib, timing);
         mgr.gc_enabled = gc;
         let r = System::new(
             lib.clone(),
             mgr,
             RoundRobinScheduler::new(SimDuration::from_millis(5)),
-            SystemConfig {
-                preempt: PreemptAction::SaveRestore,
-                ..Default::default()
-            },
+            save_restore(),
             build_specs(0xE06),
         )
         .with_trace_capacity(8192)
@@ -223,11 +199,11 @@ fn churn(
     ex.table(&t);
 }
 
-fn main() {
-    let threads = threads_arg();
+pub fn run(args: &RunArgs) -> Result<Exporter, String> {
+    let threads = args.threads;
     let mut host = HostProfile::new(threads);
     let spec = fpga::device::part("VF400"); // 20 cols
-    let (lib, narrow, wide) = host.phase(bench::sections::PHASE_COMPILE, || build_lib(spec));
+    let (lib, narrow, wide) = host.phase(crate::sections::PHASE_COMPILE, || build_lib(spec));
     let mut ex = Exporter::new("e06", "fragmentation and garbage collection");
     ex.seed(0xE06)
         .param("device", spec.name)
@@ -244,13 +220,12 @@ fn main() {
             .collect::<Vec<_>>(),
         spec.cols
     );
-    host.phase(bench::sections::PHASE_MICRO_TRACE, || {
+    host.phase(crate::sections::PHASE_MICRO_TRACE, || {
         micro_trace(threads, spec, &lib, &narrow, &wide, &mut ex)
     });
-    host.phase(bench::sections::PHASE_CHURN, || {
+    host.phase(crate::sections::PHASE_CHURN, || {
         churn(threads, spec, &lib, &narrow, &wide, &mut ex)
     });
-    host.points(4);
-    ex.host(&host);
-    ex.write_if_requested();
+    ex.host(host, 4);
+    Ok(ex)
 }

@@ -10,27 +10,23 @@
 //! the replacement policy for the overlay slots) shows the hit-rate and
 //! overhead trade-off.
 
-use bench::report::{f3, pct, Table};
-use bench::setup::compile_suite_lib;
-use bench::{run_sweep, threads_arg, Exporter, HostProfile};
-use fpga::{ConfigPort, ConfigTiming};
+use super::RunArgs;
+use crate::report::{f3, pct, Table};
+use crate::setup::{compile_suite_lib, save_restore, serial_fast};
+use crate::{Exporter, HostProfile};
 use fsim::rng::Zipf;
 use fsim::{SimDuration, SimRng, SimTime};
 use vfpga::manager::overlay::{OverlayManager, Replacement};
-use vfpga::{Op, PreemptAction, RoundRobinScheduler, System, SystemConfig, TaskSpec};
+use vfpga::{Op, RoundRobinScheduler, System, TaskSpec};
 use workload::Domain;
 
-fn main() {
-    let threads = threads_arg();
-    let mut host = HostProfile::new(threads);
+pub fn run(args: &RunArgs) -> Result<Exporter, String> {
+    let mut host = HostProfile::new(args.threads);
     let spec = fpga::device::part("VF800"); // 32 cols
-    let (lib, ids) = host.phase(bench::sections::PHASE_COMPILE, || {
+    let (lib, ids) = host.phase(crate::sections::PHASE_COMPILE, || {
         compile_suite_lib(&[Domain::Telecom, Domain::Storage], spec)
     });
-    let timing = ConfigTiming {
-        spec,
-        port: ConfigPort::SerialFast,
-    };
+    let timing = serial_fast(spec);
 
     // Popularity: rank 0 = most popular (Zipf s=1.2).
     let zipf = Zipf::new(ids.len(), 1.2);
@@ -85,28 +81,23 @@ fn main() {
                 .map(move |p| (k, p))
         })
         .collect();
-    let results = host.phase(bench::sections::PHASE_SWEEP, || {
-        run_sweep(threads, &points, |_, &(k, policy)| {
-            let common: Vec<_> = ids[..k].to_vec();
-            let common_w: u32 = common.iter().map(|&i| lib.get(i).shape().0).sum();
-            let slot_w = widest.max((timing.spec.cols - common_w) / 3);
-            let mgr = OverlayManager::new(lib.clone(), timing, common, slot_w, policy).unwrap();
-            let slots = mgr.slot_count();
-            let r = System::new(
-                lib.clone(),
-                mgr,
-                RoundRobinScheduler::new(SimDuration::from_millis(5)),
-                SystemConfig {
-                    preempt: PreemptAction::SaveRestore,
-                    ..Default::default()
-                },
-                build_specs(0xE07),
-            )
-            .with_trace_capacity(4096)
-            .run()
-            .unwrap();
-            (k, policy, slots, r)
-        })
+    let results = host.sweep(&points, |_, &(k, policy)| {
+        let common: Vec<_> = ids[..k].to_vec();
+        let common_w: u32 = common.iter().map(|&i| lib.get(i).shape().0).sum();
+        let slot_w = widest.max((timing.spec.cols - common_w) / 3);
+        let mgr = OverlayManager::new(lib.clone(), timing, common, slot_w, policy).unwrap();
+        let slots = mgr.slot_count();
+        let r = System::new(
+            lib.clone(),
+            mgr,
+            RoundRobinScheduler::new(SimDuration::from_millis(5)),
+            save_restore(),
+            build_specs(0xE07),
+        )
+        .with_trace_capacity(4096)
+        .run()
+        .unwrap();
+        (k, policy, slots, r)
     });
     for (k, policy, slots, r) in &results {
         ex.report(&format!("top{k}/{policy:?}"), r);
@@ -125,7 +116,6 @@ fn main() {
     }
     t.print();
     ex.table(&t);
-    host.points(points.len());
-    ex.host(&host);
-    ex.write_if_requested();
+    ex.host(host, points.len());
+    Ok(ex)
 }

@@ -1,0 +1,150 @@
+//! E8 — Segmentation vs pagination of an over-large function (paper §2).
+//!
+//! Claim operationalized: "segmentation decomposes the function … into
+//! smaller parts computing a self-contained sub-function and, as a
+//! consequence, having variable size; pagination partitions the function
+//! … into smaller portions of fixed size."
+//!
+//! One function larger than the device (segments sized from real compiled
+//! kernels) is demand-loaded under a Zipf reference trace while the column
+//! budget shrinks; pagination is additionally swept over page width and
+//! replacement policy. Pagination pays internal fragmentation (padding),
+//! segmentation pays external fragmentation (flushes).
+
+use super::RunArgs;
+use crate::report::{f3, pct, Table};
+use crate::setup::serial_fast;
+use crate::{Exporter, HostProfile};
+use fsim::rng::Zipf;
+use fsim::{SimRng, Timeline};
+use vfpga::vmem::{PagingSim, Replacement, SegmentSim, SegmentedFunction};
+use workload::{suite, Domain};
+
+pub fn run(args: &RunArgs) -> Result<Exporter, String> {
+    let mut host = HostProfile::new(args.threads);
+    let spec = fpga::device::part("VF400");
+    let timing = serial_fast(spec);
+
+    // Segment widths from real compiled kernels across two domains.
+    let mut widths = Vec::new();
+    host.phase(crate::sections::PHASE_COMPILE, || {
+        for d in [Domain::Multimedia, Domain::Networking] {
+            for app in suite(d, spec.rows).apps {
+                widths.push(app.compiled.shape().0);
+            }
+        }
+    });
+    let func = SegmentedFunction {
+        segment_widths: widths.clone(),
+    };
+    let total = func.total_columns();
+    println!(
+        "function: {} segments, {} total columns, widths {:?}",
+        widths.len(),
+        total,
+        widths
+    );
+
+    // Zipf reference trace over segments.
+    let trace: Vec<usize> = {
+        let z = Zipf::new(widths.len(), 1.0);
+        let mut rng = SimRng::new(0xE08);
+        (0..2_000).map(|_| z.sample(&mut rng)).collect()
+    };
+
+    let mut ex = Exporter::new("e08", "segmentation vs pagination under a Zipf trace");
+    ex.seed(0xE08)
+        .param("device", spec.name)
+        .param("segments", widths.len())
+        .param("total_columns", total)
+        .param("references", 2000u64);
+    let mut t = Table::new(
+        "E8: segmentation vs pagination under a Zipf trace (2000 references)",
+        &[
+            "scheme",
+            "budget",
+            "fault rate",
+            "load time (ms)",
+            "padding cols",
+            "evictions",
+            "flushes",
+        ],
+    );
+
+    let budgets = [100u32, 75, 50, 35];
+    let results = host.sweep(&budgets, |_, &budget_pct| {
+        let mut rows: Vec<Vec<String>> = Vec::new();
+        let mut timelines: Vec<(String, Timeline)> = Vec::new();
+        let mut counters: Vec<(&'static str, u64)> = Vec::new();
+        let budget = (total * budget_pct / 100).max(*widths.iter().max().unwrap());
+        // Segmentation. At the 50% budget point, record the typed
+        // PageFault events and export cumulative faults over (load-time)
+        // time — the document's timeline for this sim-less experiment.
+        let mut seg = SegmentSim::new(func.clone(), timing, budget);
+        if budget_pct == 50 {
+            seg.set_recording(true);
+        }
+        let st = seg.run_trace(&trace);
+        if budget_pct == 50 {
+            let mut tl = Timeline::new();
+            for (i, e) in seg.drain_events().iter().enumerate() {
+                tl.sample(e.at, (i + 1) as f64);
+            }
+            timelines.push(("segment_faults_cumulative_at_50pct_budget".into(), tl));
+            counters.push(("segment_faults_at_50pct_budget", st.faults));
+        }
+        rows.push(vec![
+            "segmentation (LRU)".into(),
+            format!("{budget} ({budget_pct}%)"),
+            pct(st.fault_rate()),
+            f3(st.load_time.as_millis_f64()),
+            st.padding_columns.to_string(),
+            st.evictions.to_string(),
+            st.flushes.to_string(),
+        ]);
+        // Pagination at several page widths.
+        for page in [2u32, 4, 8] {
+            for policy in [Replacement::Lru, Replacement::Fifo, Replacement::Clock] {
+                let mut pg = PagingSim::new(&func, timing, budget, page, policy);
+                let record = budget_pct == 50 && page == 4 && policy == Replacement::Lru;
+                if record {
+                    pg.set_recording(true);
+                }
+                let st = pg.run_trace(&trace);
+                if record {
+                    let mut tl = Timeline::new();
+                    for (i, e) in pg.drain_events().iter().enumerate() {
+                        tl.sample(e.at, (i + 1) as f64);
+                    }
+                    timelines.push(("paging_w4_lru_faults_cumulative_at_50pct_budget".into(), tl));
+                    counters.push(("paging_w4_lru_faults_at_50pct_budget", st.faults));
+                }
+                rows.push(vec![
+                    format!("paging w={page} ({policy:?})"),
+                    format!("{budget} ({budget_pct}%)"),
+                    pct(st.fault_rate()),
+                    f3(st.load_time.as_millis_f64()),
+                    st.padding_columns.to_string(),
+                    st.evictions.to_string(),
+                    st.flushes.to_string(),
+                ]);
+            }
+        }
+        (rows, timelines, counters)
+    });
+    for (rows, timelines, counters) in results {
+        for (name, tl) in &timelines {
+            ex.timeline(name, tl);
+        }
+        for (name, v) in counters {
+            ex.metrics().inc(name, v);
+        }
+        for row in rows {
+            t.row(row);
+        }
+    }
+    t.print();
+    ex.table(&t);
+    ex.host(host, budgets.len());
+    Ok(ex)
+}

@@ -9,15 +9,16 @@
 //! logic. Part 2 runs the pin-assignment table: how many concurrent
 //! circuits a package can host before binding fails.
 
-use bench::report::{f3, pct, Table};
-use bench::setup::compile_suite_lib;
-use bench::{run_sweep, threads_arg, Exporter, HostProfile};
+use super::RunArgs;
+use crate::report::{f3, pct, Table};
+use crate::setup::compile_suite_lib;
+use crate::{run_sweep, Exporter, HostProfile};
 use fsim::{SimDuration, SimTime, Timeline};
 use vfpga::iomux::{mux_plan, transfer_time, PinTable};
 use workload::Domain;
 
-fn main() {
-    let threads = threads_arg();
+pub fn run(args: &RunArgs) -> Result<Exporter, String> {
+    let threads = args.threads;
     let mut host = HostProfile::new(threads);
     let mut ex = Exporter::new("e09", "input/output multiplexing and pin-table packing");
     ex.seed(0).param("physical_pins", 64u64);
@@ -33,7 +34,7 @@ fn main() {
         ],
     );
     let virt = [32u32, 64, 96, 128, 192, 256, 512];
-    let rows = host.phase(bench::sections::PHASE_MUX_PLAN, || {
+    let rows = host.phase(crate::sections::PHASE_MUX_PLAN, || {
         run_sweep(threads, &virt, |_, &v| {
             let plan = mux_plan(v, 64).expect("nonzero pins");
             vec![
@@ -55,7 +56,7 @@ fn main() {
     // single shared stateful resource — each bind depends on the previous
     // one, so this part is inherently serial.
     let spec = fpga::device::part("VF400"); // 128 pins
-    let (lib, ids) = host.phase(bench::sections::PHASE_COMPILE, || {
+    let (lib, ids) = host.phase(crate::sections::PHASE_COMPILE, || {
         compile_suite_lib(
             &[Domain::Telecom, Domain::Storage, Domain::Networking],
             spec,
@@ -68,7 +69,7 @@ fn main() {
         ),
         &["circuit", "io pins", "bound?", "free pins after"],
     );
-    host.phase(bench::sections::PHASE_PIN_TABLE, || {
+    host.phase(crate::sections::PHASE_PIN_TABLE, || {
         let mut table = PinTable::new(spec.io_pins);
         table.set_recording(true);
         // No simulated clock here: the timeline's axis is the bind sequence
@@ -97,7 +98,6 @@ fn main() {
     });
     t2.print();
     ex.table(&t2);
-    host.points(virt.len() + ids.len());
-    ex.host(&host);
-    ex.write_if_requested();
+    ex.host(host, virt.len() + ids.len());
+    Ok(ex)
 }

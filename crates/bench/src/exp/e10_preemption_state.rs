@@ -12,27 +12,23 @@
 //! CPU tasks; rollback only terminates when the op fits in one slice;
 //! save/restore always terminates at a readback cost.
 
-use bench::report::{f3, pct, Table};
-use bench::setup::compile_suite_lib;
-use bench::{run_sweep, threads_arg, Exporter, HostProfile};
-use fpga::{ConfigPort, ConfigTiming};
+use super::RunArgs;
+use crate::report::{f3, pct, Table};
+use crate::setup::{compile_suite_lib, serial_fast};
+use crate::{Exporter, HostProfile};
 use fsim::{SimDuration, SimTime};
 use vfpga::manager::dynload::DynLoadManager;
 use vfpga::{Op, PreemptAction, RoundRobinScheduler, System, SystemConfig, TaskSpec};
 use workload::Domain;
 
-fn main() {
-    let threads = threads_arg();
-    let mut host = HostProfile::new(threads);
+pub fn run(args: &RunArgs) -> Result<Exporter, String> {
+    let mut host = HostProfile::new(args.threads);
     let spec = fpga::device::part("VF800");
-    let (lib, ids) = host.phase(bench::sections::PHASE_COMPILE, || {
+    let (lib, ids) = host.phase(crate::sections::PHASE_COMPILE, || {
         compile_suite_lib(&[Domain::Telecom], spec)
     });
     let scrambler = ids[0]; // LFSR: sequential
-    let timing = ConfigTiming {
-        spec,
-        port: ConfigPort::SerialFast,
-    };
+    let timing = serial_fast(spec);
     let slice = SimDuration::from_millis(10);
     let per_cycle = lib.get(scrambler).run_time(1).as_nanos().max(1);
 
@@ -66,48 +62,46 @@ fn main() {
             .map(move |p| (op_ms, p))
         })
         .collect();
-    let results = host.phase(bench::sections::PHASE_SWEEP, || {
-        run_sweep(threads, &points, |_, &(op_ms, policy)| {
-            let cycles = (op_ms * 1_000_000) / per_cycle;
-            // Rollback with op > slice makes progress only once every
-            // competitor has left the ready queue (the OS skips pointless
-            // preemption when nobody else can run); the lost-time column
-            // shows the discarded work.
-            let specs = vec![
-                TaskSpec::new(
-                    "fpga-task",
-                    SimTime::ZERO,
-                    vec![Op::FpgaRun {
-                        circuit: scrambler,
-                        cycles,
-                    }],
-                ),
-                TaskSpec::new(
-                    "cpu-a",
-                    SimTime::ZERO,
-                    vec![Op::Cpu(SimDuration::from_millis(40))],
-                ),
-                TaskSpec::new(
-                    "cpu-b",
-                    SimTime::ZERO,
-                    vec![Op::Cpu(SimDuration::from_millis(40))],
-                ),
-            ];
-            let mgr = DynLoadManager::new(lib.clone(), timing, policy);
-            System::new(
-                lib.clone(),
-                mgr,
-                RoundRobinScheduler::new(slice),
-                SystemConfig {
-                    preempt: policy,
-                    ..Default::default()
-                },
-                specs,
-            )
-            .with_trace_capacity(4096)
-            .run()
-            .unwrap()
-        })
+    let results = host.sweep(&points, |_, &(op_ms, policy)| {
+        let cycles = (op_ms * 1_000_000) / per_cycle;
+        // Rollback with op > slice makes progress only once every
+        // competitor has left the ready queue (the OS skips pointless
+        // preemption when nobody else can run); the lost-time column
+        // shows the discarded work.
+        let specs = vec![
+            TaskSpec::new(
+                "fpga-task",
+                SimTime::ZERO,
+                vec![Op::FpgaRun {
+                    circuit: scrambler,
+                    cycles,
+                }],
+            ),
+            TaskSpec::new(
+                "cpu-a",
+                SimTime::ZERO,
+                vec![Op::Cpu(SimDuration::from_millis(40))],
+            ),
+            TaskSpec::new(
+                "cpu-b",
+                SimTime::ZERO,
+                vec![Op::Cpu(SimDuration::from_millis(40))],
+            ),
+        ];
+        let mgr = DynLoadManager::new(lib.clone(), timing, policy);
+        System::new(
+            lib.clone(),
+            mgr,
+            RoundRobinScheduler::new(slice),
+            SystemConfig {
+                preempt: policy,
+                ..Default::default()
+            },
+            specs,
+        )
+        .with_trace_capacity(4096)
+        .run()
+        .unwrap()
     });
     for (&(op_ms, policy), r) in points.iter().zip(&results) {
         ex.report(&format!("{op_ms}ms/{policy:?}"), r);
@@ -127,9 +121,7 @@ fn main() {
     }
     t.print();
     ex.table(&t);
-    host.points(points.len());
-    ex.host(&host);
-    ex.write_if_requested();
+    ex.host(host, points.len());
     println!(
         "\nState footprint of the scrambler: {} flip-flops over {} frames; one readback = {:.3} ms",
         lib.get(scrambler).state_bits(),
@@ -138,4 +130,5 @@ fn main() {
             .readback_time(lib.get(scrambler).frames())
             .as_millis_f64()
     );
+    Ok(ex)
 }

@@ -9,27 +9,23 @@
 //! per op; the done-signal path wastes at most one poll period plus the
 //! poll CPU cost. The table locates where each mechanism wins.
 
-use bench::report::{f3, pct, Table};
-use bench::setup::compile_suite_lib;
-use bench::{run_sweep, threads_arg, Exporter, HostProfile};
-use fpga::{ConfigPort, ConfigTiming};
+use super::RunArgs;
+use crate::report::{f3, pct, Table};
+use crate::setup::{compile_suite_lib, serial_fast};
+use crate::{Exporter, HostProfile};
 use fsim::{SimDuration, SimTime};
 use vfpga::manager::dynload::DynLoadManager;
 use vfpga::{CompletionDetect, FifoScheduler, Op, PreemptAction, System, SystemConfig, TaskSpec};
 use workload::Domain;
 
-fn main() {
-    let threads = threads_arg();
-    let mut host = HostProfile::new(threads);
+pub fn run(args: &RunArgs) -> Result<Exporter, String> {
+    let mut host = HostProfile::new(args.threads);
     let spec = fpga::device::part("VF800");
-    let (lib, ids) = host.phase(bench::sections::PHASE_COMPILE, || {
+    let (lib, ids) = host.phase(crate::sections::PHASE_COMPILE, || {
         compile_suite_lib(&[Domain::Networking], spec)
     });
     let cid = ids[0];
-    let timing = ConfigTiming {
-        spec,
-        port: ConfigPort::SerialFast,
-    };
+    let timing = serial_fast(spec);
     let cycles = 200_000u64;
     let op_ms = lib.get(cid).run_time(cycles).as_millis_f64();
 
@@ -64,35 +60,33 @@ fn main() {
             "wasted per op (ms)",
         ],
     );
-    let results = host.phase(bench::sections::PHASE_SWEEP, || {
-        run_sweep(threads, &detect_modes, |_, (_, completion)| {
-            let ops: Vec<Op> = (0..20)
-                .flat_map(|_| {
-                    vec![
-                        Op::FpgaRun {
-                            circuit: cid,
-                            cycles,
-                        },
-                        Op::Cpu(SimDuration::from_micros(200)),
-                    ]
-                })
-                .collect();
-            let specs = vec![TaskSpec::new("t", SimTime::ZERO, ops)];
-            let mgr = DynLoadManager::new(lib.clone(), timing, PreemptAction::WaitCompletion);
-            System::new(
-                lib.clone(),
-                mgr,
-                FifoScheduler::new(),
-                SystemConfig {
-                    completion: *completion,
-                    ..Default::default()
-                },
-                specs,
-            )
-            .with_trace_capacity(4096)
-            .run()
-            .unwrap()
-        })
+    let results = host.sweep(&detect_modes, |_, (_, completion)| {
+        let ops: Vec<Op> = (0..20)
+            .flat_map(|_| {
+                vec![
+                    Op::FpgaRun {
+                        circuit: cid,
+                        cycles,
+                    },
+                    Op::Cpu(SimDuration::from_micros(200)),
+                ]
+            })
+            .collect();
+        let specs = vec![TaskSpec::new("t", SimTime::ZERO, ops)];
+        let mgr = DynLoadManager::new(lib.clone(), timing, PreemptAction::WaitCompletion);
+        System::new(
+            lib.clone(),
+            mgr,
+            FifoScheduler::new(),
+            SystemConfig {
+                completion: *completion,
+                ..Default::default()
+            },
+            specs,
+        )
+        .with_trace_capacity(4096)
+        .run()
+        .unwrap()
     });
     for ((name, _), r) in detect_modes.iter().zip(&results) {
         ex.report(name, r);
@@ -108,7 +102,6 @@ fn main() {
     }
     t.print();
     ex.table(&t);
-    host.points(detect_modes.len());
-    ex.host(&host);
-    ex.write_if_requested();
+    ex.host(host, detect_modes.len());
+    Ok(ex)
 }

@@ -10,14 +10,13 @@
 //! The same Poisson mix runs under FIFO / round-robin / priority for each
 //! of the three managers — a 3×3 matrix of independent sweep points.
 
-use bench::report::{f3, pct, Table};
-use bench::setup::compile_suite_lib;
-use bench::{run_sweep, threads_arg, Exporter, HostProfile};
-use fpga::{ConfigPort, ConfigTiming};
+use super::RunArgs;
+use crate::report::{f3, pct, Table};
+use crate::setup::{compile_suite_lib, serial_fast, variable_partitions};
+use crate::{Exporter, HostProfile};
 use fsim::{SimDuration, SimRng};
 use vfpga::manager::dynload::DynLoadManager;
 use vfpga::manager::exclusive::ExclusiveManager;
-use vfpga::manager::partition::{PartitionManager, PartitionMode};
 use vfpga::{
     FifoScheduler, PreemptAction, PriorityScheduler, Report, RoundRobinScheduler, Scheduler,
     System, SystemConfig, TaskSpec,
@@ -45,17 +44,13 @@ fn specs(ids: &[vfpga::CircuitId]) -> Vec<TaskSpec> {
     s
 }
 
-fn main() {
-    let threads = threads_arg();
-    let mut host = HostProfile::new(threads);
+pub fn run(args: &RunArgs) -> Result<Exporter, String> {
+    let mut host = HostProfile::new(args.threads);
     let spec = fpga::device::part("VF800");
-    let (lib, ids) = host.phase(bench::sections::PHASE_COMPILE, || {
+    let (lib, ids) = host.phase(crate::sections::PHASE_COMPILE, || {
         compile_suite_lib(&[Domain::Telecom, Domain::Storage], spec)
     });
-    let timing = ConfigTiming {
-        spec,
-        port: ConfigPort::SerialFast,
-    };
+    let timing = serial_fast(spec);
     let slice = SimDuration::from_millis(8);
 
     let mut ex = Exporter::new("e14", "scheduler x manager matrix");
@@ -76,7 +71,7 @@ fn main() {
         ],
     );
 
-    fn run<M: vfpga::FpgaManager, S: Scheduler>(
+    fn run_one<M: vfpga::FpgaManager, S: Scheduler>(
         lib: &std::sync::Arc<vfpga::CircuitLib>,
         mgr: M,
         sched: S,
@@ -102,51 +97,43 @@ fn main() {
         .into_iter()
         .flat_map(|m| ["fifo", "rr", "priority"].into_iter().map(move |s| (m, s)))
         .collect();
-    let results = host.phase(bench::sections::PHASE_SWEEP, || {
-        run_sweep(threads, &points, |_, &(mgr_kind, sched_kind)| {
-            macro_rules! with_sched {
-                ($mgr:expr, $preempt:expr) => {
-                    match sched_kind {
-                        "fifo" => run(&lib, $mgr, FifoScheduler::new(), $preempt, specs(&ids)),
-                        "rr" => run(
-                            &lib,
-                            $mgr,
-                            RoundRobinScheduler::new(slice),
-                            $preempt,
-                            specs(&ids),
-                        ),
-                        _ => run(
-                            &lib,
-                            $mgr,
-                            PriorityScheduler::new(Some(slice)),
-                            $preempt,
-                            specs(&ids),
-                        ),
-                    }
-                };
-            }
-            match mgr_kind {
-                // Exclusive manager (non-preemptable device).
-                "exclusive" => with_sched!(
-                    ExclusiveManager::new(lib.clone(), timing),
-                    PreemptAction::WaitCompletion
-                ),
-                "dynload" => with_sched!(
-                    DynLoadManager::new(lib.clone(), timing, PreemptAction::WaitCompletion),
-                    PreemptAction::WaitCompletion
-                ),
-                _ => with_sched!(
-                    PartitionManager::new(
-                        lib.clone(),
-                        timing,
-                        PartitionMode::Variable,
-                        PreemptAction::SaveRestore,
-                    )
-                    .unwrap(),
-                    PreemptAction::SaveRestore
-                ),
-            }
-        })
+    let results = host.sweep(&points, |_, &(mgr_kind, sched_kind)| {
+        macro_rules! with_sched {
+            ($mgr:expr, $preempt:expr) => {
+                match sched_kind {
+                    "fifo" => run_one(&lib, $mgr, FifoScheduler::new(), $preempt, specs(&ids)),
+                    "rr" => run_one(
+                        &lib,
+                        $mgr,
+                        RoundRobinScheduler::new(slice),
+                        $preempt,
+                        specs(&ids),
+                    ),
+                    _ => run_one(
+                        &lib,
+                        $mgr,
+                        PriorityScheduler::new(Some(slice)),
+                        $preempt,
+                        specs(&ids),
+                    ),
+                }
+            };
+        }
+        match mgr_kind {
+            // Exclusive manager (non-preemptable device).
+            "exclusive" => with_sched!(
+                ExclusiveManager::new(lib.clone(), timing),
+                PreemptAction::WaitCompletion
+            ),
+            "dynload" => with_sched!(
+                DynLoadManager::new(lib.clone(), timing, PreemptAction::WaitCompletion),
+                PreemptAction::WaitCompletion
+            ),
+            _ => with_sched!(
+                variable_partitions(&lib, timing),
+                PreemptAction::SaveRestore
+            ),
+        }
     });
     for r in &results {
         ex.report(&format!("{}/{}", r.manager, r.scheduler), r);
@@ -170,10 +157,9 @@ fn main() {
     }
     t.print();
     ex.table(&t);
-    host.points(points.len());
-    ex.host(&host);
-    ex.write_if_requested();
+    ex.host(host, points.len());
     println!("\nUnder the exclusive manager the scheduler rows collapse toward each other");
     println!("(the device serializes everything — §4's 'implicitly forcing FIFO');");
     println!("under partitioning the priority scheduler actually buys latency for hi-prio tasks.");
+    Ok(ex)
 }

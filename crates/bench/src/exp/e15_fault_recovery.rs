@@ -15,38 +15,21 @@
 //! completed vs explicitly failed). Everything is deterministic: the same
 //! `--seed` yields a byte-identical export (modulo the volatile `host`
 //! section) at any `--threads` count.
-//!
-//! Flags: `--seed N` (default 0xE15), `--smoke` (reduced sweep for CI),
-//! `--threads N` (sweep-point parallelism), `--json <path>`
-//! (machine-readable export; the file is read back and re-parsed before
-//! the process exits, so a malformed export fails loudly).
 
-use bench::json::Json;
-use bench::report::{f3, pct, Table};
-use bench::setup::compile_suite_lib;
-use bench::{arg_u64, flag, run_sweep, threads_arg, Exporter, HostProfile};
-use fpga::{ConfigPort, ConfigTiming};
+use super::RunArgs;
+use crate::report::{f3, pct, Table};
+use crate::setup::{compile_suite_lib, os_mix, save_restore, serial_fast, variable_partitions};
+use crate::{Exporter, HostProfile};
+use fpga::ConfigTiming;
 use fsim::{SimDuration, SimRng};
-use vfpga::manager::partition::{PartitionManager, PartitionMode};
 use vfpga::{
-    FaultPlan, PreemptAction, RecoveryPolicy, Report, RoundRobinScheduler, System, SystemConfig,
-    TaskSpec, UpsetRecovery,
+    FaultPlan, RecoveryPolicy, Report, RoundRobinScheduler, System, TaskSpec, UpsetRecovery,
 };
-use workload::{poisson_tasks, Domain, MixParams};
+use workload::{poisson_tasks, Domain};
 
 fn specs(ids: &[vfpga::CircuitId], seed: u64) -> Vec<TaskSpec> {
     let mut rng = SimRng::new(seed);
-    poisson_tasks(
-        &MixParams {
-            tasks: 10,
-            mean_interarrival: SimDuration::from_millis(2),
-            mean_cpu_burst: SimDuration::from_millis(2),
-            fpga_ops_per_task: 4,
-            cycles: (60_000, 250_000),
-        },
-        ids,
-        &mut rng,
-    )
+    poisson_tasks(&os_mix(10, SimDuration::from_millis(2)), ids, &mut rng)
 }
 
 struct Cell {
@@ -63,21 +46,12 @@ fn run_cell(
     policy: RecoveryPolicy,
     label: String,
 ) -> Cell {
-    let mgr = PartitionManager::new(
-        lib.clone(),
-        timing,
-        PartitionMode::Variable,
-        PreemptAction::SaveRestore,
-    )
-    .expect("partition layout fits the device");
+    let mgr = variable_partitions(lib, timing);
     let report = System::new(
         lib.clone(),
         mgr,
         RoundRobinScheduler::new(SimDuration::from_millis(8)),
-        SystemConfig {
-            preempt: PreemptAction::SaveRestore,
-            ..Default::default()
-        },
+        save_restore(),
         specs(ids, seed),
     )
     .with_faults(plan, policy)
@@ -86,19 +60,15 @@ fn run_cell(
     Cell { label, report }
 }
 
-fn main() {
-    let seed = arg_u64("--seed", 0xE15);
-    let smoke = flag("--smoke");
-    let threads = threads_arg();
-    let mut host = HostProfile::new(threads);
+pub fn run(args: &RunArgs) -> Result<Exporter, String> {
+    let seed = args.seed();
+    let smoke = args.smoke;
+    let mut host = HostProfile::new(args.threads);
     let spec = fpga::device::part("VF800");
-    let (lib, ids) = host.phase(bench::sections::PHASE_COMPILE, || {
+    let (lib, ids) = host.phase(crate::sections::PHASE_COMPILE, || {
         compile_suite_lib(&[Domain::Telecom, Domain::Storage], spec)
     });
-    let timing = ConfigTiming {
-        spec,
-        port: ConfigPort::SerialFast,
-    };
+    let timing = serial_fast(spec);
 
     // (name, download corruption probability, SEU rate, column-failure rate)
     let rates: &[(&str, f64, f64, f64)] = if smoke {
@@ -170,10 +140,8 @@ fn main() {
             }
         }
     }
-    let cells = host.phase(bench::sections::PHASE_SWEEP, || {
-        run_sweep(threads, &points, |_, (plan, policy, label)| {
-            run_cell(&lib, &ids, timing, seed, *plan, *policy, label.clone())
-        })
+    let cells = host.sweep(&points, |_, (plan, policy, label)| {
+        run_cell(&lib, &ids, timing, seed, *plan, *policy, label.clone())
     });
 
     for c in &cells {
@@ -207,30 +175,10 @@ fn main() {
 
     t.print();
     ex.table(&t);
-    host.points(points.len());
-    ex.host(&host);
-    ex.write_if_requested();
-
-    // Re-read the export and verify it parses: a bench whose JSON cannot
-    // be read back is broken even if it "ran fine".
-    if let Some(path) = bench::json_arg() {
-        let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-            eprintln!("failed to re-read {}: {e}", path.display());
-            std::process::exit(1);
-        });
-        let doc = Json::parse(&text).unwrap_or_else(|e| {
-            eprintln!("emitted JSON does not parse back: {e}");
-            std::process::exit(1);
-        });
-        let reports = doc.get("reports").and_then(Json::as_arr).unwrap_or(&[]);
-        if doc.get("schema").is_none() || reports.len() != cells.len() {
-            eprintln!("emitted JSON is missing sections");
-            std::process::exit(1);
-        }
-        eprintln!("export parses back OK ({} reports)", reports.len());
-    }
+    ex.host(host, points.len());
 
     println!("\nRollback pays for upsets with recomputed work; save/restore pays readback");
     println!("instead. Without scrubbing upsets stay latent (silent corruption): no");
     println!("repairs, no MTTR — the fault column only shows what detection would buy.");
+    Ok(ex)
 }

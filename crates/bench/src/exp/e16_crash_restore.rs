@@ -10,41 +10,25 @@
 //! The sweep: crash rate x checkpoint interval x journal on/off. Every
 //! cell is differentially verified in-process against the uninterrupted
 //! same-seed baseline with [`vfpga::diff_reports`]: journal ON must reach
-//! byte-identical task outcomes (divergence aborts the bench), journal
+//! byte-identical task outcomes (divergence fails the run), journal
 //! OFF is the ablation — stale residency claims survive the restore and
 //! silently corrupt results, proving the journal is load-bearing.
-//!
-//! Flags: `--seed N` (default 0xE16), `--smoke` (reduced sweep for CI),
-//! `--threads N` (sweep-point parallelism), `--json <path>`
-//! (machine-readable export; the file is read back and re-parsed before
-//! the process exits, so a malformed export fails loudly).
 
-use bench::json::Json;
-use bench::report::{f3, Table};
-use bench::setup::compile_suite_lib;
-use bench::{arg_u64, flag, run_sweep, threads_arg, Exporter, HostProfile};
-use fpga::{ConfigPort, ConfigTiming};
+use super::RunArgs;
+use crate::report::{f3, Table};
+use crate::setup::{compile_suite_lib, os_mix, save_restore, serial_fast};
+use crate::{Exporter, HostProfile};
 use fsim::{SimDuration, SimRng};
 use vfpga::manager::dynload::DynLoadManager;
 use vfpga::{
     diff_reports, run_with_crashes, CheckpointConfig, CrashPlan, PreemptAction, Report,
-    RoundRobinScheduler, System, SystemConfig, TaskSpec,
+    RoundRobinScheduler, System, TaskSpec,
 };
-use workload::{poisson_tasks, Domain, MixParams};
+use workload::{poisson_tasks, Domain};
 
 fn specs(ids: &[vfpga::CircuitId], seed: u64) -> Vec<TaskSpec> {
     let mut rng = SimRng::new(seed);
-    poisson_tasks(
-        &MixParams {
-            tasks: 10,
-            mean_interarrival: SimDuration::from_millis(2),
-            mean_cpu_burst: SimDuration::from_millis(2),
-            fpga_ops_per_task: 4,
-            cycles: (60_000, 250_000),
-        },
-        ids,
-        &mut rng,
-    )
+    poisson_tasks(&os_mix(10, SimDuration::from_millis(2)), ids, &mut rng)
 }
 
 struct Cell {
@@ -54,19 +38,15 @@ struct Cell {
     report: Report,
 }
 
-fn main() {
-    let seed = arg_u64("--seed", 0xE16);
-    let smoke = flag("--smoke");
-    let threads = threads_arg();
-    let mut host = HostProfile::new(threads);
+pub fn run(args: &RunArgs) -> Result<Exporter, String> {
+    let seed = args.seed();
+    let smoke = args.smoke;
+    let mut host = HostProfile::new(args.threads);
     let spec = fpga::device::part("VF400");
-    let (lib, ids) = host.phase(bench::sections::PHASE_COMPILE, || {
+    let (lib, ids) = host.phase(crate::sections::PHASE_COMPILE, || {
         compile_suite_lib(&[Domain::Telecom, Domain::Storage], spec)
     });
-    let timing = ConfigTiming {
-        spec,
-        port: ConfigPort::SerialFast,
-    };
+    let timing = serial_fast(spec);
 
     // Whole-device dynamic loading: every circuit swap rewrites the same
     // columns, so a stale post-crash residency claim always points at
@@ -80,10 +60,7 @@ fn main() {
                 lib.clone(),
                 mgr,
                 RoundRobinScheduler::new(SimDuration::from_millis(4)),
-                SystemConfig {
-                    preempt: PreemptAction::SaveRestore,
-                    ..Default::default()
-                },
+                save_restore(),
                 specs(&ids, seed),
             )
         }
@@ -128,7 +105,7 @@ fn main() {
         ],
     );
 
-    let baseline = host.phase(bench::sections::PHASE_BASELINE, || {
+    let baseline = host.phase(crate::sections::PHASE_BASELINE, || {
         build(seed)().run().expect("baseline run")
     });
     let mut points = Vec::new();
@@ -139,32 +116,29 @@ fn main() {
             }
         }
     }
-    let cells: Vec<Cell> = host.phase(bench::sections::PHASE_SWEEP, || {
-        run_sweep(
-            threads,
-            &points,
-            |_, &(rname, rate, iname, interval_us, jname, journal)| {
-                let mut cfg = CheckpointConfig::new(SimDuration::from_micros(interval_us));
-                if !journal {
-                    cfg = cfg.without_journal();
-                }
-                let plan = CrashPlan {
-                    seed,
-                    crash_rate_per_s: rate,
-                    max_crashes: 4,
-                };
-                let report = run_with_crashes(build(seed), cfg, plan)
-                    .expect("crashed run must still terminate");
-                let divergences = diff_reports(&baseline, &report);
-                Cell {
-                    label: format!("{rname}/{iname}/journal-{jname}"),
-                    journal,
-                    divergences,
-                    report,
-                }
-            },
-        )
-    });
+    let cells: Vec<Cell> = host.sweep(
+        &points,
+        |_, &(rname, rate, iname, interval_us, jname, journal)| {
+            let mut cfg = CheckpointConfig::new(SimDuration::from_micros(interval_us));
+            if !journal {
+                cfg = cfg.without_journal();
+            }
+            let plan = CrashPlan {
+                seed,
+                crash_rate_per_s: rate,
+                max_crashes: 4,
+            };
+            let report =
+                run_with_crashes(build(seed), cfg, plan).expect("crashed run must still terminate");
+            let divergences = diff_reports(&baseline, &report);
+            Cell {
+                label: format!("{rname}/{iname}/journal-{jname}"),
+                journal,
+                divergences,
+                report,
+            }
+        },
+    );
 
     let mut journal_off_corruptions = 0u64;
     for c in &cells {
@@ -172,11 +146,10 @@ fn main() {
         // journaled restore that does not reproduce the uninterrupted
         // outcomes is a correctness bug, not a data point.
         if c.journal && !c.divergences.is_empty() {
-            eprintln!("E16 FAILED: journaled cell {} diverged:", c.label);
-            for d in &c.divergences {
-                eprintln!("  {d}");
-            }
-            std::process::exit(1);
+            return Err(super::diverged(
+                format!("journaled cell {} diverged", c.label),
+                &c.divergences,
+            ));
         }
         if !c.journal {
             journal_off_corruptions += c.report.crash.silent_corruptions;
@@ -215,31 +188,11 @@ fn main() {
     t.print();
     ex.param("journal_off_corruptions", journal_off_corruptions);
     ex.table(&t);
-    host.points(points.len());
-    ex.host(&host);
-    ex.write_if_requested();
-
-    // Re-read the export and verify it parses: a bench whose JSON cannot
-    // be read back is broken even if it "ran fine".
-    if let Some(path) = bench::json_arg() {
-        let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-            eprintln!("failed to re-read {}: {e}", path.display());
-            std::process::exit(1);
-        });
-        let doc = Json::parse(&text).unwrap_or_else(|e| {
-            eprintln!("emitted JSON does not parse back: {e}");
-            std::process::exit(1);
-        });
-        let reports = doc.get("reports").and_then(Json::as_arr).unwrap_or(&[]);
-        if doc.get("schema").is_none() || reports.len() != cells.len() {
-            eprintln!("emitted JSON is missing sections");
-            std::process::exit(1);
-        }
-        eprintln!("export parses back OK ({} reports)", reports.len());
-    }
+    ex.host(host, points.len());
 
     println!("\nEvery journal-on cell restored to outcomes identical to the uninterrupted");
     println!("baseline (the bench aborts otherwise). Journal-off cells keep stale residency");
     println!("claims across the restore: the corrupted/diverged columns show what the");
     println!("write-ahead journal is actually buying.");
+    Ok(ex)
 }

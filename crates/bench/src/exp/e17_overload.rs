@@ -17,24 +17,19 @@
 //! variant that *can* run without a watchdog. Everything is
 //! deterministic: the same `--seed` yields a byte-identical export
 //! (modulo the volatile `host` section) at any `--threads` count.
-//!
-//! Flags: `--seed N` (default 0xE17), `--smoke` (reduced sweep for CI),
-//! `--threads N` (sweep-point parallelism), `--json <path>`
-//! (machine-readable export, re-parsed before exit).
 
-use bench::json::Json;
-use bench::report::{f3, Table};
-use bench::setup::compile_suite_lib_sw;
-use bench::{arg_u64, flag, run_sweep, threads_arg, Exporter, HostProfile};
-use fpga::{ConfigPort, ConfigTiming};
+use super::RunArgs;
+use crate::report::{f3, Table};
+use crate::setup::{compile_suite_lib_sw, os_mix, save_restore, serial_fast, variable_partitions};
+use crate::{Exporter, HostProfile};
+use fpga::ConfigTiming;
 use fsim::{SimDuration, SimRng};
 use std::collections::BTreeMap;
-use vfpga::manager::partition::{PartitionManager, PartitionMode};
 use vfpga::{
-    AdmissionPolicy, DegradationConfig, PreemptAction, Report, RoundRobinScheduler, System,
-    SystemConfig, TaskSpec, WatchdogConfig,
+    AdmissionPolicy, DegradationConfig, Report, RoundRobinScheduler, System, TaskSpec,
+    WatchdogConfig,
 };
-use workload::{tenant_tasks, Domain, MixParams, TenantMixParams};
+use workload::{tenant_tasks, Domain, TenantMixParams};
 
 fn specs(
     ids: &[vfpga::CircuitId],
@@ -45,13 +40,7 @@ fn specs(
     let mut rng = SimRng::new(seed);
     tenant_tasks(
         &TenantMixParams {
-            base: MixParams {
-                tasks: 10,
-                mean_interarrival,
-                mean_cpu_burst: SimDuration::from_millis(2),
-                fpga_ops_per_task: 4,
-                cycles: (60_000, 250_000),
-            },
+            base: os_mix(10, mean_interarrival),
             tenants: 2,
             deadline: Some(SimDuration::from_millis(60)),
             hang_tasks,
@@ -82,21 +71,12 @@ fn run_cell(
     seed: u64,
     p: &Point,
 ) -> Cell {
-    let mgr = PartitionManager::new(
-        lib.clone(),
-        timing,
-        PartitionMode::Variable,
-        PreemptAction::SaveRestore,
-    )
-    .expect("partition layout fits the device");
+    let mgr = variable_partitions(lib, timing);
     let mut sys = System::new(
         lib.clone(),
         mgr,
         RoundRobinScheduler::new(SimDuration::from_millis(8)),
-        SystemConfig {
-            preempt: PreemptAction::SaveRestore,
-            ..Default::default()
-        },
+        save_restore(),
         specs(ids, seed, p.mean_interarrival, p.hang_tasks),
     );
     if let Some(policy) = &p.policy {
@@ -113,19 +93,15 @@ fn run_cell(
     }
 }
 
-fn main() {
-    let seed = arg_u64("--seed", 0xE17);
-    let smoke = flag("--smoke");
-    let threads = threads_arg();
-    let mut host = HostProfile::new(threads);
+pub fn run(args: &RunArgs) -> Result<Exporter, String> {
+    let seed = args.seed();
+    let smoke = args.smoke;
+    let mut host = HostProfile::new(args.threads);
     let spec = fpga::device::part("VF800");
-    let (lib, ids, sw) = host.phase(bench::sections::PHASE_COMPILE, || {
+    let (lib, ids, sw) = host.phase(crate::sections::PHASE_COMPILE, || {
         compile_suite_lib_sw(&[Domain::Telecom, Domain::Storage], spec)
     });
-    let timing = ConfigTiming {
-        spec,
-        port: ConfigPort::SerialFast,
-    };
+    let timing = serial_fast(spec);
 
     // queue_cap 2: a tenant holds `quota` running + 2 queued; the rest of
     // a burst is load-shed. The default watermark (0.85) only degrades
@@ -212,11 +188,7 @@ fn main() {
         ],
     );
 
-    let cells = host.phase(bench::sections::PHASE_SWEEP, || {
-        run_sweep(threads, &points, |_, p| {
-            run_cell(&lib, &ids, timing, seed, p)
-        })
-    });
+    let cells = host.sweep(&points, |_, p| run_cell(&lib, &ids, timing, seed, p));
 
     for c in &cells {
         let r = &c.report;
@@ -243,31 +215,11 @@ fn main() {
 
     t.print();
     ex.table(&t);
-    host.points(points.len());
-    ex.host(&host);
-    ex.write_if_requested();
-
-    // Re-read the export and verify it parses: a bench whose JSON cannot
-    // be read back is broken even if it "ran fine".
-    if let Some(path) = bench::json_arg() {
-        let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-            eprintln!("failed to re-read {}: {e}", path.display());
-            std::process::exit(1);
-        });
-        let doc = Json::parse(&text).unwrap_or_else(|e| {
-            eprintln!("emitted JSON does not parse back: {e}");
-            std::process::exit(1);
-        });
-        let reports = doc.get("reports").and_then(Json::as_arr).unwrap_or(&[]);
-        if doc.get("schema").is_none() || reports.len() != cells.len() {
-            eprintln!("emitted JSON is missing sections");
-            std::process::exit(1);
-        }
-        eprintln!("export parses back OK ({} reports)", reports.len());
-    }
+    ex.host(host, points.len());
 
     println!("\nQuotas trade tenant isolation for load shedding: rejected work never");
     println!("queues, so the surviving tasks' turnaround stays bounded. The watchdog is");
     println!("what lets a hanging tenant coexist with the rest — without it that cell");
     println!("would deadlock; with it the hang costs `max_trips` deadlines, then exile.");
+    Ok(ex)
 }

@@ -23,23 +23,18 @@
 //! policies can actually disagree about ordering. Everything is
 //! deterministic: the same `--seed` yields a byte-identical export
 //! (modulo the volatile `host` section) at any `--threads` count.
-//!
-//! Flags: `--seed N` (default 0xE18), `--smoke` (reduced sweep for CI),
-//! `--threads N` (sweep-point parallelism), `--json <path>`
-//! (machine-readable export, re-parsed before exit).
 
-use bench::json::Json;
-use bench::report::{f3, Table};
-use bench::setup::compile_suite_lib_sw;
-use bench::{arg_u64, flag, run_sweep, threads_arg, Exporter, HostProfile};
+use super::RunArgs;
+use crate::report::{f3, Table};
+use crate::setup::{compile_suite_lib_sw, os_mix, save_restore, serial_fast, variable_partitions};
+use crate::{Exporter, HostProfile};
 use fpga::{ConfigPort, ConfigTiming};
 use fsim::{LogHistogram, SimDuration, SimRng};
-use vfpga::manager::partition::{PartitionManager, PartitionMode};
 use vfpga::{
-    AdmissionPolicy, DegradationConfig, EdfScheduler, FifoScheduler, PreemptAction,
-    PriorityScheduler, Report, SchedulabilityConfig, System, SystemConfig, TaskSpec,
+    AdmissionPolicy, DegradationConfig, EdfScheduler, FifoScheduler, PriorityScheduler, Report,
+    SchedulabilityConfig, System, TaskSpec,
 };
-use workload::{tenant_tasks, Domain, MixParams, TenantMixParams};
+use workload::{tenant_tasks, Domain, TenantMixParams};
 
 /// The E17 arrival process with jittered deadlines, plus a static
 /// priority stamp derived from deadline rank (shortest deadline =
@@ -49,13 +44,7 @@ fn specs(ids: &[vfpga::CircuitId], seed: u64, mean_interarrival: SimDuration) ->
     let mut rng = SimRng::new(seed);
     let mut specs = tenant_tasks(
         &TenantMixParams {
-            base: MixParams {
-                tasks: 10,
-                mean_interarrival,
-                mean_cpu_burst: SimDuration::from_millis(2),
-                fpga_ops_per_task: 4,
-                cycles: (60_000, 250_000),
-            },
+            base: os_mix(10, mean_interarrival),
             tenants: 2,
             deadline: Some(SimDuration::from_millis(120)),
             hang_tasks: 0,
@@ -117,19 +106,8 @@ fn run_cell(big: &Device, small: &Device, seed: u64, p: &Point) -> Cell {
     let Device { lib, ids, timing } = if p.small { small } else { big };
     let timing = *timing;
     let specs = specs(ids, seed, p.mean_interarrival);
-    let mgr = || {
-        PartitionManager::new(
-            lib.clone(),
-            timing,
-            PartitionMode::Variable,
-            PreemptAction::SaveRestore,
-        )
-        .expect("partition layout fits the device")
-    };
-    let cfg = || SystemConfig {
-        preempt: PreemptAction::SaveRestore,
-        ..Default::default()
-    };
+    let mgr = || variable_partitions(lib, timing);
+    let cfg = || save_restore();
     let slice: Option<SimDuration> = None;
     // The three arms need three concrete `System<_, S>` types; the
     // admission/profile plumbing is identical, so a closure per arm.
@@ -172,15 +150,14 @@ fn turnaround_quantile(r: &Report, q: f64) -> f64 {
     merged.quantile_ns(q) as f64 / 1e9
 }
 
-fn main() {
-    let seed = arg_u64("--seed", 0xE18);
-    let smoke = flag("--smoke");
-    let threads = threads_arg();
-    let mut host = HostProfile::new(threads);
+pub fn run(args: &RunArgs) -> Result<Exporter, String> {
+    let seed = args.seed();
+    let smoke = args.smoke;
+    let mut host = HostProfile::new(args.threads);
     let spec = fpga::device::part("VF800");
     let spec_small = fpga::device::part("VF200");
     let ((lib, ids, _sw), (lib_s, ids_s, sw_s)) =
-        host.phase(bench::sections::PHASE_COMPILE, || {
+        host.phase(crate::sections::PHASE_COMPILE, || {
             (
                 compile_suite_lib_sw(&[Domain::Telecom, Domain::Storage], spec),
                 // Every domain: 20 circuits whose column demand exceeds
@@ -191,10 +168,7 @@ fn main() {
     let big = Device {
         lib,
         ids,
-        timing: ConfigTiming {
-            spec,
-            port: ConfigPort::SerialFast,
-        },
+        timing: serial_fast(spec),
     };
     let small = Device {
         lib: lib_s,
@@ -316,9 +290,7 @@ fn main() {
         ],
     );
 
-    let cells = host.phase(bench::sections::PHASE_SWEEP, || {
-        run_sweep(threads, &points, |_, p| run_cell(&big, &small, seed, p))
-    });
+    let cells = host.sweep(&points, |_, p| run_cell(&big, &small, seed, p));
 
     for c in &cells {
         let r = &c.report;
@@ -345,31 +317,11 @@ fn main() {
 
     t.print();
     ex.table(&t);
-    host.points(points.len());
-    ex.host(&host);
-    ex.write_if_requested();
-
-    // Re-read the export and verify it parses: a bench whose JSON cannot
-    // be read back is broken even if it "ran fine".
-    if let Some(path) = bench::json_arg() {
-        let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-            eprintln!("failed to re-read {}: {e}", path.display());
-            std::process::exit(1);
-        });
-        let doc = Json::parse(&text).unwrap_or_else(|e| {
-            eprintln!("emitted JSON does not parse back: {e}");
-            std::process::exit(1);
-        });
-        let reports = doc.get("reports").and_then(Json::as_arr).unwrap_or(&[]);
-        if doc.get("schema").is_none() || reports.len() != cells.len() {
-            eprintln!("emitted JSON is missing sections");
-            std::process::exit(1);
-        }
-        eprintln!("export parses back OK ({} reports)", reports.len());
-    }
+    ex.host(host, points.len());
 
     println!("\nFIFO serves deadlines in arrival order and pays for it; EDF spends the");
     println!("same cycles on whoever is closest to the edge. The gate turns the leftover");
     println!("misses into refusals at the door (unschedulable, not load-shed), and the");
     println!("hysteresis pair keeps the degraded-mode decision from flapping at the mark.");
+    Ok(ex)
 }

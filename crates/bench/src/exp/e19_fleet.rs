@@ -17,71 +17,26 @@
 //! ablation cell removes spare capacity, retries, and the software
 //! fallback — its tasks land in the disjoint `lost_in_flight` slice,
 //! proving the loss accounting and the capacity headroom are both real.
-//!
-//! Flags: `--seed N` (default 0xE19), `--smoke` (reduced sweep for CI),
-//! `--threads N` (sweep-point parallelism), `--json <path>`
-//! (machine-readable export), `--equivalence <prefix>` (writes
-//! `<prefix>.single.json` and `<prefix>.fleet.json` — a plain system run
-//! and a 1-device zero-fault fleet of the same workload, which must be
-//! byte-identical modulo the volatile host section).
 
-use bench::json::Json;
-use bench::report::{f3, Table};
-use bench::setup::compile_suite_lib_sw;
-use bench::{arg_u64, flag, run_sweep, threads_arg, Exporter, HostProfile};
-use fpga::{ConfigPort, ConfigTiming};
-use fsim::{SimDuration, SimRng};
+use super::RunArgs;
+use crate::report::{f3, Table};
+use crate::setup::{compile_suite_lib_sw, fleet_specs, save_restore, serial_fast, softwareize};
+use crate::{Exporter, HostProfile};
+use fpga::ConfigTiming;
+use fsim::SimDuration;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use vfpga::manager::dynload::DynLoadManager;
 use vfpga::{
-    diff_reports, run_fleet, CheckpointConfig, CircuitId, CircuitLib, DeviceFaultPlan, FleetConfig,
-    FleetReport, Op, PlacementPolicy, PreemptAction, Report, RoundRobinScheduler, ShardCtx, System,
-    SystemConfig, TaskSpec, VfpgaError,
+    diff_reports, run_fleet, CheckpointConfig, CircuitLib, DeviceFaultPlan, FleetConfig,
+    FleetReport, PlacementPolicy, PreemptAction, Report, RoundRobinScheduler, ShardCtx, System,
+    TaskSpec, VfpgaError,
 };
-use workload::{tenant_tasks, Domain, MixParams, TenantMixParams};
+use workload::Domain;
 
-fn specs(ids: &[CircuitId], seed: u64, devices: u32) -> Vec<TaskSpec> {
-    let mut rng = SimRng::new(seed);
-    tenant_tasks(
-        &TenantMixParams {
-            base: MixParams {
-                tasks: 12,
-                mean_interarrival: SimDuration::from_millis(2),
-                mean_cpu_burst: SimDuration::from_millis(2),
-                fpga_ops_per_task: 4,
-                cycles: (60_000, 250_000),
-            },
-            tenants: 4,
-            // Tenant-to-device affinity hints, exercised by the affinity
-            // placement cells and ignored by every other policy.
-            affinity_devices: devices,
-            ..Default::default()
-        },
-        ids,
-        &mut rng,
-    )
-}
-
-/// Re-price every FPGA op as host CPU time (the e12 co-processor model's
-/// software cost) — what the degradation path executes.
-fn softwareize(specs: &[TaskSpec], sw: &BTreeMap<u32, u64>) -> Vec<TaskSpec> {
-    specs
-        .iter()
-        .cloned()
-        .map(|mut s| {
-            for op in &mut s.ops {
-                if let Op::FpgaRun { circuit, cycles } = *op {
-                    let ns = sw.get(&circuit.0).copied().unwrap_or(1);
-                    *op = Op::Cpu(SimDuration::from_nanos(ns.saturating_mul(cycles)));
-                }
-            }
-            s
-        })
-        .collect()
-}
-
-fn shard_builder(
+/// One fleet shard: a whole-device dynamic-loading system, RR 4 ms, its
+/// FPGA ops re-priced as software when the fleet degrades it.
+pub fn shard_builder(
     lib: Arc<CircuitLib>,
     sw: Arc<BTreeMap<u32, u64>>,
     timing: ConfigTiming,
@@ -97,13 +52,28 @@ fn shard_builder(
             lib.clone(),
             mgr,
             RoundRobinScheduler::new(SimDuration::from_millis(4)),
-            SystemConfig {
-                preempt: PreemptAction::SaveRestore,
-                ..Default::default()
-            },
+            save_restore(),
             specs,
         ))
     }
+}
+
+/// All four tenants on one plain `System`, no fleet around it.
+fn single_device(
+    lib: &Arc<CircuitLib>,
+    sw: &Arc<BTreeMap<u32, u64>>,
+    timing: ConfigTiming,
+    specs: &[TaskSpec],
+) -> Result<Report, VfpgaError> {
+    shard_builder(lib.clone(), sw.clone(), timing)(&ShardCtx {
+        shard: 0,
+        device: vfpga::DeviceId(0),
+        home: vfpga::DeviceId(0),
+        tenants: &[0, 1, 2, 3],
+        specs,
+        software: false,
+    })?
+    .run()
 }
 
 struct Cell {
@@ -115,45 +85,22 @@ struct Cell {
     fleet: FleetReport,
 }
 
-fn main() {
-    let seed = arg_u64("--seed", 0xE19);
-    let smoke = flag("--smoke");
-    let threads = threads_arg();
-    let mut host = HostProfile::new(threads);
+pub fn run(args: &RunArgs) -> Result<Exporter, String> {
+    let seed = args.seed();
+    let smoke = args.smoke;
+    let mut host = HostProfile::new(args.threads);
     let spec = fpga::device::part("VF400");
-    let (lib, ids, sw) = host.phase(bench::sections::PHASE_COMPILE, || {
+    let (lib, ids, sw) = host.phase(crate::sections::PHASE_COMPILE, || {
         compile_suite_lib_sw(&[Domain::Telecom, Domain::Storage], spec)
     });
     let sw = Arc::new(sw);
-    let timing = ConfigTiming {
-        spec,
-        port: ConfigPort::SerialFast,
-    };
-
-    if let Some(prefix) = arg_str("--equivalence") {
-        equivalence(&prefix, &lib, &ids, sw.clone(), timing, seed);
-        return;
-    }
+    let timing = serial_fast(spec);
 
     // Uninterrupted single-device reference: what a fleet must not lose.
-    let baseline = host.phase(bench::sections::PHASE_BASELINE, || {
-        let mut b = shard_builder(lib.clone(), sw.clone(), timing);
-        let sp = specs(&ids, seed, 1);
-        b(&ShardCtx {
-            shard: 0,
-            device: vfpga::DeviceId(0),
-            home: vfpga::DeviceId(0),
-            tenants: &[0, 1, 2, 3],
-            specs: &sp,
-            software: false,
-        })
-        .expect("baseline build")
-        .run()
-        .unwrap_or_else(|e| {
-            eprintln!("baseline run failed: {e}");
-            std::process::exit(1);
-        })
-    });
+    let baseline = host.phase(crate::sections::PHASE_BASELINE, || {
+        single_device(&lib, &sw, timing, &fleet_specs(&ids, seed, 1))
+            .map_err(|e| format!("baseline run failed: {e}"))
+    })?;
 
     // (label fragment, device-crash rate per simulated second)
     let rates: &[(&str, f64)] = if smoke {
@@ -183,9 +130,8 @@ fn main() {
     // crash has nowhere to go and the loss accounting must show it.
     points.push((2, "storm", 150.0, PlacementPolicy::RoundRobin, true));
 
-    let cells: Vec<Cell> = host.phase(bench::sections::PHASE_SWEEP, || {
-        run_sweep(
-            threads,
+    let cells: Vec<Cell> = host
+        .sweep(
             &points,
             |_, &(devices, rname, rate, placement, ablation)| {
                 let mut cfg = FleetConfig::new(devices)
@@ -205,15 +151,12 @@ fn main() {
                 }
                 let fleet = run_fleet(
                     &cfg,
-                    specs(&ids, seed, devices),
+                    fleet_specs(&ids, seed, devices),
                     shard_builder(lib.clone(), sw.clone(), timing),
                 )
-                .unwrap_or_else(|e| {
-                    eprintln!("fleet run failed ({devices} dev, {rname}): {e}");
-                    std::process::exit(1);
-                });
+                .map_err(|e| format!("fleet run failed ({devices} dev, {rname}): {e}"))?;
                 let divergences = diff_reports(&baseline, &fleet.merged);
-                Cell {
+                Ok(Cell {
                     label: format!(
                         "d{devices}/{rname}/{}{}",
                         placement.name(),
@@ -224,10 +167,11 @@ fn main() {
                     ablation,
                     divergences,
                     fleet,
-                }
+                })
             },
         )
-    });
+        .into_iter()
+        .collect::<Result<_, String>>()?;
 
     // In-process acceptance gates. A capacity cell that loses work, or
     // diverges from the single-device outcomes, is a correctness bug.
@@ -237,7 +181,7 @@ fn main() {
         let r = &c.fleet.merged;
         assert_eq!(
             r.tasks.len(),
-            specs(&ids, seed, c.devices).len(),
+            fleet_specs(&ids, seed, c.devices).len(),
             "{}: task conservation",
             c.label
         );
@@ -247,39 +191,31 @@ fn main() {
         assert_eq!(flagged, st.lost_in_flight, "{}: lost accounting", c.label);
         if c.ablation {
             if st.lost_in_flight == 0 {
-                eprintln!("E19 FAILED: ablation cell {} lost nothing", c.label);
-                std::process::exit(1);
+                return Err(format!("ablation cell {} lost nothing", c.label));
             }
         } else {
             if st.lost_in_flight != 0 {
-                eprintln!("E19 FAILED: capacity cell {} lost work: {st:?}", c.label);
-                std::process::exit(1);
+                return Err(format!("capacity cell {} lost work: {st:?}", c.label));
             }
             if !c.divergences.is_empty() {
-                eprintln!(
-                    "E19 FAILED: capacity cell {} diverged from baseline:",
-                    c.label
-                );
-                for d in &c.divergences {
-                    eprintln!("  {d}");
-                }
-                std::process::exit(1);
+                return Err(super::diverged(
+                    format!("capacity cell {} diverged from baseline", c.label),
+                    &c.divergences,
+                ));
             }
         }
         if c.rate_name == "none" && !st.is_zero() {
-            eprintln!(
-                "E19 FAILED: zero-rate cell {} moved fleet counters: {st:?}",
+            return Err(format!(
+                "zero-rate cell {} moved fleet counters: {st:?}",
                 c.label
-            );
-            std::process::exit(1);
+            ));
         }
         if c.rate_name == "storm" && !c.ablation {
             storm_failovers += st.failovers + st.software_fallbacks;
         }
     }
     if storm_failovers == 0 {
-        eprintln!("E19 FAILED: no storm cell exercised a failover");
-        std::process::exit(1);
+        return Err("no storm cell exercised a failover".into());
     }
 
     let mut ex = Exporter::new("e19", "fleet device crashes x placement x failover");
@@ -335,78 +271,31 @@ fn main() {
 
     t.print();
     ex.table(&t);
-    host.points(points.len());
-    ex.host(&host);
-    ex.write_if_requested();
-
-    if let Some(path) = bench::json_arg() {
-        let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-            eprintln!("failed to re-read {}: {e}", path.display());
-            std::process::exit(1);
-        });
-        let doc = Json::parse(&text).unwrap_or_else(|e| {
-            eprintln!("emitted JSON does not parse back: {e}");
-            std::process::exit(1);
-        });
-        let reports = doc.get("reports").and_then(Json::as_arr).unwrap_or(&[]);
-        if doc.get("schema").is_none() || reports.len() != cells.len() {
-            eprintln!("emitted JSON is missing sections");
-            std::process::exit(1);
-        }
-        eprintln!("export parses back OK ({} reports)", reports.len());
-    }
+    ex.host(host, points.len());
 
     println!("\nEvery capacity cell under device crashes restored to outcomes identical to");
     println!("the uninterrupted single-device baseline (the bench aborts otherwise): the");
     println!("fleet loses nothing a checkpointed single device would have kept. The");
     println!("ablation cell — no headroom, no retries, no software fallback — shows the");
     println!("same crashes landing in the disjoint lost_in_flight slice instead.");
+    Ok(ex)
 }
 
-/// The 1-device zero-fault fleet must export byte-identically to the
-/// plain single-device system (modulo the volatile host section): write
-/// both for `jdiff` to compare.
-fn equivalence(
-    prefix: &str,
-    lib: &Arc<CircuitLib>,
-    ids: &[CircuitId],
-    sw: Arc<BTreeMap<u32, u64>>,
-    timing: ConfigTiming,
-    seed: u64,
-) {
-    let sp = specs(ids, seed, 1);
-    let mut b = shard_builder(lib.clone(), sw, timing);
-    let single = b(&ShardCtx {
-        shard: 0,
-        device: vfpga::DeviceId(0),
-        home: vfpga::DeviceId(0),
-        tenants: &[0, 1, 2, 3],
-        specs: &sp,
-        software: false,
-    })
-    .expect("single build")
-    .run()
-    .expect("single run");
-    let fleet = run_fleet(&FleetConfig::new(1), sp, b).expect("fleet run");
-    let write = |suffix: &str, r: &Report| {
+/// A plain single-device system and a 1-device zero-fault fleet of the
+/// same workload, each as an export: the two must be byte-identical.
+pub fn equivalence(seed: u64) -> (Exporter, Exporter) {
+    let spec = fpga::device::part("VF400");
+    let (lib, ids, sw) = compile_suite_lib_sw(&[Domain::Telecom, Domain::Storage], spec);
+    let timing = serial_fast(spec);
+    let (sp, sw) = (fleet_specs(&ids, seed, 1), Arc::new(sw));
+    let single = single_device(&lib, &sw, timing, &sp).expect("single run");
+    let shards = shard_builder(lib, sw, timing);
+    let fleet = run_fleet(&FleetConfig::new(1), sp, shards).expect("fleet run");
+    let export = |r: &Report| {
         let mut ex = Exporter::new("e19-equiv", "1-device fleet vs plain system");
         ex.seed(seed).param("tasks", 12u64);
         ex.report("equiv", r);
-        let path = std::path::PathBuf::from(format!("{prefix}.{suffix}.json"));
-        ex.write(&path).unwrap_or_else(|e| {
-            eprintln!("failed to write {}: {e}", path.display());
-            std::process::exit(1);
-        });
+        ex
     };
-    write("single", &single);
-    write("fleet", &fleet.merged);
-}
-
-/// String-valued flag (`--name value`).
-fn arg_str(name: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
+    (export(&single), export(&fleet.merged))
 }

@@ -16,22 +16,15 @@
 //! its full-download twin on config overhead, and its delta checkpoints
 //! (full anchor every 4th capture) must not read back more than the
 //! full-capture twin.
-//!
-//! Flags: `--seed N` (default 0xE20), `--smoke` (reduced sweep for CI),
-//! `--threads N` (sweep-point parallelism), `--json <path>`
-//! (machine-readable export).
 
-use bench::json::Json;
-use bench::report::{f3, Table};
-use bench::{arg_u64, flag, run_sweep, threads_arg, Exporter, HostProfile};
-use fpga::{ConfigPort, ConfigTiming};
+use super::RunArgs;
+use crate::report::{f3, Table};
+use crate::setup::{save_restore, serial_fast, variable_partitions};
+use crate::{Exporter, HostProfile};
+use fpga::ConfigTiming;
 use fsim::{SimDuration, SimRng};
 use std::sync::Arc;
-use vfpga::manager::partition::{PartitionManager, PartitionMode};
-use vfpga::{
-    diff_reports, CheckpointConfig, CircuitLib, PreemptAction, Report, RoundRobinScheduler, System,
-    SystemConfig,
-};
+use vfpga::{diff_reports, CheckpointConfig, CircuitLib, Report, RoundRobinScheduler, System};
 use workload::{poisson_tasks, variant_family, MixParams};
 
 /// One swap-rate setting: how densely tasks contend for the fabric.
@@ -66,13 +59,7 @@ fn run_cell(
         &ids,
         &mut rng,
     );
-    let mut mgr = PartitionManager::new(
-        lib.clone(),
-        timing,
-        PartitionMode::Variable,
-        PreemptAction::SaveRestore,
-    )
-    .expect("partition manager builds");
+    let mut mgr = variable_partitions(&lib, timing);
     if delta {
         mgr.enable_delta();
     }
@@ -86,10 +73,7 @@ fn run_cell(
         lib,
         mgr,
         RoundRobinScheduler::new(SimDuration::from_millis(2)),
-        SystemConfig {
-            preempt: PreemptAction::SaveRestore,
-            ..Default::default()
-        },
+        save_restore(),
         specs,
     )
     .with_checkpoints(ckpt)
@@ -106,20 +90,16 @@ struct Cell {
     divergences: Vec<vfpga::Divergence>,
 }
 
-fn main() {
-    let seed = arg_u64("--seed", 0xE20);
-    let smoke = flag("--smoke");
-    let threads = threads_arg();
-    let mut host = HostProfile::new(threads);
+pub fn run(args: &RunArgs) -> Result<Exporter, String> {
+    let seed = args.seed();
+    let smoke = args.smoke;
+    let mut host = HostProfile::new(args.threads);
     let spec = fpga::device::part("VF100");
-    let timing = ConfigTiming {
-        spec,
-        port: ConfigPort::SerialFast,
-    };
+    let timing = serial_fast(spec);
 
     // One base circuit, compiled once: full-height columns so every
     // family member is a drop-in column-range occupant.
-    let base = host.phase(bench::sections::PHASE_COMPILE, || {
+    let base = host.phase(crate::sections::PHASE_COMPILE, || {
         pnr::compile(
             &netlist::library::arith::array_multiplier("e20mul", 4),
             pnr::CompileOptions {
@@ -164,31 +144,28 @@ fn main() {
         }
     }
 
-    let cells: Vec<Cell> = host.phase(bench::sections::PHASE_SWEEP, || {
-        run_sweep(threads, &points, |_, &(similarity, ri)| {
-            let rate = &rates[ri];
-            let full = run_cell(&base, timing, similarity, rate, false, seed);
-            let delta = run_cell(&base, timing, similarity, rate, true, seed);
-            let divergences = diff_reports(&full, &delta);
-            Cell {
-                similarity,
-                rate_name: rate.name,
-                full,
-                delta,
-                divergences,
-            }
-        })
+    let cells: Vec<Cell> = host.sweep(&points, |_, &(similarity, ri)| {
+        let rate = &rates[ri];
+        let full = run_cell(&base, timing, similarity, rate, false, seed);
+        let delta = run_cell(&base, timing, similarity, rate, true, seed);
+        let divergences = diff_reports(&full, &delta);
+        Cell {
+            similarity,
+            rate_name: rate.name,
+            full,
+            delta,
+            divergences,
+        }
     });
 
     // In-process acceptance gates: identical outcomes, cheaper config.
     for c in &cells {
         let label = format!("sim{:.2}/{}", c.similarity, c.rate_name);
         if !c.divergences.is_empty() {
-            eprintln!("E20 FAILED: {label}: delta changed task outcomes:");
-            for d in &c.divergences {
-                eprintln!("  {d}");
-            }
-            std::process::exit(1);
+            return Err(super::diverged(
+                format!("{label}: delta changed task outcomes"),
+                &c.divergences,
+            ));
         }
         assert!(
             c.full.delta.is_none(),
@@ -203,24 +180,24 @@ fn main() {
             c.delta.manager_stats.config_time,
         );
         if dc > fc {
-            eprintln!("E20 FAILED: {label}: delta config overhead {dc:?} exceeds full {fc:?}");
-            std::process::exit(1);
+            return Err(format!(
+                "{label}: delta config overhead {dc:?} exceeds full {fc:?}"
+            ));
         }
         if c.similarity >= 0.5 {
             if ds.delta_downloads == 0 {
-                eprintln!("E20 FAILED: {label}: no download ever went delta");
-                std::process::exit(1);
+                return Err(format!("{label}: no download ever went delta"));
             }
             if dc >= fc {
-                eprintln!(
-                    "E20 FAILED: {label}: delta config overhead {dc:?} does not beat full {fc:?}"
-                );
-                std::process::exit(1);
+                return Err(format!(
+                    "{label}: delta config overhead {dc:?} does not beat full {fc:?}"
+                ));
             }
         }
         if c.delta.crash.checkpoint_time > c.full.crash.checkpoint_time {
-            eprintln!("E20 FAILED: {label}: delta checkpoints read back more than full captures");
-            std::process::exit(1);
+            return Err(format!(
+                "{label}: delta checkpoints read back more than full captures"
+            ));
         }
     }
 
@@ -273,30 +250,12 @@ fn main() {
 
     t.print();
     ex.table(&t);
-    host.points(points.len());
-    ex.host(&host);
-    ex.write_if_requested();
-
-    if let Some(path) = bench::json_arg() {
-        let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-            eprintln!("failed to re-read {}: {e}", path.display());
-            std::process::exit(1);
-        });
-        let doc = Json::parse(&text).unwrap_or_else(|e| {
-            eprintln!("emitted JSON does not parse back: {e}");
-            std::process::exit(1);
-        });
-        let reports = doc.get("reports").and_then(Json::as_arr).unwrap_or(&[]);
-        if doc.get("schema").is_none() || reports.len() != cells.len() * 2 {
-            eprintln!("emitted JSON is missing sections");
-            std::process::exit(1);
-        }
-        eprintln!("export parses back OK ({} reports)", reports.len());
-    }
+    ex.host(host, points.len());
 
     println!("\nEvery delta cell reached task outcomes identical to its full-download twin");
     println!("(the bench aborts otherwise) while paying less config overhead whenever the");
     println!("family shares at least half its frames — delta pricing changes when work");
     println!("finishes, never what work happens. Delta checkpoints (full anchor every 4th");
     println!("capture) cut the background readback the same way.");
+    Ok(ex)
 }

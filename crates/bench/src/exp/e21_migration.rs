@@ -18,69 +18,22 @@
 //! with zero work lost. A live-rebalance cell piles every tenant onto
 //! one device by affinity and shows migrations correcting the placement
 //! drift tenant-by-tenant onto the idle devices.
-//!
-//! Flags: `--seed N` (default 0xE21), `--smoke` (reduced sweep for CI),
-//! `--threads N` (sweep-point parallelism), `--json <path>`
-//! (machine-readable export).
 
-use bench::json::Json;
-use bench::report::{f3, Table};
-use bench::setup::compile_suite_lib_sw;
-use bench::{arg_u64, flag, run_sweep, threads_arg, Exporter, HostProfile};
-use fpga::{ConfigPort, ConfigTiming};
-use fsim::{MigrationCrashWindow, SimDuration, SimRng};
+use super::RunArgs;
+use crate::report::{f3, Table};
+use crate::setup::{compile_suite_lib_sw, fleet_specs, save_restore, serial_fast, softwareize};
+use crate::{Exporter, HostProfile};
+use fpga::ConfigTiming;
+use fsim::{MigrationCrashWindow, SimDuration};
 use std::collections::BTreeMap;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 use vfpga::manager::partition::{PartitionManager, PartitionMode};
 use vfpga::{
-    diff_reports, run_fleet, CheckpointConfig, CircuitId, CircuitLib, FleetConfig, FleetReport,
-    MigrationPlan, Op, PlacementPolicy, PreemptAction, RoundRobinScheduler, ShardCtx, System,
-    SystemConfig, TaskSpec, VfpgaError,
+    diff_reports, run_fleet, CheckpointConfig, CircuitLib, FleetConfig, FleetReport, MigrationPlan,
+    PlacementPolicy, PreemptAction, RoundRobinScheduler, ShardCtx, System, VfpgaError,
 };
-use workload::{tenant_tasks, Domain, MixParams, TenantMixParams};
-
-fn specs(ids: &[CircuitId], seed: u64, affinity_devices: u32) -> Vec<TaskSpec> {
-    let mut rng = SimRng::new(seed);
-    tenant_tasks(
-        &TenantMixParams {
-            base: MixParams {
-                tasks: 12,
-                mean_interarrival: SimDuration::from_millis(2),
-                mean_cpu_burst: SimDuration::from_millis(2),
-                fpga_ops_per_task: 4,
-                cycles: (60_000, 250_000),
-            },
-            tenants: 4,
-            // The rebalance cell pins every tenant's affinity hint to
-            // device 0 (`affinity_devices: 1`) so migrations have drift
-            // to correct; the other cells spread hints round-robin.
-            affinity_devices,
-            ..Default::default()
-        },
-        ids,
-        &mut rng,
-    )
-}
-
-/// Re-price every FPGA op as host CPU time — the degradation path. No
-/// e21 cell saturates the fleet, so this is dead in practice, but the
-/// shard builder must handle the flag to be a valid `run_fleet` factory.
-fn softwareize(specs: &[TaskSpec], sw: &BTreeMap<u32, u64>) -> Vec<TaskSpec> {
-    specs
-        .iter()
-        .cloned()
-        .map(|mut s| {
-            for op in &mut s.ops {
-                if let Op::FpgaRun { circuit, cycles } = *op {
-                    let ns = sw.get(&circuit.0).copied().unwrap_or(1);
-                    *op = Op::Cpu(SimDuration::from_nanos(ns.saturating_mul(cycles)));
-                }
-            }
-            s
-        })
-        .collect()
-}
+use workload::Domain;
 
 fn shard_builder(
     lib: Arc<CircuitLib>,
@@ -90,6 +43,8 @@ fn shard_builder(
 ) -> impl FnMut(&ShardCtx<'_>) -> Result<System<PartitionManager, RoundRobinScheduler>, VfpgaError>
 {
     move |ctx| {
+        // No e21 cell saturates the fleet, so the software path is dead in
+        // practice, but a valid `run_fleet` factory must honour the flag.
         let specs = if ctx.software {
             softwareize(ctx.specs, &sw)
         } else {
@@ -108,10 +63,7 @@ fn shard_builder(
             lib.clone(),
             mgr,
             RoundRobinScheduler::new(SimDuration::from_millis(4)),
-            SystemConfig {
-                preempt: PreemptAction::SaveRestore,
-                ..Default::default()
-            },
+            save_restore(),
             specs,
         ))
     }
@@ -138,20 +90,16 @@ fn window_name(w: Option<MigrationCrashWindow>) -> &'static str {
     w.map(|w| w.name()).unwrap_or("no-crash")
 }
 
-fn main() {
-    let seed = arg_u64("--seed", 0xE21);
-    let smoke = flag("--smoke");
-    let threads = threads_arg();
-    let mut host = HostProfile::new(threads);
+pub fn run(args: &RunArgs) -> Result<Exporter, String> {
+    let seed = args.seed();
+    let smoke = args.smoke;
+    let mut host = HostProfile::new(args.threads);
     let spec = fpga::device::part("VF400");
-    let (lib, ids, sw) = host.phase(bench::sections::PHASE_COMPILE, || {
+    let (lib, ids, sw) = host.phase(crate::sections::PHASE_COMPILE, || {
         compile_suite_lib_sw(&[Domain::Telecom, Domain::Storage], spec)
     });
     let sw = Arc::new(sw);
-    let timing = ConfigTiming {
-        spec,
-        port: ConfigPort::SerialFast,
-    };
+    let timing = serial_fast(spec);
 
     let base_cfg = |devices: u32| {
         FleetConfig::new(devices)
@@ -161,22 +109,19 @@ fn main() {
 
     // Migration-free references, one per delta flavor: the protocol must
     // reproduce these task outcomes exactly, crashes or not.
-    let baselines: Vec<FleetReport> = host.phase(bench::sections::PHASE_BASELINE, || {
+    let baselines: Vec<FleetReport> = host.phase(crate::sections::PHASE_BASELINE, || {
         [false, true]
             .iter()
             .map(|&delta| {
                 run_fleet(
                     &base_cfg(2),
-                    specs(&ids, seed, 2),
+                    fleet_specs(&ids, seed, 2),
                     shard_builder(lib.clone(), sw.clone(), timing, delta),
                 )
-                .unwrap_or_else(|e| {
-                    eprintln!("baseline fleet run failed (delta {delta}): {e}");
-                    std::process::exit(1);
-                })
+                .map_err(|e| format!("baseline fleet run failed (delta {delta}): {e}"))
             })
-            .collect()
-    });
+            .collect::<Result<_, String>>()
+    })?;
 
     let windows = [
         MigrationCrashWindow::SourceMidPrepare,
@@ -233,8 +178,8 @@ fn main() {
         rebalance: true,
     });
 
-    let cells: Vec<Cell> = host.phase(bench::sections::PHASE_SWEEP, || {
-        run_sweep(threads, &points, |_, &p| {
+    let cells: Vec<Cell> = host
+        .sweep(&points, |_, &p| {
             // Three devices for the rebalance cell: every tenant starts
             // piled on device 0, and least-loaded destination picking
             // must spread them across BOTH idle devices, not just swing
@@ -251,23 +196,22 @@ fn main() {
             // affinity, then lets migrations spread the load back out.
             let sp = if p.rebalance {
                 cfg = cfg.with_placement(PlacementPolicy::Affinity);
-                specs(&ids, seed, 1)
+                fleet_specs(&ids, seed, 1)
             } else {
-                specs(&ids, seed, 2)
+                fleet_specs(&ids, seed, 2)
             };
             let fleet = run_fleet(
                 &cfg,
                 sp,
                 shard_builder(lib.clone(), sw.clone(), timing, p.delta),
             )
-            .unwrap_or_else(|e| {
-                eprintln!(
+            .map_err(|e| {
+                format!(
                     "fleet run failed ({}/{}): {e}",
                     p.rate_name,
                     window_name(p.window)
-                );
-                std::process::exit(1);
-            });
+                )
+            })?;
             // The rebalance cell runs a different initial placement, so
             // its reference is the single-shard affinity layout without
             // migrations; every other cell diffs against the shared
@@ -275,7 +219,7 @@ fn main() {
             let divergences = if p.rebalance {
                 let reb_base = run_fleet(
                     &base_cfg(3).with_placement(PlacementPolicy::Affinity),
-                    specs(&ids, seed, 1),
+                    fleet_specs(&ids, seed, 1),
                     shard_builder(lib.clone(), sw.clone(), timing, p.delta),
                 )
                 .expect("rebalance baseline runs");
@@ -283,7 +227,7 @@ fn main() {
             } else {
                 diff_reports(&baselines[p.delta as usize].merged, &fleet.merged)
             };
-            Cell {
+            Ok(Cell {
                 label: format!(
                     "{}/{}{}",
                     p.rate_name,
@@ -293,9 +237,10 @@ fn main() {
                 point: p,
                 divergences,
                 fleet,
-            }
+            })
         })
-    });
+        .into_iter()
+        .collect::<Result<_, String>>()?;
 
     // In-process acceptance gates: the protocol's whole claim is that a
     // crash in any window changes *nothing* about task outcomes.
@@ -303,57 +248,51 @@ fn main() {
     for c in &cells {
         let st = c.fleet.stats;
         let r = &c.fleet.merged;
-        let n = specs(&ids, seed, 2).len();
+        let n = fleet_specs(&ids, seed, 2).len();
         assert_eq!(r.tasks.len(), n, "{}: task conservation", c.label);
         let flagged = r.tasks.iter().filter(|t| t.lost_in_flight).count() as u64;
         assert_eq!(flagged, st.lost_in_flight, "{}: lost accounting", c.label);
         if st.lost_in_flight != 0 {
-            eprintln!("E21 FAILED: cell {} lost work in flight: {st:?}", c.label);
-            std::process::exit(1);
+            return Err(format!("cell {} lost work in flight: {st:?}", c.label));
         }
         if !c.divergences.is_empty() {
-            eprintln!("E21 FAILED: cell {} diverged from baseline:", c.label);
-            for d in &c.divergences {
-                eprintln!("  {d}");
-            }
-            std::process::exit(1);
+            return Err(super::diverged(
+                format!("cell {} diverged from baseline", c.label),
+                &c.divergences,
+            ));
         }
         if c.point.rate_name == "none" && !st.is_zero() {
-            eprintln!(
-                "E21 FAILED: zero-rate cell {} moved fleet counters: {st:?}",
+            return Err(format!(
+                "zero-rate cell {} moved fleet counters: {st:?}",
                 c.label
-            );
-            std::process::exit(1);
+            ));
         }
         match c.point.window {
             // Commit won: replay must redo the source-free, never abort.
             Some(MigrationCrashWindow::BetweenCommitAndFree) if st.migration_redone_frees == 0 => {
-                eprintln!("E21 FAILED: {} redid no source-free: {st:?}", c.label);
-                std::process::exit(1);
+                return Err(format!("{} redid no source-free: {st:?}", c.label));
             }
             Some(MigrationCrashWindow::BetweenCommitAndFree) => {}
             // Intent without commit: replay must roll the tenant back.
             Some(_) if st.migration_aborts == 0 => {
-                eprintln!("E21 FAILED: {} aborted nothing: {st:?}", c.label);
-                std::process::exit(1);
+                return Err(format!("{} aborted nothing: {st:?}", c.label));
             }
             Some(_) => {}
             None if c.point.rate > 0.0 => {
                 if st.tenant_migrations == 0 {
-                    eprintln!("E21 FAILED: {} migrated nothing: {st:?}", c.label);
-                    std::process::exit(1);
+                    return Err(format!("{} migrated nothing: {st:?}", c.label));
                 }
                 if st.migration_aborts != 0 {
-                    eprintln!("E21 FAILED: {} aborted without a crash: {st:?}", c.label);
-                    std::process::exit(1);
+                    return Err(format!("{} aborted without a crash: {st:?}", c.label));
                 }
             }
             None => {}
         }
         if c.point.rebalance {
             if st.tenant_migrations < 2 {
-                eprintln!("E21 FAILED: rebalance cell corrected fewer than 2 tenants: {st:?}");
-                std::process::exit(1);
+                return Err(format!(
+                    "rebalance cell corrected fewer than 2 tenants: {st:?}"
+                ));
             }
             let hosts: BTreeSet<u32> = c
                 .fleet
@@ -363,15 +302,15 @@ fn main() {
                 .filter_map(|s| s.final_host.map(|d| d.0))
                 .collect();
             if hosts.len() < 2 {
-                eprintln!("E21 FAILED: rebalance left every tenant on one device: {hosts:?}");
-                std::process::exit(1);
+                return Err(format!(
+                    "rebalance left every tenant on one device: {hosts:?}"
+                ));
             }
         }
         migrations_seen += st.tenant_migrations;
     }
     if migrations_seen == 0 {
-        eprintln!("E21 FAILED: no cell exercised a live migration");
-        std::process::exit(1);
+        return Err("no cell exercised a live migration".into());
     }
 
     let mut ex = Exporter::new("e21", "live migration rate x crash window x delta copy");
@@ -423,26 +362,7 @@ fn main() {
 
     t.print();
     ex.table(&t);
-    host.points(points.len());
-    ex.host(&host);
-    ex.write_if_requested();
-
-    if let Some(path) = bench::json_arg() {
-        let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-            eprintln!("failed to re-read {}: {e}", path.display());
-            std::process::exit(1);
-        });
-        let doc = Json::parse(&text).unwrap_or_else(|e| {
-            eprintln!("emitted JSON does not parse back: {e}");
-            std::process::exit(1);
-        });
-        let reports = doc.get("reports").and_then(Json::as_arr).unwrap_or(&[]);
-        if doc.get("schema").is_none() || reports.len() != cells.len() {
-            eprintln!("emitted JSON is missing sections");
-            std::process::exit(1);
-        }
-        eprintln!("export parses back OK ({} reports)", reports.len());
-    }
+    ex.host(host, points.len());
 
     println!("\nEvery cell — including a host crash inside each of the three migration");
     println!("windows — produced task outcomes identical to the migration-free baseline");
@@ -451,4 +371,5 @@ fn main() {
     println!("source-free is completed idempotently by journal replay. The rebalance");
     println!("cell starts with every tenant piled on one device and ends with the");
     println!("placement drift corrected tenant-by-tenant onto the idle device.");
+    Ok(ex)
 }

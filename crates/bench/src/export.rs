@@ -1,39 +1,19 @@
 //! Machine-readable experiment export.
 //!
-//! Every experiment binary accepts `--json <path>` and writes a
-//! `vfpga-bench/1` document there: run parameters, seed, a metrics
+//! Every experiment hands back an [`Exporter`]; `vfpga-exp --json <path>`
+//! writes it as a `vfpga-bench/1` document: run parameters, seed, a metrics
 //! snapshot, rendered tables, and per-run reports with utilization
 //! timelines and the per-phase overhead breakdown. The format is stable
 //! across runs (insertion-ordered objects, deterministic metric names), so
 //! downstream tooling can diff two exports byte-for-byte.
 
-use crate::json::{Json, Obj};
 use crate::report::Table;
+use crate::{Json, Obj};
 use fsim::{Metrics, Timeline, TimelineSet};
-use std::path::PathBuf;
 use vfpga::Report;
 
 /// Schema identifier written into every export.
 pub const SCHEMA: &str = "vfpga-bench/1";
-
-/// Scan the command line for `--json <path>` (or `--json=<path>`).
-pub fn json_arg() -> Option<PathBuf> {
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == "--json" {
-            match args.next() {
-                Some(p) => return Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("--json requires a path argument");
-                    std::process::exit(2);
-                }
-            }
-        } else if let Some(p) = a.strip_prefix("--json=") {
-            return Some(PathBuf::from(p));
-        }
-    }
-    None
-}
 
 fn summary_json(s: &fsim::Summary) -> Json {
     Obj::new()
@@ -151,13 +131,22 @@ fn report_json(label: &str, r: &Report) -> Json {
             })
             .collect(),
     );
+    // Not `r.mean_waiting_s()`: that debug-asserts accounted <= turnaround
+    // for every task, which a task lost in flight breaks (e19's ablation
+    // cell: charged past the crash that ended it). Such a task's own
+    // `waiting_s` above is `null`; the mean counts it as zero wait, which
+    // is what release builds have always exported.
+    let mut waiting = fsim::Summary::new();
+    for t in &r.tasks {
+        waiting.add(t.waiting_checked().unwrap_or_default().as_secs_f64());
+    }
     let mut doc = Obj::new()
         .set("label", label)
         .set("manager", r.manager)
         .set("scheduler", r.scheduler)
         .set("makespan_s", r.makespan.as_secs_f64())
         .set("mean_turnaround_s", r.mean_turnaround_s())
-        .set("mean_waiting_s", r.mean_waiting_s())
+        .set("mean_waiting_s", waiting.mean())
         .set("overhead_fraction", r.overhead_fraction())
         .set("cpu_utilization", r.cpu_utilization())
         .set(
@@ -383,9 +372,10 @@ impl Exporter {
     /// thread count, throughput, compile-cache statistics. This is the
     /// only section that may differ between two runs with identical
     /// parameters and seed — tooling comparing exports must strip it
-    /// first (see [`strip_host`] and the `jdiff` binary).
-    pub fn host(&mut self, profile: &crate::engine::HostProfile) -> &mut Self {
-        self.host = Some(profile.to_json());
+    /// first (see [`strip_volatile`] and the `jdiff` binary). Stops the
+    /// run's stopwatch; `points` is how many sweep points it covered.
+    pub fn host(&mut self, profile: crate::HostProfile, points: usize) -> &mut Self {
+        self.host = Some(profile.to_json(points));
         self
     }
 
@@ -417,22 +407,22 @@ impl Exporter {
         doc.build()
     }
 
-    /// Write the document to `path`.
-    pub fn write(&self, path: &std::path::Path) -> std::io::Result<()> {
-        std::fs::write(path, self.to_json().render())?;
-        eprintln!("wrote {}", path.display());
-        Ok(())
-    }
-
-    /// Write to the `--json <path>` argument if one was given; exits the
-    /// process with an error message on I/O failure.
-    pub fn write_if_requested(&self) {
-        if let Some(path) = json_arg() {
-            if let Err(e) = self.write(&path) {
-                eprintln!("failed to write {}: {e}", path.display());
-                std::process::exit(1);
-            }
+    /// Render the document and read it back: the text must parse, carry
+    /// the schema, and hold exactly the reports that were attached. An
+    /// export that cannot be read back is broken even if the run "went
+    /// fine".
+    pub fn render_checked(&self) -> Result<String, String> {
+        let text = self.to_json().render();
+        let doc =
+            Json::parse(&text).map_err(|e| format!("emitted JSON does not parse back: {e:?}"))?;
+        let reports = doc.get("reports").and_then(Json::as_arr).map(<[Json]>::len);
+        if doc.get("schema").is_none() || reports != Some(self.reports.len()) {
+            return Err(format!(
+                "emitted JSON is missing sections ({reports:?} reports read back, {} attached)",
+                self.reports.len()
+            ));
         }
+        Ok(text)
     }
 }
 
@@ -452,12 +442,6 @@ pub fn strip_volatile(doc: Json) -> Json {
     }
 }
 
-/// Legacy name for [`strip_volatile`] (the `host` section was the only
-/// volatile one when this was introduced, and still is).
-pub fn strip_host(doc: Json) -> Json {
-    strip_volatile(doc)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -475,7 +459,7 @@ mod tests {
         let mut t = Table::new("T", &["a"]);
         t.row(vec!["1".into()]);
         ex.table(&t);
-        let r = ex.to_json().render();
+        let r = ex.render_checked().expect("reads back");
         for needle in [
             "\"schema\": \"vfpga-bench/1\"",
             "\"experiment\": \"e99\"",
@@ -496,9 +480,7 @@ mod tests {
         ex.seed(1).param("n", 3u64);
         let without_host = ex.to_json().render();
 
-        let mut hp = crate::engine::HostProfile::new(2);
-        hp.points(3);
-        ex.host(&hp);
+        ex.host(crate::HostProfile::new(2), 3);
         let with_host = ex.to_json().render();
         assert!(with_host.contains("\"host\""));
         assert!(
@@ -506,9 +488,9 @@ mod tests {
             "host must extend the document, not reorder it"
         );
 
-        let stripped = strip_host(Json::parse(&with_host).unwrap()).render();
-        let plain = strip_host(Json::parse(&without_host).unwrap()).render();
-        assert_eq!(stripped, plain, "strip_host removes the only difference");
+        let stripped = strip_volatile(Json::parse(&with_host).unwrap()).render();
+        let plain = strip_volatile(Json::parse(&without_host).unwrap()).render();
+        assert_eq!(stripped, plain, "the host section is the only difference");
     }
 
     #[test]

@@ -1,23 +1,20 @@
 //! # bench — the experiment harness
 //!
-//! One binary per experiment (`e01`…`e14`, see DESIGN.md §4 and
-//! EXPERIMENTS.md) plus hand-rolled microbenches for the substrate hot
-//! paths. This library holds the shared table-printing, JSON-export, and
-//! setup helpers.
+//! The 21 experiments (`exp::e01_*`…`exp::e21_*`, see DESIGN.md §4 and
+//! EXPERIMENTS.md) behind one binary, `vfpga-exp <name>`, plus the shared
+//! sweep engine, table printing, JSON export and setup helpers. The
+//! `jdiff` and `trace_dump` binaries compare exports and dump typed
+//! traces.
 
 pub mod args;
 pub mod engine;
+pub mod exp;
 pub mod export;
-pub mod json;
-pub mod microbench;
-pub mod perf;
 pub mod report;
 pub mod sections;
 pub mod setup;
 
-pub use args::{arg_u64, flag, threads_arg};
 pub use engine::{run_sweep, HostProfile};
-pub use export::{json_arg, strip_host, strip_volatile, Exporter};
-pub use json::{Json, Obj};
+pub use export::{strip_volatile, Exporter};
+pub use fsim::json::{Json, Obj};
 pub use report::Table;
-pub use setup::{compile_suite_lib, std_timing};

@@ -106,6 +106,19 @@ pub fn ms(v: f64) -> String {
     format!("{v:.3} ms")
 }
 
+/// Render a nanosecond count with a human-friendly unit.
+pub fn fmt_ns(ns: u64) -> String {
+    if ns >= 1_000_000_000 {
+        format!("{:.3} s", ns as f64 / 1e9)
+    } else if ns >= 1_000_000 {
+        format!("{:.3} ms", ns as f64 / 1e6)
+    } else if ns >= 1_000 {
+        format!("{:.3} us", ns as f64 / 1e3)
+    } else {
+        format!("{ns} ns")
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -134,5 +147,9 @@ mod tests {
         assert_eq!(f3(1.23456), "1.235");
         assert_eq!(pct(0.5), "50.0%");
         assert_eq!(ms(12.3456), "12.346 ms");
+        assert_eq!(fmt_ns(999), "999 ns");
+        assert_eq!(fmt_ns(1_500), "1.500 us");
+        assert_eq!(fmt_ns(2_500_000), "2.500 ms");
+        assert_eq!(fmt_ns(3_000_000_000), "3.000 s");
     }
 }

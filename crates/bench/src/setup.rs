@@ -1,17 +1,41 @@
 //! Shared experiment setup.
 
 use fpga::{ConfigPort, ConfigTiming, DeviceSpec};
+use fsim::{SimDuration, SimRng};
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use vfpga::{CircuitId, CircuitLib};
-use workload::{suite, Domain};
+use vfpga::manager::partition::{PartitionManager, PartitionMode};
+use vfpga::{CircuitId, CircuitLib, Op, PreemptAction, SystemConfig, TaskSpec};
+use workload::{suite, tenant_tasks, Domain, MixParams, TenantMixParams};
 
-/// Standard timing model: the given part on the given port.
-pub fn std_timing(part: &str, port: ConfigPort) -> ConfigTiming {
+/// `spec` configured over the fast serial port — the port that supports
+/// partial reconfiguration, and the one most experiments run on.
+pub fn serial_fast(spec: DeviceSpec) -> ConfigTiming {
     ConfigTiming {
-        spec: fpga::device::part(part),
-        port,
+        spec,
+        port: ConfigPort::SerialFast,
     }
+}
+
+/// The default system, except that a preempted FPGA op saves and restores
+/// its state (§3) instead of running to completion.
+pub fn save_restore() -> SystemConfig {
+    SystemConfig {
+        preempt: PreemptAction::SaveRestore,
+        ..Default::default()
+    }
+}
+
+/// A variable-partition manager (§4) over the whole device, save/restore
+/// on preemption.
+pub fn variable_partitions(lib: &Arc<CircuitLib>, timing: ConfigTiming) -> PartitionManager {
+    PartitionManager::new(
+        lib.clone(),
+        timing,
+        PartitionMode::Variable,
+        PreemptAction::SaveRestore,
+    )
+    .expect("variable partitions fit any device")
 }
 
 /// Compile every app of the given domains into one circuit library sized
@@ -20,14 +44,8 @@ pub fn compile_suite_lib(
     domains: &[Domain],
     spec: DeviceSpec,
 ) -> (Arc<CircuitLib>, Vec<CircuitId>) {
-    let mut lib = CircuitLib::new();
-    let mut ids = Vec::new();
-    for &d in domains {
-        for app in suite(d, spec.rows).apps {
-            ids.push(lib.register_shared(app.compiled));
-        }
-    }
-    (Arc::new(lib), ids)
+    let (lib, ids, _) = compile_suite_lib_sw(domains, spec);
+    (lib, ids)
 }
 
 /// Like [`compile_suite_lib`], but also returns each circuit's software
@@ -49,6 +67,54 @@ pub fn compile_suite_lib_sw(
         }
     }
     (Arc::new(lib), ids, sw)
+}
+
+/// The task shape E15–E21 share: `tasks` Poisson arrivals, 2 ms CPU
+/// bursts, four FPGA ops of 60k–250k cycles each.
+pub fn os_mix(tasks: usize, mean_interarrival: SimDuration) -> MixParams {
+    MixParams {
+        tasks,
+        mean_interarrival,
+        mean_cpu_burst: SimDuration::from_millis(2),
+        fpga_ops_per_task: 4,
+        cycles: (60_000, 250_000),
+    }
+}
+
+/// The fleet workload of E19, E21 and `trace_dump --section fleet`: twelve
+/// [`os_mix`] tasks from four tenants, whose tenant-to-device affinity
+/// hints cycle over `affinity_devices` devices (only the affinity placement
+/// policy reads them; 1 piles every tenant onto device 0).
+pub fn fleet_specs(ids: &[CircuitId], seed: u64, affinity_devices: u32) -> Vec<TaskSpec> {
+    tenant_tasks(
+        &TenantMixParams {
+            base: os_mix(12, SimDuration::from_millis(2)),
+            tenants: 4,
+            affinity_devices,
+            ..Default::default()
+        },
+        ids,
+        &mut SimRng::new(seed),
+    )
+}
+
+/// Re-price every FPGA op as host CPU time (the e12 co-processor model's
+/// software cost, as [`compile_suite_lib_sw`] returns it) — what a fleet's
+/// degradation path executes.
+pub fn softwareize(specs: &[TaskSpec], sw: &BTreeMap<u32, u64>) -> Vec<TaskSpec> {
+    specs
+        .iter()
+        .cloned()
+        .map(|mut s| {
+            for op in &mut s.ops {
+                if let Op::FpgaRun { circuit, cycles } = *op {
+                    let ns = sw.get(&circuit.0).copied().unwrap_or(1);
+                    *op = Op::Cpu(SimDuration::from_nanos(ns.saturating_mul(cycles)));
+                }
+            }
+            s
+        })
+        .collect()
 }
 
 #[cfg(test)]

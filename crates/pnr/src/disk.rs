@@ -1,8 +1,8 @@
 //! Persistent on-disk compile cache.
 //!
 //! The process cache in [`crate::cache`] amortizes place-and-route within
-//! one process; sweeps and `bench_perf` runs pay the full flow again every
-//! time the harness restarts. This module persists [`CompiledCircuit`]
+//! one process; experiment sweeps pay the full flow again every time the
+//! harness restarts. This module persists [`CompiledCircuit`]
 //! artifacts to disk in a versioned JSON format so a *warm* process can
 //! skip the flow entirely.
 //!
@@ -378,9 +378,9 @@ pub(crate) fn store(dir: &Path, key: &Key, c: &CompiledCircuit) -> bool {
 
 /// Compile `net` against an *explicit* disk cache directory, bypassing
 /// the process table: a present valid entry loads from disk, anything
-/// else compiles and writes the entry. This is the path `bench_perf`
-/// and the CI smoke test time — going around the process cache is what
-/// makes the disk layer's cold/warm split observable.
+/// else compiles and writes the entry. This is the path the repository
+/// benchmark times (`pnr.disk_hit_us`) — going around the process cache is
+/// what makes the disk layer's cold/warm split observable.
 pub fn compile_with_disk(
     net: &netlist::Netlist,
     opts: CompileOptions,

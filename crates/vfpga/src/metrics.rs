@@ -197,8 +197,9 @@ pub struct Report {
     /// GC, checkpoint capture, …) plus per-tenant `turnaround@t<n>` /
     /// `waiting@t<n>` series; `None` unless the run was built with
     /// [`System::with_latency_profile`](crate::system::System::with_latency_profile).
-    /// Deliberately absent from the exporter's report JSON — `bench_perf`
-    /// consumes it directly, so legacy exports stay byte-identical.
+    /// Deliberately absent from the exporter's report JSON — E18's table
+    /// and `trace_dump` read it directly, so legacy exports stay
+    /// byte-identical.
     pub latency: Option<fsim::HistSet>,
     /// Fleet-level failover accounting, present only on reports merged by
     /// [`crate::fleet::run_fleet`]; single-device runs leave it `None`.
