@@ -131,22 +131,13 @@ fn report_json(label: &str, r: &Report) -> Json {
             })
             .collect(),
     );
-    // Not `r.mean_waiting_s()`: that debug-asserts accounted <= turnaround
-    // for every task, which a task lost in flight breaks (e19's ablation
-    // cell: charged past the crash that ended it). Such a task's own
-    // `waiting_s` above is `null`; the mean counts it as zero wait, which
-    // is what release builds have always exported.
-    let mut waiting = fsim::Summary::new();
-    for t in &r.tasks {
-        waiting.add(t.waiting_checked().unwrap_or_default().as_secs_f64());
-    }
     let mut doc = Obj::new()
         .set("label", label)
         .set("manager", r.manager)
         .set("scheduler", r.scheduler)
         .set("makespan_s", r.makespan.as_secs_f64())
         .set("mean_turnaround_s", r.mean_turnaround_s())
-        .set("mean_waiting_s", waiting.mean())
+        .set("mean_waiting_s", r.mean_waiting_s())
         .set("overhead_fraction", r.overhead_fraction())
         .set("cpu_utilization", r.cpu_utilization())
         .set(

@@ -1524,6 +1524,33 @@ mod tests {
     }
 
     #[test]
+    fn lost_task_is_never_charged_past_its_crash() {
+        let (lib, ids) = lib_n(2);
+        // E19's ablation cell in small: dispatch pre-pays a download's whole
+        // overhead, a 1 ms checkpoint captures that slot, and a device crash
+        // with nowhere to go abandons the task while the download is still
+        // in flight.
+        let cfg = FleetConfig::new(2)
+            .with_max_shards_per_device(1)
+            .with_failover_retry(0, ms(1))
+            .without_software_fallback()
+            .with_checkpoints(CheckpointConfig::new(ms(1)))
+            .with_device_faults(crashy_plan());
+        let fleet = run_fleet(&cfg, specs(&ids), builder(lib)).unwrap();
+        assert!(fleet.stats.lost_in_flight >= 1, "{:?}", fleet.stats);
+        for m in &fleet.merged.tasks {
+            assert!(
+                m.waiting_checked().is_some(),
+                "'{}' accounted {:?} in a {:?} turnaround",
+                m.name,
+                m.accounted(),
+                m.turnaround()
+            );
+        }
+        fleet.merged.mean_waiting_s();
+    }
+
+    #[test]
     fn exhausted_retries_degrade_to_software_path() {
         let (lib, ids) = lib_n(2);
         let sp = specs(&ids);

@@ -703,11 +703,25 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
     /// metrics they accumulated up to the restore point; their completion
     /// is stamped with the abandon time (never before arrival), so the
     /// slice is disjoint from `failed`/`quarantined`/`rejected`.
+    ///
+    /// A lost task is never charged for more than it lived. Dispatch
+    /// pre-pays a segment's whole download/state overhead, so the restored
+    /// image may hold a charge reaching past `at`; the excess is refunded
+    /// from `overhead_time`, the only quantity booked ahead of time (CPU,
+    /// FPGA, degraded and lost time are booked when a segment ends).
     pub fn abandon_lost(mut self, at: SimTime) -> Report {
         for slot in &mut self.slots {
             if !slot.state.is_terminal() {
                 slot.lost_in_flight = true;
                 slot.completion = at.max(slot.arrival);
+                let accounted = slot.cpu_time
+                    + slot.fpga_time
+                    + slot.degraded_time
+                    + slot.overhead_time
+                    + slot.lost_time
+                    + slot.fault_lost_time;
+                let excess = accounted.saturating_sub(slot.completion - slot.arrival);
+                slot.overhead_time = slot.overhead_time.saturating_sub(excess);
             }
         }
         self.into_report().0
