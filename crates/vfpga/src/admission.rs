@@ -222,48 +222,50 @@ impl AdmissionPolicy {
     }
 }
 
-/// Outcome counters for one run with admission control enabled; reported
-/// as [`Report::admission`](crate::metrics::Report::admission).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct AdmissionStats {
-    /// Tasks admitted (immediately or after deferral).
-    pub admitted: u64,
-    /// Tasks parked in a per-tenant queue at arrival (they may still be
-    /// admitted later; `admitted` counts them again when that happens).
-    pub deferred: u64,
-    /// Tasks load-shed at arrival (quota and queue cap both exhausted).
-    pub rejected: u64,
-    /// Tasks removed from scheduling (watchdog trips or fault recovery
-    /// exhausted).
-    pub quarantined: u64,
-    /// Completed tasks that finished after their stated deadline.
-    pub deadline_missed: u64,
-    /// Watchdog deadlines armed.
-    pub watchdog_armed: u64,
-    /// Watchdog deadlines that expired (hang detections).
-    pub watchdog_fired: u64,
-    /// Manager overhead paid for watchdog-forced preemptions (carved out
-    /// of the breakdown's `state` slice; never double-counted).
-    pub watchdog_preempt_time: SimDuration,
-    /// Operation progress discarded by watchdog preemptions (carved out
-    /// of the breakdown's `rollback_loss` slice).
-    pub watchdog_lost_time: SimDuration,
-    /// FPGA ops executed on the software-emulation path.
-    pub degraded_dispatches: u64,
-    /// CPU time spent in software emulation (useful work, priced from the
-    /// coprocessor model; also summed per task).
-    pub degraded_time: SimDuration,
-    /// Tasks rejected at arrival because the schedulability test proved
-    /// their deadline unmeetable. Disjoint from `rejected` (quota
-    /// load-shedding), `quarantined`, and `deadline_missed`.
-    pub unschedulable: u64,
-    /// Degraded-mode entries (utilization crossed the high mark). Only
-    /// counted when the hysteresis pair is explicit; flapping shows up as
-    /// repeated enter/exit cycles.
-    pub degrade_enters: u64,
-    /// Degraded-mode exits (utilization fell below the low mark). Only
-    /// counted when the hysteresis pair is explicit.
-    pub degrade_exits: u64,
+crate::counters::counter_table! {
+    /// Outcome counters for one run with admission control enabled; reported
+    /// as [`Report::admission`](crate::metrics::Report::admission).
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct AdmissionStats {
+        /// Tasks admitted (immediately or after deferral).
+        pub admitted: u64,
+        /// Tasks parked in a per-tenant queue at arrival (they may still be
+        /// admitted later; `admitted` counts them again when that happens).
+        pub deferred: u64,
+        /// Tasks load-shed at arrival (quota and queue cap both exhausted).
+        pub rejected: u64,
+        /// Tasks removed from scheduling (watchdog trips or fault recovery
+        /// exhausted).
+        pub quarantined: u64,
+        /// Completed tasks that finished after their stated deadline.
+        pub deadline_missed: u64,
+        /// Watchdog deadlines armed.
+        pub watchdog_armed: u64,
+        /// Watchdog deadlines that expired (hang detections).
+        pub watchdog_fired: u64,
+        /// Manager overhead paid for watchdog-forced preemptions (carved out
+        /// of the breakdown's `state` slice; never double-counted).
+        pub watchdog_preempt_time: SimDuration,
+        /// Operation progress discarded by watchdog preemptions (carved out
+        /// of the breakdown's `rollback_loss` slice).
+        pub watchdog_lost_time: SimDuration,
+        /// FPGA ops executed on the software-emulation path.
+        pub degraded_dispatches: u64,
+        /// CPU time spent in software emulation (useful work, priced from the
+        /// coprocessor model; also summed per task).
+        pub degraded_time: SimDuration,
+        /// Tasks rejected at arrival because the schedulability test proved
+        /// their deadline unmeetable. Disjoint from `rejected` (quota
+        /// load-shedding), `quarantined`, and `deadline_missed`.
+        pub unschedulable: u64,
+        /// Degraded-mode entries (utilization crossed the high mark). Only
+        /// counted when the hysteresis pair is explicit; flapping shows up as
+        /// repeated enter/exit cycles.
+        pub degrade_enters: u64,
+        /// Degraded-mode exits (utilization fell below the low mark). Only
+        /// counted when the hysteresis pair is explicit.
+        pub degrade_exits: u64,
+    }
 }
 
 /// The mutable half of the admission runtime: everything a checkpoint

@@ -97,7 +97,7 @@ pub struct CheckpointImage {
     /// `>= wal_len` happened after this checkpoint and must be
     /// reconciled on restore.
     pub wal_len: usize,
-    /// The state, rendered as a `vfpga-ckpt/2` tree by
+    /// The state, rendered as a `vfpga-ckpt/3` tree by
     /// [`SystemImage::to_json`](crate::image::SystemImage::to_json) when
     /// the image left its host. A restore reads it back with the strict
     /// [`SystemImage::from_json`](crate::image::SystemImage::from_json),
@@ -136,30 +136,32 @@ impl WalRecord {
     }
 }
 
-/// Checkpoint and crash-recovery accounting for one (possibly restarted)
-/// run, reported in [`Report::crash`].
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct CrashStats {
-    /// Checkpoints captured (across all segments of a restarted run).
-    pub checkpoints: u64,
-    /// Background readback port time spent capturing checkpoints.
-    pub checkpoint_time: SimDuration,
-    /// Host crashes survived.
-    pub crashes: u64,
-    /// Downloads a crash cut mid-stream (torn writes).
-    pub torn_downloads: u64,
-    /// Committed post-checkpoint journal records reconciled on restore.
-    pub records_redone: u64,
-    /// Torn journal records rolled back on restore.
-    pub records_undone: u64,
-    /// Background port time spent replaying the journal after crashes.
-    pub replay_time: SimDuration,
-    /// Residency claims the journal replay invalidated (each forces a
-    /// clean re-download on next use).
-    pub stale_discards: u64,
-    /// FPGA ops that ran on a stale residency claim because the journal
-    /// was off — silent corruption the system never detected.
-    pub silent_corruptions: u64,
+crate::counters::counter_table! {
+    /// Checkpoint and crash-recovery accounting for one (possibly restarted)
+    /// run, reported in [`Report::crash`].
+    #[derive(Debug, Clone, Copy, Default, PartialEq)]
+    pub struct CrashStats {
+        /// Checkpoints captured (across all segments of a restarted run).
+        pub checkpoints: u64,
+        /// Background readback port time spent capturing checkpoints.
+        pub checkpoint_time: SimDuration,
+        /// Host crashes survived.
+        pub crashes: u64,
+        /// Downloads a crash cut mid-stream (torn writes).
+        pub torn_downloads: u64,
+        /// Committed post-checkpoint journal records reconciled on restore.
+        pub records_redone: u64,
+        /// Torn journal records rolled back on restore.
+        pub records_undone: u64,
+        /// Background port time spent replaying the journal after crashes.
+        pub replay_time: SimDuration,
+        /// Residency claims the journal replay invalidated (each forces a
+        /// clean re-download on next use).
+        pub stale_discards: u64,
+        /// FPGA ops that ran on a stale residency claim because the journal
+        /// was off — silent corruption the system never detected.
+        pub silent_corruptions: u64,
+    }
 }
 
 /// Everything that survives a host crash: the durable state the next

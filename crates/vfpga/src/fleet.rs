@@ -22,6 +22,7 @@
 //! the same (conservatively priced) checkpoint-cut migration path.
 
 use crate::checkpoint::{CheckpointConfig, RunOutcome};
+use crate::counters::Counters;
 use crate::error::VfpgaError;
 use crate::manager::FpgaManager;
 use crate::metrics::{Report, TaskMetrics};
@@ -75,42 +76,44 @@ impl PlacementPolicy {
     }
 }
 
-/// Fleet-level counters, disjoint from every per-system slice. A default
-/// (all-zero) value means the fleet machinery never acted; exporters use
-/// that to keep single-device reports byte-identical.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FleetStats {
-    /// Device-fault windows that opened during the run.
-    pub device_crashes: u64,
-    /// Device-fault windows that closed (device back up) during the run.
-    pub rejoins: u64,
-    /// Shards moved to a surviving device after a device fault.
-    pub failovers: u64,
-    /// Residency claims discarded by migrations — each is one circuit the
-    /// destination must re-download at its next activation.
-    pub migrated_claims: u64,
-    /// Tasks abandoned because no destination had capacity and software
-    /// degradation was disabled. Disjoint from failed/quarantined/etc.
-    pub lost_in_flight: u64,
-    /// Shards moved onto a rejoined device.
-    pub rebalances: u64,
-    /// Destination-search attempts that found every device saturated or
-    /// down and had to back off.
-    pub backoff_retries: u64,
-    /// Shards that finished on the software-priced degradation path.
-    pub software_fallbacks: u64,
-    /// Total post-checkpoint work window re-executed by migrations.
-    pub redo_time: SimDuration,
-    /// Single tenants live-migrated between devices through the
-    /// two-phase prepare/commit protocol (planned moves, not failovers).
-    pub tenant_migrations: u64,
-    /// Live migrations rolled back by journal replay: a crash struck
-    /// before the commit, so the intent was undone and the tenant stayed
-    /// on its source with its backlog intact.
-    pub migration_aborts: u64,
-    /// Commit-without-free windows completed by journal replay: the
-    /// source-side free was redone idempotently.
-    pub migration_redone_frees: u64,
+crate::counters::counter_table! {
+    /// Fleet-level counters, disjoint from every per-system slice. A default
+    /// (all-zero) value means the fleet machinery never acted; exporters use
+    /// that to keep single-device reports byte-identical.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct FleetStats {
+        /// Device-fault windows that opened during the run.
+        pub device_crashes: u64,
+        /// Device-fault windows that closed (device back up) during the run.
+        pub rejoins: u64,
+        /// Shards moved to a surviving device after a device fault.
+        pub failovers: u64,
+        /// Residency claims discarded by migrations — each is one circuit the
+        /// destination must re-download at its next activation.
+        pub migrated_claims: u64,
+        /// Tasks abandoned because no destination had capacity and software
+        /// degradation was disabled. Disjoint from failed/quarantined/etc.
+        pub lost_in_flight: u64,
+        /// Shards moved onto a rejoined device.
+        pub rebalances: u64,
+        /// Destination-search attempts that found every device saturated or
+        /// down and had to back off.
+        pub backoff_retries: u64,
+        /// Shards that finished on the software-priced degradation path.
+        pub software_fallbacks: u64,
+        /// Total post-checkpoint work window re-executed by migrations.
+        pub redo_time: SimDuration,
+        /// Single tenants live-migrated between devices through the
+        /// two-phase prepare/commit protocol (planned moves, not failovers).
+        pub tenant_migrations: u64,
+        /// Live migrations rolled back by journal replay: a crash struck
+        /// before the commit, so the intent was undone and the tenant stayed
+        /// on its source with its backlog intact.
+        pub migration_aborts: u64,
+        /// Commit-without-free windows completed by journal replay: the
+        /// source-side free was redone idempotently.
+        pub migration_redone_frees: u64,
+    }
 }
 
 impl FleetStats {
@@ -1223,83 +1226,15 @@ fn merge_reports(
         fleet: Some(stats),
     };
     for o in outcomes {
-        let s = &o.report.manager_stats;
-        let m = &mut r.manager_stats;
-        m.downloads += s.downloads;
-        m.frames_written += s.frames_written;
-        m.config_time += s.config_time;
-        m.state_saves += s.state_saves;
-        m.state_restores += s.state_restores;
-        m.state_time += s.state_time;
-        m.hits += s.hits;
-        m.misses += s.misses;
-        m.blocks += s.blocks;
-        m.gc_runs += s.gc_runs;
-        m.relocations += s.relocations;
-        m.failed_relocations += s.failed_relocations;
-        m.evictions += s.evictions;
-        m.splits += s.splits;
-        m.merges += s.merges;
-        m.gc_time += s.gc_time;
-
-        let s = &o.report.fault;
-        let f = &mut r.fault;
-        f.download_faults += s.download_faults;
-        f.seu_faults += s.seu_faults;
-        f.seu_benign += s.seu_benign;
-        f.column_faults += s.column_faults;
-        f.crc_mismatches += s.crc_mismatches;
-        f.retries += s.retries;
-        f.retry_time += s.retry_time;
-        f.tasks_failed += s.tasks_failed;
-        f.scrub_passes += s.scrub_passes;
-        f.scrub_time += s.scrub_time;
-        f.repairs += s.repairs;
-        f.repair_time += s.repair_time;
-        f.work_lost += s.work_lost;
-        f.columns_retired += s.columns_retired;
-        f.retire_time += s.retire_time;
-        f.mttr_total += s.mttr_total;
-
-        let s = &o.report.crash;
-        let c = &mut r.crash;
-        c.checkpoints += s.checkpoints;
-        c.checkpoint_time += s.checkpoint_time;
-        c.crashes += s.crashes;
-        c.torn_downloads += s.torn_downloads;
-        c.records_redone += s.records_redone;
-        c.records_undone += s.records_undone;
-        c.replay_time += s.replay_time;
-        c.stale_discards += s.stale_discards;
-        c.silent_corruptions += s.silent_corruptions;
-
+        r.manager_stats.add(&o.report.manager_stats);
+        r.fault.add(&o.report.fault);
+        r.crash.add(&o.report.crash);
         if let Some(s) = &o.report.admission {
-            let a = r.admission.get_or_insert_with(Default::default);
-            a.admitted += s.admitted;
-            a.deferred += s.deferred;
-            a.rejected += s.rejected;
-            a.quarantined += s.quarantined;
-            a.deadline_missed += s.deadline_missed;
-            a.watchdog_armed += s.watchdog_armed;
-            a.watchdog_fired += s.watchdog_fired;
-            a.watchdog_preempt_time += s.watchdog_preempt_time;
-            a.watchdog_lost_time += s.watchdog_lost_time;
-            a.degraded_dispatches += s.degraded_dispatches;
-            a.degraded_time += s.degraded_time;
-            a.unschedulable += s.unschedulable;
-            a.degrade_enters += s.degrade_enters;
-            a.degrade_exits += s.degrade_exits;
+            r.admission.get_or_insert_with(Default::default).add(s);
         }
-
         if let Some(s) = &o.report.delta {
-            let d = r.delta.get_or_insert_with(Default::default);
-            d.delta_downloads += s.delta_downloads;
-            d.full_downloads += s.full_downloads;
-            d.frames_written += s.frames_written;
-            d.frames_saved += s.frames_saved;
-            d.invalidations += s.invalidations;
+            r.delta.get_or_insert_with(Default::default).add(s);
         }
-
         r.metrics.absorb(&o.report.metrics);
 
         if let Some(h) = &o.report.latency {

@@ -10,11 +10,13 @@
 //!
 //! JSON enters only where state crosses the durability boundary — a host
 //! crash, a failover, a migration — through [`SystemImage::to_json`],
-//! which renders the `vfpga-ckpt/2` schema: the task table is one
+//! which renders the `vfpga-ckpt/3` schema: the task table is one
 //! `task_columns` header (the [`TaskSlot`] field names, once) and one
 //! positional row of scalars per task, so a crash allocates one array
-//! and one state name a task and no keys. [`SystemImage::from_json`] is
-//! its strict inverse:
+//! and one state name a task and no keys; every counter section (`fault`,
+//! the admission `stats`, the managers' `stats` and delta `stats`) is its
+//! struct's [`Counters::to_json`], keyed by field name.
+//! [`SystemImage::from_json`] is its strict inverse:
 //! fields must appear exactly as the writer emits them, the header must
 //! be the writer's, every row must have one cell per column, and every
 //! cell must have its column's JSON kind and fit its typed field;
@@ -27,6 +29,7 @@
 use crate::admission::{AdmissionState, AdmissionStats};
 use crate::checkpoint::CheckpointImage;
 use crate::circuit::CircuitId;
+use crate::counters::Counters;
 use crate::recovery::FaultStats;
 use crate::system::Ev;
 use crate::task::{TaskId, TaskSlot, TaskState};
@@ -35,7 +38,7 @@ use fsim::{span, SimDuration, SimTime};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// Schema tag of the rendered image.
-const SCHEMA: &str = "vfpga-ckpt/2";
+const SCHEMA: &str = "vfpga-ckpt/3";
 
 /// The segment holding the CPU.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -84,7 +87,7 @@ pub(crate) struct Capture {
 }
 
 impl Capture {
-    /// The capture as it leaves the host: rendered to its `vfpga-ckpt/2`
+    /// The capture as it leaves the host: rendered to its `vfpga-ckpt/3`
     /// tree. Debug builds prove here that the rendering parses back to
     /// the same typed image; release builds rely on the property tests.
     pub(crate) fn to_durable(&self) -> CheckpointImage {
@@ -217,7 +220,7 @@ impl SystemImage {
             + json_bytes(&self.manager)
     }
 
-    /// Render the image as a `vfpga-ckpt/2` JSON tree.
+    /// Render the image as a `vfpga-ckpt/3` JSON tree.
     pub fn to_json(&self) -> Json {
         let running = match &self.running {
             None => Json::Null,
@@ -292,7 +295,7 @@ impl SystemImage {
             .set("stale", self.stale.iter().copied().collect::<Vec<u32>>())
             .set("running", running)
             .set("pending", pending)
-            .set("fault", fault_to_json(&self.fault))
+            .set("fault", self.fault.to_json())
             .set("rng", rng)
             .set(
                 "admission",
@@ -306,7 +309,7 @@ impl SystemImage {
             .build()
     }
 
-    /// Rebuild the typed image from its `vfpga-ckpt/2` rendering. Strict:
+    /// Rebuild the typed image from its `vfpga-ckpt/3` rendering. Strict:
     /// an unknown schema, a missing, extra or reordered field, a foreign
     /// `task_columns` header, a task row or per-task array of the wrong
     /// length, a cell of the wrong JSON kind, an unknown task-state or
@@ -354,7 +357,7 @@ impl SystemImage {
             .iter()
             .map(pending_from_json)
             .collect::<Result<_, String>>()?;
-        let fault = fault_from_json(top.next("fault")?)?;
+        let fault = FaultStats::from_json(top.next("fault")?)?;
         let rng = match top.next("rng")? {
             Json::Null => None,
             v => {
@@ -498,51 +501,6 @@ fn pending_from_json(v: &Json) -> Result<(SimTime, Ev), String> {
     Ok((SimTime::read(at, "pending event time")?, ev))
 }
 
-fn fault_to_json(f: &FaultStats) -> Json {
-    Obj::new()
-        .set("download_faults", f.download_faults)
-        .set("seu_faults", f.seu_faults)
-        .set("seu_benign", f.seu_benign)
-        .set("column_faults", f.column_faults)
-        .set("crc_mismatches", f.crc_mismatches)
-        .set("retries", f.retries)
-        .set("retry_time", f.retry_time.json())
-        .set("tasks_failed", f.tasks_failed)
-        .set("scrub_passes", f.scrub_passes)
-        .set("scrub_time", f.scrub_time.json())
-        .set("repairs", f.repairs)
-        .set("repair_time", f.repair_time.json())
-        .set("work_lost", f.work_lost.json())
-        .set("columns_retired", f.columns_retired)
-        .set("retire_time", f.retire_time.json())
-        .set("mttr_total", f.mttr_total.json())
-        .build()
-}
-
-fn fault_from_json(v: &Json) -> Result<FaultStats, String> {
-    let mut f = Fields::of(v, "fault")?;
-    let stats = FaultStats {
-        download_faults: f.get("download_faults")?,
-        seu_faults: f.get("seu_faults")?,
-        seu_benign: f.get("seu_benign")?,
-        column_faults: f.get("column_faults")?,
-        crc_mismatches: f.get("crc_mismatches")?,
-        retries: f.get("retries")?,
-        retry_time: f.get("retry_time")?,
-        tasks_failed: f.get("tasks_failed")?,
-        scrub_passes: f.get("scrub_passes")?,
-        scrub_time: f.get("scrub_time")?,
-        repairs: f.get("repairs")?,
-        repair_time: f.get("repair_time")?,
-        work_lost: f.get("work_lost")?,
-        columns_retired: f.get("columns_retired")?,
-        retire_time: f.get("retire_time")?,
-        mttr_total: f.get("mttr_total")?,
-    };
-    f.end()?;
-    Ok(stats)
-}
-
 fn admission_to_json(a: &AdmissionState) -> Json {
     let in_flight: Vec<Json> = a
         .in_flight
@@ -559,7 +517,6 @@ fn admission_to_json(a: &AdmissionState) -> Json {
             ])
         })
         .collect();
-    let st = &a.stats;
     Obj::new()
         .set("in_flight", in_flight)
         .set("deferred", deferred)
@@ -567,25 +524,7 @@ fn admission_to_json(a: &AdmissionState) -> Json {
         .set("wd_trips", a.wd_trips.clone())
         .set("degraded", a.degraded.clone())
         .set("degrade_mode", a.degrade_mode)
-        .set(
-            "stats",
-            Obj::new()
-                .set("admitted", st.admitted)
-                .set("deferred", st.deferred)
-                .set("rejected", st.rejected)
-                .set("quarantined", st.quarantined)
-                .set("deadline_missed", st.deadline_missed)
-                .set("wd_armed", st.watchdog_armed)
-                .set("wd_fired", st.watchdog_fired)
-                .set("wd_preempt", st.watchdog_preempt_time.json())
-                .set("wd_lost", st.watchdog_lost_time.json())
-                .set("degraded_dispatches", st.degraded_dispatches)
-                .set("degraded_time", st.degraded_time.json())
-                .set("unschedulable", st.unschedulable)
-                .set("degrade_enters", st.degrade_enters)
-                .set("degrade_exits", st.degrade_exits)
-                .build(),
-        )
+        .set("stats", a.stats.to_json())
         .build()
 }
 
@@ -629,24 +568,7 @@ fn admission_from_json(v: &Json, n: usize) -> Result<AdmissionState, String> {
         .map(|v| bool::read(v, "degraded"))
         .collect::<Result<_, String>>()?;
     let degrade_mode = a.get("degrade_mode")?;
-    let mut st = Fields::of(a.next("stats")?, "admission stats")?;
-    let stats = AdmissionStats {
-        admitted: st.get("admitted")?,
-        deferred: st.get("deferred")?,
-        rejected: st.get("rejected")?,
-        quarantined: st.get("quarantined")?,
-        deadline_missed: st.get("deadline_missed")?,
-        watchdog_armed: st.get("wd_armed")?,
-        watchdog_fired: st.get("wd_fired")?,
-        watchdog_preempt_time: st.get("wd_preempt")?,
-        watchdog_lost_time: st.get("wd_lost")?,
-        degraded_dispatches: st.get("degraded_dispatches")?,
-        degraded_time: st.get("degraded_time")?,
-        unschedulable: st.get("unschedulable")?,
-        degrade_enters: st.get("degrade_enters")?,
-        degrade_exits: st.get("degrade_exits")?,
-    };
-    st.end()?;
+    let stats = AdmissionStats::from_json(a.next("stats")?)?;
     a.end()?;
     Ok(AdmissionState {
         in_flight,
@@ -675,7 +597,7 @@ fn kind_of(v: &Json) -> &'static str {
 /// A typed scalar as one JSON value: how every number, flag and state
 /// name of an image is written and strictly read back (`what` names the
 /// value in the error).
-trait Scalar: Sized {
+pub(crate) trait Scalar: Sized {
     fn json(self) -> Json;
     fn read(v: &Json, what: &str) -> Result<Self, String>;
 }
@@ -791,13 +713,13 @@ fn fixed<'a>(v: &'a Json, what: &str, n: usize) -> Result<&'a [Json], String> {
 /// Strict reader over one JSON object: the fields must come in exactly
 /// the order the writer emits them, with nothing missing and nothing
 /// extra.
-struct Fields<'a> {
+pub(crate) struct Fields<'a> {
     what: &'static str,
     rest: std::slice::Iter<'a, (String, Json)>,
 }
 
 impl<'a> Fields<'a> {
-    fn of(v: &'a Json, what: &'static str) -> Result<Self, String> {
+    pub(crate) fn of(v: &'a Json, what: &'static str) -> Result<Self, String> {
         match v {
             Json::Obj(fields) => Ok(Fields {
                 what,
@@ -807,7 +729,7 @@ impl<'a> Fields<'a> {
         }
     }
 
-    fn next(&mut self, key: &str) -> Result<&'a Json, String> {
+    pub(crate) fn next(&mut self, key: &str) -> Result<&'a Json, String> {
         match self.rest.next() {
             Some((k, v)) if k == key => Ok(v),
             Some((k, _)) => Err(format!("{}: expected '{key}', found '{k}'", self.what)),
@@ -815,14 +737,14 @@ impl<'a> Fields<'a> {
         }
     }
 
-    fn end(mut self) -> Result<(), String> {
+    pub(crate) fn end(mut self) -> Result<(), String> {
         match self.rest.next() {
             None => Ok(()),
             Some((k, _)) => Err(format!("{}: unexpected field '{k}'", self.what)),
         }
     }
 
-    fn get<T: Scalar>(&mut self, key: &str) -> Result<T, String> {
+    pub(crate) fn get<T: Scalar>(&mut self, key: &str) -> Result<T, String> {
         T::read(self.next(key)?, key)
     }
 

@@ -1,4 +1,4 @@
-//! Properties of typed checkpoint images: the `vfpga-ckpt/2` rendering
+//! Properties of typed checkpoint images: the `vfpga-ckpt/3` rendering
 //! round-trips and is byte-stable, a restored system captures the image
 //! it was restored from, and the strict reader turns every damaged image
 //! into an error.
@@ -242,16 +242,20 @@ fn images_round_trip_and_restore_to_themselves() {
     });
     let delta = plain.with_delta_checkpoints(3);
     check_all_schedulers("partition-variable-delta", true, delta, &ids, &lib, || {
-        let mut mgr = PartitionManager::new(
-            lib.clone(),
-            timing(),
-            PartitionMode::Variable,
-            PreemptAction::SaveRestore,
-        )
-        .unwrap();
-        mgr.enable_delta();
-        mgr
+        variable_delta(&lib)
     });
+}
+
+fn variable_delta(lib: &Arc<CircuitLib>) -> PartitionManager {
+    let mut mgr = PartitionManager::new(
+        lib.clone(),
+        timing(),
+        PartitionMode::Variable,
+        PreemptAction::SaveRestore,
+    )
+    .unwrap();
+    mgr.enable_delta();
+    mgr
 }
 
 #[test]
@@ -282,7 +286,7 @@ fn overlay_manager_cannot_be_checkpointed() {
 
 #[test]
 fn pinned_image_renders_the_golden_bytes() {
-    // The golden file is the pinned case as `vfpga-ckpt/2` first rendered
+    // The golden file is the pinned case as `vfpga-ckpt/3` first rendered
     // it: the rendering must not drift.
     let (lib, ids) = lib_n(2);
     let durable = image_at(pinned_small(&lib, &ids), PINNED_CUT_US).unwrap();
@@ -308,24 +312,15 @@ fn items(v: &mut Json) -> &mut Vec<Json> {
     }
 }
 
-#[test]
-fn damaged_images_are_errors_not_panics() {
-    let text = include_str!("../golden/ckpt_small.json");
-    let good = Json::parse(text).unwrap();
-    let img = SystemImage::from_json(&good).unwrap();
-    let read = |t: &str| -> Result<SystemImage, String> {
-        SystemImage::from_json(&Json::parse(t).map_err(|e| e.to_string())?)
-    };
-
-    // Every truncation short of the closing brace.
+/// Every truncation of `text` short of its closing brace, and every
+/// structural character damaged three ways — blanked, turned into
+/// garbage, swapped for the structural character it is most easily
+/// confused with — must fail `read`.
+fn sweep_damage<T>(text: &str, read: impl Fn(&str) -> Result<T, String>) {
     let body = text.trim_end();
     for cut in 0..body.len() {
         assert!(read(&body[..cut]).is_err(), "prefix of {cut} bytes read");
     }
-
-    // Every structural character, damaged three ways: blanked, turned
-    // into garbage, and swapped for the structural character it is most
-    // easily confused with.
     let mut bytes = text.as_bytes().to_vec();
     for at in 0..bytes.len() {
         let orig = bytes[at];
@@ -351,6 +346,70 @@ fn damaged_images_are_errors_not_panics() {
         }
         bytes[at] = orig;
     }
+}
+
+/// The counter sections the managers and the admission gate write — the
+/// one place an image is keyed rather than positional — on a variable
+/// partition manager with delta downloads behind the admission gate:
+/// `manager` is read by the manager's own `restore`, so reading here
+/// means restoring into a fresh system.
+#[test]
+fn damaged_counter_sections_are_errors_not_panics() {
+    let (lib, ids) = lib_n(3);
+    let build = || {
+        let sched = RoundRobinScheduler::new(ms(1));
+        System::new(
+            lib.clone(),
+            variable_delta(&lib),
+            sched,
+            SAVE_RESTORE,
+            specs(&ids, 8),
+        )
+        .with_admission(tight_admission())
+        .unwrap()
+        .with_checkpoints(CheckpointConfig::new(ms(1)).with_delta_checkpoints(3))
+        .unwrap()
+    };
+    let restore = |doc: &Json| build().restore(&SystemImage::from_json(doc)?);
+    let good = image_at(build(), 9000).unwrap();
+    restore(&good).expect("the undamaged image restores");
+    sweep_damage(&good.render(), |t| {
+        restore(&Json::parse(t).map_err(|e| e.to_string())?)
+    });
+
+    let sections: [&[&str]; 4] = [
+        &["admission", "stats"],
+        &["manager", "stats"],
+        &["manager", "delta"],
+        &["manager", "delta", "stats"],
+    ];
+    for path in sections {
+        let damaged = |what: &str, damage: fn(&mut Vec<(String, Json)>)| {
+            let mut doc = good.clone();
+            let Json::Obj(fields) = path.iter().fold(&mut doc, |v, key| field(v, key)) else {
+                panic!("{path:?} is not an object")
+            };
+            damage(fields);
+            assert!(restore(&doc).is_err(), "{path:?}: {what} restored");
+        };
+        damaged("extra key", |f| {
+            f.push(("epilogue".into(), Json::from(0u64)))
+        });
+        damaged("missing key", |f| drop(f.pop()));
+        damaged("reordered keys", |f| f.swap(0, 1));
+        damaged("duplicated key", |f| f[1] = f[0].clone());
+        damaged("wrong kind", |f| f[0].1 = Json::from(true));
+    }
+}
+
+#[test]
+fn damaged_images_are_errors_not_panics() {
+    let text = include_str!("../golden/ckpt_small.json");
+    let good = Json::parse(text).unwrap();
+    let img = SystemImage::from_json(&good).unwrap();
+    sweep_damage(text, |t| {
+        SystemImage::from_json(&Json::parse(t).map_err(|e| e.to_string())?)
+    });
 
     // The task table: a header that is not the writer's, rows one cell
     // short or long, the table itself one row short or long (the
@@ -422,10 +481,10 @@ fn damaged_images_are_errors_not_panics() {
 
     // Names the reader does not know.
     let mut schema = good.clone();
-    *field(&mut schema, "schema") = Json::from("vfpga-ckpt/1");
+    *field(&mut schema, "schema") = Json::from("vfpga-ckpt/2");
     assert!(SystemImage::from_json(&schema)
         .unwrap_err()
-        .contains("schema 'vfpga-ckpt/1'"));
+        .contains("schema 'vfpga-ckpt/2'"));
     let mut state = good.clone();
     items(&mut items(field(&mut state, "tasks"))[0])[0] = Json::from("zombie");
     assert!(SystemImage::from_json(&state)

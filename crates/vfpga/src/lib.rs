@@ -52,6 +52,7 @@
 pub mod admission;
 pub mod checkpoint;
 pub mod circuit;
+pub mod counters;
 pub mod error;
 pub mod fleet;
 pub mod image;

@@ -19,26 +19,31 @@
 
 use super::EventBuf;
 use crate::circuit::{CircuitId, CircuitLib};
+use crate::counters::Counters;
+use crate::image::Fields;
+use fsim::json::{Json, Obj};
 use fsim::TraceEvent;
 use std::collections::{BTreeSet, HashMap};
 
-/// Counters for the delta-download path, reported separately from
-/// [`super::ManagerStats`] so legacy exports are untouched when the
-/// feature is off.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DeltaStats {
-    /// Downloads served as a frame delta against a tracked base.
-    pub delta_downloads: u64,
-    /// Downloads that went full-price while delta was enabled (no usable
-    /// base for the target columns).
-    pub full_downloads: u64,
-    /// Frames actually written by delta downloads.
-    pub frames_written: u64,
-    /// Frames a full load would have written minus what the deltas wrote.
-    pub frames_saved: u64,
-    /// Tracked bases dropped because their frames could no longer be
-    /// trusted (overwrite, repair, retirement, relocation, GC, crash).
-    pub invalidations: u64,
+crate::counters::counter_table! {
+    /// Counters for the delta-download path, reported separately from
+    /// [`super::ManagerStats`] so legacy exports are untouched when the
+    /// feature is off.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct DeltaStats {
+        /// Downloads served as a frame delta against a tracked base.
+        pub delta_downloads: u64,
+        /// Downloads that went full-price while delta was enabled (no usable
+        /// base for the target columns).
+        pub full_downloads: u64,
+        /// Frames actually written by delta downloads.
+        pub frames_written: u64,
+        /// Frames a full load would have written minus what the deltas wrote.
+        pub frames_saved: u64,
+        /// Tracked bases dropped because their frames could no longer be
+        /// trusted (overwrite, repair, retirement, relocation, GC, crash).
+        pub invalidations: u64,
+    }
 }
 
 /// An evicted circuit whose configuration frames are still physically
@@ -190,36 +195,21 @@ impl DeltaTable {
     /// Serialize for a checkpoint: the counters plus how many ghosts were
     /// live. Ghosts themselves are *not* restored — a restore implies the
     /// fabric was re-downloaded, so every base is stale by definition.
-    pub fn to_json(&self) -> fsim::json::Json {
-        fsim::json::Obj::new()
-            .set("delta_downloads", self.stats.delta_downloads)
-            .set("full_downloads", self.stats.full_downloads)
-            .set("frames_written", self.stats.frames_written)
-            .set("frames_saved", self.stats.frames_saved)
-            .set("invalidations", self.stats.invalidations)
-            .set("ghosts", self.ghost_count() as u64)
+    pub fn to_json(&self) -> Json {
+        Obj::new()
+            .set("stats", self.stats.to_json())
+            .set("ghosts", self.ghost_count())
             .build()
     }
 
     /// Rebuild from [`DeltaTable::to_json`]: counters restored, ghosts
     /// dropped and counted as crash invalidations.
-    pub fn from_json(snap: &fsim::json::Json) -> Result<Self, String> {
-        use fsim::json::Json;
-        let u = |k: &str| -> Result<u64, String> {
-            match snap.get(k) {
-                Some(Json::UInt(v)) => Ok(*v),
-                other => Err(format!("delta snapshot field '{k}': {other:?}")),
-            }
-        };
+    pub fn from_json(snap: &Json) -> Result<Self, String> {
+        let mut f = Fields::of(snap, "delta snapshot")?;
         let mut t = DeltaTable::new();
-        t.stats = DeltaStats {
-            delta_downloads: u("delta_downloads")?,
-            full_downloads: u("full_downloads")?,
-            frames_written: u("frames_written")?,
-            frames_saved: u("frames_saved")?,
-            invalidations: u("invalidations")?,
-        };
-        t.stats.invalidations += u("ghosts")?;
+        t.stats = DeltaStats::from_json(f.next("stats")?)?;
+        t.stats.invalidations += f.get::<u64>("ghosts")?;
+        f.end()?;
         Ok(t)
     }
 }

@@ -12,11 +12,11 @@
 //! pay readback on the way out and state-write on the way back in.
 
 use super::{
-    charge_full_download, charge_partial_download, charge_state_move, stats_from_json,
-    stats_to_json, Activation, DeviceUsage, EventBuf, FpgaManager, ManagerStats, PreemptCost,
-    ResidentRegion,
+    charge_full_download, charge_partial_download, charge_state_move, Activation, DeviceUsage,
+    EventBuf, FpgaManager, ManagerStats, PreemptCost, ResidentRegion,
 };
 use crate::circuit::{CircuitId, CircuitLib};
+use crate::counters::Counters;
 use crate::manager::PreemptAction;
 use crate::task::TaskId;
 use fpga::ConfigTiming;
@@ -205,7 +205,7 @@ impl FpgaManager for DynLoadManager {
                         .unwrap_or(Json::Null),
                 )
                 .set("saved", saves)
-                .set("stats", stats_to_json(&self.stats))
+                .set("stats", self.stats.to_json())
                 .build(),
         )
     }
@@ -231,7 +231,7 @@ impl FpgaManager for DynLoadManager {
                 _ => return Err(format!("bad dynload saved-state entry: {v:?}")),
             }
         }
-        self.stats = stats_from_json(
+        self.stats = ManagerStats::from_json(
             snap.get("stats")
                 .ok_or("dynload snapshot missing 'stats'")?,
         )?;

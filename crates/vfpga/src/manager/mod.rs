@@ -100,42 +100,44 @@ pub enum PreemptAction {
     SaveRestore,
 }
 
-/// Counters every manager maintains.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct ManagerStats {
-    /// Configuration downloads performed.
-    pub downloads: u64,
-    /// Configuration frames written.
-    pub frames_written: u64,
-    /// Total time spent downloading configurations.
-    pub config_time: SimDuration,
-    /// State readbacks (saves).
-    pub state_saves: u64,
-    /// State restores.
-    pub state_restores: u64,
-    /// Total time spent moving state.
-    pub state_time: SimDuration,
-    /// Activations served without any download (residency hits).
-    pub hits: u64,
-    /// Activations that required a download (misses).
-    pub misses: u64,
-    /// Times a task had to block on the resource.
-    pub blocks: u64,
-    /// Garbage-collection runs (partition manager).
-    pub gc_runs: u64,
-    /// Circuits relocated by GC.
-    pub relocations: u64,
-    /// Relocations abandoned because the circuit would not route.
-    pub failed_relocations: u64,
-    /// Idle resident circuits evicted to make room.
-    pub evictions: u64,
-    /// Partition splits (variable partitioning).
-    pub splits: u64,
-    /// Partition merges (garbage collection).
-    pub merges: u64,
-    /// Total time spent in garbage-collection runs (relocation downloads
-    /// and state moves triggered by GC).
-    pub gc_time: SimDuration,
+crate::counters::counter_table! {
+    /// Counters every manager maintains.
+    #[derive(Debug, Clone, Copy, Default, PartialEq)]
+    pub struct ManagerStats {
+        /// Configuration downloads performed.
+        pub downloads: u64,
+        /// Configuration frames written.
+        pub frames_written: u64,
+        /// Total time spent downloading configurations.
+        pub config_time: SimDuration,
+        /// State readbacks (saves).
+        pub state_saves: u64,
+        /// State restores.
+        pub state_restores: u64,
+        /// Total time spent moving state.
+        pub state_time: SimDuration,
+        /// Activations served without any download (residency hits).
+        pub hits: u64,
+        /// Activations that required a download (misses).
+        pub misses: u64,
+        /// Times a task had to block on the resource.
+        pub blocks: u64,
+        /// Garbage-collection runs (partition manager).
+        pub gc_runs: u64,
+        /// Circuits relocated by GC.
+        pub relocations: u64,
+        /// Relocations abandoned because the circuit would not route.
+        pub failed_relocations: u64,
+        /// Idle resident circuits evicted to make room.
+        pub evictions: u64,
+        /// Partition splits (variable partitioning).
+        pub splits: u64,
+        /// Partition merges (garbage collection).
+        pub merges: u64,
+        /// Total time spent in garbage-collection runs (relocation downloads
+        /// and state moves triggered by GC).
+        pub gc_time: SimDuration,
+    }
 }
 
 /// A point-in-time snapshot of device occupancy, for utilization
@@ -300,58 +302,6 @@ pub trait FpgaManager {
     fn restore(&mut self, _snap: &Json) -> Result<(), String> {
         Err("manager does not support snapshots".into())
     }
-}
-
-/// Serialize [`ManagerStats`] for a checkpoint image (durations in ns).
-pub(crate) fn stats_to_json(s: &ManagerStats) -> Json {
-    use fsim::json::Obj;
-    Obj::new()
-        .set("downloads", s.downloads)
-        .set("frames_written", s.frames_written)
-        .set("config_ns", s.config_time.as_nanos())
-        .set("state_saves", s.state_saves)
-        .set("state_restores", s.state_restores)
-        .set("state_ns", s.state_time.as_nanos())
-        .set("hits", s.hits)
-        .set("misses", s.misses)
-        .set("blocks", s.blocks)
-        .set("gc_runs", s.gc_runs)
-        .set("relocations", s.relocations)
-        .set("failed_relocations", s.failed_relocations)
-        .set("evictions", s.evictions)
-        .set("splits", s.splits)
-        .set("merges", s.merges)
-        .set("gc_ns", s.gc_time.as_nanos())
-        .build()
-}
-
-/// Read back what [`stats_to_json`] wrote.
-pub(crate) fn stats_from_json(snap: &Json) -> Result<ManagerStats, String> {
-    let u = |k: &str| -> Result<u64, String> {
-        match snap.get(k) {
-            Some(Json::UInt(v)) => Ok(*v),
-            other => Err(format!("manager stats field '{k}': {other:?}")),
-        }
-    };
-    let d = |k: &str| u(k).map(SimDuration::from_nanos);
-    Ok(ManagerStats {
-        downloads: u("downloads")?,
-        frames_written: u("frames_written")?,
-        config_time: d("config_ns")?,
-        state_saves: u("state_saves")?,
-        state_restores: u("state_restores")?,
-        state_time: d("state_ns")?,
-        hits: u("hits")?,
-        misses: u("misses")?,
-        blocks: u("blocks")?,
-        gc_runs: u("gc_runs")?,
-        relocations: u("relocations")?,
-        failed_relocations: u("failed_relocations")?,
-        evictions: u("evictions")?,
-        splits: u("splits")?,
-        merges: u("merges")?,
-        gc_time: d("gc_ns")?,
-    })
 }
 
 /// Pure cost of a partial download of `frames` full-column frames: header

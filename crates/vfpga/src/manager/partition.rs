@@ -26,6 +26,7 @@ use super::{
     RetireOutcome,
 };
 use crate::circuit::{CircuitId, CircuitLib};
+use crate::counters::Counters;
 use crate::error::VfpgaError;
 use crate::manager::PreemptAction;
 use crate::task::TaskId;
@@ -951,7 +952,7 @@ impl FpgaManager for PartitionManager {
             .set("waiters", waiters)
             .set("clock", self.clock)
             .set("gc_enabled", self.gc_enabled)
-            .set("stats", super::stats_to_json(&self.stats));
+            .set("stats", self.stats.to_json());
         // Only present when the feature is on, so legacy images are
         // byte-identical with delta disabled.
         if let Some(dt) = &self.delta {
@@ -1033,7 +1034,7 @@ impl FpgaManager for PartitionManager {
             other => return Err(format!("partition snapshot 'clock': {other:?}")),
         };
         self.gc_enabled = matches!(snap.get("gc_enabled"), Some(Json::Bool(true)));
-        self.stats = super::stats_from_json(
+        self.stats = ManagerStats::from_json(
             snap.get("stats")
                 .ok_or("partition snapshot missing 'stats'")?,
         )?;

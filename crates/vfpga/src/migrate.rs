@@ -39,6 +39,7 @@ use fsim::{MigrationCrashWindow, MigrationInjector, MigrationPlan, SimDuration, 
 
 use crate::admission::AdmissionStats;
 use crate::checkpoint::CrashStats;
+use crate::counters::Counters;
 use crate::manager::{DeltaStats, ManagerStats};
 use crate::metrics::Report;
 use crate::recovery::FaultStats;
@@ -95,14 +96,6 @@ pub struct CounterBaseline {
     pub delta: Option<DeltaStats>,
 }
 
-fn sub_u64(a: u64, b: u64) -> u64 {
-    a.saturating_sub(b)
-}
-
-fn sub_dur(a: SimDuration, b: SimDuration) -> SimDuration {
-    SimDuration::from_nanos(a.as_nanos().saturating_sub(b.as_nanos()))
-}
-
 impl CounterBaseline {
     /// Subtract the inherited baseline from `r`'s cumulative counters,
     /// field-wise and saturating, leaving only what the destination did
@@ -110,79 +103,14 @@ impl CounterBaseline {
     /// only the migrated tenant's rows from this report, and those rows'
     /// cumulative per-task metrics are exactly right.
     pub fn subtract_from(&self, r: &mut Report) {
-        let m = &mut r.manager_stats;
-        let b = &self.manager;
-        m.downloads = sub_u64(m.downloads, b.downloads);
-        m.frames_written = sub_u64(m.frames_written, b.frames_written);
-        m.config_time = sub_dur(m.config_time, b.config_time);
-        m.state_saves = sub_u64(m.state_saves, b.state_saves);
-        m.state_restores = sub_u64(m.state_restores, b.state_restores);
-        m.state_time = sub_dur(m.state_time, b.state_time);
-        m.hits = sub_u64(m.hits, b.hits);
-        m.misses = sub_u64(m.misses, b.misses);
-        m.blocks = sub_u64(m.blocks, b.blocks);
-        m.gc_runs = sub_u64(m.gc_runs, b.gc_runs);
-        m.relocations = sub_u64(m.relocations, b.relocations);
-        m.failed_relocations = sub_u64(m.failed_relocations, b.failed_relocations);
-        m.evictions = sub_u64(m.evictions, b.evictions);
-        m.splits = sub_u64(m.splits, b.splits);
-        m.merges = sub_u64(m.merges, b.merges);
-        m.gc_time = sub_dur(m.gc_time, b.gc_time);
-
-        let f = &mut r.fault;
-        let b = &self.fault;
-        f.download_faults = sub_u64(f.download_faults, b.download_faults);
-        f.seu_faults = sub_u64(f.seu_faults, b.seu_faults);
-        f.seu_benign = sub_u64(f.seu_benign, b.seu_benign);
-        f.column_faults = sub_u64(f.column_faults, b.column_faults);
-        f.crc_mismatches = sub_u64(f.crc_mismatches, b.crc_mismatches);
-        f.retries = sub_u64(f.retries, b.retries);
-        f.retry_time = sub_dur(f.retry_time, b.retry_time);
-        f.tasks_failed = sub_u64(f.tasks_failed, b.tasks_failed);
-        f.scrub_passes = sub_u64(f.scrub_passes, b.scrub_passes);
-        f.scrub_time = sub_dur(f.scrub_time, b.scrub_time);
-        f.repairs = sub_u64(f.repairs, b.repairs);
-        f.repair_time = sub_dur(f.repair_time, b.repair_time);
-        f.work_lost = sub_dur(f.work_lost, b.work_lost);
-        f.columns_retired = sub_u64(f.columns_retired, b.columns_retired);
-        f.retire_time = sub_dur(f.retire_time, b.retire_time);
-        f.mttr_total = sub_dur(f.mttr_total, b.mttr_total);
-
-        let c = &mut r.crash;
-        let b = &self.crash;
-        c.checkpoints = sub_u64(c.checkpoints, b.checkpoints);
-        c.checkpoint_time = sub_dur(c.checkpoint_time, b.checkpoint_time);
-        c.crashes = sub_u64(c.crashes, b.crashes);
-        c.torn_downloads = sub_u64(c.torn_downloads, b.torn_downloads);
-        c.records_redone = sub_u64(c.records_redone, b.records_redone);
-        c.records_undone = sub_u64(c.records_undone, b.records_undone);
-        c.replay_time = sub_dur(c.replay_time, b.replay_time);
-        c.stale_discards = sub_u64(c.stale_discards, b.stale_discards);
-        c.silent_corruptions = sub_u64(c.silent_corruptions, b.silent_corruptions);
-
+        r.manager_stats.sub(&self.manager);
+        r.fault.sub(&self.fault);
+        r.crash.sub(&self.crash);
         if let (Some(a), Some(b)) = (r.admission.as_mut(), self.admission.as_ref()) {
-            a.admitted = sub_u64(a.admitted, b.admitted);
-            a.deferred = sub_u64(a.deferred, b.deferred);
-            a.rejected = sub_u64(a.rejected, b.rejected);
-            a.quarantined = sub_u64(a.quarantined, b.quarantined);
-            a.deadline_missed = sub_u64(a.deadline_missed, b.deadline_missed);
-            a.watchdog_armed = sub_u64(a.watchdog_armed, b.watchdog_armed);
-            a.watchdog_fired = sub_u64(a.watchdog_fired, b.watchdog_fired);
-            a.watchdog_preempt_time = sub_dur(a.watchdog_preempt_time, b.watchdog_preempt_time);
-            a.watchdog_lost_time = sub_dur(a.watchdog_lost_time, b.watchdog_lost_time);
-            a.degraded_dispatches = sub_u64(a.degraded_dispatches, b.degraded_dispatches);
-            a.degraded_time = sub_dur(a.degraded_time, b.degraded_time);
-            a.unschedulable = sub_u64(a.unschedulable, b.unschedulable);
-            a.degrade_enters = sub_u64(a.degrade_enters, b.degrade_enters);
-            a.degrade_exits = sub_u64(a.degrade_exits, b.degrade_exits);
+            a.sub(b);
         }
-
         if let (Some(d), Some(b)) = (r.delta.as_mut(), self.delta.as_ref()) {
-            d.delta_downloads = sub_u64(d.delta_downloads, b.delta_downloads);
-            d.full_downloads = sub_u64(d.full_downloads, b.full_downloads);
-            d.frames_written = sub_u64(d.frames_written, b.frames_written);
-            d.frames_saved = sub_u64(d.frames_saved, b.frames_saved);
-            d.invalidations = sub_u64(d.invalidations, b.invalidations);
+            d.sub(b);
         }
     }
 }

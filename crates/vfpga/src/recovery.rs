@@ -103,46 +103,48 @@ impl RecoveryPolicy {
     }
 }
 
-/// Fault and recovery accounting for one run, reported in
-/// [`crate::Report::fault`]. Background recovery time (scrub, repair,
-/// retirement) lives only here — disjoint from the task-charged
-/// [`crate::OverheadBreakdown`].
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct FaultStats {
-    /// Corrupted downloads injected (and CRC-detected).
-    pub download_faults: u64,
-    /// Configuration upsets that struck a resident circuit.
-    pub seu_faults: u64,
-    /// Upsets that landed on unused fabric (harmless).
-    pub seu_benign: u64,
-    /// Permanent column failures injected.
-    pub column_faults: u64,
-    /// CRC mismatches detected (download checks + scrub passes).
-    pub crc_mismatches: u64,
-    /// Download retries scheduled.
-    pub retries: u64,
-    /// Port time wasted on corrupt download attempts (task-charged; the
-    /// report moves it from the config slice into `fault_retry`).
-    pub retry_time: SimDuration,
-    /// Tasks declared failed by recovery.
-    pub tasks_failed: u64,
-    /// Scrubbing passes run.
-    pub scrub_passes: u64,
-    /// Readback port time spent scrubbing.
-    pub scrub_time: SimDuration,
-    /// Upsets repaired.
-    pub repairs: u64,
-    /// Re-download and state-move port time spent repairing.
-    pub repair_time: SimDuration,
-    /// FPGA progress discarded by fault recovery (rollback or
-    /// garbage-after-strike), not counting preemption rollbacks.
-    pub work_lost: SimDuration,
-    /// Columns permanently retired.
-    pub columns_retired: u64,
-    /// Relocation/eviction time spent retiring columns.
-    pub retire_time: SimDuration,
-    /// Sum of strike→repair latencies, for [`FaultStats::mttr`].
-    pub mttr_total: SimDuration,
+crate::counters::counter_table! {
+    /// Fault and recovery accounting for one run, reported in
+    /// [`crate::Report::fault`]. Background recovery time (scrub, repair,
+    /// retirement) lives only here — disjoint from the task-charged
+    /// [`crate::OverheadBreakdown`].
+    #[derive(Debug, Clone, Copy, Default, PartialEq)]
+    pub struct FaultStats {
+        /// Corrupted downloads injected (and CRC-detected).
+        pub download_faults: u64,
+        /// Configuration upsets that struck a resident circuit.
+        pub seu_faults: u64,
+        /// Upsets that landed on unused fabric (harmless).
+        pub seu_benign: u64,
+        /// Permanent column failures injected.
+        pub column_faults: u64,
+        /// CRC mismatches detected (download checks + scrub passes).
+        pub crc_mismatches: u64,
+        /// Download retries scheduled.
+        pub retries: u64,
+        /// Port time wasted on corrupt download attempts (task-charged; the
+        /// report moves it from the config slice into `fault_retry`).
+        pub retry_time: SimDuration,
+        /// Tasks declared failed by recovery.
+        pub tasks_failed: u64,
+        /// Scrubbing passes run.
+        pub scrub_passes: u64,
+        /// Readback port time spent scrubbing.
+        pub scrub_time: SimDuration,
+        /// Upsets repaired.
+        pub repairs: u64,
+        /// Re-download and state-move port time spent repairing.
+        pub repair_time: SimDuration,
+        /// FPGA progress discarded by fault recovery (rollback or
+        /// garbage-after-strike), not counting preemption rollbacks.
+        pub work_lost: SimDuration,
+        /// Columns permanently retired.
+        pub columns_retired: u64,
+        /// Relocation/eviction time spent retiring columns.
+        pub retire_time: SimDuration,
+        /// Sum of strike→repair latencies, for [`FaultStats::mttr`].
+        pub mttr_total: SimDuration,
+    }
 }
 
 impl FaultStats {
