@@ -6,7 +6,7 @@
 //!
 //! `<name>` is an entry of [`bench::exp::ALL`] (run without arguments to
 //! list them). The experiment prints its tables; `--json` also writes the
-//! `vfpga-bench/1` export, after reading it back. `--smoke` selects the
+//! `vfpga-bench/2` export, after reading it back. `--smoke` selects the
 //! CI-sized sweep, `--seed` replaces the default seed of a seeded
 //! experiment (E15–E21), `--threads` fans sweep points across workers
 //! (0 = all cores) without changing a byte outside the `host` section.

@@ -29,8 +29,8 @@ use std::sync::Arc;
 use vfpga::manager::dynload::DynLoadManager;
 use vfpga::{
     diff_reports, run_fleet, CheckpointConfig, CircuitLib, DeviceFaultPlan, FleetConfig,
-    FleetReport, PlacementPolicy, PreemptAction, Report, RoundRobinScheduler, ShardCtx, System,
-    TaskSpec, VfpgaError,
+    FleetReport, FleetStats, PlacementPolicy, PreemptAction, Report, RoundRobinScheduler, ShardCtx,
+    System, TaskSpec, VfpgaError,
 };
 use workload::Domain;
 
@@ -204,7 +204,7 @@ pub fn run(args: &RunArgs) -> Result<Exporter, String> {
                 ));
             }
         }
-        if c.rate_name == "none" && !st.is_zero() {
+        if c.rate_name == "none" && st != FleetStats::default() {
             return Err(format!(
                 "zero-rate cell {} moved fleet counters: {st:?}",
                 c.label

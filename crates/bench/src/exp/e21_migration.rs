@@ -30,8 +30,9 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 use vfpga::manager::partition::{PartitionManager, PartitionMode};
 use vfpga::{
-    diff_reports, run_fleet, CheckpointConfig, CircuitLib, FleetConfig, FleetReport, MigrationPlan,
-    PlacementPolicy, PreemptAction, RoundRobinScheduler, ShardCtx, System, VfpgaError,
+    diff_reports, run_fleet, CheckpointConfig, CircuitLib, FleetConfig, FleetReport, FleetStats,
+    MigrationPlan, PlacementPolicy, PreemptAction, RoundRobinScheduler, ShardCtx, System,
+    VfpgaError,
 };
 use workload::Domain;
 
@@ -261,7 +262,7 @@ pub fn run(args: &RunArgs) -> Result<Exporter, String> {
                 &c.divergences,
             ));
         }
-        if c.point.rate_name == "none" && !st.is_zero() {
+        if c.point.rate_name == "none" && st != FleetStats::default() {
             return Err(format!(
                 "zero-rate cell {} moved fleet counters: {st:?}",
                 c.label

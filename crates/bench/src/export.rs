@@ -1,19 +1,27 @@
 //! Machine-readable experiment export.
 //!
 //! Every experiment hands back an [`Exporter`]; `vfpga-exp --json <path>`
-//! writes it as a `vfpga-bench/1` document: run parameters, seed, a metrics
+//! writes it as a `vfpga-bench/2` document: run parameters, seed, a metrics
 //! snapshot, rendered tables, and per-run reports with utilization
 //! timelines and the per-phase overhead breakdown. The format is stable
 //! across runs (insertion-ordered objects, deterministic metric names), so
 //! downstream tooling can diff two exports byte-for-byte.
+//!
+//! Every report has the same shape whatever the run had switched on: the
+//! counter sections `manager_stats`, `fault`, `crash`, `delta`,
+//! `admission` and `fleet` are walked off [`vfpga::counters`] (a `u64`
+//! field as `<field>`, a `SimDuration` as `<field>_s` in seconds), all
+//! zero where the run had no such subsystem, and every task object
+//! carries every flag.
 
 use crate::report::Table;
 use crate::{Json, Obj};
 use fsim::{Metrics, Timeline, TimelineSet};
+use vfpga::counters::{Counters, Value};
 use vfpga::Report;
 
 /// Schema identifier written into every export.
-pub const SCHEMA: &str = "vfpga-bench/1";
+pub const SCHEMA: &str = "vfpga-bench/2";
 
 fn summary_json(s: &fsim::Summary) -> Json {
     Obj::new()
@@ -81,18 +89,26 @@ fn table_json(t: &Table) -> Json {
         .build()
 }
 
+/// One counter section: every field of the table, in declaration order —
+/// a `u64` as `<field>`, a `SimDuration` as `<field>_s` in seconds.
+fn counters_json(c: &impl Counters) -> Obj {
+    let mut o = Obj::new();
+    c.visit(|name, v| {
+        o = match v {
+            Value::Count(n) => std::mem::take(&mut o).set(name, n),
+            Value::Time(d) => std::mem::take(&mut o).set(&format!("{name}_s"), d.as_secs_f64()),
+        }
+    });
+    o
+}
+
 fn report_json(label: &str, r: &Report) -> Json {
-    let ms = r.manager_stats;
     let b = r.overhead_breakdown();
-    // Admission fields are emitted only when the run had admission
-    // control: exports from runs without it stay byte-identical to the
-    // pre-admission format.
-    let admission_on = r.admission.is_some();
     let tasks = Json::Arr(
         r.tasks
             .iter()
             .map(|t| {
-                let mut o = Obj::new()
+                Obj::new()
                     .set("name", t.name.as_str())
                     .set("arrival_s", t.arrival.as_secs_f64())
                     .set("completion_s", t.completion.as_secs_f64())
@@ -103,35 +119,24 @@ fn report_json(label: &str, r: &Report) -> Json {
                     .set("fault_lost_s", t.fault_lost_time.as_secs_f64())
                     .set("blocked", t.blocked_count)
                     .set("failed", t.failed)
-                    .set("corrupted", t.corrupted);
-                if admission_on {
-                    o = o
-                        .set("degraded_s", t.degraded_time.as_secs_f64())
-                        .set("quarantined", t.quarantined)
-                        .set("rejected", t.rejected);
-                    // Only stamped by the schedulability gate; omitted
-                    // otherwise so earlier exports stay byte-identical.
-                    if t.unschedulable {
-                        o = o.set("unschedulable", true);
-                    }
-                    o = o.set("deadline_missed", t.deadline_missed);
-                }
-                // Only stamped by fleet failover abandonment; omitted
-                // otherwise so single-device exports stay byte-identical.
-                if t.lost_in_flight {
-                    o = o.set("lost_in_flight", true);
-                }
-                o.set(
-                    "waiting_s",
-                    t.waiting_checked()
-                        .map(|w| Json::Num(w.as_secs_f64()))
-                        .unwrap_or(Json::Null),
-                )
-                .build()
+                    .set("corrupted", t.corrupted)
+                    .set("degraded_s", t.degraded_time.as_secs_f64())
+                    .set("quarantined", t.quarantined)
+                    .set("rejected", t.rejected)
+                    .set("unschedulable", t.unschedulable)
+                    .set("deadline_missed", t.deadline_missed)
+                    .set("lost_in_flight", t.lost_in_flight)
+                    .set(
+                        "waiting_s",
+                        t.waiting_checked()
+                            .map(|w| Json::Num(w.as_secs_f64()))
+                            .unwrap_or(Json::Null),
+                    )
+                    .build()
             })
             .collect(),
     );
-    let mut doc = Obj::new()
+    Obj::new()
         .set("label", label)
         .set("manager", r.manager)
         .set("scheduler", r.scheduler)
@@ -140,59 +145,24 @@ fn report_json(label: &str, r: &Report) -> Json {
         .set("mean_waiting_s", r.mean_waiting_s())
         .set("overhead_fraction", r.overhead_fraction())
         .set("cpu_utilization", r.cpu_utilization())
+        .set("manager_stats", counters_json(&r.manager_stats))
         .set(
-            "manager_stats",
+            "overhead_breakdown",
             Obj::new()
-                .set("downloads", ms.downloads)
-                .set("frames_written", ms.frames_written)
-                .set("config_time_s", ms.config_time.as_secs_f64())
-                .set("state_saves", ms.state_saves)
-                .set("state_restores", ms.state_restores)
-                .set("state_time_s", ms.state_time.as_secs_f64())
-                .set("hits", ms.hits)
-                .set("misses", ms.misses)
-                .set("blocks", ms.blocks)
-                .set("gc_runs", ms.gc_runs)
-                .set("relocations", ms.relocations)
-                .set("failed_relocations", ms.failed_relocations)
-                .set("evictions", ms.evictions)
-                .set("splits", ms.splits)
-                .set("merges", ms.merges)
-                .set("gc_time_s", ms.gc_time.as_secs_f64()),
-        )
-        .set("overhead_breakdown", {
-            let mut ob = Obj::new()
                 .set("config_s", b.config.as_secs_f64())
                 .set("state_s", b.state.as_secs_f64())
                 .set("gc_s", b.gc.as_secs_f64())
                 .set("rollback_loss_s", b.rollback_loss.as_secs_f64())
                 .set("fault_retry_s", b.fault_retry.as_secs_f64())
                 .set("checkpoint_s", b.checkpoint.as_secs_f64())
-                .set("journal_replay_s", b.journal_replay.as_secs_f64());
-            if admission_on {
-                ob = ob.set("watchdog_s", b.watchdog.as_secs_f64());
-            }
-            ob.set("other_s", b.other.as_secs_f64())
-                .set("total_s", b.total().as_secs_f64())
-        })
+                .set("journal_replay_s", b.journal_replay.as_secs_f64())
+                .set("watchdog_s", b.watchdog.as_secs_f64())
+                .set("other_s", b.other.as_secs_f64())
+                .set("total_s", b.total().as_secs_f64()),
+        )
         .set(
             "fault",
-            Obj::new()
-                .set("download_faults", r.fault.download_faults)
-                .set("seu_faults", r.fault.seu_faults)
-                .set("seu_benign", r.fault.seu_benign)
-                .set("column_faults", r.fault.column_faults)
-                .set("crc_mismatches", r.fault.crc_mismatches)
-                .set("retries", r.fault.retries)
-                .set("retry_time_s", r.fault.retry_time.as_secs_f64())
-                .set("tasks_failed", r.fault.tasks_failed)
-                .set("scrub_passes", r.fault.scrub_passes)
-                .set("scrub_time_s", r.fault.scrub_time.as_secs_f64())
-                .set("repairs", r.fault.repairs)
-                .set("repair_time_s", r.fault.repair_time.as_secs_f64())
-                .set("work_lost_s", r.fault.work_lost.as_secs_f64())
-                .set("columns_retired", r.fault.columns_retired)
-                .set("retire_time_s", r.fault.retire_time.as_secs_f64())
+            counters_json(&r.fault)
                 .set(
                     "mttr_s",
                     r.fault
@@ -202,91 +172,11 @@ fn report_json(label: &str, r: &Report) -> Json {
                 )
                 .set("background_time_s", r.fault.background_time().as_secs_f64()),
         )
-        .set(
-            "crash",
-            Obj::new()
-                .set("checkpoints", r.crash.checkpoints)
-                .set("checkpoint_time_s", r.crash.checkpoint_time.as_secs_f64())
-                .set("crashes", r.crash.crashes)
-                .set("torn_downloads", r.crash.torn_downloads)
-                .set("records_redone", r.crash.records_redone)
-                .set("records_undone", r.crash.records_undone)
-                .set("replay_time_s", r.crash.replay_time.as_secs_f64())
-                .set("stale_discards", r.crash.stale_discards)
-                .set("silent_corruptions", r.crash.silent_corruptions),
-        );
-    // Delta-reconfiguration counters exist only when the manager ran with
-    // delta downloads enabled; omitted otherwise so legacy exports stay
-    // byte-identical.
-    if let Some(d) = &r.delta {
-        doc = doc.set(
-            "delta",
-            Obj::new()
-                .set("delta_downloads", d.delta_downloads)
-                .set("full_downloads", d.full_downloads)
-                .set("frames_written", d.frames_written)
-                .set("frames_saved", d.frames_saved)
-                .set("invalidations", d.invalidations),
-        );
-    }
-    if let Some(a) = &r.admission {
-        let mut ao = Obj::new()
-            .set("admitted", a.admitted)
-            .set("deferred", a.deferred)
-            .set("rejected", a.rejected)
-            .set("quarantined", a.quarantined)
-            .set("deadline_missed", a.deadline_missed)
-            .set("watchdog_armed", a.watchdog_armed)
-            .set("watchdog_fired", a.watchdog_fired)
-            .set("watchdog_preempt_s", a.watchdog_preempt_time.as_secs_f64())
-            .set("watchdog_lost_s", a.watchdog_lost_time.as_secs_f64())
-            .set("degraded_dispatches", a.degraded_dispatches)
-            .set("degraded_time_s", a.degraded_time.as_secs_f64());
-        // Newer counters exist only under the schedulability gate or an
-        // explicit hysteresis pair; emitted only when nonzero so exports
-        // from configs predating them stay byte-identical.
-        if a.unschedulable > 0 {
-            ao = ao.set("unschedulable", a.unschedulable);
-        }
-        if a.degrade_enters > 0 || a.degrade_exits > 0 {
-            ao = ao
-                .set("degrade_enters", a.degrade_enters)
-                .set("degrade_exits", a.degrade_exits);
-        }
-        doc = doc.set("admission", ao);
-    }
-    // Fleet counters exist only for multi-device runs that actually
-    // exercised the fleet machinery: a single-device (or fault-free)
-    // fleet leaves them all zero and the section is omitted, keeping
-    // those exports byte-identical to plain system runs.
-    if let Some(fl) = &r.fleet {
-        if !fl.is_zero() {
-            let mut fo = Obj::new()
-                .set("device_crashes", fl.device_crashes)
-                .set("rejoins", fl.rejoins)
-                .set("failovers", fl.failovers)
-                .set("migrated_claims", fl.migrated_claims)
-                .set("lost_in_flight", fl.lost_in_flight)
-                .set("rebalances", fl.rebalances)
-                .set("backoff_retries", fl.backoff_retries)
-                .set("software_fallbacks", fl.software_fallbacks);
-            // Live-migration counters are emitted only when a migration
-            // (or its crash replay) actually moved one, keeping
-            // migration-free fleet exports byte-identical to before the
-            // protocol existed.
-            if fl.tenant_migrations > 0 {
-                fo = fo.set("tenant_migrations", fl.tenant_migrations);
-            }
-            if fl.migration_aborts > 0 {
-                fo = fo.set("migration_aborts", fl.migration_aborts);
-            }
-            if fl.migration_redone_frees > 0 {
-                fo = fo.set("migration_redone_frees", fl.migration_redone_frees);
-            }
-            doc = doc.set("fleet", fo.set("redo_time_s", fl.redo_time.as_secs_f64()));
-        }
-    }
-    doc.set("metrics", metrics_json(&r.metrics))
+        .set("crash", counters_json(&r.crash))
+        .set("delta", counters_json(&r.delta.unwrap_or_default()))
+        .set("admission", counters_json(&r.admission.unwrap_or_default()))
+        .set("fleet", counters_json(&r.fleet.unwrap_or_default()))
+        .set("metrics", metrics_json(&r.metrics))
         .set("timelines", timelines_json(&r.timelines))
         .set("tasks", tasks)
         .build()
@@ -452,7 +342,7 @@ mod tests {
         ex.table(&t);
         let r = ex.render_checked().expect("reads back");
         for needle in [
-            "\"schema\": \"vfpga-bench/1\"",
+            "\"schema\": \"vfpga-bench/2\"",
             "\"experiment\": \"e99\"",
             "\"seed\": 42",
             "\"width\": 8",

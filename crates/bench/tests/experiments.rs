@@ -79,13 +79,29 @@ fn at<'a>(doc: &'a Json, path: &str) -> &'a Json {
     })
 }
 
-/// The counter `key` of a section; the exporter leaves out the newer
-/// counters while they are zero, so an absent key reads 0.
+/// The counter `key` of a section.
 fn count(section: &Json, key: &str) -> u64 {
-    match section.get(key) {
-        Some(Json::UInt(n)) => *n,
-        None => 0,
-        Some(other) => panic!("{key} is not a counter: {other:?}"),
+    match at(section, key) {
+        Json::UInt(n) => *n,
+        other => panic!("{key} is not a counter: {other:?}"),
+    }
+}
+
+fn keys(obj: &Json) -> Vec<&str> {
+    match obj {
+        Json::Obj(fields) => fields.iter().map(|(k, _)| k.as_str()).collect(),
+        other => panic!("not an object: {other:?}"),
+    }
+}
+
+/// Whether every counter of `report`'s `section` reads zero: what a run
+/// without that subsystem exports.
+fn all_zero(report: &Json, section: &str) -> bool {
+    match at(report, section) {
+        Json::Obj(fields) => fields
+            .iter()
+            .all(|(_, v)| matches!(v, Json::UInt(0)) || *v == Json::Num(0.0)),
+        other => panic!("{section} is not an object: {other:?}"),
     }
 }
 
@@ -159,6 +175,43 @@ fn every_smoke_export_matches_its_golden_at_1_and_4_threads() {
     }
 }
 
+/// `vfpga-bench/2` has one report shape: whatever a run had switched on,
+/// its report carries every section with every counter and its tasks every
+/// flag, so a reader never asks whether a key is there.
+#[test]
+fn every_report_of_every_export_has_the_same_keys() {
+    const SECTIONS: [&str; 7] = [
+        "manager_stats",
+        "overhead_breakdown",
+        "fault",
+        "crash",
+        "delta",
+        "admission",
+        "fleet",
+    ];
+    let owned = |obj: &Json| -> Vec<String> { keys(obj).into_iter().map(String::from).collect() };
+    let mut report_shape: Option<Vec<Vec<String>>> = None;
+    let mut task_shape: Option<Vec<String>> = None;
+    let mut seen = 0;
+    for &(name, ..) in ALL {
+        let text = std::fs::read_to_string(golden(name)).expect("golden is readable");
+        let doc = parse(name, &text);
+        for (label, r) in reports(&doc) {
+            let mut sections = vec![owned(r)];
+            sections.extend(SECTIONS.iter().map(|s| owned(at(r, s))));
+            let want = report_shape.get_or_insert_with(|| sections.clone());
+            assert_eq!(&sections, want, "{name} {label}: report keys");
+            for t in tasks(r) {
+                let task = owned(t);
+                let want = task_shape.get_or_insert_with(|| task.clone());
+                assert_eq!(&task, want, "{name} {label}: task keys");
+            }
+            seen += 1;
+        }
+    }
+    assert!(seen >= 100, "only {seen} reports compared");
+}
+
 /// The goldens pin the default seeds; the in-process gates of E15–E21
 /// (differential verifiers, loss accounting) and thread invariance must
 /// hold at any seed, so run them at a second one.
@@ -191,8 +244,8 @@ fn e16_journal_is_load_bearing() {
 #[test]
 fn e17_hanging_task_is_quarantined_and_off_cell_is_legacy() {
     let doc = smoke("e17_overload");
-    let off = report(&doc, "off/baseline").get("admission");
-    assert!(off.is_none(), "admission-off cell grew the section");
+    let off = report(&doc, "off/baseline");
+    assert!(all_zero(off, "admission"), "admission-off cell counted");
     let on: Vec<&Json> = reports(&doc)
         .into_iter()
         .filter(|(l, _)| *l != "off/baseline")
@@ -235,8 +288,7 @@ fn e19_storm_loses_nothing_and_ablation_loss_is_a_disjoint_slice() {
     let all = reports(&doc);
     for (label, r) in &all {
         if label.contains("/none/") || label.ends_with("/none") {
-            let fleet = r.get("fleet");
-            assert!(fleet.is_none(), "{label} grew a fleet section");
+            assert!(all_zero(r, "fleet"), "{label} moved a fleet counter");
         }
     }
     let ablation = |l: &str| l.contains("ablation");
@@ -281,16 +333,14 @@ fn e20_off_cells_are_legacy_and_similar_families_go_delta() {
     let (fulls, deltas) = (ending("/full").count(), ending("/delta").count());
     assert!(fulls > 0 && fulls == deltas, "unpaired cells");
     for (label, r) in ending("/full") {
-        let delta = r.get("delta");
-        assert!(delta.is_none(), "{label} grew a delta section");
+        assert!(all_zero(r, "delta"), "{label} moved a delta counter");
     }
     // Labels are `sim<similarity>/<rate>/<full|delta>`.
     let similarity = |l: &str| l[3..l.find('/').unwrap()].parse::<f64>().unwrap();
     let mut high_went_delta = false;
     for (label, r) in ending("/delta") {
-        let d = r.get("delta");
-        let d = d.unwrap_or_else(|| panic!("{label} lost its delta section"));
-        high_went_delta |= similarity(label) >= 0.5 && count(d, "delta_downloads") > 0;
+        let went_delta = count(at(r, "delta"), "delta_downloads") > 0;
+        high_went_delta |= similarity(label) >= 0.5 && went_delta;
     }
     assert!(high_went_delta, "no >=50%-similar cell went delta");
     let saved = count(at(&doc, "metrics.counters"), "delta_frames_saved");
@@ -300,29 +350,27 @@ fn e20_off_cells_are_legacy_and_similar_families_go_delta() {
 #[test]
 fn e21_every_crash_window_resolves_the_right_way() {
     let doc = smoke("e21_migration");
-    let no_fleet = Json::Obj(Vec::new());
     let mut migrated = 0;
     for (label, r) in reports(&doc) {
-        let fl = r.get("fleet").unwrap_or(&no_fleet);
+        let fl = at(r, "fleet");
         let lost = count(fl, "lost_in_flight");
         assert_eq!(lost, 0, "{label} lost work in flight");
         let flagged = tasks_with(r, "lost_in_flight");
         assert_eq!(flagged, 0, "{label} flagged a task lost");
         if label.starts_with("none/") {
-            let fleet = r.get("fleet");
-            assert!(fleet.is_none(), "{label} grew a fleet section");
+            assert!(all_zero(r, "fleet"), "{label} moved a fleet counter");
         }
-        let aborts = fl.get("migration_aborts");
-        let redone = fl.get("migration_redone_frees");
+        let aborts = count(fl, "migration_aborts");
+        let redone = count(fl, "migration_redone_frees");
         if label.contains("src-mid-prepare") || label.contains("dest-mid-copy") {
             // Intent without commit: rolled back, nothing to redo.
-            assert!(count(fl, "migration_aborts") >= 1, "{label}");
-            assert!(redone.is_none(), "{label} redid a free");
+            assert!(aborts >= 1, "{label}");
+            assert_eq!(redone, 0, "{label} redid a free");
         }
         if label.contains("commit-no-free") {
             // Commit without free: replay redoes it, nothing aborts.
-            assert!(count(fl, "migration_redone_frees") >= 1, "{label}");
-            assert!(aborts.is_none(), "{label} aborted after commit");
+            assert!(redone >= 1, "{label}");
+            assert_eq!(aborts, 0, "{label} aborted after commit");
         }
         migrated += count(fl, "tenant_migrations");
     }

@@ -78,8 +78,7 @@ impl PlacementPolicy {
 
 crate::counters::counter_table! {
     /// Fleet-level counters, disjoint from every per-system slice. A default
-    /// (all-zero) value means the fleet machinery never acted; exporters use
-    /// that to keep single-device reports byte-identical.
+    /// (all-zero) value means the fleet machinery never acted.
     #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
     pub struct FleetStats {
         /// Device-fault windows that opened during the run.
@@ -113,13 +112,6 @@ crate::counters::counter_table! {
         /// Commit-without-free windows completed by journal replay: the
         /// source-side free was redone idempotently.
         pub migration_redone_frees: u64,
-    }
-}
-
-impl FleetStats {
-    /// True when no counter moved — the fleet machinery was invisible.
-    pub fn is_zero(&self) -> bool {
-        *self == FleetStats::default()
     }
 }
 
@@ -1377,7 +1369,7 @@ mod tests {
         assert!(crate::checkpoint::diff_reports(&plain, &fleet.merged).is_empty());
         assert_eq!(plain.makespan, fleet.merged.makespan);
         assert_eq!(plain.manager_stats, fleet.merged.manager_stats);
-        assert!(fleet.stats.is_zero());
+        assert_eq!(fleet.stats, FleetStats::default());
         assert_eq!(fleet.merged.fleet, Some(FleetStats::default()));
         assert_eq!(fleet.trace.entries().count(), 0);
     }

@@ -27,8 +27,7 @@ use std::collections::{BTreeSet, HashMap};
 
 crate::counters::counter_table! {
     /// Counters for the delta-download path, reported separately from
-    /// [`super::ManagerStats`] so legacy exports are untouched when the
-    /// feature is off.
+    /// [`super::ManagerStats`]: all zero while the feature is off.
     #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
     pub struct DeltaStats {
         /// Downloads served as a frame delta against a tracked base.

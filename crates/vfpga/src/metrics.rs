@@ -178,13 +178,11 @@ pub struct Report {
     /// run in the background like scrubbing — never task-charged.
     pub crash: CrashStats,
     /// Admission-control outcome counters; `None` unless the run was
-    /// built with [`System::with_admission`](crate::system::System::with_admission),
-    /// so reports from admission-free runs are byte-identical to before
-    /// the subsystem existed.
+    /// built with [`System::with_admission`](crate::system::System::with_admission)
+    /// (exported as all zeros).
     pub admission: Option<AdmissionStats>,
     /// Delta-reconfiguration counters; `None` unless the manager had
-    /// `enable_delta()` called, so exports from delta-free runs are
-    /// byte-identical to before the feature existed.
+    /// `enable_delta()` called (exported as all zeros).
     pub delta: Option<crate::manager::DeltaStats>,
     /// Counter/gauge snapshot taken at the end of the run (empty unless the
     /// system ran with observability enabled).
@@ -202,8 +200,8 @@ pub struct Report {
     /// byte-identical.
     pub latency: Option<fsim::HistSet>,
     /// Fleet-level failover accounting, present only on reports merged by
-    /// [`crate::fleet::run_fleet`]; single-device runs leave it `None`.
-    /// The exporter emits it only when any counter is nonzero, so a
+    /// [`crate::fleet::run_fleet`]; single-device runs leave it `None`,
+    /// which exports as the all-zero section of a fault-free fleet — so a
     /// fault-free one-device fleet export is byte-identical to the plain
     /// `System` export.
     pub fleet: Option<crate::fleet::FleetStats>,
