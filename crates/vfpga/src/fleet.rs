@@ -28,7 +28,7 @@ use crate::manager::FpgaManager;
 use crate::metrics::{Report, TaskMetrics};
 use crate::migrate::{CounterBaseline, MigrationEngine};
 use crate::sched::Scheduler;
-use crate::system::System;
+use crate::system::{FailoverReceipt, System};
 use crate::task::TaskSpec;
 use fpga::journal::{MigrationPhase, MigrationResolution};
 use fsim::{
@@ -464,6 +464,38 @@ where
     Ok(sys)
 }
 
+/// The system a shard runs its next segment on: the one a restore left
+/// waiting, else a fresh build on the shard's host.
+fn take_system<M, S, F>(
+    build: &mut F,
+    ckpt: Option<CheckpointConfig>,
+    sr: &mut ShardRun<M, S>,
+) -> Result<System<M, S>, VfpgaError>
+where
+    M: FpgaManager,
+    S: Scheduler,
+    F: FnMut(&ShardCtx<'_>) -> Result<System<M, S>, VfpgaError>,
+{
+    match sr.pending.take() {
+        Some(sys) => Ok(sys),
+        None => build_shard(build, ckpt, sr, sr.host, false),
+    }
+}
+
+/// Book one hand-off's receipt: the claims it discarded, the window it
+/// re-executes, and its latency — that window plus the `wait` spent
+/// backing off first.
+fn book_failover(
+    receipt: &FailoverReceipt,
+    wait: SimDuration,
+    stats: &mut FleetStats,
+    migration_lat: &mut LogHistogram,
+) {
+    stats.migrated_claims += u64::from(receipt.migrated_claims);
+    stats.redo_time += receipt.redo_window;
+    migration_lat.record((receipt.redo_window + wait).as_nanos());
+}
+
 /// Run a sharded fleet to completion.
 ///
 /// `build` is called once per run segment with a [`ShardCtx`] and must
@@ -622,10 +654,7 @@ where
                         .map(|(si, _)| si)
                 });
             let Some(si) = victim else { continue };
-            let sys = match shards[si].pending.take() {
-                Some(sys) => sys,
-                None => build_shard(&mut build, cfg.ckpt, &shards[si], shards[si].host, false)?,
-            };
+            let sys = take_system(&mut build, cfg.ckpt, &mut shards[si])?;
             let from = shards[si].host;
             match sys.run_until(Some(t)).map_err(|e| on_device(from, e))? {
                 RunOutcome::Completed(report, _) => {
@@ -641,9 +670,7 @@ where
                     let mut sys = build_shard(&mut build, cfg.ckpt, &shards[si], d, false)?;
                     let receipt = sys.fail_over_from(&state).map_err(|e| on_device(d, e))?;
                     stats.rebalances += 1;
-                    stats.migrated_claims += u64::from(receipt.migrated_claims);
-                    stats.redo_time += receipt.redo_window;
-                    migration_lat.record(receipt.redo_window.as_nanos());
+                    book_failover(&receipt, SimDuration::ZERO, &mut stats, &mut migration_lat);
                     events.push((
                         t,
                         TraceEvent::FleetRebalance {
@@ -664,10 +691,7 @@ where
         // Device crash cutting shard `idx` at `t`.
         let si = idx;
         let from = shards[si].host;
-        let sys = match shards[si].pending.take() {
-            Some(sys) => sys,
-            None => build_shard(&mut build, cfg.ckpt, &shards[si], from, false)?,
-        };
+        let sys = take_system(&mut build, cfg.ckpt, &mut shards[si])?;
         match sys.run_until(Some(t)).map_err(|e| on_device(from, e))? {
             RunOutcome::Completed(report, _) => {
                 // The shard finished before the device died.
@@ -709,10 +733,8 @@ where
                         let mut sys = build_shard(&mut build, cfg.ckpt, &shards[si], d, false)?;
                         let receipt = sys.fail_over_from(&state).map_err(|e| on_device(d, e))?;
                         stats.failovers += 1;
-                        stats.migrated_claims += u64::from(receipt.migrated_claims);
-                        stats.redo_time += receipt.redo_window;
                         let wait = cfg.retry_backoff * u64::from(k);
-                        migration_lat.record((receipt.redo_window + wait).as_nanos());
+                        book_failover(&receipt, wait, &mut stats, &mut migration_lat);
                         events.push((
                             at,
                             TraceEvent::Failover {
@@ -733,10 +755,8 @@ where
                         let mut sys = build_shard(&mut build, cfg.ckpt, &shards[si], from, true)?;
                         let receipt = sys.fail_over_from(&state).map_err(|e| on_device(from, e))?;
                         stats.software_fallbacks += 1;
-                        stats.migrated_claims += u64::from(receipt.migrated_claims);
-                        stats.redo_time += receipt.redo_window;
                         let wait = cfg.retry_backoff * u64::from(cfg.max_failover_retries);
-                        migration_lat.record((receipt.redo_window + wait).as_nanos());
+                        book_failover(&receipt, wait, &mut stats, &mut migration_lat);
                         events.push((
                             t,
                             TraceEvent::SoftwareFailover {
@@ -782,10 +802,7 @@ where
             continue;
         }
         let host = sr.host;
-        let sys = match sr.pending.take() {
-            Some(sys) => sys,
-            None => build_shard(&mut build, cfg.ckpt, sr, host, false)?,
-        };
+        let sys = take_system(&mut build, cfg.ckpt, sr)?;
         match sys.run_until(None).map_err(|e| on_device(host, e))? {
             RunOutcome::Completed(report, _) => {
                 finish(sr, &mut hosted, *report, Some(host));
@@ -974,10 +991,7 @@ where
     ) else {
         return Ok(());
     };
-    let sys = match shards[si].pending.take() {
-        Some(sys) => sys,
-        None => build_shard(build, cfg.ckpt, &shards[si], from, false)?,
-    };
+    let sys = take_system(build, cfg.ckpt, &mut shards[si])?;
     let state = match sys.run_until(Some(t)).map_err(|e| on_device(from, e))? {
         RunOutcome::Completed(report, _) => {
             // The shard finished before the instant: nothing to migrate.
@@ -1012,46 +1026,27 @@ where
     .expect("a cut shard has live work for some tenant");
     let resume = state.image.as_ref().map(|i| i.at).unwrap_or(SimTime::ZERO);
     match window {
-        Some(w @ MigrationCrashWindow::SourceMidPrepare) => {
-            // The source journaled its intent, then its host died before
-            // the destination saw anything: replay finds the bare intent
-            // and rolls the tenant back onto the source, backlog intact.
-            engine.journal_on(from, victim, from, d, MigrationPhase::Intent);
-            let rolled = engine
-                .resolve_device(from)
-                .into_iter()
-                .any(|(r, res)| r.tenant == victim && res == MigrationResolution::RollBack);
-            debug_assert!(rolled, "intent without commit must roll back");
-            engine.journal_on(from, victim, from, d, MigrationPhase::Aborted);
-            engine.truncate_device(from);
-            stats.migration_aborts += 1;
-            events.push((
-                t,
-                TraceEvent::MigrationAbort {
-                    tenant: victim,
-                    from_device: from,
-                    to_device: d,
-                    reason: w.name(),
-                },
-            ));
-            shards[si].watermark = t;
-            shards[si].pending = Some(rem);
-        }
-        Some(w @ MigrationCrashWindow::DestMidCopy) => {
-            // Both sides journaled the intent, then the destination died
-            // mid staged copy: both logs resolve the bare intent to a
-            // rollback; the destination never held anything durable.
-            engine.journal_both(victim, from, d, MigrationPhase::Intent);
-            for dev in [from, d] {
+        Some(w @ (MigrationCrashWindow::SourceMidPrepare | MigrationCrashWindow::DestMidCopy)) => {
+            // A host died before the commit. Mid-prepare it was the
+            // source's, and only the source had journaled its intent;
+            // mid staged copy it was the destination's, both sides had,
+            // and the destination never held anything durable. Replay
+            // resolves every bare intent to a rollback: the tenant stays
+            // on the source, backlog intact.
+            let journaled: &[u32] = match w {
+                MigrationCrashWindow::SourceMidPrepare => &[from],
+                _ => &[from, d],
+            };
+            for &dev in journaled {
+                engine.journal_on(dev, victim, from, d, MigrationPhase::Intent);
                 let rolled = engine
                     .resolve_device(dev)
                     .into_iter()
                     .any(|(r, res)| r.tenant == victim && res == MigrationResolution::RollBack);
                 debug_assert!(rolled, "intent without commit must roll back");
+                engine.journal_on(dev, victim, from, d, MigrationPhase::Aborted);
+                engine.truncate_device(dev);
             }
-            engine.journal_both(victim, from, d, MigrationPhase::Aborted);
-            engine.truncate_device(from);
-            engine.truncate_device(d);
             stats.migration_aborts += 1;
             events.push((
                 t,

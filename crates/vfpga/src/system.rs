@@ -17,7 +17,7 @@ use crate::checkpoint::{
 use crate::circuit::{CircuitId, CircuitLib};
 use crate::error::VfpgaError;
 use crate::image::{Capture, FpgaSeg, Latent, Running, SystemImage};
-use crate::manager::{redownload_cost, Activation, FpgaManager, PreemptAction};
+use crate::manager::{redownload_cost, Activation, FpgaManager, PreemptAction, ResidentRegion};
 use crate::metrics::{Report, TaskMetrics};
 use crate::recovery::{FaultStats, RecoveryPolicy, UpsetRecovery};
 use crate::sched::Scheduler;
@@ -1074,6 +1074,41 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
         Ok(())
     }
 
+    /// Adopt the image of a shard cut at `state.at` onto fresh fabric: the
+    /// shared first half of [`fail_over_from`](Self::fail_over_from) and
+    /// [`migrate_in`](Self::migrate_in). The journal restarts empty (its
+    /// records describe downloads to fabric that no longer exists; the
+    /// torn ones are counted undone), every restored residency claim is
+    /// discarded, and the dead fabric's latent upsets and stale markers go
+    /// with it. Returns the torn-record count, the work window to
+    /// re-execute (cut time minus the image's capture time — the whole run
+    /// so far on a cold start), that capture time, and the discarded claims.
+    fn adopt_onto_fresh_fabric(
+        &mut self,
+        state: &CrashState,
+    ) -> Result<(u32, SimDuration, SimTime, Vec<ResidentRegion>), VfpgaError> {
+        self.crash = state.stats;
+        // Fresh fabric on the destination device: full capture next.
+        self.ckpt_dirty_all = true;
+        let base = wal_base(state)?;
+        let mut resume_at = SimTime::ZERO;
+        if let Some(image) = &state.image {
+            self.adopt_image(image, 0)?;
+            resume_at = image.at;
+        }
+        let torn = state.wal[base..]
+            .iter()
+            .filter(|r| r.in_flight_at(state.at))
+            .count() as u32;
+        self.crash.records_undone += u64::from(torn);
+        self.dev.wal.clear();
+        let mut discarded = self.dev.manager.resident_regions();
+        discarded.retain(|claim| self.dev.manager.discard_resident(claim.cid));
+        self.dev.latent.clear();
+        self.dev.stale.clear();
+        Ok((torn, state.at - resume_at, resume_at, discarded))
+    }
+
     /// Adopt a shard that died with its device: restore this freshly
     /// built system — running on a *different* (or wiped-and-rejoined)
     /// device — from the crashed shard's durable state. Unlike
@@ -1094,38 +1129,9 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
                 reason: "fail_over_from requires with_checkpoints".into(),
             });
         }
-        self.crash = state.stats;
-        // Fresh fabric on the destination device: full capture next.
-        self.ckpt_dirty_all = true;
-        let crash_at = state.at;
-        let base = wal_base(state)?;
-        let mut redo_window = crash_at - SimTime::ZERO;
-        if let Some(image) = &state.image {
-            // The journal restarts empty on the destination: its records
-            // describe downloads to fabric that no longer exists.
-            self.adopt_image(image, 0)?;
-            redo_window = crash_at - image.at;
-        }
-        let torn = state.wal[base..]
-            .iter()
-            .filter(|r| r.in_flight_at(crash_at))
-            .count() as u32;
-        self.crash.records_undone += u64::from(torn);
-        self.dev.wal.clear();
-        // Device RAM died with the source: every restored claim points at
-        // fabric that no longer holds its circuit.
-        let mut migrated = 0u32;
-        for claim in self.dev.manager.resident_regions() {
-            if self.dev.manager.discard_resident(claim.cid) {
-                migrated += 1;
-            }
-        }
-        // Latent upsets and stale markers were properties of the dead
-        // fabric; the destination starts clean.
-        self.dev.latent.clear();
-        self.dev.stale.clear();
+        let (torn, redo_window, _, discarded) = self.adopt_onto_fresh_fabric(state)?;
         Ok(FailoverReceipt {
-            migrated_claims: migrated,
+            migrated_claims: discarded.len() as u32,
             torn_undone: torn,
             redo_window,
             live_tasks: self.unfinished as u32,
@@ -1276,46 +1282,20 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
                 reason: "migrate_in requires with_checkpoints".into(),
             });
         }
-        self.crash = state.stats;
-        // Fresh fabric on the destination device: full capture next.
-        self.ckpt_dirty_all = true;
-        let cut_at = state.at;
-        let base = wal_base(state)?;
-        let mut redo_window = cut_at - SimTime::ZERO;
-        let mut resume_at = SimTime::ZERO;
-        if let Some(image) = &state.image {
-            // The journal restarts empty on the destination: its records
-            // describe downloads to fabric that no longer exists.
-            self.adopt_image(image, 0)?;
-            redo_window = cut_at - image.at;
-            resume_at = image.at;
-        }
-        let torn = state.wal[base..]
-            .iter()
-            .filter(|r| r.in_flight_at(cut_at))
-            .count() as u32;
-        self.crash.records_undone += u64::from(torn);
-        self.dev.wal.clear();
-        // Every restored claim points at source fabric; all are
-        // discarded. The tenant's own claims are what the staged copy
-        // re-creates here — remember their geometry for the implant.
+        let (torn, redo_window, resume_at, discarded) = self.adopt_onto_fresh_fabric(state)?;
+        // The tenant's own claims are what the staged copy re-creates
+        // here — remember their geometry for the implant.
         let tenant_circuits: BTreeSet<u32> = self
             .specs
             .iter()
             .filter(|spec| spec.tenant == tenant)
             .flat_map(|spec| spec.circuits_used().into_iter().map(|c| c.0))
             .collect();
-        let mut migrated = 0u32;
-        let mut staged: Vec<(u32, u32, crate::circuit::CircuitId)> = Vec::new();
-        for claim in self.dev.manager.resident_regions() {
-            let own = tenant_circuits.contains(&claim.cid.0);
-            if self.dev.manager.discard_resident(claim.cid) && own {
-                migrated += 1;
-                staged.push((claim.col0, claim.width, claim.cid));
-            }
-        }
-        self.dev.latent.clear();
-        self.dev.stale.clear();
+        let staged: Vec<ResidentRegion> = discarded
+            .into_iter()
+            .filter(|claim| tenant_circuits.contains(&claim.cid.0))
+            .collect();
+        let migrated = staged.len() as u32;
         // Everyone but the migrating tenant continues on the source.
         self.retire_tasks_where(resume_at, resume_at, |s| s.tenant != tenant);
         if let Some(adm) = self.admission.as_mut() {
@@ -1338,10 +1318,14 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
         if delta {
             let timing = *self.dev.manager.timing();
             let mut copy_cost = SimDuration::ZERO;
-            for (col0, width, cid) in staged {
-                if self.dev.manager.implant_ghost(col0, width, cid) {
+            for claim in staged {
+                if self
+                    .dev
+                    .manager
+                    .implant_ghost(claim.col0, claim.width, claim.cid)
+                {
                     ghosts += 1;
-                    copy_cost += crate::manager::redownload_cost(&timing, width as usize);
+                    copy_cost += crate::manager::redownload_cost(&timing, claim.width as usize);
                 }
             }
             self.crash.replay_time += copy_cost;
