@@ -13,12 +13,12 @@
 
 use super::RunArgs;
 use crate::report::{f3, pct, Table};
-use crate::setup::{compile_suite_lib, save_restore};
+use crate::setup::{compile_suite_lib, run_traced, save_restore};
 use crate::{Exporter, HostProfile, Json};
 use fpga::{ConfigPort, ConfigTiming};
 use fsim::{SimDuration, SimRng};
 use vfpga::manager::dynload::DynLoadManager;
-use vfpga::{PreemptAction, RoundRobinScheduler, System};
+use vfpga::{PreemptAction, RoundRobinScheduler};
 use workload::{poisson_tasks, Domain, MixParams};
 
 pub fn run(args: &RunArgs) -> Result<Exporter, String> {
@@ -73,15 +73,8 @@ pub fn run(args: &RunArgs) -> Result<Exporter, String> {
         // evict this one, forcing a re-download on resume — the
         // thrashing regime the paper warns about.
         let mgr = DynLoadManager::new(lib.clone(), timing, PreemptAction::SaveRestore);
-        let sys = System::new(
-            lib.clone(),
-            mgr,
-            RoundRobinScheduler::new(SimDuration::from_millis(slice)),
-            save_restore(),
-            specs,
-        )
-        .with_trace_capacity(4096);
-        let r = sys.run().unwrap();
+        let sched = RoundRobinScheduler::new(SimDuration::from_millis(slice));
+        let r = run_traced(&lib, mgr, sched, save_restore(), specs);
         let row = vec![
             format!("{slice} ms"),
             pname.into(),

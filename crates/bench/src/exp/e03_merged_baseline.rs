@@ -11,13 +11,13 @@
 
 use super::RunArgs;
 use crate::report::{f3, Table};
-use crate::setup::{compile_suite_lib, serial_fast};
+use crate::setup::{compile_suite_lib, run_traced, serial_fast};
 use crate::{Exporter, HostProfile};
 use fsim::{SimDuration, SimRng};
 use std::sync::Arc;
 use vfpga::manager::dynload::DynLoadManager;
 use vfpga::manager::merged::MergedManager;
-use vfpga::{CircuitId, PreemptAction, RoundRobinScheduler, System, SystemConfig};
+use vfpga::{CircuitId, PreemptAction, RoundRobinScheduler, SystemConfig};
 use workload::{poisson_tasks, Domain, MixParams};
 
 pub fn run(args: &RunArgs) -> Result<Exporter, String> {
@@ -65,33 +65,12 @@ pub fn run(args: &RunArgs) -> Result<Exporter, String> {
         };
         let specs = poisson_tasks(&params, &ids, &mut rng);
 
-        let dyn_r = {
-            let mgr = DynLoadManager::new(lib.clone(), timing, PreemptAction::WaitCompletion);
-            System::new(
-                lib.clone(),
-                mgr,
-                RoundRobinScheduler::new(SimDuration::from_millis(5)),
-                SystemConfig::default(),
-                specs.clone(),
-            )
-            .with_trace_capacity(4096)
-            .run()
-            .expect("deadlock")
-        };
+        let rr = || RoundRobinScheduler::new(SimDuration::from_millis(5));
+        let mgr = DynLoadManager::new(lib.clone(), timing, PreemptAction::WaitCompletion);
+        let dyn_r = run_traced(&lib, mgr, rr(), SystemConfig::default(), specs.clone());
 
         let merged = match MergedManager::new(lib.clone(), timing) {
-            Ok(mgr) => Some(
-                System::new(
-                    lib.clone(),
-                    mgr,
-                    RoundRobinScheduler::new(SimDuration::from_millis(5)),
-                    SystemConfig::default(),
-                    specs,
-                )
-                .with_trace_capacity(4096)
-                .run()
-                .unwrap(),
-            ),
+            Ok(mgr) => Some(run_traced(&lib, mgr, rr(), SystemConfig::default(), specs)),
             Err(e) => {
                 return (n, total_cols, dyn_r, Err(e.to_string()));
             }

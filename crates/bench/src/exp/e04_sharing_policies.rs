@@ -12,12 +12,12 @@
 
 use super::RunArgs;
 use crate::report::{f3, pct, Table};
-use crate::setup::{compile_suite_lib, save_restore, serial_fast, variable_partitions};
+use crate::setup::{compile_suite_lib, run_traced, save_restore, serial_fast, variable_partitions};
 use crate::{Exporter, HostProfile};
 use fsim::{SimDuration, SimRng};
 use vfpga::manager::dynload::DynLoadManager;
 use vfpga::manager::exclusive::ExclusiveManager;
-use vfpga::{PreemptAction, Report, RoundRobinScheduler, System, SystemConfig, TaskSpec};
+use vfpga::{PreemptAction, Report, RoundRobinScheduler, SystemConfig, TaskSpec};
 use workload::{poisson_tasks, Domain, MixParams};
 
 fn record(r: &Report, t: &mut Table, ex: &mut Exporter) {
@@ -78,37 +78,22 @@ pub fn run(args: &RunArgs) -> Result<Exporter, String> {
 
     // One sweep point per manager.
     let points = [0usize, 1, 2];
-    let results = host.sweep(&points, |_, &which| match which {
-        0 => System::new(
-            lib.clone(),
-            ExclusiveManager::new(lib.clone(), timing),
-            RoundRobinScheduler::new(slice),
-            SystemConfig::default(),
-            specs.clone(),
-        )
-        .with_trace_capacity(4096)
-        .run()
-        .unwrap(),
-        1 => System::new(
-            lib.clone(),
-            DynLoadManager::new(lib.clone(), timing, PreemptAction::WaitCompletion),
-            RoundRobinScheduler::new(slice),
-            SystemConfig::default(),
-            specs.clone(),
-        )
-        .with_trace_capacity(4096)
-        .run()
-        .unwrap(),
-        _ => System::new(
-            lib.clone(),
-            variable_partitions(&lib, timing),
-            RoundRobinScheduler::new(slice),
-            save_restore(),
-            specs.clone(),
-        )
-        .with_trace_capacity(4096)
-        .run()
-        .unwrap(),
+    let results = host.sweep(&points, |_, &which| {
+        let (rr, plain) = (RoundRobinScheduler::new(slice), SystemConfig::default());
+        match which {
+            0 => {
+                let mgr = ExclusiveManager::new(lib.clone(), timing);
+                run_traced(&lib, mgr, rr, plain, specs.clone())
+            }
+            1 => {
+                let mgr = DynLoadManager::new(lib.clone(), timing, PreemptAction::WaitCompletion);
+                run_traced(&lib, mgr, rr, plain, specs.clone())
+            }
+            _ => {
+                let mgr = variable_partitions(&lib, timing);
+                run_traced(&lib, mgr, rr, save_restore(), specs.clone())
+            }
+        }
     });
     for r in &results {
         record(r, &mut t, &mut ex);

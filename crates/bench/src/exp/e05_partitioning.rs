@@ -11,11 +11,11 @@
 
 use super::RunArgs;
 use crate::report::{f3, pct, Table};
-use crate::setup::{compile_suite_lib, save_restore, serial_fast};
+use crate::setup::{compile_suite_lib, run_traced, save_restore, serial_fast};
 use crate::{Exporter, HostProfile};
 use fsim::{SimDuration, SimRng};
 use vfpga::manager::partition::{PartitionManager, PartitionMode};
-use vfpga::{PreemptAction, RoundRobinScheduler, System};
+use vfpga::{PreemptAction, RoundRobinScheduler};
 use workload::{poisson_tasks, Domain, MixParams};
 
 pub fn run(args: &RunArgs) -> Result<Exporter, String> {
@@ -111,16 +111,8 @@ pub fn run(args: &RunArgs) -> Result<Exporter, String> {
             PreemptAction::SaveRestore,
         )
         .unwrap();
-        let r = System::new(
-            lib.clone(),
-            mgr,
-            RoundRobinScheduler::new(SimDuration::from_millis(10)),
-            save_restore(),
-            specs,
-        )
-        .with_trace_capacity(4096)
-        .run()
-        .unwrap();
+        let sched = RoundRobinScheduler::new(SimDuration::from_millis(10));
+        let r = run_traced(&lib, mgr, sched, save_restore(), specs);
         Some((name.clone(), r, int_frag))
     });
 

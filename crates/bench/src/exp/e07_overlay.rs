@@ -12,12 +12,12 @@
 
 use super::RunArgs;
 use crate::report::{f3, pct, Table};
-use crate::setup::{compile_suite_lib, save_restore, serial_fast};
+use crate::setup::{compile_suite_lib, run_traced, save_restore, serial_fast};
 use crate::{Exporter, HostProfile};
 use fsim::rng::Zipf;
 use fsim::{SimDuration, SimRng, SimTime};
 use vfpga::manager::overlay::{OverlayManager, Replacement};
-use vfpga::{Op, RoundRobinScheduler, System, TaskSpec};
+use vfpga::{Op, RoundRobinScheduler, TaskSpec};
 use workload::Domain;
 
 pub fn run(args: &RunArgs) -> Result<Exporter, String> {
@@ -87,16 +87,8 @@ pub fn run(args: &RunArgs) -> Result<Exporter, String> {
         let slot_w = widest.max((timing.spec.cols - common_w) / 3);
         let mgr = OverlayManager::new(lib.clone(), timing, common, slot_w, policy).unwrap();
         let slots = mgr.slot_count();
-        let r = System::new(
-            lib.clone(),
-            mgr,
-            RoundRobinScheduler::new(SimDuration::from_millis(5)),
-            save_restore(),
-            build_specs(0xE07),
-        )
-        .with_trace_capacity(4096)
-        .run()
-        .unwrap();
+        let sched = RoundRobinScheduler::new(SimDuration::from_millis(5));
+        let r = run_traced(&lib, mgr, sched, save_restore(), build_specs(0xE07));
         (k, policy, slots, r)
     });
     for (k, policy, slots, r) in &results {

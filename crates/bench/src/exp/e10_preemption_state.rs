@@ -14,11 +14,11 @@
 
 use super::RunArgs;
 use crate::report::{f3, pct, Table};
-use crate::setup::{compile_suite_lib, serial_fast};
+use crate::setup::{compile_suite_lib, run_traced, serial_fast};
 use crate::{Exporter, HostProfile};
 use fsim::{SimDuration, SimTime};
 use vfpga::manager::dynload::DynLoadManager;
-use vfpga::{Op, PreemptAction, RoundRobinScheduler, System, SystemConfig, TaskSpec};
+use vfpga::{Op, PreemptAction, RoundRobinScheduler, SystemConfig, TaskSpec};
 use workload::Domain;
 
 pub fn run(args: &RunArgs) -> Result<Exporter, String> {
@@ -89,19 +89,11 @@ pub fn run(args: &RunArgs) -> Result<Exporter, String> {
             ),
         ];
         let mgr = DynLoadManager::new(lib.clone(), timing, policy);
-        System::new(
-            lib.clone(),
-            mgr,
-            RoundRobinScheduler::new(slice),
-            SystemConfig {
-                preempt: policy,
-                ..Default::default()
-            },
-            specs,
-        )
-        .with_trace_capacity(4096)
-        .run()
-        .unwrap()
+        let config = SystemConfig {
+            preempt: policy,
+            ..Default::default()
+        };
+        run_traced(&lib, mgr, RoundRobinScheduler::new(slice), config, specs)
     });
     for (&(op_ms, policy), r) in points.iter().zip(&results) {
         ex.report(&format!("{op_ms}ms/{policy:?}"), r);

@@ -11,11 +11,11 @@
 
 use super::RunArgs;
 use crate::report::{f3, pct, Table};
-use crate::setup::{compile_suite_lib, serial_fast};
+use crate::setup::{compile_suite_lib, run_traced, serial_fast};
 use crate::{Exporter, HostProfile};
 use fsim::{SimDuration, SimTime};
 use vfpga::manager::dynload::DynLoadManager;
-use vfpga::{CompletionDetect, FifoScheduler, Op, PreemptAction, System, SystemConfig, TaskSpec};
+use vfpga::{CompletionDetect, FifoScheduler, Op, PreemptAction, SystemConfig, TaskSpec};
 use workload::Domain;
 
 pub fn run(args: &RunArgs) -> Result<Exporter, String> {
@@ -74,19 +74,11 @@ pub fn run(args: &RunArgs) -> Result<Exporter, String> {
             .collect();
         let specs = vec![TaskSpec::new("t", SimTime::ZERO, ops)];
         let mgr = DynLoadManager::new(lib.clone(), timing, PreemptAction::WaitCompletion);
-        System::new(
-            lib.clone(),
-            mgr,
-            FifoScheduler::new(),
-            SystemConfig {
-                completion: *completion,
-                ..Default::default()
-            },
-            specs,
-        )
-        .with_trace_capacity(4096)
-        .run()
-        .unwrap()
+        let config = SystemConfig {
+            completion: *completion,
+            ..Default::default()
+        };
+        run_traced(&lib, mgr, FifoScheduler::new(), config, specs)
     });
     for ((name, _), r) in detect_modes.iter().zip(&results) {
         ex.report(name, r);

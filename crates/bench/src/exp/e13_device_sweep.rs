@@ -17,12 +17,12 @@
 
 use super::RunArgs;
 use crate::report::{f3, pct, Table};
-use crate::setup::{save_restore, variable_partitions};
+use crate::setup::{run_traced, save_restore, variable_partitions};
 use crate::{Exporter, HostProfile};
 use fpga::{ConfigPort, ConfigTiming, PARTS};
 use fsim::{SimDuration, SimRng};
 use std::sync::Arc;
-use vfpga::{CircuitLib, RoundRobinScheduler, System};
+use vfpga::{CircuitLib, RoundRobinScheduler};
 use workload::{poisson_tasks, suite, Domain, MixParams};
 
 pub fn run(args: &RunArgs) -> Result<Exporter, String> {
@@ -92,16 +92,8 @@ pub fn run(args: &RunArgs) -> Result<Exporter, String> {
             &mut rng,
         );
         let mgr = variable_partitions(&lib, timing);
-        let r = System::new(
-            lib.clone(),
-            mgr,
-            RoundRobinScheduler::new(SimDuration::from_millis(10)),
-            save_restore(),
-            specs,
-        )
-        .with_trace_capacity(4096)
-        .run()
-        .unwrap();
+        let sched = RoundRobinScheduler::new(SimDuration::from_millis(10));
+        let r = run_traced(&lib, mgr, sched, save_restore(), specs);
         let row = vec![
             spec.name.into(),
             spec.cols.to_string(),

@@ -12,14 +12,13 @@
 
 use super::RunArgs;
 use crate::report::{f3, pct, Table};
-use crate::setup::{compile_suite_lib, serial_fast, variable_partitions};
+use crate::setup::{compile_suite_lib, run_traced, serial_fast, variable_partitions};
 use crate::{Exporter, HostProfile};
 use fsim::{SimDuration, SimRng};
 use vfpga::manager::dynload::DynLoadManager;
 use vfpga::manager::exclusive::ExclusiveManager;
 use vfpga::{
-    FifoScheduler, PreemptAction, PriorityScheduler, Report, RoundRobinScheduler, Scheduler,
-    System, SystemConfig, TaskSpec,
+    FifoScheduler, PreemptAction, PriorityScheduler, RoundRobinScheduler, SystemConfig, TaskSpec,
 };
 use workload::{poisson_tasks, Domain, MixParams};
 
@@ -71,53 +70,30 @@ pub fn run(args: &RunArgs) -> Result<Exporter, String> {
         ],
     );
 
-    fn run_one<M: vfpga::FpgaManager, S: Scheduler>(
-        lib: &std::sync::Arc<vfpga::CircuitLib>,
-        mgr: M,
-        sched: S,
-        preempt: PreemptAction,
-        specs: Vec<TaskSpec>,
-    ) -> Report {
-        System::new(
-            lib.clone(),
-            mgr,
-            sched,
-            SystemConfig {
-                preempt,
-                ..Default::default()
-            },
-            specs,
-        )
-        .with_trace_capacity(4096)
-        .run()
-        .expect("deadlock")
-    }
-
     let points: Vec<(&str, &str)> = ["exclusive", "dynload", "partition"]
         .into_iter()
         .flat_map(|m| ["fifo", "rr", "priority"].into_iter().map(move |s| (m, s)))
         .collect();
     let results = host.sweep(&points, |_, &(mgr_kind, sched_kind)| {
         macro_rules! with_sched {
-            ($mgr:expr, $preempt:expr) => {
+            ($mgr:expr, $preempt:expr) => {{
+                let config = SystemConfig {
+                    preempt: $preempt,
+                    ..Default::default()
+                };
+                let specs = specs(&ids);
                 match sched_kind {
-                    "fifo" => run_one(&lib, $mgr, FifoScheduler::new(), $preempt, specs(&ids)),
-                    "rr" => run_one(
-                        &lib,
-                        $mgr,
-                        RoundRobinScheduler::new(slice),
-                        $preempt,
-                        specs(&ids),
-                    ),
-                    _ => run_one(
+                    "fifo" => run_traced(&lib, $mgr, FifoScheduler::new(), config, specs),
+                    "rr" => run_traced(&lib, $mgr, RoundRobinScheduler::new(slice), config, specs),
+                    _ => run_traced(
                         &lib,
                         $mgr,
                         PriorityScheduler::new(Some(slice)),
-                        $preempt,
-                        specs(&ids),
+                        config,
+                        specs,
                     ),
                 }
-            };
+            }};
         }
         match mgr_kind {
             // Exclusive manager (non-preemptable device).

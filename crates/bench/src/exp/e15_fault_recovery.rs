@@ -32,11 +32,6 @@ fn specs(ids: &[vfpga::CircuitId], seed: u64) -> Vec<TaskSpec> {
     poisson_tasks(&os_mix(10, SimDuration::from_millis(2)), ids, &mut rng)
 }
 
-struct Cell {
-    label: String,
-    report: Report,
-}
-
 fn run_cell(
     lib: &std::sync::Arc<vfpga::CircuitLib>,
     ids: &[vfpga::CircuitId],
@@ -45,7 +40,7 @@ fn run_cell(
     plan: FaultPlan,
     policy: RecoveryPolicy,
     label: String,
-) -> Cell {
+) -> (String, Report) {
     let mgr = variable_partitions(lib, timing);
     let report = System::new(
         lib.clone(),
@@ -57,7 +52,7 @@ fn run_cell(
     .with_faults(plan, policy)
     .run()
     .expect("every task must terminate (completed or failed)");
-    Cell { label, report }
+    (label, report)
 }
 
 pub fn run(args: &RunArgs) -> Result<Exporter, String> {
@@ -144,8 +139,7 @@ pub fn run(args: &RunArgs) -> Result<Exporter, String> {
         run_cell(&lib, &ids, timing, seed, *plan, *policy, label.clone())
     });
 
-    for c in &cells {
-        let r = &c.report;
+    for (label, r) in &cells {
         let f = &r.fault;
         let useful = r.useful_time().as_secs_f64();
         let fault_cost = (f.retry_time + f.work_lost + f.background_time()).as_secs_f64();
@@ -154,7 +148,7 @@ pub fn run(args: &RunArgs) -> Result<Exporter, String> {
         } else {
             0.0
         };
-        let parts: Vec<&str> = c.label.split('/').collect();
+        let parts: Vec<&str> = label.split('/').collect();
         t.row(vec![
             parts[0].into(),
             parts[1].into(),
@@ -170,7 +164,7 @@ pub fn run(args: &RunArgs) -> Result<Exporter, String> {
                 .unwrap_or_else(|| "-".into()),
             pct(frac),
         ]);
-        ex.report(&c.label, r);
+        ex.report(label, r);
     }
 
     t.print();

@@ -59,18 +59,13 @@ struct Point {
     policy: Option<AdmissionPolicy>,
 }
 
-struct Cell {
-    label: String,
-    report: Report,
-}
-
 fn run_cell(
     lib: &std::sync::Arc<vfpga::CircuitLib>,
     ids: &[vfpga::CircuitId],
     timing: ConfigTiming,
     seed: u64,
     p: &Point,
-) -> Cell {
+) -> (String, Report) {
     let mgr = variable_partitions(lib, timing);
     let mut sys = System::new(
         lib.clone(),
@@ -87,10 +82,7 @@ fn run_cell(
     let report = sys
         .run()
         .expect("every task must terminate (completed, rejected, or quarantined)");
-    Cell {
-        label: p.label.clone(),
-        report,
-    }
+    (p.label.clone(), report)
 }
 
 pub fn run(args: &RunArgs) -> Result<Exporter, String> {
@@ -190,8 +182,7 @@ pub fn run(args: &RunArgs) -> Result<Exporter, String> {
 
     let cells = host.sweep(&points, |_, p| run_cell(&lib, &ids, timing, seed, p));
 
-    for c in &cells {
-        let r = &c.report;
+    for (label, r) in &cells {
         let done = r
             .tasks
             .iter()
@@ -199,7 +190,7 @@ pub fn run(args: &RunArgs) -> Result<Exporter, String> {
             .count();
         let a = r.admission.unwrap_or_default();
         t.row(vec![
-            c.label.clone(),
+            label.clone(),
             f3(r.makespan.as_secs_f64()),
             format!("{}/{}", done, r.tasks.len()),
             a.rejected.to_string(),
@@ -210,7 +201,7 @@ pub fn run(args: &RunArgs) -> Result<Exporter, String> {
             a.deadline_missed.to_string(),
             f3(a.watchdog_lost_time.as_secs_f64()),
         ]);
-        ex.report(&c.label, r);
+        ex.report(label, r);
     }
 
     t.print();

@@ -91,18 +91,13 @@ struct Point {
     small: bool,
 }
 
-struct Cell {
-    label: String,
-    report: Report,
-}
-
 struct Device {
     lib: std::sync::Arc<vfpga::CircuitLib>,
     ids: Vec<vfpga::CircuitId>,
     timing: ConfigTiming,
 }
 
-fn run_cell(big: &Device, small: &Device, seed: u64, p: &Point) -> Cell {
+fn run_cell(big: &Device, small: &Device, seed: u64, p: &Point) -> (String, Report) {
     let Device { lib, ids, timing } = if p.small { small } else { big };
     let timing = *timing;
     let specs = specs(ids, seed, p.mean_interarrival);
@@ -132,10 +127,7 @@ fn run_cell(big: &Device, small: &Device, seed: u64, p: &Point) -> Cell {
         )),
         Arm::Edf => run_arm!(EdfScheduler::for_tasks(&specs, slice)),
     };
-    Cell {
-        label: p.label.clone(),
-        report,
-    }
+    (p.label.clone(), report)
 }
 
 /// Turnaround quantile across tenants, from the latency profile.
@@ -292,8 +284,7 @@ pub fn run(args: &RunArgs) -> Result<Exporter, String> {
 
     let cells = host.sweep(&points, |_, p| run_cell(&big, &small, seed, p));
 
-    for c in &cells {
-        let r = &c.report;
+    for (label, r) in &cells {
         let done = r
             .tasks
             .iter()
@@ -302,7 +293,7 @@ pub fn run(args: &RunArgs) -> Result<Exporter, String> {
         let missed = r.tasks.iter().filter(|t| t.deadline_missed).count();
         let a = r.admission.unwrap_or_default();
         t.row(vec![
-            c.label.clone(),
+            label.clone(),
             f3(r.makespan.as_secs_f64()),
             format!("{}/{}", done, r.tasks.len()),
             missed.to_string(),
@@ -312,7 +303,7 @@ pub fn run(args: &RunArgs) -> Result<Exporter, String> {
             f3(turnaround_quantile(r, 0.95)),
             format!("{}/{}", a.degrade_enters, a.degrade_exits),
         ]);
-        ex.report(&c.label, r);
+        ex.report(label, r);
     }
 
     t.print();

@@ -5,7 +5,10 @@ use fsim::{SimDuration, SimRng};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use vfpga::manager::partition::{PartitionManager, PartitionMode};
-use vfpga::{CircuitId, CircuitLib, Op, PreemptAction, SystemConfig, TaskSpec};
+use vfpga::{
+    CircuitId, CircuitLib, FpgaManager, Op, PreemptAction, Report, Scheduler, System, SystemConfig,
+    TaskSpec,
+};
 use workload::{suite, tenant_tasks, Domain, MixParams, TenantMixParams};
 
 /// `spec` configured over the fast serial port — the port that supports
@@ -36,6 +39,21 @@ pub fn variable_partitions(lib: &Arc<CircuitLib>, timing: ConfigTiming) -> Parti
         PreemptAction::SaveRestore,
     )
     .expect("variable partitions fit any device")
+}
+
+/// Run one system to completion with a 4096-event trace ring: the arm every
+/// E2–E14 sweep point ends in. Their workloads cannot deadlock.
+pub fn run_traced<M: FpgaManager, S: Scheduler>(
+    lib: &Arc<CircuitLib>,
+    mgr: M,
+    sched: S,
+    config: SystemConfig,
+    specs: Vec<TaskSpec>,
+) -> Report {
+    System::new(lib.clone(), mgr, sched, config, specs)
+        .with_trace_capacity(4096)
+        .run()
+        .expect("deadlock")
 }
 
 /// Compile every app of the given domains into one circuit library sized
