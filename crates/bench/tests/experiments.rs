@@ -189,22 +189,25 @@ fn every_report_of_every_export_has_the_same_keys() {
         "admission",
         "fleet",
     ];
-    let owned = |obj: &Json| -> Vec<String> { keys(obj).into_iter().map(String::from).collect() };
-    let mut report_shape: Option<Vec<Vec<String>>> = None;
-    let mut task_shape: Option<Vec<String>> = None;
+    let docs: Vec<(&str, Json)> = ALL
+        .iter()
+        .map(|&(name, ..)| {
+            let text = std::fs::read_to_string(golden(name)).expect("golden is readable");
+            (name, parse(name, &text))
+        })
+        .collect();
+    let mut report_shape: Option<Vec<Vec<&str>>> = None;
+    let mut task_shape: Option<Vec<&str>> = None;
     let mut seen = 0;
-    for &(name, ..) in ALL {
-        let text = std::fs::read_to_string(golden(name)).expect("golden is readable");
-        let doc = parse(name, &text);
-        for (label, r) in reports(&doc) {
-            let mut sections = vec![owned(r)];
-            sections.extend(SECTIONS.iter().map(|s| owned(at(r, s))));
+    for (name, doc) in &docs {
+        for (label, r) in reports(doc) {
+            let mut sections = vec![keys(r)];
+            sections.extend(SECTIONS.iter().map(|s| keys(at(r, s))));
             let want = report_shape.get_or_insert_with(|| sections.clone());
             assert_eq!(&sections, want, "{name} {label}: report keys");
             for t in tasks(r) {
-                let task = owned(t);
-                let want = task_shape.get_or_insert_with(|| task.clone());
-                assert_eq!(&task, want, "{name} {label}: task keys");
+                let want = task_shape.get_or_insert_with(|| keys(t));
+                assert_eq!(&keys(t), want, "{name} {label}: task keys");
             }
             seen += 1;
         }

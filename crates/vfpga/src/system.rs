@@ -714,13 +714,8 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
             if !slot.state.is_terminal() {
                 slot.lost_in_flight = true;
                 slot.completion = at.max(slot.arrival);
-                let accounted = slot.cpu_time
-                    + slot.fpga_time
-                    + slot.degraded_time
-                    + slot.overhead_time
-                    + slot.lost_time
-                    + slot.fault_lost_time;
-                let excess = accounted.saturating_sub(slot.completion - slot.arrival);
+                let row = slot.metrics(String::new());
+                let excess = row.accounted().saturating_sub(row.turnaround());
                 slot.overhead_time = slot.overhead_time.saturating_sub(excess);
             }
         }
