@@ -41,6 +41,6 @@ pub use fault::{
 pub use obs::{Metrics, Timeline, TimelineSet};
 pub use rng::SimRng;
 pub use span::{SpanGuard, SpanProfile, SpanStat};
-pub use stats::{HistSet, Histogram, LogHistogram, Summary};
+pub use stats::{HistSet, LogHistogram, Summary};
 pub use time::{SimDuration, SimTime};
 pub use trace::{TaskState, Trace, TraceEntry, TraceEvent};

@@ -2,7 +2,7 @@
 //! timelines.
 //!
 //! [`Metrics`] is a small named registry of counters, gauges, and value
-//! distributions (backed by [`Summary`]/[`Histogram`] from [`crate::stats`]).
+//! distributions (backed by [`Summary`] from [`crate::stats`]).
 //! [`Timeline`] records a step function of some quantity against
 //! [`SimTime`] — CLB occupancy, free-fragment count, ready-queue depth —
 //! storing only value *changes* so long steady states cost one point.
@@ -10,7 +10,7 @@
 //! Both containers iterate in deterministic (sorted-by-name) order so that
 //! exported reports are byte-stable across runs.
 
-use crate::stats::{Histogram, Summary};
+use crate::stats::Summary;
 use crate::time::SimTime;
 use std::collections::BTreeMap;
 
@@ -23,7 +23,6 @@ pub struct Metrics {
     counters: BTreeMap<&'static str, u64>,
     gauges: BTreeMap<&'static str, f64>,
     summaries: BTreeMap<&'static str, Summary>,
-    histograms: BTreeMap<&'static str, Histogram>,
 }
 
 impl Metrics {
@@ -62,21 +61,6 @@ impl Metrics {
         self.summaries.get(name)
     }
 
-    /// Record `value` into the named histogram, creating it with the given
-    /// shape on first use. The shape arguments are ignored on later calls —
-    /// a histogram's bins are fixed at creation.
-    pub fn observe_hist(&mut self, name: &'static str, lo: f64, hi: f64, bins: usize, value: f64) {
-        self.histograms
-            .entry(name)
-            .or_insert_with(|| Histogram::new(lo, hi, bins))
-            .add(value);
-    }
-
-    /// Read a histogram, if any values were observed.
-    pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        self.histograms.get(name)
-    }
-
     /// All counters in name order.
     pub fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
         self.counters.iter().map(|(&k, &v)| (k, v))
@@ -92,21 +76,13 @@ impl Metrics {
         self.summaries.iter().map(|(&k, v)| (k, v))
     }
 
-    /// All histograms in name order.
-    pub fn histograms(&self) -> impl Iterator<Item = (&'static str, &Histogram)> + '_ {
-        self.histograms.iter().map(|(&k, v)| (k, v))
-    }
-
     /// Whether nothing has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.counters.is_empty()
-            && self.gauges.is_empty()
-            && self.summaries.is_empty()
-            && self.histograms.is_empty()
+        self.counters.is_empty() && self.gauges.is_empty() && self.summaries.is_empty()
     }
 
     /// Fold another registry into this one: counters add, gauges take the
-    /// other's value, summaries and histograms merge.
+    /// other's value, summaries merge.
     pub fn absorb(&mut self, other: &Metrics) {
         for (k, v) in other.counters() {
             self.inc(k, v);
@@ -116,14 +92,6 @@ impl Metrics {
         }
         for (k, s) in other.summaries() {
             self.summaries.entry(k).or_default().merge(s);
-        }
-        for (k, h) in other.histograms() {
-            match self.histograms.get_mut(k) {
-                Some(mine) => mine.merge(h),
-                None => {
-                    self.histograms.insert(k, h.clone());
-                }
-            }
         }
     }
 }
@@ -191,55 +159,9 @@ impl Timeline {
         self.points.is_empty()
     }
 
-    /// The value in effect at `t` (the last change at or before `t`), or
-    /// `None` if `t` precedes the first sample.
-    pub fn value_at(&self, t: SimTime) -> Option<f64> {
-        match self.points.partition_point(|&(at, _)| at <= t) {
-            0 => None,
-            i => Some(self.points[i - 1].1),
-        }
-    }
-
     /// Largest sampled value (or 0.0 if empty).
     pub fn max(&self) -> f64 {
         self.points.iter().map(|&(_, v)| v).fold(0.0, f64::max)
-    }
-
-    /// Mean of the step function over `[first_sample, until]`, weighting
-    /// each value by how long it was in effect. Returns 0.0 for an empty
-    /// timeline; if `until` is before the last change point the tail is
-    /// clamped out.
-    pub fn time_weighted_mean(&self, until: SimTime) -> f64 {
-        if self.points.is_empty() {
-            return 0.0;
-        }
-        let t0 = self.points[0].0;
-        if until <= t0 {
-            return self.points[0].1;
-        }
-        let mut weighted = 0.0;
-        let mut total = 0.0;
-        for w in self.points.windows(2) {
-            let (a, va) = w[0];
-            let (b, _) = w[1];
-            let hi = b.min(until);
-            if hi > a {
-                let span = hi.since(a).as_nanos() as f64;
-                weighted += va * span;
-                total += span;
-            }
-        }
-        let (last_at, last_v) = *self.points.last().unwrap();
-        if until > last_at {
-            let span = until.since(last_at).as_nanos() as f64;
-            weighted += last_v * span;
-            total += span;
-        }
-        if total == 0.0 {
-            self.points[0].1
-        } else {
-            weighted / total
-        }
     }
 }
 
@@ -304,16 +226,14 @@ mod tests {
     }
 
     #[test]
-    fn summaries_and_histograms_record() {
+    fn summaries_record() {
         let mut m = Metrics::new();
         for v in [1.0, 2.0, 3.0] {
             m.observe("lat", v);
-            m.observe_hist("lat_h", 0.0, 10.0, 10, v);
         }
         let s = m.summary("lat").unwrap();
         assert_eq!(s.count(), 3);
         assert!((s.mean() - 2.0).abs() < 1e-12);
-        assert!(m.histogram("lat_h").is_some());
     }
 
     #[test]
@@ -331,21 +251,16 @@ mod tests {
         let mut a = Metrics::new();
         a.inc("x", 1);
         a.observe("s", 1.0);
-        a.observe_hist("h", 0.0, 10.0, 10, 1.0);
         let mut b = Metrics::new();
         b.inc("x", 2);
         b.inc("y", 5);
         b.observe("s", 3.0);
         b.set_gauge("g", 9.0);
-        b.observe_hist("h", 0.0, 10.0, 10, 3.0);
-        b.observe_hist("h2", 0.0, 1.0, 4, 0.5);
         a.absorb(&b);
         assert_eq!(a.counter("x"), 3);
         assert_eq!(a.counter("y"), 5);
         assert_eq!(a.summary("s").unwrap().count(), 2);
         assert_eq!(a.gauge("g"), Some(9.0));
-        assert_eq!(a.histogram("h").unwrap().count(), 2);
-        assert_eq!(a.histogram("h2").unwrap().count(), 1);
     }
 
     #[test]
@@ -360,12 +275,10 @@ mod tests {
         for n in names {
             fwd.inc(n, 1);
             fwd.observe(n, 2.0);
-            fwd.observe_hist(n, 0.0, 4.0, 4, 2.0);
         }
         for n in names.iter().rev() {
             rev.inc(n, 1);
             rev.observe(n, 2.0);
-            rev.observe_hist(n, 0.0, 4.0, 4, 2.0);
         }
         let f: Vec<_> = fwd.counters().collect();
         let r: Vec<_> = rev.counters().collect();
@@ -374,10 +287,7 @@ mod tests {
         let fs: Vec<_> = fwd.summaries().map(|(k, _)| k).collect();
         let rs: Vec<_> = rev.summaries().map(|(k, _)| k).collect();
         assert_eq!(fs, rs);
-        let fh: Vec<_> = fwd.histograms().map(|(k, _)| k).collect();
-        let rh: Vec<_> = rev.histograms().map(|(k, _)| k).collect();
-        assert_eq!(fh, rh);
-        assert_eq!(fh, vec!["alpha", "beta", "mid", "zeta"]);
+        assert_eq!(fs, vec!["alpha", "beta", "mid", "zeta"]);
     }
 
     #[test]
@@ -407,32 +317,6 @@ mod tests {
         let mut t = Timeline::new();
         t.sample(SimTime(10), 1.0);
         t.sample(SimTime(5), 2.0);
-    }
-
-    #[test]
-    fn value_at_steps() {
-        let mut t = Timeline::new();
-        t.sample(SimTime(10), 1.0);
-        t.sample(SimTime(20), 3.0);
-        assert_eq!(t.value_at(SimTime(5)), None);
-        assert_eq!(t.value_at(SimTime(10)), Some(1.0));
-        assert_eq!(t.value_at(SimTime(15)), Some(1.0));
-        assert_eq!(t.value_at(SimTime(20)), Some(3.0));
-        assert_eq!(t.value_at(SimTime::MAX), Some(3.0));
-    }
-
-    #[test]
-    fn time_weighted_mean_weights_by_duration() {
-        let mut t = Timeline::new();
-        t.sample(SimTime(0), 0.0);
-        t.sample(SimTime(10), 10.0);
-        // 0.0 for 10 ns, 10.0 for 10 ns -> mean 5.0 at t=20.
-        assert!((t.time_weighted_mean(SimTime(20)) - 5.0).abs() < 1e-12);
-        // 0.0 for 10 ns, 10.0 for 30 ns -> mean 7.5 at t=40.
-        assert!((t.time_weighted_mean(SimTime(40)) - 7.5).abs() < 1e-12);
-        // Clamped before the second change -> all zeros.
-        assert_eq!(t.time_weighted_mean(SimTime(10)), 0.0);
-        assert_eq!(Timeline::new().time_weighted_mean(SimTime(10)), 0.0);
     }
 
     #[test]

@@ -111,12 +111,6 @@ impl SimRng {
         lo + self.below(hi - lo + 1)
     }
 
-    /// Uniform `usize` in `[lo, hi]`.
-    #[inline]
-    pub fn range_usize(&mut self, lo: usize, hi: usize) -> usize {
-        self.range_u64(lo as u64, hi as u64) as usize
-    }
-
     /// Bernoulli trial with success probability `p` (clamped to `[0,1]`).
     #[inline]
     pub fn chance(&mut self, p: f64) -> bool {
@@ -131,14 +125,6 @@ impl SimRng {
         assert!(mean > 0.0, "exponential mean must be positive");
         let u = 1.0 - self.f64(); // in (0, 1]
         -mean * u.ln()
-    }
-
-    /// Shuffle a slice in place (Fisher–Yates).
-    pub fn shuffle<T>(&mut self, xs: &mut [T]) {
-        for i in (1..xs.len()).rev() {
-            let j = self.below(i as u64 + 1) as usize;
-            xs.swap(i, j);
-        }
     }
 
     /// Pick a uniformly random element of a non-empty slice.
@@ -290,17 +276,6 @@ mod tests {
         for &c in &counts {
             assert!((9_000..11_000).contains(&c));
         }
-    }
-
-    #[test]
-    fn shuffle_is_a_permutation() {
-        let mut r = SimRng::new(9);
-        let mut xs: Vec<u32> = (0..100).collect();
-        r.shuffle(&mut xs);
-        let mut sorted = xs.clone();
-        sorted.sort_unstable();
-        let expect: Vec<u32> = (0..100).collect();
-        assert_eq!(sorted, expect);
     }
 
     #[test]

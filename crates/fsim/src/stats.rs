@@ -1,10 +1,10 @@
 //! Streaming statistics for experiment reporting.
 //!
 //! [`Summary`] accumulates count/mean/variance/min/max in O(1) space using
-//! Welford's online algorithm; [`Histogram`] buckets samples into fixed-width
-//! bins for percentile estimates. The experiment harness aggregates every
-//! reported metric (wait time, overhead fraction, utilization, …) through
-//! these types.
+//! Welford's online algorithm; [`LogHistogram`] buckets nanosecond latencies
+//! by bit length for percentile estimates. The experiment harness
+//! aggregates every reported metric (wait time, overhead fraction,
+//! utilization, …) through these types.
 
 use std::fmt;
 
@@ -127,96 +127,6 @@ impl fmt::Display for Summary {
     }
 }
 
-/// A fixed-bin histogram over `[lo, hi)` with out-of-range samples clamped
-/// into the edge bins. Percentiles are estimated by linear interpolation
-/// within the containing bin.
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    bins: Vec<u64>,
-    total: u64,
-}
-
-impl Histogram {
-    /// Build a histogram with `bins` equal-width bins over `[lo, hi)`.
-    pub fn new(lo: f64, hi: f64, bins: usize) -> Self {
-        assert!(bins > 0, "histogram needs at least one bin");
-        assert!(hi > lo, "histogram range must be nonempty");
-        Histogram {
-            lo,
-            hi,
-            bins: vec![0; bins],
-            total: 0,
-        }
-    }
-
-    /// Record one sample (clamped into range).
-    pub fn add(&mut self, x: f64) {
-        let nb = self.bins.len();
-        let w = (self.hi - self.lo) / nb as f64;
-        let idx = if x <= self.lo {
-            0
-        } else if x >= self.hi {
-            nb - 1
-        } else {
-            (((x - self.lo) / w) as usize).min(nb - 1)
-        };
-        self.bins[idx] += 1;
-        self.total += 1;
-    }
-
-    /// Total samples recorded.
-    pub fn count(&self) -> u64 {
-        self.total
-    }
-
-    /// Estimate the `q`-quantile (`q` in `[0,1]`); 0 if empty.
-    pub fn quantile(&self, q: f64) -> f64 {
-        assert!((0.0..=1.0).contains(&q), "quantile out of range");
-        if self.total == 0 {
-            return 0.0;
-        }
-        let target = q * self.total as f64;
-        let w = (self.hi - self.lo) / self.bins.len() as f64;
-        let mut acc = 0.0;
-        for (i, &c) in self.bins.iter().enumerate() {
-            let next = acc + c as f64;
-            if next >= target && c > 0 {
-                let frac = if c == 0 {
-                    0.0
-                } else {
-                    (target - acc) / c as f64
-                };
-                return self.lo + (i as f64 + frac.clamp(0.0, 1.0)) * w;
-            }
-            acc = next;
-        }
-        self.hi
-    }
-
-    /// Bin counts (read-only view, mainly for tests and plots).
-    pub fn bins(&self) -> &[u64] {
-        &self.bins
-    }
-
-    /// Fold another histogram into this one (bucket-wise addition).
-    ///
-    /// # Panics
-    /// If the two histograms were built with different shapes — bin counts
-    /// are only meaningful to add when the bucket boundaries agree.
-    pub fn merge(&mut self, other: &Histogram) {
-        assert!(
-            self.lo == other.lo && self.hi == other.hi && self.bins.len() == other.bins.len(),
-            "cannot merge histograms of different shapes"
-        );
-        for (a, b) in self.bins.iter_mut().zip(&other.bins) {
-            *a += b;
-        }
-        self.total += other.total;
-    }
-}
-
 /// Number of buckets in a [`LogHistogram`]: bucket `i` (for `i ≥ 1`) holds
 /// values in `[2^(i-1), 2^i)`; bucket 0 holds exactly the value 0.
 pub const LOG_BUCKETS: usize = 65;
@@ -325,11 +235,6 @@ impl LogHistogram {
     /// Exact largest sample (0 if empty).
     pub fn max_ns(&self) -> u64 {
         self.max
-    }
-
-    /// Exact sum of all samples.
-    pub fn sum_ns(&self) -> u128 {
-        self.sum
     }
 
     /// Mean sample (integer division; 0 if empty).
@@ -500,53 +405,6 @@ mod tests {
         e.merge(&before);
         assert_eq!(e.count(), 1);
         assert_eq!(e.mean(), 5.0);
-    }
-
-    #[test]
-    fn histogram_quantiles() {
-        let mut h = Histogram::new(0.0, 100.0, 100);
-        for i in 0..1000 {
-            h.add((i % 100) as f64);
-        }
-        let med = h.quantile(0.5);
-        assert!((45.0..55.0).contains(&med), "median {med}");
-        assert!(h.quantile(0.0) <= h.quantile(1.0));
-        assert_eq!(h.count(), 1000);
-    }
-
-    #[test]
-    fn histogram_clamps_out_of_range() {
-        let mut h = Histogram::new(0.0, 10.0, 10);
-        h.add(-5.0);
-        h.add(500.0);
-        assert_eq!(h.bins()[0], 1);
-        assert_eq!(h.bins()[9], 1);
-    }
-
-    #[test]
-    fn empty_histogram_quantile_is_zero() {
-        let h = Histogram::new(0.0, 1.0, 4);
-        assert_eq!(h.quantile(0.5), 0.0);
-    }
-
-    #[test]
-    fn histogram_merge_adds_buckets() {
-        let mut a = Histogram::new(0.0, 10.0, 10);
-        let mut b = Histogram::new(0.0, 10.0, 10);
-        a.add(1.0);
-        b.add(1.0);
-        b.add(9.0);
-        a.merge(&b);
-        assert_eq!(a.count(), 3);
-        assert_eq!(a.bins()[1], 2);
-        assert_eq!(a.bins()[9], 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "different shapes")]
-    fn histogram_merge_rejects_shape_mismatch() {
-        let mut a = Histogram::new(0.0, 10.0, 10);
-        a.merge(&Histogram::new(0.0, 10.0, 5));
     }
 
     #[test]

@@ -107,12 +107,6 @@ impl SimDuration {
         self.0 as f64 / 1e6
     }
 
-    /// The span in fractional microseconds (for report output only).
-    #[inline]
-    pub fn as_micros_f64(self) -> f64 {
-        self.0 as f64 / 1e3
-    }
-
     /// Saturating subtraction.
     #[inline]
     pub fn saturating_sub(self, rhs: SimDuration) -> SimDuration {

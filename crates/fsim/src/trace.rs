@@ -32,26 +32,25 @@ pub enum TaskState {
 }
 
 impl TaskState {
+    /// The state's tag and registry counter.
+    fn names(self) -> (&'static str, &'static str) {
+        match self {
+            TaskState::Arrive => ("arrive", "tasks_arrived"),
+            TaskState::Ready => ("ready", "tasks_ready"),
+            TaskState::Run => ("run", "task_runs"),
+            TaskState::Block => ("block", "task_blocks"),
+            TaskState::Done => ("done", "tasks_completed"),
+        }
+    }
+
     /// Short tag for filtering, e.g. `"arrive"` or `"done"`.
     pub fn tag(self) -> &'static str {
-        match self {
-            TaskState::Arrive => "arrive",
-            TaskState::Ready => "ready",
-            TaskState::Run => "run",
-            TaskState::Block => "block",
-            TaskState::Done => "done",
-        }
+        self.names().0
     }
 
     /// Counter name a metrics registry uses for this transition.
     pub fn counter_name(self) -> &'static str {
-        match self {
-            TaskState::Arrive => "tasks_arrived",
-            TaskState::Ready => "tasks_ready",
-            TaskState::Run => "task_runs",
-            TaskState::Block => "task_blocks",
-            TaskState::Done => "tasks_completed",
-        }
+        self.names().1
     }
 }
 
@@ -468,53 +467,97 @@ pub enum TraceEvent {
 }
 
 impl TraceEvent {
+    /// The one name table: per variant, the category tag, the registry
+    /// counter an occurrence bumps, and the label its duration is profiled
+    /// under (`""`: not profiled).
+    fn names(&self) -> [&'static str; 3] {
+        use TraceEvent::*;
+        match self {
+            TaskState { state, .. } => [state.tag(), state.counter_name(), ""],
+            SchedulerDispatch { .. } => ["dispatch", "dispatches", ""],
+            ConfigDownload { full: true, .. } => ["config", "config_downloads", "download_full"],
+            ConfigDownload { .. } => ["config", "config_downloads", "download_partial"],
+            DeltaDownload { .. } => ["delta", "delta_downloads", "download_delta"],
+            DeltaInvalidate { .. } => ["delta-inv", "delta_invalidations", ""],
+            DeltaCheckpoint { .. } => ["ckpt-delta", "delta_checkpoints", "checkpoint_delta"],
+            Preemption { .. } => ["preempt", "preemptions", "preempt_save"],
+            GcRun { .. } => ["gc", "gc_runs", "gc_run"],
+            PageFault { .. } => ["fault", "page_faults", "page_fault"],
+            OverlaySwap { .. } => ["overlay", "overlay_swaps", "overlay_swap"],
+            IoMuxGrant { .. } => ["iomux", "iomux_grants", ""],
+            FaultInjected { .. } => ["fault-inj", "faults_injected", ""],
+            CrcMismatch { .. } => ["crc", "crc_mismatches", ""],
+            ScrubPass { .. } => ["scrub", "scrub_passes", "scrub_pass"],
+            RetryScheduled { .. } => ["retry", "retries_scheduled", ""],
+            TaskFailed { .. } => ["task-fail", "tasks_failed", ""],
+            ColumnRetired { .. } => ["col-retire", "columns_retired", "column_retire"],
+            Recovered { .. } => ["recover", "recoveries", "recovery"],
+            CheckpointTaken { .. } => ["ckpt", "checkpoints", "checkpoint_capture"],
+            Crash { .. } => ["crash", "crashes", ""],
+            JournalReplay { .. } => ["replay", "journal_replays", "journal_replay"],
+            WatchdogArmed { .. } => ["wd-arm", "watchdogs_armed", ""],
+            WatchdogFired { .. } => ["wd-fire", "watchdogs_fired", ""],
+            TaskRejected { .. } => ["reject", "tasks_rejected", ""],
+            TaskQuarantined { .. } => ["quarantine", "tasks_quarantined", ""],
+            DegradedDispatch { .. } => ["degrade", "degraded_dispatches", "degraded_run"],
+            TaskUnschedulable { .. } => ["unsched", "tasks_unschedulable", ""],
+            DegradeModeEnter { .. } => ["degrade-on", "degrade_mode_enters", ""],
+            DegradeModeExit { .. } => ["degrade-off", "degrade_mode_exits", ""],
+            DeviceCrash { .. } => ["dev-crash", "device_crashes", ""],
+            DeviceRejoin { .. } => ["dev-rejoin", "device_rejoins", ""],
+            Failover { .. } => ["failover", "failovers", ""],
+            SoftwareFailover { .. } => ["sw-failover", "software_failovers", ""],
+            FleetRebalance { .. } => ["rebalance", "rebalances", ""],
+            FleetLost { .. } => ["lost", "lost_in_flight", ""],
+            MigrationPrepare { .. } => ["mig-prepare", "migrations_prepared", ""],
+            MigrationCommit { .. } => ["mig-commit", "migrations_committed", ""],
+            MigrationAbort { .. } => ["mig-abort", "migrations_aborted", ""],
+            MigrationFreed { .. } => ["mig-freed", "migration_claims_freed", ""],
+            Custom { tag, .. } => [tag, "custom_events", ""],
+        }
+    }
+
     /// The event's category tag, used by [`Trace::with_tag`] and
     /// `trace_dump` filtering. Task-state events use the state name
     /// (`"arrive"`, `"block"`, `"done"`, …) so lifecycle assertions can
     /// filter directly on the transition.
     pub fn tag(&self) -> &'static str {
-        match self {
-            TraceEvent::TaskState { state, .. } => state.tag(),
-            TraceEvent::SchedulerDispatch { .. } => "dispatch",
-            TraceEvent::ConfigDownload { .. } => "config",
-            TraceEvent::DeltaDownload { .. } => "delta",
-            TraceEvent::DeltaInvalidate { .. } => "delta-inv",
-            TraceEvent::DeltaCheckpoint { .. } => "ckpt-delta",
-            TraceEvent::Preemption { .. } => "preempt",
-            TraceEvent::GcRun { .. } => "gc",
-            TraceEvent::PageFault { .. } => "fault",
-            TraceEvent::OverlaySwap { .. } => "overlay",
-            TraceEvent::IoMuxGrant { .. } => "iomux",
-            TraceEvent::FaultInjected { .. } => "fault-inj",
-            TraceEvent::CrcMismatch { .. } => "crc",
-            TraceEvent::ScrubPass { .. } => "scrub",
-            TraceEvent::RetryScheduled { .. } => "retry",
-            TraceEvent::TaskFailed { .. } => "task-fail",
-            TraceEvent::ColumnRetired { .. } => "col-retire",
-            TraceEvent::Recovered { .. } => "recover",
-            TraceEvent::CheckpointTaken { .. } => "ckpt",
-            TraceEvent::Crash { .. } => "crash",
-            TraceEvent::JournalReplay { .. } => "replay",
-            TraceEvent::WatchdogArmed { .. } => "wd-arm",
-            TraceEvent::WatchdogFired { .. } => "wd-fire",
-            TraceEvent::TaskRejected { .. } => "reject",
-            TraceEvent::TaskQuarantined { .. } => "quarantine",
-            TraceEvent::DegradedDispatch { .. } => "degrade",
-            TraceEvent::TaskUnschedulable { .. } => "unsched",
-            TraceEvent::DegradeModeEnter { .. } => "degrade-on",
-            TraceEvent::DegradeModeExit { .. } => "degrade-off",
-            TraceEvent::DeviceCrash { .. } => "dev-crash",
-            TraceEvent::DeviceRejoin { .. } => "dev-rejoin",
-            TraceEvent::Failover { .. } => "failover",
-            TraceEvent::SoftwareFailover { .. } => "sw-failover",
-            TraceEvent::FleetRebalance { .. } => "rebalance",
-            TraceEvent::FleetLost { .. } => "lost",
-            TraceEvent::MigrationPrepare { .. } => "mig-prepare",
-            TraceEvent::MigrationCommit { .. } => "mig-commit",
-            TraceEvent::MigrationAbort { .. } => "mig-abort",
-            TraceEvent::MigrationFreed { .. } => "mig-freed",
-            TraceEvent::Custom { tag, .. } => tag,
+        self.names()[0]
+    }
+
+    /// Name of the registry counter this event bumps. `FleetLost` and
+    /// `MigrationFreed` name the sum of their payload (tasks, claims), not
+    /// a count of occurrences.
+    pub fn counter_name(&self) -> &'static str {
+        self.names()[1]
+    }
+
+    /// Latency-histogram label and sample, for the events whose duration
+    /// is profiled.
+    pub fn latency(&self) -> Option<(&'static str, SimDuration)> {
+        use TraceEvent::*;
+        let label = self.names()[2];
+        if label.is_empty() {
+            return None;
         }
+        let sample = match self {
+            // A preemption that saved nothing took no time worth a sample.
+            Preemption { saved, .. } => Some(*saved).filter(|d| *d > SimDuration::ZERO),
+            ConfigDownload { duration, .. }
+            | DeltaDownload { duration, .. }
+            | DeltaCheckpoint { duration, .. }
+            | GcRun { duration, .. }
+            | PageFault { duration, .. }
+            | OverlaySwap { duration, .. }
+            | ScrubPass { duration, .. }
+            | ColumnRetired { duration, .. }
+            | Recovered { duration, .. }
+            | CheckpointTaken { duration, .. }
+            | JournalReplay { duration, .. }
+            | DegradedDispatch { duration, .. } => Some(*duration),
+            _ => unreachable!("'{label}' labels an event without a duration"),
+        };
+        sample.map(|d| (label, d))
     }
 }
 

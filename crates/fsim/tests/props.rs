@@ -5,7 +5,7 @@
 //! case derives its inputs from [`SimRng`], so failures are reproducible
 //! by seed.
 
-use fsim::{EventQueue, Histogram, SimDuration, SimRng, SimTime, Summary};
+use fsim::{EventQueue, LogHistogram, SimDuration, SimRng, SimTime, Summary};
 
 const SEEDS: u64 = 64;
 
@@ -107,25 +107,26 @@ fn summary_matches_naive() {
     }
 }
 
-/// Histogram quantiles are monotone in q and bounded by the range.
+/// Histogram quantiles are monotone in q and bounded by the samples.
 #[test]
 fn histogram_quantiles_monotone() {
     for seed in 0..SEEDS {
         let mut rng = SimRng::new(seed);
         let n = 1 + rng.below(200) as usize;
-        let mut h = Histogram::new(0.0, 100.0, 20);
+        let mut h = LogHistogram::new();
         for _ in 0..n {
-            h.add(rng.next_u64() as f64 / u64::MAX as f64 * 100.0);
+            h.record(rng.next_u64() >> rng.below(64));
         }
         let qs = [0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0];
-        let vals: Vec<f64> = qs.iter().map(|&q| h.quantile(q)).collect();
-        for w in vals.windows(2) {
-            assert!(
-                w[0] <= w[1] + 1e-9,
-                "seed {seed}: quantiles not monotone {vals:?}"
-            );
-        }
-        assert!(vals[0] >= 0.0 && vals[6] <= 100.0, "seed {seed}");
+        let vals: Vec<u64> = qs.iter().map(|&q| h.quantile_ns(q)).collect();
+        assert!(
+            vals.windows(2).all(|w| w[0] <= w[1]),
+            "seed {seed}: quantiles not monotone {vals:?}"
+        );
+        assert!(
+            h.min_ns() <= vals[0] && vals[6] <= h.max_ns(),
+            "seed {seed}"
+        );
     }
 }
 

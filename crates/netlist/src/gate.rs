@@ -92,11 +92,6 @@ impl Gate {
         matches!(self, Gate::Dff { .. })
     }
 
-    /// Whether this node is a primary input.
-    pub fn is_input(&self) -> bool {
-        matches!(self, Gate::Input { .. })
-    }
-
     /// Short mnemonic for diagnostics.
     pub fn kind(&self) -> &'static str {
         match self {

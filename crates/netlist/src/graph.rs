@@ -457,11 +457,6 @@ impl Builder {
         }
     }
 
-    /// Number of primary inputs declared so far.
-    pub fn input_count(&self) -> usize {
-        self.n_inputs as usize
-    }
-
     /// Finish, validate, and return the netlist.
     ///
     /// # Panics

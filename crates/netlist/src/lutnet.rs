@@ -6,8 +6,6 @@
 //! one flip-flop) per configurable logic block — so partition sizes, page
 //! counts, and configuration-frame footprints are all derived from it.
 
-use crate::truth::table_eval;
-
 /// A signal source inside a LUT network.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LutIn {
@@ -264,15 +262,6 @@ pub fn lut_eval_comb(net: &LutNetwork, inputs: &[bool]) -> Vec<bool> {
     let mut sim = LutSimulator::new(net);
     sim.eval(&words);
     sim.outputs(&words).iter().map(|&w| w & 1 == 1).collect()
-}
-
-/// Check a single LUT's table against an expected function (test helper).
-pub fn lut_matches(lut: &Lut, f: impl Fn(&[bool]) -> bool) -> bool {
-    let n = lut.inputs.len();
-    (0..(1usize << n)).all(|m| {
-        let bits: Vec<bool> = (0..n).map(|i| (m >> i) & 1 == 1).collect();
-        table_eval(lut.table, &bits) == f(&bits)
-    })
 }
 
 #[cfg(test)]

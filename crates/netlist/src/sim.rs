@@ -121,11 +121,6 @@ impl<'a> Simulator<'a> {
             .collect()
     }
 
-    /// Value word of an arbitrary node (for cone extraction and debugging).
-    pub fn node_value(&self, id: crate::gate::NodeId) -> u64 {
-        self.values[id.index()]
-    }
-
     /// **Readback** (observability): snapshot all flip-flop words in
     /// `dff_nodes()` order.
     pub fn read_state(&self) -> Vec<u64> {
@@ -148,11 +143,6 @@ impl<'a> Simulator<'a> {
                 self.state[k] = if init { u64::MAX } else { 0 };
             }
         }
-    }
-
-    /// Number of flip-flops.
-    pub fn num_dffs(&self) -> usize {
-        self.dffs.len()
     }
 }
 

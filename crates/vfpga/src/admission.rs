@@ -5,8 +5,11 @@
 //! done-signal service circuit" (§3) — but a layer that trusts every task
 //! to terminate and admits unbounded work lets one hung circuit stall a
 //! partition forever, and saturation degrades every tenant equally. This
-//! module adds the missing defenses, all wired into
-//! [`System`](crate::system::System)'s event loop:
+//! module adds the missing defenses. Each rule is a method of the
+//! crate-internal `AdmissionRt`, testable on its own; the half that acts
+//! inside [`System`](crate::system::System)'s event loop (the software
+//! path at dispatch, the watchdog firing) is the `impl System` block at
+//! the end:
 //!
 //! * **Watchdogs** ([`WatchdogConfig`]): every dispatched FPGA operation
 //!   arms a deadline derived from the same a-priori estimate the §3
@@ -42,8 +45,13 @@
 //! simulated state, and a run with admission disabled is byte-identical
 //! to one built without this module.
 
+use crate::circuit::{CircuitId, CircuitLib};
 use crate::error::VfpgaError;
-use fsim::SimDuration;
+use crate::manager::{DeviceUsage, FpgaManager};
+use crate::sched::Scheduler;
+use crate::system::{Exit, System};
+use crate::task::{Op, TaskId, TaskSpec};
+use fsim::{SimDuration, SimTime, TraceEvent};
 use std::collections::{BTreeMap, VecDeque};
 
 /// Hang-detection watchdog parameters.
@@ -293,13 +301,26 @@ pub(crate) struct AdmissionState {
     pub stats: AdmissionStats,
 }
 
-/// Runtime admission state carried by the system (crate-internal).
+/// What the gate decides about an arriving task.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum Arrival {
+    /// Admitted now, holding one of its tenant's in-flight slots.
+    Admit,
+    /// Parked in the tenant's FIFO until a slot frees.
+    Defer,
+    /// Never enters the system: load-shed ([`Exit::Rejected`]) or provably
+    /// late ([`Exit::Unschedulable`]).
+    Refuse(Exit),
+}
+
+/// Runtime admission state carried by the system (crate-internal): the
+/// policy in force plus the mutable half. Every quota, watchdog and
+/// hysteresis rule is a method here, so the rules can be exercised
+/// without a [`System`].
 #[derive(Debug)]
 pub(crate) struct AdmissionRt {
-    /// The policy in force.
-    pub policy: AdmissionPolicy,
-    /// Quotas, queues, watchdog generations and counters.
-    pub st: AdmissionState,
+    policy: AdmissionPolicy,
+    st: AdmissionState,
 }
 
 impl AdmissionRt {
@@ -316,6 +337,390 @@ impl AdmissionRt {
                 stats: AdmissionStats::default(),
             },
         }
+    }
+
+    /// Outcome counters so far.
+    pub(crate) fn stats(&self) -> AdmissionStats {
+        self.st.stats
+    }
+
+    /// The mutable half, as a checkpoint image carries it.
+    pub(crate) fn state(&self) -> &AdmissionState {
+        &self.st
+    }
+
+    /// Load the mutable half from the image of a system of `tasks` tasks.
+    pub(crate) fn restore(&mut self, st: &AdmissionState, tasks: usize) -> Result<(), String> {
+        if st.wd_seq.len() != tasks || st.wd_trips.len() != tasks || st.degraded.len() != tasks {
+            return Err(format!("admission state is not sized for {tasks} tasks"));
+        }
+        if let Some(t) = st
+            .deferred
+            .values()
+            .flatten()
+            .find(|&&t| t as usize >= tasks)
+        {
+            return Err(format!("task id {t} out of range ({tasks} tasks)"));
+        }
+        self.st = st.clone();
+        Ok(())
+    }
+
+    /// A migration split this shard: only the tenants `stay` selects keep
+    /// their slots and deferred backlog here (the backlog of the others
+    /// travels inside the checkpoint image the other side restores).
+    pub(crate) fn retain_tenants(&mut self, stay: impl Fn(u32) -> bool) {
+        self.st.in_flight.retain(|tenant, _| stay(*tenant));
+        self.st.deferred.retain(|tenant, _| stay(*tenant));
+    }
+
+    /// Task `tid` (described by `spec`) arrives at `now`. The
+    /// schedulability test runs ahead of quota accounting: a provably
+    /// unmeetable deadline refuses the task before it can consume a slot
+    /// or queue entry. The margin-scaled §3 `estimate` (of the task plus
+    /// its tenant's deferred backlog) ignores contention from other
+    /// tenants, so anything it rules out is a guaranteed miss. Then the
+    /// quota: a free in-flight slot admits, room in the tenant's FIFO
+    /// defers, and anything beyond is load-shed.
+    #[inline]
+    pub(crate) fn on_arrival(
+        &mut self,
+        tid: u32,
+        spec: &TaskSpec,
+        now: SimTime,
+        estimate: impl Fn(u32) -> SimDuration,
+    ) -> Arrival {
+        let tenant = spec.tenant;
+        if let (Some(sc), Some(deadline)) = (self.policy.schedulability, spec.deadline) {
+            let mut est = estimate(tid);
+            for &t in self.st.deferred.get(&tenant).into_iter().flatten() {
+                est += estimate(t);
+            }
+            let estimate =
+                SimDuration::from_nanos((sc.margin * est.as_nanos() as f64).round() as u64);
+            if now + estimate > spec.arrival + deadline {
+                self.st.stats.unschedulable += 1;
+                return Arrival::Refuse(Exit::Unschedulable { estimate, deadline });
+            }
+        }
+        let in_flight = self.st.in_flight.entry(tenant).or_insert(0);
+        if *in_flight < self.policy.max_in_flight {
+            *in_flight += 1;
+            self.st.stats.admitted += 1;
+            return Arrival::Admit;
+        }
+        let queued = self.st.deferred.get(&tenant).map_or(0, VecDeque::len);
+        if (queued as u64) < u64::from(self.policy.queue_cap) {
+            self.st.deferred.entry(tenant).or_default().push_back(tid);
+            self.st.stats.deferred += 1;
+            Arrival::Defer
+        } else {
+            self.st.stats.rejected += 1;
+            Arrival::Refuse(Exit::Rejected)
+        }
+    }
+
+    /// An admitted task of `tenant` left the system (done, failed or
+    /// quarantined): count how, release the tenant's in-flight slot, and
+    /// admit the longest-waiting deferred task of that tenant in its
+    /// place, if any. The caller makes the returned task ready.
+    #[inline]
+    pub(crate) fn on_exit(&mut self, tenant: u32, quarantined: bool, missed: bool) -> Option<u32> {
+        self.st.stats.quarantined += u64::from(quarantined);
+        self.st.stats.deadline_missed += u64::from(missed);
+        let slots = self.st.in_flight.entry(tenant).or_insert(0);
+        *slots = slots.saturating_sub(1);
+        if *slots >= self.policy.max_in_flight {
+            return None;
+        }
+        let next = self.st.deferred.get_mut(&tenant)?.pop_front()?;
+        *slots += 1;
+        self.st.stats.admitted += 1;
+        Some(next)
+    }
+
+    /// Re-evaluate the sticky degraded-mode bit (with degradation on; only
+    /// then is `usage` asked): enter once utilization reaches the high
+    /// mark, leave only below the low mark. With the legacy single
+    /// watermark the marks coincide, the bit tracks the plain comparison,
+    /// and nothing is counted or reported — pre-hysteresis runs stay
+    /// byte-identical. A transition under an explicit pair is counted and
+    /// returned (`true` = entered) with the usage behind it, for the trace.
+    #[inline]
+    pub(crate) fn update_degrade_mode(
+        &mut self,
+        usage: impl FnOnce() -> DeviceUsage,
+    ) -> Option<(bool, DeviceUsage)> {
+        let dg = self.policy.degradation.as_ref()?;
+        let u = usage();
+        let mark = if self.st.degrade_mode {
+            dg.low_mark()
+        } else {
+            dg.high_mark()
+        };
+        let next = u.total_clbs != 0 && u.used_clbs as f64 >= mark * u.total_clbs as f64;
+        if next == self.st.degrade_mode {
+            return None;
+        }
+        self.st.degrade_mode = next;
+        if !dg.has_hysteresis() {
+            return None;
+        }
+        self.st.stats.degrade_enters += u64::from(next);
+        self.st.stats.degrade_exits += u64::from(!next);
+        Some((next, u))
+    }
+
+    /// Whether task `ti`'s *current* op is running on the software path.
+    #[inline]
+    pub(crate) fn is_degraded(&self, ti: usize) -> bool {
+        self.st.degraded[ti]
+    }
+
+    /// Whether a fresh FPGA op of task `ti` runs on the software path
+    /// instead of competing for fabric: degradation configured, the op not
+    /// the deliberate `hang` (a broken circuit, not a slow one), a
+    /// software price for the circuit, the device in degraded mode, and
+    /// the circuit not `resident` (a hit is cheaper on hardware whatever
+    /// the pressure; asked last). If so the op is marked and counted, and
+    /// its software cost in ns per hardware cycle returned.
+    #[inline]
+    pub(crate) fn degrade(
+        &mut self,
+        ti: usize,
+        circuit: CircuitId,
+        hang: bool,
+        resident: impl FnOnce() -> bool,
+    ) -> Option<u64> {
+        let dg = self.policy.degradation.as_ref()?;
+        if hang {
+            return None;
+        }
+        let sw_ns = *dg.sw_ns_per_cycle.get(&circuit.0)?;
+        if !self.st.degrade_mode || resident() {
+            return None;
+        }
+        self.st.degraded[ti] = true;
+        self.st.stats.degraded_dispatches += 1;
+        Some(sw_ns)
+    }
+
+    /// A segment of task `ti`'s FPGA op ran for `dur`: when the op is on
+    /// the software path, account the emulation time and say so.
+    #[inline]
+    pub(crate) fn degraded_run(&mut self, ti: usize, dur: SimDuration) -> bool {
+        if self.st.degraded[ti] {
+            self.st.stats.degraded_time += dur;
+        }
+        self.st.degraded[ti]
+    }
+
+    /// Task `ti`'s op completed. The degradation decision is per op; the
+    /// next op competes for fabric again.
+    #[inline]
+    pub(crate) fn op_completed(&mut self, ti: usize) {
+        self.st.degraded[ti] = false;
+    }
+
+    /// A hardware segment of task `ti` is dispatched: `overhead`, then
+    /// `dur` of execution, then `slack` of completion detection. Starts a
+    /// fresh watchdog generation and returns it with its deadline — `dur`
+    /// (the §3 a-priori estimate the completion detector also uses) times
+    /// the policy's slack factor, between the other two. `None`: no watchdog.
+    #[inline]
+    pub(crate) fn arm_watchdog(
+        &mut self,
+        ti: usize,
+        overhead: SimDuration,
+        dur: SimDuration,
+        slack: SimDuration,
+    ) -> Option<(u64, SimDuration)> {
+        let wd = self.policy.watchdog?;
+        self.st.wd_seq[ti] += 1;
+        self.st.stats.watchdog_armed += 1;
+        let est_ns = (wd.slack * dur.as_nanos() as f64).round() as u64;
+        let deadline = overhead + SimDuration::from_nanos(est_ns) + slack;
+        Some((self.st.wd_seq[ti], deadline))
+    }
+
+    /// Task `ti`'s hardware segment ended on time: the generation bump
+    /// turns the watchdog event still pending for it into a no-op.
+    #[inline]
+    pub(crate) fn segment_ended(&mut self, ti: usize) {
+        self.st.wd_seq[ti] += 1;
+    }
+
+    /// A watchdog event of generation `seq` came due for task `ti`.
+    /// `None` when it is stale (the segment it was armed for has ended).
+    /// Otherwise the generation is consumed — nothing else may fire on
+    /// this segment — and the trip counted: returns the task's trip count
+    /// and whether that exhausts the policy's `max_trips`.
+    pub(crate) fn watchdog_fired(&mut self, ti: usize, seq: u64) -> Option<(u32, bool)> {
+        if self.st.wd_seq[ti] != seq {
+            return None;
+        }
+        self.st.wd_seq[ti] += 1;
+        self.st.wd_trips[ti] += 1;
+        self.st.stats.watchdog_fired += 1;
+        let max_trips = self.policy.watchdog.map_or(0, |w| w.max_trips);
+        Some((self.st.wd_trips[ti], self.st.wd_trips[ti] > max_trips))
+    }
+
+    /// What a fired watchdog cost: the op progress it discarded and the
+    /// manager overhead of reclaiming the device.
+    pub(crate) fn watchdog_cost(&mut self, lost: SimDuration, preempt: SimDuration) {
+        self.st.stats.watchdog_lost_time += lost;
+        self.st.stats.watchdog_preempt_time += preempt;
+    }
+}
+
+/// The §3 a-priori completion estimate the schedulability test holds
+/// against a task's deadline: every CPU burst at face value, every
+/// FPGA run priced from the circuit's synchronous clock, plus a
+/// pending-reconfiguration charge (one column-addressed frame
+/// transfer per frame, the same movement cost a partial download
+/// pays) for each FPGA op whose circuit is not currently resident.
+pub(crate) fn service_estimate<M: FpgaManager>(
+    lib: &CircuitLib,
+    manager: &M,
+    spec: &TaskSpec,
+) -> SimDuration {
+    let timing = manager.timing();
+    let resident = manager.resident_regions();
+    let mut est = SimDuration::ZERO;
+    for op in &spec.ops {
+        match op {
+            Op::Cpu(d) => est += *d,
+            Op::FpgaRun { circuit, cycles } => {
+                let img = lib.get(*circuit);
+                est += img.run_time(*cycles);
+                if !resident.iter().any(|r| r.cid == *circuit) {
+                    est += timing.readback_time(img.frames());
+                }
+            }
+        }
+    }
+    est
+}
+
+impl<M: FpgaManager, S: Scheduler> System<M, S> {
+    /// Re-evaluate the sticky degraded-mode bit, tracing a transition.
+    /// Called at dispatch, before any degradation decision, where the old
+    /// per-dispatch watermark comparison ran.
+    fn update_degrade_mode(&mut self, now: SimTime) {
+        let manager = &self.dev.manager;
+        let adm = self.admission.as_mut();
+        let flipped = adm.and_then(|adm| adm.update_degrade_mode(|| manager.usage()));
+        if let Some((entered, u)) = flipped {
+            let (used, total) = (u.used_clbs, u.total_clbs);
+            self.emit(now, |_| match entered {
+                true => TraceEvent::DegradeModeEnter { used, total },
+                false => TraceEvent::DegradeModeExit { used, total },
+            });
+        }
+    }
+
+    /// Whether the FPGA op task `tid` is about to dispatch runs on the
+    /// software-emulation path. A mid-op re-dispatch of a degraded op
+    /// stays on the CPU (the pricing decision is sticky per op); a fresh
+    /// op degrades when [`AdmissionRt::degrade`] says so, and is then
+    /// priced from the coprocessor model.
+    #[inline]
+    pub(crate) fn software_path(
+        &mut self,
+        tid: TaskId,
+        circuit: CircuitId,
+        cycles: u64,
+        now: SimTime,
+    ) -> bool {
+        self.update_degrade_mode(now);
+        let ti = tid.0 as usize;
+        let manager = &self.dev.manager;
+        let Some(adm) = self.admission.as_mut() else {
+            return false;
+        };
+        if adm.is_degraded(ti) {
+            return true;
+        }
+        if self.slots[ti].op_done_so_far != SimDuration::ZERO {
+            return false;
+        }
+        let hang = self.specs[ti].hang_op == Some(self.slots[ti].op_idx);
+        let resident = || manager.resident_regions().iter().any(|r| r.cid == circuit);
+        let Some(sw_ns) = adm.degrade(ti, circuit, hang, resident) else {
+            return false;
+        };
+        let d = SimDuration::from_nanos(cycles.saturating_mul(sw_ns));
+        let slot = &mut self.slots[ti];
+        slot.op_full = d;
+        slot.op_remaining = d;
+        slot.op_done_so_far = SimDuration::ZERO;
+        // Any hardware garbage from an earlier poisoned attempt is moot:
+        // the op restarts from scratch in software.
+        slot.poisoned = None;
+        self.emit(now, |_| TraceEvent::DegradedDispatch {
+            task: tid.0,
+            circuit: circuit.0,
+            duration: d,
+        });
+        true
+    }
+
+    /// A watchdog deadline fired. Returns false when the event is stale
+    /// (its generation no longer matches because the segment ended on
+    /// time); the caller then skips the observation sample too, so an
+    /// expired-but-harmless watchdog cannot perturb recorded timelines.
+    pub(crate) fn on_watchdog(&mut self, tid: TaskId, seq: u64, now: SimTime) -> bool {
+        let ti = tid.0 as usize;
+        let adm = self.admission.as_mut();
+        let Some((trip, exhausted)) = adm.and_then(|adm| adm.watchdog_fired(ti, seq)) else {
+            return false;
+        };
+        // A live watchdog generation implies the task is mid-segment.
+        let run = self.running.take().expect("watchdog fired on an idle CPU");
+        debug_assert_eq!(run.tid, tid);
+        let f = run.fpga.expect("watchdog armed on a non-FPGA segment");
+
+        // The op made no trustworthy progress: a hung (or wildly
+        // misestimated) circuit's state is not worth saving, so the whole
+        // op is discarded — prior completed slices included — exactly like
+        // a rollback. The CPU was genuinely held for the whole overrun
+        // (co-processor model), so the elapsed wall time is charged lost.
+        let slot = &mut self.slots[ti];
+        let lost = slot.op_done_so_far + (now - run.exec_start);
+        slot.fpga_time -= slot.op_done_so_far;
+        slot.lost_time += lost;
+        slot.op_remaining = slot.op_full;
+        slot.op_done_so_far = SimDuration::ZERO;
+        slot.poisoned = None; // discarded along with the progress
+
+        // Reclaim the device through the existing machinery: a preemption
+        // where the policy supports one, otherwise a forced completion
+        // that releases the slot (the fault-restart path's move).
+        let post = if self.can_preempt() {
+            self.dev.manager.preempt(tid, f.cid).overhead
+        } else {
+            let (ovh, wake) = self.dev.manager.op_done(tid, f.cid);
+            self.wake(wake, now);
+            ovh
+        };
+        self.slots[ti].overhead_time += post;
+        if let Some(adm) = self.admission.as_mut() {
+            adm.watchdog_cost(lost, post);
+        }
+        self.emit(now, |_| TraceEvent::WatchdogFired {
+            task: tid.0,
+            trip,
+            lost,
+        });
+
+        if exhausted {
+            self.exit(tid, now, Exit::Quarantined("watchdog trips exhausted"));
+        } else {
+            self.make_ready(tid, now);
+        }
+        self.dispatch_after(post, now);
+        true
     }
 }
 
@@ -453,6 +858,179 @@ mod tests {
             ..Default::default()
         };
         p.validate().expect("slack of exactly 1.0 is legal");
+    }
+
+    fn tight(max_in_flight: u32, queue_cap: u32) -> AdmissionRt {
+        let policy = AdmissionPolicy {
+            max_in_flight,
+            queue_cap,
+            ..Default::default()
+        };
+        AdmissionRt::new(policy, 8)
+    }
+
+    /// Task `tid` of `tenant` arrives; no deadline, so nothing is estimated.
+    fn arrive(rt: &mut AdmissionRt, tid: u32, tenant: u32) -> Arrival {
+        let spec = TaskSpec::new("t", SimTime::ZERO, vec![]).with_tenant(tenant);
+        rt.on_arrival(tid, &spec, SimTime::ZERO, |_| unreachable!("no deadline"))
+    }
+
+    #[test]
+    fn quota_admits_then_defers_then_sheds_and_releases_fifo() {
+        let mut rt = tight(1, 2);
+        let verdicts: Vec<Arrival> = (0..4).map(|tid| arrive(&mut rt, tid, 7)).collect();
+        let shed = Arrival::Refuse(Exit::Rejected);
+        assert_eq!(
+            verdicts,
+            [Arrival::Admit, Arrival::Defer, Arrival::Defer, shed]
+        );
+        // Quotas are per tenant: another tenant still has its slot.
+        assert_eq!(arrive(&mut rt, 4, 8), Arrival::Admit);
+        // Each exit hands the slot to the longest-deferred task.
+        assert_eq!(rt.on_exit(7, false, false), Some(1));
+        assert_eq!(rt.on_exit(7, true, false), Some(2));
+        assert_eq!(rt.on_exit(7, false, true), None);
+        assert_eq!(rt.on_exit(8, false, false), None);
+        let st = rt.stats();
+        assert_eq!((st.admitted, st.deferred, st.rejected), (4, 2, 1));
+        assert_eq!((st.quarantined, st.deadline_missed), (1, 1));
+        assert!(rt.state().in_flight.values().all(|&n| n == 0));
+    }
+
+    #[test]
+    fn a_deadline_the_backlog_already_overshoots_is_refused_before_the_quota() {
+        let policy = AdmissionPolicy {
+            max_in_flight: 1,
+            schedulability: Some(SchedulabilityConfig { margin: 1.5 }),
+            ..Default::default()
+        };
+        let mut rt = AdmissionRt::new(policy, 8);
+        let due = |ms| {
+            TaskSpec::new("t", SimTime::ZERO, vec![]).with_deadline(SimDuration::from_millis(ms))
+        };
+        let one_ms = |_| SimDuration::from_millis(1);
+        // 1.5 × 1 ms fits 2 ms; the second task waits behind nobody yet.
+        assert_eq!(
+            rt.on_arrival(0, &due(2), SimTime::ZERO, one_ms),
+            Arrival::Admit
+        );
+        assert_eq!(
+            rt.on_arrival(1, &due(2), SimTime::ZERO, one_ms),
+            Arrival::Defer
+        );
+        // The third would wait behind the deferred one: 1.5 × 2 ms > 2 ms.
+        let late = Exit::Unschedulable {
+            estimate: SimDuration::from_millis(3),
+            deadline: SimDuration::from_millis(2),
+        };
+        assert_eq!(
+            rt.on_arrival(2, &due(2), SimTime::ZERO, one_ms),
+            Arrival::Refuse(late)
+        );
+        let st = rt.stats();
+        assert_eq!((st.unschedulable, st.rejected, st.deferred), (1, 0, 1));
+    }
+
+    #[test]
+    fn a_watchdog_fires_only_for_the_generation_it_was_armed_in() {
+        let policy = AdmissionPolicy {
+            watchdog: Some(WatchdogConfig {
+                slack: 1.0,
+                max_trips: 1,
+            }),
+            ..Default::default()
+        };
+        let mut rt = AdmissionRt::new(policy, 1);
+        let us = SimDuration::from_micros;
+        let arm = |rt: &mut AdmissionRt| rt.arm_watchdog(0, us(5), us(100), us(7));
+        let (seq, deadline) = arm(&mut rt).unwrap();
+        assert_eq!(deadline, us(5 + 100 + 7), "slack 1.0: the timer's instant");
+        rt.segment_ended(0);
+        assert_eq!(rt.watchdog_fired(0, seq), None, "the segment ended on time");
+        let (seq, _) = arm(&mut rt).unwrap();
+        assert_eq!(rt.watchdog_fired(0, seq), Some((1, false)));
+        assert_eq!(rt.watchdog_fired(0, seq), None, "consumed by its firing");
+        let (seq, _) = arm(&mut rt).unwrap();
+        assert_eq!(rt.watchdog_fired(0, seq), Some((2, true)), "past max_trips");
+        let st = rt.stats();
+        assert_eq!((st.watchdog_armed, st.watchdog_fired), (3, 2));
+        let off = AdmissionPolicy {
+            watchdog: None,
+            ..Default::default()
+        };
+        assert_eq!(arm(&mut AdmissionRt::new(off, 1)), None);
+    }
+
+    #[test]
+    fn coincident_marks_track_the_comparison_and_a_wide_pair_is_sticky() {
+        let rt = |dg: DegradationConfig| {
+            let policy = AdmissionPolicy {
+                degradation: Some(dg),
+                ..Default::default()
+            };
+            AdmissionRt::new(policy, 1)
+        };
+        let at = |used_clbs| DeviceUsage {
+            used_clbs,
+            total_clbs: 100,
+            free_fragments: 1,
+        };
+        let sw = || BTreeMap::from([(0, 3)]);
+        let mode = |rt: &AdmissionRt| rt.state().degrade_mode;
+        // Legacy single watermark: the bit is the plain comparison, and no
+        // transition is ever reported or counted.
+        let mut legacy = rt(DegradationConfig {
+            watermark: 0.5,
+            sw_ns_per_cycle: sw(),
+            ..Default::default()
+        });
+        for (used, degraded) in [(49, false), (50, true), (49, false), (80, true)] {
+            assert_eq!(legacy.update_degrade_mode(|| at(used)), None);
+            assert_eq!(mode(&legacy), degraded, "{used} CLBs");
+        }
+        assert_eq!(legacy.stats(), AdmissionStats::default());
+        // An explicit coincident pair decides the same, but reports.
+        let mut pair = rt(DegradationConfig {
+            degrade_above: Some(0.5),
+            recover_below: Some(0.5),
+            sw_ns_per_cycle: sw(),
+            ..Default::default()
+        });
+        assert_eq!(pair.update_degrade_mode(|| at(50)), Some((true, at(50))));
+        assert_eq!(pair.update_degrade_mode(|| at(49)), Some((false, at(49))));
+        // A wide pair holds the mode between the marks.
+        let mut wide = rt(DegradationConfig {
+            degrade_above: Some(0.8),
+            recover_below: Some(0.3),
+            sw_ns_per_cycle: sw(),
+            ..Default::default()
+        });
+        assert_eq!(wide.update_degrade_mode(|| at(79)), None);
+        assert_eq!(wide.update_degrade_mode(|| at(80)), Some((true, at(80))));
+        assert_eq!(wide.update_degrade_mode(|| at(30)), None, "still above low");
+        assert!(mode(&wide));
+        // Degraded mode sends a fresh, priced, non-resident, non-hanging
+        // op to software — and asks about residency last.
+        let c = CircuitId(0);
+        assert_eq!(
+            wide.degrade(0, c, true, || unreachable!()),
+            None,
+            "the hang"
+        );
+        assert_eq!(
+            wide.degrade(0, CircuitId(1), false, || unreachable!()),
+            None
+        );
+        assert_eq!(wide.degrade(0, c, false, || true), None, "resident");
+        assert!(!wide.is_degraded(0));
+        assert_eq!(wide.degrade(0, c, false, || false), Some(3));
+        assert!(wide.degraded_run(0, SimDuration::from_micros(5)));
+        wide.op_completed(0);
+        assert!(!wide.degraded_run(0, SimDuration::from_micros(5)));
+        assert_eq!(wide.update_degrade_mode(|| at(29)), Some((false, at(29))));
+        let st = wide.stats();
+        assert_eq!((st.degrade_enters, st.degrade_exits), (1, 1));
+        assert_eq!(st.degraded_time, SimDuration::from_micros(5));
     }
 
     #[test]

@@ -28,6 +28,10 @@
 //!   their stale claims and the next "residency hit" silently computes on
 //!   garbage — [`TaskMetrics::corrupted`](crate::TaskMetrics::corrupted).
 //!
+//! Capture, journal, crash and the three adoptions (restore on the same
+//! device, fail over onto another, and — with [`crate::migrate`] — take
+//! one tenant in) are the `impl System` block at the end of this module.
+//!
 //! [`diff_reports`] is the differential verifier: a crashed-and-restored
 //! run must reach the same per-task outcomes as the uninterrupted
 //! same-seed run on every timing-invariant field (completion times may
@@ -35,12 +39,13 @@
 
 use crate::circuit::CircuitId;
 use crate::error::VfpgaError;
-use crate::manager::FpgaManager;
+use crate::image::{Capture, Running, SystemImage};
+use crate::manager::{FpgaManager, ManagerStats, ResidentRegion};
 use crate::metrics::Report;
 use crate::sched::Scheduler;
-use crate::system::System;
+use crate::system::{Ev, FailoverReceipt, System};
 use fsim::json::Json;
-use fsim::{CrashInjector, CrashPlan, SimDuration, SimTime, Trace};
+use fsim::{span, CrashInjector, CrashPlan, SimDuration, SimTime, Trace, TraceEvent};
 
 /// Checkpoint cadence and journal switch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -190,6 +195,16 @@ pub enum RunOutcome {
     Crashed(Box<CrashState>),
 }
 
+impl RunOutcome {
+    /// The report and trace of a run that had no crash scheduled.
+    pub(crate) fn completed(self) -> (Report, Trace) {
+        match self {
+            RunOutcome::Completed(report, trace) => (*report, trace),
+            RunOutcome::Crashed(_) => unreachable!("run_until(None) schedules no crash"),
+        }
+    }
+}
+
 /// One field-level disagreement between a baseline and a restored run,
 /// reported by [`diff_reports`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -280,20 +295,13 @@ pub fn diff_reports(baseline: &Report, restored: &Report) -> Vec<Divergence> {
     out
 }
 
-/// Run a workload to completion under seeded host crashes: build the
-/// system, run until the injector's next crash time, restore from the
-/// carried [`CrashState`], repeat. `build` must produce identically
-/// configured systems (same tasks, manager, scheduler, seeds) — it is
-/// called once per crash plus once.
-///
-/// The injector draws successive *absolute* crash times from its own
-/// seeded stream, so a restored run never re-crashes at an already-fired
-/// time and the whole sequence is deterministic.
-pub fn run_with_crashes<M, S>(
+/// The restart loop behind [`run_with_crashes`] and its traced twin: the
+/// report and the final (completing) segment's trace.
+fn crash_loop<M, S>(
     mut build: impl FnMut() -> System<M, S>,
     cfg: CheckpointConfig,
     plan: CrashPlan,
-) -> Result<Report, VfpgaError>
+) -> Result<(Report, Trace), VfpgaError>
 where
     M: FpgaManager,
     S: Scheduler,
@@ -306,10 +314,31 @@ where
             sys.restore_from(state)?;
         }
         match sys.run_until(inj.next_crash_at())? {
-            RunOutcome::Completed(report, _) => return Ok(*report),
+            RunOutcome::Completed(report, trace) => return Ok((*report, trace)),
             RunOutcome::Crashed(state) => carry = Some(*state),
         }
     }
+}
+
+/// Run a workload to completion under seeded host crashes: build the
+/// system, run until the injector's next crash time, restore from the
+/// carried [`CrashState`], repeat. `build` must produce identically
+/// configured systems (same tasks, manager, scheduler, seeds) — it is
+/// called once per crash plus once.
+///
+/// The injector draws successive *absolute* crash times from its own
+/// seeded stream, so a restored run never re-crashes at an already-fired
+/// time and the whole sequence is deterministic.
+pub fn run_with_crashes<M, S>(
+    build: impl FnMut() -> System<M, S>,
+    cfg: CheckpointConfig,
+    plan: CrashPlan,
+) -> Result<Report, VfpgaError>
+where
+    M: FpgaManager,
+    S: Scheduler,
+{
+    crash_loop(build, cfg, plan).map(|(report, _)| report)
 }
 
 /// [`run_with_crashes`] with tracing enabled on every segment; returns
@@ -325,17 +354,438 @@ where
     M: FpgaManager,
     S: Scheduler,
 {
-    let mut inj = CrashInjector::new(plan);
-    let mut carry: Option<CrashState> = None;
-    loop {
-        let mut sys = build().with_trace().with_checkpoints(cfg)?;
-        if let Some(state) = &carry {
-            sys.restore_from(state)?;
+    crash_loop(move || build().with_trace(), cfg, plan)
+}
+
+/// Index of the first journal record the carried checkpoint does not
+/// cover. A checkpoint claiming more records than the journal holds is
+/// corrupt.
+fn wal_base(state: &CrashState) -> Result<usize, VfpgaError> {
+    let base = state.image.as_ref().map_or(0, |i| i.wal_len);
+    if base > state.wal.len() {
+        return Err(VfpgaError::CheckpointCorrupt {
+            reason: format!(
+                "image covers {base} journal records, the journal holds {}",
+                state.wal.len()
+            ),
+        });
+    }
+    Ok(base)
+}
+
+impl<M: FpgaManager, S: Scheduler> System<M, S> {
+    /// Capture a periodic checkpoint: copy the full mutable state into a
+    /// typed image and charge the readback cost of the resident frames as
+    /// background port traffic (like scrubbing — never billed to a task).
+    pub(crate) fn on_checkpoint(&mut self, now: SimTime) {
+        let Some(cfg) = self.ckpt else { return };
+        if self.unfinished == 0 {
+            return; // nothing left to protect; stop the cadence
         }
-        match sys.run_until(inj.next_crash_at())? {
-            RunOutcome::Completed(report, trace) => return Ok((*report, trace)),
-            RunOutcome::Crashed(state) => carry = Some(*state),
+        // Schedule the next capture FIRST so it is part of the pending
+        // events this image records — a restored run keeps the cadence.
+        self.queue.schedule_at(now + cfg.interval, Ev::Checkpoint);
+        let regions = self.dev.manager.resident_regions();
+        let frames: u32 = regions.iter().map(|r| r.width).sum();
+        // Delta capture: only columns that could have diverged from the
+        // previous image need a readback — columns rewritten by downloads
+        // the WAL logged since that image, plus every resident sequential
+        // circuit (its flip-flop state is always volatile). Anything that
+        // rewrites fabric outside the WAL (scrub repair, crash restore,
+        // failover) raises `ckpt_dirty_all` and forces a full image, as
+        // does the every-`k` chain anchor.
+        let delta = match (cfg.delta_full_every, &self.last_ckpt) {
+            (Some(k), Some(_)) if !self.ckpt_dirty_all && self.ckpt_chain + 1 < k => {
+                let dirty = &self.dev.dirty_cols;
+                let mut changed = 0u32;
+                for r in &regions {
+                    if self.lib.get(r.cid).is_sequential() {
+                        // Flip-flop state is always volatile.
+                        changed += r.width;
+                    } else {
+                        changed += (r.col0..r.col0 + r.width)
+                            .filter(|&c| dirty.get(c as usize).is_some_and(|&d| d))
+                            .count() as u32;
+                    }
+                }
+                Some(changed)
+            }
+            _ => None,
+        };
+        self.dev.dirty_cols.fill(false);
+        let read = delta.unwrap_or(frames);
+        let cost = self.dev.manager.timing().readback_time(read as usize);
+        self.ckpt_seq += 1;
+        self.crash.checkpoints += 1;
+        self.crash.checkpoint_time += cost;
+        // The stored image is always the full snapshot — delta capture
+        // changes what crosses the readback port (the cost model), never
+        // what a restore can rely on.
+        let recycled = self.last_ckpt.take().map(|c| c.image);
+        let image = span::time("capture", || self.capture(now, recycled));
+        match delta {
+            Some(changed) => {
+                self.ckpt_chain += 1;
+                self.emit(now, |s| TraceEvent::DeltaCheckpoint {
+                    seq: s.ckpt_seq,
+                    frames: changed,
+                    full_frames: frames,
+                    chain: s.ckpt_chain,
+                    duration: cost,
+                });
+            }
+            None => {
+                self.ckpt_chain = 0;
+                self.ckpt_dirty_all = false;
+                self.emit(now, |s| TraceEvent::CheckpointTaken {
+                    seq: s.ckpt_seq,
+                    frames,
+                    duration: cost,
+                });
+            }
         }
+        self.last_ckpt = Some(Capture {
+            seq: self.ckpt_seq,
+            wal_len: self.dev.wal.len(),
+            image,
+        });
+    }
+
+    /// Copy the full mutable state into a typed image. `recycled` is an
+    /// image nobody needs any more (the previous capture): only its
+    /// per-task buffers are kept, and they are refilled in place rather
+    /// than allocated again.
+    pub(crate) fn capture(&self, now: SimTime, recycled: Option<SystemImage>) -> SystemImage {
+        let (mut tasks, mut latent, mut stale, mut pending) = match recycled {
+            Some(old) => (old.tasks, old.latent, old.stale, old.pending),
+            None => Default::default(),
+        };
+        tasks.clone_from(&self.slots);
+        latent.clone_from(&self.dev.latent);
+        stale.clone_from(&self.dev.stale);
+        pending.clear();
+        pending.extend(
+            self.queue
+                .pending_in_order()
+                .into_iter()
+                // The crash is the one event that must NOT survive: the
+                // next segment gets its own crash time.
+                .filter(|e| e.event != Ev::Crash)
+                .map(|e| (e.at, e.event)),
+        );
+        SystemImage {
+            at: now,
+            tasks,
+            latent,
+            stale,
+            running: self.running,
+            pending,
+            fault: self.fault,
+            rng: self.dev.injector.as_ref().map(|inj| inj.stream_states()),
+            admission: self.admission.as_ref().map(|a| a.state().clone()),
+            sched: self.sched.snapshot().expect("validated at enable"),
+            manager: self.dev.manager.snapshot().expect("validated at enable"),
+        }
+    }
+
+    /// Load a captured image into this freshly built system. Fails when
+    /// the image does not describe this system: another task count, a
+    /// task that arrives at another time than its spec, a task id or op
+    /// index out of range, or a fault injector or admission policy on one
+    /// side only. The scheduler and the manager read their own sections,
+    /// as strictly; the task ids *inside* those two are not range-checked
+    /// (neither component knows the task count) until `System` gets a
+    /// typed view of them (ROADMAP, `Persist`).
+    pub(crate) fn restore(&mut self, img: &SystemImage) -> Result<(), String> {
+        let n = self.slots.len();
+        if img.tasks.len() != n {
+            return Err(format!("image has {} tasks, want {n}", img.tasks.len()));
+        }
+        for (slot, spec) in img.tasks.iter().zip(&self.specs) {
+            // Right count is not yet right set: arrivals never change.
+            if slot.arrival != spec.arrival {
+                return Err(format!("task '{}' arrives at another time", spec.name));
+            }
+            if !slot.state.is_terminal() && slot.op_idx >= spec.ops.len() {
+                return Err(format!("live task '{}' is past its last op", spec.name));
+            }
+        }
+        let running = img.running.iter().map(|run| run.tid);
+        let mut named = running.chain(img.pending.iter().filter_map(|(_, ev)| ev.task()));
+        if let Some(t) = named.find(|t| t.0 as usize >= n) {
+            return Err(format!("task id {} out of range ({n} tasks)", t.0));
+        }
+        match (img.rng, self.dev.injector.as_mut()) {
+            (None, None) => {}
+            (Some(states), Some(inj)) => inj.restore_stream_states(states),
+            _ => return Err("fault injector presence differs from the image".into()),
+        }
+        match (&img.admission, self.admission.as_mut()) {
+            (None, None) => {}
+            (Some(a), Some(adm)) => adm.restore(a, n)?,
+            _ => return Err("admission presence differs from the image".into()),
+        }
+        self.sched
+            .restore(&img.sched)
+            .map_err(|e| format!("scheduler: {e}"))?;
+        self.dev
+            .manager
+            .restore(&img.manager)
+            .map_err(|e| format!("manager: {e}"))?;
+        self.slots.clone_from(&img.tasks);
+        self.dev.latent.clone_from(&img.latent);
+        self.dev.stale.clone_from(&img.stale);
+        self.unfinished = self.slots.iter().filter(|s| !s.state.is_terminal()).count();
+        self.running = img.running;
+        self.fault = img.fault;
+        // Pending events last: the fresh queue (clock still at zero)
+        // re-learns every in-flight timer at its absolute time.
+        self.queue.clear();
+        for &(at, ev) in &img.pending {
+            self.queue.schedule_at(at, ev);
+        }
+        Ok(())
+    }
+
+    /// Adopt a durable checkpoint as this incarnation's restore point:
+    /// parse it back into a typed image, load it, and remember it as the
+    /// last capture, covering `wal_len` records of this device's journal.
+    fn adopt_image(&mut self, image: &CheckpointImage, wal_len: usize) -> Result<(), VfpgaError> {
+        let corrupt = |reason| VfpgaError::CheckpointCorrupt { reason };
+        let capture = Capture::from_durable(image, wal_len).map_err(corrupt)?;
+        self.restore(&capture.image).map_err(corrupt)?;
+        self.ckpt_seq = capture.seq;
+        self.last_ckpt = Some(capture);
+        Ok(())
+    }
+
+    /// The activation of `circuit` for task `ti` is through; `before` holds
+    /// the manager's counters from before it. A download overwrote the
+    /// device: journal it (a stale claim on the circuit is fresh again).
+    /// A residency "hit" on a claim a journal-off restore left stale runs
+    /// the op on garbage, and nothing detects it.
+    pub(crate) fn journal_activation(
+        &mut self,
+        ti: usize,
+        circuit: CircuitId,
+        before: &ManagerStats,
+        now: SimTime,
+    ) {
+        let after = self.dev.manager.stats();
+        if after.downloads > before.downloads {
+            let (col0, width) = match self.resident(|r| r.cid == circuit) {
+                Some(r) => (r.col0, r.width),
+                None => (0, self.dev.manager.timing().spec.cols),
+            };
+            // Mark the columns it rewrote for the next delta capture.
+            let rewritten = self.dev.dirty_cols.iter_mut().skip(col0 as usize);
+            rewritten
+                .take(width as usize)
+                .for_each(|dirty| *dirty = true);
+            self.dev.wal.push(WalRecord {
+                seq: self.dev.wal.len() as u64,
+                cid: circuit,
+                col0,
+                width,
+                at: now,
+                duration: after.config_time - before.config_time,
+            });
+            self.dev.stale.remove(&circuit.0);
+        } else if self.dev.stale.contains(&circuit.0) {
+            self.slots[ti].corrupted = true;
+            self.crash.silent_corruptions += 1;
+        }
+    }
+
+    /// The host dies at `now`: bundle up everything that survives on
+    /// durable storage (last checkpoint + journal + accounting).
+    pub(crate) fn crash_now(&mut self, now: SimTime) -> CrashState {
+        self.crash.crashes += 1;
+        let base = self.last_ckpt.as_ref().map(|i| i.wal_len).unwrap_or(0);
+        let at_risk = (self.dev.wal.len() - base) as u32;
+        // Only post-checkpoint records can tear: anything older has its
+        // table effects inside the image already.
+        let torn = self.dev.wal[base..]
+            .iter()
+            .filter(|r| r.in_flight_at(now))
+            .count() as u64;
+        self.crash.torn_downloads += torn;
+        self.emit(now, |_| TraceEvent::Crash {
+            downloads_at_risk: at_risk,
+            torn: torn > 0,
+        });
+        CrashState {
+            at: now,
+            image: self.last_ckpt.as_ref().map(Capture::to_durable),
+            wal: std::mem::take(&mut self.dev.wal),
+            stats: self.crash,
+        }
+    }
+
+    /// Restore a freshly built system from what survived a crash: apply
+    /// the checkpoint image (if one was ever captured), then reconcile the
+    /// restored residency tables against the write-ahead log. With the
+    /// journal on, post-checkpoint downloads invalidate overlapping
+    /// claims (clean re-downloads later); with it off, those claims stay
+    /// and are marked stale — the next "hit" computes garbage.
+    pub fn restore_from(&mut self, state: &CrashState) -> Result<(), VfpgaError> {
+        let _s = span::guard("restore");
+        let Some(cfg) = self.ckpt else {
+            return Err(VfpgaError::CheckpointCorrupt {
+                reason: "restore_from requires with_checkpoints".into(),
+            });
+        };
+        self.crash = state.stats;
+        // Whatever the restore leaves on the fabric was not produced by
+        // WAL-visible downloads of THIS incarnation: the next checkpoint
+        // capture must be a full image.
+        self.ckpt_dirty_all = true;
+        self.dev.wal = state.wal.clone();
+        let base = wal_base(state)?;
+        if let Some(image) = &state.image {
+            self.adopt_image(image, image.wal_len)?;
+        }
+        // Cold restart (no image): the fresh construction state IS the
+        // restart state — arrivals and the first checkpoint are already
+        // scheduled; only the journal below needs attention.
+        let crash_at = state.at;
+        let post: Vec<WalRecord> = self.dev.wal[base..].to_vec();
+        if post.is_empty() {
+            return Ok(());
+        }
+        let timing = *self.dev.manager.timing();
+        if cfg.journal {
+            // Journal replay: torn records are undone from their
+            // pre-images, committed ones redo-verified by readback; both
+            // cost port traffic. The restored tables are older than the
+            // device, so every claim overlapping a post-checkpoint write
+            // is discarded (conservatively including torn regions — an
+            // extra re-download is safe, a stale claim is not).
+            let mut redone = 0u32;
+            let mut undone = 0u32;
+            let mut cost = SimDuration::ZERO;
+            for r in &post {
+                if r.in_flight_at(crash_at) {
+                    undone += 1;
+                } else {
+                    redone += 1;
+                }
+                cost += timing.readback_time(r.width as usize);
+            }
+            for claim in self.dev.manager.resident_regions() {
+                if post.iter().any(|r| r.overlaps(claim.col0, claim.width))
+                    && self.dev.manager.discard_resident(claim.cid)
+                {
+                    self.crash.stale_discards += 1;
+                }
+            }
+            // Undone records leave the journal (and the device), exactly
+            // like fpga::Journal::recover retaining only committed ones.
+            self.dev.wal.retain(|r| !r.in_flight_at(crash_at));
+            self.crash.records_redone += u64::from(redone);
+            self.crash.records_undone += u64::from(undone);
+            self.crash.replay_time += cost;
+            self.emit(crash_at, |_| TraceEvent::JournalReplay {
+                redone,
+                undone,
+                duration: cost,
+            });
+        } else {
+            // No journal: nothing reconciles the device with the restored
+            // tables. A claim whose region's LAST post-checkpoint write
+            // was a different circuit (or tore) now points at garbage.
+            for claim in self.dev.manager.resident_regions() {
+                let clobbered = post
+                    .iter()
+                    .rev()
+                    .find(|r| r.overlaps(claim.col0, claim.width))
+                    .is_some_and(|r| r.cid != claim.cid || r.in_flight_at(crash_at));
+                if clobbered {
+                    self.dev.stale.insert(claim.cid.0);
+                }
+            }
+            // The most direct victim: an FPGA segment that was mid-flight
+            // at the checkpoint resumes WITHOUT re-activating, so the
+            // dispatch-path staleness check never sees it. If its circuit
+            // claim is stale, the resumed computation runs on whatever the
+            // post-checkpoint downloads left in those columns.
+            if let Some(Running {
+                tid, fpga: Some(f), ..
+            }) = self.running
+            {
+                if self.dev.stale.contains(&f.cid.0) {
+                    self.slots[tid.0 as usize].corrupted = true;
+                    self.crash.silent_corruptions += 1;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Adopt the image of a shard cut at `state.at` onto fresh fabric: the
+    /// shared first half of [`fail_over_from`](Self::fail_over_from) and
+    /// [`migrate_in`](Self::migrate_in). The journal restarts empty (its
+    /// records describe downloads to fabric that no longer exists; the
+    /// torn ones are counted undone), every restored residency claim is
+    /// discarded, and the dead fabric's latent upsets and stale markers go
+    /// with it. Returns the torn-record count, the work window to
+    /// re-execute (cut time minus the image's capture time — the whole run
+    /// so far on a cold start), that capture time, and the discarded claims.
+    pub(crate) fn adopt_onto_fresh_fabric(
+        &mut self,
+        state: &CrashState,
+        who: &str,
+    ) -> Result<(u32, SimDuration, SimTime, Vec<ResidentRegion>), VfpgaError> {
+        if self.ckpt.is_none() {
+            return Err(VfpgaError::CheckpointCorrupt {
+                reason: format!("{who} requires with_checkpoints"),
+            });
+        }
+        self.crash = state.stats;
+        // Fresh fabric on the destination device: full capture next.
+        self.ckpt_dirty_all = true;
+        let base = wal_base(state)?;
+        let mut resume_at = SimTime::ZERO;
+        if let Some(image) = &state.image {
+            self.adopt_image(image, 0)?;
+            resume_at = image.at;
+        }
+        let torn = state.wal[base..]
+            .iter()
+            .filter(|r| r.in_flight_at(state.at))
+            .count() as u32;
+        self.crash.records_undone += u64::from(torn);
+        self.dev.wal.clear();
+        let mut discarded = self.dev.manager.resident_regions();
+        discarded.retain(|claim| self.dev.manager.discard_resident(claim.cid));
+        self.dev.latent.clear();
+        self.dev.stale.clear();
+        Ok((torn, state.at - resume_at, resume_at, discarded))
+    }
+
+    /// Adopt a shard that died with its device: restore this freshly
+    /// built system — running on a *different* (or wiped-and-rejoined)
+    /// device — from the crashed shard's durable state. Unlike
+    /// [`restore_from`](Self::restore_from), which reconciles surviving
+    /// device contents against the journal, here the source fabric is
+    /// gone: torn records are dropped, committed post-checkpoint records
+    /// have nothing left on the destination to redo-verify, and every
+    /// restored residency claim is discarded. Each discarded claim is one
+    /// migration, priced honestly: the source-side half was already paid
+    /// as the checkpoint readback, and the destination pays the download
+    /// at the circuit's next activation. A mid-flight FPGA segment
+    /// restored from the image re-executes its post-checkpoint work on
+    /// the destination, exactly like the journal-on restore path.
+    pub fn fail_over_from(&mut self, state: &CrashState) -> Result<FailoverReceipt, VfpgaError> {
+        let _s = span::guard("failover");
+        let (torn, redo_window, _, discarded) =
+            self.adopt_onto_fresh_fabric(state, "fail_over_from")?;
+        Ok(FailoverReceipt {
+            migrated_claims: discarded.len() as u32,
+            torn_undone: torn,
+            redo_window,
+            live_tasks: self.unfinished as u32,
+        })
     }
 }
 

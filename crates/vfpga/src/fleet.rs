@@ -764,12 +764,7 @@ where
                                 tasks: receipt.live_tasks,
                             },
                         ));
-                        let report = match sys.run_until(None).map_err(|e| on_device(from, e))? {
-                            RunOutcome::Completed(report, _) => *report,
-                            RunOutcome::Crashed(_) => {
-                                unreachable!("run_until(None) never crashes")
-                            }
-                        };
+                        let report = sys.run().map_err(|e| on_device(from, e))?;
                         shards[si].done = Some((report, None, 0));
                     }
                     None => {
@@ -803,12 +798,8 @@ where
         }
         let host = sr.host;
         let sys = take_system(&mut build, cfg.ckpt, sr)?;
-        match sys.run_until(None).map_err(|e| on_device(host, e))? {
-            RunOutcome::Completed(report, _) => {
-                finish(sr, &mut hosted, *report, Some(host));
-            }
-            RunOutcome::Crashed(_) => unreachable!("run_until(None) never crashes"),
-        }
+        let report = sys.run().map_err(|e| on_device(host, e))?;
+        finish(sr, &mut hosted, report, Some(host));
     }
 
     // Fleet totals and per-shard counters are updated in lockstep above;
@@ -1239,43 +1230,9 @@ mod tests {
     use crate::manager::PreemptAction;
     use crate::sched::RoundRobinScheduler;
     use crate::system::SystemConfig;
+    use crate::system_tests::{lib_n, ms, timing, us};
     use crate::task::Op;
-    use fpga::{ConfigPort, ConfigTiming};
-    use pnr::{compile, CompileOptions};
     use std::sync::Arc;
-
-    fn ms(v: u64) -> SimDuration {
-        SimDuration::from_millis(v)
-    }
-
-    fn us(v: u64) -> SimDuration {
-        SimDuration::from_micros(v)
-    }
-
-    fn lib_n(n: usize) -> (Arc<CircuitLib>, Vec<CircuitId>) {
-        let spec = fpga::device::part("VF400");
-        let mut lib = CircuitLib::new();
-        let ids = (0..n)
-            .map(|i| {
-                let net = netlist::library::arith::array_multiplier(&format!("f{i}"), 4 + (i % 2));
-                let opts = CompileOptions {
-                    max_height: spec.rows,
-                    full_height: true,
-                    seed: 0xF1EE7 + i as u64,
-                    ..Default::default()
-                };
-                lib.register_compiled(compile(&net, opts).unwrap())
-            })
-            .collect();
-        (Arc::new(lib), ids)
-    }
-
-    fn timing() -> ConfigTiming {
-        ConfigTiming {
-            spec: fpga::device::part("VF400"),
-            port: ConfigPort::SerialFast,
-        }
-    }
 
     /// Four tenants, two tasks each, arrivals interleaved.
     fn specs(ids: &[CircuitId]) -> Vec<TaskSpec> {

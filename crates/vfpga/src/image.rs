@@ -446,7 +446,7 @@ task_table!(
 fn running_from_json(v: &Json) -> Result<Running, String> {
     let mut r = Fields::of(v, "running")?;
     let run = Running {
-        tid: TaskId(r.get("tid")?),
+        tid: r.get("tid")?,
         dur: r.get("dur")?,
         exec_start: r.get("exec_start")?,
         fpga: match r.next("fpga")? {
@@ -473,7 +473,7 @@ fn pending_from_json(v: &Json) -> Result<(SimTime, Ev), String> {
     let Json::Str(kind) = kind else {
         return Err(format!("pending event kind is {}", kind_of(kind)));
     };
-    let task = || u32::read(arg, "pending event task").map(TaskId);
+    let task = || TaskId::read(arg, "pending event task");
     let no_arg = |ev: Ev| match arg {
         Json::Null => Ok(ev),
         other => Err(format!("'{kind}' event carries {}", kind_of(other))),
@@ -492,7 +492,7 @@ fn pending_from_json(v: &Json) -> Result<(SimTime, Ev), String> {
         "watchdog" => {
             let [t, seq] = tuple(arg, "watchdog arg")?;
             Ev::Watchdog {
-                tid: TaskId(u32::read(t, "watchdog task")?),
+                tid: TaskId::read(t, "watchdog task")?,
                 seq: u64::read(seq, "watchdog generation")?,
             }
         }
@@ -665,16 +665,26 @@ impl Scalar for SimTime {
     }
 }
 
-/// `null` is "none": a poisoned mark that was never set.
-impl Scalar for Option<SimDuration> {
+/// `null` is "none": a poisoned mark that was never set, a partition
+/// nobody owns.
+impl<T: Scalar> Scalar for Option<T> {
     fn json(self) -> Json {
         self.map_or(Json::Null, Scalar::json)
     }
-    fn read(v: &Json, what: &str) -> Result<Option<SimDuration>, String> {
+    fn read(v: &Json, what: &str) -> Result<Option<T>, String> {
         match v {
             Json::Null => Ok(None),
-            v => SimDuration::read(v, what).map(Some),
+            v => T::read(v, what).map(Some),
         }
+    }
+}
+
+impl Scalar for TaskId {
+    fn json(self) -> Json {
+        self.0.json()
+    }
+    fn read(v: &Json, what: &str) -> Result<TaskId, String> {
+        u32::read(v, what).map(TaskId)
     }
 }
 
@@ -690,13 +700,13 @@ impl Scalar for TaskState {
     }
 }
 
-fn arr_of<'a>(v: &'a Json, what: &str) -> Result<&'a [Json], String> {
+pub(crate) fn arr_of<'a>(v: &'a Json, what: &str) -> Result<&'a [Json], String> {
     v.as_arr()
         .ok_or_else(|| format!("{what} is {}, not an array", kind_of(v)))
 }
 
 /// An array of exactly `N` items, for destructuring.
-fn tuple<'a, const N: usize>(v: &'a Json, what: &str) -> Result<&'a [Json; N], String> {
+pub(crate) fn tuple<'a, const N: usize>(v: &'a Json, what: &str) -> Result<&'a [Json; N], String> {
     let a = arr_of(v, what)?;
     a.try_into()
         .map_err(|_| format!("{what} has {} entries, want {N}", a.len()))
@@ -748,7 +758,7 @@ impl<'a> Fields<'a> {
         T::read(self.next(key)?, key)
     }
 
-    fn str(&mut self, key: &str) -> Result<&'a str, String> {
+    pub(crate) fn str(&mut self, key: &str) -> Result<&'a str, String> {
         match self.next(key)? {
             Json::Str(s) => Ok(s),
             other => Err(format!("'{key}' is {}, not a string", kind_of(other))),

@@ -13,17 +13,15 @@ use crate::manager::overlay::{OverlayManager, Replacement};
 use crate::manager::partition::{PartitionManager, PartitionMode};
 use crate::manager::{FpgaManager, PreemptAction};
 use crate::recovery::RecoveryPolicy;
-use crate::sched::{EdfScheduler, PriorityScheduler, RoundRobinScheduler, Scheduler};
+use crate::sched::{
+    EdfScheduler, FifoScheduler, PriorityScheduler, RoundRobinScheduler, Scheduler,
+};
 use crate::system::{System, SystemConfig};
-use crate::system_tests::{lib_n, ms, timing};
+use crate::system_tests::{lib_n, ms, timing, us};
 use crate::task::{Op, TaskSpec};
 use fsim::json::Json;
-use fsim::{FaultPlan, SimDuration, SimTime};
+use fsim::{FaultPlan, SimTime};
 use std::sync::Arc;
-
-fn us(v: u64) -> SimDuration {
-    SimDuration::from_micros(v)
-}
 
 const SAVE_RESTORE: SystemConfig = SystemConfig {
     preempt: PreemptAction::SaveRestore,
@@ -400,6 +398,174 @@ fn damaged_counter_sections_are_errors_not_panics() {
         damaged("duplicated key", |f| f[1] = f[0].clone());
         damaged("wrong kind", |f| f[0].1 = Json::from(true));
     }
+}
+
+/// One step into a JSON tree: an object key or an array index.
+#[derive(Clone, Copy, PartialEq)]
+enum Step<'a> {
+    Key(&'a str),
+    Idx(usize),
+}
+
+/// Every node of `v` with its path, parents first.
+fn walk<'a>(v: &'a Json, path: &mut Vec<Step<'a>>, visit: &mut impl FnMut(&[Step<'a>], &Json)) {
+    visit(path, v);
+    let children: Vec<(Step, &Json)> = match v {
+        Json::Obj(fields) => fields.iter().map(|(k, c)| (Step::Key(k), c)).collect(),
+        Json::Arr(items) => (0..).map(Step::Idx).zip(items).collect(),
+        _ => Vec::new(),
+    };
+    for (step, child) in children {
+        path.push(step);
+        walk(child, path, visit);
+        path.pop();
+    }
+}
+
+fn node<'a>(v: &'a mut Json, path: &[Step]) -> &'a mut Json {
+    path.iter().fold(v, |v, step| match *step {
+        Step::Key(k) => field(v, k),
+        Step::Idx(i) => &mut items(v)[i],
+    })
+}
+
+fn fields(v: &mut Json) -> &mut Vec<(String, Json)> {
+    match v {
+        Json::Obj(fields) => fields,
+        other => panic!("not an object: {other:?}"),
+    }
+}
+
+/// The `sched` and `manager` sections are written and read by the
+/// component's own `snapshot`/`restore`. Under each of the four schedulers
+/// and over both checkpointable managers, every way of damaging them is an
+/// error out of `System::restore`, never a panic: byte damage, every
+/// object's key set, 2^32+1 in every cell read into 32 bits or fewer (task
+/// and circuit ids, columns, widths, priorities — sequence numbers,
+/// clocks, times and counters are 64-bit), and every circuit id pointed
+/// outside the library.
+#[test]
+fn damaged_component_sections_are_errors_not_panics() {
+    const WIDE: u64 = (1 << 32) + 1;
+    fn sweep<M: FpgaManager, S: Scheduler>(label: &str, build: impl Fn() -> System<M, S>) {
+        let restore = |doc: &Json| build().restore(&SystemImage::from_json(doc)?);
+        let good = image_at(build(), 9000).unwrap_or_else(|| panic!("{label}: no image"));
+        restore(&good).unwrap_or_else(|e| panic!("{label}: undamaged image: {e}"));
+        for section in ["sched", "manager"] {
+            sweep_damage(&good.get(section).unwrap().render(), |t| {
+                let mut doc = good.clone();
+                *field(&mut doc, section) = Json::parse(t).map_err(|e| e.to_string())?;
+                restore(&doc)
+            });
+        }
+        // Every damaged copy of the image, with what was done to it.
+        let mut cases: Vec<(&str, Json)> = Vec::new();
+        let mut damage = |what, path: &[Step], how: &dyn Fn(&mut Json)| {
+            let mut doc = good.clone();
+            how(node(&mut doc, path));
+            cases.push((what, doc));
+        };
+        walk(&good, &mut Vec::new(), &mut |path, v| {
+            if !matches!(path.first(), Some(Step::Key("sched" | "manager"))) {
+                return;
+            }
+            // The key this node sits under, and its index if in an array.
+            let (mut under, mut index) = ("", None);
+            for step in path {
+                match *step {
+                    Step::Key(k) => (under, index) = (k, None),
+                    Step::Idx(i) => index = Some(i),
+                }
+            }
+            let pairs = ["saved", "waiters"].contains(&under);
+            match v {
+                Json::Obj(obj) => {
+                    let extra = ("epilogue".to_string(), Json::from(0u64));
+                    damage("extra key", path, &|o| fields(o).push(extra.clone()));
+                    damage("missing key", path, &|o| drop(fields(o).pop()));
+                    damage("wrong kind", path, &|o| {
+                        let first = &mut fields(o)[0].1;
+                        *first = Json::from(!matches!(first, Json::Bool(_)));
+                    });
+                    if obj.len() >= 2 {
+                        damage("reordered keys", path, &|o| fields(o).swap(0, 1));
+                        damage("duplicated key", path, &|o| {
+                            fields(o)[1] = fields(o)[0].clone()
+                        });
+                    }
+                }
+                // An entry of a ready queue: (priority, seq, task, enqueue
+                // time) under the priority policy, (seq, task) under EDF.
+                Json::Arr(entry) if under == "ready" && index.is_some() => {
+                    let narrow: &[usize] = if entry.len() == 4 { &[0, 2] } else { &[1] };
+                    for &i in narrow {
+                        damage("wide ready cell", path, &|e| items(e)[i] = WIDE.into());
+                    }
+                }
+                // The two lists of (task, circuit) pairs may be empty at
+                // the cut: a foreign entry is refused all the same.
+                Json::Arr(_) if pairs && index.is_none() => {
+                    for pair in [[0, 9999], [WIDE, 0]] {
+                        damage("foreign pair", path, &|l| {
+                            items(l).push(pair.to_vec().into())
+                        });
+                    }
+                }
+                Json::UInt(_) => {
+                    let narrow = [
+                        "queue",
+                        "loaded",
+                        "col",
+                        "width",
+                        "cid",
+                        "owner",
+                        "saved_for",
+                    ];
+                    if pairs || narrow.contains(&under) {
+                        damage("wide cell", path, &|c| *c = WIDE.into());
+                    }
+                    if ["loaded", "cid"].contains(&under) || (pairs && index == Some(1)) {
+                        damage("circuit 9999", path, &|c| *c = 9999u64.into());
+                    }
+                }
+                _ => {}
+            }
+        });
+        assert!(cases.len() >= 12, "{label}: only {} cases", cases.len());
+        for (what, doc) in &cases {
+            assert!(restore(doc).is_err(), "{label}: {what} restored");
+        }
+    }
+    fn all_schedulers<M: FpgaManager>(
+        label: &str,
+        lib: &Arc<CircuitLib>,
+        ids: &[CircuitId],
+        manager: impl Fn() -> M,
+    ) {
+        let ckpt = CheckpointConfig::new(ms(1)).with_delta_checkpoints(3);
+        let sp = || specs(ids, 8);
+        macro_rules! with {
+            ($name:literal, $sched:expr) => {
+                sweep(&format!("{}/{label}", $name), || {
+                    System::new(lib.clone(), manager(), $sched, SAVE_RESTORE, sp())
+                        .with_checkpoints(ckpt)
+                        .unwrap()
+                })
+            };
+        }
+        with!("fifo", FifoScheduler::new());
+        with!("rr", RoundRobinScheduler::new(ms(1)));
+        with!(
+            "priority",
+            PriorityScheduler::with_aging(Some(ms(1)), ms(2))
+        );
+        with!("edf", EdfScheduler::for_tasks(&sp(), Some(ms(1))));
+    }
+    let (lib, ids) = lib_n(3);
+    all_schedulers("dynload", &lib, &ids, || {
+        DynLoadManager::new(lib.clone(), timing(), PreemptAction::SaveRestore)
+    });
+    all_schedulers("variable+delta", &lib, &ids, || variable_delta(&lib));
 }
 
 #[test]

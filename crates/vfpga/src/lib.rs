@@ -8,8 +8,12 @@
 //!
 //! * [`task`] / [`sched`] / [`system`] — the multitasking host: task model
 //!   with CPU and FPGA bursts, FIFO / round-robin / priority /
-//!   earliest-deadline-first schedulers, and a deterministic
-//!   discrete-event execution engine,
+//!   earliest-deadline-first schedulers, and the deterministic
+//!   discrete-event kernel (`System`: builders, event loop, arrive /
+//!   dispatch / segment timer, the one task-exit path, the report). The
+//!   subsystems below that act inside the event loop — [`admission`],
+//!   [`recovery`], [`checkpoint`], [`migrate`] — each hold their own
+//!   handlers as further `impl System` blocks,
 //! * [`manager::exclusive`] — the §4 baseline: a non-preemptable FPGA
 //!   ("any other task needing an already assigned FPGA will enter the
 //!   waiting state"),

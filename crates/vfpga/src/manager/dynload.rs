@@ -17,6 +17,7 @@ use super::{
 };
 use crate::circuit::{CircuitId, CircuitLib};
 use crate::counters::Counters;
+use crate::image::{arr_of, tuple, Fields, Scalar};
 use crate::manager::PreemptAction;
 use crate::task::TaskId;
 use fpga::ConfigTiming;
@@ -211,30 +212,25 @@ impl FpgaManager for DynLoadManager {
     }
 
     fn restore(&mut self, snap: &fsim::json::Json) -> Result<(), String> {
-        use fsim::json::Json;
-        self.loaded = match snap.get("loaded") {
-            Some(Json::Null) => None,
-            Some(Json::UInt(c)) => Some(CircuitId(*c as u32)),
-            other => return Err(format!("dynload snapshot 'loaded': {other:?}")),
+        let mut f = Fields::of(snap, "dynload snapshot")?;
+        let loaded = match f.next("loaded")? {
+            fsim::json::Json::Null => None,
+            v => Some(self.lib.read_id(v, "loaded circuit")?),
         };
-        self.saved_state.clear();
-        for v in snap
-            .get("saved")
-            .and_then(Json::as_arr)
-            .ok_or("dynload snapshot missing 'saved'")?
-        {
-            match v.as_arr() {
-                Some([Json::UInt(t), Json::UInt(c)]) => {
-                    self.saved_state
-                        .insert((TaskId(*t as u32), CircuitId(*c as u32)), ());
-                }
-                _ => return Err(format!("bad dynload saved-state entry: {v:?}")),
+        let mut saved = HashMap::new();
+        for v in arr_of(f.next("saved")?, "saved")? {
+            let [t, c] = tuple(v, "saved entry")?;
+            let key = (
+                TaskId::read(t, "saved task")?,
+                self.lib.read_id(c, "saved circuit")?,
+            );
+            if saved.insert(key, ()).is_some() {
+                return Err("saved lists an entry twice".into());
             }
         }
-        self.stats = ManagerStats::from_json(
-            snap.get("stats")
-                .ok_or("dynload snapshot missing 'stats'")?,
-        )?;
+        let stats = ManagerStats::from_json(f.next("stats")?)?;
+        f.end()?;
+        (self.loaded, self.saved_state, self.stats) = (loaded, saved, stats);
         Ok(())
     }
 }
@@ -243,38 +239,9 @@ impl FpgaManager for DynLoadManager {
 mod tests {
     use super::*;
     use fpga::ConfigPort;
-    use pnr::{compile, CompileOptions};
-
-    fn lib3() -> (Arc<CircuitLib>, Vec<CircuitId>) {
-        let mut lib = CircuitLib::new();
-        let ids = vec![
-            lib.register_compiled(
-                compile(
-                    &netlist::library::arith::ripple_adder("add", 8),
-                    CompileOptions::default(),
-                )
-                .unwrap(),
-            ),
-            lib.register_compiled(
-                compile(
-                    &netlist::library::seq::lfsr("lfsr", 16, 0b1101_0000_0000_1000),
-                    CompileOptions::default(),
-                )
-                .unwrap(),
-            ),
-            lib.register_compiled(
-                compile(
-                    &netlist::library::logic::parity("par", 12),
-                    CompileOptions::default(),
-                )
-                .unwrap(),
-            ),
-        ];
-        (Arc::new(lib), ids)
-    }
 
     fn manager(port: ConfigPort, policy: PreemptAction) -> (DynLoadManager, Vec<CircuitId>) {
-        let (lib, ids) = lib3();
+        let (lib, ids) = crate::system_tests::lib_mixed(3);
         let timing = ConfigTiming {
             spec: fpga::device::part("VF400"),
             port,

@@ -298,7 +298,10 @@ pub trait FpgaManager {
     }
 
     /// Restore state captured by [`FpgaManager::snapshot`] into a freshly
-    /// built manager of the same policy and device.
+    /// built manager of the same policy and device. The snapshot comes out
+    /// of a checkpoint image — outside input — so it is read strictly:
+    /// circuit ids are checked against the library, column ranges against
+    /// the device.
     fn restore(&mut self, _snap: &Json) -> Result<(), String> {
         Err("manager does not support snapshots".into())
     }

@@ -28,6 +28,7 @@ use super::{
 use crate::circuit::{CircuitId, CircuitLib};
 use crate::counters::Counters;
 use crate::error::VfpgaError;
+use crate::image::{arr_of, tuple, Fields, Scalar};
 use crate::manager::PreemptAction;
 use crate::task::TaskId;
 use fpga::ConfigTiming;
@@ -962,88 +963,78 @@ impl FpgaManager for PartitionManager {
     }
 
     fn restore(&mut self, snap: &fsim::json::Json) -> Result<(), String> {
-        use fsim::json::Json;
-        let u32_of = |v: Option<&Json>, what: &str| -> Result<u32, String> {
-            match v {
-                Some(Json::UInt(x)) => Ok(*x as u32),
-                other => Err(format!("partition snapshot '{what}': {other:?}")),
-            }
-        };
-        let opt_tid = |v: Option<&Json>, what: &str| -> Result<Option<TaskId>, String> {
-            match v {
-                Some(Json::Null) => Ok(None),
-                Some(Json::UInt(x)) => Ok(Some(TaskId(*x as u32))),
-                other => Err(format!("partition snapshot '{what}': {other:?}")),
-            }
-        };
+        let cols = self.timing.spec.cols;
+        let mut f = Fields::of(snap, "partition snapshot")?;
         let mut routing = pnr::RoutingFabric::for_device(&self.timing.spec);
         let mut parts = Vec::new();
-        for p in snap
-            .get("parts")
-            .and_then(Json::as_arr)
-            .ok_or("partition snapshot missing 'parts'")?
-        {
-            let col = u32_of(p.get("col"), "col")?;
-            let width = u32_of(p.get("width"), "width")?;
-            let slot = match p.get("kind") {
-                Some(Json::Str(k)) if k == "free" => Slot::Free,
-                Some(Json::Str(k)) if k == "retired" => Slot::Retired,
-                Some(Json::Str(k)) if k == "resident" => {
-                    let cid = CircuitId(u32_of(p.get("cid"), "cid")?);
+        // The partitions tile the device: each starts where the last ended.
+        let mut next_col = 0;
+        for p in arr_of(f.next("parts")?, "parts")? {
+            let mut p = Fields::of(p, "partition")?;
+            let col: u32 = p.get("col")?;
+            let width: u32 = p.get("width")?;
+            if col != next_col || width == 0 || width > cols - col {
+                return Err(format!(
+                    "partition [{col}, +{width}) does not continue the tiling at column {next_col} of {cols}"
+                ));
+            }
+            next_col = col + width;
+            let slot = match p.str("kind")? {
+                "free" => Slot::Free,
+                "retired" => Slot::Retired,
+                "resident" => {
+                    let cid = self.lib.read_id(p.next("cid")?, "resident circuit")?;
+                    let owner = p.get("owner")?;
+                    let last_use = p.get("last_use")?;
+                    let saved_for = p.get("saved_for")?;
                     // Re-route at the original origin; partitions are
                     // disjoint column ranges, so routing each resident in
                     // image order reproduces a valid fabric state.
+                    let image = self.lib.get(cid);
+                    if image.shape().0 > width {
+                        return Err(format!("circuit {} is wider than {width} columns", cid.0));
+                    }
+                    let template = image.route_template();
                     let routes = routing
-                        .route_template(self.lib.get(cid).route_template(), (col, 0))
+                        .route_template(template, (col, 0))
                         .map_err(|e| format!("re-routing circuit {} at col {col}: {e:?}", cid.0))?;
                     Slot::Resident {
                         cid,
-                        owner: opt_tid(p.get("owner"), "owner")?,
+                        owner,
                         routes,
-                        last_use: match p.get("last_use") {
-                            Some(Json::UInt(v)) => *v,
-                            other => {
-                                return Err(format!("partition snapshot 'last_use': {other:?}"))
-                            }
-                        },
-                        saved_for: opt_tid(p.get("saved_for"), "saved_for")?,
+                        last_use,
+                        saved_for,
                     }
                 }
-                other => return Err(format!("partition snapshot 'kind': {other:?}")),
+                other => return Err(format!("unknown partition kind '{other}'")),
             };
+            p.end()?;
             parts.push(Partition { col, width, slot });
         }
-        let mut waiters = VecDeque::new();
-        for v in snap
-            .get("waiters")
-            .and_then(Json::as_arr)
-            .ok_or("partition snapshot missing 'waiters'")?
-        {
-            match v.as_arr() {
-                Some([Json::UInt(t), Json::UInt(c)]) => {
-                    waiters.push_back((TaskId(*t as u32), CircuitId(*c as u32)));
-                }
-                _ => return Err(format!("bad partition waiter entry: {v:?}")),
-            }
+        if next_col != cols {
+            return Err(format!("partitions cover {next_col} of {cols} columns"));
         }
-        self.parts = parts;
-        self.routing = routing;
-        self.waiters = waiters;
-        self.clock = match snap.get("clock") {
-            Some(Json::UInt(v)) => *v,
-            other => return Err(format!("partition snapshot 'clock': {other:?}")),
-        };
-        self.gc_enabled = matches!(snap.get("gc_enabled"), Some(Json::Bool(true)));
-        self.stats = ManagerStats::from_json(
-            snap.get("stats")
-                .ok_or("partition snapshot missing 'stats'")?,
-        )?;
-        // Ghosts are never carried across a restore: the fabric was wiped
-        // and re-downloaded, so every tracked base would be stale.
-        self.delta = match snap.get("delta") {
-            Some(d) => Some(DeltaTable::from_json(d)?),
+        let mut waiters = VecDeque::new();
+        for v in arr_of(f.next("waiters")?, "waiters")? {
+            let [t, c] = tuple(v, "waiter")?;
+            waiters.push_back((
+                TaskId::read(t, "waiting task")?,
+                self.lib.read_id(c, "awaited circuit")?,
+            ));
+        }
+        let clock = f.get("clock")?;
+        let gc_enabled = f.get("gc_enabled")?;
+        let stats = ManagerStats::from_json(f.next("stats")?)?;
+        // The section is present exactly when the feature is on. Ghosts
+        // are never carried across a restore: the fabric was wiped and
+        // re-downloaded, so every tracked base would be stale.
+        let delta = match self.delta {
+            Some(_) => Some(DeltaTable::from_json(f.next("delta")?)?),
             None => None,
         };
+        f.end()?;
+        (self.parts, self.routing, self.waiters) = (parts, routing, waiters);
+        (self.clock, self.gc_enabled, self.stats, self.delta) = (clock, gc_enabled, stats, delta);
         Ok(())
     }
 }

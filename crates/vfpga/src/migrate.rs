@@ -25,6 +25,9 @@
 //! left), a commit without a free is redone idempotently (the source
 //! columns are freed again; freeing twice is a no-op).
 //!
+//! The two halves of the split are here as an `impl System` block:
+//! [`extract_tenant`](crate::System::extract_tenant) on the source,
+//! [`migrate_in`](crate::System::migrate_in) on the destination.
 //! The destination system adopts the *whole* shard image (same task
 //! indexing as the source, so snapshots restore unchanged) and then
 //! retires every non-tenant task as [`crate::task::TaskState::Migrated`].
@@ -32,17 +35,21 @@
 //! [`CounterBaseline`] captured at adoption time is subtracted before the
 //! fleet merges reports, so migrated work is never double-counted.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use fpga::journal::{MigrationLog, MigrationPhase, MigrationRecord, MigrationResolution};
-use fsim::{MigrationCrashWindow, MigrationInjector, MigrationPlan, SimDuration, SimTime};
+use fsim::{span, MigrationCrashWindow, MigrationInjector, MigrationPlan, SimDuration, SimTime};
 
-use crate::admission::AdmissionStats;
-use crate::checkpoint::CrashStats;
+use crate::admission::{AdmissionRt, AdmissionStats};
+use crate::checkpoint::{CrashState, CrashStats};
 use crate::counters::Counters;
-use crate::manager::{DeltaStats, ManagerStats};
+use crate::error::VfpgaError;
+use crate::manager::{redownload_cost, DeltaStats, FpgaManager, ManagerStats, ResidentRegion};
 use crate::metrics::Report;
 use crate::recovery::FaultStats;
+use crate::sched::Scheduler;
+use crate::system::{Ev, Exit, System};
+use crate::task::{TaskId, TaskSpec};
 
 /// What [`crate::System::extract_tenant`] removed from the source side of
 /// a migration split.
@@ -112,6 +119,182 @@ impl CounterBaseline {
         if let (Some(d), Some(b)) = (r.delta.as_mut(), self.delta.as_ref()) {
             d.sub(b);
         }
+    }
+}
+
+impl<M: FpgaManager, S: Scheduler> System<M, S> {
+    /// Non-terminal tasks of `tenant` still inside this system.
+    pub fn live_tasks_of(&self, tenant: u32) -> u32 {
+        self.slots
+            .iter()
+            .zip(&self.specs)
+            .filter(|(slot, spec)| spec.tenant == tenant && !slot.state.is_terminal())
+            .count() as u32
+    }
+
+    /// Retire every non-terminal task matching `pred` as
+    /// [`TaskState::Migrated`]: it leaves this system (the other side of
+    /// the migration split reports its real outcome), frees its device
+    /// claims, and stops being scheduled. Pending events targeting a
+    /// retired task are pruned; scheduler entries go stale and are
+    /// skipped by dispatch. Returns how many tasks were retired.
+    fn retire_tasks_where(
+        &mut self,
+        stamp_at: SimTime,
+        resume_at: SimTime,
+        pred: impl Fn(&TaskSpec) -> bool,
+    ) -> u32 {
+        let moved: Vec<TaskId> = (0..self.slots.len())
+            .filter(|&ti| !self.slots[ti].state.is_terminal() && pred(&self.specs[ti]))
+            .map(|ti| TaskId(ti as u32))
+            .collect();
+        if moved.is_empty() {
+            return 0;
+        }
+        // Mark all now, release below: a wake must not reach a task this
+        // batch is still about to retire.
+        let mut gone = vec![false; self.slots.len()];
+        for &tid in &moved {
+            self.exit(tid, stamp_at, Exit::Migrated);
+            gone[tid.0 as usize] = true;
+        }
+        if self.running.is_some_and(|run| gone[run.tid.0 as usize]) {
+            self.running = None;
+        }
+        let pending = self.queue.pending_in_order();
+        self.queue.clear();
+        for ev in pending {
+            if !ev.event.task().is_some_and(|t| gone[t.0 as usize]) {
+                self.queue.schedule_at(ev.at, ev.event);
+            }
+        }
+        for &tid in &moved {
+            self.release_claims(tid, resume_at);
+        }
+        moved.len() as u32
+    }
+
+    /// Source half of a migration split: retire `tenant`'s tasks as
+    /// migrated (stamped at `cut_at`, the migration instant), drop the
+    /// tenant's admission state (its deferred backlog travels inside the
+    /// checkpoint image the destination restores), and — unless the free
+    /// is deferred to the journal-replay redo path (`free == false`) —
+    /// release the tenant's now-unreferenced residency claims.
+    pub fn extract_tenant(
+        &mut self,
+        tenant: u32,
+        cut_at: SimTime,
+        resume_at: SimTime,
+        free: bool,
+    ) -> MigrationManifest {
+        let moved = self.retire_tasks_where(cut_at, resume_at, |s| s.tenant == tenant);
+        if let Some(adm) = self.admission.as_mut() {
+            adm.retain_tenants(|t| t != tenant);
+        }
+        let freed = if free { self.free_migrated(tenant) } else { 0 };
+        self.queue.schedule_at(resume_at, Ev::Dispatch);
+        MigrationManifest {
+            moved_tasks: moved,
+            freed_claims: freed,
+        }
+    }
+
+    /// Ids of the circuits the tasks of the tenants `of` selects use.
+    fn circuits_of(&self, of: impl Fn(u32) -> bool) -> BTreeSet<u32> {
+        let specs = self.specs.iter().filter(|spec| of(spec.tenant));
+        specs
+            .flat_map(|spec| spec.circuits_used().into_iter().map(|c| c.0))
+            .collect()
+    }
+
+    /// Release residency claims only the migrated tenant still needs:
+    /// circuits used by `tenant`'s tasks and by no other tenant left in
+    /// this system. Shared circuits stay resident for the remaining
+    /// tenants. Idempotent — the journal-replay redo path may call it
+    /// again after a crash between commit and free, and the second call
+    /// finds nothing to discard.
+    pub fn free_migrated(&mut self, tenant: u32) -> u32 {
+        let mut exclusive = self.circuits_of(|t| t == tenant);
+        for cid in self.circuits_of(|t| t != tenant) {
+            exclusive.remove(&cid);
+        }
+        let mut freed = 0u32;
+        for claim in self.dev.manager.resident_regions() {
+            if exclusive.contains(&claim.cid.0) && self.dev.manager.discard_resident(claim.cid) {
+                freed += 1;
+            }
+        }
+        freed
+    }
+
+    /// Destination half of a migration split: adopt `tenant` from the
+    /// source shard's cut state. Restores the *whole* shard image (same
+    /// task indexing as the source, so the snapshot applies unchanged),
+    /// then retires every other tenant's tasks as migrated — they keep
+    /// running on the source remainder. The tenant's resident images are
+    /// staged-copied during prepare: with `delta` on, each lands as a
+    /// ghost the next activation revalidates header-only (the staged
+    /// frames are priced into `replay_time`, like journal replay —
+    /// background, never task-charged); with `delta` off the tenant pays
+    /// a full re-download at next activation, exactly like a failover.
+    pub fn migrate_in(
+        &mut self,
+        state: &CrashState,
+        tenant: u32,
+        delta: bool,
+    ) -> Result<MigrateInReceipt, VfpgaError> {
+        let _s = span::guard("migrate_in");
+        let (torn, redo_window, resume_at, discarded) =
+            self.adopt_onto_fresh_fabric(state, "migrate_in")?;
+        // The tenant's own claims are what the staged copy re-creates
+        // here — remember their geometry for the implant.
+        let tenant_circuits = self.circuits_of(|t| t == tenant);
+        let staged: Vec<ResidentRegion> = discarded
+            .into_iter()
+            .filter(|claim| tenant_circuits.contains(&claim.cid.0))
+            .collect();
+        let migrated = staged.len() as u32;
+        // Everyone but the migrating tenant continues on the source.
+        self.retire_tasks_where(resume_at, resume_at, |s| s.tenant != tenant);
+        if let Some(adm) = self.admission.as_mut() {
+            adm.retain_tenants(|t| t == tenant);
+        }
+        self.queue.schedule_at(resume_at, Ev::Dispatch);
+        // Counters restored from the image are the source's cumulative
+        // totals; the fleet subtracts this baseline from the final report
+        // so migrated work is counted exactly once. Captured before the
+        // staged copy below, so its cost shows in the increment.
+        let baseline = CounterBaseline {
+            manager: self.dev.manager.stats(),
+            fault: self.fault,
+            crash: self.crash,
+            admission: self.admission.as_ref().map(AdmissionRt::stats),
+            delta: self.dev.manager.delta_stats(),
+        };
+        let mut ghosts = 0u32;
+        if delta {
+            let timing = *self.dev.manager.timing();
+            let mut copy_cost = SimDuration::ZERO;
+            for claim in staged {
+                if self
+                    .dev
+                    .manager
+                    .implant_ghost(claim.col0, claim.width, claim.cid)
+                {
+                    ghosts += 1;
+                    copy_cost += redownload_cost(&timing, claim.width as usize);
+                }
+            }
+            self.crash.replay_time += copy_cost;
+        }
+        Ok(MigrateInReceipt {
+            adopted_tasks: self.unfinished as u32,
+            migrated_claims: migrated,
+            ghosts_implanted: ghosts,
+            torn_undone: torn,
+            redo_window,
+            baseline,
+        })
     }
 }
 

@@ -19,13 +19,22 @@
 //!   column and relocates resident circuits off it with the same
 //!   GC machinery that compacts free space.
 //!
+//! The handlers — the fault events, the retry cycle, the repair — are the
+//! `impl System` block at the end of this module.
+//!
 //! All recovery work that runs in the background (scrubbing, repair,
 //! retirement relocation) is accounted in [`FaultStats`], *disjoint* from
 //! the task-charged overhead breakdown; only the wasted time of corrupt
 //! download attempts is task-charged (the CPU really was busy), and the
 //! report subtracts it back out of the config slice into `fault_retry`.
 
-use fsim::SimDuration;
+use crate::circuit::CircuitId;
+use crate::image::{Latent, Running};
+use crate::manager::{redownload_cost, FpgaManager, ManagerStats};
+use crate::sched::Scheduler;
+use crate::system::{Ev, System};
+use crate::task::{Op, TaskId, TaskState};
+use fsim::{SimDuration, SimTime, TraceEvent};
 
 /// What a detected configuration upset costs the victim op (§3's choice
 /// applied to fault recovery rather than preemption).
@@ -164,6 +173,352 @@ impl FaultStats {
     /// Whether any fault was injected at all.
     pub fn any_faults(&self) -> bool {
         self.download_faults + self.seu_faults + self.seu_benign + self.column_faults > 0
+    }
+}
+
+impl<M: FpgaManager, S: Scheduler> System<M, S> {
+    /// Schedule fault event `ev` after `delay`, if the plan has one coming.
+    /// Fault events stop rescheduling once every task has left, so the
+    /// queue can drain.
+    fn schedule_fault(&mut self, now: SimTime, delay: Option<SimDuration>, ev: Ev) {
+        if let Some(d) = delay.filter(|_| self.unfinished > 0) {
+            self.queue.schedule_at(now + d, ev);
+        }
+    }
+
+    /// Seed the fault timeline before the run starts. A zero-rate plan
+    /// schedules nothing, so attaching it cannot perturb a fault-free run.
+    pub(crate) fn seed_faults(&mut self) {
+        let Some(inj) = self.dev.injector.as_mut() else {
+            return;
+        };
+        let (seu, column) = (inj.next_seu(), inj.next_column_failure());
+        self.schedule_fault(SimTime::ZERO, seu, Ev::Seu);
+        self.schedule_fault(SimTime::ZERO, column, Ev::ColumnFail(None));
+        self.schedule_fault(SimTime::ZERO, self.recovery.scrub_interval, Ev::Scrub);
+    }
+
+    /// A configuration upset strikes a random device column at `now`.
+    pub(crate) fn on_seu(&mut self, now: SimTime) {
+        let inj = self
+            .dev
+            .injector
+            .as_mut()
+            .expect("SEU event without injector");
+        let (col, next) = (inj.seu_column(), inj.next_seu());
+        self.schedule_fault(now, next, Ev::Seu);
+        let hit = self.resident(|r| r.covers(col));
+        self.emit(now, |_| TraceEvent::FaultInjected {
+            kind: "seu",
+            circuit: hit.map(|r| r.cid.0),
+            col: Some(col),
+        });
+        let Some(r) = hit else {
+            // Landed on unmapped fabric: harmless.
+            self.fault.seu_benign += 1;
+            return;
+        };
+        self.fault.seu_faults += 1;
+        // Earliest unrepaired strike wins (MTTR measures from it).
+        self.dev.latent.entry(r.cid.0).or_insert(Latent {
+            struck_at: now,
+            detected: false,
+        });
+        // The struck frames no longer match any image — evicting
+        // this circuit must not leave a delta base behind.
+        self.dev.manager.invalidate_image_range(r.col0, r.width);
+        // The task executing on the struck circuit right now keeps
+        // only the progress made before the strike.
+        if let Some(run) = &self.running {
+            if run.fpga.is_some_and(|f| f.cid == r.cid) {
+                let slot = &mut self.slots[run.tid.0 as usize];
+                if slot.poisoned.is_none() {
+                    let elapsed = (now - run.exec_start).min(run.dur);
+                    slot.poisoned = Some(slot.op_done_so_far + elapsed);
+                }
+            }
+        }
+    }
+
+    /// Periodic scrubbing: read the configuration back, compare CRCs, and
+    /// repair what was hit. Charged at real readback cost — background
+    /// device-port time, never billed to any task.
+    pub(crate) fn on_scrub(&mut self, now: SimTime) {
+        let regions = self.dev.manager.resident_regions();
+        let frames: u32 = regions.iter().map(|r| r.width).sum();
+        let cost = self.dev.manager.timing().readback_time(frames as usize);
+        self.fault.scrub_passes += 1;
+        self.fault.scrub_time += cost;
+        // Upsets on circuits that were discarded or evicted left the
+        // device with them.
+        self.dev
+            .latent
+            .retain(|cid, _| regions.iter().any(|r| r.cid.0 == *cid));
+        let mut newly: Vec<u32> = Vec::new();
+        for (cid, l) in self.dev.latent.iter_mut() {
+            if !l.detected {
+                l.detected = true;
+                newly.push(*cid);
+            }
+        }
+        self.fault.crc_mismatches += newly.len() as u64;
+        self.emit(now, |_| TraceEvent::ScrubPass {
+            frames,
+            found: newly.len() as u32,
+            duration: cost,
+        });
+        for &cid in &newly {
+            self.emit(now, |_| TraceEvent::CrcMismatch {
+                circuit: cid,
+                task: None,
+                context: "scrub",
+            });
+        }
+        // Every latent upset is detected now. Repair immediately unless a
+        // task is mid-segment on the circuit; then the repair waits for
+        // that segment's timer.
+        let busy_cid = self.running.as_ref().and_then(|r| r.fpga.map(|f| f.cid.0));
+        let detected: Vec<u32> = self.dev.latent.keys().copied().collect();
+        for cid in detected {
+            if Some(cid) != busy_cid {
+                self.repair_circuit(CircuitId(cid), now);
+            }
+        }
+        self.schedule_fault(now, self.recovery.scrub_interval, Ev::Scrub);
+    }
+
+    /// Repair a detected upset on `cid`: re-download its frames (partial
+    /// when the port allows) and apply the policy's state choice; garbage
+    /// computed since the strike is discarded from every victim task.
+    fn repair_circuit(&mut self, cid: CircuitId, now: SimTime) {
+        let Some(l) = self.dev.latent.remove(&cid.0) else {
+            return;
+        };
+        let Some(region) = self.resident(|r| r.cid == cid) else {
+            return; // evicted since detection; corruption left with it
+        };
+        let timing = *self.dev.manager.timing();
+        let frames = region.width as usize;
+        let sequential = self.lib.get(cid).is_sequential();
+        let mut cost = redownload_cost(&timing, frames);
+        // The scrub rewrite happens outside the manager's download path:
+        // drop any delta base it covers (the whole device when the port
+        // cannot address frames), and force the next checkpoint capture to
+        // be a full image — the WAL never saw this write.
+        let (col0, width) = match timing.port.supports_partial() {
+            true => (region.col0, region.width),
+            false => (0, timing.spec.cols),
+        };
+        self.dev.manager.invalidate_image_range(col0, width);
+        self.ckpt_dirty_all = true;
+        if sequential && self.recovery.upset_recovery == UpsetRecovery::SaveRestore {
+            // Read back the flip-flop state (valid bits survive an upset in
+            // the *configuration* plane) and write it back after repair —
+            // possible because library circuits are observable and
+            // controllable (§3).
+            cost += timing.readback_time(frames);
+            cost += timing.readback_time(frames);
+        }
+        self.fault.repairs += 1;
+        self.fault.repair_time += cost;
+        self.fault.mttr_total += now - l.struck_at;
+        let mut lost_total = SimDuration::ZERO;
+        for ti in 0..self.slots.len() {
+            let on_this = matches!(
+                self.slots[ti].current_op(&self.specs[ti]),
+                Some(Op::FpgaRun { circuit, .. }) if circuit == cid
+            );
+            if !on_this || self.slots[ti].state.is_terminal() {
+                continue;
+            }
+            if let Some(valid) = self.slots[ti].poisoned.take() {
+                // Combinational circuits lose only post-strike items; a
+                // sequential circuit under Rollback restarts from its
+                // initial inputs.
+                let preserved =
+                    if !sequential || self.recovery.upset_recovery == UpsetRecovery::SaveRestore {
+                        valid
+                    } else {
+                        SimDuration::ZERO
+                    };
+                let lost = self.slots[ti].op_done_so_far - preserved;
+                if lost > SimDuration::ZERO {
+                    self.slots[ti].fpga_time -= lost;
+                    self.slots[ti].fault_lost_time += lost;
+                    self.fault.work_lost += lost;
+                    lost_total += lost;
+                }
+                self.slots[ti].op_done_so_far = preserved;
+                self.slots[ti].op_remaining = self.slots[ti].op_full - preserved;
+            }
+        }
+        self.emit(now, |_| TraceEvent::Recovered {
+            circuit: cid.0,
+            task: None,
+            lost: lost_total,
+            duration: cost,
+        });
+    }
+
+    /// The segment of `tid` on circuit `cid` just drained. If a scrub pass
+    /// detected an upset on the circuit meanwhile, repair it now; the
+    /// repair resets the task's progress per policy. Returns true when
+    /// that left the op incomplete: the device slot is released and the op
+    /// goes around again (a fault restart — the manager's preempt path
+    /// never runs), or, past `max_op_recoveries`, the task is given up on.
+    #[inline]
+    pub(crate) fn restart_after_repair(
+        &mut self,
+        tid: TaskId,
+        cid: CircuitId,
+        now: SimTime,
+    ) -> bool {
+        if !self.dev.latent.get(&cid.0).is_some_and(|l| l.detected) {
+            return false;
+        }
+        self.repair_circuit(cid, now);
+        let ti = tid.0 as usize;
+        if self.slots[ti].op_remaining == SimDuration::ZERO {
+            return false;
+        }
+        let (ovh, wake) = self.dev.manager.op_done(tid, cid);
+        self.slots[ti].overhead_time += ovh;
+        self.wake(wake, now);
+        self.slots[ti].fault_restarts += 1;
+        if self.slots[ti].fault_restarts > self.recovery.max_op_recoveries {
+            self.give_up(tid, now, "upset recovery limit");
+        } else {
+            self.make_ready(tid, now);
+        }
+        self.dispatch(now);
+        true
+    }
+
+    /// A permanent column failure at `now`; `pending` retries a column a
+    /// running task was pinning.
+    pub(crate) fn on_column_fail(&mut self, pending: Option<u32>, now: SimTime) {
+        let col = match pending {
+            Some(c) => c,
+            None => {
+                let inj = self
+                    .dev
+                    .injector
+                    .as_mut()
+                    .expect("column event w/o injector");
+                let (col, next) = (inj.failed_column(), inj.next_column_failure());
+                self.schedule_fault(now, next, Ev::ColumnFail(None));
+                self.fault.column_faults += 1;
+                self.emit(now, |_| TraceEvent::FaultInjected {
+                    kind: "column",
+                    circuit: None,
+                    col: Some(col),
+                });
+                col
+            }
+        };
+        let out = self.dev.manager.retire_column(col);
+        if out.busy {
+            // A task is mid-op on the dying fabric; retry shortly after.
+            let retry = Some(SimDuration::from_millis(1));
+            self.schedule_fault(now, retry, Ev::ColumnFail(Some(col)));
+            return;
+        }
+        if out.applied {
+            self.fault.columns_retired += 1;
+            self.fault.retire_time += out.overhead;
+            self.emit(now, |_| TraceEvent::ColumnRetired {
+                col,
+                relocations: out.relocations,
+                duration: out.overhead,
+            });
+            // Capacity shrank: every blocked task (`wake` passes over the
+            // others) re-probes the manager so requests that became
+            // unservable fail instead of hanging.
+            self.wake((0..self.slots.len() as u32).map(TaskId), now);
+            self.dispatch(now);
+        }
+        // Neither busy nor applied: a manager without column bookkeeping
+        // absorbed the fault.
+    }
+
+    /// The activation of `circuit` for `tid` cost `o`; `before` holds the
+    /// manager's counters from before it. If it downloaded and the injector
+    /// corrupts the download, the CRC catches it: the circuit is discarded
+    /// and the CPU held for the wasted attempt, whose end
+    /// ([`on_retry_done`](Self::on_retry_done)) decides about a retry.
+    /// Returns whether the download was corrupt.
+    pub(crate) fn corrupt_download(
+        &mut self,
+        tid: TaskId,
+        circuit: CircuitId,
+        o: SimDuration,
+        before: &ManagerStats,
+        now: SimTime,
+    ) -> bool {
+        let Some(inj) = self.dev.injector.as_mut() else {
+            return false;
+        };
+        if !(self.dev.manager.stats().downloads > before.downloads && inj.corrupt_download()) {
+            return false;
+        }
+        let ti = tid.0 as usize;
+        self.dev.manager.discard_resident(circuit);
+        self.fault.download_faults += 1;
+        self.fault.crc_mismatches += 1;
+        self.fault.retry_time += self.dev.manager.stats().config_time - before.config_time;
+        self.slots[ti].dl_attempts += 1;
+        self.slots[ti].overhead_time += o;
+        self.emit(now, |_| TraceEvent::FaultInjected {
+            kind: "download",
+            circuit: Some(circuit.0),
+            col: None,
+        });
+        self.emit(now, |_| TraceEvent::CrcMismatch {
+            circuit: circuit.0,
+            task: Some(tid.0),
+            context: "download",
+        });
+        self.slots[ti].state = TaskState::Running;
+        self.running = Some(Running {
+            tid,
+            dur: SimDuration::ZERO,
+            exec_start: now + o,
+            fpga: None,
+        });
+        self.queue.schedule_at(now + o, Ev::RetryDone(tid));
+        true
+    }
+
+    /// The wasted attempt of a corrupt download has elapsed; decide
+    /// between another retry (with backoff) and giving up on the task.
+    pub(crate) fn on_retry_done(&mut self, tid: TaskId, now: SimTime) {
+        let run = self.running.take().expect("retry-done without runner");
+        debug_assert_eq!(run.tid, tid);
+        let ti = tid.0 as usize;
+        let attempt = self.slots[ti].dl_attempts;
+        if attempt > self.recovery.max_download_retries {
+            self.give_up(tid, now, "download retries exhausted");
+        } else {
+            let backoff = self.recovery.backoff_for(attempt);
+            self.fault.retries += 1;
+            self.emit(now, |_| TraceEvent::RetryScheduled {
+                task: tid.0,
+                attempt,
+                backoff,
+            });
+            self.slots[ti].state = TaskState::Blocked;
+            self.queue.schedule_at(now + backoff, Ev::Retry(tid));
+        }
+        self.dispatch(now);
+    }
+
+    /// Backoff elapsed: the task may probe the manager again (a manager
+    /// wake may already have freed it).
+    pub(crate) fn on_retry(&mut self, tid: TaskId, now: SimTime) {
+        if self.slots[tid.0 as usize].state == TaskState::Blocked {
+            self.make_ready(tid, now);
+            self.dispatch(now);
+        }
     }
 }
 

@@ -8,6 +8,7 @@
 //! ([`EdfScheduler`], the deadline-closed policy E18 compares against the
 //! others).
 
+use crate::image::{arr_of, tuple, Fields, Scalar};
 use crate::task::{TaskId, TaskSpec};
 use fsim::json::{Json, Obj};
 use fsim::{SimDuration, SimTime};
@@ -45,19 +46,36 @@ pub trait Scheduler {
     }
 }
 
-/// Shared helper: read a JSON array of task ids written by a scheduler
-/// snapshot.
-fn tid_list(snap: &Json, key: &str) -> Result<Vec<TaskId>, String> {
-    let arr = snap
-        .get(key)
-        .and_then(Json::as_arr)
-        .ok_or_else(|| format!("scheduler snapshot missing '{key}' array"))?;
-    arr.iter()
-        .map(|v| match v {
-            Json::UInt(t) => Ok(TaskId(*t as u32)),
-            other => Err(format!("bad task id in scheduler snapshot: {other:?}")),
-        })
-        .collect()
+/// The `{"queue": [tid, …]}` snapshot of the two plain-queue policies.
+fn queue_snapshot(queue: &VecDeque<TaskId>) -> Json {
+    let queue: Vec<u64> = queue.iter().map(|t| u64::from(t.0)).collect();
+    Obj::new().set("queue", queue).build()
+}
+
+/// Its strict reader, like every other section of a checkpoint image.
+fn queue_from(snap: &Json, what: &'static str) -> Result<VecDeque<TaskId>, String> {
+    let mut f = Fields::of(snap, what)?;
+    let queue = arr_of(f.next("queue")?, "queue")?
+        .iter()
+        .map(|v| TaskId::read(v, "queued task"))
+        .collect::<Result<_, _>>()?;
+    f.end()?;
+    Ok(queue)
+}
+
+/// The `{"ready": [entry, …], "seq": n}` snapshot of the two ordered
+/// policies, read as strictly; `entry` reads one queue entry.
+fn ready_from<T>(
+    snap: &Json,
+    what: &'static str,
+    entry: impl Fn(&Json) -> Result<T, String>,
+) -> Result<(Vec<T>, u64), String> {
+    let mut f = Fields::of(snap, what)?;
+    let ready = arr_of(f.next("ready")?, "ready")?.iter().map(entry);
+    let ready = ready.collect::<Result<_, _>>()?;
+    let seq = f.get("seq")?;
+    f.end()?;
+    Ok((ready, seq))
 }
 
 /// First-in first-out, run to completion (no slicing).
@@ -99,21 +117,11 @@ impl Scheduler for FifoScheduler {
     }
 
     fn snapshot(&self) -> Option<Json> {
-        Some(
-            Obj::new()
-                .set(
-                    "queue",
-                    self.queue
-                        .iter()
-                        .map(|t| u64::from(t.0))
-                        .collect::<Vec<_>>(),
-                )
-                .build(),
-        )
+        Some(queue_snapshot(&self.queue))
     }
 
     fn restore(&mut self, snap: &Json) -> Result<(), String> {
-        self.queue = tid_list(snap, "queue")?.into();
+        self.queue = queue_from(snap, "fifo snapshot")?;
         Ok(())
     }
 }
@@ -162,21 +170,11 @@ impl Scheduler for RoundRobinScheduler {
     }
 
     fn snapshot(&self) -> Option<Json> {
-        Some(
-            Obj::new()
-                .set(
-                    "queue",
-                    self.queue
-                        .iter()
-                        .map(|t| u64::from(t.0))
-                        .collect::<Vec<_>>(),
-                )
-                .build(),
-        )
+        Some(queue_snapshot(&self.queue))
     }
 
     fn restore(&mut self, snap: &Json) -> Result<(), String> {
-        self.queue = tid_list(snap, "queue")?.into();
+        self.queue = queue_from(snap, "round-robin snapshot")?;
         Ok(())
     }
 }
@@ -301,24 +299,12 @@ impl Scheduler for PriorityScheduler {
     }
 
     fn restore(&mut self, snap: &Json) -> Result<(), String> {
-        let arr = snap
-            .get("ready")
-            .and_then(Json::as_arr)
-            .ok_or("priority snapshot missing 'ready'")?;
-        let mut ready = Vec::with_capacity(arr.len());
-        for v in arr {
-            match v.as_arr() {
-                Some([Json::UInt(p), Json::UInt(s), Json::UInt(t), Json::UInt(at)]) => {
-                    ready.push((*p as u8, *s, TaskId(*t as u32), SimTime(*at)));
-                }
-                _ => return Err(format!("bad priority snapshot entry: {v:?}")),
-            }
-        }
-        self.ready = ready;
-        self.seq = match snap.get("seq") {
-            Some(Json::UInt(s)) => *s,
-            _ => return Err("priority snapshot missing 'seq'".into()),
-        };
+        (self.ready, self.seq) = ready_from(snap, "priority snapshot", |v| {
+            let [p, s, t, at] = tuple(v, "ready entry")?;
+            let p = u8::try_from(u64::read(p, "priority")?).map_err(|_| "priority past 255")?;
+            let (s, t) = (u64::read(s, "sequence")?, TaskId::read(t, "ready task")?);
+            Ok((p, s, t, SimTime::read(at, "enqueue time")?))
+        })?;
         Ok(())
     }
 }
@@ -440,24 +426,10 @@ impl Scheduler for EdfScheduler {
     }
 
     fn restore(&mut self, snap: &Json) -> Result<(), String> {
-        let arr = snap
-            .get("ready")
-            .and_then(Json::as_arr)
-            .ok_or("edf snapshot missing 'ready'")?;
-        let mut ready = Vec::with_capacity(arr.len());
-        for v in arr {
-            match v.as_arr() {
-                Some([Json::UInt(s), Json::UInt(t)]) => {
-                    ready.push((*s, TaskId(*t as u32)));
-                }
-                _ => return Err(format!("bad edf snapshot entry: {v:?}")),
-            }
-        }
-        self.ready = ready;
-        self.seq = match snap.get("seq") {
-            Some(Json::UInt(s)) => *s,
-            _ => return Err("edf snapshot missing 'seq'".into()),
-        };
+        (self.ready, self.seq) = ready_from(snap, "edf snapshot", |v| {
+            let [s, t] = tuple(v, "ready entry")?;
+            Ok((u64::read(s, "sequence")?, TaskId::read(t, "ready task")?))
+        })?;
         Ok(())
     }
 }

@@ -21,6 +21,27 @@ pub(crate) fn ms(v: u64) -> SimDuration {
     SimDuration::from_millis(v)
 }
 
+pub(crate) fn us(v: u64) -> SimDuration {
+    SimDuration::from_micros(v)
+}
+
+/// The first `n` of an adder, an LFSR (sequential) and a parity tree, at
+/// their natural shapes — for whole-device managers.
+pub(crate) fn lib_mixed(n: usize) -> (Arc<CircuitLib>, Vec<CircuitId>) {
+    use netlist::library::{arith, logic, seq};
+    let nets = [
+        arith::ripple_adder("add", 8),
+        seq::lfsr("lfsr", 16, 0b1101_0000_0000_1000),
+        logic::parity("par", 12),
+    ];
+    let mut lib = CircuitLib::new();
+    let ids = nets[..n]
+        .iter()
+        .map(|net| lib.register_compiled(compile(net, CompileOptions::default()).unwrap()))
+        .collect();
+    (Arc::new(lib), ids)
+}
+
 pub(crate) fn lib_n(n: usize) -> (Arc<CircuitLib>, Vec<CircuitId>) {
     let spec = fpga::device::part("VF400");
     let mut lib = CircuitLib::new();

@@ -332,10 +332,7 @@ impl TaskSlot {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn ms(v: u64) -> SimDuration {
-        SimDuration::from_millis(v)
-    }
+    use crate::system_tests::ms;
 
     #[test]
     fn spec_accessors() {

@@ -416,14 +416,7 @@ impl PagingSim {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fpga::ConfigPort;
-
-    fn timing() -> ConfigTiming {
-        ConfigTiming {
-            spec: fpga::device::part("VF400"),
-            port: ConfigPort::SerialFast,
-        }
-    }
+    use crate::system_tests::timing;
 
     fn func() -> SegmentedFunction {
         SegmentedFunction {

@@ -33,55 +33,19 @@
 //!     event queue's run lane) give the outcomes pinned before that lane
 //!     existed, uninterrupted and across crash-and-restore.
 
+mod common;
+
+use common::{four_ops, lib4, partition_system};
 use fsim::{SimDuration, SimRng, SimTime};
 use std::collections::BTreeMap;
-use std::sync::Arc;
-use vfpga::circuit::CircuitLib;
-use vfpga::manager::partition::{PartitionManager, PartitionMode};
-use vfpga::manager::PreemptAction;
+use vfpga::manager::partition::PartitionManager;
 use vfpga::sched::RoundRobinScheduler;
-use vfpga::system::{System, SystemConfig};
-use vfpga::task::{Op, TaskSpec};
+use vfpga::system::System;
+use vfpga::task::TaskSpec;
 use vfpga::{
     diff_reports, run_with_crashes, AdmissionPolicy, CheckpointConfig, CrashPlan,
     DegradationConfig, EdfScheduler, Report, SchedulabilityConfig, VfpgaError, WatchdogConfig,
 };
-
-fn lib4() -> (Arc<CircuitLib>, Vec<vfpga::circuit::CircuitId>) {
-    use pnr::{compile, CompileOptions};
-    let mut lib = CircuitLib::new();
-    let ids = vec![
-        lib.register_compiled(
-            compile(
-                &netlist::library::arith::ripple_adder("add", 8),
-                CompileOptions::default(),
-            )
-            .unwrap(),
-        ),
-        lib.register_compiled(
-            compile(
-                &netlist::library::seq::lfsr("lfsr", 16, 0b1101_0000_0000_1000),
-                CompileOptions::default(),
-            )
-            .unwrap(),
-        ),
-        lib.register_compiled(
-            compile(
-                &netlist::library::logic::parity("par", 12),
-                CompileOptions::default(),
-            )
-            .unwrap(),
-        ),
-        lib.register_compiled(
-            compile(
-                &netlist::library::seq::counter("ctr", 12),
-                CompileOptions::default(),
-            )
-            .unwrap(),
-        ),
-    ];
-    (Arc::new(lib), ids)
-}
 
 /// Two-tenant workload with seeded arrival jitter, explicit hang indices
 /// (those tasks' first FPGA op never raises its done signal) and optional
@@ -101,18 +65,7 @@ fn workload_ext(
             let mut s = TaskSpec::new(
                 format!("t{i}"),
                 SimTime::ZERO + SimDuration::from_micros(i as u64 * 40 + jitter),
-                vec![
-                    Op::Cpu(SimDuration::from_micros(100)),
-                    Op::FpgaRun {
-                        circuit: cid,
-                        cycles: 60_000,
-                    },
-                    Op::Cpu(SimDuration::from_micros(50)),
-                    Op::FpgaRun {
-                        circuit: cid,
-                        cycles: 30_000,
-                    },
-                ],
+                four_ops(cid),
             )
             .with_tenant(i as u32 % 2);
             if hang.contains(&i) {
@@ -131,13 +84,6 @@ fn workload(ids: &[vfpga::circuit::CircuitId], n: usize, seed: u64, hang: bool) 
     workload_ext(ids, n, seed, if hang { &[0] } else { &[] }, |_| None)
 }
 
-fn timing() -> fpga::ConfigTiming {
-    fpga::ConfigTiming {
-        spec: fpga::device::part("VF400"),
-        port: fpga::ConfigPort::SerialFast,
-    }
-}
-
 /// Flat per-cycle software price for every circuit in the library — the
 /// exact values are irrelevant to these properties, only that lookups hit.
 fn sw_all(ids: &[vfpga::circuit::CircuitId]) -> BTreeMap<u32, u64> {
@@ -150,23 +96,8 @@ fn build(
     policy: Option<AdmissionPolicy>,
 ) -> System<PartitionManager, RoundRobinScheduler> {
     let (lib, ids) = lib4();
-    let mgr = PartitionManager::new(
-        lib.clone(),
-        timing(),
-        PartitionMode::Variable,
-        PreemptAction::SaveRestore,
-    )
-    .unwrap();
-    let mut sys = System::new(
-        lib,
-        mgr,
-        RoundRobinScheduler::new(SimDuration::from_millis(2)),
-        SystemConfig {
-            preempt: PreemptAction::SaveRestore,
-            ..Default::default()
-        },
-        workload(&ids, 8, seed, hang),
-    );
+    let sched = RoundRobinScheduler::new(SimDuration::from_millis(2));
+    let mut sys = partition_system(lib, sched, workload(&ids, 8, seed, hang));
     if let Some(p) = policy {
         sys = sys.with_admission(p).unwrap();
     }
@@ -187,23 +118,7 @@ fn build_with<S: vfpga::Scheduler>(
     let (lib, ids) = lib4();
     let specs = make_specs(&ids);
     let sched = make_sched(&specs);
-    let mgr = PartitionManager::new(
-        lib.clone(),
-        timing(),
-        PartitionMode::Variable,
-        PreemptAction::SaveRestore,
-    )
-    .unwrap();
-    let mut sys = System::new(
-        lib,
-        mgr,
-        sched,
-        SystemConfig {
-            preempt: PreemptAction::SaveRestore,
-            ..Default::default()
-        },
-        specs,
-    );
+    let mut sys = partition_system(lib, sched, specs);
     if let Some(p) = policy {
         sys = sys.with_admission(p).unwrap();
     }

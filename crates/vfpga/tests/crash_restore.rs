@@ -16,88 +16,19 @@
 //! 5. a zero retry budget fails a corrupt download immediately, without a
 //!    spurious retry (recovery-policy edge case).
 
-use fsim::{SimDuration, SimTime};
-use std::sync::Arc;
-use vfpga::circuit::CircuitLib;
+mod common;
+
+use common::{lib4, partition_system, timing, workload};
+use fsim::SimDuration;
 use vfpga::manager::dynload::DynLoadManager;
-use vfpga::manager::partition::{PartitionManager, PartitionMode};
+use vfpga::manager::partition::PartitionManager;
 use vfpga::manager::PreemptAction;
 use vfpga::sched::RoundRobinScheduler;
 use vfpga::system::{System, SystemConfig};
-use vfpga::task::{Op, TaskSpec};
 use vfpga::{
     diff_reports, run_with_crashes, CheckpointConfig, CrashPlan, FaultPlan, FpgaManager,
     RecoveryPolicy, Report, RunOutcome, Scheduler,
 };
-
-fn lib4() -> (Arc<CircuitLib>, Vec<vfpga::circuit::CircuitId>) {
-    use pnr::{compile, CompileOptions};
-    let mut lib = CircuitLib::new();
-    let ids = vec![
-        lib.register_compiled(
-            compile(
-                &netlist::library::arith::ripple_adder("add", 8),
-                CompileOptions::default(),
-            )
-            .unwrap(),
-        ),
-        lib.register_compiled(
-            compile(
-                &netlist::library::seq::lfsr("lfsr", 16, 0b1101_0000_0000_1000),
-                CompileOptions::default(),
-            )
-            .unwrap(),
-        ),
-        lib.register_compiled(
-            compile(
-                &netlist::library::logic::parity("par", 12),
-                CompileOptions::default(),
-            )
-            .unwrap(),
-        ),
-        lib.register_compiled(
-            compile(
-                &netlist::library::seq::counter("ctr", 12),
-                CompileOptions::default(),
-            )
-            .unwrap(),
-        ),
-    ];
-    (Arc::new(lib), ids)
-}
-
-/// Tasks alternating between circuits so residency claims churn: exactly
-/// the workload where a stale claim after a bad restore would bite.
-fn workload(ids: &[vfpga::circuit::CircuitId], n: usize) -> Vec<TaskSpec> {
-    (0..n)
-        .map(|i| {
-            let cid = ids[i % ids.len()];
-            TaskSpec::new(
-                format!("t{i}"),
-                SimTime::ZERO + SimDuration::from_micros(i as u64 * 40),
-                vec![
-                    Op::Cpu(SimDuration::from_micros(100)),
-                    Op::FpgaRun {
-                        circuit: cid,
-                        cycles: 60_000,
-                    },
-                    Op::Cpu(SimDuration::from_micros(50)),
-                    Op::FpgaRun {
-                        circuit: cid,
-                        cycles: 30_000,
-                    },
-                ],
-            )
-        })
-        .collect()
-}
-
-fn timing() -> fpga::ConfigTiming {
-    fpga::ConfigTiming {
-        spec: fpga::device::part("VF400"),
-        port: fpga::ConfigPort::SerialFast,
-    }
-}
 
 /// A dynamically loaded single-tenant device: every circuit swap rewrites
 /// the same columns, so post-checkpoint downloads always clobber the
@@ -119,23 +50,8 @@ fn build_dynload() -> System<DynLoadManager, RoundRobinScheduler> {
 
 fn build_partition() -> System<PartitionManager, RoundRobinScheduler> {
     let (lib, ids) = lib4();
-    let mgr = PartitionManager::new(
-        lib.clone(),
-        timing(),
-        PartitionMode::Variable,
-        PreemptAction::SaveRestore,
-    )
-    .unwrap();
-    System::new(
-        lib,
-        mgr,
-        RoundRobinScheduler::new(SimDuration::from_millis(2)),
-        SystemConfig {
-            preempt: PreemptAction::SaveRestore,
-            ..Default::default()
-        },
-        workload(&ids, 8),
-    )
+    let sched = RoundRobinScheduler::new(SimDuration::from_millis(2));
+    partition_system(lib, sched, workload(&ids, 8))
 }
 
 fn finish<M: FpgaManager, S: Scheduler>(sys: System<M, S>) -> Report {
