@@ -462,9 +462,9 @@ fn main() {
         ""
     };
     println!(
-        "routing{since}: {} connections translated from their template, {} searched, \
-         {} circuits failed to route",
-        r.templated_conns, r.searched_conns, r.failed_circuits,
+        "routing{since}: {} connections translated from their template ({} circuits as one \
+         footprint), {} searched, {} circuits failed to route",
+        r.templated_conns, r.footprint_loads, r.searched_conns, r.failed_circuits,
     );
     println!(
         "queue{since}: {} events scheduled, {} via the heap, peak {} pending ({} in the heap)",

@@ -8,10 +8,13 @@
 //! 2. [`mod@place`] — region-constrained placement: greedy seed + simulated
 //!    annealing on half-perimeter wirelength,
 //! 3. [`route`] — maze routing over the device's channel graph with finite
-//!    capacity and congestion negotiation; routing is *origin-dependent*,
-//!    which is exactly the paper's §4 warning that "circuit relocation is
-//!    more difficult to be formalized and standardized than classical code
-//!    relocation",
+//!    capacity (no rip-up, no negotiation: a connection with no path fails
+//!    the circuit, which rolls back — ROADMAP's "rip-up router / Booth-8"
+//!    item); routing is *origin-dependent*, which is exactly the paper's §4
+//!    warning that "circuit relocation is more difficult to be formalized
+//!    and standardized than classical code relocation" — and what is not
+//!    is decided once, in a [`RouteTemplate`] whose footprint a load
+//!    commits in one pass,
 //! 4. [`timing`] — critical-path estimation (CLB + wire delay), the OS's
 //!    a-priori completion estimate from §3,
 //! 5. [`emit`] — frame-organized bitstream generation at any origin, with

@@ -4,8 +4,9 @@
 //! and vertical channel segments between neighbours, each with a fixed
 //! track capacity shared by *all circuits currently loaded on the device*.
 //! Each block-to-block connection is routed by BFS (maze routing) through
-//! segments with spare capacity; when a connection fails, a short
-//! negotiated-congestion loop (rip-up with history costs) retries.
+//! segments with spare capacity. There is no rip-up and no negotiation: a
+//! connection that finds no path fails the whole circuit, which rolls back
+//! (ROADMAP, "rip-up router / Booth-8", is the open item).
 //!
 //! Because capacity is shared device-wide, whether a placed circuit routes
 //! *depends on its origin and on its neighbours* — the §4 phenomenon that
@@ -24,10 +25,17 @@
 //! discovery order of the box's nodes — hence the path the search returns
 //! — is the same at every origin, beside every neighbour and on every
 //! device the box fits on.
+//!
+//! A template also carries its *footprint*: each segment its paths cross,
+//! once, with the tracks the whole circuit takes of it and the tracks that
+//! must be free for every connection to keep its template path. Where the
+//! fabric has that room a load is one pass over the footprint instead of a
+//! walk over the connections, and so are its release and a move's put-back
+//! (see [`RouteTemplate`]).
 
 use crate::pack::BlockSource;
 use crate::place::PlacedCircuit;
-use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// Routing failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -61,18 +69,53 @@ impl std::error::Error for RouteError {}
 pub struct SegId(u32);
 
 /// The routes of one loaded circuit, for later release.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct CircuitRoutes {
-    segs: Vec<SegId>,
+    committed: Committed,
     /// Total wire segments used (diagnostic).
     pub wirelength: usize,
+}
+
+/// What a load left on the fabric.
+#[derive(Debug, Clone)]
+enum Committed {
+    /// The template's footprint at `origin`: every connection on its
+    /// template path. `cols` and `h_len` (the fabric's width and its count
+    /// of horizontal segments) are what naming the segments takes.
+    Footprint {
+        template: RouteTemplate,
+        origin: (u32, u32),
+        cols: u32,
+        h_len: u32,
+    },
+    /// The per-connection walk's segments in routing order; `searched`
+    /// when any of them came from a live search.
+    Walked { segs: Vec<SegId>, searched: bool },
 }
 
 impl CircuitRoutes {
     /// The committed segments in routing order, as indices into the
     /// fabric's horizontal-then-vertical usage (diagnostic).
     pub fn segments(&self) -> impl Iterator<Item = u32> + '_ {
-        self.segs.iter().map(|s| s.0)
+        let n = match &self.committed {
+            Committed::Footprint { template, .. } => template.0.segs.len(),
+            Committed::Walked { segs, .. } => segs.len(),
+        };
+        (0..n).map(move |i| match &self.committed {
+            Committed::Footprint {
+                template,
+                origin,
+                cols,
+                h_len,
+            } => abs_seg(*cols, *h_len, template.0.segs[i], *origin).0,
+            Committed::Walked { segs, .. } => segs[i].0,
+        })
+    }
+
+    /// Whether a connection was searched for: only such a route can leave
+    /// its circuit's region.
+    pub fn searched(&self) -> bool {
+        matches!(self.committed, Committed::Walked { searched: true, .. })
     }
 }
 
@@ -85,6 +128,17 @@ struct RelSeg {
     vertical: bool,
 }
 
+/// The segment of a `cols`-wide fabric with `h_len` horizontal segments
+/// that `s` lands on at `origin`.
+fn abs_seg(cols: u32, h_len: u32, s: RelSeg, origin: (u32, u32)) -> SegId {
+    let (c, r) = (s.c + origin.0, s.r + origin.1);
+    SegId(if s.vertical {
+        h_len + r * cols + c
+    } else {
+        r * (cols - 1) + c
+    })
+}
+
 /// One block-to-block connection of a template.
 #[derive(Debug, Clone)]
 struct TemplateConn {
@@ -92,21 +146,51 @@ struct TemplateConn {
     from: (u32, u32),
     /// Sink CLB (region-relative).
     to: (u32, u32),
-    /// Its uncongested path, as a range of [`RouteTemplate::segs`].
+    /// Its uncongested path, as a range of [`Template::segs`].
     path: std::ops::Range<usize>,
+}
+
+/// One segment the circuit's template paths cross.
+#[derive(Debug, Clone, Copy)]
+struct FootSeg {
+    seg: RelSeg,
+    /// Connections crossing it: the tracks the circuit takes.
+    mult: u16,
+    /// Tracks it must have free for every connection to keep its template
+    /// path: `mult`, and one more unless it may end up exactly full.
+    need: u16,
 }
 
 /// The origin-independent part of routing one [`PlacedCircuit`]: its
 /// connections in routing order, each with the path the maze router finds
 /// when nothing inside the connection's bounding box is full. Built once
 /// per circuit and translated at every load (see the module docs for why
-/// that reproduces the search exactly).
+/// that reproduces the search exactly). A cheap handle: clones share the
+/// template, and so do the [`CircuitRoutes`] of its footprint loads.
+///
+/// The *footprint* sums those paths: each segment they cross, once, with
+/// its multiplicity. Walking the connections in order, connection `i` keeps
+/// its template path iff no segment in its box is full by then, i.e.
+/// `used + (crossings by connections before i) < cap` for each. The count
+/// only grows with `i`, so per segment the last connection whose box holds
+/// it decides: if that is the last one crossing it, the segment may end up
+/// exactly full, `used + mult <= cap`; if a later box holds it, it must
+/// stay short of full, `used + mult < cap`; if nothing crosses it, it must
+/// not be full already. So when no segment of the region (a superset of
+/// the boxes) is full and every footprint segment has `need` tracks free,
+/// the walk translates every connection, and the load is the footprint
+/// added in one pass.
 #[derive(Debug, Clone)]
-pub struct RouteTemplate {
+pub struct RouteTemplate(Arc<Template>);
+
+#[derive(Debug)]
+struct Template {
     width: u32,
     height: u32,
     conns: Vec<TemplateConn>,
     segs: Vec<RelSeg>,
+    /// In fabric order: horizontal segments row by row, then vertical.
+    footprint: Vec<FootSeg>,
 }
 
 impl RouteTemplate {
@@ -123,33 +207,72 @@ impl RouteTemplate {
             }
         }
         ends.sort_by_key(|&(a, b)| a.0.abs_diff(b.0) + a.1.abs_diff(b.1));
+        assert!(
+            ends.len() < usize::from(u16::MAX),
+            "a segment's crossings are counted in the fabric's u16 usage"
+        );
 
         let empty = RoutingFabric::new(placed.width, placed.height, 1);
+        let mut search = Search::default();
         let mut conns = Vec::with_capacity(ends.len());
-        let mut segs = Vec::new();
+        let mut path_ids = Vec::new();
         for (from, to) in ends {
-            let start = segs.len();
-            let path = empty
-                .bfs(from, to)
-                .expect("an empty grid connects every pair of its nodes");
-            segs.extend(path.into_iter().map(|s| empty.rel_seg(s)));
+            let start = path_ids.len();
+            assert!(
+                empty.bfs(from, to, &mut search),
+                "an empty grid connects every pair of its nodes"
+            );
+            path_ids.extend_from_slice(&search.path);
             conns.push(TemplateConn {
                 from,
                 to,
-                path: start..segs.len(),
+                path: start..path_ids.len(),
             });
         }
-        RouteTemplate {
+
+        // The footprint, last connection first: the first crossing met is
+        // a segment's last, and `boxed` holds every later connection's box.
+        let mut mult = vec![0u16; empty.used.len()];
+        let mut strict = vec![false; mult.len()];
+        let mut boxed = vec![false; mult.len()];
+        for conn in conns.iter().rev() {
+            for s in &path_ids[conn.path.clone()] {
+                let s = s.0 as usize;
+                if mult[s] == 0 {
+                    strict[s] = boxed[s];
+                }
+                mult[s] += 1;
+            }
+            for strip in empty.box_strips(conn.from, conn.to) {
+                boxed[strip].fill(true);
+            }
+        }
+        let footprint = (0..mult.len())
+            .filter(|&s| mult[s] > 0)
+            .map(|s| FootSeg {
+                seg: empty.rel_seg(SegId(s as u32)),
+                mult: mult[s],
+                need: mult[s] + u16::from(strict[s]),
+            })
+            .collect();
+        RouteTemplate(Arc::new(Template {
             width: placed.width,
             height: placed.height,
             conns,
-            segs,
-        }
+            segs: path_ids.iter().map(|&s| empty.rel_seg(s)).collect(),
+            footprint,
+        }))
     }
 
     /// Block-to-block connections in the circuit.
     pub fn connections(&self) -> usize {
-        self.conns.len()
+        self.0.conns.len()
+    }
+
+    /// The most tracks the circuit takes of any one segment.
+    pub fn peak_multiplicity(&self) -> u16 {
+        let mults = self.0.footprint.iter().map(|s| s.mult);
+        mults.max().unwrap_or(0)
     }
 }
 
@@ -163,6 +286,9 @@ pub struct RouteStats {
     pub searched_conns: u64,
     /// Circuits rolled back because a connection found no path.
     pub failed_circuits: u64,
+    /// Circuits committed as their template's footprint, in one pass over
+    /// its segments instead of a walk over the connections.
+    pub footprint_loads: u64,
 }
 
 /// Device-wide routing state.
@@ -171,12 +297,13 @@ pub struct RoutingFabric {
     cols: u32,
     rows: u32,
     cap: u16,
-    /// Usage per horizontal segment (between (c,r) and (c+1,r)).
-    h_used: Vec<u16>,
-    /// Usage per vertical segment (between (c,r) and (c,r+1)).
-    v_used: Vec<u16>,
+    /// Tracks in use per segment: the `h_len` horizontal ones (between
+    /// (c,r) and (c+1,r), row-major), then the vertical ones (between
+    /// (c,r) and (c,r+1)).
+    used: Vec<u16>,
+    h_len: u32,
     /// Segments with `used >= cap`. While zero no bounding box can hold a
-    /// full segment, so loads skip the per-connection scan.
+    /// full segment, so loads skip their scans.
     saturated: usize,
     stats: RouteStats,
 }
@@ -185,20 +312,32 @@ pub struct RoutingFabric {
 /// scarce enough that congestion is a real phenomenon.
 pub const DEFAULT_CHANNEL_CAPACITY: u16 = 12;
 
+/// Scratch one maze search leaves ready for the next, on any fabric.
+#[derive(Default)]
+struct Search {
+    /// Predecessor of each discovered node, `u32::MAX` for the rest (and
+    /// for every node between searches).
+    prev: Vec<u32>,
+    /// The discovered nodes in FIFO order; the search walks an index along it.
+    queue: Vec<(u32, u32)>,
+    /// The path of the last successful search, source to sink.
+    path: Vec<SegId>,
+}
+
 impl RoutingFabric {
     /// A fabric for a `cols × rows` device with the given per-segment
     /// track capacity.
     pub fn new(cols: u32, rows: u32, cap: u16) -> Self {
-        let h = ((cols.saturating_sub(1)) * rows) as usize;
-        let v = (cols * rows.saturating_sub(1)) as usize;
+        let h = cols.saturating_sub(1) * rows;
+        let v = cols * rows.saturating_sub(1);
         RoutingFabric {
             cols,
             rows,
             cap,
-            h_used: vec![0; h],
-            v_used: vec![0; v],
+            used: vec![0; (h + v) as usize],
+            h_len: h,
             // A zero-capacity fabric is full before anything is routed.
-            saturated: if cap == 0 { h + v } else { 0 },
+            saturated: if cap == 0 { (h + v) as usize } else { 0 },
             stats: RouteStats::default(),
         }
     }
@@ -213,13 +352,13 @@ impl RoutingFabric {
     }
 
     fn v_idx(&self, c: u32, r: u32) -> usize {
-        (r * self.cols + c) as usize
+        (self.h_len + r * self.cols + c) as usize
     }
 
     /// Fraction of total channel capacity currently in use.
     pub fn utilization(&self) -> f64 {
         let used: u64 = self.segment_usage().map(u64::from).sum();
-        let total = (self.h_used.len() + self.v_used.len()) as u64 * self.cap as u64;
+        let total = self.used.len() as u64 * self.cap as u64;
         if total == 0 {
             0.0
         } else {
@@ -230,7 +369,7 @@ impl RoutingFabric {
     /// Tracks in use per segment: horizontal segments (row-major, between
     /// `(c, r)` and `(c + 1, r)`), then vertical ones (diagnostic).
     pub fn segment_usage(&self) -> impl Iterator<Item = u16> + '_ {
-        self.h_used.iter().chain(&self.v_used).copied()
+        self.used.iter().copied()
     }
 
     /// Template-versus-search counts since this fabric was created.
@@ -238,128 +377,133 @@ impl RoutingFabric {
         self.stats
     }
 
+    /// Whether no segment with an end in columns `[col, col + width)`
+    /// carries a track (invariant checks: columns no loaded circuit covers,
+    /// while no searched route is live).
+    pub fn columns_are_unused(&self, col: u32, width: u32) -> bool {
+        let idle = |lo: usize, hi: usize| self.used[lo..hi].iter().all(|&u| u == 0);
+        // Horizontal segment `c` joins columns `c` and `c + 1`.
+        let (h0, h1) = (col.saturating_sub(1), (col + width).min(self.cols - 1));
+        (0..self.rows).all(|r| idle(self.h_idx(h0, r), self.h_idx(h1, r)))
+            && (0..self.rows.saturating_sub(1))
+                .all(|r| idle(self.v_idx(col, r), self.v_idx(col + width, r)))
+    }
+
+    /// Panic unless the usage of every segment is the number of times the
+    /// `live` routes cross it and `saturated` counts the full ones: what
+    /// every sequence of routes, releases and recommits must preserve.
+    pub fn assert_usage_is<'a>(&self, live: impl IntoIterator<Item = &'a CircuitRoutes>) {
+        let mut expect = vec![0u16; self.used.len()];
+        for routes in live {
+            routes.segments().for_each(|s| expect[s as usize] += 1);
+        }
+        assert!(
+            self.used == expect,
+            "segment usage is not the sum of the live routes"
+        );
+        let full = self.used.iter().filter(|&&u| u >= self.cap).count();
+        assert_eq!(self.saturated, full, "saturated is not its recount");
+    }
+
     fn seg_between(&self, a: (u32, u32), b: (u32, u32)) -> SegId {
-        // Encode: horizontal segs in [0, H), vertical in [H, H+V).
         if a.1 == b.1 {
-            let c = a.0.min(b.0);
-            SegId(self.h_idx(c, a.1) as u32)
+            SegId(self.h_idx(a.0.min(b.0), a.1) as u32)
         } else {
-            let r = a.1.min(b.1);
-            SegId((self.h_used.len() + self.v_idx(a.0, r)) as u32)
+            SegId(self.v_idx(a.0, a.1.min(b.1)) as u32)
         }
     }
 
     /// The region-relative form of one of this fabric's own segments.
     fn rel_seg(&self, s: SegId) -> RelSeg {
-        let i = s.0 as usize;
-        match i.checked_sub(self.h_used.len()) {
+        match s.0.checked_sub(self.h_len) {
             None => RelSeg {
                 c: s.0 % (self.cols - 1),
                 r: s.0 / (self.cols - 1),
                 vertical: false,
             },
             Some(v) => RelSeg {
-                c: v as u32 % self.cols,
-                r: v as u32 / self.cols,
+                c: v % self.cols,
+                r: v / self.cols,
                 vertical: true,
             },
         }
     }
 
-    /// The device segment a template segment lands on at `origin`.
-    fn abs_seg(&self, s: RelSeg, origin: (u32, u32)) -> SegId {
-        let (c, r) = (s.c + origin.0, s.r + origin.1);
-        if s.vertical {
-            SegId((self.h_used.len() + self.v_idx(c, r)) as u32)
-        } else {
-            SegId(self.h_idx(c, r) as u32)
-        }
-    }
-
-    fn seg_slot(&mut self, s: SegId) -> &mut u16 {
-        let i = s.0 as usize;
-        let h = self.h_used.len();
-        if i < h {
-            &mut self.h_used[i]
-        } else {
-            &mut self.v_used[i - h]
-        }
-    }
-
-    fn seg_used(&self, s: SegId) -> u16 {
-        let i = s.0 as usize;
-        if i < self.h_used.len() {
-            self.h_used[i]
-        } else {
-            self.v_used[i - self.h_used.len()]
-        }
-    }
-
-    /// Take one track of `s`. Callers only take from segments with spare
-    /// capacity, so the count cannot overflow.
-    fn seg_take(&mut self, s: SegId) {
-        let cap = self.cap;
-        let slot = self.seg_slot(s);
-        *slot += 1;
-        if *slot == cap {
+    /// Take `n` tracks of `s`. Callers only take what the segment has
+    /// spare, so the count cannot overflow.
+    fn seg_take(&mut self, s: SegId, n: u16) {
+        let slot = &mut self.used[s.0 as usize];
+        let was = *slot;
+        *slot = was + n;
+        if was < self.cap && *slot >= self.cap {
             self.saturated += 1;
         }
     }
 
-    /// Give one track of `s` back. A release without a matching route
+    /// Give `n` tracks of `s` back. A release without a matching route
     /// would wrap the count to "permanently full" and corrupt
     /// `saturated`, so it is fatal in every build.
-    fn seg_give(&mut self, s: SegId) {
-        let cap = self.cap;
-        let slot = self.seg_slot(s);
+    fn seg_give(&mut self, s: SegId, n: u16) {
+        let slot = &mut self.used[s.0 as usize];
         let was = *slot;
         *slot = was
-            .checked_sub(1)
+            .checked_sub(n)
             .expect("segment released more often than it was routed through");
-        if was == cap {
+        if was >= self.cap && *slot < self.cap {
             self.saturated -= 1;
         }
+    }
+
+    /// The segments with both ends in the bounding box of `a` and `b`, as
+    /// strips of `used`.
+    fn box_strips(
+        &self,
+        a: (u32, u32),
+        b: (u32, u32),
+    ) -> impl Iterator<Item = std::ops::Range<usize>> + '_ {
+        let (c0, c1) = (a.0.min(b.0), a.0.max(b.0));
+        let (r0, r1) = (a.1.min(b.1), a.1.max(b.1));
+        let h = (r0..=r1).map(move |r| self.h_idx(c0, r)..self.h_idx(c1, r));
+        let v = (r0..r1).map(move |r| self.v_idx(c0, r)..self.v_idx(c1, r) + 1);
+        h.chain(v)
     }
 
     /// Whether every segment with both ends in the bounding box of `a` and
     /// `b` has spare capacity.
     fn box_has_room(&self, a: (u32, u32), b: (u32, u32)) -> bool {
-        if self.saturated == 0 {
-            return true;
-        }
-        let (c0, c1) = (a.0.min(b.0), a.0.max(b.0));
-        let (r0, r1) = (a.1.min(b.1), a.1.max(b.1));
-        let free = |used: &[u16], lo: usize, hi: usize| used[lo..hi].iter().all(|&u| u < self.cap);
-        (r0..=r1).all(|r| free(&self.h_used, self.h_idx(c0, r), self.h_idx(c1, r)))
-            && (r0..r1).all(|r| free(&self.v_used, self.v_idx(c0, r), self.v_idx(c1, r) + 1))
+        self.saturated == 0
+            || self
+                .box_strips(a, b)
+                .all(|strip| self.used[strip].iter().all(|&u| u < self.cap))
     }
 
-    /// BFS a path from `from` to `to` through segments with spare capacity.
-    /// Returns the segments of the path, or None.
-    fn bfs(&self, from: (u32, u32), to: (u32, u32)) -> Option<Vec<SegId>> {
+    /// BFS a path from `from` to `to` through segments with spare capacity
+    /// into `search.path`; false when there is none.
+    fn bfs(&self, from: (u32, u32), to: (u32, u32), search: &mut Search) -> bool {
+        let Search { prev, queue, path } = search;
+        path.clear();
         if from == to {
-            return Some(Vec::new());
+            return true;
         }
-        let n = (self.cols * self.rows) as usize;
         let idx = |c: u32, r: u32| (r * self.cols + c) as usize;
-        let mut prev: Vec<u32> = vec![u32::MAX; n];
-        let mut q = VecDeque::new();
-        q.push_back(from);
+        prev.resize((self.cols * self.rows) as usize, u32::MAX);
+        queue.push(from);
         prev[idx(from.0, from.1)] = idx(from.0, from.1) as u32;
-        while let Some((c, r)) = q.pop_front() {
+        let mut head = 0;
+        while let Some(&(c, r)) = queue.get(head) {
+            head += 1;
             if (c, r) == to {
                 // Reconstruct.
-                let mut segs = Vec::new();
                 let mut cur = (c, r);
                 while cur != from {
                     let p = prev[idx(cur.0, cur.1)];
                     let pc = p % self.cols;
                     let pr = p / self.cols;
-                    segs.push(self.seg_between((pc, pr), cur));
+                    path.push(self.seg_between((pc, pr), cur));
                     cur = (pc, pr);
                 }
-                segs.reverse();
-                return Some(segs);
+                path.reverse();
+                break;
             }
             let neighbours = [
                 (c.wrapping_sub(1), r),
@@ -375,14 +519,18 @@ impl RoutingFabric {
                     continue;
                 }
                 let seg = self.seg_between((c, r), (nc, nr));
-                if self.seg_used(seg) >= self.cap {
+                if self.used[seg.0 as usize] >= self.cap {
                     continue;
                 }
                 prev[idx(nc, nr)] = idx(c, r) as u32;
-                q.push_back((nc, nr));
+                queue.push((nc, nr));
             }
         }
-        None
+        // Forget only what this search discovered.
+        for (c, r) in queue.drain(..) {
+            prev[idx(c, r)] = u32::MAX;
+        }
+        !path.is_empty()
     }
 
     /// Route every block-to-block connection of `placed` at `origin`,
@@ -396,58 +544,108 @@ impl RoutingFabric {
     }
 
     /// [`route_circuit`](Self::route_circuit) for a circuit whose template
-    /// the caller keeps: each connection takes its template path when its
-    /// bounding box has room and is searched for otherwise.
+    /// the caller keeps. Where no segment of the region is full and every
+    /// segment of the template's footprint has the room it needs — then the
+    /// walk below would translate every connection — the load is the
+    /// footprint added in one pass. Otherwise each connection takes its
+    /// template path when its bounding box has room and is searched for
+    /// when not.
     pub fn route_template(
         &mut self,
         template: &RouteTemplate,
         origin: (u32, u32),
     ) -> Result<CircuitRoutes, RouteError> {
-        if origin.0 + template.width > self.cols || origin.1 + template.height > self.rows {
+        let t = &*template.0;
+        if origin.0 + t.width > self.cols || origin.1 + t.height > self.rows {
             return Err(RouteError::OutOfBounds);
         }
         let abs = |rel: (u32, u32)| (rel.0 + origin.0, rel.1 + origin.1);
+        let (cols, h_len, cap) = (self.cols, self.h_len, u32::from(self.cap));
 
-        let mut committed: Vec<SegId> = Vec::with_capacity(template.segs.len());
-        for conn in &template.conns {
+        let fits = |s: &FootSeg| {
+            let used = self.used[abs_seg(cols, h_len, s.seg, origin).0 as usize];
+            u32::from(used) + u32::from(s.need) <= cap
+        };
+        let far = (t.width.saturating_sub(1), t.height.saturating_sub(1));
+        if self.box_has_room(origin, abs(far)) && t.footprint.iter().all(fits) {
+            for s in &t.footprint {
+                self.seg_take(abs_seg(cols, h_len, s.seg, origin), s.mult);
+            }
+            self.stats.templated_conns += t.conns.len() as u64;
+            self.stats.footprint_loads += 1;
+            return Ok(CircuitRoutes {
+                committed: Committed::Footprint {
+                    template: template.clone(),
+                    origin,
+                    cols,
+                    h_len,
+                },
+                wirelength: t.segs.len(),
+            });
+        }
+
+        let mut search = Search::default();
+        let mut searched = false;
+        let mut committed: Vec<SegId> = Vec::with_capacity(t.segs.len());
+        for conn in &t.conns {
             let (from, to) = (abs(conn.from), abs(conn.to));
             if self.box_has_room(from, to) {
-                for &rel in &template.segs[conn.path.clone()] {
-                    let s = self.abs_seg(rel, origin);
-                    self.seg_take(s);
+                for &rel in &t.segs[conn.path.clone()] {
+                    let s = abs_seg(cols, h_len, rel, origin);
+                    self.seg_take(s, 1);
                     committed.push(s);
                 }
                 self.stats.templated_conns += 1;
                 continue;
             }
             self.stats.searched_conns += 1;
-            match self.bfs(from, to) {
-                Some(segs) => {
-                    for &s in &segs {
-                        self.seg_take(s);
-                    }
-                    committed.extend(segs);
+            searched = true;
+            if !self.bfs(from, to, &mut search) {
+                // Roll back everything committed for this circuit.
+                for &s in &committed {
+                    self.seg_give(s, 1);
                 }
-                None => {
-                    // Roll back everything committed for this circuit.
-                    for &s in &committed {
-                        self.seg_give(s);
-                    }
-                    self.stats.failed_circuits += 1;
-                    return Err(RouteError::Congested { from, to });
-                }
+                self.stats.failed_circuits += 1;
+                return Err(RouteError::Congested { from, to });
             }
+            for &s in &search.path {
+                self.seg_take(s, 1);
+            }
+            committed.extend_from_slice(&search.path);
         }
         Ok(CircuitRoutes {
             wirelength: committed.len(),
-            segs: committed,
+            committed: Committed::Walked {
+                segs: committed,
+                searched,
+            },
         })
     }
 
     /// Release the segments of a previously routed circuit.
     pub fn release(&mut self, routes: &CircuitRoutes) {
-        for &s in &routes.segs {
-            self.seg_give(s);
+        self.each_track(routes, Self::seg_give);
+    }
+
+    /// Take back exactly the segments `routes` held: the inverse of
+    /// [`release`](Self::release). It cannot fail when nothing was
+    /// committed since that release — a failed attempt rolls back — which
+    /// is how a move that found no room puts its circuit back.
+    pub fn recommit(&mut self, routes: &CircuitRoutes) {
+        self.each_track(routes, Self::seg_take);
+    }
+
+    /// `f(self, segment, tracks)` over what `routes` holds.
+    fn each_track(&mut self, routes: &CircuitRoutes, f: impl Fn(&mut Self, SegId, u16)) {
+        match &routes.committed {
+            Committed::Footprint {
+                template, origin, ..
+            } => {
+                for s in &template.0.footprint {
+                    f(self, abs_seg(self.cols, self.h_len, s.seg, *origin), s.mult);
+                }
+            }
+            Committed::Walked { segs, .. } => segs.iter().for_each(|&s| f(self, s, 1)),
         }
     }
 
@@ -466,10 +664,13 @@ mod tests {
     use fsim::SimRng;
     use netlist::{map_to_luts, MapOptions};
 
-    fn placed_mult(w: u32, h: u32) -> PlacedCircuit {
-        let net = netlist::library::arith::array_multiplier("m5", 5);
-        let pc = pack(&map_to_luts(&net, MapOptions::default()));
+    fn placed(net: &netlist::Netlist, w: u32, h: u32) -> PlacedCircuit {
+        let pc = pack(&map_to_luts(net, MapOptions::default()));
         place(&pc, w, h, &mut SimRng::new(1)).unwrap()
+    }
+
+    fn placed_mult(w: u32, h: u32) -> PlacedCircuit {
+        placed(&netlist::library::arith::array_multiplier("m5", 5), w, h)
     }
 
     #[test]
@@ -538,11 +739,9 @@ mod tests {
     fn failed_route_commits_nothing() {
         let p = placed_mult(10, 10);
         let mut f = RoutingFabric::new(10, 10, 1);
-        let before_h = f.h_used.clone();
-        let before_v = f.v_used.clone();
+        let before = f.used.clone();
         if f.route_circuit(&p, (0, 0)).is_err() {
-            assert_eq!(f.h_used, before_h);
-            assert_eq!(f.v_used, before_v);
+            assert_eq!(f.used, before);
         }
     }
 
@@ -553,20 +752,74 @@ mod tests {
         // count exact.
         let p = placed_mult(10, 10);
         let mut f = RoutingFabric::new(14, 14, DEFAULT_CHANNEL_CAPACITY);
-        let recount = |f: &RoutingFabric| f.segment_usage().filter(|&u| u >= f.cap).count();
         let mut live = Vec::new();
         while let Ok(r) = f.route_circuit(&p, (2, 2)) {
             live.push(r);
-            assert_eq!(f.saturated, recount(&f), "after load {}", live.len());
+            f.assert_usage_is(&live);
         }
         assert!(!live.is_empty() && f.saturated > 0);
-        assert_eq!(f.saturated, recount(&f), "after the rolled-back load");
-        for r in &live {
-            f.release(r);
-            assert_eq!(f.saturated, recount(&f));
+        // After the rolled-back load, then release by release.
+        while !live.is_empty() {
+            f.assert_usage_is(&live);
+            f.release(&live.pop().unwrap());
         }
         assert_eq!(f.saturated, 0);
         assert_eq!(RoutingFabric::new(3, 3, 0).saturated, 12);
+    }
+
+    #[test]
+    fn footprint_need_is_the_tightest_box_check_of_the_walk() {
+        let (mut exact, mut strict) = (0, 0);
+        for p in [placed_mult(10, 10), placed_mult(12, 8)] {
+            let t = RouteTemplate::new(&p);
+            let f = RoutingFabric::new(p.width, p.height, 1);
+            // Forward, as the walk meets it: a connection wants one track
+            // free beyond those already taken, of every segment in its box.
+            let mut taken = vec![0u16; f.used.len()];
+            let mut need = vec![0u16; f.used.len()];
+            for conn in &t.0.conns {
+                for s in f.box_strips(conn.from, conn.to).flatten() {
+                    need[s] = need[s].max(taken[s] + 1);
+                }
+                for &rel in &t.0.segs[conn.path.clone()] {
+                    taken[abs_seg(p.width, f.h_len, rel, (0, 0)).0 as usize] += 1;
+                }
+            }
+            let walked: Vec<_> = (0..taken.len())
+                .filter(|&s| taken[s] > 0)
+                .map(|s| (s, taken[s], need[s]))
+                .collect();
+            let at = |s: &FootSeg| abs_seg(p.width, f.h_len, s.seg, (0, 0)).0 as usize;
+            let footprint: Vec<_> = (t.0.footprint.iter())
+                .map(|s| (at(s), s.mult, s.need))
+                .collect();
+            assert_eq!(footprint, walked);
+            exact += walked.iter().filter(|(_, m, n)| n == m).count();
+            strict += walked.iter().filter(|(_, m, n)| n > m).count();
+        }
+        assert!(exact > 0 && strict > 0, "{exact} / {strict}");
+    }
+
+    #[test]
+    fn recommit_undoes_a_release_after_a_failed_attempt() {
+        // The garbage collector's failed move — release, try elsewhere,
+        // put back — for a footprint load and for a searched one whose
+        // detours left segments full all around both.
+        let net = netlist::library::logic::comparator("cmp4", 4);
+        let t = RouteTemplate::new(&placed(&net, 4, 4));
+        let mut f = RoutingFabric::new(10, 8, 2);
+        let a = f.route_template(&t, (0, 0)).unwrap();
+        let b = f.route_template(&t, (2, 1)).unwrap();
+        assert_eq!(f.stats.footprint_loads, 1);
+        assert!(!a.searched() && b.searched() && f.saturated > 0);
+        for (routes, no_room_at) in [(&a, (1, 0)), (&b, (1, 1))] {
+            let before = (f.used.clone(), f.saturated);
+            f.release(routes);
+            f.route_template(&t, no_room_at).unwrap_err();
+            f.recommit(routes);
+            assert_eq!((f.used.clone(), f.saturated), before);
+            f.assert_usage_is([&a, &b]);
+        }
     }
 
     #[test]
@@ -575,10 +828,12 @@ mod tests {
         // Saturate the straight-line path between (0,0) and (3,0).
         for c in 0..3 {
             let s = f.seg_between((c, 0), (c + 1, 0));
-            f.seg_take(s);
+            f.seg_take(s, 1);
         }
-        let path = f.bfs((0, 0), (3, 0)).expect("detour must exist");
-        assert!(path.len() > 3, "must detour, got len {}", path.len());
+        let mut search = Search::default();
+        assert!(f.bfs((0, 0), (3, 0), &mut search), "detour must exist");
+        let len = search.path.len();
+        assert!(len > 3, "must detour, got len {len}");
     }
 
     #[test]

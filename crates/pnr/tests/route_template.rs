@@ -8,6 +8,12 @@
 //! the error payload, and the usage of every segment afterwards — on empty
 //! fabrics, beside neighbours, under capacities that force saturation,
 //! detours and failures, and across random route/release interleavings.
+//! Every sweep also runs at the capacities around each circuit's largest
+//! footprint multiplicity, where a one-pass footprint load is decided by a
+//! single track: one short of it the circuit's own nets overfill a segment
+//! and the connection walk searches, at it the footprint loads only if the
+//! segments it fills may end up full, one past it the footprint always
+//! loads on an empty fabric.
 //!
 //! The placer golden at the bottom pins `place` to the coordinates the
 //! full-scan cost function produced before the incident-edge index.
@@ -17,7 +23,9 @@ use netlist::library::{alu, arith, codes, ext, logic, seq};
 use netlist::Netlist;
 use pnr::pack::BlockSource;
 use pnr::route::CircuitRoutes;
-use pnr::{compile, CompileOptions, PlacedCircuit, RouteError, RouteTemplate, RoutingFabric};
+use pnr::{
+    compile, CompileOptions, PlacedCircuit, RouteError, RouteStats, RouteTemplate, RoutingFabric,
+};
 use std::collections::VecDeque;
 
 // ------------------------------------------------------------ the oracle
@@ -281,27 +289,53 @@ fn library() -> Vec<Circuit> {
     .collect()
 }
 
+/// The capacities one below, at and one above `c`'s largest multiplicity.
+fn peak_caps(c: &Circuit) -> [u16; 3] {
+    let peak = c.template.peak_multiplicity();
+    [peak - 1, peak, peak + 1]
+}
+
 // ---------------------------------------------------------------- tests
 
 #[test]
 fn every_origin_on_an_empty_fabric() {
+    // Footprint loads at exactly the peak, and loads there that fell back.
+    let (mut full_ok, mut not_full_ok) = (0, 0);
     for c in library() {
         assert!(c.template.connections() > 0, "{}", c.name);
-        // Every origin on 20x20, one row and column past the last that fits.
-        for oy in 0..=(21 - c.placed.height) {
-            for ox in 0..=(21 - c.placed.width) {
-                let mut p = Pair::new(20, 20, 12);
-                p.route(&c, (ox, oy), (ox + oy) % 2 == 0);
+        let [below, peak, above] = peak_caps(&c);
+        for cap in [12, below, peak, above] {
+            // Alone on an empty fabric only the capacity decides the path.
+            let mut check = |p: &mut Pair, origin, keep_template| {
+                if p.route(&c, origin, keep_template).is_none() {
+                    return;
+                }
+                let footprints = p.new.route_stats().footprint_loads;
+                let what = format!("{} at {origin:?}, capacity {cap}", c.name);
+                if cap == below {
+                    assert_eq!(footprints, 0, "{what}");
+                } else if cap == peak {
+                    full_ok += footprints;
+                    not_full_ok += 1 - footprints;
+                } else {
+                    assert_eq!(footprints, 1, "{what}");
+                }
+            };
+            // Every origin on 20x20, one row and column past the last that fits.
+            for oy in 0..=(21 - c.placed.height) {
+                for ox in 0..=(21 - c.placed.width) {
+                    check(&mut Pair::new(20, 20, cap), (ox, oy), (ox + oy) % 2 == 0);
+                }
             }
-        }
-        // A stride on 32x32.
-        for oy in (0..=32 - c.placed.height).step_by(5) {
-            for ox in (0..=32 - c.placed.width).step_by(3) {
-                let mut p = Pair::new(32, 32, 12);
-                p.route(&c, (ox, oy), true);
+            // A stride on 32x32.
+            for oy in (0..=32 - c.placed.height).step_by(5) {
+                for ox in (0..=32 - c.placed.width).step_by(3) {
+                    check(&mut Pair::new(32, 32, cap), (ox, oy), true);
+                }
             }
         }
     }
+    assert!(full_ok > 0 && not_full_ok > 0, "{full_ok} / {not_full_ok}");
 }
 
 #[test]
@@ -311,7 +345,7 @@ fn beside_neighbours_and_after_their_release() {
         let n = &lib[(i + 3) % lib.len()];
         // Capacity 3 lets the neighbour's own nets fill segments without
         // every load failing.
-        for cap in [3, 12] {
+        for cap in [3, 12].into_iter().chain(peak_caps(c)) {
             let mut p = Pair::new(32, 32, cap);
             let left = p.route(n, (0, 0), true);
             let below = p.route(n, (n.placed.width, n.placed.height), true);
@@ -379,45 +413,88 @@ fn scarce_capacity_forces_saturation_detours_and_failures() {
     assert!(outside > 0, "no route ever left its region");
 }
 
+/// Sixty random routes and releases on a `side × side` fabric; every
+/// other route is of `lib[focus]` when there is one.
+fn random_interleaving(
+    lib: &[Circuit],
+    seed: u64,
+    side: u32,
+    cap: u16,
+    focus: Option<usize>,
+) -> RouteStats {
+    let mut rng = SimRng::new(0x7E3A ^ seed);
+    let mut p = Pair::new(side, side, cap);
+    let mut live = Vec::new();
+    for _ in 0..60 {
+        if !live.is_empty() && rng.below(3) == 0 {
+            let r = live.swap_remove(rng.below(live.len() as u64) as usize);
+            p.release(&r);
+            continue;
+        }
+        let c = match focus {
+            Some(i) if rng.below(2) == 0 => &lib[i],
+            _ => &lib[rng.below(lib.len() as u64) as usize],
+        };
+        // Any origin, overlapping whatever is loaded; one in eight
+        // out of bounds.
+        let ox = rng.below((side - c.placed.width + 2) as u64) as u32;
+        let oy = rng.below((side - c.placed.height + 2) as u64) as u32;
+        live.extend(p.route(c, (ox, oy), rng.below(2) == 0));
+    }
+    for r in &live {
+        p.release(r);
+    }
+    assert!(p.new.segment_usage().all(|u| u == 0), "seed {seed}");
+    p.new.route_stats()
+}
+
 #[test]
 fn random_route_release_interleavings() {
     let lib = library();
     for seed in 0..24u64 {
-        let mut rng = SimRng::new(0x7E3A ^ seed);
         let cap = 2 + (seed % 4) as u16;
         let side = if seed % 2 == 0 { 20 } else { 32 };
-        let mut p = Pair::new(side, side, cap);
-        let mut live = Vec::new();
-        for _ in 0..60 {
-            if !live.is_empty() && rng.below(3) == 0 {
-                let r = live.swap_remove(rng.below(live.len() as u64) as usize);
-                p.release(&r);
-                continue;
-            }
-            let c = &lib[rng.below(lib.len() as u64) as usize];
-            // Any origin, overlapping whatever is loaded; one in eight
-            // out of bounds.
-            let ox = rng.below((side - c.placed.width + 2) as u64) as u32;
-            let oy = rng.below((side - c.placed.height + 2) as u64) as u32;
-            live.extend(p.route(c, (ox, oy), rng.below(2) == 0));
-        }
-        for r in &live {
-            p.release(r);
-        }
-        assert!(p.new.segment_usage().all(|u| u == 0), "seed {seed}");
+        random_interleaving(&lib, seed, side, cap, None);
     }
+    // Each circuit at each capacity around its peak, among the others.
+    let (mut footprints, mut searched, mut failed) = (0, 0, 0);
+    for (i, c) in lib.iter().enumerate() {
+        for (k, cap) in peak_caps(c).into_iter().enumerate() {
+            let seed = 100 + (3 * i + k) as u64;
+            let s = random_interleaving(&lib, seed, 20, cap, Some(i));
+            footprints += s.footprint_loads;
+            searched += s.searched_conns;
+            failed += s.failed_circuits;
+        }
+    }
+    assert!(footprints > 0 && searched > 0 && failed > 0);
 }
 
 #[test]
 fn route_stats_count_each_connection_once() {
-    let c = &library()[1];
-    let mut f = RoutingFabric::new(20, 20, 12);
-    let r = f.route_template(&c.template, (0, 0)).unwrap();
+    // The library side by side, as a partition manager lays circuits out,
+    // at the device capacity: every load is one footprint pass.
+    let lib = library();
+    let mut f = RoutingFabric::new(64, 8, 12);
+    let (mut col, mut conns) = (0, 0);
+    let mut live = Vec::new();
+    for (n, c) in lib.iter().enumerate() {
+        live.push(f.route_template(&c.template, (col, 0)).unwrap());
+        col += c.placed.width;
+        conns += c.template.connections() as u64;
+        let s = f.route_stats();
+        assert_eq!(
+            (s.templated_conns, s.footprint_loads),
+            (conns, n as u64 + 1)
+        );
+        assert_eq!((s.searched_conns, s.failed_circuits), (0, 0));
+    }
     let s = f.route_stats();
-    assert_eq!(s.templated_conns, c.template.connections() as u64);
-    assert_eq!((s.searched_conns, s.failed_circuits), (0, 0));
-    f.release(&r);
+    for r in &live {
+        f.release(r);
+    }
     assert_eq!(f.route_stats(), s, "release routes nothing");
+    assert!(f.segment_usage().all(|u| u == 0));
 }
 
 #[test]

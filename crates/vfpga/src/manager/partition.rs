@@ -386,18 +386,18 @@ impl PartitionManager {
     /// (background fault accounting) — manager time counters are not
     /// touched, only the relocation/eviction event counters.
     fn relocate_off(&mut self, idx: usize) -> (bool, SimDuration) {
-        let (cid, routes, last_use, saved_for) = match &self.parts[idx].slot {
-            Slot::Resident {
-                cid,
-                owner: None,
-                routes,
-                last_use,
-                saved_for,
-            } => (*cid, routes.clone(), *last_use, *saved_for),
-            other => unreachable!("relocate_off on non-idle slot {other:?}"),
-        };
+        let (cid, routes, last_use, saved_for) =
+            match std::mem::replace(&mut self.parts[idx].slot, Slot::Free) {
+                Slot::Resident {
+                    cid,
+                    owner: None,
+                    routes,
+                    last_use,
+                    saved_for,
+                } => (cid, routes, last_use, saved_for),
+                other => unreachable!("relocate_off on non-idle slot {other:?}"),
+            };
         self.routing.release(&routes);
-        self.parts[idx].slot = Slot::Free;
         let need_w = self.lib.get(cid).shape().0;
         // Candidate destinations: free partitions wide enough, tried in
         // column order. No split — the survivor may sit loosely until the
@@ -525,16 +525,12 @@ impl PartitionManager {
                 cursor = p.col.max(cursor) + p.width;
                 continue;
             }
-            let cid = match &p.slot {
-                Slot::Resident { cid, .. } => *cid,
-                Slot::Free | Slot::Retired => unreachable!(),
+            let Slot::Resident { cid, routes, .. } = &mut p.slot else {
+                unreachable!("only residents are movable")
             };
+            let cid = *cid;
             let template = self.lib.get(cid).route_template();
-            let old_routes = match &p.slot {
-                Slot::Resident { routes, .. } => routes.clone(),
-                Slot::Free | Slot::Retired => unreachable!(),
-            };
-            self.routing.release(&old_routes);
+            self.routing.release(routes);
             match self.routing.route_template(template, (cursor, 0)) {
                 Ok(new_routes) => {
                     let frames = p.width as usize;
@@ -551,19 +547,12 @@ impl PartitionManager {
                     }
                     self.stats.relocations += 1;
                     p.col = cursor;
-                    if let Slot::Resident { routes, .. } = &mut p.slot {
-                        *routes = new_routes;
-                    }
+                    *routes = new_routes;
                 }
                 Err(_) => {
-                    // Keep the circuit where it was; restore its routes.
-                    let restored = self
-                        .routing
-                        .route_template(template, (p.col, 0))
-                        .expect("re-routing at the original origin must succeed");
-                    if let Slot::Resident { routes, .. } = &mut p.slot {
-                        *routes = restored;
-                    }
+                    // Keep the circuit where it was: the failed attempt
+                    // rolled back, so exactly its old segments are free.
+                    self.routing.recommit(routes);
                     self.stats.failed_relocations += 1;
                 }
             }
@@ -611,17 +600,39 @@ impl PartitionManager {
         });
         overhead
     }
-}
 
-impl FpgaManager for PartitionManager {
-    fn name(&self) -> &'static str {
-        match self.mode {
-            PartitionMode::Fixed(_) => "partition-fixed",
-            PartitionMode::Variable => "partition-variable",
+    /// Debug builds re-derive the routing fabric from the partition list
+    /// after every operation that changes either: usage is exactly the
+    /// residents' routes, and — while no searched route is live, the only
+    /// kind that can leave its columns — free and retired columns carry
+    /// nothing, which is what lets a load into them be one footprint pass.
+    fn check_routing(&self) {
+        if !cfg!(debug_assertions) {
+            return;
+        }
+        let live = || {
+            self.parts.iter().filter_map(|p| match &p.slot {
+                Slot::Resident { routes, .. } => Some(routes),
+                Slot::Free | Slot::Retired => None,
+            })
+        };
+        self.routing.assert_usage_is(live());
+        if live().any(|r| r.searched()) {
+            return;
+        }
+        for p in &self.parts {
+            assert!(
+                matches!(p.slot, Slot::Resident { .. })
+                    || self.routing.columns_are_unused(p.col, p.width),
+                "tracks in use over unoccupied columns [{}, +{})",
+                p.col,
+                p.width
+            );
         }
     }
 
-    fn activate(&mut self, tid: TaskId, cid: CircuitId) -> Activation {
+    /// [`FpgaManager::activate`] proper.
+    fn place(&mut self, tid: TaskId, cid: CircuitId) -> Activation {
         // 1. Already resident?
         if let Some(i) = self.find_resident(cid) {
             let stamp = self.tick();
@@ -714,6 +725,21 @@ impl FpgaManager for PartitionManager {
                 return Activation::Blocked;
             }
         }
+    }
+}
+
+impl FpgaManager for PartitionManager {
+    fn name(&self) -> &'static str {
+        match self.mode {
+            PartitionMode::Fixed(_) => "partition-fixed",
+            PartitionMode::Variable => "partition-variable",
+        }
+    }
+
+    fn activate(&mut self, tid: TaskId, cid: CircuitId) -> Activation {
+        let outcome = self.place(tid, cid);
+        self.check_routing();
+        outcome
     }
 
     fn preempt(&mut self, tid: TaskId, cid: CircuitId) -> PreemptCost {
@@ -835,6 +861,7 @@ impl FpgaManager for PartitionManager {
         }
         self.parts[i].slot = Slot::Free;
         self.merge_adjacent_free();
+        self.check_routing();
         true
     }
 
@@ -878,6 +905,7 @@ impl FpgaManager for PartitionManager {
             dt.invalidate_overlap(pc, pw, "retire", &mut self.obs);
         }
         self.carve_retired(idx, col);
+        self.check_routing();
         out
     }
 
@@ -1035,6 +1063,7 @@ impl FpgaManager for PartitionManager {
         f.end()?;
         (self.parts, self.routing, self.waiters) = (parts, routing, waiters);
         (self.clock, self.gc_enabled, self.stats, self.delta) = (clock, gc_enabled, stats, delta);
+        self.check_routing();
         Ok(())
     }
 }
