@@ -19,6 +19,12 @@ echo "==> cargo test"
 # former shell/Python gate to its test).
 cargo test -q --workspace
 
+echo "==> compile-flow oracles and golden, release"
+# The benchmark measures release float code (the placer's acceptance
+# test); the run above was a debug build.
+cargo test -q --release -p netlist --test mapper_oracle
+cargo test -q --release -p pnr --test place_oracle --test flow_golden
+
 echo "==> repository benchmark (frozen API surface: --check + unit tests)"
 # benchmark/ is its own package and nothing in the workspace builds it, so
 # a change that breaks what it uses of the public API (`CrashState`,

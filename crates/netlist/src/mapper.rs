@@ -7,18 +7,45 @@
 //! depth-oriented mapping with a small cut budget — simple, deterministic,
 //! and good enough that mapped areas track gate counts closely, which is
 //! what the partition/paging experiments need.
+//!
+//! **Cut order.** A node's candidates are the unions of one cut from each
+//! fan-in, totally ordered by (depth, leaf count, leaves lexicographic by
+//! node id); depth is one more than the worst arrival among the leaves.
+//! Equal leaf sets have equal depth, so the order is total on distinct
+//! candidates.
+//!
+//! **Budget rule.** A node keeps the `max_cuts` smallest *distinct*
+//! candidates, then its trivial cut `{node}` last (a constant keeps only
+//! the empty cut, an input or register only the trivial one). Candidates
+//! go straight into a sorted buffer of `max_cuts` entries, equals dropped
+//! — which keeps exactly what sorting all of them, deduplicating and
+//! truncating would. The cover takes each node's first cut.
+//!
+//! **No dominance filter.** A cut whose leaves contain another kept cut's
+//! is never chosen by the cover, but it occupies a budget slot: dropping it
+//! would let a different cut survive and so change which cuts the parents
+//! see. The mapper's output is pinned bit for bit (placements, bitstreams
+//! and every experiment golden derive from it), so dominated cuts stay.
+//!
+//! Cuts are `Copy` values in one flat vector, a union is a two-pointer
+//! merge into a stack array refused early by a leaf signature, and cone
+//! truth tables come from one node-indexed [`ConeEval`]: mapping allocates
+//! per netlist, not per cut. `tests/mapper_oracle.rs` holds the previous
+//! allocation-per-cut mapper and compares LUT for LUT.
 
 use crate::gate::{Gate, NodeId};
 use crate::graph::Netlist;
 use crate::lutnet::{FlipFlop, Lut, LutIn, LutNetwork};
-use crate::truth::cone_truth_table;
-use std::collections::HashMap;
+use crate::truth::ConeEval;
+use std::cmp::Ordering;
 
 /// Mapper configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct MapOptions {
-    /// LUT input arity (the simulated fabric uses 4, like the XC4000's
-    /// primary function generators).
+    /// LUT input arity, 1..=6 (the simulated fabric uses 4, like the
+    /// XC4000's primary function generators). A gate needs a cut over its
+    /// own fan-in at least, so K = 2 cannot map a mux and K = 1 maps only
+    /// inverters: [`map_to_luts`] panics on such a netlist.
     pub k: usize,
     /// Cut-set budget per node; larger explores more area/depth trade-offs.
     pub max_cuts: usize,
@@ -30,187 +57,214 @@ impl Default for MapOptions {
     }
 }
 
+/// Largest supported LUT arity: one 64-bit word holds the truth table.
+const MAX_K: usize = 6;
+
 /// A cut: a sorted set of leaf nodes (≤ K of them).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 struct Cut {
-    leaves: Vec<NodeId>,
-    /// Depth of the LUT rooted here if this cut is chosen.
-    depth: u32,
+    /// The leaves in `..len`, ascending; the rest is padding.
+    leaves: [NodeId; MAX_K],
+    len: u8,
+    /// Worst arrival among the leaves; the LUT rooted on this cut has depth
+    /// `worst + 1`.
+    worst: u32,
+    /// One bit a leaf, `1 << id % 64`. Leaves 64 apart share a bit, so the
+    /// popcount is a lower bound on the leaf count.
+    sig: u64,
 }
 
-fn merge_leaves(k: usize, parts: &[&[NodeId]]) -> Option<Vec<NodeId>> {
-    let mut out: Vec<NodeId> = Vec::with_capacity(k + 1);
-    for part in parts {
-        for &l in *part {
-            if let Err(pos) = out.binary_search(&l) {
-                if out.len() == k {
-                    return None;
-                }
-                out.insert(pos, l);
-            }
+impl Cut {
+    const EMPTY: Cut = Cut {
+        leaves: [NodeId(0); MAX_K],
+        len: 0,
+        worst: 0,
+        sig: 0,
+    };
+
+    /// The trivial cut `{id}`.
+    fn trivial(id: NodeId, arrival: u32) -> Cut {
+        let mut leaves = Cut::EMPTY.leaves;
+        leaves[0] = id;
+        Cut {
+            leaves,
+            len: 1,
+            worst: arrival,
+            sig: 1 << (id.0 % 64),
         }
     }
-    Some(out)
+
+    fn leaves(&self) -> &[NodeId] {
+        &self.leaves[..self.len as usize]
+    }
+
+    /// The cut order: depth, then leaf count, then leaves.
+    fn order(&self, other: &Cut) -> Ordering {
+        (self.worst, self.len, self.leaves()).cmp(&(other.worst, other.len, other.leaves()))
+    }
+
+    /// `self ∪ other`, or `None` if that is more than `k` leaves.
+    fn union(&self, other: &Cut, k: usize) -> Option<Cut> {
+        let sig = self.sig | other.sig;
+        if sig.count_ones() as usize > k {
+            return None;
+        }
+        let (a, b) = (self.leaves(), other.leaves());
+        let mut leaves = Cut::EMPTY.leaves;
+        let (mut i, mut j, mut len) = (0, 0, 0);
+        while i < a.len() || j < b.len() {
+            if len == k {
+                return None;
+            }
+            let x = a.get(i).copied().unwrap_or(NodeId(u32::MAX));
+            let y = b.get(j).copied().unwrap_or(NodeId(u32::MAX));
+            leaves[len] = x.min(y);
+            i += (x <= y) as usize;
+            j += (y <= x) as usize;
+            len += 1;
+        }
+        Some(Cut {
+            leaves,
+            len: len as u8,
+            worst: self.worst.max(other.worst),
+            sig,
+        })
+    }
+}
+
+/// Insert `c` into `best`, the at most `max_cuts` smallest distinct
+/// candidates so far in ascending order.
+fn keep_smallest(best: &mut Vec<Cut>, c: Cut, max_cuts: usize) {
+    let mut at = best.len();
+    while at > 0 {
+        match c.order(&best[at - 1]) {
+            Ordering::Less => at -= 1,
+            Ordering::Equal => return,
+            Ordering::Greater => break,
+        }
+    }
+    if at < max_cuts {
+        best.truncate(max_cuts - 1);
+        best.insert(at, c);
+    }
 }
 
 /// Map a gate netlist to a [`LutNetwork`].
 ///
 /// # Panics
-/// Panics on internal inconsistencies (cone extraction failing for an
-/// enumerated cut), which would indicate a mapper bug.
+/// Panics when a gate has no K-feasible cut (see [`MapOptions::k`]), and on
+/// internal inconsistencies (cone extraction failing for an enumerated
+/// cut), which would indicate a mapper bug.
 pub fn map_to_luts(net: &Netlist, opts: MapOptions) -> LutNetwork {
-    assert!((1..=6).contains(&opts.k), "K must be in 1..=6");
+    assert!((1..=MAX_K).contains(&opts.k), "K must be in 1..=6");
     assert!(opts.max_cuts >= 1);
+    let (k, max_cuts) = (opts.k, opts.max_cuts);
     let n = net.nodes().len();
 
     // ---- Phase 1: bottom-up cut enumeration with depth labeling. ----
-    // `arrival[i]` = depth of the best LUT implementation rooted at i
-    // (0 for leaves).
-    let mut arrival = vec![0u32; n];
-    let mut cuts: Vec<Vec<Cut>> = Vec::with_capacity(n);
+    // Node i's cuts are `cuts[start[i]..start[i + 1]]`, best first. The
+    // arrival of a node — the depth of its best LUT implementation, 0 for
+    // leaves — is the `worst` of its trivial cut.
+    let mut cuts: Vec<Cut> = Vec::with_capacity(n * (max_cuts.min(8) + 1));
+    let mut start: Vec<usize> = Vec::with_capacity(n + 1);
+    let mut best: Vec<Cut> = Vec::new();
+    // Unions over the fan-ins so far, and over one more.
+    let (mut partial, mut wider): (Vec<Cut>, Vec<Cut>) = (Vec::new(), Vec::new());
 
-    for i in 0..n {
+    for (i, g) in net.nodes().iter().enumerate() {
         let id = NodeId(i as u32);
-        let g = net.gate(id);
-        let node_cuts = match g {
+        start.push(cuts.len());
+        match g {
             // Constants fold into cones: expose an *empty* cut so they
             // never consume a LUT input.
-            Gate::Const(_) => vec![Cut {
-                leaves: vec![],
-                depth: 0,
-            }],
+            Gate::Const(_) => cuts.push(Cut::EMPTY),
             // Pure leaves: only the trivial cut.
-            Gate::Input { .. } | Gate::Dff { .. } => {
-                vec![Cut {
-                    leaves: vec![id],
-                    depth: 0,
-                }]
-            }
+            Gate::Input { .. } | Gate::Dff { .. } => cuts.push(Cut::trivial(id, 0)),
             _ => {
-                let fanin: Vec<NodeId> = g.comb_fanin().iter().collect();
-                let mut cands: Vec<Cut> = Vec::new();
-                // Cross-product of fan-in cut sets.
-                match fanin.len() {
-                    1 => {
-                        for ca in &cuts[fanin[0].index()] {
-                            if let Some(leaves) = merge_leaves(opts.k, &[&ca.leaves]) {
-                                cands.push(Cut { leaves, depth: 0 });
-                            }
+                // Cross-product of fan-in cut sets, one fan-in at a time:
+                // a union already over K leaves has no feasible superset.
+                partial.clear();
+                partial.push(Cut::EMPTY);
+                for f in g.comb_fanin().iter() {
+                    wider.clear();
+                    for p in &partial {
+                        for c in &cuts[start[f.index()]..start[f.index() + 1]] {
+                            wider.extend(p.union(c, k));
                         }
                     }
-                    2 => {
-                        for ca in &cuts[fanin[0].index()] {
-                            for cb in &cuts[fanin[1].index()] {
-                                if let Some(leaves) =
-                                    merge_leaves(opts.k, &[&ca.leaves, &cb.leaves])
-                                {
-                                    cands.push(Cut { leaves, depth: 0 });
-                                }
-                            }
-                        }
-                    }
-                    3 => {
-                        for ca in &cuts[fanin[0].index()] {
-                            for cb in &cuts[fanin[1].index()] {
-                                for cc in &cuts[fanin[2].index()] {
-                                    if let Some(leaves) =
-                                        merge_leaves(opts.k, &[&ca.leaves, &cb.leaves, &cc.leaves])
-                                    {
-                                        cands.push(Cut { leaves, depth: 0 });
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    arity => unreachable!("unexpected gate arity {arity}"),
+                    std::mem::swap(&mut partial, &mut wider);
                 }
-                // Depth of each candidate = 1 + max leaf arrival.
-                for c in &mut cands {
-                    let worst = c
-                        .leaves
-                        .iter()
-                        .map(|l| arrival[l.index()])
-                        .max()
-                        .unwrap_or(0);
-                    c.depth = worst + 1;
+                best.clear();
+                for &c in &partial {
+                    keep_smallest(&mut best, c, max_cuts);
                 }
-                // Sort by (depth, size), dedupe identical leaf sets, prune.
-                cands.sort_by(|a, b| {
-                    a.depth
-                        .cmp(&b.depth)
-                        .then(a.leaves.len().cmp(&b.leaves.len()))
-                        .then(a.leaves.cmp(&b.leaves))
-                });
-                cands.dedup_by(|a, b| a.leaves == b.leaves);
-                cands.truncate(opts.max_cuts);
                 assert!(
-                    !cands.is_empty(),
+                    !best.is_empty(),
                     "no K-feasible cut for node {id} ({}); K too small",
                     g.kind()
                 );
-                arrival[i] = cands[0].depth;
+                cuts.extend_from_slice(&best);
                 // Append the trivial cut so parents can stop here.
-                cands.push(Cut {
-                    leaves: vec![id],
-                    depth: arrival[i],
-                });
-                cands
+                cuts.push(Cut::trivial(id, best[0].worst + 1));
             }
-        };
-        cuts.push(node_cuts);
+        }
     }
 
     // ---- Phase 2: cover from the roots. ----
     struct Cover<'a> {
         net: &'a Netlist,
-        cuts: &'a [Vec<Cut>],
-        ff_index: HashMap<NodeId, u32>,
-        memo: HashMap<NodeId, LutIn>,
+        cuts: &'a [Cut],
+        start: &'a [usize],
+        /// Node → flip-flop number, for the register nodes.
+        ff_index: Vec<u32>,
+        /// Node → the source it materialized as.
+        memo: Vec<Option<LutIn>>,
+        cones: ConeEval<'a>,
         luts: Vec<Lut>,
     }
 
     impl Cover<'_> {
         fn materialize(&mut self, id: NodeId) -> LutIn {
-            if let Some(&m) = self.memo.get(&id) {
+            if let Some(m) = self.memo[id.index()] {
                 return m;
             }
             let out = match self.net.gate(id) {
                 Gate::Input { bit } => LutIn::Input(bit),
                 Gate::Const(c) => LutIn::Const(c),
-                Gate::Dff { .. } => LutIn::Ff(self.ff_index[&id]),
+                Gate::Dff { .. } => LutIn::Ff(self.ff_index[id.index()]),
                 _ => {
-                    // Best non-trivial cut is first (the trivial cut was
+                    // A gate's best cut is its first (the trivial cut was
                     // appended last and never has strictly better depth).
-                    let cut = self.cuts[id.index()]
-                        .iter()
-                        .find(|c| !(c.leaves.len() == 1 && c.leaves[0] == id))
-                        .expect("gate node always has a non-trivial cut")
-                        .clone();
-                    let ins: Vec<LutIn> = cut.leaves.iter().map(|&l| self.materialize(l)).collect();
-                    let table = cone_truth_table(self.net, id, &cut.leaves)
+                    let cut = self.cuts[self.start[id.index()]];
+                    let ins: Vec<LutIn> =
+                        cut.leaves().iter().map(|&l| self.materialize(l)).collect();
+                    let table = self
+                        .cones
+                        .table(id, cut.leaves())
                         .expect("enumerated cut must cover its cone");
                     let idx = self.luts.len() as u32;
                     self.luts.push(Lut { inputs: ins, table });
                     LutIn::Lut(idx)
                 }
             };
-            self.memo.insert(id, out);
+            self.memo[id.index()] = Some(out);
             out
         }
     }
 
     let dff_nodes = net.dff_nodes();
-    let ff_index: HashMap<NodeId, u32> = dff_nodes
-        .iter()
-        .enumerate()
-        .map(|(k, &id)| (id, k as u32))
-        .collect();
+    let mut ff_index = vec![u32::MAX; n];
+    for (k, &id) in dff_nodes.iter().enumerate() {
+        ff_index[id.index()] = k as u32;
+    }
 
     let mut cover = Cover {
         net,
         cuts: &cuts,
+        start: &start,
         ff_index,
-        memo: HashMap::new(),
+        memo: vec![None; n],
+        cones: ConeEval::new(net),
         luts: Vec::new(),
     };
 

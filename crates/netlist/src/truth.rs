@@ -2,14 +2,13 @@
 //!
 //! The LUT mapper selects a cut (a set of ≤ K leaf nodes) for each mapped
 //! node and needs the Boolean function of the cone between the leaves and
-//! the root. [`cone_truth_table`] computes it by symbolic bit-parallel
+//! the root. [`ConeEval`] computes it by symbolic bit-parallel
 //! evaluation: leaf `i` is assigned the canonical variable word `VAR[i]`
 //! and the cone is evaluated bottom-up, yielding the truth table directly
 //! in the output word. With K ≤ 6 one 64-bit word holds the whole table.
 
 use crate::gate::{Gate, NodeId};
 use crate::graph::Netlist;
-use std::collections::HashMap;
 
 /// Canonical truth-table words for up to 6 variables: bit `m` of `VAR[i]`
 /// is bit `i` of minterm index `m`.
@@ -32,52 +31,83 @@ pub fn table_mask(k: usize) -> u64 {
     }
 }
 
-/// Compute the truth table of the cone rooted at `root` with the given
-/// `leaves` (≤ 6). Every path from `root` must terminate at a leaf — the
-/// caller (the cut enumerator) guarantees this; a cone that escapes its
-/// leaves returns `None`.
-pub fn cone_truth_table(net: &Netlist, root: NodeId, leaves: &[NodeId]) -> Option<u64> {
-    assert!(leaves.len() <= 6, "cone too wide for one table word");
-    let mut memo: HashMap<NodeId, u64> = HashMap::with_capacity(16);
-    for (i, &l) in leaves.iter().enumerate() {
-        memo.insert(l, VAR[i]);
-    }
-    let full = eval_rec(net, root, &mut memo)?;
-    Some(full & table_mask(leaves.len()))
+/// Cone evaluation over node-indexed scratch: one allocation serves every
+/// cone of a netlist. Each [`ConeEval::table`] call opens a new epoch, so
+/// the values of the previous cone go stale without being cleared.
+pub struct ConeEval<'a> {
+    net: &'a Netlist,
+    value: Vec<u64>,
+    /// Epoch in which `value[i]` was written.
+    stamp: Vec<u32>,
+    epoch: u32,
 }
 
-fn eval_rec(net: &Netlist, node: NodeId, memo: &mut HashMap<NodeId, u64>) -> Option<u64> {
-    if let Some(&v) = memo.get(&node) {
-        return Some(v);
+impl<'a> ConeEval<'a> {
+    /// Scratch sized for `net`.
+    pub fn new(net: &'a Netlist) -> Self {
+        let n = net.nodes().len();
+        ConeEval {
+            net,
+            value: vec![0; n],
+            stamp: vec![0; n],
+            epoch: 0,
+        }
     }
-    let v = match net.gate(node) {
-        // Reaching a primary input, register, or constant that is not a
-        // declared leaf: constants are fine (they're closed), anything else
-        // means the cut does not actually cover the cone.
-        Gate::Const(c) => {
-            if c {
-                u64::MAX
-            } else {
-                0
+
+    /// Compute the truth table of the cone rooted at `root` with the given
+    /// `leaves` (≤ 6). Every path from `root` must terminate at a leaf —
+    /// the caller (the cut enumerator) guarantees this; a cone that escapes
+    /// its leaves returns `None`.
+    pub fn table(&mut self, root: NodeId, leaves: &[NodeId]) -> Option<u64> {
+        assert!(leaves.len() <= 6, "cone too wide for one table word");
+        self.epoch += 1;
+        for (i, &l) in leaves.iter().enumerate() {
+            self.value[l.index()] = VAR[i];
+            self.stamp[l.index()] = self.epoch;
+        }
+        let full = self.eval(root)?;
+        Some(full & table_mask(leaves.len()))
+    }
+
+    fn eval(&mut self, node: NodeId) -> Option<u64> {
+        if self.stamp[node.index()] == self.epoch {
+            return Some(self.value[node.index()]);
+        }
+        let v = match self.net.gate(node) {
+            // Reaching a primary input, register, or constant that is not a
+            // declared leaf: constants are fine (they're closed), anything
+            // else means the cut does not actually cover the cone.
+            Gate::Const(c) => {
+                if c {
+                    u64::MAX
+                } else {
+                    0
+                }
             }
-        }
-        Gate::Input { .. } | Gate::Dff { .. } => return None,
-        Gate::Not(a) => !eval_rec(net, a, memo)?,
-        Gate::And(a, b) => eval_rec(net, a, memo)? & eval_rec(net, b, memo)?,
-        Gate::Or(a, b) => eval_rec(net, a, memo)? | eval_rec(net, b, memo)?,
-        Gate::Xor(a, b) => eval_rec(net, a, memo)? ^ eval_rec(net, b, memo)?,
-        Gate::Nand(a, b) => !(eval_rec(net, a, memo)? & eval_rec(net, b, memo)?),
-        Gate::Nor(a, b) => !(eval_rec(net, a, memo)? | eval_rec(net, b, memo)?),
-        Gate::Xnor(a, b) => !(eval_rec(net, a, memo)? ^ eval_rec(net, b, memo)?),
-        Gate::Mux { sel, lo, hi } => {
-            let s = eval_rec(net, sel, memo)?;
-            let l = eval_rec(net, lo, memo)?;
-            let h = eval_rec(net, hi, memo)?;
-            (s & h) | (!s & l)
-        }
-    };
-    memo.insert(node, v);
-    Some(v)
+            Gate::Input { .. } | Gate::Dff { .. } => return None,
+            Gate::Not(a) => !self.eval(a)?,
+            Gate::And(a, b) => self.eval(a)? & self.eval(b)?,
+            Gate::Or(a, b) => self.eval(a)? | self.eval(b)?,
+            Gate::Xor(a, b) => self.eval(a)? ^ self.eval(b)?,
+            Gate::Nand(a, b) => !(self.eval(a)? & self.eval(b)?),
+            Gate::Nor(a, b) => !(self.eval(a)? | self.eval(b)?),
+            Gate::Xnor(a, b) => !(self.eval(a)? ^ self.eval(b)?),
+            Gate::Mux { sel, lo, hi } => {
+                let s = self.eval(sel)?;
+                let l = self.eval(lo)?;
+                let h = self.eval(hi)?;
+                (s & h) | (!s & l)
+            }
+        };
+        self.value[node.index()] = v;
+        self.stamp[node.index()] = self.epoch;
+        Some(v)
+    }
+}
+
+/// [`ConeEval::table`] for one cone.
+pub fn cone_truth_table(net: &Netlist, root: NodeId, leaves: &[NodeId]) -> Option<u64> {
+    ConeEval::new(net).table(root, leaves)
 }
 
 /// Evaluate a ≤6-input truth table word on a specific input assignment.

@@ -123,7 +123,7 @@ pub fn compile_shared(
     MISSES.fetch_add(1, Ordering::Relaxed);
     let disk_dir = crate::disk::configured_dir();
     if let Some(dir) = &disk_dir {
-        if let Some(loaded) = crate::disk::load(dir, &key) {
+        if let Some(loaded) = crate::disk::load(dir, &key, net) {
             DISK_HITS.fetch_add(1, Ordering::Relaxed);
             let loaded = Arc::new(loaded);
             return Ok(table().lock().unwrap().entry(key).or_insert(loaded).clone());

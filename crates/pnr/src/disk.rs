@@ -14,7 +14,10 @@
 //!   runs the flow — publishing the result to both layers.
 //! * Entries are *advisory*: a missing, corrupt, truncated, or
 //!   version-mismatched file is treated exactly like a miss — the circuit
-//!   is recompiled and the entry rewritten. The cache can be deleted at
+//!   is recompiled and the entry rewritten. So is one that parses but does
+//!   not hang together (`coherent`): an index past what it indexes, two
+//!   blocks on one cell, another netlist's interface — emission and
+//!   routing index by those numbers unchecked. The cache can be deleted at
 //!   any time without affecting correctness, because [`crate::compile`] is
 //!   deterministic and the stored artifact is observationally identical to
 //!   a fresh compile.
@@ -268,7 +271,58 @@ fn block_from_json(j: &Json) -> Option<PackedBlock> {
     })
 }
 
-fn circuit_from_json(j: &Json) -> Option<CompiledCircuit> {
+/// Most cells a region may claim: 256 × 256, twenty times the largest
+/// catalog part. The template router allocates per cell of the region, so
+/// a damaged `width` must not get that far; this also bounds [`coherent`]'s
+/// occupancy bitmap to 8 KiB of stack.
+const MAX_CELLS: usize = 1 << 16;
+
+/// Whether a parsed artifact can be handed downstream: it has `net`'s
+/// interface, every index in it names something that exists, and its
+/// blocks sit on distinct cells of the region. Emission, routing and state
+/// readback index by these numbers unchecked, so an entry that fails is
+/// damaged and reads as a miss. One pass, no allocation.
+fn coherent(p: &PlacedCircuit, net: &netlist::Netlist) -> bool {
+    let pc = &p.circuit;
+    let n = pc.blocks.len();
+    let cells = p.width as u64 * p.height as u64;
+    if pc.num_inputs != net.num_inputs()
+        || !pc
+            .outputs
+            .iter()
+            .map(|(name, _)| name)
+            .eq(net.outputs().iter().map(|(name, _)| name))
+        || n as u64 > cells
+        || cells > MAX_CELLS as u64
+    {
+        return false;
+    }
+    let exists = |s: &BlockSource| match *s {
+        BlockSource::Block(i) => (i as usize) < n,
+        BlockSource::Input(i) => (i as usize) < pc.num_inputs,
+        BlockSource::None | BlockSource::Const(_) => true,
+    };
+    let mut taken = [0u64; MAX_CELLS / 64];
+    for (blk, &(c, r)) in pc.blocks.iter().zip(&p.coords) {
+        if c >= p.width || r >= p.height || !blk.inputs.iter().all(exists) {
+            return false;
+        }
+        let cell = (r * p.width + c) as usize;
+        let bit = 1u64 << (cell % 64);
+        if taken[cell / 64] & bit != 0 {
+            return false;
+        }
+        taken[cell / 64] |= bit;
+    }
+    pc.outputs.iter().all(|&(_, b)| (b as usize) < n)
+        && pc.ff_block.iter().all(|&b| {
+            pc.blocks
+                .get(b as usize)
+                .is_some_and(|blk| blk.ff.is_some())
+        })
+}
+
+fn circuit_from_json(j: &Json, net: &netlist::Netlist) -> Option<CompiledCircuit> {
     let name = get_str(j, "name")?.to_string();
     let num_inputs = usize::try_from(get_u64(j, "num_inputs")?).ok()?;
     let outputs = j
@@ -312,45 +366,48 @@ fn circuit_from_json(j: &Json) -> Option<CompiledCircuit> {
             ))
         })
         .collect::<Option<Vec<_>>>()?;
-    let width = get_u32(j, "width")?;
-    let height = get_u32(j, "height")?;
-    // A coordinate outside the region would make downstream emission
-    // panic; reject the entry instead.
-    if coords.iter().any(|&(c, r)| c >= width || r >= height) {
+    let placed = PlacedCircuit {
+        circuit: PackedCircuit {
+            name,
+            blocks,
+            num_inputs,
+            outputs,
+            ff_block,
+        },
+        width: get_u32(j, "width")?,
+        height: get_u32(j, "height")?,
+        coords,
+        hpwl: get_u64(j, "hpwl")?,
+    };
+    if !coherent(&placed, net) {
         return None;
     }
     Some(CompiledCircuit {
-        placed: PlacedCircuit {
-            circuit: PackedCircuit {
-                name,
-                blocks,
-                num_inputs,
-                outputs,
-                ff_block,
-            },
-            width,
-            height,
-            coords,
-            hpwl: get_u64(j, "hpwl")?,
-        },
+        placed,
         crit_path_ns: f64::from_bits(get_u64(j, "crit_path_ns_bits")?),
         clock_ns: f64::from_bits(get_u64(j, "clock_ns_bits")?),
     })
 }
 
-/// Load the entry for `key` from `dir`. `None` on any miss: no file,
-/// unreadable, unparsable, wrong schema version, or stored key mismatch
-/// (filename collision / stale file).
-pub(crate) fn load(dir: &Path, key: &Key) -> Option<CompiledCircuit> {
-    let text = std::fs::read_to_string(entry_path(dir, key)).ok()?;
-    let doc = Json::parse(&text).ok()?;
+/// Read an entry's text. `None` on any miss: unparsable, wrong schema
+/// version, stored key mismatch (filename collision / stale file), or a
+/// circuit that is not [`coherent`] with `net`.
+fn parse_entry(text: &str, key: &Key, net: &netlist::Netlist) -> Option<CompiledCircuit> {
+    let doc = Json::parse(text).ok()?;
     if get_str(&doc, "schema") != Some(DISK_SCHEMA) {
         return None;
     }
     if !key_matches(doc.get("key")?, key) {
         return None;
     }
-    circuit_from_json(doc.get("circuit")?)
+    circuit_from_json(doc.get("circuit")?, net)
+}
+
+/// Load the entry for `key` (the key of `net`) from `dir`. `None` on any
+/// miss: no file, unreadable, or whatever [`parse_entry`] refuses.
+pub(crate) fn load(dir: &Path, key: &Key, net: &netlist::Netlist) -> Option<CompiledCircuit> {
+    let text = std::fs::read_to_string(entry_path(dir, key)).ok()?;
+    parse_entry(&text, key, net)
 }
 
 /// Write the entry for `key` to `dir` (creating the directory). Returns
@@ -387,7 +444,7 @@ pub fn compile_with_disk(
     dir: &Path,
 ) -> Result<Arc<CompiledCircuit>, PlaceError> {
     let key = Key::new(net, opts);
-    if let Some(hit) = load(dir, &key) {
+    if let Some(hit) = load(dir, &key, net) {
         crate::cache::note_disk_hit();
         return Ok(Arc::new(hit));
     }
@@ -430,7 +487,7 @@ mod tests {
         let key = Key::new(&net, opts);
         let fresh = compile(&net, opts).unwrap();
         assert!(store(&dir, &key, &fresh));
-        let back = load(&dir, &key).expect("stored entry must load");
+        let back = load(&dir, &key, &net).expect("stored entry must load");
         assert_eq!(back.placed.circuit.name, fresh.placed.circuit.name);
         assert_eq!(back.placed.circuit.blocks, fresh.placed.circuit.blocks);
         assert_eq!(back.placed.circuit.outputs, fresh.placed.circuit.outputs);
@@ -465,12 +522,15 @@ mod tests {
         // Truncated file → miss.
         let full = std::fs::read_to_string(&path).unwrap();
         std::fs::write(&path, &full[..full.len() / 2]).unwrap();
-        assert!(load(&dir, &key).is_none(), "truncated entry must miss");
+        assert!(
+            load(&dir, &key, &net).is_none(),
+            "truncated entry must miss"
+        );
 
         // Valid JSON, wrong schema version → miss.
         let stale = full.replacen(DISK_SCHEMA, "vfpga-pnr-cache/0", 1);
         std::fs::write(&path, stale).unwrap();
-        assert!(load(&dir, &key).is_none(), "stale schema must miss");
+        assert!(load(&dir, &key, &net).is_none(), "stale schema must miss");
 
         // Valid JSON, wrong stored key (filename collision) → miss.
         let collided = full.replacen(
@@ -479,14 +539,145 @@ mod tests {
             1,
         );
         std::fs::write(&path, collided).unwrap();
-        assert!(load(&dir, &key).is_none(), "key mismatch must miss");
+        assert!(load(&dir, &key, &net).is_none(), "key mismatch must miss");
 
         // Garbage → miss; and a rewrite recovers the entry.
         std::fs::write(&path, "not json at all {{{").unwrap();
-        assert!(load(&dir, &key).is_none());
+        assert!(load(&dir, &key, &net).is_none());
         assert!(store(&dir, &key, &fresh));
-        assert!(load(&dir, &key).is_some(), "rewrite must recover");
+        assert!(load(&dir, &key, &net).is_some(), "rewrite must recover");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A small sequential circuit — registers, a register feeding its own
+    /// LUT, primary inputs — with its key, artifact and entry text.
+    fn stored_accumulator() -> (netlist::Netlist, Key, CompiledCircuit, String) {
+        let net = netlist::library::seq::accumulator("disk-acc4", 4);
+        let opts = CompileOptions::default();
+        let key = Key::new(&net, opts);
+        let fresh = compile(&net, opts).unwrap();
+        let text = entry_json(&key, &fresh).render();
+        (net, key, fresh, text)
+    }
+
+    /// What every consumer of a hit does with it, pins bound off the
+    /// netlist as every caller binds them. Routing may fail; nothing may
+    /// panic.
+    fn drive(c: &CompiledCircuit, net: &netlist::Netlist) {
+        let pins = PinAssignment::contiguous(net.num_inputs(), net.outputs().len());
+        let _ = emit_bitstream(&c.placed, (1, 1), &pins, false);
+        let spec = fpga::device::part("VF1000");
+        let _ = crate::RoutingFabric::for_device(&spec).route_circuit(&c.placed, (1, 1));
+    }
+
+    #[test]
+    fn damaged_entries_are_misses_or_usable_never_panics() {
+        let (net, key, _, text) = stored_accumulator();
+        drive(&parse_entry(&text, &key, &net).expect("intact entry"), &net);
+
+        // Every truncation short of the closing brace.
+        let body = text.trim_end();
+        for cut in 0..body.len() {
+            assert!(
+                parse_entry(&body[..cut], &key, &net).is_none(),
+                "prefix of {cut} bytes read"
+            );
+        }
+
+        // Every number outside a string, replaced in turn by its
+        // neighbours, by values around each width a field is narrowed to,
+        // and by itself with the source tag (bits 32 up) or the source
+        // index (bits below) changed.
+        let bytes = text.as_bytes();
+        let (mut hits, mut misses, mut at, mut quoted) = (0, 0, 0, false);
+        while at < bytes.len() {
+            quoted ^= bytes[at] == b'"';
+            if quoted || !bytes[at].is_ascii_digit() {
+                at += 1;
+                continue;
+            }
+            let end = at
+                + bytes[at..]
+                    .iter()
+                    .take_while(|b| b.is_ascii_digit())
+                    .count();
+            let v: u64 = text[at..end].parse().unwrap();
+            let tag = v & !0xffff_ffff;
+            for m in [
+                0,
+                1,
+                v.wrapping_add(1),
+                v.wrapping_sub(1),
+                v ^ (1 << 32),
+                v ^ (3 << 32),
+                tag | 9999,
+                tag | 0xffff_ffff,
+                u64::from(u16::MAX),
+                u64::from(u16::MAX) + 1,
+                u64::from(u32::MAX) + 1,
+                u64::MAX,
+            ] {
+                if m == v {
+                    continue;
+                }
+                let damaged = format!("{}{m}{}", &text[..at], &text[end..]);
+                match parse_entry(&damaged, &key, &net) {
+                    Some(c) => {
+                        hits += 1;
+                        drive(&c, &net);
+                    }
+                    None => misses += 1,
+                }
+            }
+            at = end;
+        }
+        // Table bits, hpwl and in-range moves survive; indices do not.
+        assert!(hits > 100 && misses > 500, "{hits} hits, {misses} misses");
+    }
+
+    #[test]
+    fn every_dangling_index_is_a_miss() {
+        let (net, key, fresh, text) = stored_accumulator();
+        assert!(parse_entry(&text, &key, &net).is_some());
+        let n = fresh.placed.circuit.blocks.len() as u32;
+        let stateless = (0..n)
+            .find(|&b| fresh.placed.circuit.blocks[b as usize].ff.is_none())
+            .unwrap();
+        type Damage = fn(&mut PlacedCircuit, u32, u32);
+        let damages: [(&str, Damage); 9] = [
+            ("block input past the blocks", |p, n, _| {
+                p.circuit.blocks[0].inputs[3] = BlockSource::Block(n)
+            }),
+            ("the route.rs:205 index", |p, _, _| {
+                p.circuit.blocks[0].inputs[0] = BlockSource::Block(9999)
+            }),
+            ("primary input past num_inputs", |p, _, _| {
+                p.circuit.blocks[0].inputs[3] = BlockSource::Input(p.circuit.num_inputs as u32)
+            }),
+            ("output past the blocks", |p, n, _| {
+                p.circuit.outputs[0].1 = n
+            }),
+            ("ff_block past the blocks", |p, n, _| {
+                p.circuit.ff_block[0] = n
+            }),
+            ("ff_block on a block without a flip-flop", |p, _, b| {
+                p.circuit.ff_block[0] = b
+            }),
+            ("two blocks on one cell", |p, _, _| {
+                p.coords[1] = p.coords[0]
+            }),
+            ("more blocks than cells", |p, _, _| p.height = 1),
+            ("a region past MAX_CELLS", |p, _, _| p.width = 1 << 17),
+        ];
+        for (what, damage) in damages {
+            let mut bad = fresh.clone();
+            damage(&mut bad.placed, n, stateless);
+            let text = entry_json(&key, &bad).render();
+            assert!(parse_entry(&text, &key, &net).is_none(), "{what} read");
+        }
+        // Another netlist's interface, under this one's key.
+        let other = netlist::library::seq::accumulator("disk-acc4", 5);
+        assert!(parse_entry(&text, &key, &other).is_none());
     }
 
     #[test]

@@ -95,29 +95,53 @@ pub fn pack(net: &LutNetwork) -> PackedCircuit {
     }
 
     // Decide packing: FF i packs into LUT j when ff.d == Lut(j) and LUT j
-    // has exactly one consumer (the FF itself).
-    let mut ff_packed_into: Vec<Option<u32>> = vec![None; net.ffs.len()];
-    let mut lut_hosts_ff: Vec<Option<u32>> = vec![None; net.luts.len()];
-    for (i, ff) in net.ffs.iter().enumerate() {
-        if let LutIn::Lut(j) = ff.d {
-            let j = j as usize;
-            if lut_consumers[j] == 1 && lut_hosts_ff[j].is_none() {
-                ff_packed_into[i] = Some(j as u32);
-                lut_hosts_ff[j] = Some(i as u32);
+    // has exactly one consumer (the FF itself, so no second FF can claim
+    // it). Every other FF gets a route-through block after the LUT blocks,
+    // in FF order — which fixes `ff_block` before any block is built.
+    let mut lut_ff: Vec<Option<bool>> = vec![None; net.luts.len()];
+    let mut ff_block: Vec<u32> = Vec::with_capacity(net.ffs.len());
+    let mut next_route_through = net.luts.len() as u32;
+    for ff in &net.ffs {
+        match ff.d {
+            LutIn::Lut(j) if lut_consumers[j as usize] == 1 => {
+                lut_ff[j as usize] = Some(ff.init);
+                ff_block.push(j);
+            }
+            _ => {
+                ff_block.push(next_route_through);
+                next_route_through += 1;
             }
         }
     }
+    let source = |s: &LutIn| -> BlockSource {
+        match *s {
+            LutIn::Input(b) => BlockSource::Input(b),
+            LutIn::Const(c) => BlockSource::Const(c),
+            LutIn::Lut(j) => BlockSource::Block(j),
+            LutIn::Ff(i) => BlockSource::Block(ff_block[i as usize]),
+        }
+    };
+    // Identity LUT on one source: the route-through block.
+    let route_through = |s: &LutIn, ff: Option<bool>| PackedBlock {
+        lut_table: IDENTITY_LUT,
+        inputs: [
+            source(s),
+            BlockSource::None,
+            BlockSource::None,
+            BlockSource::None,
+        ],
+        ff,
+        out_from_ff: ff.is_some(),
+    };
 
     // Block layout: one block per LUT, then one per unpacked FF, then
     // route-throughs for outputs fed by inputs/constants.
-    let mut blocks: Vec<PackedBlock> = Vec::with_capacity(net.luts.len() + net.ffs.len());
-    let lut_block: Vec<u32> = (0..net.luts.len() as u32).collect();
-    for (j, lut) in net.luts.iter().enumerate() {
+    let mut blocks: Vec<PackedBlock> = Vec::with_capacity(next_route_through as usize);
+    for (lut, &ff) in net.luts.iter().zip(&lut_ff) {
         let mut inputs = [BlockSource::None; 4];
-        for (k, s) in lut.inputs.iter().enumerate() {
-            inputs[k] = resolve_placeholder(s);
+        for (slot, s) in inputs.iter_mut().zip(&lut.inputs) {
+            *slot = source(s);
         }
-        let ff = lut_hosts_ff[j].map(|i| net.ffs[i as usize].init);
         blocks.push(PackedBlock {
             lut_table: lut.table as u16,
             inputs,
@@ -125,70 +149,21 @@ pub fn pack(net: &LutNetwork) -> PackedCircuit {
             out_from_ff: ff.is_some(),
         });
     }
-    let mut ff_block = vec![0u32; net.ffs.len()];
-    for (i, ff) in net.ffs.iter().enumerate() {
-        if let Some(j) = ff_packed_into[i] {
-            ff_block[i] = lut_block[j as usize];
-        } else {
-            // Route-through block: identity LUT on the d source.
-            let idx = blocks.len() as u32;
-            blocks.push(PackedBlock {
-                lut_table: IDENTITY_LUT,
-                inputs: [
-                    resolve_placeholder(&ff.d),
-                    BlockSource::None,
-                    BlockSource::None,
-                    BlockSource::None,
-                ],
-                ff: Some(ff.init),
-                out_from_ff: true,
-            });
-            ff_block[i] = idx;
+    for (ff, &b) in net.ffs.iter().zip(&ff_block) {
+        if b as usize >= net.luts.len() {
+            blocks.push(route_through(&ff.d, Some(ff.init)));
         }
     }
 
-    // Second pass: rewrite placeholder references now that ff_block is known.
-    let final_source = |s: &LutIn| -> BlockSource {
-        match *s {
-            LutIn::Input(b) => BlockSource::Input(b),
-            LutIn::Const(c) => BlockSource::Const(c),
-            LutIn::Lut(j) => BlockSource::Block(lut_block[j as usize]),
-            LutIn::Ff(i) => BlockSource::Block(ff_block[i as usize]),
-        }
-    };
-    for (j, lut) in net.luts.iter().enumerate() {
-        for (k, s) in lut.inputs.iter().enumerate() {
-            blocks[j].inputs[k] = final_source(s);
-        }
-    }
-    for (i, ff) in net.ffs.iter().enumerate() {
-        if ff_packed_into[i].is_none() {
-            let bi = ff_block[i] as usize;
-            blocks[bi].inputs[0] = final_source(&ff.d);
-        }
-    }
-
-    // Outputs: bind to blocks, inserting route-throughs for raw inputs,
-    // constants, and (already handled) FFs/LUTs.
+    // Outputs: bind to blocks, inserting route-throughs for raw inputs and
+    // constants.
     let mut outputs = Vec::with_capacity(net.outputs.len());
     for (name, src) in &net.outputs {
-        let block = match *src {
-            LutIn::Lut(j) => lut_block[j as usize],
-            LutIn::Ff(i) => ff_block[i as usize],
-            LutIn::Input(_) | LutIn::Const(_) => {
-                let idx = blocks.len() as u32;
-                blocks.push(PackedBlock {
-                    lut_table: IDENTITY_LUT,
-                    inputs: [
-                        final_source(src),
-                        BlockSource::None,
-                        BlockSource::None,
-                        BlockSource::None,
-                    ],
-                    ff: None,
-                    out_from_ff: false,
-                });
-                idx
+        let block = match source(src) {
+            BlockSource::Block(b) => b,
+            _ => {
+                blocks.push(route_through(src, None));
+                blocks.len() as u32 - 1
             }
         };
         outputs.push((name.clone(), block));
@@ -200,16 +175,6 @@ pub fn pack(net: &LutNetwork) -> PackedCircuit {
         num_inputs: net.num_inputs,
         outputs,
         ff_block,
-    }
-}
-
-/// First-pass source resolution (FF references filled in later).
-fn resolve_placeholder(s: &LutIn) -> BlockSource {
-    match *s {
-        LutIn::Input(b) => BlockSource::Input(b),
-        LutIn::Const(c) => BlockSource::Const(c),
-        LutIn::Lut(j) => BlockSource::Block(j),
-        LutIn::Ff(_) => BlockSource::None, // patched in second pass
     }
 }
 
@@ -246,6 +211,30 @@ mod tests {
             let blk = &pc.blocks[b as usize];
             assert!(blk.ff.is_some(), "ff_block must point at a stateful block");
             assert!(blk.out_from_ff);
+        }
+    }
+
+    #[test]
+    fn unpacked_flip_flops_follow_the_luts_in_flip_flop_order() {
+        // The accumulator packs its sum bits with their LUTs; the LFSR's
+        // stages are mostly register-to-register route-throughs.
+        for net in [
+            netlist::library::seq::accumulator("a6", 6),
+            netlist::library::seq::lfsr("l8", 8, 0b10111000),
+        ] {
+            let mapped = map_to_luts(&net, MapOptions::default());
+            let pc = pack(&mapped);
+            let mut next = mapped.luts.len() as u32;
+            for (ff, &b) in mapped.ffs.iter().zip(&pc.ff_block) {
+                let blk = &pc.blocks[b as usize];
+                assert_eq!(blk.ff, Some(ff.init));
+                if ff.d != LutIn::Lut(b) {
+                    assert_eq!(b, next, "{}: route-throughs in order", net.name());
+                    assert_eq!(blk.lut_table, IDENTITY_LUT);
+                    next += 1;
+                }
+            }
+            assert!(next as usize <= pc.blocks.len());
         }
     }
 

@@ -6,6 +6,34 @@
 //! at (0,0) — which is what makes the result relocatable: the OS can drop
 //! the same placement at any origin that routes (paper §4's relocatable
 //! circuits).
+//!
+//! **Pricing a move.** A move takes block `bi` from cell `b` to cell `t`
+//! and the block `other` at `t`, if any, back to `b`. With `far(x)` the far
+//! end of every edge at block `x` — a multi-edge once per copy, self-loops
+//! left out — and `d` the Manhattan distance, the change in wirelength is
+//!
+//! ```text
+//! Δ = Σ_{f ∈ far(bi), f ≠ other} [d(t,f) − d(b,f)]
+//!   + Σ_{f ∈ far(other), f ≠ bi} [d(b,f) − d(t,f)]
+//! ```
+//!
+//! one signed pass over the two far-end lists, nothing written unless the
+//! move is accepted. This is the cost of the touched edges after the swap
+//! minus before: an edge between the two swapped blocks only has its ends
+//! exchanged and a self-loop has length 0 either way, so the terms left out
+//! are zero.
+//!
+//! **Accepting uphill.** A move with Δ > 0 is accepted when a uniform draw
+//! `u` is below `e^(−y)`, `y = Δ / temp`. Since `e^y > 1 + y + y²/2` for
+//! `y > 0`, `u·(1 + y + y²/2) > 1` already implies `u > e^(−y)`; the test
+//! asks for `> 1 + 10⁻⁶`, ten orders of magnitude more than the rounding of
+//! the product and of libm's `exp` together, and calls `exp` only when the
+//! bound does not decide. Every decision — and so the random stream, which
+//! is the contract: three `below` draws a move, one `f64` draw only when
+//! Δ > 0 — is the one `u < exp(−Δ/temp)` alone would make.
+//! `tests/place_oracle.rs` holds the previous placer (both blocks' incident
+//! edges walked before and after a tentative swap, `exp` every time) and
+//! compares coordinates, `hpwl` and the stream position.
 
 use crate::pack::{BlockSource, PackedCircuit};
 use fsim::SimRng;
@@ -74,15 +102,39 @@ fn edges(pc: &PackedCircuit) -> Vec<(u32, u32)> {
     es
 }
 
+#[inline]
+fn manhattan((ax, ay): (u32, u32), (bx, by): (u32, u32)) -> i64 {
+    (ax.abs_diff(bx) + ay.abs_diff(by)) as i64
+}
+
 fn hpwl_of(edges: &[(u32, u32)], coords: &[(u32, u32)]) -> u64 {
     edges
         .iter()
-        .map(|&(a, b)| {
-            let (ax, ay) = coords[a as usize];
-            let (bx, by) = coords[b as usize];
-            (ax.abs_diff(bx) + ay.abs_diff(by)) as u64
-        })
+        .map(|&(a, b)| manhattan(coords[a as usize], coords[b as usize]) as u64)
         .sum()
+}
+
+/// Per block, the far end of every incident edge, CSR: block `i`'s are
+/// `far[start[i]..start[i + 1]]`. A multi-edge is listed once per copy and
+/// a self-loop not at all.
+fn far_ends(n: usize, edges: &[(u32, u32)]) -> (Vec<u32>, Vec<u32>) {
+    let mut start = vec![0u32; n + 1];
+    for &(a, b) in edges.iter().filter(|(a, b)| a != b) {
+        start[a as usize + 1] += 1;
+        start[b as usize + 1] += 1;
+    }
+    for i in 0..n {
+        start[i + 1] += start[i];
+    }
+    let mut next = start.clone();
+    let mut far = vec![0u32; start[n] as usize];
+    for &(a, b) in edges.iter().filter(|(a, b)| a != b) {
+        for (near, end) in [(a, b), (b, a)] {
+            far[next[near as usize] as usize] = end;
+            next[near as usize] += 1;
+        }
+    }
+    (start, far)
 }
 
 /// Place `pc` into a `w × h` region.
@@ -103,42 +155,25 @@ pub fn place(
         });
     }
     let es = edges(pc);
-    // Per block, the edges it is an end of (a self-loop listed once), so a
-    // move re-prices only those instead of scanning every edge.
-    let mut incident: Vec<Vec<u32>> = vec![Vec::new(); n];
-    for (e, &(a, b)) in es.iter().enumerate() {
-        incident[a as usize].push(e as u32);
-        if b != a {
-            incident[b as usize].push(e as u32);
-        }
-    }
+    let (start, far) = far_ends(n, &es);
+    let far_of = |blk: usize| &far[start[blk] as usize..start[blk + 1] as usize];
 
     // Greedy seed: blocks in index order (already topological-ish from
     // packing) snake through the region so connected blocks start near
     // each other.
-    let mut coords: Vec<(u32, u32)> = Vec::with_capacity(n);
-    let mut free: Vec<(u32, u32)> = Vec::with_capacity(cap);
-    for r in 0..h {
-        if r % 2 == 0 {
-            for c in 0..w {
-                free.push((c, r));
-            }
-        } else {
-            for c in (0..w).rev() {
-                free.push((c, r));
-            }
-        }
-    }
-    coords.extend(free.iter().copied().take(n));
-    let empties: Vec<(u32, u32)> = free[n..].to_vec();
+    let mut coords: Vec<(u32, u32)> = (0..n as u32)
+        .map(|i| {
+            let (c, r) = (i % w, i / w);
+            (if r % 2 == 0 { c } else { w - 1 - c }, r)
+        })
+        .collect();
 
     // Occupancy map: cell -> Some(block) | None.
     let mut occ: Vec<Option<u32>> = vec![None; cap];
-    let at = |c: u32, r: u32| (r * w + c) as usize;
-    for (i, &(c, r)) in coords.iter().enumerate() {
-        occ[at(c, r)] = Some(i as u32);
+    let at = |(c, r): (u32, u32)| (r * w + c) as usize;
+    for (i, &cell) in coords.iter().enumerate() {
+        occ[at(cell)] = Some(i as u32);
     }
-    drop(empties);
 
     // Annealing: swap two cells (block-block or block-empty).
     let mut cost = hpwl_of(&es, &coords);
@@ -149,60 +184,44 @@ pub fn place(
         for _ in 0..moves {
             // Pick a random block and a random target cell.
             let bi = rng.below(n as u64) as usize;
-            let (bc, br) = coords[bi];
-            let tc = rng.below(w as u64) as u32;
-            let tr = rng.below(h as u64) as u32;
-            if (tc, tr) == (bc, br) {
+            let b = coords[bi];
+            let t = (rng.below(w as u64) as u32, rng.below(h as u64) as u32);
+            if t == b {
                 continue;
             }
-            let other = occ[at(tc, tr)];
+            let other = occ[at(t)];
 
-            // Delta cost: recompute edges touching the moved block(s).
-            let touches = |coords: &[(u32, u32)], blk: usize| -> u64 {
-                incident[blk]
-                    .iter()
-                    .map(|&e| {
-                        let (a, b) = es[e as usize];
-                        let (ax, ay) = coords[a as usize];
-                        let (bx, by) = coords[b as usize];
-                        (ax.abs_diff(bx) + ay.abs_diff(by)) as u64
-                    })
-                    .sum()
-            };
-            let pair_cost = |coords: &[(u32, u32)]| {
-                touches(coords, bi)
-                    + other.map_or(0, |o| {
-                        if o as usize != bi {
-                            touches(coords, o as usize)
-                        } else {
-                            0
-                        }
-                    })
-            };
-            let before = pair_cost(&coords);
-            // Apply tentatively.
-            coords[bi] = (tc, tr);
-            if let Some(o) = other {
-                coords[o as usize] = (bc, br);
+            // Delta cost, from the far ends of the moved block(s); see the
+            // module doc.
+            let mut delta = 0i64;
+            for &f in far_of(bi) {
+                if Some(f) != other {
+                    let p = coords[f as usize];
+                    delta += manhattan(t, p) - manhattan(b, p);
+                }
             }
-            let after = pair_cost(&coords);
+            if let Some(o) = other {
+                for &f in far_of(o as usize) {
+                    if f as usize != bi {
+                        let p = coords[f as usize];
+                        delta += manhattan(b, p) - manhattan(t, p);
+                    }
+                }
+            }
 
-            let accept = if after <= before {
-                true
-            } else {
-                let delta = (after - before) as f64;
-                rng.f64() < (-delta / temp).exp()
+            let accept = delta <= 0 || {
+                let u = rng.f64();
+                let y = delta as f64 / temp;
+                u * (1.0 + y + y * y / 2.0) <= 1.0 + 1e-6 && u < (-y).exp()
             };
             if accept {
-                occ[at(bc, br)] = other;
-                occ[at(tc, tr)] = Some(bi as u32);
-                cost = cost + after - before;
-            } else {
-                // Revert.
-                coords[bi] = (bc, br);
+                coords[bi] = t;
                 if let Some(o) = other {
-                    coords[o as usize] = (tc, tr);
+                    coords[o as usize] = b;
                 }
+                occ[at(b)] = other;
+                occ[at(t)] = Some(bi as u32);
+                cost = cost.wrapping_add_signed(delta);
             }
             temp *= cooling;
         }
