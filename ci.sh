@@ -25,6 +25,11 @@ echo "==> compile-flow oracles and golden, release"
 cargo test -q --release -p netlist --test mapper_oracle
 cargo test -q --release -p pnr --test place_oracle --test flow_golden
 
+echo "==> cut equivalence, wide matrix, release"
+# Every event instant of a 40-task run, cut and adopted typed and through
+# the durable form; Tier-1 ran the 8-task matrix under debug assertions.
+cargo test -q --release -p vfpga --test cut_equivalence -- --include-ignored
+
 echo "==> repository benchmark (frozen API surface: --check + unit tests)"
 # benchmark/ is its own package and nothing in the workspace builds it, so
 # a change that breaks what it uses of the public API (`CrashState`,
@@ -38,12 +43,17 @@ CARGO_TARGET_DIR="$PWD/target/benchmark" \
 # The two numbers ROADMAP aim 2 tracks, then how the lines split. Files
 # under tests/, *_tests.rs, and everything from a file's #[cfg(test)] on
 # count as test — so "fewer lines" cannot be met by moving code into tests,
-# and the next god object shows up in every log.
+# and the next god object shows up in every log. Last, by the same rule,
+# the places non-test crates/vfpga/src can panic (comment lines aside):
+# ROADMAP item 1 wants each to name its invariant or become a VfpgaError.
 echo "crates/: $(find crates -name '*.rs' | xargs cat | wc -l) lines in" \
   "$(find crates -name '*.rs' | wc -l) .rs files"
 find crates -name '*.rs' | sort | xargs awk '
   FNR == 1 { test = (FILENAME ~ /\/tests\// || FILENAME ~ /_tests\.rs$/) }
   /^[[:space:]]*#\[cfg\(test\)\]/ { test = 1 }
   { if (test) t++; else { n++; if (++per[FILENAME] > max) { max = per[FILENAME]; big = FILENAME } } }
-  END { printf "crates/: %d non-test + %d test lines; largest non-test file %s (%d)\n", n, t, big, max }'
+  !test && FILENAME ~ /^crates\/vfpga\/src\// && !/^[[:space:]]*\/\// {
+    p += gsub(/\.unwrap\(\)|\.expect\(|panic!\(|unreachable!\(/, "&") }
+  END { printf "crates/: %d non-test + %d test lines; largest non-test file %s (%d)\n", n, t, big, max
+        printf "crates/vfpga/src: %d unwrap/expect/panic!/unreachable! sites in non-test code\n", p }'
 echo "CI green."

@@ -505,7 +505,7 @@ fn main() {
                 let rows = len("tasks");
                 println!(
                     "checkpoint image #{} at {:.3} s: ~{} bytes as the typed image the host keeps, \
-                     {} bytes rendered as vfpga-ckpt/3 JSON when it leaves the host \
+                     {} bytes rendered as vfpga-ckpt/3 JSON when it leaves the process \
                      ({} task rows x {} columns, {} bytes a row)",
                     image.seq,
                     image.at.as_secs_f64(),

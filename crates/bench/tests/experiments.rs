@@ -27,8 +27,12 @@ use std::time::Duration;
 /// converging (e19, e21), or a new bug of that kind.
 const LIVENESS: Duration = Duration::from_secs(120);
 
+/// Cargo sets the variable for the test process. Read then, not baked in
+/// at compile time: a test binary another checkout left in a shared target
+/// directory would otherwise look in that checkout.
 fn golden(name: &str) -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join(format!("golden/{name}.smoke.json"))
+    let here = std::env::var("CARGO_MANIFEST_DIR").expect("cargo runs the tests");
+    Path::new(&here).join(format!("golden/{name}.smoke.json"))
 }
 
 fn parse(name: &str, text: &str) -> Json {

@@ -250,27 +250,24 @@ impl<E> EventQueue<E> {
     }
 }
 
-impl<E: Clone> EventQueue<E> {
-    /// Snapshot the pending events in firing order *without* disturbing
-    /// the queue — neither the clock nor the pending set changes. Used by
-    /// checkpointing, which must serialize the pending set and then keep
+impl<E> EventQueue<E> {
+    /// The pending events in firing order *without* disturbing the queue —
+    /// neither the clock nor the pending set changes. Used by
+    /// checkpointing, which must record the pending set and then keep
     /// running; a destructive drain would advance `now` and turn later
     /// `schedule_at` calls into causality panics.
     ///
-    /// One pass over the run lane with the heap's events, sorted, merged in.
-    pub fn pending_in_order(&self) -> Vec<ScheduledEvent<E>> {
-        let mut strays: Vec<ScheduledEvent<E>> = self.heap.iter().cloned().collect();
-        strays.sort_unstable_by_key(ScheduledEvent::key);
-        let mut strays = strays.into_iter().peekable();
-        let mut out = Vec::with_capacity(self.len());
-        for ev in &self.lane {
-            while let Some(s) = strays.next_if(|s| s.key() < ev.key()) {
-                out.push(s);
-            }
-            out.push(ev.clone());
-        }
-        out.extend(strays);
-        out
+    /// Lazy: one pass over the run lane with the heap's few events,
+    /// sorted, merged in as the iterator advances.
+    pub fn pending_in_order(&self) -> impl Iterator<Item = &ScheduledEvent<E>> {
+        let mut strays: Vec<&ScheduledEvent<E>> = self.heap.iter().collect();
+        strays.sort_unstable_by_key(|s| s.key());
+        let (mut strays, mut lane) = (strays.into_iter().peekable(), self.lane.iter().peekable());
+        std::iter::from_fn(move || match (strays.peek(), lane.peek()) {
+            (Some(s), Some(l)) if s.key() < l.key() => strays.next(),
+            (_, Some(_)) => lane.next(),
+            (_, None) => strays.next(),
+        })
     }
 }
 
@@ -350,9 +347,8 @@ mod tests {
         q.schedule_at(SimTime(30), "c");
         q.schedule_at(SimTime(10), "a");
         q.schedule_at(SimTime(10), "b");
-        let snap = q.pending_in_order();
         assert_eq!(
-            snap.iter().map(|e| e.event).collect::<Vec<_>>(),
+            q.pending_in_order().map(|e| e.event).collect::<Vec<_>>(),
             vec!["a", "b", "c"],
             "sorted by time then FIFO"
         );

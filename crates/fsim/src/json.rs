@@ -160,11 +160,14 @@ impl Json {
             Json::Num(v) => {
                 if v.is_finite() {
                     // Display for f64 is the shortest round-trip form, but
-                    // bare "1" would re-read as an integer; keep it a float.
-                    if *v == v.trunc() && v.abs() < 1e15 {
+                    // bare "1" would re-read as an integer (and one past
+                    // 2^64 not at all); keep it a float.
+                    if *v != v.trunc() {
+                        let _ = write!(out, "{v}");
+                    } else if v.abs() < 1e15 {
                         let _ = write!(out, "{v:.1}");
                     } else {
-                        let _ = write!(out, "{v}");
+                        let _ = write!(out, "{v:e}");
                     }
                 } else {
                     out.push_str("null");
@@ -788,6 +791,13 @@ mod tests {
         assert!(Json::parse("Infinity").is_err());
         // Large-but-finite still parses.
         assert_eq!(Json::parse("1e308").unwrap(), Json::Num(1e308));
+        // Large integral floats stay floats through a render (found by
+        // tests/json_damage.rs: `1e19` used to render as a 20-digit
+        // integer the parser refuses).
+        for big in [1e15, 1e19, -3.8365e92, 1e308] {
+            let text = Json::Num(big).render();
+            assert_eq!(Json::parse(&text).unwrap(), Json::Num(big), "{text}");
+        }
     }
 
     #[test]

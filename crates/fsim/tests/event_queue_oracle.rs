@@ -224,7 +224,6 @@ impl Pair {
         let a: Vec<Key> = self
             .new
             .pending_in_order()
-            .into_iter()
             .map(|e| (e.at, e.seq, e.event))
             .collect();
         let b: Vec<Key> = self

@@ -15,8 +15,12 @@ use pnr::{compile_with_disk, CompileOptions};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
+/// Cargo sets the variable for the test process. Read then, not baked in
+/// at compile time: a test binary another checkout left in a shared target
+/// directory would otherwise look in that checkout.
 fn golden_dir() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("golden")
+    let here = std::env::var("CARGO_MANIFEST_DIR").expect("cargo runs the tests");
+    Path::new(&here).join("golden")
 }
 
 /// Each netlist with its fixed shape: `alu4` with many empty cells, `mul6`

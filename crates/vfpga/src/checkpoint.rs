@@ -10,12 +10,14 @@
 //!   full mutable [`crate::System`] state copied into a typed
 //!   [`SystemImage`](crate::image::SystemImage), charged the realistic
 //!   readback cost of the resident frames as background port traffic.
-//!   The host keeps the typed image; it is rendered through the
-//!   [`fsim::json`] writer into a [`CheckpointImage`] only when it leaves
-//!   the host inside a [`CrashState`] (a crash, a failover, a migration),
-//!   and read back strictly on the other side. That the rendering
-//!   restores is proved by the image property tests and, in debug
-//!   builds, re-checked on every image that leaves;
+//!   The host keeps the typed image. A crash, failover, rebalance or
+//!   migration handed on inside one process carries it, still typed, in
+//!   a [`Cut`]; it is rendered through the [`fsim::json`] writer into a
+//!   [`CheckpointImage`] only when it leaves the process inside a
+//!   [`CrashState`] ([`System::run_until`]), and read back strictly on
+//!   the way in ([`System::restore_from`]). That the rendering restores
+//!   is proved by the image property tests and, in debug builds,
+//!   re-checked on every cut, typed or not;
 //! * every configuration download is logged as a [`WalRecord`] — the
 //!   OS-level view of the `fpga::journal` write-ahead log. Records after
 //!   the last checkpoint are the ones a restore must reconcile: the
@@ -91,7 +93,7 @@ impl CheckpointConfig {
 }
 
 /// One captured checkpoint in its durable form: the system state as it
-/// exists outside the host that captured it.
+/// exists outside the process that captured it.
 #[derive(Debug, Clone)]
 pub struct CheckpointImage {
     /// Monotone checkpoint number.
@@ -104,7 +106,7 @@ pub struct CheckpointImage {
     pub wal_len: usize,
     /// The state, rendered as a `vfpga-ckpt/3` tree by
     /// [`SystemImage::to_json`](crate::image::SystemImage::to_json) when
-    /// the image left its host. A restore reads it back with the strict
+    /// the image left its process. A restore reads it back with the strict
     /// [`SystemImage::from_json`](crate::image::SystemImage::from_json),
     /// so a damaged tree is a
     /// [`CheckpointCorrupt`](VfpgaError::CheckpointCorrupt) error.
@@ -195,12 +197,110 @@ pub enum RunOutcome {
     Crashed(Box<CrashState>),
 }
 
-impl RunOutcome {
+/// What one system hands the next inside one process: [`CrashState`]
+/// before it is rendered. Public only so `tests/cut_equivalence.rs` can
+/// set the typed hand-off beside the durable one.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Cut {
+    pub(crate) at: SimTime,
+    pub(crate) capture: Option<Capture>,
+    pub(crate) wal: Vec<WalRecord>,
+    pub(crate) stats: CrashStats,
+}
+
+impl Cut {
+    /// The cut as it leaves the process: its capture rendered to a
+    /// `vfpga-ckpt/3` tree.
+    pub fn to_durable(&self) -> CrashState {
+        let _s = span::guard("image_json");
+        let image = self.capture.as_ref().map(|c| CheckpointImage {
+            seq: c.seq,
+            at: c.image.at,
+            wal_len: c.wal_len,
+            state: c.image.to_json(),
+        });
+        CrashState {
+            at: self.at,
+            image,
+            wal: self.wal.clone(),
+            stats: self.stats,
+        }
+    }
+
+    /// A durable state coming back into a process, its image read strictly.
+    pub fn from_durable(state: &CrashState) -> Result<Cut, VfpgaError> {
+        let _s = span::guard("image_json");
+        let mut capture = None;
+        if let Some(durable) = &state.image {
+            let image = SystemImage::from_json(&durable.state).map_err(corrupt)?;
+            if image.at != durable.at {
+                return Err(corrupt(
+                    "image capture time disagrees with its state".into(),
+                ));
+            }
+            capture = Some(Capture {
+                seq: durable.seq,
+                wal_len: durable.wal_len,
+                image,
+            });
+        }
+        Ok(Cut {
+            at: state.at,
+            capture,
+            wal: state.wal.clone(),
+            stats: state.stats,
+        })
+    }
+
+    /// Debug builds' proof, on every cut: its durable form, rendered to
+    /// text and parsed, reads back as this cut.
+    fn survives_durable_form(&self) -> bool {
+        let mut durable = self.to_durable();
+        let reparsed = durable.image.iter_mut().all(|image| {
+            let parsed = Json::parse(&image.state.render());
+            parsed.map(|tree| image.state = tree).is_ok()
+        });
+        reparsed && Cut::from_durable(&durable).is_ok_and(|back| back == *self)
+    }
+
+    /// Index of the first journal record the capture does not cover. A
+    /// checkpoint claiming more records than the journal holds is corrupt.
+    fn wal_base(&self) -> Result<usize, VfpgaError> {
+        let base = self.capture.as_ref().map_or(0, |c| c.wal_len);
+        if base > self.wal.len() {
+            return Err(corrupt(format!(
+                "image covers {base} journal records, the journal holds {}",
+                self.wal.len()
+            )));
+        }
+        Ok(base)
+    }
+
+    /// Capture time of the image an adopter resumes from (zero: cold start).
+    pub(crate) fn resume_at(&self) -> SimTime {
+        self.capture.as_ref().map_or(SimTime::ZERO, |c| c.image.at)
+    }
+}
+
+fn corrupt(reason: String) -> VfpgaError {
+    VfpgaError::CheckpointCorrupt { reason }
+}
+
+/// [`RunOutcome`] before the cut is rendered.
+#[derive(Debug)]
+pub enum Segment {
+    /// The run finished.
+    Completed(Box<Report>, Trace),
+    /// The host crashed (or was cut on purpose) mid-run.
+    Cut(Box<Cut>),
+}
+
+impl Segment {
     /// The report and trace of a run that had no crash scheduled.
     pub(crate) fn completed(self) -> (Report, Trace) {
         match self {
-            RunOutcome::Completed(report, trace) => (*report, trace),
-            RunOutcome::Crashed(_) => unreachable!("run_until(None) schedules no crash"),
+            Segment::Completed(report, trace) => (*report, trace),
+            Segment::Cut(_) => unreachable!("run_to_cut(None) schedules no crash"),
         }
     }
 }
@@ -307,22 +407,22 @@ where
     S: Scheduler,
 {
     let mut inj = CrashInjector::new(plan);
-    let mut carry: Option<CrashState> = None;
+    let mut carry: Option<Box<Cut>> = None;
     loop {
         let mut sys = build().with_checkpoints(cfg)?;
-        if let Some(state) = &carry {
-            sys.restore_from(state)?;
+        if let Some(cut) = carry.take() {
+            sys.restore_cut(*cut)?;
         }
-        match sys.run_until(inj.next_crash_at())? {
-            RunOutcome::Completed(report, trace) => return Ok((*report, trace)),
-            RunOutcome::Crashed(state) => carry = Some(*state),
+        match sys.run_to_cut(inj.next_crash_at())? {
+            Segment::Completed(report, trace) => return Ok((*report, trace)),
+            Segment::Cut(cut) => carry = Some(cut),
         }
     }
 }
 
 /// Run a workload to completion under seeded host crashes: build the
 /// system, run until the injector's next crash time, restore from the
-/// carried [`CrashState`], repeat. `build` must produce identically
+/// carried [`Cut`], repeat. `build` must produce identically
 /// configured systems (same tasks, manager, scheduler, seeds) — it is
 /// called once per crash plus once.
 ///
@@ -355,22 +455,6 @@ where
     S: Scheduler,
 {
     crash_loop(move || build().with_trace(), cfg, plan)
-}
-
-/// Index of the first journal record the carried checkpoint does not
-/// cover. A checkpoint claiming more records than the journal holds is
-/// corrupt.
-fn wal_base(state: &CrashState) -> Result<usize, VfpgaError> {
-    let base = state.image.as_ref().map_or(0, |i| i.wal_len);
-    if base > state.wal.len() {
-        return Err(VfpgaError::CheckpointCorrupt {
-            reason: format!(
-                "image covers {base} journal records, the journal holds {}",
-                state.wal.len()
-            ),
-        });
-    }
-    Ok(base)
 }
 
 impl<M: FpgaManager, S: Scheduler> System<M, S> {
@@ -467,7 +551,6 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
         pending.extend(
             self.queue
                 .pending_in_order()
-                .into_iter()
                 // The crash is the one event that must NOT survive: the
                 // next segment gets its own crash time.
                 .filter(|e| e.event != Ev::Crash)
@@ -547,15 +630,13 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
         Ok(())
     }
 
-    /// Adopt a durable checkpoint as this incarnation's restore point:
-    /// parse it back into a typed image, load it, and remember it as the
-    /// last capture, covering `wal_len` records of this device's journal.
-    fn adopt_image(&mut self, image: &CheckpointImage, wal_len: usize) -> Result<(), VfpgaError> {
-        let corrupt = |reason| VfpgaError::CheckpointCorrupt { reason };
-        let capture = Capture::from_durable(image, wal_len).map_err(corrupt)?;
+    /// Adopt a capture as this incarnation's restore point: load it and
+    /// remember it as the last capture, covering `wal_len` records of this
+    /// device's journal.
+    fn adopt_capture(&mut self, capture: Capture, wal_len: usize) -> Result<(), VfpgaError> {
         self.restore(&capture.image).map_err(corrupt)?;
         self.ckpt_seq = capture.seq;
-        self.last_ckpt = Some(capture);
+        self.last_ckpt = Some(Capture { wal_len, ..capture });
         Ok(())
     }
 
@@ -597,9 +678,9 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
         }
     }
 
-    /// The host dies at `now`: bundle up everything that survives on
+    /// The host dies at `now`: move out everything that survives on
     /// durable storage (last checkpoint + journal + accounting).
-    pub(crate) fn crash_now(&mut self, now: SimTime) -> CrashState {
+    pub(crate) fn crash_now(&mut self, now: SimTime) -> Cut {
         self.crash.crashes += 1;
         let base = self.last_ckpt.as_ref().map(|i| i.wal_len).unwrap_or(0);
         let at_risk = (self.dev.wal.len() - base) as u32;
@@ -614,12 +695,17 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
             downloads_at_risk: at_risk,
             torn: torn > 0,
         });
-        CrashState {
+        let cut = Cut {
             at: now,
-            image: self.last_ckpt.as_ref().map(Capture::to_durable),
+            capture: self.last_ckpt.take(),
             wal: std::mem::take(&mut self.dev.wal),
             stats: self.crash,
-        }
+        };
+        debug_assert!(
+            cut.survives_durable_form(),
+            "a cut must survive the render/parse round trip"
+        );
+        cut
     }
 
     /// Restore a freshly built system from what survived a crash: apply
@@ -629,26 +715,30 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
     /// claims (clean re-downloads later); with it off, those claims stay
     /// and are marked stale — the next "hit" computes garbage.
     pub fn restore_from(&mut self, state: &CrashState) -> Result<(), VfpgaError> {
+        self.restore_cut(Cut::from_durable(state)?)
+    }
+
+    /// [`restore_from`](Self::restore_from) for a cut still in its process.
+    #[doc(hidden)]
+    pub fn restore_cut(&mut self, cut: Cut) -> Result<(), VfpgaError> {
         let _s = span::guard("restore");
         let Some(cfg) = self.ckpt else {
-            return Err(VfpgaError::CheckpointCorrupt {
-                reason: "restore_from requires with_checkpoints".into(),
-            });
+            return Err(corrupt("restore_from requires with_checkpoints".into()));
         };
-        self.crash = state.stats;
+        self.crash = cut.stats;
         // Whatever the restore leaves on the fabric was not produced by
         // WAL-visible downloads of THIS incarnation: the next checkpoint
         // capture must be a full image.
         self.ckpt_dirty_all = true;
-        self.dev.wal = state.wal.clone();
-        let base = wal_base(state)?;
-        if let Some(image) = &state.image {
-            self.adopt_image(image, image.wal_len)?;
+        let base = cut.wal_base()?;
+        self.dev.wal = cut.wal;
+        if let Some(capture) = cut.capture {
+            self.adopt_capture(capture, base)?;
         }
         // Cold restart (no image): the fresh construction state IS the
         // restart state — arrivals and the first checkpoint are already
         // scheduled; only the journal below needs attention.
-        let crash_at = state.at;
+        let crash_at = cut.at;
         let post: Vec<WalRecord> = self.dev.wal[base..].to_vec();
         if post.is_empty() {
             return Ok(());
@@ -733,26 +823,23 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
     /// so far on a cold start), that capture time, and the discarded claims.
     pub(crate) fn adopt_onto_fresh_fabric(
         &mut self,
-        state: &CrashState,
+        cut: Cut,
         who: &str,
     ) -> Result<(u32, SimDuration, SimTime, Vec<ResidentRegion>), VfpgaError> {
         if self.ckpt.is_none() {
-            return Err(VfpgaError::CheckpointCorrupt {
-                reason: format!("{who} requires with_checkpoints"),
-            });
+            return Err(corrupt(format!("{who} requires with_checkpoints")));
         }
-        self.crash = state.stats;
+        self.crash = cut.stats;
         // Fresh fabric on the destination device: full capture next.
         self.ckpt_dirty_all = true;
-        let base = wal_base(state)?;
-        let mut resume_at = SimTime::ZERO;
-        if let Some(image) = &state.image {
-            self.adopt_image(image, 0)?;
-            resume_at = image.at;
+        let base = cut.wal_base()?;
+        let resume_at = cut.resume_at();
+        if let Some(capture) = cut.capture {
+            self.adopt_capture(capture, 0)?;
         }
-        let torn = state.wal[base..]
+        let torn = cut.wal[base..]
             .iter()
-            .filter(|r| r.in_flight_at(state.at))
+            .filter(|r| r.in_flight_at(cut.at))
             .count() as u32;
         self.crash.records_undone += u64::from(torn);
         self.dev.wal.clear();
@@ -760,7 +847,7 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
         discarded.retain(|claim| self.dev.manager.discard_resident(claim.cid));
         self.dev.latent.clear();
         self.dev.stale.clear();
-        Ok((torn, state.at - resume_at, resume_at, discarded))
+        Ok((torn, cut.at - resume_at, resume_at, discarded))
     }
 
     /// Adopt a shard that died with its device: restore this freshly
@@ -777,9 +864,15 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
     /// restored from the image re-executes its post-checkpoint work on
     /// the destination, exactly like the journal-on restore path.
     pub fn fail_over_from(&mut self, state: &CrashState) -> Result<FailoverReceipt, VfpgaError> {
+        self.fail_over_cut(Cut::from_durable(state)?)
+    }
+
+    /// [`fail_over_from`](Self::fail_over_from) for a cut still in its process.
+    #[doc(hidden)]
+    pub fn fail_over_cut(&mut self, cut: Cut) -> Result<FailoverReceipt, VfpgaError> {
         let _s = span::guard("failover");
         let (torn, redo_window, _, discarded) =
-            self.adopt_onto_fresh_fabric(state, "fail_over_from")?;
+            self.adopt_onto_fresh_fabric(cut, "fail_over_from")?;
         Ok(FailoverReceipt {
             migrated_claims: discarded.len() as u32,
             torn_undone: torn,

@@ -21,7 +21,7 @@
 //! pool and at most one shard per rejoin is rebalanced onto it through
 //! the same (conservatively priced) checkpoint-cut migration path.
 
-use crate::checkpoint::{CheckpointConfig, RunOutcome};
+use crate::checkpoint::{CheckpointConfig, Segment};
 use crate::counters::Counters;
 use crate::error::VfpgaError;
 use crate::manager::FpgaManager;
@@ -656,19 +656,18 @@ where
             let Some(si) = victim else { continue };
             let sys = take_system(&mut build, cfg.ckpt, &mut shards[si])?;
             let from = shards[si].host;
-            match sys.run_until(Some(t)).map_err(|e| on_device(from, e))? {
-                RunOutcome::Completed(report, _) => {
+            match sys.run_to_cut(Some(t)).map_err(|e| on_device(from, e))? {
+                Segment::Completed(report, _) => {
                     finish(&mut shards[si], &mut hosted, *report, Some(from));
                 }
-                RunOutcome::Crashed(state) => {
+                Segment::Cut(mut cut) => {
                     // A planned migration, not a host crash: cut at the
                     // rejoin instant and restore on the rejoined device.
-                    let mut state = *state;
-                    state.stats.crashes -= 1;
+                    cut.stats.crashes -= 1;
                     hosted[from as usize] -= 1;
                     hosted[idx] += 1;
                     let mut sys = build_shard(&mut build, cfg.ckpt, &shards[si], d, false)?;
-                    let receipt = sys.fail_over_from(&state).map_err(|e| on_device(d, e))?;
+                    let receipt = sys.fail_over_cut(*cut).map_err(|e| on_device(d, e))?;
                     stats.rebalances += 1;
                     book_failover(&receipt, SimDuration::ZERO, &mut stats, &mut migration_lat);
                     events.push((
@@ -692,16 +691,15 @@ where
         let si = idx;
         let from = shards[si].host;
         let sys = take_system(&mut build, cfg.ckpt, &mut shards[si])?;
-        match sys.run_until(Some(t)).map_err(|e| on_device(from, e))? {
-            RunOutcome::Completed(report, _) => {
+        match sys.run_to_cut(Some(t)).map_err(|e| on_device(from, e))? {
+            Segment::Completed(report, _) => {
                 // The shard finished before the device died.
                 finish(&mut shards[si], &mut hosted, *report, Some(from));
                 continue;
             }
-            RunOutcome::Crashed(state) => {
-                let mut state = *state;
+            Segment::Cut(mut cut) => {
                 // Reattribute: this is a device fault, not a host crash.
-                state.stats.crashes -= 1;
+                cut.stats.crashes -= 1;
                 hosted[from as usize] -= 1;
                 // Walk the retry ladder for a destination that is up and
                 // has capacity at the attempt instant.
@@ -731,7 +729,7 @@ where
                     Some((d, at, k)) => {
                         hosted[d as usize] += 1;
                         let mut sys = build_shard(&mut build, cfg.ckpt, &shards[si], d, false)?;
-                        let receipt = sys.fail_over_from(&state).map_err(|e| on_device(d, e))?;
+                        let receipt = sys.fail_over_cut(*cut).map_err(|e| on_device(d, e))?;
                         stats.failovers += 1;
                         let wait = cfg.retry_backoff * u64::from(k);
                         book_failover(&receipt, wait, &mut stats, &mut migration_lat);
@@ -753,7 +751,7 @@ where
                         // No device has room: finish the shard on the
                         // software-priced path. It cannot crash again.
                         let mut sys = build_shard(&mut build, cfg.ckpt, &shards[si], from, true)?;
-                        let receipt = sys.fail_over_from(&state).map_err(|e| on_device(from, e))?;
+                        let receipt = sys.fail_over_cut(*cut).map_err(|e| on_device(from, e))?;
                         stats.software_fallbacks += 1;
                         let wait = cfg.retry_backoff * u64::from(cfg.max_failover_retries);
                         book_failover(&receipt, wait, &mut stats, &mut migration_lat);
@@ -772,7 +770,7 @@ where
                         // last durable checkpoint had not captured as
                         // finished is lost in flight.
                         let mut sys = build_shard(&mut build, cfg.ckpt, &shards[si], from, false)?;
-                        sys.fail_over_from(&state).map_err(|e| on_device(from, e))?;
+                        sys.fail_over_cut(*cut).map_err(|e| on_device(from, e))?;
                         let report = sys.abandon_lost(t);
                         let lost = report.tasks.iter().filter(|m| m.lost_in_flight).count() as u32;
                         stats.lost_in_flight += u64::from(lost);
@@ -983,15 +981,14 @@ where
         return Ok(());
     };
     let sys = take_system(build, cfg.ckpt, &mut shards[si])?;
-    let state = match sys.run_until(Some(t)).map_err(|e| on_device(from, e))? {
-        RunOutcome::Completed(report, _) => {
+    let mut cut = match sys.run_to_cut(Some(t)).map_err(|e| on_device(from, e))? {
+        Segment::Completed(report, _) => {
             // The shard finished before the instant: nothing to migrate.
             finish(&mut shards[si], hosted, *report, Some(from));
             return Ok(());
         }
-        RunOutcome::Crashed(state) => state,
+        Segment::Cut(cut) => *cut,
     };
-    let mut state = *state;
     let (_k, window) = engine.begin_attempt();
     // In the two genuinely-fatal windows a host dies mid-protocol and
     // the crash count stands; a clean cut (and the commit-without-free
@@ -1002,20 +999,22 @@ where
         Some(MigrationCrashWindow::SourceMidPrepare) | Some(MigrationCrashWindow::DestMidCopy)
     );
     if !genuine {
-        state.stats.crashes -= 1;
+        cut.stats.crashes -= 1;
     }
     // The remainder continues on the source either way. It is built with
     // the shard's FULL spec list — identical task indexing — so the cut
     // state restores unchanged; the migrated tenant is then subtracted.
+    // The destination, if the protocol gets that far, adopts the same cut.
+    let resume = cut.resume_at();
     let mut rem = build_shard(build, cfg.ckpt, &shards[si], from, false)?;
-    rem.restore_from(&state).map_err(|e| on_device(from, e))?;
+    rem.restore_cut(cut.clone())
+        .map_err(|e| on_device(from, e))?;
     let victim = {
         let mut ts = shards[si].tenants.clone();
         ts.sort_unstable();
         ts.into_iter().find(|&v| rem.live_tasks_of(v) > 0)
     }
     .expect("a cut shard has live work for some tenant");
-    let resume = state.image.as_ref().map(|i| i.at).unwrap_or(SimTime::ZERO);
     match window {
         Some(w @ (MigrationCrashWindow::SourceMidPrepare | MigrationCrashWindow::DestMidCopy)) => {
             // A host died before the commit. Mid-prepare it was the
@@ -1074,7 +1073,7 @@ where
             };
             let mut dst = build_shard(build, cfg.ckpt, &dst_sr, d, false)?;
             let receipt = dst
-                .migrate_in(&state, victim, cfg.migrations.delta_copy)
+                .migrate_in_cut(cut, victim, cfg.migrations.delta_copy)
                 .map_err(|e| on_device(d, e))?;
             engine.journal_both(victim, from, d, MigrationPhase::Commit);
             // Source side: drop the tenant. The free rides along unless

@@ -8,9 +8,12 @@
 //! and the manager's own `snapshot` methods return. Capturing one is a
 //! flat copy, so a periodic checkpoint costs the host almost nothing.
 //!
-//! JSON enters only where state crosses the durability boundary — a host
-//! crash, a failover, a migration — through [`SystemImage::to_json`],
-//! which renders the `vfpga-ckpt/3` schema: the task table is one
+//! JSON enters only where state leaves the process — the public
+//! [`CrashState`](crate::CrashState) of `run_until`/`restore_from`; a
+//! crash, failover, rebalance or migration handed on *inside* one process
+//! stays a typed [`Cut`](crate::checkpoint::Cut) — through
+//! [`SystemImage::to_json`], which renders the `vfpga-ckpt/3` schema: the
+//! task table is one
 //! `task_columns` header (the [`TaskSlot`] field names, once) and one
 //! positional row of scalars per task, so a crash allocates one array
 //! and one state name a task and no keys; every counter section (`fault`,
@@ -27,14 +30,13 @@
 //! trace dies with its host anyway.
 
 use crate::admission::{AdmissionState, AdmissionStats};
-use crate::checkpoint::CheckpointImage;
 use crate::circuit::CircuitId;
 use crate::counters::Counters;
 use crate::recovery::FaultStats;
 use crate::system::Ev;
 use crate::task::{TaskId, TaskSlot, TaskState};
 use fsim::json::{Json, Obj};
-use fsim::{span, SimDuration, SimTime};
+use fsim::{SimDuration, SimTime};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// Schema tag of the rendered image.
@@ -76,53 +78,15 @@ pub(crate) struct Latent {
 }
 
 /// One captured checkpoint as the running system holds it: typed, so the
-/// capture is a copy. It is a [`CheckpointImage`] (JSON) only while it is
-/// outside the host.
+/// capture is a copy. It is a [`CheckpointImage`](crate::CheckpointImage)
+/// (JSON) only while it is outside the process.
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct Capture {
     /// Monotone checkpoint number.
     pub(crate) seq: u64,
     /// How many [`WalRecord`](crate::WalRecord)s the image covers.
     pub(crate) wal_len: usize,
     pub(crate) image: SystemImage,
-}
-
-impl Capture {
-    /// The capture as it leaves the host: rendered to its `vfpga-ckpt/3`
-    /// tree. Debug builds prove here that the rendering parses back to
-    /// the same typed image; release builds rely on the property tests.
-    pub(crate) fn to_durable(&self) -> CheckpointImage {
-        let _s = span::guard("image_json");
-        let state = self.image.to_json();
-        debug_assert_eq!(
-            Json::parse(&state.render())
-                .map_err(|e| e.to_string())
-                .and_then(|json| SystemImage::from_json(&json))
-                .as_ref(),
-            Ok(&self.image),
-            "a checkpoint image must survive the render/parse round trip"
-        );
-        CheckpointImage {
-            seq: self.seq,
-            at: self.image.at,
-            wal_len: self.wal_len,
-            state,
-        }
-    }
-
-    /// A durable checkpoint coming back into a host, as the restore point
-    /// of a journal that holds `wal_len` records the image already covers.
-    pub(crate) fn from_durable(durable: &CheckpointImage, wal_len: usize) -> Result<Self, String> {
-        let _s = span::guard("image_json");
-        let image = SystemImage::from_json(&durable.state)?;
-        if image.at != durable.at {
-            return Err("image capture time disagrees with its state".into());
-        }
-        Ok(Capture {
-            seq: durable.seq,
-            wal_len,
-            image,
-        })
-    }
 }
 
 /// The full mutable state of one [`System`](crate::System) at one instant.

@@ -6,8 +6,8 @@
 //!
 //! * **Prepare** — cut the source at the migration instant (the existing
 //!   readback-priced checkpoint path is the snapshot: the cut reuses the
-//!   crash machinery, so the captured [`crate::CrashState`] is exactly
-//!   what a failover would carry), reserve the destination, and journal a
+//!   crash machinery, so the [`Cut`] it leaves is exactly what a failover
+//!   would carry), reserve the destination, and journal a
 //!   [`MigrationPhase::Intent`] record on *both* sides' migration logs.
 //! * **Commit** — build the destination shard, adopt the tenant via
 //!   [`crate::System::migrate_in`] (delta-anchored ghost implant when the
@@ -41,7 +41,7 @@ use fpga::journal::{MigrationLog, MigrationPhase, MigrationRecord, MigrationReso
 use fsim::{span, MigrationCrashWindow, MigrationInjector, MigrationPlan, SimDuration, SimTime};
 
 use crate::admission::{AdmissionRt, AdmissionStats};
-use crate::checkpoint::{CrashState, CrashStats};
+use crate::checkpoint::{CrashState, CrashStats, Cut};
 use crate::counters::Counters;
 use crate::error::VfpgaError;
 use crate::manager::{redownload_cost, DeltaStats, FpgaManager, ManagerStats, ResidentRegion};
@@ -162,11 +162,13 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
             self.running = None;
         }
         let pending = self.queue.pending_in_order();
+        let kept: Vec<(SimTime, Ev)> = pending
+            .filter(|ev| !ev.event.task().is_some_and(|t| gone[t.0 as usize]))
+            .map(|ev| (ev.at, ev.event))
+            .collect();
         self.queue.clear();
-        for ev in pending {
-            if !ev.event.task().is_some_and(|t| gone[t.0 as usize]) {
-                self.queue.schedule_at(ev.at, ev.event);
-            }
+        for (at, ev) in kept {
+            self.queue.schedule_at(at, ev);
         }
         for &tid in &moved {
             self.release_claims(tid, resume_at);
@@ -243,9 +245,20 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
         tenant: u32,
         delta: bool,
     ) -> Result<MigrateInReceipt, VfpgaError> {
+        self.migrate_in_cut(Cut::from_durable(state)?, tenant, delta)
+    }
+
+    /// [`migrate_in`](Self::migrate_in) for a cut still in its process.
+    #[doc(hidden)]
+    pub fn migrate_in_cut(
+        &mut self,
+        cut: Cut,
+        tenant: u32,
+        delta: bool,
+    ) -> Result<MigrateInReceipt, VfpgaError> {
         let _s = span::guard("migrate_in");
         let (torn, redo_window, resume_at, discarded) =
-            self.adopt_onto_fresh_fabric(state, "migrate_in")?;
+            self.adopt_onto_fresh_fabric(cut, "migrate_in")?;
         // The tenant's own claims are what the staged copy re-creates
         // here — remember their geometry for the implant.
         let tenant_circuits = self.circuits_of(|t| t == tenant);

@@ -18,7 +18,7 @@
 //! [`crate::checkpoint`], [`crate::migrate`] (DESIGN.md §18).
 
 use crate::admission::{AdmissionPolicy, AdmissionRt, Arrival};
-use crate::checkpoint::{CheckpointConfig, CrashStats, RunOutcome, WalRecord};
+use crate::checkpoint::{CheckpointConfig, CrashStats, RunOutcome, Segment, WalRecord};
 use crate::circuit::CircuitLib;
 use crate::error::VfpgaError;
 use crate::image::{Capture, FpgaSeg, Latent, Running};
@@ -413,24 +413,25 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
         if !self.trace.is_enabled() {
             return Err(VfpgaError::TraceDisabled);
         }
-        Ok(self.run_until(None)?.completed())
+        Ok(self.run_to_cut(None)?.completed())
     }
 
     /// Run to completion and report. Fails with [`VfpgaError::Deadlock`]
     /// when the manager/scheduler combination strands a task.
     pub fn run(self) -> Result<Report, VfpgaError> {
-        Ok(self.run_until(None)?.completed().0)
+        Ok(self.run_to_cut(None)?.completed().0)
     }
 
     /// Run until completion *or* a host crash at `crash_at`. A crash that
     /// lands after the last task finishes is ignored (the run completed
-    /// first). Used by [`crate::checkpoint::run_with_crashes`]; plain runs
-    /// go through [`run`](Self::run).
-    pub fn run_until(mut self, crash_at: Option<SimTime>) -> Result<RunOutcome, VfpgaError> {
-        if let Some(t) = crash_at {
-            self.queue.schedule_at(t, Ev::Crash);
-        }
-        self.run_core()
+    /// first). The crash state leaves the process rendered;
+    /// [`crate::checkpoint::run_with_crashes`] and the fleet keep theirs
+    /// typed. Plain runs go through [`run`](Self::run).
+    pub fn run_until(self, crash_at: Option<SimTime>) -> Result<RunOutcome, VfpgaError> {
+        Ok(match self.run_to_cut(crash_at)? {
+            Segment::Completed(report, trace) => RunOutcome::Completed(report, trace),
+            Segment::Cut(cut) => RunOutcome::Crashed(Box::new(cut.to_durable())),
+        })
     }
 
     /// Record one typed event: bump its registry counter (two events'
@@ -489,7 +490,12 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
             .sample("ready_queue_depth", now, self.sched.len() as f64);
     }
 
-    fn run_core(mut self) -> Result<RunOutcome, VfpgaError> {
+    /// [`run_until`](Self::run_until) for a next incarnation in this process.
+    #[doc(hidden)]
+    pub fn run_to_cut(mut self, crash_at: Option<SimTime>) -> Result<Segment, VfpgaError> {
+        if let Some(t) = crash_at {
+            self.queue.schedule_at(t, Ev::Crash);
+        }
         self.seed_faults();
         // The span guards below are free when no profiling harness has
         // recording enabled on this thread (one thread-local check each);
@@ -513,8 +519,8 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
                     // A crash after the last task finished changes nothing
                     // observable: the run completed first.
                     if self.unfinished > 0 {
-                        let state = span::time("crash", || self.crash_now(now));
-                        return Ok(RunOutcome::Crashed(Box::new(state)));
+                        let cut = span::time("crash", || self.crash_now(now));
+                        return Ok(Segment::Cut(Box::new(cut)));
                     }
                 }
                 Ev::Watchdog { tid, seq } => {
@@ -539,7 +545,7 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
             }
         }
         let (report, trace) = self.into_report();
-        Ok(RunOutcome::Completed(Box::new(report), trace))
+        Ok(Segment::Completed(Box::new(report), trace))
     }
 
     /// Build the final report from whatever terminal state the task table

@@ -16,8 +16,9 @@
 //!
 //! See `README.md` for a tour, `DESIGN.md` for the system inventory, and
 //! `EXPERIMENTS.md` for the paper-claim → measurement index. Runnable
-//! examples live in `examples/`; the experiment binaries in
-//! `crates/bench/src/bin/`.
+//! examples live in `examples/`; the experiments run as `vfpga-exp <name>`
+//! (one binary in `crates/bench/src/bin/`, one module an experiment in
+//! `crates/bench/src/exp/`).
 
 pub use fpga;
 pub use fsim;
