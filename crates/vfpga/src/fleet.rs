@@ -21,21 +21,21 @@
 //! pool and at most one shard per rejoin is rebalanced onto it through
 //! the same (conservatively priced) checkpoint-cut migration path.
 
-use crate::checkpoint::{CheckpointConfig, Segment};
+use crate::checkpoint::{CheckpointConfig, Cut, Segment};
 use crate::counters::Counters;
 use crate::error::VfpgaError;
 use crate::manager::FpgaManager;
 use crate::metrics::{Report, TaskMetrics};
-use crate::migrate::{CounterBaseline, MigrationEngine};
+use crate::migrate::{CounterBaseline, MigrationEngine, Move};
 use crate::sched::Scheduler;
 use crate::system::{FailoverReceipt, System};
 use crate::task::TaskSpec;
 use fpga::journal::{MigrationPhase, MigrationResolution};
 use fsim::{
-    DeviceFaultInjector, DeviceFaultPlan, HistSet, LogHistogram, Metrics, MigrationCrashWindow,
-    MigrationPlan, SimDuration, SimTime, TimelineSet, Trace, TraceEvent,
+    span, DeviceFaultInjector, DeviceFaultPlan, HistSet, LogHistogram, Metrics,
+    MigrationCrashWindow, MigrationPlan, SimDuration, SimTime, TimelineSet, Trace, TraceEvent,
 };
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 
 /// Identifies one physical device in a fleet. Single-device systems are
@@ -369,40 +369,13 @@ fn place_tenants(cfg: &FleetConfig, specs: &[TaskSpec]) -> Vec<(u32, u32)> {
         .collect()
 }
 
-/// Pick a failover/rebalance destination among `cands` (devices that are
-/// up and have hosting capacity), policy-flavored and deterministic.
-fn pick_destination(
-    policy: PlacementPolicy,
-    cands: &[u32],
-    hosted: &[u32],
-    devices: u32,
-    home: u32,
-    from: u32,
-) -> Option<u32> {
-    if cands.is_empty() {
-        return None;
-    }
-    let least = || {
-        cands
-            .iter()
-            .copied()
-            .min_by_key(|&d| (hosted[d as usize], d))
-            .expect("cands is non-empty")
-    };
-    Some(match policy {
-        PlacementPolicy::RoundRobin => (1..=devices)
-            .map(|o| (from + o) % devices)
-            .find(|d| cands.contains(d))
-            .expect("cands is a subset of the cyclic walk"),
-        PlacementPolicy::LeastLoaded => least(),
-        PlacementPolicy::Affinity => {
-            if cands.contains(&home) {
-                home
-            } else {
-                least()
-            }
-        }
-    })
+/// How a finished shard ended.
+struct Done {
+    report: Report,
+    /// `None`: finished on the software path, or abandoned.
+    final_host: Option<u32>,
+    /// Tasks counted `lost_in_flight`.
+    lost: u32,
 }
 
 /// Internal per-shard run state.
@@ -429,102 +402,17 @@ struct ShardRun<M: FpgaManager, S: Scheduler> {
     /// segment. `None` until first needed — segments after a migration
     /// carry the restored system here.
     pending: Option<System<M, S>>,
-    /// Set when the shard is finished: (report, final host, lost tasks).
-    done: Option<(Report, Option<u32>, u32)>,
+    /// Set when the shard is finished.
+    done: Option<Done>,
 }
 
-/// Build one shard's system on `device`: builder → device id →
-/// checkpoints.
-fn build_shard<M, S, F>(
-    build: &mut F,
-    ckpt: Option<CheckpointConfig>,
-    sr: &ShardRun<M, S>,
-    device: u32,
-    software: bool,
-) -> Result<System<M, S>, VfpgaError>
-where
-    M: FpgaManager,
-    S: Scheduler,
-    F: FnMut(&ShardCtx<'_>) -> Result<System<M, S>, VfpgaError>,
-{
-    let ctx = ShardCtx {
-        shard: sr.shard,
-        device: DeviceId(device),
-        home: DeviceId(sr.home),
-        tenants: &sr.tenants,
-        specs: &sr.specs,
-        software,
-    };
-    let mut sys = build(&ctx)
-        .map_err(|e| on_device(device, e))?
-        .with_device_id(DeviceId(device));
-    if let Some(c) = ckpt {
-        sys = sys.with_checkpoints(c).map_err(|e| on_device(device, e))?;
-    }
-    Ok(sys)
-}
-
-/// The system a shard runs its next segment on: the one a restore left
-/// waiting, else a fresh build on the shard's host.
-fn take_system<M, S, F>(
-    build: &mut F,
-    ckpt: Option<CheckpointConfig>,
-    sr: &mut ShardRun<M, S>,
-) -> Result<System<M, S>, VfpgaError>
-where
-    M: FpgaManager,
-    S: Scheduler,
-    F: FnMut(&ShardCtx<'_>) -> Result<System<M, S>, VfpgaError>,
-{
-    match sr.pending.take() {
-        Some(sys) => Ok(sys),
-        None => build_shard(build, ckpt, sr, sr.host, false),
-    }
-}
-
-/// Book one hand-off's receipt: the claims it discarded, the window it
-/// re-executes, and its latency — that window plus the `wait` spent
-/// backing off first.
-fn book_failover(
-    receipt: &FailoverReceipt,
-    wait: SimDuration,
-    stats: &mut FleetStats,
-    migration_lat: &mut LogHistogram,
-) {
-    stats.migrated_claims += u64::from(receipt.migrated_claims);
-    stats.redo_time += receipt.redo_window;
-    migration_lat.record((receipt.redo_window + wait).as_nanos());
-}
-
-/// Run a sharded fleet to completion.
-///
-/// `build` is called once per run segment with a [`ShardCtx`] and must
-/// return an un-run [`System`] for that shard's specs — managers,
-/// schedulers, fault plans and admission policies are its business; the
-/// fleet only attaches the device id and checkpoint config. Builds must
-/// be deterministic in the context (same ctx → same system), which makes
-/// the whole fleet run deterministic in (config, specs, builder).
-pub fn run_fleet<M, S, F>(
-    cfg: &FleetConfig,
-    specs: Vec<TaskSpec>,
-    mut build: F,
-) -> Result<FleetReport, VfpgaError>
-where
-    M: FpgaManager,
-    S: Scheduler,
-    F: FnMut(&ShardCtx<'_>) -> Result<System<M, S>, VfpgaError>,
-{
-    cfg.validate()?;
-    let total_tasks = specs.len();
-    let device_of: BTreeMap<u32, u32> = place_tenants(cfg, &specs).into_iter().collect();
-
-    // One shard per device that received at least one tenant, device
-    // order; tasks keep their original workload order within the shard.
-    let mut shards: Vec<ShardRun<M, S>> = (0..cfg.devices)
-        .map(|d| ShardRun {
+impl<M: FpgaManager, S: Scheduler> ShardRun<M, S> {
+    /// An empty shard placed on (and hosted by) `home`.
+    fn new(home: u32) -> Self {
+        ShardRun {
             shard: 0,
-            home: d,
-            host: d,
+            home,
+            host: home,
             tenants: Vec::new(),
             specs: Vec::new(),
             orig: Vec::new(),
@@ -535,302 +423,40 @@ where
             mig_baseline: None,
             pending: None,
             done: None,
-        })
-        .collect();
-    for (i, s) in specs.iter().enumerate() {
-        let sh = &mut shards[device_of[&s.tenant] as usize];
-        if !sh.tenants.contains(&s.tenant) {
-            sh.tenants.push(s.tenant);
-        }
-        sh.specs.push(s.clone());
-        sh.orig.push(i);
-    }
-    shards.retain(|sh| !sh.specs.is_empty());
-    for (i, sh) in shards.iter_mut().enumerate() {
-        sh.shard = i as u32;
-    }
-
-    let inj = DeviceFaultInjector::new(cfg.faults);
-    let windows: Vec<Vec<(SimTime, SimTime)>> = (0..cfg.devices).map(|d| inj.windows(d)).collect();
-    let mut rejoins: Vec<(SimTime, u32)> = windows
-        .iter()
-        .enumerate()
-        .flat_map(|(d, ws)| ws.iter().map(move |&(_, up)| (up, d as u32)))
-        .collect();
-    rejoins.sort();
-    let mut rejoin_ptr = 0usize;
-
-    let mut hosted = vec![0u32; cfg.devices as usize];
-    for sh in &shards {
-        hosted[sh.host as usize] += 1;
-    }
-
-    let mut stats = FleetStats::default();
-    let mut migration_lat = LogHistogram::new();
-    let mut events: Vec<(SimTime, TraceEvent)> = Vec::new();
-    let mut engine = MigrationEngine::new(cfg.migrations);
-
-    // Global event loop: interleave per-shard device-crash interrupts
-    // with device rejoins and planned migration instants in time order
-    // (crashes first on ties, then rejoins, then migrations). Each
-    // iteration either finishes a shard, strictly advances a shard's
-    // watermark, or consumes a rejoin or migration instant — and all
-    // three streams are finite, so the loop terminates.
-    loop {
-        if !shards.iter().any(|s| s.done.is_none()) {
-            break;
-        }
-        // Earliest pending interrupt: (time, kind, index). kind 0 =
-        // device crash cutting shard `index`, kind 1 = device `index`
-        // rejoining, kind 2 = planned migration instant.
-        let mut next: Option<(SimTime, u8, usize)> = None;
-        for (si, sr) in shards.iter().enumerate() {
-            if sr.done.is_some() {
-                continue;
-            }
-            if let Some(&(down, _)) = windows[sr.host as usize]
-                .iter()
-                .find(|&&(down, _)| down > sr.watermark)
-            {
-                let cand = (down, 0u8, si);
-                if next.is_none_or(|n| cand < n) {
-                    next = Some(cand);
-                }
-            }
-        }
-        if let Some(&(up, d)) = rejoins.get(rejoin_ptr) {
-            let cand = (up, 1u8, d as usize);
-            if next.is_none_or(|n| cand < n) {
-                next = Some(cand);
-            }
-        }
-        if let Some(at) = engine.next_instant() {
-            let cand = (at, 2u8, 0usize);
-            if next.is_none_or(|n| cand < n) {
-                next = Some(cand);
-            }
-        }
-        let Some((t, kind, idx)) = next else { break };
-
-        if kind == 2 {
-            migrate_one(
-                cfg,
-                t,
-                &mut engine,
-                &mut build,
-                &mut shards,
-                &mut hosted,
-                &windows,
-                &mut stats,
-                &mut migration_lat,
-                &mut events,
-            )?;
-            continue;
-        }
-
-        if kind == 1 {
-            // Device `idx` is back. Rebalance at most one shard onto it:
-            // prefer a shard coming home, else relieve the most crowded
-            // device; never move a shard restored at or after `t`.
-            rejoin_ptr += 1;
-            let d = idx as u32;
-            if hosted[idx] >= cfg.max_shards_per_device {
-                continue;
-            }
-            let victim = shards
-                .iter()
-                .position(|s| s.done.is_none() && s.host != d && s.home == d && s.watermark < t)
-                .or_else(|| {
-                    shards
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, s)| {
-                            s.done.is_none()
-                                && s.host != d
-                                && s.watermark < t
-                                && hosted[s.host as usize] > hosted[idx] + 1
-                        })
-                        .max_by_key(|(si, s)| (hosted[s.host as usize], std::cmp::Reverse(*si)))
-                        .map(|(si, _)| si)
-                });
-            let Some(si) = victim else { continue };
-            let sys = take_system(&mut build, cfg.ckpt, &mut shards[si])?;
-            let from = shards[si].host;
-            match sys.run_to_cut(Some(t)).map_err(|e| on_device(from, e))? {
-                Segment::Completed(report, _) => {
-                    finish(&mut shards[si], &mut hosted, *report, Some(from));
-                }
-                Segment::Cut(mut cut) => {
-                    // A planned migration, not a host crash: cut at the
-                    // rejoin instant and restore on the rejoined device.
-                    cut.stats.crashes -= 1;
-                    hosted[from as usize] -= 1;
-                    hosted[idx] += 1;
-                    let mut sys = build_shard(&mut build, cfg.ckpt, &shards[si], d, false)?;
-                    let receipt = sys.fail_over_cut(*cut).map_err(|e| on_device(d, e))?;
-                    stats.rebalances += 1;
-                    book_failover(&receipt, SimDuration::ZERO, &mut stats, &mut migration_lat);
-                    events.push((
-                        t,
-                        TraceEvent::FleetRebalance {
-                            shard: shards[si].shard,
-                            from_device: from,
-                            to_device: d,
-                        },
-                    ));
-                    shards[si].rebalances += 1;
-                    shards[si].host = d;
-                    shards[si].watermark = t;
-                    shards[si].pending = Some(sys);
-                }
-            }
-            continue;
-        }
-
-        // Device crash cutting shard `idx` at `t`.
-        let si = idx;
-        let from = shards[si].host;
-        let sys = take_system(&mut build, cfg.ckpt, &mut shards[si])?;
-        match sys.run_to_cut(Some(t)).map_err(|e| on_device(from, e))? {
-            Segment::Completed(report, _) => {
-                // The shard finished before the device died.
-                finish(&mut shards[si], &mut hosted, *report, Some(from));
-                continue;
-            }
-            Segment::Cut(mut cut) => {
-                // Reattribute: this is a device fault, not a host crash.
-                cut.stats.crashes -= 1;
-                hosted[from as usize] -= 1;
-                // Walk the retry ladder for a destination that is up and
-                // has capacity at the attempt instant.
-                let mut dest: Option<(u32, SimTime, u32)> = None;
-                for k in 0..=cfg.max_failover_retries {
-                    let at = t + cfg.retry_backoff * u64::from(k);
-                    let cands: Vec<u32> = (0..cfg.devices)
-                        .filter(|&d| {
-                            hosted[d as usize] < cfg.max_shards_per_device
-                                && device_up(&windows[d as usize], at)
-                        })
-                        .collect();
-                    if let Some(d) = pick_destination(
-                        cfg.placement,
-                        &cands,
-                        &hosted,
-                        cfg.devices,
-                        shards[si].home,
-                        from,
-                    ) {
-                        dest = Some((d, at, k));
-                        break;
-                    }
-                    stats.backoff_retries += 1;
-                }
-                match dest {
-                    Some((d, at, k)) => {
-                        hosted[d as usize] += 1;
-                        let mut sys = build_shard(&mut build, cfg.ckpt, &shards[si], d, false)?;
-                        let receipt = sys.fail_over_cut(*cut).map_err(|e| on_device(d, e))?;
-                        stats.failovers += 1;
-                        let wait = cfg.retry_backoff * u64::from(k);
-                        book_failover(&receipt, wait, &mut stats, &mut migration_lat);
-                        events.push((
-                            at,
-                            TraceEvent::Failover {
-                                from_device: from,
-                                to_device: d,
-                                tasks: receipt.live_tasks,
-                                redo: receipt.redo_window,
-                            },
-                        ));
-                        shards[si].failovers += 1;
-                        shards[si].host = d;
-                        shards[si].watermark = at;
-                        shards[si].pending = Some(sys);
-                    }
-                    None if cfg.software_fallback => {
-                        // No device has room: finish the shard on the
-                        // software-priced path. It cannot crash again.
-                        let mut sys = build_shard(&mut build, cfg.ckpt, &shards[si], from, true)?;
-                        let receipt = sys.fail_over_cut(*cut).map_err(|e| on_device(from, e))?;
-                        stats.software_fallbacks += 1;
-                        let wait = cfg.retry_backoff * u64::from(cfg.max_failover_retries);
-                        book_failover(&receipt, wait, &mut stats, &mut migration_lat);
-                        events.push((
-                            t,
-                            TraceEvent::SoftwareFailover {
-                                from_device: from,
-                                tasks: receipt.live_tasks,
-                            },
-                        ));
-                        let report = sys.run().map_err(|e| on_device(from, e))?;
-                        shards[si].done = Some((report, None, 0));
-                    }
-                    None => {
-                        // No destination, no fallback: everything the
-                        // last durable checkpoint had not captured as
-                        // finished is lost in flight.
-                        let mut sys = build_shard(&mut build, cfg.ckpt, &shards[si], from, false)?;
-                        sys.fail_over_cut(*cut).map_err(|e| on_device(from, e))?;
-                        let report = sys.abandon_lost(t);
-                        let lost = report.tasks.iter().filter(|m| m.lost_in_flight).count() as u32;
-                        stats.lost_in_flight += u64::from(lost);
-                        events.push((
-                            t,
-                            TraceEvent::FleetLost {
-                                device: from,
-                                tasks: lost,
-                            },
-                        ));
-                        shards[si].done = Some((report, None, lost));
-                    }
-                }
-            }
         }
     }
 
-    // Drain: no device-fault window can interrupt any surviving shard
-    // anymore — run each to completion in shard order.
-    for sr in &mut shards {
-        if sr.done.is_some() {
-            continue;
-        }
-        let host = sr.host;
-        let sys = take_system(&mut build, cfg.ckpt, sr)?;
-        let report = sys.run().map_err(|e| on_device(host, e))?;
-        finish(sr, &mut hosted, report, Some(host));
+    fn live(&self) -> bool {
+        self.done.is_none()
     }
 
-    // Fleet totals and per-shard counters are updated in lockstep above;
-    // the sums must agree exactly (the shard counters are u64 for this
-    // reason — a u32 per-shard sum could truncate against the total).
-    debug_assert_eq!(
-        stats.failovers,
-        shards.iter().map(|s| s.failovers).sum::<u64>(),
-        "fleet failover total equals the per-shard sum"
-    );
-    debug_assert_eq!(
-        stats.rebalances,
-        shards.iter().map(|s| s.rebalances).sum::<u64>(),
-        "fleet rebalance total equals the per-shard sum"
-    );
+    /// Continue from `at` on `host` with the restored `sys`.
+    fn resume_on(&mut self, host: u32, at: SimTime, sys: System<M, S>) {
+        self.host = host;
+        self.watermark = at;
+        self.pending = Some(sys);
+    }
 
-    // Assemble outcomes in shard order, then merge. A migration-touched
-    // shard ran with the full spec list for index stability; only the
-    // rows of the tenants it finished with are its to report — the other
-    // side of each split reports the rest.
-    let mut outcomes = Vec::with_capacity(shards.len());
-    let mut origs = Vec::with_capacity(shards.len());
-    for sr in shards {
-        let (mut report, final_host, lost) = sr.done.expect("every shard finished");
-        if let Some(base) = &sr.mig_baseline {
+    /// The finished shard's outcome and the original workload index of
+    /// each row it reports. A migration-touched shard ran with the full
+    /// spec list for index stability; only the rows of the tenants it
+    /// finished with are its to report — the other side of each split
+    /// reports the rest.
+    fn into_outcome(self) -> (ShardOutcome, Vec<usize>) {
+        let Done {
+            mut report,
+            final_host,
+            lost,
+        } = self.done.expect("every shard finished");
+        if let Some(base) = &self.mig_baseline {
             base.subtract_from(&mut report);
         }
-        let mut orig = sr.orig;
-        if sr.mig_touched {
-            let keep: Vec<bool> = sr
+        let mut orig = self.orig;
+        if self.mig_touched {
+            let keep: Vec<bool> = self
                 .specs
                 .iter()
-                .map(|s| sr.tenants.contains(&s.tenant))
+                .map(|s| self.tenants.contains(&s.tenant))
                 .collect();
             report.tasks = report
                 .tasks
@@ -850,297 +476,706 @@ where
                 .max()
                 .unwrap_or(SimDuration::ZERO);
         }
-        outcomes.push(ShardOutcome {
-            shard: sr.shard,
-            home: DeviceId(sr.home),
+        let outcome = ShardOutcome {
+            shard: self.shard,
+            home: DeviceId(self.home),
             final_host: final_host.map(DeviceId),
-            tenants: sr.tenants,
-            failovers: sr.failovers,
-            rebalances: sr.rebalances,
+            tenants: self.tenants,
+            failovers: self.failovers,
+            rebalances: self.rebalances,
             lost,
             report,
-        });
-        origs.push(orig);
+        };
+        (outcome, orig)
     }
-
-    // Device-fault bookkeeping against the merged horizon: windows that
-    // open (close) after every shard finished never happened as far as
-    // the run is concerned.
-    let makespan = outcomes
-        .iter()
-        .map(|o| o.report.makespan)
-        .max()
-        .unwrap_or(SimDuration::ZERO);
-    let horizon = SimTime::ZERO + makespan;
-    for (d, ws) in windows.iter().enumerate() {
-        for &(down, up) in ws {
-            if down <= horizon {
-                stats.device_crashes += 1;
-                events.push((
-                    down,
-                    TraceEvent::DeviceCrash {
-                        device: d as u32,
-                        outage: up - down,
-                    },
-                ));
-            }
-            if up <= horizon {
-                stats.rejoins += 1;
-                events.push((up, TraceEvent::DeviceRejoin { device: d as u32 }));
-            }
-        }
-    }
-    events.sort_by_key(|(at, e)| (*at, event_rank(e)));
-
-    let merged = merge_reports(&outcomes, &origs, total_tasks, stats);
-    debug_assert_eq!(merged.tasks.len(), total_tasks, "task conservation");
-
-    let mut trace = Trace::enabled();
-    for (at, e) in events {
-        trace.record(at, e);
-    }
-    Ok(FleetReport {
-        shards: outcomes,
-        merged,
-        stats,
-        trace,
-        migration_lat,
-    })
 }
 
-/// Mark a shard finished on `host`.
-fn finish<M: FpgaManager, S: Scheduler>(
-    sr: &mut ShardRun<M, S>,
-    hosted: &mut [u32],
-    report: Report,
-    host: Option<u32>,
-) {
-    if let Some(h) = host {
-        hosted[h as usize] -= 1;
-    }
-    sr.done = Some((report, host, 0));
+/// What interrupts the fleet next. Declaration order is the tie order at
+/// one instant: device crashes (lowest shard index first), then rejoins,
+/// then the planned migration — `(SimTime, FleetEv)` is the sort key.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum FleetEv {
+    /// The host of shard `.0` (an index into `Fleet::shards`) goes down.
+    DeviceDown(usize),
+    /// Device `.0` is back up.
+    Rejoin(u32),
+    /// A planned live-migration instant.
+    Migrate,
 }
 
-/// One planned live migration at instant `t`: pick the most crowded live
-/// shard, its lowest-id tenant with live work, and a destination device;
-/// then run the two-phase protocol — prepare (cut + journal intent on
-/// both sides), commit (adopt on the destination, flip placement,
-/// journal), free (release source residency, journal). A crash window
-/// targeting this attempt dies at the scripted step instead, and journal
-/// replay resolves what survives: intent-without-commit rolls the tenant
-/// back onto the source, commit-without-free redoes the free
-/// idempotently.
-#[allow(clippy::too_many_arguments)]
-fn migrate_one<M, S, F>(
-    cfg: &FleetConfig,
-    t: SimTime,
-    engine: &mut MigrationEngine,
-    build: &mut F,
-    shards: &mut Vec<ShardRun<M, S>>,
-    hosted: &mut [u32],
-    windows: &[Vec<(SimTime, SimTime)>],
-    stats: &mut FleetStats,
-    migration_lat: &mut LogHistogram,
-    events: &mut Vec<(SimTime, TraceEvent)>,
-) -> Result<(), VfpgaError>
+/// A fleet mid-run: every shard, where it is hosted, and what is still to
+/// happen to the devices. [`run_fleet`] steps it until nothing can
+/// interrupt a live shard any more, then drains it into the report.
+struct Fleet<'a, M: FpgaManager, S: Scheduler, F> {
+    cfg: &'a FleetConfig,
+    build: F,
+    shards: Vec<ShardRun<M, S>>,
+    /// Live shards per device.
+    hosted: Vec<u32>,
+    /// Outage windows `[down, up)` per device.
+    windows: Vec<Vec<(SimTime, SimTime)>>,
+    /// Rejoins not yet consumed, earliest first.
+    rejoins: VecDeque<(SimTime, FleetEv)>,
+    engine: MigrationEngine,
+    stats: FleetStats,
+    migration_lat: LogHistogram,
+    events: Vec<(SimTime, TraceEvent)>,
+}
+
+impl<'a, M, S, F> Fleet<'a, M, S, F>
 where
     M: FpgaManager,
     S: Scheduler,
     F: FnMut(&ShardCtx<'_>) -> Result<System<M, S>, VfpgaError>,
 {
-    engine.consume_instant();
-    // Victim shard: the live shard carrying the most tenants (ties to
-    // the lowest index), host up at `t`, not already cut at or past it.
-    let vi = shards
-        .iter()
-        .enumerate()
-        .filter(|(_, s)| {
-            s.done.is_none() && s.watermark < t && device_up(&windows[s.host as usize], t)
-        })
-        .max_by_key(|(si, s)| (s.tenants.len(), std::cmp::Reverse(*si)))
-        .map(|(si, _)| si);
-    let Some(si) = vi else { return Ok(()) };
-    let from = shards[si].host;
-    // Destination: a different device, up at `t`, with hosting capacity
-    // for the tenant's new shard — policy-flavored like failover.
-    let cands: Vec<u32> = (0..cfg.devices)
-        .filter(|&d| {
-            d != from
-                && hosted[d as usize] < cfg.max_shards_per_device
-                && device_up(&windows[d as usize], t)
-        })
-        .collect();
-    let Some(d) = pick_destination(
-        cfg.placement,
-        &cands,
-        hosted,
-        cfg.devices,
-        shards[si].home,
-        from,
-    ) else {
-        return Ok(());
-    };
-    let sys = take_system(build, cfg.ckpt, &mut shards[si])?;
-    let mut cut = match sys.run_to_cut(Some(t)).map_err(|e| on_device(from, e))? {
-        Segment::Completed(report, _) => {
-            // The shard finished before the instant: nothing to migrate.
-            finish(&mut shards[si], hosted, *report, Some(from));
+    /// Place `specs`' tenants: one shard per device that received at
+    /// least one, device order; tasks keep their original workload order
+    /// within the shard.
+    fn new(cfg: &'a FleetConfig, specs: Vec<TaskSpec>, build: F) -> Self {
+        let device_of: BTreeMap<u32, u32> = place_tenants(cfg, &specs).into_iter().collect();
+        let mut shards: Vec<ShardRun<M, S>> = (0..cfg.devices).map(ShardRun::new).collect();
+        for (i, s) in specs.into_iter().enumerate() {
+            let sh = &mut shards[device_of[&s.tenant] as usize];
+            if !sh.tenants.contains(&s.tenant) {
+                sh.tenants.push(s.tenant);
+            }
+            sh.specs.push(s);
+            sh.orig.push(i);
+        }
+        shards.retain(|sh| !sh.specs.is_empty());
+        let mut hosted = vec![0u32; cfg.devices as usize];
+        for (i, sh) in shards.iter_mut().enumerate() {
+            sh.shard = i as u32;
+            hosted[sh.host as usize] += 1;
+        }
+
+        let inj = DeviceFaultInjector::new(cfg.faults);
+        let windows: Vec<Vec<(SimTime, SimTime)>> =
+            (0..cfg.devices).map(|d| inj.windows(d)).collect();
+        let mut rejoins: Vec<(SimTime, FleetEv)> = windows
+            .iter()
+            .enumerate()
+            .flat_map(|(d, ws)| {
+                ws.iter()
+                    .map(move |&(_, up)| (up, FleetEv::Rejoin(d as u32)))
+            })
+            .collect();
+        rejoins.sort();
+
+        Fleet {
+            cfg,
+            build,
+            shards,
+            hosted,
+            windows,
+            rejoins: rejoins.into(),
+            engine: MigrationEngine::new(cfg.migrations),
+            stats: FleetStats::default(),
+            migration_lat: LogHistogram::new(),
+            events: Vec::new(),
+        }
+    }
+
+    /// The earliest pending interrupt: each live shard's next host outage
+    /// past its watermark, the next rejoin, the next migration instant.
+    fn next_event(&self) -> Option<(SimTime, FleetEv)> {
+        let live = self.shards.iter().enumerate().filter(|(_, sr)| sr.live());
+        let downs = live.filter_map(|(si, sr)| {
+            let ws = &self.windows[sr.host as usize];
+            let &(down, _) = ws.iter().find(|&&(down, _)| down > sr.watermark)?;
+            Some((down, FleetEv::DeviceDown(si)))
+        });
+        let rejoin = self.rejoins.front().copied();
+        let migrate = self.engine.next_instant().map(|t| (t, FleetEv::Migrate));
+        downs.chain(rejoin).chain(migrate).min()
+    }
+
+    /// Handle the earliest interrupt; `false` once every shard is done or
+    /// nothing can interrupt one any more. Each step either finishes a
+    /// shard, strictly advances a shard's watermark, or consumes a rejoin
+    /// or migration instant — and all three streams are finite, so
+    /// stepping terminates.
+    fn step(&mut self) -> Result<bool, VfpgaError> {
+        if !self.shards.iter().any(ShardRun::live) {
+            return Ok(false);
+        }
+        let Some((t, ev)) = self.next_event() else {
+            return Ok(false);
+        };
+        match ev {
+            FleetEv::DeviceDown(si) => self.on_device_down(si, t)?,
+            FleetEv::Rejoin(d) => self.on_rejoin(d, t)?,
+            FleetEv::Migrate => self.on_migrate(t)?,
+        }
+        if cfg!(debug_assertions) {
+            self.check_invariants();
+        }
+        Ok(true)
+    }
+
+    /// What must hold between any two steps. Debug builds check it after
+    /// every one, so Tier-1 and every in-process experiment run do.
+    fn check_invariants(&self) {
+        let mut recount = vec![0u32; self.hosted.len()];
+        for sr in self.shards.iter().filter(|s| s.live()) {
+            recount[sr.host as usize] += 1;
+            assert!(
+                device_up(&self.windows[sr.host as usize], sr.watermark),
+                "shard {} resumed at {:?} on device {}, which was down",
+                sr.shard,
+                sr.watermark,
+                sr.host
+            );
+        }
+        assert_eq!(self.hosted, recount, "hosted is the live shards a device");
+        let cap = self.cfg.max_shards_per_device;
+        assert!(
+            self.hosted.iter().all(|&n| n <= cap),
+            "a device hosts more than {cap} shards: {:?}",
+            self.hosted
+        );
+        let mut tenants: Vec<u32> = self
+            .shards
+            .iter()
+            .flat_map(|s| s.tenants.iter().copied())
+            .collect();
+        tenants.sort_unstable();
+        let placed = tenants.len();
+        tenants.dedup();
+        assert_eq!(placed, tenants.len(), "a tenant is on two shards");
+        let specs = self.shards.iter().flat_map(|s| &s.specs);
+        for tenant in specs.map(|s| s.tenant) {
+            assert!(
+                tenants.binary_search(&tenant).is_ok(),
+                "tenant {tenant} is on no shard"
+            );
+        }
+        // The shard counters are u64 like the totals: a u32 per-shard sum
+        // could truncate against them.
+        let sum = |f: fn(&ShardRun<M, S>) -> u64| self.shards.iter().map(f).sum::<u64>();
+        assert_eq!(
+            self.stats.failovers,
+            sum(|s| s.failovers),
+            "failovers = Σ shards"
+        );
+        assert_eq!(
+            self.stats.rebalances,
+            sum(|s| s.rebalances),
+            "rebalances = Σ shards"
+        );
+    }
+
+    /// Build shard `si`'s system on `device`: builder → device id →
+    /// checkpoints.
+    fn build_on(
+        &mut self,
+        si: usize,
+        device: u32,
+        software: bool,
+    ) -> Result<System<M, S>, VfpgaError> {
+        let sr = &self.shards[si];
+        let ctx = ShardCtx {
+            shard: sr.shard,
+            device: DeviceId(device),
+            home: DeviceId(sr.home),
+            tenants: &sr.tenants,
+            specs: &sr.specs,
+            software,
+        };
+        let mut sys = (self.build)(&ctx)
+            .map_err(|e| on_device(device, e))?
+            .with_device_id(DeviceId(device));
+        if let Some(c) = self.cfg.ckpt {
+            sys = sys.with_checkpoints(c).map_err(|e| on_device(device, e))?;
+        }
+        Ok(sys)
+    }
+
+    /// Run shard `si` — on the system a restore left waiting, else a
+    /// fresh build on its host — to completion or to a cut at `until`.
+    /// `None` means the shard finished first (and is marked so). The cut
+    /// is planned — a device fault, a rebalance, a migration — so it
+    /// comes back off the host-crash count.
+    fn run_shard(&mut self, si: usize, until: Option<SimTime>) -> Result<Option<Cut>, VfpgaError> {
+        let _s = span::guard("run_shard");
+        let host = self.shards[si].host;
+        let sys = match self.shards[si].pending.take() {
+            Some(sys) => sys,
+            None => self.build_on(si, host, false)?,
+        };
+        match sys.run_to_cut(until).map_err(|e| on_device(host, e))? {
+            Segment::Completed(report, _) => {
+                self.hosted[host as usize] -= 1;
+                self.shards[si].done = Some(Done {
+                    report: *report,
+                    final_host: Some(host),
+                    lost: 0,
+                });
+                Ok(None)
+            }
+            Segment::Cut(mut cut) => {
+                cut.stats.crashes -= 1;
+                Ok(Some(*cut))
+            }
+        }
+    }
+
+    /// Restore shard `si` from `cut` onto a fresh build on `device`, and
+    /// book the hand-off: the claims it discarded, the window it
+    /// re-executes, and its latency — that window plus the `wait` spent
+    /// backing off first.
+    fn adopt(
+        &mut self,
+        si: usize,
+        device: u32,
+        software: bool,
+        cut: Cut,
+        wait: SimDuration,
+    ) -> Result<(System<M, S>, FailoverReceipt), VfpgaError> {
+        let mut sys = self.build_on(si, device, software)?;
+        let receipt = sys.fail_over_cut(cut).map_err(|e| on_device(device, e))?;
+        self.stats.migrated_claims += u64::from(receipt.migrated_claims);
+        self.stats.redo_time += receipt.redo_window;
+        self.migration_lat
+            .record((receipt.redo_window + wait).as_nanos());
+        Ok((sys, receipt))
+    }
+
+    /// A failover or migration destination for shard `si`: a device that
+    /// is up at `at` and has hosting capacity (`elsewhere`: and is not its
+    /// host), policy-flavored like placement and deterministic — cyclic
+    /// from the host, least-occupied, or home first.
+    fn destination(&self, si: usize, at: SimTime, elsewhere: bool) -> Option<u32> {
+        let (sr, n, hosted) = (&self.shards[si], self.cfg.devices, &self.hosted);
+        let fits = |&d: &u32| {
+            !(elsewhere && d == sr.host)
+                && hosted[d as usize] < self.cfg.max_shards_per_device
+                && device_up(&self.windows[d as usize], at)
+        };
+        let least = || (0..n).filter(fits).min_by_key(|&d| (hosted[d as usize], d));
+        match self.cfg.placement {
+            PlacementPolicy::RoundRobin => (1..=n).map(|o| (sr.host + o) % n).find(fits),
+            PlacementPolicy::LeastLoaded => least(),
+            PlacementPolicy::Affinity => Some(sr.home).filter(fits).or_else(least),
+        }
+    }
+
+    /// Device `d` is back at `t`. Rebalance at most one shard onto it:
+    /// prefer a shard coming home, else relieve the most crowded device;
+    /// never move a shard restored at or after `t`.
+    fn on_rejoin(&mut self, d: u32, t: SimTime) -> Result<(), VfpgaError> {
+        self.rejoins.pop_front();
+        let here = self.hosted[d as usize];
+        if here >= self.cfg.max_shards_per_device {
             return Ok(());
         }
-        Segment::Cut(cut) => *cut,
-    };
-    let (_k, window) = engine.begin_attempt();
-    // In the two genuinely-fatal windows a host dies mid-protocol and
-    // the crash count stands; a clean cut (and the commit-without-free
-    // window, where only the final free is lost) is a planned migration,
-    // not a host crash.
-    let genuine = matches!(
-        window,
-        Some(MigrationCrashWindow::SourceMidPrepare) | Some(MigrationCrashWindow::DestMidCopy)
-    );
-    if !genuine {
-        cut.stats.crashes -= 1;
+        let hosted = &self.hosted;
+        let movable = |s: &ShardRun<M, S>| s.live() && s.host != d && s.watermark < t;
+        let victim = self
+            .shards
+            .iter()
+            .position(|s| movable(s) && s.home == d)
+            .or_else(|| {
+                self.shards
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, s)| movable(s) && hosted[s.host as usize] > here + 1)
+                    .max_by_key(|(si, s)| (hosted[s.host as usize], std::cmp::Reverse(*si)))
+                    .map(|(si, _)| si)
+            });
+        let Some(si) = victim else { return Ok(()) };
+        let from = self.shards[si].host;
+        // Cut at the rejoin instant and restore on the rejoined device.
+        let Some(cut) = self.run_shard(si, Some(t))? else {
+            return Ok(());
+        };
+        self.hosted[from as usize] -= 1;
+        self.hosted[d as usize] += 1;
+        let (sys, _) = self.adopt(si, d, false, cut, SimDuration::ZERO)?;
+        self.stats.rebalances += 1;
+        self.events.push((
+            t,
+            TraceEvent::FleetRebalance {
+                shard: self.shards[si].shard,
+                from_device: from,
+                to_device: d,
+            },
+        ));
+        self.shards[si].rebalances += 1;
+        self.shards[si].resume_on(d, t, sys);
+        Ok(())
     }
-    // The remainder continues on the source either way. It is built with
-    // the shard's FULL spec list — identical task indexing — so the cut
-    // state restores unchanged; the migrated tenant is then subtracted.
-    // The destination, if the protocol gets that far, adopts the same cut.
-    let resume = cut.resume_at();
-    let mut rem = build_shard(build, cfg.ckpt, &shards[si], from, false)?;
-    rem.restore_cut(cut.clone())
-        .map_err(|e| on_device(from, e))?;
-    let victim = {
-        let mut ts = shards[si].tenants.clone();
-        ts.sort_unstable();
-        ts.into_iter().find(|&v| rem.live_tasks_of(v) > 0)
-    }
-    .expect("a cut shard has live work for some tenant");
-    match window {
-        Some(w @ (MigrationCrashWindow::SourceMidPrepare | MigrationCrashWindow::DestMidCopy)) => {
-            // A host died before the commit. Mid-prepare it was the
-            // source's, and only the source had journaled its intent;
-            // mid staged copy it was the destination's, both sides had,
-            // and the destination never held anything durable. Replay
-            // resolves every bare intent to a rollback: the tenant stays
-            // on the source, backlog intact.
-            let journaled: &[u32] = match w {
-                MigrationCrashWindow::SourceMidPrepare => &[from],
-                _ => &[from, d],
-            };
-            for &dev in journaled {
-                engine.journal_on(dev, victim, from, d, MigrationPhase::Intent);
-                let rolled = engine
-                    .resolve_device(dev)
-                    .into_iter()
-                    .any(|(r, res)| r.tenant == victim && res == MigrationResolution::RollBack);
-                debug_assert!(rolled, "intent without commit must roll back");
-                engine.journal_on(dev, victim, from, d, MigrationPhase::Aborted);
-                engine.truncate_device(dev);
+
+    /// The host of shard `si` dies at `t`: fail the shard over, degrade it
+    /// to software, or lose what its last checkpoint had not finished.
+    fn on_device_down(&mut self, si: usize, t: SimTime) -> Result<(), VfpgaError> {
+        let from = self.shards[si].host;
+        let Some(cut) = self.run_shard(si, Some(t))? else {
+            return Ok(());
+        };
+        self.hosted[from as usize] -= 1;
+        // Walk the retry ladder for a destination that is up and has
+        // capacity at the attempt instant.
+        let backoff = self.cfg.retry_backoff;
+        let mut dest: Option<(u32, SimDuration)> = None;
+        for k in 0..=self.cfg.max_failover_retries {
+            let wait = backoff * u64::from(k);
+            if let Some(d) = self.destination(si, t + wait, false) {
+                dest = Some((d, wait));
+                break;
             }
-            stats.migration_aborts += 1;
-            events.push((
-                t,
-                TraceEvent::MigrationAbort {
-                    tenant: victim,
-                    from_device: from,
-                    to_device: d,
-                    reason: w.name(),
-                },
-            ));
-            shards[si].watermark = t;
-            shards[si].pending = Some(rem);
+            self.stats.backoff_retries += 1;
         }
-        other => {
-            // Commit path — clean, or the crash strikes between the
-            // commit and the source-side free.
-            let redo_free = matches!(other, Some(MigrationCrashWindow::BetweenCommitAndFree));
-            engine.journal_both(victim, from, d, MigrationPhase::Intent);
-            hosted[d as usize] += 1;
-            let mut dst_sr = ShardRun {
-                shard: shards.len() as u32,
-                home: d,
-                host: d,
-                tenants: vec![victim],
-                specs: shards[si].specs.clone(),
-                orig: shards[si].orig.clone(),
-                watermark: t,
-                failovers: 0,
-                rebalances: 0,
-                mig_touched: true,
-                mig_baseline: None,
-                pending: None,
-                done: None,
-            };
-            let mut dst = build_shard(build, cfg.ckpt, &dst_sr, d, false)?;
-            let receipt = dst
-                .migrate_in_cut(cut, victim, cfg.migrations.delta_copy)
-                .map_err(|e| on_device(d, e))?;
-            engine.journal_both(victim, from, d, MigrationPhase::Commit);
-            // Source side: drop the tenant. The free rides along unless
-            // the crash window ate it — then journal replay finds the
-            // commit-without-free and redoes the free idempotently.
-            let manifest = rem.extract_tenant(victim, t, resume, !redo_free);
-            let freed = if redo_free {
-                let redo = engine
-                    .resolve_device(from)
-                    .into_iter()
-                    .any(|(r, res)| r.tenant == victim && res == MigrationResolution::RedoFree);
-                debug_assert!(redo, "commit without free must redo the free");
-                let freed = rem.free_migrated(victim);
-                debug_assert_eq!(
-                    rem.free_migrated(victim),
-                    0,
-                    "redoing the free is idempotent"
-                );
-                stats.migration_redone_frees += 1;
-                freed
-            } else {
-                manifest.freed_claims
-            };
-            engine.journal_both(victim, from, d, MigrationPhase::Freed);
-            engine.truncate_device(from);
-            engine.truncate_device(d);
-            stats.tenant_migrations += 1;
-            stats.migrated_claims += u64::from(receipt.migrated_claims);
-            stats.redo_time += receipt.redo_window;
-            migration_lat.record(receipt.redo_window.as_nanos());
-            events.push((
-                t,
+        let (report, lost) = match dest {
+            Some((d, wait)) => {
+                self.hosted[d as usize] += 1;
+                let (sys, receipt) = self.adopt(si, d, false, cut, wait)?;
+                self.stats.failovers += 1;
+                self.events.push((
+                    t + wait,
+                    TraceEvent::Failover {
+                        from_device: from,
+                        to_device: d,
+                        tasks: receipt.live_tasks,
+                        redo: receipt.redo_window,
+                    },
+                ));
+                self.shards[si].failovers += 1;
+                self.shards[si].resume_on(d, t + wait, sys);
+                return Ok(());
+            }
+            None if self.cfg.software_fallback => {
+                // No device has room: finish the shard on the
+                // software-priced path. It cannot crash again.
+                let wait = backoff * u64::from(self.cfg.max_failover_retries);
+                let (sys, receipt) = self.adopt(si, from, true, cut, wait)?;
+                self.stats.software_fallbacks += 1;
+                self.events.push((
+                    t,
+                    TraceEvent::SoftwareFailover {
+                        from_device: from,
+                        tasks: receipt.live_tasks,
+                    },
+                ));
+                (sys.run().map_err(|e| on_device(from, e))?, 0)
+            }
+            None => {
+                // No destination, no fallback: everything the last
+                // durable checkpoint had not captured as finished is lost
+                // in flight. Nothing is re-executed, so nothing is booked.
+                let mut sys = self.build_on(si, from, false)?;
+                sys.fail_over_cut(cut).map_err(|e| on_device(from, e))?;
+                let report = sys.abandon_lost(t);
+                let lost = report.tasks.iter().filter(|m| m.lost_in_flight).count() as u32;
+                self.stats.lost_in_flight += u64::from(lost);
+                self.events.push((
+                    t,
+                    TraceEvent::FleetLost {
+                        device: from,
+                        tasks: lost,
+                    },
+                ));
+                (report, lost)
+            }
+        };
+        self.shards[si].done = Some(Done {
+            report,
+            final_host: None,
+            lost,
+        });
+        Ok(())
+    }
+
+    /// One planned live migration at instant `t`: pick the most crowded live
+    /// shard, its lowest-id tenant with live work, and a destination device;
+    /// then run the two-phase protocol — prepare (cut + journal intent on
+    /// both sides), commit (adopt on the destination, flip placement,
+    /// journal), free (release source residency, journal). A crash window
+    /// targeting this attempt dies at the scripted step instead, and journal
+    /// replay resolves what survives: intent-without-commit rolls the tenant
+    /// back onto the source, commit-without-free redoes the free
+    /// idempotently.
+    fn on_migrate(&mut self, t: SimTime) -> Result<(), VfpgaError> {
+        use MigrationCrashWindow::{DestMidCopy, SourceMidPrepare};
+        self.engine.consume_instant();
+        // Victim shard: the live shard carrying the most tenants (ties to
+        // the lowest index), host up at `t`, not already cut at or past it.
+        let victim = self
+            .shards
+            .iter()
+            .enumerate()
+            .filter(|(_, s)| {
+                s.live() && s.watermark < t && device_up(&self.windows[s.host as usize], t)
+            })
+            .max_by_key(|(si, s)| (s.tenants.len(), std::cmp::Reverse(*si)))
+            .map(|(si, _)| si);
+        let Some(si) = victim else { return Ok(()) };
+        let from = self.shards[si].host;
+        // Destination: a different device with room for the tenant's new
+        // shard. No destination, or a shard that finishes before the
+        // instant: nothing to migrate.
+        let Some(to) = self.destination(si, t, true) else {
+            return Ok(());
+        };
+        let Some(mut cut) = self.run_shard(si, Some(t))? else {
+            return Ok(());
+        };
+        let window = self.engine.begin_attempt();
+        // In the two genuinely-fatal windows a host dies mid-protocol and
+        // the crash count stands; a clean cut (and the commit-without-free
+        // window, where only the final free is lost) is a planned migration.
+        if matches!(window, Some(SourceMidPrepare | DestMidCopy)) {
+            cut.stats.crashes += 1;
+        }
+        // The remainder continues on the source either way. It is built with
+        // the shard's FULL spec list — identical task indexing — so the cut
+        // state restores unchanged; the migrated tenant is then subtracted.
+        // The destination, if the protocol gets that far, adopts the same cut.
+        let mut rem = self.build_on(si, from, false)?;
+        rem.restore_cut(cut.clone())
+            .map_err(|e| on_device(from, e))?;
+        let tenants = self.shards[si].tenants.iter().copied();
+        let tenant = tenants
+            .filter(|&v| rem.live_tasks_of(v) > 0)
+            .min()
+            .expect("a cut shard has live work for some tenant");
+        let mv = Move {
+            tenant,
+            from,
+            to,
+            at: t,
+        };
+        match window {
+            Some(w @ (SourceMidPrepare | DestMidCopy)) => {
+                self.abort_migration(mv, w);
+                self.shards[si].resume_on(from, t, rem);
+                Ok(())
+            }
+            other => self.commit_migration(si, mv, cut, rem, other.is_some()),
+        }
+    }
+
+    /// A host died before the commit. Mid-prepare it was the source's, and
+    /// only the source had journaled its intent; mid staged copy it was
+    /// the destination's, both sides had, and the destination never held
+    /// anything durable. Replay resolves every bare intent to a rollback:
+    /// the tenant stays on the source, backlog intact.
+    fn abort_migration(&mut self, mv: Move, window: MigrationCrashWindow) {
+        let journaled: &[u32] = match window {
+            MigrationCrashWindow::SourceMidPrepare => &[mv.from],
+            _ => &[mv.from, mv.to],
+        };
+        for &dev in journaled {
+            self.engine.journal_on(dev, mv, MigrationPhase::Intent);
+            debug_assert!(
+                self.engine
+                    .replays_to(dev, mv.tenant, MigrationResolution::RollBack),
+                "intent without commit must roll back"
+            );
+            self.engine.journal_on(dev, mv, MigrationPhase::Aborted);
+            self.engine.truncate_device(dev);
+        }
+        self.stats.migration_aborts += 1;
+        self.events.push((
+            mv.at,
+            TraceEvent::MigrationAbort {
+                tenant: mv.tenant,
+                from_device: mv.from,
+                to_device: mv.to,
+                reason: window.name(),
+            },
+        ));
+    }
+
+    /// Commit path — clean, or (`redo_free`) the crash strikes between the
+    /// commit and the source-side free. A new single-tenant shard on the
+    /// destination adopts `cut`; `rem`, the source restored from the same
+    /// cut, drops the tenant and carries shard `si` on.
+    fn commit_migration(
+        &mut self,
+        si: usize,
+        mv: Move,
+        cut: Cut,
+        mut rem: System<M, S>,
+        redo_free: bool,
+    ) -> Result<(), VfpgaError> {
+        let (tenant, from, to, at) = (mv.tenant, mv.from, mv.to, mv.at);
+        let resume = cut.resume_at();
+        self.engine.journal_both(mv, MigrationPhase::Intent);
+        self.hosted[to as usize] += 1;
+        let di = self.shards.len();
+        self.shards.push(ShardRun {
+            shard: di as u32,
+            tenants: vec![tenant],
+            specs: self.shards[si].specs.clone(),
+            orig: self.shards[si].orig.clone(),
+            watermark: at,
+            mig_touched: true,
+            ..ShardRun::new(to)
+        });
+        let mut dst = self.build_on(di, to, false)?;
+        let receipt = dst
+            .migrate_in_cut(cut, tenant, self.cfg.migrations.delta_copy)
+            .map_err(|e| on_device(to, e))?;
+        self.engine.journal_both(mv, MigrationPhase::Commit);
+        // Source side: drop the tenant. The free rides along unless
+        // the crash window ate it — then journal replay finds the
+        // commit-without-free and redoes the free idempotently.
+        let manifest = rem.extract_tenant(tenant, at, resume, !redo_free);
+        let freed = if redo_free {
+            debug_assert!(
+                self.engine
+                    .replays_to(from, tenant, MigrationResolution::RedoFree),
+                "commit without free must redo the free"
+            );
+            let freed = rem.free_migrated(tenant);
+            debug_assert_eq!(
+                rem.free_migrated(tenant),
+                0,
+                "redoing the free is idempotent"
+            );
+            self.stats.migration_redone_frees += 1;
+            freed
+        } else {
+            manifest.freed_claims
+        };
+        self.engine.journal_both(mv, MigrationPhase::Freed);
+        self.engine.truncate_device(from);
+        self.engine.truncate_device(to);
+        self.stats.tenant_migrations += 1;
+        self.stats.migrated_claims += u64::from(receipt.migrated_claims);
+        self.stats.redo_time += receipt.redo_window;
+        self.migration_lat.record(receipt.redo_window.as_nanos());
+        self.events.extend([
+            (
+                at,
                 TraceEvent::MigrationPrepare {
-                    tenant: victim,
+                    tenant,
                     from_device: from,
-                    to_device: d,
+                    to_device: to,
                     tasks: receipt.adopted_tasks,
                 },
-            ));
-            events.push((
-                t,
+            ),
+            (
+                at,
                 TraceEvent::MigrationCommit {
-                    tenant: victim,
+                    tenant,
                     from_device: from,
-                    to_device: d,
+                    to_device: to,
                     redo: receipt.redo_window,
                 },
-            ));
-            events.push((
-                t,
+            ),
+            (
+                at,
                 TraceEvent::MigrationFreed {
-                    tenant: victim,
+                    tenant,
                     device: from,
                     claims: freed,
                     redone: redo_free,
                 },
-            ));
-            shards[si].tenants.retain(|&x| x != victim);
-            shards[si].mig_touched = true;
-            shards[si].watermark = t;
-            shards[si].pending = Some(rem);
-            dst_sr.mig_baseline = Some(receipt.baseline);
-            dst_sr.pending = Some(dst);
-            shards.push(dst_sr);
-        }
+            ),
+        ]);
+        self.shards[si].tenants.retain(|&x| x != tenant);
+        self.shards[si].mig_touched = true;
+        self.shards[si].resume_on(from, at, rem);
+        self.shards[di].mig_baseline = Some(receipt.baseline);
+        self.shards[di].pending = Some(dst);
+        Ok(())
     }
-    Ok(())
+
+    /// Drain — no device-fault window can interrupt a surviving shard any
+    /// more, so each runs to completion in shard order — then assemble
+    /// the outcomes, book the device windows against the merged horizon,
+    /// and merge.
+    fn into_report(mut self, total_tasks: usize) -> Result<FleetReport, VfpgaError> {
+        for si in 0..self.shards.len() {
+            if self.shards[si].live() {
+                let cut = self.run_shard(si, None)?;
+                debug_assert!(cut.is_none(), "a run with no cut scheduled completes");
+            }
+        }
+        let Fleet {
+            shards,
+            windows,
+            mut stats,
+            mut events,
+            migration_lat,
+            ..
+        } = self;
+        let (outcomes, origs): (Vec<_>, Vec<_>) =
+            shards.into_iter().map(ShardRun::into_outcome).unzip();
+
+        // Windows that open (close) after every shard finished never
+        // happened as far as the run is concerned.
+        let makespan = outcomes
+            .iter()
+            .map(|o| o.report.makespan)
+            .max()
+            .unwrap_or(SimDuration::ZERO);
+        let horizon = SimTime::ZERO + makespan;
+        for (d, ws) in windows.iter().enumerate() {
+            for &(down, up) in ws {
+                if down <= horizon {
+                    stats.device_crashes += 1;
+                    events.push((
+                        down,
+                        TraceEvent::DeviceCrash {
+                            device: d as u32,
+                            outage: up - down,
+                        },
+                    ));
+                }
+                if up <= horizon {
+                    stats.rejoins += 1;
+                    events.push((up, TraceEvent::DeviceRejoin { device: d as u32 }));
+                }
+            }
+        }
+        events.sort_by_key(|(at, e)| (*at, event_rank(e)));
+
+        let merged = merge_reports(&outcomes, &origs, total_tasks, stats);
+        debug_assert_eq!(merged.tasks.len(), total_tasks, "task conservation");
+
+        let mut trace = Trace::enabled();
+        for (at, e) in events {
+            trace.record(at, e);
+        }
+        Ok(FleetReport {
+            shards: outcomes,
+            merged,
+            stats,
+            trace,
+            migration_lat,
+        })
+    }
+}
+
+/// Run a sharded fleet to completion.
+///
+/// `build` is called once per run segment with a [`ShardCtx`] and must
+/// return an un-run [`System`] for that shard's specs — managers,
+/// schedulers, fault plans and admission policies are its business; the
+/// fleet only attaches the device id and checkpoint config. Builds must
+/// be deterministic in the context (same ctx → same system), which makes
+/// the whole fleet run deterministic in (config, specs, builder).
+pub fn run_fleet<M, S, F>(
+    cfg: &FleetConfig,
+    specs: Vec<TaskSpec>,
+    build: F,
+) -> Result<FleetReport, VfpgaError>
+where
+    M: FpgaManager,
+    S: Scheduler,
+    F: FnMut(&ShardCtx<'_>) -> Result<System<M, S>, VfpgaError>,
+{
+    cfg.validate()?;
+    // Free unless a profiling harness has span recording on: then shard
+    // stepping shows as `fleet;run_shard;system;…` against fleet self time.
+    let _s = span::guard("fleet");
+    let total_tasks = specs.len();
+    let mut fleet = Fleet::new(cfg, specs, build);
+    while fleet.step()? {}
+    fleet.into_report(total_tasks)
 }
 
 /// Timeline ordering for same-instant fleet events: the crash precedes
@@ -1226,6 +1261,7 @@ mod tests {
     use super::*;
     use crate::circuit::{CircuitId, CircuitLib};
     use crate::manager::dynload::DynLoadManager;
+    use crate::manager::partition::{PartitionManager, PartitionMode};
     use crate::manager::PreemptAction;
     use crate::sched::RoundRobinScheduler;
     use crate::system::SystemConfig;
@@ -1258,7 +1294,7 @@ mod tests {
     fn builder(
         lib: Arc<CircuitLib>,
     ) -> impl FnMut(&ShardCtx<'_>) -> Result<System<DynLoadManager, RoundRobinScheduler>, VfpgaError>
-    {
+           + Clone {
         move |ctx| {
             let mgr = DynLoadManager::new(lib.clone(), timing(), PreemptAction::SaveRestore);
             Ok(System::new(
@@ -1514,57 +1550,9 @@ mod tests {
         assert!(fleet.trace.entries().count() >= 3, "prepare/commit/freed");
     }
 
-    #[test]
-    fn migration_crash_windows_resolve_to_baseline_outcomes() {
-        let (lib, ids) = lib_n(2);
-        let sp = specs(&ids);
-        let base_cfg = FleetConfig::new(2)
-            .with_max_shards_per_device(4)
-            .with_checkpoints(CheckpointConfig::new(ms(1)));
-        let baseline = run_fleet(&base_cfg, sp.clone(), builder(lib.clone())).unwrap();
-        for w in [
-            MigrationCrashWindow::SourceMidPrepare,
-            MigrationCrashWindow::DestMidCopy,
-            MigrationCrashWindow::BetweenCommitAndFree,
-        ] {
-            let cfg = base_cfg
-                .clone()
-                .with_migrations(mig_plan(400.0, 2, Some((0, w))));
-            let fleet = run_fleet(&cfg, sp.clone(), builder(lib.clone())).unwrap();
-            match w {
-                MigrationCrashWindow::BetweenCommitAndFree => {
-                    assert!(
-                        fleet.stats.migration_redone_frees >= 1,
-                        "{w:?}: {:?}",
-                        fleet.stats
-                    );
-                }
-                _ => {
-                    assert!(
-                        fleet.stats.migration_aborts >= 1,
-                        "{w:?}: {:?}",
-                        fleet.stats
-                    );
-                }
-            }
-            assert_eq!(fleet.stats.lost_in_flight, 0, "{w:?}");
-            assert!(
-                crate::checkpoint::diff_reports(&baseline.merged, &fleet.merged).is_empty(),
-                "crash window {w:?} must not change task outcomes"
-            );
-        }
-    }
-
-    /// A failover or a migration discards every residency claim while the
-    /// FPGA segment restored from the image runs on; under the partition
-    /// manager its next slice expiry used to panic in `preempt`
-    /// ("preempted circuit is resident").
-    #[test]
-    fn partition_shards_survive_failover_and_migration_mid_segment() {
-        use crate::manager::partition::{PartitionManager, PartitionMode};
-        let (lib, ids) = lib_n(3);
-        // FPGA runs several slices long, so a cut usually lands inside one.
-        let sp: Vec<TaskSpec> = (0..12u32)
+    /// FPGA runs several slices long, so a cut usually lands inside one.
+    fn partition_specs(ids: &[CircuitId]) -> Vec<TaskSpec> {
+        (0..12u32)
             .map(|i| {
                 TaskSpec::new(
                     format!("p{i}"),
@@ -1579,35 +1567,194 @@ mod tests {
                 )
                 .with_tenant(i % 4)
             })
-            .collect();
-        let build = |ctx: &ShardCtx<'_>| {
-            let mgr = PartitionManager::new(
-                lib.clone(),
-                timing(),
-                PartitionMode::Variable,
-                PreemptAction::SaveRestore,
-            )?;
+            .collect()
+    }
+
+    /// Variable partitions under a 1 ms round robin, delta downloads on
+    /// request.
+    fn partition_builder(
+        lib: Arc<CircuitLib>,
+        delta: bool,
+    ) -> impl FnMut(&ShardCtx<'_>) -> Result<System<PartitionManager, RoundRobinScheduler>, VfpgaError>
+           + Clone {
+        move |ctx| {
+            let (mode, preempt) = (PartitionMode::Variable, PreemptAction::SaveRestore);
+            let mut mgr = PartitionManager::new(lib.clone(), timing(), mode, preempt)?;
+            if delta {
+                mgr.enable_delta();
+            }
             Ok(System::new(
                 lib.clone(),
                 mgr,
                 RoundRobinScheduler::new(ms(1)),
                 SystemConfig {
-                    preempt: PreemptAction::SaveRestore,
+                    preempt,
                     ..Default::default()
                 },
                 ctx.specs.to_vec(),
             ))
-        };
+        }
+    }
+
+    fn seeded_faults(seed: u64) -> DeviceFaultPlan {
+        DeviceFaultPlan {
+            seed,
+            crash_rate_per_s: 300.0,
+            outage: ms(2),
+            max_crashes: 3,
+        }
+    }
+
+    /// The fleet-level crash enumeration for one manager: with no device
+    /// faults and under each of 16 seeded fault plans, learn how many
+    /// migration attempts the run makes, then aim every crash window at
+    /// every one of them. Each run must lose nothing, resolve the aimed
+    /// window exactly once (one abort, or one redone free), and match the
+    /// fault-free, migration-free baseline task for task. Returns how
+    /// many (attempt, window) pairs it aimed at.
+    fn enumerate_migration_crashes<M, S>(
+        sp: &[TaskSpec],
+        ckpt: CheckpointConfig,
+        delta_copy: bool,
+        build: impl FnMut(&ShardCtx<'_>) -> Result<System<M, S>, VfpgaError> + Clone,
+    ) -> u32
+    where
+        M: FpgaManager,
+        S: Scheduler,
+    {
+        let base = FleetConfig::new(3)
+            .with_max_shards_per_device(8)
+            .with_checkpoints(ckpt);
+        let baseline = run_fleet(&base, sp.to_vec(), build.clone()).unwrap();
+        let plans = std::iter::once(DeviceFaultPlan::none()).chain((0..16).map(seeded_faults));
+        let mut aimed = 0;
+        for faults in plans {
+            let run = |crash: Option<(u32, MigrationCrashWindow)>| {
+                let what = format!("faults seed {} crash {crash:?}", faults.seed);
+                let cfg = base
+                    .clone()
+                    .with_device_faults(faults)
+                    .with_migrations(MigrationPlan {
+                        seed: 0x515EED,
+                        rate_per_s: 800.0,
+                        max_migrations: 8,
+                        delta_copy,
+                        crash,
+                    });
+                let fleet = run_fleet(&cfg, sp.to_vec(), build.clone())
+                    .unwrap_or_else(|e| panic!("{what}: {e}"));
+                assert_eq!(fleet.stats.lost_in_flight, 0, "{what}");
+                let diff = crate::checkpoint::diff_reports(&baseline.merged, &fleet.merged);
+                assert!(diff.is_empty(), "{what}: {diff:?}");
+                let s = fleet.stats;
+                (
+                    s.tenant_migrations,
+                    s.migration_aborts,
+                    s.migration_redone_frees,
+                )
+            };
+            // With no window aimed, every attempt commits.
+            let (attempts, aborts, redone) = run(None);
+            assert_eq!((aborts, redone), (0, 0), "faults seed {}", faults.seed);
+            for k in 0..attempts as u32 {
+                for w in [
+                    MigrationCrashWindow::SourceMidPrepare,
+                    MigrationCrashWindow::DestMidCopy,
+                    MigrationCrashWindow::BetweenCommitAndFree,
+                ] {
+                    let (_, aborts, redone) = run(Some((k, w)));
+                    let want = match w {
+                        MigrationCrashWindow::BetweenCommitAndFree => (0, 1),
+                        _ => (1, 0),
+                    };
+                    assert_eq!((aborts, redone), want, "attempt {k} window {w:?}");
+                    aimed += 1;
+                }
+            }
+        }
+        aimed
+    }
+
+    #[test]
+    fn migration_crash_windows_resolve_to_baseline_outcomes() {
+        let (lib, ids) = lib_n(2);
+        let ckpt = CheckpointConfig::new(ms(1));
+        let aimed = enumerate_migration_crashes(&specs(&ids), ckpt, false, builder(lib));
+        assert!(aimed >= 200, "only {aimed} windows aimed");
+    }
+
+    #[test]
+    fn migration_crash_windows_resolve_under_partition_delta() {
+        let (lib, ids) = lib_n(3);
+        let ckpt = CheckpointConfig::new(ms(1)).with_delta_checkpoints(3);
+        let build = partition_builder(lib, true);
+        let aimed = enumerate_migration_crashes(&partition_specs(&ids), ckpt, true, build);
+        assert!(aimed >= 200, "only {aimed} windows aimed");
+    }
+
+    #[test]
+    fn fleet_events_at_one_instant_tie_in_declaration_order() {
+        let t = SimTime::ZERO + ms(3);
+        let mut evs = [
+            (t, FleetEv::Migrate),
+            (t, FleetEv::Rejoin(0)),
+            (t, FleetEv::DeviceDown(2)),
+            (t, FleetEv::DeviceDown(1)),
+            (t + us(1), FleetEv::DeviceDown(0)),
+        ];
+        evs.sort();
+        let order = evs.map(|(_, ev)| ev);
+        assert_eq!(
+            order,
+            [
+                FleetEv::DeviceDown(1),
+                FleetEv::DeviceDown(2),
+                FleetEv::Rejoin(0),
+                FleetEv::Migrate,
+                FleetEv::DeviceDown(0),
+            ]
+        );
+    }
+
+    /// The checker's seeded violations: a check that has never failed is
+    /// not a check.
+    #[test]
+    #[should_panic(expected = "hosted is the live shards a device")]
+    fn skewed_hosted_count_trips_the_invariant_checker() {
+        let (lib, ids) = lib_n(1);
+        let cfg = FleetConfig::new(2);
+        let mut fleet = Fleet::new(&cfg, specs(&ids), builder(lib));
+        fleet.check_invariants();
+        fleet.hosted[1] += 1;
+        fleet.check_invariants();
+    }
+
+    #[test]
+    #[should_panic(expected = "a tenant is on two shards")]
+    fn duplicated_tenant_trips_the_invariant_checker() {
+        let (lib, ids) = lib_n(1);
+        let cfg = FleetConfig::new(2);
+        let mut fleet = Fleet::new(&cfg, specs(&ids), builder(lib));
+        fleet.check_invariants();
+        let tenant = fleet.shards[0].tenants[0];
+        fleet.shards[1].tenants.push(tenant);
+        fleet.check_invariants();
+    }
+
+    /// A failover or a migration discards every residency claim while the
+    /// FPGA segment restored from the image runs on; under the partition
+    /// manager its next slice expiry used to panic in `preempt`
+    /// ("preempted circuit is resident").
+    #[test]
+    fn partition_shards_survive_failover_and_migration_mid_segment() {
+        let (lib, ids) = lib_n(3);
+        let sp = partition_specs(&ids);
+        let build = partition_builder(lib, false);
         let base = FleetConfig::new(3)
             .with_max_shards_per_device(8)
             .with_checkpoints(CheckpointConfig::new(ms(1)));
         for seed in 0..16u64 {
-            let faults_only = base.clone().with_device_faults(DeviceFaultPlan {
-                seed,
-                crash_rate_per_s: 300.0,
-                outage: ms(2),
-                max_crashes: 3,
-            });
+            let faults_only = base.clone().with_device_faults(seeded_faults(seed));
             let migrations_only = base.clone().with_migrations(MigrationPlan {
                 seed,
                 rate_per_s: 400.0,
@@ -1616,7 +1763,7 @@ mod tests {
                 crash: None,
             });
             for (what, cfg) in [("faults", faults_only), ("migrations", migrations_only)] {
-                let fleet = run_fleet(&cfg, sp.clone(), build)
+                let fleet = run_fleet(&cfg, sp.clone(), build.clone())
                     .unwrap_or_else(|e| panic!("{what} seed {seed}: {e}"));
                 assert_eq!(fleet.merged.tasks.len(), sp.len(), "{what} seed {seed}");
                 for (m, s) in fleet.merged.tasks.iter().zip(&sp) {

@@ -91,7 +91,7 @@ pub use fsim::{
 pub use image::SystemImage;
 pub use manager::{Activation, DeviceUsage, FpgaManager, ManagerStats, PreemptAction, PreemptCost};
 pub use metrics::{OverheadBreakdown, Report, TaskMetrics};
-pub use migrate::{CounterBaseline, MigrateInReceipt, MigrationEngine, MigrationManifest};
+pub use migrate::{CounterBaseline, MigrateInReceipt, MigrationManifest};
 pub use recovery::{FaultStats, RecoveryPolicy, UpsetRecovery};
 pub use sched::{EdfScheduler, FifoScheduler, PriorityScheduler, RoundRobinScheduler, Scheduler};
 pub use syscall::{FpgaHandle, OpenError, OsInterface};

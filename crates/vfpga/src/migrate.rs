@@ -1,8 +1,8 @@
 //! Crash-safe live migration of one tenant between fleet devices.
 //!
 //! A migration is a *planned* two-phase move of a single tenant's column
-//! range from a source device to a destination device, driven from
-//! [`crate::fleet::run_fleet`]'s event loop:
+//! range from a source device to a destination device, driven by the
+//! fleet kernel's `Fleet::on_migrate` (under [`crate::fleet::run_fleet`]):
 //!
 //! * **Prepare** — cut the source at the migration instant (the existing
 //!   readback-priced checkpoint path is the snapshot: the cut reuses the
@@ -311,12 +311,22 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
     }
 }
 
+/// One tenant's planned move at one instant, as every phase of the
+/// protocol and both devices' journals name it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Move {
+    pub tenant: u32,
+    pub from: u32,
+    pub to: u32,
+    pub at: SimTime,
+}
+
 /// Drives the fleet's migration schedule: the deterministic instant
 /// stream, the per-attempt crash-window targeting, and one durable
 /// [`MigrationLog`] per device (journal records survive the device's
 /// host crashing — they are what replay resolves the windows from).
 #[derive(Debug)]
-pub struct MigrationEngine {
+pub(crate) struct MigrationEngine {
     injector: MigrationInjector,
     instants: Vec<SimTime>,
     ptr: usize,
@@ -338,11 +348,6 @@ impl MigrationEngine {
         }
     }
 
-    /// The plan in force.
-    pub fn plan(&self) -> &MigrationPlan {
-        self.injector.plan()
-    }
-
     /// The next unconsumed migration instant, if any remain.
     pub fn next_instant(&self) -> Option<SimTime> {
         self.instants.get(self.ptr).copied()
@@ -354,48 +359,42 @@ impl MigrationEngine {
         self.ptr += 1;
     }
 
-    /// Start a migration attempt: returns the 0-based attempt index and
-    /// the crash window targeting it, if the plan aims one there.
-    pub fn begin_attempt(&mut self) -> (u32, Option<MigrationCrashWindow>) {
+    /// Start the next migration attempt: the crash window the plan aims
+    /// at it, if any.
+    pub fn begin_attempt(&mut self) -> Option<MigrationCrashWindow> {
         let k = self.attempts;
         self.attempts += 1;
-        (k, self.injector.crash_window_for(k))
-    }
-
-    /// Migration attempts started so far.
-    pub fn attempts(&self) -> u32 {
-        self.attempts
+        self.injector.crash_window_for(k)
     }
 
     /// Journal a phase record on one device's migration log.
-    pub fn journal_on(
-        &mut self,
-        device: u32,
-        tenant: u32,
-        from: u32,
-        to: u32,
-        phase: MigrationPhase,
-    ) -> u64 {
-        self.logs
-            .entry(device)
-            .or_default()
-            .record(tenant, from, to, phase)
+    pub fn journal_on(&mut self, device: u32, mv: Move, phase: MigrationPhase) {
+        let log = self.logs.entry(device).or_default();
+        log.record(mv.tenant, mv.from, mv.to, phase);
     }
 
     /// Journal the same phase on both sides of the move (the protocol's
     /// normal path: both logs agree on every surviving step).
-    pub fn journal_both(&mut self, tenant: u32, from: u32, to: u32, phase: MigrationPhase) {
-        self.journal_on(from, tenant, from, to, phase);
-        self.journal_on(to, tenant, from, to, phase);
+    pub fn journal_both(&mut self, mv: Move, phase: MigrationPhase) {
+        self.journal_on(mv.from, mv, phase);
+        self.journal_on(mv.to, mv, phase);
     }
 
     /// Replay one device's migration log: what does each tenant's latest
     /// surviving record demand? Empty when the device never journaled.
-    pub fn resolve_device(&mut self, device: u32) -> Vec<(MigrationRecord, MigrationResolution)> {
+    pub fn resolve_device(&self, device: u32) -> Vec<(MigrationRecord, MigrationResolution)> {
         self.logs
             .get(&device)
             .map(|l| l.resolve())
             .unwrap_or_default()
+    }
+
+    /// Does replaying `device`'s log demand `want` for `tenant`?
+    pub fn replays_to(&self, device: u32, tenant: u32, want: MigrationResolution) -> bool {
+        let demands = self.resolve_device(device);
+        demands
+            .iter()
+            .any(|(r, res)| r.tenant == tenant && *res == want)
     }
 
     /// Drop fully resolved attempts from one device's log.
@@ -403,11 +402,6 @@ impl MigrationEngine {
         if let Some(l) = self.logs.get_mut(&device) {
             l.truncate_resolved();
         }
-    }
-
-    /// One device's migration log, if it ever journaled anything.
-    pub fn log(&self, device: u32) -> Option<&MigrationLog> {
-        self.logs.get(&device)
     }
 }
 
@@ -441,32 +435,35 @@ mod tests {
         let mut p = plan(50.0, 4);
         p.crash = Some((2, MigrationCrashWindow::DestMidCopy));
         let mut e = MigrationEngine::new(p);
-        assert_eq!(e.begin_attempt(), (0, None));
-        assert_eq!(e.begin_attempt(), (1, None));
-        assert_eq!(
-            e.begin_attempt(),
-            (2, Some(MigrationCrashWindow::DestMidCopy))
-        );
-        assert_eq!(e.begin_attempt(), (3, None));
+        assert_eq!(e.begin_attempt(), None);
+        assert_eq!(e.begin_attempt(), None);
+        assert_eq!(e.begin_attempt(), Some(MigrationCrashWindow::DestMidCopy));
+        assert_eq!(e.begin_attempt(), None);
     }
 
     #[test]
     fn engine_journals_both_sides_and_resolves_per_device() {
         let mut e = MigrationEngine::new(plan(50.0, 1));
-        e.journal_both(7, 0, 1, MigrationPhase::Intent);
+        let mv = Move {
+            tenant: 7,
+            from: 0,
+            to: 1,
+            at: SimTime::ZERO,
+        };
+        e.journal_both(mv, MigrationPhase::Intent);
         // Source crashed before Commit: both logs hold a bare intent.
         let src = e.resolve_device(0);
         let dst = e.resolve_device(1);
         assert_eq!(src.len(), 1);
         assert_eq!(src[0].1, MigrationResolution::RollBack);
         assert_eq!(dst[0].1, MigrationResolution::RollBack);
-        e.journal_both(7, 0, 1, MigrationPhase::Aborted);
+        e.journal_both(mv, MigrationPhase::Aborted);
         assert!(e
             .resolve_device(0)
             .iter()
             .all(|(_, r)| *r == MigrationResolution::Resolved));
         e.truncate_device(0);
-        assert!(e.log(0).is_some_and(|l| l.is_empty()));
+        assert!(e.logs[&0].is_empty());
         assert!(e.resolve_device(9).is_empty(), "unjournaled device");
     }
 
