@@ -19,11 +19,11 @@ echo "==> cargo test"
 # former shell/Python gate to its test).
 cargo test -q --workspace
 
-echo "==> compile-flow oracles and golden, release"
-# The benchmark measures release float code (the placer's acceptance
-# test); the run above was a debug build.
+echo "==> compile-flow oracles and golden, router oracle, release"
+# The benchmark measures release code — the placer's float acceptance test,
+# the router's booked footprints; the run above was a debug build.
 cargo test -q --release -p netlist --test mapper_oracle
-cargo test -q --release -p pnr --test place_oracle --test flow_golden
+cargo test -q --release -p pnr --test place_oracle --test flow_golden --test route_template
 
 echo "==> cut equivalence, wide matrix, release"
 # Every event instant of a 40-task run, cut and adopted typed and through

@@ -32,6 +32,18 @@
 //! fabric has that room a load is one pass over the footprint instead of a
 //! walk over the connections, and so are its release and a move's put-back
 //! (see [`RouteTemplate`]).
+//!
+//! Where even that pass has a foregone result the fabric skips it. A
+//! footprint laid over a region nothing else uses fits iff the capacity
+//! covers its own peak `need`, so while every live circuit is such a
+//! footprint on a region of its own — a partition manager's whole life —
+//! the fabric *books* them as `(template, origin)` in a short list and
+//! keeps no count per segment. The counts are derived state: they are
+//! filled in, and the list cleared, by `RoutingFabric::count_booked` the
+//! moment an operation needs them (a load over a booked region, a template
+//! an unused region cannot take, a release of a route that is not booked),
+//! and booking resumes once the counted usage is back to zero. One
+//! representation at a time; readers add the booked footprints to a copy.
 
 use crate::pack::BlockSource;
 use crate::place::PlacedCircuit;
@@ -117,6 +129,16 @@ impl CircuitRoutes {
     pub fn searched(&self) -> bool {
         matches!(self.committed, Committed::Walked { searched: true, .. })
     }
+
+    /// The template and origin of a footprint load.
+    fn footprint(&self) -> Option<(&RouteTemplate, (u32, u32))> {
+        match &self.committed {
+            Committed::Footprint {
+                template, origin, ..
+            } => Some((template, *origin)),
+            Committed::Walked { .. } => None,
+        }
+    }
 }
 
 /// A channel segment in region-relative coordinates: the one leaving
@@ -191,6 +213,34 @@ struct Template {
     segs: Vec<RelSeg>,
     /// In fabric order: horizontal segments row by row, then vertical.
     footprint: Vec<FootSeg>,
+    /// The least capacity at which a region nothing else uses takes the
+    /// footprint in one pass: the largest `need`, and at least one track so
+    /// that no box of the region holds a full segment.
+    peak_need: u16,
+    /// The largest `mult`, and how many footprint segments take it: the
+    /// ones the circuit fills on its own at exactly that capacity.
+    peak_mult: u16,
+    at_peak_mult: usize,
+}
+
+impl Template {
+    /// Segments the footprint fills on a region nothing else uses, at a
+    /// capacity of at least `peak_need` (so no `mult` exceeds `cap`).
+    fn full_at(&self, cap: u16) -> usize {
+        if cap == self.peak_mult {
+            self.at_peak_mult
+        } else {
+            0
+        }
+    }
+
+    /// Whether the region at `origin` shares no CLB with `other`'s at `at`.
+    fn clear_of(&self, origin: (u32, u32), other: &Template, at: (u32, u32)) -> bool {
+        origin.0 + self.width <= at.0
+            || at.0 + other.width <= origin.0
+            || origin.1 + self.height <= at.1
+            || at.1 + other.height <= origin.1
+    }
 }
 
 impl RouteTemplate {
@@ -247,7 +297,7 @@ impl RouteTemplate {
                 boxed[strip].fill(true);
             }
         }
-        let footprint = (0..mult.len())
+        let footprint: Vec<FootSeg> = (0..mult.len())
             .filter(|&s| mult[s] > 0)
             .map(|s| FootSeg {
                 seg: empty.rel_seg(SegId(s as u32)),
@@ -255,11 +305,15 @@ impl RouteTemplate {
                 need: mult[s] + u16::from(strict[s]),
             })
             .collect();
+        let peak_mult = footprint.iter().map(|s| s.mult).max().unwrap_or(0);
         RouteTemplate(Arc::new(Template {
             width: placed.width,
             height: placed.height,
             conns,
             segs: path_ids.iter().map(|&s| empty.rel_seg(s)).collect(),
+            peak_need: footprint.iter().map(|s| s.need).max().unwrap_or(0).max(1),
+            peak_mult,
+            at_peak_mult: footprint.iter().filter(|s| s.mult == peak_mult).count(),
             footprint,
         }))
     }
@@ -271,8 +325,7 @@ impl RouteTemplate {
 
     /// The most tracks the circuit takes of any one segment.
     pub fn peak_multiplicity(&self) -> u16 {
-        let mults = self.0.footprint.iter().map(|s| s.mult);
-        mults.max().unwrap_or(0)
+        self.0.peak_mult
     }
 }
 
@@ -291,21 +344,47 @@ pub struct RouteStats {
     pub footprint_loads: u64,
 }
 
+/// A footprint load held as itself, not as counts.
+#[derive(Debug, Clone)]
+struct Booked {
+    template: RouteTemplate,
+    origin: (u32, u32),
+}
+
+/// How loads, releases and recommits were handled (diagnostic; tests read
+/// it off the fabric's `Debug` form).
+#[derive(Debug, Clone, Copy, Default)]
+struct Handled {
+    /// Through the booked list alone.
+    booked: u64,
+    /// On the counts, nothing being booked.
+    counted: u64,
+    /// On the counts, after turning the booked footprints into counts.
+    converted: u64,
+}
+
 /// Device-wide routing state.
 #[derive(Debug, Clone)]
 pub struct RoutingFabric {
     cols: u32,
     rows: u32,
     cap: u16,
-    /// Tracks in use per segment: the `h_len` horizontal ones (between
-    /// (c,r) and (c+1,r), row-major), then the vertical ones (between
-    /// (c,r) and (c,r+1)).
+    /// Tracks in use per segment, booked footprints aside: the `h_len`
+    /// horizontal ones (between (c,r) and (c+1,r), row-major), then the
+    /// vertical ones (between (c,r) and (c,r+1)).
     used: Vec<u16>,
     h_len: u32,
-    /// Segments with `used >= cap`. While zero no bounding box can hold a
-    /// full segment, so loads skip their scans.
+    /// The sum of `used`, kept from the wirelength of what is counted.
+    counted: usize,
+    /// Footprints on pairwise disjoint regions, each with a peak `need`
+    /// within `cap`; empty unless `counted` is zero.
+    booked: Vec<Booked>,
+    /// Segments whose usage, booked footprints included, is `>= cap`.
+    /// While zero no bounding box can hold a full segment, so loads skip
+    /// their scans.
     saturated: usize,
     stats: RouteStats,
+    handled: Handled,
 }
 
 /// Default tracks per channel segment — enough for healthy utilization,
@@ -336,9 +415,12 @@ impl RoutingFabric {
             cap,
             used: vec![0; (h + v) as usize],
             h_len: h,
+            counted: 0,
+            booked: Vec::new(),
             // A zero-capacity fabric is full before anything is routed.
             saturated: if cap == 0 { (h + v) as usize } else { 0 },
             stats: RouteStats::default(),
+            handled: Handled::default(),
         }
     }
 
@@ -357,7 +439,7 @@ impl RoutingFabric {
 
     /// Fraction of total channel capacity currently in use.
     pub fn utilization(&self) -> f64 {
-        let used: u64 = self.segment_usage().map(u64::from).sum();
+        let used = (self.counted + self.booked_tracks()) as u64;
         let total = self.used.len() as u64 * self.cap as u64;
         if total == 0 {
             0.0
@@ -369,7 +451,77 @@ impl RoutingFabric {
     /// Tracks in use per segment: horizontal segments (row-major, between
     /// `(c, r)` and `(c + 1, r)`), then vertical ones (diagnostic).
     pub fn segment_usage(&self) -> impl Iterator<Item = u16> + '_ {
-        self.used.iter().copied()
+        self.usage().into_iter()
+    }
+
+    /// `used` with the booked footprints added: the usage of every segment
+    /// in either representation.
+    fn usage(&self) -> Vec<u16> {
+        let mut usage = self.used.clone();
+        self.add_booked(&mut usage);
+        usage
+    }
+
+    /// Tracks the booked footprints take, over all their segments.
+    fn booked_tracks(&self) -> usize {
+        let each = self.booked.iter().map(|b| b.template.0.segs.len());
+        each.sum()
+    }
+
+    /// Add every booked footprint to `usage`. Regions are disjoint and each
+    /// `mult` is within `cap`, so nothing overflows.
+    fn add_booked(&self, usage: &mut [u16]) {
+        for b in &self.booked {
+            for s in &b.template.0.footprint {
+                usage[abs_seg(self.cols, self.h_len, s.seg, b.origin).0 as usize] += s.mult;
+            }
+        }
+    }
+
+    /// Where every operation on `used` starts: turn the booked footprints,
+    /// if any, into counts. `saturated` already includes them.
+    fn count_booked(&mut self) {
+        if self.booked.is_empty() {
+            self.handled.counted += 1;
+            return;
+        }
+        self.handled.converted += 1;
+        let mut used = std::mem::take(&mut self.used);
+        self.add_booked(&mut used);
+        self.used = used;
+        self.counted = self.booked_tracks();
+        self.booked.clear();
+    }
+
+    /// Book `template`'s footprint at `origin` if nothing is counted, the
+    /// region is clear of every booked one and an unused region takes the
+    /// footprint at this capacity: then every segment of the region is
+    /// unused, which is what the counted load would have found.
+    fn book(&mut self, template: &RouteTemplate, origin: (u32, u32)) -> bool {
+        let t = &*template.0;
+        let clear = |b: &Booked| t.clear_of(origin, &b.template.0, b.origin);
+        if self.counted > 0 || t.peak_need > self.cap || !self.booked.iter().all(clear) {
+            return false;
+        }
+        self.saturated += t.full_at(self.cap);
+        self.booked.push(Booked {
+            template: template.clone(),
+            origin,
+        });
+        self.handled.booked += 1;
+        true
+    }
+
+    /// Drop the booking of `template` at `origin`, if there is one.
+    fn unbook(&mut self, template: &RouteTemplate, origin: (u32, u32)) -> bool {
+        let same = |b: &Booked| b.origin == origin && Arc::ptr_eq(&b.template.0, &template.0);
+        let Some(i) = self.booked.iter().position(same) else {
+            return false;
+        };
+        self.booked.swap_remove(i);
+        self.saturated -= template.0.full_at(self.cap);
+        self.handled.booked += 1;
+        true
     }
 
     /// Template-versus-search counts since this fabric was created.
@@ -384,25 +536,56 @@ impl RoutingFabric {
         let idle = |lo: usize, hi: usize| self.used[lo..hi].iter().all(|&u| u == 0);
         // Horizontal segment `c` joins columns `c` and `c + 1`.
         let (h0, h1) = (col.saturating_sub(1), (col + width).min(self.cols - 1));
+        // A booked footprint stays inside its region: clear of the columns
+        // if the region is, else segment by segment.
+        let booked_outside = |b: &Booked| {
+            let (t, at) = (&b.template.0, b.origin.0);
+            let beside = |c: u32, reach: u32| c >= col + width || c + reach <= col;
+            beside(at, t.width)
+                || (t.footprint.iter())
+                    .all(|s| beside(s.seg.c + at, 1 + u32::from(!s.seg.vertical)))
+        };
         (0..self.rows).all(|r| idle(self.h_idx(h0, r), self.h_idx(h1, r)))
             && (0..self.rows.saturating_sub(1))
                 .all(|r| idle(self.v_idx(col, r), self.v_idx(col + width, r)))
+            && self.booked.iter().all(booked_outside)
     }
 
     /// Panic unless the usage of every segment is the number of times the
     /// `live` routes cross it and `saturated` counts the full ones: what
     /// every sequence of routes, releases and recommits must preserve.
     pub fn assert_usage_is<'a>(&self, live: impl IntoIterator<Item = &'a CircuitRoutes>) {
-        let mut expect = vec![0u16; self.used.len()];
-        for routes in live {
-            routes.segments().for_each(|s| expect[s as usize] += 1);
-        }
         assert!(
-            self.used == expect,
+            self.booked.is_empty() || self.counted == 0,
+            "footprints booked beside counted usage"
+        );
+        // One buffer: the usage, then what the live routes leave of it —
+        // nothing, if they never find a segment unused and cross as many
+        // as are in use.
+        let mut usage = self.usage();
+        let (mut full, mut tracks) = (0, 0);
+        for &u in &usage {
+            full += usize::from(u >= self.cap);
+            tracks += usize::from(u);
+        }
+        assert_eq!(self.saturated, full, "saturated is not its recount");
+        assert_eq!(
+            self.counted + self.booked_tracks(),
+            tracks,
+            "the running total is not the sum of the usage"
+        );
+        let mut crossed = 0;
+        for routes in live {
+            for s in routes.segments() {
+                let left = usage[s as usize].checked_sub(1);
+                usage[s as usize] = left.expect("segment usage is not the sum of the live routes");
+                crossed += 1;
+            }
+        }
+        assert_eq!(
+            crossed, tracks,
             "segment usage is not the sum of the live routes"
         );
-        let full = self.used.iter().filter(|&&u| u >= self.cap).count();
-        assert_eq!(self.saturated, full, "saturated is not its recount");
     }
 
     fn seg_between(&self, a: (u32, u32), b: (u32, u32)) -> SegId {
@@ -561,6 +744,23 @@ impl RoutingFabric {
         }
         let abs = |rel: (u32, u32)| (rel.0 + origin.0, rel.1 + origin.1);
         let (cols, h_len, cap) = (self.cols, self.h_len, u32::from(self.cap));
+        let as_footprint = |stats: &mut RouteStats| {
+            stats.templated_conns += t.conns.len() as u64;
+            stats.footprint_loads += 1;
+            CircuitRoutes {
+                committed: Committed::Footprint {
+                    template: template.clone(),
+                    origin,
+                    cols,
+                    h_len,
+                },
+                wirelength: t.segs.len(),
+            }
+        };
+        if self.book(template, origin) {
+            return Ok(as_footprint(&mut self.stats));
+        }
+        self.count_booked();
 
         let fits = |s: &FootSeg| {
             let used = self.used[abs_seg(cols, h_len, s.seg, origin).0 as usize];
@@ -571,17 +771,8 @@ impl RoutingFabric {
             for s in &t.footprint {
                 self.seg_take(abs_seg(cols, h_len, s.seg, origin), s.mult);
             }
-            self.stats.templated_conns += t.conns.len() as u64;
-            self.stats.footprint_loads += 1;
-            return Ok(CircuitRoutes {
-                committed: Committed::Footprint {
-                    template: template.clone(),
-                    origin,
-                    cols,
-                    h_len,
-                },
-                wirelength: t.segs.len(),
-            });
+            self.counted += t.segs.len();
+            return Ok(as_footprint(&mut self.stats));
         }
 
         let mut search = Search::default();
@@ -613,6 +804,7 @@ impl RoutingFabric {
             }
             committed.extend_from_slice(&search.path);
         }
+        self.counted += committed.len();
         Ok(CircuitRoutes {
             wirelength: committed.len(),
             committed: Committed::Walked {
@@ -624,7 +816,12 @@ impl RoutingFabric {
 
     /// Release the segments of a previously routed circuit.
     pub fn release(&mut self, routes: &CircuitRoutes) {
+        if routes.footprint().is_some_and(|(t, at)| self.unbook(t, at)) {
+            return;
+        }
+        self.count_booked();
         self.each_track(routes, Self::seg_give);
+        self.counted -= routes.wirelength;
     }
 
     /// Take back exactly the segments `routes` held: the inverse of
@@ -632,7 +829,12 @@ impl RoutingFabric {
     /// committed since that release — a failed attempt rolls back — which
     /// is how a move that found no room puts its circuit back.
     pub fn recommit(&mut self, routes: &CircuitRoutes) {
+        if routes.footprint().is_some_and(|(t, at)| self.book(t, at)) {
+            return;
+        }
+        self.count_booked();
         self.each_track(routes, Self::seg_take);
+        self.counted += routes.wirelength;
     }
 
     /// `f(self, segment, tracks)` over what `routes` holds.
@@ -820,6 +1022,85 @@ mod tests {
             assert_eq!((f.used.clone(), f.saturated), before);
             f.assert_usage_is([&a, &b]);
         }
+    }
+
+    #[test]
+    fn recommit_puts_a_booking_back() {
+        // The same failed move while the fabric only holds bookings: an
+        // attempt refused before it touches anything leaves them booked,
+        // one that has to look at counts leaves everything counted.
+        let net = netlist::library::logic::comparator("cmp4", 4);
+        let t = RouteTemplate::new(&placed(&net, 4, 4));
+        let mut f = RoutingFabric::new(10, 8, 2);
+        let a = f.route_template(&t, (0, 0)).unwrap();
+        let b = f.route_template(&t, (5, 2)).unwrap();
+        assert_eq!((f.booked.len(), f.handled.booked), (2, 2));
+        assert!(
+            f.saturated > 0,
+            "the comparator fills segments at capacity 2"
+        );
+        let before = (f.usage(), f.saturated);
+
+        f.release(&b);
+        let refused = f.route_template(&t, (7, 2)).unwrap_err();
+        assert_eq!(refused, RouteError::OutOfBounds);
+        f.recommit(&b);
+        assert_eq!((f.booked.len(), f.handled.booked), (2, 4));
+        assert_eq!((f.usage(), f.saturated), before);
+
+        f.release(&b);
+        f.route_template(&t, (1, 1)).unwrap_err();
+        assert_eq!((f.booked.len(), f.handled.converted), (0, 1));
+        f.recommit(&b);
+        assert_eq!((f.handled.booked, f.handled.counted), (5, 1));
+        assert_eq!((f.used.clone(), f.saturated), before);
+        f.assert_usage_is([&a, &b]);
+
+        // Back to bookings once the counts are gone.
+        f.release(&a);
+        f.release(&b);
+        assert_eq!((f.counted, f.saturated), (0, 0));
+        f.recommit(&b);
+        assert_eq!((f.booked.len(), f.counted), (1, 0));
+        f.assert_usage_is([&b]);
+    }
+
+    const UNROUTED: &str = "released more often than it was routed through";
+
+    /// `f.release(routes)` must die of [`UNROUTED`].
+    fn assert_release_is_fatal(f: &mut RoutingFabric, routes: &CircuitRoutes) {
+        let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f.release(routes)));
+        let msg = died.expect_err("the release went through");
+        let msg = msg.downcast_ref::<String>().expect("a formatted message");
+        assert!(msg.contains(UNROUTED), "{msg}");
+    }
+
+    #[test]
+    fn release_without_a_route_is_fatal_in_both_representations() {
+        let t = RouteTemplate::new(&placed_mult(10, 10));
+        let fabric = || RoutingFabric::new(32, 12, DEFAULT_CHANNEL_CAPACITY);
+
+        // Booked: a second release finds no booking and no counts either.
+        let mut f = fabric();
+        let a = f.route_template(&t, (0, 0)).unwrap();
+        let b = f.route_template(&t, (12, 0)).unwrap();
+        f.release(&b);
+        assert_eq!((f.booked.len(), f.counted), (1, 0));
+        assert_release_is_fatal(&mut f, &b);
+
+        // So does the release of a route another fabric holds.
+        let mut other = fabric();
+        other.route_template(&t, (20, 2)).unwrap();
+        assert_eq!(other.booked.len(), 1);
+        assert_release_is_fatal(&mut other, &a);
+
+        // Counted: the second load overlaps the first.
+        let mut f = fabric();
+        let _a = f.route_template(&t, (0, 0)).unwrap();
+        let b = f.route_template(&t, (1, 1)).unwrap();
+        assert!(f.booked.is_empty() && f.counted > 0);
+        f.release(&b);
+        assert_release_is_fatal(&mut f, &b);
     }
 
     #[test]

@@ -15,6 +15,26 @@
 //! segments it fills may end up full, one past it the footprint always
 //! loads on an empty fabric.
 //!
+//! The fabric holds footprints over unused regions as a list of bookings
+//! and fills in per-segment counts only when an operation needs them, so
+//! every comparison has to be made in both representations and across both
+//! conversions. [`handled`] is the tally of how each load, release and
+//! recommit went — booked, counted, or counted after a conversion — and
+//! the sweeps assert that none of the three stays at zero. Two one-line
+//! mutants of `route.rs` that this file must fail on (checked by hand when
+//! the booking was written, and worth repeating after any edit to it):
+//!
+//! * `book` without `|| !self.booked.iter().all(clear)` — overlapping
+//!   footprints both booked: usage diverges from the oracle's in
+//!   `booked_usage_becomes_counted_and_back`,
+//!   `beside_neighbours_and_after_their_release`, the scarce-capacity
+//!   sweep and the random interleavings.
+//! * `Template::full_at` returning 0 — the segments a footprint fills
+//!   exactly are missing from `saturated`: "saturated is not its recount"
+//!   in `booked_usage_becomes_counted_and_back` and the interleavings, and
+//!   once counted a box that is full reads as free, so usage diverges in
+//!   the neighbour and scarce-capacity sweeps.
+//!
 //! The placer golden at the bottom pins `place` to the coordinates the
 //! full-scan cost function produced before the incident-edge index.
 
@@ -250,6 +270,49 @@ impl Pair {
         self.new.release(routes);
         self.assert_same_usage("release");
     }
+
+    /// The fabric's own recount — usage against `live`, `saturated`
+    /// against the full segments — in whichever representation it is in.
+    fn assert_recount(&self, live: &[(Vec<u32>, CircuitRoutes)]) {
+        self.new
+            .assert_usage_is(live.iter().map(|(_, routes)| routes));
+    }
+}
+
+/// How `f` handled its loads, releases and recommits so far: through its
+/// bookings, on its counts, or on its counts after converting the
+/// bookings. The tally is private to the fabric and shows only in its
+/// `Debug` form, which is where this reads it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Handled {
+    booked: u64,
+    counted: u64,
+    converted: u64,
+}
+
+fn handled(f: &RoutingFabric) -> Handled {
+    let dbg = format!("{f:?}");
+    let tally = &dbg[dbg.find("handled: Handled {").expect("the tally field")..];
+    let field = |key: &str| {
+        let digits = &tally[tally.find(key).expect("a tally count") + key.len()..];
+        let end = digits
+            .find(|c: char| !c.is_ascii_digit())
+            .unwrap_or(digits.len());
+        digits[..end].parse::<u64>().expect("a count")
+    };
+    Handled {
+        booked: field("booked: "),
+        counted: field("counted: "),
+        converted: field("converted: "),
+    }
+}
+
+impl std::ops::AddAssign for Handled {
+    fn add_assign(&mut self, o: Handled) {
+        self.booked += o.booked;
+        self.counted += o.counted;
+        self.converted += o.converted;
+    }
 }
 
 struct Circuit {
@@ -421,11 +484,12 @@ fn random_interleaving(
     side: u32,
     cap: u16,
     focus: Option<usize>,
-) -> RouteStats {
+) -> (RouteStats, Handled) {
     let mut rng = SimRng::new(0x7E3A ^ seed);
     let mut p = Pair::new(side, side, cap);
     let mut live = Vec::new();
     for _ in 0..60 {
+        p.assert_recount(&live);
         if !live.is_empty() && rng.below(3) == 0 {
             let r = live.swap_remove(rng.below(live.len() as u64) as usize);
             p.release(&r);
@@ -441,33 +505,121 @@ fn random_interleaving(
         let oy = rng.below((side - c.placed.height + 2) as u64) as u32;
         live.extend(p.route(c, (ox, oy), rng.below(2) == 0));
     }
-    for r in &live {
-        p.release(r);
+    while let Some(r) = live.pop() {
+        p.release(&r);
+        p.assert_recount(&live);
     }
     assert!(p.new.segment_usage().all(|u| u == 0), "seed {seed}");
-    p.new.route_stats()
+    (p.new.route_stats(), handled(&p.new))
 }
 
 #[test]
 fn random_route_release_interleavings() {
     let lib = library();
+    let mut how = Handled::default();
     for seed in 0..24u64 {
         let cap = 2 + (seed % 4) as u16;
         let side = if seed % 2 == 0 { 20 } else { 32 };
-        random_interleaving(&lib, seed, side, cap, None);
+        how += random_interleaving(&lib, seed, side, cap, None).1;
+    }
+    // Roomy: most loads land clear of the others and stay booked.
+    for seed in 24..32u64 {
+        how += random_interleaving(&lib, seed, 64, 8 + (seed % 5) as u16, None).1;
     }
     // Each circuit at each capacity around its peak, among the others.
     let (mut footprints, mut searched, mut failed) = (0, 0, 0);
     for (i, c) in lib.iter().enumerate() {
         for (k, cap) in peak_caps(c).into_iter().enumerate() {
             let seed = 100 + (3 * i + k) as u64;
-            let s = random_interleaving(&lib, seed, 20, cap, Some(i));
+            let (s, h) = random_interleaving(&lib, seed, 20, cap, Some(i));
             footprints += s.footprint_loads;
             searched += s.searched_conns;
             failed += s.failed_circuits;
+            how += h;
         }
     }
     assert!(footprints > 0 && searched > 0 && failed > 0);
+    assert!(
+        how.booked > 0 && how.counted > 0 && how.converted > 0,
+        "{how:?}"
+    );
+}
+
+#[test]
+fn booked_usage_becomes_counted_and_back() {
+    let lib = library();
+    // Bookable at every capacity from 2 up, and out of everyone's way.
+    let small = lib.iter().find(|c| c.name == "crc8x8").unwrap();
+    assert_eq!(small.template.peak_multiplicity(), 1);
+    let (mut full_while_booked, mut refused_at_peak) = (0, 0);
+    for c in lib.iter().filter(|c| c.template.peak_multiplicity() > 2) {
+        let (w, h) = (c.placed.width, c.placed.height);
+        let [below, peak, above] = peak_caps(c);
+        for cap in [below, peak, above, 12] {
+            let what = format!("{} at capacity {cap}", c.name);
+            let mut p = Pair::new(32, 32, cap);
+            let mut live = vec![p.route(small, (28, 27), true).unwrap()];
+            assert_eq!(handled(&p.new).booked, 1, "{what}");
+
+            // A template an unused region cannot take converts the booking
+            // and walks; one it can take is booked beside it.
+            let loaded = p.route(c, (0, 0), true);
+            let how = handled(&p.new);
+            let footprints = p.new.route_stats().footprint_loads;
+            assert_eq!((how.booked, how.converted), (footprints, 2 - footprints));
+            match cap {
+                _ if cap == below => assert_eq!(footprints, 1, "{what}"),
+                _ if cap == peak => refused_at_peak += 2 - footprints,
+                _ => assert_eq!(footprints, 2, "{what}"),
+            }
+            live.extend(loaded);
+            p.assert_recount(&live);
+            if footprints == 2 && cap == peak {
+                // The circuit fills segments on its own: `saturated` has to
+                // know without a count to look at.
+                full_while_booked += p.new.segment_usage().filter(|&u| u >= cap).count();
+            }
+
+            // Clear of both: booked while they are; counted once they are not.
+            live.extend(p.route(c, (0, h), false));
+            let before = handled(&p.new);
+            assert_eq!(before.booked > 1, footprints == 2, "{what}");
+            p.assert_recount(&live);
+
+            // Over a booked region: everything is counted from here on.
+            let over = p.route(c, (1, 1), true);
+            let after = handled(&p.new);
+            assert_eq!(after.booked, before.booked, "{what}");
+            assert_eq!(
+                after.converted,
+                before.converted + u64::from(footprints == 2)
+            );
+            live.extend(over);
+            live.extend(p.route(c, (w + 1, 0), true));
+            assert_eq!(handled(&p.new).booked, before.booked, "{what}");
+            p.assert_recount(&live);
+
+            // Releasing counted routes keeps counting until the last one
+            // is gone; the next load over an unused region is booked again.
+            let counted = handled(&p.new).counted;
+            let n = live.len() as u64;
+            while let Some(r) = live.pop() {
+                p.release(&r);
+                p.assert_recount(&live);
+            }
+            let how = handled(&p.new);
+            assert_eq!((how.counted, how.booked), (counted + n, before.booked));
+            live.extend(p.route(small, (0, 0), true));
+            live.extend(p.route(small, (3, 0), false));
+            assert_eq!(handled(&p.new).booked, before.booked + 2, "{what}");
+            p.assert_recount(&live);
+            while let Some(r) = live.pop() {
+                p.release(&r);
+            }
+            assert_eq!(handled(&p.new).booked, before.booked + 4, "{what}");
+        }
+    }
+    assert!(full_while_booked > 0 && refused_at_peak > 0);
 }
 
 #[test]

@@ -395,7 +395,8 @@ impl PartitionManager {
                     last_use,
                     saved_for,
                 } => (cid, routes, last_use, saved_for),
-                other => unreachable!("relocate_off on non-idle slot {other:?}"),
+                // `retire_column` is the one caller, from its idle-resident arm.
+                other => unreachable!("relocate_off on {other:?}, not an idle resident"),
             };
         self.routing.release(&routes);
         let need_w = self.lib.get(cid).shape().0;
@@ -508,82 +509,80 @@ impl PartitionManager {
         let before = self.stats;
         let mut overhead = SimDuration::ZERO;
 
-        // Extract occupied partitions in column order; frees are rebuilt.
-        let mut occupied: Vec<Partition> = Vec::new();
-        for p in self.parts.drain(..) {
-            if !matches!(p.slot, Slot::Free) {
-                occupied.push(p);
-            }
-        }
-        occupied.sort_by_key(|p| p.col);
-
+        // One pass in column order: an idle resident moves left to `cursor`
+        // (the end of whatever precedes it) when it routes there, everything
+        // else stays, and the gap each leaves behind it becomes one free
+        // partition.
+        let cols = self.timing.spec.cols;
+        let old = std::mem::take(&mut self.parts);
+        let mut parts: Vec<Partition> = Vec::with_capacity(old.len() + 1);
         let mut cursor = 0u32;
-        for p in &mut occupied {
-            let movable = matches!(p.slot, Slot::Resident { owner: None, .. });
-            if !movable || p.col == cursor {
-                // Busy partitions pin themselves; packing resumes after.
-                cursor = p.col.max(cursor) + p.width;
+        for mut p in old {
+            if matches!(p.slot, Slot::Free) {
                 continue;
             }
-            let Slot::Resident { cid, routes, .. } = &mut p.slot else {
-                unreachable!("only residents are movable")
-            };
-            let cid = *cid;
-            let template = self.lib.get(cid).route_template();
-            self.routing.release(routes);
-            match self.routing.route_template(template, (cursor, 0)) {
-                Ok(new_routes) => {
-                    let frames = p.width as usize;
-                    overhead += charge_partial_download(
-                        &self.timing,
-                        frames,
-                        &mut self.stats,
-                        &mut self.obs,
-                        tid,
-                    );
-                    if self.lib.get(cid).is_sequential() {
-                        overhead += charge_state_move(&self.timing, frames, true, &mut self.stats);
-                        overhead += charge_state_move(&self.timing, frames, false, &mut self.stats);
+            debug_assert!(p.col >= cursor, "partitions are kept in column order");
+            match &mut p.slot {
+                Slot::Resident {
+                    cid,
+                    owner: None,
+                    routes,
+                    ..
+                } if p.col > cursor => {
+                    let cid = *cid;
+                    let template = self.lib.get(cid).route_template();
+                    self.routing.release(routes);
+                    match self.routing.route_template(template, (cursor, 0)) {
+                        Ok(new_routes) => {
+                            let frames = p.width as usize;
+                            overhead += charge_partial_download(
+                                &self.timing,
+                                frames,
+                                &mut self.stats,
+                                &mut self.obs,
+                                tid,
+                            );
+                            if self.lib.get(cid).is_sequential() {
+                                overhead +=
+                                    charge_state_move(&self.timing, frames, true, &mut self.stats);
+                                overhead +=
+                                    charge_state_move(&self.timing, frames, false, &mut self.stats);
+                            }
+                            self.stats.relocations += 1;
+                            p.col = cursor;
+                            *routes = new_routes;
+                        }
+                        Err(_) => {
+                            // Keep the circuit where it was: the failed attempt
+                            // rolled back, so exactly its old segments are free.
+                            self.routing.recommit(routes);
+                            self.stats.failed_relocations += 1;
+                        }
                     }
-                    self.stats.relocations += 1;
-                    p.col = cursor;
-                    *routes = new_routes;
                 }
-                Err(_) => {
-                    // Keep the circuit where it was: the failed attempt
-                    // rolled back, so exactly its old segments are free.
-                    self.routing.recommit(routes);
-                    self.stats.failed_relocations += 1;
-                }
+                // Packed already, or busy or retired and so pinned; packing
+                // resumes after it.
+                _ => {}
             }
-            cursor = p.col + p.width;
-        }
-
-        // Rebuild the partition list: occupied at final positions plus the
-        // free gaps between them.
-        let cols = self.timing.spec.cols;
-        let mut new_parts: Vec<Partition> = Vec::with_capacity(occupied.len() * 2 + 1);
-        let mut at = 0u32;
-        for p in occupied {
-            if p.col > at {
+            if p.col > cursor {
                 self.stats.merges += 1;
-                new_parts.push(Partition {
-                    col: at,
-                    width: p.col - at,
+                parts.push(Partition {
+                    col: cursor,
+                    width: p.col - cursor,
                     slot: Slot::Free,
                 });
             }
-            at = p.col + p.width;
-            new_parts.push(p);
+            cursor = p.col + p.width;
+            parts.push(p);
         }
-        if at < cols {
-            new_parts.push(Partition {
-                col: at,
-                width: cols - at,
+        if cursor < cols {
+            parts.push(Partition {
+                col: cursor,
+                width: cols - cursor,
                 slot: Slot::Free,
             });
         }
-        self.parts = new_parts;
+        self.parts = parts;
         // Relocation downloads and state moves were charged into
         // config_time/state_time above; reattribute them to the GC phase so
         // an overhead breakdown has disjoint slices. Event counters
@@ -605,7 +604,8 @@ impl PartitionManager {
     /// after every operation that changes either: usage is exactly the
     /// residents' routes, and — while no searched route is live, the only
     /// kind that can leave its columns — free and retired columns carry
-    /// nothing, which is what lets a load into them be one footprint pass.
+    /// nothing, which is what lets the fabric book a load into them as its
+    /// footprint without looking at a segment.
     fn check_routing(&self) {
         if !cfg!(debug_assertions) {
             return;
@@ -631,40 +631,51 @@ impl PartitionManager {
         }
     }
 
+    /// The first free partition at least `need_w` wide, the free columns in
+    /// total, and the widest free partition.
+    fn free_space(&self, need_w: u32) -> (Option<usize>, u32, u32) {
+        let (mut first_fit, mut total, mut largest) = (None, 0, 0);
+        for (i, p) in self.parts.iter().enumerate() {
+            if matches!(p.slot, Slot::Free) {
+                if first_fit.is_none() && p.width >= need_w {
+                    first_fit = Some(i);
+                }
+                total += p.width;
+                largest = largest.max(p.width);
+            }
+        }
+        (first_fit, total, largest)
+    }
+
     /// [`FpgaManager::activate`] proper.
     fn place(&mut self, tid: TaskId, cid: CircuitId) -> Activation {
         // 1. Already resident?
-        if let Some(i) = self.find_resident(cid) {
-            let stamp = self.tick();
-            if let Slot::Resident {
+        let resident = self.parts.iter_mut().find_map(|p| match &mut p.slot {
+            Slot::Resident {
+                cid: c,
                 owner,
                 last_use,
                 saved_for,
                 ..
-            } = &mut self.parts[i].slot
-            {
-                match owner {
-                    Some(o) if *o != tid => {
-                        self.stats.blocks += 1;
-                        self.waiters.push_back((tid, cid));
-                        return Activation::Blocked;
-                    }
-                    _ => {
-                        *owner = Some(tid);
-                        *last_use = stamp;
-                        self.stats.hits += 1;
-                        let mut overhead = SimDuration::ZERO;
-                        if *saved_for == Some(tid) {
-                            *saved_for = None;
-                            let frames = self.parts[i].width as usize;
-                            overhead +=
-                                charge_state_move(&self.timing, frames, false, &mut self.stats);
-                        }
-                        return Activation::Ready { overhead };
-                    }
-                }
+            } if *c == cid => Some((p.width, owner, last_use, saved_for)),
+            _ => None,
+        });
+        if let Some((width, owner, last_use, saved_for)) = resident {
+            self.clock += 1;
+            if owner.is_some_and(|o| o != tid) {
+                self.stats.blocks += 1;
+                self.waiters.push_back((tid, cid));
+                return Activation::Blocked;
             }
-            unreachable!("find_resident returned a free slot");
+            *owner = Some(tid);
+            *last_use = self.clock;
+            self.stats.hits += 1;
+            let mut overhead = SimDuration::ZERO;
+            if *saved_for == Some(tid) {
+                *saved_for = None;
+                overhead += charge_state_move(&self.timing, width as usize, false, &mut self.stats);
+            }
+            return Activation::Ready { overhead };
         }
 
         // 2. Find a free partition wide enough (first-fit).
@@ -676,45 +687,28 @@ impl PartitionManager {
             return Activation::Unservable;
         }
         loop {
-            let candidate = self
-                .parts
-                .iter()
-                .position(|p| matches!(p.slot, Slot::Free) && p.width >= need_w);
+            let (candidate, free_total, largest_free) = self.free_space(need_w);
             if let Some(i) = candidate {
                 if let Some(overhead) = self.load_into(i, cid, tid) {
                     return Activation::Ready { overhead };
                 }
-                // Routing failed at this origin — treat like fragmentation:
+                // Routing failed at this origin (nothing was committed, the
+                // partitions are as scanned) — treat like fragmentation:
                 // fall through to GC/eviction below rather than looping on
                 // the same partition forever.
             }
             // 3. Try GC (variable mode) to coalesce free columns.
-            if self.gc_enabled && matches!(self.mode, PartitionMode::Variable) {
-                let free_total: u32 = self
-                    .parts
-                    .iter()
-                    .filter(|p| matches!(p.slot, Slot::Free))
-                    .map(|p| p.width)
-                    .sum();
-                let largest_free = self
-                    .parts
-                    .iter()
-                    .filter(|p| matches!(p.slot, Slot::Free))
-                    .map(|p| p.width)
-                    .max()
-                    .unwrap_or(0);
-                if free_total >= need_w && largest_free < need_w {
-                    let gc_overhead = self.garbage_collect(tid);
-                    let retry = self
-                        .parts
-                        .iter()
-                        .position(|p| matches!(p.slot, Slot::Free) && p.width >= need_w);
-                    if let Some(i) = retry {
-                        if let Some(overhead) = self.load_into(i, cid, tid) {
-                            return Activation::Ready {
-                                overhead: overhead + gc_overhead,
-                            };
-                        }
+            if self.gc_enabled
+                && matches!(self.mode, PartitionMode::Variable)
+                && free_total >= need_w
+                && largest_free < need_w
+            {
+                let gc_overhead = self.garbage_collect(tid);
+                if let (Some(i), ..) = self.free_space(need_w) {
+                    if let Some(overhead) = self.load_into(i, cid, tid) {
+                        return Activation::Ready {
+                            overhead: overhead + gc_overhead,
+                        };
                     }
                 }
             }
@@ -744,8 +738,10 @@ impl FpgaManager for PartitionManager {
 
     fn preempt(&mut self, tid: TaskId, cid: CircuitId) -> PreemptCost {
         match self.policy {
+            // `System::can_preempt` gates both of its calls on the system's
+            // own action; a manager built with another one is a wiring bug.
             PreemptAction::WaitCompletion => {
-                unreachable!("system must not call preempt under WaitCompletion")
+                unreachable!("preempt under WaitCompletion: System was configured to preempt")
             }
             PreemptAction::Rollback => PreemptCost {
                 overhead: SimDuration::ZERO,
