@@ -7,92 +7,40 @@
 //! preemptions, and GC.
 //!
 //! Usage: `trace_dump [--section NAME]... [--tag TAG]... [--limit N]
-//! [--seed S] [--summary]`
-//!
-//! * `--section NAME` — enable one of the optional subsystems
-//!   (repeatable, combine freely):
-//!   - `faults` — attach a deterministic fault injector (download
-//!     corruption + SEUs + 2ms scrubbing) so the recovery events appear
-//!     (tags fault-inj/crc/scrub/retry/task-fail/col-retire/recover).
-//!   - `checkpoints` — run under periodic checkpoints with seeded host
-//!     crashes and journaled restore, and (unless `--tag` is given)
-//!     filter the listing to the ckpt/crash/replay events. The printed
-//!     trace covers the final segment — earlier segments died with their
-//!     crashed host.
-//!   - `admission` — tag tasks with tenants round-robin, make the first
-//!     task's first FPGA op hang, and attach an [`AdmissionPolicy`]
-//!     (tight per-tenant quota, watchdog, low-watermark degradation) so
-//!     the admission events appear (tags wd-arm/wd-fire/reject/
-//!     quarantine/degrade; the listing filters to them unless `--tag`
-//!     is given).
-//!   - `delta` — enable delta reconfiguration on the partition manager
-//!     and run under delta checkpoints (full anchor every 4th capture),
-//!     then print the per-tenant delta-vs-full download table, the base
-//!     invalidations by reason, and the delta-checkpoint chain lengths
-//!     (tags delta/delta-inv/ckpt-delta; the listing filters to them
-//!     unless `--tag` is given). Composes with `faults` (scrub repairs
-//!     invalidate bases) and `checkpoints` (crashes drop every base).
-//!   - `fleet` — run a 3-device fleet of dynload shards under a seeded
-//!     device-crash plan *and* a live-migration plan instead of the
-//!     single-device engine, and print the fleet-level timeline:
-//!     per-device crash/rejoin history, the per-tenant
-//!     failover/migration outcome table, the per-tenant migration phase
-//!     timeline (prepare/commit/freed, and aborts with their
-//!     crash-window reason), and migration-latency quantiles (tags
-//!     dev-crash/dev-rejoin/failover/sw-failover/rebalance/lost/
-//!     mig-prepare/mig-commit/mig-abort/mig-freed). Does not compose
-//!     with the single-device sections.
-//!   - `profile` — record host spans and simulated latency histograms
-//!     during the run, then print the span tree (inclusive/exclusive
-//!     wall time), a flamegraph-compatible collapsed-stack export, and
-//!     per-label latency quantiles after the event summary.
-//! * `--faults`, `--checkpoints`, `--admission`, `--fleet`, `--profile`
-//!   — aliases for the matching `--section NAME`.
-//! * `--tag TAG` — print only events whose tag matches (repeatable;
-//!   base tags: arrive/ready/run/block/fail/done/dispatch/config/
-//!   preempt/gc/fault/overlay/iomux/custom, plus the per-section tags
-//!   listed above).
-//! * `--limit N` — print at most N events (default 200; `0` = unlimited).
-//! * `--seed S`  — workload seed (default 0xE04).
-//! * `--summary` — skip the event listing, print only the per-tag counts
-//!   (and, with `--section profile`, the profile views).
+//! [--seed S] [--summary]`. Each `--section` (alias `--NAME`) attaches one
+//! subsystem of [`SECTIONS`] to the run and prints its views after the
+//! event counts; `fleet` runs a 3-device fleet instead and does not compose
+//! with the others. `--tag` (repeatable; `--help` lists
+//! `fsim::TraceEvent::TAGS`) picks the events listed — by default the
+//! union of the enabled sections' tags, or every event if none filters.
+//! `--limit` caps the listing (default 200, `0` = all), `--summary` skips
+//! it, `--seed` reseeds the workload (default 0xE04).
 
-use fsim::{span, SimDuration, SimRng, SimTime};
-use std::collections::BTreeMap;
+use fpga::ConfigTiming;
+use fsim::{span, LogHistogram, SimDuration, SimRng, SimTime, Trace, TraceEvent};
+use std::collections::{BTreeMap, BTreeSet};
+use std::fmt::Display;
 use std::sync::{Arc, Mutex};
 use vfpga::manager::partition::PartitionManager;
 use vfpga::{
     run_fleet, run_with_crashes_traced, AdmissionPolicy, CheckpointConfig, CircuitLib, CrashPlan,
-    DegradationConfig, DeviceFaultPlan, FaultPlan, FleetConfig, MigrationPlan, PlacementPolicy,
-    RecoveryPolicy, RoundRobinScheduler, RunOutcome, SchedulabilityConfig, System, SystemImage,
-    WatchdogConfig,
+    DegradationConfig, DeviceFaultPlan, FaultPlan, FleetConfig, FleetReport, MigrationPlan,
+    PlacementPolicy, RecoveryPolicy, Report, RoundRobinScheduler, RunOutcome, SchedulabilityConfig,
+    System, SystemImage, TaskSpec, WatchdogConfig,
 };
-use workload::{poisson_tasks, tenant_tasks, Domain, MixParams, TenantMixParams};
+use workload::{poisson_tasks, tenant_tasks, Domain, TenantMixParams};
 
-/// Optional subsystems `--section` can enable, with their help blurbs.
-const SECTIONS: &[(&str, &str)] = &[
-    ("faults", "fault injection + scrubbing recovery events"),
-    (
-        "checkpoints",
-        "periodic checkpoints, host crashes, journal replay",
-    ),
-    ("admission", "tenant quotas, watchdogs, degraded dispatch"),
-    (
-        "deadlines",
-        "schedulability gate, per-tenant deadline outcomes",
-    ),
-    (
-        "delta",
-        "delta downloads, ghost invalidations, delta checkpoints",
-    ),
-    (
-        "fleet",
-        "multi-device crashes, failovers, live-migration phase timelines, migration latency",
-    ),
-    (
-        "profile",
-        "host span tree, collapsed stacks, latency histograms",
-    ),
+/// The sections: name, help blurb, and the tags the listing keeps by
+/// default while the section is on (none: it filters nothing).
+#[rustfmt::skip] // one row a section
+const SECTIONS: &[(&str, &str, &str)] = &[
+    ("faults", "fault injection + scrubbing recovery events", ""),
+    ("checkpoints", "periodic checkpoints, host crashes, journal replay", "ckpt crash replay"),
+    ("admission", "quotas, watchdogs, degraded dispatch", "wd-arm wd-fire reject quarantine degrade"),
+    ("deadlines", "schedulability gate, per-tenant deadline outcomes", "unsched reject"),
+    ("delta", "delta downloads, invalidations, delta checkpoints", "delta delta-inv ckpt-delta"),
+    ("fleet", "device crashes, failovers, live migrations, migration latency", ""),
+    ("profile", "host span tree, collapsed stacks, latency histograms", ""),
 ];
 
 struct Args {
@@ -100,25 +48,50 @@ struct Args {
     limit: usize,
     seed: u64,
     summary_only: bool,
-    sections: Vec<String>,
+    sections: Vec<&'static str>,
 }
 
 impl Args {
     fn section(&self, name: &str) -> bool {
-        self.sections.iter().any(|s| s == name)
+        self.sections.contains(&name)
+    }
+
+    /// Turn on the section called `name`, if there is one.
+    fn enable(&mut self, name: &str) -> bool {
+        let known = SECTIONS.iter().map(|s| s.0).find(|s| *s == name);
+        self.sections.extend(known.filter(|s| !self.section(s)));
+        known.is_some()
+    }
+
+    /// The listed tags (empty: all): `--tag`'s, else the sections' union.
+    fn filter(&self) -> BTreeSet<&str> {
+        if !self.tags.is_empty() {
+            return self.tags.iter().map(String::as_str).collect();
+        }
+        let on = SECTIONS.iter().filter(|(name, ..)| self.section(name));
+        on.flat_map(|(.., tags)| tags.split_whitespace()).collect()
     }
 }
 
 fn usage() -> String {
     let mut out = String::from(
         "usage: trace_dump [--section NAME]... [--tag TAG]... [--limit N] [--seed S] \
-         [--summary]\n\nsections (repeatable; --faults/--checkpoints/--admission/--deadlines/\
-         --delta/--fleet/--profile are aliases):\n",
+         [--summary]\n\nsections (repeatable; --NAME is an alias):\n",
     );
-    for (name, blurb) in SECTIONS {
+    for (name, blurb, _) in SECTIONS {
         out.push_str(&format!("  {name:<12} {blurb}\n"));
     }
+    out.push_str("\ntags (--tag; Custom events carry their own, e.g. evict):\n");
+    for line in TraceEvent::TAGS.chunks(8) {
+        out.push_str(&format!("  {}\n", line.join(" ")));
+    }
     out
+}
+
+/// Report a command-line error and exit 2.
+fn fail(message: impl Display) -> ! {
+    eprintln!("{message}");
+    std::process::exit(2)
 }
 
 fn parse_args() -> Args {
@@ -129,60 +102,39 @@ fn parse_args() -> Args {
         summary_only: false,
         sections: Vec::new(),
     };
-    let push_section = |sections: &mut Vec<String>, name: &str| {
-        if !sections.iter().any(|s| s == name) {
-            sections.push(name.to_string());
-        }
-    };
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
-        let mut value = |name: &str| {
-            args.next().unwrap_or_else(|| {
-                eprintln!("{name} requires a value");
-                std::process::exit(2);
-            })
+        let mut value = |flag: &str| {
+            args.next()
+                .unwrap_or_else(|| fail(format!("{flag} requires a value")))
         };
         match a.as_str() {
-            "--tag" => {
-                let t = value("--tag");
-                out.tags.push(t);
-            }
+            "--tag" => out.tags.push(value("--tag")),
             "--limit" => {
-                out.limit = value("--limit").parse().unwrap_or_else(|e| {
-                    eprintln!("--limit: {e}");
-                    std::process::exit(2);
-                });
+                let n = value("--limit").parse();
+                out.limit = n.unwrap_or_else(|e| fail(format!("--limit: {e}")));
             }
             "--seed" => {
-                out.seed = value("--seed").parse().unwrap_or_else(|e| {
-                    eprintln!("--seed: {e}");
-                    std::process::exit(2);
-                });
+                let n = value("--seed").parse();
+                out.seed = n.unwrap_or_else(|e| fail(format!("--seed: {e}")));
             }
             "--summary" => out.summary_only = true,
-            "--section" => {
-                let name = value("--section");
-                if !SECTIONS.iter().any(|(s, _)| *s == name) {
-                    eprintln!("unknown section {name:?}\n\n{}", usage());
-                    std::process::exit(2);
-                }
-                push_section(&mut out.sections, &name);
-            }
-            // Pre-`--section` spellings, kept as aliases.
-            "--faults" => push_section(&mut out.sections, "faults"),
-            "--checkpoints" => push_section(&mut out.sections, "checkpoints"),
-            "--admission" => push_section(&mut out.sections, "admission"),
-            "--deadlines" => push_section(&mut out.sections, "deadlines"),
-            "--delta" => push_section(&mut out.sections, "delta"),
-            "--fleet" => push_section(&mut out.sections, "fleet"),
-            "--profile" => push_section(&mut out.sections, "profile"),
             "--help" | "-h" => {
                 println!("{}", usage());
                 std::process::exit(0);
             }
+            "--section" => {
+                let name = value("--section");
+                if !out.enable(&name) {
+                    fail(format!("unknown section {name:?}\n\n{}", usage()));
+                }
+            }
+            // `--NAME`: the pre-`--section` spelling, kept as an alias.
             other => {
-                eprintln!("unknown argument {other} (see --help)");
-                std::process::exit(2);
+                let alias = other.strip_prefix("--");
+                if !alias.is_some_and(|name| out.enable(name)) {
+                    fail(format!("unknown argument {other} (see --help)"));
+                }
             }
         }
     }
@@ -191,108 +143,146 @@ fn parse_args() -> Args {
 
 fn main() {
     let args = parse_args();
+    // The fleet view runs its own multi-device harness (run_fleet), so it
+    // does not compose with the single-device sections.
     if args.section("fleet") {
-        // The fleet view runs its own multi-device harness (run_fleet
-        // replaces the single-system engine), so it does not compose
-        // with the single-device sections.
         fleet_view(&args);
-        return;
+    } else {
+        device_view(&args);
     }
-    let profile = args.section("profile");
+}
 
-    // The delta view runs the same mix on a quarter-size part: VF800
-    // holds the whole suite resident, and a fabric that never evicts
-    // never reloads over a ghost, so no download would ever go delta.
-    // The delta view runs on a tenth-size part: a fabric with room for
-    // the whole working set never evicts, and a fabric that never evicts
-    // never reloads over a ghost, so no download would ever go delta.
-    let spec = fpga::device::part(if args.section("delta") {
-        "VF100"
-    } else {
-        "VF800"
-    });
-    let (lib, ids, sw) =
-        bench::setup::compile_suite_lib_sw(&[Domain::Telecom, Domain::Storage], spec);
-    // The delta view also swaps the suite for a circuit family: delta
-    // downloads need the incoming circuit to land on the ghost of a
-    // similar predecessor, so the workload rotates four half-similar
-    // drop-in variants of one full-height multiplier through the same
-    // few columns instead of mixing unrelated apps.
-    let (lib, ids) = if args.section("delta") {
-        let base = pnr::compile(
-            &netlist::library::arith::array_multiplier("tdmul", 4),
-            pnr::CompileOptions {
-                max_height: spec.rows,
-                full_height: true,
-                ..Default::default()
-            },
-        )
-        .expect("delta family base compiles");
-        let mut dlib = CircuitLib::new();
-        let dids = workload::variant_family(&mut dlib, base, 3, 0.5, args.seed);
-        (Arc::new(dlib), dids)
-    } else {
-        (lib, ids)
-    };
-    let timing = bench::setup::serial_fast(spec);
-    let mix = MixParams {
-        tasks: 12,
-        mean_interarrival: SimDuration::from_millis(2),
-        mean_cpu_burst: SimDuration::from_millis(3),
-        fpga_ops_per_task: 6,
-        cycles: (100_000, 500_000),
-    };
-    let specs = {
-        let mut rng = SimRng::new(args.seed);
-        if args.section("admission") || args.section("deadlines") || args.section("delta") {
-            // Tenant-tagged variant of the same arrival process. The
-            // admission section adds one deliberately hanging op so the
-            // watchdog has work to do; the deadlines section jitters the
-            // deadlines so the schedulability gate sees a mixed bag; the
-            // delta section only needs the tenant tags for its table.
-            tenant_tasks(
-                &TenantMixParams {
-                    base: mix,
-                    tenants: 3,
-                    // The deadlines view runs looser deadlines than the
-                    // admission one so the gate refuses some tasks and
-                    // admits others instead of refusing nearly all.
-                    deadline: if args.section("deadlines") {
-                        Some(SimDuration::from_millis(90))
-                    } else if args.section("admission") {
-                        Some(SimDuration::from_millis(50))
-                    } else {
-                        None
-                    },
-                    hang_tasks: if args.section("admission") { 1 } else { 0 },
-                    deadline_spread: if args.section("deadlines") { 0.4 } else { 0.0 },
+/// List the events `filter` keeps (empty: all) and count every tag.
+fn list(trace: &Trace, filter: &BTreeSet<&str>, args: &Args) -> BTreeMap<&'static str, u64> {
+    let mut by_tag = BTreeMap::new();
+    let (mut printed, mut matched) = (0usize, 0usize);
+    for e in trace.entries() {
+        let tag = e.tag();
+        *by_tag.entry(tag).or_insert(0) += 1;
+        if !filter.is_empty() && !filter.contains(tag) {
+            continue;
+        }
+        matched += 1;
+        if !args.summary_only && (args.limit == 0 || printed < args.limit) {
+            println!("{e}");
+            printed += 1;
+        }
+    }
+    if !args.summary_only && matched > printed {
+        let more = matched - printed;
+        println!("... {more} more matching events (raise --limit)");
+    }
+    by_tag
+}
+
+/// `p50 …, p90 …, max … (<count> <what>)` of a latency histogram.
+fn quantiles(h: &LogHistogram, what: &str) -> String {
+    let ns = bench::report::fmt_ns;
+    let (p50, p90) = (ns(h.quantile_ns(0.5)), ns(h.quantile_ns(0.9)));
+    format!(
+        "p50 {p50}, p90 {p90}, max {} ({} {what})",
+        ns(h.max_ns()),
+        h.count()
+    )
+}
+
+/// The `run:` line both views end their counts with.
+fn run_line(r: &Report) -> String {
+    format!(
+        "run: makespan {:.3} s, {} tasks, overhead fraction {:.1}%",
+        r.makespan.as_secs_f64(),
+        r.tasks.len(),
+        r.overhead_fraction() * 100.0
+    )
+}
+
+/// What every single-device view runs.
+type Sys = System<PartitionManager, RoundRobinScheduler>;
+
+/// Routing and event-queue counters, which a probe carries past the run.
+type RunStats = Arc<Mutex<(pnr::RouteStats, fsim::QueueStats)>>;
+
+/// The library, task mix, software prices and port timing of a device view.
+struct Workload {
+    lib: Arc<CircuitLib>,
+    specs: Vec<TaskSpec>,
+    sw: BTreeMap<u32, u64>,
+    timing: ConfigTiming,
+}
+
+impl Workload {
+    fn new(args: &Args) -> Workload {
+        // The delta view runs on a tenth-size part: a fabric with room for
+        // the whole working set never evicts, so never reloads over a
+        // ghost, so no download would ever go delta.
+        let delta = args.section("delta");
+        let spec = fpga::device::part(if delta { "VF100" } else { "VF800" });
+        let (lib, ids, sw) =
+            bench::setup::compile_suite_lib_sw(&[Domain::Telecom, Domain::Storage], spec);
+        // It also swaps the suite for a circuit family: a delta download
+        // needs the incoming circuit to land on the ghost of a similar
+        // predecessor, so four half-similar drop-in variants of one
+        // full-height multiplier rotate through the same few columns.
+        let (lib, ids) = if delta {
+            let base = pnr::compile(
+                &netlist::library::arith::array_multiplier("tdmul", 4),
+                pnr::CompileOptions {
+                    max_height: spec.rows,
+                    full_height: true,
                     ..Default::default()
                 },
-                &ids,
-                &mut rng,
             )
+            .expect("delta family base compiles");
+            let mut dlib = CircuitLib::new();
+            let dids = workload::variant_family(&mut dlib, base, 3, 0.5, args.seed);
+            (Arc::new(dlib), dids)
         } else {
-            poisson_tasks(&mix, &ids, &mut rng)
+            (lib, ids)
+        };
+        let mut rng = SimRng::new(args.seed);
+        let (admission, deadlines) = (args.section("admission"), args.section("deadlines"));
+        let specs = if admission || deadlines || delta {
+            // Tenant-tagged arrivals. Admission hangs one op for the
+            // watchdog; deadlines jitters looser deadlines than admission's
+            // so the gate refuses some tasks, not nearly all; delta only
+            // needs the tenant tags for its table.
+            let params = TenantMixParams {
+                base: bench::setup::e4_mix(),
+                tenants: 3,
+                deadline: if deadlines {
+                    Some(SimDuration::from_millis(90))
+                } else {
+                    admission.then(|| SimDuration::from_millis(50))
+                },
+                hang_tasks: usize::from(admission),
+                deadline_spread: if deadlines { 0.4 } else { 0.0 },
+                ..Default::default()
+            };
+            tenant_tasks(&params, &ids, &mut rng)
+        } else {
+            poisson_tasks(&bench::setup::e4_mix(), &ids, &mut rng)
+        };
+        let timing = bench::setup::serial_fast(spec);
+        Workload {
+            lib,
+            specs,
+            sw,
+            timing,
         }
-    };
-    // The run consumes the system, manager and event queue included;
-    // their routing and traffic counters stay out of the report, so a
-    // probe carries them past the run.
-    let run_stats = Arc::new(Mutex::new((
-        pnr::RouteStats::default(),
-        fsim::QueueStats::default(),
-    )));
-    let build = || {
-        let mut mgr = bench::setup::variable_partitions(&lib, timing);
+    }
+
+    /// A fresh system with the enabled sections attached.
+    fn system(&self, args: &Args, stats: &RunStats) -> Sys {
+        let mut mgr = bench::setup::variable_partitions(&self.lib, self.timing);
         if args.section("delta") {
             mgr.enable_delta();
         }
         let mut sys = System::new(
-            lib.clone(),
+            self.lib.clone(),
             mgr,
             RoundRobinScheduler::new(SimDuration::from_millis(10)),
             bench::setup::save_restore(),
-            specs.clone(),
+            self.specs.clone(),
         );
         if args.section("faults") {
             let plan = FaultPlan {
@@ -307,79 +297,61 @@ fn main() {
             };
             sys = sys.with_faults(plan, policy);
         }
-        if args.section("admission") || args.section("deadlines") {
+        let (admission, deadlines) = (args.section("admission"), args.section("deadlines"));
+        if admission || deadlines {
             // The deadlines section arms the schedulability gate; the
             // admission extras (watchdog, degradation) ride along only
             // when that section is also on, so each view stays focused.
             let policy = AdmissionPolicy {
                 max_in_flight: 2,
                 queue_cap: 2,
-                watchdog: if args.section("admission") {
-                    Some(WatchdogConfig {
-                        slack: 2.0,
-                        max_trips: 2,
-                    })
-                } else {
-                    None
-                },
-                degradation: if args.section("admission") {
-                    Some(DegradationConfig {
-                        watermark: 0.05,
-                        sw_ns_per_cycle: sw.clone(),
-                        ..Default::default()
-                    })
-                } else {
-                    None
-                },
-                schedulability: if args.section("deadlines") {
-                    Some(SchedulabilityConfig { margin: 1.0 })
-                } else {
-                    None
-                },
+                watchdog: admission.then_some(WatchdogConfig {
+                    slack: 2.0,
+                    max_trips: 2,
+                }),
+                degradation: admission.then(|| DegradationConfig {
+                    watermark: 0.05,
+                    sw_ns_per_cycle: self.sw.clone(),
+                    ..Default::default()
+                }),
+                schedulability: deadlines.then_some(SchedulabilityConfig { margin: 1.0 }),
             };
             sys = sys.with_admission(policy).expect("policy validates");
         }
         if args.section("delta") && !args.section("checkpoints") {
-            // The crash harness below installs its own checkpoint config;
+            // The crash harness installs its own checkpoint config;
             // standalone delta runs attach one here so the delta-capture
             // chain (full anchor every 4th) shows up in the trace.
+            let cfg = checkpoint_config(args);
             sys = sys
-                .with_checkpoints(
-                    CheckpointConfig::new(SimDuration::from_millis(5)).with_delta_checkpoints(4),
-                )
+                .with_checkpoints(cfg)
                 .expect("partition manager snapshots");
         }
-        if profile {
+        if args.section("profile") {
             sys = sys.with_latency_profile();
         }
-        let seen = Arc::clone(&run_stats);
+        let seen = Arc::clone(stats);
         sys.with_run_probe(move |m: &PartitionManager, queue| {
             *seen.lock().expect("probe runs on this thread") = (m.route_stats(), queue);
         })
-    };
-    let mut tags = args.tags.clone();
-    if args.section("admission") && tags.is_empty() && !args.section("checkpoints") {
-        // The advertised filter: only the admission-control stream.
-        tags = ["wd-arm", "wd-fire", "reject", "quarantine", "degrade"]
-            .map(String::from)
-            .to_vec();
-    } else if args.section("deadlines") && tags.is_empty() && !args.section("checkpoints") {
-        // The deadline stream: refusals at the door plus quota sheds.
-        tags = ["unsched", "reject"].map(String::from).to_vec();
-    } else if args.section("delta") && tags.is_empty() && !args.section("checkpoints") {
-        // The advertised filter: only the delta-reconfiguration stream.
-        tags = ["delta", "delta-inv", "ckpt-delta"]
-            .map(String::from)
-            .to_vec();
     }
-    let ckpt_cfg = {
-        let cfg = CheckpointConfig::new(SimDuration::from_millis(5));
-        if args.section("delta") {
-            cfg.with_delta_checkpoints(4)
-        } else {
-            cfg
-        }
-    };
+}
+
+/// Checkpoints every 5 ms; delta ones (full every 4th) with `delta`.
+fn checkpoint_config(args: &Args) -> CheckpointConfig {
+    let cfg = CheckpointConfig::new(SimDuration::from_millis(5));
+    if args.section("delta") {
+        cfg.with_delta_checkpoints(4)
+    } else {
+        cfg
+    }
+}
+
+/// Every view but `fleet`: one system, with the enabled sections attached.
+fn device_view(args: &Args) {
+    let work = Workload::new(args);
+    let stats = RunStats::default();
+    let build = || work.system(args, &stats);
     let run = || {
         if args.section("checkpoints") {
             let plan = CrashPlan {
@@ -387,232 +359,30 @@ fn main() {
                 crash_rate_per_s: 25.0,
                 max_crashes: 3,
             };
-            run_with_crashes_traced(build, ckpt_cfg, plan).expect("deadlock")
+            run_with_crashes_traced(build, checkpoint_config(args), plan).expect("deadlock")
         } else {
             build().with_trace().run_traced().expect("deadlock")
         }
     };
-    if args.section("checkpoints") && tags.is_empty() {
-        // The advertised filter: only the crash-consistency stream,
-        // widened to the delta stream when both sections are on.
-        tags = vec!["ckpt".into(), "crash".into(), "replay".into()];
-        if args.section("delta") {
-            tags.extend(["delta", "delta-inv", "ckpt-delta"].map(String::from));
-        }
-    }
-    let ((report, trace), spans) = if profile {
+    let ((report, trace), spans) = if args.section("profile") {
         span::scoped(run)
     } else {
         (run(), span::SpanProfile::new())
     };
 
-    let mut by_tag: BTreeMap<&'static str, u64> = BTreeMap::new();
-    let mut printed = 0usize;
-    let mut matched = 0usize;
-    for e in trace.entries() {
-        let tag = e.tag();
-        *by_tag.entry(tag).or_insert(0) += 1;
-        if !tags.is_empty() && !tags.iter().any(|t| t == tag) {
-            continue;
-        }
-        matched += 1;
-        if !args.summary_only && (args.limit == 0 || printed < args.limit) {
-            println!("{e}");
-            printed += 1;
-        }
-    }
-    if !args.summary_only && matched > printed {
-        println!(
-            "... {} more matching events (raise --limit)",
-            matched - printed
-        );
-    }
-
-    println!(
-        "\nevents by tag ({} total, {} dropped by ring buffer):",
-        trace.len(),
-        trace.dropped()
-    );
+    let by_tag = list(&trace, &args.filter(), args);
+    let (len, dropped) = (trace.len(), trace.dropped());
+    println!("\nevents by tag ({len} total, {dropped} dropped by ring buffer):");
     for (tag, n) in &by_tag {
         println!("  {tag:<10} {n}");
     }
-    println!(
-        "\nrun: makespan {:.3} s, {} tasks, overhead fraction {:.1}%",
-        report.makespan.as_secs_f64(),
-        report.tasks.len(),
-        report.overhead_fraction() * 100.0
-    );
-    let m = &report.manager_stats;
-    println!(
-        "manager: {} hits / {} misses, {} downloads ({} frames), {} evictions, \
-         {} gc runs, {} relocations ({} failed)",
-        m.hits,
-        m.misses,
-        m.downloads,
-        m.frames_written,
-        m.evictions,
-        m.gc_runs,
-        m.relocations,
-        m.failed_relocations,
-    );
-    let (r, q) = *run_stats.lock().expect("probe ran on this thread");
-    let since = if args.section("checkpoints") {
-        " (since the last restore)"
-    } else {
-        ""
-    };
-    println!(
-        "routing{since}: {} connections translated from their template ({} circuits as one \
-         footprint), {} searched, {} circuits failed to route",
-        r.templated_conns, r.footprint_loads, r.searched_conns, r.failed_circuits,
-    );
-    println!(
-        "queue{since}: {} events scheduled, {} via the heap, peak {} pending ({} in the heap)",
-        q.scheduled, q.via_heap, q.peak_pending, q.peak_heap,
-    );
+    println!("\n{}", run_line(&report));
+    device_lines(&report, &stats, args.section("checkpoints"));
     if args.section("checkpoints") {
-        let c = &report.crash;
-        println!(
-            "crash consistency: {} checkpoints ({:.3} s readback), {} crashes, \
-             {} torn, {} redone / {} undone ({:.3} s replay), {} stale discards",
-            c.checkpoints,
-            c.checkpoint_time.as_secs_f64(),
-            c.crashes,
-            c.torn_downloads,
-            c.records_redone,
-            c.records_undone,
-            c.replay_time.as_secs_f64(),
-            c.stale_discards,
-        );
-        // What one checkpoint weighs in each of its two forms: cut a
-        // probe run halfway and size the image it leaves behind.
-        let halfway = SimTime::ZERO + SimDuration::from_nanos(report.makespan.as_nanos() / 2);
-        let probe = build()
-            .with_checkpoints(ckpt_cfg)
-            .expect("partition manager snapshots")
-            .run_until(Some(halfway))
-            .expect("deadlock");
-        if let RunOutcome::Crashed(state) = probe {
-            if let Some(image) = &state.image {
-                let typed = SystemImage::from_json(&image.state).expect("own image reads back");
-                let section = |key| image.state.get(key).expect("own image has a task table");
-                let len = |key| {
-                    section(key)
-                        .as_arr()
-                        .expect("the task table is arrays")
-                        .len()
-                };
-                let rows = len("tasks");
-                println!(
-                    "checkpoint image #{} at {:.3} s: ~{} bytes as the typed image the host keeps, \
-                     {} bytes rendered as vfpga-ckpt/3 JSON when it leaves the process \
-                     ({} task rows x {} columns, {} bytes a row)",
-                    image.seq,
-                    image.at.as_secs_f64(),
-                    typed.approx_bytes(),
-                    image.state.render().len(),
-                    rows,
-                    len("task_columns"),
-                    section("tasks").render().len() / rows.max(1),
-                );
-            }
-        }
+        crash_lines(&report, build(), checkpoint_config(args));
     }
     if args.section("delta") {
-        // Per-tenant download split: every download is exactly one of
-        // DeltaDownload (priced as a frame diff) or ConfigDownload
-        // (full-price), and the event's task id indexes the spec list.
-        #[derive(Default)]
-        struct TenantDl {
-            delta: u64,
-            full: u64,
-            saved: u64,
-        }
-        let mut per: BTreeMap<u32, TenantDl> = BTreeMap::new();
-        let mut invalidations: BTreeMap<&'static str, u64> = BTreeMap::new();
-        let mut chains: Vec<u32> = Vec::new();
-        let mut open_chain = 0u32;
-        let mut full_anchors = 0u64;
-        let mut delta_ckpts = 0u64;
-        for e in trace.entries() {
-            match &e.event {
-                fsim::TraceEvent::DeltaDownload {
-                    task,
-                    frames,
-                    full_frames,
-                    ..
-                } => {
-                    let tn = specs.get(*task as usize).map(|sp| sp.tenant).unwrap_or(0);
-                    let t = per.entry(tn).or_default();
-                    t.delta += 1;
-                    t.saved += full_frames.saturating_sub(*frames) as u64;
-                }
-                fsim::TraceEvent::ConfigDownload { task, .. } => {
-                    let tn = specs.get(*task as usize).map(|sp| sp.tenant).unwrap_or(0);
-                    per.entry(tn).or_default().full += 1;
-                }
-                fsim::TraceEvent::DeltaInvalidate { reason, .. } => {
-                    *invalidations.entry(reason).or_insert(0) += 1;
-                }
-                fsim::TraceEvent::DeltaCheckpoint { chain, .. } => {
-                    delta_ckpts += 1;
-                    open_chain = *chain;
-                }
-                fsim::TraceEvent::CheckpointTaken { .. } => {
-                    full_anchors += 1;
-                    if full_anchors > 1 || open_chain > 0 {
-                        chains.push(open_chain);
-                    }
-                    open_chain = 0;
-                }
-                _ => {}
-            }
-        }
-        println!("\nper-tenant downloads (delta-priced vs full-priced):");
-        println!(
-            "  {:<8} {:>7} {:>7} {:>14}",
-            "tenant", "delta", "full", "frames-saved"
-        );
-        for (tn, t) in &per {
-            println!("  t{tn:<7} {:>7} {:>7} {:>14}", t.delta, t.full, t.saved);
-        }
-        if invalidations.is_empty() {
-            println!("delta base invalidations: none");
-        } else {
-            let by_reason: Vec<String> = invalidations
-                .iter()
-                .map(|(r, n)| format!("{r} {n}"))
-                .collect();
-            println!("delta base invalidations: {}", by_reason.join(", "));
-        }
-        // Chain lengths: deltas taken between consecutive full anchors,
-        // as a `length x count` distribution (the final chain may still
-        // be open when the run ends). Anything shorter than `k - 1`
-        // means a dirty-fabric event forced an early anchor.
-        let mut chain_dist: BTreeMap<u32, u64> = BTreeMap::new();
-        for c in &chains {
-            *chain_dist.entry(*c).or_insert(0) += 1;
-        }
-        let dist = chain_dist
-            .iter()
-            .map(|(len, n)| format!("{len} x{n}"))
-            .collect::<Vec<_>>()
-            .join(", ");
-        println!(
-            "delta checkpoints: {delta_ckpts} delta captures, {full_anchors} full anchors; \
-             chain lengths between anchors {{{dist}}}, open chain {open_chain}"
-        );
-        if let Some(d) = &report.delta {
-            println!(
-                "delta totals: {} delta / {} full downloads, {} frames written \
-                 ({} saved), {} invalidations",
-                d.delta_downloads,
-                d.full_downloads,
-                d.frames_written,
-                d.frames_saved,
-                d.invalidations,
-            );
-        }
+        delta_tables(&trace, &work.specs, &report);
     }
     if let Some(a) = &report.admission {
         println!(
@@ -631,84 +401,239 @@ fn main() {
         );
     }
     if args.section("deadlines") {
-        // Per-tenant deadline outcomes: the report's task table zipped
-        // with the specs (same order) for the deadline each task carried.
-        println!("\nper-tenant deadline outcomes:");
-        println!(
-            "  {:<8} {:>9} {:>9} {:>8} {:>7}",
-            "tenant", "admitted", "unsched", "shed", "missed"
-        );
-        let tenants: std::collections::BTreeSet<u32> = specs.iter().map(|sp| sp.tenant).collect();
-        for &tn in &tenants {
-            let mine = || {
-                specs
-                    .iter()
-                    .zip(&report.tasks)
-                    .filter(move |(sp, _)| sp.tenant == tn)
-            };
-            let unsched = mine().filter(|(_, t)| t.unschedulable).count();
-            let shed = mine()
-                .filter(|(_, t)| t.rejected && !t.unschedulable)
-                .count();
-            let missed = mine().filter(|(_, t)| t.deadline_missed).count();
-            let admitted = mine().count() - unsched - shed;
-            println!("  t{tn:<7} {admitted:>9} {unsched:>9} {shed:>8} {missed:>7}");
-        }
-        let mut miss_lat = fsim::LogHistogram::new();
-        for (sp, t) in specs.iter().zip(&report.tasks) {
-            if t.deadline_missed {
-                let dl = sp.absolute_deadline().expect("missed implies deadline");
-                miss_lat.record((t.completion - dl).as_nanos());
-            }
-        }
-        if miss_lat.count() > 0 {
-            println!(
-                "miss latency (completion past deadline): p50 {}, p90 {}, max {} \
-                 ({} misses)",
-                bench::report::fmt_ns(miss_lat.quantile_ns(0.50)),
-                bench::report::fmt_ns(miss_lat.quantile_ns(0.90)),
-                bench::report::fmt_ns(miss_lat.max_ns()),
-                miss_lat.count(),
-            );
-        } else {
-            println!("miss latency: no deadline misses");
-        }
+        deadline_table(&work.specs, &report);
     }
-    if profile {
-        println!("\n## host spans (wall clock, inclusive/exclusive)\n");
-        print!("{}", spans.render_tree());
-        println!("\n## collapsed stacks (flamegraph.pl / inferno format)\n");
-        print!("{}", spans.collapsed());
-        if let Some(lat) = &report.latency {
-            println!("\n## simulated latency histograms (ns, log-bucketed)\n");
-            println!(
-                "{:<24} {:>7} {:>12} {:>12} {:>12} {:>12}",
-                "label", "count", "p50", "p90", "p99", "max"
-            );
-            for (label, h) in lat.iter() {
-                println!(
-                    "{:<24} {:>7} {:>12} {:>12} {:>12} {:>12}",
-                    label,
-                    h.count(),
-                    bench::report::fmt_ns(h.quantile_ns(0.50)),
-                    bench::report::fmt_ns(h.quantile_ns(0.90)),
-                    bench::report::fmt_ns(h.quantile_ns(0.99)),
-                    bench::report::fmt_ns(h.max_ns()),
-                );
-            }
-        }
+    if args.section("profile") {
+        profile_views(&spans, &report);
     }
 }
 
-/// `--section fleet`: run a 3-device fleet of dynload shards under a
-/// seeded device-crash plan and dump the fleet-level timeline — device
-/// crashes/rejoins per device, the per-tenant failover/migration
-/// outcome table, and migration-latency quantiles.
+/// The manager, routing and queue lines (the latter two of the last
+/// incarnation after a restore).
+fn device_lines(report: &Report, stats: &RunStats, restored: bool) {
+    let m = &report.manager_stats;
+    println!(
+        "manager: {} hits / {} misses, {} downloads ({} frames), {} evictions, \
+         {} gc runs, {} relocations ({} failed)",
+        m.hits,
+        m.misses,
+        m.downloads,
+        m.frames_written,
+        m.evictions,
+        m.gc_runs,
+        m.relocations,
+        m.failed_relocations,
+    );
+    let (r, q) = *stats.lock().expect("probe ran on this thread");
+    let since = if restored {
+        " (since the last restore)"
+    } else {
+        ""
+    };
+    println!(
+        "routing{since}: {} connections translated from their template ({} circuits as one \
+         footprint), {} searched, {} circuits failed to route",
+        r.templated_conns, r.footprint_loads, r.searched_conns, r.failed_circuits,
+    );
+    println!(
+        "queue{since}: {} events scheduled, {} via the heap, peak {} pending ({} in the heap)",
+        q.scheduled, q.via_heap, q.peak_pending, q.peak_heap,
+    );
+}
+
+/// The crash-consistency totals, and the two forms of the image `probe`
+/// leaves when cut halfway through the run.
+fn crash_lines(report: &Report, probe: Sys, cfg: CheckpointConfig) {
+    let c = &report.crash;
+    println!(
+        "crash consistency: {} checkpoints ({:.3} s readback), {} crashes, \
+         {} torn, {} redone / {} undone ({:.3} s replay), {} stale discards",
+        c.checkpoints,
+        c.checkpoint_time.as_secs_f64(),
+        c.crashes,
+        c.torn_downloads,
+        c.records_redone,
+        c.records_undone,
+        c.replay_time.as_secs_f64(),
+        c.stale_discards,
+    );
+    let halfway = SimTime::ZERO + SimDuration::from_nanos(report.makespan.as_nanos() / 2);
+    let probe = probe
+        .with_checkpoints(cfg)
+        .expect("partition manager snapshots");
+    let outcome = probe.run_until(Some(halfway)).expect("deadlock");
+    let RunOutcome::Crashed(state) = outcome else {
+        return;
+    };
+    let Some(image) = &state.image else { return };
+    let typed = SystemImage::from_json(&image.state).expect("own image reads back");
+    let section = |key| image.state.get(key).expect("own image has a task table");
+    let len = |key| {
+        section(key)
+            .as_arr()
+            .expect("the task table is arrays")
+            .len()
+    };
+    let rows = len("tasks");
+    println!(
+        "checkpoint image #{} at {:.3} s: ~{} bytes as the typed image the host keeps, \
+         {} bytes rendered as vfpga-ckpt/3 JSON when it leaves the process \
+         ({} task rows x {} columns, {} bytes a row)",
+        image.seq,
+        image.at.as_secs_f64(),
+        typed.approx_bytes(),
+        image.state.render().len(),
+        rows,
+        len("task_columns"),
+        section("tasks").render().len() / rows.max(1),
+    );
+}
+
+/// Per-tenant downloads, invalidations, chain lengths and delta totals.
+fn delta_tables(trace: &Trace, specs: &[TaskSpec], report: &Report) {
+    // Every download is exactly one of DeltaDownload (priced as a frame
+    // diff) or ConfigDownload (full-price), and the event's task id
+    // indexes the spec list. A tenant's row: delta, full, frames saved.
+    let tenant = |task: u32| specs.get(task as usize).map(|sp| sp.tenant).unwrap_or(0);
+    let mut per: BTreeMap<u32, [u64; 3]> = BTreeMap::new();
+    let mut invalidations: BTreeMap<&'static str, u64> = BTreeMap::new();
+    // Chain lengths: deltas taken between consecutive full anchors, as a
+    // `length -> count` distribution (the final chain may still be open
+    // when the run ends). Anything shorter than `k - 1` means a
+    // dirty-fabric event forced an early anchor.
+    let mut chains: BTreeMap<u32, u64> = BTreeMap::new();
+    let (mut open_chain, mut full_anchors, mut delta_ckpts) = (0u32, 0u64, 0u64);
+    for e in trace.entries() {
+        match e.event {
+            TraceEvent::DeltaDownload {
+                task,
+                frames,
+                full_frames,
+                ..
+            } => {
+                let row = per.entry(tenant(task)).or_default();
+                row[0] += 1;
+                row[2] += u64::from(full_frames.saturating_sub(frames));
+            }
+            TraceEvent::ConfigDownload { task, .. } => {
+                per.entry(tenant(task)).or_default()[1] += 1;
+            }
+            TraceEvent::DeltaInvalidate { reason, .. } => {
+                *invalidations.entry(reason).or_insert(0) += 1;
+            }
+            TraceEvent::DeltaCheckpoint { chain, .. } => {
+                delta_ckpts += 1;
+                open_chain = chain;
+            }
+            TraceEvent::CheckpointTaken { .. } => {
+                full_anchors += 1;
+                if full_anchors > 1 || open_chain > 0 {
+                    *chains.entry(open_chain).or_insert(0) += 1;
+                }
+                open_chain = 0;
+            }
+            _ => {}
+        }
+    }
+    println!("\nper-tenant downloads (delta-priced vs full-priced):");
+    println!("  tenant     delta    full   frames-saved");
+    for (tn, [delta, full, saved]) in &per {
+        println!("  t{tn:<7} {delta:>7} {full:>7} {saved:>14}");
+    }
+    let joined = |counts: Vec<String>| counts.join(", ");
+    let by_reason = joined(
+        invalidations
+            .iter()
+            .map(|(r, n)| format!("{r} {n}"))
+            .collect(),
+    );
+    let by_reason = if by_reason.is_empty() {
+        "none".into()
+    } else {
+        by_reason
+    };
+    println!("delta base invalidations: {by_reason}");
+    let dist = joined(
+        chains
+            .iter()
+            .map(|(len, n)| format!("{len} x{n}"))
+            .collect(),
+    );
+    println!(
+        "delta checkpoints: {delta_ckpts} delta captures, {full_anchors} full anchors; \
+         chain lengths between anchors {{{dist}}}, open chain {open_chain}"
+    );
+    if let Some(d) = &report.delta {
+        println!(
+            "delta totals: {} delta / {} full downloads, {} frames written \
+             ({} saved), {} invalidations",
+            d.delta_downloads, d.full_downloads, d.frames_written, d.frames_saved, d.invalidations,
+        );
+    }
+}
+
+/// Per-tenant deadline outcomes (tasks zipped with their specs) and the
+/// miss-latency quantiles.
+fn deadline_table(specs: &[TaskSpec], report: &Report) {
+    println!("\nper-tenant deadline outcomes:");
+    println!("  tenant    admitted   unsched     shed  missed");
+    let tenants: BTreeSet<u32> = specs.iter().map(|sp| sp.tenant).collect();
+    for &tn in &tenants {
+        let mine = || {
+            let tasks = specs.iter().zip(&report.tasks);
+            tasks.filter(move |(sp, _)| sp.tenant == tn)
+        };
+        let unsched = mine().filter(|(_, t)| t.unschedulable).count();
+        let shed = mine()
+            .filter(|(_, t)| t.rejected && !t.unschedulable)
+            .count();
+        let missed = mine().filter(|(_, t)| t.deadline_missed).count();
+        let admitted = mine().count() - unsched - shed;
+        println!("  t{tn:<7} {admitted:>9} {unsched:>9} {shed:>8} {missed:>7}");
+    }
+    let mut miss_lat = LogHistogram::new();
+    for (sp, t) in specs.iter().zip(&report.tasks) {
+        if t.deadline_missed {
+            let dl = sp.absolute_deadline().expect("missed implies deadline");
+            miss_lat.record((t.completion - dl).as_nanos());
+        }
+    }
+    if miss_lat.count() > 0 {
+        let q = quantiles(&miss_lat, "misses");
+        println!("miss latency (completion past deadline): {q}");
+    } else {
+        println!("miss latency: no deadline misses");
+    }
+}
+
+/// The span tree, the collapsed stacks and the latency quantiles.
+fn profile_views(spans: &span::SpanProfile, report: &Report) {
+    println!("\n## host spans (wall clock, inclusive/exclusive)\n");
+    print!("{}", spans.render_tree());
+    println!("\n## collapsed stacks (flamegraph.pl / inferno format)\n");
+    print!("{}", spans.collapsed());
+    let Some(lat) = &report.latency else { return };
+    println!("\n## simulated latency histograms (ns, log-bucketed)\n");
+    println!(
+        "label                      count          p50          p90          p99          max"
+    );
+    for (label, h) in lat.iter() {
+        let q = |p| bench::report::fmt_ns(h.quantile_ns(p));
+        let max = bench::report::fmt_ns(h.max_ns());
+        let (p50, p90, p99) = (q(0.5), q(0.9), q(0.99));
+        println!(
+            "{label:<24} {:>7} {p50:>12} {p90:>12} {p99:>12} {max:>12}",
+            h.count()
+        );
+    }
+}
+
+/// `--section fleet`: a 3-device fleet of dynload shards under a seeded
+/// device-crash plan and a live-migration plan, and its timelines.
 fn fleet_view(args: &Args) {
     let spec = fpga::device::part("VF400");
     let (lib, ids, sw) =
         bench::setup::compile_suite_lib_sw(&[Domain::Telecom, Domain::Storage], spec);
-    let sw = std::sync::Arc::new(sw);
     let timing = bench::setup::serial_fast(spec);
     let specs = bench::setup::fleet_specs(&ids, args.seed, 3);
     let cfg = FleetConfig::new(3)
@@ -727,147 +652,124 @@ fn fleet_view(args: &Args) {
             delta_copy: false,
             crash: None,
         });
-    let shards = bench::exp::e19_fleet::shard_builder(lib.clone(), sw.clone(), timing);
+    let shards = bench::exp::e19_fleet::shard_builder(lib, Arc::new(sw), timing);
     let fleet = run_fleet(&cfg, specs.clone(), shards).expect("fleet runs");
 
-    // The fleet trace carries only fleet-level events, so the default
-    // listing is unfiltered; --tag still narrows it.
-    let mut by_tag: BTreeMap<&'static str, u64> = BTreeMap::new();
-    let mut printed = 0usize;
-    let mut matched = 0usize;
-    for e in fleet.trace.entries() {
-        let tag = e.tag();
-        *by_tag.entry(tag).or_insert(0) += 1;
-        if !args.tags.is_empty() && !args.tags.iter().any(|t| t == tag) {
-            continue;
-        }
-        matched += 1;
-        if !args.summary_only && (args.limit == 0 || printed < args.limit) {
-            println!("{e}");
-            printed += 1;
-        }
-    }
-    if !args.summary_only && matched > printed {
-        println!(
-            "... {} more matching events (raise --limit)",
-            matched - printed
-        );
-    }
+    // Fleet traces hold fleet events only: no section filters; --tag may.
+    let by_tag = list(&fleet.trace, &args.filter(), args);
     println!("\nevents by tag ({} total):", fleet.trace.len());
     for (tag, n) in &by_tag {
         println!("  {tag:<12} {n}");
     }
+    device_timeline(&fleet.trace, cfg.devices);
+    tenant_outcomes(&fleet, &specs);
+    migration_timeline(&fleet.trace);
+    fleet_totals(&fleet);
+}
 
-    // Per-device availability timeline, assembled by pairing each crash
-    // with the rejoin that follows it on the same device.
+/// `step`'s lines for the events it picks (`at` in ms), by the id it gives.
+fn timeline(
+    trace: &Trace,
+    step: impl Fn(&TraceEvent, f64) -> Option<(u32, String)>,
+) -> BTreeMap<u32, Vec<String>> {
+    let mut lines: BTreeMap<u32, Vec<String>> = BTreeMap::new();
+    for e in trace.entries() {
+        if let Some((id, line)) = step(&e.event, e.at.as_secs_f64() * 1e3) {
+            lines.entry(id).or_default().push(line);
+        }
+    }
+    lines
+}
+
+/// Per-device availability: each crash with the rejoin that follows it.
+fn device_timeline(trace: &Trace, devices: u32) {
     println!("\nper-device crash/rejoin timeline:");
-    let mut devices: BTreeMap<u32, Vec<String>> = BTreeMap::new();
-    for d in 0..cfg.devices {
-        devices.entry(d).or_default();
-    }
-    for e in fleet.trace.entries() {
-        match e.event {
-            fsim::TraceEvent::DeviceCrash { device, outage } => {
-                devices.entry(device).or_default().push(format!(
-                    "down @ {:.3} ms for {:.3} ms",
-                    e.at.as_secs_f64() * 1e3,
-                    outage.as_secs_f64() * 1e3
-                ));
-            }
-            fsim::TraceEvent::DeviceRejoin { device } => {
-                devices
-                    .entry(device)
-                    .or_default()
-                    .push(format!("rejoin @ {:.3} ms", e.at.as_secs_f64() * 1e3));
-            }
-            _ => {}
+    let history = timeline(trace, |event, at| match *event {
+        TraceEvent::DeviceCrash { device, outage } => {
+            let down = outage.as_secs_f64() * 1e3;
+            Some((device, format!("down @ {at:.3} ms for {down:.3} ms")))
+        }
+        TraceEvent::DeviceRejoin { device } => Some((device, format!("rejoin @ {at:.3} ms"))),
+        _ => None,
+    });
+    for d in 0..devices {
+        match history.get(&d) {
+            Some(steps) => println!("  device {d}: {}", steps.join("; ")),
+            None => println!("  device {d}: up for the whole run"),
         }
     }
-    for (d, events) in &devices {
-        if events.is_empty() {
-            println!("  device {d}: up for the whole run");
-        } else {
-            println!("  device {d}: {}", events.join("; "));
-        }
-    }
+}
 
-    // Per-tenant outcomes: each tenant inherits its shard's migration
-    // history; lost tasks come from the merged per-task table (original
-    // workload order, zippable with the specs).
+/// Per-tenant outcomes: the shard's history, lost tasks from the merged
+/// per-task table (workload order, zippable with the specs).
+fn tenant_outcomes(fleet: &FleetReport, specs: &[TaskSpec]) {
     println!("\nper-tenant failover/migration outcomes:");
-    println!(
-        "  {:<8} {:>5} {:>6} {:>10} {:>9} {:>7} {:>5} {:>5}",
-        "tenant", "shard", "home", "final", "failovers", "rebal", "tasks", "lost"
-    );
+    println!("  tenant   shard   home      final failovers   rebal tasks  lost");
     for sh in &fleet.shards {
         for &tn in &sh.tenants {
             let mine = || {
-                specs
-                    .iter()
-                    .zip(&fleet.merged.tasks)
-                    .filter(move |(sp, _)| sp.tenant == tn)
+                let tasks = specs.iter().zip(&fleet.merged.tasks);
+                tasks.filter(move |(sp, _)| sp.tenant == tn)
             };
             let lost = mine().filter(|(_, t)| t.lost_in_flight).count();
+            let host = sh.final_host.map(|d| d.0.to_string());
             println!(
-                "  t{tn:<7} {:>5} {:>6} {:>10} {:>9} {:>7} {:>5} {:>5}",
+                "  t{tn:<7} {:>5} {:>6} {:>10} {:>9} {:>7} {:>5} {lost:>5}",
                 sh.shard,
                 sh.home.0,
-                sh.final_host
-                    .map(|d| d.0.to_string())
-                    .unwrap_or_else(|| "software".into()),
+                host.unwrap_or_else(|| "software".into()),
                 sh.failovers,
                 sh.rebalances,
                 mine().count(),
-                lost,
             );
         }
     }
+}
 
-    // Per-tenant migration phase timeline: the four mig-* events carry
-    // the tenant id, so the two-phase protocol's progress — and where an
-    // aborted attempt died — reads off chronologically per tenant.
+/// Per-tenant migration phases, and where an aborted attempt died.
+fn migration_timeline(trace: &Trace) {
     println!("\nper-tenant migration phase timeline:");
-    let mut phases: BTreeMap<u32, Vec<String>> = BTreeMap::new();
-    for e in fleet.trace.entries() {
-        let at_ms = e.at.as_secs_f64() * 1e3;
-        match e.event {
-            fsim::TraceEvent::MigrationPrepare {
-                tenant,
-                from_device,
-                to_device,
-                tasks,
-            } => phases.entry(tenant).or_default().push(format!(
-                "prepare @ {at_ms:.3} ms dev {from_device} -> dev {to_device} ({tasks} tasks)"
-            )),
-            fsim::TraceEvent::MigrationCommit { tenant, redo, .. } => {
-                phases.entry(tenant).or_default().push(format!(
-                    "commit @ {at_ms:.3} ms (redo {:.3} ms)",
-                    redo.as_secs_f64() * 1e3
-                ));
-            }
-            fsim::TraceEvent::MigrationAbort { tenant, reason, .. } => phases
-                .entry(tenant)
-                .or_default()
-                .push(format!("abort @ {at_ms:.3} ms ({reason})")),
-            fsim::TraceEvent::MigrationFreed {
-                tenant,
-                claims,
-                redone,
-                ..
-            } => phases.entry(tenant).or_default().push(format!(
-                "freed @ {at_ms:.3} ms ({claims} claims{})",
-                if redone { ", redone by replay" } else { "" }
-            )),
-            _ => {}
+    let phases = timeline(trace, |event, at| match *event {
+        TraceEvent::MigrationPrepare {
+            tenant,
+            from_device: from,
+            to_device: to,
+            tasks,
+        } => Some((
+            tenant,
+            format!("prepare @ {at:.3} ms dev {from} -> dev {to} ({tasks} tasks)"),
+        )),
+        TraceEvent::MigrationCommit { tenant, redo, .. } => {
+            let redo = redo.as_secs_f64() * 1e3;
+            Some((tenant, format!("commit @ {at:.3} ms (redo {redo:.3} ms)")))
         }
-    }
+        TraceEvent::MigrationAbort { tenant, reason, .. } => {
+            Some((tenant, format!("abort @ {at:.3} ms ({reason})")))
+        }
+        TraceEvent::MigrationFreed {
+            tenant,
+            claims,
+            redone,
+            ..
+        } => {
+            let redone = if redone { ", redone by replay" } else { "" };
+            Some((
+                tenant,
+                format!("freed @ {at:.3} ms ({claims} claims{redone})"),
+            ))
+        }
+        _ => None,
+    });
     if phases.is_empty() {
         println!("  no live migrations this run");
     }
     for (tn, steps) in &phases {
         println!("  t{tn}: {}", steps.join("; "));
     }
+}
 
+/// The fleet counters, the migration-latency quantiles and the run line.
+fn fleet_totals(fleet: &FleetReport) {
     let st = fleet.stats;
     println!(
         "\nfleet: {} device crashes, {} rejoins, {} failovers ({} claims migrated), \
@@ -887,23 +789,11 @@ fn fleet_view(args: &Args) {
         st.lost_in_flight,
         st.redo_time.as_secs_f64() * 1e3,
     );
-    let lat = &fleet.migration_lat;
-    if lat.count() > 0 {
-        println!(
-            "migration latency (redo window + backoff): p50 {}, p90 {}, max {} \
-             ({} migrations)",
-            bench::report::fmt_ns(lat.quantile_ns(0.50)),
-            bench::report::fmt_ns(lat.quantile_ns(0.90)),
-            bench::report::fmt_ns(lat.max_ns()),
-            lat.count(),
-        );
+    if fleet.migration_lat.count() > 0 {
+        let q = quantiles(&fleet.migration_lat, "migrations");
+        println!("migration latency (redo window + backoff): {q}");
     } else {
         println!("migration latency: no migrations");
     }
-    println!(
-        "run: makespan {:.3} s, {} tasks, overhead fraction {:.1}%",
-        fleet.merged.makespan.as_secs_f64(),
-        fleet.merged.tasks.len(),
-        fleet.merged.overhead_fraction() * 100.0
-    );
+    println!("{}", run_line(&fleet.merged));
 }

@@ -12,13 +12,15 @@
 
 use super::RunArgs;
 use crate::report::{f3, pct, Table};
-use crate::setup::{compile_suite_lib, run_traced, save_restore, serial_fast, variable_partitions};
+use crate::setup::{
+    compile_suite_lib, e4_mix, run_traced, save_restore, serial_fast, variable_partitions,
+};
 use crate::{Exporter, HostProfile};
 use fsim::{SimDuration, SimRng};
 use vfpga::manager::dynload::DynLoadManager;
 use vfpga::manager::exclusive::ExclusiveManager;
 use vfpga::{PreemptAction, Report, RoundRobinScheduler, SystemConfig, TaskSpec};
-use workload::{poisson_tasks, Domain, MixParams};
+use workload::{poisson_tasks, Domain};
 
 fn record(r: &Report, t: &mut Table, ex: &mut Exporter) {
     ex.report(r.manager, r);
@@ -43,20 +45,7 @@ pub fn run(args: &RunArgs) -> Result<Exporter, String> {
     let timing = serial_fast(spec);
     let slice = SimDuration::from_millis(10);
 
-    let specs: Vec<TaskSpec> = {
-        let mut rng = SimRng::new(0xE04);
-        poisson_tasks(
-            &MixParams {
-                tasks: 12,
-                mean_interarrival: SimDuration::from_millis(2),
-                mean_cpu_burst: SimDuration::from_millis(3),
-                fpga_ops_per_task: 6,
-                cycles: (100_000, 500_000),
-            },
-            &ids,
-            &mut rng,
-        )
-    };
+    let specs: Vec<TaskSpec> = poisson_tasks(&e4_mix(), &ids, &mut SimRng::new(0xE04));
 
     let mut ex = Exporter::new("e04", "FPGA sharing policies under one Poisson mix");
     ex.seed(0xE04)

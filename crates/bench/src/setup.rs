@@ -87,6 +87,18 @@ pub fn compile_suite_lib_sw(
     (Arc::new(lib), ids, sw)
 }
 
+/// E4's task mix, which `trace_dump` runs too: 12 Poisson arrivals 2 ms
+/// apart on average, 3 ms CPU bursts, six FPGA ops of 100k–500k cycles.
+pub fn e4_mix() -> MixParams {
+    MixParams {
+        tasks: 12,
+        mean_interarrival: SimDuration::from_millis(2),
+        mean_cpu_burst: SimDuration::from_millis(3),
+        fpga_ops_per_task: 6,
+        cycles: (100_000, 500_000),
+    }
+}
+
 /// The task shape E15–E21 share: `tasks` Poisson arrivals, 2 ms CPU
 /// bursts, four FPGA ops of 60k–250k cycles each.
 pub fn os_mix(tasks: usize, mean_interarrival: SimDuration) -> MixParams {

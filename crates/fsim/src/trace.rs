@@ -1,22 +1,25 @@
 //! Structured event tracing.
 //!
 //! The OS simulator emits a typed [`TraceEvent`] for every externally
-//! observable action: task state changes, configuration downloads,
-//! preemptions, garbage-collection runs, page faults, overlay swaps,
-//! I/O-mux grants, and scheduler dispatches. Each event carries its
-//! payload as typed fields, so tools (`trace_dump`, the JSON exporter)
-//! can aggregate without parsing strings; the rendered message is derived
-//! from the fields on demand.
+//! observable action — task state changes, downloads, preemptions, GC,
+//! page faults, overlay swaps, I/O-mux grants, dispatches, and the fault,
+//! checkpoint, admission and fleet machinery — with its payload as typed
+//! fields, so tools (`trace_dump`, the exporter) aggregate without parsing
+//! strings. Each variant is declared once, as one row of the table below:
+//! docs and fields, tag, registry counters, latency label and sample,
+//! message. The enum, its names, [`TraceEvent::counts`],
+//! [`TraceEvent::latency`], `Display` and [`TraceEvent::TAGS`] are
+//! generated from the rows, so a new event is one row.
 //!
-//! Integration tests assert on the trace; experiments usually run with the
-//! trace disabled for speed. A [`Trace`] can also be capacity-bounded, in
-//! which case it behaves as a ring buffer keeping the most recent events.
+//! Experiments usually run with the trace disabled for speed. A [`Trace`]
+//! can also be capacity-bounded: a ring buffer of the most recent events.
 
 use crate::time::{SimDuration, SimTime};
 use std::collections::VecDeque;
 use std::fmt;
 
-/// The lifecycle states a simulated task moves through.
+/// The lifecycle states a simulated task moves through. Their tags and
+/// counters are the `TaskState` cases of the event table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TaskState {
     /// Task entered the system.
@@ -32,34 +35,218 @@ pub enum TaskState {
 }
 
 impl TaskState {
-    /// The state's tag and registry counter.
-    fn names(self) -> (&'static str, &'static str) {
-        match self {
-            TaskState::Arrive => ("arrive", "tasks_arrived"),
-            TaskState::Ready => ("ready", "tasks_ready"),
-            TaskState::Run => ("run", "task_runs"),
-            TaskState::Block => ("block", "task_blocks"),
-            TaskState::Done => ("done", "tasks_completed"),
-        }
-    }
-
     /// Short tag for filtering, e.g. `"arrive"` or `"done"`.
     pub fn tag(self) -> &'static str {
-        self.names().0
+        self.event().tag()
     }
 
     /// Counter name a metrics registry uses for this transition.
     pub fn counter_name(self) -> &'static str {
-        self.names().1
+        self.event().counter_name()
+    }
+
+    /// An event entering this state: its row holds the state's names.
+    fn event(self) -> TraceEvent {
+        TraceEvent::TaskState {
+            task: 0,
+            state: self,
+            info: String::new(),
+        }
     }
 }
 
-/// One typed, structured trace event.
+/// One variant of the event table as data: what [`TraceEvent::TAGS`] and
+/// the table's consistency test read.
+#[cfg_attr(not(test), allow(dead_code))] // the test reads every column
+struct Row {
+    variant: &'static str,
+    fields: &'static [&'static str],
+    /// `(tag, counter, latency label)`, one a case.
+    cases: &'static [(&'static str, &'static str, Option<&'static str>)],
+    /// `(counter, field)` for each counter that sums a payload field.
+    payload: &'static [(&'static str, &'static str)],
+    /// The field the row's own counter sums instead of counting 1.
+    by: Option<&'static str>,
+    /// The latency sample, as written.
+    sample: Option<&'static str>,
+}
+
+/// Declare [`TraceEvent`], one row a variant, and generate the rest. A row:
 ///
-/// Task identifiers are plain `u32`s here (the kernel does not know the OS
-/// layer's newtypes); the emitting layer documents the mapping.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TraceEvent {
+/// ```text
+/// /// docs
+/// Variant {
+///     /// docs
+///     field: Type, ...
+/// } (pattern)? "tag" "counter" "latency label"? | ...   -- its cases
+/// (+ "payload counter" field)* (by field)? (sample expr)?
+/// => "message", args...;
+/// ```
+///
+/// * A variant whose names depend on a field (`TaskState`, `ConfigDownload`)
+///   gives each case a struct-field pattern; any other is one case.
+/// * An occurrence bumps its counter by 1 (or by the field `by` names), and
+///   each `+` counter by its field.
+/// * A labelled case feeds the latency profile the variant's `sample`: a
+///   `SimDuration`, or an `Option` of one (`None`: no sample).
+/// * The message is `write!`'s format and arguments over the fields, bound
+///   by name (by reference), so `"{task}"` reads the field.
+macro_rules! trace_events {
+    ($(
+        $(#[$doc:meta])*
+        $variant:ident { $($(#[$fdoc:meta])* $field:ident: $ty:ty,)* }
+        $($(($($case:tt)*))? $tag:literal $counter:literal $($label:literal)?)|+
+        $(+ $payload:literal $pfield:ident)*
+        $(by $by:ident)?
+        $(sample $sample:expr)?
+        => $fmt:literal $(, $arg:expr)*;
+    )*) => {
+        /// One typed, structured trace event.
+        ///
+        /// Task identifiers are plain `u32`s here (the kernel does not know
+        /// the OS layer's newtypes); the emitting layer documents the mapping.
+        #[derive(Debug, Clone, PartialEq)]
+        pub enum TraceEvent {
+            $($(#[$doc])* $variant { $($(#[$fdoc])* $field: $ty,)* },)*
+            /// Escape hatch for one-off annotations, and the one variant
+            /// outside the table: its tag and message are the caller's, and
+            /// it counts under `custom_events`.
+            Custom {
+                /// Category tag.
+                tag: &'static str,
+                /// Free-form details.
+                message: String,
+            },
+        }
+
+        const ROWS: &[Row] = &[$(Row {
+            variant: stringify!($variant),
+            fields: &[$(stringify!($field)),*],
+            cases: &[$(($tag, $counter, trace_events!(@opt $($label)?))),+],
+            payload: &[$(($payload, stringify!($pfield))),*],
+            by: trace_events!(@opt $(stringify!($by))?),
+            sample: trace_events!(@opt $(stringify!($sample))?),
+        }),*];
+
+        impl TraceEvent {
+            /// Every tag the table declares, once each, in table order.
+            /// `Custom` events carry their caller's instead (`"evict"`).
+            pub const TAGS: &'static [&'static str] = &table_tags::<{ table_tags::<0>().1 }>().0;
+
+            /// The event's category tag, used by [`Trace::with_tag`] and
+            /// `trace_dump` filtering. Task-state events use the state name
+            /// (`"arrive"`, `"block"`, `"done"`, …) so lifecycle assertions
+            /// can filter directly on the transition.
+            pub fn tag(&self) -> &'static str {
+                match self {
+                    $($(Self::$variant { $($($case)*,)? .. } => $tag,)+)*
+                    Self::Custom { tag, .. } => tag,
+                }
+            }
+
+            /// Name of the registry counter this event bumps. `FleetLost`
+            /// and `MigrationFreed` name the sum of their payload (tasks,
+            /// claims), not a count of occurrences.
+            pub fn counter_name(&self) -> &'static str {
+                match self {
+                    $($(Self::$variant { $($($case)*,)? .. } => $counter,)+)*
+                    Self::Custom { .. } => "custom_events",
+                }
+            }
+
+            /// Every `(registry counter, increment)` one occurrence adds:
+            /// its own counter first, then its payload counters.
+            #[allow(unused_variables)]
+            pub fn counts(&self) -> impl Iterator<Item = (&'static str, u64)> {
+                let own = self.counter_name();
+                let counts = match self {
+                    $(Self::$variant { $($field),* } => padded(
+                        (own, trace_events!(@by $($by)?)),
+                        [$(($payload, u64::from(*$pfield))),*],
+                    ),)*
+                    Self::Custom { .. } => padded((own, 1), []),
+                };
+                counts.into_iter().flatten()
+            }
+
+            /// Latency-histogram label and sample, for the events whose
+            /// duration is profiled.
+            #[allow(unused_variables)]
+            pub fn latency(&self) -> Option<(&'static str, SimDuration)> {
+                let label = match self {
+                    $($(Self::$variant { $($($case)*,)? .. } => trace_events!(@opt $($label)?),)+)*
+                    Self::Custom { .. } => None,
+                };
+                let sample: Option<SimDuration> = match self {
+                    $(Self::$variant { $($field),* } => trace_events!(@sample $($sample)?),)*
+                    Self::Custom { .. } => None,
+                };
+                label.zip(sample)
+            }
+        }
+
+        impl fmt::Display for TraceEvent {
+            #[allow(unused_variables)]
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                match self {
+                    $(Self::$variant { $($field),* } => write!(f, $fmt $(, $arg)*),)*
+                    Self::Custom { message, .. } => f.write_str(message),
+                }
+            }
+        }
+    };
+    (@opt) => { None };
+    (@opt $x:expr) => { Some($x) };
+    (@by) => { 1 };
+    (@by $field:ident) => { u64::from(*$field) };
+    (@sample) => { None };
+    (@sample $x:expr) => { Option::from($x) };
+}
+
+/// An occurrence's counts, padded to the widest row's three.
+fn padded<const N: usize>(
+    own: (&'static str, u64),
+    payload: [(&'static str, u64); N],
+) -> [Option<(&'static str, u64)>; 3] {
+    let mut out = [Some(own), None, None];
+    for (slot, c) in out[1..].iter_mut().zip(payload) {
+        *slot = Some(c);
+    }
+    out
+}
+
+/// The table's tags in order, a variant's cases sharing one counted once:
+/// the first `N` of them and how many there are.
+const fn table_tags<const N: usize>() -> ([&'static str; N], usize) {
+    let mut out = [""; N];
+    let (mut n, mut v) = (0, 0);
+    while v < ROWS.len() {
+        let cases = ROWS[v].cases;
+        let mut c = 0;
+        while c < cases.len() {
+            if c == 0 || !same(cases[c].0, cases[c - 1].0) {
+                if n < N {
+                    out[n] = cases[c].0;
+                }
+                n += 1;
+            }
+            c += 1;
+        }
+        v += 1;
+    }
+    (out, n)
+}
+
+/// `a == b` where only a `const fn` may run.
+const fn same(a: &str, b: &str) -> bool {
+    let (a, b, mut i) = (a.as_bytes(), b.as_bytes(), 0);
+    while i < a.len() && i < b.len() && a[i] == b[i] {
+        i += 1;
+    }
+    i == a.len() && i == b.len()
+}
+
+trace_events! {
     /// A task changed lifecycle state.
     TaskState {
         /// Task identifier.
@@ -68,7 +255,13 @@ pub enum TraceEvent {
         state: TaskState,
         /// Free-form context, e.g. the task name or blocking reason.
         info: String,
-    },
+    } (state: TaskState::Arrive) "arrive" "tasks_arrived"
+    | (state: TaskState::Ready) "ready" "tasks_ready"
+    | (state: TaskState::Run) "run" "task_runs"
+    | (state: TaskState::Block) "block" "task_blocks"
+    | (state: TaskState::Done) "done" "tasks_completed"
+    => "task {task} -> {}{}", state.tag(),
+        if info.is_empty() { String::new() } else { format!(" ({info})") };
     /// The scheduler granted the device to a task.
     SchedulerDispatch {
         /// Task identifier.
@@ -77,7 +270,7 @@ pub enum TraceEvent {
         scheduler: &'static str,
         /// Ready-queue depth *after* removing the dispatched task.
         queue_depth: usize,
-    },
+    } "dispatch" "dispatches" => "dispatch task {task} via {scheduler}, {queue_depth} still queued";
     /// A (partial or full) configuration download to the device.
     ConfigDownload {
         /// Task the download served.
@@ -90,7 +283,11 @@ pub enum TraceEvent {
         duration: SimDuration,
         /// Whole-chip download (true) vs partial reconfiguration (false).
         full: bool,
-    },
+    } (full: true) "config" "config_downloads" "download_full"
+    | (full: false) "config" "config_downloads" "download_partial"
+    + "config_frames" frames + "config_bytes" bytes sample *duration
+    => "{} download for task {task}: {frames} frames, {bytes} B, {:.3} ms",
+        if *full { "full" } else { "partial" }, duration.as_millis_f64();
     /// A delta (frame-diff) download onto a column range whose previous
     /// occupant is still tracked in configuration RAM: only the changed
     /// frames ship, instead of the incoming circuit's full frame set.
@@ -107,7 +304,9 @@ pub enum TraceEvent {
         full_frames: u32,
         /// Simulated port time.
         duration: SimDuration,
-    },
+    } "delta" "delta_downloads" "download_delta" + "delta_frames" frames sample *duration
+    => "delta download for task {task}: circuit {from_circuit} -> {to_circuit}, \
+        {frames}/{full_frames} frames, {:.3} ms", duration.as_millis_f64();
     /// A tracked resident image (delta base) was invalidated; the next
     /// load onto the range pays a full download.
     DeltaInvalidate {
@@ -118,7 +317,8 @@ pub enum TraceEvent {
         /// Invalidation cause (`"repair"`, `"retire"`, `"relocate"`,
         /// `"gc"`, `"crash"`, `"overwrite"`, `"discard"`).
         reason: &'static str,
-    },
+    } "delta-inv" "delta_invalidations"
+    => "delta base invalidated [{reason}]: cols [{col0}, {})", col0 + width;
     /// A delta checkpoint capture: only columns dirtied since the previous
     /// image were read back.
     DeltaCheckpoint {
@@ -132,7 +332,9 @@ pub enum TraceEvent {
         chain: u32,
         /// Readback cost of the capture.
         duration: SimDuration,
-    },
+    } "ckpt-delta" "delta_checkpoints" "checkpoint_delta" sample *duration
+    => "delta checkpoint #{seq}: {frames}/{full_frames} frames, chain {chain}, {:.3} ms",
+        duration.as_millis_f64();
     /// A running task was preempted.
     Preemption {
         /// Task identifier.
@@ -143,7 +345,11 @@ pub enum TraceEvent {
         saved: SimDuration,
         /// Computation discarded by rollback (zero otherwise).
         rolled_back: SimDuration,
-    },
+    } "preempt" "preemptions" "preempt_save"
+    // A preemption that saved nothing took no time worth a sample.
+    sample Some(*saved).filter(|d| *d > SimDuration::ZERO)
+    => "preempt task {task} [{policy}]: saved {:.3} ms, rolled back {:.3} ms",
+        saved.as_millis_f64(), rolled_back.as_millis_f64();
     /// A free-space garbage-collection (compaction) run.
     GcRun {
         /// Free fragments merged away.
@@ -154,7 +360,9 @@ pub enum TraceEvent {
         failures: u32,
         /// Simulated cost of the run.
         duration: SimDuration,
-    },
+    } "gc" "gc_runs" "gc_run" + "gc_relocations" relocations sample *duration
+    => "gc: merged {merged} fragments, {relocations} relocations ({failures} failed), {:.3} ms",
+        duration.as_millis_f64();
     /// A virtual-memory page fault (and the eviction it forced, if any).
     PageFault {
         /// The page (circuit segment) faulted in.
@@ -165,7 +373,9 @@ pub enum TraceEvent {
         victim: Option<u32>,
         /// Configuration time charged for the fault.
         duration: SimDuration,
-    },
+    } "fault" "page_faults" "page_fault" sample *duration
+    => "fault page {page} [{policy}]{}, {:.3} ms",
+        victim.map(|v| format!(", evict page {v}")).unwrap_or_default(), duration.as_millis_f64();
     /// An overlay (time-multiplexed context) swap.
     OverlaySwap {
         /// Task identifier.
@@ -176,7 +386,9 @@ pub enum TraceEvent {
         to_overlay: u32,
         /// Swap cost.
         duration: SimDuration,
-    },
+    } "overlay" "overlay_swaps" "overlay_swap" sample *duration
+    => "overlay swap task {task}: {from_overlay} -> {to_overlay}, {:.3} ms",
+        duration.as_millis_f64();
     /// The I/O multiplexer granted pins to a task.
     IoMuxGrant {
         /// Task identifier.
@@ -185,7 +397,7 @@ pub enum TraceEvent {
         slot: u32,
         /// Pins in the slot.
         pins: u32,
-    },
+    } "iomux" "iomux_grants" => "iomux grant slot {slot} ({pins} pins) to task {task}";
     /// A fault was injected into the device.
     FaultInjected {
         /// Fault class: `"download"`, `"seu"`, or `"column"`.
@@ -194,7 +406,9 @@ pub enum TraceEvent {
         circuit: Option<u32>,
         /// Fabric column struck, when the fault has a location.
         col: Option<u32>,
-    },
+    } "fault-inj" "faults_injected"
+    => "inject {kind} fault{}{}", col.map(|c| format!(" at col {c}")).unwrap_or_default(),
+        circuit.map_or(" (benign: no circuit hit)".into(), |c| format!(" hitting circuit {c}"));
     /// A CRC check caught corrupted configuration data.
     CrcMismatch {
         /// Circuit whose configuration failed the check.
@@ -203,7 +417,9 @@ pub enum TraceEvent {
         task: Option<u32>,
         /// Where the check ran: `"download"` or `"scrub"`.
         context: &'static str,
-    },
+    } "crc" "crc_mismatches"
+    => "crc mismatch on circuit {circuit} [{context}]{}",
+        task.map(|t| format!(" for task {t}")).unwrap_or_default();
     /// One periodic scrubbing pass (readback + CRC compare).
     ScrubPass {
         /// Configuration frames read back.
@@ -212,7 +428,8 @@ pub enum TraceEvent {
         found: u32,
         /// Readback port time charged.
         duration: SimDuration,
-    },
+    } "scrub" "scrub_passes" "scrub_pass" sample *duration
+    => "scrub {frames} frames, {found} upsets found, {:.3} ms", duration.as_millis_f64();
     /// A corrupted download will be retried after a backoff.
     RetryScheduled {
         /// Task whose download failed.
@@ -221,14 +438,15 @@ pub enum TraceEvent {
         attempt: u32,
         /// Backoff delay before the retry.
         backoff: SimDuration,
-    },
+    } "retry" "retries_scheduled"
+    => "retry #{attempt} for task {task} after {:.3} ms backoff", backoff.as_millis_f64();
     /// A task was declared failed (recovery gave up on it).
     TaskFailed {
         /// Task identifier.
         task: u32,
         /// Why recovery gave up.
         reason: &'static str,
-    },
+    } "task-fail" "tasks_failed" => "task {task} failed: {reason}";
     /// A fabric column was permanently retired.
     ColumnRetired {
         /// The failed column.
@@ -237,7 +455,8 @@ pub enum TraceEvent {
         relocations: u32,
         /// Relocation/eviction cost of the retirement.
         duration: SimDuration,
-    },
+    } "col-retire" "columns_retired" "column_retire" sample *duration
+    => "retire col {col}: {relocations} relocations, {:.3} ms", duration.as_millis_f64();
     /// A detected upset was repaired (re-download, possibly state moves).
     Recovered {
         /// Circuit repaired.
@@ -248,7 +467,10 @@ pub enum TraceEvent {
         lost: SimDuration,
         /// Repair cost (re-download + state traffic).
         duration: SimDuration,
-    },
+    } "recover" "recoveries" "recovery" sample *duration
+    => "recovered circuit {circuit}{}: lost {:.3} ms, repair {:.3} ms",
+        task.map(|t| format!(" (task {t})")).unwrap_or_default(),
+        lost.as_millis_f64(), duration.as_millis_f64();
     /// A system checkpoint was captured.
     CheckpointTaken {
         /// Checkpoint sequence number (monotone within a run).
@@ -257,7 +479,8 @@ pub enum TraceEvent {
         frames: u32,
         /// Readback cost of the capture (background, like scrubbing).
         duration: SimDuration,
-    },
+    } "ckpt" "checkpoints" "checkpoint_capture" sample *duration
+    => "checkpoint #{seq}: {frames} frames read back, {:.3} ms", duration.as_millis_f64();
     /// The host crashed: volatile OS state is gone, and any in-flight
     /// download was torn.
     Crash {
@@ -266,7 +489,9 @@ pub enum TraceEvent {
         downloads_at_risk: u32,
         /// Whether a download was in flight (and therefore torn).
         torn: bool,
-    },
+    } "crash" "crashes"
+    => "host crash: {downloads_at_risk} downloads past last checkpoint{}",
+        if *torn { ", one torn mid-flight" } else { "" };
     /// Journal replay after a restart: committed downloads redone, torn
     /// ones rolled back.
     JournalReplay {
@@ -276,7 +501,8 @@ pub enum TraceEvent {
         undone: u32,
         /// Port time the replay cost.
         duration: SimDuration,
-    },
+    } "replay" "journal_replays" "journal_replay" sample *duration
+    => "journal replay: {redone} redone, {undone} undone, {:.3} ms", duration.as_millis_f64();
     /// A hang-detection watchdog was armed for a dispatched FPGA
     /// operation: the a-priori latency estimate times the slack factor.
     WatchdogArmed {
@@ -284,7 +510,8 @@ pub enum TraceEvent {
         task: u32,
         /// Delay from arming until the deadline expires.
         deadline: SimDuration,
-    },
+    } "wd-arm" "watchdogs_armed"
+    => "watchdog armed for task {task}: fires in {:.3} ms", deadline.as_millis_f64();
     /// A watchdog deadline expired: the operation overran its estimate
     /// and was forcibly preempted.
     WatchdogFired {
@@ -294,14 +521,15 @@ pub enum TraceEvent {
         trip: u32,
         /// Operation progress discarded by the forced preemption.
         lost: SimDuration,
-    },
+    } "wd-fire" "watchdogs_fired"
+    => "watchdog fired for task {task} (trip #{trip}): lost {:.3} ms", lost.as_millis_f64();
     /// Admission control rejected a task outright (load shedding).
     TaskRejected {
         /// Task identifier.
         task: u32,
         /// Tenant whose quota and queue cap were both exhausted.
         tenant: u32,
-    },
+    } "reject" "tasks_rejected" => "reject task {task}: tenant {tenant} over quota";
     /// A task was quarantined: removed from scheduling after repeated
     /// watchdog trips or exhausted fault recovery.
     TaskQuarantined {
@@ -309,7 +537,7 @@ pub enum TraceEvent {
         task: u32,
         /// Why the task was quarantined.
         reason: &'static str,
-    },
+    } "quarantine" "tasks_quarantined" => "quarantine task {task}: {reason}";
     /// A saturated device sent an FPGA operation down the
     /// software-emulation path instead of queueing it.
     DegradedDispatch {
@@ -319,7 +547,9 @@ pub enum TraceEvent {
         circuit: u32,
         /// Software execution time charged in place of the FPGA run.
         duration: SimDuration,
-    },
+    } "degrade" "degraded_dispatches" "degraded_run" sample *duration
+    => "degraded dispatch task {task}: circuit {circuit} emulated in software, {:.3} ms",
+        duration.as_millis_f64();
     /// The arrival-time schedulability test rejected a task: even the
     /// optimistic a-priori estimate already overshoots its deadline.
     TaskUnschedulable {
@@ -332,7 +562,9 @@ pub enum TraceEvent {
         estimate: SimDuration,
         /// The relative deadline the estimate overshot.
         deadline: SimDuration,
-    },
+    } "unsched" "tasks_unschedulable"
+    => "unschedulable task {task}: tenant {tenant}, estimate {:.3} ms exceeds deadline {:.3} ms",
+        estimate.as_millis_f64(), deadline.as_millis_f64();
     /// Device utilization crossed the degradation high mark: the system
     /// entered sticky degraded mode. Only emitted for explicit
     /// hysteresis pairs.
@@ -341,7 +573,8 @@ pub enum TraceEvent {
         used: u64,
         /// Total device CLBs.
         total: u64,
-    },
+    } "degrade-on" "degrade_mode_enters"
+    => "degraded mode entered: {used}/{total} CLBs past the high mark";
     /// Device utilization fell below the degradation low mark: the
     /// system left degraded mode. Only emitted for explicit hysteresis
     /// pairs; enter/exit churn is the flapping the pair exists to kill.
@@ -350,7 +583,8 @@ pub enum TraceEvent {
         used: u64,
         /// Total device CLBs.
         total: u64,
-    },
+    } "degrade-off" "degrade_mode_exits"
+    => "degraded mode left: {used}/{total} CLBs below the low mark";
     /// A physical device dropped off the shelf (power brownout, surprise
     /// removal): every resident configuration and flip-flop bit on it is
     /// lost. Emitted by the fleet harness, not a single-device run.
@@ -359,13 +593,14 @@ pub enum TraceEvent {
         device: u32,
         /// How long it stays down before rejoining, blank.
         outage: SimDuration,
-    },
+    } "dev-crash" "device_crashes"
+    => "device {device} crashed: configuration lost, down for {:.3} ms", outage.as_millis_f64();
     /// A crashed device's outage ended: it rejoined the fleet with empty
     /// configuration RAM.
     DeviceRejoin {
         /// The device that rejoined.
         device: u32,
-    },
+    } "dev-rejoin" "device_rejoins" => "device {device} rejoined the fleet, blank";
     /// A shard's tasks were failed over from a crashed device to a
     /// surviving one, restarting from the shard's last checkpoint.
     Failover {
@@ -378,7 +613,9 @@ pub enum TraceEvent {
         /// Work window lost to the crash (crash time minus the last
         /// checkpoint) that the destination must re-execute.
         redo: SimDuration,
-    },
+    } "failover" "failovers"
+    => "failover dev {from_device} -> dev {to_device}: {tasks} tasks, redo window {:.3} ms",
+        redo.as_millis_f64();
     /// No hardware destination had capacity within the retry budget: the
     /// shard fell back to the software (CPU-only) execution path.
     SoftwareFailover {
@@ -386,7 +623,8 @@ pub enum TraceEvent {
         from_device: u32,
         /// Unfinished tasks degraded to software.
         tasks: u32,
-    },
+    } "sw-failover" "software_failovers"
+    => "device {from_device} down, no destination: {tasks} tasks degraded to the software path";
     /// Planned migration of a shard onto a rejoined device to even out
     /// hosting load.
     FleetRebalance {
@@ -396,7 +634,7 @@ pub enum TraceEvent {
         from_device: u32,
         /// The rejoined device it moved to.
         to_device: u32,
-    },
+    } "rebalance" "rebalances" => "shard {shard} rebalanced dev {from_device} -> dev {to_device}";
     /// The failover retry budget expired with no destination and no
     /// software fallback: the shard's unfinished tasks were abandoned
     /// (counted in the disjoint lost-in-flight slice).
@@ -405,7 +643,8 @@ pub enum TraceEvent {
         device: u32,
         /// Tasks lost in flight.
         tasks: u32,
-    },
+    } "lost" "lost_in_flight" by tasks
+    => "device {device} down, no destination: {tasks} tasks lost in flight";
     /// Live-migration *prepare*: a destination region was reserved and
     /// the tenant's resident image + FF state snapshotted; a
     /// `MigrationIntent` record is journaled on both sides.
@@ -418,7 +657,9 @@ pub enum TraceEvent {
         to_device: u32,
         /// Live (unfinished) tasks the tenant carries across.
         tasks: u32,
-    },
+    } "mig-prepare" "migrations_prepared"
+    => "migration prepare tenant {tenant} dev {from_device} -> dev {to_device}: \
+        {tasks} live tasks, intent journaled on both sides";
     /// Live-migration *commit*: the destination owns the tenant, the
     /// placement table flipped, and a `MigrationCommit` was journaled.
     MigrationCommit {
@@ -430,7 +671,9 @@ pub enum TraceEvent {
         to_device: u32,
         /// Post-checkpoint work window the destination re-executes.
         redo: SimDuration,
-    },
+    } "mig-commit" "migrations_committed"
+    => "migration commit tenant {tenant} dev {from_device} -> dev {to_device}: \
+        redo window {:.3} ms", redo.as_millis_f64();
     /// Live-migration *abort*: a crash window (or missing destination)
     /// rolled the tenant back onto the source with its backlog intact.
     MigrationAbort {
@@ -443,7 +686,11 @@ pub enum TraceEvent {
         to_device: u32,
         /// Why the migration rolled back.
         reason: &'static str,
-    },
+    } "mig-abort" "migrations_aborted"
+    => "migration abort tenant {tenant} {}: {reason}", match *to_device {
+        u32::MAX => format!("on dev {from_device}"),
+        to => format!("dev {from_device} -> dev {to}"),
+    };
     /// Source columns of a committed migration were freed — either in the
     /// normal commit path or idempotently redone by journal replay after
     /// a crash between commit and free.
@@ -456,456 +703,9 @@ pub enum TraceEvent {
         claims: u32,
         /// True when journal replay redid the free after a crash.
         redone: bool,
-    },
-    /// Escape hatch for one-off annotations.
-    Custom {
-        /// Category tag.
-        tag: &'static str,
-        /// Free-form details.
-        message: String,
-    },
-}
-
-impl TraceEvent {
-    /// The one name table: per variant, the category tag, the registry
-    /// counter an occurrence bumps, and the label its duration is profiled
-    /// under (`""`: not profiled).
-    fn names(&self) -> [&'static str; 3] {
-        use TraceEvent::*;
-        match self {
-            TaskState { state, .. } => [state.tag(), state.counter_name(), ""],
-            SchedulerDispatch { .. } => ["dispatch", "dispatches", ""],
-            ConfigDownload { full: true, .. } => ["config", "config_downloads", "download_full"],
-            ConfigDownload { .. } => ["config", "config_downloads", "download_partial"],
-            DeltaDownload { .. } => ["delta", "delta_downloads", "download_delta"],
-            DeltaInvalidate { .. } => ["delta-inv", "delta_invalidations", ""],
-            DeltaCheckpoint { .. } => ["ckpt-delta", "delta_checkpoints", "checkpoint_delta"],
-            Preemption { .. } => ["preempt", "preemptions", "preempt_save"],
-            GcRun { .. } => ["gc", "gc_runs", "gc_run"],
-            PageFault { .. } => ["fault", "page_faults", "page_fault"],
-            OverlaySwap { .. } => ["overlay", "overlay_swaps", "overlay_swap"],
-            IoMuxGrant { .. } => ["iomux", "iomux_grants", ""],
-            FaultInjected { .. } => ["fault-inj", "faults_injected", ""],
-            CrcMismatch { .. } => ["crc", "crc_mismatches", ""],
-            ScrubPass { .. } => ["scrub", "scrub_passes", "scrub_pass"],
-            RetryScheduled { .. } => ["retry", "retries_scheduled", ""],
-            TaskFailed { .. } => ["task-fail", "tasks_failed", ""],
-            ColumnRetired { .. } => ["col-retire", "columns_retired", "column_retire"],
-            Recovered { .. } => ["recover", "recoveries", "recovery"],
-            CheckpointTaken { .. } => ["ckpt", "checkpoints", "checkpoint_capture"],
-            Crash { .. } => ["crash", "crashes", ""],
-            JournalReplay { .. } => ["replay", "journal_replays", "journal_replay"],
-            WatchdogArmed { .. } => ["wd-arm", "watchdogs_armed", ""],
-            WatchdogFired { .. } => ["wd-fire", "watchdogs_fired", ""],
-            TaskRejected { .. } => ["reject", "tasks_rejected", ""],
-            TaskQuarantined { .. } => ["quarantine", "tasks_quarantined", ""],
-            DegradedDispatch { .. } => ["degrade", "degraded_dispatches", "degraded_run"],
-            TaskUnschedulable { .. } => ["unsched", "tasks_unschedulable", ""],
-            DegradeModeEnter { .. } => ["degrade-on", "degrade_mode_enters", ""],
-            DegradeModeExit { .. } => ["degrade-off", "degrade_mode_exits", ""],
-            DeviceCrash { .. } => ["dev-crash", "device_crashes", ""],
-            DeviceRejoin { .. } => ["dev-rejoin", "device_rejoins", ""],
-            Failover { .. } => ["failover", "failovers", ""],
-            SoftwareFailover { .. } => ["sw-failover", "software_failovers", ""],
-            FleetRebalance { .. } => ["rebalance", "rebalances", ""],
-            FleetLost { .. } => ["lost", "lost_in_flight", ""],
-            MigrationPrepare { .. } => ["mig-prepare", "migrations_prepared", ""],
-            MigrationCommit { .. } => ["mig-commit", "migrations_committed", ""],
-            MigrationAbort { .. } => ["mig-abort", "migrations_aborted", ""],
-            MigrationFreed { .. } => ["mig-freed", "migration_claims_freed", ""],
-            Custom { tag, .. } => [tag, "custom_events", ""],
-        }
-    }
-
-    /// The event's category tag, used by [`Trace::with_tag`] and
-    /// `trace_dump` filtering. Task-state events use the state name
-    /// (`"arrive"`, `"block"`, `"done"`, …) so lifecycle assertions can
-    /// filter directly on the transition.
-    pub fn tag(&self) -> &'static str {
-        self.names()[0]
-    }
-
-    /// Name of the registry counter this event bumps. `FleetLost` and
-    /// `MigrationFreed` name the sum of their payload (tasks, claims), not
-    /// a count of occurrences.
-    pub fn counter_name(&self) -> &'static str {
-        self.names()[1]
-    }
-
-    /// Latency-histogram label and sample, for the events whose duration
-    /// is profiled.
-    pub fn latency(&self) -> Option<(&'static str, SimDuration)> {
-        use TraceEvent::*;
-        let label = self.names()[2];
-        if label.is_empty() {
-            return None;
-        }
-        let sample = match self {
-            // A preemption that saved nothing took no time worth a sample.
-            Preemption { saved, .. } => Some(*saved).filter(|d| *d > SimDuration::ZERO),
-            ConfigDownload { duration, .. }
-            | DeltaDownload { duration, .. }
-            | DeltaCheckpoint { duration, .. }
-            | GcRun { duration, .. }
-            | PageFault { duration, .. }
-            | OverlaySwap { duration, .. }
-            | ScrubPass { duration, .. }
-            | ColumnRetired { duration, .. }
-            | Recovered { duration, .. }
-            | CheckpointTaken { duration, .. }
-            | JournalReplay { duration, .. }
-            | DegradedDispatch { duration, .. } => Some(*duration),
-            _ => unreachable!("'{label}' labels an event without a duration"),
-        };
-        sample.map(|d| (label, d))
-    }
-}
-
-impl fmt::Display for TraceEvent {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TraceEvent::TaskState { task, state, info } => {
-                write!(f, "task {task} -> {}", state.tag())?;
-                if !info.is_empty() {
-                    write!(f, " ({info})")?;
-                }
-                Ok(())
-            }
-            TraceEvent::SchedulerDispatch {
-                task,
-                scheduler,
-                queue_depth,
-            } => {
-                write!(
-                    f,
-                    "dispatch task {task} via {scheduler}, {queue_depth} still queued"
-                )
-            }
-            TraceEvent::ConfigDownload {
-                task,
-                frames,
-                bytes,
-                duration,
-                full,
-            } => write!(
-                f,
-                "{} download for task {task}: {frames} frames, {bytes} B, {:.3} ms",
-                if *full { "full" } else { "partial" },
-                duration.as_millis_f64()
-            ),
-            TraceEvent::DeltaDownload {
-                task,
-                from_circuit,
-                to_circuit,
-                frames,
-                full_frames,
-                duration,
-            } => write!(
-                f,
-                "delta download for task {task}: circuit {from_circuit} -> {to_circuit}, \
-                 {frames}/{full_frames} frames, {:.3} ms",
-                duration.as_millis_f64()
-            ),
-            TraceEvent::DeltaInvalidate {
-                col0,
-                width,
-                reason,
-            } => write!(
-                f,
-                "delta base invalidated [{reason}]: cols [{col0}, {})",
-                col0 + width
-            ),
-            TraceEvent::DeltaCheckpoint {
-                seq,
-                frames,
-                full_frames,
-                chain,
-                duration,
-            } => write!(
-                f,
-                "delta checkpoint #{seq}: {frames}/{full_frames} frames, chain {chain}, {:.3} ms",
-                duration.as_millis_f64()
-            ),
-            TraceEvent::Preemption {
-                task,
-                policy,
-                saved,
-                rolled_back,
-            } => write!(
-                f,
-                "preempt task {task} [{policy}]: saved {:.3} ms, rolled back {:.3} ms",
-                saved.as_millis_f64(),
-                rolled_back.as_millis_f64()
-            ),
-            TraceEvent::GcRun {
-                merged,
-                relocations,
-                failures,
-                duration,
-            } => write!(
-                f,
-                "gc: merged {merged} fragments, {relocations} relocations \
-                 ({failures} failed), {:.3} ms",
-                duration.as_millis_f64()
-            ),
-            TraceEvent::PageFault {
-                page,
-                policy,
-                victim,
-                duration,
-            } => {
-                write!(f, "fault page {page} [{policy}]")?;
-                if let Some(v) = victim {
-                    write!(f, ", evict page {v}")?;
-                }
-                write!(f, ", {:.3} ms", duration.as_millis_f64())
-            }
-            TraceEvent::OverlaySwap {
-                task,
-                from_overlay,
-                to_overlay,
-                duration,
-            } => write!(
-                f,
-                "overlay swap task {task}: {from_overlay} -> {to_overlay}, {:.3} ms",
-                duration.as_millis_f64()
-            ),
-            TraceEvent::IoMuxGrant { task, slot, pins } => {
-                write!(f, "iomux grant slot {slot} ({pins} pins) to task {task}")
-            }
-            TraceEvent::FaultInjected { kind, circuit, col } => {
-                write!(f, "inject {kind} fault")?;
-                if let Some(c) = col {
-                    write!(f, " at col {c}")?;
-                }
-                match circuit {
-                    Some(cid) => write!(f, " hitting circuit {cid}"),
-                    None => write!(f, " (benign: no circuit hit)"),
-                }
-            }
-            TraceEvent::CrcMismatch {
-                circuit,
-                task,
-                context,
-            } => {
-                write!(f, "crc mismatch on circuit {circuit} [{context}]")?;
-                if let Some(t) = task {
-                    write!(f, " for task {t}")?;
-                }
-                Ok(())
-            }
-            TraceEvent::ScrubPass {
-                frames,
-                found,
-                duration,
-            } => write!(
-                f,
-                "scrub {frames} frames, {found} upsets found, {:.3} ms",
-                duration.as_millis_f64()
-            ),
-            TraceEvent::RetryScheduled {
-                task,
-                attempt,
-                backoff,
-            } => write!(
-                f,
-                "retry #{attempt} for task {task} after {:.3} ms backoff",
-                backoff.as_millis_f64()
-            ),
-            TraceEvent::TaskFailed { task, reason } => {
-                write!(f, "task {task} failed: {reason}")
-            }
-            TraceEvent::ColumnRetired {
-                col,
-                relocations,
-                duration,
-            } => write!(
-                f,
-                "retire col {col}: {relocations} relocations, {:.3} ms",
-                duration.as_millis_f64()
-            ),
-            TraceEvent::Recovered {
-                circuit,
-                task,
-                lost,
-                duration,
-            } => {
-                write!(f, "recovered circuit {circuit}")?;
-                if let Some(t) = task {
-                    write!(f, " (task {t})")?;
-                }
-                write!(
-                    f,
-                    ": lost {:.3} ms, repair {:.3} ms",
-                    lost.as_millis_f64(),
-                    duration.as_millis_f64()
-                )
-            }
-            TraceEvent::CheckpointTaken {
-                seq,
-                frames,
-                duration,
-            } => write!(
-                f,
-                "checkpoint #{seq}: {frames} frames read back, {:.3} ms",
-                duration.as_millis_f64()
-            ),
-            TraceEvent::Crash {
-                downloads_at_risk,
-                torn,
-            } => write!(
-                f,
-                "host crash: {downloads_at_risk} downloads past last checkpoint{}",
-                if *torn { ", one torn mid-flight" } else { "" }
-            ),
-            TraceEvent::JournalReplay {
-                redone,
-                undone,
-                duration,
-            } => write!(
-                f,
-                "journal replay: {redone} redone, {undone} undone, {:.3} ms",
-                duration.as_millis_f64()
-            ),
-            TraceEvent::WatchdogArmed { task, deadline } => write!(
-                f,
-                "watchdog armed for task {task}: fires in {:.3} ms",
-                deadline.as_millis_f64()
-            ),
-            TraceEvent::WatchdogFired { task, trip, lost } => write!(
-                f,
-                "watchdog fired for task {task} (trip #{trip}): lost {:.3} ms",
-                lost.as_millis_f64()
-            ),
-            TraceEvent::TaskRejected { task, tenant } => {
-                write!(f, "reject task {task}: tenant {tenant} over quota")
-            }
-            TraceEvent::TaskQuarantined { task, reason } => {
-                write!(f, "quarantine task {task}: {reason}")
-            }
-            TraceEvent::DegradedDispatch {
-                task,
-                circuit,
-                duration,
-            } => write!(
-                f,
-                "degraded dispatch task {task}: circuit {circuit} emulated in \
-                 software, {:.3} ms",
-                duration.as_millis_f64()
-            ),
-            TraceEvent::TaskUnschedulable {
-                task,
-                tenant,
-                estimate,
-                deadline,
-            } => write!(
-                f,
-                "unschedulable task {task}: tenant {tenant}, estimate {:.3} ms \
-                 exceeds deadline {:.3} ms",
-                estimate.as_millis_f64(),
-                deadline.as_millis_f64()
-            ),
-            TraceEvent::DegradeModeEnter { used, total } => write!(
-                f,
-                "degraded mode entered: {used}/{total} CLBs past the high mark"
-            ),
-            TraceEvent::DegradeModeExit { used, total } => write!(
-                f,
-                "degraded mode left: {used}/{total} CLBs below the low mark"
-            ),
-            TraceEvent::DeviceCrash { device, outage } => write!(
-                f,
-                "device {device} crashed: configuration lost, down for {:.3} ms",
-                outage.as_millis_f64()
-            ),
-            TraceEvent::DeviceRejoin { device } => {
-                write!(f, "device {device} rejoined the fleet, blank")
-            }
-            TraceEvent::Failover {
-                from_device,
-                to_device,
-                tasks,
-                redo,
-            } => write!(
-                f,
-                "failover dev {from_device} -> dev {to_device}: {tasks} tasks, \
-                 redo window {:.3} ms",
-                redo.as_millis_f64()
-            ),
-            TraceEvent::SoftwareFailover { from_device, tasks } => write!(
-                f,
-                "device {from_device} down, no destination: {tasks} tasks \
-                 degraded to the software path"
-            ),
-            TraceEvent::FleetRebalance {
-                shard,
-                from_device,
-                to_device,
-            } => write!(
-                f,
-                "shard {shard} rebalanced dev {from_device} -> dev {to_device}"
-            ),
-            TraceEvent::FleetLost { device, tasks } => write!(
-                f,
-                "device {device} down, no destination: {tasks} tasks lost in flight"
-            ),
-            TraceEvent::MigrationPrepare {
-                tenant,
-                from_device,
-                to_device,
-                tasks,
-            } => write!(
-                f,
-                "migration prepare tenant {tenant} dev {from_device} -> dev {to_device}: \
-                 {tasks} live tasks, intent journaled on both sides"
-            ),
-            TraceEvent::MigrationCommit {
-                tenant,
-                from_device,
-                to_device,
-                redo,
-            } => write!(
-                f,
-                "migration commit tenant {tenant} dev {from_device} -> dev {to_device}: \
-                 redo window {:.3} ms",
-                redo.as_millis_f64()
-            ),
-            TraceEvent::MigrationAbort {
-                tenant,
-                from_device,
-                to_device,
-                reason,
-            } => {
-                if *to_device == u32::MAX {
-                    write!(
-                        f,
-                        "migration abort tenant {tenant} on dev {from_device}: {reason}"
-                    )
-                } else {
-                    write!(
-                        f,
-                        "migration abort tenant {tenant} dev {from_device} -> dev {to_device}: \
-                         {reason}"
-                    )
-                }
-            }
-            TraceEvent::MigrationFreed {
-                tenant,
-                device,
-                claims,
-                redone,
-            } => write!(
-                f,
-                "migration freed tenant {tenant} source dev {device}: {claims} claims{}",
-                if *redone {
-                    " (redone by journal replay)"
-                } else {
-                    ""
-                }
-            ),
-            TraceEvent::Custom { message, .. } => f.write_str(message),
-        }
-    }
+    } "mig-freed" "migration_claims_freed" by claims
+    => "migration freed tenant {tenant} source dev {device}: {claims} claims{}",
+        if *redone { " (redone by journal replay)" } else { "" };
 }
 
 /// One trace record: a timestamped typed event.
@@ -921,11 +721,6 @@ impl TraceEntry {
     /// The event's category tag.
     pub fn tag(&self) -> &'static str {
         self.event.tag()
-    }
-
-    /// Rendered human-readable details (derived from the typed fields).
-    pub fn message(&self) -> String {
-        self.event.to_string()
     }
 }
 
@@ -944,16 +739,16 @@ impl fmt::Display for TraceEntry {
 /// An event buffer that can be globally enabled or disabled, and
 /// optionally capacity-bounded.
 ///
-/// When disabled (the default for benchmark runs), [`Trace::record`] and
-/// [`Trace::emit`] are no-ops, so tracing costs one branch.
+/// When disabled (the default for benchmark runs), [`Trace::record`] is a
+/// no-op, so tracing costs one branch.
 ///
 /// With a capacity set ([`Trace::enabled_with_capacity`]) the buffer is a
 /// ring: once full, recording a new event silently discards the *oldest*
 /// retained event and increments [`Trace::dropped`]. Consequently:
 ///
 /// * [`Trace::len`] is the number of events currently *retained*
-///   (at most the capacity), **not** the number ever recorded — use
-///   [`Trace::total_recorded`] for that;
+///   (at most the capacity), **not** the number ever recorded — that is
+///   `len() + dropped()`;
 /// * [`Trace::entries`] yields only the retained suffix of the stream, in
 ///   emission order.
 #[derive(Debug, Default)]
@@ -1014,20 +809,6 @@ impl Trace {
         self.entries.push_back(TraceEntry { at, event });
     }
 
-    /// Record a [`TraceEvent::Custom`] entry if enabled. The message
-    /// closure is only evaluated when the trace is on.
-    pub fn emit(&mut self, at: SimTime, tag: &'static str, message: impl FnOnce() -> String) {
-        if self.enabled {
-            self.record(
-                at,
-                TraceEvent::Custom {
-                    tag,
-                    message: message(),
-                },
-            );
-        }
-    }
-
     /// Retained entries in emission order. With a capacity set this is the
     /// most recent suffix of the event stream; earlier events have been
     /// dropped (see [`Trace::dropped`]).
@@ -1050,21 +831,9 @@ impl Trace {
         self.entries.is_empty()
     }
 
-    /// Events discarded by the ring buffer since the last [`Trace::clear`].
+    /// Events discarded by the ring buffer.
     pub fn dropped(&self) -> u64 {
         self.dropped
-    }
-
-    /// Total events ever recorded (retained + dropped) since the last
-    /// [`Trace::clear`].
-    pub fn total_recorded(&self) -> u64 {
-        self.entries.len() as u64 + self.dropped
-    }
-
-    /// Drop all retained entries and reset the dropped counter.
-    pub fn clear(&mut self) {
-        self.entries.clear();
-        self.dropped = 0;
     }
 }
 
@@ -1072,15 +841,16 @@ impl Trace {
 mod tests {
     use super::*;
 
+    fn custom(tag: &'static str, message: &str) -> TraceEvent {
+        TraceEvent::Custom {
+            tag,
+            message: message.into(),
+        }
+    }
+
     #[test]
-    fn disabled_trace_records_nothing_and_skips_closure() {
+    fn disabled_trace_records_nothing() {
         let mut t = Trace::disabled();
-        let mut evaluated = false;
-        t.emit(SimTime(1), "x", || {
-            evaluated = true;
-            "boom".into()
-        });
-        assert!(!evaluated, "message closure must not run when disabled");
         t.record(
             SimTime(2),
             TraceEvent::TaskState {
@@ -1090,13 +860,13 @@ mod tests {
             },
         );
         assert!(t.is_empty());
-        assert_eq!(t.total_recorded(), 0);
+        assert_eq!(t.dropped(), 0);
     }
 
     #[test]
     fn enabled_trace_records_in_order() {
         let mut t = Trace::enabled();
-        t.emit(SimTime(1), "a", || "first".into());
+        t.record(SimTime(1), custom("a", "first"));
         t.record(
             SimTime(2),
             TraceEvent::TaskState {
@@ -1107,15 +877,16 @@ mod tests {
         );
         assert_eq!(t.len(), 2);
         let entries: Vec<_> = t.entries().collect();
-        assert_eq!(entries[0].message(), "first");
+        assert_eq!(entries[0].event.to_string(), "first");
         assert_eq!(entries[1].at, SimTime(2));
         assert_eq!(entries[1].tag(), "done");
+        assert_eq!(entries[1].event.to_string(), "task 7 -> done (t7)");
     }
 
     #[test]
     fn tag_filter_spans_typed_and_custom() {
         let mut t = Trace::enabled();
-        t.emit(SimTime(1), "sched", || "s1".into());
+        t.record(SimTime(1), custom("sched", "s1"));
         t.record(
             SimTime(2),
             TraceEvent::ConfigDownload {
@@ -1126,8 +897,8 @@ mod tests {
                 full: false,
             },
         );
-        t.emit(SimTime(3), "sched", || "s2".into());
-        let scheds: Vec<_> = t.with_tag("sched").map(|e| e.message()).collect();
+        t.record(SimTime(3), custom("sched", "s2"));
+        let scheds: Vec<_> = t.with_tag("sched").map(|e| e.event.to_string()).collect();
         assert_eq!(scheds, vec!["s1", "s2"]);
         assert_eq!(t.with_tag("config").count(), 1);
     }
@@ -1136,16 +907,12 @@ mod tests {
     fn ring_buffer_drops_oldest() {
         let mut t = Trace::enabled_with_capacity(3);
         for i in 0..5u64 {
-            t.emit(SimTime(i), "x", || format!("m{i}"));
+            t.record(SimTime(i), custom("x", &format!("m{i}")));
         }
         assert_eq!(t.len(), 3);
         assert_eq!(t.dropped(), 2);
-        assert_eq!(t.total_recorded(), 5);
         let kept: Vec<_> = t.entries().map(|e| e.at.0).collect();
         assert_eq!(kept, vec![2, 3, 4], "oldest entries must go first");
-        t.clear();
-        assert_eq!(t.dropped(), 0);
-        assert!(t.is_empty());
     }
 
     #[test]
@@ -1175,9 +942,17 @@ mod tests {
         assert_eq!(f.tag(), "fault");
     }
 
+    /// Each `(event, tag, message)` renders exactly so.
+    fn check(cases: Vec<(TraceEvent, &str, &str)>) {
+        for (ev, tag, message) in cases {
+            assert_eq!(ev.tag(), tag);
+            assert_eq!(ev.to_string(), message);
+        }
+    }
+
     #[test]
     fn fault_event_tags_and_display() {
-        let cases: Vec<(TraceEvent, &str, &str)> = vec![
+        check(vec![
             (
                 TraceEvent::FaultInjected {
                     kind: "seu",
@@ -1186,6 +961,15 @@ mod tests {
                 },
                 "fault-inj",
                 "inject seu fault at col 7 hitting circuit 2",
+            ),
+            (
+                TraceEvent::FaultInjected {
+                    kind: "download",
+                    circuit: None,
+                    col: None,
+                },
+                "fault-inj",
+                "inject download fault (benign: no circuit hit)",
             ),
             (
                 TraceEvent::CrcMismatch {
@@ -1203,7 +987,7 @@ mod tests {
                     duration: SimDuration::from_micros(80),
                 },
                 "scrub",
-                "scrub 12 frames, 1 upsets found",
+                "scrub 12 frames, 1 upsets found, 0.080 ms",
             ),
             (
                 TraceEvent::RetryScheduled {
@@ -1212,7 +996,7 @@ mod tests {
                     backoff: SimDuration::from_millis(1),
                 },
                 "retry",
-                "retry #2 for task 4",
+                "retry #2 for task 4 after 1.000 ms backoff",
             ),
             (
                 TraceEvent::TaskFailed {
@@ -1229,7 +1013,7 @@ mod tests {
                     duration: SimDuration::from_micros(40),
                 },
                 "col-retire",
-                "retire col 9: 1 relocations",
+                "retire col 9: 1 relocations, 0.040 ms",
             ),
             (
                 TraceEvent::Recovered {
@@ -1239,26 +1023,31 @@ mod tests {
                     duration: SimDuration::from_micros(25),
                 },
                 "recover",
-                "recovered circuit 6",
+                "recovered circuit 6: lost 0.000 ms, repair 0.025 ms",
             ),
-        ];
-        for (ev, tag, fragment) in cases {
-            assert_eq!(ev.tag(), tag);
-            let s = ev.to_string();
-            assert!(s.contains(fragment), "{s:?} missing {fragment:?}");
-        }
+            (
+                TraceEvent::Recovered {
+                    circuit: 6,
+                    task: Some(2),
+                    lost: SimDuration::ZERO,
+                    duration: SimDuration::from_micros(25),
+                },
+                "recover",
+                "recovered circuit 6 (task 2): lost 0.000 ms, repair 0.025 ms",
+            ),
+        ]);
     }
 
     #[test]
     fn admission_event_tags_and_display() {
-        let cases: Vec<(TraceEvent, &str, &str)> = vec![
+        check(vec![
             (
                 TraceEvent::WatchdogArmed {
                     task: 1,
                     deadline: SimDuration::from_millis(3),
                 },
                 "wd-arm",
-                "watchdog armed for task 1",
+                "watchdog armed for task 1: fires in 3.000 ms",
             ),
             (
                 TraceEvent::WatchdogFired {
@@ -1267,7 +1056,7 @@ mod tests {
                     lost: SimDuration::from_millis(6),
                 },
                 "wd-fire",
-                "watchdog fired for task 1 (trip #2)",
+                "watchdog fired for task 1 (trip #2): lost 6.000 ms",
             ),
             (
                 TraceEvent::TaskRejected { task: 4, tenant: 2 },
@@ -1289,7 +1078,7 @@ mod tests {
                     duration: SimDuration::from_micros(900),
                 },
                 "degrade",
-                "degraded dispatch task 5: circuit 7 emulated in software",
+                "degraded dispatch task 5: circuit 7 emulated in software, 0.900 ms",
             ),
             (
                 TraceEvent::TaskUnschedulable {
@@ -1299,7 +1088,7 @@ mod tests {
                     deadline: SimDuration::from_millis(20),
                 },
                 "unsched",
-                "unschedulable task 6: tenant 1",
+                "unschedulable task 6: tenant 1, estimate 80.000 ms exceeds deadline 20.000 ms",
             ),
             (
                 TraceEvent::DegradeModeEnter {
@@ -1307,7 +1096,7 @@ mod tests {
                     total: 200,
                 },
                 "degrade-on",
-                "degraded mode entered: 180/200 CLBs",
+                "degraded mode entered: 180/200 CLBs past the high mark",
             ),
             (
                 TraceEvent::DegradeModeExit {
@@ -1315,7 +1104,7 @@ mod tests {
                     total: 200,
                 },
                 "degrade-off",
-                "degraded mode left: 60/200 CLBs",
+                "degraded mode left: 60/200 CLBs below the low mark",
             ),
             (
                 TraceEvent::DeviceCrash {
@@ -1323,12 +1112,12 @@ mod tests {
                     outage: SimDuration::from_millis(4),
                 },
                 "dev-crash",
-                "device 2 crashed",
+                "device 2 crashed: configuration lost, down for 4.000 ms",
             ),
             (
                 TraceEvent::DeviceRejoin { device: 2 },
                 "dev-rejoin",
-                "device 2 rejoined",
+                "device 2 rejoined the fleet, blank",
             ),
             (
                 TraceEvent::Failover {
@@ -1338,7 +1127,7 @@ mod tests {
                     redo: SimDuration::from_millis(1),
                 },
                 "failover",
-                "failover dev 2 -> dev 0: 5 tasks",
+                "failover dev 2 -> dev 0: 5 tasks, redo window 1.000 ms",
             ),
             (
                 TraceEvent::SoftwareFailover {
@@ -1346,7 +1135,7 @@ mod tests {
                     tasks: 3,
                 },
                 "sw-failover",
-                "degraded to the software path",
+                "device 1 down, no destination: 3 tasks degraded to the software path",
             ),
             (
                 TraceEvent::FleetRebalance {
@@ -1363,37 +1152,54 @@ mod tests {
                     tasks: 2,
                 },
                 "lost",
-                "2 tasks lost in flight",
+                "device 3 down, no destination: 2 tasks lost in flight",
             ),
-        ];
-        for (ev, tag, fragment) in cases {
-            assert_eq!(ev.tag(), tag);
-            let s = ev.to_string();
-            assert!(s.contains(fragment), "{s:?} missing {fragment:?}");
-        }
+            (
+                TraceEvent::MigrationAbort {
+                    tenant: 1,
+                    from_device: 0,
+                    to_device: u32::MAX,
+                    reason: "no destination",
+                },
+                "mig-abort",
+                "migration abort tenant 1 on dev 0: no destination",
+            ),
+            (
+                TraceEvent::MigrationAbort {
+                    tenant: 1,
+                    from_device: 0,
+                    to_device: 2,
+                    reason: "dest-mid-copy",
+                },
+                "mig-abort",
+                "migration abort tenant 1 dev 0 -> dev 2: dest-mid-copy",
+            ),
+        ]);
     }
 
     #[test]
     fn task_state_tags_match_lifecycle_names() {
-        for (state, tag) in [
-            (TaskState::Arrive, "arrive"),
-            (TaskState::Ready, "ready"),
-            (TaskState::Run, "run"),
-            (TaskState::Block, "block"),
-            (TaskState::Done, "done"),
+        for (state, tag, counter) in [
+            (TaskState::Arrive, "arrive", "tasks_arrived"),
+            (TaskState::Ready, "ready", "tasks_ready"),
+            (TaskState::Run, "run", "task_runs"),
+            (TaskState::Block, "block", "task_blocks"),
+            (TaskState::Done, "done", "tasks_completed"),
         ] {
             let ev = TraceEvent::TaskState {
                 task: 0,
                 state,
                 info: String::new(),
             };
-            assert_eq!(ev.tag(), tag);
+            assert_eq!((ev.tag(), ev.counter_name()), (tag, counter));
+            assert_eq!((state.tag(), state.counter_name()), (tag, counter));
+            assert_eq!(ev.to_string(), format!("task 0 -> {tag}"));
         }
     }
 
     #[test]
     fn delta_event_tags_and_display() {
-        let cases: Vec<(TraceEvent, &str, &str)> = vec![
+        check(vec![
             (
                 TraceEvent::DeltaDownload {
                     task: 3,
@@ -1404,7 +1210,7 @@ mod tests {
                     duration: SimDuration::from_micros(40),
                 },
                 "delta",
-                "delta download for task 3: circuit 1 -> 2, 2/6 frames",
+                "delta download for task 3: circuit 1 -> 2, 2/6 frames, 0.040 ms",
             ),
             (
                 TraceEvent::DeltaInvalidate {
@@ -1424,13 +1230,92 @@ mod tests {
                     duration: SimDuration::from_micros(10),
                 },
                 "ckpt-delta",
-                "delta checkpoint #5: 3/9 frames, chain 2",
+                "delta checkpoint #5: 3/9 frames, chain 2, 0.010 ms",
             ),
-        ];
-        for (ev, tag, fragment) in cases {
-            assert_eq!(ev.tag(), tag);
-            let s = ev.to_string();
-            assert!(s.contains(fragment), "{s:?} missing {fragment:?}");
+        ]);
+    }
+
+    #[test]
+    fn counts_and_latency_come_from_the_row() {
+        let dl = |full| TraceEvent::ConfigDownload {
+            task: 1,
+            frames: 4,
+            bytes: 512,
+            duration: SimDuration::from_micros(30),
+            full,
+        };
+        let counts: Vec<_> = dl(true).counts().collect();
+        assert_eq!(
+            counts,
+            [
+                ("config_downloads", 1),
+                ("config_frames", 4),
+                ("config_bytes", 512)
+            ]
+        );
+        let us30 = SimDuration::from_micros(30);
+        assert_eq!(dl(true).latency(), Some(("download_full", us30)));
+        assert_eq!(dl(false).latency(), Some(("download_partial", us30)));
+        let lost = TraceEvent::FleetLost {
+            device: 0,
+            tasks: 5,
+        };
+        assert_eq!(lost.counts().collect::<Vec<_>>(), [("lost_in_flight", 5)]);
+        assert_eq!(lost.latency(), None);
+        let preempt = |saved| TraceEvent::Preemption {
+            task: 0,
+            policy: "rollback",
+            saved,
+            rolled_back: SimDuration::from_micros(7),
+        };
+        assert_eq!(preempt(SimDuration::ZERO).latency(), None);
+        assert_eq!(
+            preempt(us30).latency(),
+            Some(("preempt_save", us30)),
+            "a preemption that saved something is sampled"
+        );
+        let c = custom("evict", "evict idle circuit 3");
+        assert_eq!(c.counts().collect::<Vec<_>>(), [("custom_events", 1)]);
+        assert_eq!((c.tag(), c.latency()), ("evict", None));
+    }
+
+    /// The table's names hang together: no two variants share a tag or a
+    /// counter (the cases of one may), no two cases share a latency label,
+    /// a case has a label exactly when its variant has a sample, and every
+    /// payload counter (at most two a row) sums a field of its own variant
+    /// under a name no other counter has.
+    #[test]
+    fn table_rows_are_consistent() {
+        let mut tags = Vec::new();
+        let mut counters = vec!["custom_events"];
+        let mut labels = Vec::new();
+        for row in ROWS {
+            let (mut own_tags, mut own_counters) = (Vec::new(), Vec::new());
+            for &(tag, counter, label) in row.cases {
+                own_tags.push(tag);
+                own_counters.push(counter);
+                labels.extend(label);
+                assert_eq!(label.is_some(), row.sample.is_some(), "{}", row.variant);
+            }
+            own_tags.dedup();
+            own_counters.dedup();
+            tags.extend(own_tags);
+            counters.extend(own_counters);
+            assert!(row.payload.len() < 3, "{}: `padded` holds two", row.variant);
+            for &(counter, field) in row.payload {
+                assert!(row.fields.contains(&field), "{}.{field}", row.variant);
+                counters.push(counter);
+            }
+            if let Some(field) = row.by {
+                assert!(row.fields.contains(&field), "{}.{field}", row.variant);
+            }
         }
+        for (what, names) in [("tag", &tags), ("counter", &counters), ("label", &labels)] {
+            let mut sorted = names.clone();
+            sorted.sort_unstable();
+            sorted.dedup();
+            assert_eq!(sorted.len(), names.len(), "a {what} repeats: {names:?}");
+        }
+        assert_eq!(TraceEvent::TAGS, tags.as_slice());
     }
 }

@@ -7,7 +7,7 @@
 //! partition forever, and saturation degrades every tenant equally. This
 //! module adds the missing defenses. Each rule is a method of the
 //! crate-internal `AdmissionRt`, testable on its own; the half that acts
-//! inside [`System`](crate::system::System)'s event loop (the software
+//! inside [`System`]'s event loop (the software
 //! path at dispatch, the watchdog firing) is the `impl System` block at
 //! the end:
 //!

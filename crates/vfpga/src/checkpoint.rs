@@ -8,7 +8,7 @@
 //!
 //! * a **checkpoint** is taken every [`CheckpointConfig::interval`]: the
 //!   full mutable [`crate::System`] state copied into a typed
-//!   [`SystemImage`](crate::image::SystemImage), charged the realistic
+//!   [`SystemImage`], charged the realistic
 //!   readback cost of the resident frames as background port traffic.
 //!   The host keeps the typed image. A crash, failover, rebalance or
 //!   migration handed on inside one process carries it, still typed, in

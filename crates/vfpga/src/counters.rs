@@ -8,7 +8,7 @@
 //! [`CrashStats`](crate::CrashStats) (`checkpoint`),
 //! [`AdmissionStats`](crate::AdmissionStats) (`admission`) and
 //! [`FleetStats`](crate::FleetStats) (`fleet`). Each declaration goes
-//! through [`counter_table!`], which expands the one field list into the
+//! through `counter_table!`, which expands the one field list into the
 //! struct and its [`Counters`] impl, so the fleet merge, the migration
 //! baseline, the checkpoint image and the export all carry every counter
 //! by construction. Adding a counter is one line in its struct plus the
@@ -39,7 +39,7 @@ impl From<SimDuration> for Value {
     }
 }
 
-/// What [`counter_table!`] derives from a counter struct's field list.
+/// What `counter_table!` derives from a counter struct's field list.
 pub trait Counters: Sized {
     /// The field names, in declaration order.
     const FIELDS: &'static [&'static str];

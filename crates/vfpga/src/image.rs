@@ -14,7 +14,7 @@
 //! stays a typed [`Cut`](crate::checkpoint::Cut) — through
 //! [`SystemImage::to_json`], which renders the `vfpga-ckpt/3` schema: the
 //! task table is one
-//! `task_columns` header (the [`TaskSlot`] field names, once) and one
+//! `task_columns` header (the `TaskSlot` field names, once) and one
 //! positional row of scalars per task, so a crash allocates one array
 //! and one state name a task and no keys; every counter section (`fault`,
 //! the admission `stats`, the managers' `stats` and delta `stats`) is its

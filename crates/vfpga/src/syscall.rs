@@ -144,7 +144,7 @@ impl ProgramBuilder {
     }
 
     /// Finish the program. A program with no operations is a declaration
-    /// bug, reported as [`VfpgaError::EmptyProgram`] rather than a panic.
+    /// bug, reported as [`VfpgaError::EmptyProgram`](crate::error::VfpgaError::EmptyProgram) rather than a panic.
     pub fn build(self) -> Result<TaskSpec, crate::error::VfpgaError> {
         if self.spec.ops.is_empty() {
             return Err(crate::error::VfpgaError::EmptyProgram);

@@ -12,7 +12,7 @@
 //!
 //! This file is the small OS core: [`System`] and its builders, the event
 //! loop, the three hot handlers (arrive, dispatch, segment timer), the one
-//! way a task leaves ([`System::exit`]) and the report. Each technique
+//! way a task leaves (`System::exit`) and the report. Each technique
 //! beside the core keeps its handlers in its own module, as further
 //! `impl System` blocks: [`crate::admission`], [`crate::recovery`],
 //! [`crate::checkpoint`], [`crate::migrate`] (DESIGN.md §18).
@@ -434,29 +434,12 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
         })
     }
 
-    /// Record one typed event: bump its registry counter (two events'
-    /// counters sum their payload instead; three more sum one beside their
-    /// count), feed the latency profile, then append it to the trace.
+    /// Record one typed event: bump every registry count its table row
+    /// declares, feed the latency profile, then append it to the trace.
     fn record(&mut self, at: SimTime, event: TraceEvent) {
-        let by = match &event {
-            TraceEvent::ConfigDownload { frames, bytes, .. } => {
-                self.reg.inc("config_frames", u64::from(*frames));
-                self.reg.inc("config_bytes", *bytes);
-                1
-            }
-            TraceEvent::DeltaDownload { frames, .. } => {
-                self.reg.inc("delta_frames", u64::from(*frames));
-                1
-            }
-            TraceEvent::GcRun { relocations, .. } => {
-                self.reg.inc("gc_relocations", u64::from(*relocations));
-                1
-            }
-            TraceEvent::FleetLost { tasks, .. } => u64::from(*tasks),
-            TraceEvent::MigrationFreed { claims, .. } => u64::from(*claims),
-            _ => 1,
-        };
-        self.reg.inc(event.counter_name(), by);
+        for (counter, by) in event.counts() {
+            self.reg.inc(counter, by);
+        }
         if let (Some(lat), Some((label, d))) = (self.lat.as_mut(), event.latency()) {
             lat.record(label, d.as_nanos());
         }
