@@ -31,6 +31,11 @@ echo "==> compile-flow oracles and golden, router oracle, release"
 cargo test -q --release -p netlist --test mapper_oracle
 cargo test -q --release -p pnr --test place_oracle --test flow_golden --test route_template
 
+echo "==> checkpoint codec suite, image goldens and image tests, release"
+# `durable` and `fleet` reps run the release writer, and a release build
+# wraps where debug panics (a delta image's ghost count once did).
+cargo test -q --release -p vfpga --lib image
+
 echo "==> cut equivalence, wide matrix, release"
 # Every event instant of a 40-task run, cut and adopted typed and through
 # the durable form; Tier-1 ran the 8-task matrix under debug assertions.

@@ -276,29 +276,31 @@ crate::counters::counter_table! {
     }
 }
 
-/// The mutable half of the admission runtime: everything a checkpoint
-/// image must carry (the policy is configuration and is rebuilt with the
-/// system).
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct AdmissionState {
-    /// Admitted, non-terminal task count per tenant.
-    pub in_flight: BTreeMap<u32, u32>,
-    /// Deferred task indices per tenant, FIFO.
-    pub deferred: BTreeMap<u32, VecDeque<u32>>,
-    /// Watchdog generation per task: bumped whenever a segment ends, so a
-    /// pending watchdog event with a stale generation is ignored.
-    pub wd_seq: Vec<u64>,
-    /// Watchdog fires per task.
-    pub wd_trips: Vec<u32>,
-    /// Whether the task's *current* op is running on the software path.
-    pub degraded: Vec<bool>,
-    /// Sticky device-wide degraded mode: set once utilization reaches the
-    /// high mark, cleared only below the low mark. With the legacy single
-    /// watermark the two marks coincide and this tracks the plain
-    /// comparison exactly.
-    pub degrade_mode: bool,
-    /// Outcome counters.
-    pub stats: AdmissionStats,
+crate::image::record! {
+    /// The mutable half of the admission runtime: everything a checkpoint
+    /// image must carry (the policy is configuration and is rebuilt with the
+    /// system).
+    #[derive(Debug, Clone, PartialEq)]
+    pub(crate) struct AdmissionState {
+        /// Admitted, non-terminal task count per tenant.
+        pub in_flight: BTreeMap<u32, u32>,
+        /// Deferred task indices per tenant, FIFO.
+        pub deferred: BTreeMap<u32, VecDeque<u32>>,
+        /// Watchdog generation per task: bumped whenever a segment ends, so a
+        /// pending watchdog event with a stale generation is ignored.
+        pub wd_seq: Vec<u64>,
+        /// Watchdog fires per task.
+        pub wd_trips: Vec<u32>,
+        /// Whether the task's *current* op is running on the software path.
+        pub degraded: Vec<bool>,
+        /// Sticky device-wide degraded mode: set once utilization reaches the
+        /// high mark, cleared only below the low mark. With the legacy single
+        /// watermark the two marks coincide and this tracks the plain
+        /// comparison exactly.
+        pub degrade_mode: bool,
+        /// Outcome counters.
+        pub stats: AdmissionStats,
+    }
 }
 
 /// What the gate decides about an arriving task.

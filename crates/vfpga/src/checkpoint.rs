@@ -41,7 +41,7 @@
 
 use crate::circuit::CircuitId;
 use crate::error::VfpgaError;
-use crate::image::{Capture, Running, SystemImage};
+use crate::image::{Capture, Running, Schema, SystemImage, TaskColumns};
 use crate::manager::{FpgaManager, ManagerStats, ResidentRegion};
 use crate::metrics::Report;
 use crate::sched::Scheduler;
@@ -557,7 +557,9 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
                 .map(|e| (e.at, e.event)),
         );
         SystemImage {
+            schema: Schema,
             at: now,
+            task_columns: TaskColumns,
             tasks,
             latent,
             stale,

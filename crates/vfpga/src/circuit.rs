@@ -145,16 +145,16 @@ impl CircuitLib {
         &self.circuits[id.0 as usize]
     }
 
-    /// Read a circuit id out of a checkpoint image: outside input, so it
-    /// must name one of this library's circuits before [`get`](Self::get)
-    /// may index with it.
-    pub(crate) fn read_id(&self, v: &fsim::json::Json, what: &str) -> Result<CircuitId, String> {
-        let (id, n) = (
-            <u32 as crate::image::Scalar>::read(v, what)?,
-            self.circuits.len(),
-        );
-        let known = ((id as usize) < n).then_some(CircuitId(id));
-        known.ok_or_else(|| format!("{what} {id} is not in the library ({n} circuits)"))
+    /// Check a circuit id read out of a checkpoint image: outside input,
+    /// so it must name one of this library's circuits before
+    /// [`get`](Self::get) may index with it.
+    pub(crate) fn check_id(&self, id: CircuitId) -> Result<(), String> {
+        let (id, n) = (id.0, self.circuits.len());
+        if (id as usize) < n {
+            Ok(())
+        } else {
+            Err(format!("circuit {id} is not in the library ({n} circuits)"))
+        }
     }
 
     /// Number of registered circuits.

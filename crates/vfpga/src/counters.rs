@@ -9,13 +9,13 @@
 //! [`AdmissionStats`](crate::AdmissionStats) (`admission`) and
 //! [`FleetStats`](crate::FleetStats) (`fleet`). Each declaration goes
 //! through `counter_table!`, which expands the one field list into the
-//! struct and its [`Counters`] impl, so the fleet merge, the migration
+//! struct, its checkpoint-image codec (it is a `record!`) and its
+//! [`Counters`] impl, so the fleet merge, the migration
 //! baseline, the checkpoint image and the export all carry every counter
 //! by construction. Adding a counter is one line in its struct plus the
 //! increment site; the hot path keeps writing plain `u64` /
 //! [`SimDuration`] fields.
 
-use fsim::json::Json;
 use fsim::SimDuration;
 
 /// One counter as the visitor hands it out.
@@ -52,29 +52,24 @@ pub trait Counters: Sized {
 
     /// Hand every `(field name, value)` to `f`, in declaration order.
     fn visit(&self, f: impl FnMut(&'static str, Value));
-
-    /// The counters as one object of a checkpoint image: key = field
-    /// name, durations as integer nanoseconds.
-    fn to_json(&self) -> Json;
-
-    /// Strict inverse of [`to_json`](Self::to_json): every field, in
-    /// declaration order, as an unsigned integer, and nothing else.
-    fn from_json(v: &Json) -> Result<Self, String>;
 }
 
 /// Declare a counter struct — attributes, docs, names and types exactly
-/// as written, every field `u64` or [`SimDuration`] — and implement
-/// [`Counters`] for it from the same field list.
+/// as written, every field `u64` or [`SimDuration`] — as a checkpoint
+/// image record (keyed by field name, durations as integer nanoseconds)
+/// and implement [`Counters`] for it from the same field list.
 macro_rules! counter_table {
     (
         $(#[$meta:meta])*
         pub struct $name:ident {
-            $($(#[$fmeta:meta])* pub $field:ident: $ty:ty,)*
+            $($(#[doc = $doc:literal])* pub $field:ident: $ty:ty,)*
         }
     ) => {
-        $(#[$meta])*
-        pub struct $name {
-            $($(#[$fmeta])* pub $field: $ty,)*
+        $crate::image::record! {
+            $(#[$meta])*
+            pub struct $name {
+                $($(#[doc = $doc])* pub $field: $ty,)*
+            }
         }
 
         impl $crate::counters::Counters for $name {
@@ -91,20 +86,6 @@ macro_rules! counter_table {
             fn visit(&self, mut f: impl FnMut(&'static str, $crate::counters::Value)) {
                 $(f(stringify!($field), self.$field.into());)*
             }
-
-            fn to_json(&self) -> fsim::json::Json {
-                use $crate::image::Scalar;
-                fsim::json::Obj::new()
-                    $(.set(stringify!($field), self.$field.json()))*
-                    .build()
-            }
-
-            fn from_json(v: &fsim::json::Json) -> Result<Self, String> {
-                let mut f = $crate::image::Fields::of(v, stringify!($name))?;
-                let read = Self { $($field: f.get(stringify!($field))?),* };
-                f.end()?;
-                Ok(read)
-            }
         }
     };
 }
@@ -113,20 +94,18 @@ pub(crate) use counter_table;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::image::Wire;
     use crate::manager::DeltaStats;
     use crate::{AdmissionStats, CrashStats, FaultStats, FleetStats, ManagerStats};
+    use fsim::json::Json;
     use std::fmt::Debug;
 
     /// Field `i` (from 1) holds `i * scale`, set through `FIELDS` rather
     /// than by name, so a counter added tomorrow is covered unasked.
-    fn filled<C: Counters>(scale: u64) -> C {
+    fn filled<C: Counters + Wire>(scale: u64) -> C {
         let pairs = C::FIELDS.iter().zip(1..);
-        C::from_json(&Json::Obj(
-            pairs
-                .map(|(k, i)| (k.to_string(), Json::UInt(i * scale)))
-                .collect(),
-        ))
-        .expect("one unsigned integer a field")
+        let doc = pairs.map(|(k, i)| (k.to_string(), Json::UInt(i * scale)));
+        C::read(&Json::Obj(doc.collect()), "counters").expect("one unsigned integer a field")
     }
 
     /// What the visitor reports, durations as their nanoseconds.
@@ -146,7 +125,7 @@ mod tests {
         C::FIELDS.iter().copied().zip(values).collect()
     }
 
-    fn check<C: Counters + Copy + Default + PartialEq + Debug>() {
+    fn check<C: Counters + Wire + Copy + Default + PartialEq + Debug>() {
         let (a, b) = (filled::<C>(10), filled::<C>(3));
         assert_eq!(visited(&a), scaled::<C>(10), "distinct, non-zero, in order");
 
@@ -159,41 +138,6 @@ mod tests {
         let mut floor = b;
         floor.sub(&a);
         assert_eq!(floor, C::default(), "every field saturates at zero");
-
-        let text = a.to_json().render();
-        let tree = Json::parse(&text).expect("rendering parses");
-        assert_eq!(C::from_json(&tree), Ok(a));
-        let Json::Obj(pairs) = tree else {
-            panic!("counters render as an object")
-        };
-        assert_eq!(pairs.len(), C::FIELDS.len());
-        let rejects = |what: &str, damaged: Vec<(String, Json)>| {
-            let got = C::from_json(&Json::Obj(damaged));
-            assert!(got.is_err(), "{what} accepted: {got:?}");
-        };
-        for i in 0..pairs.len() {
-            let mut missing = pairs.clone();
-            missing.remove(i);
-            rejects("missing key", missing);
-            let mut duplicated = pairs.clone();
-            duplicated.insert(i, pairs[i].clone());
-            rejects("duplicated key", duplicated);
-            let mut shadowed = pairs.clone();
-            shadowed[i] = pairs[(i + 1) % pairs.len()].clone();
-            rejects("key in another's place", shadowed);
-            let mut reordered = pairs.clone();
-            reordered.swap(i, (i + 1) % pairs.len());
-            rejects("reordered keys", reordered);
-            for wrong in [Json::Num(1.0), Json::Int(-1), Json::from("1"), Json::Null] {
-                let mut wrong_kind = pairs.clone();
-                wrong_kind[i].1 = wrong;
-                rejects("wrong-kind value", wrong_kind);
-            }
-        }
-        let mut extra = pairs.clone();
-        extra.push(("extra".into(), Json::UInt(0)));
-        rejects("extra key", extra);
-        assert!(C::from_json(&Json::Arr(Vec::new())).is_err());
     }
 
     #[test]

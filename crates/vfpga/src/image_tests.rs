@@ -17,7 +17,7 @@ use crate::sched::{
     EdfScheduler, FifoScheduler, PriorityScheduler, RoundRobinScheduler, Scheduler,
 };
 use crate::system::{System, SystemConfig};
-use crate::system_tests::{lib_n, ms, timing, us};
+use crate::system_tests::{lib_mixed, lib_n, ms, timing, us};
 use crate::task::{Op, TaskSpec};
 use fsim::json::Json;
 use fsim::{FaultPlan, SimTime};
@@ -110,6 +110,9 @@ fn image_at<M: FpgaManager, S: Scheduler>(sys: System<M, S>, cut_us: u64) -> Opt
     }
 }
 
+/// Where the round-trip matrix cuts each run.
+const CUTS_US: [u64; 6] = [1500, 2500, 4000, 6000, 9000, 14000];
+
 /// For every cut point that yields an image: the rendering parses back to
 /// the same typed image, and a fresh system restored from it captures it
 /// again. `drops_ghosts` marks managers whose restore deliberately
@@ -122,7 +125,7 @@ fn check_round_trips<M: FpgaManager, S: Scheduler>(
 ) {
     let mut images = 0;
     let mut stale: Option<SystemImage> = None;
-    for cut_us in [1500, 2500, 4000, 6000, 9000, 14000] {
+    for cut_us in CUTS_US {
         let Some(durable) = image_at(build(), cut_us) else {
             continue;
         };
@@ -163,11 +166,36 @@ fn check_round_trips<M: FpgaManager, S: Scheduler>(
     );
 }
 
-/// One manager under round-robin, priority-with-aging and EDF, each with
-/// and without the admission gate and fault injector.
-fn check_all_schedulers<M: FpgaManager>(
-    label: &str,
-    drops_ghosts: bool,
+/// What to do with one cell of the round-trip matrix: its name, whether
+/// its manager forgets delta bases on restore, and how to build it.
+trait Cell {
+    fn cell<M: FpgaManager, S: Scheduler>(
+        &mut self,
+        name: &str,
+        drops_ghosts: bool,
+        build: impl Fn() -> System<M, S>,
+    );
+}
+
+/// The round-trip check, one cell at a time.
+struct RoundTrips;
+
+impl Cell for RoundTrips {
+    fn cell<M: FpgaManager, S: Scheduler>(
+        &mut self,
+        name: &str,
+        drops_ghosts: bool,
+        build: impl Fn() -> System<M, S>,
+    ) {
+        check_round_trips(name, drops_ghosts, build);
+    }
+}
+
+/// One manager under FIFO, round-robin, priority-with-aging and EDF, each
+/// with and without the admission gate and fault injector.
+fn each_scheduler<M: FpgaManager>(
+    visit: &mut impl Cell,
+    (label, drops_ghosts): (&str, bool),
     ckpt: CheckpointConfig,
     ids: &[CircuitId],
     lib: &Arc<CircuitLib>,
@@ -190,46 +218,47 @@ fn check_all_schedulers<M: FpgaManager>(
     }
     for guarded in [false, true] {
         let sp = || specs(ids, 8);
-        let tag = |s: &str| format!("{label}/{s}/guarded={guarded}");
-        check_round_trips(&tag("rr"), drops_ghosts, || {
+        let name = |s: &str| {
+            let side = if guarded { "guarded" } else { "plain" };
+            format!("{label}-{s}-{side}")
+        };
+        visit.cell(&name("fifo"), drops_ghosts, || {
+            let sched = FifoScheduler::new();
+            let sys = System::new(lib.clone(), manager(), sched, SAVE_RESTORE, sp());
+            finish(sys, guarded, ckpt)
+        });
+        visit.cell(&name("rr"), drops_ghosts, || {
             let sched = RoundRobinScheduler::new(ms(1));
-            finish(
-                System::new(lib.clone(), manager(), sched, SAVE_RESTORE, sp()),
-                guarded,
-                ckpt,
-            )
+            let sys = System::new(lib.clone(), manager(), sched, SAVE_RESTORE, sp());
+            finish(sys, guarded, ckpt)
         });
-        check_round_trips(&tag("priority"), drops_ghosts, || {
+        visit.cell(&name("priority"), drops_ghosts, || {
             let sched = PriorityScheduler::with_aging(Some(ms(1)), ms(2));
-            finish(
-                System::new(lib.clone(), manager(), sched, SAVE_RESTORE, sp()),
-                guarded,
-                ckpt,
-            )
+            let sys = System::new(lib.clone(), manager(), sched, SAVE_RESTORE, sp());
+            finish(sys, guarded, ckpt)
         });
-        check_round_trips(&tag("edf"), drops_ghosts, || {
+        visit.cell(&name("edf"), drops_ghosts, || {
             let sched = EdfScheduler::for_tasks(&sp(), Some(ms(1)));
-            finish(
-                System::new(lib.clone(), manager(), sched, SAVE_RESTORE, sp()),
-                guarded,
-                ckpt,
-            )
+            let sys = System::new(lib.clone(), manager(), sched, SAVE_RESTORE, sp());
+            finish(sys, guarded, ckpt)
         });
     }
 }
 
-#[test]
-fn images_round_trip_and_restore_to_themselves() {
+/// The round-trip matrix: dynamic loading, fixed partitions and variable
+/// partitions with delta downloads and delta checkpoints, under every
+/// scheduler, guarded and plain.
+fn matrix(visit: &mut impl Cell) {
     let (lib, ids) = lib_n(3);
     let plain = CheckpointConfig::new(ms(1));
-    check_all_schedulers("dynload", false, plain, &ids, &lib, || {
+    each_scheduler(visit, ("dynload", false), plain, &ids, &lib, || {
         DynLoadManager::new(lib.clone(), timing(), PreemptAction::SaveRestore)
     });
     let widest = ids.iter().map(|&c| lib.get(c).shape().0).max().unwrap();
     let cols = timing().spec.cols;
     let mut widths = vec![widest; (cols / widest) as usize];
     *widths.last_mut().unwrap() += cols % widest;
-    check_all_schedulers("partition-fixed", false, plain, &ids, &lib, || {
+    each_scheduler(visit, ("partition-fixed", false), plain, &ids, &lib, || {
         PartitionManager::new(
             lib.clone(),
             timing(),
@@ -239,9 +268,58 @@ fn images_round_trip_and_restore_to_themselves() {
         .unwrap()
     });
     let delta = plain.with_delta_checkpoints(3);
-    check_all_schedulers("partition-variable-delta", true, delta, &ids, &lib, || {
-        variable_delta(&lib)
+    let label = ("partition-variable-delta", true);
+    each_scheduler(visit, label, delta, &ids, &lib, || variable_delta(&lib));
+    // Column failures too, so a partition is retired, and a retry backoff
+    // long enough that a capture finds the retry pending.
+    visit.cell("partition-variable-delta-fifo-colfail", true, || {
+        let (mut plan, mut policy) = faults();
+        plan.column_failure_rate_per_s = 400.0;
+        policy.retry_backoff = ms(10);
+        let sched = FifoScheduler::new();
+        System::new(
+            lib.clone(),
+            variable_delta(&lib),
+            sched,
+            SAVE_RESTORE,
+            specs(&ids, 8),
+        )
+        .with_faults(plan, policy)
+        .with_admission(tight_admission())
+        .unwrap()
+        .with_checkpoints(delta)
+        .unwrap()
     });
+    // A sequential circuit whose runs outlast the slice, so a capture finds
+    // saved flip-flop state and a dispatch waiting out its readback.
+    let (lib, ids) = lib_mixed(3);
+    visit.cell("dynload-rr-sequential", false, || {
+        let (plan, policy) = faults();
+        let mut sp = specs(&ids, 8);
+        for op in sp.iter_mut().flat_map(|s| &mut s.ops) {
+            if let Op::FpgaRun { cycles, .. } = op {
+                *cycles *= 10;
+            }
+        }
+        let mgr = DynLoadManager::new(lib.clone(), timing(), PreemptAction::SaveRestore);
+        System::new(
+            lib.clone(),
+            mgr,
+            RoundRobinScheduler::new(ms(1)),
+            SAVE_RESTORE,
+            sp,
+        )
+        .with_faults(plan, policy)
+        .with_admission(tight_admission())
+        .unwrap()
+        .with_checkpoints(plain)
+        .unwrap()
+    });
+}
+
+#[test]
+fn images_round_trip_and_restore_to_themselves() {
+    matrix(&mut RoundTrips);
 }
 
 fn variable_delta(lib: &Arc<CircuitLib>) -> PartitionManager {
@@ -289,6 +367,137 @@ fn pinned_image_renders_the_golden_bytes() {
     let (lib, ids) = lib_n(2);
     let durable = image_at(pinned_small(&lib, &ids), PINNED_CUT_US).unwrap();
     assert_eq!(durable.render(), include_str!("../golden/ckpt_small.json"));
+}
+
+/// Each cell's image, rendered: a guarded cell's at the earliest of
+/// [`CUTS_US`] (arrivals still pending, ready queues full), every other
+/// cell's at the latest that yields one (waiters, upsets, retired columns).
+#[derive(Default)]
+struct Goldens(Vec<(String, String)>);
+
+impl Cell for Goldens {
+    fn cell<M: FpgaManager, S: Scheduler>(
+        &mut self,
+        name: &str,
+        _drops_ghosts: bool,
+        build: impl Fn() -> System<M, S>,
+    ) {
+        let mut cuts: Vec<u64> = CUTS_US.to_vec();
+        if !name.ends_with("-guarded") {
+            cuts.reverse();
+        }
+        let image = cuts.iter().find_map(|&cut| image_at(build(), cut));
+        let image = image.unwrap_or_else(|| panic!("{name}: no cut yields an image"));
+        self.0.push((name.to_string(), image.render()));
+    }
+}
+
+/// What one image shows non-empty: `latent`, `running.fpga`, each
+/// `pending:<kind>`, `manager.parts:<kind>`, … (see [`SECTIONS`]).
+fn sections_of(image: &Json, into: &mut Vec<String>) {
+    let nonempty = |v: Option<&Json>| v.and_then(Json::as_arr).is_some_and(|a| !a.is_empty());
+    let mut seen = |what: &str, yes: bool| {
+        if yes && !into.iter().any(|s| s == what) {
+            into.push(what.to_string());
+        }
+    };
+    seen("latent", nonempty(image.get("latent")));
+    seen("stale", nonempty(image.get("stale")));
+    let running = image.get("running").and_then(|r| r.get("fpga"));
+    seen("running.fpga", running.is_some_and(|f| *f != Json::Null));
+    for entry in image.get("pending").and_then(Json::as_arr).unwrap() {
+        let Some(Json::Str(kind)) = entry.as_arr().map(|e| &e[1]) else {
+            panic!("pending entry {entry:?}")
+        };
+        seen(&format!("pending:{kind}"), true);
+    }
+    let admission = image.get("admission").and_then(|a| a.get("deferred"));
+    seen("admission.deferred", nonempty(admission));
+    let manager = image.get("manager").unwrap();
+    for part in manager.get("parts").and_then(Json::as_arr).unwrap_or(&[]) {
+        let Some(Json::Str(kind)) = part.get("kind") else {
+            panic!("partition {part:?}")
+        };
+        seen(&format!("manager.parts:{kind}"), true);
+    }
+    seen("manager.waiters", nonempty(manager.get("waiters")));
+    seen("manager.saved", nonempty(manager.get("saved")));
+    seen("manager.delta", manager.get("delta").is_some());
+    let sched = image.get("sched").unwrap();
+    seen("sched.queue", nonempty(sched.get("queue")));
+    for entry in sched.get("ready").and_then(Json::as_arr).unwrap_or(&[]) {
+        let policy = match entry.as_arr().map(<[Json]>::len) {
+            Some(4) => "priority",
+            Some(2) => "edf",
+            _ => panic!("ready entry {entry:?}"),
+        };
+        seen(&format!("sched.ready:{policy}"), true);
+    }
+}
+
+/// Every section the goldens must show non-empty at least once.
+const SECTIONS: &[&str] = &[
+    "latent",
+    "stale",
+    "running.fpga",
+    "pending:arrive",
+    "pending:timer",
+    "pending:dispatch",
+    "pending:seu",
+    "pending:scrub",
+    "pending:colfail",
+    "pending:colfail_at",
+    "pending:retry_done",
+    "pending:retry",
+    "pending:ckpt",
+    "pending:watchdog",
+    "admission.deferred",
+    "manager.parts:free",
+    "manager.parts:resident",
+    "manager.parts:retired",
+    "manager.waiters",
+    "manager.saved",
+    "manager.delta",
+    "sched.queue",
+    "sched.ready:priority",
+    "sched.ready:edf",
+];
+
+/// The sections no cell reaches, and why.
+const UNREACHED: &[(&str, &str)] = &[(
+    "stale",
+    "only a journal-off crash restore leaves a stale claim; the matrix journals",
+)];
+
+#[test]
+fn matrix_images_render_their_golden_bytes() {
+    // Written by the parent build of the codec rewrite: one image per cell
+    // of the round-trip matrix, byte for byte.
+    let mut goldens = Goldens::default();
+    matrix(&mut goldens);
+    let here = std::env::var("CARGO_MANIFEST_DIR").expect("cargo runs the tests");
+    let dir = format!("{here}/golden/ckpt");
+    let mut shown = Vec::new();
+    for (name, text) in &goldens.0 {
+        let path = format!("{dir}/{name}.json");
+        let want = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+        assert!(*text == want, "{name}: the rendering drifted from {path}");
+        sections_of(&Json::parse(text).unwrap(), &mut shown);
+    }
+    let files = std::fs::read_dir(&dir).unwrap().count();
+    assert_eq!(files, goldens.0.len(), "{dir} holds a file no cell renders");
+    for section in SECTIONS {
+        let why = UNREACHED.iter().find(|(s, _)| s == section);
+        match (shown.iter().any(|s| s == section), why) {
+            (true, None) | (false, Some(_)) => {}
+            (true, Some((_, why))) => panic!("{section} is reached after all ({why})"),
+            (false, None) => panic!("no golden shows {section} non-empty"),
+        }
+    }
+    assert!(
+        shown.iter().all(|s| SECTIONS.contains(&s.as_str())),
+        "{shown:?}"
+    );
 }
 
 /// The object field `key` of `v`, for damaging a parsed image in place.
@@ -443,7 +652,9 @@ fn fields(v: &mut Json) -> &mut Vec<(String, Json)> {
 /// object's key set, 2^32+1 in every cell read into 32 bits or fewer (task
 /// and circuit ids, columns, widths, priorities — sequence numbers,
 /// clocks, times and counters are 64-bit), and every circuit id pointed
-/// outside the library.
+/// outside the library. A 64-bit cell of the manager has no narrower range
+/// to leave, but u64::MAX in each, and in all of them at once, must be
+/// restored or refused, never overflow.
 #[test]
 fn damaged_component_sections_are_errors_not_panics() {
     const WIDE: u64 = (1 << 32) + 1;
@@ -460,6 +671,7 @@ fn damaged_component_sections_are_errors_not_panics() {
         }
         // Every damaged copy of the image, with what was done to it.
         let mut cases: Vec<(&str, Json)> = Vec::new();
+        let mut wide_cells = Vec::new();
         let mut damage = |what, path: &[Step], how: &dyn Fn(&mut Json)| {
             let mut doc = good.clone();
             how(node(&mut doc, path));
@@ -523,6 +735,8 @@ fn damaged_component_sections_are_errors_not_panics() {
                     ];
                     if pairs || narrow.contains(&under) {
                         damage("wide cell", path, &|c| *c = WIDE.into());
+                    } else if path[0] == Step::Key("manager") {
+                        wide_cells.push(path.to_vec());
                     }
                     if ["loaded", "cid"].contains(&under) || (pairs && index == Some(1)) {
                         damage("circuit 9999", path, &|c| *c = 9999u64.into());
@@ -535,6 +749,19 @@ fn damaged_component_sections_are_errors_not_panics() {
         for (what, doc) in &cases {
             assert!(restore(doc).is_err(), "{label}: {what} restored");
         }
+        let mut all = good.clone();
+        for path in &wide_cells {
+            let mut doc = good.clone();
+            *node(&mut doc, path) = u64::MAX.into();
+            *node(&mut all, path) = u64::MAX.into();
+            let _ = restore(&doc);
+        }
+        let _ = restore(&all);
+        assert!(
+            wide_cells.len() >= 10,
+            "{label}: {} wide cells",
+            wide_cells.len()
+        );
     }
     fn all_schedulers<M: FpgaManager>(
         label: &str,
@@ -577,9 +804,13 @@ fn damaged_images_are_errors_not_panics() {
         SystemImage::from_json(&Json::parse(t).map_err(|e| e.to_string())?)
     });
 
+    // Decoded, but not an image of this system.
+    let (lib, ids) = lib_n(2);
+    let restore = |doc: &Json| pinned_small(&lib, &ids).restore(&SystemImage::from_json(doc)?);
+
     // The task table: a header that is not the writer's, rows one cell
-    // short or long, the table itself one row short or long (the
-    // admission vectors then disagree with it).
+    // short or long, the table itself one row short or long (it then has
+    // another task count than the system, and than the admission vectors).
     let damaged_header = |damage: fn(&mut Vec<Json>)| {
         let mut doc = good.clone();
         damage(items(field(&mut doc, "task_columns")));
@@ -592,7 +823,7 @@ fn damaged_images_are_errors_not_panics() {
     let damaged_table = |damage: fn(&mut Vec<Json>)| {
         let mut doc = good.clone();
         damage(items(field(&mut doc, "tasks")));
-        SystemImage::from_json(&doc)
+        restore(&doc)
     };
     assert!(
         damaged_table(|t| drop(items(&mut t[1]).pop())).is_err(),
@@ -636,10 +867,7 @@ fn damaged_images_are_errors_not_panics() {
     for key in ["wd_seq", "wd_trips", "degraded"] {
         let mut short = good.clone();
         items(field(field(&mut short, "admission"), key)).pop();
-        assert!(
-            SystemImage::from_json(&short).is_err(),
-            "short admission '{key}'"
-        );
+        assert!(restore(&short).is_err(), "short admission '{key}'");
     }
     let mut rng = good.clone();
     items(&mut items(field(&mut rng, "rng"))[1]).pop();
@@ -687,7 +915,6 @@ fn damaged_images_are_errors_not_panics() {
     assert!(SystemImage::from_json(&wide).is_err(), "64-bit task id");
 
     // Well-formed images that describe some other system.
-    let (lib, ids) = lib_n(2);
     let mut ghost_task = img.clone();
     ghost_task.running.as_mut().unwrap().tid.0 = 99;
     assert!(pinned_small(&lib, &ids).restore(&ghost_task).is_err());

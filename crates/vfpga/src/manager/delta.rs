@@ -19,9 +19,6 @@
 
 use super::EventBuf;
 use crate::circuit::{CircuitId, CircuitLib};
-use crate::counters::Counters;
-use crate::image::Fields;
-use fsim::json::{Json, Obj};
 use fsim::TraceEvent;
 use std::collections::{BTreeSet, HashMap};
 
@@ -191,25 +188,38 @@ impl DeltaTable {
         self.ghosts.len()
     }
 
-    /// Serialize for a checkpoint: the counters plus how many ghosts were
-    /// live. Ghosts themselves are *not* restored — a restore implies the
-    /// fabric was re-downloaded, so every base is stale by definition.
-    pub fn to_json(&self) -> Json {
-        Obj::new()
-            .set("stats", self.stats.to_json())
-            .set("ghosts", self.ghost_count())
-            .build()
+    /// The table as a checkpoint carries it.
+    pub fn image(&self) -> DeltaImage {
+        DeltaImage {
+            stats: self.stats,
+            ghosts: self.ghost_count() as u64,
+        }
     }
 
-    /// Rebuild from [`DeltaTable::to_json`]: counters restored, ghosts
-    /// dropped and counted as crash invalidations.
-    pub fn from_json(snap: &Json) -> Result<Self, String> {
-        let mut f = Fields::of(snap, "delta snapshot")?;
-        let mut t = DeltaTable::new();
-        t.stats = DeltaStats::from_json(f.next("stats")?)?;
-        t.stats.invalidations += f.get::<u64>("ghosts")?;
-        f.end()?;
-        Ok(t)
+    /// Rebuild from an [`image`](Self::image): counters restored, ghosts
+    /// dropped and counted as crash invalidations (a count that does not
+    /// fit is a damaged image).
+    pub fn restored(img: &DeltaImage) -> Result<Self, String> {
+        let mut stats = img.stats;
+        stats.invalidations = stats
+            .invalidations
+            .checked_add(img.ghosts)
+            .ok_or("delta invalidations overflow 64 bits")?;
+        Ok(DeltaTable {
+            stats,
+            ..DeltaTable::new()
+        })
+    }
+}
+
+crate::image::record! {
+    /// A delta table's checkpoint image: the counters plus how many ghosts
+    /// were live. Ghosts themselves are *not* restored — a restore implies
+    /// the fabric was re-downloaded, so every base is stale by definition.
+    #[derive(Debug, Clone, PartialEq)]
+    pub(crate) struct DeltaImage {
+        stats: DeltaStats,
+        ghosts: u64,
     }
 }
 
@@ -266,12 +276,16 @@ mod tests {
         t.stats.frames_saved = 17;
         t.record_ghost(0, 4, CircuitId(1), &mut obs);
         t.record_ghost(8, 2, CircuitId(2), &mut obs);
-        let j = t.to_json();
-        let r = DeltaTable::from_json(&j).unwrap();
+        let r = DeltaTable::restored(&t.image()).unwrap();
         assert_eq!(r.ghost_count(), 0);
         assert_eq!(r.stats.delta_downloads, 3);
         assert_eq!(r.stats.frames_saved, 17);
         assert_eq!(r.stats.invalidations, t.stats.invalidations + 2);
-        assert!(DeltaTable::from_json(&fsim::json::Json::Null).is_err());
+        let mut wrapped = t.image();
+        (wrapped.stats.invalidations, wrapped.ghosts) = (1, u64::MAX);
+        assert!(
+            DeltaTable::restored(&wrapped).is_err(),
+            "ghosts overflow the count"
+        );
     }
 }

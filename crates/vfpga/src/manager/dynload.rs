@@ -16,14 +16,26 @@ use super::{
     EventBuf, FpgaManager, ManagerStats, PreemptCost, ResidentRegion,
 };
 use crate::circuit::{CircuitId, CircuitLib};
-use crate::counters::Counters;
-use crate::image::{arr_of, tuple, Fields, Scalar};
+use crate::image::Wire;
 use crate::manager::PreemptAction;
 use crate::task::TaskId;
 use fpga::ConfigTiming;
+use fsim::json::Json;
 use fsim::{SimDuration, TraceEvent};
-use std::collections::HashMap;
+use std::collections::BTreeSet;
 use std::sync::Arc;
+
+crate::image::record! {
+    /// Everything [`DynLoadManager`] carries across a checkpoint.
+    #[derive(Debug, Default)]
+    pub(crate) struct DynLoadImage {
+        /// Circuit currently in configuration RAM.
+        loaded: Option<CircuitId>,
+        /// Saved state per (task, circuit) awaiting restore.
+        saved: BTreeSet<(TaskId, CircuitId)>,
+        stats: ManagerStats,
+    }
+}
 
 /// Dynamic whole-device loading.
 #[derive(Debug)]
@@ -31,11 +43,7 @@ pub struct DynLoadManager {
     lib: Arc<CircuitLib>,
     timing: ConfigTiming,
     policy: PreemptAction,
-    /// Circuit currently in configuration RAM.
-    loaded: Option<CircuitId>,
-    /// Saved state per (task, circuit) awaiting restore.
-    saved_state: HashMap<(TaskId, CircuitId), ()>,
-    stats: ManagerStats,
+    st: DynLoadImage,
     obs: EventBuf,
 }
 
@@ -46,9 +54,7 @@ impl DynLoadManager {
             lib,
             timing,
             policy,
-            loaded: None,
-            saved_state: HashMap::new(),
-            stats: ManagerStats::default(),
+            st: DynLoadImage::default(),
             obs: EventBuf::default(),
         }
     }
@@ -59,13 +65,13 @@ impl DynLoadManager {
     }
 
     fn download(&mut self, tid: TaskId, cid: CircuitId) -> SimDuration {
-        self.loaded = Some(cid);
+        self.st.loaded = Some(cid);
         if self.timing.port.supports_partial() {
             // Clear-and-load only the circuit's frames.
             let frames = self.lib.get(cid).frames();
-            charge_partial_download(&self.timing, frames, &mut self.stats, &mut self.obs, tid)
+            charge_partial_download(&self.timing, frames, &mut self.st.stats, &mut self.obs, tid)
         } else {
-            charge_full_download(&self.timing, &mut self.stats, &mut self.obs, tid)
+            charge_full_download(&self.timing, &mut self.st.stats, &mut self.obs, tid)
         }
     }
 }
@@ -77,16 +83,16 @@ impl FpgaManager for DynLoadManager {
 
     fn activate(&mut self, tid: TaskId, cid: CircuitId) -> Activation {
         let mut overhead = SimDuration::ZERO;
-        if self.loaded != Some(cid) {
-            self.stats.misses += 1;
+        if self.st.loaded != Some(cid) {
+            self.st.stats.misses += 1;
             overhead += self.download(tid, cid);
         } else {
-            self.stats.hits += 1;
+            self.st.stats.hits += 1;
         }
         // Restore saved state if this task was preempted mid-op earlier.
-        if self.saved_state.remove(&(tid, cid)).is_some() {
+        if self.st.saved.remove(&(tid, cid)) {
             let frames = self.lib.get(cid).frames();
-            overhead += charge_state_move(&self.timing, frames, false, &mut self.stats);
+            overhead += charge_state_move(&self.timing, frames, false, &mut self.st.stats);
         }
         Activation::Ready { overhead }
     }
@@ -116,8 +122,8 @@ impl FpgaManager for DynLoadManager {
             },
             PreemptAction::SaveRestore => {
                 let frames = img.frames();
-                let overhead = charge_state_move(&self.timing, frames, true, &mut self.stats);
-                self.saved_state.insert((tid, cid), ());
+                let overhead = charge_state_move(&self.timing, frames, true, &mut self.st.stats);
+                self.st.saved.insert((tid, cid));
                 PreemptCost {
                     overhead,
                     lose_progress: false,
@@ -132,12 +138,12 @@ impl FpgaManager for DynLoadManager {
     }
 
     fn task_exit(&mut self, tid: TaskId) -> Vec<TaskId> {
-        self.saved_state.retain(|(t, _), _| *t != tid);
+        self.st.saved.retain(|&(t, _)| t != tid);
         Vec::new()
     }
 
     fn stats(&self) -> ManagerStats {
-        self.stats
+        self.st.stats
     }
 
     fn set_recording(&mut self, on: bool) {
@@ -151,6 +157,7 @@ impl FpgaManager for DynLoadManager {
     fn usage(&self) -> DeviceUsage {
         let total = self.timing.spec.clbs() as u64;
         let used = self
+            .st
             .loaded
             .map(|cid| self.lib.get(cid).blocks() as u64)
             .unwrap_or(0);
@@ -169,7 +176,8 @@ impl FpgaManager for DynLoadManager {
 
     fn resident_regions(&self) -> Vec<ResidentRegion> {
         // Downloads always place the circuit from column 0.
-        self.loaded
+        self.st
+            .loaded
             .map(|cid| ResidentRegion {
                 cid,
                 col0: 0,
@@ -180,57 +188,25 @@ impl FpgaManager for DynLoadManager {
     }
 
     fn discard_resident(&mut self, cid: CircuitId) -> bool {
-        if self.loaded == Some(cid) {
-            self.loaded = None;
+        if self.st.loaded == Some(cid) {
+            self.st.loaded = None;
             true
         } else {
             false
         }
     }
 
-    fn snapshot(&self) -> Option<fsim::json::Json> {
-        use fsim::json::{Json, Obj};
-        // Sort for a deterministic image (HashMap order is not).
-        let mut keys: Vec<_> = self.saved_state.keys().copied().collect();
-        keys.sort();
-        let saves: Vec<Json> = keys
-            .into_iter()
-            .map(|(t, c)| Json::Arr(vec![u64::from(t.0).into(), u64::from(c.0).into()]))
-            .collect();
-        Some(
-            Obj::new()
-                .set(
-                    "loaded",
-                    self.loaded
-                        .map(|c| Json::from(u64::from(c.0)))
-                        .unwrap_or(Json::Null),
-                )
-                .set("saved", saves)
-                .set("stats", self.stats.to_json())
-                .build(),
-        )
+    fn snapshot(&self) -> Option<Json> {
+        Some(self.st.json())
     }
 
-    fn restore(&mut self, snap: &fsim::json::Json) -> Result<(), String> {
-        let mut f = Fields::of(snap, "dynload snapshot")?;
-        let loaded = match f.next("loaded")? {
-            fsim::json::Json::Null => None,
-            v => Some(self.lib.read_id(v, "loaded circuit")?),
-        };
-        let mut saved = HashMap::new();
-        for v in arr_of(f.next("saved")?, "saved")? {
-            let [t, c] = tuple(v, "saved entry")?;
-            let key = (
-                TaskId::read(t, "saved task")?,
-                self.lib.read_id(c, "saved circuit")?,
-            );
-            if saved.insert(key, ()).is_some() {
-                return Err("saved lists an entry twice".into());
-            }
+    fn restore(&mut self, snap: &Json) -> Result<(), String> {
+        let st = DynLoadImage::read(snap, "dynload snapshot")?;
+        let saved = st.saved.iter().map(|&(_, cid)| cid);
+        for cid in st.loaded.into_iter().chain(saved) {
+            self.lib.check_id(cid)?;
         }
-        let stats = ManagerStats::from_json(f.next("stats")?)?;
-        f.end()?;
-        (self.loaded, self.saved_state, self.stats) = (loaded, saved, stats);
+        self.st = st;
         Ok(())
     }
 }

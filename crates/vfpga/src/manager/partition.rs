@@ -19,19 +19,19 @@
 //!   origin succeeds ("a garbage-collecting procedure must be introduced
 //!   to merge - when necessary - the idle existing partitions").
 
-use super::delta::{DeltaStats, DeltaTable};
+use super::delta::{DeltaImage, DeltaStats, DeltaTable};
 use super::{
     charge_delta_download, charge_partial_download, charge_state_move, partial_download_cost,
     Activation, DeviceUsage, EventBuf, FpgaManager, ManagerStats, PreemptCost, ResidentRegion,
     RetireOutcome,
 };
 use crate::circuit::{CircuitId, CircuitLib};
-use crate::counters::Counters;
 use crate::error::VfpgaError;
-use crate::image::{arr_of, tuple, Fields, Scalar};
+use crate::image::{Fields, Wire};
 use crate::manager::PreemptAction;
 use crate::task::TaskId;
 use fpga::ConfigTiming;
+use fsim::json::{Json, Obj};
 use fsim::{SimDuration, TraceEvent};
 use pnr::route::CircuitRoutes;
 use pnr::RoutingFabric;
@@ -47,9 +47,10 @@ pub enum PartitionMode {
     Variable,
 }
 
-/// Content of one partition.
+/// Content of one partition. A checkpoint image holds it as `Slot<()>`:
+/// routes are derived state, rebuilt by re-routing at the same origin.
 #[derive(Debug)]
-enum Slot {
+enum Slot<R = CircuitRoutes> {
     Free,
     /// Fabric permanently lost to a column failure; never allocated again.
     Retired,
@@ -58,7 +59,7 @@ enum Slot {
     Resident {
         cid: CircuitId,
         owner: Option<TaskId>,
-        routes: CircuitRoutes,
+        routes: R,
         /// Monotone last-use stamp for LRU eviction.
         last_use: u64,
         /// Saved FF state pending a restore for `(task)`.
@@ -67,10 +68,10 @@ enum Slot {
 }
 
 #[derive(Debug)]
-struct Partition {
+pub(crate) struct Partition<R = CircuitRoutes> {
     col: u32,
     width: u32,
-    slot: Slot,
+    slot: Slot<R>,
 }
 
 /// Column-partitioned FPGA manager.
@@ -937,80 +938,43 @@ impl FpgaManager for PartitionManager {
         }
     }
 
-    fn snapshot(&self) -> Option<fsim::json::Json> {
-        use fsim::json::{Json, Obj};
-        let opt = |t: Option<TaskId>| t.map(|t| Json::from(u64::from(t.0))).unwrap_or(Json::Null);
-        let parts: Vec<Json> = self
-            .parts
-            .iter()
-            .map(|p| {
-                let mut o = Obj::new().set("col", p.col).set("width", p.width);
-                o = match &p.slot {
-                    Slot::Free => o.set("kind", "free"),
-                    Slot::Retired => o.set("kind", "retired"),
-                    // Routes are NOT serialized: they are derived state,
-                    // rebuilt deterministically by re-routing the placed
-                    // circuit at the same origin on restore.
-                    Slot::Resident {
-                        cid,
-                        owner,
-                        last_use,
-                        saved_for,
-                        ..
-                    } => o
-                        .set("kind", "resident")
-                        .set("cid", u64::from(cid.0))
-                        .set("owner", opt(*owner))
-                        .set("last_use", *last_use)
-                        .set("saved_for", opt(*saved_for)),
-                };
-                o.build()
-            })
-            .collect();
-        let waiters: Vec<Json> = self
-            .waiters
-            .iter()
-            .map(|&(t, c)| Json::Arr(vec![u64::from(t.0).into(), u64::from(c.0).into()]))
-            .collect();
-        let mut o = Obj::new()
-            .set("parts", parts)
-            .set("waiters", waiters)
-            .set("clock", self.clock)
-            .set("gc_enabled", self.gc_enabled)
-            .set("stats", self.stats.to_json());
-        // Only present when the feature is on, so legacy images are
-        // byte-identical with delta disabled.
-        if let Some(dt) = &self.delta {
-            o = o.set("delta", dt.to_json());
-        }
-        Some(o.build())
+    fn snapshot(&self) -> Option<Json> {
+        let image = PartitionImage {
+            parts: self.parts.iter().map(Partition::image).collect(),
+            waiters: self.waiters.clone(),
+            clock: self.clock,
+            gc_enabled: self.gc_enabled,
+            stats: self.stats,
+            delta: self.delta.as_ref().map(DeltaTable::image),
+        };
+        Some(image.json())
     }
 
-    fn restore(&mut self, snap: &fsim::json::Json) -> Result<(), String> {
+    fn restore(&mut self, snap: &Json) -> Result<(), String> {
+        let img = PartitionImage::read(snap, "partition snapshot")?;
         let cols = self.timing.spec.cols;
-        let mut f = Fields::of(snap, "partition snapshot")?;
         let mut routing = pnr::RoutingFabric::for_device(&self.timing.spec);
-        let mut parts = Vec::new();
+        let mut parts = Vec::with_capacity(img.parts.len());
         // The partitions tile the device: each starts where the last ended.
         let mut next_col = 0;
-        for p in arr_of(f.next("parts")?, "parts")? {
-            let mut p = Fields::of(p, "partition")?;
-            let col: u32 = p.get("col")?;
-            let width: u32 = p.get("width")?;
+        for Partition { col, width, slot } in img.parts {
             if col != next_col || width == 0 || width > cols - col {
                 return Err(format!(
                     "partition [{col}, +{width}) does not continue the tiling at column {next_col} of {cols}"
                 ));
             }
             next_col = col + width;
-            let slot = match p.str("kind")? {
-                "free" => Slot::Free,
-                "retired" => Slot::Retired,
-                "resident" => {
-                    let cid = self.lib.read_id(p.next("cid")?, "resident circuit")?;
-                    let owner = p.get("owner")?;
-                    let last_use = p.get("last_use")?;
-                    let saved_for = p.get("saved_for")?;
+            let slot = match slot {
+                Slot::Free => Slot::Free,
+                Slot::Retired => Slot::Retired,
+                Slot::Resident {
+                    cid,
+                    owner,
+                    last_use,
+                    saved_for,
+                    routes: (),
+                } => {
+                    self.lib.check_id(cid)?;
                     // Re-route at the original origin; partitions are
                     // disjoint column ranges, so routing each resident in
                     // image order reproduces a valid fabric state.
@@ -1030,37 +994,117 @@ impl FpgaManager for PartitionManager {
                         saved_for,
                     }
                 }
-                other => return Err(format!("unknown partition kind '{other}'")),
             };
-            p.end()?;
             parts.push(Partition { col, width, slot });
         }
         if next_col != cols {
             return Err(format!("partitions cover {next_col} of {cols} columns"));
         }
-        let mut waiters = VecDeque::new();
-        for v in arr_of(f.next("waiters")?, "waiters")? {
-            let [t, c] = tuple(v, "waiter")?;
-            waiters.push_back((
-                TaskId::read(t, "waiting task")?,
-                self.lib.read_id(c, "awaited circuit")?,
-            ));
+        for &(_, cid) in &img.waiters {
+            self.lib.check_id(cid)?;
         }
-        let clock = f.get("clock")?;
-        let gc_enabled = f.get("gc_enabled")?;
-        let stats = ManagerStats::from_json(f.next("stats")?)?;
-        // The section is present exactly when the feature is on. Ghosts
-        // are never carried across a restore: the fabric was wiped and
-        // re-downloaded, so every tracked base would be stale.
-        let delta = match self.delta {
-            Some(_) => Some(DeltaTable::from_json(f.next("delta")?)?),
-            None => None,
+        // Ghosts are never carried across a restore: the fabric was wiped
+        // and re-downloaded, so every tracked base would be stale.
+        let delta = match (&self.delta, &img.delta) {
+            (Some(_), Some(d)) => Some(DeltaTable::restored(d)?),
+            (None, None) => None,
+            _ => return Err("a delta section belongs exactly to a delta manager".into()),
         };
-        f.end()?;
-        (self.parts, self.routing, self.waiters) = (parts, routing, waiters);
-        (self.clock, self.gc_enabled, self.stats, self.delta) = (clock, gc_enabled, stats, delta);
+        (self.parts, self.routing, self.waiters) = (parts, routing, img.waiters);
+        (self.clock, self.gc_enabled, self.stats, self.delta) =
+            (img.clock, img.gc_enabled, img.stats, delta);
         self.check_routing();
         Ok(())
+    }
+}
+
+crate::image::record! {
+    /// Everything [`PartitionManager`] carries across a checkpoint. Routes
+    /// are not part of it: they are derived state, rebuilt by re-routing
+    /// each resident circuit at its origin on restore.
+    #[derive(Debug)]
+    pub(crate) struct PartitionImage {
+        parts: Vec<Partition<()>>,
+        waiters: VecDeque<(TaskId, CircuitId)>,
+        clock: u64,
+        gc_enabled: bool,
+        stats: ManagerStats,
+        /// Present exactly when delta downloads are on, so an image with
+        /// them off is byte-identical to one from before they existed.
+        #[skip_if(Option::is_none)]
+        delta: Option<DeltaImage>,
+    }
+}
+
+impl Partition {
+    /// The partition as a checkpoint image holds it: without its routes.
+    fn image(&self) -> Partition<()> {
+        let slot = match self.slot {
+            Slot::Free => Slot::Free,
+            Slot::Retired => Slot::Retired,
+            Slot::Resident {
+                cid,
+                owner,
+                last_use,
+                saved_for,
+                ..
+            } => Slot::Resident {
+                cid,
+                owner,
+                routes: (),
+                last_use,
+                saved_for,
+            },
+        };
+        Partition {
+            col: self.col,
+            width: self.width,
+            slot,
+        }
+    }
+}
+
+/// `{"col", "width", "kind"}`, and a resident's circuit, owner, last use
+/// and saved state after a `"resident"` kind.
+impl Wire for Partition<()> {
+    fn json(&self) -> Json {
+        let o = Obj::new().set("col", self.col).set("width", self.width);
+        let o = match self.slot {
+            Slot::Free => o.set("kind", "free"),
+            Slot::Retired => o.set("kind", "retired"),
+            Slot::Resident {
+                cid,
+                owner,
+                last_use,
+                saved_for,
+                ..
+            } => o
+                .set("kind", "resident")
+                .set("cid", cid.json())
+                .set("owner", owner.json())
+                .set("last_use", last_use)
+                .set("saved_for", saved_for.json()),
+        };
+        o.build()
+    }
+
+    fn read(v: &Json, what: &str) -> Result<Partition<()>, String> {
+        let mut f = Fields::of(v, what)?;
+        let (col, width) = (f.get("col")?, f.get("width")?);
+        let slot = match f.str("kind")? {
+            "free" => Slot::Free,
+            "retired" => Slot::Retired,
+            "resident" => Slot::Resident {
+                cid: f.get("cid")?,
+                owner: f.get("owner")?,
+                routes: (),
+                last_use: f.get("last_use")?,
+                saved_for: f.get("saved_for")?,
+            },
+            other => return Err(format!("unknown partition kind '{other}'")),
+        };
+        f.end()?;
+        Ok(Partition { col, width, slot })
     }
 }
 

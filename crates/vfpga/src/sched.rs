@@ -8,9 +8,9 @@
 //! ([`EdfScheduler`], the deadline-closed policy E18 compares against the
 //! others).
 
-use crate::image::{arr_of, tuple, Fields, Scalar};
+use crate::image::Wire;
 use crate::task::{TaskId, TaskSpec};
-use fsim::json::{Json, Obj};
+use fsim::json::Json;
 use fsim::{SimDuration, SimTime};
 use std::collections::VecDeque;
 
@@ -46,42 +46,37 @@ pub trait Scheduler {
     }
 }
 
-/// The `{"queue": [tid, …]}` snapshot of the two plain-queue policies.
-fn queue_snapshot(queue: &VecDeque<TaskId>) -> Json {
-    let queue: Vec<u64> = queue.iter().map(|t| u64::from(t.0)).collect();
-    Obj::new().set("queue", queue).build()
+crate::image::record! {
+    /// The image of the two plain-queue policies: `{"queue": [tid, …]}`.
+    #[derive(Debug, Default)]
+    pub(crate) struct QueueImage {
+        queue: VecDeque<TaskId>,
+    }
 }
 
-/// Its strict reader, like every other section of a checkpoint image.
-fn queue_from(snap: &Json, what: &'static str) -> Result<VecDeque<TaskId>, String> {
-    let mut f = Fields::of(snap, what)?;
-    let queue = arr_of(f.next("queue")?, "queue")?
-        .iter()
-        .map(|v| TaskId::read(v, "queued task"))
-        .collect::<Result<_, _>>()?;
-    f.end()?;
-    Ok(queue)
+crate::image::record! {
+    /// The image of the two ordered policies: `{"ready": [entry, …],
+    /// "seq": n}`, the ready entries and the next insertion sequence.
+    #[derive(Debug, Clone)]
+    pub(crate) struct ReadyImage<E> {
+        ready: Vec<E>,
+        seq: u64,
+    }
 }
 
-/// The `{"ready": [entry, …], "seq": n}` snapshot of the two ordered
-/// policies, read as strictly; `entry` reads one queue entry.
-fn ready_from<T>(
-    snap: &Json,
-    what: &'static str,
-    entry: impl Fn(&Json) -> Result<T, String>,
-) -> Result<(Vec<T>, u64), String> {
-    let mut f = Fields::of(snap, what)?;
-    let ready = arr_of(f.next("ready")?, "ready")?.iter().map(entry);
-    let ready = ready.collect::<Result<_, _>>()?;
-    let seq = f.get("seq")?;
-    f.end()?;
-    Ok((ready, seq))
+impl<E> ReadyImage<E> {
+    fn new() -> Self {
+        ReadyImage {
+            ready: Vec::new(),
+            seq: 0,
+        }
+    }
 }
 
 /// First-in first-out, run to completion (no slicing).
 #[derive(Debug, Default)]
 pub struct FifoScheduler {
-    queue: VecDeque<TaskId>,
+    st: QueueImage,
 }
 
 impl FifoScheduler {
@@ -93,11 +88,11 @@ impl FifoScheduler {
 
 impl Scheduler for FifoScheduler {
     fn on_ready(&mut self, tid: TaskId, _priority: u8, _now: SimTime) {
-        self.queue.push_back(tid);
+        self.st.queue.push_back(tid);
     }
 
     fn pick(&mut self, _now: SimTime) -> Option<TaskId> {
-        self.queue.pop_front()
+        self.st.queue.pop_front()
     }
 
     fn slice(&self) -> Option<SimDuration> {
@@ -105,11 +100,11 @@ impl Scheduler for FifoScheduler {
     }
 
     fn is_empty(&self) -> bool {
-        self.queue.is_empty()
+        self.st.queue.is_empty()
     }
 
     fn len(&self) -> usize {
-        self.queue.len()
+        self.st.queue.len()
     }
 
     fn name(&self) -> &'static str {
@@ -117,11 +112,11 @@ impl Scheduler for FifoScheduler {
     }
 
     fn snapshot(&self) -> Option<Json> {
-        Some(queue_snapshot(&self.queue))
+        Some(self.st.json())
     }
 
     fn restore(&mut self, snap: &Json) -> Result<(), String> {
-        self.queue = queue_from(snap, "fifo snapshot")?;
+        self.st = Wire::read(snap, "fifo snapshot")?;
         Ok(())
     }
 }
@@ -129,7 +124,7 @@ impl Scheduler for FifoScheduler {
 /// Round-robin with a fixed time slice.
 #[derive(Debug)]
 pub struct RoundRobinScheduler {
-    queue: VecDeque<TaskId>,
+    st: QueueImage,
     slice: SimDuration,
 }
 
@@ -138,7 +133,7 @@ impl RoundRobinScheduler {
     pub fn new(slice: SimDuration) -> Self {
         assert!(slice > SimDuration::ZERO, "zero slice would livelock");
         RoundRobinScheduler {
-            queue: VecDeque::new(),
+            st: QueueImage::default(),
             slice,
         }
     }
@@ -146,11 +141,11 @@ impl RoundRobinScheduler {
 
 impl Scheduler for RoundRobinScheduler {
     fn on_ready(&mut self, tid: TaskId, _priority: u8, _now: SimTime) {
-        self.queue.push_back(tid);
+        self.st.queue.push_back(tid);
     }
 
     fn pick(&mut self, _now: SimTime) -> Option<TaskId> {
-        self.queue.pop_front()
+        self.st.queue.pop_front()
     }
 
     fn slice(&self) -> Option<SimDuration> {
@@ -158,11 +153,11 @@ impl Scheduler for RoundRobinScheduler {
     }
 
     fn is_empty(&self) -> bool {
-        self.queue.is_empty()
+        self.st.queue.is_empty()
     }
 
     fn len(&self) -> usize {
-        self.queue.len()
+        self.st.queue.len()
     }
 
     fn name(&self) -> &'static str {
@@ -170,11 +165,11 @@ impl Scheduler for RoundRobinScheduler {
     }
 
     fn snapshot(&self) -> Option<Json> {
-        Some(queue_snapshot(&self.queue))
+        Some(self.st.json())
     }
 
     fn restore(&mut self, snap: &Json) -> Result<(), String> {
-        self.queue = queue_from(snap, "round-robin snapshot")?;
+        self.st = Wire::read(snap, "round-robin snapshot")?;
         Ok(())
     }
 }
@@ -189,10 +184,9 @@ impl Scheduler for RoundRobinScheduler {
 /// its wait under sustained high-priority load.
 #[derive(Debug)]
 pub struct PriorityScheduler {
-    /// `(priority, insertion seq, tid, enqueue time)`; highest effective
-    /// priority first, FIFO ties.
-    ready: Vec<(u8, u64, TaskId, SimTime)>,
-    seq: u64,
+    /// Ready entries `(priority, insertion seq, tid, enqueue time)`;
+    /// highest effective priority first, FIFO ties.
+    st: ReadyImage<(u8, u64, TaskId, SimTime)>,
     slice: Option<SimDuration>,
     aging_step: Option<SimDuration>,
 }
@@ -202,8 +196,7 @@ impl PriorityScheduler {
     /// No aging: a starvation-prone pure static-priority policy.
     pub fn new(slice: Option<SimDuration>) -> Self {
         PriorityScheduler {
-            ready: Vec::new(),
-            seq: 0,
+            st: ReadyImage::new(),
             slice,
             aging_step: None,
         }
@@ -217,10 +210,8 @@ impl PriorityScheduler {
             "zero aging step would make every wait infinite priority"
         );
         PriorityScheduler {
-            ready: Vec::new(),
-            seq: 0,
-            slice,
             aging_step: Some(aging_step),
+            ..Self::new(slice)
         }
     }
 
@@ -240,16 +231,17 @@ impl PriorityScheduler {
 
 impl Scheduler for PriorityScheduler {
     fn on_ready(&mut self, tid: TaskId, priority: u8, now: SimTime) {
-        self.ready.push((priority, self.seq, tid, now));
-        self.seq += 1;
+        self.st.ready.push((priority, self.st.seq, tid, now));
+        self.st.seq += 1;
     }
 
     fn pick(&mut self, now: SimTime) -> Option<TaskId> {
-        if self.ready.is_empty() {
+        if self.st.ready.is_empty() {
             return None;
         }
         // Highest effective priority; FIFO within a level.
         let best = self
+            .st
             .ready
             .iter()
             .enumerate()
@@ -260,7 +252,7 @@ impl Scheduler for PriorityScheduler {
             })
             .map(|(i, _)| i)
             .expect("nonempty");
-        Some(self.ready.remove(best).2)
+        Some(self.st.ready.remove(best).2)
     }
 
     fn slice(&self) -> Option<SimDuration> {
@@ -268,11 +260,11 @@ impl Scheduler for PriorityScheduler {
     }
 
     fn is_empty(&self) -> bool {
-        self.ready.is_empty()
+        self.st.ready.is_empty()
     }
 
     fn len(&self) -> usize {
-        self.ready.len()
+        self.st.ready.len()
     }
 
     fn name(&self) -> &'static str {
@@ -283,28 +275,11 @@ impl Scheduler for PriorityScheduler {
     }
 
     fn snapshot(&self) -> Option<Json> {
-        let ready: Vec<Json> = self
-            .ready
-            .iter()
-            .map(|&(p, s, t, at)| {
-                Json::Arr(vec![
-                    Json::from(u64::from(p)),
-                    Json::from(s),
-                    Json::from(u64::from(t.0)),
-                    Json::from(at.as_nanos()),
-                ])
-            })
-            .collect();
-        Some(Obj::new().set("ready", ready).set("seq", self.seq).build())
+        Some(self.st.json())
     }
 
     fn restore(&mut self, snap: &Json) -> Result<(), String> {
-        (self.ready, self.seq) = ready_from(snap, "priority snapshot", |v| {
-            let [p, s, t, at] = tuple(v, "ready entry")?;
-            let p = u8::try_from(u64::read(p, "priority")?).map_err(|_| "priority past 255")?;
-            let (s, t) = (u64::read(s, "sequence")?, TaskId::read(t, "ready task")?);
-            Ok((p, s, t, SimTime::read(at, "enqueue time")?))
-        })?;
+        self.st = Wire::read(snap, "priority snapshot")?;
         Ok(())
     }
 }
@@ -326,9 +301,9 @@ impl Scheduler for PriorityScheduler {
 pub struct EdfScheduler {
     /// Absolute deadline in ns per task id; `u64::MAX` means none.
     deadline_ns: Vec<u64>,
-    /// `(insertion seq, tid)`; deadlines are looked up at pick time.
-    ready: Vec<(u64, TaskId)>,
-    seq: u64,
+    /// Ready entries `(insertion seq, tid)`; deadlines are looked up at
+    /// pick time.
+    st: ReadyImage<(u64, TaskId)>,
     slice: Option<SimDuration>,
 }
 
@@ -341,8 +316,7 @@ impl EdfScheduler {
         }
         EdfScheduler {
             deadline_ns: Vec::new(),
-            ready: Vec::new(),
-            seq: 0,
+            st: ReadyImage::new(),
             slice,
         }
     }
@@ -379,23 +353,24 @@ impl EdfScheduler {
 
 impl Scheduler for EdfScheduler {
     fn on_ready(&mut self, tid: TaskId, _priority: u8, _now: SimTime) {
-        self.ready.push((self.seq, tid));
-        self.seq += 1;
+        self.st.ready.push((self.st.seq, tid));
+        self.st.seq += 1;
     }
 
     fn pick(&mut self, _now: SimTime) -> Option<TaskId> {
-        if self.ready.is_empty() {
+        if self.st.ready.is_empty() {
             return None;
         }
         // Earliest deadline; FIFO by insertion among equals.
         let best = self
+            .st
             .ready
             .iter()
             .enumerate()
             .min_by_key(|(_, &(seq, tid))| (self.key(tid), seq))
             .map(|(i, _)| i)
             .expect("nonempty");
-        Some(self.ready.remove(best).1)
+        Some(self.st.ready.remove(best).1)
     }
 
     fn slice(&self) -> Option<SimDuration> {
@@ -403,11 +378,11 @@ impl Scheduler for EdfScheduler {
     }
 
     fn is_empty(&self) -> bool {
-        self.ready.is_empty()
+        self.st.ready.is_empty()
     }
 
     fn len(&self) -> usize {
-        self.ready.len()
+        self.st.ready.len()
     }
 
     fn name(&self) -> &'static str {
@@ -417,19 +392,11 @@ impl Scheduler for EdfScheduler {
     fn snapshot(&self) -> Option<Json> {
         // The deadline table is configuration (rebuilt identically with
         // the scheduler); only the ready queue and seq counter are state.
-        let ready: Vec<Json> = self
-            .ready
-            .iter()
-            .map(|&(s, t)| Json::Arr(vec![Json::from(s), Json::from(u64::from(t.0))]))
-            .collect();
-        Some(Obj::new().set("ready", ready).set("seq", self.seq).build())
+        Some(self.st.json())
     }
 
     fn restore(&mut self, snap: &Json) -> Result<(), String> {
-        (self.ready, self.seq) = ready_from(snap, "edf snapshot", |v| {
-            let [s, t] = tuple(v, "ready entry")?;
-            Ok((u64::read(s, "sequence")?, TaskId::read(t, "ready task")?))
-        })?;
+        self.st = Wire::read(snap, "edf snapshot")?;
         Ok(())
     }
 }
@@ -437,6 +404,7 @@ impl Scheduler for EdfScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fsim::json::Obj;
 
     fn t(i: u32) -> TaskId {
         TaskId(i)

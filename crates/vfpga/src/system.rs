@@ -842,7 +842,7 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
                             cid: circuit,
                             completes: false,
                             slack: SimDuration::ZERO,
-                            poll_cost: SimDuration::ZERO,
+                            poll: SimDuration::ZERO,
                         });
                     }
                 }
@@ -889,14 +889,14 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
                             let rounded = d.div_ceil(p) * p;
                             ctx.slack = SimDuration::from_nanos(rounded - d);
                             let polls = rounded / p;
-                            ctx.poll_cost = POLL_CPU_COST * polls;
+                            ctx.poll = POLL_CPU_COST * polls;
                         }
                     }
                 }
             }
 
             let slack_total = fpga_ctx
-                .map(|c| c.slack + c.poll_cost)
+                .map(|c| c.slack + c.poll)
                 .unwrap_or(SimDuration::ZERO);
             self.emit(now, |s| TraceEvent::SchedulerDispatch {
                 task: tid.0,
@@ -973,7 +973,7 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
                     self.slots[ti].fpga_time += run.dur;
                 }
                 if let Some(f) = run.fpga {
-                    self.slots[ti].overhead_time += f.slack + f.poll_cost;
+                    self.slots[ti].overhead_time += f.slack + f.poll;
                 }
             }
             None => unreachable!("running task with no op"),
