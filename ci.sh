@@ -31,10 +31,12 @@ echo "==> compile-flow oracles and golden, router oracle, release"
 cargo test -q --release -p netlist --test mapper_oracle
 cargo test -q --release -p pnr --test place_oracle --test flow_golden --test route_template
 
-echo "==> checkpoint codec suite, image goldens and image tests, release"
+echo "==> checkpoint codec suite, image goldens, image tests and capture window, release"
 # `durable` and `fleet` reps run the release writer, and a release build
-# wraps where debug panics (a delta image's ghost count once did).
-cargo test -q --release -p vfpga --lib image
+# wraps where debug panics (a delta image's ghost count once did). The
+# capture window's copy count and its full-table check run here too: in
+# the benchmark's release build the check is compiled out.
+cargo test -q --release -p vfpga --lib -- image capture_window
 
 echo "==> cut equivalence, wide matrix, release"
 # Every event instant of a 40-task run, cut and adopted typed and through

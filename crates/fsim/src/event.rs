@@ -29,6 +29,19 @@
 //! comparison an operation: a strictly descending preload puts one event
 //! in the lane and the rest in the heap; so does a far-future sentinel
 //! scheduled first.
+//!
+//! # The pending walk
+//!
+//! A checkpoint records the pending set in firing order without popping
+//! it ([`pending_in_order`](EventQueue::pending_in_order)). The lane is
+//! already in order and the heap holds a handful, so the walk sorts the
+//! heap's events and, before each, appends the run of lane events that
+//! fires earlier — found by binary search in the lane's two ring-buffer
+//! slices, appended in one `extend` — then the rest of the lane. Its cost
+//! is the copy, plus a logarithm per in-flight event. It has no filter:
+//! an `extend` from a slice knows its length and copies without a check
+//! an element, which a filtered one cannot. A caller that drops events
+//! `retain`s what it got.
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
@@ -251,23 +264,36 @@ impl<E> EventQueue<E> {
 }
 
 impl<E> EventQueue<E> {
-    /// The pending events in firing order *without* disturbing the queue —
-    /// neither the clock nor the pending set changes. Used by
-    /// checkpointing, which must record the pending set and then keep
-    /// running; a destructive drain would advance `now` and turn later
-    /// `schedule_at` calls into causality panics.
+    /// Append every pending event to `out`, in firing order, as `item`
+    /// renders it — *without* disturbing the queue: neither the clock nor
+    /// the pending set changes. Used by checkpointing, which must record
+    /// the pending set and then keep running (a destructive drain would
+    /// advance `now` and turn later `schedule_at` calls into causality
+    /// panics), and by in-place pruning; a caller that drops some events
+    /// `retain`s `out` after.
     ///
-    /// Lazy: one pass over the run lane with the heap's few events,
-    /// sorted, merged in as the iterator advances.
-    pub fn pending_in_order(&self) -> impl Iterator<Item = &ScheduledEvent<E>> {
+    /// One walk: the heap's few events are sorted, and the run of lane
+    /// events that fires before each of them is found by binary search and
+    /// appended in one `extend`, so the lane costs no comparison an event.
+    pub fn pending_in_order<T>(
+        &self,
+        out: &mut Vec<T>,
+        mut item: impl FnMut(&ScheduledEvent<E>) -> T,
+    ) {
         let mut strays: Vec<&ScheduledEvent<E>> = self.heap.iter().collect();
         strays.sort_unstable_by_key(|s| s.key());
-        let (mut strays, mut lane) = (strays.into_iter().peekable(), self.lane.iter().peekable());
-        std::iter::from_fn(move || match (strays.peek(), lane.peek()) {
-            (Some(s), Some(l)) if s.key() < l.key() => strays.next(),
-            (_, Some(_)) => lane.next(),
-            (_, None) => strays.next(),
-        })
+        out.reserve(self.len());
+        let (mut front, mut back) = self.lane.as_slices();
+        for stray in strays {
+            let key = stray.key();
+            for half in [&mut front, &mut back] {
+                let run = half.partition_point(|e| e.key() < key);
+                out.extend(half[..run].iter().map(&mut item));
+                *half = &half[run..];
+            }
+            out.push(item(stray));
+        }
+        out.extend(front.iter().chain(back).map(item));
     }
 }
 
@@ -347,14 +373,50 @@ mod tests {
         q.schedule_at(SimTime(30), "c");
         q.schedule_at(SimTime(10), "a");
         q.schedule_at(SimTime(10), "b");
-        assert_eq!(
-            q.pending_in_order().map(|e| e.event).collect::<Vec<_>>(),
-            vec!["a", "b", "c"],
-            "sorted by time then FIFO"
-        );
+        let mut pending = Vec::new();
+        q.pending_in_order(&mut pending, |e| e.event);
+        assert_eq!(pending, vec!["a", "b", "c"], "sorted by time then FIFO");
         assert_eq!(q.len(), 3, "queue untouched");
         assert_eq!(q.now(), SimTime::ZERO, "clock untouched");
         assert_eq!(q.pop().unwrap().event, "a");
+    }
+
+    #[test]
+    fn pending_walk_crosses_a_wrapped_lane() {
+        // Each arrival leaving at the front is replaced at the back, so the
+        // lane's head goes round its ring buffer; one in-flight event is
+        // always pending half-way down the lane.
+        let mut q = EventQueue::new();
+        for i in 0..12u64 {
+            q.schedule_at(SimTime(i * 10), i);
+        }
+        q.schedule_at(SimTime(55), 1000);
+        let (mut next, mut in_back) = (12, 0);
+        for i in 0..200u64 {
+            if q.pop().unwrap().event < 1000 {
+                q.schedule_at(SimTime(next * 10), next);
+                next += 1;
+            } else {
+                q.schedule_in(SimDuration::from_nanos(51 + i % 7), 1001 + i);
+            }
+            let stray = q.heap.peek().unwrap().key();
+            let back = q.lane.as_slices().1;
+            in_back += usize::from(back.first().is_some_and(|e| e.key() < stray));
+            let mut walked = Vec::new();
+            q.pending_in_order(&mut walked, ScheduledEvent::key);
+            let mut sorted: Vec<_> = q
+                .lane
+                .iter()
+                .chain(q.heap.iter())
+                .map(|e| e.key())
+                .collect();
+            sorted.sort_unstable();
+            assert_eq!(walked, sorted);
+        }
+        assert!(
+            in_back > 10,
+            "the stray fell in the wrapped half at {in_back} walks"
+        );
     }
 
     #[test]

@@ -4,8 +4,9 @@
 //! the run lane existed. Both queues are driven with the same calls and
 //! must agree on everything a caller can see: each popped
 //! `(at, seq, event)`, `now()`, `len()`, `is_empty()`, `peek_time()` and
-//! `pending_in_order()`. Inputs come from [`SimRng`], so a failure names
-//! its seed.
+//! the pending set that `pending_in_order` walks, whole and filtered after
+//! as its callers filter it. Inputs come from [`SimRng`], so a failure
+//! names its seed.
 
 use fsim::{EventQueue, SimDuration, SimRng, SimTime};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -221,16 +222,30 @@ impl Pair {
     }
 
     fn snapshot(&self) -> Vec<Key> {
-        let a: Vec<Key> = self
-            .new
-            .pending_in_order()
-            .map(|e| (e.at, e.seq, e.event))
-            .collect();
+        self.snapshot_where(|_| true)
+    }
+
+    /// The pending events `keep` accepts, in firing order, as the walk's
+    /// callers take them: walked, then retained. The walk appends, so what
+    /// the output held before stays in front.
+    fn snapshot_where(&self, keep: impl Fn(u32) -> bool) -> Vec<Key> {
+        const HELD: Key = (SimTime(u64::MAX), u64::MAX, u32::MAX);
+        let mut a = vec![HELD];
+        self.new
+            .pending_in_order(&mut a, |e| (e.at, e.seq, e.event));
+        assert_eq!(
+            a.remove(0),
+            HELD,
+            "{}: the walk kept what it appends to",
+            self.ctx
+        );
+        a.retain(|k| keep(k.2));
         let b: Vec<Key> = self
             .old
             .pending_in_order()
             .into_iter()
             .map(|e| (e.at, e.seq, e.event))
+            .filter(|k| keep(k.2))
             .collect();
         assert_eq!(a, b, "{}: pending_in_order", self.ctx);
         self.check();
@@ -243,15 +258,13 @@ impl Pair {
         self.check();
     }
 
-    /// What restore and `retire_tasks_where` do: snapshot, clear, and
-    /// schedule the survivors again in snapshot order.
+    /// What restore and `retire_tasks_where` do: walk the survivors, clear,
+    /// and schedule them again in walk order.
     fn clear_and_reload(&mut self, keep: impl Fn(u32) -> bool) {
-        let pending = self.snapshot();
+        let pending = self.snapshot_where(keep);
         self.clear();
         for (at, _, ev) in pending {
-            if keep(ev) {
-                self.schedule_at(at, ev);
-            }
+            self.schedule_at(at, ev);
         }
     }
 
@@ -286,8 +299,10 @@ fn random_interleavings_match_the_heap_only_queue() {
                 }
             } else if roll < 92 {
                 p.pop();
-            } else if roll < 96 {
+            } else if roll < 94 {
                 p.snapshot();
+            } else if roll < 96 {
+                p.snapshot_where(|ev| ev % 4 != 1);
             } else if roll < 98 {
                 p.clear_and_reload(|ev| ev % 3 != 0);
             } else {
@@ -433,6 +448,119 @@ fn clear_and_reload_of_pending_in_order() {
     }
     q.clear_and_reload(|ev| ev % 3 != 1);
     assert_eq!(q.drain().len(), 200);
+}
+
+/// A sorted lane with in-flight events falling between its runs: before
+/// its first entry, inside runs, tied with an entry (the stray is younger,
+/// so it follows), and back to back with no lane event between them.
+#[test]
+fn in_flight_events_between_lane_runs() {
+    let mut p = Pair::new("between runs");
+    for i in 0..10u32 {
+        p.schedule_at(SimTime(u64::from(i) * 10), i);
+    }
+    for (at, ev) in [
+        (35, 100),
+        (5, 101),
+        (40, 102),
+        (40, 103),
+        (42, 104),
+        (41, 105),
+        (0, 106),
+    ] {
+        p.schedule_at(SimTime(at), ev);
+    }
+    assert_eq!(p.new.stats().via_heap, 7, "every stray is in the heap");
+    let order: Vec<u32> = p.snapshot().into_iter().map(|k| k.2).collect();
+    let expect = [
+        0, 106, 101, 1, 2, 3, 100, 4, 102, 103, 105, 104, 5, 6, 7, 8, 9,
+    ];
+    assert_eq!(order, expect);
+    p.pop();
+    p.pop();
+    p.snapshot();
+    p.drain();
+}
+
+/// A filter after the walk drops an event whichever part of the queue held
+/// it: lane event 3 and in-flight event 105, then every lane event, then
+/// every in-flight one; reloading what it kept loses nothing else.
+#[test]
+fn filtered_out_events_in_the_lane_and_the_heap() {
+    let build = |ctx: &str| {
+        let mut p = Pair::new(ctx);
+        for i in 0..10u32 {
+            p.schedule_at(SimTime(u64::from(i) * 10), i);
+        }
+        for (at, ev) in [(35, 100), (5, 101), (41, 105)] {
+            p.schedule_at(SimTime(at), ev);
+        }
+        p
+    };
+    let p = build("filtered");
+    let kept: Vec<u32> = p
+        .snapshot_where(|ev| ev != 3 && ev != 105)
+        .into_iter()
+        .map(|k| k.2)
+        .collect();
+    assert_eq!(kept, [0, 101, 1, 2, 100, 4, 5, 6, 7, 8, 9]);
+    assert_eq!(
+        p.snapshot_where(|ev| ev >= 100).len(),
+        3,
+        "lane all dropped"
+    );
+    assert_eq!(
+        p.snapshot_where(|ev| ev < 100).len(),
+        10,
+        "heap all dropped"
+    );
+    let mut q = build("filtered reload");
+    q.clear_and_reload(|ev| ev != 3 && ev != 105);
+    assert_eq!(q.drain().len(), 11);
+}
+
+/// The lane's ring buffer wraps: each arrival that leaves at the front is
+/// replaced at the back, so its head goes round and the lane's second
+/// slice is non-empty for much of the run. One in-flight event is always
+/// pending half-way down the lane, so it falls into either slice.
+#[test]
+fn wrapped_lane() {
+    let mut p = Pair::new("wrapped");
+    for i in 0..12u32 {
+        p.schedule_at(SimTime(u64::from(i) * 10), i);
+    }
+    p.schedule_at(SimTime(55), 1000);
+    let mut next = 12u32;
+    for i in 0..400u32 {
+        let (_, _, ev) = p.pop().unwrap();
+        if ev < 1000 {
+            p.schedule_at(SimTime(u64::from(next) * 10), next);
+            next += 1;
+        } else {
+            p.schedule_in(SimDuration::from_nanos(51 + u64::from(i % 7)), 1001 + i);
+        }
+        p.snapshot();
+        p.snapshot_where(|ev| ev % 2 == 0);
+    }
+    assert_eq!(p.drain().len(), 13);
+}
+
+/// Nothing pending; then in-flight events with empty lane runs between
+/// them, all before the lane's one event; then drained again.
+#[test]
+fn empty_queue_and_empty_lane_runs() {
+    let mut p = Pair::new("empty");
+    assert!(p.snapshot().is_empty());
+    p.schedule_at(SimTime(100), 0);
+    for i in 1..5u32 {
+        p.schedule_at(SimTime(10 + u64::from(i)), i);
+    }
+    assert_eq!(p.new.stats().via_heap, 4);
+    let order: Vec<u32> = p.snapshot().into_iter().map(|k| k.2).collect();
+    assert_eq!(order, [1, 2, 3, 4, 0]);
+    assert!(p.snapshot_where(|_| false).is_empty());
+    p.drain();
+    assert!(p.snapshot().is_empty());
 }
 
 /// Scheduling into the past panics whichever lane advanced the clock.

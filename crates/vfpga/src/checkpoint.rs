@@ -46,8 +46,10 @@ use crate::manager::{FpgaManager, ManagerStats, ResidentRegion};
 use crate::metrics::Report;
 use crate::sched::Scheduler;
 use crate::system::{Ev, FailoverReceipt, System};
+use crate::task::{TaskId, TaskSlot, TaskState};
 use fsim::json::Json;
 use fsim::{span, CrashInjector, CrashPlan, SimDuration, SimTime, Trace, TraceEvent};
+use std::ops::Range;
 
 /// Checkpoint cadence and journal switch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -286,6 +288,115 @@ fn corrupt(reason: String) -> VfpgaError {
     VfpgaError::CheckpointCorrupt { reason }
 }
 
+/// Whether the pending events of `img` agree with its task table (whose
+/// ids they are known to stay inside). A task that has not arrived has
+/// one pending arrival and nothing else names it; no other task arrives.
+/// The running task is `Running`, and at most one event ends its segment
+/// — a timer, or a failed download's retry-done — none for a hanging
+/// one; no such event names another task. A run restored from anything
+/// else panics or spins. This is also what keeps the capture window
+/// exact after a restore: a task that has not arrived changes only
+/// through its arrival.
+fn agrees_with_table(img: &SystemImage) -> Result<(), String> {
+    let state = |t: TaskId| img.tasks[t.0 as usize].state;
+    let running = img.running.map(|run| run.tid);
+    if let Some(t) = running.filter(|&t| state(t) != TaskState::Running) {
+        return Err(format!("running task {} is {:?}", t.0, state(t)));
+    }
+    let mut arrives = vec![false; img.tasks.len()];
+    let mut segment_ends = 0;
+    for &(_, ev) in &img.pending {
+        let Some(t) = ev.task() else { continue };
+        let future = state(t) == TaskState::Future;
+        match ev {
+            Ev::Arrive(_) if !future => {
+                return Err(format!("task {} arrives but is {:?}", t.0, state(t)))
+            }
+            Ev::Arrive(_) if std::mem::replace(&mut arrives[t.0 as usize], true) => {
+                return Err(format!("task {} arrives twice", t.0))
+            }
+            Ev::Arrive(_) => {}
+            _ if future => {
+                return Err(format!(
+                    "an event names task {}, which has not arrived",
+                    t.0
+                ))
+            }
+            Ev::Timer(_) | Ev::RetryDone(_) => {
+                segment_ends += 1;
+                if running != Some(t) || segment_ends > 1 {
+                    return Err(format!("a segment end names task {}, not running", t.0));
+                }
+            }
+            _ => {}
+        }
+    }
+    let future = |(slot, arrives): (&TaskSlot, &bool)| slot.state == TaskState::Future && !arrives;
+    match img.tasks.iter().zip(&arrives).position(future) {
+        Some(t) => Err(format!("task {t} has not arrived and never will")),
+        None => Ok(()),
+    }
+}
+
+/// The task slots that may differ from the last capture's copy of the
+/// table, `lo..hi`: every slot live at that capture, and every slot that
+/// arrived or exited since. A slot that is not live changes only by
+/// entering or leaving the live set, so widening the window there
+/// (`System::on_arrive`, `System::exit`) is all that keeps it exact.
+/// Empty is `lo > hi`, so the first slot it widens over is all it holds.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SlotWindow {
+    lo: usize,
+    hi: usize,
+}
+
+impl SlotWindow {
+    /// All `n` slots: what a table from outside may differ in.
+    pub(crate) fn whole(n: usize) -> Self {
+        SlotWindow { lo: 0, hi: n }
+    }
+
+    /// The live slots of `slots` inside `self`, which holds every live
+    /// slot: the window of a capture of `slots` taken now.
+    fn live(self, slots: &[TaskSlot]) -> Self {
+        let span = self.range();
+        let inside = &slots[span.clone()];
+        let live = |s: &TaskSlot| s.state.is_live();
+        match (inside.iter().position(live), inside.iter().rposition(live)) {
+            (Some(first), Some(last)) => SlotWindow {
+                lo: span.start + first,
+                hi: span.start + last + 1,
+            },
+            _ => SlotWindow {
+                lo: usize::MAX,
+                hi: 0,
+            },
+        }
+    }
+
+    /// Slot `ti` enters or leaves the live set.
+    #[inline]
+    pub(crate) fn widen(&mut self, ti: usize) {
+        self.lo = self.lo.min(ti);
+        self.hi = self.hi.max(ti + 1);
+    }
+
+    fn range(self) -> Range<usize> {
+        if self.lo < self.hi {
+            self.lo..self.hi
+        } else {
+            0..0
+        }
+    }
+}
+
+thread_local! {
+    /// Task slots the captures on this thread copied, counted where the
+    /// window check runs (test and debug builds) for the copy-count test;
+    /// neither the report nor the image carries it.
+    static SLOTS_COPIED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
 /// [`RunOutcome`] before the cut is rendered.
 #[derive(Debug)]
 pub enum Segment {
@@ -504,9 +615,14 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
         self.crash.checkpoint_time += cost;
         // The stored image is always the full snapshot — delta capture
         // changes what crosses the readback port (the cost model), never
-        // what a restore can rely on.
+        // what a restore can rely on. The previous capture is recycled:
+        // only its window of the task table is copied again.
         let recycled = self.last_ckpt.take().map(|c| c.image);
-        let image = span::time("capture", || self.capture(now, recycled));
+        let image = span::time("capture", || {
+            let image = self.capture(now, recycled);
+            self.ckpt_window = self.ckpt_window.live(&self.slots);
+            image
+        });
         match delta {
             Some(changed) => {
                 self.ckpt_chain += 1;
@@ -536,26 +652,38 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
     }
 
     /// Copy the full mutable state into a typed image. `recycled` is an
-    /// image nobody needs any more (the previous capture): only its
-    /// per-task buffers are kept, and they are refilled in place rather
-    /// than allocated again.
+    /// image nobody needs any more: its per-task buffers are refilled in
+    /// place rather than allocated again. Its task table is taken to
+    /// differ from this one only inside `ckpt_window` — true of the
+    /// capture this system took or adopted last, and of any table while
+    /// the window is still a fresh build's whole table. A fresh buffer is
+    /// filled whole.
     pub(crate) fn capture(&self, now: SimTime, recycled: Option<SystemImage>) -> SystemImage {
         let (mut tasks, mut latent, mut stale, mut pending) = match recycled {
             Some(old) => (old.tasks, old.latent, old.stale, old.pending),
             None => Default::default(),
         };
-        tasks.clone_from(&self.slots);
+        let had = tasks.len();
+        tasks.extend_from_slice(&self.slots[had..]);
+        let window = self.ckpt_window.range();
+        let window = window.start.min(had)..window.end.min(had);
+        tasks[window.clone()].copy_from_slice(&self.slots[window.clone()]);
+        if cfg!(any(test, debug_assertions)) {
+            assert!(
+                tasks == self.slots,
+                "the capture window missed a task slot that changed"
+            );
+            let copied = (self.slots.len() - had + window.len()) as u64;
+            SLOTS_COPIED.with(|n| n.set(n.get() + copied));
+        }
         latent.clone_from(&self.dev.latent);
         stale.clone_from(&self.dev.stale);
         pending.clear();
-        pending.extend(
-            self.queue
-                .pending_in_order()
-                // The crash is the one event that must NOT survive: the
-                // next segment gets its own crash time.
-                .filter(|e| e.event != Ev::Crash)
-                .map(|e| (e.at, e.event)),
-        );
+        self.queue
+            .pending_in_order(&mut pending, |e| (e.at, e.event));
+        // The crash is the one event that must NOT survive: the next
+        // segment gets its own crash time.
+        pending.retain(|(_, ev)| !matches!(ev, Ev::Crash));
         SystemImage {
             schema: Schema,
             at: now,
@@ -576,8 +704,9 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
     /// Load a captured image into this freshly built system. Fails when
     /// the image does not describe this system: another task count, a
     /// task that arrives at another time than its spec, a task id or op
-    /// index out of range, or a fault injector or admission policy on one
-    /// side only. The scheduler and the manager read their own sections,
+    /// index out of range, pending events that contradict the task table,
+    /// or a fault injector or admission policy on one side only. The
+    /// scheduler and the manager read their own sections,
     /// as strictly; the task ids *inside* those two are not range-checked
     /// (neither component knows the task count) until `System` gets a
     /// typed view of them (ROADMAP, `Persist`).
@@ -600,6 +729,7 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
         if let Some(t) = named.find(|t| t.0 as usize >= n) {
             return Err(format!("task id {} out of range ({n} tasks)", t.0));
         }
+        agrees_with_table(img)?;
         match (img.rng, self.dev.injector.as_mut()) {
             (None, None) => {}
             (Some(states), Some(inj)) => inj.restore_stream_states(states),
@@ -637,6 +767,9 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
     /// device's journal.
     fn adopt_capture(&mut self, capture: Capture, wal_len: usize) -> Result<(), VfpgaError> {
         self.restore(&capture.image).map_err(corrupt)?;
+        // The table is the capture's own: the next capture, recycling it,
+        // copies only the slots live now and those that arrive or exit.
+        self.ckpt_window = SlotWindow::whole(self.slots.len()).live(&self.slots);
         self.ckpt_seq = capture.seq;
         self.last_ckpt = Some(Capture { wal_len, ..capture });
         Ok(())
@@ -887,7 +1020,103 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::manager::dynload::DynLoadManager;
+    use crate::manager::PreemptAction;
     use crate::metrics::TaskMetrics;
+    use crate::sched::RoundRobinScheduler;
+    use crate::system::{CompletionDetect, SystemConfig};
+    use crate::system_tests::{lib_mixed, ms, timing};
+    use crate::task::{Op, TaskSpec};
+    use fsim::SimRng;
+
+    const SAVE_RESTORE: SystemConfig = SystemConfig {
+        preempt: PreemptAction::SaveRestore,
+        completion: CompletionDetect::Exact,
+    };
+
+    /// `tasks` Poisson arrivals `gap_ms` apart on average, each a CPU
+    /// burst, an FPGA run and a CPU burst, under dynamic loading and
+    /// round-robin: the `durable` system, scaled down.
+    fn durable_shaped(
+        tasks: usize,
+        gap_ms: f64,
+    ) -> impl Fn() -> System<DynLoadManager, RoundRobinScheduler> {
+        let (lib, ids) = lib_mixed(3);
+        let mut rng = SimRng::new(0xD0AB1E);
+        let mut at = SimTime::ZERO;
+        let burst = |rng: &mut SimRng| SimDuration::from_secs_f64(rng.exp(2e-3).max(1e-6));
+        let specs: Vec<TaskSpec> = (0..tasks)
+            .map(|i| {
+                at += SimDuration::from_secs_f64(rng.exp(gap_ms / 1e3));
+                let fpga = Op::FpgaRun {
+                    circuit: *rng.choose(&ids),
+                    cycles: rng.range_u64(60_000, 250_000),
+                };
+                let ops = vec![Op::Cpu(burst(&mut rng)), fpga, Op::Cpu(burst(&mut rng))];
+                TaskSpec::new(format!("t{i}"), at, ops)
+            })
+            .collect();
+        move || {
+            let mgr = DynLoadManager::new(lib.clone(), timing(), PreemptAction::SaveRestore);
+            let sched = RoundRobinScheduler::new(ms(1));
+            System::new(lib.clone(), mgr, sched, SAVE_RESTORE, specs.clone())
+        }
+    }
+
+    #[test]
+    fn capture_window_copies_what_changed() {
+        // 400 tasks at load ~0.3, a delta capture every ten arrivals or so
+        // and three host crashes: each capture copies the slots live at
+        // the one before, and those that arrived or exited since — not the
+        // table. A fresh buffer's whole copy, once a run, counts too.
+        let tasks = 400;
+        let build = durable_shaped(tasks, 48.0);
+        let plain = build().run().unwrap();
+        let busy_s: f64 = plain
+            .tasks
+            .iter()
+            .map(|t| (t.cpu_time + t.fpga_time + t.overhead_time).as_secs_f64())
+            .sum();
+        let load = busy_s / plain.makespan.as_secs_f64();
+        assert!(
+            (0.2..0.45).contains(&load),
+            "load {load:.2}, {:.2} ms a task",
+            busy_s * 1e3 / tasks as f64
+        );
+        let cfg = CheckpointConfig::new(ms(500)).with_delta_checkpoints(4);
+        let crashes = CrashPlan {
+            seed: 0xC4A5,
+            crash_rate_per_s: 0.5,
+            max_crashes: 3,
+        };
+        SLOTS_COPIED.with(|n| n.set(0));
+        let report = run_with_crashes(&build, cfg, crashes).unwrap();
+        let copied = SLOTS_COPIED.with(|n| n.get());
+        let captures = report.crash.checkpoints;
+        assert_eq!(report.crash.crashes, 3);
+        assert!(captures >= 30, "{captures} captures");
+        let share = copied as f64 / (captures * tasks as u64) as f64;
+        assert!(
+            share < 0.10,
+            "{captures} captures copied {copied} task slots, {:.1} % of the table each",
+            share * 100.0
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "the capture window missed a task slot that changed")]
+    fn capture_window_check_fires_on_a_write_outside_it() {
+        let mut sys = durable_shaped(8, 1.0)()
+            .with_checkpoints(CheckpointConfig::new(ms(1)))
+            .unwrap();
+        sys.on_arrive(TaskId(2), SimTime::ZERO);
+        // The first capture copies the whole table; slot 2, the one live
+        // slot, is the window of the next.
+        sys.on_checkpoint(SimTime::ZERO);
+        // Below the window, and neither an arrival nor an exit.
+        sys.slots[1].blocked_count += 1;
+        sys.on_checkpoint(SimTime::ZERO);
+    }
 
     #[test]
     fn wal_record_windows_and_overlap() {

@@ -5,7 +5,12 @@
 //! `Copy` slot per task), the pending events, the running segment, latent
 //! upsets and stale claims, fault accounting and RNG words, the admission
 //! runtime, and the JSON the scheduler's and manager's `snapshot` return.
-//! Capturing one is a flat copy. JSON enters only where state leaves the
+//! Capturing one refills the previous capture in place and copies only
+//! what can have changed since: of the task table, the slots live at that
+//! capture and those that arrived or exited after it (a slot that is not
+//! live changes only by arriving or exiting); of the pending events, the
+//! queue's in-flight few between runs of its arrival lane, each run one
+//! bulk append. JSON enters only where state leaves the
 //! process (a hand-off inside one is a typed
 //! [`Cut`](crate::checkpoint::Cut)), through [`SystemImage::to_json`]: the
 //! `vfpga-ckpt/3` schema.

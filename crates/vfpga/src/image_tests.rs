@@ -16,9 +16,9 @@ use crate::recovery::RecoveryPolicy;
 use crate::sched::{
     EdfScheduler, FifoScheduler, PriorityScheduler, RoundRobinScheduler, Scheduler,
 };
-use crate::system::{System, SystemConfig};
+use crate::system::{Ev, System, SystemConfig};
 use crate::system_tests::{lib_mixed, lib_n, ms, timing, us};
-use crate::task::{Op, TaskSpec};
+use crate::task::{Op, TaskId, TaskSpec, TaskState};
 use fsim::json::Json;
 use fsim::{FaultPlan, SimTime};
 use std::sync::Arc;
@@ -924,6 +924,23 @@ fn damaged_images_are_errors_not_panics() {
     let mut unguarded = img.clone();
     unguarded.admission = None;
     assert!(pinned_small(&lib, &ids).restore(&unguarded).is_err());
+    // Pending events the task table contradicts: restored, the first run
+    // panicked in `on_timer` ("timer without a running task"), the second
+    // tripped `on_arrive`'s assert in debug and spun in release.
+    let mut idle_timer = img.clone();
+    idle_timer.running = None;
+    idle_timer
+        .pending
+        .push((img.at + ms(6), Ev::Timer(TaskId(0))));
+    let refused = pinned_small(&lib, &ids).restore(&idle_timer);
+    assert!(refused.unwrap_err().contains("not running"));
+    let mut arrives_again = img.clone();
+    assert_eq!(img.tasks[0].state, TaskState::Ready);
+    arrives_again
+        .pending
+        .push((img.at + ms(6), Ev::Arrive(TaskId(0))));
+    let refused = pinned_small(&lib, &ids).restore(&arrives_again);
+    assert!(refused.unwrap_err().contains("arrives but is Ready"));
     pinned_small(&lib, &ids)
         .restore(&img)
         .expect("the undamaged image restores");

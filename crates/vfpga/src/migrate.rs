@@ -161,11 +161,9 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
         if self.running.is_some_and(|run| gone[run.tid.0 as usize]) {
             self.running = None;
         }
-        let pending = self.queue.pending_in_order();
-        let kept: Vec<(SimTime, Ev)> = pending
-            .filter(|ev| !ev.event.task().is_some_and(|t| gone[t.0 as usize]))
-            .map(|ev| (ev.at, ev.event))
-            .collect();
+        let mut kept: Vec<(SimTime, Ev)> = Vec::new();
+        self.queue.pending_in_order(&mut kept, |e| (e.at, e.event));
+        kept.retain(|(_, ev)| !ev.task().is_some_and(|t| gone[t.0 as usize]));
         self.queue.clear();
         for (at, ev) in kept {
             self.queue.schedule_at(at, ev);

@@ -328,7 +328,7 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
                 self.slots[ti].current_op(&self.specs[ti]),
                 Some(Op::FpgaRun { circuit, .. }) if circuit == cid
             );
-            if !on_this || self.slots[ti].state.is_terminal() {
+            if !on_this || !self.slots[ti].state.is_live() {
                 continue;
             }
             if let Some(valid) = self.slots[ti].poisoned.take() {

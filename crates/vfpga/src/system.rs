@@ -18,7 +18,7 @@
 //! [`crate::checkpoint`], [`crate::migrate`] (DESIGN.md §18).
 
 use crate::admission::{AdmissionPolicy, AdmissionRt, Arrival};
-use crate::checkpoint::{CheckpointConfig, CrashStats, RunOutcome, Segment, WalRecord};
+use crate::checkpoint::{CheckpointConfig, CrashStats, RunOutcome, Segment, SlotWindow, WalRecord};
 use crate::circuit::CircuitLib;
 use crate::error::VfpgaError;
 use crate::image::{Capture, FpgaSeg, Latent, Running};
@@ -222,6 +222,9 @@ pub struct System<M: FpgaManager, S: Scheduler> {
     pub(crate) ckpt_dirty_all: bool,
     /// Most recent captured image (the durable restore point).
     pub(crate) last_ckpt: Option<Capture>,
+    /// The task slots that may differ from `last_ckpt`'s table: what the
+    /// next capture, recycling it, copies.
+    pub(crate) ckpt_window: SlotWindow,
     /// Checkpoint/crash accounting (carried across restarts).
     pub(crate) crash: CrashStats,
     /// Admission-control runtime (quotas, watchdogs, degradation);
@@ -272,6 +275,7 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
             sched,
             config,
             unfinished: slots.len(),
+            ckpt_window: SlotWindow::whole(slots.len()),
             specs,
             slots,
             queue,
@@ -614,6 +618,7 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
     /// two arrival-time refusals hold nothing. Callers dispatch afterwards.
     pub(crate) fn exit(&mut self, tid: TaskId, at: SimTime, kind: Exit) {
         let ti = tid.0 as usize;
+        self.ckpt_window.widen(ti);
         let (spec, slot) = (&self.specs[ti], &mut self.slots[ti]);
         debug_assert!(!slot.state.is_terminal());
         slot.state = match kind {
@@ -731,9 +736,10 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
     /// A task arrives: with admission control on, the gate decides between
     /// admitting now, parking in the per-tenant FIFO, and refusing;
     /// without it, the task is always admitted.
-    fn on_arrive(&mut self, tid: TaskId, now: SimTime) {
+    pub(crate) fn on_arrive(&mut self, tid: TaskId, now: SimTime) {
         let ti = tid.0 as usize;
         debug_assert_eq!(self.slots[ti].state, TaskState::Future);
+        self.ckpt_window.widen(ti);
         self.emit(now, |s| TraceEvent::TaskState {
             task: tid.0,
             state: fsim::TaskState::Arrive,

@@ -184,13 +184,18 @@ impl TaskState {
                 | TaskState::Migrated
         )
     }
+
+    /// Whether the task is in the system: arrived and not yet terminal.
+    pub(crate) fn is_live(self) -> bool {
+        self != TaskState::Future && !self.is_terminal()
+    }
 }
 
 /// Everything mutable about one task, as one `Copy` record: lifecycle,
 /// progress through the current op, recovery bookkeeping, and the numeric
 /// accounting that becomes the task's [`TaskMetrics`] row. The immutable
 /// identity (name, program, tenant) stays in the [`TaskSpec`], so a
-/// checkpoint captures the whole task table with one flat copy.
+/// checkpoint captures task slots with flat copies.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct TaskSlot {
     /// Lifecycle state.
