@@ -38,6 +38,14 @@ echo "==> checkpoint codec suite, image goldens, image tests and capture window,
 # the benchmark's release build the check is compiled out.
 cargo test -q --release -p vfpga --lib -- image capture_window
 
+echo "==> event queue oracle and the kernel's segment-end gates, release"
+# The benchmark's kernel holds the running segment's end outside the
+# queue; the oracle holds an event the same way against the heap-only
+# queue, the gate counts a stream-shaped run's events and heap pushes,
+# and the tie test pins capture and restore order at one instant.
+cargo test -q --release -p fsim --test event_queue_oracle
+cargo test -q --release -p vfpga --lib -- segment_end
+
 echo "==> cut equivalence, wide matrix, release"
 # Every event instant of a 40-task run, cut and adopted typed and through
 # the durable form; Tier-1 ran the 8-task matrix under debug assertions.

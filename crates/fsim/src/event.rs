@@ -30,25 +30,40 @@
 //! in the lane and the rest in the heap; so does a far-future sentinel
 //! scheduled first.
 //!
+//! # A held event
+//!
+//! A caller may keep one kind of event outside the queue altogether: the
+//! OS simulator holds the end of the segment its one CPU is running in a
+//! field of its own, because that event is nearly always the next to fire
+//! and would otherwise go through the heap on every segment. It takes the
+//! event's sequence number from the queue
+//! ([`reserve`](EventQueue::reserve)) at the moment it would have
+//! scheduled it, compares `(at, seq)` with the queue's head
+//! ([`head_key`](EventQueue::head_key)) to decide which fires next, and
+//! tells the queue when the held one fires
+//! ([`fire_held`](EventQueue::fire_held)), which advances the clock. The
+//! total order is the one a queue holding every event pops, and
+//! [`QueueStats`] counts the held event as scheduled and pending.
+//!
 //! # The pending walk
 //!
 //! A checkpoint records the pending set in firing order without popping
 //! it ([`pending_in_order`](EventQueue::pending_in_order)). The lane is
 //! already in order and the heap holds a handful, so the walk sorts the
-//! heap's events and, before each, appends the run of lane events that
-//! fires earlier — found by binary search in the lane's two ring-buffer
-//! slices, appended in one `extend` — then the rest of the lane. Its cost
-//! is the copy, plus a logarithm per in-flight event. It has no filter:
-//! an `extend` from a slice knows its length and copies without a check
-//! an element, which a filtered one cannot. A caller that drops events
-//! `retain`s what it got.
+//! heap's events and a caller's held one and, before each, appends the
+//! run of lane events that fires earlier — found by binary search in the
+//! lane's two ring-buffer slices, appended in one `extend` — then the rest
+//! of the lane. Its cost is the copy, plus a logarithm per in-flight event.
+//! It has no filter: an `extend` from a slice knows its length and copies
+//! without a check an element, which a filtered one cannot. A caller that
+//! drops events `retain`s what it got.
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
 
 /// An event of payload type `E` scheduled to fire at a given instant.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct ScheduledEvent<E> {
     /// When the event fires.
     pub at: SimTime,
@@ -92,14 +107,18 @@ impl<E> Ord for ScheduledEvent<E> {
 /// is harmless while `peak_heap` stays a handful (in-flight timers among
 /// a sorted preload), and a `peak_heap` that tracks `peak_pending` means
 /// the preload itself was scheduled out of order and pays heap prices.
+/// Events a caller holds outside the queue ([`EventQueue::reserve`])
+/// count in `scheduled` and `peak_pending` as if the queue held them,
+/// and in neither heap figure: they never enter it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueueStats {
-    /// Events ever scheduled (reloads after a `clear` count again).
+    /// Events ever scheduled or reserved (reloads after a `clear` count
+    /// again).
     pub scheduled: u64,
     /// Of those, the ones that fired before the run lane's last event
     /// and went to the heap instead.
     pub via_heap: u64,
-    /// Most events pending at once, both lanes together.
+    /// Most events pending at once, both lanes and the held ones together.
     pub peak_pending: usize,
     /// Most events pending at once in the heap alone.
     pub peak_heap: usize,
@@ -122,6 +141,8 @@ pub struct EventQueue<E> {
     heap: BinaryHeap<ScheduledEvent<E>>,
     next_seq: u64,
     now: SimTime,
+    /// Events reserved and not yet fired or cleared: held by the caller.
+    held: usize,
     // The counters behind [`QueueStats`]; `scheduled` is `next_seq`.
     via_heap: u64,
     peak_pending: usize,
@@ -142,6 +163,7 @@ impl<E> EventQueue<E> {
             heap: BinaryHeap::new(),
             next_seq: 0,
             now: SimTime::ZERO,
+            held: 0,
             via_heap: 0,
             peak_pending: 0,
             peak_heap: 0,
@@ -167,13 +189,13 @@ impl<E> EventQueue<E> {
         self.now
     }
 
-    /// Number of pending events.
+    /// Number of pending events in the queue (held ones aside).
     #[inline]
     pub fn len(&self) -> usize {
         self.lane.len() + self.heap.len()
     }
 
-    /// Whether no events are pending.
+    /// Whether no events are pending in the queue (held ones aside).
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.lane.is_empty() && self.heap.is_empty()
@@ -197,13 +219,7 @@ impl<E> EventQueue<E> {
     /// Panics if `at` is in the simulated past (`at < self.now()`): a
     /// causality violation always indicates a bug in the caller.
     pub fn schedule_at(&mut self, at: SimTime, event: E) -> u64 {
-        assert!(
-            at >= self.now,
-            "causality violation: scheduling at {at} but now is {}",
-            self.now
-        );
-        let seq = self.next_seq;
-        self.next_seq += 1;
+        let seq = self.take_seq(at);
         let ev = ScheduledEvent { at, seq, event };
         if self.lane.back().is_none_or(|last| at >= last.at) {
             self.lane.push_back(ev);
@@ -212,7 +228,49 @@ impl<E> EventQueue<E> {
             self.via_heap += 1;
             self.peak_heap = self.peak_heap.max(self.heap.len());
         }
-        self.peak_pending = self.peak_pending.max(self.len());
+        self.peak_pending = self.peak_pending.max(self.len() + self.held);
+        seq
+    }
+
+    /// Take the sequence number of an event to fire at `at` that the
+    /// caller holds outside the queue: the number
+    /// [`schedule_at`](Self::schedule_at) would have given it. The event
+    /// fires before the queue's head when its `(at, seq)` is smaller than
+    /// [`head_key`](Self::head_key); the caller then reports it with
+    /// [`fire_held`](Self::fire_held). A [`clear`](Self::clear) drops it.
+    ///
+    /// # Panics
+    /// Panics if `at` is in the simulated past, as `schedule_at` does.
+    pub fn reserve(&mut self, at: SimTime) -> u64 {
+        let seq = self.take_seq(at);
+        self.held += 1;
+        self.peak_pending = self.peak_pending.max(self.len() + self.held);
+        seq
+    }
+
+    /// A held event, reserved for `at`, fires: the clock advances to `at`.
+    #[inline]
+    pub fn fire_held(&mut self, at: SimTime) {
+        debug_assert!(self.held > 0, "no event is held");
+        debug_assert!(
+            at >= self.now && self.head_key().is_none_or(|(head, _)| at <= head),
+            "a held event fired out of order"
+        );
+        self.held -= 1;
+        self.now = at;
+    }
+
+    /// The sequence number of an event scheduled at `at`, checked against
+    /// the clock.
+    #[inline]
+    fn take_seq(&mut self, at: SimTime) -> u64 {
+        assert!(
+            at >= self.now,
+            "causality violation: scheduling at {at} but now is {}",
+            self.now
+        );
+        let seq = self.next_seq;
+        self.next_seq += 1;
         seq
     }
 
@@ -246,43 +304,55 @@ impl<E> EventQueue<E> {
         Some(ev)
     }
 
-    /// Firing time of the earliest pending event, if any.
-    pub fn peek_time(&self) -> Option<SimTime> {
+    /// `(at, seq)` of the earliest pending event in the queue, if any: what
+    /// a held event's own key is compared with.
+    #[inline]
+    pub fn head_key(&self) -> Option<(SimTime, u64)> {
         if self.heap_is_next() {
             self.heap.peek()
         } else {
             self.lane.front()
         }
-        .map(|e| e.at)
+        .map(ScheduledEvent::key)
     }
 
-    /// Drop every pending event (the clock is unchanged).
+    /// Firing time of the earliest pending event in the queue, if any.
+    pub fn peek_time(&self) -> Option<SimTime> {
+        self.head_key().map(|(at, _)| at)
+    }
+
+    /// Drop every pending event, held ones included (the clock is
+    /// unchanged).
     pub fn clear(&mut self) {
         self.lane.clear();
         self.heap.clear();
+        self.held = 0;
     }
 }
 
 impl<E> EventQueue<E> {
     /// Append every pending event to `out`, in firing order, as `item`
     /// renders it — *without* disturbing the queue: neither the clock nor
-    /// the pending set changes. Used by checkpointing, which must record
-    /// the pending set and then keep running (a destructive drain would
-    /// advance `now` and turn later `schedule_at` calls into causality
-    /// panics), and by in-place pruning; a caller that drops some events
-    /// `retain`s `out` after.
+    /// the pending set changes. `held` is the caller's held event, if it
+    /// has one ([`reserve`](Self::reserve)), merged in at its `(at, seq)`.
+    /// Used by checkpointing, which must record the pending set and then
+    /// keep running (a destructive drain would advance `now` and turn
+    /// later `schedule_at` calls into causality panics), and by in-place
+    /// pruning; a caller that drops some events `retain`s `out` after.
     ///
-    /// One walk: the heap's few events are sorted, and the run of lane
-    /// events that fires before each of them is found by binary search and
-    /// appended in one `extend`, so the lane costs no comparison an event.
+    /// One walk: the heap's few events and the held one are sorted, and
+    /// the run of lane events that fires before each of them is found by
+    /// binary search and appended in one `extend`, so the lane costs no
+    /// comparison an event.
     pub fn pending_in_order<T>(
         &self,
         out: &mut Vec<T>,
+        held: Option<&ScheduledEvent<E>>,
         mut item: impl FnMut(&ScheduledEvent<E>) -> T,
     ) {
-        let mut strays: Vec<&ScheduledEvent<E>> = self.heap.iter().collect();
+        let mut strays: Vec<&ScheduledEvent<E>> = self.heap.iter().chain(held).collect();
         strays.sort_unstable_by_key(|s| s.key());
-        out.reserve(self.len());
+        out.reserve(self.lane.len() + strays.len());
         let (mut front, mut back) = self.lane.as_slices();
         for stray in strays {
             let key = stray.key();
@@ -374,7 +444,7 @@ mod tests {
         q.schedule_at(SimTime(10), "a");
         q.schedule_at(SimTime(10), "b");
         let mut pending = Vec::new();
-        q.pending_in_order(&mut pending, |e| e.event);
+        q.pending_in_order(&mut pending, None, |e| e.event);
         assert_eq!(pending, vec!["a", "b", "c"], "sorted by time then FIFO");
         assert_eq!(q.len(), 3, "queue untouched");
         assert_eq!(q.now(), SimTime::ZERO, "clock untouched");
@@ -403,7 +473,7 @@ mod tests {
             let back = q.lane.as_slices().1;
             in_back += usize::from(back.first().is_some_and(|e| e.key() < stray));
             let mut walked = Vec::new();
-            q.pending_in_order(&mut walked, ScheduledEvent::key);
+            q.pending_in_order(&mut walked, None, ScheduledEvent::key);
             let mut sorted: Vec<_> = q
                 .lane
                 .iter()
@@ -448,5 +518,61 @@ mod tests {
         let s = q.stats();
         assert_eq!((s.scheduled, s.via_heap, s.peak_heap), (150, 50, 1));
         assert_eq!(q.len(), 50);
+    }
+
+    #[test]
+    fn a_held_event_keeps_its_place_in_the_order() {
+        // Arrivals every 10 ns; each arms a timer the caller holds, 5 ns
+        // on or tied with the next arrival, unless one is held already.
+        // The held timer fires by `(at, seq)` — after the older arrival it
+        // ties with — counts as scheduled and pending, and never touches
+        // the heap.
+        let mut q = EventQueue::with_capacity(8);
+        for i in 0..8u64 {
+            q.schedule_at(SimTime(i * 10), i);
+        }
+        let mut held: Option<ScheduledEvent<u64>> = None;
+        let mut order = Vec::new();
+        loop {
+            let ev = match held.take() {
+                Some(h) if q.head_key().is_none_or(|head| h.key() < head) => {
+                    q.fire_held(h.at);
+                    h
+                }
+                h => {
+                    held = h;
+                    let Some(ev) = q.pop() else { break };
+                    ev
+                }
+            };
+            order.push(ev.event);
+            if ev.event < 100 && held.is_none() {
+                let at = ev.at + SimDuration::from_nanos(5 + 5 * (ev.event % 2));
+                let seq = q.reserve(at);
+                held = Some(ScheduledEvent {
+                    at,
+                    seq,
+                    event: 100 + ev.event,
+                });
+            }
+            if ev.event == 3 {
+                let mut walked = Vec::new();
+                q.pending_in_order(&mut walked, held.as_ref(), |e| e.event);
+                assert_eq!(walked, [4, 103, 5, 6, 7], "the walk merges it in");
+            }
+        }
+        assert_eq!(order, [0, 100, 1, 2, 101, 3, 4, 103, 5, 6, 105, 7, 107]);
+        let s = q.stats();
+        assert_eq!(
+            (s.scheduled, s.via_heap, s.peak_heap, s.peak_pending),
+            (13, 0, 0, 8)
+        );
+        // A clear drops held events too: pending counts restart from it.
+        for _ in 0..20 {
+            q.reserve(SimTime(1000));
+        }
+        q.clear();
+        q.schedule_at(SimTime(1000), 0);
+        assert_eq!(q.stats().peak_pending, 20);
     }
 }

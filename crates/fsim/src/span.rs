@@ -9,9 +9,12 @@
 //! now records `pnr;map`, `pnr;pack`, … spans here, and the `vfpga` event
 //! loop records `system;…` spans at every manager boundary.
 //!
-//! Recording is **off by default** and costs one thread-local check per
-//! guard when off, so instrumented hot paths stay cheap in ordinary runs.
-//! A profiling harness wraps the region of interest in [`scoped`]:
+//! Recording is **off by default**. A guard then costs one load of a
+//! thread-local `bool` that only [`scoped`] sets — inlined at the call
+//! site, no call and no `RefCell` borrow — so instrumented hot paths stay
+//! cheap in ordinary runs, an event loop with a guard on every event
+//! included. A profiling harness wraps the region of interest in
+//! [`scoped`]:
 //!
 //! ```
 //! use fsim::span;
@@ -36,7 +39,7 @@
 //! output.
 
 use crate::stats::LogHistogram;
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -185,16 +188,21 @@ impl Recorder {
 
 thread_local! {
     static RECORDER: RefCell<Option<Recorder>> = const { RefCell::new(None) };
+    /// Whether `RECORDER` holds a recorder: what a guard reads first.
+    /// Only [`scoped`] sets it, and puts back what it found on the way
+    /// out, returning or unwinding.
+    static ENABLED: Cell<bool> = const { Cell::new(false) };
 }
 
 /// Whether span recording is active on this thread.
+#[inline]
 pub fn profiling_enabled() -> bool {
-    RECORDER.with(|r| r.borrow().is_some())
+    ENABLED.with(Cell::get)
 }
 
 /// An RAII span: records the wall time from construction to drop under the
-/// current span path. A no-op (one thread-local check) when recording is
-/// not enabled on this thread.
+/// current span path. A no-op (one thread-local `bool` load) when
+/// recording is not enabled on this thread.
 #[must_use = "a span guard times the scope it lives in; dropping it immediately records nothing useful"]
 pub struct SpanGuard {
     name: &'static str,
@@ -202,10 +210,18 @@ pub struct SpanGuard {
 }
 
 impl Drop for SpanGuard {
+    #[inline]
     fn drop(&mut self) {
-        if !self.active {
-            return;
+        if self.active {
+            self.close();
         }
+    }
+}
+
+impl SpanGuard {
+    /// Record the span this active guard opened.
+    #[inline(never)]
+    fn close(&self) {
         RECORDER.with(|r| {
             let mut slot = r.borrow_mut();
             let Some(rec) = slot.as_mut() else { return };
@@ -238,8 +254,16 @@ impl Drop for SpanGuard {
 
 /// Open a span named `name` under the current span path. Close it by
 /// dropping the returned guard.
+#[inline]
 pub fn guard(name: &'static str) -> SpanGuard {
-    let active = RECORDER.with(|r| {
+    let active = profiling_enabled() && open(name);
+    SpanGuard { name, active }
+}
+
+/// Push a frame for `name` onto this thread's recorder, if it has one.
+#[inline(never)]
+fn open(name: &'static str) -> bool {
+    RECORDER.with(|r| {
         let mut slot = r.borrow_mut();
         match slot.as_mut() {
             Some(rec) => {
@@ -252,11 +276,11 @@ pub fn guard(name: &'static str) -> SpanGuard {
             }
             None => false,
         }
-    });
-    SpanGuard { name, active }
+    })
 }
 
 /// Run `f` inside a span named `name`.
+#[inline]
 pub fn time<R>(name: &'static str, f: impl FnOnce() -> R) -> R {
     let _g = guard(name);
     f()
@@ -266,21 +290,32 @@ pub fn time<R>(name: &'static str, f: impl FnOnce() -> R) -> R {
 /// and the recorded profile. Nesting is supported: an outer [`scoped`]'s
 /// recorder is saved and restored, so a library can profile internally
 /// without clobbering its caller's spans (the inner region's spans simply
-/// don't appear in the outer profile).
+/// don't appear in the outer profile). If `f` panics, the outer recorder
+/// (or none) is back in place before the panic leaves `scoped`.
 pub fn scoped<R>(f: impl FnOnce() -> R) -> (R, SpanProfile) {
-    let prev = RECORDER.with(|r| r.borrow_mut().replace(Recorder::new()));
+    let outer = Reinstate(RECORDER.with(|r| r.borrow_mut().replace(Recorder::new())));
+    ENABLED.with(|e| e.set(true));
     let out = f();
-    let rec = RECORDER.with(|r| {
-        let rec = r.borrow_mut().take();
-        *r.borrow_mut() = prev;
-        rec
-    });
+    let rec = RECORDER.with(|r| r.borrow_mut().take());
+    drop(outer);
     let rec = rec.expect("scoped installed a recorder above");
     debug_assert!(
         rec.stack.is_empty(),
         "span guards must not outlive span::scoped"
     );
     (out, SpanProfile { spans: rec.done })
+}
+
+/// Puts the recorder [`scoped`] displaced back, with the flag that goes
+/// with it, however `scoped`'s closure leaves: returning or unwinding.
+struct Reinstate(Option<Recorder>);
+
+impl Drop for Reinstate {
+    fn drop(&mut self) {
+        let outer = self.0.take();
+        ENABLED.with(|e| e.set(outer.is_some()));
+        RECORDER.with(|r| *r.borrow_mut() = outer);
+    }
 }
 
 #[cfg(test)]
@@ -382,6 +417,32 @@ mod tests {
             outer.get("inner").is_none(),
             "inner spans stay in the inner profile"
         );
+    }
+
+    #[test]
+    fn a_panic_inside_scoped_reinstates_the_outer_recorder() {
+        let unwinds = |f: fn()| std::panic::catch_unwind(f).is_err();
+        assert!(unwinds(|| {
+            let _ = scoped(|| panic!("inside an outermost scoped"));
+        }));
+        assert!(!profiling_enabled(), "no recorder is left behind");
+        let (_, p) = scoped(|| ());
+        assert!(p.is_empty());
+
+        let ((), outer) = scoped(|| {
+            let _o = guard("outer");
+            assert!(unwinds(|| {
+                let _ = scoped(|| {
+                    let _i = guard("inner");
+                    panic!("inside a nested scoped");
+                });
+            }));
+            assert!(profiling_enabled(), "the outer recorder is back");
+            time("after", || ());
+        });
+        assert!(!profiling_enabled());
+        let paths: Vec<_> = outer.iter().map(|(k, _)| k).collect();
+        assert_eq!(paths, ["outer", "outer;after"]);
     }
 
     #[test]

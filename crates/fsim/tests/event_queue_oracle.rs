@@ -7,8 +7,15 @@
 //! the pending set that `pending_in_order` walks, whole and filtered after
 //! as its callers filter it. Inputs come from [`SimRng`], so a failure
 //! names its seed.
+//!
+//! The new queue's caller may also hold one event outside it, as `System`
+//! holds the running segment's end: under a sequence number the queue
+//! reserves, fired when its `(at, seq)` is below the queue's head, walked
+//! with the pending set, and routed back to the caller on a reload. The
+//! reference queue receives that event like any other, and the two must
+//! still agree on every pop.
 
-use fsim::{EventQueue, SimDuration, SimRng, SimTime};
+use fsim::{EventQueue, ScheduledEvent, SimDuration, SimRng, SimTime};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// The pre-two-lane queue, verbatim.
@@ -171,10 +178,16 @@ mod reference {
 
 type Key = (SimTime, u64, u32);
 
+/// Events at or above this are the kind the caller holds outside the new
+/// queue, one at a time.
+const HELD: u32 = 1 << 20;
+
 /// Both queues behind one set of calls; every call checks they agree.
 struct Pair {
     new: EventQueue<u32>,
     old: reference::EventQueue<u32>,
+    /// The event `new`'s caller holds outside it; `old` holds it too.
+    held: Option<ScheduledEvent<u32>>,
     ctx: String,
 }
 
@@ -183,20 +196,54 @@ impl Pair {
         Pair {
             new: EventQueue::new(),
             old: reference::EventQueue::new(),
+            held: None,
             ctx: ctx.into(),
         }
     }
 
     fn check(&self) {
         let ctx = &self.ctx;
+        let held = self.held.as_ref();
         assert_eq!(self.new.now(), self.old.now(), "{ctx}: now");
-        assert_eq!(self.new.len(), self.old.len(), "{ctx}: len");
-        assert_eq!(self.new.is_empty(), self.old.is_empty(), "{ctx}: is_empty");
-        assert_eq!(
-            self.new.peek_time(),
-            self.old.peek_time(),
-            "{ctx}: peek_time"
+        let len = self.new.len() + usize::from(held.is_some());
+        assert_eq!(len, self.old.len(), "{ctx}: len");
+        let empty = self.new.is_empty() && held.is_none();
+        assert_eq!(empty, self.old.is_empty(), "{ctx}: is_empty");
+        let peek = match (self.new.peek_time(), held) {
+            (Some(at), Some(h)) => Some(at.min(h.at)),
+            (at, h) => at.or(h.map(|h| h.at)),
+        };
+        assert_eq!(peek, self.old.peek_time(), "{ctx}: peek_time");
+    }
+
+    /// Hold `ev` outside the new queue, under the sequence number it
+    /// reserves; the reference queue schedules it.
+    fn hold(&mut self, at: SimTime, ev: u32) {
+        assert!(
+            self.held.is_none() && ev >= HELD,
+            "one held event at a time"
         );
+        let seq = self.new.reserve(at);
+        let b = self.old.schedule_at(at, ev);
+        assert_eq!(seq, b, "{}: seq reserved", self.ctx);
+        self.held = Some(ScheduledEvent { at, seq, event: ev });
+        self.check();
+    }
+
+    /// The new queue's next event as its caller takes it: the held one
+    /// when it is earlier in `(at, seq)` than the head, else a pop.
+    fn next_new(&mut self) -> Option<Key> {
+        let head = self.new.head_key();
+        match self.held.take() {
+            Some(h) if head.is_none_or(|head| (h.at, h.seq) < head) => {
+                self.new.fire_held(h.at);
+                Some((h.at, h.seq, h.event))
+            }
+            h => {
+                self.held = h;
+                self.new.pop().map(|e| (e.at, e.seq, e.event))
+            }
+        }
     }
 
     fn schedule_at(&mut self, at: SimTime, ev: u32) {
@@ -214,7 +261,7 @@ impl Pair {
     }
 
     fn pop(&mut self) -> Option<Key> {
-        let a = self.new.pop().map(|e| (e.at, e.seq, e.event));
+        let a = self.next_new();
         let b = self.old.pop().map(|e| (e.at, e.seq, e.event));
         assert_eq!(a, b, "{}: pop", self.ctx);
         self.check();
@@ -232,7 +279,7 @@ impl Pair {
         const HELD: Key = (SimTime(u64::MAX), u64::MAX, u32::MAX);
         let mut a = vec![HELD];
         self.new
-            .pending_in_order(&mut a, |e| (e.at, e.seq, e.event));
+            .pending_in_order(&mut a, self.held.as_ref(), |e| (e.at, e.seq, e.event));
         assert_eq!(
             a.remove(0),
             HELD,
@@ -254,17 +301,22 @@ impl Pair {
 
     fn clear(&mut self) {
         self.new.clear();
+        self.held = None;
         self.old.clear();
         self.check();
     }
 
     /// What restore and `retire_tasks_where` do: walk the survivors, clear,
-    /// and schedule them again in walk order.
+    /// and schedule them again in walk order, the held kind back outside.
     fn clear_and_reload(&mut self, keep: impl Fn(u32) -> bool) {
         let pending = self.snapshot_where(keep);
         self.clear();
         for (at, _, ev) in pending {
-            self.schedule_at(at, ev);
+            if ev >= HELD {
+                self.hold(at, ev);
+            } else {
+                self.schedule_at(at, ev);
+            }
         }
     }
 
@@ -313,6 +365,78 @@ fn random_interleavings_match_the_heap_only_queue() {
         p.drain();
         assert!(p.new.is_empty());
     }
+}
+
+/// The same interleavings with the caller holding one event at a time
+/// outside the new queue, as often as the mix allows: the held event pops
+/// where the reference queue, which holds it like any other, pops it —
+/// ties included on both sides, since the window is a few ticks wide —
+/// and walks, clears and reloads (back outside) with the rest.
+#[test]
+fn a_held_event_pops_where_the_heap_only_queue_pops_it() {
+    for seed in 0..300u64 {
+        let mut rng = SimRng::new(seed ^ 0x4E1D);
+        let mut p = Pair::new(format!("held, seed {seed}"));
+        let push_pct = 35 + rng.below(40);
+        let window = 1 + rng.below(12);
+        let (mut next_ev, mut held) = (0u32, 0u32);
+        for _ in 0..600 {
+            let roll = rng.below(100);
+            if roll < push_pct {
+                next_ev += 1;
+                let at = SimTime(p.now().0 + rng.below(window));
+                if p.held.is_none() && rng.below(2) == 0 {
+                    held += 1;
+                    p.hold(at, HELD + next_ev);
+                } else {
+                    p.schedule_at(at, next_ev);
+                }
+            } else if roll < 92 {
+                p.pop();
+            } else if roll < 94 {
+                p.snapshot();
+            } else if roll < 96 {
+                p.snapshot_where(|ev| ev % 4 != 1);
+            } else if roll < 98 {
+                p.clear_and_reload(|ev| ev % 3 != 0);
+            } else {
+                p.clear();
+            }
+        }
+        p.snapshot();
+        p.drain();
+        assert!(p.new.is_empty() && p.held.is_none());
+        assert!(held > 10, "seed {seed} held {held} events");
+    }
+}
+
+/// `stream` as the kernel runs it: a sorted preload, and each arrival
+/// arms the running segment's end, held outside the queue, unless one is
+/// held already; ties with the next arrival are common. The held events
+/// match the reference order and never touch the heap.
+#[test]
+fn sorted_preload_with_a_held_segment_end() {
+    let mut rng = SimRng::new(0x5E6);
+    let mut p = Pair::new("held segment ends");
+    let mut at = 0u64;
+    for i in 0..2000u32 {
+        at += rng.below(4);
+        p.schedule_at(SimTime(at), i);
+    }
+    let mut ends = 0u32;
+    while let Some((_, _, ev)) = p.pop() {
+        if ev < HELD && p.held.is_none() {
+            ends += 1;
+            p.hold(SimTime(p.now().0 + rng.below(3)), HELD + ev);
+        }
+        if ev % 97 == 0 {
+            p.snapshot();
+        }
+    }
+    assert!(ends > 1000, "{ends} segment ends");
+    let stats = p.new.stats();
+    assert_eq!(stats.scheduled, u64::from(2000 + ends));
+    assert_eq!((stats.via_heap, stats.peak_heap), (0, 0));
 }
 
 /// `stream`: a sorted preload with ties, and one to four short timers in

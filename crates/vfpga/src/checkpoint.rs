@@ -679,8 +679,7 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
         latent.clone_from(&self.dev.latent);
         stale.clone_from(&self.dev.stale);
         pending.clear();
-        self.queue
-            .pending_in_order(&mut pending, |e| (e.at, e.event));
+        self.pending_in_order(&mut pending);
         // The crash is the one event that must NOT survive: the next
         // segment gets its own crash time.
         pending.retain(|(_, ev)| !matches!(ev, Ev::Crash));
@@ -755,10 +754,7 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
         self.fault = img.fault;
         // Pending events last: the fresh queue (clock still at zero)
         // re-learns every in-flight timer at its absolute time.
-        self.queue.clear();
-        for &(at, ev) in &img.pending {
-            self.queue.schedule_at(at, ev);
-        }
+        self.reload_pending(img.pending.iter().copied());
         Ok(())
     }
 
@@ -1023,7 +1019,7 @@ mod tests {
     use crate::manager::dynload::DynLoadManager;
     use crate::manager::PreemptAction;
     use crate::metrics::TaskMetrics;
-    use crate::sched::RoundRobinScheduler;
+    use crate::sched::{FifoScheduler, RoundRobinScheduler};
     use crate::system::{CompletionDetect, SystemConfig};
     use crate::system_tests::{lib_mixed, ms, timing};
     use crate::task::{Op, TaskSpec};
@@ -1116,6 +1112,68 @@ mod tests {
         // Below the window, and neither an arrival nor an exit.
         sys.slots[1].blocked_count += 1;
         sys.on_checkpoint(SimTime::ZERO);
+    }
+
+    /// Tasks of one CPU burst each, `(arrival, burst)` in ms, under FIFO
+    /// with a capture every 10 ms and a crash at `crash_ms`: the pending
+    /// set of the last capture, and the order a system restored from it
+    /// pops that set in.
+    fn last_capture_pending(tasks: &[(u64, u64)], crash_ms: u64) -> [Vec<(SimTime, Ev)>; 2] {
+        let build = || {
+            let (lib, _) = lib_mixed(1);
+            let specs = tasks
+                .iter()
+                .enumerate()
+                .map(|(i, &(at, burst))| {
+                    TaskSpec::new(
+                        format!("t{i}"),
+                        SimTime::ZERO + ms(at),
+                        vec![Op::Cpu(ms(burst))],
+                    )
+                })
+                .collect();
+            let mgr = DynLoadManager::new(lib.clone(), timing(), PreemptAction::SaveRestore);
+            System::new(lib, mgr, FifoScheduler::new(), SAVE_RESTORE, specs)
+                .with_checkpoints(CheckpointConfig::new(ms(10)))
+                .unwrap()
+        };
+        let Segment::Cut(cut) = build()
+            .run_to_cut(Some(SimTime::ZERO + ms(crash_ms)))
+            .unwrap()
+        else {
+            panic!("the crash comes before the last task ends");
+        };
+        let captured = cut.capture.as_ref().unwrap().image.pending.clone();
+        let mut restored = build();
+        restored.restore_cut(*cut).unwrap();
+        let popped = std::iter::from_fn(|| restored.next()).collect();
+        [captured, popped]
+    }
+
+    #[test]
+    fn segment_end_tied_with_a_checkpoint_keeps_its_place() {
+        // The segment end and a capture due at one instant, in both `seq`
+        // orders. The captured pending sets are the ones captured while the
+        // segment end was a queue event like any other.
+        let at = |t: u64| SimTime::ZERO + ms(t);
+        // Task 0's segment end (scheduled at 0) is older than the capture
+        // due at 20 ms (scheduled at the 10 ms capture), and task 1's
+        // arrival at 20 ms older than both: the 10 ms capture holds all
+        // three at one instant.
+        let [captured, popped] = last_capture_pending(&[(0, 20), (20, 1)], 15);
+        let tie = [
+            (at(20), Ev::Arrive(TaskId(1))),
+            (at(20), Ev::Timer(TaskId(0))),
+            (at(20), Ev::Checkpoint),
+        ];
+        assert_eq!(captured, tie);
+        assert_eq!(popped, tie, "a restore pops them in the same order");
+        // Task 0's segment end (scheduled at 15 ms) is younger than the
+        // capture due at 20 ms: the capture fires first and holds it.
+        let [captured, popped] = last_capture_pending(&[(15, 5), (20, 10)], 25);
+        let tie = [(at(20), Ev::Timer(TaskId(0))), (at(30), Ev::Checkpoint)];
+        assert_eq!(captured, tie);
+        assert_eq!(popped, tie, "a restore pops them in the same order");
     }
 
     #[test]

@@ -162,12 +162,9 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
             self.running = None;
         }
         let mut kept: Vec<(SimTime, Ev)> = Vec::new();
-        self.queue.pending_in_order(&mut kept, |e| (e.at, e.event));
+        self.pending_in_order(&mut kept);
         kept.retain(|(_, ev)| !ev.task().is_some_and(|t| gone[t.0 as usize]));
-        self.queue.clear();
-        for (at, ev) in kept {
-            self.queue.schedule_at(at, ev);
-        }
+        self.reload_pending(kept);
         for &tid in &moved {
             self.release_claims(tid, resume_at);
         }

@@ -28,8 +28,8 @@ use crate::recovery::{FaultStats, RecoveryPolicy};
 use crate::sched::Scheduler;
 use crate::task::{Op, TaskId, TaskSlot, TaskSpec, TaskState};
 use fsim::{
-    span, EventQueue, FaultInjector, FaultPlan, HistSet, Metrics, QueueStats, SimDuration, SimTime,
-    TimelineSet, Trace, TraceEvent,
+    span, EventQueue, FaultInjector, FaultPlan, HistSet, Metrics, QueueStats, ScheduledEvent,
+    SimDuration, SimTime, TimelineSet, Trace, TraceEvent,
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -199,7 +199,15 @@ pub struct System<M: FpgaManager, S: Scheduler> {
     pub(crate) specs: Vec<TaskSpec>,
     /// Everything mutable about each task, by task id.
     pub(crate) slots: Vec<TaskSlot>,
+    /// Every pending event but the running segment's end.
     pub(crate) queue: EventQueue<Ev>,
+    /// The end of the segment the CPU is running, the task its payload:
+    /// the event that is nearly always next, held beside the queue rather
+    /// than in it. Its `seq` is the queue's, reserved where the event
+    /// would have been scheduled, so it fires in the one `(at, seq)` order
+    /// of every event. `None` between segments and while a hanging segment
+    /// or a failed download holds the CPU.
+    segment_end: Option<ScheduledEvent<TaskId>>,
     pub(crate) running: Option<Running>,
     /// Observability (trace + registry + timelines + manager event
     /// recording) is on exactly when the trace is enabled. Off by default:
@@ -279,6 +287,7 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
             specs,
             slots,
             queue,
+            segment_end: None,
             running: None,
             trace: Trace::disabled(),
             reg: Metrics::new(),
@@ -485,12 +494,11 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
         }
         self.seed_faults();
         // The span guards below are free when no profiling harness has
-        // recording enabled on this thread (one thread-local check each);
+        // recording enabled on this thread (one thread-local load each);
         // under `fsim::span::scoped` they produce the `system;…` tree.
         let _loop_span = span::guard("system");
-        while let Some(ev) = self.queue.pop() {
-            let now = ev.at;
-            match ev.event {
+        while let Some((now, ev)) = self.next() {
+            match ev {
                 Ev::Arrive(tid) => span::time("arrive", || self.on_arrive(tid, now)),
                 Ev::Dispatch => span::time("dispatch", || self.dispatch(now)),
                 Ev::Timer(tid) => span::time("timer", || self.on_timer(tid, now)),
@@ -500,7 +508,7 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
                     span::time("column_fail", || self.on_column_fail(pending, now))
                 }
                 Ev::RetryDone(tid) => span::time("retry_done", || self.on_retry_done(tid, now)),
-                Ev::Retry(tid) => self.on_retry(tid, now),
+                Ev::Retry(tid) => span::time("retry", || self.on_retry(tid, now)),
                 Ev::Checkpoint => span::time("checkpoint", || self.on_checkpoint(now)),
                 Ev::Crash => {
                     // A crash after the last task finished changes nothing
@@ -533,6 +541,67 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
         }
         let (report, trace) = self.into_report();
         Ok(Segment::Completed(Box::new(report), trace))
+    }
+
+    /// The next event to fire: the queue's head or the running segment's
+    /// end, whichever is earlier in `(at, seq)`.
+    #[inline]
+    pub(crate) fn next(&mut self) -> Option<(SimTime, Ev)> {
+        if let Some(end) = self.segment_end {
+            if self
+                .queue
+                .head_key()
+                .is_none_or(|head| (end.at, end.seq) < head)
+            {
+                self.segment_end = None;
+                self.queue.fire_held(end.at);
+                return Some((end.at, Ev::Timer(end.event)));
+            }
+        }
+        self.queue.pop().map(|e| (e.at, e.event))
+    }
+
+    /// Schedule `ev` at `at`: a segment end into `segment_end`, under the
+    /// sequence number the queue would have given it, anything else into
+    /// the queue.
+    #[inline]
+    pub(crate) fn schedule(&mut self, at: SimTime, ev: Ev) {
+        match ev {
+            Ev::Timer(tid) => {
+                debug_assert!(self.segment_end.is_none(), "two segments end");
+                let seq = self.queue.reserve(at);
+                self.segment_end = Some(ScheduledEvent {
+                    at,
+                    seq,
+                    event: tid,
+                });
+            }
+            _ => {
+                self.queue.schedule_at(at, ev);
+            }
+        }
+    }
+
+    /// Append every pending event to `out` in firing order, the running
+    /// segment's end included, leaving all of them pending.
+    pub(crate) fn pending_in_order(&self, out: &mut Vec<(SimTime, Ev)>) {
+        let end = self.segment_end.map(|end| ScheduledEvent {
+            at: end.at,
+            seq: end.seq,
+            event: Ev::Timer(end.event),
+        });
+        self.queue
+            .pending_in_order(out, end.as_ref(), |e| (e.at, e.event));
+    }
+
+    /// Replace every pending event by `pending`, scheduled in its order:
+    /// what a restore and a migration split do with the pending set.
+    pub(crate) fn reload_pending(&mut self, pending: impl IntoIterator<Item = (SimTime, Ev)>) {
+        self.queue.clear();
+        self.segment_end = None;
+        for (at, ev) in pending {
+            self.schedule(at, ev);
+        }
     }
 
     /// Build the final report from whatever terminal state the task table
@@ -918,8 +987,7 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
                 fpga: fpga_ctx,
             });
             if !hanging {
-                self.queue
-                    .schedule_at(now + overhead + dur + slack_total, Ev::Timer(tid));
+                self.schedule(now + overhead + dur + slack_total, Ev::Timer(tid));
             }
             // Arm the hang watchdog strictly after the completion timer:
             // at equal instants the event queue's FIFO tie-break pops the

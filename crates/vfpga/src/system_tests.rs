@@ -555,3 +555,75 @@ fn failover_receipt_partitions_the_source_journal() {
         "property needs real crash coverage; only {crashed_cases} cells cut"
     );
 }
+
+/// Events a 2,000-task `stream`-shaped run schedules, pinned by the build
+/// that still scheduled every segment end through the queue: holding the
+/// segment end outside it neither adds nor elides an event.
+const STREAM_SHAPED_EVENTS: u64 = 39_588;
+
+/// `stream` scaled down to 2,000 tasks: Poisson arrivals at load ~0.73,
+/// each task four FPGA runs between CPU bursts, on dynamic loading under
+/// round-robin with a 10 ms slice, state saved and restored on preemption.
+/// The runs are longer than `stream`'s, so that runs of the sequential
+/// circuit outlast the slice and their preemptions save state.
+fn stream_shaped(tasks: usize) -> System<DynLoadManager, RoundRobinScheduler> {
+    let (lib, ids) = lib_mixed(3);
+    let mut rng = fsim::SimRng::new(0x57AE);
+    let mut at = SimTime::ZERO;
+    let burst = |rng: &mut fsim::SimRng| SimDuration::from_secs_f64(rng.exp(2e-3).max(1e-6));
+    let specs = (0..tasks)
+        .map(|i| {
+            at += SimDuration::from_secs_f64(rng.exp(0.2));
+            let mut ops = vec![Op::Cpu(burst(&mut rng))];
+            for _ in 0..4 {
+                ops.push(Op::FpgaRun {
+                    circuit: *rng.choose(&ids),
+                    cycles: rng.range_u64(60_000, 3_000_000),
+                });
+                ops.push(Op::Cpu(burst(&mut rng)));
+            }
+            TaskSpec::new(format!("t{i}"), at, ops)
+        })
+        .collect();
+    let preempt = PreemptAction::SaveRestore;
+    let mgr = DynLoadManager::new(lib.clone(), timing(), preempt);
+    let config = SystemConfig {
+        preempt,
+        ..Default::default()
+    };
+    System::new(lib, mgr, RoundRobinScheduler::new(ms(10)), config, specs)
+}
+
+#[test]
+fn segment_ends_never_enter_the_heap() {
+    // The gate on the kernel's event traffic. Seeded violation: schedule
+    // the segment end back through the queue in `System::schedule`
+    // (`self.queue.schedule_at(at, ev)` for `Ev::Timer` too). Nearly
+    // every segment ends before the next arrival, so `via_heap` jumps to
+    // 37,561, forty times the preemptions, as when every segment end was a
+    // queue event.
+    let seen = Arc::new(std::sync::Mutex::new(None));
+    let probe = Arc::clone(&seen);
+    let r = stream_shaped(2000)
+        .with_run_probe(move |_, queue| *probe.lock().unwrap() = Some(queue))
+        .run()
+        .unwrap();
+    check_invariants(&r);
+    let busy: f64 = r
+        .tasks
+        .iter()
+        .map(|t| (t.cpu_time + t.fpga_time + t.overhead_time).as_secs_f64())
+        .sum();
+    let load = busy / r.makespan.as_secs_f64();
+    assert!((0.6..0.9).contains(&load), "load {load:.2}");
+    let queue = seen.lock().unwrap().expect("probe ran");
+    assert_eq!(queue.scheduled, STREAM_SHAPED_EVENTS, "{queue:?}");
+    // A preemption that saves state dispatches the next task once the
+    // save is through: the one event of this run that may use the heap.
+    let preemptions = r.manager_stats.state_saves;
+    assert!(preemptions > 100, "{preemptions} preemptions");
+    assert!(
+        queue.via_heap <= preemptions,
+        "{queue:?}, {preemptions} preemptions"
+    );
+}

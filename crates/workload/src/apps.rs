@@ -214,6 +214,36 @@ mod tests {
     }
 
     #[test]
+    fn op_durations_are_the_compiled_clock_times_the_cycles() {
+        // `CircuitImage` prices an FPGA op from the whole-nanosecond cycle
+        // it stores at registration. Over the benchmark's library (every
+        // domain at VF400's height) and one circuit whose clock is already
+        // a whole number of nanoseconds, that is `run_ns` exactly.
+        let rows = fpga::device::part("VF400").rows;
+        let mut circuits: Vec<_> = Domain::ALL
+            .into_iter()
+            .flat_map(|d| suite(d, rows).apps)
+            .map(|app| app.compiled)
+            .collect();
+        assert!(circuits.iter().any(|c| c.clock_ns.fract() != 0.0));
+        let mut integral = (*circuits[0]).clone();
+        integral.clock_ns = integral.clock_ns.floor();
+        circuits.push(Arc::new(integral));
+        for compiled in circuits {
+            let image = vfpga::circuit::CircuitImage::from_shared(Arc::clone(&compiled));
+            for cycles in [0, 1, 2, 60_000, 123_457, 250_000, 1 << 32] {
+                assert_eq!(
+                    image.run_time(cycles),
+                    fsim::SimDuration::from_nanos(compiled.run_ns(cycles)),
+                    "{} at {} ns, {cycles} cycles",
+                    compiled.name(),
+                    compiled.clock_ns
+                );
+            }
+        }
+    }
+
+    #[test]
     fn suites_fit_mid_size_device() {
         let spec = fpga::device::part("VF400");
         for d in Domain::ALL {
