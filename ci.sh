@@ -31,6 +31,13 @@ echo "==> compile-flow oracles and golden, router oracle, release"
 cargo test -q --release -p netlist --test mapper_oracle
 cargo test -q --release -p pnr --test place_oracle --test flow_golden --test route_template
 
+echo "==> frame-diff oracle and work budgets, release"
+# The benchmark's `fabric` diffs in release code, and the budgets count
+# allocations, which debug builds' invariant checkers inflate: the budgets
+# test is ignored under debug assertions and runs only here.
+cargo test -q --release -p fpga --test diff_oracle
+cargo test -q --release -p bench --test budgets
+
 echo "==> checkpoint codec suite, image goldens, image tests and capture window, release"
 # `durable` and `fleet` reps run the release writer, and a release build
 # wraps where debug panics (a delta image's ghost count once did). The

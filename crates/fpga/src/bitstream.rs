@@ -234,6 +234,33 @@ impl Bitstream {
         self
     }
 
+    /// The stream's [`ColumnImage`]: what it leaves on a clean region.
+    pub fn columns(&self) -> ColumnImage {
+        // A stable sort: each column's frames keep their download order.
+        let mut order: Vec<&FrameWrite> = self.frames.iter().collect();
+        order.sort_by_key(|f| f.col);
+        let (mut img, mut rows) = (ColumnImage::default(), Vec::new());
+        for run in order.chunk_by(|a, b| a.col == b.col) {
+            // Replay the column's frames over its row span, then trim.
+            let lo = run.iter().map(|f| f.row0).min().unwrap_or(0);
+            let hi = run.iter().map(|f| f.row0 + f.cells.len() as u32).max();
+            rows.clear();
+            rows.resize((hi.unwrap_or(lo) - lo) as usize, None);
+            for f in run {
+                let at = (f.row0 - lo) as usize;
+                rows[at..at + f.cells.len()].copy_from_slice(&f.cells);
+            }
+            let first = rows.iter().position(Option::is_some);
+            if let (Some(a), Some(b)) = (first, rows.iter().rposition(Option::is_some)) {
+                let start = img.cells.len() as u32;
+                img.cells.extend_from_slice(&rows[a..=b]);
+                let end = img.cells.len() as u32;
+                img.spans.push((run[0].col, lo + a as u32, start, end));
+            }
+        }
+        img
+    }
+
     /// Frame-wise delta between two streams targeting the same region.
     ///
     /// Produces a partial stream that, applied to a device currently
@@ -243,7 +270,8 @@ impl Bitstream {
     /// skipped entirely. A differing column is rewritten over the union
     /// row span of both streams' content there, with `None` cells
     /// clearing CLBs `old` configured and `new` does not; IOBs present
-    /// only in `old` are explicitly unbound.
+    /// only in `old` are explicitly unbound. The columns written are
+    /// [`ColumnImage::changed_frames`]'s, by construction.
     ///
     /// Flip-flop caveat: cells the delta skips keep their current FF
     /// state, while a rewritten cell resets to its init value (exactly
@@ -251,47 +279,17 @@ impl Bitstream {
     /// fresh context switches where the incoming circuit starts from
     /// init anyway, so the equivalence holds where it is used.
     pub fn diff(old: &Bitstream, new: &Bitstream) -> DeltaStream {
-        // Canonical per-column view: col -> row -> configured cell.
-        // Later writes win and `None` clears, matching `Device::apply`.
-        fn columns(bs: &Bitstream) -> BTreeMap<u32, BTreeMap<u32, ClbCell>> {
-            let mut out: BTreeMap<u32, BTreeMap<u32, ClbCell>> = BTreeMap::new();
-            for f in &bs.frames {
-                let col = out.entry(f.col).or_default();
-                for (k, c) in f.cells.iter().enumerate() {
-                    let row = f.row0 + k as u32;
-                    match c {
-                        Some(cell) => {
-                            col.insert(row, *cell);
-                        }
-                        None => {
-                            col.remove(&row);
-                        }
-                    }
-                }
-            }
-            out.retain(|_, m| !m.is_empty());
-            out
-        }
-        let o = columns(old);
-        let n = columns(new);
-        let empty = BTreeMap::new();
+        let (o, n) = (old.columns(), new.columns());
         let mut frames = Vec::new();
-        let mut cols: Vec<u32> = o.keys().chain(n.keys()).copied().collect();
-        cols.sort_unstable();
-        cols.dedup();
-        for col in cols {
-            let oc = o.get(&col).unwrap_or(&empty);
-            let nc = n.get(&col).unwrap_or(&empty);
-            if oc == nc {
-                continue;
-            }
-            let lo = *oc.keys().chain(nc.keys()).min().expect("nonempty column");
-            let hi = *oc.keys().chain(nc.keys()).max().expect("nonempty column");
-            frames.push(FrameWrite {
-                col,
-                row0: lo,
-                cells: (lo..=hi).map(|r| nc.get(&r).copied()).collect(),
-            });
+        for (col, was, now) in o.changed(&n) {
+            // The union of both runs' rows: `now`'s cells, `None` elsewhere
+            // (a row before `now`'s first wraps to an index past its end).
+            let row0 = was.iter().chain(&now).map(|r| r.0).min().unwrap_or(0);
+            let end = was.iter().chain(&now).map(|r| r.0 + r.1.len() as u32).max();
+            let cell = |r: u32| now.and_then(|(at, c)| c.get(r.wrapping_sub(at) as usize));
+            let cells = (row0..end.unwrap_or(row0)).map(|r| cell(r).copied().flatten());
+            let cells = cells.collect();
+            frames.push(FrameWrite { col, row0, cells });
         }
         let oi: BTreeMap<u32, IobConfig> = old.iobs.iter().copied().collect();
         let ni: BTreeMap<u32, IobConfig> = new.iobs.iter().copied().collect();
@@ -348,6 +346,51 @@ impl DeltaStream {
     /// skips.
     pub fn frames_saved(&self) -> usize {
         self.total_frames.saturating_sub(self.changed_frames)
+    }
+}
+
+/// What a stream leaves on a clean region ([`Bitstream::columns`]): per
+/// configured column, the cells surviving later writes and `None` clears,
+/// first configured row to last. Columns are alike exactly when these runs
+/// are equal, so [`Bitstream::diff`] and its count are one merge of two.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ColumnImage {
+    /// `(col, first row, start, end)`, ascending; rows `cells[start..end]`.
+    spans: Vec<(u32, u32, u32, u32)>,
+    cells: Vec<Option<ClbCell>>,
+}
+
+/// A configured column's first row and its rows from there.
+type Run<'a> = (u32, &'a [Option<ClbCell>]);
+
+impl ColumnImage {
+    /// Columns configured differently here and in `new`, or on one side
+    /// only: the frames a delta from `self` to `new` writes. No allocation.
+    pub fn changed_frames(&self, new: &ColumnImage) -> usize {
+        self.changed(new).count()
+    }
+
+    fn run(&self, s: &(u32, u32, u32, u32)) -> Run<'_> {
+        (s.1, &self.cells[s.2 as usize..s.3 as usize])
+    }
+
+    /// The columns that differ, ascending, with each side's run there.
+    fn changed<'a>(
+        &'a self,
+        new: &'a ColumnImage,
+    ) -> impl Iterator<Item = (u32, Option<Run<'a>>, Option<Run<'a>>)> + 'a {
+        let (mut i, mut j) = (0, 0);
+        std::iter::from_fn(move || loop {
+            let (a, b) = (self.spans.get(i), new.spans.get(j));
+            let col = a.into_iter().chain(b).map(|s| s.0).min()?;
+            let was = a.filter(|s| s.0 == col).map(|s| self.run(s));
+            let now = b.filter(|s| s.0 == col).map(|s| new.run(s));
+            i += usize::from(was.is_some());
+            j += usize::from(now.is_some());
+            if was != now {
+                return Some((col, was, now));
+            }
+        })
     }
 }
 

@@ -195,6 +195,15 @@ fn delta_apply_equals_full_download() {
             delta.changed_frames <= new_bs.frame_count() + old_bs.frame_count(),
             "seed {seed}"
         );
+        // What a manager prices: the column images of the two streams
+        // emitted at origin 0 count exactly the frames this delta writes.
+        assert_eq!(
+            emit(old_c, (0, 0))
+                .columns()
+                .changed_frames(&emit(&new_c, (0, 0)).columns()),
+            delta.changed_frames,
+            "seed {seed}"
+        );
     }
     assert!(
         variant_cases > 0 && cross_cases > 0,

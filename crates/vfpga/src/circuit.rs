@@ -7,7 +7,7 @@
 //! metadata the managers reason about (area, shape, frames, state bits,
 //! clock period).
 
-use fpga::Bitstream;
+use fpga::bitstream::ColumnImage;
 use fsim::SimDuration;
 use pnr::{CompiledCircuit, RouteTemplate};
 use std::sync::Arc;
@@ -32,7 +32,7 @@ pub struct CircuitImage {
 #[derive(Debug)]
 struct Relocatable {
     routes: RouteTemplate,
-    base_image: Bitstream,
+    columns: ColumnImage,
 }
 
 impl CircuitImage {
@@ -49,7 +49,7 @@ impl CircuitImage {
             pnr::PinAssignment::contiguous(placed.circuit.num_inputs, placed.circuit.outputs.len());
         let relocatable = Relocatable {
             routes: RouteTemplate::new(placed),
-            base_image: pnr::emit_bitstream(placed, (0, 0), &pins, false),
+            columns: pnr::emit_bitstream(placed, (0, 0), &pins, false).columns(),
         };
         CircuitImage {
             cycle_ns: compiled.run_ns(1),
@@ -64,11 +64,11 @@ impl CircuitImage {
         &self.relocatable.routes
     }
 
-    /// The partial bitstream of the circuit at origin `(0, 0)` on
-    /// contiguous pins. Emission is relocatable, so a frame diff between
-    /// two of these prices a delta download at every origin.
-    pub fn base_image(&self) -> &Bitstream {
-        &self.relocatable.base_image
+    /// What the circuit's stream at origin `(0, 0)` on contiguous pins
+    /// configures, column by column. Emission is relocatable, so two of
+    /// these price a delta download at every origin.
+    pub fn column_image(&self) -> &ColumnImage {
+        &self.relocatable.columns
     }
 
     /// Circuit name.
@@ -222,16 +222,25 @@ mod tests {
         let placed = &img.compiled.placed;
         let pins =
             pnr::PinAssignment::contiguous(placed.circuit.num_inputs, placed.circuit.outputs.len());
+        let stream = pnr::emit_bitstream(placed, (0, 0), &pins, false);
+        assert_eq!(img.column_image(), &stream.columns());
         assert_eq!(
-            img.base_image(),
-            &pnr::emit_bitstream(placed, (0, 0), &pins, false)
+            img.column_image().changed_frames(&Default::default()),
+            stream.frame_count(),
+            "every column the stream writes holds a configured cell"
         );
         assert!(img.route_template().connections() > 0);
-        // A subset library re-uses them instead of routing and emitting again.
+        // Clones and subset libraries re-use them instead of routing and
+        // emitting again.
+        assert!(std::ptr::eq(img.clone().column_image(), img.column_image()));
         let sub = lib.subset(&[ids[1]]);
         assert!(std::ptr::eq(
             sub.get(CircuitId(0)).route_template(),
             img.route_template()
+        ));
+        assert!(std::ptr::eq(
+            sub.get(CircuitId(0)).column_image(),
+            img.column_image()
         ));
     }
 

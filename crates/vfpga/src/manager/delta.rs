@@ -5,8 +5,10 @@
 //! configuration (same circuit re-loaded, or a close variant). The delta
 //! table remembers what image a column range *still holds* after its
 //! circuit was evicted (a **ghost**) so the next load of that range can be
-//! priced as `Bitstream::diff(old, new)` — only the frames that actually
-//! differ cross the configuration port.
+//! priced as the frames that actually differ — only those cross the
+//! configuration port. The count is a merge of the two circuits'
+//! [`fpga::bitstream::ColumnImage`]s, derived at registration: the columns
+//! `Bitstream::diff(old, new)` writes, with no stream built to count them.
 //!
 //! Correctness rests on one invariant: **a ghost is dropped the moment its
 //! physical frames can no longer be proven equal to the evicted circuit's
@@ -20,7 +22,7 @@
 use super::EventBuf;
 use crate::circuit::{CircuitId, CircuitLib};
 use fsim::TraceEvent;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
 crate::counters::counter_table! {
     /// Counters for the delta-download path, reported separately from
@@ -57,15 +59,12 @@ impl Ghost {
     }
 }
 
-/// Per-manager delta-reconfiguration state: the ghost table, a memo of
-/// pair diffs (emission is relocatable, so a diff computed at origin 0 is
-/// valid at every origin), and the statistics.
+/// Per-manager delta-reconfiguration state: the ghost table, the dirty
+/// set and the statistics. Pricing keeps no state: it compares the two
+/// circuits' column images, which the library derived at registration.
 #[derive(Debug, Default)]
 pub(crate) struct DeltaTable {
     ghosts: Vec<Ghost>,
-    /// `(old, new) -> changed frame count` — diffs are pure functions of
-    /// the circuit pair, so each pair is diffed at most once per run.
-    memo: HashMap<(u32, u32), usize>,
     /// Circuits whose resident frames were corrupted or rewritten outside
     /// the download path; evicting one must not leave a ghost until a
     /// fresh download makes content equal image again.
@@ -78,19 +77,17 @@ impl DeltaTable {
         Self::default()
     }
 
-    /// Changed frames of `diff(old, new)`, memoized. Identical ids diff
-    /// to zero frames (a header-only revalidation download).
-    pub fn changed_frames(&mut self, lib: &CircuitLib, old: CircuitId, new: CircuitId) -> usize {
+    /// Frames a download of `new` over a ghost of `old` writes: the columns
+    /// their column images configure differently, the count
+    /// `Bitstream::diff` of their streams reports. Identical ids are zero
+    /// frames (a header-only revalidation download).
+    pub fn changed_frames(&self, lib: &CircuitLib, old: CircuitId, new: CircuitId) -> usize {
         if old == new {
             return 0;
         }
-        if let Some(&n) = self.memo.get(&(old.0, new.0)) {
-            return n;
-        }
-        let n = fpga::Bitstream::diff(lib.get(old).base_image(), lib.get(new).base_image())
-            .changed_frames;
-        self.memo.insert((old.0, new.0), n);
-        n
+        lib.get(old)
+            .column_image()
+            .changed_frames(lib.get(new).column_image())
     }
 
     /// The ghost anchored exactly at `col0`, if any.
@@ -226,6 +223,14 @@ crate::image::record! {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::manager::overlay::{OverlayManager, Replacement};
+    use crate::manager::partition::{PartitionManager, PartitionMode};
+    use crate::manager::{Activation, FpgaManager, PreemptAction};
+    use crate::task::TaskId;
+    use fpga::{ConfigPort, ConfigTiming};
+    use fsim::SimDuration;
+    use pnr::{compile, CompileOptions};
+    use std::sync::Arc;
 
     fn buf() -> EventBuf {
         let mut b = EventBuf::default();
@@ -287,5 +292,124 @@ mod tests {
             DeltaTable::restored(&wrapped).is_err(),
             "ghosts overflow the count"
         );
+    }
+
+    /// `(lib, narrow, wide)` on VF400: a compiled multiplier and a copy one
+    /// column wider whose only difference is one block moved into the new
+    /// last column. Their images differ in exactly two columns: the one
+    /// the block left and the tail column only the wide one configures.
+    fn width_pair(spec: fpga::DeviceSpec) -> (Arc<CircuitLib>, CircuitId, CircuitId) {
+        let opts = CompileOptions {
+            max_height: spec.rows,
+            full_height: true,
+            ..Default::default()
+        };
+        let narrow = compile(&netlist::library::arith::array_multiplier("wn", 4), opts).unwrap();
+        let mut wide = narrow.clone();
+        wide.placed.circuit.name = "ww".into();
+        wide.placed.width += 1;
+        wide.placed.coords[0] = (narrow.placed.width, 0);
+        let mut lib = CircuitLib::new();
+        let n = lib.register_compiled(narrow);
+        let w = lib.register_compiled(wide);
+        (Arc::new(lib), n, w)
+    }
+
+    /// Partition `[wide, 1, 1, ...]` in fixed mode: loading `second` over
+    /// the ghost `first` leaves, returning the second load's overhead.
+    fn reload_over_ghost(first_wide: bool) -> (SimDuration, DeltaStats) {
+        let spec = fpga::device::part("VF400");
+        let (lib, narrow, wide) = width_pair(spec);
+        let ww = lib.get(wide).shape().0;
+        let mut widths = vec![ww];
+        widths.extend(std::iter::repeat_n(1, (spec.cols - ww) as usize));
+        let mut m = PartitionManager::new(
+            lib,
+            ConfigTiming {
+                spec,
+                port: ConfigPort::SerialFast,
+            },
+            PartitionMode::Fixed(widths),
+            PreemptAction::SaveRestore,
+        )
+        .unwrap();
+        m.enable_delta();
+        let (first, second) = if first_wide {
+            (wide, narrow)
+        } else {
+            (narrow, wide)
+        };
+        assert!(matches!(
+            m.activate(TaskId(0), first),
+            Activation::Ready { .. }
+        ));
+        m.op_done(TaskId(0), first);
+        match m.activate(TaskId(1), second) {
+            Activation::Ready { overhead } => (overhead, m.delta_stats().unwrap()),
+            other => panic!("{other:?}"),
+        }
+    }
+
+    fn stats(delta: u64, full: u64, written: u64, saved: u64, inval: u64) -> DeltaStats {
+        DeltaStats {
+            delta_downloads: delta,
+            full_downloads: full,
+            frames_written: written,
+            frames_saved: saved,
+            invalidations: inval,
+        }
+    }
+
+    /// A narrow circuit over a wider ghost: the ghost's tail column is a
+    /// clearing write and counts as a changed frame.
+    #[test]
+    fn narrow_load_over_a_wider_ghost_counts_the_tail() {
+        let spec = fpga::device::part("VF400");
+        let (lib, narrow, wide) = width_pair(spec);
+        let dt = DeltaTable::new();
+        assert_eq!(dt.changed_frames(&lib, wide, narrow), 2);
+        assert_eq!(dt.changed_frames(&lib, narrow, wide), 2);
+        let (overhead, ds) = reload_over_ghost(true);
+        assert_eq!(overhead, SimDuration::from_nanos(2_030_000));
+        assert_eq!(ds, stats(1, 1, 2, 1, 0));
+    }
+
+    /// A wide circuit over a narrower ghost: the new tail column is a write.
+    #[test]
+    fn wide_load_over_a_narrower_ghost_writes_the_tail() {
+        let (overhead, ds) = reload_over_ghost(false);
+        assert_eq!(overhead, SimDuration::from_nanos(2_030_000));
+        assert_eq!(ds, stats(1, 1, 2, 2, 0));
+    }
+
+    /// One overlay slot spanning the device: a narrow circuit swapped in
+    /// over a wider occupant pays for the occupant's tail column.
+    #[test]
+    fn overlay_swap_over_a_wider_base_counts_the_tail() {
+        let spec = fpga::device::part("VF400");
+        let (lib, narrow, wide) = width_pair(spec);
+        let mut m = OverlayManager::new(
+            lib,
+            ConfigTiming {
+                spec,
+                port: ConfigPort::SerialFast,
+            },
+            vec![],
+            spec.cols,
+            Replacement::Lru,
+        )
+        .unwrap();
+        m.enable_delta();
+        assert!(matches!(
+            m.activate(TaskId(0), wide),
+            Activation::Ready { .. }
+        ));
+        m.op_done(TaskId(0), wide);
+        let overhead = match m.activate(TaskId(1), narrow) {
+            Activation::Ready { overhead } => overhead,
+            other => panic!("{other:?}"),
+        };
+        assert_eq!(overhead, SimDuration::from_nanos(2_030_000));
+        assert_eq!(m.delta_stats().unwrap(), stats(1, 1, 2, 1, 0));
     }
 }

@@ -333,9 +333,9 @@ impl PartitionManager {
         Some(overhead)
     }
 
-    /// Evict the least-recently-used idle resident circuit wider or equal
-    /// to nothing in particular — any eviction frees columns. Returns true
-    /// if something was evicted.
+    /// Evict the least-recently-used idle resident circuit, whatever its
+    /// width: any eviction frees columns, and the caller retries after
+    /// each one. Returns true if something was evicted.
     fn evict_lru_idle(&mut self) -> bool {
         let victim = self
             .parts
