@@ -9,19 +9,32 @@
 //! any measured value above its ceiling fails. A change that lowers a
 //! counter writes the new value, so the file's history is the trajectory.
 //!
-//! The only shape so far is `churn`: the `churn` benchmark's system at 200
-//! tasks — the `workload::suite` library at VF400 rows, variable partitions
-//! with delta reconfiguration, EDF with a 10 ms slice, and the churn
-//! admission gate. Counted from building the manager to the returned
-//! report, on this thread only (a per-thread counting allocator; a
-//! `realloc` counts as one allocation of its new size).
+//! Three counters a task, on this thread only (a per-thread counting
+//! allocator): allocations, bytes allocated (a `realloc` counts as one
+//! allocation of its new size), and peak live bytes — the high-water mark
+//! of bytes allocated minus bytes freed over the counted window, the
+//! deterministic stand-in for the benchmark's `peak_rss_mb`.
 //!
-//! Seeded violations, both of which fail it: a per-pair
-//! `fpga::Bitstream::diff` of the two circuits' `(0, 0)` streams put back
-//! into `DeltaTable::changed_frames` (the load path's pricing) reads 89.8
-//! allocations and 54,048 bytes a task; the same diff memoised per pair
-//! over stored streams, as pricing was before column images, reads 34.1
-//! and 16,550. The ceilings are 4.675 and 1,237.
+//! Two shapes, both over the `workload::suite` library at VF400 rows:
+//!
+//! * `churn` — the `churn` benchmark's system at 200 tasks: variable
+//!   partitions with delta reconfiguration, EDF with a 10 ms slice, and the
+//!   churn admission gate. Counted from building the manager to the
+//!   returned report. Seeded violations: a per-pair `fpga::Bitstream::diff`
+//!   of the two circuits' `(0, 0)` streams put back into
+//!   `DeltaTable::changed_frames` (the load path's pricing) reads 89.8
+//!   allocations and 54,048 bytes a task; the same diff memoised per pair
+//!   over stored streams, as pricing was before column images, reads 34.1
+//!   and 16,550.
+//! * `stream` — the `stream` benchmark's system at 6,000 tasks: Poisson
+//!   tasks of four FPGA runs, dynamic loading with state save/restore under
+//!   round-robin with a 10 ms slice. Counted from generating the specs to
+//!   the returned report, holding the specs and running a clone, as the
+//!   benchmark does. Seeded violations, each of which fails it: programs
+//!   grown op by op (`Vec::new()` in `workload::poisson_tasks`) read 6.002
+//!   allocations, 984.1 bytes and 791.9 peak live bytes a task; the report
+//!   collected into a fresh vector instead of over the spec table reads
+//!   784.1 bytes and 783.9 peak live bytes (and fails `churn`'s three rows).
 //!
 //! Debug builds run invariant checkers that allocate, so the test runs
 //! only under `--release` (`ci.sh` does).
@@ -31,24 +44,41 @@ use std::cell::Cell;
 use std::path::Path;
 use std::sync::Arc;
 
+use fpga::DeviceSpec;
 use fsim::{SimDuration, SimRng};
-use vfpga::{AdmissionPolicy, EdfScheduler, SchedulabilityConfig, System as VSystem};
-use workload::{tenant_tasks, Domain, TenantMixParams};
+use vfpga::manager::dynload::DynLoadManager;
+use vfpga::{
+    AdmissionPolicy, CircuitId, CircuitLib, EdfScheduler, PreemptAction, RoundRobinScheduler,
+    SchedulabilityConfig, System as VSystem,
+};
+use workload::{poisson_tasks, tenant_tasks, Domain, TenantMixParams};
 
 thread_local! {
     static COUNTING: Cell<bool> = const { Cell::new(false) };
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
     static BYTES: Cell<u64> = const { Cell::new(0) };
+    static LIVE: Cell<i64> = const { Cell::new(0) };
+    static PEAK: Cell<i64> = const { Cell::new(0) };
 }
 
-/// The system allocator, counting calls and bytes on threads that opted in.
+/// The system allocator, counting calls, bytes and live bytes on threads
+/// that opted in.
 struct Counting;
 
-fn count(bytes: usize) {
+/// Book one call: `allocated` bytes handed out by it (`None` for a free),
+/// `live` the change in bytes held.
+fn book(allocated: Option<usize>, live: i64) {
     let _ = COUNTING.try_with(|on| {
         if on.get() {
-            ALLOCS.with(|a| a.set(a.get() + 1));
-            BYTES.with(|b| b.set(b.get() + bytes as u64));
+            if let Some(bytes) = allocated {
+                ALLOCS.with(|a| a.set(a.get() + 1));
+                BYTES.with(|b| b.set(b.get() + bytes as u64));
+            }
+            let now = LIVE.with(|l| {
+                l.set(l.get() + live);
+                l.get()
+            });
+            PEAK.with(|p| p.set(p.get().max(now)));
         }
     });
 }
@@ -58,21 +88,22 @@ fn count(bytes: usize) {
 // that never allocate.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count(layout.size());
+        book(Some(layout.size()), layout.size() as i64);
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count(layout.size());
+        book(Some(layout.size()), layout.size() as i64);
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count(new_size);
+        book(Some(new_size), new_size as i64 - layout.size() as i64);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        book(None, -(layout.size() as i64));
         unsafe { System.dealloc(ptr, layout) }
     }
 }
@@ -80,22 +111,37 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOC: Counting = Counting;
 
-/// `(allocations, bytes)` made on this thread while `f` runs.
-fn counted<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
+/// One shape's measured counters, by name.
+type Rows = [(&'static str, f64); 3];
+
+/// `f`'s result and the budget rows of `tasks` tasks it cost on this
+/// thread: allocations, bytes allocated and peak live bytes, each a task.
+/// Whatever `f` returns is dropped after the window closes.
+fn counted<T>(tasks: usize, f: impl FnOnce() -> T) -> (T, Rows) {
     let (a0, b0) = (ALLOCS.with(Cell::get), BYTES.with(Cell::get));
+    LIVE.with(|l| l.set(0));
+    PEAK.with(|p| p.set(0));
     COUNTING.with(|on| on.set(true));
     let out = f();
     COUNTING.with(|on| on.set(false));
     let (a1, b1) = (ALLOCS.with(Cell::get), BYTES.with(Cell::get));
-    (out, a1 - a0, b1 - b0)
+    let per_task = |n: u64| n as f64 / tasks as f64;
+    let rows = [
+        ("allocs_per_task", per_task(a1 - a0)),
+        ("bytes_per_task", per_task(b1 - b0)),
+        (
+            "peak_live_bytes_per_task",
+            per_task(PEAK.with(Cell::get) as u64),
+        ),
+    ];
+    (out, rows)
 }
 
 const CHURN_TASKS: usize = 200;
+const STREAM_TASKS: usize = 6_000;
+const SLICE: SimDuration = SimDuration::from_millis(10);
 
-/// `churn`'s allocations and bytes allocated per task.
-fn churn_budget() -> Vec<(&'static str, f64)> {
-    let spec = fpga::device::part("VF400");
-    let (lib, ids) = bench::setup::compile_suite_lib(&Domain::ALL, spec);
+fn churn_budget(lib: &Arc<CircuitLib>, ids: &[CircuitId], spec: DeviceSpec) -> Rows {
     let specs = tenant_tasks(
         &TenantMixParams {
             base: bench::setup::os_mix(CHURN_TASKS, SimDuration::from_millis(80)),
@@ -104,7 +150,7 @@ fn churn_budget() -> Vec<(&'static str, f64)> {
             deadline_spread: 0.5,
             ..Default::default()
         },
-        &ids,
+        ids,
         &mut SimRng::new(2833),
     );
     let admission = AdmissionPolicy {
@@ -114,12 +160,12 @@ fn churn_budget() -> Vec<(&'static str, f64)> {
         degradation: None,
         schedulability: Some(SchedulabilityConfig { margin: 1.0 }),
     };
-    let (report, allocs, bytes) = counted(|| {
-        let mut mgr = bench::setup::variable_partitions(&lib, bench::setup::serial_fast(spec));
+    let (report, rows) = counted(CHURN_TASKS, || {
+        let mut mgr = bench::setup::variable_partitions(lib, bench::setup::serial_fast(spec));
         mgr.enable_delta();
-        let sched = EdfScheduler::for_tasks(&specs, Some(SimDuration::from_millis(10)));
+        let sched = EdfScheduler::for_tasks(&specs, Some(SLICE));
         VSystem::new(
-            Arc::clone(&lib),
+            Arc::clone(lib),
             mgr,
             sched,
             bench::setup::save_restore(),
@@ -132,11 +178,29 @@ fn churn_budget() -> Vec<(&'static str, f64)> {
     });
     let delta = report.delta.expect("delta is enabled");
     assert!(delta.delta_downloads > 0, "the run must price deltas");
-    let per_task = |n: u64| n as f64 / CHURN_TASKS as f64;
-    vec![
-        ("allocs_per_task", per_task(allocs)),
-        ("bytes_per_task", per_task(bytes)),
-    ]
+    rows
+}
+
+fn stream_budget(lib: &Arc<CircuitLib>, ids: &[CircuitId], spec: DeviceSpec) -> Rows {
+    let ((specs, report), rows) = counted(STREAM_TASKS, || {
+        let mix = bench::setup::os_mix(STREAM_TASKS, SimDuration::from_millis(100));
+        let specs = poisson_tasks(&mix, ids, &mut SimRng::new(2833));
+        let timing = bench::setup::serial_fast(spec);
+        let mgr = DynLoadManager::new(Arc::clone(lib), timing, PreemptAction::SaveRestore);
+        let report = VSystem::new(
+            Arc::clone(lib),
+            mgr,
+            RoundRobinScheduler::new(SLICE),
+            bench::setup::save_restore(),
+            specs.clone(),
+        )
+        .run()
+        .expect("stream runs to completion");
+        (specs, report)
+    });
+    assert_eq!(report.tasks.len(), specs.len());
+    assert!(report.manager_stats.state_saves > 0, "the run must preempt");
+    rows
 }
 
 #[test]
@@ -148,21 +212,28 @@ fn work_stays_within_its_budget() {
     let here = std::env::var("CARGO_MANIFEST_DIR").expect("cargo runs the tests");
     let path = Path::new(&here).join("budgets.txt");
     let text = std::fs::read_to_string(&path).expect("budgets.txt exists");
-    let measured = churn_budget();
+    let spec = fpga::device::part("VF400");
+    let (lib, ids) = bench::setup::compile_suite_lib(&Domain::ALL, spec);
+    let shapes = [
+        ("churn", churn_budget(&lib, &ids, spec)),
+        ("stream", stream_budget(&lib, &ids, spec)),
+    ];
     let mut over = Vec::new();
-    for (name, value) in &measured {
-        let row = text
-            .lines()
-            .map(str::split_whitespace)
-            .map(|mut w| (w.next(), w.next(), w.next()))
-            .find(|&(shape, counter, _)| shape == Some("churn") && counter == Some(name));
-        let ceiling: f64 = match row {
-            Some((_, _, Some(v))) => v.parse().expect("a ceiling is a number"),
-            _ => panic!("budgets.txt has no `churn {name}` row"),
-        };
-        println!("churn {name} {value:.3} (ceiling {ceiling})");
-        if *value > ceiling {
-            over.push(format!("churn {name}: {value:.3} > {ceiling}"));
+    for (shape, rows) in shapes {
+        for (name, value) in rows {
+            let row = text
+                .lines()
+                .map(str::split_whitespace)
+                .map(|mut w| (w.next(), w.next(), w.next()))
+                .find(|&(s, counter, _)| s == Some(shape) && counter == Some(name));
+            let ceiling: f64 = match row {
+                Some((_, _, Some(v))) => v.parse().expect("a ceiling is a number"),
+                _ => panic!("budgets.txt has no `{shape} {name}` row"),
+            };
+            println!("{shape} {name} {value:.3} (ceiling {ceiling})");
+            if value > ceiling {
+                over.push(format!("{shape} {name}: {value:.3} > {ceiling}"));
+            }
         }
     }
     assert!(over.is_empty(), "over budget: {over:?}");

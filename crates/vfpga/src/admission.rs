@@ -647,7 +647,7 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
         if self.slots[ti].op_done_so_far != SimDuration::ZERO {
             return false;
         }
-        let hang = self.specs[ti].hang_op == Some(self.slots[ti].op_idx);
+        let hang = self.specs[ti].hang_op == Some(self.slots[ti].op_idx as usize);
         let resident = || manager.resident_regions().iter().any(|r| r.cid == circuit);
         let Some(sw_ns) = adm.degrade(ti, circuit, hang, resident) else {
             return false;

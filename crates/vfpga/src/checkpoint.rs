@@ -719,7 +719,7 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
             if slot.arrival != spec.arrival {
                 return Err(format!("task '{}' arrives at another time", spec.name));
             }
-            if !slot.state.is_terminal() && slot.op_idx >= spec.ops.len() {
+            if !slot.state.is_terminal() && slot.op_idx as usize >= spec.ops.len() {
                 return Err(format!("live task '{}' is past its last op", spec.name));
             }
         }

@@ -857,7 +857,7 @@ fn damaged_images_are_errors_not_panics() {
         let err = SystemImage::from_json(&doc).unwrap_err();
         assert!(err.contains(name.as_str()), "column '{name}': {err}");
     }
-    for name in ["dl_attempts", "fault_restarts"] {
+    for name in ["op_idx", "rollbacks", "dl_attempts", "fault_restarts"] {
         let mut doc = good.clone();
         items(&mut items(field(&mut doc, "tasks"))[0])[column(name)] =
             Json::from(u64::from(u32::MAX) + 1);

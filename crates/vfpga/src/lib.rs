@@ -27,12 +27,12 @@
 //!   a replaceable overlay area (LRU/FIFO/LFU),
 //! * [`manager::merged`] — the §3 "trivial solution": merge all circuits
 //!   into one and ignore unused outputs,
-//! * [`vmem`] — §2 segmentation and pagination of a single over-large
-//!   function, with demand loading and page replacement,
-//! * [`iomux`] — §2 input/output multiplexing: more virtual pins than
-//!   physical ones by time-division multiplexing,
-//! * [`syscall`] — the §3 declaration-time API (`fpga_open`-style) that
-//!   fills the OS circuit tables,
+//! * [`vmem`] — §2 segmentation and demand pagination of one over-large
+//!   function: a stand-alone reference model E8 drives, not a manager,
+//! * [`iomux`] — §2 I/O multiplexing, more virtual pins than physical ones
+//!   by time division: likewise a stand-alone model, driven by E9,
+//! * [`syscall`] — the §3 `fpga_open`-style declaration API filling the OS
+//!   circuit tables, driven only by `examples/network_interface.rs`,
 //! * [`metrics`] — the accounting every experiment reports,
 //! * [`recovery`] / [`error`] — fault detection and recovery: retry of
 //!   CRC-rejected downloads, configuration scrubbing with upset repair,

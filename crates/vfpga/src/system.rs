@@ -249,6 +249,14 @@ pub struct System<M: FpgaManager, S: Scheduler> {
 
 type RunProbe<M> = Box<dyn FnOnce(&M, QueueStats) + Send>;
 
+// `into_report` collects the rows over the spec table, which std does in
+// place only while a row has a spec's size and alignment.
+const _: () = assert!(
+    size_of::<TaskMetrics>() == size_of::<TaskSpec>()
+        && align_of::<TaskMetrics>() == align_of::<TaskSpec>(),
+    "TaskMetrics no longer fits TaskSpec: the report would fall back to a fresh vector"
+);
+
 impl<M: FpgaManager, S: Scheduler> System<M, S> {
     /// Build a system over a task set.
     pub fn new(
@@ -611,12 +619,19 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
         if let Some(probe) = self.run_probe.take() {
             probe(&self.dev.manager, self.queue.stats());
         }
-        // The rows take the names out of the specs; nothing below reads them.
+        // The per-tenant series are the one reader of the specs after the
+        // rows, so they take the tenant ids first.
+        let tenants: Vec<u32> = match self.lat {
+            Some(_) => self.specs.iter().map(|s| s.tenant).collect(),
+            None => Vec::new(),
+        };
+        // Each row is written in the place of its spec: the collect reuses
+        // the spec table, the name moves into the row, the program is freed.
         let tasks: Vec<TaskMetrics> = self
-            .slots
-            .iter()
-            .zip(&mut self.specs)
-            .map(|(slot, spec)| slot.metrics(std::mem::take(&mut spec.name)))
+            .specs
+            .into_iter()
+            .zip(&self.slots)
+            .map(|(spec, slot)| slot.metrics(spec.name))
             .collect();
         let makespan = tasks
             .iter()
@@ -635,8 +650,7 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
         if let Some(lat) = self.lat.as_mut() {
             // Per-tenant tails: `@t<n>` labels keep one series per tenant
             // so E17-style sweeps expose p99 turnaround, not just means.
-            for (m, spec) in tasks.iter().zip(&self.specs) {
-                let tenant = spec.tenant;
+            for (m, tenant) in tasks.iter().zip(tenants) {
                 lat.record(&format!("turnaround@t{tenant}"), m.turnaround().as_nanos());
                 lat.record(&format!("waiting@t{tenant}"), m.waiting().as_nanos());
             }
@@ -716,9 +730,10 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
             // excess is refunded from `overhead_time`, the only quantity
             // booked ahead of time (CPU, FPGA, degraded and lost time are
             // booked when a segment ends).
-            let row = slot.metrics(String::new());
-            let excess = row.accounted().saturating_sub(row.turnaround());
-            slot.overhead_time = slot.overhead_time.saturating_sub(excess);
+            let booked = slot.cpu_time + slot.fpga_time + slot.degraded_time;
+            let booked = booked + slot.lost_time + slot.fault_lost_time;
+            let lifetime = slot.completion - slot.arrival;
+            slot.overhead_time = slot.overhead_time.min(lifetime.saturating_sub(booked));
         }
         self.unfinished -= 1;
         self.fault.tasks_failed += u64::from(matches!(kind, Exit::Failed(_)));
@@ -927,8 +942,8 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
             // hardware segment runs open-ended — never sliced, no
             // completion timer. Only the watchdog armed below, or the
             // end-of-run deadlock sweep, can reclaim the CPU.
-            let hanging =
-                fpga_ctx.is_some() && self.specs[ti].hang_op == Some(self.slots[ti].op_idx);
+            let hanging = fpga_ctx.is_some()
+                && self.specs[ti].hang_op == Some(self.slots[ti].op_idx as usize);
 
             // Segment length: slice for CPU ops; FPGA ops are sliced only
             // when the preemption policy permits interruption.

@@ -556,6 +556,51 @@ fn failover_receipt_partitions_the_source_journal() {
     );
 }
 
+#[test]
+fn latency_profile_keeps_every_tenant_series() {
+    // The per-tenant series are recorded after the report's rows have
+    // taken the spec table over, from the tenant ids read before it. Four
+    // tenants of uneven size (8, 8, 7, 7 tasks); every series' count and
+    // maximum were written from the build that still read the specs.
+    let (lib, ids) = lib_mixed(3);
+    let specs = (0..30u64)
+        .map(|i| {
+            let mut s = fpga_task(&format!("t{i}"), i, ids[i as usize % 3], 20_000 + 3_000 * i);
+            s.ops.push(Op::Cpu(us(300 + 50 * i)));
+            s.with_tenant(i as u32 % 4)
+        })
+        .collect();
+    let preempt = PreemptAction::SaveRestore;
+    let mgr = DynLoadManager::new(lib.clone(), timing(), preempt);
+    let config = SystemConfig {
+        preempt,
+        ..Default::default()
+    };
+    let r = System::new(lib, mgr, RoundRobinScheduler::new(ms(1)), config, specs)
+        .with_latency_profile()
+        .run()
+        .unwrap();
+    let lat = r.latency.expect("profiled");
+    let series: Vec<(&str, u64, u64)> = lat
+        .iter()
+        .filter(|(label, _)| label.contains("@t"))
+        .map(|(label, h)| (label, h.count(), h.max_ns()))
+        .collect();
+    assert_eq!(
+        series,
+        [
+            ("turnaround@t0", 8, 187_682_000),
+            ("turnaround@t1", 8, 185_330_000),
+            ("turnaround@t2", 7, 187_980_000),
+            ("turnaround@t3", 7, 190_780_000),
+            ("waiting@t0", 8, 175_582_000),
+            ("waiting@t1", 8, 170_902_000),
+            ("waiting@t2", 7, 179_071_000),
+            ("waiting@t3", 7, 182_345_000),
+        ]
+    );
+}
+
 /// Events a 2,000-task `stream`-shaped run schedules, pinned by the build
 /// that still scheduled every segment end through the queue: holding the
 /// segment end outside it neither adds nor elides an event.

@@ -201,7 +201,7 @@ pub(crate) struct TaskSlot {
     /// Lifecycle state.
     pub state: TaskState,
     /// Index of the current op.
-    pub op_idx: usize,
+    pub op_idx: u32,
     /// Remaining time of the current op.
     pub op_remaining: SimDuration,
     /// Full duration of the current FPGA op (for rollback); zero until
@@ -209,8 +209,9 @@ pub(crate) struct TaskSlot {
     pub op_full: SimDuration,
     /// Executed time of the current op so far (rollback loss account).
     pub op_done_so_far: SimDuration,
-    /// Consecutive rollbacks of the current op (livelock guard).
-    pub rollbacks: u64,
+    /// Consecutive rollbacks of the current op (livelock guard; the
+    /// kernel panics at 100,000).
+    pub rollbacks: u32,
     /// Corrupt download attempts in the current request streak.
     pub dl_attempts: u32,
     /// Fault-recovery restarts of the current op (cap guard).
@@ -252,6 +253,11 @@ pub(crate) struct TaskSlot {
     /// See [`TaskMetrics::lost_in_flight`].
     pub lost_in_flight: bool,
 }
+
+// One slot a task, in the kernel's table and in every capture: 136 bytes
+// with 32-bit `op_idx` and `rollbacks`.
+#[cfg(target_pointer_width = "64")]
+const _: () = assert!(size_of::<TaskSlot>() == 136, "a TaskSlot is 136 bytes");
 
 /// Full duration of an op as far as the spec knows it; FPGA run durations
 /// depend on the circuit clock, so they are zero here and the system
@@ -297,13 +303,13 @@ impl TaskSlot {
 
     /// The current op of `spec`'s program, if any remain.
     pub fn current_op(&self, spec: &TaskSpec) -> Option<Op> {
-        spec.ops.get(self.op_idx).copied()
+        spec.ops.get(self.op_idx as usize).copied()
     }
 
     /// Advance to the next op; returns false when the program is finished.
     pub fn advance_op(&mut self, spec: &TaskSpec) -> bool {
         self.op_idx += 1;
-        let next = spec.ops.get(self.op_idx);
+        let next = spec.ops.get(self.op_idx as usize);
         if next.is_some() {
             self.op_remaining = spec_duration(next);
         }

@@ -43,12 +43,25 @@ pub fn poisson_tasks(
     circuits: &[CircuitId],
     rng: &mut SimRng,
 ) -> Vec<TaskSpec> {
+    poisson_named(params, circuits, rng, |i| format!("task{i}"))
+}
+
+/// [`poisson_tasks`] with task `i` named `name(i)`. Each program is
+/// allocated once at its final length: `2k + 1` ops for `k` FPGA runs.
+fn poisson_named(
+    params: &MixParams,
+    circuits: &[CircuitId],
+    rng: &mut SimRng,
+    name: impl Fn(usize) -> String,
+) -> Vec<TaskSpec> {
     assert!(!circuits.is_empty(), "need at least one circuit");
     let mut specs = Vec::with_capacity(params.tasks);
     let mut at = SimTime::ZERO;
+    let runs = params.fpga_ops_per_task;
+    let len = 2 * runs + usize::from(runs > 0);
     for i in 0..params.tasks {
         at += SimDuration::from_secs_f64(rng.exp(params.mean_interarrival.as_secs_f64()));
-        let mut ops = Vec::new();
+        let mut ops = Vec::with_capacity(len);
         for k in 0..params.fpga_ops_per_task {
             ops.push(Op::Cpu(SimDuration::from_secs_f64(
                 rng.exp(params.mean_cpu_burst.as_secs_f64()).max(1e-6),
@@ -65,7 +78,7 @@ pub fn poisson_tasks(
                 )));
             }
         }
-        specs.push(TaskSpec::new(format!("task{i}"), at, ops));
+        specs.push(TaskSpec::new(name(i), at, ops));
     }
     specs
 }
@@ -132,13 +145,15 @@ pub fn tenant_tasks(
         "deadline_spread must be in [0, 1)"
     );
     let mut dl_rng = rng.derive(0xD11E);
-    let specs = poisson_tasks(&params.base, circuits, rng);
+    let tenant_of = |i: usize| i as u32 % params.tenants;
+    let specs = poisson_named(&params.base, circuits, rng, |i| {
+        format!("tn{}-task{i}", tenant_of(i))
+    });
     specs
         .into_iter()
         .enumerate()
         .map(|(i, mut s)| {
-            let tenant = i as u32 % params.tenants;
-            s.name = format!("tn{tenant}-task{i}");
+            let tenant = tenant_of(i);
             s = s.with_tenant(tenant);
             if params.affinity_devices > 0 {
                 s = s.with_affinity(tenant % params.affinity_devices);
@@ -208,7 +223,7 @@ pub fn periodic_tasks(
     cpu_burst: SimDuration,
     cycles: u64,
 ) -> Vec<TaskSpec> {
-    let mut specs = Vec::new();
+    let mut specs = Vec::with_capacity(periods.len() * jobs);
     for (ti, &(cid, period)) in periods.iter().enumerate() {
         for j in 0..jobs {
             let arrival = SimTime::ZERO + period * j as u64;
@@ -424,6 +439,33 @@ mod tests {
         let p0 = specs.iter().find(|s| s.name.starts_with("p0")).unwrap();
         let p1 = specs.iter().find(|s| s.name.starts_with("p1")).unwrap();
         assert!(p0.priority > p1.priority);
+    }
+
+    #[test]
+    fn programs_are_allocated_at_their_final_length() {
+        let tenant = TenantMixParams {
+            tenants: 3,
+            ..Default::default()
+        };
+        let periods = [(CircuitId(0), SimDuration::from_millis(10))];
+        for ops_per_task in [0, 1, 4] {
+            let base = MixParams {
+                fpga_ops_per_task: ops_per_task,
+                ..Default::default()
+            };
+            let sets = [
+                poisson_tasks(&base, &cids(3), &mut SimRng::new(5)),
+                tenant_tasks(
+                    &TenantMixParams { base, ..tenant },
+                    &cids(3),
+                    &mut SimRng::new(5),
+                ),
+                periodic_tasks(&periods, 3, SimDuration::from_micros(100), 1000),
+            ];
+            for s in sets.iter().flatten() {
+                assert_eq!(s.ops.capacity(), s.ops.len(), "{}", s.name);
+            }
+        }
     }
 
     #[test]

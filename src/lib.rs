@@ -10,8 +10,10 @@
 //!   RAM, bitstreams, timing, executable fabric),
 //! * [`pnr`] — the mini CAD flow (pack, place, route, time, emit),
 //! * [`vfpga`] — **the paper's contribution**: the operating-system layer
-//!   (dynamic loading, partitioning, overlaying, segmentation, pagination,
-//!   I/O multiplexing, schedulers, the system simulator),
+//!   (dynamic loading, partitioning and overlaying as the managers the
+//!   system simulator runs under its schedulers; segmentation, pagination
+//!   and I/O multiplexing as stand-alone reference models that experiments
+//!   E8 and E9 drive),
 //! * [`workload`] — application suites and task-mix generators.
 //!
 //! See `README.md` for a tour, `DESIGN.md` for the system inventory, and
