@@ -45,13 +45,15 @@ echo "==> checkpoint codec suite, image goldens, image tests and capture window,
 # the benchmark's release build the check is compiled out.
 cargo test -q --release -p vfpga --lib -- image capture_window
 
-echo "==> event queue oracle and the kernel's segment-end gates, release"
+echo "==> event queue oracle, the kernel's segment-end gates and rendered arrivals, release"
 # The benchmark's kernel holds the running segment's end outside the
-# queue; the oracle holds an event the same way against the heap-only
-# queue, the gate counts a stream-shaped run's events and heap pushes,
-# and the tie test pins capture and restore order at one instant.
+# queue and reads arrivals off the task table; the oracle holds an event
+# the same way against a queue that holds every event, the gate counts a
+# stream-shaped run's events and heap pushes, the tie test pins capture
+# and restore order at one instant, and the strict reader accepts a
+# rendered arrival only where the task table puts it.
 cargo test -q --release -p fsim --test event_queue_oracle
-cargo test -q --release -p vfpga --lib -- segment_end
+cargo test -q --release -p vfpga --lib -- segment_end rendered_arrivals
 
 echo "==> cut equivalence, wide matrix, release"
 # Every event instant of a 40-task run, cut and adopted typed and through

@@ -15,7 +15,7 @@
 //! of bytes allocated minus bytes freed over the counted window, the
 //! deterministic stand-in for the benchmark's `peak_rss_mb`.
 //!
-//! Two shapes, both over the `workload::suite` library at VF400 rows:
+//! Three shapes, all over the `workload::suite` library at VF400 rows:
 //!
 //! * `churn` — the `churn` benchmark's system at 200 tasks: variable
 //!   partitions with delta reconfiguration, EDF with a 10 ms slice, and the
@@ -35,6 +35,12 @@
 //!   allocations, 984.1 bytes and 791.9 peak live bytes a task; the report
 //!   collected into a fresh vector instead of over the spec table reads
 //!   784.1 bytes and 783.9 peak live bytes (and fails `churn`'s three rows).
+//! * `durable` — the `durable` benchmark's system at 2,000 tasks: the
+//!   `stream` system at a third of its load, with delta checkpoints every
+//!   5 s (a full image every fourth) and ten seeded host crashes, each
+//!   restored from the last capture. Counted from the first build to the
+//!   returned report, each incarnation built from a clone of the held
+//!   specs, as the benchmark does.
 //!
 //! Debug builds run invariant checkers that allocate, so the test runs
 //! only under `--release` (`ci.sh` does).
@@ -45,11 +51,11 @@ use std::path::Path;
 use std::sync::Arc;
 
 use fpga::DeviceSpec;
-use fsim::{SimDuration, SimRng};
+use fsim::{CrashPlan, SimDuration, SimRng};
 use vfpga::manager::dynload::DynLoadManager;
 use vfpga::{
-    AdmissionPolicy, CircuitId, CircuitLib, EdfScheduler, PreemptAction, RoundRobinScheduler,
-    SchedulabilityConfig, System as VSystem,
+    run_with_crashes, AdmissionPolicy, CheckpointConfig, CircuitId, CircuitLib, EdfScheduler,
+    PreemptAction, RoundRobinScheduler, SchedulabilityConfig, System as VSystem,
 };
 use workload::{poisson_tasks, tenant_tasks, Domain, TenantMixParams};
 
@@ -139,6 +145,7 @@ fn counted<T>(tasks: usize, f: impl FnOnce() -> T) -> (T, Rows) {
 
 const CHURN_TASKS: usize = 200;
 const STREAM_TASKS: usize = 6_000;
+const DURABLE_TASKS: usize = 2_000;
 const SLICE: SimDuration = SimDuration::from_millis(10);
 
 fn churn_budget(lib: &Arc<CircuitLib>, ids: &[CircuitId], spec: DeviceSpec) -> Rows {
@@ -203,6 +210,37 @@ fn stream_budget(lib: &Arc<CircuitLib>, ids: &[CircuitId], spec: DeviceSpec) -> 
     rows
 }
 
+fn durable_budget(lib: &Arc<CircuitLib>, ids: &[CircuitId], spec: DeviceSpec) -> Rows {
+    let interarrival = SimDuration::from_millis(250);
+    let mix = bench::setup::os_mix(DURABLE_TASKS, interarrival);
+    let specs = poisson_tasks(&mix, ids, &mut SimRng::new(2833));
+    let ckpt = CheckpointConfig::new(SimDuration::from_secs(5)).with_delta_checkpoints(4);
+    // Ten crashes over the run: the cap binds.
+    let sim_s = (interarrival * DURABLE_TASKS as u64).as_secs_f64();
+    let crashes = CrashPlan {
+        seed: 0xC4A5,
+        crash_rate_per_s: 20.0 / sim_s,
+        max_crashes: 10,
+    };
+    let build = || {
+        let timing = bench::setup::serial_fast(spec);
+        let mgr = DynLoadManager::new(Arc::clone(lib), timing, PreemptAction::SaveRestore);
+        VSystem::new(
+            Arc::clone(lib),
+            mgr,
+            RoundRobinScheduler::new(SLICE),
+            bench::setup::save_restore(),
+            specs.clone(),
+        )
+    };
+    let (report, rows) = counted(DURABLE_TASKS, || {
+        run_with_crashes(build, ckpt, crashes).expect("durable runs to completion")
+    });
+    assert_eq!(report.crash.crashes, 10, "every crash of the plan strikes");
+    assert!(report.crash.checkpoints > 50, "the run must capture");
+    rows
+}
+
 #[test]
 #[cfg_attr(
     debug_assertions,
@@ -217,6 +255,7 @@ fn work_stays_within_its_budget() {
     let shapes = [
         ("churn", churn_budget(&lib, &ids, spec)),
         ("stream", stream_budget(&lib, &ids, spec)),
+        ("durable", durable_budget(&lib, &ids, spec)),
     ];
     let mut over = Vec::new();
     for (shape, rows) in shapes {

@@ -6,29 +6,12 @@
 //! stability is load-bearing: the OS simulator schedules "preempt task" and
 //! "start next task" at the same instant and relies on insertion order.
 //!
-//! # Two lanes
-//!
-//! A simulator's traffic is not heap-shaped: arrivals are generated
-//! sorted and loaded up front (hundreds of thousands of them), while only
-//! a handful of dynamically scheduled events (a timer, a dispatch) are in
-//! flight at any instant — almost always earlier than every pending
-//! arrival. In a single heap each of those sifts from a leaf to the root
-//! and back down through a structure that does not fit in cache.
-//!
-//! So the pending set is split. The *run lane* is a `VecDeque` kept
-//! nondecreasing in `at`: [`schedule_at`](EventQueue::schedule_at)
-//! appends to it whenever the new event fires no earlier than the lane's
-//! last one, and otherwise pushes to the heap. Sequence numbers only
-//! grow, so an appended event is later in `(at, seq)` than everything
-//! already in the lane and the lane is sorted by the full key. `pop`
-//! takes whichever of the two heads has the smaller `(at, seq)` — the
-//! minimum of the whole set, hence the same total order a single heap
-//! pops. Which lane an event rides is invisible to the caller.
-//!
-//! Degenerate traffic costs what the single heap did, plus one
-//! comparison an operation: a strictly descending preload puts one event
-//! in the lane and the rest in the heap; so does a far-future sentinel
-//! scheduled first.
+//! The queue is a binary heap of the events in flight. A simulator keeps
+//! what it can read off its own tables out of it: the OS simulator's
+//! arrivals are its task table's `Future` slots, served in arrival order
+//! and fired with [`advance`](EventQueue::advance), so the heap holds only
+//! the handful of events scheduled as the run goes — a dispatch, a
+//! checkpoint, a watchdog, a fault.
 //!
 //! # A held event
 //!
@@ -45,22 +28,13 @@
 //! total order is the one a queue holding every event pops, and
 //! [`QueueStats`] counts the held event as scheduled and pending.
 //!
-//! # The pending walk
-//!
 //! A checkpoint records the pending set in firing order without popping
-//! it ([`pending_in_order`](EventQueue::pending_in_order)). The lane is
-//! already in order and the heap holds a handful, so the walk sorts the
-//! heap's events and a caller's held one and, before each, appends the
-//! run of lane events that fires earlier — found by binary search in the
-//! lane's two ring-buffer slices, appended in one `extend` — then the rest
-//! of the lane. Its cost is the copy, plus a logarithm per in-flight event.
-//! It has no filter: an `extend` from a slice knows its length and copies
-//! without a check an element, which a filtered one cannot. A caller that
-//! drops events `retain`s what it got.
+//! it ([`pending_in_order`](EventQueue::pending_in_order)): the heap's few
+//! events and the held one, sorted.
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 /// An event of payload type `E` scheduled to fire at a given instant.
 #[derive(Debug, Clone, Copy)]
@@ -102,31 +76,25 @@ impl<E> Ord for ScheduledEvent<E> {
 }
 
 /// Lifetime counters of one [`EventQueue`]: how much traffic it saw and
-/// how the two lanes shared it. `peak_heap` is the number to read: heap
-/// operations cost the logarithm of the heap's size, so a large `via_heap`
-/// is harmless while `peak_heap` stays a handful (in-flight timers among
-/// a sorted preload), and a `peak_heap` that tracks `peak_pending` means
-/// the preload itself was scheduled out of order and pays heap prices.
-/// Events a caller holds outside the queue ([`EventQueue::reserve`])
-/// count in `scheduled` and `peak_pending` as if the queue held them,
-/// and in neither heap figure: they never enter it.
+/// how much of it went through the heap. `peak_heap` is the number to
+/// read: heap operations cost the logarithm of the heap's size, so it
+/// should stay a handful. Events a caller holds outside the queue
+/// ([`EventQueue::reserve`]) count in `scheduled` and `peak_pending` as if
+/// the queue held them, and in neither heap figure: they never enter it.
+/// Events a caller never puts in the queue ([`EventQueue::advance`]) count
+/// nowhere.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueueStats {
     /// Events ever scheduled or reserved (reloads after a `clear` count
     /// again).
     pub scheduled: u64,
-    /// Of those, the ones that fired before the run lane's last event
-    /// and went to the heap instead.
+    /// Of those, the ones that went to the heap: every one not held.
     pub via_heap: u64,
-    /// Most events pending at once, both lanes and the held ones together.
+    /// Most events pending at once, the held ones included.
     pub peak_pending: usize,
     /// Most events pending at once in the heap alone.
     pub peak_heap: usize,
 }
-
-/// Heap slots reserved by [`EventQueue::with_capacity`]: room for the
-/// handful of in-flight events a simulator keeps beside its preload.
-const HEAP_RESERVE: usize = 16;
 
 /// A deterministic pending-event set.
 ///
@@ -134,10 +102,6 @@ const HEAP_RESERVE: usize = 16;
 /// firing times, insertion order is preserved.
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    /// The run lane: nondecreasing in `(at, seq)`, appended at the back,
-    /// popped at the front.
-    lane: VecDeque<ScheduledEvent<E>>,
-    /// Every event that fired before the lane's last one when scheduled.
     heap: BinaryHeap<ScheduledEvent<E>>,
     next_seq: u64,
     now: SimTime,
@@ -158,27 +122,20 @@ impl<E> Default for EventQueue<E> {
 impl<E> EventQueue<E> {
     /// An empty queue positioned at `SimTime::ZERO`.
     pub fn new() -> Self {
+        Self::with_capacity(0)
+    }
+
+    /// An empty queue with space reserved for `capacity` pending events,
+    /// so filling it that far never reallocates.
+    pub fn with_capacity(capacity: usize) -> Self {
         EventQueue {
-            lane: VecDeque::new(),
-            heap: BinaryHeap::new(),
+            heap: BinaryHeap::with_capacity(capacity),
             next_seq: 0,
             now: SimTime::ZERO,
             held: 0,
             via_heap: 0,
             peak_pending: 0,
             peak_heap: 0,
-        }
-    }
-
-    /// An empty queue with space reserved for `capacity` pending events
-    /// scheduled in firing order (a sorted preload), so filling it never
-    /// reallocates. Out-of-order events get a small fixed reservation
-    /// and grow on demand.
-    pub fn with_capacity(capacity: usize) -> Self {
-        EventQueue {
-            lane: VecDeque::with_capacity(capacity),
-            heap: BinaryHeap::with_capacity(HEAP_RESERVE),
-            ..Self::new()
         }
     }
 
@@ -192,13 +149,13 @@ impl<E> EventQueue<E> {
     /// Number of pending events in the queue (held ones aside).
     #[inline]
     pub fn len(&self) -> usize {
-        self.lane.len() + self.heap.len()
+        self.heap.len()
     }
 
     /// Whether no events are pending in the queue (held ones aside).
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.lane.is_empty() && self.heap.is_empty()
+        self.heap.is_empty()
     }
 
     /// Traffic counters since the queue was built.
@@ -220,15 +177,10 @@ impl<E> EventQueue<E> {
     /// causality violation always indicates a bug in the caller.
     pub fn schedule_at(&mut self, at: SimTime, event: E) -> u64 {
         let seq = self.take_seq(at);
-        let ev = ScheduledEvent { at, seq, event };
-        if self.lane.back().is_none_or(|last| at >= last.at) {
-            self.lane.push_back(ev);
-        } else {
-            self.heap.push(ev);
-            self.via_heap += 1;
-            self.peak_heap = self.peak_heap.max(self.heap.len());
-        }
-        self.peak_pending = self.peak_pending.max(self.len() + self.held);
+        self.heap.push(ScheduledEvent { at, seq, event });
+        self.via_heap += 1;
+        self.peak_heap = self.peak_heap.max(self.heap.len());
+        self.peak_pending = self.peak_pending.max(self.heap.len() + self.held);
         seq
     }
 
@@ -244,7 +196,7 @@ impl<E> EventQueue<E> {
     pub fn reserve(&mut self, at: SimTime) -> u64 {
         let seq = self.take_seq(at);
         self.held += 1;
-        self.peak_pending = self.peak_pending.max(self.len() + self.held);
+        self.peak_pending = self.peak_pending.max(self.heap.len() + self.held);
         seq
     }
 
@@ -252,11 +204,19 @@ impl<E> EventQueue<E> {
     #[inline]
     pub fn fire_held(&mut self, at: SimTime) {
         debug_assert!(self.held > 0, "no event is held");
+        self.held -= 1;
+        self.advance(at);
+    }
+
+    /// An event the caller kept outside the queue fires at `at`, no later
+    /// than the queue's head: the clock advances to `at`, so scheduling
+    /// before it is a causality violation from here on.
+    #[inline]
+    pub fn advance(&mut self, at: SimTime) {
         debug_assert!(
             at >= self.now && self.head_key().is_none_or(|(head, _)| at <= head),
-            "a held event fired out of order"
+            "an event outside the queue fired out of order"
         );
-        self.held -= 1;
         self.now = at;
     }
 
@@ -280,25 +240,10 @@ impl<E> EventQueue<E> {
         self.schedule_at(at, event)
     }
 
-    /// Whether the earliest pending event sits in the heap rather than
-    /// at the front of the run lane.
-    #[inline]
-    fn heap_is_next(&self) -> bool {
-        match (self.lane.front(), self.heap.peek()) {
-            (Some(l), Some(h)) => h.key() < l.key(),
-            (None, Some(_)) => true,
-            (_, None) => false,
-        }
-    }
-
     /// Pop the earliest pending event, advancing the clock to its firing
     /// time. Returns `None` when the queue is empty (the clock stays put).
     pub fn pop(&mut self) -> Option<ScheduledEvent<E>> {
-        let ev = if self.heap_is_next() {
-            self.heap.pop()
-        } else {
-            self.lane.pop_front()
-        }?;
+        let ev = self.heap.pop()?;
         debug_assert!(ev.at >= self.now, "queue returned an event in the past");
         self.now = ev.at;
         Some(ev)
@@ -308,12 +253,7 @@ impl<E> EventQueue<E> {
     /// a held event's own key is compared with.
     #[inline]
     pub fn head_key(&self) -> Option<(SimTime, u64)> {
-        if self.heap_is_next() {
-            self.heap.peek()
-        } else {
-            self.lane.front()
-        }
-        .map(ScheduledEvent::key)
+        self.heap.peek().map(ScheduledEvent::key)
     }
 
     /// Firing time of the earliest pending event in the queue, if any.
@@ -324,13 +264,10 @@ impl<E> EventQueue<E> {
     /// Drop every pending event, held ones included (the clock is
     /// unchanged).
     pub fn clear(&mut self) {
-        self.lane.clear();
         self.heap.clear();
         self.held = 0;
     }
-}
 
-impl<E> EventQueue<E> {
     /// Append every pending event to `out`, in firing order, as `item`
     /// renders it — *without* disturbing the queue: neither the clock nor
     /// the pending set changes. `held` is the caller's held event, if it
@@ -338,32 +275,16 @@ impl<E> EventQueue<E> {
     /// Used by checkpointing, which must record the pending set and then
     /// keep running (a destructive drain would advance `now` and turn
     /// later `schedule_at` calls into causality panics), and by in-place
-    /// pruning; a caller that drops some events `retain`s `out` after.
-    ///
-    /// One walk: the heap's few events and the held one are sorted, and
-    /// the run of lane events that fires before each of them is found by
-    /// binary search and appended in one `extend`, so the lane costs no
-    /// comparison an event.
+    /// pruning.
     pub fn pending_in_order<T>(
         &self,
         out: &mut Vec<T>,
         held: Option<&ScheduledEvent<E>>,
-        mut item: impl FnMut(&ScheduledEvent<E>) -> T,
+        item: impl FnMut(&ScheduledEvent<E>) -> T,
     ) {
-        let mut strays: Vec<&ScheduledEvent<E>> = self.heap.iter().chain(held).collect();
-        strays.sort_unstable_by_key(|s| s.key());
-        out.reserve(self.lane.len() + strays.len());
-        let (mut front, mut back) = self.lane.as_slices();
-        for stray in strays {
-            let key = stray.key();
-            for half in [&mut front, &mut back] {
-                let run = half.partition_point(|e| e.key() < key);
-                out.extend(half[..run].iter().map(&mut item));
-                *half = &half[run..];
-            }
-            out.push(item(stray));
-        }
-        out.extend(front.iter().chain(back).map(item));
+        let mut pending: Vec<&ScheduledEvent<E>> = self.heap.iter().chain(held).collect();
+        pending.sort_unstable_by_key(|e| e.key());
+        out.extend(pending.into_iter().map(item));
     }
 }
 
@@ -452,44 +373,6 @@ mod tests {
     }
 
     #[test]
-    fn pending_walk_crosses_a_wrapped_lane() {
-        // Each arrival leaving at the front is replaced at the back, so the
-        // lane's head goes round its ring buffer; one in-flight event is
-        // always pending half-way down the lane.
-        let mut q = EventQueue::new();
-        for i in 0..12u64 {
-            q.schedule_at(SimTime(i * 10), i);
-        }
-        q.schedule_at(SimTime(55), 1000);
-        let (mut next, mut in_back) = (12, 0);
-        for i in 0..200u64 {
-            if q.pop().unwrap().event < 1000 {
-                q.schedule_at(SimTime(next * 10), next);
-                next += 1;
-            } else {
-                q.schedule_in(SimDuration::from_nanos(51 + i % 7), 1001 + i);
-            }
-            let stray = q.heap.peek().unwrap().key();
-            let back = q.lane.as_slices().1;
-            in_back += usize::from(back.first().is_some_and(|e| e.key() < stray));
-            let mut walked = Vec::new();
-            q.pending_in_order(&mut walked, None, ScheduledEvent::key);
-            let mut sorted: Vec<_> = q
-                .lane
-                .iter()
-                .chain(q.heap.iter())
-                .map(|e| e.key())
-                .collect();
-            sorted.sort_unstable();
-            assert_eq!(walked, sorted);
-        }
-        assert!(
-            in_back > 10,
-            "the stray fell in the wrapped half at {in_back} walks"
-        );
-    }
-
-    #[test]
     fn interleaved_schedule_pop_preserves_order() {
         let mut q = EventQueue::new();
         q.schedule_at(SimTime(10), 1);
@@ -501,32 +384,32 @@ mod tests {
     }
 
     #[test]
-    fn in_order_traffic_never_touches_the_heap() {
-        // The simulator's shape: a sorted preload, then timers that fire
-        // before the remaining arrivals.
-        let mut q = EventQueue::with_capacity(100);
-        for i in 0..100u64 {
-            q.schedule_at(SimTime(i * 10), i);
-        }
-        assert_eq!(q.stats().via_heap, 0);
-        assert_eq!(q.stats().peak_pending, 100);
-        for _ in 0..50 {
-            q.pop().unwrap();
-            q.schedule_in(SimDuration::from_nanos(5), 1000);
-            assert_eq!(q.pop().unwrap().event, 1000);
-        }
+    fn an_event_outside_the_queue_advances_its_clock() {
+        // Arrivals the caller reads off its own table: each fires no later
+        // than the queue's head, moves the clock, and counts nowhere.
+        let mut q = EventQueue::new();
+        q.schedule_at(SimTime(20), "timer");
+        q.advance(SimTime(10));
+        assert_eq!(q.now(), SimTime(10));
+        q.advance(SimTime(20));
+        assert_eq!(
+            q.pop().unwrap().event,
+            "timer",
+            "a tie leaves the head queued"
+        );
         let s = q.stats();
-        assert_eq!((s.scheduled, s.via_heap, s.peak_heap), (150, 50, 1));
-        assert_eq!(q.len(), 50);
+        assert_eq!((s.scheduled, s.via_heap, s.peak_pending), (1, 1, 1));
+        let late = std::panic::catch_unwind(move || q.schedule_at(SimTime(15), "late"));
+        assert!(late.is_err(), "the clock it moved guards causality");
     }
 
     #[test]
     fn a_held_event_keeps_its_place_in_the_order() {
-        // Arrivals every 10 ns; each arms a timer the caller holds, 5 ns
-        // on or tied with the next arrival, unless one is held already.
-        // The held timer fires by `(at, seq)` — after the older arrival it
-        // ties with — counts as scheduled and pending, and never touches
-        // the heap.
+        // Events every 10 ns; each arms a timer the caller holds, 5 ns on
+        // or tied with the next event, unless one is held already. The
+        // held timer fires by `(at, seq)` — after the older event it ties
+        // with — counts as scheduled and pending, and never touches the
+        // heap.
         let mut q = EventQueue::with_capacity(8);
         for i in 0..8u64 {
             q.schedule_at(SimTime(i * 10), i);
@@ -565,7 +448,7 @@ mod tests {
         let s = q.stats();
         assert_eq!(
             (s.scheduled, s.via_heap, s.peak_heap, s.peak_pending),
-            (13, 0, 0, 8)
+            (13, 8, 8, 8)
         );
         // A clear drops held events too: pending counts restart from it.
         for _ in 0..20 {

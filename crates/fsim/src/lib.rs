@@ -5,8 +5,8 @@
 //! simulation:
 //!
 //! * [`SimTime`] / [`SimDuration`] — nanosecond-resolution simulated time,
-//! * [`EventQueue`] — a stable (FIFO-on-tie) pending-event set: a sorted
-//!   run lane for in-order traffic beside a heap for the rest,
+//! * [`EventQueue`] — a stable (FIFO-on-tie) pending-event set: a heap of
+//!   the events in flight, beside which a caller may hold its own,
 //! * [`rng`] — a small deterministic PRNG plus the distributions the
 //!   workload generators need (uniform, exponential, Zipf, bounded Pareto),
 //! * [`stats`] — streaming summary statistics and fixed-bin histograms,

@@ -1,24 +1,22 @@
-//! The two-lane [`fsim::EventQueue`] against the queue it replaced.
+//! [`fsim::EventQueue`] and the event its caller holds outside it, against
+//! a queue that holds every event.
 //!
-//! `reference` is the `BinaryHeap`-only queue exactly as it stood before
-//! the run lane existed. Both queues are driven with the same calls and
-//! must agree on everything a caller can see: each popped
-//! `(at, seq, event)`, `now()`, `len()`, `is_empty()`, `peek_time()` and
-//! the pending set that `pending_in_order` walks, whole and filtered after
-//! as its callers filter it. Inputs come from [`SimRng`], so a failure
-//! names its seed.
-//!
-//! The new queue's caller may also hold one event outside it, as `System`
-//! holds the running segment's end: under a sequence number the queue
-//! reserves, fired when its `(at, seq)` is below the queue's head, walked
-//! with the pending set, and routed back to the caller on a reload. The
-//! reference queue receives that event like any other, and the two must
-//! still agree on every pop.
+//! `reference` is the `BinaryHeap`-only queue as it stood before events
+//! could be held outside the queue. The new queue's caller holds one event
+//! outside it, as `System` holds the running segment's end: under a
+//! sequence number the queue reserves, fired when its `(at, seq)` is below
+//! the queue's head, walked with the pending set, and routed back to the
+//! caller on a reload. The reference queue receives that event like any
+//! other. Both are driven with the same calls and must agree on everything
+//! a caller can see: each popped `(at, seq, event)`, `now()`, `len()`,
+//! `is_empty()`, `peek_time()` and the pending set that `pending_in_order`
+//! walks, whole and filtered after as its callers filter it. Inputs come
+//! from [`SimRng`], so a failure names its seed.
 
 use fsim::{EventQueue, ScheduledEvent, SimDuration, SimRng, SimTime};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-/// The pre-two-lane queue, verbatim.
+/// The queue before held events, verbatim.
 #[allow(dead_code)]
 mod reference {
     use fsim::SimTime;
@@ -410,10 +408,10 @@ fn a_held_event_pops_where_the_heap_only_queue_pops_it() {
     }
 }
 
-/// `stream` as the kernel runs it: a sorted preload, and each arrival
-/// arms the running segment's end, held outside the queue, unless one is
-/// held already; ties with the next arrival are common. The held events
-/// match the reference order and never touch the heap.
+/// A long sorted preload, each popped event arming a segment end held
+/// outside the queue unless one is held already; ties with the next
+/// queued event are common. The held events pop where the reference pops
+/// them and never enter the heap.
 #[test]
 fn sorted_preload_with_a_held_segment_end() {
     let mut rng = SimRng::new(0x5E6);
@@ -436,11 +434,12 @@ fn sorted_preload_with_a_held_segment_end() {
     assert!(ends > 1000, "{ends} segment ends");
     let stats = p.new.stats();
     assert_eq!(stats.scheduled, u64::from(2000 + ends));
-    assert_eq!((stats.via_heap, stats.peak_heap), (0, 0));
+    assert_eq!((stats.via_heap, stats.peak_heap), (2000, 2000));
 }
 
-/// `stream`: a sorted preload with ties, and one to four short timers in
-/// flight between consecutive arrivals.
+/// A sorted preload with ties, and one to four short timers scheduled
+/// behind each preloaded event: the timers tie with and overtake the
+/// preload.
 #[test]
 fn sorted_preload_with_in_flight_timers() {
     for timers in 1..=4u64 {
@@ -451,11 +450,10 @@ fn sorted_preload_with_in_flight_timers() {
             at += rng.below(4);
             p.schedule_at(SimTime(at), i);
         }
-        assert_eq!(p.new.stats().via_heap, 0, "a sorted preload is all lane");
         let mut popped = 0usize;
         while let Some((_, _, ev)) = p.pop() {
             popped += 1;
-            // Arrivals re-arm the timers; timers (>= 10_000) do not.
+            // Preloaded events re-arm the timers; timers (>= 10_000) do not.
             if ev < 10_000 {
                 for k in 0..timers {
                     p.schedule_in(SimDuration::from_nanos(rng.below(3)), 10_000 + k as u32);
@@ -463,17 +461,10 @@ fn sorted_preload_with_in_flight_timers() {
             }
         }
         assert_eq!(popped as u64, 2000 * (1 + timers));
-        // Tied arrivals pop before the timers they armed, so a few
-        // rounds of timers overlap; the heap still never sees the preload.
-        assert!(
-            p.new.stats().peak_heap <= 64,
-            "in-flight events stayed few: {:?}",
-            p.new.stats()
-        );
     }
 }
 
-/// Strictly descending: one event rides the lane, the rest the heap.
+/// Strictly descending: every event is the new head when scheduled.
 #[test]
 fn descending_preload_falls_to_the_heap() {
     let mut p = Pair::new("descending");
@@ -483,7 +474,7 @@ fn descending_preload_falls_to_the_heap() {
     let stats = p.new.stats();
     assert_eq!(
         (stats.via_heap, stats.peak_heap, stats.peak_pending),
-        (499, 499, 500)
+        (500, 500, 500)
     );
     p.snapshot();
     let order = p.drain();
@@ -491,8 +482,8 @@ fn descending_preload_falls_to_the_heap() {
     assert_eq!(order.len(), 500);
 }
 
-/// A sentinel scheduled first pins the lane's tail: everything after it
-/// is earlier and goes to the heap, and the sentinel still pops last.
+/// A sentinel scheduled first at the end of time pops last, whatever is
+/// scheduled and popped before it.
 #[test]
 fn far_future_sentinel_scheduled_first() {
     let mut rng = SimRng::new(0x5E);
@@ -507,26 +498,6 @@ fn far_future_sentinel_scheduled_first() {
     p.snapshot();
     let order = p.drain();
     assert_eq!(order.last().map(|k| k.2), Some(0));
-}
-
-/// The lane empties completely and is then refilled, first by events
-/// later than anything seen, then by one earlier than its new tail.
-#[test]
-fn lane_drained_then_refilled() {
-    let mut p = Pair::new("refill");
-    for i in 0..10u32 {
-        p.schedule_at(SimTime(u64::from(i) * 5), i);
-    }
-    assert_eq!(p.drain().len(), 10);
-    for i in 10..20u32 {
-        p.schedule_in(SimDuration::from_nanos(u64::from(i)), i);
-    }
-    p.schedule_in(SimDuration::from_nanos(3), 99);
-    p.schedule_in(SimDuration::from_nanos(19), 100);
-    p.snapshot();
-    let order: Vec<u32> = p.drain().into_iter().map(|k| k.2).collect();
-    assert_eq!(order[0], 99);
-    assert_eq!(order[order.len() - 2..], [19, 100]);
 }
 
 /// Restore: the snapshot of a half-run queue is loaded into a fresh pair
@@ -556,11 +527,6 @@ fn clear_and_reload_of_pending_in_order() {
     for &(at, _, ev) in &image {
         fresh.schedule_at(at, ev);
     }
-    assert_eq!(
-        fresh.new.stats().via_heap,
-        0,
-        "a snapshot is sorted, so its reload is all lane"
-    );
     let resumed: Vec<(SimTime, u32)> = fresh.drain().into_iter().map(|k| (k.0, k.2)).collect();
     let original: Vec<(SimTime, u32)> = p.drain().into_iter().map(|k| (k.0, k.2)).collect();
     assert_eq!(resumed, original);
@@ -574,30 +540,42 @@ fn clear_and_reload_of_pending_in_order() {
     assert_eq!(q.drain().len(), 200);
 }
 
-/// A sorted lane with in-flight events falling between its runs: before
-/// its first entry, inside runs, tied with an entry (the stray is younger,
-/// so it follows), and back to back with no lane event between them.
+/// Events scheduled out of order among a sorted run of others: before its
+/// first entry, inside it, tied with an entry (the younger one follows,
+/// here the held one), and back to back with no run event between them.
 #[test]
 fn in_flight_events_between_lane_runs() {
     let mut p = Pair::new("between runs");
     for i in 0..10u32 {
         p.schedule_at(SimTime(u64::from(i) * 10), i);
     }
-    for (at, ev) in [
-        (35, 100),
-        (5, 101),
-        (40, 102),
-        (40, 103),
-        (42, 104),
-        (41, 105),
-        (0, 106),
-    ] {
+    for (at, ev) in [(35, 100), (5, 101)] {
         p.schedule_at(SimTime(at), ev);
     }
-    assert_eq!(p.new.stats().via_heap, 7, "every stray is in the heap");
+    p.hold(SimTime(40), HELD + 102);
+    for (at, ev) in [(40, 103), (42, 104), (41, 105), (0, 106)] {
+        p.schedule_at(SimTime(at), ev);
+    }
+    assert_eq!(p.new.stats().via_heap, 16, "every event but the held one");
     let order: Vec<u32> = p.snapshot().into_iter().map(|k| k.2).collect();
     let expect = [
-        0, 106, 101, 1, 2, 3, 100, 4, 102, 103, 105, 104, 5, 6, 7, 8, 9,
+        0,
+        106,
+        101,
+        1,
+        2,
+        3,
+        100,
+        4,
+        HELD + 102,
+        103,
+        105,
+        104,
+        5,
+        6,
+        7,
+        8,
+        9,
     ];
     assert_eq!(order, expect);
     p.pop();
@@ -606,9 +584,9 @@ fn in_flight_events_between_lane_runs() {
     p.drain();
 }
 
-/// A filter after the walk drops an event whichever part of the queue held
-/// it: lane event 3 and in-flight event 105, then every lane event, then
-/// every in-flight one; reloading what it kept loses nothing else.
+/// A filter after the walk drops an event whether the queue or its caller
+/// held it: queued event 3 and held event 105, then every preloaded event,
+/// then every later one; reloading what it kept loses nothing else.
 #[test]
 fn filtered_out_events_in_the_lane_and_the_heap() {
     let build = |ctx: &str| {
@@ -616,14 +594,15 @@ fn filtered_out_events_in_the_lane_and_the_heap() {
         for i in 0..10u32 {
             p.schedule_at(SimTime(u64::from(i) * 10), i);
         }
-        for (at, ev) in [(35, 100), (5, 101), (41, 105)] {
+        for (at, ev) in [(35, 100), (5, 101)] {
             p.schedule_at(SimTime(at), ev);
         }
+        p.hold(SimTime(41), HELD + 105);
         p
     };
     let p = build("filtered");
     let kept: Vec<u32> = p
-        .snapshot_where(|ev| ev != 3 && ev != 105)
+        .snapshot_where(|ev| ev != 3 && ev != HELD + 105)
         .into_iter()
         .map(|k| k.2)
         .collect();
@@ -631,72 +610,47 @@ fn filtered_out_events_in_the_lane_and_the_heap() {
     assert_eq!(
         p.snapshot_where(|ev| ev >= 100).len(),
         3,
-        "lane all dropped"
+        "preload all dropped"
     );
     assert_eq!(
         p.snapshot_where(|ev| ev < 100).len(),
         10,
-        "heap all dropped"
+        "later ones all dropped"
     );
     let mut q = build("filtered reload");
-    q.clear_and_reload(|ev| ev != 3 && ev != 105);
+    q.clear_and_reload(|ev| ev != 3 && ev != HELD + 105);
     assert_eq!(q.drain().len(), 11);
 }
 
-/// The lane's ring buffer wraps: each arrival that leaves at the front is
-/// replaced at the back, so its head goes round and the lane's second
-/// slice is non-empty for much of the run. One in-flight event is always
-/// pending half-way down the lane, so it falls into either slice.
-#[test]
-fn wrapped_lane() {
-    let mut p = Pair::new("wrapped");
-    for i in 0..12u32 {
-        p.schedule_at(SimTime(u64::from(i) * 10), i);
-    }
-    p.schedule_at(SimTime(55), 1000);
-    let mut next = 12u32;
-    for i in 0..400u32 {
-        let (_, _, ev) = p.pop().unwrap();
-        if ev < 1000 {
-            p.schedule_at(SimTime(u64::from(next) * 10), next);
-            next += 1;
-        } else {
-            p.schedule_in(SimDuration::from_nanos(51 + u64::from(i % 7)), 1001 + i);
-        }
-        p.snapshot();
-        p.snapshot_where(|ev| ev % 2 == 0);
-    }
-    assert_eq!(p.drain().len(), 13);
-}
-
-/// Nothing pending; then in-flight events with empty lane runs between
-/// them, all before the lane's one event; then drained again.
+/// Nothing pending; then events all earlier than the first one
+/// scheduled, one of them held; then drained again.
 #[test]
 fn empty_queue_and_empty_lane_runs() {
     let mut p = Pair::new("empty");
     assert!(p.snapshot().is_empty());
     p.schedule_at(SimTime(100), 0);
-    for i in 1..5u32 {
+    for i in 1..4u32 {
         p.schedule_at(SimTime(10 + u64::from(i)), i);
     }
+    p.hold(SimTime(14), HELD + 4);
     assert_eq!(p.new.stats().via_heap, 4);
     let order: Vec<u32> = p.snapshot().into_iter().map(|k| k.2).collect();
-    assert_eq!(order, [1, 2, 3, 4, 0]);
+    assert_eq!(order, [1, 2, 3, HELD + 4, 0]);
     assert!(p.snapshot_where(|_| false).is_empty());
     p.drain();
     assert!(p.snapshot().is_empty());
 }
 
-/// Scheduling into the past panics whichever lane advanced the clock.
+/// Scheduling into the past panics whichever event advanced the clock: a
+/// queued one or a held one.
 #[test]
 fn causality_panic_from_either_lane() {
     let panics = |f: &mut dyn FnMut()| catch_unwind(AssertUnwindSafe(f)).is_err();
 
-    // Clock advanced by a lane event; the late event would join the heap.
-    let mut p = Pair::new("lane");
-    p.schedule_at(SimTime(10), 0);
+    // Clock advanced by a held event.
+    let mut p = Pair::new("held");
+    p.hold(SimTime(10), HELD);
     p.schedule_at(SimTime(20), 1);
-    assert_eq!(p.new.stats().via_heap, 0);
     p.pop();
     assert!(panics(&mut || {
         p.new.schedule_at(SimTime(9), 2);
@@ -705,11 +659,10 @@ fn causality_panic_from_either_lane() {
         p.old.schedule_at(SimTime(9), 2);
     }));
 
-    // Clock advanced by a heap event, the lane still holding a later one.
-    let mut p = Pair::new("heap");
+    // Clock advanced by a queued event, a later one still queued.
+    let mut p = Pair::new("queued");
     p.schedule_at(SimTime(20), 0);
     p.schedule_at(SimTime(10), 1);
-    assert_eq!(p.new.stats().via_heap, 1);
     assert_eq!(p.pop(), Some((SimTime(10), 1, 1)));
     assert!(panics(&mut || {
         p.new.schedule_at(SimTime(9), 2);

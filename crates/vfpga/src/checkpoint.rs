@@ -289,53 +289,36 @@ fn corrupt(reason: String) -> VfpgaError {
 }
 
 /// Whether the pending events of `img` agree with its task table (whose
-/// ids they are known to stay inside). A task that has not arrived has
-/// one pending arrival and nothing else names it; no other task arrives.
-/// The running task is `Running`, and at most one event ends its segment
-/// — a timer, or a failed download's retry-done — none for a hanging
-/// one; no such event names another task. A run restored from anything
-/// else panics or spins. This is also what keeps the capture window
-/// exact after a restore: a task that has not arrived changes only
-/// through its arrival.
+/// ids they are known to stay inside). No event names a task that has not
+/// arrived: its arrival is its `Future` slot, never a queued event. The
+/// running task is `Running`, and at most one event ends its segment — a
+/// timer, or a failed download's retry-done — none for a hanging one; no
+/// such event names another task. A run restored from anything else
+/// panics or spins. This is also what keeps the capture window exact after
+/// a restore: a task that has not arrived changes only through its arrival.
 fn agrees_with_table(img: &SystemImage) -> Result<(), String> {
     let state = |t: TaskId| img.tasks[t.0 as usize].state;
     let running = img.running.map(|run| run.tid);
     if let Some(t) = running.filter(|&t| state(t) != TaskState::Running) {
         return Err(format!("running task {} is {:?}", t.0, state(t)));
     }
-    let mut arrives = vec![false; img.tasks.len()];
     let mut segment_ends = 0;
     for &(_, ev) in &img.pending {
         let Some(t) = ev.task() else { continue };
-        let future = state(t) == TaskState::Future;
-        match ev {
-            Ev::Arrive(_) if !future => {
-                return Err(format!("task {} arrives but is {:?}", t.0, state(t)))
+        if state(t) == TaskState::Future {
+            return Err(format!(
+                "an event names task {}, which has not arrived",
+                t.0
+            ));
+        }
+        if matches!(ev, Ev::Timer(_) | Ev::RetryDone(_)) {
+            segment_ends += 1;
+            if running != Some(t) || segment_ends > 1 {
+                return Err(format!("a segment end names task {}, not running", t.0));
             }
-            Ev::Arrive(_) if std::mem::replace(&mut arrives[t.0 as usize], true) => {
-                return Err(format!("task {} arrives twice", t.0))
-            }
-            Ev::Arrive(_) => {}
-            _ if future => {
-                return Err(format!(
-                    "an event names task {}, which has not arrived",
-                    t.0
-                ))
-            }
-            Ev::Timer(_) | Ev::RetryDone(_) => {
-                segment_ends += 1;
-                if running != Some(t) || segment_ends > 1 {
-                    return Err(format!("a segment end names task {}, not running", t.0));
-                }
-            }
-            _ => {}
         }
     }
-    let future = |(slot, arrives): (&TaskSlot, &bool)| slot.state == TaskState::Future && !arrives;
-    match img.tasks.iter().zip(&arrives).position(future) {
-        Some(t) => Err(format!("task {t} has not arrived and never will")),
-        None => Ok(()),
-    }
+    Ok(())
 }
 
 /// The task slots that may differ from the last capture's copy of the
@@ -867,8 +850,8 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
             self.adopt_capture(capture, base)?;
         }
         // Cold restart (no image): the fresh construction state IS the
-        // restart state — arrivals and the first checkpoint are already
-        // scheduled; only the journal below needs attention.
+        // restart state — every task is still to arrive and the first
+        // checkpoint is scheduled; only the journal below needs attention.
         let crash_at = cut.at;
         let post: Vec<WalRecord> = self.dev.wal[base..].to_vec();
         if post.is_empty() {
@@ -1016,6 +999,7 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::image::Wire;
     use crate::manager::dynload::DynLoadManager;
     use crate::manager::PreemptAction;
     use crate::metrics::TaskMetrics;
@@ -1116,8 +1100,8 @@ mod tests {
 
     /// Tasks of one CPU burst each, `(arrival, burst)` in ms, under FIFO
     /// with a capture every 10 ms and a crash at `crash_ms`: the pending
-    /// set of the last capture, and the order a system restored from it
-    /// pops that set in.
+    /// set of the last capture as its rendering lists it, arrivals
+    /// included, and the order a system restored from it pops that set in.
     fn last_capture_pending(tasks: &[(u64, u64)], crash_ms: u64) -> [Vec<(SimTime, Ev)>; 2] {
         let build = || {
             let (lib, _) = lib_mixed(1);
@@ -1143,7 +1127,8 @@ mod tests {
         else {
             panic!("the crash comes before the last task ends");
         };
-        let captured = cut.capture.as_ref().unwrap().image.pending.clone();
+        let rendered = cut.capture.as_ref().unwrap().image.to_json();
+        let captured = Wire::read(rendered.get("pending").unwrap(), "pending").unwrap();
         let mut restored = build();
         restored.restore_cut(*cut).unwrap();
         let popped = std::iter::from_fn(|| restored.next()).collect();

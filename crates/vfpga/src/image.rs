@@ -9,11 +9,12 @@
 //! what can have changed since: of the task table, the slots live at that
 //! capture and those that arrived or exited after it (a slot that is not
 //! live changes only by arriving or exiting); of the pending events, the
-//! queue's in-flight few between runs of its arrival lane, each run one
-//! bulk append. JSON enters only where state leaves the
-//! process (a hand-off inside one is a typed
+//! queue's in-flight few. An arrival is not a pending event of the typed
+//! image: it is its task's `Future` slot. JSON enters only where state
+//! leaves the process (a hand-off inside one is a typed
 //! [`Cut`](crate::checkpoint::Cut)), through [`SystemImage::to_json`]: the
-//! `vfpga-ckpt/3` schema.
+//! `vfpga-ckpt/3` schema, which lists each arrival among the pending
+//! events, where a queue holding it would fire it.
 //!
 //! Every section is written and read by one codec, `Wire`: `json`
 //! renders a value and `read` is its strict inverse, implemented once for
@@ -180,7 +181,8 @@ record! {
         /// Circuits whose residency claim a journal-off restore left stale.
         pub(crate) stale: BTreeSet<u32>,
         pub(crate) running: Option<Running>,
-        /// Pending events in firing order, without the crash that cut the run.
+        /// Pending events in firing order, without the crash that cut the
+        /// run and without the arrivals, which are the `Future` slots.
         pub(crate) pending: Vec<(SimTime, Ev)>,
         pub(crate) fault: FaultStats,
         /// The injector's three stream states; `None` runs fault-free.
@@ -243,16 +245,60 @@ impl SystemImage {
             + json_bytes(&self.manager)
     }
 
-    /// Render the image as a `vfpga-ckpt/3` JSON tree.
+    /// Render the image as a `vfpga-ckpt/3` JSON tree. Its pending list
+    /// holds an `arrive` for each `Future` slot, at the slot's arrival, in
+    /// (arrival, id) order and ahead of every event at the same instant:
+    /// where a queue holding the arrivals fires them.
     pub fn to_json(&self) -> Json {
-        self.json()
+        let mut tree = self.json();
+        if let Json::Obj(fields) = &mut tree {
+            if let Some((_, pending)) = fields.iter_mut().find(|(k, _)| k == "pending") {
+                *pending = with_arrivals(&self.tasks, &self.pending).json();
+            }
+        }
+        tree
     }
 
     /// Rebuild the typed image from its `vfpga-ckpt/3` rendering, strictly:
-    /// anything [`to_json`](Self::to_json) would not write is an error.
+    /// anything [`to_json`](Self::to_json) would not write is an error —
+    /// an arrival among the pending events included, unless it is exactly
+    /// one the task table puts there.
     pub fn from_json(v: &Json) -> Result<SystemImage, String> {
-        SystemImage::read(v, "image")
+        let mut img = SystemImage::read(v, "image")?;
+        let listed = std::mem::take(&mut img.pending);
+        let arrives = |&(_, ev): &(SimTime, Ev)| matches!(ev, Ev::Arrive(_));
+        img.pending = listed.iter().copied().filter(|e| !arrives(e)).collect();
+        let want = with_arrivals(&img.tasks, &img.pending);
+        if listed != want {
+            let i = listed.iter().zip(&want).take_while(|(a, b)| a == b).count();
+            return Err(format!(
+                "pending event {i} is not what the task table's arrivals put there"
+            ));
+        }
+        Ok(img)
     }
+}
+
+/// `pending` with an arrival for each `Future` slot of `tasks` merged in:
+/// at the slot's arrival, in (arrival, id) order, ahead of the events at
+/// the same instant.
+fn with_arrivals(tasks: &[TaskSlot], pending: &[(SimTime, Ev)]) -> Vec<(SimTime, Ev)> {
+    let mut arrivals: Vec<(SimTime, Ev)> = (0..)
+        .zip(tasks)
+        .filter(|(_, slot)| slot.state == TaskState::Future)
+        .map(|(t, slot)| (slot.arrival, Ev::Arrive(TaskId(t))))
+        .collect();
+    arrivals.sort_by_key(|&(at, _)| at);
+    let mut out = Vec::with_capacity(arrivals.len() + pending.len());
+    let mut events = pending.iter().copied().peekable();
+    for arrival in arrivals {
+        out.extend(std::iter::from_fn(|| {
+            events.next_if(|&(at, _)| at < arrival.0)
+        }));
+        out.push(arrival);
+    }
+    out.extend(events);
+    out
 }
 
 impl Wire for Schema {
@@ -863,7 +909,6 @@ mod tests {
         let edf = |n: &str| n.contains("-edf-");
         let dynload = |n: &str| n.starts_with("dynload-");
         let partition = |n: &str| n.starts_with("partition-");
-        let colfail = |n: &str| n.ends_with("-colfail");
 
         check::<CrashStats>(&counters::<CrashStats>());
         check::<FleetStats>(&counters::<FleetStats>());
@@ -881,7 +926,22 @@ mod tests {
         sections::<DynLoadImage>(&goldens, dynload, &["manager"]);
         sections::<PartitionImage>(&goldens, partition, &["manager"]);
         sections::<DeltaImage>(&goldens, any, &["manager", "delta"]);
-        sections::<SystemImage>(&goldens, colfail, &[]);
+        // A column failure, and arrivals pending.
+        let whole = |n: &str| n.ends_with("-colfail") || n == "dynload-fifo-guarded";
+        sections::<Rendered>(&goldens, whole, &[]);
+    }
+
+    /// The image as it leaves the process: [`SystemImage::to_json`] and its
+    /// strict inverse, which list the arrivals among the pending events.
+    struct Rendered(SystemImage);
+
+    impl Wire for Rendered {
+        fn json(&self) -> Json {
+            self.0.to_json()
+        }
+        fn read(v: &Json, _what: &str) -> Result<Rendered, String> {
+            SystemImage::from_json(v).map(Rendered)
+        }
     }
 
     #[test]

@@ -18,7 +18,7 @@ use crate::sched::{
 };
 use crate::system::{Ev, System, SystemConfig};
 use crate::system_tests::{lib_mixed, lib_n, ms, timing, us};
-use crate::task::{Op, TaskId, TaskSpec, TaskState};
+use crate::task::{Op, TaskId, TaskSpec};
 use fsim::json::Json;
 use fsim::{FaultPlan, SimTime};
 use std::sync::Arc;
@@ -924,9 +924,10 @@ fn damaged_images_are_errors_not_panics() {
     let mut unguarded = img.clone();
     unguarded.admission = None;
     assert!(pinned_small(&lib, &ids).restore(&unguarded).is_err());
-    // Pending events the task table contradicts: restored, the first run
-    // panicked in `on_timer` ("timer without a running task"), the second
-    // tripped `on_arrive`'s assert in debug and spun in release.
+    // Pending events the task table contradicts: restored, this one
+    // panicked in `on_timer` ("timer without a running task"). (Arrivals
+    // the table contradicts never get this far:
+    // `rendered_arrivals_are_exactly_the_task_tables`.)
     let mut idle_timer = img.clone();
     idle_timer.running = None;
     idle_timer
@@ -934,13 +935,6 @@ fn damaged_images_are_errors_not_panics() {
         .push((img.at + ms(6), Ev::Timer(TaskId(0))));
     let refused = pinned_small(&lib, &ids).restore(&idle_timer);
     assert!(refused.unwrap_err().contains("not running"));
-    let mut arrives_again = img.clone();
-    assert_eq!(img.tasks[0].state, TaskState::Ready);
-    arrives_again
-        .pending
-        .push((img.at + ms(6), Ev::Arrive(TaskId(0))));
-    let refused = pinned_small(&lib, &ids).restore(&arrives_again);
-    assert!(refused.unwrap_err().contains("arrives but is Ready"));
     pinned_small(&lib, &ids)
         .restore(&img)
         .expect("the undamaged image restores");
@@ -955,4 +949,84 @@ fn damaged_images_are_errors_not_panics() {
         pinned_small(&lib, &ids).restore_from(&state),
         Err(VfpgaError::CheckpointCorrupt { reason }) if reason.contains("arrives")
     ));
+}
+
+/// The typed image queues no arrival; its rendering lists one for each
+/// `Future` slot, at the slot's arrival, in (arrival, id) order, ahead of
+/// every event at the same instant — and the reader accepts exactly that.
+/// Five CPU tasks under FIFO, captured every 1 ms and cut at 4.5 ms: the
+/// image at 4 ms lists tasks 2 and 3 arriving at 5 ms, tied with each
+/// other and with the next capture, then task 4 arriving at 6 ms, tied
+/// with the running task's segment end. Every arrangement but the
+/// writer's is an error, never a panic. Seeded violation: a reader that
+/// checks the listed events against the writer's by event alone, skipping
+/// their times, accepts the first damaged case.
+#[test]
+fn rendered_arrivals_are_exactly_the_task_tables() {
+    let (lib, _) = lib_mixed(1);
+    let build = || {
+        let tasks = [(0, 3), (0, 3), (5, 1), (5, 1), (6, 1)];
+        let specs = (0..)
+            .zip(tasks)
+            .map(|(i, (at, burst))| {
+                TaskSpec::new(
+                    format!("a{i}"),
+                    SimTime::ZERO + ms(at),
+                    vec![Op::Cpu(ms(burst))],
+                )
+            })
+            .collect();
+        let mgr = DynLoadManager::new(lib.clone(), timing(), PreemptAction::SaveRestore);
+        System::new(lib.clone(), mgr, FifoScheduler::new(), SAVE_RESTORE, specs)
+            .with_checkpoints(CheckpointConfig::new(ms(1)))
+            .unwrap()
+    };
+    let good = image_at(build(), 4500).unwrap();
+    let at = |t: u64| Json::from(t * 1_000_000);
+    let event = |t: u64, kind: &str, arg: Json| Json::Arr(vec![at(t), Json::from(kind), arg]);
+    let task = |t: u64| Json::from(t);
+    let listed = good.get("pending").and_then(Json::as_arr).unwrap().to_vec();
+    assert_eq!(
+        listed,
+        [
+            event(5, "arrive", task(2)),
+            event(5, "arrive", task(3)),
+            event(5, "ckpt", Json::Null),
+            event(6, "arrive", task(4)),
+            event(6, "timer", task(1)),
+        ]
+    );
+    let img = SystemImage::from_json(&good).expect("the writer's arrangement reads");
+    assert!(img
+        .pending
+        .iter()
+        .all(|(_, ev)| !matches!(ev, Ev::Arrive(_))));
+    assert_eq!(img.to_json(), good, "and renders back");
+    build().restore(&img).expect("and restores");
+
+    let damaged = |what: &str, damage: &dyn Fn(&mut Vec<Json>)| {
+        let mut doc = good.clone();
+        damage(items(field(&mut doc, "pending")));
+        let read = std::panic::catch_unwind(|| SystemImage::from_json(&doc));
+        match read {
+            Ok(read) => assert!(read.is_err(), "{what}: read"),
+            Err(_) => panic!("{what}: the reader panicked"),
+        }
+    };
+    damaged("an arrival 1 ns early", &|p| {
+        items(&mut p[3])[0] = Json::from(6_000_000u64 - 1)
+    });
+    damaged("an arrival missing", &|p| drop(p.remove(1)));
+    damaged("an arrival of a task the table lacks", &|p| {
+        p.push(event(7, "arrive", task(5)))
+    });
+    damaged("an arrival twice", &|p| p.insert(1, p[0].clone()));
+    damaged("an arrival of a task that has arrived", &|p| {
+        p.insert(0, event(0, "arrive", task(0)))
+    });
+    damaged("arrivals out of (arrival, id) order", &|p| p.swap(0, 1));
+    damaged("an arrival after a same-instant event", &|p| {
+        let ckpt = p.remove(2);
+        p.insert(0, ckpt);
+    });
 }

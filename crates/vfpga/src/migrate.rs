@@ -49,7 +49,7 @@ use crate::metrics::Report;
 use crate::recovery::FaultStats;
 use crate::sched::Scheduler;
 use crate::system::{Ev, Exit, System};
-use crate::task::{TaskId, TaskSpec};
+use crate::task::{Op, TaskId, TaskSpec};
 
 /// What [`crate::System::extract_tenant`] removed from the source side of
 /// a migration split.
@@ -136,8 +136,10 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
     /// [`TaskState::Migrated`]: it leaves this system (the other side of
     /// the migration split reports its real outcome), frees its device
     /// claims, and stops being scheduled. Pending events targeting a
-    /// retired task are pruned; scheduler entries go stale and are
-    /// skipped by dispatch. Returns how many tasks were retired.
+    /// retired task are pruned, and a retired task that had not arrived
+    /// never will (its slot is no longer `Future`); scheduler entries go
+    /// stale and are skipped by dispatch. Returns how many tasks were
+    /// retired.
     fn retire_tasks_where(
         &mut self,
         stamp_at: SimTime,
@@ -199,9 +201,12 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
     /// Ids of the circuits the tasks of the tenants `of` selects use.
     fn circuits_of(&self, of: impl Fn(u32) -> bool) -> BTreeSet<u32> {
         let specs = self.specs.iter().filter(|spec| of(spec.tenant));
-        specs
-            .flat_map(|spec| spec.circuits_used().into_iter().map(|c| c.0))
-            .collect()
+        let ops = specs.flat_map(|spec| &spec.ops);
+        ops.filter_map(|op| match *op {
+            Op::FpgaRun { circuit, .. } => Some(circuit.0),
+            Op::Cpu(_) => None,
+        })
+        .collect()
     }
 
     /// Release residency claims only the migrated tenant still needs:

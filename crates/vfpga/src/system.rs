@@ -199,7 +199,14 @@ pub struct System<M: FpgaManager, S: Scheduler> {
     pub(crate) specs: Vec<TaskSpec>,
     /// Everything mutable about each task, by task id.
     pub(crate) slots: Vec<TaskSlot>,
-    /// Every pending event but the running segment's end.
+    /// Task ids in (arrival, id) order: the arrivals, read off the task
+    /// table rather than queued. A task arrives when its slot is `Future`
+    /// and its arrival is no later than every other pending event.
+    arrivals: Vec<u32>,
+    /// How far into `arrivals` the run is: each task before it has arrived
+    /// or left `Future` some other way (a restore, a migration split).
+    arrived: usize,
+    /// Every pending event but the arrivals and the running segment's end.
     pub(crate) queue: EventQueue<Ev>,
     /// The end of the segment the CPU is running, the task its payload:
     /// the event that is nearly always next, held beside the queue rather
@@ -266,14 +273,12 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
         config: SystemConfig,
         specs: Vec<TaskSpec>,
     ) -> Self {
-        // One pending arrival per task, in the queue's run lane when the
-        // specs are arrival-sorted (every generator's are). What the run
-        // schedules on top is in flight a handful at a time — one segment
-        // timer, a dispatch, a checkpoint, a watchdog — and has its own
-        // small reservation.
-        let mut queue = EventQueue::with_capacity(specs.len());
-        for (i, spec) in specs.iter().enumerate() {
-            queue.schedule_at(spec.arrival, Ev::Arrive(TaskId(i as u32)));
+        // (arrival, id) order: a stable sort, which arrival-sorted specs
+        // (every generator's) skip.
+        let mut arrivals: Vec<u32> = (0..specs.len() as u32).collect();
+        let arrival = |&t: &u32| specs[t as usize].arrival;
+        if !arrivals.is_sorted_by_key(arrival) {
+            arrivals.sort_by_key(arrival);
         }
         let slots: Vec<TaskSlot> = specs.iter().map(TaskSlot::new).collect();
         let cols = manager.timing().spec.cols as usize;
@@ -294,7 +299,11 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
             ckpt_window: SlotWindow::whole(slots.len()),
             specs,
             slots,
-            queue,
+            arrivals,
+            arrived: 0,
+            // What the run schedules is in flight a handful at a time: a
+            // dispatch, a checkpoint, a watchdog, a fault.
+            queue: EventQueue::new(),
             segment_end: None,
             running: None,
             trace: Trace::disabled(),
@@ -551,27 +560,49 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
         Ok(Segment::Completed(Box::new(report), trace))
     }
 
-    /// The next event to fire: the queue's head or the running segment's
-    /// end, whichever is earlier in `(at, seq)`.
+    /// The next event to fire: the next arrival, the queue's head or the
+    /// running segment's end, whichever is earliest — the segment end and
+    /// the head by `(at, seq)`, and an arrival ahead of either at one
+    /// instant, as every event scheduled after the task table was built is.
     #[inline]
     pub(crate) fn next(&mut self) -> Option<(SimTime, Ev)> {
-        if let Some(end) = self.segment_end {
-            if self
-                .queue
-                .head_key()
-                .is_none_or(|head| (end.at, end.seq) < head)
-            {
-                self.segment_end = None;
-                self.queue.fire_held(end.at);
-                return Some((end.at, Ev::Timer(end.event)));
+        let head = self.queue.head_key();
+        let end = self
+            .segment_end
+            .filter(|end| head.is_none_or(|head| (end.at, end.seq) < head));
+        let first = end.map(|end| end.at).or(head.map(|(at, _)| at));
+        if let Some(tid) = self.next_arrival() {
+            let at = self.slots[tid as usize].arrival;
+            if first.is_none_or(|first| at <= first) {
+                self.arrived += 1;
+                self.queue.advance(at);
+                return Some((at, Ev::Arrive(TaskId(tid))));
             }
+        }
+        if let Some(end) = end {
+            self.segment_end = None;
+            self.queue.fire_held(end.at);
+            return Some((end.at, Ev::Timer(end.event)));
         }
         self.queue.pop().map(|e| (e.at, e.event))
     }
 
+    /// The next task to arrive: the cursor's, once it has skipped the
+    /// slots no longer `Future`.
+    #[inline]
+    fn next_arrival(&mut self) -> Option<u32> {
+        while let Some(&tid) = self.arrivals.get(self.arrived) {
+            if self.slots[tid as usize].state == TaskState::Future {
+                return Some(tid);
+            }
+            self.arrived += 1;
+        }
+        None
+    }
+
     /// Schedule `ev` at `at`: a segment end into `segment_end`, under the
     /// sequence number the queue would have given it, anything else into
-    /// the queue.
+    /// the queue. An arrival is never scheduled: it is its task's slot.
     #[inline]
     pub(crate) fn schedule(&mut self, at: SimTime, ev: Ev) {
         match ev {
@@ -585,13 +616,15 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
                 });
             }
             _ => {
+                debug_assert!(!matches!(ev, Ev::Arrive(_)), "an arrival is queued");
                 self.queue.schedule_at(at, ev);
             }
         }
     }
 
-    /// Append every pending event to `out` in firing order, the running
-    /// segment's end included, leaving all of them pending.
+    /// Append every pending event but the arrivals to `out` in firing
+    /// order, the running segment's end included, leaving all of them
+    /// pending.
     pub(crate) fn pending_in_order(&self, out: &mut Vec<(SimTime, Ev)>) {
         let end = self.segment_end.map(|end| ScheduledEvent {
             at: end.at,
@@ -602,11 +635,13 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
             .pending_in_order(out, end.as_ref(), |e| (e.at, e.event));
     }
 
-    /// Replace every pending event by `pending`, scheduled in its order:
-    /// what a restore and a migration split do with the pending set.
+    /// Replace every pending event by `pending`, scheduled in its order,
+    /// and read the arrivals off the task table again: what a restore and
+    /// a migration split do with the pending set.
     pub(crate) fn reload_pending(&mut self, pending: impl IntoIterator<Item = (SimTime, Ev)>) {
         self.queue.clear();
         self.segment_end = None;
+        self.arrived = 0;
         for (at, ev) in pending {
             self.schedule(at, ev);
         }

@@ -29,9 +29,9 @@
 //!     exits once entered);
 //! 11. the deadline-era state — EDF queue, schedulability gate,
 //!     hysteresis mode bit — survives crash-and-restore;
-//! 12. specs that are not arrival-sorted (so their arrivals miss the
-//!     event queue's run lane) give the outcomes pinned before that lane
-//!     existed, uninterrupted and across crash-and-restore.
+//! 12. specs that are not arrival-sorted (so `System` sorts its arrival
+//!     order) give the outcomes pinned with the single-heap queue that
+//!     held every arrival, uninterrupted and across crash-and-restore.
 
 mod common;
 
@@ -542,12 +542,12 @@ fn outcome_digest(r: &Report) -> u64 {
 
 #[test]
 fn unsorted_specs_reproduce_the_pinned_outcomes() {
-    // The event queue keeps in-order traffic in a sorted run lane and
-    // everything else in a heap; which lane an event rides must never
-    // show. Here the specs come latest-first with arrivals tied in pairs,
-    // so every arrival but one goes to the heap, and a watchdog at slack
-    // 1.0 fires at the very instant of its segment's timer. The digest
-    // was taken with the single-heap queue this layout replaced.
+    // `System` serves arrivals from the task table in (arrival, id)
+    // order, ahead of every other event at one instant; how it holds them
+    // must never show. Here the specs come latest-first with arrivals tied
+    // in pairs, so the order is a sort, not the table's, and a watchdog at
+    // slack 1.0 fires at the very instant of its segment's timer. The
+    // digest was taken with the single-heap queue that held every arrival.
     const PINNED: u64 = 0xbe54_5a7b_5d0c_3315;
     let policy = || AdmissionPolicy {
         max_in_flight: 3,
