@@ -21,12 +21,13 @@ use fsim::{span, LogHistogram, SimDuration, SimRng, SimTime, Trace, TraceEvent};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Display;
 use std::sync::{Arc, Mutex};
+use vfpga::manager::dynload::DynLoadManager;
 use vfpga::manager::partition::PartitionManager;
 use vfpga::{
     run_fleet, run_with_crashes_traced, AdmissionPolicy, CheckpointConfig, CircuitLib, CrashPlan,
     DegradationConfig, DeviceFaultPlan, FaultPlan, FleetConfig, FleetReport, MigrationPlan,
-    PlacementPolicy, RecoveryPolicy, Report, RoundRobinScheduler, RunOutcome, SchedulabilityConfig,
-    System, SystemImage, TaskSpec, WatchdogConfig,
+    PlacementPolicy, PreemptAction, RecoveryPolicy, Report, RoundRobinScheduler, RunOutcome,
+    SchedulabilityConfig, System, SystemImage, TaskSpec, WatchdogConfig,
 };
 use workload::{poisson_tasks, tenant_tasks, Domain, TenantMixParams};
 
@@ -652,7 +653,9 @@ fn fleet_view(args: &Args) {
             delta_copy: false,
             crash: None,
         });
-    let shards = bench::exp::e19_fleet::shard_builder(lib, Arc::new(sw), timing);
+    let shards = bench::setup::fleet_shards(&lib, &Arc::new(sw), move |lib| {
+        DynLoadManager::new(lib.clone(), timing, PreemptAction::SaveRestore)
+    });
     let fleet = run_fleet(&cfg, specs.clone(), shards).expect("fleet runs");
 
     // Fleet traces hold fleet events only: no section filters; --tag may.

@@ -9,16 +9,21 @@
 //! (zero per-switch overhead, one boot download), then area/pins overflow
 //! and only dynamic loading can serve the set — at a per-switch price.
 
+use super::grid::{self, Grid};
 use super::RunArgs;
-use crate::report::{f3, Table};
+use crate::report::secs;
 use crate::setup::{compile_suite_lib, run_traced, serial_fast};
 use crate::{Exporter, HostProfile};
 use fsim::{SimDuration, SimRng};
 use std::sync::Arc;
 use vfpga::manager::dynload::DynLoadManager;
 use vfpga::manager::merged::MergedManager;
-use vfpga::{CircuitId, PreemptAction, RoundRobinScheduler, SystemConfig};
+use vfpga::{CircuitId, PreemptAction, Report, RoundRobinScheduler, SystemConfig};
 use workload::{poisson_tasks, Domain, MixParams};
+
+/// A set's total width, its dynamic-loading run, and its merged run (or
+/// why the merge does not fit).
+type Out = (u32, Report, Result<Report, String>);
 
 pub fn run(args: &RunArgs) -> Result<Exporter, String> {
     let mut host = HostProfile::new(args.threads);
@@ -29,33 +34,12 @@ pub fn run(args: &RunArgs) -> Result<Exporter, String> {
             spec,
         )
     });
-
-    let mut ex = Exporter::new("e03", "merged circuit vs dynamic loading");
-    ex.seed(0xE03)
-        .param("device", spec.name)
-        .param("max_circuits", all_ids.len());
-    let mut t = Table::new(
-        "E3: merged circuit vs dynamic loading on VF400",
-        &[
-            "circuits",
-            "total cols",
-            "merge fits?",
-            "merged makespan (s)",
-            "dynload makespan (s)",
-            "dynload downloads",
-            "merged speedup",
-        ],
-    );
-
-    let points: Vec<usize> = (2..=all_ids.len()).collect();
-    let results = host.sweep(&points, |_, &n| {
+    let cell = |&n: &usize| {
         // Sub-library with circuits renumbered 0..n.
         let lib = Arc::new(full_lib.subset(&all_ids[..n]));
         let ids: Vec<CircuitId> = (0..n as u32).map(CircuitId).collect();
         let total_cols: u32 = ids.iter().map(|&i| lib.get(i).shape().0).sum();
         let timing = serial_fast(spec);
-
-        let mut rng = SimRng::new(0xE03);
         let params = MixParams {
             tasks: n,
             mean_interarrival: SimDuration::from_millis(1),
@@ -63,54 +47,58 @@ pub fn run(args: &RunArgs) -> Result<Exporter, String> {
             fpga_ops_per_task: 5,
             cycles: (50_000, 200_000),
         };
-        let specs = poisson_tasks(&params, &ids, &mut rng);
-
+        let specs = poisson_tasks(&params, &ids, &mut SimRng::new(0xE03));
         let rr = || RoundRobinScheduler::new(SimDuration::from_millis(5));
         let mgr = DynLoadManager::new(lib.clone(), timing, PreemptAction::WaitCompletion);
         let dyn_r = run_traced(&lib, mgr, rr(), SystemConfig::default(), specs.clone());
-
-        let merged = match MergedManager::new(lib.clone(), timing) {
-            Ok(mgr) => Some(run_traced(&lib, mgr, rr(), SystemConfig::default(), specs)),
-            Err(e) => {
-                return (n, total_cols, dyn_r, Err(e.to_string()));
-            }
-        };
-        (n, total_cols, dyn_r, Ok(merged.unwrap()))
-    });
-
-    for (n, total_cols, dyn_r, merged) in &results {
-        ex.report(&format!("dynload/{n}-circuits"), dyn_r);
-        match merged {
-            Ok(merged_r) => {
-                ex.report(&format!("merged/{n}-circuits"), merged_r);
-                t.row(vec![
-                    n.to_string(),
-                    total_cols.to_string(),
-                    "yes".into(),
-                    f3(merged_r.makespan.as_secs_f64()),
-                    f3(dyn_r.makespan.as_secs_f64()),
-                    dyn_r.manager_stats.downloads.to_string(),
-                    format!(
-                        "{:.2}x",
-                        dyn_r.makespan.as_secs_f64() / merged_r.makespan.as_secs_f64().max(1e-12)
-                    ),
-                ]);
-            }
-            Err(e) => {
-                t.row(vec![
-                    n.to_string(),
-                    total_cols.to_string(),
-                    format!("no ({e})"),
-                    "-".into(),
-                    f3(dyn_r.makespan.as_secs_f64()),
-                    dyn_r.manager_stats.downloads.to_string(),
-                    "-".into(),
-                ]);
-            }
-        }
-    }
-    t.print();
-    ex.table(&t);
-    ex.host(host, points.len());
-    Ok(ex)
+        let merged = MergedManager::new(lib.clone(), timing).map_err(|e| e.to_string());
+        let merged = merged.map(|m| run_traced(&lib, m, rr(), SystemConfig::default(), specs));
+        Ok::<Out, String>((total_cols, dyn_r, merged))
+    };
+    let grid = Grid {
+        code: "e03",
+        title: "merged circuit vs dynamic loading",
+        seed: 0xE03,
+        params: vec![
+            ("device", spec.name.into()),
+            ("max_circuits", all_ids.len().into()),
+        ],
+        points: vec![grid::points((2..=all_ids.len()).collect())],
+        label: |n| format!("{n}-circuits"),
+        cell: &cell,
+        table: "E3: merged circuit vs dynamic loading on VF400",
+        columns: &[
+            ("circuits", |c| c.point.to_string()),
+            ("total cols", |c| c.out.0.to_string()),
+            ("merge fits?", |c| {
+                c.out
+                    .2
+                    .as_ref()
+                    .map_or_else(|e| format!("no ({e})"), |_| "yes".into())
+            }),
+            ("merged makespan (s)", |c| {
+                let makespan = |r: &Report| secs(r.makespan);
+                c.out.2.as_ref().map_or("-".into(), makespan)
+            }),
+            ("dynload makespan (s)", |c| secs(c.out.1.makespan)),
+            ("dynload downloads", |c| {
+                c.out.1.manager_stats.downloads.to_string()
+            }),
+            ("merged speedup", |c| {
+                let dyn_s = c.out.1.makespan.as_secs_f64();
+                let speedup = |r: &Report| dyn_s / r.makespan.as_secs_f64().max(1e-12);
+                c.out
+                    .2
+                    .as_ref()
+                    .map_or("-".into(), |r| format!("{:.2}x", speedup(r)))
+            }),
+        ],
+        reports: |c| {
+            let mut out = vec![(format!("dynload/{}", c.label), &c.out.1)];
+            out.extend(c.out.2.as_ref().map(|r| (format!("merged/{}", c.label), r)));
+            out
+        },
+        ..Grid::default()
+    };
+    grid::run(args, host, grid)
 }

@@ -14,7 +14,7 @@
 //! them. Part B is a stochastic churn workload on the full system.
 
 use super::RunArgs;
-use crate::report::{f3, pct, Table};
+use crate::report::{f3, pct, secs, Table};
 use crate::setup::{save_restore, serial_fast, variable_partitions};
 use crate::{run_sweep, Exporter, HostProfile};
 use fsim::{SimDuration, SimRng, SimTime};
@@ -184,7 +184,7 @@ fn churn(
         ex.report(if *gc { "churn/gc-on" } else { "churn/gc-off" }, r);
         t.row(vec![
             if *gc { "on" } else { "off" }.into(),
-            f3(r.makespan.as_secs_f64()),
+            secs(r.makespan),
             f3(r.mean_waiting_s()),
             r.manager_stats.downloads.to_string(),
             r.manager_stats.hits.to_string(),

@@ -15,10 +15,83 @@ use super::RunArgs;
 use crate::report::{f3, pct, Table};
 use crate::setup::serial_fast;
 use crate::{Exporter, HostProfile};
+use fpga::ConfigTiming;
 use fsim::rng::Zipf;
 use fsim::{SimRng, Timeline};
-use vfpga::vmem::{PagingSim, Replacement, SegmentSim, SegmentedFunction};
+use vfpga::vmem::{PagingSim, Replacement, SegmentSim, SegmentedFunction, VmemStats};
 use workload::{suite, Domain};
+
+/// What one column budget contributes: table rows, and (at the 50%
+/// budget) fault timelines and counters.
+type BudgetRows = (
+    Vec<Vec<String>>,
+    Vec<(String, Timeline)>,
+    Vec<(&'static str, u64)>,
+);
+
+/// Segmentation, then pagination at three page widths and three policies,
+/// under `budget_pct` of the function's columns. At the 50% budget the
+/// typed PageFault events are recorded and exported as cumulative faults
+/// over (load-time) time — the document's timeline for this sim-less
+/// experiment.
+fn budget_rows(
+    func: &SegmentedFunction,
+    timing: ConfigTiming,
+    trace: &[usize],
+    budget_pct: u32,
+) -> BudgetRows {
+    let mut rows: Vec<Vec<String>> = Vec::new();
+    let mut timelines: Vec<(String, Timeline)> = Vec::new();
+    let mut counters: Vec<(&'static str, u64)> = Vec::new();
+    let widths = &func.segment_widths;
+    let widest = *widths.iter().max().expect("the function has segments");
+    let budget = (func.total_columns() * budget_pct / 100).max(widest);
+    let mut seg = SegmentSim::new(func.clone(), timing, budget);
+    if budget_pct == 50 {
+        seg.set_recording(true);
+    }
+    let st = seg.run_trace(trace);
+    if budget_pct == 50 {
+        let mut tl = Timeline::new();
+        for (i, e) in seg.drain_events().iter().enumerate() {
+            tl.sample(e.at, (i + 1) as f64);
+        }
+        timelines.push(("segment_faults_cumulative_at_50pct_budget".into(), tl));
+        counters.push(("segment_faults_at_50pct_budget", st.faults));
+    }
+    let row = |scheme: String, st: &VmemStats| {
+        vec![
+            scheme,
+            format!("{budget} ({budget_pct}%)"),
+            pct(st.fault_rate()),
+            f3(st.load_time.as_millis_f64()),
+            st.padding_columns.to_string(),
+            st.evictions.to_string(),
+            st.flushes.to_string(),
+        ]
+    };
+    rows.push(row("segmentation (LRU)".into(), &st));
+    for page in [2u32, 4, 8] {
+        for policy in [Replacement::Lru, Replacement::Fifo, Replacement::Clock] {
+            let mut pg = PagingSim::new(func, timing, budget, page, policy);
+            let record = budget_pct == 50 && page == 4 && policy == Replacement::Lru;
+            if record {
+                pg.set_recording(true);
+            }
+            let st = pg.run_trace(trace);
+            if record {
+                let mut tl = Timeline::new();
+                for (i, e) in pg.drain_events().iter().enumerate() {
+                    tl.sample(e.at, (i + 1) as f64);
+                }
+                timelines.push(("paging_w4_lru_faults_cumulative_at_50pct_budget".into(), tl));
+                counters.push(("paging_w4_lru_faults_at_50pct_budget", st.faults));
+            }
+            rows.push(row(format!("paging w={page} ({policy:?})"), &st));
+        }
+    }
+    (rows, timelines, counters)
+}
 
 pub fn run(args: &RunArgs) -> Result<Exporter, String> {
     let mut host = HostProfile::new(args.threads);
@@ -73,64 +146,7 @@ pub fn run(args: &RunArgs) -> Result<Exporter, String> {
 
     let budgets = [100u32, 75, 50, 35];
     let results = host.sweep(&budgets, |_, &budget_pct| {
-        let mut rows: Vec<Vec<String>> = Vec::new();
-        let mut timelines: Vec<(String, Timeline)> = Vec::new();
-        let mut counters: Vec<(&'static str, u64)> = Vec::new();
-        let budget = (total * budget_pct / 100).max(*widths.iter().max().unwrap());
-        // Segmentation. At the 50% budget point, record the typed
-        // PageFault events and export cumulative faults over (load-time)
-        // time — the document's timeline for this sim-less experiment.
-        let mut seg = SegmentSim::new(func.clone(), timing, budget);
-        if budget_pct == 50 {
-            seg.set_recording(true);
-        }
-        let st = seg.run_trace(&trace);
-        if budget_pct == 50 {
-            let mut tl = Timeline::new();
-            for (i, e) in seg.drain_events().iter().enumerate() {
-                tl.sample(e.at, (i + 1) as f64);
-            }
-            timelines.push(("segment_faults_cumulative_at_50pct_budget".into(), tl));
-            counters.push(("segment_faults_at_50pct_budget", st.faults));
-        }
-        rows.push(vec![
-            "segmentation (LRU)".into(),
-            format!("{budget} ({budget_pct}%)"),
-            pct(st.fault_rate()),
-            f3(st.load_time.as_millis_f64()),
-            st.padding_columns.to_string(),
-            st.evictions.to_string(),
-            st.flushes.to_string(),
-        ]);
-        // Pagination at several page widths.
-        for page in [2u32, 4, 8] {
-            for policy in [Replacement::Lru, Replacement::Fifo, Replacement::Clock] {
-                let mut pg = PagingSim::new(&func, timing, budget, page, policy);
-                let record = budget_pct == 50 && page == 4 && policy == Replacement::Lru;
-                if record {
-                    pg.set_recording(true);
-                }
-                let st = pg.run_trace(&trace);
-                if record {
-                    let mut tl = Timeline::new();
-                    for (i, e) in pg.drain_events().iter().enumerate() {
-                        tl.sample(e.at, (i + 1) as f64);
-                    }
-                    timelines.push(("paging_w4_lru_faults_cumulative_at_50pct_budget".into(), tl));
-                    counters.push(("paging_w4_lru_faults_at_50pct_budget", st.faults));
-                }
-                rows.push(vec![
-                    format!("paging w={page} ({policy:?})"),
-                    format!("{budget} ({budget_pct}%)"),
-                    pct(st.fault_rate()),
-                    f3(st.load_time.as_millis_f64()),
-                    st.padding_columns.to_string(),
-                    st.evictions.to_string(),
-                    st.flushes.to_string(),
-                ]);
-            }
-        }
-        (rows, timelines, counters)
+        budget_rows(&func, timing, &trace, budget_pct)
     });
     for (rows, timelines, counters) in results {
         for (name, tl) in &timelines {

@@ -12,8 +12,9 @@
 //! CPU tasks; rollback only terminates when the op fits in one slice;
 //! save/restore always terminates at a readback cost.
 
+use super::grid::{self, fixed, Grid};
 use super::RunArgs;
-use crate::report::{f3, pct, Table};
+use crate::report::{pct, secs};
 use crate::setup::{compile_suite_lib, run_traced, serial_fast};
 use crate::{Exporter, HostProfile};
 use fsim::{SimDuration, SimTime};
@@ -21,106 +22,88 @@ use vfpga::manager::dynload::DynLoadManager;
 use vfpga::{Op, PreemptAction, RoundRobinScheduler, SystemConfig, TaskSpec};
 use workload::Domain;
 
+const POLICIES: [PreemptAction; 3] = [
+    PreemptAction::WaitCompletion,
+    PreemptAction::Rollback,
+    PreemptAction::SaveRestore,
+];
+
 pub fn run(args: &RunArgs) -> Result<Exporter, String> {
     let mut host = HostProfile::new(args.threads);
     let spec = fpga::device::part("VF800");
     let (lib, ids) = host.phase(crate::sections::PHASE_COMPILE, || {
         compile_suite_lib(&[Domain::Telecom], spec)
     });
-    let scrambler = ids[0]; // LFSR: sequential
+    let scrambler = lib.get(ids[0]); // LFSR: sequential
     let timing = serial_fast(spec);
-    let slice = SimDuration::from_millis(10);
-    let per_cycle = lib.get(scrambler).run_time(1).as_nanos().max(1);
-
-    let mut ex = Exporter::new("e10", "preemption policy vs FPGA-op length");
-    ex.seed(0)
-        .param("device", spec.name)
-        .param("slice_ms", 10u64)
-        .param("state_bits", lib.get(scrambler).state_bits());
-    let mut t = Table::new(
-        "E10: preemption policy vs FPGA-op length (slice = 10 ms)",
-        &[
-            "op length",
-            "policy",
-            "completes?",
-            "fpga turnaround (s)",
-            "lost time (s)",
-            "state saves",
-            "overhead frac",
-        ],
-    );
-
-    let points: Vec<(u64, PreemptAction)> = [2u64, 8, 25, 100]
-        .into_iter()
-        .flat_map(|op_ms| {
-            [
-                PreemptAction::WaitCompletion,
-                PreemptAction::Rollback,
-                PreemptAction::SaveRestore,
-            ]
-            .into_iter()
-            .map(move |p| (op_ms, p))
-        })
-        .collect();
-    let results = host.sweep(&points, |_, &(op_ms, policy)| {
-        let cycles = (op_ms * 1_000_000) / per_cycle;
+    let per_cycle = scrambler.run_time(1).as_nanos().max(1);
+    let cell = |&(op_ms, policy): &(u64, PreemptAction)| {
         // Rollback with op > slice makes progress only once every
         // competitor has left the ready queue (the OS skips pointless
         // preemption when nobody else can run); the lost-time column
         // shows the discarded work.
+        let cycles = (op_ms * 1_000_000) / per_cycle;
+        let fpga = vec![Op::FpgaRun {
+            circuit: ids[0],
+            cycles,
+        }];
+        let cpu = || vec![Op::Cpu(SimDuration::from_millis(40))];
         let specs = vec![
-            TaskSpec::new(
-                "fpga-task",
-                SimTime::ZERO,
-                vec![Op::FpgaRun {
-                    circuit: scrambler,
-                    cycles,
-                }],
-            ),
-            TaskSpec::new(
-                "cpu-a",
-                SimTime::ZERO,
-                vec![Op::Cpu(SimDuration::from_millis(40))],
-            ),
-            TaskSpec::new(
-                "cpu-b",
-                SimTime::ZERO,
-                vec![Op::Cpu(SimDuration::from_millis(40))],
-            ),
+            TaskSpec::new("fpga-task", SimTime::ZERO, fpga),
+            TaskSpec::new("cpu-a", SimTime::ZERO, cpu()),
+            TaskSpec::new("cpu-b", SimTime::ZERO, cpu()),
         ];
         let mgr = DynLoadManager::new(lib.clone(), timing, policy);
         let config = SystemConfig {
             preempt: policy,
             ..Default::default()
         };
-        run_traced(&lib, mgr, RoundRobinScheduler::new(slice), config, specs)
-    });
-    for (&(op_ms, policy), r) in points.iter().zip(&results) {
-        ex.report(&format!("{op_ms}ms/{policy:?}"), r);
-        t.row(vec![
-            format!("{op_ms} ms"),
-            format!("{policy:?}"),
-            if r.tasks[0].lost_time > SimDuration::ZERO {
-                "yes (after CPU tasks idle)".into()
-            } else {
-                "yes".into()
-            },
-            f3(r.tasks[0].turnaround().as_secs_f64()),
-            f3(r.tasks[0].lost_time.as_secs_f64()),
-            r.manager_stats.state_saves.to_string(),
-            pct(r.overhead_fraction()),
-        ]);
-    }
-    t.print();
-    ex.table(&t);
-    ex.host(host, points.len());
-    println!(
-        "\nState footprint of the scrambler: {} flip-flops over {} frames; one readback = {:.3} ms",
-        lib.get(scrambler).state_bits(),
-        lib.get(scrambler).frames(),
-        timing
-            .readback_time(lib.get(scrambler).frames())
-            .as_millis_f64()
-    );
-    Ok(ex)
+        let sched = RoundRobinScheduler::new(SimDuration::from_millis(10));
+        Ok(run_traced(&lib, mgr, sched, config, specs))
+    };
+    let grid = Grid {
+        code: "e10",
+        title: "preemption policy vs FPGA-op length",
+        params: vec![
+            ("device", spec.name.into()),
+            ("slice_ms", 10u64.into()),
+            ("state_bits", scrambler.state_bits().into()),
+        ],
+        points: vec![grid::product(
+            (0, POLICIES[0]),
+            vec![
+                fixed(&[2, 8, 25, 100], |p, v| p.0 = v),
+                fixed(&POLICIES, |p, v| p.1 = v),
+            ],
+        )],
+        label: |(op_ms, policy)| format!("{op_ms}ms/{policy:?}"),
+        cell: &cell,
+        table: "E10: preemption policy vs FPGA-op length (slice = 10 ms)",
+        columns: &[
+            ("op length", |c| format!("{} ms", c.point.0)),
+            ("policy", |c| format!("{:?}", c.point.1)),
+            ("completes?", |c| {
+                match c.out.tasks[0].lost_time > SimDuration::ZERO {
+                    true => "yes (after CPU tasks idle)".into(),
+                    false => "yes".into(),
+                }
+            }),
+            ("fpga turnaround (s)", |c| secs(c.out.tasks[0].turnaround())),
+            ("lost time (s)", |c| secs(c.out.tasks[0].lost_time)),
+            ("state saves", |c| {
+                c.out.manager_stats.state_saves.to_string()
+            }),
+            ("overhead frac", |c| pct(c.out.overhead_fraction())),
+        ],
+        reports: grid::own_report,
+        outro: &format!(
+            "\nState footprint of the scrambler: {} flip-flops over {} frames; \
+             one readback = {:.3} ms\n",
+            scrambler.state_bits(),
+            scrambler.frames(),
+            timing.readback_time(scrambler.frames()).as_millis_f64()
+        ),
+        ..Grid::default()
+    };
+    grid::run(args, host, grid)
 }

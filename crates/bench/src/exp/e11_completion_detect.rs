@@ -9,8 +9,9 @@
 //! per op; the done-signal path wastes at most one poll period plus the
 //! poll CPU cost. The table locates where each mechanism wins.
 
+use super::grid::{self, Grid};
 use super::RunArgs;
-use crate::report::{f3, pct, Table};
+use crate::report::{f3, pct, secs};
 use crate::setup::{compile_suite_lib, run_traced, serial_fast};
 use crate::{Exporter, HostProfile};
 use fsim::{SimDuration, SimTime};
@@ -24,76 +25,69 @@ pub fn run(args: &RunArgs) -> Result<Exporter, String> {
     let (lib, ids) = host.phase(crate::sections::PHASE_COMPILE, || {
         compile_suite_lib(&[Domain::Networking], spec)
     });
-    let cid = ids[0];
-    let timing = serial_fast(spec);
-    let cycles = 200_000u64;
-    let op_ms = lib.get(cid).run_time(cycles).as_millis_f64();
+    let (circuit, cycles) = (ids[0], 200_000u64);
+    let op_ms = lib.get(circuit).run_time(cycles).as_millis_f64();
 
-    let mut detect_modes: Vec<(String, CompletionDetect)> =
+    let mut modes: Vec<(String, CompletionDetect)> =
         vec![("exact (ideal)".into(), CompletionDetect::Exact)];
     for factor in [1.05, 1.1, 1.25, 1.5, 2.0] {
-        detect_modes.push((
+        modes.push((
             format!("estimate x{factor}"),
             CompletionDetect::Estimate { factor },
         ));
     }
     for poll_us in [10u64, 100, 1_000, 10_000] {
-        detect_modes.push((
+        let poll = SimDuration::from_micros(poll_us);
+        modes.push((
             format!("done-signal poll {poll_us}us"),
-            CompletionDetect::DoneSignal {
-                poll: SimDuration::from_micros(poll_us),
-            },
+            CompletionDetect::DoneSignal { poll },
         ));
     }
-
-    let mut ex = Exporter::new("e11", "completion detection mechanisms");
-    ex.seed(0)
-        .param("device", spec.name)
-        .param("ops", 20u64)
-        .param("op_ms", op_ms);
-    let mut t = Table::new(
-        format!("E11: completion detection over 20 ops of {op_ms:.2} ms each"),
-        &[
-            "mechanism",
-            "makespan (s)",
-            "overhead frac",
-            "wasted per op (ms)",
-        ],
-    );
-    let results = host.sweep(&detect_modes, |_, (_, completion)| {
-        let ops: Vec<Op> = (0..20)
-            .flat_map(|_| {
-                vec![
-                    Op::FpgaRun {
-                        circuit: cid,
-                        cycles,
-                    },
-                    Op::Cpu(SimDuration::from_micros(200)),
-                ]
-            })
-            .collect();
-        let specs = vec![TaskSpec::new("t", SimTime::ZERO, ops)];
-        let mgr = DynLoadManager::new(lib.clone(), timing, PreemptAction::WaitCompletion);
+    let cell = |&(_, completion): &(String, CompletionDetect)| {
+        let op = [
+            Op::FpgaRun { circuit, cycles },
+            Op::Cpu(SimDuration::from_micros(200)),
+        ];
+        let specs = vec![TaskSpec::new("t", SimTime::ZERO, op.repeat(20))];
+        let mgr = DynLoadManager::new(
+            lib.clone(),
+            serial_fast(spec),
+            PreemptAction::WaitCompletion,
+        );
         let config = SystemConfig {
-            completion: *completion,
+            completion,
             ..Default::default()
         };
-        run_traced(&lib, mgr, FifoScheduler::new(), config, specs)
-    });
-    for ((name, _), r) in detect_modes.iter().zip(&results) {
-        ex.report(name, r);
-        // Wasted time = overhead beyond the single configuration download.
-        let config = r.manager_stats.config_time;
-        let wasted = r.tasks[0].overhead_time.saturating_sub(config);
-        t.row(vec![
-            name.clone(),
-            f3(r.makespan.as_secs_f64()),
-            pct(r.overhead_fraction()),
-            f3(wasted.as_millis_f64() / 20.0),
-        ]);
-    }
-    t.print();
-    ex.table(&t);
-    ex.host(host, detect_modes.len());
-    Ok(ex)
+        Ok(run_traced(&lib, mgr, FifoScheduler::new(), config, specs))
+    };
+    let grid = Grid {
+        code: "e11",
+        title: "completion detection mechanisms",
+        params: vec![
+            ("device", spec.name.into()),
+            ("ops", 20u64.into()),
+            ("op_ms", op_ms.into()),
+        ],
+        points: vec![grid::points(modes)],
+        label: |(name, _)| name.clone(),
+        cell: &cell,
+        table: &format!("E11: completion detection over 20 ops of {op_ms:.2} ms each"),
+        columns: &[
+            ("mechanism", |c| c.label.clone()),
+            ("makespan (s)", |c| secs(c.out.makespan)),
+            ("overhead frac", |c| pct(c.out.overhead_fraction())),
+            // Wasted time = overhead beyond the single configuration download.
+            ("wasted per op (ms)", |c| {
+                let config = c.out.manager_stats.config_time;
+                f3(c.out.tasks[0]
+                    .overhead_time
+                    .saturating_sub(config)
+                    .as_millis_f64()
+                    / 20.0)
+            }),
+        ],
+        reports: grid::own_report,
+        ..Grid::default()
+    };
+    grid::run(args, host, grid)
 }

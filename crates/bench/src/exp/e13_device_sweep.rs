@@ -15,107 +15,80 @@
 //! the headline experiment for `--threads N` plus the shared compile
 //! cache (identical kernels across part heights hit the cache).
 
+use super::grid::{self, Grid};
 use super::RunArgs;
-use crate::report::{f3, pct, Table};
-use crate::setup::{run_traced, save_restore, variable_partitions};
+use crate::report::{f3, pct, secs};
+use crate::setup::{compile_suite_lib, run_traced, save_restore, serial_fast, variable_partitions};
 use crate::{Exporter, HostProfile};
-use fpga::{ConfigPort, ConfigTiming, PARTS};
+use fpga::{DeviceSpec, PARTS};
 use fsim::{SimDuration, SimRng};
-use std::sync::Arc;
-use vfpga::{CircuitLib, RoundRobinScheduler};
-use workload::{poisson_tasks, suite, Domain, MixParams};
+use vfpga::{Report, RoundRobinScheduler};
+use workload::{poisson_tasks, Domain, MixParams};
+
+/// The widest circuit, and the run when the part is at least that wide.
+type Out = (u32, Option<Report>);
+
+/// `f` of a part's run, `-` where the workload does not fit.
+fn fits(c: &grid::Cell<DeviceSpec, Out>, f: fn(&Report) -> String) -> String {
+    c.out.1.as_ref().map_or("-".into(), f)
+}
 
 pub fn run(args: &RunArgs) -> Result<Exporter, String> {
-    let mut host = HostProfile::new(args.threads);
-    let mut ex = Exporter::new("e13", "one workload across the part catalog");
-    ex.seed(0xE13)
-        .param("parts", PARTS.len())
-        .param("tasks", 10u64);
-    let mut t = Table::new(
-        "E13: one workload across the part catalog (variable partitions)",
-        &[
-            "part",
-            "cols",
-            "gates",
-            "fits?",
-            "makespan (s)",
-            "mean wait (s)",
-            "downloads",
-            "evictions",
-            "overhead frac",
-        ],
-    );
-
-    let results = host.sweep(PARTS, |_, spec| {
+    let cell = |&spec: &DeviceSpec| {
         // Recompile the suites for this part's height so circuits are
         // full-height columns on *this* device.
-        let mut lib = CircuitLib::new();
-        let mut ids = Vec::new();
-        for d in [Domain::Telecom, Domain::Storage] {
-            for app in suite(d, spec.rows).apps {
-                ids.push(lib.register_shared(app.compiled));
-            }
-        }
-        let lib = Arc::new(lib);
-        let widest = ids.iter().map(|&i| lib.get(i).shape().0).max().unwrap();
+        let (lib, ids) = compile_suite_lib(&[Domain::Telecom, Domain::Storage], spec);
+        let widest = ids.iter().map(|&i| lib.get(i).shape().0).max();
+        let widest = widest.expect("the suites hold circuits");
         if widest > spec.cols {
-            return (
-                None,
-                vec![
-                    spec.name.into(),
-                    spec.cols.to_string(),
-                    spec.gates.to_string(),
-                    format!("NO (needs {widest} cols)"),
-                    "-".into(),
-                    "-".into(),
-                    "-".into(),
-                    "-".into(),
-                    "-".into(),
-                ],
-            );
+            return Ok((widest, None));
         }
-
-        let timing = ConfigTiming {
-            spec: *spec,
-            port: ConfigPort::SerialFast,
+        let mix = MixParams {
+            tasks: 10,
+            mean_interarrival: SimDuration::from_millis(2),
+            mean_cpu_burst: SimDuration::from_millis(2),
+            fpga_ops_per_task: 5,
+            cycles: (50_000, 200_000),
         };
-        let mut rng = SimRng::new(0xE13);
-        let specs = poisson_tasks(
-            &MixParams {
-                tasks: 10,
-                mean_interarrival: SimDuration::from_millis(2),
-                mean_cpu_burst: SimDuration::from_millis(2),
-                fpga_ops_per_task: 5,
-                cycles: (50_000, 200_000),
-            },
-            &ids,
-            &mut rng,
-        );
-        let mgr = variable_partitions(&lib, timing);
+        let specs = poisson_tasks(&mix, &ids, &mut SimRng::new(0xE13));
+        let mgr = variable_partitions(&lib, serial_fast(spec));
         let sched = RoundRobinScheduler::new(SimDuration::from_millis(10));
-        let r = run_traced(&lib, mgr, sched, save_restore(), specs);
-        let row = vec![
-            spec.name.into(),
-            spec.cols.to_string(),
-            spec.gates.to_string(),
-            "yes".into(),
-            f3(r.makespan.as_secs_f64()),
-            f3(r.mean_waiting_s()),
-            r.manager_stats.downloads.to_string(),
-            r.manager_stats.evictions.to_string(),
-            pct(r.overhead_fraction()),
-        ];
-        (Some(r), row)
-    });
-    for (spec, (report, row)) in PARTS.iter().zip(results) {
-        if let Some(r) = &report {
-            ex.report(spec.name, r);
-        }
-        t.row(row);
-    }
-    t.print();
-    ex.table(&t);
-    ex.host(host, PARTS.len());
-    println!("\nThe cheapest part with acceptable makespan is the right buy — §1's cost argument.");
-    Ok(ex)
+        Ok((
+            widest,
+            Some(run_traced(&lib, mgr, sched, save_restore(), specs)),
+        ))
+    };
+    let grid = Grid {
+        code: "e13",
+        title: "one workload across the part catalog",
+        seed: 0xE13,
+        params: vec![("parts", PARTS.len().into()), ("tasks", 10u64.into())],
+        points: vec![grid::points(PARTS.to_vec())],
+        label: |spec| spec.name.into(),
+        cell: &cell,
+        table: "E13: one workload across the part catalog (variable partitions)",
+        columns: &[
+            ("part", |c| c.label.clone()),
+            ("cols", |c| c.point.cols.to_string()),
+            ("gates", |c| c.point.gates.to_string()),
+            ("fits?", |c| match c.out.1 {
+                Some(_) => "yes".into(),
+                None => format!("NO (needs {} cols)", c.out.0),
+            }),
+            ("makespan (s)", |c| fits(c, |r| secs(r.makespan))),
+            ("mean wait (s)", |c| fits(c, |r| f3(r.mean_waiting_s()))),
+            ("downloads", |c| {
+                fits(c, |r| r.manager_stats.downloads.to_string())
+            }),
+            ("evictions", |c| {
+                fits(c, |r| r.manager_stats.evictions.to_string())
+            }),
+            ("overhead frac", |c| fits(c, |r| pct(r.overhead_fraction()))),
+        ],
+        reports: |c| c.out.1.iter().map(|r| (c.label.clone(), r)).collect(),
+        outro:
+            "\nThe cheapest part with acceptable makespan is the right buy — §1's cost argument.\n",
+        ..Grid::default()
+    };
+    grid::run(args, HostProfile::new(args.threads), grid)
 }

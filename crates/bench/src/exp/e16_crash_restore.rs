@@ -14,33 +14,33 @@
 //! OFF is the ablation — stale residency claims survive the restore and
 //! silently corrupt results, proving the journal is load-bearing.
 
+use super::grid::{self, axis, fixed, Gate, Grid};
 use super::RunArgs;
-use crate::report::{f3, Table};
+use crate::report::secs;
 use crate::setup::{compile_suite_lib, os_mix, save_restore, serial_fast};
 use crate::{Exporter, HostProfile};
 use fsim::{SimDuration, SimRng};
 use vfpga::manager::dynload::DynLoadManager;
 use vfpga::{
-    diff_reports, run_with_crashes, CheckpointConfig, CrashPlan, PreemptAction, Report,
-    RoundRobinScheduler, System, TaskSpec,
+    diff_reports, run_with_crashes, CheckpointConfig, CrashPlan, Divergence, PreemptAction, Report,
+    RoundRobinScheduler, System,
 };
 use workload::{poisson_tasks, Domain};
 
-fn specs(ids: &[vfpga::CircuitId], seed: u64) -> Vec<TaskSpec> {
-    let mut rng = SimRng::new(seed);
-    poisson_tasks(&os_mix(10, SimDuration::from_millis(2)), ids, &mut rng)
-}
+/// Crash rate (per simulated second), checkpoint interval (µs) and journal
+/// on/off, each with its label.
+type Point = (
+    (&'static str, f64),
+    (&'static str, u64),
+    (&'static str, bool),
+);
 
-struct Cell {
-    label: String,
-    journal: bool,
-    divergences: Vec<vfpga::Divergence>,
-    report: Report,
-}
+const RATES: [(&str, f64); 3] = [("rare", 15.0), ("frequent", 60.0), ("storm", 200.0)];
+const INTERVALS: [(&str, u64); 3] = [("1ms", 1_000), ("2ms", 2_000), ("8ms", 8_000)];
+const JOURNALS: [(&str, bool); 2] = [("on", true), ("off", false)];
 
 pub fn run(args: &RunArgs) -> Result<Exporter, String> {
     let seed = args.seed();
-    let smoke = args.smoke;
     let mut host = HostProfile::new(args.threads);
     let spec = fpga::device::part("VF400");
     let (lib, ids) = host.phase(crate::sections::PHASE_COMPILE, || {
@@ -51,148 +51,97 @@ pub fn run(args: &RunArgs) -> Result<Exporter, String> {
     // Whole-device dynamic loading: every circuit swap rewrites the same
     // columns, so a stale post-crash residency claim always points at
     // clobbered configuration — the worst case for crash consistency.
-    let build = |seed: u64| {
-        let lib = lib.clone();
-        let ids = ids.clone();
-        move || {
-            let mgr = DynLoadManager::new(lib.clone(), timing, PreemptAction::SaveRestore);
-            System::new(
-                lib.clone(),
-                mgr,
-                RoundRobinScheduler::new(SimDuration::from_millis(4)),
-                save_restore(),
-                specs(&ids, seed),
-            )
-        }
+    let build = || {
+        let mgr = DynLoadManager::new(lib.clone(), timing, PreemptAction::SaveRestore);
+        let mix = os_mix(10, SimDuration::from_millis(2));
+        let specs = poisson_tasks(&mix, &ids, &mut SimRng::new(seed));
+        let rr = RoundRobinScheduler::new(SimDuration::from_millis(4));
+        System::new(lib.clone(), mgr, rr, save_restore(), specs)
     };
-
-    // (name, crash rate per simulated second)
-    let rates: &[(&str, f64)] = if smoke {
-        &[("rare", 15.0)]
-    } else {
-        &[("rare", 15.0), ("frequent", 60.0), ("storm", 200.0)]
-    };
-    let intervals: &[(&str, u64)] = if smoke {
-        // The cell where the ablation demonstrably bites: crashes spread
-        // across the run, windows wide enough to hold downloads.
-        &[("8ms", 8_000)]
-    } else {
-        &[("1ms", 1_000), ("2ms", 2_000), ("8ms", 8_000)]
-    };
-    let journals: &[(&str, bool)] = &[("on", true), ("off", false)];
-
-    let mut ex = Exporter::new("e16", "crash rate x checkpoint interval x journal on/off");
-    ex.seed(seed)
-        .param("device", spec.name)
-        .param("tasks", 10u64)
-        .param("smoke", smoke);
-
-    let mut t = Table::new(
-        "E16: crash-consistent checkpoint/restore (dynload manager, RR 4ms)",
-        &[
-            "crashes/s",
-            "ckpt ivl",
-            "journal",
-            "crashes",
-            "ckpts",
-            "ckpt ovh (s)",
-            "torn",
-            "redone/undone",
-            "replay (s)",
-            "discards",
-            "corrupted",
-            "diverged",
-        ],
-    );
-
     let baseline = host.phase(crate::sections::PHASE_BASELINE, || {
-        build(seed)().run().expect("baseline run")
+        build().run().expect("baseline run")
     });
-    let mut points = Vec::new();
-    for &(rname, rate) in rates {
-        for &(iname, interval_us) in intervals {
-            for &(jname, journal) in journals {
-                points.push((rname, rate, iname, interval_us, jname, journal));
-            }
+    let cell = |&((_, rate), (_, interval_us), (_, journal)): &Point| {
+        let mut cfg = CheckpointConfig::new(SimDuration::from_micros(interval_us));
+        if !journal {
+            cfg = cfg.without_journal();
         }
-    }
-    let cells: Vec<Cell> = host.sweep(
-        &points,
-        |_, &(rname, rate, iname, interval_us, jname, journal)| {
-            let mut cfg = CheckpointConfig::new(SimDuration::from_micros(interval_us));
-            if !journal {
-                cfg = cfg.without_journal();
-            }
-            let plan = CrashPlan {
-                seed,
-                crash_rate_per_s: rate,
-                max_crashes: 4,
-            };
-            let report =
-                run_with_crashes(build(seed), cfg, plan).expect("crashed run must still terminate");
-            let divergences = diff_reports(&baseline, &report);
-            Cell {
-                label: format!("{rname}/{iname}/journal-{jname}"),
-                journal,
-                divergences,
-                report,
-            }
-        },
-    );
-
-    let mut journal_off_corruptions = 0u64;
-    for c in &cells {
+        let plan = CrashPlan {
+            seed,
+            crash_rate_per_s: rate,
+            max_crashes: 4,
+        };
+        let report = run_with_crashes(build, cfg, plan).expect("crashed run must still terminate");
+        Ok((diff_reports(&baseline, &report), report))
+    };
+    let grid = Grid {
+        code: "e16",
+        title: "crash rate x checkpoint interval x journal on/off",
+        seed,
+        params: vec![("device", spec.name.into()), ("tasks", 10u64.into())],
+        points: vec![grid::product(
+            (RATES[0], INTERVALS[2], JOURNALS[0]),
+            vec![
+                axis(&RATES[..1], &RATES, |p, v| p.0 = v),
+                // The smoke cell is where the ablation demonstrably
+                // bites: crashes spread across the run, windows wide
+                // enough to hold downloads.
+                axis(&INTERVALS[2..], &INTERVALS, |p, v| p.1 = v),
+                fixed(&JOURNALS, |p, v| p.2 = v),
+            ],
+        )],
+        label: |&((r, _), (i, _), (j, _))| format!("{r}/{i}/journal-{j}"),
+        cell: &cell,
         // The differential verifier IS the experiment's safety net: a
         // journaled restore that does not reproduce the uninterrupted
         // outcomes is a correctness bug, not a data point.
-        if c.journal && !c.divergences.is_empty() {
-            return Err(super::diverged(
-                format!("journaled cell {} diverged", c.label),
-                &c.divergences,
-            ));
-        }
-        if !c.journal {
-            journal_off_corruptions += c.report.crash.silent_corruptions;
-        }
-    }
-
-    for c in &cells {
-        let r = &c.report;
-        let k = &r.crash;
-        let parts: Vec<&str> = c.label.split('/').collect();
-        t.row(vec![
-            parts[0].into(),
-            parts[1].into(),
-            parts[2].trim_start_matches("journal-").into(),
-            k.crashes.to_string(),
-            k.checkpoints.to_string(),
-            f3(k.checkpoint_time.as_secs_f64()),
-            k.torn_downloads.to_string(),
-            format!("{}/{}", k.records_redone, k.records_undone),
-            f3(k.replay_time.as_secs_f64()),
-            k.stale_discards.to_string(),
-            k.silent_corruptions.to_string(),
-            c.divergences.len().to_string(),
-        ]);
-        ex.report(&c.label, r);
-        ex.metrics().inc(
-            if c.journal {
-                "journal_on_divergences"
-            } else {
-                "journal_off_divergences"
+        gates: &[Gate::Each(
+            "journaled restore matches the baseline",
+            |c| match c.point.2 .1 {
+                true => super::no_divergence(&c.out.0),
+                false => Ok(()),
             },
-            c.divergences.len() as u64,
-        );
-    }
-
-    t.print();
-    ex.param("journal_off_corruptions", journal_off_corruptions);
-    ex.table(&t);
-    ex.host(host, points.len());
-
-    println!("\nEvery journal-on cell restored to outcomes identical to the uninterrupted");
-    println!("baseline (the bench aborts otherwise). Journal-off cells keep stale residency");
-    println!("claims across the restore: the corrupted/diverged columns show what the");
-    println!("write-ahead journal is actually buying.");
-    Ok(ex)
+        )],
+        table: "E16: crash-consistent checkpoint/restore (dynload manager, RR 4ms)",
+        columns: &[
+            ("crashes/s", |c| c.point.0 .0.into()),
+            ("ckpt ivl", |c| c.point.1 .0.into()),
+            ("journal", |c| c.point.2 .0.into()),
+            ("crashes", |c| c.out.1.crash.crashes.to_string()),
+            ("ckpts", |c| c.out.1.crash.checkpoints.to_string()),
+            ("ckpt ovh (s)", |c| secs(c.out.1.crash.checkpoint_time)),
+            ("torn", |c| c.out.1.crash.torn_downloads.to_string()),
+            ("redone/undone", |c| {
+                let k = &c.out.1.crash;
+                format!("{}/{}", k.records_redone, k.records_undone)
+            }),
+            ("replay (s)", |c| secs(c.out.1.crash.replay_time)),
+            ("discards", |c| c.out.1.crash.stale_discards.to_string()),
+            ("corrupted", |c| {
+                c.out.1.crash.silent_corruptions.to_string()
+            }),
+            ("diverged", |c| c.out.0.len().to_string()),
+        ],
+        reports: |c| vec![(c.label.clone(), &c.out.1)],
+        finish: |cells, ex| {
+            let mut corrupted = 0;
+            for c in cells {
+                let (divergences, r): &(Vec<Divergence>, Report) = &c.out;
+                let n = divergences.len() as u64;
+                if c.point.2 .1 {
+                    ex.metrics().inc("journal_on_divergences", n);
+                } else {
+                    ex.metrics().inc("journal_off_divergences", n);
+                    corrupted += r.crash.silent_corruptions;
+                }
+            }
+            ex.param("journal_off_corruptions", corrupted);
+        },
+        outro: "\nEvery journal-on cell restored to outcomes identical to the uninterrupted\n\
+                baseline (the bench aborts otherwise). Journal-off cells keep stale residency\n\
+                claims across the restore: the corrupted/diverged columns show what the\n\
+                write-ahead journal is actually buying.\n",
+        ..Grid::default()
+    };
+    grid::run(args, host, grid)
 }

@@ -18,199 +18,163 @@
 //! deterministic: the same `--seed` yields a byte-identical export
 //! (modulo the volatile `host` section) at any `--threads` count.
 
+use super::grid::{self, axis, Column, Grid};
 use super::RunArgs;
-use crate::report::{f3, Table};
+use crate::report::secs;
 use crate::setup::{compile_suite_lib_sw, os_mix, save_restore, serial_fast, variable_partitions};
 use crate::{Exporter, HostProfile};
-use fpga::ConfigTiming;
 use fsim::{SimDuration, SimRng};
 use std::collections::BTreeMap;
 use vfpga::{
-    AdmissionPolicy, DegradationConfig, Report, RoundRobinScheduler, System, TaskSpec,
+    AdmissionPolicy, AdmissionStats, DegradationConfig, Report, RoundRobinScheduler, System,
     WatchdogConfig,
 };
 use workload::{tenant_tasks, Domain, TenantMixParams};
 
-fn specs(
-    ids: &[vfpga::CircuitId],
-    seed: u64,
-    mean_interarrival: SimDuration,
-    hang_tasks: usize,
-) -> Vec<TaskSpec> {
-    let mut rng = SimRng::new(seed);
-    tenant_tasks(
-        &TenantMixParams {
-            base: os_mix(10, mean_interarrival),
-            tenants: 2,
-            deadline: Some(SimDuration::from_millis(60)),
-            hang_tasks,
-            ..Default::default()
-        },
-        ids,
-        &mut rng,
-    )
-}
-
-#[derive(Clone)]
+#[derive(Clone, Copy)]
 struct Point {
-    label: String,
-    mean_interarrival: SimDuration,
-    hang_tasks: usize,
-    policy: Option<AdmissionPolicy>,
+    load: (&'static str, SimDuration),
+    quota: u32,
+    slack: f64,
+    /// The degradation watermark: the default 0.85 only degrades under
+    /// real saturation; the "saturated" cell forces it low.
+    watermark: f64,
+    /// Admission control on, and one task that hangs forever (only the
+    /// watchdog terminates it). The no-admission baseline therefore runs
+    /// the hang-free variant of the same arrival process.
+    admission: bool,
 }
 
-fn run_cell(
-    lib: &std::sync::Arc<vfpga::CircuitLib>,
-    ids: &[vfpga::CircuitId],
-    timing: ConfigTiming,
-    seed: u64,
-    p: &Point,
-) -> (String, Report) {
-    let mgr = variable_partitions(lib, timing);
-    let mut sys = System::new(
-        lib.clone(),
-        mgr,
-        RoundRobinScheduler::new(SimDuration::from_millis(8)),
-        save_restore(),
-        specs(ids, seed, p.mean_interarrival, p.hang_tasks),
-    );
-    if let Some(policy) = &p.policy {
-        sys = sys
-            .with_admission(policy.clone())
-            .expect("sweep policies must validate");
-    }
-    let report = sys
-        .run()
-        .expect("every task must terminate (completed, rejected, or quarantined)");
-    (p.label.clone(), report)
+const HEAVY: (&str, SimDuration) = ("heavy", SimDuration::from_millis(1));
+const LOADS: [(&str, SimDuration); 2] = [("light", SimDuration::from_millis(4)), HEAVY];
+const ADMITTED: Point = Point {
+    load: HEAVY,
+    quota: 2,
+    slack: 2.0,
+    watermark: 0.85,
+    admission: true,
+};
+
+fn admission_of(c: &grid::Cell<Point, Report>) -> AdmissionStats {
+    c.out.admission.unwrap_or_default()
 }
+
+/// `p`'s admission control; `sw` prices the software fallback.
+fn admission(p: &Point, sw: &BTreeMap<u32, u64>) -> AdmissionPolicy {
+    // queue_cap 2: a tenant holds `quota` running + 2 queued; the rest of
+    // a burst is load-shed.
+    AdmissionPolicy {
+        max_in_flight: p.quota,
+        queue_cap: 2,
+        watchdog: Some(WatchdogConfig {
+            slack: p.slack,
+            max_trips: 2,
+        }),
+        degradation: Some(DegradationConfig {
+            watermark: p.watermark,
+            sw_ns_per_cycle: sw.clone(),
+            ..Default::default()
+        }),
+        ..Default::default()
+    }
+}
+
+const COLUMNS: &[Column<Point, Report>] = &[
+    ("cell", |c| c.label.clone()),
+    ("makespan (s)", |c| secs(c.out.makespan)),
+    ("done", |c| {
+        let ts = &c.out.tasks;
+        let done = ts
+            .iter()
+            .filter(|t| !t.failed && !t.quarantined && !t.rejected);
+        format!("{}/{}", done.count(), ts.len())
+    }),
+    ("rejected", |c| admission_of(c).rejected.to_string()),
+    ("deferred", |c| admission_of(c).deferred.to_string()),
+    ("quarantined", |c| admission_of(c).quarantined.to_string()),
+    ("wd fires", |c| admission_of(c).watchdog_fired.to_string()),
+    ("degraded", |c| {
+        admission_of(c).degraded_dispatches.to_string()
+    }),
+    ("ddl miss", |c| admission_of(c).deadline_missed.to_string()),
+    ("lost (s)", |c| secs(admission_of(c).watchdog_lost_time)),
+];
 
 pub fn run(args: &RunArgs) -> Result<Exporter, String> {
     let seed = args.seed();
-    let smoke = args.smoke;
     let mut host = HostProfile::new(args.threads);
     let spec = fpga::device::part("VF800");
     let (lib, ids, sw) = host.phase(crate::sections::PHASE_COMPILE, || {
         compile_suite_lib_sw(&[Domain::Telecom, Domain::Storage], spec)
     });
     let timing = serial_fast(spec);
-
-    // queue_cap 2: a tenant holds `quota` running + 2 queued; the rest of
-    // a burst is load-shed. The default watermark (0.85) only degrades
-    // under real saturation; the dedicated "saturated" cell forces it low
-    // so the software-fallback path shows in the table.
-    let policy =
-        |quota: u32, slack: f64, watermark: f64, sw: &BTreeMap<u32, u64>| AdmissionPolicy {
-            max_in_flight: quota,
-            queue_cap: 2,
-            watchdog: Some(WatchdogConfig {
-                slack,
-                max_trips: 2,
-            }),
-            degradation: Some(DegradationConfig {
-                watermark,
-                sw_ns_per_cycle: sw.clone(),
-                ..Default::default()
-            }),
+    let cell = |p: &Point| {
+        let mix = TenantMixParams {
+            base: os_mix(10, p.load.1),
+            tenants: 2,
+            deadline: Some(SimDuration::from_millis(60)),
+            hang_tasks: p.admission as usize,
             ..Default::default()
         };
-
-    let loads: &[(&str, SimDuration)] = if smoke {
-        &[("heavy", SimDuration::from_millis(1))]
-    } else {
-        &[
-            ("light", SimDuration::from_millis(4)),
-            ("heavy", SimDuration::from_millis(1)),
-        ]
-    };
-    let quotas: &[u32] = if smoke { &[2] } else { &[2, 4] };
-    let slacks: &[f64] = if smoke { &[2.0] } else { &[1.5, 3.0] };
-
-    // One task hangs forever (its FPGA op never raises done); only the
-    // watchdog terminates it. The no-admission baseline therefore runs
-    // the hang-free variant of the same arrival process.
-    let mut points = Vec::new();
-    points.push(Point {
-        label: "off/baseline".into(),
-        mean_interarrival: loads[0].1,
-        hang_tasks: 0,
-        policy: None,
-    });
-    for &(lname, ia) in loads {
-        for &q in quotas {
-            for &s in slacks {
-                points.push(Point {
-                    label: format!("{lname}/quota{q}/slack{s}"),
-                    mean_interarrival: ia,
-                    hang_tasks: 1,
-                    policy: Some(policy(q, s, 0.85, &sw)),
-                });
-            }
+        let specs = tenant_tasks(&mix, &ids, &mut SimRng::new(seed));
+        let rr = RoundRobinScheduler::new(SimDuration::from_millis(8));
+        let mgr = variable_partitions(&lib, timing);
+        let mut sys = System::new(lib.clone(), mgr, rr, save_restore(), specs);
+        if p.admission {
+            sys = sys
+                .with_admission(admission(p, &sw))
+                .expect("sweep policies must validate");
         }
-    }
-    // Saturation cell: a watermark this low treats the fabric as already
-    // full, so every non-resident FPGA op takes the software path.
-    points.push(Point {
-        label: "heavy/quota4/saturated".into(),
-        mean_interarrival: SimDuration::from_millis(1),
-        hang_tasks: 1,
-        policy: Some(policy(4, 2.0, 0.05, &sw)),
-    });
-
-    let mut ex = Exporter::new("e17", "offered load x tenant quota x watchdog slack");
-    ex.seed(seed)
-        .param("device", spec.name)
-        .param("tasks", 10u64)
-        .param("tenants", 2u64)
-        .param("smoke", smoke);
-
-    let mut t = Table::new(
-        "E17: overload x admission control (partition manager, RR 8ms)",
-        &[
-            "cell",
-            "makespan (s)",
-            "done",
-            "rejected",
-            "deferred",
-            "quarantined",
-            "wd fires",
-            "degraded",
-            "ddl miss",
-            "lost (s)",
+        let r = sys.run();
+        Ok(r.expect("every task must terminate (completed, rejected, or quarantined)"))
+    };
+    let grid = Grid {
+        code: "e17",
+        title: "offered load x tenant quota x watchdog slack",
+        seed,
+        params: vec![
+            ("device", spec.name.into()),
+            ("tasks", 10u64.into()),
+            ("tenants", 2u64.into()),
         ],
-    );
-
-    let cells = host.sweep(&points, |_, p| run_cell(&lib, &ids, timing, seed, p));
-
-    for (label, r) in &cells {
-        let done = r
-            .tasks
-            .iter()
-            .filter(|t| !t.failed && !t.quarantined && !t.rejected)
-            .count();
-        let a = r.admission.unwrap_or_default();
-        t.row(vec![
-            label.clone(),
-            f3(r.makespan.as_secs_f64()),
-            format!("{}/{}", done, r.tasks.len()),
-            a.rejected.to_string(),
-            a.deferred.to_string(),
-            a.quarantined.to_string(),
-            a.watchdog_fired.to_string(),
-            a.degraded_dispatches.to_string(),
-            a.deadline_missed.to_string(),
-            f3(a.watchdog_lost_time.as_secs_f64()),
-        ]);
-        ex.report(label, r);
-    }
-
-    t.print();
-    ex.table(&t);
-    ex.host(host, points.len());
-
-    println!("\nQuotas trade tenant isolation for load shedding: rejected work never");
-    println!("queues, so the surviving tasks' turnaround stays bounded. The watchdog is");
-    println!("what lets a hanging tenant coexist with the rest — without it that cell");
-    println!("would deadlock; with it the hang costs `max_trips` deadlines, then exile.");
-    Ok(ex)
+        points: vec![
+            grid::product(
+                Point {
+                    admission: false,
+                    ..ADMITTED
+                },
+                vec![axis(&[HEAVY], &LOADS[..1], |p, v| p.load = v)],
+            ),
+            grid::product(
+                ADMITTED,
+                vec![
+                    axis(&[HEAVY], &LOADS, |p, v| p.load = v),
+                    axis(&[2], &[2, 4], |p, v| p.quota = v),
+                    axis(&[2.0], &[1.5, 3.0], |p, v| p.slack = v),
+                ],
+            ),
+            // A watermark this low treats the fabric as already full, so
+            // every non-resident FPGA op takes the software path.
+            grid::points(vec![Point {
+                quota: 4,
+                watermark: 0.05,
+                ..ADMITTED
+            }]),
+        ],
+        label: |p| match (p.admission, p.watermark < 0.85) {
+            (false, _) => "off/baseline".into(),
+            (true, true) => format!("{}/quota{}/saturated", p.load.0, p.quota),
+            (true, false) => format!("{}/quota{}/slack{}", p.load.0, p.quota, p.slack),
+        },
+        cell: &cell,
+        table: "E17: overload x admission control (partition manager, RR 8ms)",
+        columns: COLUMNS,
+        reports: grid::own_report,
+        outro: "\nQuotas trade tenant isolation for load shedding: rejected work never\n\
+                queues, so the surviving tasks' turnaround stays bounded. The watchdog is\n\
+                what lets a hanging tenant coexist with the rest — without it that cell\n\
+                would deadlock; with it the hang costs `max_trips` deadlines, then exile.\n",
+        ..Grid::default()
+    };
+    grid::run(args, host, grid)
 }

@@ -17,28 +17,40 @@
 //! (full anchor every 4th capture) must not read back more than the
 //! full-capture twin.
 
+use super::grid::{self, axis, ensure, Column, Gate, Grid};
+use super::no_divergence;
 use super::RunArgs;
-use crate::report::{f3, Table};
+use crate::report::millis;
 use crate::setup::{save_restore, serial_fast, variable_partitions};
 use crate::{Exporter, HostProfile};
 use fpga::ConfigTiming;
 use fsim::{SimDuration, SimRng};
 use std::sync::Arc;
-use vfpga::{diff_reports, CheckpointConfig, CircuitLib, Report, RoundRobinScheduler, System};
+use vfpga::manager::DeltaStats;
+use vfpga::{
+    diff_reports, CheckpointConfig, CircuitLib, Divergence, Report, RoundRobinScheduler, System,
+};
 use workload::{poisson_tasks, variant_family, MixParams};
 
-/// One swap-rate setting: how densely tasks contend for the fabric.
-struct Rate {
-    name: &'static str,
-    mean_interarrival: SimDuration,
-    mean_cpu_burst: SimDuration,
-}
+/// A swap rate: name, mean interarrival and mean CPU burst — how densely
+/// tasks contend for the fabric.
+type Rate = (&'static str, SimDuration, SimDuration);
+
+const FAST: Rate = (
+    "fast",
+    SimDuration::from_millis(1),
+    SimDuration::from_micros(500),
+);
+const SLOW: Rate = (
+    "slow",
+    SimDuration::from_millis(6),
+    SimDuration::from_millis(4),
+);
 
 fn run_cell(
     base: &pnr::CompiledCircuit,
     timing: ConfigTiming,
-    similarity: f64,
-    rate: &Rate,
+    (similarity, (_, mean_interarrival, mean_cpu_burst)): (f64, Rate),
     delta: bool,
     seed: u64,
 ) -> Report {
@@ -47,52 +59,103 @@ fn run_cell(
     let mut lib = CircuitLib::new();
     let ids = variant_family(&mut lib, base.clone(), 3, similarity, seed);
     let lib = Arc::new(lib);
-    let mut rng = SimRng::new(seed);
-    let specs = poisson_tasks(
-        &MixParams {
-            tasks: 10,
-            mean_interarrival: rate.mean_interarrival,
-            mean_cpu_burst: rate.mean_cpu_burst,
-            fpga_ops_per_task: 4,
-            cycles: (40_000, 160_000),
-        },
-        &ids,
-        &mut rng,
-    );
+    let mix = MixParams {
+        tasks: 10,
+        mean_interarrival,
+        mean_cpu_burst,
+        fpga_ops_per_task: 4,
+        cycles: (40_000, 160_000),
+    };
+    let specs = poisson_tasks(&mix, &ids, &mut SimRng::new(seed));
     let mut mgr = variable_partitions(&lib, timing);
+    let mut ckpt = CheckpointConfig::new(SimDuration::from_millis(2));
     if delta {
         mgr.enable_delta();
+        ckpt = ckpt.with_delta_checkpoints(4);
     }
-    let ckpt = CheckpointConfig::new(SimDuration::from_millis(2));
-    let ckpt = if delta {
-        ckpt.with_delta_checkpoints(4)
-    } else {
-        ckpt
-    };
-    System::new(
-        lib,
-        mgr,
-        RoundRobinScheduler::new(SimDuration::from_millis(2)),
-        save_restore(),
-        specs,
-    )
-    .with_checkpoints(ckpt)
-    .expect("partition manager snapshots")
-    .run()
-    .expect("cell run completes")
+    let rr = RoundRobinScheduler::new(SimDuration::from_millis(2));
+    System::new(lib, mgr, rr, save_restore(), specs)
+        .with_checkpoints(ckpt)
+        .expect("partition manager snapshots")
+        .run()
+        .expect("cell run completes")
 }
 
-struct Cell {
-    similarity: f64,
-    rate_name: &'static str,
+/// One workload with delta off and on, and how their outcomes differ.
+struct Twins {
     full: Report,
     delta: Report,
-    divergences: Vec<vfpga::Divergence>,
+    divergences: Vec<Divergence>,
 }
+
+impl Twins {
+    /// The delta twin's delta counters.
+    fn ds(&self) -> DeltaStats {
+        self.delta.delta.unwrap_or_default()
+    }
+}
+
+/// A family similarity and a swap rate.
+type Point = (f64, Rate);
+type Cell = grid::Cell<Point, Twins>;
+
+/// The full and the delta twin's configuration time.
+fn config_times(c: &Cell) -> (SimDuration, SimDuration) {
+    let config = |r: &Report| r.manager_stats.config_time;
+    (config(&c.out.full), config(&c.out.delta))
+}
+
+/// Identical outcomes, cheaper config.
+const GATES: &[Gate<Point, Twins>] = &[
+    Gate::Each("delta keeps task outcomes", |c| {
+        no_divergence(&c.out.divergences)
+    }),
+    Gate::Each("only the delta twin reports delta stats", |c| {
+        ensure(
+            c.out.full.delta.is_none() && c.out.delta.delta.is_some(),
+            || format!("full {:?}, delta {:?}", c.out.full.delta, c.out.delta.delta),
+        )
+    }),
+    Gate::Each("delta config costs no more than full", |c| {
+        let (full, delta) = config_times(c);
+        ensure(delta <= full, || format!("{delta:?} > {full:?}"))
+    }),
+    Gate::Each("a similar family goes delta and gains", |c| {
+        let ((full, delta), went) = (config_times(c), c.out.ds().delta_downloads > 0);
+        ensure(c.point.0 < 0.5 || went && delta < full, || {
+            format!("{delta:?} vs {full:?}")
+        })
+    }),
+    Gate::Each("delta checkpoints read back no more than full", |c| {
+        let (f, d) = (
+            c.out.full.crash.checkpoint_time,
+            c.out.delta.crash.checkpoint_time,
+        );
+        ensure(d <= f, || format!("{d:?} > {f:?}"))
+    }),
+];
+
+const COLUMNS: &[Column<Point, Twins>] = &[
+    ("cell", |c| c.label.clone()),
+    ("downloads", |c| {
+        c.out.delta.manager_stats.downloads.to_string()
+    }),
+    ("delta-dl", |c| c.out.ds().delta_downloads.to_string()),
+    ("frames-saved", |c| c.out.ds().frames_saved.to_string()),
+    ("invalidations", |c| c.out.ds().invalidations.to_string()),
+    ("config full (ms)", |c| millis(config_times(c).0)),
+    ("config delta (ms)", |c| millis(config_times(c).1)),
+    ("ckpt full (ms)", |c| {
+        millis(c.out.full.crash.checkpoint_time)
+    }),
+    ("ckpt delta (ms)", |c| {
+        millis(c.out.delta.crash.checkpoint_time)
+    }),
+    ("diverged", |c| c.out.divergences.len().to_string()),
+];
 
 pub fn run(args: &RunArgs) -> Result<Exporter, String> {
     let seed = args.seed();
-    let smoke = args.smoke;
     let mut host = HostProfile::new(args.threads);
     let spec = fpga::device::part("VF100");
     let timing = serial_fast(spec);
@@ -110,152 +173,57 @@ pub fn run(args: &RunArgs) -> Result<Exporter, String> {
         )
         .expect("family base compiles")
     });
-
-    let similarities: &[f64] = if smoke {
-        &[1.0, 0.5]
-    } else {
-        &[1.0, 0.75, 0.5, 0.0]
-    };
-    let rates: &[Rate] = if smoke {
-        &[Rate {
-            name: "fast",
-            mean_interarrival: SimDuration::from_millis(1),
-            mean_cpu_burst: SimDuration::from_micros(500),
-        }]
-    } else {
-        &[
-            Rate {
-                name: "fast",
-                mean_interarrival: SimDuration::from_millis(1),
-                mean_cpu_burst: SimDuration::from_micros(500),
-            },
-            Rate {
-                name: "slow",
-                mean_interarrival: SimDuration::from_millis(6),
-                mean_cpu_burst: SimDuration::from_millis(4),
-            },
-        ]
-    };
-
-    let mut points: Vec<(f64, usize)> = Vec::new();
-    for &s in similarities {
-        for ri in 0..rates.len() {
-            points.push((s, ri));
-        }
-    }
-
-    let cells: Vec<Cell> = host.sweep(&points, |_, &(similarity, ri)| {
-        let rate = &rates[ri];
-        let full = run_cell(&base, timing, similarity, rate, false, seed);
-        let delta = run_cell(&base, timing, similarity, rate, true, seed);
+    let cell = |&p: &Point| {
+        let full = run_cell(&base, timing, p, false, seed);
+        let delta = run_cell(&base, timing, p, true, seed);
         let divergences = diff_reports(&full, &delta);
-        Cell {
-            similarity,
-            rate_name: rate.name,
+        Ok(Twins {
             full,
             delta,
             divergences,
-        }
-    });
-
-    // In-process acceptance gates: identical outcomes, cheaper config.
-    for c in &cells {
-        let label = format!("sim{:.2}/{}", c.similarity, c.rate_name);
-        if !c.divergences.is_empty() {
-            return Err(super::diverged(
-                format!("{label}: delta changed task outcomes"),
-                &c.divergences,
-            ));
-        }
-        assert!(
-            c.full.delta.is_none(),
-            "{label}: full cell grew delta stats"
-        );
-        let ds = c
-            .delta
-            .delta
-            .unwrap_or_else(|| panic!("{label}: delta cell reported no delta stats"));
-        let (fc, dc) = (
-            c.full.manager_stats.config_time,
-            c.delta.manager_stats.config_time,
-        );
-        if dc > fc {
-            return Err(format!(
-                "{label}: delta config overhead {dc:?} exceeds full {fc:?}"
-            ));
-        }
-        if c.similarity >= 0.5 {
-            if ds.delta_downloads == 0 {
-                return Err(format!("{label}: no download ever went delta"));
-            }
-            if dc >= fc {
-                return Err(format!(
-                    "{label}: delta config overhead {dc:?} does not beat full {fc:?}"
-                ));
-            }
-        }
-        if c.delta.crash.checkpoint_time > c.full.crash.checkpoint_time {
-            return Err(format!(
-                "{label}: delta checkpoints read back more than full captures"
-            ));
-        }
-    }
-
-    let mut ex = Exporter::new(
-        "e20",
-        "delta reconfiguration: similarity x swap rate x on/off",
-    );
-    ex.seed(seed)
-        .param("device", spec.name)
-        .param("tasks", 10u64)
-        .param("variants", 4u64)
-        .param("smoke", smoke);
-
-    let mut t = Table::new(
-        "E20: delta vs full downloads (partition/variable, RR 2ms, ckpt 2ms; delta anchors every 4)",
-        &[
-            "cell",
-            "downloads",
-            "delta-dl",
-            "frames-saved",
-            "invalidations",
-            "config full (ms)",
-            "config delta (ms)",
-            "ckpt full (ms)",
-            "ckpt delta (ms)",
-            "diverged",
+        })
+    };
+    let grid = Grid {
+        code: "e20",
+        title: "delta reconfiguration: similarity x swap rate x on/off",
+        seed,
+        params: vec![
+            ("device", spec.name.into()),
+            ("tasks", 10u64.into()),
+            ("variants", 4u64.into()),
         ],
-    );
-    for c in &cells {
-        let label = format!("sim{:.2}/{}", c.similarity, c.rate_name);
-        let ds = c.delta.delta.expect("gated above");
-        t.row(vec![
-            label.clone(),
-            c.delta.manager_stats.downloads.to_string(),
-            ds.delta_downloads.to_string(),
-            ds.frames_saved.to_string(),
-            ds.invalidations.to_string(),
-            f3(c.full.manager_stats.config_time.as_secs_f64() * 1e3),
-            f3(c.delta.manager_stats.config_time.as_secs_f64() * 1e3),
-            f3(c.full.crash.checkpoint_time.as_secs_f64() * 1e3),
-            f3(c.delta.crash.checkpoint_time.as_secs_f64() * 1e3),
-            c.divergences.len().to_string(),
-        ]);
-        ex.report(&format!("{label}/full"), &c.full);
-        ex.report(&format!("{label}/delta"), &c.delta);
-        ex.metrics().inc("delta_downloads", ds.delta_downloads);
-        ex.metrics().inc("delta_frames_saved", ds.frames_saved);
-        ex.metrics().inc("delta_invalidations", ds.invalidations);
-    }
-
-    t.print();
-    ex.table(&t);
-    ex.host(host, points.len());
-
-    println!("\nEvery delta cell reached task outcomes identical to its full-download twin");
-    println!("(the bench aborts otherwise) while paying less config overhead whenever the");
-    println!("family shares at least half its frames — delta pricing changes when work");
-    println!("finishes, never what work happens. Delta checkpoints (full anchor every 4th");
-    println!("capture) cut the background readback the same way.");
-    Ok(ex)
+        points: vec![grid::product(
+            (1.0, FAST),
+            vec![
+                axis(&[1.0, 0.5], &[1.0, 0.75, 0.5, 0.0], |p, v| p.0 = v),
+                axis(&[FAST], &[FAST, SLOW], |p, v| p.1 = v),
+            ],
+        )],
+        label: |(similarity, rate)| format!("sim{similarity:.2}/{}", rate.0),
+        cell: &cell,
+        gates: GATES,
+        table: "E20: delta vs full downloads (partition/variable, RR 2ms, ckpt 2ms; \
+                delta anchors every 4)",
+        columns: COLUMNS,
+        reports: |c| {
+            vec![
+                (format!("{}/full", c.label), &c.out.full),
+                (format!("{}/delta", c.label), &c.out.delta),
+            ]
+        },
+        finish: |cells, ex| {
+            for ds in cells.iter().map(|c| c.out.ds()) {
+                ex.metrics().inc("delta_downloads", ds.delta_downloads);
+                ex.metrics().inc("delta_frames_saved", ds.frames_saved);
+                ex.metrics().inc("delta_invalidations", ds.invalidations);
+            }
+        },
+        outro: "\nEvery delta cell reached task outcomes identical to its full-download twin\n\
+                (the bench aborts otherwise) while paying less config overhead whenever the\n\
+                family shares at least half its frames — delta pricing changes when work\n\
+                finishes, never what work happens. Delta checkpoints (full anchor every 4th\n\
+                capture) cut the background readback the same way.\n",
+        ..Grid::default()
+    };
+    grid::run(args, host, grid)
 }

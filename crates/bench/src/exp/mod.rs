@@ -5,7 +5,9 @@
 //! run is asked to do arrives as [`RunArgs`]; what happens to the export
 //! (write it, compare it with a golden) is the caller's business — the
 //! `vfpga-exp` binary or `tests/experiments.rs`. An experiment whose
-//! in-process gate fails returns `Err` naming the cell.
+//! in-process gate fails returns `Err` naming the cell. All but E6, E8
+//! and E9 declare their sweep as a [`grid::Grid`] and make one
+//! [`grid::run`] call.
 
 use crate::Exporter;
 
@@ -30,6 +32,7 @@ pub mod e18_deadlines;
 pub mod e19_fleet;
 pub mod e20_delta;
 pub mod e21_migration;
+pub mod grid;
 
 /// What one run of an experiment is asked to do.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -96,11 +99,11 @@ pub fn find(name: &str) -> Option<&'static Entry> {
     ALL.iter().find(|e| e.0 == name)
 }
 
-/// The `Err` of a differential gate: which cell, and how it diverged.
-fn diverged(what: String, divergences: &[vfpga::Divergence]) -> String {
-    let mut msg = what + ":";
-    for d in divergences {
-        msg.push_str(&format!("\n  {d}"));
-    }
-    msg
+/// A differential gate: `Err` lists how the cell diverged from its
+/// reference run.
+fn no_divergence(divergences: &[vfpga::Divergence]) -> Result<(), String> {
+    grid::ensure(divergences.is_empty(), || {
+        let head = format!("{} divergences:", divergences.len());
+        divergences.iter().fold(head, |m, d| format!("{m}\n  {d}"))
+    })
 }

@@ -29,11 +29,6 @@ impl Table {
         self
     }
 
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
     /// The table title.
     pub fn title(&self) -> &str {
         &self.title
@@ -47,11 +42,6 @@ impl Table {
     /// The data rows.
     pub fn rows(&self) -> &[Vec<String>] {
         &self.rows
-    }
-
-    /// Whether the table has no data rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
     }
 
     /// Render to a string.
@@ -96,6 +86,16 @@ pub fn f3(v: f64) -> String {
     format!("{v:.3}")
 }
 
+/// Format a duration in seconds, 3 decimals.
+pub fn secs(d: fsim::SimDuration) -> String {
+    f3(d.as_secs_f64())
+}
+
+/// Format a duration in milliseconds, 3 decimals.
+pub fn millis(d: fsim::SimDuration) -> String {
+    f3(d.as_secs_f64() * 1e3)
+}
+
 /// Format a ratio as a percentage.
 pub fn pct(v: f64) -> String {
     format!("{:.1}%", v * 100.0)
@@ -132,7 +132,7 @@ mod tests {
         assert!(s.contains("## demo"));
         assert!(s.contains("| name   | value |"));
         assert!(s.contains("| longer | 22    |"));
-        assert_eq!(t.len(), 2);
+        assert_eq!(t.rows().len(), 2);
     }
 
     #[test]

@@ -6,8 +6,8 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use vfpga::manager::partition::{PartitionManager, PartitionMode};
 use vfpga::{
-    CircuitId, CircuitLib, FpgaManager, Op, PreemptAction, Report, Scheduler, System, SystemConfig,
-    TaskSpec,
+    CircuitId, CircuitLib, FpgaManager, Op, PreemptAction, Report, RoundRobinScheduler, Scheduler,
+    ShardCtx, System, SystemConfig, TaskSpec, VfpgaError,
 };
 use workload::{suite, tenant_tasks, Domain, MixParams, TenantMixParams};
 
@@ -128,23 +128,36 @@ pub fn fleet_specs(ids: &[CircuitId], seed: u64, affinity_devices: u32) -> Vec<T
     )
 }
 
-/// Re-price every FPGA op as host CPU time (the e12 co-processor model's
-/// software cost, as [`compile_suite_lib_sw`] returns it) — what a fleet's
-/// degradation path executes.
-pub fn softwareize(specs: &[TaskSpec], sw: &BTreeMap<u32, u64>) -> Vec<TaskSpec> {
-    specs
-        .iter()
-        .cloned()
-        .map(|mut s| {
-            for op in &mut s.ops {
+/// The shard factory of E19, E21 and `trace_dump --section fleet`: each
+/// shard a system over `manager(lib)`, RR 4 ms, save/restore. When the
+/// fleet degrades a shard to software, every FPGA op is re-priced as host
+/// CPU time at the e12 co-processor model's software cost (`sw`, as
+/// [`compile_suite_lib_sw`] returns it).
+pub fn fleet_shards<M: FpgaManager>(
+    lib: &Arc<CircuitLib>,
+    sw: &Arc<BTreeMap<u32, u64>>,
+    manager: impl Fn(&Arc<CircuitLib>) -> M,
+) -> impl FnMut(&ShardCtx<'_>) -> Result<System<M, RoundRobinScheduler>, VfpgaError> {
+    let (lib, sw) = (lib.clone(), sw.clone());
+    move |ctx| {
+        let mut specs = ctx.specs.to_vec();
+        if ctx.software {
+            for op in specs.iter_mut().flat_map(|s| &mut s.ops) {
                 if let Op::FpgaRun { circuit, cycles } = *op {
                     let ns = sw.get(&circuit.0).copied().unwrap_or(1);
                     *op = Op::Cpu(SimDuration::from_nanos(ns.saturating_mul(cycles)));
                 }
             }
-            s
-        })
-        .collect()
+        }
+        let rr = RoundRobinScheduler::new(SimDuration::from_millis(4));
+        Ok(System::new(
+            lib.clone(),
+            manager(&lib),
+            rr,
+            save_restore(),
+            specs,
+        ))
+    }
 }
 
 #[cfg(test)]

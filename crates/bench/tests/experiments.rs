@@ -22,7 +22,7 @@ use std::process::{Command, Stdio};
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::time::Duration;
 
-/// A smoke sweep takes well under a second; one that has not finished by
+/// A sweep takes well under a second; one that has not finished by
 /// now is spinning on the hanging task of e17, a fleet loop that stopped
 /// converging (e19, e21), or a new bug of that kind.
 const LIVENESS: Duration = Duration::from_secs(120);
@@ -39,17 +39,17 @@ fn parse(name: &str, text: &str) -> Json {
     Json::parse(text).unwrap_or_else(|e| panic!("{name}: export does not parse: {e}"))
 }
 
-/// The smoke export of `entry`, as `vfpga-exp --smoke --json` would write
-/// it, from a worker thread so that a run that never ends fails the test
-/// instead of hanging it.
-fn smoke_text(entry: &Entry, seed: Option<u64>, threads: usize) -> String {
+/// The export of `entry` (smoke or full size), as `vfpga-exp --json`
+/// would write it, from a worker thread so that a run that never ends
+/// fails the test instead of hanging it.
+fn export_text(entry: &Entry, smoke: bool, seed: Option<u64>, threads: usize) -> String {
     let &(name, _, run) = entry;
     let (tx, rx) = mpsc::channel();
     // Named, so that a panic inside the experiment says whose it is.
     let worker = std::thread::Builder::new().name(format!("{name} --threads {threads}"));
     let worker = worker.spawn(move || {
         let args = RunArgs {
-            smoke: true,
+            smoke,
             seed,
             threads,
         };
@@ -61,12 +61,17 @@ fn smoke_text(entry: &Entry, seed: Option<u64>, threads: usize) -> String {
             worker.join().expect("worker has already sent its result");
             result.unwrap_or_else(|e| panic!("{name} FAILED: {e}"))
         }
-        Err(RecvTimeoutError::Timeout) => panic!("{name}: smoke run still going after 120 s"),
+        Err(RecvTimeoutError::Timeout) => panic!("{name}: run still going after 120 s"),
         Err(RecvTimeoutError::Disconnected) => {
             let panic = worker.join().expect_err("sender dropped without a result");
             std::panic::resume_unwind(panic)
         }
     }
+}
+
+/// The smoke export of `entry`.
+fn smoke_text(entry: &Entry, seed: Option<u64>, threads: usize) -> String {
+    export_text(entry, true, seed, threads)
 }
 
 /// The deterministic part of `name`'s fresh smoke export.
@@ -233,6 +238,60 @@ fn seeded_experiments_pass_their_gates_at_another_seed() {
             strip_volatile(parse(entry.0, &text)).render()
         };
         assert!(run(1) == run(4), "{}: --threads changed seed 3605", entry.0);
+    }
+}
+
+/// 64-bit FNV-1a, the digest the full-size exports are pinned by.
+fn fnv1a(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// FNV-1a of each experiment's full-size export at its default seed,
+/// rendered without the volatile sections, as a known-good build wrote it.
+const FULL_DIGESTS: &[(&str, u64)] = &[
+    ("e01_reconfig_time", 0x4a4c3bc6489b3c7f),
+    ("e02_dynload_overhead", 0x07b4d7addff05387),
+    ("e03_merged_baseline", 0x8af0dda921fc87ea),
+    ("e04_sharing_policies", 0x28097affa118fd7d),
+    ("e05_partitioning", 0x09a9c3c78af19335),
+    ("e06_fragmentation_gc", 0x73e3140423e1e242),
+    ("e07_overlay", 0xf66d71d29aebcd68),
+    ("e08_segment_vs_page", 0x1cfd734daf535e7f),
+    ("e09_io_mux", 0x93647aeb928e260a),
+    ("e10_preemption_state", 0x4c1bc6793f2e74b9),
+    ("e11_completion_detect", 0xea71ccebbfeb1e48),
+    ("e12_coprocessor_speedup", 0x726bff3e45dbc2bd),
+    ("e13_device_sweep", 0x456c427ef1f1b44e),
+    ("e14_schedulers", 0xbefa252236f0fb7f),
+    ("e15_fault_recovery", 0x26a8afc039ec74e1),
+    ("e16_crash_restore", 0x33518a6ae9b2adce),
+    ("e17_overload", 0x6cc4883afa04e55d),
+    ("e18_deadlines", 0xc59671ffe9c02bf6),
+    ("e19_fleet", 0x30c48b2be7a37dd6),
+    ("e20_delta", 0xece9f01694109033),
+    ("e21_migration", 0x04c34fcbcc50ccb8),
+];
+
+/// The goldens pin the smoke sweeps only; the full-size exports are pinned
+/// by digest. A digest moves only in a change that means to move the
+/// numbers — find the first differing line with `jdiff` against the export
+/// of a build of the parent commit.
+#[test]
+fn every_full_export_matches_its_pinned_digest() {
+    let names: Vec<&str> = FULL_DIGESTS.iter().map(|d| d.0).collect();
+    let all: Vec<&str> = ALL.iter().map(|e| e.0).collect();
+    assert_eq!(names, all, "one pinned digest per experiment");
+    for (entry, &(name, want)) in ALL.iter().zip(FULL_DIGESTS) {
+        let text = export_text(entry, false, entry.1, 1);
+        let got = fnv1a(&strip_volatile(parse(name, &text)).render());
+        assert!(
+            got == want,
+            "{name}: full export digest {got:#018x}, pinned {want:#018x}; write the \
+             export with `vfpga-exp {name} --json` here and from a build of the parent \
+             commit, and `jdiff` the two"
+        );
     }
 }
 
