@@ -15,7 +15,7 @@
 //! of bytes allocated minus bytes freed over the counted window, the
 //! deterministic stand-in for the benchmark's `peak_rss_mb`.
 //!
-//! Three shapes, all over the `workload::suite` library at VF400 rows:
+//! Four shapes, all over the `workload::suite` library at VF400 rows:
 //!
 //! * `churn` — the `churn` benchmark's system at 200 tasks: variable
 //!   partitions with delta reconfiguration, EDF with a 10 ms slice, and the
@@ -38,9 +38,22 @@
 //! * `durable` — the `durable` benchmark's system at 2,000 tasks: the
 //!   `stream` system at a third of its load, with delta checkpoints every
 //!   5 s (a full image every fourth) and ten seeded host crashes, each
-//!   restored from the last capture. Counted from the first build to the
-//!   returned report, each incarnation built from a clone of the held
-//!   specs, as the benchmark does.
+//!   restored from the last capture. Counted from the one build, over a
+//!   clone of the held specs as the benchmark does, to the returned
+//!   report. Seeded violation: a fresh build for every incarnation, as
+//!   `run_with_crashes` did before it restarted the crashed system in
+//!   place, reads 27.611 allocations and 5,277.0 bytes a task (peak live
+//!   bytes level, 859.998).
+//! * `fleet` — the `fleet` benchmark's shape at 2,000 tasks: 32 tenants on
+//!   eight devices under least-loaded placement, the dynamic-loading system
+//!   on every shard, a capture every second, two device crashes a device
+//!   and sixteen live migrations. Counted from cloning the held specs to
+//!   the returned fleet report. Seeded violation: a fresh shard build for
+//!   every failover, rebalance and migration source, as before shards
+//!   were restarted in place (93 builds a run against 24), reads 44.742
+//!   allocations and 7,610.7 bytes a task. Its peak live bytes, 2,526.186,
+//!   sit 0.01 % lower: the shard table's slots held a `System` 16 bytes
+//!   narrower.
 //!
 //! Debug builds run invariant checkers that allocate, so the test runs
 //! only under `--release` (`ci.sh` does).
@@ -52,10 +65,12 @@ use std::sync::Arc;
 
 use fpga::DeviceSpec;
 use fsim::{CrashPlan, SimDuration, SimRng};
+use std::collections::BTreeMap;
 use vfpga::manager::dynload::DynLoadManager;
 use vfpga::{
-    run_with_crashes, AdmissionPolicy, CheckpointConfig, CircuitId, CircuitLib, EdfScheduler,
-    PreemptAction, RoundRobinScheduler, SchedulabilityConfig, System as VSystem,
+    run_fleet, run_with_crashes, AdmissionPolicy, CheckpointConfig, CircuitId, CircuitLib,
+    DeviceFaultPlan, EdfScheduler, FleetConfig, MigrationPlan, Op, PlacementPolicy, PreemptAction,
+    RoundRobinScheduler, SchedulabilityConfig, ShardCtx, System as VSystem,
 };
 use workload::{poisson_tasks, tenant_tasks, Domain, TenantMixParams};
 
@@ -146,6 +161,7 @@ fn counted<T>(tasks: usize, f: impl FnOnce() -> T) -> (T, Rows) {
 const CHURN_TASKS: usize = 200;
 const STREAM_TASKS: usize = 6_000;
 const DURABLE_TASKS: usize = 2_000;
+const FLEET_TASKS: usize = 2_000;
 const SLICE: SimDuration = SimDuration::from_millis(10);
 
 fn churn_budget(lib: &Arc<CircuitLib>, ids: &[CircuitId], spec: DeviceSpec) -> Rows {
@@ -241,6 +257,72 @@ fn durable_budget(lib: &Arc<CircuitLib>, ids: &[CircuitId], spec: DeviceSpec) ->
     rows
 }
 
+fn fleet_budget(
+    lib: &Arc<CircuitLib>,
+    ids: &[CircuitId],
+    sw: &BTreeMap<u32, u64>,
+    spec: DeviceSpec,
+) -> Rows {
+    let specs = tenant_tasks(
+        &TenantMixParams {
+            base: bench::setup::os_mix(FLEET_TASKS, SimDuration::from_millis(15)),
+            tenants: 32,
+            ..Default::default()
+        },
+        ids,
+        &mut SimRng::new(2833),
+    );
+    // Two crashes a device and sixteen migrations: the caps bind.
+    let sim_s = FLEET_TASKS as f64 * 0.015;
+    let cfg = FleetConfig::new(8)
+        .with_placement(PlacementPolicy::LeastLoaded)
+        .with_max_shards_per_device(8)
+        .with_checkpoints(CheckpointConfig::new(SimDuration::from_secs(1)))
+        .with_device_faults(DeviceFaultPlan {
+            seed: 0xD0_FA17,
+            crash_rate_per_s: 5.0 / sim_s,
+            outage: SimDuration::from_millis(50),
+            max_crashes: 2,
+        })
+        .with_migrations(MigrationPlan {
+            seed: 0x515_EED,
+            rate_per_s: 40.0 / sim_s,
+            max_migrations: 16,
+            delta_copy: false,
+            crash: None,
+        });
+    let build = |ctx: &ShardCtx<'_>| {
+        let mut specs = ctx.specs.to_vec();
+        if ctx.software {
+            for op in specs.iter_mut().flat_map(|s| &mut s.ops) {
+                if let Op::FpgaRun { circuit, cycles } = *op {
+                    *op = Op::Cpu(SimDuration::from_nanos(sw[&circuit.0] * cycles));
+                }
+            }
+        }
+        let timing = bench::setup::serial_fast(spec);
+        let mgr = DynLoadManager::new(Arc::clone(lib), timing, PreemptAction::SaveRestore);
+        Ok(VSystem::new(
+            Arc::clone(lib),
+            mgr,
+            RoundRobinScheduler::new(SLICE),
+            bench::setup::save_restore(),
+            specs,
+        ))
+    };
+    let (fleet, rows) = counted(FLEET_TASKS, || {
+        run_fleet(&cfg, specs.clone(), build).expect("fleet runs to completion")
+    });
+    let stats = fleet.stats;
+    assert_eq!(stats.device_crashes, 16, "every crash of the plan strikes");
+    assert!(
+        stats.failovers > 0 && stats.tenant_migrations > 0,
+        "{stats:?}"
+    );
+    assert_eq!(stats.lost_in_flight, 0);
+    rows
+}
+
 #[test]
 #[cfg_attr(
     debug_assertions,
@@ -251,11 +333,12 @@ fn work_stays_within_its_budget() {
     let path = Path::new(&here).join("budgets.txt");
     let text = std::fs::read_to_string(&path).expect("budgets.txt exists");
     let spec = fpga::device::part("VF400");
-    let (lib, ids) = bench::setup::compile_suite_lib(&Domain::ALL, spec);
+    let (lib, ids, sw) = bench::setup::compile_suite_lib_sw(&Domain::ALL, spec);
     let shapes = [
         ("churn", churn_budget(&lib, &ids, spec)),
         ("stream", stream_budget(&lib, &ids, spec)),
         ("durable", durable_budget(&lib, &ids, spec)),
+        ("fleet", fleet_budget(&lib, &ids, &sw, spec)),
     ];
     let mut over = Vec::new();
     for (shape, rows) in shapes {

@@ -835,6 +835,13 @@ impl Trace {
     pub fn dropped(&self) -> u64 {
         self.dropped
     }
+
+    /// Forget every entry and the drop count, keeping whether the trace
+    /// records and its capacity: the trace of a host that restarts.
+    pub fn clear(&mut self) {
+        self.entries.clear();
+        self.dropped = 0;
+    }
 }
 
 #[cfg(test)]

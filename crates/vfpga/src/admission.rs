@@ -303,6 +303,21 @@ crate::image::record! {
     }
 }
 
+impl AdmissionState {
+    /// Nothing admitted, deferred or tripped yet, over `tasks` tasks.
+    fn fresh(tasks: usize) -> Self {
+        AdmissionState {
+            in_flight: BTreeMap::new(),
+            deferred: BTreeMap::new(),
+            wd_seq: vec![0; tasks],
+            wd_trips: vec![0; tasks],
+            degraded: vec![false; tasks],
+            degrade_mode: false,
+            stats: AdmissionStats::default(),
+        }
+    }
+}
+
 /// What the gate decides about an arriving task.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) enum Arrival {
@@ -329,16 +344,13 @@ impl AdmissionRt {
     pub(crate) fn new(policy: AdmissionPolicy, tasks: usize) -> Self {
         AdmissionRt {
             policy,
-            st: AdmissionState {
-                in_flight: BTreeMap::new(),
-                deferred: BTreeMap::new(),
-                wd_seq: vec![0; tasks],
-                wd_trips: vec![0; tasks],
-                degraded: vec![false; tasks],
-                degrade_mode: false,
-                stats: AdmissionStats::default(),
-            },
+            st: AdmissionState::fresh(tasks),
         }
+    }
+
+    /// Back to the state [`new`](Self::new) builds, for as many tasks.
+    pub(crate) fn restart(&mut self) {
+        self.st = AdmissionState::fresh(self.st.wd_seq.len());
     }
 
     /// Outcome counters so far.

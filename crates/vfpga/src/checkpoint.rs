@@ -22,13 +22,14 @@
 //!   OS-level view of the `fpga::journal` write-ahead log. Records after
 //!   the last checkpoint are the ones a restore must reconcile: the
 //!   device holds them, the restored tables do not;
-//! * on restart, [`run_with_crashes`] rebuilds the system, restores the
-//!   last [`CheckpointImage`], and replays the journal: committed
-//!   post-checkpoint downloads invalidate the stale residency claims the
-//!   restored tables still hold (forcing clean re-downloads), torn ones
-//!   are rolled back. With the journal disabled the restored tables keep
-//!   their stale claims and the next "residency hit" silently computes on
-//!   garbage — [`TaskMetrics::corrupted`](crate::TaskMetrics::corrupted).
+//! * on restart, [`run_with_crashes`] restarts the crashed system in place
+//!   (back to its built state), restores the last [`CheckpointImage`], and
+//!   replays the journal: committed post-checkpoint downloads invalidate
+//!   the stale residency claims the restored tables still hold (forcing
+//!   clean re-downloads), torn ones are rolled back. With the journal
+//!   disabled the restored tables keep their stale claims and the next
+//!   "residency hit" silently computes on garbage —
+//!   [`TaskMetrics::corrupted`](crate::TaskMetrics::corrupted).
 //!
 //! Capture, journal, crash and the three adoptions (restore on the same
 //! device, fail over onto another, and — with [`crate::migrate`] — take
@@ -45,7 +46,7 @@ use crate::image::{Capture, Running, Schema, SystemImage, TaskColumns};
 use crate::manager::{FpgaManager, ManagerStats, ResidentRegion};
 use crate::metrics::Report;
 use crate::sched::Scheduler;
-use crate::system::{Ev, FailoverReceipt, System};
+use crate::system::{Boot, Ev, FailoverReceipt, System};
 use crate::task::{TaskId, TaskSlot, TaskState};
 use fsim::json::Json;
 use fsim::{span, CrashInjector, CrashPlan, SimDuration, SimTime, Trace, TraceEvent};
@@ -380,25 +381,6 @@ thread_local! {
     static SLOTS_COPIED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
-/// [`RunOutcome`] before the cut is rendered.
-#[derive(Debug)]
-pub enum Segment {
-    /// The run finished.
-    Completed(Box<Report>, Trace),
-    /// The host crashed (or was cut on purpose) mid-run.
-    Cut(Box<Cut>),
-}
-
-impl Segment {
-    /// The report and trace of a run that had no crash scheduled.
-    pub(crate) fn completed(self) -> (Report, Trace) {
-        match self {
-            Segment::Completed(report, trace) => (*report, trace),
-            Segment::Cut(_) => unreachable!("run_to_cut(None) schedules no crash"),
-        }
-    }
-}
-
 /// One field-level disagreement between a baseline and a restored run,
 /// reported by [`diff_reports`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -492,7 +474,7 @@ pub fn diff_reports(baseline: &Report, restored: &Report) -> Vec<Divergence> {
 /// The restart loop behind [`run_with_crashes`] and its traced twin: the
 /// report and the final (completing) segment's trace.
 fn crash_loop<M, S>(
-    mut build: impl FnMut() -> System<M, S>,
+    build: impl FnOnce() -> System<M, S>,
     cfg: CheckpointConfig,
     plan: CrashPlan,
 ) -> Result<(Report, Trace), VfpgaError>
@@ -501,30 +483,24 @@ where
     S: Scheduler,
 {
     let mut inj = CrashInjector::new(plan);
-    let mut carry: Option<Box<Cut>> = None;
-    loop {
-        let mut sys = build().with_checkpoints(cfg)?;
-        if let Some(cut) = carry.take() {
-            sys.restore_cut(*cut)?;
-        }
-        match sys.run_to_cut(inj.next_crash_at())? {
-            Segment::Completed(report, trace) => return Ok((*report, trace)),
-            Segment::Cut(cut) => carry = Some(cut),
-        }
+    let mut sys = build().with_checkpoints(cfg)?;
+    while let Some(cut) = sys.run_to_cut(inj.next_crash_at())? {
+        sys.restore_cut(cut)?;
     }
+    sys.finish()
 }
 
 /// Run a workload to completion under seeded host crashes: build the
-/// system, run until the injector's next crash time, restore from the
-/// carried [`Cut`], repeat. `build` must produce identically
-/// configured systems (same tasks, manager, scheduler, seeds) — it is
-/// called once per crash plus once.
+/// system, run until the injector's next crash time, restart it in place
+/// from the carried [`Cut`], repeat. `build` is called once; every
+/// incarnation after the first is the same system restarted, exactly as
+/// if rebuilt.
 ///
 /// The injector draws successive *absolute* crash times from its own
 /// seeded stream, so a restored run never re-crashes at an already-fired
 /// time and the whole sequence is deterministic.
 pub fn run_with_crashes<M, S>(
-    build: impl FnMut() -> System<M, S>,
+    build: impl FnOnce() -> System<M, S>,
     cfg: CheckpointConfig,
     plan: CrashPlan,
 ) -> Result<Report, VfpgaError>
@@ -535,12 +511,12 @@ where
     crash_loop(build, cfg, plan).map(|(report, _)| report)
 }
 
-/// [`run_with_crashes`] with tracing enabled on every segment; returns
-/// the final (completing) segment's trace alongside the report. Earlier
-/// segments' traces die with their crashed host — exactly as a real
-/// in-memory trace buffer would.
+/// [`run_with_crashes`] with tracing enabled; returns the final
+/// (completing) segment's trace alongside the report. `build` is called
+/// once. Earlier segments' traces die with their crashed host — exactly
+/// as a real in-memory trace buffer would.
 pub fn run_with_crashes_traced<M, S>(
-    mut build: impl FnMut() -> System<M, S>,
+    build: impl FnOnce() -> System<M, S>,
     cfg: CheckpointConfig,
     plan: CrashPlan,
 ) -> Result<(Report, Trace), VfpgaError>
@@ -627,11 +603,18 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
                 });
             }
         }
-        self.last_ckpt = Some(Capture {
+        self.keep_capture(Capture {
             seq: self.ckpt_seq,
             wal_len: self.dev.wal.len(),
             image,
         });
+    }
+
+    /// Keep `capture` as the restore point. Every cut from here on carries
+    /// one, and it restores what the boot record would: that goes.
+    fn keep_capture(&mut self, capture: Capture) {
+        self.last_ckpt = Some(capture);
+        self.boot = Boot::Captured;
     }
 
     /// Copy the full mutable state into a typed image. `recycled` is an
@@ -639,8 +622,8 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
     /// place rather than allocated again. Its task table is taken to
     /// differ from this one only inside `ckpt_window` — true of the
     /// capture this system took or adopted last, and of any table while
-    /// the window is still a fresh build's whole table. A fresh buffer is
-    /// filled whole.
+    /// the window is still a build's or a restart's whole table. A fresh
+    /// buffer is filled whole.
     pub(crate) fn capture(&self, now: SimTime, recycled: Option<SystemImage>) -> SystemImage {
         let (mut tasks, mut latent, mut stale, mut pending) = match recycled {
             Some(old) => (old.tasks, old.latent, old.stale, old.pending),
@@ -683,7 +666,9 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
         }
     }
 
-    /// Load a captured image into this freshly built system. Fails when
+    /// Load a captured image into this system as built or restarted
+    /// ([`restart`](Self::restart)): the image holds every other piece of
+    /// mutable state, so what it restores over is the same. Fails when
     /// the image does not describe this system: another task count, a
     /// task that arrives at another time than its spec, a task id or op
     /// index out of range, pending events that contradict the task table,
@@ -741,16 +726,28 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
         Ok(())
     }
 
-    /// Adopt a capture as this incarnation's restore point: load it and
-    /// remember it as the last capture, covering `wal_len` records of this
-    /// device's journal.
+    /// Restart this system and take the cut's accounting: the first step
+    /// of every adoption. The capture, if any, is `adopt_capture`'s next.
+    fn restart_from(&mut self, cut: &Cut) -> Result<(), VfpgaError> {
+        self.restart(cut.capture.is_some()).map_err(corrupt)?;
+        self.crash = cut.stats;
+        // Whatever the adoption leaves on the fabric was not produced by
+        // WAL-visible downloads of THIS incarnation: the next checkpoint
+        // capture must be a full image.
+        self.ckpt_dirty_all = true;
+        Ok(())
+    }
+
+    /// Adopt a capture as this incarnation's restore point: load it over
+    /// the restarted system and remember it as the last capture, covering
+    /// `wal_len` records of this device's journal.
     fn adopt_capture(&mut self, capture: Capture, wal_len: usize) -> Result<(), VfpgaError> {
         self.restore(&capture.image).map_err(corrupt)?;
         // The table is the capture's own: the next capture, recycling it,
         // copies only the slots live now and those that arrive or exit.
         self.ckpt_window = SlotWindow::whole(self.slots.len()).live(&self.slots);
         self.ckpt_seq = capture.seq;
-        self.last_ckpt = Some(Capture { wal_len, ..capture });
+        self.keep_capture(Capture { wal_len, ..capture });
         Ok(())
     }
 
@@ -822,12 +819,14 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
         cut
     }
 
-    /// Restore a freshly built system from what survived a crash: apply
+    /// Restore this system from what survived a crash: restart it, apply
     /// the checkpoint image (if one was ever captured), then reconcile the
-    /// restored residency tables against the write-ahead log. With the
-    /// journal on, post-checkpoint downloads invalidate overlapping
-    /// claims (clean re-downloads later); with it off, those claims stay
-    /// and are marked stale — the next "hit" computes garbage.
+    /// restored residency tables against the write-ahead log. The system
+    /// may be freshly built or the one the crash cut — a restart leaves
+    /// nothing of the dead incarnation behind. With the journal on,
+    /// post-checkpoint downloads invalidate overlapping claims (clean
+    /// re-downloads later); with it off, those claims stay and are marked
+    /// stale — the next "hit" computes garbage.
     pub fn restore_from(&mut self, state: &CrashState) -> Result<(), VfpgaError> {
         self.restore_cut(Cut::from_durable(state)?)
     }
@@ -839,25 +838,22 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
         let Some(cfg) = self.ckpt else {
             return Err(corrupt("restore_from requires with_checkpoints".into()));
         };
-        self.crash = cut.stats;
-        // Whatever the restore leaves on the fabric was not produced by
-        // WAL-visible downloads of THIS incarnation: the next checkpoint
-        // capture must be a full image.
-        self.ckpt_dirty_all = true;
         let base = cut.wal_base()?;
+        self.restart_from(&cut)?;
         self.dev.wal = cut.wal;
+        // Cold restart (no image): the restarted system IS the restart
+        // state — every task is still to arrive and the first checkpoint
+        // is scheduled; only the journal below needs attention.
         if let Some(capture) = cut.capture {
             self.adopt_capture(capture, base)?;
         }
-        // Cold restart (no image): the fresh construction state IS the
-        // restart state — every task is still to arrive and the first
-        // checkpoint is scheduled; only the journal below needs attention.
         let crash_at = cut.at;
-        let post: Vec<WalRecord> = self.dev.wal[base..].to_vec();
+        // The post-checkpoint records, walked in place.
+        let (post, manager) = (&self.dev.wal[base..], &mut self.dev.manager);
         if post.is_empty() {
             return Ok(());
         }
-        let timing = *self.dev.manager.timing();
+        let timing = *manager.timing();
         if cfg.journal {
             // Journal replay: torn records are undone from their
             // pre-images, committed ones redo-verified by readback; both
@@ -868,7 +864,7 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
             let mut redone = 0u32;
             let mut undone = 0u32;
             let mut cost = SimDuration::ZERO;
-            for r in &post {
+            for r in post {
                 if r.in_flight_at(crash_at) {
                     undone += 1;
                 } else {
@@ -876,9 +872,9 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
                 }
                 cost += timing.readback_time(r.width as usize);
             }
-            for claim in self.dev.manager.resident_regions() {
+            for claim in manager.resident_regions() {
                 if post.iter().any(|r| r.overlaps(claim.col0, claim.width))
-                    && self.dev.manager.discard_resident(claim.cid)
+                    && manager.discard_resident(claim.cid)
                 {
                     self.crash.stale_discards += 1;
                 }
@@ -898,7 +894,7 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
             // No journal: nothing reconciles the device with the restored
             // tables. A claim whose region's LAST post-checkpoint write
             // was a different circuit (or tore) now points at garbage.
-            for claim in self.dev.manager.resident_regions() {
+            for claim in manager.resident_regions() {
                 let clobbered = post
                     .iter()
                     .rev()
@@ -943,11 +939,10 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
         if self.ckpt.is_none() {
             return Err(corrupt(format!("{who} requires with_checkpoints")));
         }
-        self.crash = cut.stats;
-        // Fresh fabric on the destination device: full capture next.
-        self.ckpt_dirty_all = true;
         let base = cut.wal_base()?;
         let resume_at = cut.resume_at();
+        // The restart leaves the journal empty and the fabric fresh.
+        self.restart_from(&cut)?;
         if let Some(capture) = cut.capture {
             self.adopt_capture(capture, 0)?;
         }
@@ -956,7 +951,6 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
             .filter(|r| r.in_flight_at(cut.at))
             .count() as u32;
         self.crash.records_undone += u64::from(torn);
-        self.dev.wal.clear();
         let mut discarded = self.dev.manager.resident_regions();
         discarded.retain(|claim| self.dev.manager.discard_resident(claim.cid));
         self.dev.latent.clear();
@@ -964,9 +958,10 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
         Ok((torn, cut.at - resume_at, resume_at, discarded))
     }
 
-    /// Adopt a shard that died with its device: restore this freshly
-    /// built system — running on a *different* (or wiped-and-rejoined)
-    /// device — from the crashed shard's durable state. Unlike
+    /// Adopt a shard that died with its device: restart this system —
+    /// freshly built, or the one the device fault cut, running on a
+    /// *different* (or wiped-and-rejoined) device — and restore it from
+    /// the crashed shard's durable state. Unlike
     /// [`restore_from`](Self::restore_from), which reconciles surviving
     /// device contents against the journal, here the source fabric is
     /// gone: torn records are dropped, committed post-checkpoint records
@@ -1101,7 +1096,8 @@ mod tests {
     /// Tasks of one CPU burst each, `(arrival, burst)` in ms, under FIFO
     /// with a capture every 10 ms and a crash at `crash_ms`: the pending
     /// set of the last capture as its rendering lists it, arrivals
-    /// included, and the order a system restored from it pops that set in.
+    /// included, and the order the system, restarted from it, pops that
+    /// set in.
     fn last_capture_pending(tasks: &[(u64, u64)], crash_ms: u64) -> [Vec<(SimTime, Ev)>; 2] {
         let build = || {
             let (lib, _) = lib_mixed(1);
@@ -1121,17 +1117,15 @@ mod tests {
                 .with_checkpoints(CheckpointConfig::new(ms(10)))
                 .unwrap()
         };
-        let Segment::Cut(cut) = build()
-            .run_to_cut(Some(SimTime::ZERO + ms(crash_ms)))
-            .unwrap()
-        else {
+        let mut sys = build();
+        let crash_at = SimTime::ZERO + ms(crash_ms);
+        let Some(cut) = sys.run_to_cut(Some(crash_at)).unwrap() else {
             panic!("the crash comes before the last task ends");
         };
         let rendered = cut.capture.as_ref().unwrap().image.to_json();
         let captured = Wire::read(rendered.get("pending").unwrap(), "pending").unwrap();
-        let mut restored = build();
-        restored.restore_cut(*cut).unwrap();
-        let popped = std::iter::from_fn(|| restored.next()).collect();
+        sys.restore_cut(cut).unwrap();
+        let popped = std::iter::from_fn(|| sys.next()).collect();
         [captured, popped]
     }
 

@@ -12,7 +12,7 @@
 //!
 //! The fleet layer never invents costs of its own — it only sequences
 //! per-shard [`System`] runs, cuts them at device-fault instants, and
-//! restores them elsewhere via [`System::fail_over_from`]. A destination
+//! restarts them elsewhere via [`System::fail_over_from`]. A destination
 //! search walks a bounded retry/backoff ladder when every device is
 //! saturated; if the ladder is exhausted the shard either degrades to a
 //! software-priced build (the builder decides what that costs, e12-style)
@@ -21,7 +21,7 @@
 //! pool and at most one shard per rejoin is rebalanced onto it through
 //! the same (conservatively priced) checkpoint-cut migration path.
 
-use crate::checkpoint::{CheckpointConfig, Cut, Segment};
+use crate::checkpoint::{CheckpointConfig, Cut};
 use crate::counters::Counters;
 use crate::error::VfpgaError;
 use crate::manager::FpgaManager;
@@ -243,9 +243,11 @@ impl FleetConfig {
 }
 
 /// What the shard builder sees: which slice of the workload it owns and
-/// where it is being instantiated. The builder returns a fully configured
+/// where it is first instantiated. The builder returns a fully configured
 /// [`System`] (manager, scheduler, faults, admission) for these specs;
-/// the fleet attaches the device id and checkpoint config itself.
+/// the fleet attaches the device id and checkpoint config itself. It runs
+/// once a shard: a failover, a rebalance or a migration's source restarts
+/// the shard's system on its new host, as if rebuilt there.
 ///
 /// `software` is set when the fleet fell back to the degradation path —
 /// the builder should return a software-priced system (e12-style CPU
@@ -255,7 +257,7 @@ impl FleetConfig {
 pub struct ShardCtx<'a> {
     /// Shard index within the fleet.
     pub shard: u32,
-    /// Device this build will run on.
+    /// The shard's first host: the device this build starts on.
     pub device: DeviceId,
     /// Device the shard was originally placed on.
     pub home: DeviceId,
@@ -398,9 +400,9 @@ struct ShardRun<M: FpgaManager, S: Scheduler> {
     /// Source-cumulative counter baseline a migration destination must
     /// subtract from its final report before the fleet merge.
     mig_baseline: Option<CounterBaseline>,
-    /// A built (and possibly restored) system waiting for its next
-    /// segment. `None` until first needed — segments after a migration
-    /// carry the restored system here.
+    /// The shard's system between segments: built for a migration's
+    /// destination, else restarted on the host it hands off to. `None`
+    /// until first needed.
     pending: Option<System<M, S>>,
     /// Set when the shard is finished.
     done: Option<Done>,
@@ -430,7 +432,7 @@ impl<M: FpgaManager, S: Scheduler> ShardRun<M, S> {
         self.done.is_none()
     }
 
-    /// Continue from `at` on `host` with the restored `sys`.
+    /// Continue from `at` on `host` with the restarted `sys`.
     fn resume_on(&mut self, host: u32, at: SimTime, sys: System<M, S>) {
         self.host = host;
         self.watermark = at;
@@ -489,6 +491,9 @@ impl<M: FpgaManager, S: Scheduler> ShardRun<M, S> {
         (outcome, orig)
     }
 }
+
+/// A shard's system cut short, and the cut: what a hand-off restarts.
+type Handoff<M, S> = (System<M, S>, Cut);
 
 /// What interrupts the fleet next. Declaration order is the tie order at
 /// one instant: device crashes (lowest shard index first), then rejoins,
@@ -691,48 +696,53 @@ where
         Ok(sys)
     }
 
-    /// Run shard `si` — on the system a restore left waiting, else a
+    /// Run shard `si` — on the system a hand-off left waiting, else a
     /// fresh build on its host — to completion or to a cut at `until`.
-    /// `None` means the shard finished first (and is marked so). The cut
-    /// is planned — a device fault, a rebalance, a migration — so it
+    /// `None` means the shard finished first (and is marked so); a cut
+    /// comes back with the system it cut, for the hand-off to restart. The
+    /// cut is planned — a device fault, a rebalance, a migration — so it
     /// comes back off the host-crash count.
-    fn run_shard(&mut self, si: usize, until: Option<SimTime>) -> Result<Option<Cut>, VfpgaError> {
+    fn run_shard(
+        &mut self,
+        si: usize,
+        until: Option<SimTime>,
+    ) -> Result<Option<Handoff<M, S>>, VfpgaError> {
         let _s = span::guard("run_shard");
         let host = self.shards[si].host;
-        let sys = match self.shards[si].pending.take() {
+        let mut sys = match self.shards[si].pending.take() {
             Some(sys) => sys,
             None => self.build_on(si, host, false)?,
         };
         match sys.run_to_cut(until).map_err(|e| on_device(host, e))? {
-            Segment::Completed(report, _) => {
+            None => {
+                let (report, _) = sys.finish().map_err(|e| on_device(host, e))?;
                 self.hosted[host as usize] -= 1;
                 self.shards[si].done = Some(Done {
-                    report: *report,
+                    report,
                     final_host: Some(host),
                     lost: 0,
                 });
                 Ok(None)
             }
-            Segment::Cut(mut cut) => {
+            Some(mut cut) => {
                 cut.stats.crashes -= 1;
-                Ok(Some(*cut))
+                Ok(Some((sys, cut)))
             }
         }
     }
 
-    /// Restore shard `si` from `cut` onto a fresh build on `device`, and
-    /// book the hand-off: the claims it discarded, the window it
-    /// re-executes, and its latency — that window plus the `wait` spent
-    /// backing off first.
+    /// Restart `sys` on `device` from `cut` — the shard's own system, or a
+    /// software build — and book the hand-off: the claims it discarded,
+    /// the window it re-executes, and its latency — that window plus the
+    /// `wait` spent backing off first.
     fn adopt(
         &mut self,
-        si: usize,
+        sys: System<M, S>,
         device: u32,
-        software: bool,
         cut: Cut,
         wait: SimDuration,
     ) -> Result<(System<M, S>, FailoverReceipt), VfpgaError> {
-        let mut sys = self.build_on(si, device, software)?;
+        let mut sys = sys.with_device_id(DeviceId(device));
         let receipt = sys.fail_over_cut(cut).map_err(|e| on_device(device, e))?;
         self.stats.migrated_claims += u64::from(receipt.migrated_claims);
         self.stats.redo_time += receipt.redo_window;
@@ -785,13 +795,13 @@ where
             });
         let Some(si) = victim else { return Ok(()) };
         let from = self.shards[si].host;
-        // Cut at the rejoin instant and restore on the rejoined device.
-        let Some(cut) = self.run_shard(si, Some(t))? else {
+        // Cut at the rejoin instant and restart on the rejoined device.
+        let Some((sys, cut)) = self.run_shard(si, Some(t))? else {
             return Ok(());
         };
         self.hosted[from as usize] -= 1;
         self.hosted[d as usize] += 1;
-        let (sys, _) = self.adopt(si, d, false, cut, SimDuration::ZERO)?;
+        let (sys, _) = self.adopt(sys, d, cut, SimDuration::ZERO)?;
         self.stats.rebalances += 1;
         self.events.push((
             t,
@@ -810,7 +820,7 @@ where
     /// to software, or lose what its last checkpoint had not finished.
     fn on_device_down(&mut self, si: usize, t: SimTime) -> Result<(), VfpgaError> {
         let from = self.shards[si].host;
-        let Some(cut) = self.run_shard(si, Some(t))? else {
+        let Some((mut sys, cut)) = self.run_shard(si, Some(t))? else {
             return Ok(());
         };
         self.hosted[from as usize] -= 1;
@@ -829,7 +839,7 @@ where
         let (report, lost) = match dest {
             Some((d, wait)) => {
                 self.hosted[d as usize] += 1;
-                let (sys, receipt) = self.adopt(si, d, false, cut, wait)?;
+                let (sys, receipt) = self.adopt(sys, d, cut, wait)?;
                 self.stats.failovers += 1;
                 self.events.push((
                     t + wait,
@@ -846,9 +856,11 @@ where
             }
             None if self.cfg.software_fallback => {
                 // No device has room: finish the shard on the
-                // software-priced path. It cannot crash again.
+                // software-priced path, a build of its own (its programs
+                // differ). It cannot crash again.
                 let wait = backoff * u64::from(self.cfg.max_failover_retries);
-                let (sys, receipt) = self.adopt(si, from, true, cut, wait)?;
+                let software = self.build_on(si, from, true)?;
+                let (sys, receipt) = self.adopt(software, from, cut, wait)?;
                 self.stats.software_fallbacks += 1;
                 self.events.push((
                     t,
@@ -863,7 +875,6 @@ where
                 // No destination, no fallback: everything the last
                 // durable checkpoint had not captured as finished is lost
                 // in flight. Nothing is re-executed, so nothing is booked.
-                let mut sys = self.build_on(si, from, false)?;
                 sys.fail_over_cut(cut).map_err(|e| on_device(from, e))?;
                 let report = sys.abandon_lost(t);
                 let lost = report.tasks.iter().filter(|m| m.lost_in_flight).count() as u32;
@@ -917,7 +928,7 @@ where
         let Some(to) = self.destination(si, t, true) else {
             return Ok(());
         };
-        let Some(mut cut) = self.run_shard(si, Some(t))? else {
+        let Some((mut rem, mut cut)) = self.run_shard(si, Some(t))? else {
             return Ok(());
         };
         let window = self.engine.begin_attempt();
@@ -927,11 +938,11 @@ where
         if matches!(window, Some(SourceMidPrepare | DestMidCopy)) {
             cut.stats.crashes += 1;
         }
-        // The remainder continues on the source either way. It is built with
-        // the shard's FULL spec list — identical task indexing — so the cut
-        // state restores unchanged; the migrated tenant is then subtracted.
-        // The destination, if the protocol gets that far, adopts the same cut.
-        let mut rem = self.build_on(si, from, false)?;
+        // The remainder continues on the source either way: the cut system,
+        // restarted in place. It holds the shard's FULL spec list — identical
+        // task indexing — so the cut state restores unchanged; the migrated
+        // tenant is then subtracted. The destination, if the protocol gets
+        // that far, adopts the same cut.
         rem.restore_cut(cut.clone())
             .map_err(|e| on_device(from, e))?;
         let tenants = self.shards[si].tenants.iter().copied();
@@ -1090,8 +1101,8 @@ where
     fn into_report(mut self, total_tasks: usize) -> Result<FleetReport, VfpgaError> {
         for si in 0..self.shards.len() {
             if self.shards[si].live() {
-                let cut = self.run_shard(si, None)?;
-                debug_assert!(cut.is_none(), "a run with no cut scheduled completes");
+                let handoff = self.run_shard(si, None)?;
+                debug_assert!(handoff.is_none(), "a run with no cut scheduled completes");
             }
         }
         let Fleet {
@@ -1152,12 +1163,15 @@ where
 
 /// Run a sharded fleet to completion.
 ///
-/// `build` is called once per run segment with a [`ShardCtx`] and must
-/// return an un-run [`System`] for that shard's specs — managers,
-/// schedulers, fault plans and admission policies are its business; the
-/// fleet only attaches the device id and checkpoint config. Builds must
-/// be deterministic in the context (same ctx → same system), which makes
-/// the whole fleet run deterministic in (config, specs, builder).
+/// `build` is called with a [`ShardCtx`] once a shard — the initial ones
+/// and each live migration's destination — and once a software fallback,
+/// and must return an un-run [`System`] for that shard's specs —
+/// managers, schedulers, fault plans and admission policies are its
+/// business; the fleet only attaches the device id and checkpoint config.
+/// Every other hand-off restarts the shard's own system on its new host.
+/// Builds must be deterministic in the context (same ctx → same system),
+/// which makes the whole fleet run deterministic in (config, specs,
+/// builder).
 pub fn run_fleet<M, S, F>(
     cfg: &FleetConfig,
     specs: Vec<TaskSpec>,
@@ -1787,6 +1801,39 @@ mod tests {
             .with_migrations(mig_plan(100.0, 1, None));
         let r = run_fleet(&cfg, sp, builder(lib));
         assert!(matches!(r, Err(VfpgaError::BadFleetConfig { .. })));
+    }
+
+    #[test]
+    fn the_builder_runs_once_a_shard_and_once_a_software_fallback() {
+        // Failovers, rebalances, live migrations and software fallbacks in
+        // one run: only a migration's destination shard and a software
+        // fallback build; every other hand-off restarts the cut system.
+        let (lib, ids) = lib_n(2);
+        let cfg = FleetConfig::new(3)
+            .with_max_shards_per_device(2)
+            .with_failover_retry(0, ms(1))
+            .with_checkpoints(CheckpointConfig::new(ms(1)))
+            .with_device_faults(DeviceFaultPlan {
+                seed: 4,
+                ..crashy_plan()
+            })
+            .with_migrations(mig_plan(400.0, 2, None));
+        let builds = std::cell::Cell::new(0u64);
+        let mut build = builder(lib);
+        let fleet = run_fleet(&cfg, specs(&ids), |ctx: &ShardCtx<'_>| {
+            builds.set(builds.get() + 1);
+            build(ctx)
+        })
+        .unwrap();
+        let s = fleet.stats;
+        assert!(
+            s.failovers > 0 && s.rebalances > 0 && s.tenant_migrations > 0,
+            "{s:?}"
+        );
+        assert!(s.software_fallbacks > 0, "{s:?}");
+        let shards = fleet.shards.len() as u64;
+        assert_eq!(shards, 3 + s.tenant_migrations, "{s:?}");
+        assert_eq!(builds.get(), shards + s.software_fallbacks, "{s:?}");
     }
 
     #[test]

@@ -229,10 +229,11 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
         freed
     }
 
-    /// Destination half of a migration split: adopt `tenant` from the
-    /// source shard's cut state. Restores the *whole* shard image (same
-    /// task indexing as the source, so the snapshot applies unchanged),
-    /// then retires every other tenant's tasks as migrated — they keep
+    /// Destination half of a migration split: restart this system — in a
+    /// fleet, the one fresh build a migration makes — and adopt `tenant`
+    /// from the source shard's cut state. Restores the *whole* shard image
+    /// (same task indexing as the source, so the snapshot applies
+    /// unchanged), then retires every other tenant's tasks as migrated — they keep
     /// running on the source remainder. The tenant's resident images are
     /// staged-copied during prepare: with `delta` on, each lands as a
     /// ghost the next activation revalidates header-only (the staged

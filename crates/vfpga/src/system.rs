@@ -12,13 +12,14 @@
 //!
 //! This file is the small OS core: [`System`] and its builders, the event
 //! loop, the three hot handlers (arrive, dispatch, segment timer), the one
-//! way a task leaves (`System::exit`) and the report. Each technique
+//! way a task leaves (`System::exit`), the report, and the restart that
+//! returns a crashed system to its built state. Each technique
 //! beside the core keeps its handlers in its own module, as further
 //! `impl System` blocks: [`crate::admission`], [`crate::recovery`],
 //! [`crate::checkpoint`], [`crate::migrate`] (DESIGN.md §18).
 
 use crate::admission::{AdmissionPolicy, AdmissionRt, Arrival};
-use crate::checkpoint::{CheckpointConfig, CrashStats, RunOutcome, Segment, SlotWindow, WalRecord};
+use crate::checkpoint::{CheckpointConfig, CrashStats, Cut, RunOutcome, SlotWindow, WalRecord};
 use crate::circuit::CircuitLib;
 use crate::error::VfpgaError;
 use crate::image::{Capture, FpgaSeg, Latent, Running};
@@ -27,6 +28,7 @@ use crate::metrics::{Report, TaskMetrics};
 use crate::recovery::{FaultStats, RecoveryPolicy};
 use crate::sched::Scheduler;
 use crate::task::{Op, TaskId, TaskSlot, TaskSpec, TaskState};
+use fsim::json::Json;
 use fsim::{
     span, EventQueue, FaultInjector, FaultPlan, HistSet, Metrics, QueueStats, ScheduledEvent,
     SimDuration, SimTime, TimelineSet, Trace, TraceEvent,
@@ -252,6 +254,39 @@ pub struct System<M: FpgaManager, S: Scheduler> {
     /// them, just before the report is built (see
     /// [`with_run_probe`](Self::with_run_probe)).
     run_probe: Option<RunProbe<M>>,
+    /// What [`restart`](Self::restart) returns a checkpointed system to,
+    /// beside what the specs and the checkpoint cadence derive.
+    pub(crate) boot: Boot,
+}
+
+/// Where a checkpointed system's components — the scheduler, the
+/// manager and the fault streams — stand against the build, as far as a
+/// cold restart needs them. Everything else a restart returns to is
+/// derived: the task table and the admission vectors from the specs, and
+/// the one event pending as built, the first capture, from the cadence.
+pub(crate) enum Boot {
+    /// As the build left them: never run, or restarted cold since.
+    AsBuilt,
+    /// Running since they were as built: what they were then, recorded as
+    /// the segment started (boxed: a fleet holds many systems).
+    Recorded(Box<BootRecord>),
+    /// The system has taken or adopted a capture. Every cut from here on
+    /// carries one, and it restores all a record held: none is kept.
+    Captured,
+}
+
+/// The scheduler's and the manager's snapshots and the fault streams'
+/// words as built.
+pub(crate) struct BootRecord {
+    sched: Json,
+    manager: Json,
+    rng: Option<[[u64; 4]; 3]>,
+}
+
+/// The one event a checkpointed system has pending as built: its first
+/// capture.
+fn first_capture(cfg: CheckpointConfig) -> (SimTime, Ev) {
+    (SimTime::ZERO + cfg.interval, Ev::Checkpoint)
 }
 
 type RunProbe<M> = Box<dyn FnOnce(&M, QueueStats) + Send>;
@@ -320,6 +355,7 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
             admission: None,
             lat: None,
             run_probe: None,
+            boot: Boot::AsBuilt,
         }
     }
 
@@ -417,8 +453,8 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
                 component: self.sched.name(),
             });
         }
-        self.queue
-            .schedule_at(SimTime::ZERO + cfg.interval, Ev::Checkpoint);
+        let (at, first) = first_capture(cfg);
+        self.queue.schedule_at(at, first);
         self.ckpt = Some(cfg);
         Ok(self)
     }
@@ -439,17 +475,19 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
     /// [`with_trace`](Self::with_trace) was not called first, or
     /// [`VfpgaError::Deadlock`] when a task ends neither completed nor
     /// failed.
-    pub fn run_traced(self) -> Result<(Report, Trace), VfpgaError> {
+    pub fn run_traced(mut self) -> Result<(Report, Trace), VfpgaError> {
         if !self.trace.is_enabled() {
             return Err(VfpgaError::TraceDisabled);
         }
-        Ok(self.run_to_cut(None)?.completed())
+        self.run_to_cut(None)?;
+        self.finish()
     }
 
     /// Run to completion and report. Fails with [`VfpgaError::Deadlock`]
     /// when the manager/scheduler combination strands a task.
-    pub fn run(self) -> Result<Report, VfpgaError> {
-        Ok(self.run_to_cut(None)?.completed().0)
+    pub fn run(mut self) -> Result<Report, VfpgaError> {
+        self.run_to_cut(None)?;
+        Ok(self.finish()?.0)
     }
 
     /// Run until completion *or* a host crash at `crash_at`. A crash that
@@ -457,10 +495,13 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
     /// first). The crash state leaves the process rendered;
     /// [`crate::checkpoint::run_with_crashes`] and the fleet keep theirs
     /// typed. Plain runs go through [`run`](Self::run).
-    pub fn run_until(self, crash_at: Option<SimTime>) -> Result<RunOutcome, VfpgaError> {
+    pub fn run_until(mut self, crash_at: Option<SimTime>) -> Result<RunOutcome, VfpgaError> {
         Ok(match self.run_to_cut(crash_at)? {
-            Segment::Completed(report, trace) => RunOutcome::Completed(report, trace),
-            Segment::Cut(cut) => RunOutcome::Crashed(Box::new(cut.to_durable())),
+            None => {
+                let (report, trace) = self.finish()?;
+                RunOutcome::Completed(Box::new(report), trace)
+            }
+            Some(cut) => RunOutcome::Crashed(Box::new(cut.to_durable())),
         })
     }
 
@@ -503,9 +544,15 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
             .sample("ready_queue_depth", now, self.sched.len() as f64);
     }
 
-    /// [`run_until`](Self::run_until) for a next incarnation in this process.
+    /// The segment loop behind [`run_until`](Self::run_until): run until
+    /// every event has fired (`None`: [`finish`](Self::finish) builds the
+    /// report) or the host crashes at `crash_at`, handing back the
+    /// [`Cut`] and leaving the system in place for a restore to restart.
     #[doc(hidden)]
-    pub fn run_to_cut(mut self, crash_at: Option<SimTime>) -> Result<Segment, VfpgaError> {
+    pub fn run_to_cut(&mut self, crash_at: Option<SimTime>) -> Result<Option<Cut>, VfpgaError> {
+        if self.ckpt.is_some() && matches!(self.boot, Boot::AsBuilt) {
+            self.boot = self.boot_record();
+        }
         if let Some(t) = crash_at {
             self.queue.schedule_at(t, Ev::Crash);
         }
@@ -531,8 +578,7 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
                     // A crash after the last task finished changes nothing
                     // observable: the run completed first.
                     if self.unfinished > 0 {
-                        let cut = span::time("crash", || self.crash_now(now));
-                        return Ok(Segment::Cut(Box::new(cut)));
+                        return Ok(Some(span::time("crash", || self.crash_now(now))));
                     }
                 }
                 Ev::Watchdog { tid, seq } => {
@@ -547,8 +593,14 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
             }
             self.observe(now);
         }
-        // Every task must have left the system — completed or explicitly
-        // failed by recovery; anything else is a deadlock.
+        Ok(None)
+    }
+
+    /// The report and trace of a run whose last segment completed. Fails
+    /// with [`VfpgaError::Deadlock`] when a task never left the system —
+    /// completed or explicitly failed by recovery.
+    #[doc(hidden)]
+    pub fn finish(self) -> Result<(Report, Trace), VfpgaError> {
         for (slot, spec) in self.slots.iter().zip(&self.specs) {
             if !slot.state.is_terminal() {
                 return Err(VfpgaError::Deadlock {
@@ -556,8 +608,7 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
                 });
             }
         }
-        let (report, trace) = self.into_report();
-        Ok(Segment::Completed(Box::new(report), trace))
+        Ok(self.into_report())
     }
 
     /// The next event to fire: the next arrival, the queue's head or the
@@ -645,6 +696,108 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
         for (at, ev) in pending {
             self.schedule(at, ev);
         }
+    }
+
+    /// The boot record of a checkpointed system whose components are as
+    /// built.
+    fn boot_record(&self) -> Boot {
+        Boot::Recorded(Box::new(BootRecord {
+            sched: self.sched.snapshot().expect("validated at enable"),
+            manager: self.dev.manager.snapshot().expect("validated at enable"),
+            rng: self.dev.injector.as_ref().map(FaultInjector::stream_states),
+        }))
+    }
+
+    /// Put this checkpointed system back in the state its build left it
+    /// in, as the next incarnation of a host that crashed: what a restore
+    /// then loads a capture over (`warm`) or runs from (cold). Everything
+    /// the run changed goes — the task table, queue (clock and counters
+    /// too), held segment end and arrival cursor, trace, metrics,
+    /// timelines and latency (a crashed host's trace dies with it),
+    /// journal and dirty columns, checkpoint bookkeeping, fault and crash
+    /// accounting — and the first capture is pending again. A cold restart
+    /// returns the components to the boot record; a warm one leaves them
+    /// to the capture.
+    pub(crate) fn restart(&mut self, warm: bool) -> Result<(), String> {
+        if !warm {
+            match std::mem::replace(&mut self.boot, Boot::AsBuilt) {
+                Boot::AsBuilt => {}
+                Boot::Recorded(record) => {
+                    self.sched.restore(&record.sched)?;
+                    self.dev.manager.restore(&record.manager)?;
+                    if let (Some(inj), Some(states)) = (self.dev.injector.as_mut(), record.rng) {
+                        inj.restore_stream_states(states);
+                    }
+                }
+                Boot::Captured => {
+                    return Err("a system that has captured restarts only from a capture".into())
+                }
+            }
+        }
+        self.dev.latent.clear();
+        self.dev.stale.clear();
+        self.dev.wal.clear();
+        self.dev.dirty_cols.fill(false);
+        for (slot, spec) in self.slots.iter_mut().zip(&self.specs) {
+            *slot = TaskSlot::new(spec);
+        }
+        self.unfinished = self.slots.len();
+        self.running = None;
+        if let Some(adm) = self.admission.as_mut() {
+            adm.restart();
+        }
+        self.queue = EventQueue::new();
+        if let Some((at, first)) = self.ckpt.map(first_capture) {
+            self.queue.schedule_at(at, first);
+        }
+        self.segment_end = None;
+        self.arrived = 0;
+        self.trace.clear();
+        self.reg = Metrics::new();
+        self.timelines = TimelineSet::new();
+        if self.lat.is_some() {
+            self.lat = Some(HistSet::new());
+        }
+        self.fault = FaultStats::default();
+        self.ckpt_seq = 0;
+        self.ckpt_chain = 0;
+        self.ckpt_dirty_all = false;
+        self.last_ckpt = None;
+        self.ckpt_window = SlotWindow::whole(self.slots.len());
+        self.crash = CrashStats::default();
+        Ok(())
+    }
+
+    /// This checkpointed system's whole state as text: the image a
+    /// capture at `at` would take, then everything a capture leaves out —
+    /// the arrival cursor, the queue's clock and counters, the trace,
+    /// metrics and timelines, the journal and dirty columns, and the
+    /// checkpoint and crash bookkeeping. Two systems that print the same
+    /// run the same from here; `tests/cut_equivalence.rs` holds a
+    /// restarted system to a freshly built one with it.
+    #[doc(hidden)]
+    pub fn state_text(&self, at: SimTime) -> String {
+        let last = self.last_ckpt.as_ref();
+        format!(
+            "{:?}\narrived {} queue {:?} at {}\ntrace {:?}\nmetrics {:?}\ntimelines {:?}\n\
+             wal {:?}\ndirty {:?}\nckpt {} chain {} dirty_all {} window {:?} last {:?}\n\
+             crash {:?}",
+            self.capture(at, None),
+            self.arrived,
+            self.queue.stats(),
+            self.queue.now(),
+            self.trace,
+            self.reg,
+            self.timelines,
+            self.dev.wal,
+            self.dev.dirty_cols,
+            self.ckpt_seq,
+            self.ckpt_chain,
+            self.ckpt_dirty_all,
+            self.ckpt_window,
+            last.map(|c| (c.seq, c.wal_len, c.image.at)),
+            self.crash,
+        )
     }
 
     /// Build the final report from whatever terminal state the task table

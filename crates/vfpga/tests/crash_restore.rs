@@ -14,7 +14,9 @@
 //!    slices) still tiles the grand total exactly, across a random policy
 //!    sweep;
 //! 5. a zero retry budget fails a corrupt download immediately, without a
-//!    spurious retry (recovery-policy edge case).
+//!    spurious retry (recovery-policy edge case);
+//! 6. a crashed run is built once: every later incarnation, cold or warm,
+//!    is the crashed system restarted in place.
 
 mod common;
 
@@ -390,4 +392,35 @@ fn zero_retry_budget_fails_immediately_without_spurious_retry() {
     // waste, and the breakdown must still carve it out exactly.
     assert!(r.fault.retry_time > SimDuration::ZERO);
     assert_eq!(r.overhead_breakdown().fault_retry, r.fault.retry_time);
+}
+
+#[test]
+fn a_crashed_run_is_built_once() {
+    // One crash before the first capture (a cold restart from time zero)
+    // and three after it: every incarnation after the first is the
+    // crashed system restarted in place, never a second build.
+    let interval = SimDuration::from_micros(2_500);
+    let plan = CrashPlan {
+        seed: 3,
+        crash_rate_per_s: 400.0,
+        max_crashes: 4,
+    };
+    let mut inj = vfpga::CrashInjector::new(plan);
+    let times: Vec<_> = std::iter::from_fn(|| inj.next_crash_at()).collect();
+    let first_capture = fsim::SimTime::ZERO + interval;
+    assert!(times[0] < first_capture, "a cold restart: {times:?}");
+    assert!(times.iter().filter(|&&t| t > first_capture).count() >= 2);
+    let builds = std::cell::Cell::new(0);
+    let r = run_with_crashes(
+        || {
+            builds.set(builds.get() + 1);
+            build_dynload()
+        },
+        CheckpointConfig::new(interval),
+        plan,
+    )
+    .unwrap();
+    assert_eq!(r.crash.crashes, 4, "every crash of the plan strikes");
+    assert_eq!(builds.get(), 1, "built once a run");
+    assert!(diff_reports(&build_dynload().run().unwrap(), &r).is_empty());
 }

@@ -13,6 +13,12 @@
 //! run, and the two forms must finish with the same [`Report`], field for
 //! field (and hand back the same receipts).
 //!
+//! A fourth adoption is the one the crash loop and the fleet make: the cut
+//! system itself, restarted in place, restored and failed over. Right
+//! after the restart its whole state must read as a freshly built
+//! system's that adopted the same cut, and under tracing both must finish
+//! with the same report, trace and event-queue counters.
+//!
 //! The small matrix runs in Tier-1; `ci.sh` runs the wide one
 //! (`--ignored`) under `--release`.
 
@@ -20,10 +26,10 @@ mod common;
 
 use common::{four_ops, lib4, timing};
 use fsim::json::Json;
-use fsim::{SimDuration, SimTime};
+use fsim::{QueueStats, SimDuration, SimTime, Trace};
 use std::collections::BTreeSet;
-use std::sync::Arc;
-use vfpga::checkpoint::{Cut, Segment};
+use std::sync::{Arc, Mutex};
+use vfpga::checkpoint::Cut;
 use vfpga::circuit::{CircuitId, CircuitLib};
 use vfpga::manager::dynload::DynLoadManager;
 use vfpga::manager::partition::{PartitionManager, PartitionMode};
@@ -150,6 +156,83 @@ impl Form<'_> {
     }
 }
 
+/// `sys` traced, with its event queue's counters read out at the end.
+fn traced<M: FpgaManager, S: Scheduler>(sys: System<M, S>) -> Traced<M, S> {
+    let queue = Arc::new(Mutex::new(None));
+    let seen = Arc::clone(&queue);
+    let sys = sys
+        .with_trace()
+        .with_run_probe(move |_, stats| *seen.lock().unwrap() = Some(stats));
+    Traced { sys, queue }
+}
+
+/// A traced system and where its run probe leaves the queue's counters.
+struct Traced<M: FpgaManager, S: Scheduler> {
+    sys: System<M, S>,
+    queue: Arc<Mutex<Option<QueueStats>>>,
+}
+
+impl<M: FpgaManager, S: Scheduler> Traced<M, S> {
+    /// Adopt `cut` typed: restore it, or fail it over.
+    fn adopt(&mut self, failover: bool, cut: Cut) {
+        let sys = &mut self.sys;
+        match failover {
+            false => sys.restore_cut(cut),
+            true => sys.fail_over_cut(cut).map(drop),
+        }
+        .expect("the cut adopts");
+    }
+
+    /// Run to completion: the report, the trace, the queue counters.
+    fn finish(self) -> (Report, Trace, QueueStats) {
+        let (report, trace) = self.sys.run_traced().expect("an adopted run completes");
+        let queue = self.queue.lock().unwrap().take().expect("the probe ran");
+        (report, trace, queue)
+    }
+}
+
+/// The cut system restarted in place against a fresh build, both adopting
+/// the cut `build`'s traced run makes at `at` (if the run is not over by
+/// then), restored and failed over: the same state right after the
+/// adoption, then the same report, trace and queue counters.
+fn restart_matches_a_fresh_build<M: FpgaManager, S: Scheduler>(
+    label: &str,
+    at: SimTime,
+    baseline: &Report,
+    build: impl Fn() -> System<M, S>,
+) {
+    for (how, failover) in [("restore", false), ("failover", true)] {
+        let mut cut_sys = traced(build());
+        let Some(cut) = cut_sys.sys.run_to_cut(Some(at)).unwrap() else {
+            return;
+        };
+        let mut fresh = traced(build());
+        fresh.adopt(failover, cut.clone());
+        cut_sys.adopt(failover, cut);
+        let (got, want) = (cut_sys.sys.state_text(at), fresh.sys.state_text(at));
+        let first_difference = got.lines().zip(want.lines()).find(|(g, w)| g != w);
+        assert!(
+            got == want,
+            "{label} @{at} {how}: the restarted system is not the fresh build's: {first_difference:?}"
+        );
+        let (report, trace, queue) = cut_sys.finish();
+        let diverged = diff_reports(baseline, &report);
+        assert!(
+            diverged.is_empty(),
+            "{label} @{at} {how}: the restart diverged from the uninterrupted run: {diverged:?}"
+        );
+        let (want, want_trace, want_queue) = fresh.finish();
+        let what = format!("{label} @{at} {how}: the restart finished differently");
+        assert_eq!(text(&report), text(&want), "{what}: report");
+        assert_eq!(
+            format!("{trace:?}"),
+            format!("{want_trace:?}"),
+            "{what}: trace"
+        );
+        assert_eq!(queue, want_queue, "{what}: queue counters");
+    }
+}
+
 /// How many cuts a sweep made and adopted.
 #[derive(Default)]
 struct Tally {
@@ -158,7 +241,7 @@ struct Tally {
 }
 
 /// Cut `build`'s run at every event instant and just after it, adopt each
-/// cut every way in both forms, and compare.
+/// cut every way in both forms and restarted in place, and compare.
 fn sweep<M: FpgaManager, S: Scheduler>(
     label: &str,
     specs: &[TaskSpec],
@@ -172,7 +255,7 @@ fn sweep<M: FpgaManager, S: Scheduler>(
         .collect();
     let mut tally = Tally::default();
     for &at in &instants {
-        let Segment::Cut(cut) = build().run_to_cut(Some(at)).unwrap() else {
+        let Some(cut) = build().run_to_cut(Some(at)).unwrap() else {
             continue; // the run was over by then
         };
         let durable = cut.to_durable();
@@ -210,6 +293,7 @@ fn sweep<M: FpgaManager, S: Scheduler>(
             );
             assert_eq!(t.receipt, d.receipt, "{label} @{at} {how}: receipts");
         }
+        restart_matches_a_fresh_build(label, at, &baseline, &build);
     }
     tally
 }
@@ -301,7 +385,7 @@ fn a_durable_form_that_drops_a_pending_event_is_caught() {
     };
     let baseline = run(build());
     let at = SimTime::ZERO + us(2500);
-    let Segment::Cut(cut) = build().run_to_cut(Some(at)).unwrap() else {
+    let Some(cut) = build().run_to_cut(Some(at)).unwrap() else {
         panic!("the run is cut at 2.5 ms, not over")
     };
     let adopt = |form: Form<'_>| {
