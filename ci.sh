@@ -38,11 +38,14 @@ echo "==> frame-diff oracle and work budgets, release"
 cargo test -q --release -p fpga --test diff_oracle
 cargo test -q --release -p bench --test budgets
 
-echo "==> checkpoint codec suite, image goldens, image tests and capture window, release"
+echo "==> codec suite, compile-cache entries, image goldens, image tests and capture window, release"
 # `durable` and `fleet` reps run the release writer, and a release build
 # wraps where debug panics (a delta image's ghost count once did). The
-# capture window's copy count and its full-table check run here too: in
-# the benchmark's release build the check is compiled out.
+# codec itself is fsim's, and the compile cache's entries go through it
+# too. The capture window's copy count and its full-table check run here
+# too: in the benchmark's release build the check is compiled out.
+cargo test -q --release -p fsim --lib json
+cargo test -q --release -p pnr --lib disk
 cargo test -q --release -p vfpga --lib -- image capture_window
 
 echo "==> event queue oracle, the kernel's segment-end gates and rendered arrivals, release"

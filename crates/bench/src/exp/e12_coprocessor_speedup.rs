@@ -14,7 +14,6 @@ use super::RunArgs;
 use crate::report::f3;
 use crate::setup::serial_fast;
 use crate::{Exporter, HostProfile};
-use fpga::config::{FRAME_ADDR_BITS, HEADER_BITS};
 use fsim::{SimDuration, SimTime, Timeline};
 use workload::{suite, App, Domain};
 
@@ -35,9 +34,8 @@ pub fn run(args: &RunArgs) -> Result<Exporter, String> {
             .collect()
     });
     let cell = |app: &App| {
-        let frames = app.compiled.shape().0 as u64;
-        let bits = HEADER_BITS + frames * (FRAME_ADDR_BITS + timing.frame_bits());
-        let config_ns = bits.saturating_mul(1_000_000_000) / timing.port.bits_per_sec();
+        let frames = app.compiled.shape().0 as usize;
+        let config_ns = timing.frame_transfer(frames).1.as_nanos();
         let (sw, hw) = (app.sw_ns_per_item, app.hw_ns_per_item());
         let eff = BATCHES.map(|batch| {
             let sw_total = sw.saturating_mul(batch) as f64;

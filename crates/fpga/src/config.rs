@@ -107,17 +107,18 @@ impl ConfigTiming {
         self.dur_for_bits(bits)
     }
 
+    /// Bits and time to move `n_frames` full-column frames over the port —
+    /// the header, then each frame's address and data: what a partial
+    /// download of whole columns, a readback and a state write-back cost.
+    pub fn frame_transfer(&self, n_frames: usize) -> (u64, SimDuration) {
+        let bits = HEADER_BITS + n_frames as u64 * (FRAME_ADDR_BITS + self.frame_bits());
+        (bits, self.dur_for_bits(bits))
+    }
+
     /// Time to read back the flip-flop state of `n_frames` columns
     /// (readback moves whole frames, like configuration, plus addressing).
     pub fn readback_time(&self, n_frames: usize) -> SimDuration {
-        let bits = HEADER_BITS + n_frames as u64 * (FRAME_ADDR_BITS + self.frame_bits());
-        self.dur_for_bits(bits)
-    }
-
-    /// Time to write flip-flop state back into `n_frames` columns.
-    pub fn state_write_time(&self, n_frames: usize) -> SimDuration {
-        // Same movement cost as readback.
-        self.readback_time(n_frames)
+        self.frame_transfer(n_frames).1
     }
 }
 

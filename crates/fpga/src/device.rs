@@ -404,7 +404,7 @@ impl Device {
             let i = self.idx(c, row);
             self.ff[i] = v;
         }
-        self.timing().state_write_time(r.w as usize)
+        self.timing().frame_transfer(r.w as usize).1
     }
 
     /// Raw flip-flop word access for the fabric executor.

@@ -14,7 +14,7 @@
 //! reproducible as a fault-free one.
 
 use crate::rng::SimRng;
-use crate::time::SimDuration;
+use crate::time::{SimDuration, SimTime};
 
 /// Rates for the three modeled fault classes. All rates default to zero:
 /// `FaultPlan::default()` (or [`FaultPlan::none`]) injects nothing.
@@ -49,13 +49,6 @@ impl FaultPlan {
             column_failure_rate_per_s: 0.0,
         }
     }
-
-    /// Whether every fault class is disabled.
-    pub fn is_zero(&self) -> bool {
-        self.download_corruption <= 0.0
-            && self.seu_rate_per_s <= 0.0
-            && self.column_failure_rate_per_s <= 0.0
-    }
 }
 
 /// Turns a [`FaultPlan`] into reproducible fault streams.
@@ -82,11 +75,6 @@ impl FaultInjector {
             seu_rng: root.derive(2),
             col_rng: root.derive(3),
         }
-    }
-
-    /// The plan this injector was built from.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
     }
 
     /// Decide whether the download that just happened was corrupted.
@@ -119,12 +107,7 @@ impl FaultInjector {
     }
 
     fn interarrival(rng: &mut SimRng, rate_per_s: f64) -> Option<SimDuration> {
-        if rate_per_s <= 0.0 {
-            return None;
-        }
-        let mean_ns = 1e9 / rate_per_s;
-        let ns = rng.exp(mean_ns).ceil() as u64;
-        Some(SimDuration::from_nanos(ns.max(1)))
+        (rate_per_s > 0.0).then(|| gap(rng, rate_per_s))
     }
 
     /// Snapshot the three stream states (download, SEU, column) for
@@ -178,6 +161,15 @@ impl CrashPlan {
             max_crashes: 0,
         }
     }
+
+    /// The absolute crash times, strictly increasing, at most
+    /// `max_crashes`, drawn lazily. The restart harness holds the iterator
+    /// outside the simulated system, so a restored run is never re-killed
+    /// at an instant that already fired.
+    pub fn crash_times(&self) -> impl Iterator<Item = SimTime> {
+        let (rate, max) = (self.crash_rate_per_s, self.max_crashes);
+        poisson(self.seed, CRASH_TAG, rate, max, SimDuration::ZERO)
+    }
 }
 
 impl Default for CrashPlan {
@@ -186,62 +178,39 @@ impl Default for CrashPlan {
     }
 }
 
-/// Turns a [`CrashPlan`] into a reproducible sequence of absolute crash
-/// times. The injector lives in the restart *harness*, outside the
-/// simulated system, so its stream survives the crash it injects — each
-/// draw advances past the previous crash time, and a restored run is
-/// never re-killed at an instant that already fired.
-#[derive(Debug)]
-pub struct CrashInjector {
-    plan: CrashPlan,
-    rng: SimRng,
-    fired: u32,
-    last: u64,
+/// Derivation tags of the harness streams: tags 1–3 are the
+/// [`FaultInjector`] streams, 4 the host crashes, `5 + d` device `d`'s
+/// outages, and 2^32 — far above the device tags of any realistic fleet —
+/// the migration instants, so no two collide even under a shared seed.
+const CRASH_TAG: u64 = 4;
+const DEVICE_TAG_BASE: u64 = 5;
+const MIGRATION_TAG: u64 = 1 << 32;
+
+/// An exponential gap of mean `1 / rate_per_s` seconds, at least 1 ns.
+fn gap(rng: &mut SimRng, rate_per_s: f64) -> SimDuration {
+    let ns = rng.exp(1e9 / rate_per_s).ceil() as u64;
+    SimDuration::from_nanos(ns.max(1))
 }
 
-impl CrashInjector {
-    /// Derivation tag of the crash stream (tags 1–3 are the
-    /// [`FaultInjector`] streams).
-    pub const STREAM_TAG: u64 = 4;
-
-    /// An injector drawing from derivation stream 4 of `plan.seed`.
-    pub fn new(plan: CrashPlan) -> Self {
-        CrashInjector {
-            plan,
-            rng: SimRng::new(plan.seed).derive(Self::STREAM_TAG),
-            fired: 0,
-            last: 0,
-        }
-    }
-
-    /// The plan this injector was built from.
-    pub fn plan(&self) -> &CrashPlan {
-        &self.plan
-    }
-
-    /// Crashes drawn so far.
-    pub fn fired(&self) -> u32 {
-        self.fired
-    }
-
-    /// Absolute simulation time of the next crash, or `None` when the
-    /// rate is zero or the crash budget is spent. Consumes randomness
-    /// only when a crash is actually drawn.
-    pub fn next_crash_at(&mut self) -> Option<crate::SimTime> {
-        if self.plan.crash_rate_per_s <= 0.0 || self.fired >= self.plan.max_crashes {
-            return None;
-        }
-        let gap = FaultInjector::interarrival(&mut self.rng, self.plan.crash_rate_per_s)?;
-        self.fired += 1;
-        self.last = self.last.saturating_add(gap.as_nanos());
-        Some(crate::SimTime(self.last))
-    }
-
-    /// Fraction of the in-flight download's frames that reached the
-    /// device before the crash cut the stream (uniform in `[0, 1)`).
-    pub fn torn_fraction(&mut self) -> f64 {
-        self.rng.f64()
-    }
+/// The instants of a Poisson process of `rate_per_s` on derivation stream
+/// `tag` of `seed`, `max` of them, each drawn from `dead` after the one
+/// before. A zero rate draws nothing, so a disabled plan changes no run;
+/// otherwise the length is known, and a collected schedule is sized once.
+fn poisson(
+    seed: u64,
+    tag: u64,
+    rate_per_s: f64,
+    max: u32,
+    dead: SimDuration,
+) -> impl Iterator<Item = SimTime> {
+    let n = if rate_per_s > 0.0 { max } else { 0 };
+    let mut rng = SimRng::new(seed).derive(tag);
+    let mut at = 0u64;
+    (0..n).map(move |_| {
+        let fires = at.saturating_add(gap(&mut rng, rate_per_s).as_nanos());
+        at = fires.saturating_add(dead.as_nanos());
+        SimTime(fires)
+    })
 }
 
 /// The fifth fault class: whole-device outages. A physical FPGA drops off
@@ -267,6 +236,22 @@ pub struct DeviceFaultPlan {
 }
 
 impl DeviceFaultPlan {
+    /// Device `device`'s outage windows, absolute `[down, rejoin)` pairs,
+    /// strictly increasing and non-overlapping (the next crash is drawn
+    /// after the previous rejoin), on a stream of the device's own.
+    pub fn windows(&self, device: u32) -> Vec<(SimTime, SimTime)> {
+        let (tag, outage) = (DEVICE_TAG_BASE + u64::from(device), self.outage);
+        poisson(
+            self.seed,
+            tag,
+            self.crash_rate_per_s,
+            self.max_crashes,
+            outage,
+        )
+        .map(|down| (down, SimTime(down.0.saturating_add(outage.as_nanos()))))
+        .collect()
+    }
+
     /// A plan under which no device ever fails.
     pub fn none() -> Self {
         DeviceFaultPlan {
@@ -286,65 +271,6 @@ impl DeviceFaultPlan {
 impl Default for DeviceFaultPlan {
     fn default() -> Self {
         DeviceFaultPlan::none()
-    }
-}
-
-/// Turns a [`DeviceFaultPlan`] into reproducible per-device outage
-/// windows. Lives in the fleet harness, outside any simulated system, so
-/// the streams survive the crashes they describe.
-#[derive(Debug)]
-pub struct DeviceFaultInjector {
-    plan: DeviceFaultPlan,
-}
-
-impl DeviceFaultInjector {
-    /// Derivation tag of device 0's stream; device `d` draws from tag
-    /// `STREAM_TAG_BASE + d`. Tags 1–3 are the [`FaultInjector`] streams
-    /// and tag 4 is the [`CrashInjector`] stream, so no device collides
-    /// with an existing class.
-    pub const STREAM_TAG_BASE: u64 = 5;
-
-    /// An injector over the plan. Constructing it draws nothing.
-    pub fn new(plan: DeviceFaultPlan) -> Self {
-        DeviceFaultInjector { plan }
-    }
-
-    /// The plan this injector was built from.
-    pub fn plan(&self) -> &DeviceFaultPlan {
-        &self.plan
-    }
-
-    /// The outage windows of device `device`, as absolute
-    /// `[down, rejoin)` pairs, strictly increasing and non-overlapping
-    /// (the next crash is drawn after the previous rejoin). A zero-rate
-    /// plan returns an empty vec without constructing an RNG, so existing
-    /// experiments are byte-identical under a disabled plan.
-    pub fn windows(&self, device: u32) -> Vec<(crate::SimTime, crate::SimTime)> {
-        if self.plan.is_zero() {
-            return Vec::new();
-        }
-        let mut rng = SimRng::new(self.plan.seed).derive(Self::STREAM_TAG_BASE + u64::from(device));
-        let mut at = 0u64;
-        let mut out = Vec::with_capacity(self.plan.max_crashes as usize);
-        for _ in 0..self.plan.max_crashes {
-            let gap = match FaultInjector::interarrival(&mut rng, self.plan.crash_rate_per_s) {
-                Some(g) => g,
-                None => break,
-            };
-            at = at.saturating_add(gap.as_nanos());
-            let down = crate::SimTime(at);
-            at = at.saturating_add(self.plan.outage.as_nanos());
-            out.push((down, crate::SimTime(at)));
-        }
-        out
-    }
-
-    /// Whether device `device` is up (not inside any outage window) at
-    /// time `at`.
-    pub fn up_at(&self, device: u32, at: crate::SimTime) -> bool {
-        self.windows(device)
-            .iter()
-            .all(|&(down, up)| at < down || at >= up)
     }
 }
 
@@ -419,68 +345,27 @@ impl MigrationPlan {
     pub fn is_zero(&self) -> bool {
         self.rate_per_s <= 0.0 || self.max_migrations == 0
     }
+
+    /// The absolute migration instants, strictly increasing, at most
+    /// `max_migrations`.
+    pub fn instants(&self) -> Vec<SimTime> {
+        let (rate, max) = (self.rate_per_s, self.max_migrations);
+        poisson(self.seed, MIGRATION_TAG, rate, max, SimDuration::ZERO).collect()
+    }
+
+    /// The crash window the plan aims at migration attempt `k` (0-based),
+    /// if it crashes that attempt.
+    pub fn crash_window(&self, k: u32) -> Option<MigrationCrashWindow> {
+        match self.crash {
+            Some((target, window)) if target == k => Some(window),
+            _ => None,
+        }
+    }
 }
 
 impl Default for MigrationPlan {
     fn default() -> Self {
         MigrationPlan::none()
-    }
-}
-
-/// Turns a [`MigrationPlan`] into a reproducible sequence of absolute
-/// migration instants. Lives in the fleet harness, outside any simulated
-/// system, so the stream survives the crash windows it drives.
-#[derive(Debug)]
-pub struct MigrationInjector {
-    plan: MigrationPlan,
-}
-
-impl MigrationInjector {
-    /// Derivation tag of the migration-instant stream. Far above the
-    /// [`DeviceFaultInjector::STREAM_TAG_BASE`]` + device` tags of any
-    /// realistic fleet, so no device stream ever collides with it even
-    /// under a shared seed.
-    pub const STREAM_TAG: u64 = 1 << 32;
-
-    /// An injector over the plan. Constructing it draws nothing.
-    pub fn new(plan: MigrationPlan) -> Self {
-        MigrationInjector { plan }
-    }
-
-    /// The plan this injector was built from.
-    pub fn plan(&self) -> &MigrationPlan {
-        &self.plan
-    }
-
-    /// The absolute migration instants, strictly increasing, capped by
-    /// the plan's budget. A zero-rate plan returns an empty vec without
-    /// constructing an RNG, so existing experiments are byte-identical
-    /// under a disabled plan.
-    pub fn instants(&self) -> Vec<crate::SimTime> {
-        if self.plan.is_zero() {
-            return Vec::new();
-        }
-        let mut rng = SimRng::new(self.plan.seed).derive(Self::STREAM_TAG);
-        let mut at = 0u64;
-        let mut out = Vec::with_capacity(self.plan.max_migrations as usize);
-        for _ in 0..self.plan.max_migrations {
-            let gap = match FaultInjector::interarrival(&mut rng, self.plan.rate_per_s) {
-                Some(g) => g,
-                None => break,
-            };
-            at = at.saturating_add(gap.as_nanos());
-            out.push(crate::SimTime(at));
-        }
-        out
-    }
-
-    /// The crash window assigned to migration attempt `k`, if the plan
-    /// crashes that attempt.
-    pub fn crash_window_for(&self, k: u32) -> Option<MigrationCrashWindow> {
-        match self.plan.crash {
-            Some((kk, w)) if kk == k => Some(w),
-            _ => None,
-        }
     }
 }
 
@@ -500,7 +385,6 @@ mod tests {
     #[test]
     fn zero_plan_injects_nothing() {
         let mut inj = FaultInjector::new(FaultPlan::none(), 20);
-        assert!(FaultPlan::none().is_zero());
         for _ in 0..100 {
             assert!(!inj.corrupt_download());
         }
@@ -563,36 +447,18 @@ mod tests {
     }
 
     #[test]
-    fn crash_injector_is_seeded_monotone_and_bounded() {
+    fn crash_times_are_seeded_monotone_and_bounded() {
         let plan = CrashPlan {
             seed: 11,
             crash_rate_per_s: 5.0,
             max_crashes: 3,
         };
-        let mut a = CrashInjector::new(plan);
-        let mut b = CrashInjector::new(plan);
-        let ta: Vec<_> = std::iter::from_fn(|| a.next_crash_at()).collect();
-        let tb: Vec<_> = std::iter::from_fn(|| b.next_crash_at()).collect();
+        let ta: Vec<_> = plan.crash_times().collect();
+        let tb: Vec<_> = plan.crash_times().collect();
         assert_eq!(ta, tb, "same seed, same crash times");
         assert_eq!(ta.len(), 3, "budget caps the sequence");
         assert!(ta.windows(2).all(|w| w[0] < w[1]), "strictly increasing");
-        assert_eq!(a.fired(), 3);
-
-        let mut none = CrashInjector::new(CrashPlan::none());
-        assert_eq!(none.next_crash_at(), None);
-    }
-
-    #[test]
-    fn torn_fraction_is_a_unit_fraction() {
-        let mut inj = CrashInjector::new(CrashPlan {
-            seed: 5,
-            crash_rate_per_s: 1.0,
-            max_crashes: 10,
-        });
-        for _ in 0..100 {
-            let f = inj.torn_fraction();
-            assert!((0.0..1.0).contains(&f));
-        }
+        assert_eq!(CrashPlan::none().crash_times().next(), None);
     }
 
     #[test]
@@ -623,9 +489,8 @@ mod tests {
             outage: SimDuration::from_millis(3),
             max_crashes: 4,
         };
-        let inj = DeviceFaultInjector::new(plan);
-        let a = inj.windows(0);
-        let b = DeviceFaultInjector::new(plan).windows(0);
+        let a = plan.windows(0);
+        let b = plan.windows(0);
         assert_eq!(a, b, "same seed, same windows");
         assert_eq!(a.len(), 4, "budget caps the sequence");
         for &(down, up) in &a {
@@ -634,10 +499,6 @@ mod tests {
         for w in a.windows(2) {
             assert!(w[0].1 <= w[1].0, "next crash drawn after prior rejoin");
         }
-        // Down inside a window, up outside it.
-        let (down, up) = a[0];
-        assert!(!inj.up_at(0, down));
-        assert!(inj.up_at(0, up));
     }
 
     #[test]
@@ -648,18 +509,15 @@ mod tests {
             outage: SimDuration::from_millis(1),
             max_crashes: 8,
         };
-        let inj = DeviceFaultInjector::new(plan);
         // Each device has its own derived stream: distinct sequences, and
         // querying one device never perturbs another.
-        let d0 = inj.windows(0);
-        let d1 = inj.windows(1);
+        let d0 = plan.windows(0);
+        let d1 = plan.windows(1);
         assert_ne!(d0, d1);
-        assert_eq!(inj.windows(0), d0);
+        assert_eq!(plan.windows(0), d0);
 
-        let none = DeviceFaultInjector::new(DeviceFaultPlan::none());
         assert!(DeviceFaultPlan::none().is_zero());
-        assert!(none.windows(0).is_empty());
-        assert!(none.up_at(0, crate::SimTime(12345)));
+        assert!(DeviceFaultPlan::none().windows(0).is_empty());
     }
 
     #[test]
@@ -671,17 +529,15 @@ mod tests {
             delta_copy: false,
             crash: None,
         };
-        let inj = MigrationInjector::new(plan);
-        let a = inj.instants();
-        let b = MigrationInjector::new(plan).instants();
+        let a = plan.instants();
+        let b = plan.instants();
         assert_eq!(a, b, "same seed, same instants");
         assert_eq!(a.len(), 5, "budget caps the sequence");
         assert!(a.windows(2).all(|w| w[0] < w[1]), "strictly increasing");
-        assert_eq!(inj.crash_window_for(0), None);
+        assert_eq!(plan.crash_window(0), None);
 
-        let none = MigrationInjector::new(MigrationPlan::none());
         assert!(MigrationPlan::none().is_zero());
-        assert!(none.instants().is_empty());
+        assert!(MigrationPlan::none().instants().is_empty());
     }
 
     #[test]
@@ -693,9 +549,8 @@ mod tests {
             delta_copy: true,
             crash: Some((2, MigrationCrashWindow::DestMidCopy)),
         };
-        let inj = MigrationInjector::new(plan);
         for k in 0..5 {
-            let w = inj.crash_window_for(k);
+            let w = plan.crash_window(k);
             if k == 2 {
                 assert_eq!(w, Some(MigrationCrashWindow::DestMidCopy));
             } else {
@@ -703,11 +558,11 @@ mod tests {
             }
         }
         // The crash knob must not perturb the instant stream itself.
-        let clean = MigrationInjector::new(MigrationPlan {
+        let clean = MigrationPlan {
             crash: None,
             ..plan
-        });
-        assert_eq!(inj.instants(), clean.instants());
+        };
+        assert_eq!(plan.instants(), clean.instants());
     }
 
     #[test]

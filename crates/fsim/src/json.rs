@@ -1,4 +1,6 @@
-//! A minimal hand-rolled JSON writer and reader.
+//! The workspace's one JSON format: a value tree, its writer and reader,
+//! and the one typed codec, [`Wire`], for everything that is written and
+//! read back.
 //!
 //! The container has no serde; a small value tree with a pretty-printer
 //! and a recursive-descent [`Json::parse`] is enough. Object keys keep
@@ -6,8 +8,8 @@
 //! parser exists so CI can verify that what a bench emitted actually reads
 //! back (a malformed export otherwise goes unnoticed until someone's
 //! plotting script chokes on it). It lives in `fsim` (the dependency
-//! root) so both the OS layer (checkpoint serialization) and the bench
-//! exporter share one format.
+//! root) so the compile cache (`pnr`), the checkpoint images (`vfpga`) and
+//! the bench exporter share one format.
 //!
 //! The parser is defensive: malformed input yields a structured
 //! [`ParseError`] with a byte offset, nesting is bounded by
@@ -15,7 +17,34 @@
 //! numbers that overflow `f64` to infinity are rejected rather than
 //! silently becoming non-finite values the writer would re-emit as
 //! `null`.
+//!
+//! # The codec
+//!
+//! [`Wire::json`] writes a typed value and [`Wire::read`] is its strict
+//! inverse. What each type is written as:
+//!
+//! * unsigned integers, `bool` and `String` as themselves (a narrow
+//!   integer is range-checked on the way back), [`SimTime`] and
+//!   [`SimDuration`] as integer nanoseconds, a [`Json`] as itself;
+//! * `Option` as `null` or its value; sequences and fixed arrays as arrays,
+//!   tuples as arrays of exactly their arity;
+//! * `BTreeSet` as its members and `BTreeMap` as `[key, value]` pairs, both
+//!   in strictly ascending key order;
+//! * a [`record!`](crate::record) struct as an object keyed by its field
+//!   names in declaration order: one field list is the struct, its writer
+//!   and its reader.
+//!
+//! A reader accepts exactly what its writer emits — no other kind of
+//! value, no field missing, extra, repeated or out of place, no key out of
+//! order — and says what it refused, never panicking; what a value must
+//! *mean* is for its consumer to check. A `record!` field may name its own
+//! codec, `#[with(module)]` (`module::json` writes it, `module::read` reads
+//! it): how a crate gives its own shape to a field whose type is a foreign
+//! container (a `Vec<(SimTime, Event)>` as flat `[at, kind, arg]` rows),
+//! which the orphan rule would not let it implement [`Wire`] for.
 
+use crate::time::{SimDuration, SimTime};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt::Write as _;
 
 /// A JSON value.
@@ -580,6 +609,360 @@ fn utf8_len(b: u8) -> Option<usize> {
     }
 }
 
+// ---------------------------------------------------------------------------
+// The codec.
+
+/// A typed value as one JSON value: how it is written
+/// ([`json`](Wire::json)) and strictly read back ([`read`](Wire::read);
+/// `what` names the value in the error).
+pub trait Wire: Sized {
+    /// The value as JSON.
+    fn json(&self) -> Json;
+    /// The value [`json`](Wire::json) wrote as `v`, or what is wrong with `v`.
+    fn read(v: &Json, what: &str) -> Result<Self, String>;
+}
+
+/// Declare a struct — attributes, docs, names and types exactly as
+/// written — and implement [`Wire`] for it from the same field list: an
+/// object keyed by field name in declaration order, read back strictly.
+/// A field marked `#[skip_if(pred)]` is left out while `pred` holds for
+/// it; absent, it reads as its default, and written out, it must not be a
+/// value the writer would have left out. One marked `#[with(module)]` is
+/// written by `module::json` and read by `module::read` instead.
+#[macro_export]
+macro_rules! record {
+    (
+        $(#[$meta:meta])*
+        $vis:vis struct $name:ident $(<$param:ident>)? {
+            $(
+                $(#[doc = $doc:literal])*
+                $(#[skip_if($skip:path)])?
+                $(#[with($with:ident)])?
+                $fvis:vis $field:ident: $ty:ty,
+            )*
+        }
+    ) => {
+        $(#[$meta])*
+        $vis struct $name $(<$param>)? {
+            $($(#[doc = $doc])* $fvis $field: $ty,)*
+        }
+
+        impl $(<$param: $crate::json::Wire>)? $crate::json::Wire for $name $(<$param>)? {
+            fn json(&self) -> $crate::json::Json {
+                let mut fields = Vec::with_capacity([$(stringify!($field)),*].len());
+                $($crate::record!(
+                    @set fields, $field, &self.$field $(, skip $skip)? $(, with $with)?
+                );)*
+                $crate::json::Json::Obj(fields)
+            }
+
+            fn read(v: &$crate::json::Json, what: &str) -> Result<Self, String> {
+                let mut f = $crate::json::Fields::of(v, what)?;
+                let read = Self {
+                    $($field: $crate::record!(@get f, $field $(, skip $skip)? $(, with $with)?),)*
+                };
+                f.end()?;
+                Ok(read)
+            }
+        }
+    };
+    (@set $fields:ident, $field:ident, $value:expr) => {
+        $fields.push((stringify!($field).to_string(), $crate::json::Wire::json($value)))
+    };
+    (@set $fields:ident, $field:ident, $value:expr, skip $skip:path) => {
+        if !$skip($value) {
+            $crate::record!(@set $fields, $field, $value)
+        }
+    };
+    (@set $fields:ident, $field:ident, $value:expr, with $with:ident) => {
+        $fields.push((stringify!($field).to_string(), $with::json($value)))
+    };
+    (@get $f:ident, $field:ident) => {
+        $f.get(stringify!($field))?
+    };
+    (@get $f:ident, $field:ident, skip $skip:path) => {
+        $f.get_unless(stringify!($field), $skip)?
+    };
+    (@get $f:ident, $field:ident, with $with:ident) => {
+        $with::read($f.next(stringify!($field))?, stringify!($field))?
+    };
+}
+
+impl Wire for u64 {
+    #[inline]
+    fn json(&self) -> Json {
+        Json::UInt(*self)
+    }
+    #[inline]
+    fn read(v: &Json, what: &str) -> Result<u64, String> {
+        match v {
+            Json::UInt(x) => Ok(*x),
+            other => not(what, other, "an unsigned integer"),
+        }
+    }
+}
+
+/// Unsigned integers narrower than 64 bits, read as `u64` and range-checked.
+macro_rules! narrow_uint {
+    ($($ty:ty: $width:literal),*) => {$(
+        impl Wire for $ty {
+            #[inline]
+            fn json(&self) -> Json {
+                Json::UInt(*self as u64)
+            }
+            #[inline]
+            fn read(v: &Json, what: &str) -> Result<$ty, String> {
+                <$ty>::try_from(u64::read(v, what)?)
+                    .map_err(|_| format!("{what} does not fit in {}", $width))
+            }
+        }
+    )*};
+}
+narrow_uint!(u8: "8 bits", u16: "16 bits", u32: "32 bits", usize: "usize");
+
+impl Wire for bool {
+    #[inline]
+    fn json(&self) -> Json {
+        Json::Bool(*self)
+    }
+    #[inline]
+    fn read(v: &Json, what: &str) -> Result<bool, String> {
+        match v {
+            Json::Bool(b) => Ok(*b),
+            other => not(what, other, "a bool"),
+        }
+    }
+}
+
+impl Wire for String {
+    fn json(&self) -> Json {
+        Json::Str(self.clone())
+    }
+    fn read(v: &Json, what: &str) -> Result<String, String> {
+        str_of(v, what).map(str::to_string)
+    }
+}
+
+/// Times and durations are integer nanoseconds.
+macro_rules! nanos {
+    ($($ty:ident: $wrap:expr),*) => {$(
+        impl Wire for $ty {
+            #[inline]
+            fn json(&self) -> Json {
+                Json::UInt(self.as_nanos())
+            }
+            #[inline]
+            fn read(v: &Json, what: &str) -> Result<$ty, String> {
+                u64::read(v, what).map($wrap)
+            }
+        }
+    )*};
+}
+nanos!(SimTime: SimTime, SimDuration: SimDuration::from_nanos);
+
+/// A section a component renders and reads itself, carried as is.
+impl Wire for Json {
+    fn json(&self) -> Json {
+        self.clone()
+    }
+    fn read(v: &Json, _what: &str) -> Result<Json, String> {
+        Ok(v.clone())
+    }
+}
+
+/// `null` is "none".
+impl<T: Wire> Wire for Option<T> {
+    fn json(&self) -> Json {
+        self.as_ref().map_or(Json::Null, T::json)
+    }
+    fn read(v: &Json, what: &str) -> Result<Option<T>, String> {
+        match v {
+            Json::Null => Ok(None),
+            v => T::read(v, what).map(Some),
+        }
+    }
+}
+
+/// Sequences are arrays.
+macro_rules! sequence {
+    ($($seq:ident),*) => {$(
+        impl<T: Wire> Wire for $seq<T> {
+            fn json(&self) -> Json {
+                Json::Arr(self.iter().map(T::json).collect())
+            }
+            fn read(v: &Json, what: &str) -> Result<$seq<T>, String> {
+                arr_of(v, what)?.iter().map(|x| T::read(x, what)).collect()
+            }
+        }
+    )*};
+}
+sequence!(Vec, VecDeque);
+
+impl<T: Wire, const N: usize> Wire for [T; N] {
+    fn json(&self) -> Json {
+        Json::Arr(self.iter().map(T::json).collect())
+    }
+    fn read(v: &Json, what: &str) -> Result<[T; N], String> {
+        let items = Vec::<T>::read(v, what)?;
+        let n = items.len();
+        items
+            .try_into()
+            .map_err(|_| format!("{what} has {n} entries, want {N}"))
+    }
+}
+
+/// Tuples are arrays of exactly their arity.
+macro_rules! tuple_wire {
+    ($(($($t:ident $v:ident),*)),*) => {$(
+        impl<$($t: Wire),*> Wire for ($($t,)*) {
+            fn json(&self) -> Json {
+                let ($($v,)*) = self;
+                Json::Arr(vec![$($v.json()),*])
+            }
+            fn read(v: &Json, what: &str) -> Result<Self, String> {
+                let [$($v),*] = tuple(v, what)?;
+                Ok(($($t::read($v, what)?,)*))
+            }
+        }
+    )*};
+}
+tuple_wire!(
+    (A a, B b),
+    (A a, B b, C c),
+    (A a, B b, C c, D d),
+    (A a, B b, C c, D d, E e, F f, G g)
+);
+
+impl<T: Wire + Ord> Wire for BTreeSet<T> {
+    fn json(&self) -> Json {
+        Json::Arr(self.iter().map(T::json).collect())
+    }
+    fn read(v: &Json, what: &str) -> Result<BTreeSet<T>, String> {
+        let members = Vec::<T>::read(v, what)?;
+        ascending(&members, |m| m, what)?;
+        Ok(members.into_iter().collect())
+    }
+}
+
+impl<K: Wire + Ord, V: Wire> Wire for BTreeMap<K, V> {
+    fn json(&self) -> Json {
+        let pair = |(k, v): (&K, &V)| Json::Arr(vec![k.json(), v.json()]);
+        Json::Arr(self.iter().map(pair).collect())
+    }
+    fn read(v: &Json, what: &str) -> Result<BTreeMap<K, V>, String> {
+        let pairs = Vec::<(K, V)>::read(v, what)?;
+        ascending(&pairs, |(k, _)| k, what)?;
+        Ok(pairs.into_iter().collect())
+    }
+}
+
+/// Keys in strictly ascending order, as a `BTreeSet` or a `BTreeMap`
+/// writes them; a key out of order or listed twice is an error.
+pub fn ascending<T, K: Ord>(items: &[T], key: impl Fn(&T) -> &K, what: &str) -> Result<(), String> {
+    if items.windows(2).all(|w| key(&w[0]) < key(&w[1])) {
+        Ok(())
+    } else {
+        Err(format!("{what} lists a key out of order or twice"))
+    }
+}
+
+/// What kind of JSON value `v` is, for error messages (a `Debug` dump of
+/// a misplaced array could run to megabytes).
+pub fn kind_of(v: &Json) -> &'static str {
+    match v {
+        Json::Null => "null",
+        Json::Bool(_) => "a bool",
+        Json::UInt(_) | Json::Int(_) | Json::Num(_) => "a number",
+        Json::Str(_) => "a string",
+        Json::Arr(_) => "an array",
+        Json::Obj(_) => "an object",
+    }
+}
+
+/// "`what` is `v`'s kind, not `want`".
+fn not<T>(what: &str, v: &Json, want: &str) -> Result<T, String> {
+    Err(format!("{what} is {}, not {want}", kind_of(v)))
+}
+
+/// The string `v` is.
+pub fn str_of<'a>(v: &'a Json, what: &str) -> Result<&'a str, String> {
+    match v {
+        Json::Str(s) => Ok(s),
+        other => not(what, other, "a string"),
+    }
+}
+
+/// The items of the array `v` is.
+pub fn arr_of<'a>(v: &'a Json, what: &str) -> Result<&'a [Json], String> {
+    v.as_arr().map_or_else(|| not(what, v, "an array"), Ok)
+}
+
+/// An array of exactly `N` items, for destructuring.
+pub fn tuple<'a, const N: usize>(v: &'a Json, what: &str) -> Result<&'a [Json; N], String> {
+    let a = arr_of(v, what)?;
+    a.try_into()
+        .map_err(|_| format!("{what} has {} entries, want {N}", a.len()))
+}
+
+/// Strict reader over one JSON object: the fields must come in exactly
+/// the order the writer emits them, with nothing missing and nothing
+/// extra.
+pub struct Fields<'a> {
+    what: &'a str,
+    rest: std::slice::Iter<'a, (String, Json)>,
+}
+
+impl<'a> Fields<'a> {
+    /// The fields of `v`, which must be an object.
+    pub fn of(v: &'a Json, what: &'a str) -> Result<Self, String> {
+        match v {
+            Json::Obj(fields) => Ok(Fields {
+                what,
+                rest: fields.iter(),
+            }),
+            other => not(what, other, "an object"),
+        }
+    }
+
+    /// The next field's value, which must be `key`'s.
+    pub fn next(&mut self, key: &str) -> Result<&'a Json, String> {
+        match self.rest.next() {
+            Some((k, v)) if k == key => Ok(v),
+            Some((k, _)) => Err(format!("{}: expected '{key}', found '{k}'", self.what)),
+            None => Err(format!("{}: missing '{key}'", self.what)),
+        }
+    }
+
+    /// Nothing follows.
+    pub fn end(mut self) -> Result<(), String> {
+        match self.rest.next() {
+            None => Ok(()),
+            Some((k, _)) => Err(format!("{}: unexpected field '{k}'", self.what)),
+        }
+    }
+
+    /// The next field, which must be `key`, read as a `T`.
+    pub fn get<T: Wire>(&mut self, key: &str) -> Result<T, String> {
+        T::read(self.next(key)?, key)
+    }
+
+    /// A field the writer leaves out while `skip` holds for it.
+    pub fn get_unless<T: Wire + Default>(
+        &mut self,
+        key: &str,
+        skip: impl Fn(&T) -> bool,
+    ) -> Result<T, String> {
+        if !matches!(self.rest.as_slice().first(), Some((k, _)) if k == key) {
+            return Ok(T::default());
+        }
+        let v = self.get(key)?;
+        if skip(&v) {
+            return Err(format!("{}: '{key}' is written out empty", self.what));
+        }
+        Ok(v)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -876,5 +1259,125 @@ mod tests {
         assert!(r.contains("\"schema\": \"vfpga-bench/1\""));
         assert!(r.contains("\"empty\": []"));
         assert!(r.ends_with("}\n"));
+    }
+
+    #[test]
+    fn containers_refuse_what_no_writer_emits() {
+        let n = Json::UInt;
+        let arr = Json::Arr;
+        let pair = |k, v| arr(vec![n(k), n(v)]);
+        let refused = |what: &str, read: Result<(), String>| {
+            assert!(read.is_err(), "{what} accepted");
+        };
+        let map = |pairs| BTreeMap::<u32, u32>::read(&arr(pairs), "map").map(drop);
+        refused("a map key twice", map(vec![pair(1, 2), pair(1, 3)]));
+        refused("map keys out of order", map(vec![pair(2, 2), pair(1, 3)]));
+        let set = |members| BTreeSet::<u32>::read(&arr(members), "set").map(drop);
+        refused("a set member twice", set(vec![n(4), n(4)]));
+        refused("set members out of order", set(vec![n(5), n(4)]));
+        let words = |k| <[u64; 4]>::read(&arr(vec![n(1); k]), "words").map(drop);
+        refused("three words of four", words(3));
+        refused("five words of four", words(5));
+        refused(
+            "a short tuple",
+            <(u32, u64)>::read(&arr(vec![n(1)]), "pair").map(drop),
+        );
+        refused(
+            "2^32+1 in 32 bits",
+            u32::read(&n((1 << 32) + 1), "id").map(drop),
+        );
+        refused("256 in 8 bits", u8::read(&n(256), "priority").map(drop));
+        refused("2^16 in 16 bits", u16::read(&n(1 << 16), "table").map(drop));
+        refused(
+            "a number as a string",
+            String::read(&n(1), "name").map(drop),
+        );
+        assert_eq!(u32::read(&n(u32::MAX.into()), "id"), Ok(u32::MAX));
+        assert_eq!(words(4), Ok(()));
+    }
+
+    /// A `u64` written as a decimal string, for the `#[with]` field below.
+    mod decimal {
+        use super::*;
+
+        pub fn json(v: &u64) -> Json {
+            Json::Str(v.to_string())
+        }
+
+        pub fn read(v: &Json, what: &str) -> Result<u64, String> {
+            str_of(v, what)?
+                .parse()
+                .map_err(|_| format!("{what}: not decimal"))
+        }
+    }
+
+    crate::record! {
+        /// One of each kind of field.
+        #[derive(Debug, PartialEq)]
+        struct Sample {
+            at: SimTime,
+            shape: Option<(u32, u32)>,
+            #[skip_if(Vec::is_empty)]
+            tags: Vec<String>,
+            #[with(decimal)]
+            big: u64,
+        }
+    }
+
+    /// An object's fields.
+    type Pairs = Vec<(String, Json)>;
+
+    #[test]
+    fn records_read_back_only_what_they_write() {
+        let sample = Sample {
+            at: SimTime(7),
+            shape: Some((2, 3)),
+            tags: vec!["x".into()],
+            big: 9,
+        };
+        let doc = sample.json();
+        let text =
+            "{\n  \"at\": 7,\n  \"shape\": [2, 3],\n  \"tags\": [\"x\"],\n  \"big\": \"9\"\n}\n";
+        assert_eq!(doc.render(), text);
+        assert_eq!(
+            Sample::read(&Json::parse(text).unwrap(), "sample"),
+            Ok(sample)
+        );
+
+        let bare = Sample {
+            at: SimTime(0),
+            shape: None,
+            tags: Vec::new(),
+            big: 1,
+        };
+        let skipped = bare.json();
+        assert_eq!(
+            skipped.get("tags"),
+            None,
+            "an empty skip_if field is left out"
+        );
+        assert_eq!(Sample::read(&skipped, "sample"), Ok(bare));
+
+        let Json::Obj(fields) = doc else {
+            unreachable!()
+        };
+        let refused = |what: &str, edit: &dyn Fn(&mut Pairs)| {
+            let mut copy = fields.clone();
+            edit(&mut copy);
+            let read = Sample::read(&Json::Obj(copy), "sample");
+            assert!(read.is_err(), "{what} accepted");
+        };
+        refused("an extra field", &|c| {
+            c.push(("epilogue".into(), Json::UInt(0)))
+        });
+        refused("two fields swapped", &|c| c.swap(0, 1));
+        refused("a field missing", &|c| drop(c.remove(1)));
+        refused("a field twice", &|c| c.insert(0, c[0].clone()));
+        refused("a skipped field written out empty", &|c| {
+            c[2].1 = Json::Arr(Vec::new())
+        });
+        refused("a with field in its type's form", &|c| {
+            c[3].1 = Json::UInt(9)
+        });
     }
 }

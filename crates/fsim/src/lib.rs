@@ -35,8 +35,7 @@ pub mod trace;
 
 pub use event::{EventQueue, QueueStats, ScheduledEvent};
 pub use fault::{
-    CrashInjector, CrashPlan, DeviceFaultInjector, DeviceFaultPlan, FaultInjector, FaultPlan,
-    MigrationCrashWindow, MigrationInjector, MigrationPlan,
+    CrashPlan, DeviceFaultPlan, FaultInjector, FaultPlan, MigrationCrashWindow, MigrationPlan,
 };
 pub use obs::{Metrics, Timeline, TimelineSet};
 pub use rng::SimRng;

@@ -275,6 +275,29 @@ mod tests {
         }
     }
 
+    /// Every seven-bit word, double-bit errors included: the circuit
+    /// miscorrects those exactly as the reference decoder does.
+    #[test]
+    fn hamming_decode_matches_golden_on_every_word() {
+        let dec = hamming74_decode("h74d");
+        for c in 0..128u64 {
+            let out = eval_comb(&dec, &bits(c, 7));
+            let (d, corrected) = golden_hamming74_decode(c);
+            assert_eq!((to_u64(&out[..4]), out[4]), (d, corrected), "c={c:#09b}");
+        }
+    }
+
+    #[test]
+    fn gray_decode_matches_golden_at_every_width() {
+        for width in 1..=8 {
+            let dec = gray_decode("gd", width);
+            for g in 0..1u64 << width {
+                let out = to_u64(&eval_comb(&dec, &bits(g, width)));
+                assert_eq!(out, golden_gray_decode(g), "width {width}, g={g:#b}");
+            }
+        }
+    }
+
     #[test]
     fn gray_roundtrip_exhaustive() {
         let enc = gray_encode("ge", 6);

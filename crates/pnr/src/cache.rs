@@ -31,19 +31,21 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-/// Cache key: netlist content hash + every compile option. Shared with
-/// the on-disk layer ([`crate::disk`]), which stores and verifies every
-/// field inside each entry file.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub(crate) struct Key {
-    pub(crate) net_hash: u64,
-    pub(crate) map_k: usize,
-    pub(crate) map_max_cuts: usize,
-    pub(crate) fill_bits: u64,
-    pub(crate) max_height: u32,
-    pub(crate) seed: u64,
-    pub(crate) shape: Option<(u32, u32)>,
-    pub(crate) full_height: bool,
+fsim::record! {
+    /// Cache key: netlist content hash + every compile option. Shared with
+    /// the on-disk layer ([`crate::disk`]), which stores it inside each
+    /// entry file and reads it back strictly.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    pub(crate) struct Key {
+        pub(crate) net_hash: u64,
+        pub(crate) map_k: usize,
+        pub(crate) map_max_cuts: usize,
+        pub(crate) fill_bits: u64,
+        pub(crate) max_height: u32,
+        pub(crate) seed: u64,
+        pub(crate) shape: Option<(u32, u32)>,
+        pub(crate) full_height: bool,
+    }
 }
 
 impl Key {

@@ -12,32 +12,29 @@
 //!   consults it first, then (when a cache directory is configured via the
 //!   `VFPGA_CACHE_DIR` environment variable) tries the disk, and only then
 //!   runs the flow — publishing the result to both layers.
-//! * Entries are *advisory*: a missing, corrupt, truncated, or
-//!   version-mismatched file is treated exactly like a miss — the circuit
-//!   is recompiled and the entry rewritten. So is one that parses but does
-//!   not hang together (`coherent`): an index past what it indexes, two
-//!   blocks on one cell, another netlist's interface — emission and
-//!   routing index by those numbers unchecked. The cache can be deleted at
-//!   any time without affecting correctness, because [`crate::compile`] is
-//!   deterministic and the stored artifact is observationally identical to
-//!   a fresh compile.
-//! * The full cache key (netlist content hash + every [`CompileOptions`]
-//!   field, `f64`s by bit pattern) is stored *inside* the file and
-//!   verified on load, so a filename hash collision or a stale file from
-//!   an older workload can never hand back the wrong circuit.
+//! * An entry is declared through the workspace's one codec,
+//!   [`fsim::json::Wire`] — a `{schema, key, circuit}` record holding the
+//!   process cache's own `Key` and one flat record of the artifact — and
+//!   read as strictly as a checkpoint image. Entries are *advisory*: a
+//!   missing, truncated or version-mismatched file, a field missing, extra
+//!   or out of place, a stored key that is not the one looked up (a
+//!   filename collision, a stale file), and a circuit that does not hang
+//!   together (`coherent`: an index past what it indexes, two blocks on
+//!   one cell, another netlist's interface — emission and routing index by
+//!   those numbers unchecked) all read as a miss: the circuit is
+//!   recompiled and the entry rewritten. [`crate::compile`] is
+//!   deterministic, so the cache can be deleted at any time.
 //! * Writes go to a process-unique temp file in the same directory,
 //!   then `rename` into place — concurrent processes race benignly
 //!   (last rename wins; both wrote identical bytes).
 //!
-//! Schema versioning: [`DISK_SCHEMA`] names the format. Any change to the
-//! serialized shape must bump the version; old entries then read as stale
-//! and are rewritten on the next compile.
+//! [`DISK_SCHEMA`] names the format; any change to its shape bumps it.
 
 use crate::cache::Key;
 use crate::flow::{compile, CompileOptions, CompiledCircuit};
 use crate::pack::{BlockSource, PackedBlock, PackedCircuit};
 use crate::place::{PlaceError, PlacedCircuit};
-use fsim::json::{Json, Obj};
+use fsim::json::{Json, Wire};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -85,190 +82,110 @@ pub(crate) fn entry_path(dir: &Path, key: &Key) -> PathBuf {
     dir.join(format!("{:016x}.json", key_fnv(key)))
 }
 
-fn key_json(key: &Key) -> Json {
-    Obj::new()
-        .set("net_hash", key.net_hash)
-        .set("map_k", key.map_k)
-        .set("map_max_cuts", key.map_max_cuts)
-        .set("fill_bits", key.fill_bits)
-        .set("max_height", key.max_height)
-        .set("seed", key.seed)
-        .set(
-            "shape",
-            match key.shape {
-                None => Json::Null,
-                Some((w, h)) => Json::Arr(vec![w.into(), h.into()]),
-            },
-        )
-        .set("full_height", key.full_height)
-        .build()
-}
-
-/// `BlockSource` → compact tagged integer (`tag * 2^32 + value`).
-fn source_code(s: BlockSource) -> u64 {
-    match s {
-        BlockSource::None => 0,
-        BlockSource::Block(i) => (1u64 << 32) | i as u64,
-        BlockSource::Input(i) => (2u64 << 32) | i as u64,
-        BlockSource::Const(b) => (3u64 << 32) | b as u64,
+fsim::record! {
+    /// One entry file: the format tag, the full key of what it holds, and
+    /// the artifact.
+    struct Entry {
+        schema: String,
+        key: Key,
+        circuit: Circuit,
     }
 }
 
-fn source_decode(v: u64) -> Option<BlockSource> {
-    let val = (v & 0xffff_ffff) as u32;
-    match v >> 32 {
-        0 if val == 0 => Some(BlockSource::None),
-        1 => Some(BlockSource::Block(val)),
-        2 => Some(BlockSource::Input(val)),
-        3 if val <= 1 => Some(BlockSource::Const(val == 1)),
-        _ => None,
+fsim::record! {
+    /// A [`CompiledCircuit`] as one flat record: `coords` as flat
+    /// `col, row` pairs, the two timing figures by bit pattern.
+    struct Circuit {
+        name: String,
+        num_inputs: usize,
+        outputs: Vec<(String, u32)>,
+        ff_block: Vec<u32>,
+        blocks: Vec<PackedBlock>,
+        width: u32,
+        height: u32,
+        coords: Vec<u32>,
+        hpwl: u64,
+        crit_path_ns_bits: u64,
+        clock_ns_bits: u64,
     }
 }
 
-/// One block as a flat scalar row:
-/// `[lut_table, in0, in1, in2, in3, ff_code, out_from_ff]`
-/// with `ff_code` 0 = no FF, 1 = `Some(false)`, 2 = `Some(true)`.
-fn block_json(b: &PackedBlock) -> Json {
-    let ff_code: u64 = match b.ff {
-        None => 0,
-        Some(false) => 1,
-        Some(true) => 2,
-    };
-    Json::Arr(vec![
-        Json::UInt(b.lut_table as u64),
-        Json::UInt(source_code(b.inputs[0])),
-        Json::UInt(source_code(b.inputs[1])),
-        Json::UInt(source_code(b.inputs[2])),
-        Json::UInt(source_code(b.inputs[3])),
-        Json::UInt(ff_code),
-        Json::Bool(b.out_from_ff),
-    ])
+/// A block as one flat row, `[lut_table, in0, in1, in2, in3, ff,
+/// out_from_ff]`, with `ff` 0 for no flip-flop, 1 for `Some(false)` and 2
+/// for `Some(true)`.
+impl Wire for PackedBlock {
+    fn json(&self) -> Json {
+        let [in0, in1, in2, in3] = self.inputs;
+        let ff = self.ff.map_or(0u8, |init| 1 + u8::from(init));
+        (self.lut_table, in0, in1, in2, in3, ff, self.out_from_ff).json()
+    }
+
+    fn read(v: &Json, what: &str) -> Result<PackedBlock, String> {
+        let (lut_table, in0, in1, in2, in3, ff, out_from_ff) = Wire::read(v, what)?;
+        let ff = match ff {
+            0u8 => None,
+            1 => Some(false),
+            2 => Some(true),
+            _ => return Err(format!("{what}: no flip-flop code {ff}")),
+        };
+        Ok(PackedBlock {
+            lut_table,
+            inputs: [in0, in1, in2, in3],
+            ff,
+            out_from_ff,
+        })
+    }
 }
 
-fn circuit_json(c: &CompiledCircuit) -> Json {
-    let p = &c.placed;
-    let pc = &p.circuit;
-    let mut coords = Vec::with_capacity(p.coords.len() * 2);
-    for &(col, row) in &p.coords {
-        coords.push(Json::UInt(col as u64));
-        coords.push(Json::UInt(row as u64));
+/// A block input as one tagged integer, `tag * 2^32 + value`: tag 0 is
+/// unused (value 0), 1 a block, 2 a primary input, 3 a constant (value 0
+/// or 1).
+impl Wire for BlockSource {
+    fn json(&self) -> Json {
+        let (tag, value) = match *self {
+            BlockSource::None => (0u64, 0),
+            BlockSource::Block(i) => (1, i),
+            BlockSource::Input(i) => (2, i),
+            BlockSource::Const(b) => (3, u32::from(b)),
+        };
+        Json::UInt(tag << 32 | u64::from(value))
     }
-    Obj::new()
-        .set("name", pc.name.as_str())
-        .set("num_inputs", pc.num_inputs)
-        .set(
-            "outputs",
-            Json::Arr(
-                pc.outputs
-                    .iter()
-                    .map(|(n, i)| Json::Arr(vec![Json::Str(n.clone()), Json::UInt(*i as u64)]))
-                    .collect(),
-            ),
-        )
-        .set(
-            "ff_block",
-            Json::Arr(pc.ff_block.iter().map(|&i| Json::UInt(i as u64)).collect()),
-        )
-        .set(
-            "blocks",
-            Json::Arr(pc.blocks.iter().map(block_json).collect()),
-        )
-        .set("width", p.width)
-        .set("height", p.height)
-        .set("coords", Json::Arr(coords))
-        .set("hpwl", p.hpwl)
-        .set("crit_path_ns_bits", c.crit_path_ns.to_bits())
-        .set("clock_ns_bits", c.clock_ns.to_bits())
-        .build()
+
+    fn read(v: &Json, what: &str) -> Result<BlockSource, String> {
+        let code = u64::read(v, what)?;
+        let value = code as u32;
+        match code >> 32 {
+            0 if value == 0 => Ok(BlockSource::None),
+            1 => Ok(BlockSource::Block(value)),
+            2 => Ok(BlockSource::Input(value)),
+            3 if value <= 1 => Ok(BlockSource::Const(value == 1)),
+            _ => Err(format!("{what}: {code} is no block source")),
+        }
+    }
 }
 
 fn entry_json(key: &Key, c: &CompiledCircuit) -> Json {
-    Obj::new()
-        .set("schema", DISK_SCHEMA)
-        .set("key", key_json(key))
-        .set("circuit", circuit_json(c))
-        .build()
-}
-
-// --- defensive readers: any shape mismatch yields None (treated as a
-// --- corrupt/stale entry, i.e. a plain miss).
-
-fn get_u64(j: &Json, key: &str) -> Option<u64> {
-    match j.get(key)? {
-        Json::UInt(v) => Some(*v),
-        _ => None,
-    }
-}
-
-fn get_u32(j: &Json, key: &str) -> Option<u32> {
-    u32::try_from(get_u64(j, key)?).ok()
-}
-
-fn get_bool(j: &Json, key: &str) -> Option<bool> {
-    match j.get(key)? {
-        Json::Bool(b) => Some(*b),
-        _ => None,
-    }
-}
-
-fn get_str<'a>(j: &'a Json, key: &str) -> Option<&'a str> {
-    match j.get(key)? {
-        Json::Str(s) => Some(s),
-        _ => None,
-    }
-}
-
-fn as_uint(j: &Json) -> Option<u64> {
-    match j {
-        Json::UInt(v) => Some(*v),
-        _ => None,
-    }
-}
-
-fn key_matches(j: &Json, key: &Key) -> bool {
-    let shape_ok = match (j.get("shape"), key.shape) {
-        (Some(Json::Null), None) => true,
-        (Some(Json::Arr(a)), Some((w, h))) => {
-            a.len() == 2 && as_uint(&a[0]) == Some(w as u64) && as_uint(&a[1]) == Some(h as u64)
-        }
-        _ => false,
+    let (p, pc) = (&c.placed, &c.placed.circuit);
+    let circuit = Circuit {
+        name: pc.name.clone(),
+        num_inputs: pc.num_inputs,
+        outputs: pc.outputs.clone(),
+        ff_block: pc.ff_block.clone(),
+        blocks: pc.blocks.clone(),
+        width: p.width,
+        height: p.height,
+        coords: p.coords.iter().flat_map(|&(col, row)| [col, row]).collect(),
+        hpwl: p.hpwl,
+        crit_path_ns_bits: c.crit_path_ns.to_bits(),
+        clock_ns_bits: c.clock_ns.to_bits(),
     };
-    shape_ok
-        && get_u64(j, "net_hash") == Some(key.net_hash)
-        && get_u64(j, "map_k") == Some(key.map_k as u64)
-        && get_u64(j, "map_max_cuts") == Some(key.map_max_cuts as u64)
-        && get_u64(j, "fill_bits") == Some(key.fill_bits)
-        && get_u64(j, "max_height") == Some(key.max_height as u64)
-        && get_u64(j, "seed") == Some(key.seed)
-        && get_bool(j, "full_height") == Some(key.full_height)
-}
-
-fn block_from_json(j: &Json) -> Option<PackedBlock> {
-    let row = j.as_arr()?;
-    if row.len() != 7 {
-        return None;
+    let schema = DISK_SCHEMA.to_string();
+    Entry {
+        schema,
+        key: *key,
+        circuit,
     }
-    let lut = u16::try_from(as_uint(&row[0])?).ok()?;
-    let mut inputs = [BlockSource::None; 4];
-    for (slot, item) in inputs.iter_mut().zip(&row[1..5]) {
-        *slot = source_decode(as_uint(item)?)?;
-    }
-    let ff = match as_uint(&row[5])? {
-        0 => None,
-        1 => Some(false),
-        2 => Some(true),
-        _ => return None,
-    };
-    let out_from_ff = match &row[6] {
-        Json::Bool(b) => *b,
-        _ => return None,
-    };
-    Some(PackedBlock {
-        lut_table: lut,
-        inputs,
-        ff,
-        out_from_ff,
-    })
+    .json()
 }
 
 /// Most cells a region may claim: 256 × 256, twenty times the largest
@@ -322,85 +239,34 @@ fn coherent(p: &PlacedCircuit, net: &netlist::Netlist) -> bool {
         })
 }
 
-fn circuit_from_json(j: &Json, net: &netlist::Netlist) -> Option<CompiledCircuit> {
-    let name = get_str(j, "name")?.to_string();
-    let num_inputs = usize::try_from(get_u64(j, "num_inputs")?).ok()?;
-    let outputs = j
-        .get("outputs")?
-        .as_arr()?
-        .iter()
-        .map(|o| {
-            let pair = o.as_arr()?;
-            if pair.len() != 2 {
-                return None;
-            }
-            let n = match &pair[0] {
-                Json::Str(s) => s.clone(),
-                _ => return None,
-            };
-            Some((n, u32::try_from(as_uint(&pair[1])?).ok()?))
-        })
-        .collect::<Option<Vec<_>>>()?;
-    let ff_block = j
-        .get("ff_block")?
-        .as_arr()?
-        .iter()
-        .map(|v| u32::try_from(as_uint(v)?).ok())
-        .collect::<Option<Vec<_>>>()?;
-    let blocks = j
-        .get("blocks")?
-        .as_arr()?
-        .iter()
-        .map(block_from_json)
-        .collect::<Option<Vec<_>>>()?;
-    let raw_coords = j.get("coords")?.as_arr()?;
-    if raw_coords.len() != blocks.len() * 2 {
-        return None;
-    }
-    let coords = raw_coords
-        .chunks(2)
-        .map(|pair| {
-            Some((
-                u32::try_from(as_uint(&pair[0])?).ok()?,
-                u32::try_from(as_uint(&pair[1])?).ok()?,
-            ))
-        })
-        .collect::<Option<Vec<_>>>()?;
-    let placed = PlacedCircuit {
-        circuit: PackedCircuit {
-            name,
-            blocks,
-            num_inputs,
-            outputs,
-            ff_block,
-        },
-        width: get_u32(j, "width")?,
-        height: get_u32(j, "height")?,
-        coords,
-        hpwl: get_u64(j, "hpwl")?,
-    };
-    if !coherent(&placed, net) {
-        return None;
-    }
-    Some(CompiledCircuit {
-        placed,
-        crit_path_ns: f64::from_bits(get_u64(j, "crit_path_ns_bits")?),
-        clock_ns: f64::from_bits(get_u64(j, "clock_ns_bits")?),
-    })
-}
-
-/// Read an entry's text. `None` on any miss: unparsable, wrong schema
-/// version, stored key mismatch (filename collision / stale file), or a
+/// Read an entry's text. `None` on any miss: unparsable, not exactly the
+/// shape the writer emits, wrong schema version, stored key mismatch
+/// (filename collision / stale file), a block without a place, or a
 /// circuit that is not [`coherent`] with `net`.
 fn parse_entry(text: &str, key: &Key, net: &netlist::Netlist) -> Option<CompiledCircuit> {
-    let doc = Json::parse(text).ok()?;
-    if get_str(&doc, "schema") != Some(DISK_SCHEMA) {
+    let entry = Entry::read(&Json::parse(text).ok()?, "entry").ok()?;
+    let c = entry.circuit;
+    if entry.schema != DISK_SCHEMA || entry.key != *key || c.coords.len() != 2 * c.blocks.len() {
         return None;
     }
-    if !key_matches(doc.get("key")?, key) {
-        return None;
-    }
-    circuit_from_json(doc.get("circuit")?, net)
+    let placed = PlacedCircuit {
+        circuit: PackedCircuit {
+            name: c.name,
+            blocks: c.blocks,
+            num_inputs: c.num_inputs,
+            outputs: c.outputs,
+            ff_block: c.ff_block,
+        },
+        width: c.width,
+        height: c.height,
+        coords: c.coords.chunks_exact(2).map(|p| (p[0], p[1])).collect(),
+        hpwl: c.hpwl,
+    };
+    coherent(&placed, net).then(|| CompiledCircuit {
+        placed,
+        crit_path_ns: f64::from_bits(c.crit_path_ns_bits),
+        clock_ns: f64::from_bits(c.clock_ns_bits),
+    })
 }
 
 /// Load the entry for `key` (the key of `net`) from `dir`. `None` on any
@@ -712,9 +578,118 @@ mod tests {
             BlockSource::Const(false),
             BlockSource::Const(true),
         ] {
-            assert_eq!(source_decode(source_code(s)), Some(s));
+            assert_eq!(BlockSource::read(&s.json(), "source"), Ok(s));
         }
-        assert_eq!(source_decode(5u64 << 32), None, "unknown tag rejected");
-        assert_eq!(source_decode(3u64 << 32 | 2), None, "bad const rejected");
+        let read = |code: u64| BlockSource::read(&Json::UInt(code), "source");
+        assert!(read(5u64 << 32).is_err(), "unknown tag rejected");
+        assert!(read(3u64 << 32 | 2).is_err(), "bad const rejected");
+        assert!(read(1).is_err(), "an unused input with a value rejected");
+    }
+
+    /// An object's fields.
+    type Pairs = Vec<(String, Json)>;
+
+    /// `entry` with `edit` applied to the fields of its `section` (`""`:
+    /// the entry's own), rendered.
+    fn edited(entry: &Json, section: &str, edit: &dyn Fn(&mut Pairs)) -> String {
+        let mut doc = entry.clone();
+        let Json::Obj(top) = &mut doc else {
+            panic!("an entry is an object")
+        };
+        let fields = match top.iter().position(|(k, _)| k == section) {
+            Some(i) => match &mut top[i].1 {
+                Json::Obj(inner) => inner,
+                _ => panic!("'{section}' is an object"),
+            },
+            None => top,
+        };
+        edit(fields);
+        doc.render()
+    }
+
+    /// Each of these entries is a miss, and the next `compile_with_disk`
+    /// writes the intact entry back over it: in the entry, its key and its
+    /// circuit, each field dropped, swapped with the next, and after an
+    /// extra field, and an extra field last; and the stored key differing
+    /// from the looked-up one in any one field. A reader that looks fields
+    /// up by name accepts the extra and the swapped ones.
+    #[test]
+    fn misarranged_entries_and_other_keys_are_misses_and_rewritten() {
+        let dir = scratch("strict");
+        let (net, key, fresh, intact) = stored_accumulator();
+        let opts = CompileOptions::default();
+        let entry = Json::parse(&intact).unwrap();
+        let extra = || ("epilogue".to_string(), Json::UInt(0));
+        let mut damaged = Vec::new();
+        for section in ["", "key", "circuit"] {
+            let fields = match section {
+                "" => &entry,
+                s => entry.get(s).unwrap(),
+            };
+            let Json::Obj(fields) = fields else {
+                panic!("'{section}' is an object")
+            };
+            let n = fields.len();
+            let mut damage = |what: String, edit: &dyn Fn(&mut Pairs)| {
+                damaged.push((format!("'{section}' {what}"), edited(&entry, section, edit)));
+            };
+            for i in 0..n {
+                damage(format!("field {i} dropped"), &|f| drop(f.remove(i)));
+                damage(format!("field {i} swapped"), &|f| f.swap(i, (i + 1) % n));
+                damage(format!("field {i} after an extra field"), &|f| {
+                    f.insert(i, extra())
+                });
+            }
+            damage("with an extra field last".into(), &|f| f.push(extra()));
+        }
+        let other_keys = [
+            Key {
+                net_hash: key.net_hash ^ 1,
+                ..key
+            },
+            Key {
+                map_k: key.map_k + 1,
+                ..key
+            },
+            Key {
+                map_max_cuts: key.map_max_cuts + 1,
+                ..key
+            },
+            Key {
+                fill_bits: key.fill_bits ^ 1,
+                ..key
+            },
+            Key {
+                max_height: key.max_height + 1,
+                ..key
+            },
+            Key {
+                seed: key.seed ^ 1,
+                ..key
+            },
+            Key {
+                shape: Some((4, 4)),
+                ..key
+            },
+            Key {
+                full_height: !key.full_height,
+                ..key
+            },
+        ];
+        for other in other_keys {
+            damaged.push((format!("{other:?}"), entry_json(&other, &fresh).render()));
+        }
+
+        compile_with_disk(&net, opts, &dir).unwrap();
+        let path = entry_path(&dir, &key);
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), intact);
+        for (what, text) in damaged {
+            assert!(parse_entry(&text, &key, &net).is_none(), "{what} read");
+            std::fs::write(&path, &text).unwrap();
+            compile_with_disk(&net, opts, &dir).unwrap();
+            let now = std::fs::read_to_string(&path).unwrap();
+            assert!(now == intact, "{what} was not rewritten");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -276,7 +276,7 @@ crate::counters::counter_table! {
     }
 }
 
-crate::image::record! {
+fsim::record! {
     /// The mutable half of the admission runtime: everything a checkpoint
     /// image must carry (the policy is configuration and is rebuilt with the
     /// system).

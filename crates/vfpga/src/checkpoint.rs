@@ -49,7 +49,7 @@ use crate::sched::Scheduler;
 use crate::system::{Boot, Ev, FailoverReceipt, System};
 use crate::task::{TaskId, TaskSlot, TaskState};
 use fsim::json::Json;
-use fsim::{span, CrashInjector, CrashPlan, SimDuration, SimTime, Trace, TraceEvent};
+use fsim::{span, CrashPlan, SimDuration, SimTime, Trace, TraceEvent};
 use std::ops::Range;
 
 /// Checkpoint cadence and journal switch.
@@ -482,9 +482,9 @@ where
     M: FpgaManager,
     S: Scheduler,
 {
-    let mut inj = CrashInjector::new(plan);
+    let mut crashes = plan.crash_times();
     let mut sys = build().with_checkpoints(cfg)?;
-    while let Some(cut) = sys.run_to_cut(inj.next_crash_at())? {
+    while let Some(cut) = sys.run_to_cut(crashes.next())? {
         sys.restore_cut(cut)?;
     }
     sys.finish()
@@ -994,7 +994,7 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::image::Wire;
+    use crate::image::pending_rows;
     use crate::manager::dynload::DynLoadManager;
     use crate::manager::PreemptAction;
     use crate::metrics::TaskMetrics;
@@ -1123,7 +1123,7 @@ mod tests {
             panic!("the crash comes before the last task ends");
         };
         let rendered = cut.capture.as_ref().unwrap().image.to_json();
-        let captured = Wire::read(rendered.get("pending").unwrap(), "pending").unwrap();
+        let captured = pending_rows::read(rendered.get("pending").unwrap(), "pending").unwrap();
         sys.restore_cut(cut).unwrap();
         let popped = std::iter::from_fn(|| sys.next()).collect();
         [captured, popped]

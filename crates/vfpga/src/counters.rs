@@ -65,7 +65,7 @@ macro_rules! counter_table {
             $($(#[doc = $doc:literal])* pub $field:ident: $ty:ty,)*
         }
     ) => {
-        $crate::image::record! {
+        fsim::record! {
             $(#[$meta])*
             pub struct $name {
                 $($(#[doc = $doc])* pub $field: $ty,)*
@@ -94,10 +94,10 @@ pub(crate) use counter_table;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::image::Wire;
     use crate::manager::DeltaStats;
     use crate::{AdmissionStats, CrashStats, FaultStats, FleetStats, ManagerStats};
     use fsim::json::Json;
+    use fsim::json::Wire;
     use std::fmt::Debug;
 
     /// Field `i` (from 1) holds `i * scale`, set through `FIELDS` rather

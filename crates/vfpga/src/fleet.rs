@@ -2,7 +2,7 @@
 //!
 //! One [`System`] owns one device. A *fleet* owns several: tenants are
 //! routed to per-device shards by a placement policy, and when a whole
-//! device dies (crash or brownout from [`fsim::DeviceFaultInjector`])
+//! device dies (crash or brownout from [`fsim::DeviceFaultPlan`])
 //! every resident tenant fails over onto a surviving device through the
 //! existing checkpoint + journal-replay machinery. Migration is priced
 //! honestly by that machinery: the periodic checkpoint readback on the
@@ -32,8 +32,8 @@ use crate::system::{FailoverReceipt, System};
 use crate::task::TaskSpec;
 use fpga::journal::{MigrationPhase, MigrationResolution};
 use fsim::{
-    span, DeviceFaultInjector, DeviceFaultPlan, HistSet, LogHistogram, Metrics,
-    MigrationCrashWindow, MigrationPlan, SimDuration, SimTime, TimelineSet, Trace, TraceEvent,
+    span, DeviceFaultPlan, HistSet, LogHistogram, Metrics, MigrationCrashWindow, MigrationPlan,
+    SimDuration, SimTime, TimelineSet, Trace, TraceEvent,
 };
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
@@ -554,9 +554,8 @@ where
             hosted[sh.host as usize] += 1;
         }
 
-        let inj = DeviceFaultInjector::new(cfg.faults);
         let windows: Vec<Vec<(SimTime, SimTime)>> =
-            (0..cfg.devices).map(|d| inj.windows(d)).collect();
+            (0..cfg.devices).map(|d| cfg.faults.windows(d)).collect();
         let mut rejoins: Vec<(SimTime, FleetEv)> = windows
             .iter()
             .enumerate()

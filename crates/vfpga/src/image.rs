@@ -1,4 +1,5 @@
-//! Typed checkpoint images, and the one codec that writes and reads them.
+//! Typed checkpoint images, and the image's own shapes in the workspace's
+//! one codec, [`fsim::json::Wire`].
 //!
 //! A [`SystemImage`] is the whole mutable state of a
 //! [`System`](crate::System) as plain typed data: the task table (one
@@ -16,105 +17,30 @@
 //! `vfpga-ckpt/3` schema, which lists each arrival among the pending
 //! events, where a queue holding it would fire it.
 //!
-//! Every section is written and read by one codec, `Wire`: `json`
-//! renders a value and `read` is its strict inverse, implemented once for
-//! the scalars (nanoseconds for times), `Option` (`null`), `Vec`,
-//! `VecDeque`, tuples and fixed arrays, `BTreeSet` (members) and
-//! `BTreeMap` (`[key, value]` pairs), both in ascending key order. A
-//! struct declared through `record!` is an object keyed by its field
-//! names: the one field list is the struct, its writer and its reader. The
-//! task table is a `task_columns` header and one positional row a task,
-//! both from the one `task_table!` list. Hand-written codecs remain only
-//! for tagged shapes — a pending event (`[at, kind, arg]`), a partition
-//! (its `kind`), the header — and for the latent upsets' flat rows.
-//!
-//! A reader accepts exactly what its writer emits; anything else is an
-//! error, never a panic. What an image must *mean* — circuit ids in the
-//! library, partitions tiling the device, task ids in range — is checked
-//! after decoding by the `restore` that consumes it. Earlier schemas are
-//! not read, and observability state is not part of an image: it never
-//! influences simulated behaviour.
+//! The image and the records in it are `fsim::record!`s. This module adds
+//! the image's own shapes: ids as the number they wrap, a task state by
+//! name, the schema tag, the task table (a `task_columns` header and one
+//! positional row a task, both from the one `task_table!` list), and the
+//! per-field codecs of the pending events (`[at, kind, arg]` rows) and the
+//! latent upsets (`[circuit, struck_at, detected]` rows). What an image
+//! must *mean* — circuit ids in the library, partitions tiling the device,
+//! task ids in range — is checked after decoding by the `restore` that
+//! consumes it. Earlier schemas are not read, and observability state is
+//! not part of an image: it never influences simulated behaviour.
 
 use crate::admission::AdmissionState;
 use crate::circuit::CircuitId;
 use crate::recovery::FaultStats;
 use crate::system::Ev;
 use crate::task::{TaskId, TaskSlot, TaskState};
-use fsim::json::Json;
+use fsim::json::{arr_of, kind_of, str_of, tuple, Json, Wire};
 use fsim::{SimDuration, SimTime};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Schema tag of the rendered image.
 const SCHEMA: &str = "vfpga-ckpt/3";
 
-// ---------------------------------------------------------------------------
-// The codec.
-
-/// A typed value as one JSON value: how every section of a checkpoint
-/// image is written ([`json`](Wire::json)) and strictly read back
-/// ([`read`](Wire::read); `what` names the value in the error).
-pub(crate) trait Wire: Sized {
-    fn json(&self) -> Json;
-    fn read(v: &Json, what: &str) -> Result<Self, String>;
-}
-
-/// Declare a struct — attributes, docs, names and types exactly as
-/// written — and implement [`Wire`] for it from the same field list: an
-/// object keyed by field name in declaration order, read back strictly.
-/// A field marked `#[skip_if(pred)]` is left out while `pred` holds for
-/// it; absent, it reads as its default, and written out, it must not be a
-/// value the writer would have left out.
-macro_rules! record {
-    (
-        $(#[$meta:meta])*
-        $vis:vis struct $name:ident $(<$param:ident>)? {
-            $(
-                $(#[doc = $doc:literal])*
-                $(#[skip_if($skip:path)])?
-                $fvis:vis $field:ident: $ty:ty,
-            )*
-        }
-    ) => {
-        $(#[$meta])*
-        $vis struct $name $(<$param>)? {
-            $($(#[doc = $doc])* $fvis $field: $ty,)*
-        }
-
-        impl $(<$param: $crate::image::Wire>)? $crate::image::Wire for $name $(<$param>)? {
-            fn json(&self) -> fsim::json::Json {
-                let mut fields = Vec::with_capacity([$(stringify!($field)),*].len());
-                $($crate::image::record!(@set fields, $field, &self.$field $(, $skip)?);)*
-                fsim::json::Json::Obj(fields)
-            }
-
-            fn read(v: &fsim::json::Json, what: &str) -> Result<Self, String> {
-                let mut f = $crate::image::Fields::of(v, what)?;
-                let read = Self {
-                    $($field: $crate::image::record!(@get f, $field $(, $skip)?),)*
-                };
-                f.end()?;
-                Ok(read)
-            }
-        }
-    };
-    (@set $fields:ident, $field:ident, $value:expr) => {
-        $fields.push((stringify!($field).to_string(), $crate::image::Wire::json($value)))
-    };
-    (@set $fields:ident, $field:ident, $value:expr, $skip:path) => {
-        if !$skip($value) {
-            $crate::image::record!(@set $fields, $field, $value)
-        }
-    };
-    (@get $f:ident, $field:ident) => {
-        $f.get(stringify!($field))?
-    };
-    (@get $f:ident, $field:ident, $skip:path) => {
-        $f.get_unless(stringify!($field), $skip)?
-    };
-}
-pub(crate) use record;
-
-record! {
+fsim::record! {
     /// The segment holding the CPU.
     #[derive(Debug, Clone, Copy, PartialEq)]
     pub(crate) struct Running {
@@ -129,7 +55,7 @@ record! {
     }
 }
 
-record! {
+fsim::record! {
     /// The FPGA half of a running segment.
     #[derive(Debug, Clone, Copy, PartialEq)]
     pub(crate) struct FpgaSeg {
@@ -165,7 +91,7 @@ pub(crate) struct Capture {
     pub(crate) image: SystemImage,
 }
 
-record! {
+fsim::record! {
     /// The full mutable state of one [`System`](crate::System) at one instant.
     #[derive(Debug, Clone, PartialEq)]
     pub struct SystemImage {
@@ -177,12 +103,14 @@ record! {
         pub(crate) task_columns: TaskColumns,
         pub(crate) tasks: Vec<TaskSlot>,
         /// Unrepaired upsets by struck circuit id.
+        #[with(latent_rows)]
         pub(crate) latent: BTreeMap<u32, Latent>,
         /// Circuits whose residency claim a journal-off restore left stale.
         pub(crate) stale: BTreeSet<u32>,
         pub(crate) running: Option<Running>,
         /// Pending events in firing order, without the crash that cut the
         /// run and without the arrivals, which are the `Future` slots.
+        #[with(pending_rows)]
         pub(crate) pending: Vec<(SimTime, Ev)>,
         pub(crate) fault: FaultStats,
         /// The injector's three stream states; `None` runs fault-free.
@@ -253,7 +181,7 @@ impl SystemImage {
         let mut tree = self.json();
         if let Json::Obj(fields) = &mut tree {
             if let Some((_, pending)) = fields.iter_mut().find(|(k, _)| k == "pending") {
-                *pending = with_arrivals(&self.tasks, &self.pending).json();
+                *pending = pending_rows::json(&with_arrivals(&self.tasks, &self.pending));
             }
         }
         tree
@@ -376,17 +304,61 @@ task_table!(
     lost_in_flight
 );
 
-/// The unrepaired upsets, one `[circuit, struck_at, detected]` row each.
-/// ([`Latent`] has no codec of its own, which is what lets this impl sit
-/// beside the generic map's.)
-impl Wire for BTreeMap<u32, Latent> {
-    fn json(&self) -> Json {
+/// Ids are written as the number they wrap (whether the library has a
+/// circuit is the consuming `restore`'s check,
+/// [`CircuitLib::check_id`](crate::CircuitLib)).
+macro_rules! id_wire {
+    ($($id:ident),*) => {$(
+        impl Wire for $id {
+            fn json(&self) -> Json {
+                self.0.json()
+            }
+            fn read(v: &Json, what: &str) -> Result<$id, String> {
+                u32::read(v, what).map($id)
+            }
+        }
+    )*};
+}
+id_wire!(TaskId, CircuitId);
+
+/// A task state by name, both ways from one list.
+macro_rules! state_names {
+    ($($state:ident: $name:literal),*) => {
+        impl Wire for TaskState {
+            fn json(&self) -> Json {
+                Json::from(match self {
+                    $(TaskState::$state => $name,)*
+                })
+            }
+            fn read(v: &Json, what: &str) -> Result<TaskState, String> {
+                match str_of(v, what)? {
+                    $($name => Ok(TaskState::$state),)*
+                    other => Err(format!("unknown task state '{other}'")),
+                }
+            }
+        }
+    };
+}
+
+state_names!(
+    Future: "future", Ready: "ready", Running: "running", Blocked: "blocked",
+    Deferred: "deferred", Done: "done", Failed: "failed", Quarantined: "quarantined",
+    Rejected: "rejected", Migrated: "migrated"
+);
+
+/// The unrepaired upsets, one `[circuit, struck_at, detected]` row each,
+/// in ascending circuit order.
+mod latent_rows {
+    use super::*;
+
+    pub(super) fn json(latent: &BTreeMap<u32, Latent>) -> Json {
         let row = |(&cid, l): (&u32, &Latent)| (cid, l.struck_at, l.detected).json();
-        Json::Arr(self.iter().map(row).collect())
+        Json::Arr(latent.iter().map(row).collect())
     }
-    fn read(v: &Json, what: &str) -> Result<Self, String> {
+
+    pub(super) fn read(v: &Json, what: &str) -> Result<BTreeMap<u32, Latent>, String> {
         let rows = Vec::<(u32, SimTime, bool)>::read(v, what)?;
-        ascending(&rows, |(cid, ..)| cid, what)?;
+        fsim::json::ascending(&rows, |(cid, ..)| cid, what)?;
         let latent = |(cid, struck_at, detected)| {
             (
                 cid,
@@ -400,30 +372,38 @@ impl Wire for BTreeMap<u32, Latent> {
     }
 }
 
-/// A pending event: `[at, kind, arg]`, where `arg` is the task of a
-/// task's event, `[task, generation]` of a watchdog, the column of a
-/// retried column failure, and `null` otherwise. (Like [`Latent`], `Ev`
-/// has no codec of its own.)
-impl Wire for (SimTime, Ev) {
-    fn json(&self) -> Json {
-        let (at, ev) = *self;
-        let (kind, arg) = match ev {
-            Ev::Arrive(t) => ("arrive", t.json()),
-            Ev::Timer(t) => ("timer", t.json()),
-            Ev::Dispatch => ("dispatch", Json::Null),
-            Ev::Seu => ("seu", Json::Null),
-            Ev::Scrub => ("scrub", Json::Null),
-            Ev::ColumnFail(None) => ("colfail", Json::Null),
-            Ev::ColumnFail(Some(c)) => ("colfail_at", c.json()),
-            Ev::RetryDone(t) => ("retry_done", t.json()),
-            Ev::Retry(t) => ("retry", t.json()),
-            Ev::Checkpoint => ("ckpt", Json::Null),
-            Ev::Watchdog { tid, seq } => ("watchdog", (tid, seq).json()),
-            Ev::Crash => unreachable!("capture drops the crash event"),
+/// The pending events, one `[at, kind, arg]` row each, where `arg` is the
+/// task of a task's event, `[task, generation]` of a watchdog, the column
+/// of a retried column failure, and `null` otherwise.
+pub(crate) mod pending_rows {
+    use super::*;
+
+    pub(crate) fn json(pending: &[(SimTime, Ev)]) -> Json {
+        let row = |&(at, ev): &(SimTime, Ev)| {
+            let (kind, arg) = match ev {
+                Ev::Arrive(t) => ("arrive", t.json()),
+                Ev::Timer(t) => ("timer", t.json()),
+                Ev::Dispatch => ("dispatch", Json::Null),
+                Ev::Seu => ("seu", Json::Null),
+                Ev::Scrub => ("scrub", Json::Null),
+                Ev::ColumnFail(None) => ("colfail", Json::Null),
+                Ev::ColumnFail(Some(c)) => ("colfail_at", c.json()),
+                Ev::RetryDone(t) => ("retry_done", t.json()),
+                Ev::Retry(t) => ("retry", t.json()),
+                Ev::Checkpoint => ("ckpt", Json::Null),
+                Ev::Watchdog { tid, seq } => ("watchdog", (tid, seq).json()),
+                Ev::Crash => unreachable!("capture drops the crash event"),
+            };
+            Json::Arr(vec![at.json(), Json::from(kind), arg])
         };
-        Json::Arr(vec![at.json(), Json::from(kind), arg])
+        Json::Arr(pending.iter().map(row).collect())
     }
-    fn read(v: &Json, what: &str) -> Result<Self, String> {
+
+    pub(crate) fn read(v: &Json, what: &str) -> Result<Vec<(SimTime, Ev)>, String> {
+        arr_of(v, what)?.iter().map(|r| read_row(r, what)).collect()
+    }
+
+    fn read_row(v: &Json, what: &str) -> Result<(SimTime, Ev), String> {
         let [at, kind, arg] = tuple(v, what)?;
         let kind = str_of(kind, "pending event kind")?;
         let task = || TaskId::read(arg, "pending event task");
@@ -449,299 +429,6 @@ impl Wire for (SimTime, Ev) {
             other => return Err(format!("unknown pending event '{other}'")),
         };
         Ok((SimTime::read(at, "pending event time")?, ev))
-    }
-}
-
-impl Wire for u64 {
-    fn json(&self) -> Json {
-        Json::UInt(*self)
-    }
-    fn read(v: &Json, what: &str) -> Result<u64, String> {
-        match v {
-            Json::UInt(x) => Ok(*x),
-            other => not(what, other, "an unsigned integer"),
-        }
-    }
-}
-
-/// Unsigned integers narrower than 64 bits, read as `u64` and range-checked.
-macro_rules! narrow_uint {
-    ($($ty:ty: $width:literal),*) => {$(
-        impl Wire for $ty {
-            fn json(&self) -> Json {
-                Json::UInt(*self as u64)
-            }
-            fn read(v: &Json, what: &str) -> Result<$ty, String> {
-                <$ty>::try_from(u64::read(v, what)?)
-                    .map_err(|_| format!("{what} does not fit in {}", $width))
-            }
-        }
-    )*};
-}
-narrow_uint!(u8: "8 bits", u32: "32 bits", usize: "usize");
-
-impl Wire for bool {
-    fn json(&self) -> Json {
-        Json::Bool(*self)
-    }
-    fn read(v: &Json, what: &str) -> Result<bool, String> {
-        match v {
-            Json::Bool(b) => Ok(*b),
-            other => not(what, other, "a bool"),
-        }
-    }
-}
-
-/// Types written as the number they wrap: times and durations in
-/// nanoseconds, ids bare (whether the library has a circuit is the
-/// consuming `restore`'s check, [`CircuitLib::check_id`](crate::CircuitLib)).
-macro_rules! numeric {
-    ($($ty:ty: $inner:ty, $unwrap:expr, $wrap:expr;)*) => {$(
-        impl Wire for $ty {
-            fn json(&self) -> Json {
-                ($unwrap)(*self).json()
-            }
-            fn read(v: &Json, what: &str) -> Result<$ty, String> {
-                <$inner>::read(v, what).map($wrap)
-            }
-        }
-    )*};
-}
-numeric! {
-    SimDuration: u64, SimDuration::as_nanos, SimDuration::from_nanos;
-    SimTime: u64, SimTime::as_nanos, SimTime;
-    TaskId: u32, |t: TaskId| t.0, TaskId;
-    CircuitId: u32, |c: CircuitId| c.0, CircuitId;
-}
-
-impl Wire for TaskState {
-    fn json(&self) -> Json {
-        Json::from(match self {
-            TaskState::Future => "future",
-            TaskState::Ready => "ready",
-            TaskState::Running => "running",
-            TaskState::Blocked => "blocked",
-            TaskState::Deferred => "deferred",
-            TaskState::Done => "done",
-            TaskState::Failed => "failed",
-            TaskState::Quarantined => "quarantined",
-            TaskState::Rejected => "rejected",
-            TaskState::Migrated => "migrated",
-        })
-    }
-    fn read(v: &Json, what: &str) -> Result<TaskState, String> {
-        Ok(match str_of(v, what)? {
-            "future" => TaskState::Future,
-            "ready" => TaskState::Ready,
-            "running" => TaskState::Running,
-            "blocked" => TaskState::Blocked,
-            "deferred" => TaskState::Deferred,
-            "done" => TaskState::Done,
-            "failed" => TaskState::Failed,
-            "quarantined" => TaskState::Quarantined,
-            "rejected" => TaskState::Rejected,
-            "migrated" => TaskState::Migrated,
-            other => return Err(format!("unknown task state '{other}'")),
-        })
-    }
-}
-
-/// A section a component renders and reads itself (`snapshot`/`restore`
-/// are frozen to JSON), carried as is.
-impl Wire for Json {
-    fn json(&self) -> Json {
-        self.clone()
-    }
-    fn read(v: &Json, _what: &str) -> Result<Json, String> {
-        Ok(v.clone())
-    }
-}
-
-/// `null` is "none": a poisoned mark that was never set, a partition
-/// nobody owns.
-impl<T: Wire> Wire for Option<T> {
-    fn json(&self) -> Json {
-        self.as_ref().map_or(Json::Null, T::json)
-    }
-    fn read(v: &Json, what: &str) -> Result<Option<T>, String> {
-        match v {
-            Json::Null => Ok(None),
-            v => T::read(v, what).map(Some),
-        }
-    }
-}
-
-/// Sequences are arrays.
-macro_rules! sequence {
-    ($($seq:ident),*) => {$(
-        impl<T: Wire> Wire for $seq<T> {
-            fn json(&self) -> Json {
-                Json::Arr(self.iter().map(T::json).collect())
-            }
-            fn read(v: &Json, what: &str) -> Result<$seq<T>, String> {
-                arr_of(v, what)?.iter().map(|x| T::read(x, what)).collect()
-            }
-        }
-    )*};
-}
-sequence!(Vec, VecDeque);
-
-impl<T: Wire, const N: usize> Wire for [T; N] {
-    fn json(&self) -> Json {
-        Json::Arr(self.iter().map(T::json).collect())
-    }
-    fn read(v: &Json, what: &str) -> Result<[T; N], String> {
-        let items = Vec::<T>::read(v, what)?;
-        let n = items.len();
-        items
-            .try_into()
-            .map_err(|_| format!("{what} has {n} entries, want {N}"))
-    }
-}
-
-/// Tuples are arrays of exactly their arity.
-macro_rules! tuple_wire {
-    ($(($($t:ident $v:ident),*)),*) => {$(
-        impl<$($t: Wire),*> Wire for ($($t,)*) {
-            fn json(&self) -> Json {
-                let ($($v,)*) = self;
-                Json::Arr(vec![$($v.json()),*])
-            }
-            fn read(v: &Json, what: &str) -> Result<Self, String> {
-                let [$($v),*] = tuple(v, what)?;
-                Ok(($($t::read($v, what)?,)*))
-            }
-        }
-    )*};
-}
-tuple_wire!((A a, B b), (A a, B b, C c), (A a, B b, C c, D d));
-
-impl<T: Wire + Ord> Wire for BTreeSet<T> {
-    fn json(&self) -> Json {
-        Json::Arr(self.iter().map(T::json).collect())
-    }
-    fn read(v: &Json, what: &str) -> Result<BTreeSet<T>, String> {
-        let members = Vec::<T>::read(v, what)?;
-        ascending(&members, |m| m, what)?;
-        Ok(members.into_iter().collect())
-    }
-}
-
-impl<K: Wire + Ord, V: Wire> Wire for BTreeMap<K, V> {
-    fn json(&self) -> Json {
-        let pair = |(k, v): (&K, &V)| Json::Arr(vec![k.json(), v.json()]);
-        Json::Arr(self.iter().map(pair).collect())
-    }
-    fn read(v: &Json, what: &str) -> Result<BTreeMap<K, V>, String> {
-        let pairs = Vec::<(K, V)>::read(v, what)?;
-        ascending(&pairs, |(k, _)| k, what)?;
-        Ok(pairs.into_iter().collect())
-    }
-}
-
-/// Keys in strictly ascending order, as a `BTreeSet` or a `BTreeMap`
-/// writes them; a key out of order or listed twice is an error.
-fn ascending<T, K: Ord>(items: &[T], key: impl Fn(&T) -> &K, what: &str) -> Result<(), String> {
-    if items.windows(2).all(|w| key(&w[0]) < key(&w[1])) {
-        Ok(())
-    } else {
-        Err(format!("{what} lists a key out of order or twice"))
-    }
-}
-
-/// What kind of JSON value `v` is, for error messages (a `Debug` dump of
-/// a misplaced array could run to megabytes).
-fn kind_of(v: &Json) -> &'static str {
-    match v {
-        Json::Null => "null",
-        Json::Bool(_) => "a bool",
-        Json::UInt(_) | Json::Int(_) | Json::Num(_) => "a number",
-        Json::Str(_) => "a string",
-        Json::Arr(_) => "an array",
-        Json::Obj(_) => "an object",
-    }
-}
-
-/// "`what` is `v`'s kind, not `want`".
-fn not<T>(what: &str, v: &Json, want: &str) -> Result<T, String> {
-    Err(format!("{what} is {}, not {want}", kind_of(v)))
-}
-
-fn str_of<'a>(v: &'a Json, what: &str) -> Result<&'a str, String> {
-    match v {
-        Json::Str(s) => Ok(s),
-        other => not(what, other, "a string"),
-    }
-}
-
-fn arr_of<'a>(v: &'a Json, what: &str) -> Result<&'a [Json], String> {
-    v.as_arr().map_or_else(|| not(what, v, "an array"), Ok)
-}
-
-/// An array of exactly `N` items, for destructuring.
-fn tuple<'a, const N: usize>(v: &'a Json, what: &str) -> Result<&'a [Json; N], String> {
-    let a = arr_of(v, what)?;
-    a.try_into()
-        .map_err(|_| format!("{what} has {} entries, want {N}", a.len()))
-}
-
-/// Strict reader over one JSON object: the fields must come in exactly
-/// the order the writer emits them, with nothing missing and nothing
-/// extra.
-pub(crate) struct Fields<'a> {
-    what: &'a str,
-    rest: std::slice::Iter<'a, (String, Json)>,
-}
-
-impl<'a> Fields<'a> {
-    pub(crate) fn of(v: &'a Json, what: &'a str) -> Result<Self, String> {
-        match v {
-            Json::Obj(fields) => Ok(Fields {
-                what,
-                rest: fields.iter(),
-            }),
-            other => not(what, other, "an object"),
-        }
-    }
-
-    fn next(&mut self, key: &str) -> Result<&'a Json, String> {
-        match self.rest.next() {
-            Some((k, v)) if k == key => Ok(v),
-            Some((k, _)) => Err(format!("{}: expected '{key}', found '{k}'", self.what)),
-            None => Err(format!("{}: missing '{key}'", self.what)),
-        }
-    }
-
-    pub(crate) fn end(mut self) -> Result<(), String> {
-        match self.rest.next() {
-            None => Ok(()),
-            Some((k, _)) => Err(format!("{}: unexpected field '{k}'", self.what)),
-        }
-    }
-
-    pub(crate) fn get<T: Wire>(&mut self, key: &str) -> Result<T, String> {
-        T::read(self.next(key)?, key)
-    }
-
-    /// A field the writer leaves out while `skip` holds for it.
-    pub(crate) fn get_unless<T: Wire + Default>(
-        &mut self,
-        key: &str,
-        skip: impl Fn(&T) -> bool,
-    ) -> Result<T, String> {
-        match self.rest.as_slice().first() {
-            Some((k, _)) if k == key => {}
-            _ => return Ok(T::default()),
-        }
-        let v = self.get(key)?;
-        if skip(&v) {
-            return Err(format!("{}: '{key}' is written out empty", self.what));
-        }
-        Ok(v)
-    }
-
-    pub(crate) fn str(&mut self, key: &str) -> Result<&'a str, String> {
-        str_of(self.next(key)?, key)
     }
 }
 
@@ -944,36 +631,40 @@ mod tests {
         }
     }
 
+    /// The image's own containers, the two per-field codecs; the generic
+    /// ones are `fsim::json`'s.
     #[test]
     fn containers_refuse_what_no_writer_emits() {
         let n = Json::UInt;
         let arr = Json::Arr;
-        let pair = |k, v| arr(vec![n(k), n(v)]);
         let refused = |what: &str, read: Result<(), String>| {
             assert!(read.is_err(), "{what} accepted");
         };
-        let map = |pairs| BTreeMap::<u32, u32>::read(&arr(pairs), "map").map(drop);
-        refused("a map key twice", map(vec![pair(1, 2), pair(1, 3)]));
-        refused("map keys out of order", map(vec![pair(2, 2), pair(1, 3)]));
-        let set = |members| BTreeSet::<u32>::read(&arr(members), "set").map(drop);
-        refused("a set member twice", set(vec![n(4), n(4)]));
-        refused("set members out of order", set(vec![n(5), n(4)]));
-        let latent = |cid| arr(vec![n(cid), n(7), Json::Bool(false)]);
-        let latent = BTreeMap::<u32, Latent>::read(&arr(vec![latent(3), latent(3)]), "latent");
-        refused("an upset twice", latent.map(drop));
-        let words = |k| <[u64; 4]>::read(&arr(vec![n(1); k]), "words").map(drop);
-        refused("three words of four", words(3));
-        refused("five words of four", words(5));
+        let upset = |cid| arr(vec![n(cid), n(7), Json::Bool(false)]);
+        let latent = |rows| latent_rows::read(&arr(rows), "latent").map(drop);
+        refused("an upset twice", latent(vec![upset(3), upset(3)]));
+        refused("upsets out of order", latent(vec![upset(4), upset(3)]));
+        refused("a short upset", latent(vec![arr(vec![n(3), n(7)])]));
+        assert_eq!(latent(vec![upset(3), upset(4)]), Ok(()));
+        let event = |kind: &str, arg| arr(vec![n(5), Json::from(kind), arg]);
+        let pending = |rows| pending_rows::read(&arr(rows), "pending").map(drop);
         refused(
-            "a short tuple",
-            <(u32, u64)>::read(&arr(vec![n(1)]), "pair").map(drop),
+            "an unknown event",
+            pending(vec![event("reboot", Json::Null)]),
         );
         refused(
-            "2^32+1 in 32 bits",
-            u32::read(&n((1 << 32) + 1), "id").map(drop),
+            "a dispatch with a task",
+            pending(vec![event("dispatch", n(1))]),
         );
-        refused("256 in 8 bits", u8::read(&n(256), "priority").map(drop));
-        assert_eq!(u32::read(&n(u32::MAX.into()), "id"), Ok(u32::MAX));
-        assert_eq!(words(4), Ok(()));
+        refused(
+            "a timer without one",
+            pending(vec![event("timer", Json::Null)]),
+        );
+        refused(
+            "a two-item event",
+            pending(vec![arr(vec![n(5), Json::from("seu")])]),
+        );
+        let watchdog = event("watchdog", arr(vec![n(1), n(2)]));
+        assert_eq!(pending(vec![event("timer", n(1)), watchdog]), Ok(()));
     }
 }

@@ -85,8 +85,7 @@ pub use fleet::{
     ShardOutcome,
 };
 pub use fsim::{
-    CrashInjector, CrashPlan, DeviceFaultInjector, DeviceFaultPlan, FaultInjector, FaultPlan,
-    MigrationCrashWindow, MigrationPlan,
+    CrashPlan, DeviceFaultPlan, FaultInjector, FaultPlan, MigrationCrashWindow, MigrationPlan,
 };
 pub use image::SystemImage;
 pub use manager::{Activation, DeviceUsage, FpgaManager, ManagerStats, PreemptAction, PreemptCost};

@@ -209,7 +209,7 @@ impl DeltaTable {
     }
 }
 
-crate::image::record! {
+fsim::record! {
     /// A delta table's checkpoint image: the counters plus how many ghosts
     /// were live. Ghosts themselves are *not* restored — a restore implies
     /// the fabric was re-downloaded, so every base is stale by definition.

@@ -16,16 +16,16 @@ use super::{
     EventBuf, FpgaManager, ManagerStats, PreemptCost, ResidentRegion,
 };
 use crate::circuit::{CircuitId, CircuitLib};
-use crate::image::Wire;
 use crate::manager::PreemptAction;
 use crate::task::TaskId;
 use fpga::ConfigTiming;
 use fsim::json::Json;
+use fsim::json::Wire;
 use fsim::{SimDuration, TraceEvent};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-crate::image::record! {
+fsim::record! {
     /// Everything [`DynLoadManager`] carries across a checkpoint.
     #[derive(Debug, Default)]
     pub(crate) struct DynLoadImage {

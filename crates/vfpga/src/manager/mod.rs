@@ -307,20 +307,11 @@ pub trait FpgaManager {
     }
 }
 
-/// Pure cost of a partial download of `frames` full-column frames: header
-/// plus addressed frames over the port.
-pub(crate) fn partial_download_cost(timing: &fpga::ConfigTiming, frames: usize) -> SimDuration {
-    use fpga::config::{FRAME_ADDR_BITS, HEADER_BITS};
-    let bits = HEADER_BITS + frames as u64 * (FRAME_ADDR_BITS + timing.frame_bits());
-    let ns = bits.saturating_mul(1_000_000_000) / timing.port.bits_per_sec();
-    SimDuration::from_nanos(ns)
-}
-
 /// Pure cost of re-downloading `frames` frames to repair an upset: partial
 /// if the port supports addressing, otherwise a full reconfiguration.
 pub(crate) fn redownload_cost(timing: &fpga::ConfigTiming, frames: usize) -> SimDuration {
     if timing.port.supports_partial() {
-        partial_download_cost(timing, frames)
+        timing.frame_transfer(frames).1
     } else {
         timing.full_config_time()
     }
@@ -335,9 +326,7 @@ pub(crate) fn charge_partial_download(
     obs: &mut EventBuf,
     task: TaskId,
 ) -> SimDuration {
-    use fpga::config::{FRAME_ADDR_BITS, HEADER_BITS};
-    let bits = HEADER_BITS + frames as u64 * (FRAME_ADDR_BITS + timing.frame_bits());
-    let d = partial_download_cost(timing, frames);
+    let (bits, d) = timing.frame_transfer(frames);
     stats.downloads += 1;
     stats.frames_written += frames as u64;
     stats.config_time += d;
@@ -366,7 +355,7 @@ pub(crate) fn charge_delta_download(
     obs: &mut EventBuf,
     task: TaskId,
 ) -> SimDuration {
-    let d = partial_download_cost(timing, changed);
+    let d = timing.frame_transfer(changed).1;
     stats.downloads += 1;
     stats.frames_written += changed as u64;
     stats.config_time += d;

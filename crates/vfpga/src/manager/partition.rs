@@ -21,16 +21,15 @@
 
 use super::delta::{DeltaImage, DeltaStats, DeltaTable};
 use super::{
-    charge_delta_download, charge_partial_download, charge_state_move, partial_download_cost,
-    Activation, DeviceUsage, EventBuf, FpgaManager, ManagerStats, PreemptCost, ResidentRegion,
-    RetireOutcome,
+    charge_delta_download, charge_partial_download, charge_state_move, Activation, DeviceUsage,
+    EventBuf, FpgaManager, ManagerStats, PreemptCost, ResidentRegion, RetireOutcome,
 };
 use crate::circuit::{CircuitId, CircuitLib};
 use crate::error::VfpgaError;
-use crate::image::{Fields, Wire};
 use crate::manager::PreemptAction;
 use crate::task::TaskId;
 use fpga::ConfigTiming;
+use fsim::json::{Fields, Wire};
 use fsim::json::{Json, Obj};
 use fsim::{SimDuration, TraceEvent};
 use pnr::route::CircuitRoutes;
@@ -420,7 +419,7 @@ impl PartitionManager {
                 if let Some(dt) = &mut self.delta {
                     dt.invalidate_overlap(origin.0, need_w, "relocate", &mut self.obs);
                 }
-                let mut cost = partial_download_cost(&self.timing, need_w as usize);
+                let mut cost = self.timing.frame_transfer(need_w as usize).1;
                 if self.lib.get(cid).is_sequential() {
                     // State survives the move via readback + write-back.
                     cost += self.timing.readback_time(need_w as usize);
@@ -1018,7 +1017,7 @@ impl FpgaManager for PartitionManager {
     }
 }
 
-crate::image::record! {
+fsim::record! {
     /// Everything [`PartitionManager`] carries across a checkpoint. Routes
     /// are not part of it: they are derived state, rebuilt by re-routing
     /// each resident circuit at its origin on restore.
@@ -1091,7 +1090,7 @@ impl Wire for Partition<()> {
     fn read(v: &Json, what: &str) -> Result<Partition<()>, String> {
         let mut f = Fields::of(v, what)?;
         let (col, width) = (f.get("col")?, f.get("width")?);
-        let slot = match f.str("kind")? {
+        let slot = match f.get::<String>("kind")?.as_str() {
             "free" => Slot::Free,
             "retired" => Slot::Retired,
             "resident" => Slot::Resident {

@@ -38,7 +38,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use fpga::journal::{MigrationLog, MigrationPhase, MigrationRecord, MigrationResolution};
-use fsim::{span, MigrationCrashWindow, MigrationInjector, MigrationPlan, SimDuration, SimTime};
+use fsim::{span, MigrationCrashWindow, MigrationPlan, SimDuration, SimTime};
 
 use crate::admission::{AdmissionRt, AdmissionStats};
 use crate::checkpoint::{CrashState, CrashStats, Cut};
@@ -328,7 +328,7 @@ pub(crate) struct Move {
 /// host crashing — they are what replay resolves the windows from).
 #[derive(Debug)]
 pub(crate) struct MigrationEngine {
-    injector: MigrationInjector,
+    plan: MigrationPlan,
     instants: Vec<SimTime>,
     ptr: usize,
     attempts: u32,
@@ -338,11 +338,9 @@ pub(crate) struct MigrationEngine {
 impl MigrationEngine {
     /// Build the engine for one fleet run.
     pub fn new(plan: MigrationPlan) -> Self {
-        let injector = MigrationInjector::new(plan);
-        let instants = injector.instants();
         MigrationEngine {
-            injector,
-            instants,
+            plan,
+            instants: plan.instants(),
             ptr: 0,
             attempts: 0,
             logs: BTreeMap::new(),
@@ -365,7 +363,7 @@ impl MigrationEngine {
     pub fn begin_attempt(&mut self) -> Option<MigrationCrashWindow> {
         let k = self.attempts;
         self.attempts += 1;
-        self.injector.crash_window_for(k)
+        self.plan.crash_window(k)
     }
 
     /// Journal a phase record on one device's migration log.

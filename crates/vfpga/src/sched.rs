@@ -8,9 +8,9 @@
 //! ([`EdfScheduler`], the deadline-closed policy E18 compares against the
 //! others).
 
-use crate::image::Wire;
 use crate::task::{TaskId, TaskSpec};
 use fsim::json::Json;
+use fsim::json::Wire;
 use fsim::{SimDuration, SimTime};
 use std::collections::VecDeque;
 
@@ -46,7 +46,7 @@ pub trait Scheduler {
     }
 }
 
-crate::image::record! {
+fsim::record! {
     /// The image of the two plain-queue policies: `{"queue": [tid, …]}`.
     #[derive(Debug, Default)]
     pub(crate) struct QueueImage {
@@ -54,7 +54,7 @@ crate::image::record! {
     }
 }
 
-crate::image::record! {
+fsim::record! {
     /// The image of the two ordered policies: `{"ready": [entry, …],
     /// "seq": n}`, the ready entries and the next insertion sequence.
     #[derive(Debug, Clone)]

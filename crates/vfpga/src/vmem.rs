@@ -130,10 +130,7 @@ impl SegmentSim {
     }
 
     fn charge_load(&mut self, width: u32) -> SimDuration {
-        use fpga::config::{FRAME_ADDR_BITS, HEADER_BITS};
-        let bits = HEADER_BITS + width as u64 * (FRAME_ADDR_BITS + self.timing.frame_bits());
-        let ns = bits.saturating_mul(1_000_000_000) / self.timing.port.bits_per_sec();
-        let d = SimDuration::from_nanos(ns);
+        let d = self.timing.frame_transfer(width as usize).1;
         self.stats.load_time += d;
         d
     }
@@ -324,11 +321,7 @@ impl PagingSim {
     }
 
     fn charge_load(&mut self) -> SimDuration {
-        use fpga::config::{FRAME_ADDR_BITS, HEADER_BITS};
-        let bits =
-            HEADER_BITS + self.page_width as u64 * (FRAME_ADDR_BITS + self.timing.frame_bits());
-        let ns = bits.saturating_mul(1_000_000_000) / self.timing.port.bits_per_sec();
-        let d = SimDuration::from_nanos(ns);
+        let d = self.timing.frame_transfer(self.page_width as usize).1;
         self.stats.load_time += d;
         d
     }

@@ -405,8 +405,7 @@ fn a_crashed_run_is_built_once() {
         crash_rate_per_s: 400.0,
         max_crashes: 4,
     };
-    let mut inj = vfpga::CrashInjector::new(plan);
-    let times: Vec<_> = std::iter::from_fn(|| inj.next_crash_at()).collect();
+    let times: Vec<_> = plan.crash_times().collect();
     let first_capture = fsim::SimTime::ZERO + interval;
     assert!(times[0] < first_capture, "a cold restart: {times:?}");
     assert!(times.iter().filter(|&&t| t > first_capture).count() >= 2);
