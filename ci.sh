@@ -10,7 +10,7 @@ echo "==> cargo clippy (warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cargo doc (warnings are errors)"
-# Unresolved and private intra-doc links fail here (ROADMAP item 6b). The
+# Unresolved and private intra-doc links fail here (ROADMAP item 13a). The
 # TraceEvent variants and their field docs come out of fsim's
 # trace_events! table, so this also renders what the macro generates.
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline

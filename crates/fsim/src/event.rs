@@ -100,7 +100,6 @@ pub struct QueueStats {
 ///
 /// Events are popped in nondecreasing time order; among events with equal
 /// firing times, insertion order is preserved.
-#[derive(Debug)]
 pub struct EventQueue<E> {
     heap: BinaryHeap<ScheduledEvent<E>>,
     next_seq: u64,
@@ -111,6 +110,21 @@ pub struct EventQueue<E> {
     via_heap: u64,
     peak_pending: usize,
     peak_heap: usize,
+}
+
+/// The queue's state, not its heap's layout: the clock, the counters, the
+/// events held outside, and the pending events in firing order.
+impl<E: std::fmt::Debug> std::fmt::Debug for EventQueue<E> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let mut pending: Vec<&ScheduledEvent<E>> = self.iter().collect();
+        pending.sort_unstable_by_key(|e| e.key());
+        f.debug_struct("EventQueue")
+            .field("now", &self.now)
+            .field("stats", &self.stats())
+            .field("held", &self.held)
+            .field("pending", &pending)
+            .finish()
+    }
 }
 
 impl<E> Default for EventQueue<E> {
@@ -259,6 +273,12 @@ impl<E> EventQueue<E> {
     /// Firing time of the earliest pending event in the queue, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
         self.head_key().map(|(at, _)| at)
+    }
+
+    /// Every pending event in the queue (held ones aside), in no
+    /// particular order.
+    pub fn iter(&self) -> impl Iterator<Item = &ScheduledEvent<E>> + '_ {
+        self.heap.iter()
     }
 
     /// Drop every pending event, held ones included (the clock is

@@ -6,10 +6,10 @@
 //! to terminate and admits unbounded work lets one hung circuit stall a
 //! partition forever, and saturation degrades every tenant equally. This
 //! module adds the missing defenses. Each rule is a method of the
-//! crate-internal `AdmissionRt`, testable on its own; the half that acts
-//! inside [`System`]'s event loop (the software
-//! path at dispatch, the watchdog firing) is the `impl System` block at
-//! the end:
+//! crate-internal `Gate` (the policy over a run's `AdmissionState`),
+//! testable on its own; the half that acts inside [`System`]'s event loop
+//! (the software path at dispatch, the watchdog firing) is the
+//! `impl System` block at the end:
 //!
 //! * **Watchdogs** ([`WatchdogConfig`]): every dispatched FPGA operation
 //!   arms a deadline derived from the same a-priori estimate the §3
@@ -170,61 +170,42 @@ impl Default for AdmissionPolicy {
 impl AdmissionPolicy {
     /// Check the policy's numeric ranges.
     pub fn validate(&self) -> Result<(), VfpgaError> {
+        let bad = |reason: String| Err(VfpgaError::BadAdmissionPolicy { reason });
+        let factor = |x: &f64| x.is_finite() && *x >= 1.0;
         if self.max_in_flight == 0 {
-            return Err(VfpgaError::BadAdmissionPolicy {
-                reason: "max_in_flight must be at least 1".into(),
-            });
+            return bad("max_in_flight must be at least 1".into());
         }
-        if let Some(wd) = &self.watchdog {
-            if !wd.slack.is_finite() || wd.slack < 1.0 {
-                return Err(VfpgaError::BadAdmissionPolicy {
-                    reason: format!(
-                        "watchdog slack must be a finite factor >= 1.0, got {}",
-                        wd.slack
-                    ),
-                });
-            }
+        if let Some(slack) = self.watchdog.map(|wd| wd.slack).filter(|s| !factor(s)) {
+            return bad(format!(
+                "watchdog slack must be a finite factor >= 1.0, got {slack}"
+            ));
         }
         if let Some(dg) = &self.degradation {
-            if !dg.watermark.is_finite() || !(0.0..=1.0).contains(&dg.watermark) {
-                return Err(VfpgaError::BadAdmissionPolicy {
-                    reason: format!(
-                        "degradation watermark must be in [0, 1], got {}",
-                        dg.watermark
-                    ),
-                });
-            }
-            for (name, mark) in [
+            let marks = [
+                ("watermark", Some(dg.watermark)),
                 ("degrade_above", dg.degrade_above),
                 ("recover_below", dg.recover_below),
-            ] {
-                if let Some(m) = mark {
-                    if !m.is_finite() || !(0.0..=1.0).contains(&m) {
-                        return Err(VfpgaError::BadAdmissionPolicy {
-                            reason: format!("degradation {name} must be in [0, 1], got {m}"),
-                        });
-                    }
+            ];
+            for (name, mark) in marks {
+                if let Some(m) = mark.filter(|m| !m.is_finite() || !(0.0..=1.0).contains(m)) {
+                    return bad(format!("degradation {name} must be in [0, 1], got {m}"));
                 }
             }
-            if dg.low_mark() > dg.high_mark() {
-                return Err(VfpgaError::BadAdmissionPolicy {
-                    reason: format!(
-                        "degradation recover_below must not exceed degrade_above, got {} > {}",
-                        dg.low_mark(),
-                        dg.high_mark()
-                    ),
-                });
+            let (low, high) = (dg.low_mark(), dg.high_mark());
+            if low > high {
+                return bad(format!(
+                    "degradation recover_below must not exceed degrade_above, got {low} > {high}"
+                ));
             }
         }
-        if let Some(sc) = &self.schedulability {
-            if !sc.margin.is_finite() || sc.margin < 1.0 {
-                return Err(VfpgaError::BadAdmissionPolicy {
-                    reason: format!(
-                        "schedulability margin must be a finite factor >= 1.0, got {}",
-                        sc.margin
-                    ),
-                });
-            }
+        if let Some(margin) = self
+            .schedulability
+            .map(|sc| sc.margin)
+            .filter(|m| !factor(m))
+        {
+            return bad(format!(
+                "schedulability margin must be a finite factor >= 1.0, got {margin}"
+            ));
         }
         Ok(())
     }
@@ -277,10 +258,9 @@ crate::counters::counter_table! {
 }
 
 fsim::record! {
-    /// The mutable half of the admission runtime: everything a checkpoint
-    /// image must carry (the policy is configuration and is rebuilt with the
-    /// system).
-    #[derive(Debug, Clone, PartialEq)]
+    /// Admission control's state, which a run keeps beside the build's
+    /// policy: everything a checkpoint image must carry.
+    #[derive(Debug, Clone, Default, PartialEq)]
     pub(crate) struct AdmissionState {
         /// Admitted, non-terminal task count per tenant.
         pub in_flight: BTreeMap<u32, u32>,
@@ -305,16 +285,72 @@ fsim::record! {
 
 impl AdmissionState {
     /// Nothing admitted, deferred or tripped yet, over `tasks` tasks.
-    fn fresh(tasks: usize) -> Self {
+    pub(crate) fn fresh(tasks: usize) -> Self {
         AdmissionState {
-            in_flight: BTreeMap::new(),
-            deferred: BTreeMap::new(),
             wd_seq: vec![0; tasks],
             wd_trips: vec![0; tasks],
             degraded: vec![false; tasks],
-            degrade_mode: false,
-            stats: AdmissionStats::default(),
+            ..Default::default()
         }
+    }
+
+    /// Whether this state, read from an image, fits a system of `tasks`
+    /// tasks.
+    pub(crate) fn fits(&self, tasks: usize) -> Result<(), String> {
+        let lens = [self.wd_seq.len(), self.wd_trips.len(), self.degraded.len()];
+        if lens.iter().any(|&len| len != tasks) {
+            return Err(format!("admission state is not sized for {tasks} tasks"));
+        }
+        let mut deferred = self.deferred.values().flatten();
+        match deferred.find(|&&t| t as usize >= tasks) {
+            Some(t) => Err(format!("task id {t} out of range ({tasks} tasks)")),
+            None => Ok(()),
+        }
+    }
+
+    /// A migration split this shard: only the tenants `stay` selects keep
+    /// their slots and deferred backlog here (the backlog of the others
+    /// travels inside the checkpoint image the other side restores).
+    pub(crate) fn retain_tenants(&mut self, stay: impl Fn(u32) -> bool) {
+        self.in_flight.retain(|tenant, _| stay(*tenant));
+        self.deferred.retain(|tenant, _| stay(*tenant));
+    }
+
+    /// Whether task `ti`'s *current* op is running on the software path.
+    #[inline]
+    pub(crate) fn is_degraded(&self, ti: usize) -> bool {
+        self.degraded[ti]
+    }
+
+    /// A segment of task `ti`'s FPGA op ran for `dur`: when the op is on
+    /// the software path, account the emulation time and say so.
+    #[inline]
+    pub(crate) fn degraded_run(&mut self, ti: usize, dur: SimDuration) -> bool {
+        if self.degraded[ti] {
+            self.stats.degraded_time += dur;
+        }
+        self.degraded[ti]
+    }
+
+    /// Task `ti`'s op completed. The degradation decision is per op; the
+    /// next op competes for fabric again.
+    #[inline]
+    pub(crate) fn op_completed(&mut self, ti: usize) {
+        self.degraded[ti] = false;
+    }
+
+    /// Task `ti`'s hardware segment ended on time: the generation bump
+    /// turns the watchdog event still pending for it into a no-op.
+    #[inline]
+    pub(crate) fn segment_ended(&mut self, ti: usize) {
+        self.wd_seq[ti] += 1;
+    }
+
+    /// What a fired watchdog cost: the op progress it discarded and the
+    /// manager overhead of reclaiming the device.
+    pub(crate) fn watchdog_cost(&mut self, lost: SimDuration, preempt: SimDuration) {
+        self.stats.watchdog_lost_time += lost;
+        self.stats.watchdog_preempt_time += preempt;
     }
 }
 
@@ -330,62 +366,27 @@ pub(crate) enum Arrival {
     Refuse(Exit),
 }
 
-/// Runtime admission state carried by the system (crate-internal): the
-/// policy in force plus the mutable half. Every quota, watchdog and
+/// The admission rules at work (crate-internal): the policy a system was
+/// built with over the state its run keeps. Every quota, watchdog and
 /// hysteresis rule is a method here, so the rules can be exercised
 /// without a [`System`].
-#[derive(Debug)]
-pub(crate) struct AdmissionRt {
-    policy: AdmissionPolicy,
-    st: AdmissionState,
+pub(crate) struct Gate<'a> {
+    policy: &'a AdmissionPolicy,
+    st: &'a mut AdmissionState,
 }
 
-impl AdmissionRt {
-    pub(crate) fn new(policy: AdmissionPolicy, tasks: usize) -> Self {
-        AdmissionRt {
-            policy,
-            st: AdmissionState::fresh(tasks),
-        }
-    }
-
-    /// Back to the state [`new`](Self::new) builds, for as many tasks.
-    pub(crate) fn restart(&mut self) {
-        self.st = AdmissionState::fresh(self.st.wd_seq.len());
-    }
-
-    /// Outcome counters so far.
-    pub(crate) fn stats(&self) -> AdmissionStats {
-        self.st.stats
-    }
-
-    /// The mutable half, as a checkpoint image carries it.
-    pub(crate) fn state(&self) -> &AdmissionState {
-        &self.st
-    }
-
-    /// Load the mutable half from the image of a system of `tasks` tasks.
-    pub(crate) fn restore(&mut self, st: &AdmissionState, tasks: usize) -> Result<(), String> {
-        if st.wd_seq.len() != tasks || st.wd_trips.len() != tasks || st.degraded.len() != tasks {
-            return Err(format!("admission state is not sized for {tasks} tasks"));
-        }
-        if let Some(t) = st
-            .deferred
-            .values()
-            .flatten()
-            .find(|&&t| t as usize >= tasks)
-        {
-            return Err(format!("task id {t} out of range ({tasks} tasks)"));
-        }
-        self.st = st.clone();
-        Ok(())
-    }
-
-    /// A migration split this shard: only the tenants `stay` selects keep
-    /// their slots and deferred backlog here (the backlog of the others
-    /// travels inside the checkpoint image the other side restores).
-    pub(crate) fn retain_tenants(&mut self, stay: impl Fn(u32) -> bool) {
-        self.st.in_flight.retain(|tenant, _| stay(*tenant));
-        self.st.deferred.retain(|tenant, _| stay(*tenant));
+impl<'a> Gate<'a> {
+    /// The gate of a system whose build has `policy` and whose run keeps
+    /// `st`: `None` without admission control.
+    #[inline]
+    pub(crate) fn of(
+        policy: &'a Option<AdmissionPolicy>,
+        st: &'a mut Option<AdmissionState>,
+    ) -> Option<Self> {
+        Some(Gate {
+            policy: policy.as_ref()?,
+            st: st.as_mut()?,
+        })
     }
 
     /// Task `tid` (described by `spec`) arrives at `now`. The
@@ -485,12 +486,6 @@ impl AdmissionRt {
         Some((next, u))
     }
 
-    /// Whether task `ti`'s *current* op is running on the software path.
-    #[inline]
-    pub(crate) fn is_degraded(&self, ti: usize) -> bool {
-        self.st.degraded[ti]
-    }
-
     /// Whether a fresh FPGA op of task `ti` runs on the software path
     /// instead of competing for fabric: degradation configured, the op not
     /// the deliberate `hang` (a broken circuit, not a slow one), a
@@ -519,23 +514,6 @@ impl AdmissionRt {
         Some(sw_ns)
     }
 
-    /// A segment of task `ti`'s FPGA op ran for `dur`: when the op is on
-    /// the software path, account the emulation time and say so.
-    #[inline]
-    pub(crate) fn degraded_run(&mut self, ti: usize, dur: SimDuration) -> bool {
-        if self.st.degraded[ti] {
-            self.st.stats.degraded_time += dur;
-        }
-        self.st.degraded[ti]
-    }
-
-    /// Task `ti`'s op completed. The degradation decision is per op; the
-    /// next op competes for fabric again.
-    #[inline]
-    pub(crate) fn op_completed(&mut self, ti: usize) {
-        self.st.degraded[ti] = false;
-    }
-
     /// A hardware segment of task `ti` is dispatched: `overhead`, then
     /// `dur` of execution, then `slack` of completion detection. Starts a
     /// fresh watchdog generation and returns it with its deadline — `dur`
@@ -557,13 +535,6 @@ impl AdmissionRt {
         Some((self.st.wd_seq[ti], deadline))
     }
 
-    /// Task `ti`'s hardware segment ended on time: the generation bump
-    /// turns the watchdog event still pending for it into a no-op.
-    #[inline]
-    pub(crate) fn segment_ended(&mut self, ti: usize) {
-        self.st.wd_seq[ti] += 1;
-    }
-
     /// A watchdog event of generation `seq` came due for task `ti`.
     /// `None` when it is stale (the segment it was armed for has ended).
     /// Otherwise the generation is consumed — nothing else may fire on
@@ -578,13 +549,6 @@ impl AdmissionRt {
         self.st.stats.watchdog_fired += 1;
         let max_trips = self.policy.watchdog.map_or(0, |w| w.max_trips);
         Some((self.st.wd_trips[ti], self.st.wd_trips[ti] > max_trips))
-    }
-
-    /// What a fired watchdog cost: the op progress it discarded and the
-    /// manager overhead of reclaiming the device.
-    pub(crate) fn watchdog_cost(&mut self, lost: SimDuration, preempt: SimDuration) {
-        self.st.stats.watchdog_lost_time += lost;
-        self.st.stats.watchdog_preempt_time += preempt;
     }
 }
 
@@ -622,9 +586,9 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
     /// Called at dispatch, before any degradation decision, where the old
     /// per-dispatch watermark comparison ran.
     fn update_degrade_mode(&mut self, now: SimTime) {
-        let manager = &self.dev.manager;
-        let adm = self.admission.as_mut();
-        let flipped = adm.and_then(|adm| adm.update_degrade_mode(|| manager.usage()));
+        let manager = &self.manager;
+        let adm = Gate::of(&self.build.admission, &mut self.run.admission);
+        let flipped = adm.and_then(|mut adm| adm.update_degrade_mode(|| manager.usage()));
         if let Some((entered, u)) = flipped {
             let (used, total) = (u.used_clbs, u.total_clbs);
             self.emit(now, |_| match entered {
@@ -637,7 +601,7 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
     /// Whether the FPGA op task `tid` is about to dispatch runs on the
     /// software-emulation path. A mid-op re-dispatch of a degraded op
     /// stays on the CPU (the pricing decision is sticky per op); a fresh
-    /// op degrades when [`AdmissionRt::degrade`] says so, and is then
+    /// op degrades when [`Gate::degrade`] says so, and is then
     /// priced from the coprocessor model.
     #[inline]
     pub(crate) fn software_path(
@@ -649,23 +613,23 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
     ) -> bool {
         self.update_degrade_mode(now);
         let ti = tid.0 as usize;
-        let manager = &self.dev.manager;
-        let Some(adm) = self.admission.as_mut() else {
+        let manager = &self.manager;
+        let Some(mut adm) = Gate::of(&self.build.admission, &mut self.run.admission) else {
             return false;
         };
-        if adm.is_degraded(ti) {
+        if adm.st.is_degraded(ti) {
             return true;
         }
-        if self.slots[ti].op_done_so_far != SimDuration::ZERO {
+        if self.run.slots[ti].op_done_so_far != SimDuration::ZERO {
             return false;
         }
-        let hang = self.specs[ti].hang_op == Some(self.slots[ti].op_idx as usize);
+        let hang = self.build.specs[ti].hang_op == Some(self.run.slots[ti].op_idx as usize);
         let resident = || manager.resident_regions().iter().any(|r| r.cid == circuit);
         let Some(sw_ns) = adm.degrade(ti, circuit, hang, resident) else {
             return false;
         };
         let d = SimDuration::from_nanos(cycles.saturating_mul(sw_ns));
-        let slot = &mut self.slots[ti];
+        let slot = &mut self.run.slots[ti];
         slot.op_full = d;
         slot.op_remaining = d;
         slot.op_done_so_far = SimDuration::ZERO;
@@ -686,12 +650,13 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
     /// expired-but-harmless watchdog cannot perturb recorded timelines.
     pub(crate) fn on_watchdog(&mut self, tid: TaskId, seq: u64, now: SimTime) -> bool {
         let ti = tid.0 as usize;
-        let adm = self.admission.as_mut();
-        let Some((trip, exhausted)) = adm.and_then(|adm| adm.watchdog_fired(ti, seq)) else {
+        let adm = Gate::of(&self.build.admission, &mut self.run.admission);
+        let Some((trip, exhausted)) = adm.and_then(|mut adm| adm.watchdog_fired(ti, seq)) else {
             return false;
         };
         // A live watchdog generation implies the task is mid-segment.
-        let run = self.running.take().expect("watchdog fired on an idle CPU");
+        let run = self.run.running.take();
+        let run = run.expect("watchdog fired on an idle CPU");
         debug_assert_eq!(run.tid, tid);
         let f = run.fpga.expect("watchdog armed on a non-FPGA segment");
 
@@ -700,7 +665,7 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
         // op is discarded — prior completed slices included — exactly like
         // a rollback. The CPU was genuinely held for the whole overrun
         // (co-processor model), so the elapsed wall time is charged lost.
-        let slot = &mut self.slots[ti];
+        let slot = &mut self.run.slots[ti];
         let lost = slot.op_done_so_far + (now - run.exec_start);
         slot.fpga_time -= slot.op_done_so_far;
         slot.lost_time += lost;
@@ -712,14 +677,14 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
         // where the policy supports one, otherwise a forced completion
         // that releases the slot (the fault-restart path's move).
         let post = if self.can_preempt() {
-            self.dev.manager.preempt(tid, f.cid).overhead
+            self.manager.preempt(tid, f.cid).overhead
         } else {
-            let (ovh, wake) = self.dev.manager.op_done(tid, f.cid);
+            let (ovh, wake) = self.manager.op_done(tid, f.cid);
             self.wake(wake, now);
             ovh
         };
-        self.slots[ti].overhead_time += post;
-        if let Some(adm) = self.admission.as_mut() {
+        self.run.slots[ti].overhead_time += post;
+        if let Some(adm) = self.run.admission.as_mut() {
             adm.watchdog_cost(lost, post);
         }
         self.emit(now, |_| TraceEvent::WatchdogFired {
@@ -874,19 +839,44 @@ mod tests {
         p.validate().expect("slack of exactly 1.0 is legal");
     }
 
-    fn tight(max_in_flight: u32, queue_cap: u32) -> AdmissionRt {
+    /// A policy and the state it rules over, as a system's build and run
+    /// hold them.
+    struct Rt {
+        policy: Option<AdmissionPolicy>,
+        st: Option<AdmissionState>,
+    }
+
+    impl Rt {
+        fn new(policy: AdmissionPolicy, tasks: usize) -> Self {
+            Rt {
+                policy: Some(policy),
+                st: Some(AdmissionState::fresh(tasks)),
+            }
+        }
+
+        fn gate(&mut self) -> Gate<'_> {
+            Gate::of(&self.policy, &mut self.st).unwrap()
+        }
+
+        fn st(&mut self) -> &mut AdmissionState {
+            self.st.as_mut().unwrap()
+        }
+    }
+
+    fn tight(max_in_flight: u32, queue_cap: u32) -> Rt {
         let policy = AdmissionPolicy {
             max_in_flight,
             queue_cap,
             ..Default::default()
         };
-        AdmissionRt::new(policy, 8)
+        Rt::new(policy, 8)
     }
 
     /// Task `tid` of `tenant` arrives; no deadline, so nothing is estimated.
-    fn arrive(rt: &mut AdmissionRt, tid: u32, tenant: u32) -> Arrival {
+    fn arrive(rt: &mut Rt, tid: u32, tenant: u32) -> Arrival {
         let spec = TaskSpec::new("t", SimTime::ZERO, vec![]).with_tenant(tenant);
-        rt.on_arrival(tid, &spec, SimTime::ZERO, |_| unreachable!("no deadline"))
+        rt.gate()
+            .on_arrival(tid, &spec, SimTime::ZERO, |_| unreachable!("no deadline"))
     }
 
     #[test]
@@ -901,14 +891,14 @@ mod tests {
         // Quotas are per tenant: another tenant still has its slot.
         assert_eq!(arrive(&mut rt, 4, 8), Arrival::Admit);
         // Each exit hands the slot to the longest-deferred task.
-        assert_eq!(rt.on_exit(7, false, false), Some(1));
-        assert_eq!(rt.on_exit(7, true, false), Some(2));
-        assert_eq!(rt.on_exit(7, false, true), None);
-        assert_eq!(rt.on_exit(8, false, false), None);
-        let st = rt.stats();
+        assert_eq!(rt.gate().on_exit(7, false, false), Some(1));
+        assert_eq!(rt.gate().on_exit(7, true, false), Some(2));
+        assert_eq!(rt.gate().on_exit(7, false, true), None);
+        assert_eq!(rt.gate().on_exit(8, false, false), None);
+        let st = rt.st().stats;
         assert_eq!((st.admitted, st.deferred, st.rejected), (4, 2, 1));
         assert_eq!((st.quarantined, st.deadline_missed), (1, 1));
-        assert!(rt.state().in_flight.values().all(|&n| n == 0));
+        assert!(rt.st().in_flight.values().all(|&n| n == 0));
     }
 
     #[test]
@@ -918,18 +908,18 @@ mod tests {
             schedulability: Some(SchedulabilityConfig { margin: 1.5 }),
             ..Default::default()
         };
-        let mut rt = AdmissionRt::new(policy, 8);
+        let mut rt = Rt::new(policy, 8);
         let due = |ms| {
             TaskSpec::new("t", SimTime::ZERO, vec![]).with_deadline(SimDuration::from_millis(ms))
         };
         let one_ms = |_| SimDuration::from_millis(1);
         // 1.5 × 1 ms fits 2 ms; the second task waits behind nobody yet.
         assert_eq!(
-            rt.on_arrival(0, &due(2), SimTime::ZERO, one_ms),
+            rt.gate().on_arrival(0, &due(2), SimTime::ZERO, one_ms),
             Arrival::Admit
         );
         assert_eq!(
-            rt.on_arrival(1, &due(2), SimTime::ZERO, one_ms),
+            rt.gate().on_arrival(1, &due(2), SimTime::ZERO, one_ms),
             Arrival::Defer
         );
         // The third would wait behind the deferred one: 1.5 × 2 ms > 2 ms.
@@ -938,10 +928,10 @@ mod tests {
             deadline: SimDuration::from_millis(2),
         };
         assert_eq!(
-            rt.on_arrival(2, &due(2), SimTime::ZERO, one_ms),
+            rt.gate().on_arrival(2, &due(2), SimTime::ZERO, one_ms),
             Arrival::Refuse(late)
         );
-        let st = rt.stats();
+        let st = rt.st().stats;
         assert_eq!((st.unschedulable, st.rejected, st.deferred), (1, 0, 1));
     }
 
@@ -954,25 +944,37 @@ mod tests {
             }),
             ..Default::default()
         };
-        let mut rt = AdmissionRt::new(policy, 1);
+        let mut rt = Rt::new(policy, 1);
         let us = SimDuration::from_micros;
-        let arm = |rt: &mut AdmissionRt| rt.arm_watchdog(0, us(5), us(100), us(7));
+        let arm = |rt: &mut Rt| rt.gate().arm_watchdog(0, us(5), us(100), us(7));
         let (seq, deadline) = arm(&mut rt).unwrap();
         assert_eq!(deadline, us(5 + 100 + 7), "slack 1.0: the timer's instant");
-        rt.segment_ended(0);
-        assert_eq!(rt.watchdog_fired(0, seq), None, "the segment ended on time");
+        rt.st().segment_ended(0);
+        assert_eq!(
+            rt.gate().watchdog_fired(0, seq),
+            None,
+            "the segment ended on time"
+        );
         let (seq, _) = arm(&mut rt).unwrap();
-        assert_eq!(rt.watchdog_fired(0, seq), Some((1, false)));
-        assert_eq!(rt.watchdog_fired(0, seq), None, "consumed by its firing");
+        assert_eq!(rt.gate().watchdog_fired(0, seq), Some((1, false)));
+        assert_eq!(
+            rt.gate().watchdog_fired(0, seq),
+            None,
+            "consumed by its firing"
+        );
         let (seq, _) = arm(&mut rt).unwrap();
-        assert_eq!(rt.watchdog_fired(0, seq), Some((2, true)), "past max_trips");
-        let st = rt.stats();
+        assert_eq!(
+            rt.gate().watchdog_fired(0, seq),
+            Some((2, true)),
+            "past max_trips"
+        );
+        let st = rt.st().stats;
         assert_eq!((st.watchdog_armed, st.watchdog_fired), (3, 2));
         let off = AdmissionPolicy {
             watchdog: None,
             ..Default::default()
         };
-        assert_eq!(arm(&mut AdmissionRt::new(off, 1)), None);
+        assert_eq!(arm(&mut Rt::new(off, 1)), None);
     }
 
     #[test]
@@ -982,7 +984,7 @@ mod tests {
                 degradation: Some(dg),
                 ..Default::default()
             };
-            AdmissionRt::new(policy, 1)
+            Rt::new(policy, 1)
         };
         let at = |used_clbs| DeviceUsage {
             used_clbs,
@@ -990,7 +992,7 @@ mod tests {
             free_fragments: 1,
         };
         let sw = || BTreeMap::from([(0, 3)]);
-        let mode = |rt: &AdmissionRt| rt.state().degrade_mode;
+        let mode = |rt: &Rt| rt.st.as_ref().unwrap().degrade_mode;
         // Legacy single watermark: the bit is the plain comparison, and no
         // transition is ever reported or counted.
         let mut legacy = rt(DegradationConfig {
@@ -999,10 +1001,10 @@ mod tests {
             ..Default::default()
         });
         for (used, degraded) in [(49, false), (50, true), (49, false), (80, true)] {
-            assert_eq!(legacy.update_degrade_mode(|| at(used)), None);
+            assert_eq!(legacy.gate().update_degrade_mode(|| at(used)), None);
             assert_eq!(mode(&legacy), degraded, "{used} CLBs");
         }
-        assert_eq!(legacy.stats(), AdmissionStats::default());
+        assert_eq!(legacy.st().stats, AdmissionStats::default());
         // An explicit coincident pair decides the same, but reports.
         let mut pair = rt(DegradationConfig {
             degrade_above: Some(0.5),
@@ -1010,8 +1012,14 @@ mod tests {
             sw_ns_per_cycle: sw(),
             ..Default::default()
         });
-        assert_eq!(pair.update_degrade_mode(|| at(50)), Some((true, at(50))));
-        assert_eq!(pair.update_degrade_mode(|| at(49)), Some((false, at(49))));
+        assert_eq!(
+            pair.gate().update_degrade_mode(|| at(50)),
+            Some((true, at(50)))
+        );
+        assert_eq!(
+            pair.gate().update_degrade_mode(|| at(49)),
+            Some((false, at(49)))
+        );
         // A wide pair holds the mode between the marks.
         let mut wide = rt(DegradationConfig {
             degrade_above: Some(0.8),
@@ -1019,37 +1027,48 @@ mod tests {
             sw_ns_per_cycle: sw(),
             ..Default::default()
         });
-        assert_eq!(wide.update_degrade_mode(|| at(79)), None);
-        assert_eq!(wide.update_degrade_mode(|| at(80)), Some((true, at(80))));
-        assert_eq!(wide.update_degrade_mode(|| at(30)), None, "still above low");
+        assert_eq!(wide.gate().update_degrade_mode(|| at(79)), None);
+        assert_eq!(
+            wide.gate().update_degrade_mode(|| at(80)),
+            Some((true, at(80)))
+        );
+        assert_eq!(
+            wide.gate().update_degrade_mode(|| at(30)),
+            None,
+            "still above low"
+        );
         assert!(mode(&wide));
         // Degraded mode sends a fresh, priced, non-resident, non-hanging
         // op to software — and asks about residency last.
         let c = CircuitId(0);
         assert_eq!(
-            wide.degrade(0, c, true, || unreachable!()),
+            wide.gate().degrade(0, c, true, || unreachable!()),
             None,
             "the hang"
         );
         assert_eq!(
-            wide.degrade(0, CircuitId(1), false, || unreachable!()),
+            wide.gate()
+                .degrade(0, CircuitId(1), false, || unreachable!()),
             None
         );
-        assert_eq!(wide.degrade(0, c, false, || true), None, "resident");
-        assert!(!wide.is_degraded(0));
-        assert_eq!(wide.degrade(0, c, false, || false), Some(3));
-        assert!(wide.degraded_run(0, SimDuration::from_micros(5)));
-        wide.op_completed(0);
-        assert!(!wide.degraded_run(0, SimDuration::from_micros(5)));
-        assert_eq!(wide.update_degrade_mode(|| at(29)), Some((false, at(29))));
-        let st = wide.stats();
+        assert_eq!(wide.gate().degrade(0, c, false, || true), None, "resident");
+        assert!(!wide.st().is_degraded(0));
+        assert_eq!(wide.gate().degrade(0, c, false, || false), Some(3));
+        assert!(wide.st().degraded_run(0, SimDuration::from_micros(5)));
+        wide.st().op_completed(0);
+        assert!(!wide.st().degraded_run(0, SimDuration::from_micros(5)));
+        assert_eq!(
+            wide.gate().update_degrade_mode(|| at(29)),
+            Some((false, at(29)))
+        );
+        let st = wide.st().stats;
         assert_eq!((st.degrade_enters, st.degrade_exits), (1, 1));
         assert_eq!(st.degraded_time, SimDuration::from_micros(5));
     }
 
     #[test]
     fn runtime_state_sized_to_task_count() {
-        let rt = AdmissionRt::new(AdmissionPolicy::default(), 5).st;
+        let rt = AdmissionState::fresh(5);
         assert_eq!(rt.wd_seq.len(), 5);
         assert_eq!(rt.wd_trips.len(), 5);
         assert_eq!(rt.degraded.len(), 5);

@@ -45,9 +45,10 @@ use crate::error::VfpgaError;
 use crate::image::{Capture, Running, Schema, SystemImage, TaskColumns};
 use crate::manager::{FpgaManager, ManagerStats, ResidentRegion};
 use crate::metrics::Report;
+use crate::run::{agrees_with_table, Boot};
 use crate::sched::Scheduler;
-use crate::system::{Boot, Ev, FailoverReceipt, System};
-use crate::task::{TaskId, TaskSlot, TaskState};
+use crate::system::{Ev, FailoverReceipt, System};
+use crate::task::TaskSlot;
 use fsim::json::Json;
 use fsim::{span, CrashPlan, SimDuration, SimTime, Trace, TraceEvent};
 use std::ops::Range;
@@ -289,46 +290,13 @@ fn corrupt(reason: String) -> VfpgaError {
     VfpgaError::CheckpointCorrupt { reason }
 }
 
-/// Whether the pending events of `img` agree with its task table (whose
-/// ids they are known to stay inside). No event names a task that has not
-/// arrived: its arrival is its `Future` slot, never a queued event. The
-/// running task is `Running`, and at most one event ends its segment — a
-/// timer, or a failed download's retry-done — none for a hanging one; no
-/// such event names another task. A run restored from anything else
-/// panics or spins. This is also what keeps the capture window exact after
-/// a restore: a task that has not arrived changes only through its arrival.
-fn agrees_with_table(img: &SystemImage) -> Result<(), String> {
-    let state = |t: TaskId| img.tasks[t.0 as usize].state;
-    let running = img.running.map(|run| run.tid);
-    if let Some(t) = running.filter(|&t| state(t) != TaskState::Running) {
-        return Err(format!("running task {} is {:?}", t.0, state(t)));
-    }
-    let mut segment_ends = 0;
-    for &(_, ev) in &img.pending {
-        let Some(t) = ev.task() else { continue };
-        if state(t) == TaskState::Future {
-            return Err(format!(
-                "an event names task {}, which has not arrived",
-                t.0
-            ));
-        }
-        if matches!(ev, Ev::Timer(_) | Ev::RetryDone(_)) {
-            segment_ends += 1;
-            if running != Some(t) || segment_ends > 1 {
-                return Err(format!("a segment end names task {}, not running", t.0));
-            }
-        }
-    }
-    Ok(())
-}
-
 /// The task slots that may differ from the last capture's copy of the
 /// table, `lo..hi`: every slot live at that capture, and every slot that
 /// arrived or exited since. A slot that is not live changes only by
 /// entering or leaving the live set, so widening the window there
 /// (`System::on_arrive`, `System::exit`) is all that keeps it exact.
 /// Empty is `lo > hi`, so the first slot it widens over is all it holds.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct SlotWindow {
     lo: usize,
     hi: usize,
@@ -423,50 +391,31 @@ pub fn diff_reports(baseline: &Report, restored: &Report) -> Vec<Divergence> {
         });
         return out;
     }
+    let ns = |d: SimDuration| d.as_nanos().to_string();
+    let bit = |b: bool| b.to_string();
     for (i, (b, r)) in baseline.tasks.iter().zip(&restored.tasks).enumerate() {
-        let mut push = |field: &'static str, bv: String, rv: String| {
-            if bv != rv {
-                out.push(Divergence {
-                    task: i,
-                    field,
-                    baseline: bv,
-                    restored: rv,
-                });
-            }
-        };
-        push("name", b.name.clone(), r.name.clone());
-        push("failed", b.failed.to_string(), r.failed.to_string());
-        push(
-            "quarantined",
-            b.quarantined.to_string(),
-            r.quarantined.to_string(),
-        );
-        push("rejected", b.rejected.to_string(), r.rejected.to_string());
-        push(
-            "degraded_time",
-            b.degraded_time.as_nanos().to_string(),
-            r.degraded_time.as_nanos().to_string(),
-        );
-        push(
-            "cpu_time",
-            b.cpu_time.as_nanos().to_string(),
-            r.cpu_time.as_nanos().to_string(),
-        );
-        push(
-            "fpga_time",
-            b.fpga_time.as_nanos().to_string(),
-            r.fpga_time.as_nanos().to_string(),
-        );
-        push(
-            "corrupted",
-            b.corrupted.to_string(),
-            r.corrupted.to_string(),
-        );
-        push(
-            "lost_in_flight",
-            b.lost_in_flight.to_string(),
-            r.lost_in_flight.to_string(),
-        );
+        let fields = [
+            ("name", b.name.clone(), r.name.clone()),
+            ("failed", bit(b.failed), bit(r.failed)),
+            ("quarantined", bit(b.quarantined), bit(r.quarantined)),
+            ("rejected", bit(b.rejected), bit(r.rejected)),
+            ("degraded_time", ns(b.degraded_time), ns(r.degraded_time)),
+            ("cpu_time", ns(b.cpu_time), ns(r.cpu_time)),
+            ("fpga_time", ns(b.fpga_time), ns(r.fpga_time)),
+            ("corrupted", bit(b.corrupted), bit(r.corrupted)),
+            (
+                "lost_in_flight",
+                bit(b.lost_in_flight),
+                bit(r.lost_in_flight),
+            ),
+        ];
+        let diverged = fields.into_iter().filter(|(_, b, r)| b != r);
+        out.extend(diverged.map(|(field, baseline, restored)| Divergence {
+            task: i,
+            field,
+            baseline,
+            restored,
+        }));
     }
     out
 }
@@ -532,14 +481,15 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
     /// typed image and charge the readback cost of the resident frames as
     /// background port traffic (like scrubbing — never billed to a task).
     pub(crate) fn on_checkpoint(&mut self, now: SimTime) {
-        let Some(cfg) = self.ckpt else { return };
-        if self.unfinished == 0 {
+        let Some(cfg) = self.build.ckpt else { return };
+        if self.run.unfinished == 0 {
             return; // nothing left to protect; stop the cadence
         }
         // Schedule the next capture FIRST so it is part of the pending
         // events this image records — a restored run keeps the cadence.
-        self.queue.schedule_at(now + cfg.interval, Ev::Checkpoint);
-        let regions = self.dev.manager.resident_regions();
+        let next = now + cfg.interval;
+        self.run.queue.schedule_at(next, Ev::Checkpoint);
+        let regions = self.manager.resident_regions();
         let frames: u32 = regions.iter().map(|r| r.width).sum();
         // Delta capture: only columns that could have diverged from the
         // previous image need a readback — columns rewritten by downloads
@@ -548,12 +498,12 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
         // rewrites fabric outside the WAL (scrub repair, crash restore,
         // failover) raises `ckpt_dirty_all` and forces a full image, as
         // does the every-`k` chain anchor.
-        let delta = match (cfg.delta_full_every, &self.last_ckpt) {
-            (Some(k), Some(_)) if !self.ckpt_dirty_all && self.ckpt_chain + 1 < k => {
-                let dirty = &self.dev.dirty_cols;
+        let delta = match (cfg.delta_full_every, &self.run.last_ckpt) {
+            (Some(k), Some(_)) if !self.run.ckpt_dirty_all && self.run.ckpt_chain + 1 < k => {
+                let dirty = &self.run.dirty_cols;
                 let mut changed = 0u32;
                 for r in &regions {
-                    if self.lib.get(r.cid).is_sequential() {
+                    if self.build.lib.get(r.cid).is_sequential() {
                         // Flip-flop state is always volatile.
                         changed += r.width;
                     } else {
@@ -566,46 +516,48 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
             }
             _ => None,
         };
-        self.dev.dirty_cols.fill(false);
+        self.run.dirty_cols.fill(false);
         let read = delta.unwrap_or(frames);
-        let cost = self.dev.manager.timing().readback_time(read as usize);
-        self.ckpt_seq += 1;
-        self.crash.checkpoints += 1;
-        self.crash.checkpoint_time += cost;
+        let cost = self.manager.timing().readback_time(read as usize);
+        // Captures are numbered on from the one kept last.
+        let seq = self.run.last_ckpt.as_ref().map_or(0, |c| c.seq) + 1;
+        self.run.crash.checkpoints += 1;
+        self.run.crash.checkpoint_time += cost;
         // The stored image is always the full snapshot — delta capture
         // changes what crosses the readback port (the cost model), never
         // what a restore can rely on. The previous capture is recycled:
         // only its window of the task table is copied again.
-        let recycled = self.last_ckpt.take().map(|c| c.image);
+        let recycled = self.run.last_ckpt.take().map(|c| c.image);
         let image = span::time("capture", || {
             let image = self.capture(now, recycled);
-            self.ckpt_window = self.ckpt_window.live(&self.slots);
+            self.run.ckpt_window = self.run.ckpt_window.live(&self.run.slots);
             image
         });
         match delta {
             Some(changed) => {
-                self.ckpt_chain += 1;
+                self.run.ckpt_chain += 1;
                 self.emit(now, |s| TraceEvent::DeltaCheckpoint {
-                    seq: s.ckpt_seq,
+                    seq,
                     frames: changed,
                     full_frames: frames,
-                    chain: s.ckpt_chain,
+                    chain: s.run.ckpt_chain,
                     duration: cost,
                 });
             }
             None => {
-                self.ckpt_chain = 0;
-                self.ckpt_dirty_all = false;
-                self.emit(now, |s| TraceEvent::CheckpointTaken {
-                    seq: s.ckpt_seq,
+                self.run.ckpt_chain = 0;
+                self.run.ckpt_dirty_all = false;
+                self.emit(now, |_| TraceEvent::CheckpointTaken {
+                    seq,
                     frames,
                     duration: cost,
                 });
             }
         }
+        let wal_len = self.run.wal.len();
         self.keep_capture(Capture {
-            seq: self.ckpt_seq,
-            wal_len: self.dev.wal.len(),
+            seq,
+            wal_len,
             image,
         });
     }
@@ -613,8 +565,8 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
     /// Keep `capture` as the restore point. Every cut from here on carries
     /// one, and it restores what the boot record would: that goes.
     fn keep_capture(&mut self, capture: Capture) {
-        self.last_ckpt = Some(capture);
-        self.boot = Boot::Captured;
+        self.run.last_ckpt = Some(capture);
+        self.build.boot = Boot::Captured;
     }
 
     /// Copy the full mutable state into a typed image. `recycled` is an
@@ -630,22 +582,22 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
             None => Default::default(),
         };
         let had = tasks.len();
-        tasks.extend_from_slice(&self.slots[had..]);
-        let window = self.ckpt_window.range();
+        tasks.extend_from_slice(&self.run.slots[had..]);
+        let window = self.run.ckpt_window.range();
         let window = window.start.min(had)..window.end.min(had);
-        tasks[window.clone()].copy_from_slice(&self.slots[window.clone()]);
+        tasks[window.clone()].copy_from_slice(&self.run.slots[window.clone()]);
         if cfg!(any(test, debug_assertions)) {
             assert!(
-                tasks == self.slots,
+                tasks == self.run.slots,
                 "the capture window missed a task slot that changed"
             );
-            let copied = (self.slots.len() - had + window.len()) as u64;
+            let copied = (self.run.slots.len() - had + window.len()) as u64;
             SLOTS_COPIED.with(|n| n.set(n.get() + copied));
         }
-        latent.clone_from(&self.dev.latent);
-        stale.clone_from(&self.dev.stale);
+        latent.clone_from(&self.run.latent);
+        stale.clone_from(&self.run.stale);
         pending.clear();
-        self.pending_in_order(&mut pending);
+        self.run.pending_in_order(&mut pending);
         // The crash is the one event that must NOT survive: the next
         // segment gets its own crash time.
         pending.retain(|(_, ev)| !matches!(ev, Ev::Crash));
@@ -656,13 +608,13 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
             tasks,
             latent,
             stale,
-            running: self.running,
+            running: self.run.running,
             pending,
-            fault: self.fault,
-            rng: self.dev.injector.as_ref().map(|inj| inj.stream_states()),
-            admission: self.admission.as_ref().map(|a| a.state().clone()),
+            fault: self.run.fault,
+            rng: self.injector.as_ref().map(|inj| inj.stream_states()),
+            admission: self.run.admission.clone(),
             sched: self.sched.snapshot().expect("validated at enable"),
-            manager: self.dev.manager.snapshot().expect("validated at enable"),
+            manager: self.manager.snapshot().expect("validated at enable"),
         }
     }
 
@@ -678,11 +630,12 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
     /// (neither component knows the task count) until `System` gets a
     /// typed view of them (ROADMAP, `Persist`).
     pub(crate) fn restore(&mut self, img: &SystemImage) -> Result<(), String> {
-        let n = self.slots.len();
+        self.begin();
+        let n = self.build.specs.len();
         if img.tasks.len() != n {
             return Err(format!("image has {} tasks, want {n}", img.tasks.len()));
         }
-        for (slot, spec) in img.tasks.iter().zip(&self.specs) {
+        for (slot, spec) in img.tasks.iter().zip(&self.build.specs) {
             // Right count is not yet right set: arrivals never change.
             if slot.arrival != spec.arrival {
                 return Err(format!("task '{}' arrives at another time", spec.name));
@@ -691,38 +644,36 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
                 return Err(format!("live task '{}' is past its last op", spec.name));
             }
         }
-        let running = img.running.iter().map(|run| run.tid);
-        let mut named = running.chain(img.pending.iter().filter_map(|(_, ev)| ev.task()));
-        if let Some(t) = named.find(|t| t.0 as usize >= n) {
-            return Err(format!("task id {} out of range ({n} tasks)", t.0));
-        }
-        agrees_with_table(img)?;
-        match (img.rng, self.dev.injector.as_mut()) {
+        let pending = img.pending.iter().map(|&(_, ev)| ev);
+        agrees_with_table(&img.tasks, img.running.map(|run| run.tid), pending)?;
+        match (img.rng, self.injector.as_mut()) {
             (None, None) => {}
             (Some(states), Some(inj)) => inj.restore_stream_states(states),
             _ => return Err("fault injector presence differs from the image".into()),
         }
-        match (&img.admission, self.admission.as_mut()) {
+        match (&img.admission, self.run.admission.as_mut()) {
             (None, None) => {}
-            (Some(a), Some(adm)) => adm.restore(a, n)?,
+            (Some(a), Some(adm)) => {
+                a.fits(n)?;
+                adm.clone_from(a);
+            }
             _ => return Err("admission presence differs from the image".into()),
         }
         self.sched
             .restore(&img.sched)
             .map_err(|e| format!("scheduler: {e}"))?;
-        self.dev
-            .manager
+        self.manager
             .restore(&img.manager)
             .map_err(|e| format!("manager: {e}"))?;
-        self.slots.clone_from(&img.tasks);
-        self.dev.latent.clone_from(&img.latent);
-        self.dev.stale.clone_from(&img.stale);
-        self.unfinished = self.slots.iter().filter(|s| !s.state.is_terminal()).count();
-        self.running = img.running;
-        self.fault = img.fault;
+        self.run.slots.clone_from(&img.tasks);
+        self.run.latent.clone_from(&img.latent);
+        self.run.stale.clone_from(&img.stale);
+        self.run.unfinished = self.run.live_in_table();
+        self.run.running = img.running;
+        self.run.fault = img.fault;
         // Pending events last: the fresh queue (clock still at zero)
         // re-learns every in-flight timer at its absolute time.
-        self.reload_pending(img.pending.iter().copied());
+        self.run.reload_pending(img.pending.iter().copied());
         Ok(())
     }
 
@@ -730,11 +681,11 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
     /// of every adoption. The capture, if any, is `adopt_capture`'s next.
     fn restart_from(&mut self, cut: &Cut) -> Result<(), VfpgaError> {
         self.restart(cut.capture.is_some()).map_err(corrupt)?;
-        self.crash = cut.stats;
+        self.run.crash = cut.stats;
         // Whatever the adoption leaves on the fabric was not produced by
         // WAL-visible downloads of THIS incarnation: the next checkpoint
         // capture must be a full image.
-        self.ckpt_dirty_all = true;
+        self.run.ckpt_dirty_all = true;
         Ok(())
     }
 
@@ -745,8 +696,7 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
         self.restore(&capture.image).map_err(corrupt)?;
         // The table is the capture's own: the next capture, recycling it,
         // copies only the slots live now and those that arrive or exit.
-        self.ckpt_window = SlotWindow::whole(self.slots.len()).live(&self.slots);
-        self.ckpt_seq = capture.seq;
+        self.run.ckpt_window = SlotWindow::whole(self.run.slots.len()).live(&self.run.slots);
         self.keep_capture(Capture { wal_len, ..capture });
         Ok(())
     }
@@ -763,54 +713,54 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
         before: &ManagerStats,
         now: SimTime,
     ) {
-        let after = self.dev.manager.stats();
+        let after = self.manager.stats();
         if after.downloads > before.downloads {
             let (col0, width) = match self.resident(|r| r.cid == circuit) {
                 Some(r) => (r.col0, r.width),
-                None => (0, self.dev.manager.timing().spec.cols),
+                None => (0, self.manager.timing().spec.cols),
             };
             // Mark the columns it rewrote for the next delta capture.
-            let rewritten = self.dev.dirty_cols.iter_mut().skip(col0 as usize);
+            let rewritten = self.run.dirty_cols.iter_mut().skip(col0 as usize);
             rewritten
                 .take(width as usize)
                 .for_each(|dirty| *dirty = true);
-            self.dev.wal.push(WalRecord {
-                seq: self.dev.wal.len() as u64,
+            self.run.wal.push(WalRecord {
+                seq: self.run.wal.len() as u64,
                 cid: circuit,
                 col0,
                 width,
                 at: now,
                 duration: after.config_time - before.config_time,
             });
-            self.dev.stale.remove(&circuit.0);
-        } else if self.dev.stale.contains(&circuit.0) {
-            self.slots[ti].corrupted = true;
-            self.crash.silent_corruptions += 1;
+            self.run.stale.remove(&circuit.0);
+        } else if self.run.stale.contains(&circuit.0) {
+            self.run.slots[ti].corrupted = true;
+            self.run.crash.silent_corruptions += 1;
         }
     }
 
     /// The host dies at `now`: move out everything that survives on
     /// durable storage (last checkpoint + journal + accounting).
     pub(crate) fn crash_now(&mut self, now: SimTime) -> Cut {
-        self.crash.crashes += 1;
-        let base = self.last_ckpt.as_ref().map(|i| i.wal_len).unwrap_or(0);
-        let at_risk = (self.dev.wal.len() - base) as u32;
+        self.run.crash.crashes += 1;
+        let base = self.run.last_ckpt.as_ref().map(|i| i.wal_len).unwrap_or(0);
+        let at_risk = (self.run.wal.len() - base) as u32;
         // Only post-checkpoint records can tear: anything older has its
         // table effects inside the image already.
-        let torn = self.dev.wal[base..]
+        let torn = self.run.wal[base..]
             .iter()
             .filter(|r| r.in_flight_at(now))
             .count() as u64;
-        self.crash.torn_downloads += torn;
+        self.run.crash.torn_downloads += torn;
         self.emit(now, |_| TraceEvent::Crash {
             downloads_at_risk: at_risk,
             torn: torn > 0,
         });
         let cut = Cut {
             at: now,
-            capture: self.last_ckpt.take(),
-            wal: std::mem::take(&mut self.dev.wal),
-            stats: self.crash,
+            capture: self.run.last_ckpt.take(),
+            wal: std::mem::take(&mut self.run.wal),
+            stats: self.run.crash,
         };
         debug_assert!(
             cut.survives_durable_form(),
@@ -835,12 +785,12 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
     #[doc(hidden)]
     pub fn restore_cut(&mut self, cut: Cut) -> Result<(), VfpgaError> {
         let _s = span::guard("restore");
-        let Some(cfg) = self.ckpt else {
+        let Some(cfg) = self.build.ckpt else {
             return Err(corrupt("restore_from requires with_checkpoints".into()));
         };
         let base = cut.wal_base()?;
         self.restart_from(&cut)?;
-        self.dev.wal = cut.wal;
+        self.run.wal = cut.wal;
         // Cold restart (no image): the restarted system IS the restart
         // state — every task is still to arrive and the first checkpoint
         // is scheduled; only the journal below needs attention.
@@ -849,7 +799,7 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
         }
         let crash_at = cut.at;
         // The post-checkpoint records, walked in place.
-        let (post, manager) = (&self.dev.wal[base..], &mut self.dev.manager);
+        let (post, manager) = (&self.run.wal[base..], &mut self.manager);
         if post.is_empty() {
             return Ok(());
         }
@@ -861,30 +811,24 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
             // device, so every claim overlapping a post-checkpoint write
             // is discarded (conservatively including torn regions — an
             // extra re-download is safe, a stale claim is not).
-            let mut redone = 0u32;
-            let mut undone = 0u32;
-            let mut cost = SimDuration::ZERO;
-            for r in post {
-                if r.in_flight_at(crash_at) {
-                    undone += 1;
-                } else {
-                    redone += 1;
-                }
-                cost += timing.readback_time(r.width as usize);
-            }
+            let undone = post.iter().filter(|r| r.in_flight_at(crash_at)).count() as u32;
+            let redone = post.len() as u32 - undone;
+            let cost = post.iter().fold(SimDuration::ZERO, |cost, r| {
+                cost + timing.readback_time(r.width as usize)
+            });
             for claim in manager.resident_regions() {
                 if post.iter().any(|r| r.overlaps(claim.col0, claim.width))
                     && manager.discard_resident(claim.cid)
                 {
-                    self.crash.stale_discards += 1;
+                    self.run.crash.stale_discards += 1;
                 }
             }
             // Undone records leave the journal (and the device), exactly
             // like fpga::Journal::recover retaining only committed ones.
-            self.dev.wal.retain(|r| !r.in_flight_at(crash_at));
-            self.crash.records_redone += u64::from(redone);
-            self.crash.records_undone += u64::from(undone);
-            self.crash.replay_time += cost;
+            self.run.wal.retain(|r| !r.in_flight_at(crash_at));
+            self.run.crash.records_redone += u64::from(redone);
+            self.run.crash.records_undone += u64::from(undone);
+            self.run.crash.replay_time += cost;
             self.emit(crash_at, |_| TraceEvent::JournalReplay {
                 redone,
                 undone,
@@ -901,7 +845,7 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
                     .find(|r| r.overlaps(claim.col0, claim.width))
                     .is_some_and(|r| r.cid != claim.cid || r.in_flight_at(crash_at));
                 if clobbered {
-                    self.dev.stale.insert(claim.cid.0);
+                    self.run.stale.insert(claim.cid.0);
                 }
             }
             // The most direct victim: an FPGA segment that was mid-flight
@@ -911,11 +855,11 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
             // post-checkpoint downloads left in those columns.
             if let Some(Running {
                 tid, fpga: Some(f), ..
-            }) = self.running
+            }) = self.run.running
             {
-                if self.dev.stale.contains(&f.cid.0) {
-                    self.slots[tid.0 as usize].corrupted = true;
-                    self.crash.silent_corruptions += 1;
+                if self.run.stale.contains(&f.cid.0) {
+                    self.run.slots[tid.0 as usize].corrupted = true;
+                    self.run.crash.silent_corruptions += 1;
                 }
             }
         }
@@ -936,7 +880,7 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
         cut: Cut,
         who: &str,
     ) -> Result<(u32, SimDuration, SimTime, Vec<ResidentRegion>), VfpgaError> {
-        if self.ckpt.is_none() {
+        if self.build.ckpt.is_none() {
             return Err(corrupt(format!("{who} requires with_checkpoints")));
         }
         let base = cut.wal_base()?;
@@ -950,11 +894,11 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
             .iter()
             .filter(|r| r.in_flight_at(cut.at))
             .count() as u32;
-        self.crash.records_undone += u64::from(torn);
-        let mut discarded = self.dev.manager.resident_regions();
-        discarded.retain(|claim| self.dev.manager.discard_resident(claim.cid));
-        self.dev.latent.clear();
-        self.dev.stale.clear();
+        self.run.crash.records_undone += u64::from(torn);
+        let mut discarded = self.manager.resident_regions();
+        discarded.retain(|claim| self.manager.discard_resident(claim.cid));
+        self.run.latent.clear();
+        self.run.stale.clear();
         Ok((torn, cut.at - resume_at, resume_at, discarded))
     }
 
@@ -986,7 +930,7 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
             migrated_claims: discarded.len() as u32,
             torn_undone: torn,
             redo_window,
-            live_tasks: self.unfinished as u32,
+            live_tasks: self.run.unfinished as u32,
         })
     }
 }
@@ -1001,7 +945,7 @@ mod tests {
     use crate::sched::{FifoScheduler, RoundRobinScheduler};
     use crate::system::{CompletionDetect, SystemConfig};
     use crate::system_tests::{lib_mixed, ms, timing};
-    use crate::task::{Op, TaskSpec};
+    use crate::task::{Op, TaskId, TaskSpec};
     use fsim::SimRng;
 
     const SAVE_RESTORE: SystemConfig = SystemConfig {
@@ -1084,12 +1028,13 @@ mod tests {
         let mut sys = durable_shaped(8, 1.0)()
             .with_checkpoints(CheckpointConfig::new(ms(1)))
             .unwrap();
+        sys.begin();
         sys.on_arrive(TaskId(2), SimTime::ZERO);
         // The first capture copies the whole table; slot 2, the one live
         // slot, is the window of the next.
         sys.on_checkpoint(SimTime::ZERO);
         // Below the window, and neither an arrival nor an exit.
-        sys.slots[1].blocked_count += 1;
+        sys.run.slots[1].blocked_count += 1;
         sys.on_checkpoint(SimTime::ZERO);
     }
 
@@ -1125,7 +1070,7 @@ mod tests {
         let rendered = cut.capture.as_ref().unwrap().image.to_json();
         let captured = pending_rows::read(rendered.get("pending").unwrap(), "pending").unwrap();
         sys.restore_cut(cut).unwrap();
-        let popped = std::iter::from_fn(|| sys.next()).collect();
+        let popped = std::iter::from_fn(|| sys.run.next(&sys.build.arrivals)).collect();
         [captured, popped]
     }
 

@@ -32,8 +32,8 @@ use crate::system::{FailoverReceipt, System};
 use crate::task::TaskSpec;
 use fpga::journal::{MigrationPhase, MigrationResolution};
 use fsim::{
-    span, DeviceFaultPlan, HistSet, LogHistogram, Metrics, MigrationCrashWindow, MigrationPlan,
-    SimDuration, SimTime, TimelineSet, Trace, TraceEvent,
+    span, DeviceFaultPlan, HistSet, LogHistogram, MigrationCrashWindow, MigrationPlan, SimDuration,
+    SimTime, Trace, TraceEvent,
 };
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
@@ -1240,15 +1240,8 @@ fn merge_reports(
             .map(|o| o.report.makespan)
             .max()
             .unwrap_or(SimDuration::ZERO),
-        manager_stats: Default::default(),
-        fault: Default::default(),
-        crash: Default::default(),
-        admission: None,
-        delta: None,
-        metrics: Metrics::new(),
-        timelines: TimelineSet::new(),
-        latency: None,
         fleet: Some(stats),
+        ..Default::default()
     };
     for o in outcomes {
         r.manager_stats.add(&o.report.manager_stats);

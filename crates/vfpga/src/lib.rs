@@ -65,6 +65,7 @@ pub mod manager;
 pub mod metrics;
 pub mod migrate;
 pub mod recovery;
+mod run;
 pub mod sched;
 pub mod syscall;
 pub mod system;

@@ -40,7 +40,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use fpga::journal::{MigrationLog, MigrationPhase, MigrationRecord, MigrationResolution};
 use fsim::{span, MigrationCrashWindow, MigrationPlan, SimDuration, SimTime};
 
-use crate::admission::{AdmissionRt, AdmissionStats};
+use crate::admission::AdmissionStats;
 use crate::checkpoint::{CrashState, CrashStats, Cut};
 use crate::counters::Counters;
 use crate::error::VfpgaError;
@@ -125,9 +125,10 @@ impl CounterBaseline {
 impl<M: FpgaManager, S: Scheduler> System<M, S> {
     /// Non-terminal tasks of `tenant` still inside this system.
     pub fn live_tasks_of(&self, tenant: u32) -> u32 {
-        self.slots
+        self.run
+            .slots
             .iter()
-            .zip(&self.specs)
+            .zip(&self.build.specs)
             .filter(|(slot, spec)| spec.tenant == tenant && !slot.state.is_terminal())
             .count() as u32
     }
@@ -146,8 +147,8 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
         resume_at: SimTime,
         pred: impl Fn(&TaskSpec) -> bool,
     ) -> u32 {
-        let moved: Vec<TaskId> = (0..self.slots.len())
-            .filter(|&ti| !self.slots[ti].state.is_terminal() && pred(&self.specs[ti]))
+        let moved: Vec<TaskId> = (0..self.run.slots.len())
+            .filter(|&ti| !self.run.slots[ti].state.is_terminal() && pred(&self.build.specs[ti]))
             .map(|ti| TaskId(ti as u32))
             .collect();
         if moved.is_empty() {
@@ -155,18 +156,18 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
         }
         // Mark all now, release below: a wake must not reach a task this
         // batch is still about to retire.
-        let mut gone = vec![false; self.slots.len()];
+        let mut gone = vec![false; self.run.slots.len()];
         for &tid in &moved {
             self.exit(tid, stamp_at, Exit::Migrated);
             gone[tid.0 as usize] = true;
         }
-        if self.running.is_some_and(|run| gone[run.tid.0 as usize]) {
-            self.running = None;
+        if self.run.running.is_some_and(|run| gone[run.tid.0 as usize]) {
+            self.run.running = None;
         }
         let mut kept: Vec<(SimTime, Ev)> = Vec::new();
-        self.pending_in_order(&mut kept);
+        self.run.pending_in_order(&mut kept);
         kept.retain(|(_, ev)| !ev.task().is_some_and(|t| gone[t.0 as usize]));
-        self.reload_pending(kept);
+        self.run.reload_pending(kept);
         for &tid in &moved {
             self.release_claims(tid, resume_at);
         }
@@ -187,11 +188,11 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
         free: bool,
     ) -> MigrationManifest {
         let moved = self.retire_tasks_where(cut_at, resume_at, |s| s.tenant == tenant);
-        if let Some(adm) = self.admission.as_mut() {
+        if let Some(adm) = self.run.admission.as_mut() {
             adm.retain_tenants(|t| t != tenant);
         }
         let freed = if free { self.free_migrated(tenant) } else { 0 };
-        self.queue.schedule_at(resume_at, Ev::Dispatch);
+        self.run.queue.schedule_at(resume_at, Ev::Dispatch);
         MigrationManifest {
             moved_tasks: moved,
             freed_claims: freed,
@@ -200,7 +201,7 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
 
     /// Ids of the circuits the tasks of the tenants `of` selects use.
     fn circuits_of(&self, of: impl Fn(u32) -> bool) -> BTreeSet<u32> {
-        let specs = self.specs.iter().filter(|spec| of(spec.tenant));
+        let specs = self.build.specs.iter().filter(|spec| of(spec.tenant));
         let ops = specs.flat_map(|spec| &spec.ops);
         ops.filter_map(|op| match *op {
             Op::FpgaRun { circuit, .. } => Some(circuit.0),
@@ -221,8 +222,8 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
             exclusive.remove(&cid);
         }
         let mut freed = 0u32;
-        for claim in self.dev.manager.resident_regions() {
-            if exclusive.contains(&claim.cid.0) && self.dev.manager.discard_resident(claim.cid) {
+        for claim in self.manager.resident_regions() {
+            if exclusive.contains(&claim.cid.0) && self.manager.discard_resident(claim.cid) {
                 freed += 1;
             }
         }
@@ -270,28 +271,27 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
         let migrated = staged.len() as u32;
         // Everyone but the migrating tenant continues on the source.
         self.retire_tasks_where(resume_at, resume_at, |s| s.tenant != tenant);
-        if let Some(adm) = self.admission.as_mut() {
+        if let Some(adm) = self.run.admission.as_mut() {
             adm.retain_tenants(|t| t == tenant);
         }
-        self.queue.schedule_at(resume_at, Ev::Dispatch);
+        self.run.queue.schedule_at(resume_at, Ev::Dispatch);
         // Counters restored from the image are the source's cumulative
         // totals; the fleet subtracts this baseline from the final report
         // so migrated work is counted exactly once. Captured before the
         // staged copy below, so its cost shows in the increment.
         let baseline = CounterBaseline {
-            manager: self.dev.manager.stats(),
-            fault: self.fault,
-            crash: self.crash,
-            admission: self.admission.as_ref().map(AdmissionRt::stats),
-            delta: self.dev.manager.delta_stats(),
+            manager: self.manager.stats(),
+            fault: self.run.fault,
+            crash: self.run.crash,
+            admission: self.run.admission.as_ref().map(|adm| adm.stats),
+            delta: self.manager.delta_stats(),
         };
         let mut ghosts = 0u32;
         if delta {
-            let timing = *self.dev.manager.timing();
+            let timing = *self.manager.timing();
             let mut copy_cost = SimDuration::ZERO;
             for claim in staged {
                 if self
-                    .dev
                     .manager
                     .implant_ghost(claim.col0, claim.width, claim.cid)
                 {
@@ -299,10 +299,10 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
                     copy_cost += redownload_cost(&timing, claim.width as usize);
                 }
             }
-            self.crash.replay_time += copy_cost;
+            self.run.crash.replay_time += copy_cost;
         }
         Ok(MigrateInReceipt {
-            adopted_tasks: self.unfinished as u32,
+            adopted_tasks: self.run.unfinished as u32,
             migrated_claims: migrated,
             ghosts_implanted: ghosts,
             torn_undone: torn,

@@ -181,30 +181,26 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
     /// Fault events stop rescheduling once every task has left, so the
     /// queue can drain.
     fn schedule_fault(&mut self, now: SimTime, delay: Option<SimDuration>, ev: Ev) {
-        if let Some(d) = delay.filter(|_| self.unfinished > 0) {
-            self.queue.schedule_at(now + d, ev);
+        if let Some(d) = delay.filter(|_| self.run.unfinished > 0) {
+            self.run.queue.schedule_at(now + d, ev);
         }
     }
 
     /// Seed the fault timeline before the run starts. A zero-rate plan
     /// schedules nothing, so attaching it cannot perturb a fault-free run.
     pub(crate) fn seed_faults(&mut self) {
-        let Some(inj) = self.dev.injector.as_mut() else {
+        let Some(inj) = self.injector.as_mut() else {
             return;
         };
         let (seu, column) = (inj.next_seu(), inj.next_column_failure());
         self.schedule_fault(SimTime::ZERO, seu, Ev::Seu);
         self.schedule_fault(SimTime::ZERO, column, Ev::ColumnFail(None));
-        self.schedule_fault(SimTime::ZERO, self.recovery.scrub_interval, Ev::Scrub);
+        self.schedule_fault(SimTime::ZERO, self.build.recovery.scrub_interval, Ev::Scrub);
     }
 
     /// A configuration upset strikes a random device column at `now`.
     pub(crate) fn on_seu(&mut self, now: SimTime) {
-        let inj = self
-            .dev
-            .injector
-            .as_mut()
-            .expect("SEU event without injector");
+        let inj = self.injector.as_mut().expect("SEU event without injector");
         let (col, next) = (inj.seu_column(), inj.next_seu());
         self.schedule_fault(now, next, Ev::Seu);
         let hit = self.resident(|r| r.covers(col));
@@ -215,23 +211,23 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
         });
         let Some(r) = hit else {
             // Landed on unmapped fabric: harmless.
-            self.fault.seu_benign += 1;
+            self.run.fault.seu_benign += 1;
             return;
         };
-        self.fault.seu_faults += 1;
+        self.run.fault.seu_faults += 1;
         // Earliest unrepaired strike wins (MTTR measures from it).
-        self.dev.latent.entry(r.cid.0).or_insert(Latent {
+        self.run.latent.entry(r.cid.0).or_insert(Latent {
             struck_at: now,
             detected: false,
         });
         // The struck frames no longer match any image — evicting
         // this circuit must not leave a delta base behind.
-        self.dev.manager.invalidate_image_range(r.col0, r.width);
+        self.manager.invalidate_image_range(r.col0, r.width);
         // The task executing on the struck circuit right now keeps
         // only the progress made before the strike.
-        if let Some(run) = &self.running {
+        if let Some(run) = &self.run.running {
             if run.fpga.is_some_and(|f| f.cid == r.cid) {
-                let slot = &mut self.slots[run.tid.0 as usize];
+                let slot = &mut self.run.slots[run.tid.0 as usize];
                 if slot.poisoned.is_none() {
                     let elapsed = (now - run.exec_start).min(run.dur);
                     slot.poisoned = Some(slot.op_done_so_far + elapsed);
@@ -244,24 +240,23 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
     /// repair what was hit. Charged at real readback cost — background
     /// device-port time, never billed to any task.
     pub(crate) fn on_scrub(&mut self, now: SimTime) {
-        let regions = self.dev.manager.resident_regions();
+        let regions = self.manager.resident_regions();
         let frames: u32 = regions.iter().map(|r| r.width).sum();
-        let cost = self.dev.manager.timing().readback_time(frames as usize);
-        self.fault.scrub_passes += 1;
-        self.fault.scrub_time += cost;
+        let cost = self.manager.timing().readback_time(frames as usize);
+        self.run.fault.scrub_passes += 1;
+        self.run.fault.scrub_time += cost;
         // Upsets on circuits that were discarded or evicted left the
         // device with them.
-        self.dev
-            .latent
-            .retain(|cid, _| regions.iter().any(|r| r.cid.0 == *cid));
+        let latent = &mut self.run.latent;
+        latent.retain(|cid, _| regions.iter().any(|r| r.cid.0 == *cid));
         let mut newly: Vec<u32> = Vec::new();
-        for (cid, l) in self.dev.latent.iter_mut() {
+        for (cid, l) in self.run.latent.iter_mut() {
             if !l.detected {
                 l.detected = true;
                 newly.push(*cid);
             }
         }
-        self.fault.crc_mismatches += newly.len() as u64;
+        self.run.fault.crc_mismatches += newly.len() as u64;
         self.emit(now, |_| TraceEvent::ScrubPass {
             frames,
             found: newly.len() as u32,
@@ -277,29 +272,29 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
         // Every latent upset is detected now. Repair immediately unless a
         // task is mid-segment on the circuit; then the repair waits for
         // that segment's timer.
-        let busy_cid = self.running.as_ref().and_then(|r| r.fpga.map(|f| f.cid.0));
-        let detected: Vec<u32> = self.dev.latent.keys().copied().collect();
+        let busy_cid = self.run.running.and_then(|r| r.fpga).map(|f| f.cid.0);
+        let detected: Vec<u32> = self.run.latent.keys().copied().collect();
         for cid in detected {
             if Some(cid) != busy_cid {
                 self.repair_circuit(CircuitId(cid), now);
             }
         }
-        self.schedule_fault(now, self.recovery.scrub_interval, Ev::Scrub);
+        self.schedule_fault(now, self.build.recovery.scrub_interval, Ev::Scrub);
     }
 
     /// Repair a detected upset on `cid`: re-download its frames (partial
     /// when the port allows) and apply the policy's state choice; garbage
     /// computed since the strike is discarded from every victim task.
     fn repair_circuit(&mut self, cid: CircuitId, now: SimTime) {
-        let Some(l) = self.dev.latent.remove(&cid.0) else {
+        let Some(l) = self.run.latent.remove(&cid.0) else {
             return;
         };
         let Some(region) = self.resident(|r| r.cid == cid) else {
             return; // evicted since detection; corruption left with it
         };
-        let timing = *self.dev.manager.timing();
+        let timing = *self.manager.timing();
         let frames = region.width as usize;
-        let sequential = self.lib.get(cid).is_sequential();
+        let sequential = self.build.lib.get(cid).is_sequential();
         let mut cost = redownload_cost(&timing, frames);
         // The scrub rewrite happens outside the manager's download path:
         // drop any delta base it covers (the whole device when the port
@@ -309,9 +304,9 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
             true => (region.col0, region.width),
             false => (0, timing.spec.cols),
         };
-        self.dev.manager.invalidate_image_range(col0, width);
-        self.ckpt_dirty_all = true;
-        if sequential && self.recovery.upset_recovery == UpsetRecovery::SaveRestore {
+        self.manager.invalidate_image_range(col0, width);
+        self.run.ckpt_dirty_all = true;
+        if sequential && self.build.recovery.upset_recovery == UpsetRecovery::SaveRestore {
             // Read back the flip-flop state (valid bits survive an upset in
             // the *configuration* plane) and write it back after repair —
             // possible because library circuits are observable and
@@ -319,37 +314,38 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
             cost += timing.readback_time(frames);
             cost += timing.readback_time(frames);
         }
-        self.fault.repairs += 1;
-        self.fault.repair_time += cost;
-        self.fault.mttr_total += now - l.struck_at;
+        self.run.fault.repairs += 1;
+        self.run.fault.repair_time += cost;
+        self.run.fault.mttr_total += now - l.struck_at;
         let mut lost_total = SimDuration::ZERO;
-        for ti in 0..self.slots.len() {
+        for ti in 0..self.run.slots.len() {
             let on_this = matches!(
-                self.slots[ti].current_op(&self.specs[ti]),
+                self.run.slots[ti].current_op(&self.build.specs[ti]),
                 Some(Op::FpgaRun { circuit, .. }) if circuit == cid
             );
-            if !on_this || !self.slots[ti].state.is_live() {
+            if !on_this || !self.run.slots[ti].state.is_live() {
                 continue;
             }
-            if let Some(valid) = self.slots[ti].poisoned.take() {
+            if let Some(valid) = self.run.slots[ti].poisoned.take() {
                 // Combinational circuits lose only post-strike items; a
                 // sequential circuit under Rollback restarts from its
                 // initial inputs.
-                let preserved =
-                    if !sequential || self.recovery.upset_recovery == UpsetRecovery::SaveRestore {
-                        valid
-                    } else {
-                        SimDuration::ZERO
-                    };
-                let lost = self.slots[ti].op_done_so_far - preserved;
+                let preserved = if !sequential
+                    || self.build.recovery.upset_recovery == UpsetRecovery::SaveRestore
+                {
+                    valid
+                } else {
+                    SimDuration::ZERO
+                };
+                let lost = self.run.slots[ti].op_done_so_far - preserved;
                 if lost > SimDuration::ZERO {
-                    self.slots[ti].fpga_time -= lost;
-                    self.slots[ti].fault_lost_time += lost;
-                    self.fault.work_lost += lost;
+                    self.run.slots[ti].fpga_time -= lost;
+                    self.run.slots[ti].fault_lost_time += lost;
+                    self.run.fault.work_lost += lost;
                     lost_total += lost;
                 }
-                self.slots[ti].op_done_so_far = preserved;
-                self.slots[ti].op_remaining = self.slots[ti].op_full - preserved;
+                self.run.slots[ti].op_done_so_far = preserved;
+                self.run.slots[ti].op_remaining = self.run.slots[ti].op_full - preserved;
             }
         }
         self.emit(now, |_| TraceEvent::Recovered {
@@ -373,19 +369,19 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
         cid: CircuitId,
         now: SimTime,
     ) -> bool {
-        if !self.dev.latent.get(&cid.0).is_some_and(|l| l.detected) {
+        if !self.run.latent.get(&cid.0).is_some_and(|l| l.detected) {
             return false;
         }
         self.repair_circuit(cid, now);
         let ti = tid.0 as usize;
-        if self.slots[ti].op_remaining == SimDuration::ZERO {
+        if self.run.slots[ti].op_remaining == SimDuration::ZERO {
             return false;
         }
-        let (ovh, wake) = self.dev.manager.op_done(tid, cid);
-        self.slots[ti].overhead_time += ovh;
+        let (ovh, wake) = self.manager.op_done(tid, cid);
+        self.run.slots[ti].overhead_time += ovh;
         self.wake(wake, now);
-        self.slots[ti].fault_restarts += 1;
-        if self.slots[ti].fault_restarts > self.recovery.max_op_recoveries {
+        self.run.slots[ti].fault_restarts += 1;
+        if self.run.slots[ti].fault_restarts > self.build.recovery.max_op_recoveries {
             self.give_up(tid, now, "upset recovery limit");
         } else {
             self.make_ready(tid, now);
@@ -400,14 +396,10 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
         let col = match pending {
             Some(c) => c,
             None => {
-                let inj = self
-                    .dev
-                    .injector
-                    .as_mut()
-                    .expect("column event w/o injector");
+                let inj = self.injector.as_mut().expect("column event w/o injector");
                 let (col, next) = (inj.failed_column(), inj.next_column_failure());
                 self.schedule_fault(now, next, Ev::ColumnFail(None));
-                self.fault.column_faults += 1;
+                self.run.fault.column_faults += 1;
                 self.emit(now, |_| TraceEvent::FaultInjected {
                     kind: "column",
                     circuit: None,
@@ -416,7 +408,7 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
                 col
             }
         };
-        let out = self.dev.manager.retire_column(col);
+        let out = self.manager.retire_column(col);
         if out.busy {
             // A task is mid-op on the dying fabric; retry shortly after.
             let retry = Some(SimDuration::from_millis(1));
@@ -424,8 +416,8 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
             return;
         }
         if out.applied {
-            self.fault.columns_retired += 1;
-            self.fault.retire_time += out.overhead;
+            self.run.fault.columns_retired += 1;
+            self.run.fault.retire_time += out.overhead;
             self.emit(now, |_| TraceEvent::ColumnRetired {
                 col,
                 relocations: out.relocations,
@@ -434,7 +426,7 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
             // Capacity shrank: every blocked task (`wake` passes over the
             // others) re-probes the manager so requests that became
             // unservable fail instead of hanging.
-            self.wake((0..self.slots.len() as u32).map(TaskId), now);
+            self.wake((0..self.run.slots.len() as u32).map(TaskId), now);
             self.dispatch(now);
         }
         // Neither busy nor applied: a manager without column bookkeeping
@@ -455,19 +447,19 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
         before: &ManagerStats,
         now: SimTime,
     ) -> bool {
-        let Some(inj) = self.dev.injector.as_mut() else {
+        let Some(inj) = self.injector.as_mut() else {
             return false;
         };
-        if !(self.dev.manager.stats().downloads > before.downloads && inj.corrupt_download()) {
+        if !(self.manager.stats().downloads > before.downloads && inj.corrupt_download()) {
             return false;
         }
         let ti = tid.0 as usize;
-        self.dev.manager.discard_resident(circuit);
-        self.fault.download_faults += 1;
-        self.fault.crc_mismatches += 1;
-        self.fault.retry_time += self.dev.manager.stats().config_time - before.config_time;
-        self.slots[ti].dl_attempts += 1;
-        self.slots[ti].overhead_time += o;
+        self.manager.discard_resident(circuit);
+        self.run.fault.download_faults += 1;
+        self.run.fault.crc_mismatches += 1;
+        self.run.fault.retry_time += self.manager.stats().config_time - before.config_time;
+        self.run.slots[ti].dl_attempts += 1;
+        self.run.slots[ti].overhead_time += o;
         self.emit(now, |_| TraceEvent::FaultInjected {
             kind: "download",
             circuit: Some(circuit.0),
@@ -478,36 +470,36 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
             task: Some(tid.0),
             context: "download",
         });
-        self.slots[ti].state = TaskState::Running;
-        self.running = Some(Running {
+        self.run.slots[ti].state = TaskState::Running;
+        self.run.running = Some(Running {
             tid,
             dur: SimDuration::ZERO,
             exec_start: now + o,
             fpga: None,
         });
-        self.queue.schedule_at(now + o, Ev::RetryDone(tid));
+        self.run.queue.schedule_at(now + o, Ev::RetryDone(tid));
         true
     }
 
     /// The wasted attempt of a corrupt download has elapsed; decide
     /// between another retry (with backoff) and giving up on the task.
     pub(crate) fn on_retry_done(&mut self, tid: TaskId, now: SimTime) {
-        let run = self.running.take().expect("retry-done without runner");
+        let run = self.run.running.take().expect("retry-done without runner");
         debug_assert_eq!(run.tid, tid);
         let ti = tid.0 as usize;
-        let attempt = self.slots[ti].dl_attempts;
-        if attempt > self.recovery.max_download_retries {
+        let attempt = self.run.slots[ti].dl_attempts;
+        if attempt > self.build.recovery.max_download_retries {
             self.give_up(tid, now, "download retries exhausted");
         } else {
-            let backoff = self.recovery.backoff_for(attempt);
-            self.fault.retries += 1;
+            let backoff = self.build.recovery.backoff_for(attempt);
+            self.run.fault.retries += 1;
             self.emit(now, |_| TraceEvent::RetryScheduled {
                 task: tid.0,
                 attempt,
                 backoff,
             });
-            self.slots[ti].state = TaskState::Blocked;
-            self.queue.schedule_at(now + backoff, Ev::Retry(tid));
+            self.run.slots[ti].state = TaskState::Blocked;
+            self.run.queue.schedule_at(now + backoff, Ev::Retry(tid));
         }
         self.dispatch(now);
     }
@@ -515,7 +507,7 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
     /// Backoff elapsed: the task may probe the manager again (a manager
     /// wake may already have freed it).
     pub(crate) fn on_retry(&mut self, tid: TaskId, now: SimTime) {
-        if self.slots[tid.0 as usize].state == TaskState::Blocked {
+        if self.run.slots[tid.0 as usize].state == TaskState::Blocked {
             self.make_ready(tid, now);
             self.dispatch(now);
         }

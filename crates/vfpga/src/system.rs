@@ -10,30 +10,27 @@
 //! the desired FPGA configuration … then the operating system can put
 //! running the task", §3).
 //!
-//! This file is the small OS core: [`System`] and its builders, the event
-//! loop, the three hot handlers (arrive, dispatch, segment timer), the one
-//! way a task leaves (`System::exit`), the report, and the restart that
-//! returns a crashed system to its built state. Each technique
-//! beside the core keeps its handlers in its own module, as further
-//! `impl System` blocks: [`crate::admission`], [`crate::recovery`],
-//! [`crate::checkpoint`], [`crate::migrate`] (DESIGN.md §18).
+//! This file is the small OS core: [`System`] — its three components, the
+//! `Build` its builders set and the `Run` a run changes (`run.rs`) — the
+//! event loop, the three hot handlers (arrive, dispatch, segment timer),
+//! the one way a task leaves (`System::exit`), the report, and the restart
+//! (`Run::reset` again). Each technique beside the core keeps its handlers
+//! in its own module, as further `impl System` blocks: [`crate::admission`],
+//! [`crate::recovery`], [`crate::checkpoint`], [`crate::migrate`] (DESIGN.md
+//! §18).
 
-use crate::admission::{AdmissionPolicy, AdmissionRt, Arrival};
-use crate::checkpoint::{CheckpointConfig, CrashStats, Cut, RunOutcome, SlotWindow, WalRecord};
+use crate::admission::{AdmissionPolicy, Arrival, Gate};
+use crate::checkpoint::{CheckpointConfig, Cut, RunOutcome};
 use crate::circuit::CircuitLib;
 use crate::error::VfpgaError;
-use crate::image::{Capture, FpgaSeg, Latent, Running};
+use crate::image::{FpgaSeg, Running};
 use crate::manager::{Activation, FpgaManager, PreemptAction, ResidentRegion};
 use crate::metrics::{Report, TaskMetrics};
-use crate::recovery::{FaultStats, RecoveryPolicy};
+use crate::recovery::RecoveryPolicy;
+use crate::run::{Boot, BootRecord, Build, Run};
 use crate::sched::Scheduler;
-use crate::task::{Op, TaskId, TaskSlot, TaskSpec, TaskState};
-use fsim::json::Json;
-use fsim::{
-    span, EventQueue, FaultInjector, FaultPlan, HistSet, Metrics, QueueStats, ScheduledEvent,
-    SimDuration, SimTime, TimelineSet, Trace, TraceEvent,
-};
-use std::collections::{BTreeMap, BTreeSet};
+use crate::task::{Op, TaskId, TaskSpec, TaskState};
+use fsim::{span, FaultInjector, FaultPlan, QueueStats, SimDuration, SimTime, Trace, TraceEvent};
 use std::sync::Arc;
 
 /// How the OS learns an FPGA operation has finished (§3).
@@ -137,34 +134,6 @@ pub struct FailoverReceipt {
     pub live_tasks: u32,
 }
 
-/// Everything that describes one physical device and dies — or must be
-/// rebuilt — with it: the manager owning its fabric, the fault streams
-/// striking it, the latent upsets and stale claims on it, and the
-/// write-ahead journal of downloads to it. Grouped so device-facing state
-/// is per-device rather than global: a fleet (`crate::fleet`) owns N
-/// `System`s, one `DeviceCtx` each, and fails tenants over between them.
-pub(crate) struct DeviceCtx<M: FpgaManager> {
-    /// Which physical device this is (0 outside a fleet).
-    pub(crate) id: crate::fleet::DeviceId,
-    /// The reconfiguration manager owning the device's fabric.
-    pub(crate) manager: M,
-    /// Deterministic fault source; `None` runs fault-free.
-    pub(crate) injector: Option<FaultInjector>,
-    /// Unrepaired upsets by struck circuit id.
-    pub(crate) latent: BTreeMap<u32, Latent>,
-    /// Circuits whose restored residency claim points at device regions a
-    /// post-checkpoint download overwrote, discovered only because the
-    /// journal was OFF — the next "hit" on one computes garbage.
-    pub(crate) stale: BTreeSet<u32>,
-    /// OS-level write-ahead log of configuration downloads (empty unless
-    /// checkpointing is on).
-    pub(crate) wal: Vec<WalRecord>,
-    /// Per column: a WAL-logged download rewrote it since the last
-    /// checkpoint capture. Set where the record is appended, cleared at
-    /// capture — what a delta capture must read back.
-    pub(crate) dirty_cols: Vec<bool>,
-}
-
 /// Why a task leaves the system — the one argument of
 /// [`System::exit`]. What each kind stamps, counts, traces and releases
 /// is tabulated in DESIGN.md §18.
@@ -191,105 +160,17 @@ pub(crate) enum Exit {
     Lost,
 }
 
-/// The simulator.
+/// The simulator: its three components, what it was built with, and
+/// what a run changed (DESIGN.md §9).
 pub struct System<M: FpgaManager, S: Scheduler> {
-    pub(crate) lib: Arc<CircuitLib>,
-    pub(crate) dev: DeviceCtx<M>,
+    pub(crate) build: Build<M>,
+    pub(crate) run: Run,
+    /// The reconfiguration manager owning the device's fabric.
+    pub(crate) manager: M,
     pub(crate) sched: S,
-    pub(crate) config: SystemConfig,
-    /// The immutable task descriptions, by task id.
-    pub(crate) specs: Vec<TaskSpec>,
-    /// Everything mutable about each task, by task id.
-    pub(crate) slots: Vec<TaskSlot>,
-    /// Task ids in (arrival, id) order: the arrivals, read off the task
-    /// table rather than queued. A task arrives when its slot is `Future`
-    /// and its arrival is no later than every other pending event.
-    arrivals: Vec<u32>,
-    /// How far into `arrivals` the run is: each task before it has arrived
-    /// or left `Future` some other way (a restore, a migration split).
-    arrived: usize,
-    /// Every pending event but the arrivals and the running segment's end.
-    pub(crate) queue: EventQueue<Ev>,
-    /// The end of the segment the CPU is running, the task its payload:
-    /// the event that is nearly always next, held beside the queue rather
-    /// than in it. Its `seq` is the queue's, reserved where the event
-    /// would have been scheduled, so it fires in the one `(at, seq)` order
-    /// of every event. `None` between segments and while a hanging segment
-    /// or a failed download holds the CPU.
-    segment_end: Option<ScheduledEvent<TaskId>>,
-    pub(crate) running: Option<Running>,
-    /// Observability (trace + registry + timelines + manager event
-    /// recording) is on exactly when the trace is enabled. Off by default:
-    /// the hot path then skips all of it.
-    pub(crate) trace: Trace,
-    reg: Metrics,
-    timelines: TimelineSet,
-    pub(crate) recovery: RecoveryPolicy,
-    pub(crate) fault: FaultStats,
-    /// Tasks neither Done nor Failed; fault events stop rescheduling at 0.
-    pub(crate) unfinished: usize,
-    /// Checkpoint cadence + journal switch; `None` = no checkpointing.
-    pub(crate) ckpt: Option<CheckpointConfig>,
-    /// Monotone checkpoint number.
-    pub(crate) ckpt_seq: u64,
-    /// Delta captures since the last full image (delta checkpointing).
-    pub(crate) ckpt_chain: u32,
-    /// Fabric was rewritten outside the WAL (scrub repair, crash restore,
-    /// failover) — the next capture must be a full image.
-    pub(crate) ckpt_dirty_all: bool,
-    /// Most recent captured image (the durable restore point).
-    pub(crate) last_ckpt: Option<Capture>,
-    /// The task slots that may differ from `last_ckpt`'s table: what the
-    /// next capture, recycling it, copies.
-    pub(crate) ckpt_window: SlotWindow,
-    /// Checkpoint/crash accounting (carried across restarts).
-    pub(crate) crash: CrashStats,
-    /// Admission-control runtime (quotas, watchdogs, degradation);
-    /// `None` leaves every legacy code path byte-identical.
-    pub(crate) admission: Option<AdmissionRt>,
-    /// Simulated-time latency histograms per operation class; `None`
-    /// unless [`with_latency_profile`](Self::with_latency_profile) ran.
-    lat: Option<HistSet>,
-    /// Shown the manager and the event queue's counters as the run left
-    /// them, just before the report is built (see
-    /// [`with_run_probe`](Self::with_run_probe)).
-    run_probe: Option<RunProbe<M>>,
-    /// What [`restart`](Self::restart) returns a checkpointed system to,
-    /// beside what the specs and the checkpoint cadence derive.
-    pub(crate) boot: Boot,
+    /// Deterministic fault source; `None` runs fault-free.
+    pub(crate) injector: Option<FaultInjector>,
 }
-
-/// Where a checkpointed system's components — the scheduler, the
-/// manager and the fault streams — stand against the build, as far as a
-/// cold restart needs them. Everything else a restart returns to is
-/// derived: the task table and the admission vectors from the specs, and
-/// the one event pending as built, the first capture, from the cadence.
-pub(crate) enum Boot {
-    /// As the build left them: never run, or restarted cold since.
-    AsBuilt,
-    /// Running since they were as built: what they were then, recorded as
-    /// the segment started (boxed: a fleet holds many systems).
-    Recorded(Box<BootRecord>),
-    /// The system has taken or adopted a capture. Every cut from here on
-    /// carries one, and it restores all a record held: none is kept.
-    Captured,
-}
-
-/// The scheduler's and the manager's snapshots and the fault streams'
-/// words as built.
-pub(crate) struct BootRecord {
-    sched: Json,
-    manager: Json,
-    rng: Option<[[u64; 4]; 3]>,
-}
-
-/// The one event a checkpointed system has pending as built: its first
-/// capture.
-fn first_capture(cfg: CheckpointConfig) -> (SimTime, Ev) {
-    (SimTime::ZERO + cfg.interval, Ev::Checkpoint)
-}
-
-type RunProbe<M> = Box<dyn FnOnce(&M, QueueStats) + Send>;
 
 // `into_report` collects the rows over the spec table, which std does in
 // place only while a row has a spec's size and alignment.
@@ -300,7 +181,8 @@ const _: () = assert!(
 );
 
 impl<M: FpgaManager, S: Scheduler> System<M, S> {
-    /// Build a system over a task set.
+    /// Build a system over a task set. Its run is derived from what it
+    /// was built with when it begins.
     pub fn new(
         lib: Arc<CircuitLib>,
         manager: M,
@@ -308,54 +190,16 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
         config: SystemConfig,
         specs: Vec<TaskSpec>,
     ) -> Self {
-        // (arrival, id) order: a stable sort, which arrival-sorted specs
-        // (every generator's) skip.
-        let mut arrivals: Vec<u32> = (0..specs.len() as u32).collect();
-        let arrival = |&t: &u32| specs[t as usize].arrival;
-        if !arrivals.is_sorted_by_key(arrival) {
-            arrivals.sort_by_key(arrival);
-        }
-        let slots: Vec<TaskSlot> = specs.iter().map(TaskSlot::new).collect();
         let cols = manager.timing().spec.cols as usize;
         System {
-            lib,
-            dev: DeviceCtx {
-                id: crate::fleet::DeviceId(0),
-                manager,
-                injector: None,
-                latent: BTreeMap::new(),
-                stale: BTreeSet::new(),
-                wal: Vec::new(),
+            build: Build::new(lib, config, specs),
+            run: Run {
                 dirty_cols: vec![false; cols],
+                ..Run::default()
             },
+            manager,
             sched,
-            config,
-            unfinished: slots.len(),
-            ckpt_window: SlotWindow::whole(slots.len()),
-            specs,
-            slots,
-            arrivals,
-            arrived: 0,
-            // What the run schedules is in flight a handful at a time: a
-            // dispatch, a checkpoint, a watchdog, a fault.
-            queue: EventQueue::new(),
-            segment_end: None,
-            running: None,
-            trace: Trace::disabled(),
-            reg: Metrics::new(),
-            timelines: TimelineSet::new(),
-            recovery: RecoveryPolicy::default(),
-            fault: FaultStats::default(),
-            ckpt: None,
-            ckpt_seq: 0,
-            ckpt_chain: 0,
-            ckpt_dirty_all: false,
-            last_ckpt: None,
-            crash: CrashStats::default(),
-            admission: None,
-            lat: None,
-            run_probe: None,
-            boot: Boot::AsBuilt,
+            injector: None,
         }
     }
 
@@ -364,22 +208,22 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
     /// fleet-facing errors and trace events so multi-device failures are
     /// attributable from the error alone.
     pub fn with_device_id(mut self, id: crate::fleet::DeviceId) -> Self {
-        self.dev.id = id;
+        self.build.device = id;
         self
     }
 
     /// The physical device this system runs on (0 outside a fleet).
     pub fn device_id(&self) -> crate::fleet::DeviceId {
-        self.dev.id
+        self.build.device
     }
 
     /// Attach a deterministic fault injector and the recovery policy that
     /// answers it. A zero-rate plan with the default policy is exactly
     /// equivalent to no injector at all (bit-identical reports).
     pub fn with_faults(mut self, plan: FaultPlan, policy: RecoveryPolicy) -> Self {
-        let cols = self.dev.manager.timing().spec.cols;
-        self.dev.injector = Some(FaultInjector::new(plan, cols));
-        self.recovery = policy;
+        let cols = self.manager.timing().spec.cols;
+        self.injector = Some(FaultInjector::new(plan, cols));
+        self.build.recovery = policy;
         self
     }
 
@@ -388,8 +232,8 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
     /// timelines. Off by default; experiments leave it off for speed.
     /// Observability never changes simulated results — only records them.
     pub fn with_trace(mut self) -> Self {
-        self.trace = Trace::enabled();
-        self.dev.manager.set_recording(true);
+        self.build.trace = Some(None);
+        self.manager.set_recording(true);
         self
     }
 
@@ -398,8 +242,9 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
     /// counted in [`Trace::dropped`] and discarded). Metrics and timelines
     /// are unaffected by the cap.
     pub fn with_trace_capacity(mut self, capacity: usize) -> Self {
-        self.trace = Trace::enabled_with_capacity(capacity);
-        self.dev.manager.set_recording(true);
+        assert!(capacity > 0, "trace capacity must be nonzero");
+        self.build.trace = Some(Some(capacity));
+        self.manager.set_recording(true);
         self
     }
 
@@ -407,18 +252,16 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
     /// carries a duration (downloads, GC, scrubbing, checkpoint capture,
     /// journal replay, …) feeds a log-bucketed histogram, and per-tenant
     /// `turnaround@t<n>` / `waiting@t<n>` series are recorded at the end
-    /// of the run. The collected [`HistSet`] lands in
+    /// of the run. The collected [`HistSet`](fsim::HistSet) lands in
     /// [`Report::latency`]. Latency samples ride the same typed-event
     /// flow the trace consumes, so this turns the observability path on;
     /// a small trace ring keeps memory bounded when the caller only
     /// wants histograms. Like all observability, this never changes
     /// simulated results — only records them.
     pub fn with_latency_profile(mut self) -> Self {
-        if !self.trace.is_enabled() {
-            self.trace = Trace::enabled_with_capacity(256);
-        }
-        self.dev.manager.set_recording(true);
-        self.lat = Some(HistSet::new());
+        self.build.trace.get_or_insert(Some(256));
+        self.manager.set_recording(true);
+        self.build.latency = true;
         self
     }
 
@@ -426,11 +269,11 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
     /// the run is over. A run consumes the system, so this is the only
     /// window onto a manager's own diagnostic accessors
     /// (`PartitionManager::route_stats`, `fragmentation`, …) and onto
-    /// [`EventQueue::stats`] — numbers that deliberately stay out of
+    /// [`fsim::EventQueue::stats`] — numbers that deliberately stay out of
     /// [`Report`] and the exports. `probe` runs when the report is built;
     /// a segment cut short by a crash never calls it.
     pub fn with_run_probe(mut self, probe: impl FnOnce(&M, QueueStats) + Send + 'static) -> Self {
-        self.run_probe = Some(Box::new(probe));
+        self.build.run_probe = Some(Box::new(probe));
         self
     }
 
@@ -443,9 +286,9 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
             cfg.interval > SimDuration::ZERO,
             "zero checkpoint interval would livelock the event loop"
         );
-        if self.dev.manager.snapshot().is_none() {
+        if self.manager.snapshot().is_none() {
             return Err(VfpgaError::CheckpointUnsupported {
-                component: self.dev.manager.name(),
+                component: self.manager.name(),
             });
         }
         if self.sched.snapshot().is_none() {
@@ -453,9 +296,7 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
                 component: self.sched.name(),
             });
         }
-        let (at, first) = first_capture(cfg);
-        self.queue.schedule_at(at, first);
-        self.ckpt = Some(cfg);
+        self.build.ckpt = Some(cfg);
         Ok(self)
     }
 
@@ -466,7 +307,7 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
     /// byte-identically to one predating the admission subsystem.
     pub fn with_admission(mut self, policy: AdmissionPolicy) -> Result<Self, VfpgaError> {
         policy.validate()?;
-        self.admission = Some(AdmissionRt::new(policy, self.slots.len()));
+        self.build.admission = Some(policy);
         Ok(self)
     }
 
@@ -476,7 +317,7 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
     /// [`VfpgaError::Deadlock`] when a task ends neither completed nor
     /// failed.
     pub fn run_traced(mut self) -> Result<(Report, Trace), VfpgaError> {
-        if !self.trace.is_enabled() {
+        if self.build.trace.is_none() {
             return Err(VfpgaError::TraceDisabled);
         }
         self.run_to_cut(None)?;
@@ -509,19 +350,19 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
     /// declares, feed the latency profile, then append it to the trace.
     fn record(&mut self, at: SimTime, event: TraceEvent) {
         for (counter, by) in event.counts() {
-            self.reg.inc(counter, by);
+            self.run.reg.inc(counter, by);
         }
-        if let (Some(lat), Some((label, d))) = (self.lat.as_mut(), event.latency()) {
+        if let (Some(lat), Some((label, d))) = (self.run.lat.as_mut(), event.latency()) {
             lat.record(label, d.as_nanos());
         }
-        self.trace.record(at, event);
+        self.run.trace.record(at, event);
     }
 
     /// Record the event `build` describes — when tracing is on; a plain
     /// run never constructs one.
     #[inline]
     pub(crate) fn emit(&mut self, at: SimTime, build: impl FnOnce(&Self) -> TraceEvent) {
-        if self.trace.is_enabled() {
+        if self.run.trace.is_enabled() {
             let event = build(self);
             self.record(at, event);
         }
@@ -530,18 +371,16 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
     /// Pull buffered typed events out of the manager, stamping them with
     /// the current simulated time, and sample the utilization timelines.
     fn observe(&mut self, now: SimTime) {
-        if !self.trace.is_enabled() {
+        if !self.run.trace.is_enabled() {
             return;
         }
-        for ev in self.dev.manager.drain_events() {
+        for ev in self.manager.drain_events() {
             self.record(now, ev);
         }
-        let u = self.dev.manager.usage();
-        self.timelines.sample("clb_used", now, u.used_clbs as f64);
-        self.timelines
-            .sample("free_fragments", now, f64::from(u.free_fragments));
-        self.timelines
-            .sample("ready_queue_depth", now, self.sched.len() as f64);
+        let (u, timelines) = (self.manager.usage(), &mut self.run.timelines);
+        timelines.sample("clb_used", now, u.used_clbs as f64);
+        timelines.sample("free_fragments", now, f64::from(u.free_fragments));
+        timelines.sample("ready_queue_depth", now, self.sched.len() as f64);
     }
 
     /// The segment loop behind [`run_until`](Self::run_until): run until
@@ -550,18 +389,21 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
     /// [`Cut`] and leaving the system in place for a restore to restart.
     #[doc(hidden)]
     pub fn run_to_cut(&mut self, crash_at: Option<SimTime>) -> Result<Option<Cut>, VfpgaError> {
-        if self.ckpt.is_some() && matches!(self.boot, Boot::AsBuilt) {
-            self.boot = self.boot_record();
+        self.begin();
+        // A segment starts: from the build, or from an adoption.
+        debug_assert_eq!(self.run.unfinished, self.run.live_in_table());
+        if self.build.ckpt.is_some() && matches!(self.build.boot, Boot::AsBuilt) {
+            self.build.boot = self.boot_record();
         }
         if let Some(t) = crash_at {
-            self.queue.schedule_at(t, Ev::Crash);
+            self.run.queue.schedule_at(t, Ev::Crash);
         }
         self.seed_faults();
         // The span guards below are free when no profiling harness has
         // recording enabled on this thread (one thread-local load each);
         // under `fsim::span::scoped` they produce the `system;…` tree.
         let _loop_span = span::guard("system");
-        while let Some((now, ev)) = self.next() {
+        while let Some((now, ev)) = self.run.next(&self.build.arrivals) {
             match ev {
                 Ev::Arrive(tid) => span::time("arrive", || self.on_arrive(tid, now)),
                 Ev::Dispatch => span::time("dispatch", || self.dispatch(now)),
@@ -577,7 +419,7 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
                 Ev::Crash => {
                     // A crash after the last task finished changes nothing
                     // observable: the run completed first.
-                    if self.unfinished > 0 {
+                    if self.run.unfinished > 0 {
                         return Ok(Some(span::time("crash", || self.crash_now(now))));
                     }
                 }
@@ -601,7 +443,8 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
     /// completed or explicitly failed by recovery.
     #[doc(hidden)]
     pub fn finish(self) -> Result<(Report, Trace), VfpgaError> {
-        for (slot, spec) in self.slots.iter().zip(&self.specs) {
+        debug_assert_eq!(self.run.unfinished, self.run.live_in_table());
+        for (slot, spec) in self.run.slots.iter().zip(&self.build.specs) {
             if !slot.state.is_terminal() {
                 return Err(VfpgaError::Deadlock {
                     task: spec.name.clone(),
@@ -611,121 +454,37 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
         Ok(self.into_report())
     }
 
-    /// The next event to fire: the next arrival, the queue's head or the
-    /// running segment's end, whichever is earliest — the segment end and
-    /// the head by `(at, seq)`, and an arrival ahead of either at one
-    /// instant, as every event scheduled after the task table was built is.
-    #[inline]
-    pub(crate) fn next(&mut self) -> Option<(SimTime, Ev)> {
-        let head = self.queue.head_key();
-        let end = self
-            .segment_end
-            .filter(|end| head.is_none_or(|head| (end.at, end.seq) < head));
-        let first = end.map(|end| end.at).or(head.map(|(at, _)| at));
-        if let Some(tid) = self.next_arrival() {
-            let at = self.slots[tid as usize].arrival;
-            if first.is_none_or(|first| at <= first) {
-                self.arrived += 1;
-                self.queue.advance(at);
-                return Some((at, Ev::Arrive(TaskId(tid))));
-            }
-        }
-        if let Some(end) = end {
-            self.segment_end = None;
-            self.queue.fire_held(end.at);
-            return Some((end.at, Ev::Timer(end.event)));
-        }
-        self.queue.pop().map(|e| (e.at, e.event))
-    }
-
-    /// The next task to arrive: the cursor's, once it has skipped the
-    /// slots no longer `Future`.
-    #[inline]
-    fn next_arrival(&mut self) -> Option<u32> {
-        while let Some(&tid) = self.arrivals.get(self.arrived) {
-            if self.slots[tid as usize].state == TaskState::Future {
-                return Some(tid);
-            }
-            self.arrived += 1;
-        }
-        None
-    }
-
-    /// Schedule `ev` at `at`: a segment end into `segment_end`, under the
-    /// sequence number the queue would have given it, anything else into
-    /// the queue. An arrival is never scheduled: it is its task's slot.
-    #[inline]
-    pub(crate) fn schedule(&mut self, at: SimTime, ev: Ev) {
-        match ev {
-            Ev::Timer(tid) => {
-                debug_assert!(self.segment_end.is_none(), "two segments end");
-                let seq = self.queue.reserve(at);
-                self.segment_end = Some(ScheduledEvent {
-                    at,
-                    seq,
-                    event: tid,
-                });
-            }
-            _ => {
-                debug_assert!(!matches!(ev, Ev::Arrive(_)), "an arrival is queued");
-                self.queue.schedule_at(at, ev);
-            }
-        }
-    }
-
-    /// Append every pending event but the arrivals to `out` in firing
-    /// order, the running segment's end included, leaving all of them
-    /// pending.
-    pub(crate) fn pending_in_order(&self, out: &mut Vec<(SimTime, Ev)>) {
-        let end = self.segment_end.map(|end| ScheduledEvent {
-            at: end.at,
-            seq: end.seq,
-            event: Ev::Timer(end.event),
-        });
-        self.queue
-            .pending_in_order(out, end.as_ref(), |e| (e.at, e.event));
-    }
-
-    /// Replace every pending event by `pending`, scheduled in its order,
-    /// and read the arrivals off the task table again: what a restore and
-    /// a migration split do with the pending set.
-    pub(crate) fn reload_pending(&mut self, pending: impl IntoIterator<Item = (SimTime, Ev)>) {
-        self.queue.clear();
-        self.segment_end = None;
-        self.arrived = 0;
-        for (at, ev) in pending {
-            self.schedule(at, ev);
-        }
-    }
-
     /// The boot record of a checkpointed system whose components are as
     /// built.
     fn boot_record(&self) -> Boot {
         Boot::Recorded(Box::new(BootRecord {
             sched: self.sched.snapshot().expect("validated at enable"),
-            manager: self.dev.manager.snapshot().expect("validated at enable"),
-            rng: self.dev.injector.as_ref().map(FaultInjector::stream_states),
+            manager: self.manager.snapshot().expect("validated at enable"),
+            rng: self.injector.as_ref().map(FaultInjector::stream_states),
         }))
+    }
+
+    /// Derive the run from the build, unless it is derived already: what
+    /// a run, a restore and [`state_text`](Self::state_text) begin with.
+    pub(crate) fn begin(&mut self) {
+        if !self.run.begun {
+            self.run.reset(&self.build);
+        }
     }
 
     /// Put this checkpointed system back in the state its build left it
     /// in, as the next incarnation of a host that crashed: what a restore
-    /// then loads a capture over (`warm`) or runs from (cold). Everything
-    /// the run changed goes — the task table, queue (clock and counters
-    /// too), held segment end and arrival cursor, trace, metrics,
-    /// timelines and latency (a crashed host's trace dies with it),
-    /// journal and dirty columns, checkpoint bookkeeping, fault and crash
-    /// accounting — and the first capture is pending again. A cold restart
-    /// returns the components to the boot record; a warm one leaves them
-    /// to the capture.
+    /// then loads a capture over (`warm`) or runs from (cold). The run is
+    /// reset ([`Run::reset`]); a cold restart also returns the components
+    /// to the boot record, a warm one leaves them to the capture.
     pub(crate) fn restart(&mut self, warm: bool) -> Result<(), String> {
         if !warm {
-            match std::mem::replace(&mut self.boot, Boot::AsBuilt) {
+            match std::mem::replace(&mut self.build.boot, Boot::AsBuilt) {
                 Boot::AsBuilt => {}
                 Boot::Recorded(record) => {
                     self.sched.restore(&record.sched)?;
-                    self.dev.manager.restore(&record.manager)?;
-                    if let (Some(inj), Some(states)) = (self.dev.injector.as_mut(), record.rng) {
+                    self.manager.restore(&record.manager)?;
+                    if let (Some(inj), Some(states)) = (self.injector.as_mut(), record.rng) {
                         inj.restore_stream_states(states);
                     }
                 }
@@ -734,91 +493,47 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
                 }
             }
         }
-        self.dev.latent.clear();
-        self.dev.stale.clear();
-        self.dev.wal.clear();
-        self.dev.dirty_cols.fill(false);
-        for (slot, spec) in self.slots.iter_mut().zip(&self.specs) {
-            *slot = TaskSlot::new(spec);
-        }
-        self.unfinished = self.slots.len();
-        self.running = None;
-        if let Some(adm) = self.admission.as_mut() {
-            adm.restart();
-        }
-        self.queue = EventQueue::new();
-        if let Some((at, first)) = self.ckpt.map(first_capture) {
-            self.queue.schedule_at(at, first);
-        }
-        self.segment_end = None;
-        self.arrived = 0;
-        self.trace.clear();
-        self.reg = Metrics::new();
-        self.timelines = TimelineSet::new();
-        if self.lat.is_some() {
-            self.lat = Some(HistSet::new());
-        }
-        self.fault = FaultStats::default();
-        self.ckpt_seq = 0;
-        self.ckpt_chain = 0;
-        self.ckpt_dirty_all = false;
-        self.last_ckpt = None;
-        self.ckpt_window = SlotWindow::whole(self.slots.len());
-        self.crash = CrashStats::default();
+        self.run.reset(&self.build);
+        debug_assert_eq!(self.run.unfinished, self.run.live_in_table());
         Ok(())
     }
 
-    /// This checkpointed system's whole state as text: the image a
-    /// capture at `at` would take, then everything a capture leaves out —
-    /// the arrival cursor, the queue's clock and counters, the trace,
-    /// metrics and timelines, the journal and dirty columns, and the
-    /// checkpoint and crash bookkeeping. Two systems that print the same
-    /// run the same from here; `tests/cut_equivalence.rs` holds a
-    /// restarted system to a freshly built one with it.
+    /// This system's whole state as text: the image a capture at `at`
+    /// would take (the components' part), then the run's. Two systems that
+    /// print the same run the same from here; `tests/cut_equivalence.rs`
+    /// holds a restarted system to a freshly built one with it.
     #[doc(hidden)]
-    pub fn state_text(&self, at: SimTime) -> String {
-        let last = self.last_ckpt.as_ref();
-        format!(
-            "{:?}\narrived {} queue {:?} at {}\ntrace {:?}\nmetrics {:?}\ntimelines {:?}\n\
-             wal {:?}\ndirty {:?}\nckpt {} chain {} dirty_all {} window {:?} last {:?}\n\
-             crash {:?}",
-            self.capture(at, None),
-            self.arrived,
-            self.queue.stats(),
-            self.queue.now(),
-            self.trace,
-            self.reg,
-            self.timelines,
-            self.dev.wal,
-            self.dev.dirty_cols,
-            self.ckpt_seq,
-            self.ckpt_chain,
-            self.ckpt_dirty_all,
-            self.ckpt_window,
-            last.map(|c| (c.seq, c.wal_len, c.image.at)),
-            self.crash,
-        )
+    pub fn state_text(&mut self, at: SimTime) -> String {
+        self.begin();
+        format!("{:#?}\n{:#?}", self.capture(at, None), self.run)
     }
 
     /// Build the final report from whatever terminal state the task table
     /// is in. Shared by the normal completion path and
     /// [`abandon_lost`](Self::abandon_lost).
-    fn into_report(mut self) -> (Report, Trace) {
-        if let Some(probe) = self.run_probe.take() {
-            probe(&self.dev.manager, self.queue.stats());
+    fn into_report(self) -> (Report, Trace) {
+        let System {
+            mut build,
+            mut run,
+            manager,
+            sched,
+            ..
+        } = self;
+        if let Some(probe) = build.run_probe.take() {
+            probe(&manager, run.queue.stats());
         }
         // The per-tenant series are the one reader of the specs after the
         // rows, so they take the tenant ids first.
-        let tenants: Vec<u32> = match self.lat {
-            Some(_) => self.specs.iter().map(|s| s.tenant).collect(),
+        let tenants: Vec<u32> = match run.lat {
+            Some(_) => build.specs.iter().map(|s| s.tenant).collect(),
             None => Vec::new(),
         };
         // Each row is written in the place of its spec: the collect reuses
         // the spec table, the name moves into the row, the program is freed.
-        let tasks: Vec<TaskMetrics> = self
+        let tasks: Vec<TaskMetrics> = build
             .specs
             .into_iter()
-            .zip(&self.slots)
+            .zip(&run.slots)
             .map(|(spec, slot)| slot.metrics(spec.name))
             .collect();
         let makespan = tasks
@@ -827,15 +542,15 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
             .max()
             .unwrap_or(SimTime::ZERO)
             - SimTime::ZERO;
-        if self.trace.is_enabled() {
-            self.reg.set_gauge("makespan_s", makespan.as_secs_f64());
+        if run.trace.is_enabled() {
+            run.reg.set_gauge("makespan_s", makespan.as_secs_f64());
             for m in &tasks {
-                self.reg
+                run.reg
                     .observe("turnaround_s", m.turnaround().as_secs_f64());
-                self.reg.observe("waiting_s", m.waiting().as_secs_f64());
+                run.reg.observe("waiting_s", m.waiting().as_secs_f64());
             }
         }
-        if let Some(lat) = self.lat.as_mut() {
+        if let Some(lat) = run.lat.as_mut() {
             // Per-tenant tails: `@t<n>` labels keep one series per tenant
             // so E17-style sweeps expose p99 turnaround, not just means.
             for (m, tenant) in tasks.iter().zip(tenants) {
@@ -845,21 +560,21 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
         }
         (
             Report {
-                manager: self.dev.manager.name(),
-                scheduler: self.sched.name(),
+                manager: manager.name(),
+                scheduler: sched.name(),
                 tasks,
                 makespan,
-                manager_stats: self.dev.manager.stats(),
-                fault: self.fault,
-                crash: self.crash,
-                admission: self.admission.as_ref().map(AdmissionRt::stats),
-                delta: self.dev.manager.delta_stats(),
-                metrics: self.reg,
-                timelines: self.timelines,
-                latency: self.lat,
+                manager_stats: manager.stats(),
+                fault: run.fault,
+                crash: run.crash,
+                admission: run.admission.as_ref().map(|adm| adm.stats),
+                delta: manager.delta_stats(),
+                metrics: run.reg,
+                timelines: run.timelines,
+                latency: run.lat,
                 fleet: None,
             },
-            self.trace,
+            run.trace,
         )
     }
 
@@ -871,8 +586,8 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
     /// is stamped with the abandon time (never before arrival), so the
     /// slice is disjoint from `failed`/`quarantined`/`rejected`.
     pub fn abandon_lost(mut self, at: SimTime) -> Report {
-        for ti in 0..self.slots.len() {
-            if !self.slots[ti].state.is_terminal() {
+        for ti in 0..self.run.slots.len() {
+            if !self.run.slots[ti].state.is_terminal() {
                 self.exit(TaskId(ti as u32), at, Exit::Lost);
             }
         }
@@ -889,8 +604,8 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
     /// two arrival-time refusals hold nothing. Callers dispatch afterwards.
     pub(crate) fn exit(&mut self, tid: TaskId, at: SimTime, kind: Exit) {
         let ti = tid.0 as usize;
-        self.ckpt_window.widen(ti);
-        let (spec, slot) = (&self.specs[ti], &mut self.slots[ti]);
+        self.run.ckpt_window.widen(ti);
+        let (spec, slot) = (&self.build.specs[ti], &mut self.run.slots[ti]);
         debug_assert!(!slot.state.is_terminal());
         slot.state = match kind {
             Exit::Done => TaskState::Done,
@@ -923,14 +638,14 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
             let lifetime = slot.completion - slot.arrival;
             slot.overhead_time = slot.overhead_time.min(lifetime.saturating_sub(booked));
         }
-        self.unfinished -= 1;
-        self.fault.tasks_failed += u64::from(matches!(kind, Exit::Failed(_)));
+        self.run.unfinished -= 1;
+        self.run.fault.tasks_failed += u64::from(matches!(kind, Exit::Failed(_)));
         let (task, tenant) = (tid.0, spec.tenant);
         let event = |s: &Self| match kind {
             Exit::Done => TraceEvent::TaskState {
                 task,
                 state: fsim::TaskState::Done,
-                info: s.specs[ti].name.clone(),
+                info: s.build.specs[ti].name.clone(),
             },
             Exit::Failed(reason) => TraceEvent::TaskFailed { task, reason },
             Exit::Quarantined(reason) => TraceEvent::TaskQuarantined { task, reason },
@@ -952,9 +667,10 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
                 self.emit(at, event);
                 self.release_claims(tid, at);
                 let quarantined = matches!(kind, Exit::Quarantined(_));
-                let adm = self.admission.as_mut();
-                if let Some(next) = adm.and_then(|adm| adm.on_exit(tenant, quarantined, missed)) {
-                    debug_assert_eq!(self.slots[next as usize].state, TaskState::Deferred);
+                let adm = Gate::of(&self.build.admission, &mut self.run.admission);
+                let next = adm.and_then(|mut adm| adm.on_exit(tenant, quarantined, missed));
+                if let Some(next) = next {
+                    debug_assert_eq!(self.run.slots[next as usize].state, TaskState::Deferred);
                     self.make_ready(TaskId(next), at);
                 }
             }
@@ -964,7 +680,7 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
     /// Free whatever `tid` holds on the device and wake the tasks that
     /// were blocked on it.
     pub(crate) fn release_claims(&mut self, tid: TaskId, now: SimTime) {
-        let wake = self.dev.manager.task_exit(tid);
+        let wake = self.manager.task_exit(tid);
         self.wake(wake, now);
     }
 
@@ -972,7 +688,7 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
     /// quarantined (reported apart from genuine failures); legacy runs
     /// keep the Failed classification.
     pub(crate) fn give_up(&mut self, tid: TaskId, now: SimTime, reason: &'static str) {
-        let kind = match self.admission {
+        let kind = match self.build.admission {
             Some(_) => Exit::Quarantined(reason),
             None => Exit::Failed(reason),
         };
@@ -983,13 +699,13 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
     #[inline]
     pub(crate) fn make_ready(&mut self, tid: TaskId, now: SimTime) {
         let ti = tid.0 as usize;
-        self.slots[ti].state = TaskState::Ready;
-        self.sched.on_ready(tid, self.specs[ti].priority, now);
+        self.run.slots[ti].state = TaskState::Ready;
+        self.sched.on_ready(tid, self.build.specs[ti].priority, now);
     }
 
     pub(crate) fn wake(&mut self, wake: impl IntoIterator<Item = TaskId>, now: SimTime) {
         for w in wake {
-            if self.slots[w.0 as usize].state == TaskState::Blocked {
+            if self.run.slots[w.0 as usize].state == TaskState::Blocked {
                 self.make_ready(w, now);
             }
         }
@@ -999,7 +715,7 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
     /// there is none.
     pub(crate) fn dispatch_after(&mut self, overhead: SimDuration, now: SimTime) {
         if overhead > SimDuration::ZERO {
-            self.queue.schedule_at(now + overhead, Ev::Dispatch);
+            self.run.queue.schedule_at(now + overhead, Ev::Dispatch);
         } else {
             self.dispatch(now);
         }
@@ -1010,17 +726,17 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
     /// without it, the task is always admitted.
     pub(crate) fn on_arrive(&mut self, tid: TaskId, now: SimTime) {
         let ti = tid.0 as usize;
-        debug_assert_eq!(self.slots[ti].state, TaskState::Future);
-        self.ckpt_window.widen(ti);
+        debug_assert_eq!(self.run.slots[ti].state, TaskState::Future);
+        self.run.ckpt_window.widen(ti);
         self.emit(now, |s| TraceEvent::TaskState {
             task: tid.0,
             state: fsim::TaskState::Arrive,
-            info: s.specs[ti].name.clone(),
+            info: s.build.specs[ti].name.clone(),
         });
-        let verdict = match self.admission.as_mut() {
+        let verdict = match Gate::of(&self.build.admission, &mut self.run.admission) {
             None => Arrival::Admit,
-            Some(adm) => {
-                let (lib, manager, specs) = (&self.lib, &self.dev.manager, &self.specs);
+            Some(mut adm) => {
+                let (lib, manager, specs) = (&self.build.lib, &self.manager, &self.build.specs);
                 adm.on_arrival(tid.0, &specs[ti], now, |t| {
                     crate::admission::service_estimate(lib, manager, &specs[t as usize])
                 })
@@ -1031,13 +747,13 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
                 self.make_ready(tid, now);
                 self.dispatch(now);
             }
-            Arrival::Defer => self.slots[ti].state = TaskState::Deferred,
+            Arrival::Defer => self.run.slots[ti].state = TaskState::Deferred,
             Arrival::Refuse(kind) => self.exit(tid, now, kind),
         }
     }
 
     pub(crate) fn dispatch(&mut self, now: SimTime) {
-        if self.running.is_some() {
+        if self.run.running.is_some() {
             return;
         }
         loop {
@@ -1045,10 +761,10 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
                 return;
             };
             let ti = tid.0 as usize;
-            if self.slots[ti].state != TaskState::Ready {
+            if self.run.slots[ti].state != TaskState::Ready {
                 continue; // stale queue entry
             }
-            let Some(op) = self.slots[ti].current_op(&self.specs[ti]) else {
+            let Some(op) = self.run.slots[ti].current_op(&self.build.specs[ti]) else {
                 unreachable!("ready task with no ops");
             };
 
@@ -1063,24 +779,21 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
             };
             if let (Op::FpgaRun { circuit, cycles }, false) = (op, software_op) {
                 // Resolve the op duration on first activation.
-                if self.slots[ti].op_full == SimDuration::ZERO {
-                    let d = self.lib.get(circuit).run_time(cycles);
-                    self.slots[ti].op_full = d;
-                    self.slots[ti].op_remaining = d;
-                    self.slots[ti].op_done_so_far = SimDuration::ZERO;
+                if self.run.slots[ti].op_full == SimDuration::ZERO {
+                    let d = self.build.lib.get(circuit).run_time(cycles);
+                    self.run.slots[ti].op_full = d;
+                    self.run.slots[ti].op_remaining = d;
+                    self.run.slots[ti].op_done_so_far = SimDuration::ZERO;
                 }
                 // A stats snapshot lets us detect whether this activation
                 // downloaded: fault injection corrupts downloads, and the
                 // checkpoint machinery journals them.
-                let dl_before = if self.dev.injector.is_some() || self.ckpt.is_some() {
-                    Some(self.dev.manager.stats())
-                } else {
-                    None
-                };
-                match self.dev.manager.activate(tid, circuit) {
+                let needed = self.injector.is_some() || self.build.ckpt.is_some();
+                let dl_before = needed.then(|| self.manager.stats());
+                match self.manager.activate(tid, circuit) {
                     Activation::Blocked => {
-                        self.slots[ti].state = TaskState::Blocked;
-                        self.slots[ti].blocked_count += 1;
+                        self.run.slots[ti].state = TaskState::Blocked;
+                        self.run.slots[ti].blocked_count += 1;
                         self.emit(now, |_| TraceEvent::TaskState {
                             task: tid.0,
                             state: fsim::TaskState::Block,
@@ -1102,18 +815,18 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
                                 // retry decision happens when it elapses.
                                 return;
                             }
-                            if self.ckpt.is_some() {
+                            if self.build.ckpt.is_some() {
                                 self.journal_activation(ti, circuit, before, now);
                             }
                         }
-                        self.slots[ti].dl_attempts = 0;
+                        self.run.slots[ti].dl_attempts = 0;
                         // Dispatching onto fabric a prior upset corrupted:
                         // nothing computed from here on is trustworthy.
-                        if self.dev.injector.is_some()
-                            && self.dev.latent.contains_key(&circuit.0)
-                            && self.slots[ti].poisoned.is_none()
+                        if self.injector.is_some()
+                            && self.run.latent.contains_key(&circuit.0)
+                            && self.run.slots[ti].poisoned.is_none()
                         {
-                            self.slots[ti].poisoned = Some(self.slots[ti].op_done_so_far);
+                            self.run.slots[ti].poisoned = Some(self.run.slots[ti].op_done_so_far);
                         }
                         overhead = o;
                         fpga_ctx = Some(FpgaSeg {
@@ -1131,11 +844,11 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
             // completion timer. Only the watchdog armed below, or the
             // end-of-run deadlock sweep, can reclaim the CPU.
             let hanging = fpga_ctx.is_some()
-                && self.specs[ti].hang_op == Some(self.slots[ti].op_idx as usize);
+                && self.build.specs[ti].hang_op == Some(self.run.slots[ti].op_idx as usize);
 
             // Segment length: slice for CPU ops; FPGA ops are sliced only
             // when the preemption policy permits interruption.
-            let remaining = self.slots[ti].op_remaining;
+            let remaining = self.run.slots[ti].op_remaining;
             let slice = self.sched.slice();
             let slicable = match op {
                 Op::Cpu(_) => true,
@@ -1153,11 +866,11 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
             if let Some(ctx) = &mut fpga_ctx {
                 ctx.completes = completes;
                 if completes {
-                    match self.config.completion {
+                    match self.build.config.completion {
                         CompletionDetect::Exact => {}
                         CompletionDetect::Estimate { factor } => {
                             debug_assert!(factor >= 1.0, "underestimates lose results");
-                            let full = self.slots[ti].op_full;
+                            let full = self.run.slots[ti].op_full;
                             let slack_ns = ((factor - 1.0) * full.as_nanos() as f64).round() as u64;
                             ctx.slack = SimDuration::from_nanos(slack_ns);
                         }
@@ -1181,27 +894,29 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
                 scheduler: s.sched.name(),
                 queue_depth: s.sched.len(),
             });
-            self.slots[ti].overhead_time += overhead;
-            self.slots[ti].state = TaskState::Running;
-            self.running = Some(Running {
+            self.run.slots[ti].overhead_time += overhead;
+            self.run.slots[ti].state = TaskState::Running;
+            self.run.running = Some(Running {
                 tid,
                 dur,
                 exec_start: now + overhead,
                 fpga: fpga_ctx,
             });
             if !hanging {
-                self.schedule(now + overhead + dur + slack_total, Ev::Timer(tid));
+                let end = now + overhead + dur + slack_total;
+                self.run.schedule(end, Ev::Timer(tid));
             }
             // Arm the hang watchdog strictly after the completion timer:
             // at equal instants the event queue's FIFO tie-break pops the
             // timer first, so a slack factor of exactly 1.0 can never
             // preempt a healthy segment.
-            let adm = self.admission.as_mut().filter(|_| fpga_ctx.is_some());
+            let adm = Gate::of(&self.build.admission, &mut self.run.admission)
+                .filter(|_| fpga_ctx.is_some());
             if let Some((seq, deadline)) =
-                adm.and_then(|adm| adm.arm_watchdog(ti, overhead, dur, slack_total))
+                adm.and_then(|mut adm| adm.arm_watchdog(ti, overhead, dur, slack_total))
             {
-                self.queue
-                    .schedule_at(now + deadline, Ev::Watchdog { tid, seq });
+                let wd = Ev::Watchdog { tid, seq };
+                self.run.queue.schedule_at(now + deadline, wd);
                 self.emit(now, |_| TraceEvent::WatchdogArmed {
                     task: tid.0,
                     deadline,
@@ -1216,47 +931,48 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
         &self,
         pick: impl Fn(&ResidentRegion) -> bool,
     ) -> Option<ResidentRegion> {
-        self.dev.manager.resident_regions().into_iter().find(pick)
+        self.manager.resident_regions().into_iter().find(pick)
     }
 
     /// Whether a task can be interrupted in the middle of an FPGA op.
     pub(crate) fn can_preempt(&self) -> bool {
-        self.config.preempt != PreemptAction::WaitCompletion && self.dev.manager.preemptable()
+        self.build.config.preempt != PreemptAction::WaitCompletion && self.manager.preemptable()
     }
 
     fn on_timer(&mut self, tid: TaskId, now: SimTime) {
-        let run = self.running.take().expect("timer without a running task");
+        let run = self.run.running.take();
+        let run = run.expect("timer without a running task");
         debug_assert_eq!(run.tid, tid);
         let ti = tid.0 as usize;
 
         // The hardware segment ended on time: any watchdog armed for it
         // is now stale.
         if run.fpga.is_some() {
-            if let Some(adm) = self.admission.as_mut() {
+            if let Some(adm) = self.run.admission.as_mut() {
                 adm.segment_ended(ti);
             }
         }
 
         // Account executed time.
-        match self.slots[ti].current_op(&self.specs[ti]) {
-            Some(Op::Cpu(_)) => self.slots[ti].cpu_time += run.dur,
+        match self.run.slots[ti].current_op(&self.build.specs[ti]) {
+            Some(Op::Cpu(_)) => self.run.slots[ti].cpu_time += run.dur,
             Some(Op::FpgaRun { .. }) => {
-                let adm = self.admission.as_mut();
+                let adm = self.run.admission.as_mut();
                 if adm.is_some_and(|adm| adm.degraded_run(ti, run.dur)) {
                     // Software-emulation path: useful work, but accounted
                     // apart from real fabric time.
-                    self.slots[ti].degraded_time += run.dur;
+                    self.run.slots[ti].degraded_time += run.dur;
                 } else {
-                    self.slots[ti].fpga_time += run.dur;
+                    self.run.slots[ti].fpga_time += run.dur;
                 }
                 if let Some(f) = run.fpga {
-                    self.slots[ti].overhead_time += f.slack + f.poll;
+                    self.run.slots[ti].overhead_time += f.slack + f.poll;
                 }
             }
             None => unreachable!("running task with no op"),
         }
-        self.slots[ti].op_remaining -= run.dur;
-        self.slots[ti].op_done_so_far += run.dur;
+        self.run.slots[ti].op_remaining -= run.dur;
+        self.run.slots[ti].op_done_so_far += run.dur;
 
         if let Some(f) = run.fpga {
             if self.restart_after_repair(tid, f.cid, now) {
@@ -1264,26 +980,26 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
             }
         }
 
-        if self.slots[ti].op_remaining == SimDuration::ZERO {
+        if self.run.slots[ti].op_remaining == SimDuration::ZERO {
             // Op complete.
             if let Some(f) = run.fpga {
-                let (ovh, wake) = self.dev.manager.op_done(tid, f.cid);
-                self.slots[ti].overhead_time += ovh;
+                let (ovh, wake) = self.manager.op_done(tid, f.cid);
+                self.run.slots[ti].overhead_time += ovh;
                 self.wake(wake, now);
             }
-            self.slots[ti].op_full = SimDuration::ZERO;
-            self.slots[ti].op_done_so_far = SimDuration::ZERO;
-            self.slots[ti].rollbacks = 0;
-            self.slots[ti].fault_restarts = 0;
-            self.slots[ti].dl_attempts = 0;
-            if let Some(adm) = self.admission.as_mut() {
+            self.run.slots[ti].op_full = SimDuration::ZERO;
+            self.run.slots[ti].op_done_so_far = SimDuration::ZERO;
+            self.run.slots[ti].rollbacks = 0;
+            self.run.slots[ti].fault_restarts = 0;
+            self.run.slots[ti].dl_attempts = 0;
+            if let Some(adm) = self.run.admission.as_mut() {
                 adm.op_completed(ti);
             }
             // An undetected upset at op completion (no scrub configured, or
             // the pass hasn't come round yet) is *silent* corruption: the
             // simulator, like the real system, delivers the result anyway.
-            self.slots[ti].poisoned = None;
-            if self.slots[ti].advance_op(&self.specs[ti]) {
+            self.run.slots[ti].poisoned = None;
+            if self.run.slots[ti].advance_op(&self.build.specs[ti]) {
                 self.make_ready(tid, now);
             } else {
                 self.exit(tid, now, Exit::Done);
@@ -1302,26 +1018,26 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
             }
             let mut post_overhead = SimDuration::ZERO;
             if let Some(f) = run.fpga {
-                let pc = self.dev.manager.preempt(tid, f.cid);
+                let pc = self.manager.preempt(tid, f.cid);
                 post_overhead = pc.overhead;
-                self.slots[ti].overhead_time += pc.overhead;
+                self.run.slots[ti].overhead_time += pc.overhead;
                 self.emit(now, |s| TraceEvent::Preemption {
                     task: tid.0,
-                    policy: match s.config.preempt {
+                    policy: match s.build.config.preempt {
                         PreemptAction::WaitCompletion => "wait-completion",
                         PreemptAction::Rollback => "rollback",
                         PreemptAction::SaveRestore => "save-restore",
                     },
                     saved: pc.overhead,
                     rolled_back: if pc.lose_progress {
-                        s.slots[ti].op_done_so_far
+                        s.run.slots[ti].op_done_so_far
                     } else {
                         SimDuration::ZERO
                     },
                 });
                 if pc.lose_progress {
                     // Everything executed on this op so far is discarded.
-                    let slot = &mut self.slots[ti];
+                    let slot = &mut self.run.slots[ti];
                     slot.lost_time += slot.op_done_so_far;
                     slot.fpga_time -= slot.op_done_so_far;
                     slot.op_remaining = slot.op_full;
@@ -1331,7 +1047,7 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
                         slot.rollbacks < 100_000,
                         "task {} is rolling back forever: its FPGA op ({}) never \
                          fits inside the time slice — use SaveRestore or WaitCompletion",
-                        self.specs[ti].name,
+                        self.build.specs[ti].name,
                         slot.op_full
                     );
                 }

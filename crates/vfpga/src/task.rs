@@ -139,9 +139,10 @@ impl TaskSpec {
 }
 
 /// Runtime lifecycle state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TaskState {
     /// Not yet arrived.
+    #[default]
     Future,
     /// Ready to run.
     Ready,
@@ -196,7 +197,7 @@ impl TaskState {
 /// accounting that becomes the task's [`TaskMetrics`] row. The immutable
 /// identity (name, program, tenant) stays in the [`TaskSpec`], so a
 /// checkpoint captures task slots with flat copies.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub(crate) struct TaskSlot {
     /// Lifecycle state.
     pub state: TaskState,
@@ -270,34 +271,13 @@ fn spec_duration(op: Option<&Op>) -> SimDuration {
 }
 
 impl TaskSlot {
-    /// The initial runtime state of a task that has not arrived yet.
+    /// The initial runtime state of a task that has not arrived yet:
+    /// `Future`, its first op's spec duration to run, nothing counted.
     pub fn new(spec: &TaskSpec) -> Self {
         TaskSlot {
-            state: TaskState::Future,
-            op_idx: 0,
             op_remaining: spec_duration(spec.ops.first()),
-            op_full: SimDuration::ZERO,
-            op_done_so_far: SimDuration::ZERO,
-            rollbacks: 0,
-            dl_attempts: 0,
-            fault_restarts: 0,
-            poisoned: None,
             arrival: spec.arrival,
-            completion: SimTime::ZERO,
-            cpu_time: SimDuration::ZERO,
-            fpga_time: SimDuration::ZERO,
-            overhead_time: SimDuration::ZERO,
-            lost_time: SimDuration::ZERO,
-            fault_lost_time: SimDuration::ZERO,
-            degraded_time: SimDuration::ZERO,
-            blocked_count: 0,
-            failed: false,
-            quarantined: false,
-            rejected: false,
-            unschedulable: false,
-            deadline_missed: false,
-            corrupted: false,
-            lost_in_flight: false,
+            ..TaskSlot::default()
         }
     }
 

@@ -17,7 +17,10 @@
 //! system itself, restarted in place, restored and failed over. Right
 //! after the restart its whole state must read as a freshly built
 //! system's that adopted the same cut, and under tracing both must finish
-//! with the same report, trace and event-queue counters.
+//! with the same report, trace and event-queue counters. One more cell
+//! holds only this adoption, over a build whose run derives more from it:
+//! admission vectors, a latency set over a small trace ring, and seeded
+//! fault streams.
 //!
 //! The small matrix runs in Tier-1; `ci.sh` runs the wide one
 //! (`--ignored`) under `--release`.
@@ -26,7 +29,7 @@ mod common;
 
 use common::{four_ops, lib4, timing};
 use fsim::json::Json;
-use fsim::{QueueStats, SimDuration, SimTime, Trace};
+use fsim::{FaultPlan, QueueStats, SimDuration, SimTime, Trace};
 use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex};
 use vfpga::checkpoint::Cut;
@@ -37,7 +40,10 @@ use vfpga::manager::PreemptAction;
 use vfpga::sched::{EdfScheduler, RoundRobinScheduler};
 use vfpga::system::{System, SystemConfig};
 use vfpga::task::TaskSpec;
-use vfpga::{diff_reports, CheckpointConfig, CrashState, FpgaManager, Report, Scheduler};
+use vfpga::{
+    diff_reports, AdmissionPolicy, CheckpointConfig, CrashState, FpgaManager, RecoveryPolicy,
+    Report, Scheduler,
+};
 
 const TENANTS: u32 = 3;
 
@@ -156,13 +162,12 @@ impl Form<'_> {
     }
 }
 
-/// `sys` traced, with its event queue's counters read out at the end.
+/// `sys`, which records a trace, with its event queue's counters read out
+/// at the end.
 fn traced<M: FpgaManager, S: Scheduler>(sys: System<M, S>) -> Traced<M, S> {
     let queue = Arc::new(Mutex::new(None));
     let seen = Arc::clone(&queue);
-    let sys = sys
-        .with_trace()
-        .with_run_probe(move |_, stats| *seen.lock().unwrap() = Some(stats));
+    let sys = sys.with_run_probe(move |_, stats| *seen.lock().unwrap() = Some(stats));
     Traced { sys, queue }
 }
 
@@ -192,9 +197,10 @@ impl<M: FpgaManager, S: Scheduler> Traced<M, S> {
 }
 
 /// The cut system restarted in place against a fresh build, both adopting
-/// the cut `build`'s traced run makes at `at` (if the run is not over by
-/// then), restored and failed over: the same state right after the
-/// adoption, then the same report, trace and queue counters.
+/// the cut `build`'s run (which records a trace) makes at `at` (if the run
+/// is not over by then), restored and failed over: the same state right
+/// after the adoption, then the same report, trace and queue counters, and
+/// the uninterrupted run's (`baseline`'s) outcomes.
 fn restart_matches_a_fresh_build<M: FpgaManager, S: Scheduler>(
     label: &str,
     at: SimTime,
@@ -249,12 +255,9 @@ fn sweep<M: FpgaManager, S: Scheduler>(
     build: impl Fn() -> System<M, S>,
 ) -> Tally {
     let (baseline, trace) = build().with_trace().run_traced().unwrap();
-    let instants: BTreeSet<SimTime> = trace
-        .entries()
-        .flat_map(|e| [e.at, e.at + SimDuration::from_nanos(1)])
-        .collect();
+    let traced = || build().with_trace();
     let mut tally = Tally::default();
-    for &at in &instants {
+    for at in instants(&trace) {
         let Some(cut) = build().run_to_cut(Some(at)).unwrap() else {
             continue; // the run was over by then
         };
@@ -293,13 +296,57 @@ fn sweep<M: FpgaManager, S: Scheduler>(
             );
             assert_eq!(t.receipt, d.receipt, "{label} @{at} {how}: receipts");
         }
-        restart_matches_a_fresh_build(label, at, &baseline, &build);
+        restart_matches_a_fresh_build(label, at, &baseline, traced);
     }
     tally
 }
 
+/// Every instant a traced run did something at, and the instant after.
+fn instants(trace: &Trace) -> BTreeSet<SimTime> {
+    let at = trace.entries().map(|e| e.at);
+    at.flat_map(|at| [at, at + SimDuration::from_nanos(1)])
+        .collect()
+}
+
+/// The restart-in-place cell over a build whose run derives, beside the
+/// task table and the first capture, admission vectors, a latency set
+/// over a 16-event trace ring, and seeded fault streams. Captures and
+/// scrubs are 4–5 ms apart, so the cell cuts at about as many instants as
+/// the other cells.
+fn restart_rederives<M: FpgaManager, S: Scheduler>(label: &str, build: impl Fn() -> System<M, S>) {
+    let faults = FaultPlan {
+        seed: 0x5EED,
+        download_corruption: 0.05,
+        seu_rate_per_s: 200.0,
+        column_failure_rate_per_s: 0.0,
+    };
+    let recovery = RecoveryPolicy {
+        scrub_interval: Some(us(5000)),
+        ..Default::default()
+    };
+    let admission = AdmissionPolicy {
+        max_in_flight: 2,
+        queue_cap: 2,
+        ..Default::default()
+    };
+    let build = || {
+        build()
+            .with_admission(admission.clone())
+            .unwrap()
+            .with_trace_capacity(16)
+            .with_latency_profile()
+            .with_faults(faults, recovery)
+            .with_checkpoints(CheckpointConfig::new(us(4000)))
+            .unwrap()
+    };
+    let (baseline, trace) = build().with_trace().run_traced().unwrap();
+    for at in instants(&trace) {
+        restart_matches_a_fresh_build(label, at, &baseline, build);
+    }
+}
+
 /// {dynload, partition variable + delta} × {round-robin, EDF} over `n`
-/// tasks.
+/// tasks, and the restart cell that derives more from its build.
 fn matrix(n: usize) {
     let (lib, ids) = lib4();
     let sp = specs(&ids, n);
@@ -345,6 +392,11 @@ fn matrix(n: usize) {
         partition_delta,
         EdfScheduler::for_tasks(&sp, Some(quantum))
     );
+    restart_rederives("dynload/rr rederived", || {
+        let (mgr, _) = dynload(&lib);
+        let sched = RoundRobinScheduler::new(quantum);
+        System::new(lib.clone(), mgr, sched, SAVE_RESTORE, sp.clone())
+    });
 }
 
 #[test]
@@ -366,6 +418,26 @@ fn field<'a>(v: &'a mut Json, key: &str) -> &'a mut Json {
     };
     let found = fields.iter_mut().find(|(k, _)| k == key);
     &mut found.unwrap_or_else(|| panic!("no field '{key}'")).1
+}
+
+/// `with_checkpoints` sets the cadence and schedules nothing: a system it
+/// configured twice runs as one it configured once, capture for capture.
+#[test]
+fn a_second_with_checkpoints_changes_nothing() {
+    let (lib, ids) = lib4();
+    let sp = specs(&ids, 8);
+    let (_, ckpt) = dynload(&lib);
+    let build = || {
+        let (mgr, _) = dynload(&lib);
+        let sched = RoundRobinScheduler::new(us(700));
+        System::new(lib.clone(), mgr, sched, SAVE_RESTORE, sp.clone())
+            .with_checkpoints(ckpt)
+            .unwrap()
+    };
+    let once = run(build());
+    let twice = run(build().with_checkpoints(ckpt).unwrap());
+    assert!(once.crash.checkpoints > 0);
+    assert_eq!(text(&twice), text(&once));
 }
 
 /// The seeded violation: a durable form that loses one pending event — the
