@@ -53,7 +53,10 @@
 //!   were restarted in place (93 builds a run against 24), reads 44.742
 //!   allocations and 7,610.7 bytes a task. Its peak live bytes, 2,526.186,
 //!   sit 0.01 % lower: the shard table's slots held a `System` 16 bytes
-//!   narrower.
+//!   narrower. Seeded violation: a copy of the source shard's spec and
+//!   index tables for every migration's destination, in place of sharing
+//!   them, reads 21.726 allocations, 4,072.2 bytes and 2,523.9 peak live
+//!   bytes a task, and fails all three `fleet` rows.
 //!
 //! Debug builds run invariant checkers that allocate, so the test runs
 //! only under `--release` (`ci.sh` does).

@@ -43,7 +43,7 @@
 use crate::circuit::CircuitId;
 use crate::error::VfpgaError;
 use crate::image::{Capture, Running, Schema, SystemImage, TaskColumns};
-use crate::manager::{FpgaManager, ManagerStats, ResidentRegion};
+use crate::manager::{Download, FpgaManager, ResidentRegion};
 use crate::metrics::Report;
 use crate::run::{agrees_with_table, Boot};
 use crate::sched::Scheduler;
@@ -701,24 +701,24 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
         Ok(())
     }
 
-    /// The activation of `circuit` for task `ti` is through; `before` holds
-    /// the manager's counters from before it. A download overwrote the
-    /// device: journal it (a stale claim on the circuit is fresh again).
-    /// A residency "hit" on a claim a journal-off restore left stale runs
-    /// the op on garbage, and nothing detects it.
+    /// The activation of `circuit` for task `ti` is through, and made
+    /// `download`. A download overwrote the device: journal it (a stale
+    /// claim on the circuit is fresh again). A residency "hit" on a claim
+    /// a journal-off restore left stale runs the op on garbage, and
+    /// nothing detects it.
     pub(crate) fn journal_activation(
         &mut self,
         ti: usize,
         circuit: CircuitId,
-        before: &ManagerStats,
+        download: Option<Download>,
         now: SimTime,
     ) {
-        let after = self.manager.stats();
-        if after.downloads > before.downloads {
-            let (col0, width) = match self.resident(|r| r.cid == circuit) {
-                Some(r) => (r.col0, r.width),
-                None => (0, self.manager.timing().spec.cols),
-            };
+        if let Some(Download {
+            col0,
+            width,
+            config_time,
+        }) = download
+        {
             // Mark the columns it rewrote for the next delta capture.
             let rewritten = self.run.dirty_cols.iter_mut().skip(col0 as usize);
             rewritten
@@ -730,7 +730,7 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
                 col0,
                 width,
                 at: now,
-                duration: after.config_time - before.config_time,
+                duration: config_time,
             });
             self.run.stale.remove(&circuit.0);
         } else if self.run.stale.contains(&circuit.0) {

@@ -37,6 +37,7 @@ use fsim::{
 };
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
+use std::sync::Arc;
 
 /// Identifies one physical device in a fleet. Single-device systems are
 /// `DeviceId(0)` and never print the id.
@@ -263,7 +264,10 @@ pub struct ShardCtx<'a> {
     pub home: DeviceId,
     /// Tenants routed to this shard.
     pub tenants: &'a [u32],
-    /// The shard's tasks, in original workload order.
+    /// The shard's tasks, in original workload order. A live migration's
+    /// destination shard is built over its source's table — the same
+    /// slice, shared rather than copied — and retires every other
+    /// tenant's tasks once it adopts the cut.
     pub specs: &'a [TaskSpec],
     /// True when building the software degradation path.
     pub software: bool,
@@ -386,9 +390,11 @@ struct ShardRun<M: FpgaManager, S: Scheduler> {
     home: u32,
     host: u32,
     tenants: Vec<u32>,
-    specs: Vec<TaskSpec>,
-    /// Original workload index of each shard-local task.
-    orig: Vec<usize>,
+    /// The shard's tasks; a migration's destination shares its source's.
+    specs: Arc<[TaskSpec]>,
+    /// Original workload index of each shard-local task, shared the same
+    /// way.
+    orig: Arc<[usize]>,
     /// Instant of the shard's last restore; device-fault windows at or
     /// before it are already accounted for.
     watermark: SimTime,
@@ -409,15 +415,16 @@ struct ShardRun<M: FpgaManager, S: Scheduler> {
 }
 
 impl<M: FpgaManager, S: Scheduler> ShardRun<M, S> {
-    /// An empty shard placed on (and hosted by) `home`.
-    fn new(home: u32) -> Self {
+    /// A shard of `tenants` over `specs` (workload indices `orig`), placed
+    /// on (and hosted by) `home`.
+    fn new(home: u32, tenants: Vec<u32>, specs: Arc<[TaskSpec]>, orig: Arc<[usize]>) -> Self {
         ShardRun {
             shard: 0,
             home,
             host: home,
-            tenants: Vec::new(),
-            specs: Vec::new(),
-            orig: Vec::new(),
+            tenants,
+            specs,
+            orig,
             watermark: SimTime::ZERO,
             failovers: 0,
             rebalances: 0,
@@ -453,24 +460,17 @@ impl<M: FpgaManager, S: Scheduler> ShardRun<M, S> {
         if let Some(base) = &self.mig_baseline {
             base.subtract_from(&mut report);
         }
-        let mut orig = self.orig;
+        let mut orig = self.orig.to_vec();
         if self.mig_touched {
             let keep: Vec<bool> = self
                 .specs
                 .iter()
                 .map(|s| self.tenants.contains(&s.tenant))
                 .collect();
-            report.tasks = report
-                .tasks
-                .into_iter()
-                .zip(&keep)
-                .filter_map(|(m, &k)| k.then_some(m))
-                .collect();
-            orig = orig
-                .into_iter()
-                .zip(&keep)
-                .filter_map(|(o, &k)| k.then_some(o))
-                .collect();
+            let mut kept = keep.iter();
+            report.tasks.retain(|_| kept.next() == Some(&true));
+            let mut kept = keep.iter();
+            orig.retain(|_| kept.next() == Some(&true));
             report.makespan = report
                 .tasks
                 .iter()
@@ -538,20 +538,28 @@ where
     /// within the shard.
     fn new(cfg: &'a FleetConfig, specs: Vec<TaskSpec>, build: F) -> Self {
         let device_of: BTreeMap<u32, u32> = place_tenants(cfg, &specs).into_iter().collect();
-        let mut shards: Vec<ShardRun<M, S>> = (0..cfg.devices).map(ShardRun::new).collect();
+        // (tenants, specs, original indices) per device.
+        let mut tables: Vec<(Vec<u32>, Vec<TaskSpec>, Vec<usize>)> =
+            (0..cfg.devices).map(|_| Default::default()).collect();
         for (i, s) in specs.into_iter().enumerate() {
-            let sh = &mut shards[device_of[&s.tenant] as usize];
-            if !sh.tenants.contains(&s.tenant) {
-                sh.tenants.push(s.tenant);
+            let (tenants, specs, orig) = &mut tables[device_of[&s.tenant] as usize];
+            if !tenants.contains(&s.tenant) {
+                tenants.push(s.tenant);
             }
-            sh.specs.push(s);
-            sh.orig.push(i);
+            specs.push(s);
+            orig.push(i);
         }
-        shards.retain(|sh| !sh.specs.is_empty());
+        let mut shards: Vec<ShardRun<M, S>> = Vec::new();
         let mut hosted = vec![0u32; cfg.devices as usize];
-        for (i, sh) in shards.iter_mut().enumerate() {
-            sh.shard = i as u32;
-            hosted[sh.host as usize] += 1;
+        for (home, (tenants, specs, orig)) in tables.into_iter().enumerate() {
+            if specs.is_empty() {
+                continue;
+            }
+            hosted[home] += 1;
+            shards.push(ShardRun {
+                shard: shards.len() as u32,
+                ..ShardRun::new(home as u32, tenants, specs.into(), orig.into())
+            });
         }
 
         let windows: Vec<Vec<(SimTime, SimTime)>> =
@@ -647,7 +655,7 @@ where
         let placed = tenants.len();
         tenants.dedup();
         assert_eq!(placed, tenants.len(), "a tenant is on two shards");
-        let specs = self.shards.iter().flat_map(|s| &s.specs);
+        let specs = self.shards.iter().flat_map(|s| s.specs.iter());
         for tenant in specs.map(|s| s.tenant) {
             assert!(
                 tenants.binary_search(&tenant).is_ok(),
@@ -1014,14 +1022,13 @@ where
         self.engine.journal_both(mv, MigrationPhase::Intent);
         self.hosted[to as usize] += 1;
         let di = self.shards.len();
+        let src = &self.shards[si];
+        let (specs, orig) = (Arc::clone(&src.specs), Arc::clone(&src.orig));
         self.shards.push(ShardRun {
             shard: di as u32,
-            tenants: vec![tenant],
-            specs: self.shards[si].specs.clone(),
-            orig: self.shards[si].orig.clone(),
             watermark: at,
             mig_touched: true,
-            ..ShardRun::new(to)
+            ..ShardRun::new(to, vec![tenant], specs, orig)
         });
         let mut dst = self.build_on(di, to, false)?;
         let receipt = dst
@@ -1273,7 +1280,6 @@ mod tests {
     use crate::system::SystemConfig;
     use crate::system_tests::{lib_n, ms, timing, us};
     use crate::task::Op;
-    use std::sync::Arc;
 
     /// Four tenants, two tasks each, arrivals interleaved.
     fn specs(ids: &[CircuitId]) -> Vec<TaskSpec> {
@@ -1826,6 +1832,38 @@ mod tests {
         let shards = fleet.shards.len() as u64;
         assert_eq!(shards, 3 + s.tenant_migrations, "{s:?}");
         assert_eq!(builds.get(), shards + s.software_fallbacks, "{s:?}");
+    }
+
+    #[test]
+    fn a_migration_destination_builds_over_its_source_table() {
+        // Every build's shard, tenants and spec-table address.
+        let (lib, ids) = lib_n(2);
+        let cfg = FleetConfig::new(2)
+            .with_max_shards_per_device(4)
+            .with_checkpoints(CheckpointConfig::new(ms(1)))
+            .with_migrations(mig_plan(400.0, 2, None));
+        let mut builds: Vec<(u32, Vec<u32>, *const TaskSpec)> = Vec::new();
+        let mut build = builder(lib);
+        let fleet = run_fleet(&cfg, specs(&ids), |ctx: &ShardCtx<'_>| {
+            builds.push((ctx.shard, ctx.tenants.to_vec(), ctx.specs.as_ptr()));
+            build(ctx)
+        })
+        .unwrap();
+        let migrations = fleet.stats.tenant_migrations as usize;
+        assert!(migrations >= 1, "{:?}", fleet.stats);
+        let placed = fleet.shards.len() - migrations;
+        let (first, destinations): (Vec<_>, Vec<_>) = builds
+            .iter()
+            .partition(|(shard, ..)| (*shard as usize) < placed);
+        assert_eq!(destinations.len(), migrations);
+        for (shard, tenants, table) in destinations {
+            let source = first.iter().find(|(_, ts, _)| ts.contains(&tenants[0]));
+            assert_eq!(
+                source.map(|s| s.2),
+                Some(*table),
+                "shard {shard} holds a copy of its source's spec table"
+            );
+        }
     }
 
     #[test]

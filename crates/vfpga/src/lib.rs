@@ -89,7 +89,9 @@ pub use fsim::{
     CrashPlan, DeviceFaultPlan, FaultInjector, FaultPlan, MigrationCrashWindow, MigrationPlan,
 };
 pub use image::SystemImage;
-pub use manager::{Activation, DeviceUsage, FpgaManager, ManagerStats, PreemptAction, PreemptCost};
+pub use manager::{
+    Activation, DeviceUsage, Download, FpgaManager, ManagerStats, PreemptAction, PreemptCost,
+};
 pub use metrics::{OverheadBreakdown, Report, TaskMetrics};
 pub use migrate::{CounterBaseline, MigrateInReceipt, MigrationManifest};
 pub use recovery::{FaultStats, RecoveryPolicy, UpsetRecovery};

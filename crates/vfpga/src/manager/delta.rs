@@ -345,7 +345,7 @@ mod tests {
         ));
         m.op_done(TaskId(0), first);
         match m.activate(TaskId(1), second) {
-            Activation::Ready { overhead } => (overhead, m.delta_stats().unwrap()),
+            Activation::Ready { overhead, .. } => (overhead, m.delta_stats().unwrap()),
             other => panic!("{other:?}"),
         }
     }
@@ -406,7 +406,7 @@ mod tests {
         ));
         m.op_done(TaskId(0), wide);
         let overhead = match m.activate(TaskId(1), narrow) {
-            Activation::Ready { overhead } => overhead,
+            Activation::Ready { overhead, .. } => overhead,
             other => panic!("{other:?}"),
         };
         assert_eq!(overhead, SimDuration::from_nanos(2_030_000));

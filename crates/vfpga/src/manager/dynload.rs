@@ -13,7 +13,7 @@
 
 use super::{
     charge_full_download, charge_partial_download, charge_state_move, Activation, DeviceUsage,
-    EventBuf, FpgaManager, ManagerStats, PreemptCost, ResidentRegion,
+    Download, EventBuf, FpgaManager, ManagerStats, PreemptCost, ResidentRegion,
 };
 use crate::circuit::{CircuitId, CircuitLib};
 use crate::manager::PreemptAction;
@@ -83,9 +83,17 @@ impl FpgaManager for DynLoadManager {
 
     fn activate(&mut self, tid: TaskId, cid: CircuitId) -> Activation {
         let mut overhead = SimDuration::ZERO;
+        let mut download = None;
         if self.st.loaded != Some(cid) {
             self.st.stats.misses += 1;
-            overhead += self.download(tid, cid);
+            let config_time = self.download(tid, cid);
+            overhead += config_time;
+            // Downloads always place the circuit from column 0.
+            download = Some(Download {
+                col0: 0,
+                width: self.lib.get(cid).shape().0,
+                config_time,
+            });
         } else {
             self.st.stats.hits += 1;
         }
@@ -94,7 +102,7 @@ impl FpgaManager for DynLoadManager {
             let frames = self.lib.get(cid).frames();
             overhead += charge_state_move(&self.timing, frames, false, &mut self.st.stats);
         }
-        Activation::Ready { overhead }
+        Activation::Ready { overhead, download }
     }
 
     fn preempt(&mut self, tid: TaskId, cid: CircuitId) -> PreemptCost {
@@ -231,17 +239,17 @@ mod tests {
         let t0 = TaskId(0);
         let t1 = TaskId(1);
         assert!(
-            matches!(m.activate(t0, ids[0]), Activation::Ready { overhead } if overhead > SimDuration::ZERO)
+            matches!(m.activate(t0, ids[0]), Activation::Ready { overhead, .. } if overhead > SimDuration::ZERO)
         );
         m.op_done(t0, ids[0]);
         // Same circuit again (other task): hit.
         match m.activate(t1, ids[0]) {
-            Activation::Ready { overhead } => assert_eq!(overhead, SimDuration::ZERO),
+            Activation::Ready { overhead, .. } => assert_eq!(overhead, SimDuration::ZERO),
             other => panic!("{other:?}"),
         }
         // Different circuit: miss.
         assert!(
-            matches!(m.activate(t0, ids[2]), Activation::Ready { overhead } if overhead > SimDuration::ZERO)
+            matches!(m.activate(t0, ids[2]), Activation::Ready { overhead, .. } if overhead > SimDuration::ZERO)
         );
         assert_eq!(m.stats().downloads, 2);
         assert_eq!(m.stats().hits, 1);
@@ -253,11 +261,11 @@ mod tests {
         let (mut slow, ids) = manager(ConfigPort::SerialSlow, PreemptAction::Rollback);
         let (mut fast, ids_f) = manager(ConfigPort::SerialFast, PreemptAction::Rollback);
         let o_slow = match slow.activate(TaskId(0), ids[0]) {
-            Activation::Ready { overhead } => overhead,
+            Activation::Ready { overhead, .. } => overhead,
             _ => unreachable!(),
         };
         let o_fast = match fast.activate(TaskId(0), ids_f[0]) {
-            Activation::Ready { overhead } => overhead,
+            Activation::Ready { overhead, .. } => overhead,
             _ => unreachable!(),
         };
         assert_eq!(o_slow, slow.timing.full_config_time());
@@ -282,7 +290,7 @@ mod tests {
         m.activate(TaskId(4), ids[0]);
         // Original task resumes: download + state restore.
         match m.activate(t, lfsr) {
-            Activation::Ready { overhead } => {
+            Activation::Ready { overhead, .. } => {
                 assert!(overhead > SimDuration::ZERO);
             }
             other => panic!("{other:?}"),

@@ -11,7 +11,7 @@
 //! resource discipline). Waiters queue FIFO.
 
 use super::{
-    charge_full_download, Activation, DeviceUsage, EventBuf, FpgaManager, ManagerStats,
+    charge_full_download, Activation, DeviceUsage, Download, EventBuf, FpgaManager, ManagerStats,
     PreemptCost, ResidentRegion,
 };
 use crate::circuit::{CircuitId, CircuitLib};
@@ -50,17 +50,27 @@ impl ExclusiveManager {
         }
     }
 
-    fn grant(&mut self, tid: TaskId, cid: CircuitId) -> SimDuration {
+    fn grant(&mut self, tid: TaskId, cid: CircuitId) -> Activation {
         self.holder = Some((tid, cid));
         if self.loaded == Some(cid) {
             self.stats.hits += 1;
-            SimDuration::ZERO
-        } else {
-            self.stats.misses += 1;
-            self.loaded = Some(cid);
-            // Exclusive mode models the paper's "only serially and
-            // completely" devices: every load is a full reconfiguration.
-            charge_full_download(&self.timing, &mut self.stats, &mut self.obs, tid)
+            return Activation::Ready {
+                overhead: SimDuration::ZERO,
+                download: None,
+            };
+        }
+        self.stats.misses += 1;
+        self.loaded = Some(cid);
+        // Exclusive mode models the paper's "only serially and
+        // completely" devices: every load is a full reconfiguration.
+        let d = charge_full_download(&self.timing, &mut self.stats, &mut self.obs, tid);
+        Activation::Ready {
+            overhead: d,
+            download: Some(Download {
+                col0: 0,
+                width: self.lib.get(cid).shape().0,
+                config_time: d,
+            }),
         }
     }
 }
@@ -75,15 +85,14 @@ impl FpgaManager for ExclusiveManager {
         match self.holder {
             Some((h, _)) if h == tid => Activation::Ready {
                 overhead: SimDuration::ZERO,
+                download: None,
             },
             Some(_) => {
                 self.stats.blocks += 1;
                 self.waiters.push_back((tid, cid));
                 Activation::Blocked
             }
-            None => Activation::Ready {
-                overhead: self.grant(tid, cid),
-            },
+            None => self.grant(tid, cid),
         }
     }
 
@@ -202,7 +211,7 @@ mod tests {
     fn first_activation_pays_full_config() {
         let (mut m, a, _) = setup();
         match m.activate(TaskId(0), a) {
-            Activation::Ready { overhead } => {
+            Activation::Ready { overhead, .. } => {
                 assert_eq!(overhead, m.timing.full_config_time());
             }
             other => panic!("expected Ready, got {other:?}"),
@@ -234,7 +243,7 @@ mod tests {
         m.task_exit(TaskId(0));
         // Different task, same circuit: device still holds it.
         match m.activate(TaskId(1), a) {
-            Activation::Ready { overhead } => assert_eq!(overhead, SimDuration::ZERO),
+            Activation::Ready { overhead, .. } => assert_eq!(overhead, SimDuration::ZERO),
             other => panic!("{other:?}"),
         }
         assert_eq!(m.stats().hits, 1);
@@ -246,7 +255,7 @@ mod tests {
         let (mut m, a, _) = setup();
         m.activate(TaskId(0), a);
         match m.activate(TaskId(0), a) {
-            Activation::Ready { overhead } => assert_eq!(overhead, SimDuration::ZERO),
+            Activation::Ready { overhead, .. } => assert_eq!(overhead, SimDuration::ZERO),
             other => panic!("{other:?}"),
         }
     }

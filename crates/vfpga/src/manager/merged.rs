@@ -152,6 +152,7 @@ impl FpgaManager for MergedManager {
                 self.stats.hits += 1;
                 Activation::Ready {
                     overhead: SimDuration::ZERO,
+                    download: None,
                 }
             }
         }
@@ -238,7 +239,7 @@ mod tests {
         assert!(m.boot_config_time() > SimDuration::ZERO);
         for t in 0..3u32 {
             match m.activate(TaskId(t), CircuitId(t)) {
-                Activation::Ready { overhead } => assert_eq!(overhead, SimDuration::ZERO),
+                Activation::Ready { overhead, .. } => assert_eq!(overhead, SimDuration::ZERO),
                 other => panic!("{other:?}"),
             }
         }

@@ -28,6 +28,9 @@ pub enum Activation {
     Ready {
         /// CPU time charged before the FPGA op can start.
         overhead: SimDuration,
+        /// The download this activation made to configure the circuit;
+        /// `None` on a residency hit.
+        download: Option<Download>,
     },
     /// The resource is held by others; the task must wait. The manager
     /// has queued it and will return it from a later wake list.
@@ -36,6 +39,20 @@ pub enum Activation {
     /// slot/partition, or capacity permanently retired below the need).
     /// The system fails the task instead of deadlocking on it.
     Unservable,
+}
+
+/// The configuration download an activation made: where the circuit now
+/// sits and what the port spent writing it. Fault injection corrupts
+/// downloads and the checkpoint journal logs them, both off this record.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Download {
+    /// First device column of the circuit's new region.
+    pub col0: u32,
+    /// Columns the region spans.
+    pub width: u32,
+    /// Configuration-port time of the download: its share of
+    /// [`ManagerStats::config_time`].
+    pub config_time: SimDuration,
 }
 
 /// A resident circuit's physical placement, reported by

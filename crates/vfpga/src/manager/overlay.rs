@@ -13,8 +13,8 @@
 
 use super::delta::{DeltaStats, DeltaTable};
 use super::{
-    charge_delta_download, charge_partial_download, Activation, DeviceUsage, EventBuf, FpgaManager,
-    ManagerStats, PreemptCost, ResidentRegion,
+    charge_delta_download, charge_partial_download, Activation, DeviceUsage, Download, EventBuf,
+    FpgaManager, ManagerStats, PreemptCost, ResidentRegion,
 };
 use crate::circuit::{CircuitId, CircuitLib};
 use crate::error::VfpgaError;
@@ -219,6 +219,7 @@ impl FpgaManager for OverlayManager {
                     self.stats.hits += 1;
                     return Activation::Ready {
                         overhead: SimDuration::ZERO,
+                        download: None,
                     };
                 }
             }
@@ -239,6 +240,7 @@ impl FpgaManager for OverlayManager {
                     self.stats.hits += 1;
                     return Activation::Ready {
                         overhead: SimDuration::ZERO,
+                        download: None,
                     };
                 }
             }
@@ -311,7 +313,14 @@ impl FpgaManager for OverlayManager {
                 s.last_use = stamp;
                 s.loaded_at = stamp;
                 s.uses = 1;
-                Activation::Ready { overhead }
+                Activation::Ready {
+                    overhead,
+                    download: Some(Download {
+                        col0: self.slot_col0(i),
+                        width,
+                        config_time: overhead,
+                    }),
+                }
             }
             None => {
                 self.stats.blocks += 1;
@@ -522,7 +531,7 @@ mod tests {
         let (mut m, ids) = setup(Replacement::Lru);
         for t in 0..5u32 {
             match m.activate(TaskId(t), ids[0]) {
-                Activation::Ready { overhead } => assert_eq!(overhead, SimDuration::ZERO),
+                Activation::Ready { overhead, .. } => assert_eq!(overhead, SimDuration::ZERO),
                 other => panic!("{other:?}"),
             }
             m.op_done(TaskId(t), ids[0]);
@@ -535,11 +544,11 @@ mod tests {
     fn specific_circuit_faults_then_hits() {
         let (mut m, ids) = setup(Replacement::Lru);
         assert!(
-            matches!(m.activate(TaskId(0), ids[1]), Activation::Ready { overhead } if overhead > SimDuration::ZERO)
+            matches!(m.activate(TaskId(0), ids[1]), Activation::Ready { overhead, .. } if overhead > SimDuration::ZERO)
         );
         m.op_done(TaskId(0), ids[1]);
         assert!(
-            matches!(m.activate(TaskId(1), ids[1]), Activation::Ready { overhead } if overhead == SimDuration::ZERO)
+            matches!(m.activate(TaskId(1), ids[1]), Activation::Ready { overhead, .. } if overhead == SimDuration::ZERO)
         );
         assert_eq!(m.stats().misses, 1);
         assert_eq!(m.stats().hits, 1);
@@ -564,7 +573,7 @@ mod tests {
         m.op_done(TaskId(10), extra);
         assert_eq!(m.stats().evictions, before + 1);
         assert!(
-            matches!(m.activate(TaskId(11), ids[1]), Activation::Ready { overhead } if overhead == SimDuration::ZERO)
+            matches!(m.activate(TaskId(11), ids[1]), Activation::Ready { overhead, .. } if overhead == SimDuration::ZERO)
         );
     }
 
@@ -609,7 +618,7 @@ mod tests {
             if policy == Replacement::Lfu {
                 assert!(matches!(
                     m.activate(TaskId(31), ids[1]),
-                    Activation::Ready { overhead } if overhead == SimDuration::ZERO
+                    Activation::Ready { overhead, .. } if overhead == SimDuration::ZERO
                 ));
             }
         }
@@ -644,13 +653,13 @@ mod tests {
         assert_eq!(m.slot_count(), 1);
         m.enable_delta();
         let full = match m.activate(TaskId(0), a) {
-            Activation::Ready { overhead } => overhead,
+            Activation::Ready { overhead, .. } => overhead,
             other => panic!("{other:?}"),
         };
         m.op_done(TaskId(0), a);
         // Swap a -> b: the outgoing occupant is the base.
         let delta = match m.activate(TaskId(1), b) {
-            Activation::Ready { overhead } => overhead,
+            Activation::Ready { overhead, .. } => overhead,
             other => panic!("{other:?}"),
         };
         assert!(delta < full, "variant swap must beat the full download");
@@ -661,7 +670,7 @@ mod tests {
         // A repair rewrote the slot: the occupant is no longer a base.
         m.invalidate_image_range(0, w);
         match m.activate(TaskId(2), a) {
-            Activation::Ready { overhead } => assert_eq!(overhead, full),
+            Activation::Ready { overhead, .. } => assert_eq!(overhead, full),
             other => panic!("{other:?}"),
         }
         let ds = m.delta_stats().unwrap();
@@ -671,7 +680,7 @@ mod tests {
         m.op_done(TaskId(2), a);
         // The fresh download re-synced the slot: deltas work again.
         match m.activate(TaskId(3), b) {
-            Activation::Ready { overhead } => assert!(overhead < full),
+            Activation::Ready { overhead, .. } => assert!(overhead < full),
             other => panic!("{other:?}"),
         }
         assert_eq!(m.delta_stats().unwrap().delta_downloads, 2);
@@ -679,7 +688,7 @@ mod tests {
         // A CRC-rejected download empties the slot: next load is full.
         assert!(m.discard_resident(b));
         match m.activate(TaskId(4), a) {
-            Activation::Ready { overhead } => assert_eq!(overhead, full),
+            Activation::Ready { overhead, .. } => assert_eq!(overhead, full),
             other => panic!("{other:?}"),
         }
         let ds = m.delta_stats().unwrap();

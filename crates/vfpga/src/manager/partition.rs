@@ -22,7 +22,7 @@
 use super::delta::{DeltaImage, DeltaStats, DeltaTable};
 use super::{
     charge_delta_download, charge_partial_download, charge_state_move, Activation, DeviceUsage,
-    EventBuf, FpgaManager, ManagerStats, PreemptCost, ResidentRegion, RetireOutcome,
+    Download, EventBuf, FpgaManager, ManagerStats, PreemptCost, ResidentRegion, RetireOutcome,
 };
 use crate::circuit::{CircuitId, CircuitLib};
 use crate::error::VfpgaError;
@@ -256,9 +256,9 @@ impl PartitionManager {
     }
 
     /// Load `cid` into partition `idx` (assumed free and wide enough),
-    /// splitting in variable mode. Returns overhead, or None if routing
-    /// fails at that origin.
-    fn load_into(&mut self, idx: usize, cid: CircuitId, tid: TaskId) -> Option<SimDuration> {
+    /// splitting in variable mode. Returns the download — its overhead is
+    /// its config time — or None if routing fails at that origin.
+    fn load_into(&mut self, idx: usize, cid: CircuitId, tid: TaskId) -> Option<Download> {
         let need_w = self.lib.get(cid).shape().0;
         let origin = (self.parts[idx].col, 0u32);
         let routes = self
@@ -279,7 +279,7 @@ impl PartitionManager {
         let last_use = self.tick();
         let frames = need_w as usize;
         let col = self.parts[idx].col;
-        let overhead = match &mut self.delta {
+        let config_time = match &mut self.delta {
             Some(dt) => {
                 // A usable base is a ghost anchored at this exact column
                 // whose diff is strictly cheaper than a full load.
@@ -329,7 +329,11 @@ impl PartitionManager {
             last_use,
             saved_for: None,
         };
-        Some(overhead)
+        Some(Download {
+            col0: col,
+            width: self.parts[idx].width,
+            config_time,
+        })
     }
 
     /// Evict the least-recently-used idle resident circuit, whatever its
@@ -675,7 +679,10 @@ impl PartitionManager {
                 *saved_for = None;
                 overhead += charge_state_move(&self.timing, width as usize, false, &mut self.stats);
             }
-            return Activation::Ready { overhead };
+            return Activation::Ready {
+                overhead,
+                download: None,
+            };
         }
 
         // 2. Find a free partition wide enough (first-fit).
@@ -689,8 +696,11 @@ impl PartitionManager {
         loop {
             let (candidate, free_total, largest_free) = self.free_space(need_w);
             if let Some(i) = candidate {
-                if let Some(overhead) = self.load_into(i, cid, tid) {
-                    return Activation::Ready { overhead };
+                if let Some(download) = self.load_into(i, cid, tid) {
+                    return Activation::Ready {
+                        overhead: download.config_time,
+                        download: Some(download),
+                    };
                 }
                 // Routing failed at this origin (nothing was committed, the
                 // partitions are as scanned) — treat like fragmentation:
@@ -705,9 +715,10 @@ impl PartitionManager {
             {
                 let gc_overhead = self.garbage_collect(tid);
                 if let (Some(i), ..) = self.free_space(need_w) {
-                    if let Some(overhead) = self.load_into(i, cid, tid) {
+                    if let Some(download) = self.load_into(i, cid, tid) {
                         return Activation::Ready {
-                            overhead: overhead + gc_overhead,
+                            overhead: download.config_time + gc_overhead,
+                            download: Some(download),
                         };
                     }
                 }
@@ -1167,7 +1178,7 @@ mod tests {
         m.activate(TaskId(0), ids[0]);
         m.op_done(TaskId(0), ids[0]);
         match m.activate(TaskId(1), ids[0]) {
-            Activation::Ready { overhead } => assert_eq!(overhead, SimDuration::ZERO),
+            Activation::Ready { overhead, .. } => assert_eq!(overhead, SimDuration::ZERO),
             other => panic!("{other:?}"),
         }
         assert_eq!(m.stats().hits, 1);
@@ -1348,7 +1359,7 @@ mod tests {
         assert!(!m.discard_resident(ids[0]), "second discard finds nothing");
         // The circuit can be reloaded (a fresh download) afterwards.
         match m.activate(TaskId(1), ids[0]) {
-            Activation::Ready { overhead } => assert!(overhead > SimDuration::ZERO),
+            Activation::Ready { overhead, .. } => assert!(overhead > SimDuration::ZERO),
             other => panic!("{other:?}"),
         }
     }
@@ -1481,13 +1492,13 @@ mod tests {
         .unwrap();
         m.enable_delta();
         let full = match m.activate(TaskId(0), ids[0]) {
-            Activation::Ready { overhead } => overhead,
+            Activation::Ready { overhead, .. } => overhead,
             other => panic!("{other:?}"),
         };
         m.op_done(TaskId(0), ids[0]);
         // Variant displaces the base: evict -> ghost -> delta reload.
         let delta = match m.activate(TaskId(1), ids[1]) {
-            Activation::Ready { overhead } => overhead,
+            Activation::Ready { overhead, .. } => overhead,
             other => panic!("{other:?}"),
         };
         assert!(
@@ -1501,7 +1512,7 @@ mod tests {
         // And back again: the base's ghost now serves the other direction.
         m.op_done(TaskId(1), ids[1]);
         match m.activate(TaskId(2), ids[0]) {
-            Activation::Ready { overhead } => assert!(overhead < full),
+            Activation::Ready { overhead, .. } => assert!(overhead < full),
             other => panic!("{other:?}"),
         }
         assert_eq!(m.delta_stats().unwrap().delta_downloads, 2);

@@ -35,13 +35,14 @@
 //! [`CounterBaseline`] captured at adoption time is subtracted before the
 //! fleet merges reports, so migrated work is never double-counted.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use fpga::journal::{MigrationLog, MigrationPhase, MigrationRecord, MigrationResolution};
 use fsim::{span, MigrationCrashWindow, MigrationPlan, SimDuration, SimTime};
 
 use crate::admission::AdmissionStats;
 use crate::checkpoint::{CrashState, CrashStats, Cut};
+use crate::circuit::CircuitId;
 use crate::counters::Counters;
 use crate::error::VfpgaError;
 use crate::manager::{redownload_cost, DeltaStats, FpgaManager, ManagerStats, ResidentRegion};
@@ -199,31 +200,47 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
         }
     }
 
-    /// Ids of the circuits the tasks of the tenants `of` selects use.
-    fn circuits_of(&self, of: impl Fn(u32) -> bool) -> BTreeSet<u32> {
-        let specs = self.build.specs.iter().filter(|spec| of(spec.tenant));
-        let ops = specs.flat_map(|spec| &spec.ops);
-        ops.filter_map(|op| match *op {
-            Op::FpgaRun { circuit, .. } => Some(circuit.0),
-            Op::Cpu(_) => None,
-        })
-        .collect()
+    /// Who uses each of the library's circuits, by circuit id: `tenant`'s
+    /// tasks, another tenant's, or both. One pass over every op of every
+    /// task in the build — finished, migrated out or not.
+    fn circuit_use(&self, tenant: u32) -> Vec<CircuitUse> {
+        let mut uses = vec![CircuitUse::default(); self.build.lib.len()];
+        for spec in self.build.specs.iter() {
+            let mine = spec.tenant == tenant;
+            for op in &spec.ops {
+                let Op::FpgaRun { circuit, .. } = *op else {
+                    continue;
+                };
+                // A circuit outside the library is never resident.
+                if let Some(u) = uses.get_mut(circuit.0 as usize) {
+                    if mine {
+                        u.tenant = true;
+                    } else {
+                        u.others = true;
+                    }
+                }
+            }
+        }
+        uses
     }
 
-    /// Release residency claims only the migrated tenant still needs:
-    /// circuits used by `tenant`'s tasks and by no other tenant left in
-    /// this system. Shared circuits stay resident for the remaining
-    /// tenants. Idempotent — the journal-replay redo path may call it
-    /// again after a crash between commit and free, and the second call
-    /// finds nothing to discard.
+    /// Release the residency claims of the circuits only `tenant` uses:
+    /// circuits some op of `tenant`'s tasks names and no op of any other
+    /// task in this system's build does. That build holds the whole shard
+    /// table, so a task still counts when it has finished or its tenant
+    /// has migrated out: a circuit shared with one of them stays resident.
+    /// Idempotent — the journal-replay redo path may call it again after a
+    /// crash between commit and free, and the second call finds nothing to
+    /// discard.
     pub fn free_migrated(&mut self, tenant: u32) -> u32 {
-        let mut exclusive = self.circuits_of(|t| t == tenant);
-        for cid in self.circuits_of(|t| t != tenant) {
-            exclusive.remove(&cid);
-        }
+        let uses = self.circuit_use(tenant);
+        let only_tenant = |cid: CircuitId| {
+            uses.get(cid.0 as usize)
+                .is_some_and(|u| u.tenant && !u.others)
+        };
         let mut freed = 0u32;
         for claim in self.manager.resident_regions() {
-            if exclusive.contains(&claim.cid.0) && self.manager.discard_resident(claim.cid) {
+            if only_tenant(claim.cid) && self.manager.discard_resident(claim.cid) {
                 freed += 1;
             }
         }
@@ -263,10 +280,10 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
             self.adopt_onto_fresh_fabric(cut, "migrate_in")?;
         // The tenant's own claims are what the staged copy re-creates
         // here — remember their geometry for the implant.
-        let tenant_circuits = self.circuits_of(|t| t == tenant);
+        let uses = self.circuit_use(tenant);
         let staged: Vec<ResidentRegion> = discarded
             .into_iter()
-            .filter(|claim| tenant_circuits.contains(&claim.cid.0))
+            .filter(|claim| uses.get(claim.cid.0 as usize).is_some_and(|u| u.tenant))
             .collect();
         let migrated = staged.len() as u32;
         // Everyone but the migrating tenant continues on the source.
@@ -310,6 +327,14 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
             baseline,
         })
     }
+}
+
+/// Whether a migrating tenant's tasks, and any other tenant's, use a
+/// circuit: one row of `System::circuit_use`'s table.
+#[derive(Debug, Clone, Copy, Default)]
+struct CircuitUse {
+    tenant: bool,
+    others: bool,
 }
 
 /// One tenant's planned move at one instant, as every phase of the

@@ -30,7 +30,7 @@
 
 use crate::circuit::CircuitId;
 use crate::image::{Latent, Running};
-use crate::manager::{redownload_cost, FpgaManager, ManagerStats};
+use crate::manager::{redownload_cost, Download, FpgaManager};
 use crate::sched::Scheduler;
 use crate::system::{Ev, System};
 use crate::task::{Op, TaskId, TaskState};
@@ -433,31 +433,30 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
         // absorbed the fault.
     }
 
-    /// The activation of `circuit` for `tid` cost `o`; `before` holds the
-    /// manager's counters from before it. If it downloaded and the injector
-    /// corrupts the download, the CRC catches it: the circuit is discarded
-    /// and the CPU held for the wasted attempt, whose end
-    /// ([`on_retry_done`](Self::on_retry_done)) decides about a retry.
-    /// Returns whether the download was corrupt.
+    /// The activation of `circuit` for `tid` cost `o` and made `download`.
+    /// If it downloaded and the injector corrupts the download, the CRC
+    /// catches it: the circuit is discarded and the CPU held for the wasted
+    /// attempt, whose end ([`on_retry_done`](Self::on_retry_done)) decides
+    /// about a retry. Returns whether the download was corrupt.
     pub(crate) fn corrupt_download(
         &mut self,
         tid: TaskId,
         circuit: CircuitId,
         o: SimDuration,
-        before: &ManagerStats,
+        download: Option<Download>,
         now: SimTime,
     ) -> bool {
-        let Some(inj) = self.injector.as_mut() else {
+        let (Some(inj), Some(download)) = (self.injector.as_mut(), download) else {
             return false;
         };
-        if !(self.manager.stats().downloads > before.downloads && inj.corrupt_download()) {
+        if !inj.corrupt_download() {
             return false;
         }
         let ti = tid.0 as usize;
         self.manager.discard_resident(circuit);
         self.run.fault.download_faults += 1;
         self.run.fault.crc_mismatches += 1;
-        self.run.fault.retry_time += self.manager.stats().config_time - before.config_time;
+        self.run.fault.retry_time += download.config_time;
         self.run.slots[ti].dl_attempts += 1;
         self.run.slots[ti].overhead_time += o;
         self.emit(now, |_| TraceEvent::FaultInjected {

@@ -170,8 +170,9 @@ impl Run {
     /// still to arrive, the first capture the one pending event, nothing
     /// recorded, journaled or counted. Buffers a previous run left are
     /// reused: the task table, the trace's ring, the journal, the dirty
-    /// columns.
-    pub(crate) fn reset<M>(&mut self, build: &Build<M>) {
+    /// columns. A `warm` reset leaves the task table empty, and so nothing
+    /// unfinished: the capture restored next fills it.
+    pub(crate) fn reset<M>(&mut self, build: &Build<M>, warm: bool) {
         let Run {
             slots,
             arrived,
@@ -198,7 +199,9 @@ impl Run {
         } = self;
         let n = build.specs.len();
         slots.clear();
-        slots.extend(build.specs.iter().map(TaskSlot::new));
+        if !warm {
+            slots.extend(build.specs.iter().map(TaskSlot::new));
+        }
         *arrived = 0;
         // What the run schedules is in flight a handful at a time: a
         // dispatch, a checkpoint, a watchdog, a fault.
@@ -208,7 +211,7 @@ impl Run {
         }
         *segment_end = None;
         *running = None;
-        *unfinished = n;
+        *unfinished = slots.len();
         match build.trace {
             Some(ring) if trace.is_enabled() && trace.capacity() == ring => trace.clear(),
             Some(None) => *trace = Trace::enabled(),

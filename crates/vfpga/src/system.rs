@@ -21,10 +21,12 @@
 
 use crate::admission::{AdmissionPolicy, Arrival, Gate};
 use crate::checkpoint::{CheckpointConfig, Cut, RunOutcome};
-use crate::circuit::CircuitLib;
+use crate::circuit::{CircuitId, CircuitLib};
 use crate::error::VfpgaError;
 use crate::image::{FpgaSeg, Running};
-use crate::manager::{Activation, FpgaManager, PreemptAction, ResidentRegion};
+use crate::manager::{
+    Activation, Download, FpgaManager, ManagerStats, PreemptAction, ResidentRegion,
+};
 use crate::metrics::{Report, TaskMetrics};
 use crate::recovery::RecoveryPolicy;
 use crate::run::{Boot, BootRecord, Build, Run};
@@ -468,7 +470,7 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
     /// a run, a restore and [`state_text`](Self::state_text) begin with.
     pub(crate) fn begin(&mut self) {
         if !self.run.begun {
-            self.run.reset(&self.build);
+            self.run.reset(&self.build, false);
         }
     }
 
@@ -476,7 +478,8 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
     /// in, as the next incarnation of a host that crashed: what a restore
     /// then loads a capture over (`warm`) or runs from (cold). The run is
     /// reset ([`Run::reset`]); a cold restart also returns the components
-    /// to the boot record, a warm one leaves them to the capture.
+    /// to the boot record, a warm one leaves them and the task table to
+    /// the capture.
     pub(crate) fn restart(&mut self, warm: bool) -> Result<(), String> {
         if !warm {
             match std::mem::replace(&mut self.build.boot, Boot::AsBuilt) {
@@ -493,8 +496,7 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
                 }
             }
         }
-        self.run.reset(&self.build);
-        debug_assert_eq!(self.run.unfinished, self.run.live_in_table());
+        self.run.reset(&self.build, warm);
         Ok(())
     }
 
@@ -785,11 +787,9 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
                     self.run.slots[ti].op_remaining = d;
                     self.run.slots[ti].op_done_so_far = SimDuration::ZERO;
                 }
-                // A stats snapshot lets us detect whether this activation
-                // downloaded: fault injection corrupts downloads, and the
-                // checkpoint machinery journals them.
-                let needed = self.injector.is_some() || self.build.ckpt.is_some();
-                let dl_before = needed.then(|| self.manager.stats());
+                // Debug builds hold the activation's download to the
+                // manager's counters (`check_download`).
+                let before = cfg!(debug_assertions).then(|| self.manager.stats());
                 match self.manager.activate(tid, circuit) {
                     Activation::Blocked => {
                         self.run.slots[ti].state = TaskState::Blocked;
@@ -808,16 +808,23 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
                         self.exit(tid, now, Exit::Failed("unservable request"));
                         continue;
                     }
-                    Activation::Ready { overhead: o } => {
-                        if let Some(before) = &dl_before {
-                            if self.corrupt_download(tid, circuit, o, before, now) {
-                                // The CPU is held for the wasted attempt; the
-                                // retry decision happens when it elapses.
-                                return;
-                            }
-                            if self.build.ckpt.is_some() {
-                                self.journal_activation(ti, circuit, before, now);
-                            }
+                    Activation::Ready {
+                        overhead: o,
+                        download,
+                    } => {
+                        if let Some(before) = &before {
+                            self.check_download(circuit, before, download);
+                        }
+                        // Fault injection corrupts the download this
+                        // activation made; the checkpoint machinery
+                        // journals it.
+                        if self.corrupt_download(tid, circuit, o, download, now) {
+                            // The CPU is held for the wasted attempt; the
+                            // retry decision happens when it elapses.
+                            return;
+                        }
+                        if self.build.ckpt.is_some() {
+                            self.journal_activation(ti, circuit, download, now);
                         }
                         self.run.slots[ti].dl_attempts = 0;
                         // Dispatching onto fabric a prior upset corrupted:
@@ -932,6 +939,35 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
         pick: impl Fn(&ResidentRegion) -> bool,
     ) -> Option<ResidentRegion> {
         self.manager.resident_regions().into_iter().find(pick)
+    }
+
+    /// What a manager reports of an activation's download agrees with its
+    /// counters (`before` are those from before the activation) and its
+    /// residency table: a download is reported exactly when the download
+    /// count rose, at the circuit's resident region, for the config time it
+    /// added.
+    fn check_download(
+        &self,
+        circuit: CircuitId,
+        before: &ManagerStats,
+        download: Option<Download>,
+    ) {
+        let after = self.manager.stats();
+        let expected = (after.downloads > before.downloads).then(|| {
+            let region = self.resident(|r| r.cid == circuit);
+            Download {
+                col0: region.map_or(0, |r| r.col0),
+                width: region.map_or(self.manager.timing().spec.cols, |r| r.width),
+                config_time: after.config_time - before.config_time,
+            }
+        });
+        assert_eq!(
+            download,
+            expected,
+            "{} activating circuit {}",
+            self.manager.name(),
+            circuit.0
+        );
     }
 
     /// Whether a task can be interrupted in the middle of an FPGA op.

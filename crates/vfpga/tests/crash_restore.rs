@@ -16,17 +16,22 @@
 //! 5. a zero retry budget fails a corrupt download immediately, without a
 //!    spurious retry (recovery-policy edge case);
 //! 6. a crashed run is built once: every later incarnation, cold or warm,
-//!    is the crashed system restarted in place.
+//!    is the crashed system restarted in place;
+//! 7. a journaled restore keeps no residency claim on columns the crashed
+//!    device holds another circuit on — which GC relocations, written
+//!    outside the journal, break today (ROADMAP item 1a).
 
 mod common;
 
-use common::{lib4, partition_system, timing, workload};
-use fsim::SimDuration;
+use common::{four_ops, lib4, partition_system, timing, workload};
+use fsim::{SimDuration, SimTime, TraceEvent};
+use vfpga::circuit::CircuitLib;
 use vfpga::manager::dynload::DynLoadManager;
 use vfpga::manager::partition::PartitionManager;
-use vfpga::manager::PreemptAction;
+use vfpga::manager::{PreemptAction, ResidentRegion};
 use vfpga::sched::RoundRobinScheduler;
 use vfpga::system::{System, SystemConfig};
+use vfpga::task::TaskSpec;
 use vfpga::{
     diff_reports, run_with_crashes, CheckpointConfig, CrashPlan, FaultPlan, FpgaManager,
     RecoveryPolicy, Report, RunOutcome, Scheduler,
@@ -422,4 +427,94 @@ fn a_crashed_run_is_built_once() {
     assert_eq!(r.crash.crashes, 4, "every crash of the plan strikes");
     assert_eq!(builds.get(), 1, "built once a run");
     assert!(diff_reports(&build_dynload().run().unwrap(), &r).is_empty());
+}
+
+#[test]
+#[ignore = "GC relocations are not journaled: ROADMAP item 1a"]
+fn a_restore_keeps_no_claim_on_columns_a_gc_relocation_rewrote() {
+    use netlist::library::{arith, logic, seq};
+    use std::sync::{Arc, Mutex};
+    // Variable partitions compact on demand: a load that finds enough free
+    // columns but no run wide enough relocates idle residents leftward,
+    // inside the activation. Only the activated circuit is journaled.
+    // Seven circuits, 32 columns of them on a 20-column part.
+    let mut lib = CircuitLib::new();
+    let ids: Vec<_> = [
+        arith::ripple_adder("add", 8),
+        seq::lfsr("lfsr", 16, 0b1101_0000_0000_1000),
+        logic::parity("par", 12),
+        seq::counter("ctr", 12),
+        arith::ripple_adder("add16", 16),
+        seq::counter("ctr24", 24),
+        logic::parity("par32", 32),
+    ]
+    .iter()
+    .map(|net| lib.register_compiled(pnr::compile(net, Default::default()).unwrap()))
+    .collect();
+    let lib = Arc::new(lib);
+    let specs: Vec<TaskSpec> = (0..32)
+        .map(|i| {
+            let at = SimTime::ZERO + SimDuration::from_micros(i as u64 * 40);
+            TaskSpec::new(format!("t{i}"), at, four_ops(ids[i % ids.len()]))
+        })
+        .collect();
+    let cfg = CheckpointConfig::new(SimDuration::from_micros(200));
+    type Claims = Arc<Mutex<Vec<ResidentRegion>>>;
+    let build = |claims: &Claims| {
+        let claims = Arc::clone(claims);
+        let sched = RoundRobinScheduler::new(SimDuration::from_micros(50));
+        partition_system(lib.clone(), sched, specs.clone())
+            .with_checkpoints(cfg)
+            .unwrap()
+            .with_run_probe(move |m: &PartitionManager, _| {
+                *claims.lock().unwrap() = m.resident_regions();
+            })
+    };
+    let unused: Claims = Arc::default();
+    let (_, trace) = build(&unused).with_trace().run_traced().unwrap();
+    // Instants just after a relocating GC run with a capture before it.
+    let mut captured = false;
+    let mut crash_at = Vec::new();
+    for e in trace.entries() {
+        match e.event {
+            TraceEvent::CheckpointTaken { .. } | TraceEvent::DeltaCheckpoint { .. } => {
+                captured = true
+            }
+            TraceEvent::GcRun { relocations, .. } if relocations > 0 && captured => {
+                crash_at.push(e.at + SimDuration::from_nanos(1));
+            }
+            _ => {}
+        }
+    }
+    assert!(
+        !crash_at.is_empty(),
+        "no GC relocated after a capture: dead test"
+    );
+    let overlap = |a: &ResidentRegion, b: &ResidentRegion| {
+        a.col0 < b.col0 + b.width && b.col0 < a.col0 + a.width
+    };
+    for at in crash_at {
+        let (device, restored): (Claims, Claims) = Default::default();
+        // What the device holds at the crash…
+        let mut crashed = build(&device);
+        let cut = crashed
+            .run_to_cut(Some(at))
+            .unwrap()
+            .expect("crashes mid-run");
+        crashed.abandon_lost(at);
+        // …and what a journaled restore of the cut believes it holds.
+        let mut sys = build(&restored);
+        sys.restore_cut(cut).unwrap();
+        sys.abandon_lost(at);
+        let device = device.lock().unwrap();
+        for claim in restored.lock().unwrap().iter() {
+            for held in device.iter().filter(|held| overlap(claim, held)) {
+                assert_eq!(
+                    claim, held,
+                    "crash at {at:?}: a restored claim sits on columns the device \
+                     holds another circuit on"
+                );
+            }
+        }
+    }
 }
