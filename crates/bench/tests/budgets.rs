@@ -9,13 +9,15 @@
 //! any measured value above its ceiling fails. A change that lowers a
 //! counter writes the new value, so the file's history is the trajectory.
 //!
-//! Three counters a task, on this thread only (a per-thread counting
-//! allocator): allocations, bytes allocated (a `realloc` counts as one
-//! allocation of its new size), and peak live bytes — the high-water mark
-//! of bytes allocated minus bytes freed over the counted window, the
-//! deterministic stand-in for the benchmark's `peak_rss_mb`.
+//! Three counters a task (a circuit for `fabric`), on this thread only (a
+//! per-thread counting allocator): allocations, bytes allocated (a
+//! `realloc` counts as one allocation of its new size), and peak live
+//! bytes — the high-water mark of bytes allocated minus bytes freed over
+//! the counted window, the deterministic stand-in for the benchmark's
+//! `peak_rss_mb`.
 //!
-//! Four shapes, all over the `workload::suite` library at VF400 rows:
+//! Four shapes run systems over the `workload::suite` library at VF400
+//! rows, and a fifth runs no system:
 //!
 //! * `churn` — the `churn` benchmark's system at 200 tasks: variable
 //!   partitions with delta reconfiguration, EDF with a 10 ms slice, and the
@@ -57,6 +59,15 @@
 //!   index tables for every migration's destination, in place of sharing
 //!   them, reads 21.726 allocations, 4,072.2 bytes and 2,523.9 peak live
 //!   bytes a task, and fails all three `fleet` rows.
+//! * `fabric` — the `fabric` benchmark's pipeline over its 24 netlists on
+//!   a VF1000, once each: compile, route at `(1, 1)`, emit, download, the
+//!   fabric against the gate simulator, readback, and a delta download
+//!   from a half-rewritten variant checked against a fresh download's
+//!   `state_digest`. Counted from the first compile to the last digest.
+//!   Seeded violation: route templates built by a maze search over the
+//!   empty region, as before the L walk, read 368.833 allocations and
+//!   487,249.0 bytes a circuit, failing both rows (peak live bytes level,
+//!   12,045.875).
 //!
 //! Debug builds run invariant checkers that allocate, so the test runs
 //! only under `--release` (`ci.sh` does).
@@ -66,9 +77,12 @@ use std::cell::Cell;
 use std::path::Path;
 use std::sync::Arc;
 
-use fpga::DeviceSpec;
+use fpga::{Bitstream, ConfigPort, Device, DeviceSpec, FabricView, Rect};
 use fsim::{CrashPlan, SimDuration, SimRng};
-use std::collections::BTreeMap;
+use netlist::library::{alu, arith, codes, ext, logic, seq};
+use netlist::{Netlist, Simulator};
+use pnr::{emit_bitstream, mutate_tables, CompileOptions, PinAssignment, RoutingFabric};
+use std::collections::{BTreeMap, HashMap};
 use vfpga::manager::dynload::DynLoadManager;
 use vfpga::{
     run_fleet, run_with_crashes, AdmissionPolicy, CheckpointConfig, CircuitId, CircuitLib,
@@ -138,10 +152,23 @@ static ALLOC: Counting = Counting;
 /// One shape's measured counters, by name.
 type Rows = [(&'static str, f64); 3];
 
-/// `f`'s result and the budget rows of `tasks` tasks it cost on this
-/// thread: allocations, bytes allocated and peak live bytes, each a task.
-/// Whatever `f` returns is dropped after the window closes.
-fn counted<T>(tasks: usize, f: impl FnOnce() -> T) -> (T, Rows) {
+/// The three counters' names, per task and per circuit.
+const PER_TASK: [&str; 3] = [
+    "allocs_per_task",
+    "bytes_per_task",
+    "peak_live_bytes_per_task",
+];
+const PER_CIRCUIT: [&str; 3] = [
+    "allocs_per_circuit",
+    "bytes_per_circuit",
+    "peak_live_bytes_per_circuit",
+];
+
+/// `f`'s result and the budget rows of `units` tasks or circuits it cost
+/// on this thread: allocations, bytes allocated and peak live bytes, each
+/// a unit, under `names`. Whatever `f` returns is dropped after the window
+/// closes.
+fn counted<T>(units: usize, names: [&'static str; 3], f: impl FnOnce() -> T) -> (T, Rows) {
     let (a0, b0) = (ALLOCS.with(Cell::get), BYTES.with(Cell::get));
     LIVE.with(|l| l.set(0));
     PEAK.with(|p| p.set(0));
@@ -149,14 +176,11 @@ fn counted<T>(tasks: usize, f: impl FnOnce() -> T) -> (T, Rows) {
     let out = f();
     COUNTING.with(|on| on.set(false));
     let (a1, b1) = (ALLOCS.with(Cell::get), BYTES.with(Cell::get));
-    let per_task = |n: u64| n as f64 / tasks as f64;
+    let per_unit = |n: u64| n as f64 / units as f64;
     let rows = [
-        ("allocs_per_task", per_task(a1 - a0)),
-        ("bytes_per_task", per_task(b1 - b0)),
-        (
-            "peak_live_bytes_per_task",
-            per_task(PEAK.with(Cell::get) as u64),
-        ),
+        (names[0], per_unit(a1 - a0)),
+        (names[1], per_unit(b1 - b0)),
+        (names[2], per_unit(PEAK.with(Cell::get) as u64)),
     ];
     (out, rows)
 }
@@ -186,7 +210,7 @@ fn churn_budget(lib: &Arc<CircuitLib>, ids: &[CircuitId], spec: DeviceSpec) -> R
         degradation: None,
         schedulability: Some(SchedulabilityConfig { margin: 1.0 }),
     };
-    let (report, rows) = counted(CHURN_TASKS, || {
+    let (report, rows) = counted(CHURN_TASKS, PER_TASK, || {
         let mut mgr = bench::setup::variable_partitions(lib, bench::setup::serial_fast(spec));
         mgr.enable_delta();
         let sched = EdfScheduler::for_tasks(&specs, Some(SLICE));
@@ -208,7 +232,7 @@ fn churn_budget(lib: &Arc<CircuitLib>, ids: &[CircuitId], spec: DeviceSpec) -> R
 }
 
 fn stream_budget(lib: &Arc<CircuitLib>, ids: &[CircuitId], spec: DeviceSpec) -> Rows {
-    let ((specs, report), rows) = counted(STREAM_TASKS, || {
+    let ((specs, report), rows) = counted(STREAM_TASKS, PER_TASK, || {
         let mix = bench::setup::os_mix(STREAM_TASKS, SimDuration::from_millis(100));
         let specs = poisson_tasks(&mix, ids, &mut SimRng::new(2833));
         let timing = bench::setup::serial_fast(spec);
@@ -252,7 +276,7 @@ fn durable_budget(lib: &Arc<CircuitLib>, ids: &[CircuitId], spec: DeviceSpec) ->
             specs.clone(),
         )
     };
-    let (report, rows) = counted(DURABLE_TASKS, || {
+    let (report, rows) = counted(DURABLE_TASKS, PER_TASK, || {
         run_with_crashes(build, ckpt, crashes).expect("durable runs to completion")
     });
     assert_eq!(report.crash.crashes, 10, "every crash of the plan strikes");
@@ -313,7 +337,7 @@ fn fleet_budget(
             specs,
         ))
     };
-    let (fleet, rows) = counted(FLEET_TASKS, || {
+    let (fleet, rows) = counted(FLEET_TASKS, PER_TASK, || {
         run_fleet(&cfg, specs.clone(), build).expect("fleet runs to completion")
     });
     let stats = fleet.stats;
@@ -323,6 +347,100 @@ fn fleet_budget(
         "{stats:?}"
     );
     assert_eq!(stats.lost_in_flight, 0);
+    rows
+}
+
+/// The `fabric` benchmark's 24 netlists: eight kinds at three widths.
+fn fabric_netlists() -> Vec<Netlist> {
+    let mut nets = Vec::new();
+    for w in [4, 6, 8] {
+        nets.push(alu::alu(&format!("alu{w}"), w));
+        nets.push(arith::array_multiplier(&format!("mul{w}"), w));
+        nets.push(ext::booth_multiplier(
+            &format!("booth{}", w / 2 + 1),
+            w / 2 + 1,
+        ));
+        nets.push(arith::carry_select_adder(&format!("csa{}", 2 * w), 2 * w));
+        nets.push(logic::popcount(&format!("pop{}", 2 * w), 2 * w));
+        nets.push(seq::accumulator(&format!("acc{}", 2 * w), 2 * w));
+    }
+    for w in [4, 8, 16] {
+        nets.push(logic::barrel_shifter(&format!("bsh{w}"), w));
+    }
+    nets.push(codes::crc_comb("crc8x8", codes::CRC8, 8, 8));
+    nets.push(codes::crc_comb("crc16x8", codes::CRC16_CCITT, 16, 8));
+    nets.push(codes::crc_comb("crc16x16", codes::CRC16_CCITT, 16, 16));
+    nets
+}
+
+/// One circuit's trip through the `fabric` pipeline; whether the fabric
+/// matched the gate simulator and the delta download the fresh one.
+fn fabric_item(spec: DeviceSpec, opts: CompileOptions, net: &Netlist, idx: u64) -> bool {
+    let compiled = pnr::compile(net, opts).expect("a library netlist compiles");
+    let placed = &compiled.placed;
+    let origin = (1, 1);
+    RoutingFabric::for_device(&spec)
+        .route_circuit(placed, origin)
+        .expect("a library circuit routes on an empty device");
+    let pins = PinAssignment::contiguous(net.num_inputs(), net.outputs().len());
+    let bs = emit_bitstream(placed, origin, &pins, false);
+    let download = |bs: &Bitstream| {
+        let mut dev = Device::new(spec, ConfigPort::SerialFast);
+        dev.apply(bs).expect("an emitted stream downloads");
+        dev
+    };
+    let mut dev = download(&bs);
+    let region = Rect::new(origin.0, origin.1, placed.width, placed.height);
+    let mut view = FabricView::resolve(&dev, region).expect("an emitted region resolves");
+    let mut gold = Simulator::new(net);
+    let mut rng = SimRng::new(2833).derive(idx);
+    let mut ok = true;
+    for _ in 0..if net.is_sequential() { 8 } else { 1 } {
+        let words: Vec<u64> = (0..net.num_inputs()).map(|_| rng.next_u64()).collect();
+        let pinvals: HashMap<u32, u64> = pins
+            .inputs
+            .iter()
+            .copied()
+            .zip(words.iter().copied())
+            .collect();
+        gold.eval(&words);
+        view.eval(&dev, &pinvals);
+        ok &= pins
+            .outputs
+            .iter()
+            .enumerate()
+            .all(|(o, &p)| view.output(&dev, p) == gold.output(o));
+        gold.clock();
+        view.clock(&mut dev);
+    }
+    dev.readback_region(&region);
+    let fresh = download(&bs).state_digest();
+    let variant = mutate_tables(&compiled, 0.5, 2833 ^ idx);
+    let bs_variant = emit_bitstream(&variant.placed, origin, &pins, false);
+    let delta = Bitstream::diff(&bs_variant, &bs);
+    let mut dev2 = download(&bs_variant);
+    dev2.apply(&delta.stream).expect("a delta stream downloads");
+    ok && dev2.state_digest() == fresh
+}
+
+fn fabric_budget() -> Rows {
+    let spec = fpga::device::part("VF1000");
+    let opts = CompileOptions {
+        max_height: spec.rows - 2,
+        ..Default::default()
+    };
+    let nets = fabric_netlists();
+    let (ok, rows) = counted(nets.len(), PER_CIRCUIT, || {
+        (0..)
+            .zip(&nets)
+            .filter(|&(idx, net)| fabric_item(spec, opts, net, idx))
+            .count()
+    });
+    assert_eq!(
+        ok,
+        nets.len(),
+        "every circuit matches its gate model and fresh download"
+    );
     rows
 }
 
@@ -342,6 +460,7 @@ fn work_stays_within_its_budget() {
         ("stream", stream_budget(&lib, &ids, spec)),
         ("durable", durable_budget(&lib, &ids, spec)),
         ("fleet", fleet_budget(&lib, &ids, &sw, spec)),
+        ("fabric", fabric_budget()),
     ];
     let mut over = Vec::new();
     for (shape, rows) in shapes {

@@ -7,6 +7,7 @@
 //! Partial bitstreams simply carry fewer frames.
 
 use crate::region::Rect;
+use fsim::hash::Digest;
 use std::collections::BTreeMap;
 
 /// Where a CLB input or an output IOB takes its signal from.
@@ -126,44 +127,24 @@ impl Bitstream {
         bs
     }
 
-    /// FNV-1a over a canonical serialization of the payload.
+    /// The workspace digest ([`fsim::hash::Digest`]) over a canonical
+    /// serialization of the payload.
     pub fn compute_crc(&self) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        let mut eat = |b: u64| {
-            for i in 0..8 {
-                h ^= (b >> (i * 8)) & 0xFF;
-                h = h.wrapping_mul(0x1000_0000_01b3);
-            }
-        };
-        eat(self.full as u64);
+        let mut h = Digest::new();
+        h.word(self.full as u64);
         for f in &self.frames {
-            eat(f.col as u64);
-            eat(f.row0 as u64);
-            eat(f.cells.len() as u64);
+            h.word(f.col as u64);
+            h.word(f.row0 as u64);
+            h.word(f.cells.len() as u64);
             for c in &f.cells {
-                match c {
-                    None => eat(u64::MAX),
-                    Some(cell) => {
-                        eat(cell.lut_table as u64);
-                        for s in cell.inputs {
-                            eat(source_code(s));
-                        }
-                        eat(cell.has_ff as u64
-                            | ((cell.ff_init as u64) << 1)
-                            | ((cell.out_from_ff as u64) << 2));
-                    }
-                }
+                hash_cell(&mut h, c);
             }
         }
         for &(pin, cfg) in &self.iobs {
-            eat(pin as u64);
-            eat(match cfg {
-                IobConfig::Input => 1,
-                IobConfig::Output(c, r) => 2 | ((c as u64) << 8) | ((r as u64) << 40),
-                IobConfig::Unused => 0,
-            });
+            h.word(pin as u64);
+            h.word(iob_code(cfg));
         }
-        h
+        h.finish()
     }
 
     /// Whether the stored checksum matches the payload.
@@ -400,6 +381,35 @@ pub(crate) fn source_code(s: ClbSource) -> u64 {
         ClbSource::Clb(c, r) => 1 | ((c as u64) << 8) | ((r as u64) << 40),
         ClbSource::Pin(p) => 2 | ((p as u64) << 8),
         ClbSource::Const(b) => 3 | ((b as u64) << 8),
+    }
+}
+
+/// Fold one CLB site's configuration into `h`, `u64::MAX` for an empty
+/// one: the encoding the stream checksum and the device digest share.
+#[inline]
+pub(crate) fn hash_cell(h: &mut Digest, c: &Option<ClbCell>) {
+    match c {
+        None => h.word(u64::MAX),
+        Some(cell) => {
+            h.word(cell.lut_table as u64);
+            for s in cell.inputs {
+                h.word(source_code(s));
+            }
+            h.word(
+                cell.has_ff as u64
+                    | ((cell.ff_init as u64) << 1)
+                    | ((cell.out_from_ff as u64) << 2),
+            );
+        }
+    }
+}
+
+/// The word an IOB setting hashes as.
+pub(crate) fn iob_code(cfg: IobConfig) -> u64 {
+    match cfg {
+        IobConfig::Input => 1,
+        IobConfig::Output(c, r) => 2 | ((c as u64) << 8) | ((r as u64) << 40),
+        IobConfig::Unused => 0,
     }
 }
 

@@ -5,9 +5,10 @@
 //! bitstreams, and exposes readback/state-write — the physical substrate
 //! every VFPGA technique manipulates.
 
-use crate::bitstream::{Bitstream, ClbCell, IobConfig};
+use crate::bitstream::{hash_cell, iob_code, Bitstream, ClbCell, IobConfig};
 use crate::config::{ConfigPort, ConfigTiming};
 use crate::region::Rect;
+use fsim::hash::Digest;
 use fsim::SimDuration;
 
 /// Geometry and capability of one part.
@@ -211,44 +212,24 @@ impl Device {
         self.downloads
     }
 
-    /// FNV-1a digest of the complete device state — configuration RAM,
-    /// IOBs, and flip-flop contents (the download counter is excluded:
-    /// it counts operations, not state). Two devices with equal digests
-    /// hold byte-identical fabric state; the delta-reconfiguration
-    /// equivalence tests compare this against a fresh full download.
+    /// Digest ([`fsim::hash::Digest`]) of the complete device state —
+    /// configuration RAM, IOBs, and flip-flop contents (the download
+    /// counter is excluded: it counts operations, not state). Two devices
+    /// with equal digests hold byte-identical fabric state; the
+    /// delta-reconfiguration equivalence tests compare this against a
+    /// fresh full download.
     pub fn state_digest(&self) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        let mut eat = |b: u64| {
-            for i in 0..8 {
-                h ^= (b >> (i * 8)) & 0xFF;
-                h = h.wrapping_mul(0x1000_0000_01b3);
-            }
-        };
+        let mut h = Digest::new();
         for c in &self.cells {
-            match c {
-                None => eat(u64::MAX),
-                Some(cell) => {
-                    eat(cell.lut_table as u64);
-                    for s in cell.inputs {
-                        eat(crate::bitstream::source_code(s));
-                    }
-                    eat(cell.has_ff as u64
-                        | ((cell.ff_init as u64) << 1)
-                        | ((cell.out_from_ff as u64) << 2));
-                }
-            }
+            hash_cell(&mut h, c);
         }
-        for iob in &self.iobs {
-            eat(match *iob {
-                IobConfig::Input => 1,
-                IobConfig::Output(c, r) => 2 | ((c as u64) << 8) | ((r as u64) << 40),
-                IobConfig::Unused => 0,
-            });
+        for &iob in &self.iobs {
+            h.word(iob_code(iob));
         }
         for &w in &self.ff {
-            eat(w);
+            h.word(w);
         }
-        h
+        h.finish()
     }
 
     /// Validate a bitstream against this device without mutating anything
@@ -749,6 +730,140 @@ mod tests {
         let mut other = Device::new(spec, ConfigPort::SerialFast);
         other.apply(&old).unwrap();
         assert_ne!(other.state_digest(), via_full.state_digest());
+    }
+
+    /// The device digest and the stream checksum as they were first
+    /// written: one byte at a time, eight bytes a word. `fsim::hash`'s word
+    /// fast paths must reproduce them bit for bit.
+    struct Serial(u64);
+
+    impl Serial {
+        fn eat(&mut self, w: u64) {
+            for i in 0..8 {
+                self.0 ^= (w >> (i * 8)) & 0xFF;
+                self.0 = self.0.wrapping_mul(0x1000_0000_01b3);
+            }
+        }
+
+        fn cell(&mut self, c: &Option<ClbCell>) {
+            match c {
+                None => self.eat(u64::MAX),
+                Some(cell) => {
+                    self.eat(cell.lut_table as u64);
+                    for s in cell.inputs {
+                        self.eat(crate::bitstream::source_code(s));
+                    }
+                    self.eat(
+                        cell.has_ff as u64
+                            | ((cell.ff_init as u64) << 1)
+                            | ((cell.out_from_ff as u64) << 2),
+                    );
+                }
+            }
+        }
+
+        fn iob(&mut self, cfg: IobConfig) {
+            self.eat(match cfg {
+                IobConfig::Input => 1,
+                IobConfig::Output(c, r) => 2 | ((c as u64) << 8) | ((r as u64) << 40),
+                IobConfig::Unused => 0,
+            });
+        }
+
+        fn device(d: &Device) -> u64 {
+            let mut h = Serial(0xcbf2_9ce4_8422_2325);
+            d.cells.iter().for_each(|c| h.cell(c));
+            d.iobs.iter().for_each(|&iob| h.iob(iob));
+            d.ff.iter().for_each(|&w| h.eat(w));
+            h.0
+        }
+
+        fn stream(bs: &Bitstream) -> u64 {
+            let mut h = Serial(0xcbf2_9ce4_8422_2325);
+            h.eat(bs.full as u64);
+            for f in &bs.frames {
+                h.eat(f.col as u64);
+                h.eat(f.row0 as u64);
+                h.eat(f.cells.len() as u64);
+                f.cells.iter().for_each(|c| h.cell(c));
+            }
+            for &(pin, cfg) in &bs.iobs {
+                h.eat(pin as u64);
+                h.iob(cfg);
+            }
+            h.0
+        }
+    }
+
+    #[test]
+    fn digest_and_crc_equal_the_byte_serial_fold() {
+        let spec = part("VF400");
+        let mut rng = fsim::SimRng::new(38);
+        let src = |rng: &mut fsim::SimRng| match rng.below(4) {
+            0 => ClbSource::None,
+            1 => ClbSource::Clb(rng.below(20) as u32, rng.below(20) as u32),
+            2 => ClbSource::Pin(rng.below(128) as u32),
+            _ => ClbSource::Const(rng.chance(0.5)),
+        };
+        let full = Bitstream::new(
+            "full",
+            (0..spec.cols)
+                .map(|col| FrameWrite {
+                    col,
+                    row0: 0,
+                    cells: (0..spec.rows)
+                        .map(|_| {
+                            let inputs = [(); 4].map(|_| src(&mut rng));
+                            let lut = rng.below(1 << 16) as u16;
+                            match rng.below(3) {
+                                0 => None,
+                                1 => Some(ClbCell::comb(lut, inputs)),
+                                _ => Some(ClbCell::registered(lut, inputs, rng.chance(0.5))),
+                            }
+                        })
+                        .collect(),
+                })
+                .collect(),
+            (0..spec.io_pins)
+                .map(|pin| {
+                    let cfg = match pin % 3 {
+                        0 => IobConfig::Input,
+                        1 => IobConfig::Output(pin % spec.cols, pin % spec.rows),
+                        _ => IobConfig::Unused,
+                    };
+                    (pin, cfg)
+                })
+                .collect(),
+            true,
+        );
+        let one = xor_stream(&spec);
+        for bs in [&full, &one] {
+            assert_eq!(bs.compute_crc(), Serial::stream(bs), "{}", bs.label);
+        }
+
+        let empty = Device::new(spec, ConfigPort::SerialFast);
+        let mut applied = empty.clone();
+        applied.apply(&one).unwrap();
+        let mut loaded = empty.clone();
+        loaded.apply(&full).unwrap();
+        let mut written = loaded.clone();
+        let region = Rect::new(3, 2, 9, 11);
+        let state: Vec<u64> = (0..region.area())
+            .map(|i| match i % 3 {
+                0 => rng.next_u64(),
+                1 => u64::MAX,
+                _ => rng.next_u64() >> rng.below(64),
+            })
+            .collect();
+        written.write_state_region(&region, &state);
+        let devices = [&empty, &applied, &loaded, &written];
+        for (i, d) in devices.iter().enumerate() {
+            assert_eq!(d.state_digest(), Serial::device(d), "device {i}");
+        }
+        let mut digests: Vec<u64> = devices.iter().map(|d| d.state_digest()).collect();
+        digests.sort_unstable();
+        digests.dedup();
+        assert_eq!(digests.len(), 4, "the four states hash apart");
     }
 
     #[test]

@@ -16,6 +16,8 @@
 //! * [`obs`] — a metrics registry and time-weighted utilization timelines,
 //! * [`span`] — a hierarchical scoped-span wall-clock profiler whose
 //!   per-thread buffers merge deterministically at join,
+//! * [`hash`] — FNV-1a-shaped hashing with exact word fast paths, the one hash
+//!   behind device digests, bitstream checksums and netlist cache keys,
 //! * [`json`] — the hand-rolled JSON value tree shared by checkpoint
 //!   serialization (crate `vfpga`) and the bench exporter.
 //!
@@ -25,6 +27,7 @@
 
 pub mod event;
 pub mod fault;
+pub mod hash;
 pub mod json;
 pub mod obs;
 pub mod rng;

@@ -6,6 +6,7 @@
 //! is legal while combinational loops are rejected by [`Netlist::validate`].
 
 use crate::gate::{Gate, NodeId};
+use fsim::hash::Digest;
 use std::collections::HashMap;
 
 /// A gate-level circuit.
@@ -198,31 +199,21 @@ impl Netlist {
         Ok(())
     }
 
-    /// Content hash (FNV-1a) over the netlist's full structure: name,
-    /// node table, input count, and outputs. Two netlists with equal
-    /// hashes are, for cache purposes, the same circuit — the compile
-    /// cache keys on this together with the compile options, so identical
-    /// workload suites are placed and routed once per sweep rather than
-    /// once per sweep point.
+    /// Content hash ([`fsim::hash::Digest`]) over the netlist's full
+    /// structure: name, node table, input count, and outputs. Two
+    /// netlists with equal hashes are, for cache purposes, the same
+    /// circuit — the compile cache keys on this together with the compile
+    /// options, so identical workload suites are placed and routed once
+    /// per sweep rather than once per sweep point.
     pub fn content_hash(&self) -> u64 {
-        fn eat(h: &mut u64, b: u64) {
-            for i in 0..8 {
-                *h ^= (b >> (i * 8)) & 0xFF;
-                *h = h.wrapping_mul(0x1000_0000_01b3);
-            }
+        fn eat_str(h: &mut Digest, s: &str) {
+            h.bytes(s.as_bytes());
+            h.bytes(&[0xFF]); // terminator so "ab","c" != "a","bc"
         }
-        fn eat_str(h: &mut u64, s: &str) {
-            for &b in s.as_bytes() {
-                *h ^= b as u64;
-                *h = h.wrapping_mul(0x1000_0000_01b3);
-            }
-            *h ^= 0xFF; // terminator so "ab","c" != "a","bc"
-            *h = h.wrapping_mul(0x1000_0000_01b3);
-        }
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut h = Digest::new();
         eat_str(&mut h, &self.name);
-        eat(&mut h, self.n_inputs as u64);
-        eat(&mut h, self.nodes.len() as u64);
+        h.word(self.n_inputs as u64);
+        h.word(self.nodes.len() as u64);
         for g in &self.nodes {
             let (tag, a, b, c) = match *g {
                 Gate::Input { bit } => (0, bit as u64, 0, 0),
@@ -237,17 +228,17 @@ impl Netlist {
                 Gate::Mux { sel, lo, hi } => (9, sel.0 as u64, lo.0 as u64, hi.0 as u64),
                 Gate::Dff { d, init } => (10, d.0 as u64, init as u64, 0),
             };
-            eat(&mut h, tag);
-            eat(&mut h, a);
-            eat(&mut h, b);
-            eat(&mut h, c);
+            h.word(tag);
+            h.word(a);
+            h.word(b);
+            h.word(c);
         }
-        eat(&mut h, self.outputs.len() as u64);
+        h.word(self.outputs.len() as u64);
         for (name, id) in &self.outputs {
             eat_str(&mut h, name);
-            eat(&mut h, id.0 as u64);
+            h.word(id.0 as u64);
         }
-        h
+        h.finish()
     }
 
     /// Fanout count per node (combinational edges plus DFF `d` edges plus

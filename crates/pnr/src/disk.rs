@@ -49,9 +49,14 @@ pub fn configured_dir() -> Option<PathBuf> {
     std::env::var_os("VFPGA_CACHE_DIR").map(PathBuf::from)
 }
 
-/// FNV-1a over the key fields; names the entry file. Collisions are
-/// harmless (the stored key is verified on load), this only needs to
-/// spread entries across filenames.
+/// Names the entry file: a byte-serial fold of the key fields shaped like
+/// FNV-1a (FNV-64's offset basis, xor then multiply), but with multiplier
+/// `0x1_0000_01b3` (2^32 + 0x1b3) where FNV-64's prime is
+/// `0x100_0000_01b3` (2^40 + 0x1b3), so it is not FNV-1a. The file names
+/// under `crates/pnr/golden/` and every existing warm cache directory are
+/// pinned to its values, so it stays as it is. Collisions are harmless
+/// (the stored key is verified on load); this only needs to spread
+/// entries across file names.
 fn key_fnv(key: &Key) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     let mut mix = |v: u64| {

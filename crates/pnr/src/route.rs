@@ -24,7 +24,11 @@
 //! from the source. So with no full segment inside the box the FIFO
 //! discovery order of the box's nodes — hence the path the search returns
 //! — is the same at every origin, beside every neighbour and on every
-//! device the box fits on.
+//! device the box fits on. On an empty grid that path is an L: along the
+//! source's row to the sink's column, then along that column (the search
+//! queues left and right neighbours before up and down). So a template
+//! walks the L instead of searching for it; the search runs only at a load
+//! whose box holds a full segment.
 //!
 //! A template also carries its *footprint*: each segment its paths cross,
 //! once, with the tracks the whole circuit takes of it and the tracks that
@@ -244,7 +248,8 @@ impl Template {
 }
 
 impl RouteTemplate {
-    /// Route `placed` on an empty fabric the size of its own region.
+    /// Route `placed` on an empty fabric the size of its own region: each
+    /// connection takes its L path (`RoutingFabric::walk_l`).
     pub fn new(placed: &PlacedCircuit) -> Self {
         // Connections, shortest first (long nets route last so they detour
         // around short ones — a cheap but effective ordering heuristic).
@@ -263,16 +268,11 @@ impl RouteTemplate {
         );
 
         let empty = RoutingFabric::new(placed.width, placed.height, 1);
-        let mut search = Search::default();
         let mut conns = Vec::with_capacity(ends.len());
         let mut path_ids = Vec::new();
         for (from, to) in ends {
             let start = path_ids.len();
-            assert!(
-                empty.bfs(from, to, &mut search),
-                "an empty grid connects every pair of its nodes"
-            );
-            path_ids.extend_from_slice(&search.path);
+            empty.walk_l(from, to, &mut path_ids);
             conns.push(TemplateConn {
                 from,
                 to,
@@ -658,6 +658,26 @@ impl RoutingFabric {
             || self
                 .box_strips(a, b)
                 .all(|strip| self.used[strip].iter().all(|&u| u < self.cap))
+    }
+
+    /// Append the path `RoutingFabric::bfs` finds from `from` to `to`
+    /// when no segment is full: along `from`'s row to `to`'s column, then
+    /// along that column to `to`. The search queues a node's left and right
+    /// neighbours before its upper and lower ones, so on an open grid every
+    /// node off the source's row is first reached from the node beside it
+    /// towards that row, and every node on the row from along the row.
+    fn walk_l(&self, from: (u32, u32), to: (u32, u32), path: &mut Vec<SegId>) {
+        let (mut c, mut r) = from;
+        while c != to.0 {
+            let next = if c < to.0 { c + 1 } else { c - 1 };
+            path.push(self.seg_between((c, r), (next, r)));
+            c = next;
+        }
+        while r != to.1 {
+            let next = if r < to.1 { r + 1 } else { r - 1 };
+            path.push(self.seg_between((c, r), (c, next)));
+            r = next;
+        }
     }
 
     /// BFS a path from `from` to `to` through segments with spare capacity

@@ -10,9 +10,10 @@
 //! empty cell, one mostly empty), and on hand-built circuits with the edge
 //! cases the Δ identity rests on: a doubled edge, a self-loop, two blocks.
 
+mod common;
+
 use fsim::SimRng;
-use netlist::library::{alu, arith, codes, ext, logic, seq};
-use netlist::{map_to_luts, MapOptions, Netlist};
+use netlist::{map_to_luts, MapOptions};
 use pnr::pack::{pack, BlockSource, PackedBlock, PackedCircuit};
 use pnr::place;
 use pnr::place::auto_shape;
@@ -195,30 +196,6 @@ fn assert_same(pc: &PackedCircuit, (w, h): (u32, u32), seed: u64) {
     assert_eq!(r_new.next_u64(), r_old.next_u64(), "random stream of {at}");
 }
 
-/// The `fabric` benchmark workload's 24 netlists; `route_template.rs`'s
-/// library is the eight narrowest of them.
-fn netlists() -> Vec<Netlist> {
-    let mut nets = Vec::new();
-    for w in [4, 6, 8] {
-        nets.push(alu::alu(&format!("alu{w}"), w));
-        nets.push(arith::array_multiplier(&format!("mul{w}"), w));
-        nets.push(ext::booth_multiplier(
-            &format!("booth{}", w / 2 + 1),
-            w / 2 + 1,
-        ));
-        nets.push(arith::carry_select_adder(&format!("csa{}", 2 * w), 2 * w));
-        nets.push(logic::popcount(&format!("pop{}", 2 * w), 2 * w));
-        nets.push(seq::accumulator(&format!("acc{}", 2 * w), 2 * w));
-    }
-    for w in [4, 8, 16] {
-        nets.push(logic::barrel_shifter(&format!("bsh{w}"), w));
-    }
-    nets.push(codes::crc_comb("crc8x8", codes::CRC8, 8, 8));
-    nets.push(codes::crc_comb("crc16x8", codes::CRC16_CCITT, 16, 8));
-    nets.push(codes::crc_comb("crc16x16", codes::CRC16_CCITT, 16, 16));
-    nets
-}
-
 /// The four regions a circuit of `n` blocks is placed into.
 fn shapes(n: usize) -> [(u32, u32); 4] {
     let auto = auto_shape(n, 0.85, 30);
@@ -238,7 +215,7 @@ fn shapes(n: usize) -> [(u32, u32); 4] {
 
 #[test]
 fn library_places_as_before() {
-    let nets = netlists();
+    let nets = common::fabric_netlists();
     assert_eq!(nets.len(), 24);
     for net in &nets {
         let pc = pack(&map_to_luts(net, MapOptions::default()));

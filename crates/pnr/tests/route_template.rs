@@ -35,13 +35,25 @@
 //!   once counted a box that is full reads as free, so usage diverges in
 //!   the neighbour and scarce-capacity sweeps.
 //!
+//! `bfs_built` is `RouteTemplate::new` as it stood before the L walk: each
+//! template path searched by BFS on an empty fabric the size of the region.
+//! The template built now must equal it field for field (their `Debug`
+//! forms) over the `fabric` workload's 24 netlists and this file's library
+//! at every shape the flow makes, and the L walk must be the empty-grid
+//! search's path for every pair of nodes of every grid up to 8×8 and for
+//! seeded pairs up to 40×40. A walk that goes vertically first (the two
+//! loops of `RoutingFabric::walk_l` swapped) fails all three of those
+//! tests and five of the router comparisons.
+//!
 //! The placer golden at the bottom pins `place` to the coordinates the
 //! full-scan cost function produced before the incident-edge index.
+
+mod common;
 
 use fsim::SimRng;
 use netlist::library::{alu, arith, codes, ext, logic, seq};
 use netlist::Netlist;
-use pnr::pack::BlockSource;
+use pnr::pack::{BlockSource, PackedBlock, PackedCircuit};
 use pnr::route::CircuitRoutes;
 use pnr::{
     compile, CompileOptions, PlacedCircuit, RouteError, RouteStats, RouteTemplate, RoutingFabric,
@@ -158,6 +170,25 @@ impl Oracle {
         None
     }
 
+    fn segments(&self) -> usize {
+        self.h_used.len() + self.v_used.len()
+    }
+
+    /// The segments with both ends in the bounding box of `a` and `b`, as
+    /// ranges of segment ids.
+    fn box_strips(
+        &self,
+        a: (u32, u32),
+        b: (u32, u32),
+    ) -> impl Iterator<Item = std::ops::Range<usize>> + '_ {
+        let (c0, c1) = (a.0.min(b.0), a.0.max(b.0));
+        let (r0, r1) = (a.1.min(b.1), a.1.max(b.1));
+        let h_len = self.h_used.len();
+        let h = (r0..=r1).map(move |r| self.h_idx(c0, r)..self.h_idx(c1, r));
+        let v = (r0..r1).map(move |r| h_len + self.v_idx(c0, r)..h_len + self.v_idx(c1, r) + 1);
+        h.chain(v)
+    }
+
     fn route_circuit(
         &mut self,
         placed: &PlacedCircuit,
@@ -201,6 +232,138 @@ impl Oracle {
         for &s in segs {
             self.seg_add(s, -1);
         }
+    }
+}
+
+// --------------------------------------------------- the template oracle
+
+/// `RouteTemplate::new` before the L walk, on the oracle's search. Its
+/// types mirror `route.rs`'s private ones field for field, so a template
+/// built here and one built by [`RouteTemplate::new`] have equal `Debug`
+/// forms exactly when they hold the same connections, paths, footprint
+/// and peaks.
+mod bfs_built {
+    use super::Oracle;
+    use pnr::pack::BlockSource;
+    use pnr::PlacedCircuit;
+    use std::sync::Arc;
+
+    #[allow(dead_code)]
+    #[derive(Debug)]
+    struct RelSeg {
+        c: u32,
+        r: u32,
+        vertical: bool,
+    }
+
+    #[allow(dead_code)]
+    #[derive(Debug)]
+    struct TemplateConn {
+        from: (u32, u32),
+        to: (u32, u32),
+        path: std::ops::Range<usize>,
+    }
+
+    #[allow(dead_code)]
+    #[derive(Debug)]
+    struct FootSeg {
+        seg: RelSeg,
+        mult: u16,
+        need: u16,
+    }
+
+    #[derive(Debug)]
+    pub struct RouteTemplate(#[allow(dead_code)] Arc<Template>);
+
+    #[allow(dead_code)]
+    #[derive(Debug)]
+    struct Template {
+        width: u32,
+        height: u32,
+        conns: Vec<TemplateConn>,
+        segs: Vec<RelSeg>,
+        footprint: Vec<FootSeg>,
+        peak_need: u16,
+        peak_mult: u16,
+        at_peak_mult: usize,
+    }
+
+    fn rel_seg(f: &Oracle, s: u32) -> RelSeg {
+        match s.checked_sub(f.h_used.len() as u32) {
+            None => RelSeg {
+                c: s % (f.cols - 1),
+                r: s / (f.cols - 1),
+                vertical: false,
+            },
+            Some(v) => RelSeg {
+                c: v % f.cols,
+                r: v / f.cols,
+                vertical: true,
+            },
+        }
+    }
+
+    pub fn new(placed: &PlacedCircuit) -> RouteTemplate {
+        let mut ends: Vec<((u32, u32), (u32, u32))> = Vec::new();
+        for (i, blk) in placed.circuit.blocks.iter().enumerate() {
+            for s in blk.inputs {
+                if let BlockSource::Block(j) = s {
+                    ends.push((placed.coords[j as usize], placed.coords[i]));
+                }
+            }
+        }
+        ends.sort_by_key(|&(a, b)| a.0.abs_diff(b.0) + a.1.abs_diff(b.1));
+
+        let empty = Oracle::new(placed.width, placed.height, 1);
+        let mut conns = Vec::with_capacity(ends.len());
+        let mut path_ids = Vec::new();
+        for (from, to) in ends {
+            let start = path_ids.len();
+            let path = empty
+                .bfs(from, to)
+                .expect("an empty grid connects every pair of its nodes");
+            path_ids.extend_from_slice(&path);
+            conns.push(TemplateConn {
+                from,
+                to,
+                path: start..path_ids.len(),
+            });
+        }
+
+        let mut mult = vec![0u16; empty.segments()];
+        let mut strict = vec![false; mult.len()];
+        let mut boxed = vec![false; mult.len()];
+        for conn in conns.iter().rev() {
+            for &s in &path_ids[conn.path.clone()] {
+                let s = s as usize;
+                if mult[s] == 0 {
+                    strict[s] = boxed[s];
+                }
+                mult[s] += 1;
+            }
+            for strip in empty.box_strips(conn.from, conn.to) {
+                boxed[strip].fill(true);
+            }
+        }
+        let footprint: Vec<FootSeg> = (0..mult.len())
+            .filter(|&s| mult[s] > 0)
+            .map(|s| FootSeg {
+                seg: rel_seg(&empty, s as u32),
+                mult: mult[s],
+                need: mult[s] + u16::from(strict[s]),
+            })
+            .collect();
+        let peak_mult = footprint.iter().map(|s| s.mult).max().unwrap_or(0);
+        RouteTemplate(Arc::new(Template {
+            width: placed.width,
+            height: placed.height,
+            conns,
+            segs: path_ids.iter().map(|&s| rel_seg(&empty, s)).collect(),
+            peak_need: footprint.iter().map(|s| s.need).max().unwrap_or(0).max(1),
+            peak_mult,
+            at_peak_mult: footprint.iter().filter(|s| s.mult == peak_mult).count(),
+            footprint,
+        }))
     }
 }
 
@@ -330,13 +493,8 @@ fn circuit(net: &Netlist, opts: CompileOptions) -> Circuit {
     }
 }
 
-/// One of each netlist kind the `fabric` benchmark workload compiles, at
-/// the workload's own options.
-fn library() -> Vec<Circuit> {
-    let opts = CompileOptions {
-        max_height: 30,
-        ..Default::default()
-    };
+/// One of each netlist kind the `fabric` benchmark workload compiles.
+fn library_netlists() -> [Netlist; 8] {
     [
         alu::alu("alu4", 4),
         arith::array_multiplier("mul4", 4),
@@ -347,9 +505,18 @@ fn library() -> Vec<Circuit> {
         logic::barrel_shifter("bsh8", 8),
         codes::crc_comb("crc8x8", codes::CRC8, 8, 8),
     ]
-    .iter()
-    .map(|net| circuit(net, opts))
-    .collect()
+}
+
+/// The library compiled with regions at most 30 rows high.
+fn library() -> Vec<Circuit> {
+    let opts = CompileOptions {
+        max_height: 30,
+        ..Default::default()
+    };
+    library_netlists()
+        .iter()
+        .map(|net| circuit(net, opts))
+        .collect()
 }
 
 /// The capacities one below, at and one above `c`'s largest multiplicity.
@@ -657,6 +824,151 @@ fn double_release_is_caught_in_every_build() {
     let r = f.route_template(&c.template, (0, 0)).unwrap();
     f.release(&r);
     f.release(&r);
+}
+
+// ------------------------------------------------- templates and L walks
+
+fn assert_template_as_searched(placed: &PlacedCircuit, what: &str) {
+    let walked = format!("{:?}", RouteTemplate::new(placed));
+    let searched = format!("{:?}", bfs_built::new(placed));
+    if let Some(at) = walked
+        .bytes()
+        .zip(searched.bytes())
+        .position(|(a, b)| a != b)
+    {
+        let from = walked[..at].rfind('{').unwrap_or(0);
+        panic!(
+            "{what}: template differs from the searched one at\n  walked:   {}\n  searched: {}",
+            &walked[from..(at + 60).min(walked.len())],
+            &searched[from..(at + 60).min(searched.len())],
+        );
+    }
+    assert_eq!(walked.len(), searched.len(), "{what}: template lengths");
+}
+
+#[test]
+fn templates_equal_the_searched_ones() {
+    // The `fabric` workload's options (VF1000, two rows spare) and the
+    // library's, each at the automatic, full-height and a fixed shape.
+    let sets = [
+        (common::fabric_netlists(), 38),
+        (library_netlists().into(), 30),
+    ];
+    assert_eq!(sets[0].0.len(), 24);
+    for (nets, max_height) in &sets {
+        for net in nets {
+            let auto = CompileOptions {
+                max_height: *max_height,
+                ..Default::default()
+            };
+            let placed = compile(net, auto).expect("compiles").placed;
+            let fixed = (placed.width + 3, placed.height + 2);
+            assert_template_as_searched(&placed, &format!("{} auto", net.name()));
+            for (shape, opts) in [
+                (
+                    "full height",
+                    CompileOptions {
+                        full_height: true,
+                        ..auto
+                    },
+                ),
+                (
+                    "fixed",
+                    CompileOptions {
+                        shape: Some(fixed),
+                        ..auto
+                    },
+                ),
+            ] {
+                let placed = compile(net, opts).expect("compiles").placed;
+                assert_template_as_searched(&placed, &format!("{} {shape}", net.name()));
+            }
+        }
+    }
+}
+
+/// One block at every listed cell of a `w × h` region, each after the
+/// first reading the first: connections from `cells[0]` to every other.
+fn star(w: u32, h: u32, cells: Vec<(u32, u32)>) -> Circuit {
+    let block = |inputs| PackedBlock {
+        lut_table: 0b10,
+        inputs,
+        ff: None,
+        out_from_ff: false,
+    };
+    let mut blocks = vec![block([BlockSource::Input(0); 4])];
+    blocks.resize(
+        cells.len(),
+        block([
+            BlockSource::Block(0),
+            BlockSource::None,
+            BlockSource::None,
+            BlockSource::None,
+        ]),
+    );
+    let placed = PlacedCircuit {
+        circuit: PackedCircuit {
+            name: format!("star {w}x{h} from {:?}", cells[0]),
+            outputs: vec![("o".into(), blocks.len() as u32 - 1)],
+            blocks,
+            num_inputs: 1,
+            ff_block: Vec::new(),
+        },
+        width: w,
+        height: h,
+        coords: cells,
+        hpwl: 0,
+    };
+    Circuit {
+        name: placed.circuit.name.clone(),
+        template: RouteTemplate::new(&placed),
+        placed,
+    }
+}
+
+/// Route `c` on an empty fabric of its own size with room for every
+/// connection to cross one segment: no segment is ever full, so the oracle
+/// returns the empty-grid search's path and the template its walk.
+fn assert_walk_is_search(c: &Circuit) {
+    let cap = c.template.connections() as u16 + 1;
+    let mut p = Pair::new(c.placed.width, c.placed.height, cap);
+    assert!(p.route(c, (0, 0), true).is_some(), "{}", c.name);
+    assert_eq!(p.new.route_stats().searched_conns, 0, "{}", c.name);
+}
+
+#[test]
+fn the_walk_is_the_empty_grid_search_path_on_every_small_grid() {
+    for w in 1..=8 {
+        for h in 1..=8 {
+            let cells: Vec<(u32, u32)> = (0..h).flat_map(|r| (0..w).map(move |c| (c, r))).collect();
+            for from in 0..cells.len() {
+                let mut order = cells.clone();
+                order.swap(0, from);
+                assert_walk_is_search(&star(w, h, order));
+            }
+        }
+    }
+}
+
+#[test]
+fn the_walk_is_the_empty_grid_search_path_on_seeded_grids() {
+    let mut rng = SimRng::new(0x1_0a1c);
+    for _ in 0..300 {
+        let (w, h) = (rng.range_u64(1, 40) as u32, rng.range_u64(1, 40) as u32);
+        let sinks = rng.range_u64(1, 40) as usize;
+        let mut cell = || (rng.below(w as u64) as u32, rng.below(h as u64) as u32);
+        let mut cells = vec![cell()];
+        while cells.len() <= sinks {
+            let next = cell();
+            if !cells.contains(&next) {
+                cells.push(next);
+            }
+            if cells.len() as u32 == w * h {
+                break;
+            }
+        }
+        assert_walk_is_search(&star(w, h, cells));
+    }
 }
 
 // --------------------------------------------------------- placer golden
