@@ -26,10 +26,13 @@ echo "==> cargo test"
 cargo test -q --workspace
 
 echo "==> compile-flow oracles and golden, router oracle, release"
-# The benchmark measures release code — the placer's float acceptance test,
-# the router's booked footprints; the run above was a debug build.
+# The benchmark measures release code — the placer's float acceptance test
+# and its refusal at the bound, the router's booked footprints; the run
+# above was a debug build. The placer oracle's wide sweep (32 seeds) runs
+# only here.
 cargo test -q --release -p netlist --test mapper_oracle
-cargo test -q --release -p pnr --test place_oracle --test flow_golden --test route_template
+cargo test -q --release -p pnr --test flow_golden --test route_template
+cargo test -q --release -p pnr --test place_oracle -- --include-ignored
 
 echo "==> frame-diff oracle and work budgets, release"
 # The benchmark's `fabric` diffs in release code, and the budgets count

@@ -103,15 +103,25 @@ pub fn compile(net: &Netlist, opts: CompileOptions) -> Result<CompiledCircuit, P
     let _flow = span::guard("pnr");
     let mapped = span::time("map", || map_to_luts(net, opts.map));
     let packed: PackedCircuit = span::time("pack", || pack(&mapped));
-    let (w, h) = opts.shape.unwrap_or_else(|| {
-        let blocks = packed.blocks.len().max(1);
-        if opts.full_height {
-            let want = (blocks as f64 / opts.fill).ceil() as u32;
-            (want.div_ceil(opts.max_height).max(1), opts.max_height)
-        } else {
-            auto_shape(blocks, opts.fill, opts.max_height)
+    let (w, h) = match opts.shape {
+        Some(shape) => shape,
+        // No row to grow a region in: refused as a fixed `(w, 0)` is.
+        None if opts.max_height == 0 => {
+            return Err(PlaceError::RegionTooSmall {
+                blocks: packed.blocks.len(),
+                capacity: 0,
+            })
         }
-    });
+        None => {
+            let blocks = packed.blocks.len().max(1);
+            if opts.full_height {
+                let want = (blocks as f64 / opts.fill).ceil() as u32;
+                (want.div_ceil(opts.max_height).max(1), opts.max_height)
+            } else {
+                auto_shape(blocks, opts.fill, opts.max_height)
+            }
+        }
+    };
     let mut rng = SimRng::new(opts.seed);
     let placed = span::time("place", || place(&packed, w, h, &mut rng))?;
     let (crit, clock) = span::time("timing", || {
@@ -173,6 +183,35 @@ mod tests {
             },
         );
         assert!(r.is_err());
+    }
+
+    /// A compile at `max_height: 0` with no fixed shape.
+    fn zero_height(full_height: bool) -> Result<CompiledCircuit, PlaceError> {
+        let net = netlist::library::logic::parity("p8", 8);
+        let opts = CompileOptions {
+            max_height: 0,
+            full_height,
+            ..Default::default()
+        };
+        compile(&net, opts)
+    }
+
+    #[test]
+    fn zero_height_auto_shape_is_a_region_too_small() {
+        let r = zero_height(false);
+        assert!(
+            matches!(r, Err(PlaceError::RegionTooSmall { capacity: 0, .. })),
+            "{r:?}"
+        );
+    }
+
+    #[test]
+    fn zero_height_full_height_is_a_region_too_small() {
+        let r = zero_height(true);
+        assert!(
+            matches!(r, Err(PlaceError::RegionTooSmall { capacity: 0, .. })),
+            "{r:?}"
+        );
     }
 
     #[test]

@@ -31,11 +31,42 @@
 //! bound does not decide. Every decision — and so the random stream, which
 //! is the contract: three `below` draws a move, one `f64` draw only when
 //! Δ > 0 — is the one `u < exp(−Δ/temp)` alone would make.
+//!
+//! **Refusing before pricing.** Late in the anneal nearly every move is
+//! uphill and refused, so most of the pricing above is wasted. Each block
+//! keeps a record over its far-end list: the count `d`, the far ends'
+//! coordinate sums `Σx` and `Σy`, and its incident wirelength
+//! `W = Σ_{f ∈ far(x)} d(x,f)`. Since `Σ|aᵢ| ≥ |Σaᵢ|`, moving `x` to `p`
+//! gives
+//!
+//! ```text
+//! Σ_{f ∈ far(x)} [d(p,f) − d(x,f)] ≥ |d·pₓ − Σx| + |d·p_y − Σy| − W
+//! ```
+//!
+//! and the bound `LB` of a move is that term for `bi` going to `t` plus,
+//! if `other` exists, the term for `other` going to `b` — O(1) from two
+//! records. `LB ≤ Δ`: the full sums differ from Δ's only by the terms Δ
+//! leaves out, the edges between `bi` and `other`, and there each copy
+//! contributes `d(t,t) − d(b,t) = −d(b,t)` to a full sum, so leaving it out
+//! adds `d(b,t) ≥ 0`. When `LB ≥ 1`, Δ > 0 is certain and the `f64` draw is
+//! the one the priced path would make, so it is drawn first; if
+//! `u·(1 + y + y²/2) > 1 + 10⁻⁶` already holds at `y = LB / temp`, the move
+//! is refused unpriced. IEEE division by a positive `temp`, multiplication
+//! by `u ≥ 0` and addition are each monotone, so the same test at the real
+//! `Δ ≥ LB` holds too, and the priced path would have refused. Otherwise Δ
+//! is priced as above and reuses that `u`; a move with `LB < 1` takes the
+//! priced path unchanged. Each accepted move refreshes the records it
+//! changed: the moved blocks' `W` and their far ends' sums and `W`, in
+//! O(their far ends). Debug builds assert `Δ ≥ LB` at every priced move and
+//! the refreshed records against a recompute after every accept;
+//! `bound_never_exceeds_delta` walks random placements of the `fabric`
+//! netlists and the knots with the same two checks.
+//!
 //! `tests/place_oracle.rs` holds the previous placer (both blocks' incident
 //! edges walked before and after a tentative swap, `exp` every time) and
 //! compares coordinates, `hpwl` and the stream position.
 
-use crate::pack::{BlockSource, PackedCircuit};
+use crate::pack::{BlockSource, PackedBlock, PackedCircuit};
 use fsim::SimRng;
 
 /// Placement failure.
@@ -89,52 +120,207 @@ impl PlacedCircuit {
     }
 }
 
-/// Block-to-block nets as (driver, sink) pairs.
-fn edges(pc: &PackedCircuit) -> Vec<(u32, u32)> {
-    let mut es = Vec::new();
-    for (i, blk) in pc.blocks.iter().enumerate() {
-        for s in blk.inputs {
-            if let BlockSource::Block(j) = s {
-                es.push((j, i as u32));
-            }
-        }
-    }
-    es
-}
-
 #[inline]
 fn manhattan((ax, ay): (u32, u32), (bx, by): (u32, u32)) -> i64 {
     (ax.abs_diff(bx) + ay.abs_diff(by)) as i64
 }
 
-fn hpwl_of(edges: &[(u32, u32)], coords: &[(u32, u32)]) -> u64 {
-    edges
-        .iter()
-        .map(|&(a, b)| manhattan(coords[a as usize], coords[b as usize]) as u64)
-        .sum()
+/// A block's summary over its far-end list: the far ends' coordinate sums
+/// and the block's incident wirelength `W`. The far-end count `d` is the
+/// length of the list.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Ends {
+    sx: i64,
+    sy: i64,
+    w: i64,
 }
 
-/// Per block, the far end of every incident edge, CSR: block `i`'s are
+/// The circuit's block-to-block edges as the placer reads them: per block,
+/// the far end of every incident edge, CSR — block `i`'s are
 /// `far[start[i]..start[i + 1]]`. A multi-edge is listed once per copy and
 /// a self-loop not at all.
-fn far_ends(n: usize, edges: &[(u32, u32)]) -> (Vec<u32>, Vec<u32>) {
-    let mut start = vec![0u32; n + 1];
-    for &(a, b) in edges.iter().filter(|(a, b)| a != b) {
-        start[a as usize + 1] += 1;
-        start[b as usize + 1] += 1;
+struct Graph {
+    start: Vec<u32>,
+    far: Vec<u32>,
+    /// Block-to-block edges, self-loops included.
+    edges: usize,
+}
+
+impl Graph {
+    /// Read the edges off `pc`'s block inputs: one pass counts each block's
+    /// far ends, a second fills the lists backwards from their ends.
+    fn new(pc: &PackedCircuit) -> Graph {
+        let n = pc.blocks.len();
+        let sources = |blk: &PackedBlock| {
+            blk.inputs.into_iter().filter_map(|s| match s {
+                BlockSource::Block(j) => Some(j as usize),
+                _ => None,
+            })
+        };
+        let mut start = vec![0u32; n + 1];
+        let mut edges = 0;
+        for (i, blk) in pc.blocks.iter().enumerate() {
+            for j in sources(blk) {
+                edges += 1;
+                if j != i {
+                    start[i] += 1;
+                    start[j] += 1;
+                }
+            }
+        }
+        for i in 1..=n {
+            start[i] += start[i - 1];
+        }
+        let mut far = vec![0u32; start[n] as usize];
+        for (i, blk) in pc.blocks.iter().enumerate() {
+            for j in sources(blk).filter(|&j| j != i) {
+                for (near, end) in [(i, j), (j, i)] {
+                    start[near] -= 1;
+                    far[start[near] as usize] = end as u32;
+                }
+            }
+        }
+        Graph { start, far, edges }
     }
-    for i in 0..n {
-        start[i + 1] += start[i];
+
+    #[inline]
+    fn far_of(&self, blk: usize) -> &[u32] {
+        &self.far[self.start[blk] as usize..self.start[blk + 1] as usize]
     }
-    let mut next = start.clone();
-    let mut far = vec![0u32; start[n] as usize];
-    for &(a, b) in edges.iter().filter(|(a, b)| a != b) {
-        for (near, end) in [(a, b), (b, a)] {
-            far[next[near as usize] as usize] = end;
-            next[near as usize] += 1;
+
+    /// `blk`'s summary record, recomputed.
+    fn ends_of(&self, blk: usize, coords: &[(u32, u32)]) -> Ends {
+        let at = coords[blk];
+        let mut e = Ends::default();
+        for &f in self.far_of(blk) {
+            let p = coords[f as usize];
+            e.sx += p.0 as i64;
+            e.sy += p.1 as i64;
+            e.w += manhattan(at, p);
+        }
+        e
+    }
+
+    /// Every block's summary record, recomputed.
+    fn all_ends(&self, coords: &[(u32, u32)]) -> Vec<Ends> {
+        (0..coords.len()).map(|i| self.ends_of(i, coords)).collect()
+    }
+
+    /// The lower bound on the change in `blk`'s incident wirelength when it
+    /// moves to `to`: `|d·toₓ − Σx| + |d·to_y − Σy| − W`.
+    #[inline]
+    fn bound_of(&self, ends: &[Ends], blk: usize, (tx, ty): (u32, u32)) -> i64 {
+        let d = (self.start[blk + 1] - self.start[blk]) as i64;
+        let e = ends[blk];
+        (d * tx as i64 - e.sx).abs() + (d * ty as i64 - e.sy).abs() - e.w
+    }
+
+    /// A lower bound on [`Graph::delta`] of the same move, in O(1); see the
+    /// module doc.
+    #[inline]
+    fn bound(
+        &self,
+        ends: &[Ends],
+        bi: usize,
+        b: (u32, u32),
+        t: (u32, u32),
+        other: Option<u32>,
+    ) -> i64 {
+        self.bound_of(ends, bi, t) + other.map_or(0, |o| self.bound_of(ends, o as usize, b))
+    }
+
+    /// The change in wirelength when `bi` moves from `b` to `t` and `other`,
+    /// the block at `t` if any, moves to `b`; see the module doc.
+    #[inline]
+    fn delta(
+        &self,
+        coords: &[(u32, u32)],
+        bi: usize,
+        b: (u32, u32),
+        t: (u32, u32),
+        other: Option<u32>,
+    ) -> i64 {
+        let mut delta = 0i64;
+        for &f in self.far_of(bi) {
+            if Some(f) != other {
+                let p = coords[f as usize];
+                delta += manhattan(t, p) - manhattan(b, p);
+            }
+        }
+        if let Some(o) = other {
+            for &f in self.far_of(o as usize) {
+                if f as usize != bi {
+                    let p = coords[f as usize];
+                    delta += manhattan(b, p) - manhattan(t, p);
+                }
+            }
+        }
+        delta
+    }
+
+    /// Make a move — `bi` from `b` to `t`, and `other`, the block at `t` if
+    /// any, to `b` — and refresh the records it changed.
+    fn make_move(
+        &self,
+        ends: &mut [Ends],
+        coords: &mut [(u32, u32)],
+        bi: usize,
+        b: (u32, u32),
+        t: (u32, u32),
+        other: Option<u32>,
+    ) {
+        coords[bi] = t;
+        if let Some(o) = other {
+            coords[o as usize] = b;
+        }
+        self.moved(ends, coords, bi, (b, t), other);
+        if let Some(o) = other {
+            self.moved(ends, coords, o as usize, (t, b), Some(bi as u32));
         }
     }
-    (start, far)
+
+    /// Refresh the records changed by `blk` moving from `from` to `to`
+    /// (already in `coords`), with `partner`, if any, the block that moved
+    /// the other way. Each far end of `blk` sees one of its own far ends
+    /// move, once per copy of the edge, and that edge's length changes on
+    /// both sides — except an edge between the two moved blocks, whose ends
+    /// only trade places.
+    fn moved(
+        &self,
+        ends: &mut [Ends],
+        coords: &[(u32, u32)],
+        blk: usize,
+        (from, to): ((u32, u32), (u32, u32)),
+        partner: Option<u32>,
+    ) {
+        let (dx, dy) = (to.0 as i64 - from.0 as i64, to.1 as i64 - from.1 as i64);
+        let mut dw = 0;
+        for &f in self.far_of(blk) {
+            let e = &mut ends[f as usize];
+            e.sx += dx;
+            e.sy += dy;
+            if Some(f) != partner {
+                let p = coords[f as usize];
+                let c = manhattan(to, p) - manhattan(from, p);
+                e.w += c;
+                dw += c;
+            }
+        }
+        ends[blk].w += dw;
+    }
+}
+
+/// The total wirelength: every edge is counted at both of its ends.
+fn wirelength(ends: &[Ends]) -> u64 {
+    ends.iter().map(|e| e.w as u64).sum::<u64>() / 2
+}
+
+/// Whether a draw `u` is refused at `y = delta / temp` by the polynomial
+/// test alone: `u·(1 + y + y²/2) > 1 + 10⁻⁶` implies `u > e^(−y)`.
+#[inline]
+fn refused(u: f64, delta: i64, temp: f64) -> bool {
+    let y = delta as f64 / temp;
+    u * (1.0 + y + y * y / 2.0) > 1.0 + 1e-6
 }
 
 /// Place `pc` into a `w × h` region.
@@ -147,16 +333,14 @@ pub fn place(
     rng: &mut SimRng,
 ) -> Result<PlacedCircuit, PlaceError> {
     let n = pc.blocks.len();
-    let cap = (w * h) as usize;
+    let cap = w as usize * h as usize;
     if n > cap {
         return Err(PlaceError::RegionTooSmall {
             blocks: n,
             capacity: cap,
         });
     }
-    let es = edges(pc);
-    let (start, far) = far_ends(n, &es);
-    let far_of = |blk: usize| &far[start[blk] as usize..start[blk + 1] as usize];
+    let graph = Graph::new(pc);
 
     // Greedy seed: blocks in index order (already topological-ish from
     // packing) snake through the region so connected blocks start near
@@ -170,16 +354,17 @@ pub fn place(
 
     // Occupancy map: cell -> Some(block) | None.
     let mut occ: Vec<Option<u32>> = vec![None; cap];
-    let at = |(c, r): (u32, u32)| (r * w + c) as usize;
+    let at = |(c, r): (u32, u32)| r as usize * w as usize + c as usize;
     for (i, &cell) in coords.iter().enumerate() {
         occ[at(cell)] = Some(i as u32);
     }
 
     // Annealing: swap two cells (block-block or block-empty).
-    let mut cost = hpwl_of(&es, &coords);
-    if n >= 2 && !es.is_empty() {
+    let mut ends = graph.all_ends(&coords);
+    if n >= 2 && graph.edges > 0 {
         let moves = (n * 120).clamp(2_000, 150_000);
-        let mut temp = (cost as f64 / es.len() as f64).max(1.0);
+        let seed_cost = wirelength(&ends);
+        let mut temp = (seed_cost as f64 / graph.edges as f64).max(1.0);
         let cooling = (0.005f64 / temp).powf(1.0 / moves as f64);
         for _ in 0..moves {
             // Pick a random block and a random target cell.
@@ -191,54 +376,52 @@ pub fn place(
             }
             let other = occ[at(t)];
 
-            // Delta cost, from the far ends of the moved block(s); see the
-            // module doc.
-            let mut delta = 0i64;
-            for &f in far_of(bi) {
-                if Some(f) != other {
-                    let p = coords[f as usize];
-                    delta += manhattan(t, p) - manhattan(b, p);
-                }
+            // A move the bound proves uphill draws its `u` now, and one the
+            // draw refuses at the bound is refused unpriced; see the module
+            // doc.
+            let bound = graph.bound(&ends, bi, b, t, other);
+            let u = (bound >= 1).then(|| rng.f64());
+            if u.is_some_and(|u| refused(u, bound, temp)) {
+                temp *= cooling;
+                continue;
             }
-            if let Some(o) = other {
-                for &f in far_of(o as usize) {
-                    if f as usize != bi {
-                        let p = coords[f as usize];
-                        delta += manhattan(b, p) - manhattan(t, p);
-                    }
-                }
-            }
+            let delta = graph.delta(&coords, bi, b, t, other);
+            debug_assert!(delta >= bound, "bound {bound} above Δ {delta}");
 
             let accept = delta <= 0 || {
-                let u = rng.f64();
-                let y = delta as f64 / temp;
-                u * (1.0 + y + y * y / 2.0) <= 1.0 + 1e-6 && u < (-y).exp()
+                let u = u.unwrap_or_else(|| rng.f64());
+                !refused(u, delta, temp) && u < (-(delta as f64 / temp)).exp()
             };
             if accept {
-                coords[bi] = t;
-                if let Some(o) = other {
-                    coords[o as usize] = b;
-                }
+                graph.make_move(&mut ends, &mut coords, bi, b, t, other);
                 occ[at(b)] = other;
                 occ[at(t)] = Some(bi as u32);
-                cost = cost.wrapping_add_signed(delta);
+                if cfg!(debug_assertions) {
+                    for m in std::iter::once(bi as u32).chain(other) {
+                        for &f in std::iter::once(&m).chain(graph.far_of(m as usize)) {
+                            let f = f as usize;
+                            assert_eq!(ends[f], graph.ends_of(f, &coords), "record of {f}");
+                        }
+                    }
+                }
             }
             temp *= cooling;
         }
     }
 
-    debug_assert_eq!(cost, hpwl_of(&es, &coords), "incremental cost drifted");
+    debug_assert_eq!(ends, graph.all_ends(&coords), "records drifted");
     Ok(PlacedCircuit {
         circuit: pc.clone(),
         width: w,
         height: h,
         coords,
-        hpwl: cost,
+        hpwl: wirelength(&ends),
     })
 }
 
 /// Choose a near-square region shape for `blocks` CLBs at the given fill
-/// target (e.g. 0.85 leaves annealing slack), clamped to the device height.
+/// target (e.g. 0.85 leaves annealing slack), clamped to the device height
+/// (at least one row; `compile` refuses a zero height before asking).
 pub fn auto_shape(blocks: usize, fill: f64, max_h: u32) -> (u32, u32) {
     assert!(blocks > 0);
     assert!((0.1..=1.0).contains(&fill));
@@ -249,11 +432,94 @@ pub fn auto_shape(blocks: usize, fill: f64, max_h: u32) -> (u32, u32) {
     (w, h)
 }
 
+/// The `fabric` netlists, shared with `tests/place_oracle.rs`.
+#[cfg(test)]
+#[path = "../tests/common/mod.rs"]
+mod common;
+/// The hand-built knots, shared with `tests/place_oracle.rs`.
+#[cfg(test)]
+#[path = "../tests/common/knots.rs"]
+mod knots;
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::pack::pack;
     use netlist::{map_to_luts, MapOptions};
+
+    /// Random placements of the `fabric` netlists and the knots, in a
+    /// region with empty cells and one without, each walked by random
+    /// moves: the bound never exceeds Δ, empty target and swap alike, and
+    /// the records the walk refreshes equal a recompute after every move.
+    #[test]
+    fn bound_never_exceeds_delta() {
+        let mut pcs: Vec<PackedCircuit> = common::fabric_netlists()
+            .iter()
+            .map(|net| pack(&map_to_luts(net, MapOptions::default())))
+            .collect();
+        pcs.extend([knots::two(), knots::knot(), knots::chain()]);
+        let mut rng = SimRng::new(0xB0B0);
+        let (mut swaps, mut empties, mut refusable) = (0u64, 0u64, 0u64);
+        for pc in &pcs {
+            let graph = Graph::new(pc);
+            let n = pc.blocks.len() as u32;
+            // The most nearly square region with no empty cell.
+            let h = (1..=n)
+                .rev()
+                .find(|h| h * h <= n && n.is_multiple_of(*h))
+                .unwrap();
+            for (w, h) in [auto_shape(n as usize, 0.85, 30), (n / h, h)] {
+                for _ in 0..3 {
+                    // A random placement: the first n cells of a shuffle.
+                    let mut cells: Vec<(u32, u32)> =
+                        (0..h).flat_map(|r| (0..w).map(move |c| (c, r))).collect();
+                    for i in (1..cells.len()).rev() {
+                        cells.swap(i, rng.below(i as u64 + 1) as usize);
+                    }
+                    let mut coords = cells[..n as usize].to_vec();
+                    let mut occ = vec![None; cells.len()];
+                    let at = |(c, r): (u32, u32)| (r * w + c) as usize;
+                    for (i, &cell) in coords.iter().enumerate() {
+                        occ[at(cell)] = Some(i as u32);
+                    }
+                    let mut ends = graph.all_ends(&coords);
+                    for _ in 0..20 * n {
+                        let bi = rng.below(n as u64) as usize;
+                        let b = coords[bi];
+                        let t = (rng.below(w as u64) as u32, rng.below(h as u64) as u32);
+                        if t == b {
+                            continue;
+                        }
+                        let other = occ[at(t)];
+                        let bound = graph.bound(&ends, bi, b, t, other);
+                        let delta = graph.delta(&coords, bi, b, t, other);
+                        assert!(
+                            bound <= delta,
+                            "{}: block {bi} {b:?} -> {t:?} (other {other:?}): \
+                             bound {bound} > Δ {delta}",
+                            pc.name
+                        );
+                        if other.is_some() {
+                            swaps += 1;
+                        } else {
+                            empties += 1;
+                        }
+                        refusable += u64::from(bound >= 1);
+                        if rng.below(2) == 0 {
+                            graph.make_move(&mut ends, &mut coords, bi, b, t, other);
+                            occ[at(b)] = other;
+                            occ[at(t)] = Some(bi as u32);
+                            assert_eq!(ends, graph.all_ends(&coords), "{}: records", pc.name);
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            swaps > 0 && empties > 0 && refusable > 0,
+            "{swaps} swaps, {empties} moves to an empty cell, {refusable} with bound ≥ 1"
+        );
+    }
 
     fn placed(net: &netlist::Netlist, w: u32, h: u32, seed: u64) -> PlacedCircuit {
         let pc = pack(&map_to_luts(net, MapOptions::default()));
@@ -286,7 +552,7 @@ mod tests {
         // re-deriving the seed cost: annealing must not make things worse.
         let net = netlist::library::arith::array_multiplier("m6", 6);
         let pc = pack(&map_to_luts(&net, MapOptions::default()));
-        let es = super::edges(&pc);
+        let graph = Graph::new(&pc);
         let n = pc.blocks.len();
         let (w, h) = auto_shape(n, 0.8, 24);
         // Seed coords = snake order (same construction as place()).
@@ -304,7 +570,7 @@ mod tests {
                 }
             }
         }
-        let seed_cost = super::hpwl_of(&es, &seed_coords);
+        let seed_cost = wirelength(&graph.all_ends(&seed_coords));
         let p = place(&pc, w, h, &mut SimRng::new(7)).unwrap();
         assert!(
             p.hpwl <= seed_cost,
