@@ -22,8 +22,11 @@ echo "==> cargo test"
 # The experiment gates live here too: crates/bench/tests/experiments.rs
 # runs all 21 smoke sweeps against their committed goldens at 1 and 4
 # threads and asserts what each export must mean (DESIGN.md §17 maps every
-# former shell/Python gate to its test).
-cargo test -q --workspace
+# former shell/Python gate to its test). Cargo's `Running` lines are kept
+# (only the harness is quiet) so the slowest binaries can be named below.
+tier1_log="$(mktemp)"
+trap 'rm -f "$tier1_log"' EXIT
+cargo test --workspace -- -q 2>&1 | tee "$tier1_log"
 
 echo "==> compile-flow oracles and golden, router oracle, release"
 # The benchmark measures release code — the placer's float acceptance test
@@ -40,6 +43,11 @@ echo "==> frame-diff oracle and work budgets, release"
 # test is ignored under debug assertions and runs only here.
 cargo test -q --release -p fpga --test diff_oracle
 cargo test -q --release -p bench --test budgets
+
+echo "==> the churn shape's pinned counters, release"
+# `churn` runs the partition manager's first fit, LRU victim, local merges
+# and pair-table pricing in release code; Tier-1 pinned them in debug.
+cargo test -q --release -p bench --test churn_shape
 
 echo "==> codec suite, compile-cache entries, image goldens, image tests and capture window, release"
 # `durable` and `fleet` reps run the release writer, and a release build
@@ -94,6 +102,14 @@ find crates -name '*.rs' | sort | xargs awk '
   END { printf "crates/: %d non-test + %d test lines; largest non-test file %s (%d)\n", n, t, big, max
         printf "crates/bench/src/exp: %d non-test lines (the experiments and their runner)\n", e
         printf "crates/vfpga/src: %d unwrap/expect/panic!/unreachable! sites in non-test code\n", p }'
+# Tier-1's time is tracked too (ROADMAP item 18): the five slowest test
+# binaries of the run above, by the harness's own "finished in".
+echo "Tier-1: the five slowest test binaries"
+awk '/^ *Running / { p = $NF; gsub(/[()]/, "", p); n = split(p, a, "/")
+                     bin = a[n]; sub(/-[0-9a-f]+$/, "", bin) }
+     /^ *Doc-tests / { bin = "doc-tests " $2 }
+     /^test result:/ { t = $NF; sub(/s$/, "", t); printf "  %7.2f s  %s\n", t, bin }' \
+  "$tier1_log" | sort -rn | sed -n 1,5p
 # Doc lines are tracked too (ROADMAP item 13): what a reader has to get
 # through besides the code.
 echo "docs: $(cat README.md DESIGN.md EXPERIMENTS.md ROADMAP.md CHANGES.md docs/*.md |

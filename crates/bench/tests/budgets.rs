@@ -23,11 +23,14 @@
 //!   partitions with delta reconfiguration, EDF with a 10 ms slice, and the
 //!   churn admission gate. Counted from building the manager to the
 //!   returned report. Seeded violations: a per-pair `fpga::Bitstream::diff`
-//!   of the two circuits' `(0, 0)` streams put back into
-//!   `DeltaTable::changed_frames` (the load path's pricing) reads 89.8
+//!   of the two circuits' `(0, 0)` streams put back into the load path's
+//!   pricing (now `CircuitLib::changed_frames`) reads 89.8
 //!   allocations and 54,048 bytes a task; the same diff memoised per pair
 //!   over stored streams, as pricing was before column images, reads 34.1
-//!   and 16,550.
+//!   and 16,550. Seeded violation: the region list back in
+//!   `admission::service_estimate` (`manager.resident_regions()` once an
+//!   estimate, in place of `is_resident`) reads 3.985 allocations, 588.9
+//!   bytes and 440.63 peak live bytes a task, failing all three rows.
 //! * `stream` — the `stream` benchmark's system at 6,000 tasks: Poisson
 //!   tasks of four FPGA runs, dynamic loading with state save/restore under
 //!   round-robin with a 10 ms slice. Counted from generating the specs to

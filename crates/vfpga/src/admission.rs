@@ -564,7 +564,6 @@ pub(crate) fn service_estimate<M: FpgaManager>(
     spec: &TaskSpec,
 ) -> SimDuration {
     let timing = manager.timing();
-    let resident = manager.resident_regions();
     let mut est = SimDuration::ZERO;
     for op in &spec.ops {
         match op {
@@ -572,7 +571,7 @@ pub(crate) fn service_estimate<M: FpgaManager>(
             Op::FpgaRun { circuit, cycles } => {
                 let img = lib.get(*circuit);
                 est += img.run_time(*cycles);
-                if !resident.iter().any(|r| r.cid == *circuit) {
+                if !manager.is_resident(*circuit) {
                     est += timing.readback_time(img.frames());
                 }
             }
@@ -624,7 +623,7 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
             return false;
         }
         let hang = self.build.specs[ti].hang_op == Some(self.run.slots[ti].op_idx as usize);
-        let resident = || manager.resident_regions().iter().any(|r| r.cid == circuit);
+        let resident = || manager.is_resident(circuit);
         let Some(sw_ns) = adm.degrade(ti, circuit, hang, resident) else {
             return false;
         };

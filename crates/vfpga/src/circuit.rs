@@ -117,19 +117,30 @@ impl CircuitImage {
 #[derive(Debug, Clone, Default)]
 pub struct CircuitLib {
     circuits: Vec<CircuitImage>,
+    /// Frames a delta between two circuits writes, derived at
+    /// registration. The count is symmetric, so only pairs `(a, b)` with
+    /// `b < a` are stored: row `a` starts at `a·(a−1)/2`.
+    pairs: Vec<u16>,
 }
 
 impl CircuitLib {
     /// An empty table.
     pub fn new() -> Self {
-        CircuitLib {
-            circuits: Vec::new(),
-        }
+        CircuitLib::default()
     }
 
-    /// Register a circuit, returning its id.
+    /// Register a circuit, returning its id. Its delta price against every
+    /// circuit registered before it is derived here, so pricing a download
+    /// is a table read.
     pub fn register(&mut self, image: CircuitImage) -> CircuitId {
         let id = CircuitId(self.circuits.len() as u32);
+        let new = image.column_image();
+        let row = self.circuits.iter().map(|old| {
+            // A count past `u16::MAX` would need a circuit that many
+            // columns wide; no modelled device comes near it.
+            u16::try_from(old.column_image().changed_frames(new)).unwrap_or(u16::MAX)
+        });
+        self.pairs.extend(row);
         self.circuits.push(image);
         id
     }
@@ -148,6 +159,23 @@ impl CircuitLib {
     /// Look up a circuit.
     pub fn get(&self, id: CircuitId) -> &CircuitImage {
         &self.circuits[id.0 as usize]
+    }
+
+    /// Frames a download of `b` over `a`'s image writes (or of `a` over
+    /// `b`'s: the count is symmetric): the columns their column images
+    /// configure differently, the count `Bitstream::diff` of their streams
+    /// reports. Zero for `a == b`.
+    pub fn changed_frames(&self, a: CircuitId, b: CircuitId) -> usize {
+        usize::from(self.pair(a, b))
+    }
+
+    fn pair(&self, a: CircuitId, b: CircuitId) -> u16 {
+        let (hi, lo) = (a.0.max(b.0) as usize, a.0.min(b.0) as usize);
+        if hi == lo {
+            0
+        } else {
+            self.pairs[hi * (hi - 1) / 2 + lo]
+        }
     }
 
     /// Check a circuit id read out of a checkpoint image: outside input,
@@ -181,9 +209,15 @@ impl CircuitLib {
     }
 
     /// A new library containing only `ids`, renumbered `0..ids.len()` in
-    /// the given order (cheap: compiled circuits are shared by `Arc`).
+    /// the given order (cheap: compiled circuits are shared by `Arc`, and
+    /// the pair counts are copied, not derived again).
     pub fn subset(&self, ids: &[CircuitId]) -> CircuitLib {
+        let pairs = ids
+            .iter()
+            .enumerate()
+            .flat_map(|(i, &a)| ids[..i].iter().map(move |&b| self.pair(a, b)));
         CircuitLib {
+            pairs: pairs.collect(),
             circuits: ids.iter().map(|&i| self.get(i).clone()).collect(),
         }
     }
@@ -242,6 +276,18 @@ mod tests {
             sub.get(CircuitId(0)).column_image(),
             img.column_image()
         ));
+        // So is each pair's delta price: derived once at registration,
+        // symmetric, and carried into a subset under the new ids.
+        let (a, b) = (lib.get(ids[0]).column_image(), img.column_image());
+        assert_eq!(lib.changed_frames(ids[0], ids[1]), a.changed_frames(b));
+        assert_eq!(lib.changed_frames(ids[1], ids[0]), b.changed_frames(a));
+        assert_eq!(lib.changed_frames(ids[1], ids[1]), 0);
+        let swapped = lib.subset(&[ids[1], ids[0]]);
+        assert_eq!(swapped.pairs, lib.pairs, "one pair, either order");
+        assert_eq!(
+            swapped.changed_frames(CircuitId(0), CircuitId(1)),
+            a.changed_frames(b)
+        );
     }
 
     #[test]

@@ -6,8 +6,10 @@
 //! table remembers what image a column range *still holds* after its
 //! circuit was evicted (a **ghost**) so the next load of that range can be
 //! priced as the frames that actually differ — only those cross the
-//! configuration port. The count is a merge of the two circuits'
-//! [`fpga::bitstream::ColumnImage`]s, derived at registration: the columns
+//! configuration port. Pricing reads the pair's count off the library
+//! ([`CircuitLib::changed_frames`](crate::circuit::CircuitLib::changed_frames)),
+//! which derives it when the later of the two circuits is registered by
+//! merging their [`fpga::bitstream::ColumnImage`]s: the columns
 //! `Bitstream::diff(old, new)` writes, with no stream built to count them.
 //!
 //! Correctness rests on one invariant: **a ghost is dropped the moment its
@@ -20,7 +22,7 @@
 //! `fpga::device` and the `pnr` property suite; managers only price.
 
 use super::EventBuf;
-use crate::circuit::{CircuitId, CircuitLib};
+use crate::circuit::CircuitId;
 use fsim::TraceEvent;
 use std::collections::BTreeSet;
 
@@ -60,8 +62,8 @@ impl Ghost {
 }
 
 /// Per-manager delta-reconfiguration state: the ghost table, the dirty
-/// set and the statistics. Pricing keeps no state: it compares the two
-/// circuits' column images, which the library derived at registration.
+/// set and the statistics. Pricing keeps no state: it reads the pair's
+/// count, which the library derived at registration.
 #[derive(Debug, Default)]
 pub(crate) struct DeltaTable {
     ghosts: Vec<Ghost>,
@@ -75,19 +77,6 @@ pub(crate) struct DeltaTable {
 impl DeltaTable {
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Frames a download of `new` over a ghost of `old` writes: the columns
-    /// their column images configure differently, the count
-    /// `Bitstream::diff` of their streams reports. Identical ids are zero
-    /// frames (a header-only revalidation download).
-    pub fn changed_frames(&self, lib: &CircuitLib, old: CircuitId, new: CircuitId) -> usize {
-        if old == new {
-            return 0;
-        }
-        lib.get(old)
-            .column_image()
-            .changed_frames(lib.get(new).column_image())
     }
 
     /// The ghost anchored exactly at `col0`, if any.
@@ -223,6 +212,7 @@ fsim::record! {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::circuit::CircuitLib;
     use crate::manager::overlay::{OverlayManager, Replacement};
     use crate::manager::partition::{PartitionManager, PartitionMode};
     use crate::manager::{Activation, FpgaManager, PreemptAction};
@@ -366,9 +356,8 @@ mod tests {
     fn narrow_load_over_a_wider_ghost_counts_the_tail() {
         let spec = fpga::device::part("VF400");
         let (lib, narrow, wide) = width_pair(spec);
-        let dt = DeltaTable::new();
-        assert_eq!(dt.changed_frames(&lib, wide, narrow), 2);
-        assert_eq!(dt.changed_frames(&lib, narrow, wide), 2);
+        assert_eq!(lib.changed_frames(wide, narrow), 2);
+        assert_eq!(lib.changed_frames(narrow, wide), 2);
         let (overhead, ds) = reload_over_ghost(true);
         assert_eq!(overhead, SimDuration::from_nanos(2_030_000));
         assert_eq!(ds, stats(1, 1, 2, 1, 0));

@@ -195,6 +195,10 @@ impl FpgaManager for DynLoadManager {
             .collect()
     }
 
+    fn is_resident(&self, cid: CircuitId) -> bool {
+        self.st.loaded == Some(cid)
+    }
+
     fn discard_resident(&mut self, cid: CircuitId) -> bool {
         if self.st.loaded == Some(cid) {
             self.st.loaded = None;

@@ -262,6 +262,14 @@ pub trait FpgaManager {
         Vec::new()
     }
 
+    /// Whether `cid` is resident now, so activating it needs no download
+    /// (no side effects). The default answers over
+    /// [`FpgaManager::resident_regions`]; a manager that can answer without
+    /// building the list overrides it.
+    fn is_resident(&self, cid: CircuitId) -> bool {
+        self.resident_regions().iter().any(|r| r.cid == cid)
+    }
+
     /// Forget a resident circuit whose configuration was rejected by the
     /// download CRC, so the next activation re-downloads it. Returns true
     /// if the circuit was resident. Default: nothing tracked, nothing to

@@ -272,7 +272,7 @@ impl FpgaManager for OverlayManager {
                         // beyond its width is safe: the diff writes full
                         // frames for columns the base does not cover).
                         let usable = old.filter(|&o| !dt.is_dirty(o));
-                        let changed = usable.map(|o| dt.changed_frames(&self.lib, o, cid));
+                        let changed = usable.map(|o| self.lib.changed_frames(o, cid));
                         let d = match (usable, changed) {
                             (Some(o), Some(ch)) if ch < frames => charge_delta_download(
                                 &self.timing,

@@ -91,6 +91,24 @@ pub struct PartitionManager {
     /// Delta-reconfiguration state; `None` keeps the legacy full-price
     /// download path byte-identical.
     delta: Option<DeltaTable>,
+    /// Circuit id → first column of the partition it is resident in; the
+    /// partition's index is a binary search of `parts`, which is kept in
+    /// column order.
+    home: Vec<Option<u32>>,
+    /// [`Self::max_servable_width`], which changes only when a column
+    /// retires or an image is restored.
+    servable: u32,
+}
+
+/// What one walk of the partition list finds for a miss `need_w` wide.
+struct Scan {
+    /// The first free partition at least `need_w` wide.
+    fit: Option<usize>,
+    /// Free columns in total, and the widest free partition.
+    free: u32,
+    widest: u32,
+    /// The least-recently-used idle resident (the first one on a tie).
+    victim: Option<CircuitId>,
 }
 
 impl PartitionManager {
@@ -133,7 +151,8 @@ impl PartitionManager {
                 }]
             }
         };
-        Ok(PartitionManager {
+        let mut m = PartitionManager {
+            home: vec![None; lib.len()],
             lib,
             timing,
             mode,
@@ -146,7 +165,10 @@ impl PartitionManager {
             obs: EventBuf::default(),
             gc_enabled: true,
             delta: None,
-        })
+            servable: 0,
+        };
+        m.servable = m.max_servable_width();
+        Ok(m)
     }
 
     /// Enable delta reconfiguration: evictions leave a tracked *ghost*
@@ -170,9 +192,8 @@ impl PartitionManager {
 
     /// Index of the partition resident with `cid`, if any.
     fn find_resident(&self, cid: CircuitId) -> Option<usize> {
-        self.parts
-            .iter()
-            .position(|p| matches!(p.slot, Slot::Resident { cid: c, .. } if c == cid))
+        let col = (*self.home.get(cid.0 as usize)?)?;
+        Some(self.parts.partition_point(|p| p.col < col))
     }
 
     /// CLBs currently occupied by resident circuits.
@@ -249,12 +270,6 @@ impl PartitionManager {
         self.parts.len()
     }
 
-    /// Whether `cid` is currently resident in some partition (diagnostic,
-    /// no side effects).
-    pub fn is_resident(&self, cid: CircuitId) -> bool {
-        self.find_resident(cid).is_some()
-    }
-
     /// Load `cid` into partition `idx` (assumed free and wide enough),
     /// splitting in variable mode. Returns the download — its overhead is
     /// its config time — or None if routing fails at that origin.
@@ -284,7 +299,7 @@ impl PartitionManager {
                 // A usable base is a ghost anchored at this exact column
                 // whose diff is strictly cheaper than a full load.
                 let base = dt.base_at(col);
-                let changed = base.map(|g| dt.changed_frames(&self.lib, g.cid, cid));
+                let changed = base.map(|g| self.lib.changed_frames(g.cid, cid));
                 let d = match (base, changed) {
                     (Some(g), Some(ch)) if ch < frames => {
                         dt.consume_base(col);
@@ -329,6 +344,7 @@ impl PartitionManager {
             last_use,
             saved_for: None,
         };
+        self.home[cid.0 as usize] = Some(col);
         Some(Download {
             col0: col,
             width: self.parts[idx].width,
@@ -336,52 +352,31 @@ impl PartitionManager {
         })
     }
 
-    /// Evict the least-recently-used idle resident circuit, whatever its
-    /// width: any eviction frees columns, and the caller retries after
-    /// each one. Returns true if something was evicted.
-    fn evict_lru_idle(&mut self) -> bool {
-        let victim = self
-            .parts
-            .iter()
-            .enumerate()
-            .filter_map(|(i, p)| match &p.slot {
-                Slot::Resident {
-                    owner: None,
-                    last_use,
-                    ..
-                } => Some((i, *last_use)),
-                _ => None,
-            })
-            .min_by_key(|&(_, lu)| lu)
-            .map(|(i, _)| i);
-        match victim {
-            Some(i) => {
-                let (col, width) = (self.parts[i].col, self.parts[i].width);
-                if let Slot::Resident { cid, routes, .. } = &self.parts[i].slot {
-                    self.routing.release(routes);
-                    let cid = *cid;
-                    self.obs.push(|| TraceEvent::Custom {
-                        tag: "evict",
-                        message: format!(
-                            "evict idle circuit {} from cols [{col}, {})",
-                            cid.0,
-                            col + width
-                        ),
-                    });
-                    // The evicted circuit's frames stay on the fabric: the
-                    // freed range is a delta base for the next occupant.
-                    if let Some(dt) = &mut self.delta {
-                        let gw = self.lib.get(cid).shape().0;
-                        dt.record_ghost(col, gw, cid, &mut self.obs);
-                    }
-                }
-                self.parts[i].slot = Slot::Free;
-                self.stats.evictions += 1;
-                self.merge_adjacent_free();
-                true
+    /// Evict the idle resident in partition `i`, whatever its width, and
+    /// merge the freed columns with free neighbours. Its frames stay on the
+    /// fabric: the freed range is a delta base for the next occupant.
+    fn evict(&mut self, i: usize) {
+        let (col, width) = (self.parts[i].col, self.parts[i].width);
+        if let Slot::Resident { cid, routes, .. } =
+            std::mem::replace(&mut self.parts[i].slot, Slot::Free)
+        {
+            self.routing.release(&routes);
+            self.home[cid.0 as usize] = None;
+            self.obs.push(|| TraceEvent::Custom {
+                tag: "evict",
+                message: format!(
+                    "evict idle circuit {} from cols [{col}, {})",
+                    cid.0,
+                    col + width
+                ),
+            });
+            if let Some(dt) = &mut self.delta {
+                let gw = self.lib.get(cid).shape().0;
+                dt.record_ghost(col, gw, cid, &mut self.obs);
             }
-            None => false,
         }
+        self.stats.evictions += 1;
+        self.merge_around(i);
     }
 
     /// Move the idle resident out of partition `idx` (to any free
@@ -403,6 +398,7 @@ impl PartitionManager {
                 other => unreachable!("relocate_off on {other:?}, not an idle resident"),
             };
         self.routing.release(&routes);
+        self.home[cid.0 as usize] = None;
         let need_w = self.lib.get(cid).shape().0;
         // Candidate destinations: free partitions wide enough, tried in
         // column order. No split — the survivor may sit loosely until the
@@ -436,6 +432,7 @@ impl PartitionManager {
                     last_use,
                     saved_for,
                 };
+                self.home[cid.0 as usize] = Some(origin.0);
                 self.stats.relocations += 1;
                 return (true, cost);
             }
@@ -446,14 +443,16 @@ impl PartitionManager {
 
     /// Replace partition `idx` (already Free) with retired fabric covering
     /// `col`: the whole partition in fixed mode (boundaries are immutable),
-    /// a single carved-out column in variable mode.
+    /// a single carved-out column in variable mode, each free piece left
+    /// over merged with its free neighbour.
     fn carve_retired(&mut self, idx: usize, col: u32) {
         match self.mode {
             PartitionMode::Fixed(_) => self.parts[idx].slot = Slot::Retired,
             PartitionMode::Variable => {
                 let (p_col, p_w) = (self.parts[idx].col, self.parts[idx].width);
                 let mut pieces = Vec::with_capacity(3);
-                if col > p_col {
+                let (left, right) = (col > p_col, col + 1 < p_col + p_w);
+                if left {
                     pieces.push(Partition {
                         col: p_col,
                         width: col - p_col,
@@ -465,7 +464,7 @@ impl PartitionManager {
                     width: 1,
                     slot: Slot::Retired,
                 });
-                if col + 1 < p_col + p_w {
+                if right {
                     pieces.push(Partition {
                         col: col + 1,
                         width: p_col + p_w - col - 1,
@@ -473,26 +472,29 @@ impl PartitionManager {
                     });
                 }
                 self.parts.splice(idx..idx + 1, pieces);
-                self.merge_adjacent_free();
+                if right {
+                    self.merge_around(idx + usize::from(left) + 1);
+                }
+                if left {
+                    self.merge_around(idx);
+                }
             }
         }
     }
 
-    /// Merge adjacent free partitions (variable mode only).
-    fn merge_adjacent_free(&mut self) {
+    /// Merge free partition `i` with a free neighbour on either side
+    /// (variable mode only). Between calls no two free partitions are
+    /// adjacent there, so these are the only merges freeing `i` can need.
+    fn merge_around(&mut self, i: usize) {
         if !matches!(self.mode, PartitionMode::Variable) {
             return;
         }
-        let mut i = 0;
-        while i + 1 < self.parts.len() {
-            if matches!(self.parts[i].slot, Slot::Free)
-                && matches!(self.parts[i + 1].slot, Slot::Free)
-            {
-                self.parts[i].width += self.parts[i + 1].width;
-                self.parts.remove(i + 1);
+        let free = |p: Option<&Partition>| p.is_some_and(|p| matches!(p.slot, Slot::Free));
+        for j in [i + 1, i] {
+            if j > 0 && free(self.parts.get(j)) && free(self.parts.get(j - 1)) {
+                self.parts[j - 1].width += self.parts[j].width;
+                self.parts.remove(j);
                 self.stats.merges += 1;
-            } else {
-                i += 1;
             }
         }
     }
@@ -516,12 +518,12 @@ impl PartitionManager {
         // One pass in column order: an idle resident moves left to `cursor`
         // (the end of whatever precedes it) when it routes there, everything
         // else stays, and the gap each leaves behind it becomes one free
-        // partition.
+        // partition. Each gap takes the slot of a free partition the pass
+        // drops, so the list is rebuilt in place and never grows.
         let cols = self.timing.spec.cols;
-        let old = std::mem::take(&mut self.parts);
-        let mut parts: Vec<Partition> = Vec::with_capacity(old.len() + 1);
-        let mut cursor = 0u32;
-        for mut p in old {
+        let (mut cursor, mut w) = (0u32, 0);
+        for r in 0..self.parts.len() {
+            let p = &mut self.parts[r];
             if matches!(p.slot, Slot::Free) {
                 continue;
             }
@@ -555,6 +557,7 @@ impl PartitionManager {
                             self.stats.relocations += 1;
                             p.col = cursor;
                             *routes = new_routes;
+                            self.home[cid.0 as usize] = Some(cursor);
                         }
                         Err(_) => {
                             // Keep the circuit where it was: the failed attempt
@@ -568,25 +571,31 @@ impl PartitionManager {
                 // resumes after it.
                 _ => {}
             }
-            if p.col > cursor {
+            let (col, width) = (p.col, p.width);
+            if col > cursor {
+                // The gap's columns were held by free partitions read since
+                // the last gap (a moved resident only shifts them along),
+                // so a dropped slot lies between `w` and `r`.
+                debug_assert!(w < r, "a gap with no free partition behind it");
                 self.stats.merges += 1;
-                parts.push(Partition {
+                self.parts[w] = Partition {
                     col: cursor,
-                    width: p.col - cursor,
+                    width: col - cursor,
                     slot: Slot::Free,
-                });
+                };
+                w += 1;
             }
-            cursor = p.col + p.width;
-            parts.push(p);
+            self.parts.swap(w, r);
+            (cursor, w) = (col + width, w + 1);
         }
+        self.parts.truncate(w);
         if cursor < cols {
-            parts.push(Partition {
+            self.parts.push(Partition {
                 col: cursor,
                 width: cols - cursor,
                 slot: Slot::Free,
             });
         }
-        self.parts = parts;
         // Relocation downloads and state moves were charged into
         // config_time/state_time above; reattribute them to the GC phase so
         // an overhead breakdown has disjoint slices. Event counters
@@ -604,16 +613,40 @@ impl PartitionManager {
         overhead
     }
 
-    /// Debug builds re-derive the routing fabric from the partition list
-    /// after every operation that changes either: usage is exactly the
-    /// residents' routes, and — while no searched route is live, the only
-    /// kind that can leave its columns — free and retired columns carry
-    /// nothing, which is what lets the fabric book a load into them as its
-    /// footprint without looking at a segment.
-    fn check_routing(&self) {
+    /// Debug builds check the partition list and what is derived from it
+    /// after every operation that can change either: the partitions tile
+    /// the device in column order, no two free ones are adjacent in
+    /// variable mode, and the residency table and the servable width are
+    /// what a scan finds. Then [`Self::check_routing`].
+    fn check(&self) {
         if !cfg!(debug_assertions) {
             return;
         }
+        let (mut home, mut end) = (vec![None; self.home.len()], 0);
+        for p in &self.parts {
+            assert!(p.col == end, "the partitions do not tile the device");
+            end += p.width;
+            if let Slot::Resident { cid, .. } = p.slot {
+                let twice = home[cid.0 as usize].replace(p.col).is_some();
+                assert!(!twice, "circuit {} is resident twice", cid.0);
+            }
+        }
+        assert!(end == self.timing.spec.cols, "the partitions end short");
+        let free = |p: &Partition| matches!(p.slot, Slot::Free);
+        let touching = self.parts.windows(2).any(|w| free(&w[0]) && free(&w[1]));
+        let variable = matches!(self.mode, PartitionMode::Variable);
+        assert!(!(variable && touching), "two free partitions touch");
+        assert!(home == self.home, "the residency table is stale");
+        assert!(self.servable == self.max_servable_width(), "stale width");
+        self.check_routing();
+    }
+
+    /// The routing fabric re-derived from the partition list: usage is
+    /// exactly the residents' routes, and — while no searched route is
+    /// live, the only kind that can leave its columns — free and retired
+    /// columns carry nothing, which is what lets the fabric book a load
+    /// into them as its footprint without looking at a segment.
+    fn check_routing(&self) {
         let live = || {
             self.parts.iter().filter_map(|p| match &p.slot {
                 Slot::Resident { routes, .. } => Some(routes),
@@ -635,36 +668,54 @@ impl PartitionManager {
         }
     }
 
-    /// The first free partition at least `need_w` wide, the free columns in
-    /// total, and the widest free partition.
-    fn free_space(&self, need_w: u32) -> (Option<usize>, u32, u32) {
-        let (mut first_fit, mut total, mut largest) = (None, 0, 0);
+    /// One walk of the partition list for a miss `need_w` wide.
+    fn scan(&self, need_w: u32) -> Scan {
+        let mut s = Scan {
+            fit: None,
+            free: 0,
+            widest: 0,
+            victim: None,
+        };
+        let mut oldest = 0;
         for (i, p) in self.parts.iter().enumerate() {
-            if matches!(p.slot, Slot::Free) {
-                if first_fit.is_none() && p.width >= need_w {
-                    first_fit = Some(i);
+            match p.slot {
+                Slot::Free => {
+                    if s.fit.is_none() && p.width >= need_w {
+                        s.fit = Some(i);
+                    }
+                    s.free += p.width;
+                    s.widest = s.widest.max(p.width);
                 }
-                total += p.width;
-                largest = largest.max(p.width);
+                Slot::Resident {
+                    cid,
+                    owner: None,
+                    last_use,
+                    ..
+                } if s.victim.is_none() || last_use < oldest => {
+                    (s.victim, oldest) = (Some(cid), last_use);
+                }
+                Slot::Resident { .. } | Slot::Retired => {}
             }
         }
-        (first_fit, total, largest)
+        s
     }
 
     /// [`FpgaManager::activate`] proper.
     fn place(&mut self, tid: TaskId, cid: CircuitId) -> Activation {
         // 1. Already resident?
-        let resident = self.parts.iter_mut().find_map(|p| match &mut p.slot {
-            Slot::Resident {
-                cid: c,
-                owner,
-                last_use,
-                saved_for,
-                ..
-            } if *c == cid => Some((p.width, owner, last_use, saved_for)),
-            _ => None,
-        });
-        if let Some((width, owner, last_use, saved_for)) = resident {
+        let resident = self.find_resident(cid).map(|i| &mut self.parts[i]);
+        if let Some(Partition {
+            width,
+            slot:
+                Slot::Resident {
+                    owner,
+                    last_use,
+                    saved_for,
+                    ..
+                },
+            ..
+        }) = resident
+        {
             self.clock += 1;
             if owner.is_some_and(|o| o != tid) {
                 self.stats.blocks += 1;
@@ -677,7 +728,8 @@ impl PartitionManager {
             let mut overhead = SimDuration::ZERO;
             if *saved_for == Some(tid) {
                 *saved_for = None;
-                overhead += charge_state_move(&self.timing, width as usize, false, &mut self.stats);
+                overhead +=
+                    charge_state_move(&self.timing, *width as usize, false, &mut self.stats);
             }
             return Activation::Ready {
                 overhead,
@@ -688,14 +740,14 @@ impl PartitionManager {
         // 2. Find a free partition wide enough (first-fit).
         self.stats.misses += 1;
         let need_w = self.lib.get(cid).shape().0;
-        if need_w > self.max_servable_width() {
+        if need_w > self.servable {
             // Wider than anything this manager can ever assemble (fixed
             // boundaries or retired fabric): blocking would hang forever.
             return Activation::Unservable;
         }
         loop {
-            let (candidate, free_total, largest_free) = self.free_space(need_w);
-            if let Some(i) = candidate {
+            let scan = self.scan(need_w);
+            if let Some(i) = scan.fit {
                 if let Some(download) = self.load_into(i, cid, tid) {
                     return Activation::Ready {
                         overhead: download.config_time,
@@ -710,11 +762,11 @@ impl PartitionManager {
             // 3. Try GC (variable mode) to coalesce free columns.
             if self.gc_enabled
                 && matches!(self.mode, PartitionMode::Variable)
-                && free_total >= need_w
-                && largest_free < need_w
+                && scan.free >= need_w
+                && scan.widest < need_w
             {
                 let gc_overhead = self.garbage_collect(tid);
-                if let (Some(i), ..) = self.free_space(need_w) {
+                if let Some(i) = self.scan(need_w).fit {
                     if let Some(download) = self.load_into(i, cid, tid) {
                         return Activation::Ready {
                             overhead: download.config_time + gc_overhead,
@@ -723,11 +775,16 @@ impl PartitionManager {
                     }
                 }
             }
-            // 4. Evict an idle resident and retry once per eviction.
-            if !self.evict_lru_idle() {
-                self.stats.blocks += 1;
-                self.waiters.push_back((tid, cid));
-                return Activation::Blocked;
+            // 4. Evict the LRU idle resident and retry once per eviction.
+            // Compaction keeps the partitions' order and owners, so the
+            // scanned victim is still the one to go.
+            match scan.victim.and_then(|v| self.find_resident(v)) {
+                Some(i) => self.evict(i),
+                None => {
+                    self.stats.blocks += 1;
+                    self.waiters.push_back((tid, cid));
+                    return Activation::Blocked;
+                }
             }
         }
     }
@@ -743,7 +800,7 @@ impl FpgaManager for PartitionManager {
 
     fn activate(&mut self, tid: TaskId, cid: CircuitId) -> Activation {
         let outcome = self.place(tid, cid);
-        self.check_routing();
+        self.check();
         outcome
     }
 
@@ -845,6 +902,10 @@ impl FpgaManager for PartitionManager {
         &self.timing
     }
 
+    fn is_resident(&self, cid: CircuitId) -> bool {
+        self.find_resident(cid).is_some()
+    }
+
     fn resident_regions(&self) -> Vec<ResidentRegion> {
         self.parts
             .iter()
@@ -863,12 +924,14 @@ impl FpgaManager for PartitionManager {
         let Some(i) = self.find_resident(cid) else {
             return false;
         };
-        if let Slot::Resident { routes, .. } = &self.parts[i].slot {
-            self.routing.release(routes);
+        if let Slot::Resident { routes, .. } =
+            std::mem::replace(&mut self.parts[i].slot, Slot::Free)
+        {
+            self.routing.release(&routes);
         }
-        self.parts[i].slot = Slot::Free;
-        self.merge_adjacent_free();
-        self.check_routing();
+        self.home[cid.0 as usize] = None;
+        self.merge_around(i);
+        self.check();
         true
     }
 
@@ -912,7 +975,8 @@ impl FpgaManager for PartitionManager {
             dt.invalidate_overlap(pc, pw, "retire", &mut self.obs);
         }
         self.carve_retired(idx, col);
-        self.check_routing();
+        self.servable = self.max_servable_width();
+        self.check();
         out
     }
 
@@ -964,7 +1028,8 @@ impl FpgaManager for PartitionManager {
         let img = PartitionImage::read(snap, "partition snapshot")?;
         let cols = self.timing.spec.cols;
         let mut routing = pnr::RoutingFabric::for_device(&self.timing.spec);
-        let mut parts = Vec::with_capacity(img.parts.len());
+        let mut parts: Vec<Partition> = Vec::with_capacity(img.parts.len());
+        let mut home = vec![None; self.lib.len()];
         // The partitions tile the device: each starts where the last ended.
         let mut next_col = 0;
         for Partition { col, width, slot } in img.parts {
@@ -975,6 +1040,14 @@ impl FpgaManager for PartitionManager {
             }
             next_col = col + width;
             let slot = match slot {
+                // A freed partition is merged with its free neighbours, so
+                // in variable mode two free partitions never touch.
+                Slot::Free
+                    if matches!(self.mode, PartitionMode::Variable)
+                        && parts.last().is_some_and(|p| matches!(p.slot, Slot::Free)) =>
+                {
+                    return Err(format!("free partition at column {col} follows another"));
+                }
                 Slot::Free => Slot::Free,
                 Slot::Retired => Slot::Retired,
                 Slot::Resident {
@@ -985,6 +1058,9 @@ impl FpgaManager for PartitionManager {
                     routes: (),
                 } => {
                     self.lib.check_id(cid)?;
+                    if home[cid.0 as usize].replace(col).is_some() {
+                        return Err(format!("circuit {} is resident twice", cid.0));
+                    }
                     // Re-route at the original origin; partitions are
                     // disjoint column ranges, so routing each resident in
                     // image order reproduces a valid fabric state.
@@ -1023,7 +1099,9 @@ impl FpgaManager for PartitionManager {
         (self.parts, self.routing, self.waiters) = (parts, routing, img.waiters);
         (self.clock, self.gc_enabled, self.stats, self.delta) =
             (img.clock, img.gc_enabled, img.stats, delta);
-        self.check_routing();
+        self.home = home;
+        self.servable = self.max_servable_width();
+        self.check();
         Ok(())
     }
 }
@@ -1329,6 +1407,76 @@ mod tests {
             m.stats().evictions >= 1 || m.stats().gc_runs >= 1,
             "making room must have evicted or compacted"
         );
+    }
+
+    /// A checkpoint image of `parts` (`(col, width, slot)`) with no waiters
+    /// and delta off.
+    fn image_of(parts: Vec<(u32, u32, Slot<()>)>) -> Json {
+        PartitionImage {
+            parts: parts
+                .into_iter()
+                .map(|(col, width, slot)| Partition { col, width, slot })
+                .collect(),
+            waiters: VecDeque::new(),
+            clock: 9,
+            gc_enabled: true,
+            stats: ManagerStats::default(),
+            delta: None,
+        }
+        .json()
+    }
+
+    /// An idle resident `cid`, last used at `last_use`.
+    fn idle(cid: CircuitId, last_use: u64) -> Slot<()> {
+        Slot::Resident {
+            cid,
+            owner: None,
+            routes: (),
+            last_use,
+            saved_for: None,
+        }
+    }
+
+    /// A variable-mode image with two touching free partitions, or with a
+    /// circuit resident twice, is damaged: a freed partition is always
+    /// merged with its free neighbours and a circuit sits in one place, and
+    /// the manager's lookups rely on both.
+    #[test]
+    fn restore_refuses_touching_free_partitions_and_a_circuit_twice() {
+        let (mut m, ids) = mgr(PartitionMode::Variable);
+        let two_free = image_of(vec![(0, 10, Slot::Free), (10, 10, Slot::Free)]);
+        let err = m.restore(&two_free).unwrap_err();
+        assert!(err.contains("follows another"), "{err}");
+        // Fixed boundaries never merge: there the same tiling is sound.
+        let (mut f, _) = mgr(PartitionMode::Fixed(vec![10, 10]));
+        f.restore(&two_free).unwrap();
+        let twice = image_of(vec![(0, 10, idle(ids[0], 1)), (10, 10, idle(ids[0], 2))]);
+        let err = f.restore(&twice).unwrap_err();
+        assert!(err.contains("resident twice"), "{err}");
+        // The refused images left the managers as they were.
+        assert_eq!(m.partition_count(), 1);
+        assert_eq!(f.partition_count(), 2);
+        assert!(!f.is_resident(ids[0]));
+    }
+
+    /// Two idle residents used last at the same instant: the first in
+    /// column order goes. No run makes such a tie (every use takes a fresh
+    /// stamp), so only a restored image can put the rule to the test.
+    #[test]
+    fn an_lru_tie_evicts_the_first_partition() {
+        let (mut m, ids) = mgr(PartitionMode::Fixed(vec![10, 10]));
+        let tied = image_of(vec![(0, 10, idle(ids[0], 4)), (10, 10, idle(ids[1], 4))]);
+        m.restore(&tied).unwrap();
+        assert!(matches!(
+            m.activate(TaskId(0), ids[2]),
+            Activation::Ready { .. }
+        ));
+        let cids: Vec<_> = m
+            .resident_regions()
+            .iter()
+            .map(|r| (r.col0, r.cid))
+            .collect();
+        assert_eq!(cids, [(0, ids[2]), (10, ids[1])]);
     }
 
     #[test]
