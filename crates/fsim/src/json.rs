@@ -44,6 +44,7 @@
 //! which the orphan rule would not let it implement [`Wire`] for.
 
 use crate::time::{SimDuration, SimTime};
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt::Write as _;
 
@@ -841,6 +842,16 @@ impl<T: Wire + Ord> Wire for BTreeSet<T> {
         let members = Vec::<T>::read(v, what)?;
         ascending(&members, |m| m, what)?;
         Ok(members.into_iter().collect())
+    }
+}
+
+/// Written from a borrow or an owned value; read back owned.
+impl<T: Wire + Clone> Wire for Cow<'_, T> {
+    fn json(&self) -> Json {
+        T::json(self)
+    }
+    fn read(v: &Json, what: &str) -> Result<Self, String> {
+        T::read(v, what).map(Cow::Owned)
     }
 }
 

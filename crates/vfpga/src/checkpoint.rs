@@ -866,9 +866,9 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
         Ok(())
     }
 
-    /// Adopt the image of a shard cut at `state.at` onto fresh fabric: the
-    /// shared first half of [`fail_over_from`](Self::fail_over_from) and
-    /// [`migrate_in`](Self::migrate_in). The journal restarts empty (its
+    /// Adopt the image of a shard cut at `cut.at` onto fresh fabric: the
+    /// shared first half of [`fail_over_cut`](Self::fail_over_cut) and
+    /// [`migrate_in_cut`](Self::migrate_in_cut). The journal restarts empty (its
     /// records describe downloads to fabric that no longer exists; the
     /// torn ones are counted undone), every restored residency claim is
     /// discarded, and the dead fabric's latent upsets and stale markers go
@@ -915,17 +915,12 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
     /// as the checkpoint readback, and the destination pays the download
     /// at the circuit's next activation. A mid-flight FPGA segment
     /// restored from the image re-executes its post-checkpoint work on
-    /// the destination, exactly like the journal-on restore path.
-    pub fn fail_over_from(&mut self, state: &CrashState) -> Result<FailoverReceipt, VfpgaError> {
-        self.fail_over_cut(Cut::from_durable(state)?)
-    }
-
-    /// [`fail_over_from`](Self::fail_over_from) for a cut still in its process.
-    #[doc(hidden)]
+    /// the destination, exactly like the journal-on restore path. A
+    /// durable state comes in through [`Cut::from_durable`].
     pub fn fail_over_cut(&mut self, cut: Cut) -> Result<FailoverReceipt, VfpgaError> {
         let _s = span::guard("failover");
         let (torn, redo_window, _, discarded) =
-            self.adopt_onto_fresh_fabric(cut, "fail_over_from")?;
+            self.adopt_onto_fresh_fabric(cut, "fail_over_cut")?;
         Ok(FailoverReceipt {
             migrated_claims: discarded.len() as u32,
             torn_undone: torn,

@@ -12,7 +12,7 @@
 //!
 //! The fleet layer never invents costs of its own — it only sequences
 //! per-shard [`System`] runs, cuts them at device-fault instants, and
-//! restarts them elsewhere via [`System::fail_over_from`]. A destination
+//! restarts them elsewhere via [`System::fail_over_cut`]. A destination
 //! search walks a bounded retry/backoff ladder when every device is
 //! saturated; if the ladder is exhausted the shard either degrades to a
 //! software-priced build (the builder decides what that costs, e12-style)

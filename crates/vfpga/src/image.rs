@@ -441,7 +441,7 @@ mod tests {
     use crate::admission::AdmissionStats;
     use crate::counters::Counters;
     use crate::manager::delta::{DeltaImage, DeltaStats};
-    use crate::manager::dynload::DynLoadImage;
+    use crate::manager::dynload::{DynLoadImage, Saved};
     use crate::manager::partition::PartitionImage;
     use crate::manager::ManagerStats;
     use crate::sched::{QueueImage, ReadyImage};
@@ -610,7 +610,7 @@ mod tests {
         type PriorityEntry = (u8, u64, TaskId, SimTime);
         sections::<ReadyImage<PriorityEntry>>(&goldens, priority, &["sched"]);
         sections::<ReadyImage<(u64, TaskId)>>(&goldens, edf, &["sched"]);
-        sections::<DynLoadImage>(&goldens, dynload, &["manager"]);
+        sections::<DynLoadImage<Saved>>(&goldens, dynload, &["manager"]);
         sections::<PartitionImage>(&goldens, partition, &["manager"]);
         sections::<DeltaImage>(&goldens, any, &["manager", "delta"]);
         // A column failure, and arrivals pending.

@@ -89,17 +89,29 @@ impl DeltaTable {
     /// the circuit's frames are dirty.
     pub fn record_ghost(&mut self, col0: u32, width: u32, cid: CircuitId, obs: &mut EventBuf) {
         if self.dirty.contains(&cid.0) {
-            self.stats.invalidations += 1;
-            obs.push(|| TraceEvent::DeltaInvalidate {
-                col0,
-                width,
-                reason: "dirty",
-            });
+            self.count_invalidation(col0, width, "dirty", obs);
             return;
         }
         // Ghosts stay disjoint: anything the new ghost covers is stale.
         self.invalidate_overlap(col0, width, "overwrite", obs);
         self.ghosts.push(Ghost { col0, width, cid });
+    }
+
+    /// Count a base over `[col0, col0+width)` dropped for `reason` that
+    /// was never held as a ghost (an occupant's frames, a refused ghost).
+    pub fn count_invalidation(
+        &mut self,
+        col0: u32,
+        width: u32,
+        reason: &'static str,
+        obs: &mut EventBuf,
+    ) {
+        self.stats.invalidations += 1;
+        obs.push(|| TraceEvent::DeltaInvalidate {
+            col0,
+            width,
+            reason,
+        });
     }
 
     /// Remove and return the ghost at `col0` without counting an

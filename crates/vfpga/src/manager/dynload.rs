@@ -12,8 +12,7 @@
 //! pay readback on the way out and state-write on the way back in.
 
 use super::{
-    charge_full_download, charge_partial_download, charge_state_move, Activation, DeviceUsage,
-    Download, EventBuf, FpgaManager, ManagerStats, PreemptCost, ResidentRegion,
+    Activation, DeviceUsage, FpgaManager, ManagerStats, Port, PreemptCost, ResidentRegion,
 };
 use crate::circuit::{CircuitId, CircuitLib};
 use crate::manager::PreemptAction;
@@ -22,17 +21,22 @@ use fpga::ConfigTiming;
 use fsim::json::Json;
 use fsim::json::Wire;
 use fsim::{SimDuration, TraceEvent};
+use std::borrow::Cow;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
+/// Saved state per (task, circuit) awaiting restore.
+pub(crate) type Saved = BTreeSet<(TaskId, CircuitId)>;
+
 fsim::record! {
-    /// Everything [`DynLoadManager`] carries across a checkpoint.
-    #[derive(Debug, Default)]
-    pub(crate) struct DynLoadImage {
+    /// Everything [`DynLoadManager`] carries across a checkpoint. A
+    /// snapshot lends the manager's [`Saved`] set (`S` is a `Cow` of it);
+    /// a restore reads one.
+    #[derive(Debug)]
+    pub(crate) struct DynLoadImage<S> {
         /// Circuit currently in configuration RAM.
         loaded: Option<CircuitId>,
-        /// Saved state per (task, circuit) awaiting restore.
-        saved: BTreeSet<(TaskId, CircuitId)>,
+        saved: S,
         stats: ManagerStats,
     }
 }
@@ -41,10 +45,12 @@ fsim::record! {
 #[derive(Debug)]
 pub struct DynLoadManager {
     lib: Arc<CircuitLib>,
-    timing: ConfigTiming,
     policy: PreemptAction,
-    st: DynLoadImage,
-    obs: EventBuf,
+    /// Circuit currently in configuration RAM.
+    loaded: Option<CircuitId>,
+    /// Saved state per (task, circuit) awaiting restore.
+    saved: Saved,
+    port: Port,
 }
 
 impl DynLoadManager {
@@ -52,27 +58,16 @@ impl DynLoadManager {
     pub fn new(lib: Arc<CircuitLib>, timing: ConfigTiming, policy: PreemptAction) -> Self {
         DynLoadManager {
             lib,
-            timing,
             policy,
-            st: DynLoadImage::default(),
-            obs: EventBuf::default(),
+            loaded: None,
+            saved: Saved::new(),
+            port: Port::new(timing),
         }
     }
 
     /// The configured preemption policy.
     pub fn policy(&self) -> PreemptAction {
         self.policy
-    }
-
-    fn download(&mut self, tid: TaskId, cid: CircuitId) -> SimDuration {
-        self.st.loaded = Some(cid);
-        if self.timing.port.supports_partial() {
-            // Clear-and-load only the circuit's frames.
-            let frames = self.lib.get(cid).frames();
-            charge_partial_download(&self.timing, frames, &mut self.st.stats, &mut self.obs, tid)
-        } else {
-            charge_full_download(&self.timing, &mut self.st.stats, &mut self.obs, tid)
-        }
     }
 }
 
@@ -84,23 +79,25 @@ impl FpgaManager for DynLoadManager {
     fn activate(&mut self, tid: TaskId, cid: CircuitId) -> Activation {
         let mut overhead = SimDuration::ZERO;
         let mut download = None;
-        if self.st.loaded != Some(cid) {
-            self.st.stats.misses += 1;
-            let config_time = self.download(tid, cid);
-            overhead += config_time;
-            // Downloads always place the circuit from column 0.
-            download = Some(Download {
-                col0: 0,
-                width: self.lib.get(cid).shape().0,
-                config_time,
-            });
+        if self.loaded != Some(cid) {
+            self.port.stats.misses += 1;
+            self.loaded = Some(cid);
+            // Downloads always place the circuit from column 0: only its
+            // frames where the port can address them, else the whole chip.
+            let width = self.lib.get(cid).shape().0;
+            let d = if self.port.timing.port.supports_partial() {
+                self.port.partial(tid, 0, width)
+            } else {
+                self.port.full(tid, width)
+            };
+            overhead += d.config_time;
+            download = Some(d);
         } else {
-            self.st.stats.hits += 1;
+            self.port.stats.hits += 1;
         }
         // Restore saved state if this task was preempted mid-op earlier.
-        if self.st.saved.remove(&(tid, cid)) {
-            let frames = self.lib.get(cid).frames();
-            overhead += charge_state_move(&self.timing, frames, false, &mut self.st.stats);
+        if self.saved.remove(&(tid, cid)) {
+            overhead += self.port.move_state(self.lib.get(cid).frames(), false);
         }
         Activation::Ready { overhead, download }
     }
@@ -129,9 +126,8 @@ impl FpgaManager for DynLoadManager {
                 lose_progress: true,
             },
             PreemptAction::SaveRestore => {
-                let frames = img.frames();
-                let overhead = charge_state_move(&self.timing, frames, true, &mut self.st.stats);
-                self.st.saved.insert((tid, cid));
+                let overhead = self.port.move_state(img.frames(), true);
+                self.saved.insert((tid, cid));
                 PreemptCost {
                     overhead,
                     lose_progress: false,
@@ -146,26 +142,25 @@ impl FpgaManager for DynLoadManager {
     }
 
     fn task_exit(&mut self, tid: TaskId) -> Vec<TaskId> {
-        self.st.saved.retain(|&(t, _)| t != tid);
+        self.saved.retain(|&(t, _)| t != tid);
         Vec::new()
     }
 
     fn stats(&self) -> ManagerStats {
-        self.st.stats
+        self.port.stats
     }
 
     fn set_recording(&mut self, on: bool) {
-        self.obs.set_recording(on);
+        self.port.obs.set_recording(on);
     }
 
     fn drain_events(&mut self) -> Vec<TraceEvent> {
-        self.obs.drain()
+        self.port.obs.drain()
     }
 
     fn usage(&self) -> DeviceUsage {
-        let total = self.timing.spec.clbs() as u64;
+        let total = self.port.timing.spec.clbs() as u64;
         let used = self
-            .st
             .loaded
             .map(|cid| self.lib.get(cid).blocks() as u64)
             .unwrap_or(0);
@@ -179,13 +174,12 @@ impl FpgaManager for DynLoadManager {
     }
 
     fn timing(&self) -> &ConfigTiming {
-        &self.timing
+        &self.port.timing
     }
 
     fn resident_regions(&self) -> Vec<ResidentRegion> {
         // Downloads always place the circuit from column 0.
-        self.st
-            .loaded
+        self.loaded
             .map(|cid| ResidentRegion {
                 cid,
                 col0: 0,
@@ -196,12 +190,12 @@ impl FpgaManager for DynLoadManager {
     }
 
     fn is_resident(&self, cid: CircuitId) -> bool {
-        self.st.loaded == Some(cid)
+        self.loaded == Some(cid)
     }
 
     fn discard_resident(&mut self, cid: CircuitId) -> bool {
-        if self.st.loaded == Some(cid) {
-            self.st.loaded = None;
+        if self.loaded == Some(cid) {
+            self.loaded = None;
             true
         } else {
             false
@@ -209,16 +203,21 @@ impl FpgaManager for DynLoadManager {
     }
 
     fn snapshot(&self) -> Option<Json> {
-        Some(self.st.json())
+        let image = DynLoadImage {
+            loaded: self.loaded,
+            saved: Cow::Borrowed(&self.saved),
+            stats: self.port.stats,
+        };
+        Some(image.json())
     }
 
     fn restore(&mut self, snap: &Json) -> Result<(), String> {
-        let st = DynLoadImage::read(snap, "dynload snapshot")?;
+        let st = DynLoadImage::<Saved>::read(snap, "dynload snapshot")?;
         let saved = st.saved.iter().map(|&(_, cid)| cid);
         for cid in st.loaded.into_iter().chain(saved) {
             self.lib.check_id(cid)?;
         }
-        self.st = st;
+        (self.loaded, self.saved, self.port.stats) = (st.loaded, st.saved, st.stats);
         Ok(())
     }
 }
@@ -272,7 +271,7 @@ mod tests {
             Activation::Ready { overhead, .. } => overhead,
             _ => unreachable!(),
         };
-        assert_eq!(o_slow, slow.timing.full_config_time());
+        assert_eq!(o_slow, slow.port.timing.full_config_time());
         assert!(
             o_fast.as_nanos() * 4 < o_slow.as_nanos(),
             "partial frames on the fast port must be far cheaper: {o_fast} vs {o_slow}"

@@ -11,8 +11,7 @@
 //! resource discipline). Waiters queue FIFO.
 
 use super::{
-    charge_full_download, Activation, DeviceUsage, Download, EventBuf, FpgaManager, ManagerStats,
-    PreemptCost, ResidentRegion,
+    Activation, DeviceUsage, FpgaManager, ManagerStats, Port, PreemptCost, ResidentRegion,
 };
 use crate::circuit::{CircuitId, CircuitLib};
 use crate::task::TaskId;
@@ -25,15 +24,13 @@ use std::sync::Arc;
 #[derive(Debug)]
 pub struct ExclusiveManager {
     lib: Arc<CircuitLib>,
-    timing: ConfigTiming,
     /// Task currently holding the device, with the loaded circuit.
     holder: Option<(TaskId, CircuitId)>,
     /// What is physically configured (survives release: the next task with
     /// the same circuit skips the download).
     loaded: Option<CircuitId>,
     waiters: VecDeque<(TaskId, CircuitId)>,
-    stats: ManagerStats,
-    obs: EventBuf,
+    port: Port,
 }
 
 impl ExclusiveManager {
@@ -41,36 +38,30 @@ impl ExclusiveManager {
     pub fn new(lib: Arc<CircuitLib>, timing: ConfigTiming) -> Self {
         ExclusiveManager {
             lib,
-            timing,
             holder: None,
             loaded: None,
             waiters: VecDeque::new(),
-            stats: ManagerStats::default(),
-            obs: EventBuf::default(),
+            port: Port::new(timing),
         }
     }
 
     fn grant(&mut self, tid: TaskId, cid: CircuitId) -> Activation {
         self.holder = Some((tid, cid));
         if self.loaded == Some(cid) {
-            self.stats.hits += 1;
+            self.port.stats.hits += 1;
             return Activation::Ready {
                 overhead: SimDuration::ZERO,
                 download: None,
             };
         }
-        self.stats.misses += 1;
+        self.port.stats.misses += 1;
         self.loaded = Some(cid);
         // Exclusive mode models the paper's "only serially and
         // completely" devices: every load is a full reconfiguration.
-        let d = charge_full_download(&self.timing, &mut self.stats, &mut self.obs, tid);
+        let download = self.port.full(tid, self.lib.get(cid).shape().0);
         Activation::Ready {
-            overhead: d,
-            download: Some(Download {
-                col0: 0,
-                width: self.lib.get(cid).shape().0,
-                config_time: d,
-            }),
+            overhead: download.config_time,
+            download: Some(download),
         }
     }
 }
@@ -88,7 +79,7 @@ impl FpgaManager for ExclusiveManager {
                 download: None,
             },
             Some(_) => {
-                self.stats.blocks += 1;
+                self.port.stats.blocks += 1;
                 self.waiters.push_back((tid, cid));
                 Activation::Blocked
             }
@@ -118,21 +109,21 @@ impl FpgaManager for ExclusiveManager {
     }
 
     fn stats(&self) -> ManagerStats {
-        self.stats
+        self.port.stats
     }
 
     fn set_recording(&mut self, on: bool) {
-        self.obs.set_recording(on);
+        self.port.obs.set_recording(on);
     }
 
     fn drain_events(&mut self) -> Vec<TraceEvent> {
-        self.obs.drain()
+        self.port.obs.drain()
     }
 
     fn usage(&self) -> DeviceUsage {
         // The whole chip is granted as one unit; usage reflects the
         // holder's circuit footprint.
-        let total = self.timing.spec.clbs() as u64;
+        let total = self.port.timing.spec.clbs() as u64;
         let used = match self.holder {
             Some((_, cid)) => self.lib.get(cid).blocks() as u64,
             None => 0,
@@ -145,7 +136,7 @@ impl FpgaManager for ExclusiveManager {
     }
 
     fn timing(&self) -> &ConfigTiming {
-        &self.timing
+        &self.port.timing
     }
 
     fn preemptable(&self) -> bool {
@@ -212,7 +203,7 @@ mod tests {
         let (mut m, a, _) = setup();
         match m.activate(TaskId(0), a) {
             Activation::Ready { overhead, .. } => {
-                assert_eq!(overhead, m.timing.full_config_time());
+                assert_eq!(overhead, m.port.timing.full_config_time());
             }
             other => panic!("expected Ready, got {other:?}"),
         }

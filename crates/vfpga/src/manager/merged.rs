@@ -11,8 +11,7 @@
 //! that motivates the whole VFPGA machinery.
 
 use super::{
-    charge_partial_download, Activation, DeviceUsage, EventBuf, FpgaManager, ManagerStats,
-    PreemptCost, ResidentRegion,
+    Activation, DeviceUsage, FpgaManager, ManagerStats, Port, PreemptCost, ResidentRegion,
 };
 use crate::circuit::{CircuitId, CircuitLib};
 use crate::task::TaskId;
@@ -63,11 +62,9 @@ impl std::error::Error for MergeError {}
 /// All circuits resident simultaneously.
 #[derive(Debug)]
 pub struct MergedManager {
-    timing: ConfigTiming,
-    stats: ManagerStats,
+    port: Port,
     busy: Vec<Option<TaskId>>,
     waiters: Vec<TaskId>,
-    obs: EventBuf,
     /// Constant occupancy: the merged image never changes after boot.
     usage: DeviceUsage,
     /// Fixed placement: circuits packed left-to-right in registration
@@ -92,17 +89,9 @@ impl MergedManager {
                 available: timing.spec.io_pins as usize,
             });
         }
-        let mut stats = ManagerStats::default();
-        let mut obs = EventBuf::default();
-        // One boot-time download covering every circuit's frames (recording
-        // is off at construction; the sentinel task id is never observed).
-        charge_partial_download(
-            &timing,
-            needed as usize,
-            &mut stats,
-            &mut obs,
-            TaskId(u32::MAX),
-        );
+        // One boot-time download covering every circuit's frames.
+        let mut port = Port::new(timing);
+        port.boot(needed as usize);
         let used: u64 = lib.iter().map(|(_, c)| c.blocks() as u64).sum();
         let total = timing.spec.clbs() as u64;
         let mut regions = Vec::with_capacity(lib.len());
@@ -113,11 +102,9 @@ impl MergedManager {
             col0 += width;
         }
         Ok(MergedManager {
-            timing,
-            stats,
+            port,
             busy: vec![None; lib.len()],
             waiters: Vec::new(),
-            obs,
             usage: DeviceUsage {
                 used_clbs: used,
                 total_clbs: total,
@@ -129,7 +116,7 @@ impl MergedManager {
 
     /// The boot-time configuration cost (charged before any task runs).
     pub fn boot_config_time(&self) -> SimDuration {
-        self.stats.config_time
+        self.port.stats.config_time
     }
 }
 
@@ -143,13 +130,13 @@ impl FpgaManager for MergedManager {
         // sub-circuit serializes.
         match self.busy[cid.0 as usize] {
             Some(o) if o != tid => {
-                self.stats.blocks += 1;
+                self.port.stats.blocks += 1;
                 self.waiters.push(tid);
                 Activation::Blocked
             }
             _ => {
                 self.busy[cid.0 as usize] = Some(tid);
-                self.stats.hits += 1;
+                self.port.stats.hits += 1;
                 Activation::Ready {
                     overhead: SimDuration::ZERO,
                     download: None,
@@ -184,15 +171,15 @@ impl FpgaManager for MergedManager {
     }
 
     fn stats(&self) -> ManagerStats {
-        self.stats
+        self.port.stats
     }
 
     fn set_recording(&mut self, on: bool) {
-        self.obs.set_recording(on);
+        self.port.obs.set_recording(on);
     }
 
     fn drain_events(&mut self) -> Vec<TraceEvent> {
-        self.obs.drain()
+        self.port.obs.drain()
     }
 
     fn usage(&self) -> DeviceUsage {
@@ -200,7 +187,7 @@ impl FpgaManager for MergedManager {
     }
 
     fn timing(&self) -> &ConfigTiming {
-        &self.timing
+        &self.port.timing
     }
 
     fn resident_regions(&self) -> Vec<ResidentRegion> {

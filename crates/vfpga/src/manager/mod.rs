@@ -1,10 +1,18 @@
 //! FPGA management policies.
 //!
 //! An [`FpgaManager`] decides how the shared device serves task requests:
-//! whether a circuit is already resident, what download/readback work a
-//! dispatch costs, whether a task must block, and what happens on
-//! preemption. One implementation per technique the paper proposes, plus
-//! the baselines it argues against.
+//! whether a circuit is already resident, where a missing one goes, whether
+//! a task must block, and what happens on preemption. One implementation
+//! per technique the paper proposes, plus the baselines it argues against.
+//!
+//! What the download and readback work costs is not a policy's to say.
+//! Every manager writes the fabric through its one `Port` — the boot
+//! download, a partial or full download, a load priced as a delta or in
+//! full, a state save or restore — which prices the transfer with the
+//! device's [`fpga::ConfigTiming`], counts it in [`ManagerStats`] (and
+//! [`DeltaStats`]), traces it and returns the [`Download`] an activation
+//! reports. Only a column retirement's relocation is priced beside it, as
+//! background fault time.
 
 pub mod delta;
 pub mod dynload;
@@ -15,8 +23,9 @@ pub mod partition;
 
 pub use delta::DeltaStats;
 
-use crate::circuit::CircuitId;
+use crate::circuit::{CircuitId, CircuitLib};
 use crate::task::TaskId;
+use delta::DeltaTable;
 use fsim::json::Json;
 use fsim::{SimDuration, TraceEvent};
 
@@ -342,96 +351,417 @@ pub(crate) fn redownload_cost(timing: &fpga::ConfigTiming, frames: usize) -> Sim
     }
 }
 
-/// Shared helper: charge a download of `frames` full-column frames on the
-/// given timing model, updating stats and buffering a typed event.
-pub(crate) fn charge_partial_download(
-    timing: &fpga::ConfigTiming,
-    frames: usize,
-    stats: &mut ManagerStats,
-    obs: &mut EventBuf,
-    task: TaskId,
-) -> SimDuration {
-    let (bits, d) = timing.frame_transfer(frames);
-    stats.downloads += 1;
-    stats.frames_written += frames as u64;
-    stats.config_time += d;
-    obs.push(|| TraceEvent::ConfigDownload {
-        task: task.0,
-        frames: frames as u32,
-        bytes: bits.div_ceil(8),
-        duration: d,
-        full: false,
-    });
-    d
+/// The configuration port a manager writes the fabric through. Each method
+/// prices one transfer with [`fpga::ConfigTiming`], counts it in
+/// [`ManagerStats`] (and [`DeltaStats`] when delta downloads are on),
+/// traces it into the manager's event buffer and returns what it wrote:
+/// the [`Download`] record, or the port time of a state move. Where the
+/// circuit lands is the caller's to say; what the write costs is decided
+/// only here.
+#[derive(Debug)]
+pub(crate) struct Port<D = ()> {
+    timing: fpga::ConfigTiming,
+    stats: ManagerStats,
+    obs: EventBuf,
+    /// What delta pricing keeps: nothing in a manager that never loads
+    /// over a base, a [`DeltaPort`]'s table in one that can.
+    delta: D,
 }
 
-/// Shared helper: charge a delta download of `changed` frames standing in
-/// for a full load of `full_frames`, updating both the legacy counters
-/// (a delta download is still a download) and the delta statistics.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn charge_delta_download(
-    timing: &fpga::ConfigTiming,
-    changed: usize,
-    full_frames: usize,
-    from: crate::circuit::CircuitId,
-    to: crate::circuit::CircuitId,
-    stats: &mut ManagerStats,
-    dstats: &mut DeltaStats,
-    obs: &mut EventBuf,
-    task: TaskId,
-) -> SimDuration {
-    let d = timing.frame_transfer(changed).1;
-    stats.downloads += 1;
-    stats.frames_written += changed as u64;
-    stats.config_time += d;
-    dstats.delta_downloads += 1;
-    dstats.frames_written += changed as u64;
-    dstats.frames_saved += full_frames.saturating_sub(changed) as u64;
-    obs.push(|| TraceEvent::DeltaDownload {
-        task: task.0,
-        from_circuit: from.0,
-        to_circuit: to.0,
-        frames: changed as u32,
-        full_frames: full_frames as u32,
-        duration: d,
-    });
-    d
-}
+/// The port of a manager that can price a load as a delta: its table is
+/// `None` until delta downloads are enabled, and every load is full then.
+pub(crate) type DeltaPort = Port<Option<DeltaTable>>;
 
-/// Shared helper: charge a full-device download.
-pub(crate) fn charge_full_download(
-    timing: &fpga::ConfigTiming,
-    stats: &mut ManagerStats,
-    obs: &mut EventBuf,
-    task: TaskId,
-) -> SimDuration {
-    let d = timing.full_config_time();
-    stats.downloads += 1;
-    stats.frames_written += timing.spec.cols as u64;
-    stats.config_time += d;
-    obs.push(|| TraceEvent::ConfigDownload {
-        task: task.0,
-        frames: timing.spec.cols,
-        bytes: timing.full_bits().div_ceil(8),
-        duration: d,
-        full: true,
-    });
-    d
-}
-
-/// Shared helper: charge a state movement (readback or write) of `frames`.
-pub(crate) fn charge_state_move(
-    timing: &fpga::ConfigTiming,
-    frames: usize,
-    save: bool,
-    stats: &mut ManagerStats,
-) -> SimDuration {
-    let d = timing.readback_time(frames);
-    if save {
-        stats.state_saves += 1;
-    } else {
-        stats.state_restores += 1;
+impl<D: Default> Port<D> {
+    pub(crate) fn new(timing: fpga::ConfigTiming) -> Self {
+        Port {
+            timing,
+            stats: ManagerStats::default(),
+            obs: EventBuf::default(),
+            delta: D::default(),
+        }
     }
-    stats.state_time += d;
-    d
+
+    /// The boot download of `frames` frames, made while the manager is
+    /// built: no task exists yet and recording is off, so nothing is traced.
+    pub(crate) fn boot(&mut self, frames: usize) {
+        let d = self.timing.frame_transfer(frames).1;
+        self.count(frames, d);
+    }
+
+    /// A partial download of the `width` frames of `[col0, col0 + width)`.
+    pub(crate) fn partial(&mut self, tid: TaskId, col0: u32, width: u32) -> Download {
+        self.write(tid, width as usize, col0, width)
+    }
+
+    /// A whole-device download for a circuit `width` columns wide, which
+    /// then sits from column 0.
+    pub(crate) fn full(&mut self, tid: TaskId, width: u32) -> Download {
+        let (frames, d) = (self.timing.spec.cols, self.timing.full_config_time());
+        self.count(frames as usize, d);
+        let bytes = self.timing.full_bits().div_ceil(8);
+        self.obs.push(|| TraceEvent::ConfigDownload {
+            task: tid.0,
+            frames,
+            bytes,
+            duration: d,
+            full: true,
+        });
+        Download {
+            col0: 0,
+            width,
+            config_time: d,
+        }
+    }
+
+    /// A state readback (`save`) or write-back of `frames` frames.
+    pub(crate) fn move_state(&mut self, frames: usize, save: bool) -> SimDuration {
+        let d = self.timing.readback_time(frames);
+        if save {
+            self.stats.state_saves += 1;
+        } else {
+            self.stats.state_restores += 1;
+        }
+        self.stats.state_time += d;
+        d
+    }
+
+    /// `frames` frames onto `[col0, col0 + width)`.
+    fn write(&mut self, tid: TaskId, frames: usize, col0: u32, width: u32) -> Download {
+        let (bits, d) = self.timing.frame_transfer(frames);
+        self.count(frames, d);
+        self.obs.push(|| TraceEvent::ConfigDownload {
+            task: tid.0,
+            frames: frames as u32,
+            bytes: bits.div_ceil(8),
+            duration: d,
+            full: false,
+        });
+        Download {
+            col0,
+            width,
+            config_time: d,
+        }
+    }
+
+    fn count(&mut self, frames: usize, d: SimDuration) {
+        self.stats.downloads += 1;
+        self.stats.frames_written += frames as u64;
+        self.stats.config_time += d;
+    }
+}
+
+impl DeltaPort {
+    /// Price loads against the frames a base leaves behind from now on.
+    pub(crate) fn enable_delta(&mut self) {
+        self.delta.get_or_insert_with(DeltaTable::new);
+    }
+
+    pub(crate) fn delta_stats(&self) -> Option<DeltaStats> {
+        self.delta.as_ref().map(|d| d.stats)
+    }
+
+    /// Load `cid` onto `[col0, col0 + width)`. With delta downloads on and
+    /// a `base` the columns still hold, the load is priced as the frames
+    /// the two differ in when that is fewer than the circuit's own;
+    /// otherwise it is a partial download of the circuit's frames. Either
+    /// way the columns now hold `cid`'s image. Returns the record and
+    /// whether the base was used.
+    pub(crate) fn load(
+        &mut self,
+        lib: &CircuitLib,
+        tid: TaskId,
+        cid: CircuitId,
+        base: Option<CircuitId>,
+        col0: u32,
+        width: u32,
+    ) -> (Download, bool) {
+        let frames = lib.get(cid).frames();
+        let Some(dt) = &mut self.delta else {
+            return (self.write(tid, frames, col0, width), false);
+        };
+        dt.clear_dirty(cid);
+        let delta = base.map(|b| (b, lib.changed_frames(b, cid)));
+        let Some((from, changed)) = delta.filter(|&(_, changed)| changed < frames) else {
+            dt.stats.full_downloads += 1;
+            return (self.write(tid, frames, col0, width), false);
+        };
+        dt.stats.delta_downloads += 1;
+        dt.stats.frames_written += changed as u64;
+        dt.stats.frames_saved += (frames - changed) as u64;
+        let d = self.timing.frame_transfer(changed).1;
+        self.count(changed, d);
+        self.obs.push(|| TraceEvent::DeltaDownload {
+            task: tid.0,
+            from_circuit: from.0,
+            to_circuit: cid.0,
+            frames: changed as u32,
+            full_frames: frames as u32,
+            duration: d,
+        });
+        let download = Download {
+            col0,
+            width,
+            config_time: d,
+        };
+        (download, true)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use fpga::{ConfigPort, ConfigTiming};
+    use pnr::{compile, CompileOptions};
+
+    /// `(lib, a, near, far)` on VF400: `near` is `a` one column wider with
+    /// one block moved into the new column, so the two differ in two
+    /// columns; `far` is `a` with every column's tables changed.
+    fn fixture(spec: fpga::DeviceSpec) -> (CircuitLib, CircuitId, CircuitId, CircuitId) {
+        let opts = CompileOptions {
+            max_height: spec.rows,
+            full_height: true,
+            ..Default::default()
+        };
+        let a = compile(&netlist::library::arith::array_multiplier("pa", 4), opts).unwrap();
+        let mut near = a.clone();
+        near.placed.circuit.name = "pn".into();
+        near.placed.width += 1;
+        near.placed.coords[0] = (a.placed.width, 0);
+        let far = pnr::mutate_tables(&a, 1.0, 3);
+        let mut lib = CircuitLib::new();
+        let ids = [a, near, far].map(|c| lib.register_compiled(c));
+        (lib, ids[0], ids[1], ids[2])
+    }
+
+    /// What one call did to a fresh port: its time, the record's region if
+    /// it made one, whether it used a delta base, the counters and events.
+    #[derive(Debug, PartialEq)]
+    struct Seen {
+        time: SimDuration,
+        region: Option<(u32, u32)>,
+        used: bool,
+        stats: ManagerStats,
+        delta: Option<DeltaStats>,
+        events: Vec<TraceEvent>,
+    }
+
+    type Call<'a> = Box<dyn Fn(&mut DeltaPort) -> (SimDuration, Option<(u32, u32)>, bool) + 'a>;
+
+    fn run(timing: ConfigTiming, delta: bool, call: &Call) -> Seen {
+        let mut port = DeltaPort::new(timing);
+        if delta {
+            port.enable_delta();
+        }
+        port.obs.set_recording(true);
+        let (time, region, used) = call(&mut port);
+        Seen {
+            time,
+            region,
+            used,
+            stats: port.stats,
+            delta: port.delta_stats(),
+            events: port.obs.drain(),
+        }
+    }
+
+    fn record((d, used): (Download, bool)) -> (SimDuration, Option<(u32, u32)>, bool) {
+        (d.config_time, Some((d.col0, d.width)), used)
+    }
+
+    /// Every port method on a port that addresses frames and on one that
+    /// only loads whole devices: the time is `ConfigTiming`'s, the counters
+    /// and events are exactly one write's, and a load goes delta only when
+    /// its base differs in fewer frames than the circuit has.
+    #[test]
+    fn each_method_prices_counts_and_traces_one_write() {
+        let spec = fpga::device::part("VF400");
+        let (lib, a, near, far) = fixture(spec);
+        let w = lib.get(a).frames();
+        assert_eq!(lib.changed_frames(near, a), 2, "near differs in two frames");
+        assert_eq!(lib.changed_frames(far, a), w, "far differs in every frame");
+        let (ww, task) = (w as u32, TaskId(7));
+        for port in [ConfigPort::SerialFast, ConfigPort::SerialSlow] {
+            let t = ConfigTiming { spec, port };
+            let write = |frames: usize, d: SimDuration| ManagerStats {
+                downloads: 1,
+                frames_written: frames as u64,
+                config_time: d,
+                ..Default::default()
+            };
+            let partial = |frames: usize| {
+                let (bits, d) = t.frame_transfer(frames);
+                let event = TraceEvent::ConfigDownload {
+                    task: task.0,
+                    frames: frames as u32,
+                    bytes: bits.div_ceil(8),
+                    duration: d,
+                    full: false,
+                };
+                (d, write(frames, d), event)
+            };
+            let (dw, sw, ew) = partial(w);
+            let (d2, s2, _) = partial(2);
+            let dfull = t.full_config_time();
+            let full_event = TraceEvent::ConfigDownload {
+                task: task.0,
+                frames: spec.cols,
+                bytes: t.full_bits().div_ceil(8),
+                duration: dfull,
+                full: true,
+            };
+            let delta_event = TraceEvent::DeltaDownload {
+                task: task.0,
+                from_circuit: near.0,
+                to_circuit: a.0,
+                frames: 2,
+                full_frames: ww,
+                duration: d2,
+            };
+            let counted_full = DeltaStats {
+                full_downloads: 1,
+                ..Default::default()
+            };
+            let counted_delta = DeltaStats {
+                delta_downloads: 1,
+                frames_written: 2,
+                frames_saved: w as u64 - 2,
+                ..Default::default()
+            };
+            let state = |save: bool| ManagerStats {
+                state_saves: u64::from(save),
+                state_restores: u64::from(!save),
+                state_time: t.readback_time(w),
+                ..Default::default()
+            };
+            let seen = |time, region, used, stats, delta, events| Seen {
+                time,
+                region,
+                used,
+                stats,
+                delta,
+                events,
+            };
+            let rows: Vec<(&str, bool, Call, Seen)> = vec![
+                (
+                    "boot: counted, not traced",
+                    false,
+                    Box::new(|p: &mut DeltaPort| {
+                        p.boot(w);
+                        (p.stats.config_time, None, false)
+                    }),
+                    seen(dw, None, false, sw, None, vec![]),
+                ),
+                (
+                    "partial",
+                    false,
+                    Box::new(|p: &mut DeltaPort| record((p.partial(task, 2, ww), false))),
+                    seen(dw, Some((2, ww)), false, sw, None, vec![ew.clone()]),
+                ),
+                (
+                    "full: the whole device, the circuit at column 0",
+                    false,
+                    Box::new(|p: &mut DeltaPort| record((p.full(task, ww), false))),
+                    seen(
+                        dfull,
+                        Some((0, ww)),
+                        false,
+                        write(spec.cols as usize, dfull),
+                        None,
+                        vec![full_event],
+                    ),
+                ),
+                (
+                    "load, delta off: the base is ignored, the region is the caller's",
+                    false,
+                    Box::new(|p: &mut DeltaPort| {
+                        record(p.load(&lib, task, a, Some(near), 2, ww + 3))
+                    }),
+                    seen(dw, Some((2, ww + 3)), false, sw, None, vec![ew.clone()]),
+                ),
+                (
+                    "load, no base",
+                    true,
+                    Box::new(|p: &mut DeltaPort| record(p.load(&lib, task, a, None, 2, ww))),
+                    seen(
+                        dw,
+                        Some((2, ww)),
+                        false,
+                        sw,
+                        Some(counted_full),
+                        vec![ew.clone()],
+                    ),
+                ),
+                (
+                    "load over a base two frames away: delta",
+                    true,
+                    Box::new(|p: &mut DeltaPort| record(p.load(&lib, task, a, Some(near), 2, ww))),
+                    seen(
+                        d2,
+                        Some((2, ww)),
+                        true,
+                        s2,
+                        Some(counted_delta),
+                        vec![delta_event],
+                    ),
+                ),
+                (
+                    "load over a base every frame away: full",
+                    true,
+                    Box::new(|p: &mut DeltaPort| record(p.load(&lib, task, a, Some(far), 2, ww))),
+                    seen(
+                        dw,
+                        Some((2, ww)),
+                        false,
+                        sw,
+                        Some(counted_full),
+                        vec![ew.clone()],
+                    ),
+                ),
+                (
+                    "state save",
+                    true,
+                    Box::new(|p: &mut DeltaPort| (p.move_state(w, true), None, false)),
+                    seen(
+                        t.readback_time(w),
+                        None,
+                        false,
+                        state(true),
+                        Some(DeltaStats::default()),
+                        vec![],
+                    ),
+                ),
+                (
+                    "state restore",
+                    false,
+                    Box::new(|p: &mut DeltaPort| (p.move_state(w, false), None, false)),
+                    seen(t.readback_time(w), None, false, state(false), None, vec![]),
+                ),
+            ];
+            for (name, delta, call, want) in &rows {
+                assert_eq!(run(t, *delta, call), *want, "{port:?}: {name}");
+            }
+        }
+    }
+
+    /// A load writes the circuit's image whichever way it is priced, so it
+    /// clears the circuit's dirty mark: it may serve as a base again.
+    #[test]
+    fn a_load_leaves_its_circuit_clean() {
+        let spec = fpga::device::part("VF400");
+        let (lib, a, near, _) = fixture(spec);
+        let timing = ConfigTiming {
+            spec,
+            port: ConfigPort::SerialFast,
+        };
+        for base in [None, Some(near)] {
+            let mut port = DeltaPort::new(timing);
+            port.enable_delta();
+            let dt = port.delta.as_mut().unwrap();
+            dt.mark_dirty(a);
+            let (_, used) = port.load(&lib, TaskId(0), a, base, 0, 4);
+            assert_eq!(used, base.is_some());
+            assert!(!port.delta.as_ref().unwrap().is_dirty(a), "{base:?}");
+        }
+    }
 }

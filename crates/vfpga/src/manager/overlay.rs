@@ -11,10 +11,9 @@
 //! using a specific circuit faults into an overlay slot, evicting a victim
 //! chosen by the configured replacement policy.
 
-use super::delta::{DeltaStats, DeltaTable};
+use super::delta::DeltaStats;
 use super::{
-    charge_delta_download, charge_partial_download, Activation, DeviceUsage, Download, EventBuf,
-    FpgaManager, ManagerStats, PreemptCost, ResidentRegion,
+    Activation, DeltaPort, DeviceUsage, FpgaManager, ManagerStats, PreemptCost, ResidentRegion,
 };
 use crate::circuit::{CircuitId, CircuitLib};
 use crate::error::VfpgaError;
@@ -48,7 +47,6 @@ struct OverlaySlot {
 #[derive(Debug)]
 pub struct OverlayManager {
     lib: Arc<CircuitLib>,
-    timing: ConfigTiming,
     /// Circuits permanently resident (loaded once at boot).
     common: Vec<CircuitId>,
     /// Who is currently using each common circuit (for blocking).
@@ -58,11 +56,7 @@ pub struct OverlayManager {
     policy: Replacement,
     waiters: VecDeque<TaskId>,
     clock: u64,
-    stats: ManagerStats,
-    obs: EventBuf,
-    /// Delta-reconfiguration state; `None` keeps the legacy full-price
-    /// swap path byte-identical.
-    delta: Option<DeltaTable>,
+    port: DeltaPort,
 }
 
 impl OverlayManager {
@@ -96,12 +90,8 @@ impl OverlayManager {
         if n_slots == 0 {
             return Err(VfpgaError::NoOverlaySlot);
         }
-        let mut stats = ManagerStats::default();
-        // Boot-time download of the resident region: one download covering
-        // the common circuits' frames.
         let mut m = OverlayManager {
             lib,
-            timing,
             common_owner: vec![None; common.len()],
             common,
             slots: vec![
@@ -118,21 +108,12 @@ impl OverlayManager {
             policy,
             waiters: VecDeque::new(),
             clock: 0,
-            stats: ManagerStats::default(),
-            obs: EventBuf::default(),
-            delta: None,
+            port: DeltaPort::new(timing),
         };
         if common_width > 0 {
-            // Boot download: recording is necessarily off here, and no
-            // task exists yet — the sentinel id is never observed.
-            charge_partial_download(
-                &m.timing,
-                common_width as usize,
-                &mut stats,
-                &mut m.obs,
-                TaskId(u32::MAX),
-            );
-            m.stats = stats;
+            // Boot-time download of the resident region: one download
+            // covering the common circuits' frames.
+            m.port.boot(common_width as usize);
         }
         Ok(m)
     }
@@ -146,14 +127,7 @@ impl OverlayManager {
     /// frame diff against the slot's outgoing occupant instead of a full
     /// partial download of the incoming circuit.
     pub fn enable_delta(&mut self) {
-        if self.delta.is_none() {
-            self.delta = Some(DeltaTable::new());
-        }
-    }
-
-    /// Whether delta reconfiguration is enabled.
-    pub fn delta_enabled(&self) -> bool {
-        self.delta.is_some()
+        self.port.enable_delta();
     }
 
     /// Total width of the permanently resident common circuits.
@@ -171,31 +145,33 @@ impl OverlayManager {
         self.clock
     }
 
+    /// The slot a miss loads into: the first idle empty slot, else the
+    /// idle slot the policy ranks lowest (the first one on a tie).
     fn pick_victim(&self) -> Option<usize> {
-        // Only idle slots are candidates.
-        let idle: Vec<usize> = self
-            .slots
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.owner.is_none())
-            .map(|(i, _)| i)
-            .collect();
-        if idle.is_empty() {
-            return None;
-        }
-        // Empty slots first.
-        if let Some(&i) = idle.iter().find(|&&i| self.slots[i].resident.is_none()) {
-            return Some(i);
-        }
-        let key = |i: usize| -> (u64, u64) {
-            let s = &self.slots[i];
-            match self.policy {
-                Replacement::Lru => (s.last_use, 0),
-                Replacement::Fifo => (s.loaded_at, 0),
-                Replacement::Lfu => (s.uses, s.last_use),
-            }
+        let key = |s: &OverlaySlot| match self.policy {
+            Replacement::Lru => (s.last_use, 0),
+            Replacement::Fifo => (s.loaded_at, 0),
+            Replacement::Lfu => (s.uses, s.last_use),
         };
-        idle.into_iter().min_by_key(|&i| key(i))
+        let mut best: Option<(usize, (u64, u64))> = None;
+        for (i, s) in self.slots.iter().enumerate() {
+            if s.owner.is_some() {
+                continue;
+            }
+            if s.resident.is_none() {
+                return Some(i);
+            }
+            if best.is_none_or(|(_, k)| key(s) < k) {
+                best = Some((i, key(s)));
+            }
+        }
+        best.map(|(i, _)| i)
+    }
+
+    fn block(&mut self, tid: TaskId) -> Activation {
+        self.port.stats.blocks += 1;
+        self.waiters.push_back(tid);
+        Activation::Blocked
     }
 }
 
@@ -206,44 +182,30 @@ impl FpgaManager for OverlayManager {
 
     fn activate(&mut self, tid: TaskId, cid: CircuitId) -> Activation {
         let stamp = self.tick();
+        let hit = Activation::Ready {
+            overhead: SimDuration::ZERO,
+            download: None,
+        };
         // Common circuit: always resident.
         if let Some(ci) = self.common.iter().position(|&c| c == cid) {
-            match self.common_owner[ci] {
-                Some(o) if o != tid => {
-                    self.stats.blocks += 1;
-                    self.waiters.push_back(tid);
-                    return Activation::Blocked;
-                }
-                _ => {
-                    self.common_owner[ci] = Some(tid);
-                    self.stats.hits += 1;
-                    return Activation::Ready {
-                        overhead: SimDuration::ZERO,
-                        download: None,
-                    };
-                }
+            if self.common_owner[ci].is_some_and(|o| o != tid) {
+                return self.block(tid);
             }
+            self.common_owner[ci] = Some(tid);
+            self.port.stats.hits += 1;
+            return hit;
         }
         // Specific circuit: look for it in the overlay slots.
         if let Some(i) = self.slots.iter().position(|s| s.resident == Some(cid)) {
-            match self.slots[i].owner {
-                Some(o) if o != tid => {
-                    self.stats.blocks += 1;
-                    self.waiters.push_back(tid);
-                    return Activation::Blocked;
-                }
-                _ => {
-                    let s = &mut self.slots[i];
-                    s.owner = Some(tid);
-                    s.last_use = stamp;
-                    s.uses += 1;
-                    self.stats.hits += 1;
-                    return Activation::Ready {
-                        overhead: SimDuration::ZERO,
-                        download: None,
-                    };
-                }
+            let s = &mut self.slots[i];
+            if s.owner.is_some_and(|o| o != tid) {
+                return self.block(tid);
             }
+            s.owner = Some(tid);
+            s.last_use = stamp;
+            s.uses += 1;
+            self.port.stats.hits += 1;
+            return hit;
         }
         // Fault: load into a victim slot.
         let width = self.lib.get(cid).shape().0;
@@ -251,82 +213,37 @@ impl FpgaManager for OverlayManager {
             // No slot will ever fit it; blocking would deadlock the task.
             return Activation::Unservable;
         }
-        match self.pick_victim() {
-            Some(i) => {
-                self.stats.misses += 1;
-                let old = self.slots[i].resident;
-                if let Some(old) = old {
-                    self.stats.evictions += 1;
-                    self.obs.push(|| TraceEvent::OverlaySwap {
-                        task: tid.0,
-                        from_overlay: old.0,
-                        to_overlay: cid.0,
-                        duration: SimDuration::ZERO, // download charged below
-                    });
-                }
-                let frames = width as usize;
-                let overhead = match &mut self.delta {
-                    Some(dt) => {
-                        // The outgoing occupant is the delta base — its
-                        // frames are what the slot physically holds (junk
-                        // beyond its width is safe: the diff writes full
-                        // frames for columns the base does not cover).
-                        let usable = old.filter(|&o| !dt.is_dirty(o));
-                        let changed = usable.map(|o| self.lib.changed_frames(o, cid));
-                        let d = match (usable, changed) {
-                            (Some(o), Some(ch)) if ch < frames => charge_delta_download(
-                                &self.timing,
-                                ch,
-                                frames,
-                                o,
-                                cid,
-                                &mut self.stats,
-                                &mut dt.stats,
-                                &mut self.obs,
-                                tid,
-                            ),
-                            _ => {
-                                dt.stats.full_downloads += 1;
-                                charge_partial_download(
-                                    &self.timing,
-                                    frames,
-                                    &mut self.stats,
-                                    &mut self.obs,
-                                    tid,
-                                )
-                            }
-                        };
-                        dt.clear_dirty(cid);
-                        d
-                    }
-                    None => charge_partial_download(
-                        &self.timing,
-                        frames,
-                        &mut self.stats,
-                        &mut self.obs,
-                        tid,
-                    ),
-                };
-                let s = &mut self.slots[i];
-                s.resident = Some(cid);
-                s.owner = Some(tid);
-                s.last_use = stamp;
-                s.loaded_at = stamp;
-                s.uses = 1;
-                Activation::Ready {
-                    overhead,
-                    download: Some(Download {
-                        col0: self.slot_col0(i),
-                        width,
-                        config_time: overhead,
-                    }),
-                }
-            }
-            None => {
-                self.stats.blocks += 1;
-                self.waiters.push_back(tid);
-                Activation::Blocked
-            }
+        let Some(i) = self.pick_victim() else {
+            return self.block(tid);
+        };
+        self.port.stats.misses += 1;
+        let old = self.slots[i].resident;
+        if let Some(old) = old {
+            self.port.stats.evictions += 1;
+            self.port.obs.push(|| TraceEvent::OverlaySwap {
+                task: tid.0,
+                from_overlay: old.0,
+                to_overlay: cid.0,
+                duration: SimDuration::ZERO, // download charged below
+            });
+        }
+        // The outgoing occupant is the delta base — its frames are what the
+        // slot physically holds (junk beyond its width is safe: the diff
+        // writes full frames for columns the base does not cover) — unless
+        // a rewrite left them dirty.
+        let delta = self.port.delta.as_ref();
+        let base = old.filter(|&o| delta.is_some_and(|dt| !dt.is_dirty(o)));
+        let col0 = self.slot_col0(i);
+        let (download, _) = self.port.load(&self.lib, tid, cid, base, col0, width);
+        let s = &mut self.slots[i];
+        s.resident = Some(cid);
+        s.owner = Some(tid);
+        s.last_use = stamp;
+        s.loaded_at = stamp;
+        s.uses = 1;
+        Activation::Ready {
+            overhead: download.config_time,
+            download: Some(download),
         }
     }
 
@@ -368,19 +285,19 @@ impl FpgaManager for OverlayManager {
     }
 
     fn stats(&self) -> ManagerStats {
-        self.stats
+        self.port.stats
     }
 
     fn set_recording(&mut self, on: bool) {
-        self.obs.set_recording(on);
+        self.port.obs.set_recording(on);
     }
 
     fn drain_events(&mut self) -> Vec<TraceEvent> {
-        self.obs.drain()
+        self.port.obs.drain()
     }
 
     fn timing(&self) -> &ConfigTiming {
-        &self.timing
+        &self.port.timing
     }
 
     fn resident_regions(&self) -> Vec<ResidentRegion> {
@@ -418,13 +335,8 @@ impl FpgaManager for OverlayManager {
                 self.slots[i].uses = 0;
                 any = true;
                 let (col0, width) = (self.slot_col0(i), self.slot_width);
-                if let Some(dt) = &mut self.delta {
-                    dt.stats.invalidations += 1;
-                    self.obs.push(|| TraceEvent::DeltaInvalidate {
-                        col0,
-                        width,
-                        reason: "discard",
-                    });
+                if let Some(dt) = &mut self.port.delta {
+                    dt.count_invalidation(col0, width, "discard", &mut self.port.obs);
                 }
             }
         }
@@ -432,36 +344,26 @@ impl FpgaManager for OverlayManager {
     }
 
     fn invalidate_image_range(&mut self, col0: u32, width: u32) {
-        if self.delta.is_none() {
+        let common_width = self.common_width();
+        let Some(dt) = &mut self.port.delta else {
             return;
-        }
+        };
         // Slots whose columns the rewrite touches hold frames that no
         // longer match their occupant's image: mark the occupant dirty so
         // it is never used as a swap base until freshly re-downloaded.
-        let mut hit: Vec<(CircuitId, u32, u32)> = Vec::new();
         for (i, s) in self.slots.iter().enumerate() {
+            let s0 = common_width + i as u32 * self.slot_width;
             if let Some(cid) = s.resident {
-                let s0 = self.slot_col0(i);
                 if s0 < col0 + width && col0 < s0 + self.slot_width {
-                    hit.push((cid, s0, self.slot_width));
+                    dt.mark_dirty(cid);
+                    dt.count_invalidation(s0, self.slot_width, "repair", &mut self.port.obs);
                 }
-            }
-        }
-        if let Some(dt) = &mut self.delta {
-            for (cid, s0, sw) in hit {
-                dt.mark_dirty(cid);
-                dt.stats.invalidations += 1;
-                self.obs.push(|| TraceEvent::DeltaInvalidate {
-                    col0: s0,
-                    width: sw,
-                    reason: "repair",
-                });
             }
         }
     }
 
     fn delta_stats(&self) -> Option<DeltaStats> {
-        self.delta.as_ref().map(|d| d.stats)
+        self.port.delta_stats()
     }
 
     fn usage(&self) -> DeviceUsage {
@@ -478,7 +380,7 @@ impl FpgaManager for OverlayManager {
             .sum();
         DeviceUsage {
             used_clbs: common + overlays,
-            total_clbs: self.timing.spec.clbs() as u64,
+            total_clbs: self.port.timing.spec.clbs() as u64,
             // Each empty overlay slot is one independently fillable hole.
             free_fragments: self.slots.iter().filter(|s| s.resident.is_none()).count() as u32,
         }

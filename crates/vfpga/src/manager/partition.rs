@@ -21,8 +21,8 @@
 
 use super::delta::{DeltaImage, DeltaStats, DeltaTable};
 use super::{
-    charge_delta_download, charge_partial_download, charge_state_move, Activation, DeviceUsage,
-    Download, EventBuf, FpgaManager, ManagerStats, PreemptCost, ResidentRegion, RetireOutcome,
+    Activation, DeltaPort, DeviceUsage, Download, FpgaManager, ManagerStats, PreemptCost,
+    ResidentRegion, RetireOutcome,
 };
 use crate::circuit::{CircuitId, CircuitLib};
 use crate::error::VfpgaError;
@@ -77,20 +77,15 @@ pub(crate) struct Partition<R = CircuitRoutes> {
 #[derive(Debug)]
 pub struct PartitionManager {
     lib: Arc<CircuitLib>,
-    timing: ConfigTiming,
     mode: PartitionMode,
     policy: PreemptAction,
     parts: Vec<Partition>,
     routing: RoutingFabric,
     waiters: VecDeque<(TaskId, CircuitId)>,
     clock: u64,
-    stats: ManagerStats,
-    obs: EventBuf,
+    port: DeltaPort,
     /// Enable the garbage collector (ablation knob for E6).
     pub gc_enabled: bool,
-    /// Delta-reconfiguration state; `None` keeps the legacy full-price
-    /// download path byte-identical.
-    delta: Option<DeltaTable>,
     /// Circuit id → first column of the partition it is resident in; the
     /// partition's index is a binary search of `parts`, which is kept in
     /// column order.
@@ -154,17 +149,14 @@ impl PartitionManager {
         let mut m = PartitionManager {
             home: vec![None; lib.len()],
             lib,
-            timing,
             mode,
             policy,
             parts,
             routing: RoutingFabric::for_device(&timing.spec),
             waiters: VecDeque::new(),
             clock: 0,
-            stats: ManagerStats::default(),
-            obs: EventBuf::default(),
+            port: DeltaPort::new(timing),
             gc_enabled: true,
-            delta: None,
             servable: 0,
         };
         m.servable = m.max_servable_width();
@@ -175,14 +167,7 @@ impl PartitionManager {
     /// image on the freed columns, and the next load over a tracked base
     /// is priced as the frame diff instead of a full partial download.
     pub fn enable_delta(&mut self) {
-        if self.delta.is_none() {
-            self.delta = Some(DeltaTable::new());
-        }
-    }
-
-    /// Whether delta reconfiguration is enabled.
-    pub fn delta_enabled(&self) -> bool {
-        self.delta.is_some()
+        self.port.enable_delta();
     }
 
     fn tick(&mut self) -> u64 {
@@ -203,7 +188,7 @@ impl PartitionManager {
             .map(|p| match p.slot {
                 Slot::Resident { cid, .. } => {
                     let (w, h) = self.lib.get(cid).shape();
-                    w * h.min(self.timing.spec.rows)
+                    w * h.min(self.port.timing.spec.rows)
                 }
                 Slot::Free | Slot::Retired => 0,
             })
@@ -289,54 +274,23 @@ impl PartitionManager {
             };
             self.parts[idx].width = need_w;
             self.parts.insert(idx + 1, leftover);
-            self.stats.splits += 1;
+            self.port.stats.splits += 1;
         }
         let last_use = self.tick();
-        let frames = need_w as usize;
-        let col = self.parts[idx].col;
-        let config_time = match &mut self.delta {
-            Some(dt) => {
-                // A usable base is a ghost anchored at this exact column
-                // whose diff is strictly cheaper than a full load.
-                let base = dt.base_at(col);
-                let changed = base.map(|g| self.lib.changed_frames(g.cid, cid));
-                let d = match (base, changed) {
-                    (Some(g), Some(ch)) if ch < frames => {
-                        dt.consume_base(col);
-                        charge_delta_download(
-                            &self.timing,
-                            ch,
-                            frames,
-                            g.cid,
-                            cid,
-                            &mut self.stats,
-                            &mut dt.stats,
-                            &mut self.obs,
-                            tid,
-                        )
-                    }
-                    _ => {
-                        dt.stats.full_downloads += 1;
-                        charge_partial_download(
-                            &self.timing,
-                            frames,
-                            &mut self.stats,
-                            &mut self.obs,
-                            tid,
-                        )
-                    }
-                };
-                // Whatever stale images the new frames cover are gone (the
-                // consumed base was already removed without counting); the
-                // fresh download re-syncs content with image.
-                dt.invalidate_overlap(col, need_w, "overwrite", &mut self.obs);
-                dt.clear_dirty(cid);
-                d
+        let (col, width) = (self.parts[idx].col, self.parts[idx].width);
+        // A usable base is a ghost anchored at this exact column; the port
+        // uses it when its diff is strictly cheaper than a full load.
+        let ghost = self.port.delta.as_ref().and_then(|dt| dt.base_at(col));
+        let base = ghost.map(|g| g.cid);
+        let (download, used) = self.port.load(&self.lib, tid, cid, base, col, width);
+        if let Some(dt) = &mut self.port.delta {
+            if used {
+                dt.consume_base(col);
             }
-            None => {
-                charge_partial_download(&self.timing, frames, &mut self.stats, &mut self.obs, tid)
-            }
-        };
+            // Whatever stale images the new frames cover are gone (a
+            // consumed base was already removed without counting).
+            dt.invalidate_overlap(col, need_w, "overwrite", &mut self.port.obs);
+        }
         self.parts[idx].slot = Slot::Resident {
             cid,
             owner: Some(tid),
@@ -345,11 +299,7 @@ impl PartitionManager {
             saved_for: None,
         };
         self.home[cid.0 as usize] = Some(col);
-        Some(Download {
-            col0: col,
-            width: self.parts[idx].width,
-            config_time,
-        })
+        Some(download)
     }
 
     /// Evict the idle resident in partition `i`, whatever its width, and
@@ -362,7 +312,7 @@ impl PartitionManager {
         {
             self.routing.release(&routes);
             self.home[cid.0 as usize] = None;
-            self.obs.push(|| TraceEvent::Custom {
+            self.port.obs.push(|| TraceEvent::Custom {
                 tag: "evict",
                 message: format!(
                     "evict idle circuit {} from cols [{col}, {})",
@@ -370,12 +320,12 @@ impl PartitionManager {
                     col + width
                 ),
             });
-            if let Some(dt) = &mut self.delta {
+            if let Some(dt) = &mut self.port.delta {
                 let gw = self.lib.get(cid).shape().0;
-                dt.record_ghost(col, gw, cid, &mut self.obs);
+                dt.record_ghost(col, gw, cid, &mut self.port.obs);
             }
         }
-        self.stats.evictions += 1;
+        self.port.stats.evictions += 1;
         self.merge_around(i);
     }
 
@@ -403,27 +353,24 @@ impl PartitionManager {
         // Candidate destinations: free partitions wide enough, tried in
         // column order. No split — the survivor may sit loosely until the
         // next GC tightens things up.
-        let candidates: Vec<usize> = self
-            .parts
-            .iter()
-            .enumerate()
-            .filter(|(i, p)| *i != idx && matches!(p.slot, Slot::Free) && p.width >= need_w)
-            .map(|(i, _)| i)
-            .collect();
-        for i in candidates {
-            let origin = (self.parts[i].col, 0u32);
+        for i in 0..self.parts.len() {
+            let p = &self.parts[i];
+            if i == idx || !matches!(p.slot, Slot::Free) || p.width < need_w {
+                continue;
+            }
+            let origin = (p.col, 0u32);
             let template = self.lib.get(cid).route_template();
             if let Ok(new_routes) = self.routing.route_template(template, origin) {
                 // The relocation download rewrites the destination columns
                 // outside the delta path: stale bases there are gone.
-                if let Some(dt) = &mut self.delta {
-                    dt.invalidate_overlap(origin.0, need_w, "relocate", &mut self.obs);
+                if let Some(dt) = &mut self.port.delta {
+                    dt.invalidate_overlap(origin.0, need_w, "relocate", &mut self.port.obs);
                 }
-                let mut cost = self.timing.frame_transfer(need_w as usize).1;
+                let mut cost = self.port.timing.frame_transfer(need_w as usize).1;
                 if self.lib.get(cid).is_sequential() {
                     // State survives the move via readback + write-back.
-                    cost += self.timing.readback_time(need_w as usize);
-                    cost += self.timing.readback_time(need_w as usize);
+                    cost += self.port.timing.readback_time(need_w as usize);
+                    cost += self.port.timing.readback_time(need_w as usize);
                 }
                 self.parts[i].slot = Slot::Resident {
                     cid,
@@ -433,11 +380,11 @@ impl PartitionManager {
                     saved_for,
                 };
                 self.home[cid.0 as usize] = Some(origin.0);
-                self.stats.relocations += 1;
+                self.port.stats.relocations += 1;
                 return (true, cost);
             }
         }
-        self.stats.evictions += 1;
+        self.port.stats.evictions += 1;
         (false, SimDuration::ZERO)
     }
 
@@ -494,7 +441,7 @@ impl PartitionManager {
             if j > 0 && free(self.parts.get(j)) && free(self.parts.get(j - 1)) {
                 self.parts[j - 1].width += self.parts[j].width;
                 self.parts.remove(j);
-                self.stats.merges += 1;
+                self.port.stats.merges += 1;
             }
         }
     }
@@ -506,13 +453,13 @@ impl PartitionManager {
     /// there. Returns the total CPU overhead of the compaction. The
     /// requesting task `tid` is charged for relocation downloads.
     fn garbage_collect(&mut self, tid: TaskId) -> SimDuration {
-        self.stats.gc_runs += 1;
+        self.port.stats.gc_runs += 1;
         // Compaction rewrites arbitrary column ranges; every tracked base
         // is suspect afterwards. Conservative and correct: drop them all.
-        if let Some(dt) = &mut self.delta {
-            dt.invalidate_all("gc", &mut self.obs);
+        if let Some(dt) = &mut self.port.delta {
+            dt.invalidate_all("gc", &mut self.port.obs);
         }
-        let before = self.stats;
+        let before = self.port.stats;
         let mut overhead = SimDuration::ZERO;
 
         // One pass in column order: an idle resident moves left to `cursor`
@@ -520,7 +467,7 @@ impl PartitionManager {
         // else stays, and the gap each leaves behind it becomes one free
         // partition. Each gap takes the slot of a free partition the pass
         // drops, so the list is rebuilt in place and never grows.
-        let cols = self.timing.spec.cols;
+        let cols = self.port.timing.spec.cols;
         let (mut cursor, mut w) = (0u32, 0);
         for r in 0..self.parts.len() {
             let p = &mut self.parts[r];
@@ -540,21 +487,13 @@ impl PartitionManager {
                     self.routing.release(routes);
                     match self.routing.route_template(template, (cursor, 0)) {
                         Ok(new_routes) => {
-                            let frames = p.width as usize;
-                            overhead += charge_partial_download(
-                                &self.timing,
-                                frames,
-                                &mut self.stats,
-                                &mut self.obs,
-                                tid,
-                            );
+                            overhead += self.port.partial(tid, cursor, p.width).config_time;
                             if self.lib.get(cid).is_sequential() {
-                                overhead +=
-                                    charge_state_move(&self.timing, frames, true, &mut self.stats);
-                                overhead +=
-                                    charge_state_move(&self.timing, frames, false, &mut self.stats);
+                                let frames = p.width as usize;
+                                overhead += self.port.move_state(frames, true);
+                                overhead += self.port.move_state(frames, false);
                             }
-                            self.stats.relocations += 1;
+                            self.port.stats.relocations += 1;
                             p.col = cursor;
                             *routes = new_routes;
                             self.home[cid.0 as usize] = Some(cursor);
@@ -563,7 +502,7 @@ impl PartitionManager {
                             // Keep the circuit where it was: the failed attempt
                             // rolled back, so exactly its old segments are free.
                             self.routing.recommit(routes);
-                            self.stats.failed_relocations += 1;
+                            self.port.stats.failed_relocations += 1;
                         }
                     }
                 }
@@ -577,7 +516,7 @@ impl PartitionManager {
                 // the last gap (a moved resident only shifts them along),
                 // so a dropped slot lies between `w` and `r`.
                 debug_assert!(w < r, "a gap with no free partition behind it");
-                self.stats.merges += 1;
+                self.port.stats.merges += 1;
                 self.parts[w] = Partition {
                     col: cursor,
                     width: col - cursor,
@@ -600,11 +539,11 @@ impl PartitionManager {
         // config_time/state_time above; reattribute them to the GC phase so
         // an overhead breakdown has disjoint slices. Event counters
         // (downloads, frames, saves/restores) keep counting relocations.
-        self.stats.config_time = before.config_time;
-        self.stats.state_time = before.state_time;
-        self.stats.gc_time += overhead;
-        let after = self.stats;
-        self.obs.push(|| TraceEvent::GcRun {
+        self.port.stats.config_time = before.config_time;
+        self.port.stats.state_time = before.state_time;
+        self.port.stats.gc_time += overhead;
+        let after = self.port.stats;
+        self.port.obs.push(|| TraceEvent::GcRun {
             merged: (after.merges - before.merges) as u32,
             relocations: (after.relocations - before.relocations) as u32,
             failures: (after.failed_relocations - before.failed_relocations) as u32,
@@ -631,7 +570,10 @@ impl PartitionManager {
                 assert!(!twice, "circuit {} is resident twice", cid.0);
             }
         }
-        assert!(end == self.timing.spec.cols, "the partitions end short");
+        assert!(
+            end == self.port.timing.spec.cols,
+            "the partitions end short"
+        );
         let free = |p: &Partition| matches!(p.slot, Slot::Free);
         let touching = self.parts.windows(2).any(|w| free(&w[0]) && free(&w[1]));
         let variable = matches!(self.mode, PartitionMode::Variable);
@@ -718,18 +660,17 @@ impl PartitionManager {
         {
             self.clock += 1;
             if owner.is_some_and(|o| o != tid) {
-                self.stats.blocks += 1;
+                self.port.stats.blocks += 1;
                 self.waiters.push_back((tid, cid));
                 return Activation::Blocked;
             }
             *owner = Some(tid);
             *last_use = self.clock;
-            self.stats.hits += 1;
+            self.port.stats.hits += 1;
             let mut overhead = SimDuration::ZERO;
             if *saved_for == Some(tid) {
                 *saved_for = None;
-                overhead +=
-                    charge_state_move(&self.timing, *width as usize, false, &mut self.stats);
+                overhead += self.port.move_state(*width as usize, false);
             }
             return Activation::Ready {
                 overhead,
@@ -738,7 +679,7 @@ impl PartitionManager {
         }
 
         // 2. Find a free partition wide enough (first-fit).
-        self.stats.misses += 1;
+        self.port.stats.misses += 1;
         let need_w = self.lib.get(cid).shape().0;
         if need_w > self.servable {
             // Wider than anything this manager can ever assemble (fixed
@@ -781,7 +722,7 @@ impl PartitionManager {
             match scan.victim.and_then(|v| self.find_resident(v)) {
                 Some(i) => self.evict(i),
                 None => {
-                    self.stats.blocks += 1;
+                    self.port.stats.blocks += 1;
                     self.waiters.push_back((tid, cid));
                     return Activation::Blocked;
                 }
@@ -875,21 +816,21 @@ impl FpgaManager for PartitionManager {
     }
 
     fn stats(&self) -> ManagerStats {
-        self.stats
+        self.port.stats
     }
 
     fn set_recording(&mut self, on: bool) {
-        self.obs.set_recording(on);
+        self.port.obs.set_recording(on);
     }
 
     fn drain_events(&mut self) -> Vec<TraceEvent> {
-        self.obs.drain()
+        self.port.obs.drain()
     }
 
     fn usage(&self) -> DeviceUsage {
         DeviceUsage {
             used_clbs: self.resident_clbs() as u64,
-            total_clbs: self.timing.spec.clbs() as u64,
+            total_clbs: self.port.timing.spec.clbs() as u64,
             free_fragments: self
                 .parts
                 .iter()
@@ -899,7 +840,7 @@ impl FpgaManager for PartitionManager {
     }
 
     fn timing(&self) -> &ConfigTiming {
-        &self.timing
+        &self.port.timing
     }
 
     fn is_resident(&self, cid: CircuitId) -> bool {
@@ -970,9 +911,9 @@ impl FpgaManager for PartitionManager {
             }
         }
         // Retired fabric can never serve as a delta base.
-        if let Some(dt) = &mut self.delta {
+        if let Some(dt) = &mut self.port.delta {
             let (pc, pw) = (self.parts[idx].col, self.parts[idx].width);
-            dt.invalidate_overlap(pc, pw, "retire", &mut self.obs);
+            dt.invalidate_overlap(pc, pw, "retire", &mut self.port.obs);
         }
         self.carve_retired(idx, col);
         self.servable = self.max_servable_width();
@@ -981,8 +922,8 @@ impl FpgaManager for PartitionManager {
     }
 
     fn invalidate_image_range(&mut self, col0: u32, width: u32) {
-        if let Some(dt) = &mut self.delta {
-            dt.invalidate_overlap(col0, width, "repair", &mut self.obs);
+        if let Some(dt) = &mut self.port.delta {
+            dt.invalidate_overlap(col0, width, "repair", &mut self.port.obs);
             // Residents covered by the range diverged from their image (an
             // upset landed or an external rewrite covered them): evicting
             // one must not leave a ghost until a fresh download re-syncs.
@@ -997,13 +938,13 @@ impl FpgaManager for PartitionManager {
     }
 
     fn delta_stats(&self) -> Option<DeltaStats> {
-        self.delta.as_ref().map(|d| d.stats)
+        self.port.delta_stats()
     }
 
     fn implant_ghost(&mut self, col0: u32, width: u32, cid: CircuitId) -> bool {
-        match self.delta.as_mut() {
+        match self.port.delta.as_mut() {
             Some(dt) => {
-                dt.record_ghost(col0, width, cid, &mut self.obs);
+                dt.record_ghost(col0, width, cid, &mut self.port.obs);
                 // A dirty circuit refuses the ghost (record_ghost counted
                 // an invalidation); report what is actually anchored.
                 dt.base_at(col0).is_some_and(|g| g.cid == cid)
@@ -1018,16 +959,16 @@ impl FpgaManager for PartitionManager {
             waiters: self.waiters.clone(),
             clock: self.clock,
             gc_enabled: self.gc_enabled,
-            stats: self.stats,
-            delta: self.delta.as_ref().map(DeltaTable::image),
+            stats: self.port.stats,
+            delta: self.port.delta.as_ref().map(DeltaTable::image),
         };
         Some(image.json())
     }
 
     fn restore(&mut self, snap: &Json) -> Result<(), String> {
         let img = PartitionImage::read(snap, "partition snapshot")?;
-        let cols = self.timing.spec.cols;
-        let mut routing = pnr::RoutingFabric::for_device(&self.timing.spec);
+        let cols = self.port.timing.spec.cols;
+        let mut routing = pnr::RoutingFabric::for_device(&self.port.timing.spec);
         let mut parts: Vec<Partition> = Vec::with_capacity(img.parts.len());
         let mut home = vec![None; self.lib.len()];
         // The partitions tile the device: each starts where the last ended.
@@ -1091,14 +1032,18 @@ impl FpgaManager for PartitionManager {
         }
         // Ghosts are never carried across a restore: the fabric was wiped
         // and re-downloaded, so every tracked base would be stale.
-        let delta = match (&self.delta, &img.delta) {
+        let delta = match (&self.port.delta, &img.delta) {
             (Some(_), Some(d)) => Some(DeltaTable::restored(d)?),
             (None, None) => None,
             _ => return Err("a delta section belongs exactly to a delta manager".into()),
         };
         (self.parts, self.routing, self.waiters) = (parts, routing, img.waiters);
-        (self.clock, self.gc_enabled, self.stats, self.delta) =
-            (img.clock, img.gc_enabled, img.stats, delta);
+        (
+            self.clock,
+            self.gc_enabled,
+            self.port.stats,
+            self.port.delta,
+        ) = (img.clock, img.gc_enabled, img.stats, delta);
         self.home = home;
         self.servable = self.max_servable_width();
         self.check();
@@ -1851,7 +1796,7 @@ mod tests {
         };
         let mut legacy = mk();
         let mut fresh = mk();
-        assert!(!fresh.delta_enabled());
+        assert!(fresh.delta_stats().is_none());
         for m in [&mut legacy, &mut fresh] {
             m.activate(TaskId(0), ids[0]);
             m.op_done(TaskId(0), ids[0]);

@@ -10,7 +10,7 @@
 //!   would carry), reserve the destination, and journal a
 //!   [`MigrationPhase::Intent`] record on *both* sides' migration logs.
 //! * **Commit** — build the destination shard, adopt the tenant via
-//!   [`crate::System::migrate_in`] (delta-anchored ghost implant when the
+//!   [`crate::System::migrate_in_cut`] (delta-anchored ghost implant when the
 //!   destination manager has delta reconfiguration enabled), flip the
 //!   placement in the fleet table, journal [`MigrationPhase::Commit`],
 //!   then free the tenant's source-side residency and journal
@@ -27,7 +27,7 @@
 //!
 //! The two halves of the split are here as an `impl System` block:
 //! [`extract_tenant`](crate::System::extract_tenant) on the source,
-//! [`migrate_in`](crate::System::migrate_in) on the destination.
+//! [`migrate_in_cut`](crate::System::migrate_in_cut) on the destination.
 //! The destination system adopts the *whole* shard image (same task
 //! indexing as the source, so snapshots restore unchanged) and then
 //! retires every non-tenant task as [`crate::task::TaskState::Migrated`].
@@ -41,7 +41,7 @@ use fpga::journal::{MigrationLog, MigrationPhase, MigrationRecord, MigrationReso
 use fsim::{span, MigrationCrashWindow, MigrationPlan, SimDuration, SimTime};
 
 use crate::admission::AdmissionStats;
-use crate::checkpoint::{CrashState, CrashStats, Cut};
+use crate::checkpoint::{CrashStats, Cut};
 use crate::circuit::CircuitId;
 use crate::counters::Counters;
 use crate::error::VfpgaError;
@@ -64,7 +64,7 @@ pub struct MigrationManifest {
     pub freed_claims: u32,
 }
 
-/// What [`crate::System::migrate_in`] found while adopting a tenant.
+/// What [`crate::System::migrate_in_cut`] found while adopting a tenant.
 #[derive(Debug, Clone)]
 pub struct MigrateInReceipt {
     /// Live tasks of the tenant carried onto the destination.
@@ -258,17 +258,7 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
     /// frames are priced into `replay_time`, like journal replay —
     /// background, never task-charged); with `delta` off the tenant pays
     /// a full re-download at next activation, exactly like a failover.
-    pub fn migrate_in(
-        &mut self,
-        state: &CrashState,
-        tenant: u32,
-        delta: bool,
-    ) -> Result<MigrateInReceipt, VfpgaError> {
-        self.migrate_in_cut(Cut::from_durable(state)?, tenant, delta)
-    }
-
-    /// [`migrate_in`](Self::migrate_in) for a cut still in its process.
-    #[doc(hidden)]
+    /// A durable state comes in through [`Cut::from_durable`].
     pub fn migrate_in_cut(
         &mut self,
         cut: Cut,
@@ -277,7 +267,7 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
     ) -> Result<MigrateInReceipt, VfpgaError> {
         let _s = span::guard("migrate_in");
         let (torn, redo_window, resume_at, discarded) =
-            self.adopt_onto_fresh_fabric(cut, "migrate_in")?;
+            self.adopt_onto_fresh_fabric(cut, "migrate_in_cut")?;
         // The tenant's own claims are what the staged copy re-creates
         // here — remember their geometry for the implant.
         let uses = self.circuit_use(tenant);

@@ -70,12 +70,6 @@ pub struct RecoveryPolicy {
     /// upset rate). Under admission control exhaustion quarantines the
     /// task rather than failing it, same as the download-retry bound.
     pub max_op_recoveries: u32,
-    /// Hard ceiling on any single backoff delay. The doubling shift is
-    /// already capped, but the *product* `base << shift` can still
-    /// saturate `u64` nanoseconds silently for pathological bases; the
-    /// ceiling makes the clamp explicit and configurable. The default is
-    /// the representable maximum, i.e. saturation-only behavior.
-    pub max_backoff: SimDuration,
 }
 
 impl Default for RecoveryPolicy {
@@ -86,7 +80,6 @@ impl Default for RecoveryPolicy {
             scrub_interval: None,
             upset_recovery: UpsetRecovery::Rollback,
             max_op_recoveries: 64,
-            max_backoff: SimDuration::from_nanos(u64::MAX),
         }
     }
 }
@@ -102,13 +95,10 @@ impl RecoveryPolicy {
     /// for a delay before any attempt happened) gets the base backoff,
     /// same as attempt 1 — never a spurious extra doubling. The final
     /// multiply saturates: a pathological base near `SimDuration::MAX`
-    /// clamps instead of wrapping — and the result is additionally
-    /// clamped against the configurable [`max_backoff`](Self::max_backoff)
-    /// ceiling.
+    /// clamps instead of wrapping.
     pub fn backoff_for(&self, attempt: u32) -> SimDuration {
         let shift = attempt.saturating_sub(1).min(Self::MAX_BACKOFF_SHIFT);
         SimDuration::from_nanos(self.retry_backoff.as_nanos().saturating_mul(1u64 << shift))
-            .min(self.max_backoff)
     }
 }
 
@@ -566,38 +556,6 @@ mod tests {
             SimDuration::from_nanos(u64::MAX)
         );
         assert!(huge.backoff_for(5) >= huge.backoff_for(4), "still monotone");
-    }
-
-    #[test]
-    fn backoff_ceiling_clamps_at_the_saturation_edge() {
-        // Base chosen so attempt 11 lands exactly on the ceiling and the
-        // next doubling would shoot past it: 100us << 10 = 102.4 ms.
-        let edge = SimDuration::from_micros(100 * 1024);
-        let p = RecoveryPolicy {
-            retry_backoff: SimDuration::from_micros(100),
-            max_backoff: edge,
-            ..Default::default()
-        };
-        assert_eq!(p.backoff_for(11), edge, "exactly at the ceiling");
-        assert_eq!(p.backoff_for(u32::MAX), edge, "never above it");
-        // One nanosecond below the edge: the clamp bites on the capped
-        // shift, and every earlier attempt is untouched.
-        let below = SimDuration::from_nanos(edge.as_nanos() - 1);
-        let q = RecoveryPolicy {
-            retry_backoff: SimDuration::from_micros(100),
-            max_backoff: below,
-            ..Default::default()
-        };
-        assert_eq!(q.backoff_for(11), below);
-        assert_eq!(q.backoff_for(10), SimDuration::from_micros(100 * 512));
-        // A ceiling also tames the silent u64 saturation: the pathological
-        // base that used to pin at u64::MAX now reports the ceiling.
-        let huge = RecoveryPolicy {
-            retry_backoff: SimDuration::from_nanos(u64::MAX / 2),
-            max_backoff: SimDuration::from_millis(500),
-            ..Default::default()
-        };
-        assert_eq!(huge.backoff_for(u32::MAX), SimDuration::from_millis(500));
     }
 
     #[test]

@@ -120,7 +120,7 @@ impl Ev {
     }
 }
 
-/// What [`System::fail_over_from`] found in the carried state: the
+/// What [`System::fail_over_cut`] found in the carried state: the
 /// quantities the fleet layer accounts and prices a failover by.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FailoverReceipt {

@@ -434,7 +434,7 @@ fn untraced_run_records_nothing() {
     assert_eq!(r.tasks.len(), 1);
 }
 
-/// Property-style accounting check for `fail_over_from`: across seeds and
+/// Property-style accounting check for `fail_over_cut`: across seeds and
 /// cut instants, the receipt's fields exactly partition the crashed
 /// shard's journal. Every WAL record is either (a) covered by the
 /// restored image (`index < image.wal_len`), (b) post-checkpoint and
@@ -505,7 +505,8 @@ fn failover_receipt_partitions_the_source_journal() {
             };
 
             let mut dst = build(&specs);
-            let receipt = dst.fail_over_from(&state).unwrap();
+            let cut = crate::checkpoint::Cut::from_durable(&state).unwrap();
+            let receipt = dst.fail_over_cut(cut).unwrap();
             assert_eq!(
                 receipt.torn_undone, torn,
                 "seed {seed} cut {cut_ms}ms: torn count must equal the \

@@ -8,7 +8,8 @@
 //! on its own device, failed over onto a fresh one, and split by a live
 //! migration of one tenant — twice each: as the typed [`Cut`] the fleet
 //! and the crash loop hand on inside one process, and through
-//! [`Cut::to_durable`] and the public `&CrashState` entry points. Every
+//! [`Cut::to_durable`] and [`Cut::from_durable`] (the restore through the
+//! public `&CrashState` entry point). Every
 //! adoption must finish with the per-task outcomes of the uninterrupted
 //! run, and the two forms must finish with the same [`Report`], field for
 //! field (and hand back the same receipts).
@@ -121,7 +122,7 @@ impl Form<'_> {
     fn fail_over<M: FpgaManager, S: Scheduler>(&self, mut sys: System<M, S>) -> Adopted {
         let receipt = match self {
             Form::Typed(cut) => sys.fail_over_cut((*cut).clone()),
-            Form::Durable(state) => sys.fail_over_from(state),
+            Form::Durable(state) => Cut::from_durable(state).and_then(|cut| sys.fail_over_cut(cut)),
         }
         .expect("the cut fails over");
         Adopted {
@@ -147,7 +148,9 @@ impl Form<'_> {
             .expect("a cut system has live work");
         let receipt = match self {
             Form::Typed(cut) => dst.migrate_in_cut((*cut).clone(), tenant, delta),
-            Form::Durable(state) => dst.migrate_in(state, tenant, delta),
+            Form::Durable(state) => {
+                Cut::from_durable(state).and_then(|cut| dst.migrate_in_cut(cut, tenant, delta))
+            }
         }
         .expect("the destination adopts the tenant");
         let manifest = rem.extract_tenant(tenant, at, resume, true);
