@@ -102,6 +102,15 @@ find crates -name '*.rs' | sort | xargs awk '
   END { printf "crates/: %d non-test + %d test lines; largest non-test file %s (%d)\n", n, t, big, max
         printf "crates/bench/src/exp: %d non-test lines (the experiments and their runner)\n", e
         printf "crates/vfpga/src: %d unwrap/expect/panic!/unreachable! sites in non-test code\n", p }'
+# Every ignored test under crates/ with its reason, so a parked reproducer
+# shows in every log: the list is meant to hold only the release-only
+# sweeps and the budgets.
+echo "crates/: ignored tests"
+find crates -name '*.rs' | sort | xargs awk '
+  /#\[ignore|^[[:space:]]*ignore = "/ { at = FILENAME ":" FNR; why = "(no reason given)"
+    if (match($0, /"[^"]*"/)) why = substr($0, RSTART + 1, RLENGTH - 2) }
+  why != "" && /^[[:space:]]*fn / { name = $0; sub(/^[[:space:]]*fn /, "", name); sub(/\(.*/, "", name)
+    printf "  %s %s: %s\n", at, name, why; why = "" }'
 # Tier-1's time is tracked too (ROADMAP item 18): the five slowest test
 # binaries of the run above, by the harness's own "finished in".
 echo "Tier-1: the five slowest test binaries"

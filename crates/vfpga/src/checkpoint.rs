@@ -18,10 +18,12 @@
 //!   the way in ([`System::restore_from`]). That the rendering restores
 //!   is proved by the image property tests and, in debug builds,
 //!   re-checked on every cut, typed or not;
-//! * every configuration download is logged as a [`WalRecord`] — the
-//!   OS-level view of the `fpga::journal` write-ahead log. Records after
-//!   the last checkpoint are the ones a restore must reconcile: the
-//!   device holds them, the restored tables do not;
+//! * every column write a manager reports — a load, the columns a GC run
+//!   moved circuits onto, a retirement's relocation, a download the CRC
+//!   rejected — is logged as a [`WalRecord`], the OS-level view of the
+//!   `fpga::journal` write-ahead log. Records after the last checkpoint
+//!   are the ones a restore must reconcile: the device holds them, the
+//!   restored tables do not;
 //! * on restart, [`run_with_crashes`] restarts the crashed system in place
 //!   (back to its built state), restores the last [`CheckpointImage`], and
 //!   replays the journal: committed post-checkpoint downloads invalidate
@@ -43,7 +45,7 @@
 use crate::circuit::CircuitId;
 use crate::error::VfpgaError;
 use crate::image::{Capture, Running, Schema, SystemImage, TaskColumns};
-use crate::manager::{Download, FpgaManager, ResidentRegion};
+use crate::manager::{columns, FpgaManager, ResidentRegion, Write};
 use crate::metrics::Report;
 use crate::run::{agrees_with_table, Boot};
 use crate::sched::Scheduler;
@@ -117,13 +119,14 @@ pub struct CheckpointImage {
     pub state: Json,
 }
 
-/// The OS-level view of one journaled configuration download.
+/// The OS-level view of one journaled column write.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WalRecord {
     /// Monotone record number.
     pub seq: u64,
-    /// Circuit downloaded.
-    pub cid: CircuitId,
+    /// The circuit the columns now hold; `None` for none a claim may
+    /// trust (a download the CRC rejected, or a GC move evicted again).
+    pub cid: Option<CircuitId>,
     /// First device column written.
     pub col0: u32,
     /// Columns written.
@@ -701,38 +704,64 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
         Ok(())
     }
 
-    /// The activation of `circuit` for task `ti` is through, and made
-    /// `download`. A download overwrote the device: journal it (a stale
-    /// claim on the circuit is fresh again). A residency "hit" on a claim
-    /// a journal-off restore left stale runs the op on garbage, and
-    /// nothing detects it.
+    /// The one sink of the column writes manager calls report: a WAL
+    /// record of `[col0, col0 + width)`, those columns marked for the next
+    /// delta capture and, if they now hold `cid`, its stale claim fresh.
+    pub(crate) fn journal(
+        &mut self,
+        cid: Option<CircuitId>,
+        (col0, width): (u32, u32),
+        duration: SimDuration,
+        now: SimTime,
+    ) {
+        let rewritten = self.run.dirty_cols.iter_mut().skip(col0 as usize);
+        rewritten.take(width as usize).for_each(|d| *d = true);
+        self.run.wal.push(WalRecord {
+            seq: self.run.wal.len() as u64,
+            cid,
+            col0,
+            width,
+            at: now,
+            duration,
+        });
+        if let Some(c) = cid {
+            self.run.stale.remove(&c.0);
+        }
+    }
+
+    /// Journal the columns a call's GC runs moved circuits onto: each
+    /// circuit resident on them now, and each column the call evicted its
+    /// mover from again (named by none). The moves' time is the
+    /// activation's, so no crash tears these.
+    pub(crate) fn journal_moves(&mut self, mut moved: u64, now: SimTime) {
+        let held = (moved != 0).then(|| self.manager.resident_regions());
+        let held = held.unwrap_or_default();
+        while moved != 0 {
+            let col = moved.trailing_zeros();
+            let r = held.iter().find(|r| r.covers(col));
+            let (col0, width) = r.map_or((col, 1), |r| (r.col0, r.width));
+            moved &= !columns(col0, width);
+            self.journal(r.map(|r| r.cid), (col0, width), SimDuration::ZERO, now);
+        }
+    }
+
+    /// The activation of `circuit` for task `ti` is through: journal its
+    /// moves, then its load (a `rejected` one holds nothing to trust). A
+    /// "hit" on a claim a journal-off restore left stale runs the op on
+    /// garbage, and nothing detects it.
     pub(crate) fn journal_activation(
         &mut self,
         ti: usize,
         circuit: CircuitId,
-        download: Option<Download>,
+        write: Option<Write>,
+        moved: u64,
+        rejected: bool,
         now: SimTime,
     ) {
-        if let Some(Download {
-            col0,
-            width,
-            config_time,
-        }) = download
-        {
-            // Mark the columns it rewrote for the next delta capture.
-            let rewritten = self.run.dirty_cols.iter_mut().skip(col0 as usize);
-            rewritten
-                .take(width as usize)
-                .for_each(|dirty| *dirty = true);
-            self.run.wal.push(WalRecord {
-                seq: self.run.wal.len() as u64,
-                cid: circuit,
-                col0,
-                width,
-                at: now,
-                duration: config_time,
-            });
-            self.run.stale.remove(&circuit.0);
+        self.journal_moves(moved & !write.map_or(0, |w| columns(w.col0, w.width)), now);
+        if let Some(w) = write {
+            let cid = Some(circuit).filter(|_| !rejected);
+            self.journal(cid, (w.col0, w.width), w.config_time, now);
         } else if self.run.stale.contains(&circuit.0) {
             self.run.slots[ti].corrupted = true;
             self.run.crash.silent_corruptions += 1;
@@ -843,7 +872,7 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
                     .iter()
                     .rev()
                     .find(|r| r.overlaps(claim.col0, claim.width))
-                    .is_some_and(|r| r.cid != claim.cid || r.in_flight_at(crash_at));
+                    .is_some_and(|r| r.cid != Some(claim.cid) || r.in_flight_at(crash_at));
                 if clobbered {
                     self.run.stale.insert(claim.cid.0);
                 }
@@ -1099,7 +1128,7 @@ mod tests {
     fn wal_record_windows_and_overlap() {
         let r = WalRecord {
             seq: 0,
-            cid: CircuitId(1),
+            cid: Some(CircuitId(1)),
             col0: 4,
             width: 3,
             at: SimTime::ZERO + SimDuration::from_millis(10),

@@ -90,7 +90,8 @@ pub use fsim::{
 };
 pub use image::SystemImage;
 pub use manager::{
-    Activation, DeviceUsage, Download, FpgaManager, ManagerStats, PreemptAction, PreemptCost,
+    Activation, DeviceUsage, FpgaManager, ManagerStats, PreemptAction, PreemptCost, Write,
+    WriteKind,
 };
 pub use metrics::{OverheadBreakdown, Report, TaskMetrics};
 pub use migrate::{CounterBaseline, MigrateInReceipt, MigrationManifest};

@@ -78,20 +78,20 @@ impl FpgaManager for DynLoadManager {
 
     fn activate(&mut self, tid: TaskId, cid: CircuitId) -> Activation {
         let mut overhead = SimDuration::ZERO;
-        let mut download = None;
+        let mut write = None;
         if self.loaded != Some(cid) {
             self.port.stats.misses += 1;
             self.loaded = Some(cid);
             // Downloads always place the circuit from column 0: only its
             // frames where the port can address them, else the whole chip.
             let width = self.lib.get(cid).shape().0;
-            let d = if self.port.timing.port.supports_partial() {
-                self.port.partial(tid, 0, width)
+            let w = if self.port.timing.port.supports_partial() {
+                self.port.write(tid, cid, width as usize, 0, width)
             } else {
-                self.port.full(tid, width)
+                self.port.full(tid, cid, width)
             };
-            overhead += d.config_time;
-            download = Some(d);
+            overhead += w.config_time;
+            write = Some(w);
         } else {
             self.port.stats.hits += 1;
         }
@@ -99,7 +99,7 @@ impl FpgaManager for DynLoadManager {
         if self.saved.remove(&(tid, cid)) {
             overhead += self.port.move_state(self.lib.get(cid).frames(), false);
         }
-        Activation::Ready { overhead, download }
+        Activation::ready(overhead, write)
     }
 
     fn preempt(&mut self, tid: TaskId, cid: CircuitId) -> PreemptCost {

@@ -49,20 +49,14 @@ impl ExclusiveManager {
         self.holder = Some((tid, cid));
         if self.loaded == Some(cid) {
             self.port.stats.hits += 1;
-            return Activation::Ready {
-                overhead: SimDuration::ZERO,
-                download: None,
-            };
+            return Activation::ready(SimDuration::ZERO, None);
         }
         self.port.stats.misses += 1;
         self.loaded = Some(cid);
         // Exclusive mode models the paper's "only serially and
         // completely" devices: every load is a full reconfiguration.
-        let download = self.port.full(tid, self.lib.get(cid).shape().0);
-        Activation::Ready {
-            overhead: download.config_time,
-            download: Some(download),
-        }
+        let write = self.port.full(tid, cid, self.lib.get(cid).shape().0);
+        Activation::ready(write.config_time, Some(write))
     }
 }
 
@@ -74,14 +68,11 @@ impl FpgaManager for ExclusiveManager {
     fn activate(&mut self, tid: TaskId, cid: CircuitId) -> Activation {
         debug_assert!(cid.0 < self.lib.len() as u32, "unregistered circuit");
         match self.holder {
-            Some((h, _)) if h == tid => Activation::Ready {
-                overhead: SimDuration::ZERO,
-                download: None,
-            },
+            Some((h, _)) if h == tid => Activation::ready(SimDuration::ZERO, None),
             Some(_) => {
                 self.port.stats.blocks += 1;
                 self.waiters.push_back((tid, cid));
-                Activation::Blocked
+                Activation::Blocked { moved: 0 }
             }
             None => self.grant(tid, cid),
         }
@@ -214,12 +205,12 @@ mod tests {
     fn second_task_blocks_until_task_exit() {
         let (mut m, a, b) = setup();
         assert!(matches!(m.activate(TaskId(0), a), Activation::Ready { .. }));
-        assert_eq!(m.activate(TaskId(1), b), Activation::Blocked);
+        assert_eq!(m.activate(TaskId(1), b), Activation::Blocked { moved: 0 });
         assert_eq!(m.stats().blocks, 1);
         // Completing an op does NOT release a non-preemptable device.
         let (_, wake) = m.op_done(TaskId(0), a);
         assert!(wake.is_empty());
-        assert_eq!(m.activate(TaskId(1), b), Activation::Blocked);
+        assert_eq!(m.activate(TaskId(1), b), Activation::Blocked { moved: 0 });
         // Task exit does.
         let wake = m.task_exit(TaskId(0));
         assert!(wake.contains(&TaskId(1)));
@@ -263,7 +254,7 @@ mod tests {
     fn task_exit_releases_and_wakes() {
         let (mut m, a, b) = setup();
         m.activate(TaskId(0), a);
-        assert_eq!(m.activate(TaskId(1), b), Activation::Blocked);
+        assert_eq!(m.activate(TaskId(1), b), Activation::Blocked { moved: 0 });
         let wake = m.task_exit(TaskId(0));
         assert_eq!(wake, vec![TaskId(1)]);
     }

@@ -132,15 +132,12 @@ impl FpgaManager for MergedManager {
             Some(o) if o != tid => {
                 self.port.stats.blocks += 1;
                 self.waiters.push(tid);
-                Activation::Blocked
+                Activation::Blocked { moved: 0 }
             }
             _ => {
                 self.busy[cid.0 as usize] = Some(tid);
                 self.port.stats.hits += 1;
-                Activation::Ready {
-                    overhead: SimDuration::ZERO,
-                    download: None,
-                }
+                Activation::ready(SimDuration::ZERO, None)
             }
         }
     }
@@ -259,7 +256,10 @@ mod tests {
         };
         let mut m = MergedManager::new(lib, timing).unwrap();
         m.activate(TaskId(0), CircuitId(0));
-        assert_eq!(m.activate(TaskId(1), CircuitId(0)), Activation::Blocked);
+        assert_eq!(
+            m.activate(TaskId(1), CircuitId(0)),
+            Activation::Blocked { moved: 0 }
+        );
         // A different sub-circuit is free though.
         assert!(matches!(
             m.activate(TaskId(2), CircuitId(1)),

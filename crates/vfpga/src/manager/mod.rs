@@ -10,9 +10,9 @@
 //! download, a partial or full download, a load priced as a delta or in
 //! full, a state save or restore — which prices the transfer with the
 //! device's [`fpga::ConfigTiming`], counts it in [`ManagerStats`] (and
-//! [`DeltaStats`]), traces it and returns the [`Download`] an activation
-//! reports. Only a column retirement's relocation is priced beside it, as
-//! background fault time.
+//! [`DeltaStats`]), traces it and returns the [`Write`] record, a GC run's
+//! or a column retirement's relocation too. A call reports every write it
+//! made, and the system journals each.
 
 pub mod delta;
 pub mod dynload;
@@ -30,6 +30,8 @@ use fsim::json::Json;
 use fsim::{SimDuration, TraceEvent};
 
 /// Result of asking the manager to make a circuit runnable for a task.
+/// `moved` is the set of columns (bit `c`: column `c`) the call's GC runs
+/// moved circuits onto, whether or not the call evicted them again.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Activation {
     /// The circuit is (now) configured; dispatching costs `overhead` of
@@ -37,31 +39,70 @@ pub enum Activation {
     Ready {
         /// CPU time charged before the FPGA op can start.
         overhead: SimDuration,
-        /// The download this activation made to configure the circuit;
-        /// `None` on a residency hit.
-        download: Option<Download>,
+        /// The load this activation made; `None` on a residency hit.
+        write: Option<Write>,
+        /// Columns relocated onto.
+        moved: u64,
     },
     /// The resource is held by others; the task must wait. The manager
     /// has queued it and will return it from a later wake list.
-    Blocked,
+    Blocked {
+        /// Columns relocated onto.
+        moved: u64,
+    },
     /// The manager can never serve this request (circuit wider than any
     /// slot/partition, or capacity permanently retired below the need).
     /// The system fails the task instead of deadlocking on it.
     Unservable,
 }
 
-/// The configuration download an activation made: where the circuit now
-/// sits and what the port spent writing it. Fault injection corrupts
-/// downloads and the checkpoint journal logs them, both off this record.
+// `dispatch` moves one a task: five words at most.
+const _: () = assert!(std::mem::size_of::<Activation>() <= 40);
+
+impl Activation {
+    /// Ready after `write` (`None`: a hit), no GC run.
+    pub fn ready(overhead: SimDuration, write: Option<Write>) -> Self {
+        Activation::Ready {
+            overhead,
+            write,
+            moved: 0,
+        }
+    }
+}
+
+/// How a [`Write`] put its circuit's frames on the columns.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Download {
-    /// First device column of the circuit's new region.
+pub enum WriteKind {
+    /// A download of the circuit's frames (partial, or the whole device).
+    Load,
+    /// A load priced as the frames a base the columns held differs in.
+    Delta,
+    /// An idle resident moved here: downloaded again, its state carried.
+    Relocate,
+}
+
+/// One write of a circuit onto device columns, made and priced by a
+/// manager's port. Fault injection corrupts an activation's load and the
+/// checkpoint journal logs every write, both off this record.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Write {
+    /// The circuit written.
+    pub cid: CircuitId,
+    /// First device column of its region.
     pub col0: u32,
     /// Columns the region spans.
     pub width: u32,
-    /// Configuration-port time of the download: its share of
-    /// [`ManagerStats::config_time`].
+    /// How it was written.
+    pub kind: WriteKind,
+    /// Port time: a load's share of [`ManagerStats::config_time`], a
+    /// relocation's download and state moves.
     pub config_time: SimDuration,
+}
+
+/// The column set (bit `c` for column `c`) of `[col0, col0 + width)`.
+pub(crate) fn columns(col0: u32, width: u32) -> u64 {
+    let ones = (1u128 << width) - 1;
+    (ones << col0) as u64
 }
 
 /// A resident circuit's physical placement, reported by
@@ -93,13 +134,9 @@ pub struct RetireOutcome {
     pub applied: bool,
     /// A task is mid-op on the column; the caller must retry later.
     pub busy: bool,
-    /// Idle resident circuits relocated off the column.
-    pub relocations: u32,
-    /// Idle resident circuits evicted (no relocation target routed).
-    pub evicted: u32,
-    /// Port time the relocations/evictions cost (background recovery
-    /// time; accounted in [`crate::FaultStats`], not task-charged).
-    pub overhead: SimDuration,
+    /// The idle resident relocated off the column. Its port time is
+    /// background recovery time ([`crate::FaultStats`]), not task-charged.
+    pub moved: Option<Write>,
 }
 
 /// What preempting a task mid-FPGA-op costs and loses.
@@ -355,7 +392,7 @@ pub(crate) fn redownload_cost(timing: &fpga::ConfigTiming, frames: usize) -> Sim
 /// prices one transfer with [`fpga::ConfigTiming`], counts it in
 /// [`ManagerStats`] (and [`DeltaStats`] when delta downloads are on),
 /// traces it into the manager's event buffer and returns what it wrote:
-/// the [`Download`] record, or the port time of a state move. Where the
+/// the [`Write`] record, or the port time of a state move. Where the
 /// circuit lands is the caller's to say; what the write costs is decided
 /// only here.
 #[derive(Debug)]
@@ -389,14 +426,9 @@ impl<D: Default> Port<D> {
         self.count(frames, d);
     }
 
-    /// A partial download of the `width` frames of `[col0, col0 + width)`.
-    pub(crate) fn partial(&mut self, tid: TaskId, col0: u32, width: u32) -> Download {
-        self.write(tid, width as usize, col0, width)
-    }
-
-    /// A whole-device download for a circuit `width` columns wide, which
-    /// then sits from column 0.
-    pub(crate) fn full(&mut self, tid: TaskId, width: u32) -> Download {
+    /// A whole-device download for `cid`, `width` columns wide, which then
+    /// sits from column 0.
+    pub(crate) fn full(&mut self, tid: TaskId, cid: CircuitId, width: u32) -> Write {
         let (frames, d) = (self.timing.spec.cols, self.timing.full_config_time());
         self.count(frames as usize, d);
         let bytes = self.timing.full_bits().div_ceil(8);
@@ -407,11 +439,7 @@ impl<D: Default> Port<D> {
             duration: d,
             full: true,
         });
-        Download {
-            col0: 0,
-            width,
-            config_time: d,
-        }
+        record(cid, 0, width, WriteKind::Load, d)
     }
 
     /// A state readback (`save`) or write-back of `frames` frames.
@@ -426,28 +454,65 @@ impl<D: Default> Port<D> {
         d
     }
 
-    /// `frames` frames onto `[col0, col0 + width)`.
-    fn write(&mut self, tid: TaskId, frames: usize, col0: u32, width: u32) -> Download {
-        let (bits, d) = self.timing.frame_transfer(frames);
-        self.count(frames, d);
+    /// Move idle resident `cid` onto `[col0, col0 + width)`, the one price
+    /// of a relocation: `width` frames, and a sequential circuit's state
+    /// saved and restored. A GC run's move (`gc`: the task charged) counts
+    /// as a download and two state moves, traced, as GC time.
+    pub(crate) fn relocate(
+        &mut self,
+        gc: Option<TaskId>,
+        lib: &CircuitLib,
+        cid: CircuitId,
+        col0: u32,
+        width: u32,
+    ) -> Write {
+        let (n, sequential) = (width as usize, lib.get(cid).is_sequential());
+        let state = self.timing.readback_time(n) * u64::from(sequential) * 2;
+        self.stats.relocations += 1;
+        let d = match gc {
+            None => self.timing.frame_transfer(n).1,
+            Some(tid) => {
+                // Booked as GC time, not download time, so that an overhead
+                // breakdown's slices stay disjoint.
+                let d = self.write(tid, cid, n, col0, width).config_time;
+                self.stats.config_time -= d;
+                self.stats.state_saves += u64::from(sequential);
+                self.stats.state_restores += u64::from(sequential);
+                self.stats.gc_time += d + state;
+                d
+            }
+        };
+        record(cid, col0, width, WriteKind::Relocate, d + state)
+    }
+
+    /// A partial download of `cid`'s `n` frames onto `[col0, col0 + width)`.
+    fn write(&mut self, tid: TaskId, cid: CircuitId, n: usize, col0: u32, width: u32) -> Write {
+        let (bits, d) = self.timing.frame_transfer(n);
+        self.count(n, d);
         self.obs.push(|| TraceEvent::ConfigDownload {
             task: tid.0,
-            frames: frames as u32,
+            frames: n as u32,
             bytes: bits.div_ceil(8),
             duration: d,
             full: false,
         });
-        Download {
-            col0,
-            width,
-            config_time: d,
-        }
+        record(cid, col0, width, WriteKind::Load, d)
     }
 
     fn count(&mut self, frames: usize, d: SimDuration) {
         self.stats.downloads += 1;
         self.stats.frames_written += frames as u64;
         self.stats.config_time += d;
+    }
+}
+
+fn record(cid: CircuitId, col0: u32, width: u32, kind: WriteKind, d: SimDuration) -> Write {
+    Write {
+        cid,
+        col0,
+        width,
+        kind,
+        config_time: d,
     }
 }
 
@@ -463,10 +528,9 @@ impl DeltaPort {
 
     /// Load `cid` onto `[col0, col0 + width)`. With delta downloads on and
     /// a `base` the columns still hold, the load is priced as the frames
-    /// the two differ in when that is fewer than the circuit's own;
-    /// otherwise it is a partial download of the circuit's frames. Either
-    /// way the columns now hold `cid`'s image. Returns the record and
-    /// whether the base was used.
+    /// the two differ in when that is fewer than the circuit's own — a
+    /// [`WriteKind::Delta`] write; otherwise it is a partial download of
+    /// the circuit's frames. Either way the columns now hold `cid`'s image.
     pub(crate) fn load(
         &mut self,
         lib: &CircuitLib,
@@ -475,16 +539,16 @@ impl DeltaPort {
         base: Option<CircuitId>,
         col0: u32,
         width: u32,
-    ) -> (Download, bool) {
+    ) -> Write {
         let frames = lib.get(cid).frames();
         let Some(dt) = &mut self.delta else {
-            return (self.write(tid, frames, col0, width), false);
+            return self.write(tid, cid, frames, col0, width);
         };
         dt.clear_dirty(cid);
         let delta = base.map(|b| (b, lib.changed_frames(b, cid)));
         let Some((from, changed)) = delta.filter(|&(_, changed)| changed < frames) else {
             dt.stats.full_downloads += 1;
-            return (self.write(tid, frames, col0, width), false);
+            return self.write(tid, cid, frames, col0, width);
         };
         dt.stats.delta_downloads += 1;
         dt.stats.frames_written += changed as u64;
@@ -499,12 +563,7 @@ impl DeltaPort {
             full_frames: frames as u32,
             duration: d,
         });
-        let download = Download {
-            col0,
-            width,
-            config_time: d,
-        };
-        (download, true)
+        record(cid, col0, width, WriteKind::Delta, d)
     }
 }
 
@@ -565,8 +624,13 @@ mod tests {
         }
     }
 
-    fn record((d, used): (Download, bool)) -> (SimDuration, Option<(u32, u32)>, bool) {
-        (d.config_time, Some((d.col0, d.width)), used)
+    /// A write's time and region, and whether it used a delta base.
+    fn written(w: Write) -> (SimDuration, Option<(u32, u32)>, bool) {
+        (
+            w.config_time,
+            Some((w.col0, w.width)),
+            w.kind == WriteKind::Delta,
+        )
     }
 
     /// Every port method on a port that addresses frames and on one that
@@ -653,15 +717,15 @@ mod tests {
                     seen(dw, None, false, sw, None, vec![]),
                 ),
                 (
-                    "partial",
+                    "write: a partial download",
                     false,
-                    Box::new(|p: &mut DeltaPort| record((p.partial(task, 2, ww), false))),
+                    Box::new(|p: &mut DeltaPort| written(p.write(task, a, w, 2, ww))),
                     seen(dw, Some((2, ww)), false, sw, None, vec![ew.clone()]),
                 ),
                 (
                     "full: the whole device, the circuit at column 0",
                     false,
-                    Box::new(|p: &mut DeltaPort| record((p.full(task, ww), false))),
+                    Box::new(|p: &mut DeltaPort| written(p.full(task, a, ww))),
                     seen(
                         dfull,
                         Some((0, ww)),
@@ -675,14 +739,14 @@ mod tests {
                     "load, delta off: the base is ignored, the region is the caller's",
                     false,
                     Box::new(|p: &mut DeltaPort| {
-                        record(p.load(&lib, task, a, Some(near), 2, ww + 3))
+                        written(p.load(&lib, task, a, Some(near), 2, ww + 3))
                     }),
                     seen(dw, Some((2, ww + 3)), false, sw, None, vec![ew.clone()]),
                 ),
                 (
                     "load, no base",
                     true,
-                    Box::new(|p: &mut DeltaPort| record(p.load(&lib, task, a, None, 2, ww))),
+                    Box::new(|p: &mut DeltaPort| written(p.load(&lib, task, a, None, 2, ww))),
                     seen(
                         dw,
                         Some((2, ww)),
@@ -695,7 +759,7 @@ mod tests {
                 (
                     "load over a base two frames away: delta",
                     true,
-                    Box::new(|p: &mut DeltaPort| record(p.load(&lib, task, a, Some(near), 2, ww))),
+                    Box::new(|p: &mut DeltaPort| written(p.load(&lib, task, a, Some(near), 2, ww))),
                     seen(
                         d2,
                         Some((2, ww)),
@@ -708,7 +772,7 @@ mod tests {
                 (
                     "load over a base every frame away: full",
                     true,
-                    Box::new(|p: &mut DeltaPort| record(p.load(&lib, task, a, Some(far), 2, ww))),
+                    Box::new(|p: &mut DeltaPort| written(p.load(&lib, task, a, Some(far), 2, ww))),
                     seen(
                         dw,
                         Some((2, ww)),
@@ -716,6 +780,41 @@ mod tests {
                         sw,
                         Some(counted_full),
                         vec![ew.clone()],
+                    ),
+                ),
+                (
+                    "relocate, a GC run's move: a download of the task's, GC time",
+                    false,
+                    Box::new(|p: &mut DeltaPort| written(p.relocate(Some(task), &lib, a, 2, ww))),
+                    seen(
+                        dw,
+                        Some((2, ww)),
+                        false,
+                        ManagerStats {
+                            downloads: 1,
+                            frames_written: w as u64,
+                            relocations: 1,
+                            gc_time: dw,
+                            ..Default::default()
+                        },
+                        None,
+                        vec![ew.clone()],
+                    ),
+                ),
+                (
+                    "relocate, a retirement's move: a relocation, untraced",
+                    true,
+                    Box::new(|p: &mut DeltaPort| written(p.relocate(None, &lib, a, 2, ww))),
+                    seen(
+                        dw,
+                        Some((2, ww)),
+                        false,
+                        ManagerStats {
+                            relocations: 1,
+                            ..Default::default()
+                        },
+                        Some(DeltaStats::default()),
+                        vec![],
                     ),
                 ),
                 (
@@ -759,8 +858,8 @@ mod tests {
             port.enable_delta();
             let dt = port.delta.as_mut().unwrap();
             dt.mark_dirty(a);
-            let (_, used) = port.load(&lib, TaskId(0), a, base, 0, 4);
-            assert_eq!(used, base.is_some());
+            let w = port.load(&lib, TaskId(0), a, base, 0, 4);
+            assert_eq!(w.kind == WriteKind::Delta, base.is_some());
             assert!(!port.delta.as_ref().unwrap().is_dirty(a), "{base:?}");
         }
     }

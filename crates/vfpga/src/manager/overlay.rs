@@ -171,7 +171,7 @@ impl OverlayManager {
     fn block(&mut self, tid: TaskId) -> Activation {
         self.port.stats.blocks += 1;
         self.waiters.push_back(tid);
-        Activation::Blocked
+        Activation::Blocked { moved: 0 }
     }
 }
 
@@ -182,10 +182,7 @@ impl FpgaManager for OverlayManager {
 
     fn activate(&mut self, tid: TaskId, cid: CircuitId) -> Activation {
         let stamp = self.tick();
-        let hit = Activation::Ready {
-            overhead: SimDuration::ZERO,
-            download: None,
-        };
+        let hit = Activation::ready(SimDuration::ZERO, None);
         // Common circuit: always resident.
         if let Some(ci) = self.common.iter().position(|&c| c == cid) {
             if self.common_owner[ci].is_some_and(|o| o != tid) {
@@ -234,17 +231,14 @@ impl FpgaManager for OverlayManager {
         let delta = self.port.delta.as_ref();
         let base = old.filter(|&o| delta.is_some_and(|dt| !dt.is_dirty(o)));
         let col0 = self.slot_col0(i);
-        let (download, _) = self.port.load(&self.lib, tid, cid, base, col0, width);
+        let write = self.port.load(&self.lib, tid, cid, base, col0, width);
         let s = &mut self.slots[i];
         s.resident = Some(cid);
         s.owner = Some(tid);
         s.last_use = stamp;
         s.loaded_at = stamp;
         s.uses = 1;
-        Activation::Ready {
-            overhead: download.config_time,
-            download: Some(download),
-        }
+        Activation::ready(write.config_time, Some(write))
     }
 
     fn preempt(&mut self, _tid: TaskId, _cid: CircuitId) -> PreemptCost {
@@ -488,7 +482,10 @@ mod tests {
             m.activate(TaskId(t as u32), cid);
         }
         let extra = ids[1 + n];
-        assert_eq!(m.activate(TaskId(8), extra), Activation::Blocked);
+        assert_eq!(
+            m.activate(TaskId(8), extra),
+            Activation::Blocked { moved: 0 }
+        );
         // Release one: the blocked task can now be woken and retried.
         let (_, wake) = m.op_done(TaskId(0), ids[1]);
         assert!(wake.contains(&TaskId(8)));

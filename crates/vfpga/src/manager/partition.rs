@@ -21,8 +21,8 @@
 
 use super::delta::{DeltaImage, DeltaStats, DeltaTable};
 use super::{
-    Activation, DeltaPort, DeviceUsage, Download, FpgaManager, ManagerStats, PreemptCost,
-    ResidentRegion, RetireOutcome,
+    columns, Activation, DeltaPort, DeviceUsage, FpgaManager, ManagerStats, PreemptCost,
+    ResidentRegion, RetireOutcome, Write, WriteKind,
 };
 use crate::circuit::{CircuitId, CircuitLib};
 use crate::error::VfpgaError;
@@ -115,6 +115,8 @@ impl PartitionManager {
         policy: PreemptAction,
     ) -> Result<Self, VfpgaError> {
         let cols = timing.spec.cols;
+        // A call's moved columns are one `u64`; the widest part has 56.
+        assert!(cols <= u64::BITS, "{cols} columns do not fit a column set");
         let parts = match &mode {
             PartitionMode::Fixed(widths) => {
                 let sum = widths.iter().sum::<u32>();
@@ -256,9 +258,9 @@ impl PartitionManager {
     }
 
     /// Load `cid` into partition `idx` (assumed free and wide enough),
-    /// splitting in variable mode. Returns the download — its overhead is
-    /// its config time — or None if routing fails at that origin.
-    fn load_into(&mut self, idx: usize, cid: CircuitId, tid: TaskId) -> Option<Download> {
+    /// splitting in variable mode. Returns the load — its overhead is its
+    /// config time — or None if routing fails at that origin.
+    fn load_into(&mut self, idx: usize, cid: CircuitId, tid: TaskId) -> Option<Write> {
         let need_w = self.lib.get(cid).shape().0;
         let origin = (self.parts[idx].col, 0u32);
         let routes = self
@@ -282,9 +284,9 @@ impl PartitionManager {
         // uses it when its diff is strictly cheaper than a full load.
         let ghost = self.port.delta.as_ref().and_then(|dt| dt.base_at(col));
         let base = ghost.map(|g| g.cid);
-        let (download, used) = self.port.load(&self.lib, tid, cid, base, col, width);
+        let write = self.port.load(&self.lib, tid, cid, base, col, width);
         if let Some(dt) = &mut self.port.delta {
-            if used {
+            if write.kind == WriteKind::Delta {
                 dt.consume_base(col);
             }
             // Whatever stale images the new frames cover are gone (a
@@ -299,7 +301,7 @@ impl PartitionManager {
             saved_for: None,
         };
         self.home[cid.0 as usize] = Some(col);
-        Some(download)
+        Some(write)
     }
 
     /// Evict the idle resident in partition `i`, whatever its width, and
@@ -331,10 +333,10 @@ impl PartitionManager {
 
     /// Move the idle resident out of partition `idx` (to any free
     /// partition where it routes) or evict it; the partition ends up Free.
-    /// Returns `(relocated, cost)`. The cost is returned to the caller
-    /// (background fault accounting) — manager time counters are not
+    /// Returns the move, if it routed somewhere. Its cost is the caller's
+    /// (background fault accounting): manager time counters are not
     /// touched, only the relocation/eviction event counters.
-    fn relocate_off(&mut self, idx: usize) -> (bool, SimDuration) {
+    fn relocate_off(&mut self, idx: usize) -> Option<Write> {
         let (cid, routes, last_use, saved_for) =
             match std::mem::replace(&mut self.parts[idx].slot, Slot::Free) {
                 Slot::Resident {
@@ -366,12 +368,7 @@ impl PartitionManager {
                 if let Some(dt) = &mut self.port.delta {
                     dt.invalidate_overlap(origin.0, need_w, "relocate", &mut self.port.obs);
                 }
-                let mut cost = self.port.timing.frame_transfer(need_w as usize).1;
-                if self.lib.get(cid).is_sequential() {
-                    // State survives the move via readback + write-back.
-                    cost += self.port.timing.readback_time(need_w as usize);
-                    cost += self.port.timing.readback_time(need_w as usize);
-                }
+                let write = self.port.relocate(None, &self.lib, cid, origin.0, need_w);
                 self.parts[i].slot = Slot::Resident {
                     cid,
                     owner: None,
@@ -380,12 +377,11 @@ impl PartitionManager {
                     saved_for,
                 };
                 self.home[cid.0 as usize] = Some(origin.0);
-                self.port.stats.relocations += 1;
-                return (true, cost);
+                return Some(write);
             }
         }
         self.port.stats.evictions += 1;
-        (false, SimDuration::ZERO)
+        None
     }
 
     /// Replace partition `idx` (already Free) with retired fabric covering
@@ -450,9 +446,10 @@ impl PartitionManager {
     /// space coalesces at the right. Only idle residents move; a move
     /// charges a download at the new origin (plus state save/restore when
     /// the circuit is sequential) and is abandoned when routing fails
-    /// there. Returns the total CPU overhead of the compaction. The
-    /// requesting task `tid` is charged for relocation downloads.
-    fn garbage_collect(&mut self, tid: TaskId) -> SimDuration {
+    /// there. Returns the total CPU overhead of the compaction and the
+    /// columns it moved circuits onto. The requesting task `tid` is charged
+    /// for relocation downloads.
+    fn garbage_collect(&mut self, tid: TaskId) -> (SimDuration, u64) {
         self.port.stats.gc_runs += 1;
         // Compaction rewrites arbitrary column ranges; every tracked base
         // is suspect afterwards. Conservative and correct: drop them all.
@@ -460,7 +457,7 @@ impl PartitionManager {
             dt.invalidate_all("gc", &mut self.port.obs);
         }
         let before = self.port.stats;
-        let mut overhead = SimDuration::ZERO;
+        let (mut overhead, mut moved) = (SimDuration::ZERO, 0);
 
         // One pass in column order: an idle resident moves left to `cursor`
         // (the end of whatever precedes it) when it routes there, everything
@@ -487,13 +484,11 @@ impl PartitionManager {
                     self.routing.release(routes);
                     match self.routing.route_template(template, (cursor, 0)) {
                         Ok(new_routes) => {
-                            overhead += self.port.partial(tid, cursor, p.width).config_time;
-                            if self.lib.get(cid).is_sequential() {
-                                let frames = p.width as usize;
-                                overhead += self.port.move_state(frames, true);
-                                overhead += self.port.move_state(frames, false);
-                            }
-                            self.port.stats.relocations += 1;
+                            let w = self
+                                .port
+                                .relocate(Some(tid), &self.lib, cid, cursor, p.width);
+                            overhead += w.config_time;
+                            moved |= columns(cursor, p.width);
                             p.col = cursor;
                             *routes = new_routes;
                             self.home[cid.0 as usize] = Some(cursor);
@@ -535,13 +530,6 @@ impl PartitionManager {
                 slot: Slot::Free,
             });
         }
-        // Relocation downloads and state moves were charged into
-        // config_time/state_time above; reattribute them to the GC phase so
-        // an overhead breakdown has disjoint slices. Event counters
-        // (downloads, frames, saves/restores) keep counting relocations.
-        self.port.stats.config_time = before.config_time;
-        self.port.stats.state_time = before.state_time;
-        self.port.stats.gc_time += overhead;
         let after = self.port.stats;
         self.port.obs.push(|| TraceEvent::GcRun {
             merged: (after.merges - before.merges) as u32,
@@ -549,7 +537,7 @@ impl PartitionManager {
             failures: (after.failed_relocations - before.failed_relocations) as u32,
             duration: overhead,
         });
-        overhead
+        (overhead, moved)
     }
 
     /// Debug builds check the partition list and what is derived from it
@@ -662,7 +650,7 @@ impl PartitionManager {
             if owner.is_some_and(|o| o != tid) {
                 self.port.stats.blocks += 1;
                 self.waiters.push_back((tid, cid));
-                return Activation::Blocked;
+                return Activation::Blocked { moved: 0 };
             }
             *owner = Some(tid);
             *last_use = self.clock;
@@ -672,10 +660,7 @@ impl PartitionManager {
                 *saved_for = None;
                 overhead += self.port.move_state(*width as usize, false);
             }
-            return Activation::Ready {
-                overhead,
-                download: None,
-            };
+            return Activation::ready(overhead, None);
         }
 
         // 2. Find a free partition wide enough (first-fit).
@@ -686,34 +671,39 @@ impl PartitionManager {
             // boundaries or retired fabric): blocking would hang forever.
             return Activation::Unservable;
         }
+        // The columns GC runs moved circuits onto.
+        let mut moved = 0;
         loop {
             let scan = self.scan(need_w);
-            if let Some(i) = scan.fit {
-                if let Some(download) = self.load_into(i, cid, tid) {
-                    return Activation::Ready {
-                        overhead: download.config_time,
-                        download: Some(download),
-                    };
-                }
-                // Routing failed at this origin (nothing was committed, the
-                // partitions are as scanned) — treat like fragmentation:
-                // fall through to GC/eviction below rather than looping on
-                // the same partition forever.
+            if let Some(write) = scan.fit.and_then(|i| self.load_into(i, cid, tid)) {
+                return Activation::Ready {
+                    overhead: write.config_time,
+                    write: Some(write),
+                    moved,
+                };
             }
+            // Routing failed at any fit (nothing was committed, the
+            // partitions are as scanned) — treat like fragmentation: fall
+            // through to GC/eviction below rather than looping on the same
+            // partition forever.
             // 3. Try GC (variable mode) to coalesce free columns.
             if self.gc_enabled
                 && matches!(self.mode, PartitionMode::Variable)
                 && scan.free >= need_w
                 && scan.widest < need_w
             {
-                let gc_overhead = self.garbage_collect(tid);
-                if let Some(i) = self.scan(need_w).fit {
-                    if let Some(download) = self.load_into(i, cid, tid) {
-                        return Activation::Ready {
-                            overhead: download.config_time + gc_overhead,
-                            download: Some(download),
-                        };
-                    }
+                let (gc_overhead, columns) = self.garbage_collect(tid);
+                moved |= columns;
+                if let Some(write) = self
+                    .scan(need_w)
+                    .fit
+                    .and_then(|i| self.load_into(i, cid, tid))
+                {
+                    return Activation::Ready {
+                        overhead: write.config_time + gc_overhead,
+                        write: Some(write),
+                        moved,
+                    };
                 }
             }
             // 4. Evict the LRU idle resident and retry once per eviction.
@@ -724,7 +714,7 @@ impl PartitionManager {
                 None => {
                     self.port.stats.blocks += 1;
                     self.waiters.push_back((tid, cid));
-                    return Activation::Blocked;
+                    return Activation::Blocked { moved };
                 }
             }
         }
@@ -901,13 +891,7 @@ impl FpgaManager for PartitionManager {
                 };
             }
             Slot::Resident { owner: None, .. } => {
-                let (relocated, cost) = self.relocate_off(idx);
-                out.overhead += cost;
-                if relocated {
-                    out.relocations += 1;
-                } else {
-                    out.evicted += 1;
-                }
+                out.moved = self.relocate_off(idx);
             }
         }
         // Retired fabric can never serve as a delta base.
@@ -1212,7 +1196,10 @@ mod tests {
     fn busy_partition_blocks_second_task() {
         let (mut m, ids) = mgr(PartitionMode::Variable);
         m.activate(TaskId(0), ids[0]);
-        assert_eq!(m.activate(TaskId(1), ids[0]), Activation::Blocked);
+        assert_eq!(
+            m.activate(TaskId(1), ids[0]),
+            Activation::Blocked { moved: 0 }
+        );
         let (_, wake) = m.op_done(TaskId(0), ids[0]);
         assert_eq!(wake, vec![TaskId(1)]);
     }
@@ -1477,12 +1464,12 @@ mod tests {
         let out = m.retire_column(7);
         assert!(out.applied);
         assert!(!out.busy);
-        assert_eq!(out.relocations + out.evicted, 0);
+        assert_eq!(out.moved, None);
         assert!(m.max_servable_width() < before, "capacity shrank");
         // Striking the same column again is a no-op.
         let again = m.retire_column(7);
         assert!(again.applied);
-        assert_eq!(again.overhead, SimDuration::ZERO);
+        assert_eq!(again.moved, None);
     }
 
     #[test]
@@ -1493,15 +1480,20 @@ mod tests {
         let region = m.resident_regions()[0];
         let out = m.retire_column(region.col0);
         assert!(out.applied);
+        let now = m.resident_regions();
+        let moved = usize::from(out.moved.is_some());
         assert_eq!(
-            out.relocations + out.evicted,
-            1,
+            now.len(),
+            moved,
             "the resident moved or was dropped: {out:?}"
         );
-        if out.relocations == 1 {
-            let now = m.resident_regions();
-            assert_eq!(now.len(), 1);
+        if let Some(moved) = out.moved {
             assert!(!now[0].covers(region.col0), "moved off the dead column");
+            assert_eq!(
+                (moved.cid, moved.col0),
+                (ids[0], now[0].col0),
+                "the move names it"
+            );
         }
     }
 
@@ -1711,7 +1703,7 @@ mod tests {
                 assert_eq!(after.delta_downloads, before.delta_downloads);
                 assert_eq!(after.full_downloads, before.full_downloads + 1);
             }
-            Activation::Unservable | Activation::Blocked => {}
+            Activation::Unservable | Activation::Blocked { .. } => {}
         }
 
         // -- Crash restore folds every live ghost into invalidations.

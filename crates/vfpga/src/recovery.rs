@@ -30,7 +30,7 @@
 
 use crate::circuit::CircuitId;
 use crate::image::{Latent, Running};
-use crate::manager::{redownload_cost, Download, FpgaManager};
+use crate::manager::{redownload_cost, FpgaManager, Write};
 use crate::sched::Scheduler;
 use crate::system::{Ev, System};
 use crate::task::{Op, TaskId, TaskState};
@@ -399,6 +399,10 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
             }
         };
         let out = self.manager.retire_column(col);
+        let overhead = out.moved.map_or(SimDuration::ZERO, |w| w.config_time);
+        if let (Some(w), Some(_)) = (out.moved, self.build.ckpt) {
+            self.journal(Some(w.cid), (w.col0, w.width), overhead, now);
+        }
         if out.busy {
             // A task is mid-op on the dying fabric; retry shortly after.
             let retry = Some(SimDuration::from_millis(1));
@@ -407,11 +411,11 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
         }
         if out.applied {
             self.run.fault.columns_retired += 1;
-            self.run.fault.retire_time += out.overhead;
+            self.run.fault.retire_time += overhead;
             self.emit(now, |_| TraceEvent::ColumnRetired {
                 col,
-                relocations: out.relocations,
-                duration: out.overhead,
+                relocations: u32::from(out.moved.is_some()),
+                duration: overhead,
             });
             // Capacity shrank: every blocked task (`wake` passes over the
             // others) re-probes the manager so requests that became
@@ -423,7 +427,7 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
         // absorbed the fault.
     }
 
-    /// The activation of `circuit` for `tid` cost `o` and made `download`.
+    /// The activation of `circuit` for `tid` cost `o` and made `write`.
     /// If it downloaded and the injector corrupts the download, the CRC
     /// catches it: the circuit is discarded and the CPU held for the wasted
     /// attempt, whose end ([`on_retry_done`](Self::on_retry_done)) decides
@@ -433,10 +437,10 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
         tid: TaskId,
         circuit: CircuitId,
         o: SimDuration,
-        download: Option<Download>,
+        write: Option<Write>,
         now: SimTime,
     ) -> bool {
-        let (Some(inj), Some(download)) = (self.injector.as_mut(), download) else {
+        let (Some(inj), Some(download)) = (self.injector.as_mut(), write) else {
             return false;
         };
         if !inj.corrupt_download() {

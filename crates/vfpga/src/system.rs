@@ -24,9 +24,7 @@ use crate::checkpoint::{CheckpointConfig, Cut, RunOutcome};
 use crate::circuit::{CircuitId, CircuitLib};
 use crate::error::VfpgaError;
 use crate::image::{FpgaSeg, Running};
-use crate::manager::{
-    Activation, Download, FpgaManager, ManagerStats, PreemptAction, ResidentRegion,
-};
+use crate::manager::{Activation, FpgaManager, ManagerStats, PreemptAction, ResidentRegion};
 use crate::metrics::{Report, TaskMetrics};
 use crate::recovery::RecoveryPolicy;
 use crate::run::{Boot, BootRecord, Build, Run};
@@ -787,11 +785,18 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
                     self.run.slots[ti].op_remaining = d;
                     self.run.slots[ti].op_done_so_far = SimDuration::ZERO;
                 }
-                // Debug builds hold the activation's download to the
-                // manager's counters (`check_download`).
+                // Debug builds hold the activation's writes to the
+                // manager's counters (`check_writes`).
                 let before = cfg!(debug_assertions).then(|| self.manager.stats());
-                match self.manager.activate(tid, circuit) {
-                    Activation::Blocked => {
+                let activation = self.manager.activate(tid, circuit);
+                if let Some(before) = &before {
+                    self.check_writes(circuit, before, activation);
+                }
+                match activation {
+                    Activation::Blocked { moved } => {
+                        if self.build.ckpt.is_some() {
+                            self.journal_moves(moved, now);
+                        }
                         self.run.slots[ti].state = TaskState::Blocked;
                         self.run.slots[ti].blocked_count += 1;
                         self.emit(now, |_| TraceEvent::TaskState {
@@ -810,21 +815,19 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
                     }
                     Activation::Ready {
                         overhead: o,
-                        download,
+                        write,
+                        moved,
                     } => {
-                        if let Some(before) = &before {
-                            self.check_download(circuit, before, download);
+                        // Fault injection corrupts the load this activation
+                        // made; the checkpoint machinery journals its writes.
+                        let rejected = self.corrupt_download(tid, circuit, o, write, now);
+                        if self.build.ckpt.is_some() {
+                            self.journal_activation(ti, circuit, write, moved, rejected, now);
                         }
-                        // Fault injection corrupts the download this
-                        // activation made; the checkpoint machinery
-                        // journals it.
-                        if self.corrupt_download(tid, circuit, o, download, now) {
+                        if rejected {
                             // The CPU is held for the wasted attempt; the
                             // retry decision happens when it elapses.
                             return;
-                        }
-                        if self.build.ckpt.is_some() {
-                            self.journal_activation(ti, circuit, download, now);
                         }
                         self.run.slots[ti].dl_attempts = 0;
                         // Dispatching onto fabric a prior upset corrupted:
@@ -941,30 +944,30 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
         self.manager.resident_regions().into_iter().find(pick)
     }
 
-    /// What a manager reports of an activation's download agrees with its
-    /// counters (`before` are those from before the activation) and its
-    /// residency table: a download is reported exactly when the download
-    /// count rose, at the circuit's resident region, for the config time it
-    /// added.
-    fn check_download(
-        &self,
-        circuit: CircuitId,
-        before: &ManagerStats,
-        download: Option<Download>,
-    ) {
+    /// What a manager reports of an activation's writes agrees with its
+    /// counters (`before`: from before the call) and residency table: a
+    /// load exactly when it counted a download beyond its relocations, at
+    /// the circuit's region, for the config time it added; moved columns
+    /// exactly when it relocated.
+    fn check_writes(&self, circuit: CircuitId, before: &ManagerStats, activation: Activation) {
         let after = self.manager.stats();
-        let expected = (after.downloads > before.downloads).then(|| {
+        let relocated = after.relocations - before.relocations;
+        let (write, moved) = match activation {
+            Activation::Ready { write, moved, .. } => (write, moved),
+            Activation::Blocked { moved } => (None, moved),
+            Activation::Unservable => (None, 0),
+        };
+        let load = (after.downloads - before.downloads > relocated).then(|| {
             let region = self.resident(|r| r.cid == circuit);
-            Download {
-                col0: region.map_or(0, |r| r.col0),
-                width: region.map_or(self.manager.timing().spec.cols, |r| r.width),
-                config_time: after.config_time - before.config_time,
-            }
+            let cols = self.manager.timing().spec.cols;
+            let (col0, width) = region.map_or((0, cols), |r| (r.col0, r.width));
+            (circuit, col0, width, after.config_time - before.config_time)
         });
+        let reported = write.map(|w| (w.cid, w.col0, w.width, w.config_time));
         assert_eq!(
-            download,
-            expected,
-            "{} activating circuit {}",
+            (reported, moved != 0),
+            (load, relocated > 0),
+            "{} activating circuit {}: its load, whether it moved any",
             self.manager.name(),
             circuit.0
         );

@@ -4,13 +4,14 @@
 #![allow(dead_code)] // each test crate uses its own subset
 
 use fsim::{SimDuration, SimTime};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
+use vfpga::checkpoint::Cut;
 use vfpga::circuit::{CircuitId, CircuitLib};
 use vfpga::manager::partition::{PartitionManager, PartitionMode};
-use vfpga::manager::PreemptAction;
+use vfpga::manager::{PreemptAction, ResidentRegion};
 use vfpga::system::{System, SystemConfig};
 use vfpga::task::{Op, TaskSpec};
-use vfpga::Scheduler;
+use vfpga::{FpgaManager, Scheduler};
 
 pub fn lib4() -> (Arc<CircuitLib>, Vec<CircuitId>) {
     use netlist::library::{arith, logic, seq};
@@ -20,6 +21,27 @@ pub fn lib4() -> (Arc<CircuitLib>, Vec<CircuitId>) {
         seq::lfsr("lfsr", 16, 0b1101_0000_0000_1000),
         logic::parity("par", 12),
         seq::counter("ctr", 12),
+    ]
+    .iter()
+    .map(|net| lib.register_compiled(pnr::compile(net, Default::default()).unwrap()))
+    .collect();
+    (Arc::new(lib), ids)
+}
+
+/// Seven circuits, 32 columns of them on the 20-column VF400: idle
+/// residents crowd the part, so loads evict, compact and land where other
+/// circuits sat.
+pub fn lib7() -> (Arc<CircuitLib>, Vec<CircuitId>) {
+    use netlist::library::{arith, logic, seq};
+    let mut lib = CircuitLib::new();
+    let ids = [
+        arith::ripple_adder("add", 8),
+        seq::lfsr("lfsr", 16, 0b1101_0000_0000_1000),
+        logic::parity("par", 12),
+        seq::counter("ctr", 12),
+        arith::ripple_adder("add16", 16),
+        seq::counter("ctr24", 24),
+        logic::parity("par32", 32),
     ]
     .iter()
     .map(|net| lib.register_compiled(pnr::compile(net, Default::default()).unwrap()))
@@ -75,4 +97,49 @@ pub fn workload(ids: &[CircuitId], n: usize) -> Vec<TaskSpec> {
             TaskSpec::new(format!("t{i}"), at, four_ops(ids[i % ids.len()]))
         })
         .collect()
+}
+
+/// A run of `build` crashed at `at`: the cut, the residency claims the
+/// device holds then, and those a journaled restore of the cut holds.
+/// `None` if the run is over by then.
+pub fn crash_claims<M: FpgaManager + 'static, S: Scheduler>(
+    build: impl Fn() -> System<M, S>,
+    at: SimTime,
+) -> Option<(Cut, Vec<ResidentRegion>, Vec<ResidentRegion>)> {
+    let probed = || {
+        let claims = Arc::new(Mutex::new(Vec::new()));
+        let seen = Arc::clone(&claims);
+        let sys = build().with_run_probe(move |m: &M, _| {
+            *seen.lock().unwrap() = m.resident_regions();
+        });
+        (sys, claims)
+    };
+    let (mut crashed, device) = probed();
+    let cut = crashed.run_to_cut(Some(at)).unwrap()?;
+    crashed.abandon_lost(at);
+    let (mut sys, restored) = probed();
+    sys.restore_cut(cut.clone()).unwrap();
+    sys.abandon_lost(at);
+    let take = |c: Arc<Mutex<_>>| std::mem::take(&mut *c.lock().unwrap());
+    Some((cut, take(device), take(restored)))
+}
+
+/// No claim a restore holds sits on columns the device holds another
+/// circuit (or the same one elsewhere) on.
+pub fn assert_no_claim_over_another(
+    device: &[ResidentRegion],
+    restored: &[ResidentRegion],
+    what: &str,
+) {
+    let overlap = |a: &ResidentRegion, b: &ResidentRegion| {
+        a.col0 < b.col0 + b.width && b.col0 < a.col0 + a.width
+    };
+    for claim in restored {
+        for held in device.iter().filter(|h| overlap(claim, h)) {
+            assert_eq!(
+                claim, held,
+                "{what}: a restored claim sits on columns the device holds another circuit on"
+            );
+        }
+    }
 }

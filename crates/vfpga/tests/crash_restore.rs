@@ -17,18 +17,23 @@
 //!    spurious retry (recovery-policy edge case);
 //! 6. a crashed run is built once: every later incarnation, cold or warm,
 //!    is the crashed system restarted in place;
-//! 7. a journaled restore keeps no residency claim on columns the crashed
-//!    device holds another circuit on — which GC relocations, written
-//!    outside the journal, break today (ROADMAP item 1a).
+//! 7. a journaled restore keeps no residency claim on columns a write
+//!    since the capture took over: a GC relocation inside an activation,
+//!    a column retirement's relocation, a download the CRC rejected —
+//!    every write a manager reports is journaled, and marks its columns
+//!    for the next delta capture.
 
 mod common;
 
-use common::{four_ops, lib4, partition_system, timing, workload};
+use common::{
+    assert_no_claim_over_another, crash_claims, lib4, lib7, partition_system, timing, workload,
+};
 use fsim::{SimDuration, SimTime, TraceEvent};
+use std::sync::Arc;
 use vfpga::circuit::CircuitLib;
 use vfpga::manager::dynload::DynLoadManager;
 use vfpga::manager::partition::PartitionManager;
-use vfpga::manager::{PreemptAction, ResidentRegion};
+use vfpga::manager::PreemptAction;
 use vfpga::sched::RoundRobinScheduler;
 use vfpga::system::{System, SystemConfig};
 use vfpga::task::TaskSpec;
@@ -429,92 +434,196 @@ fn a_crashed_run_is_built_once() {
     assert!(diff_reports(&build_dynload().run().unwrap(), &r).is_empty());
 }
 
-#[test]
-#[ignore = "GC relocations are not journaled: ROADMAP item 1a"]
-fn a_restore_keeps_no_claim_on_columns_a_gc_relocation_rewrote() {
-    use netlist::library::{arith, logic, seq};
-    use std::sync::{Arc, Mutex};
-    // Variable partitions compact on demand: a load that finds enough free
-    // columns but no run wide enough relocates idle residents leftward,
-    // inside the activation. Only the activated circuit is journaled.
-    // Seven circuits, 32 columns of them on a 20-column part.
-    let mut lib = CircuitLib::new();
-    let ids: Vec<_> = [
-        arith::ripple_adder("add", 8),
-        seq::lfsr("lfsr", 16, 0b1101_0000_0000_1000),
-        logic::parity("par", 12),
-        seq::counter("ctr", 12),
-        arith::ripple_adder("add16", 16),
-        seq::counter("ctr24", 24),
-        logic::parity("par32", 32),
-    ]
-    .iter()
-    .map(|net| lib.register_compiled(pnr::compile(net, Default::default()).unwrap()))
-    .collect();
-    let lib = Arc::new(lib);
-    let specs: Vec<TaskSpec> = (0..32)
-        .map(|i| {
-            let at = SimTime::ZERO + SimDuration::from_micros(i as u64 * 40);
-            TaskSpec::new(format!("t{i}"), at, four_ops(ids[i % ids.len()]))
-        })
-        .collect();
-    let cfg = CheckpointConfig::new(SimDuration::from_micros(200));
-    type Claims = Arc<Mutex<Vec<ResidentRegion>>>;
-    let build = |claims: &Claims| {
-        let claims = Arc::clone(claims);
-        let sched = RoundRobinScheduler::new(SimDuration::from_micros(50));
-        partition_system(lib.clone(), sched, specs.clone())
-            .with_checkpoints(cfg)
-            .unwrap()
-            .with_run_probe(move |m: &PartitionManager, _| {
-                *claims.lock().unwrap() = m.resident_regions();
-            })
-    };
-    let unused: Claims = Arc::default();
-    let (_, trace) = build(&unused).with_trace().run_traced().unwrap();
-    // Instants just after a relocating GC run with a capture before it.
+/// [`lib7`]'s circuits in turn, 32 tasks 40 µs apart.
+fn crowded() -> (Arc<CircuitLib>, Vec<TaskSpec>) {
+    let (lib, ids) = lib7();
+    (lib, workload(&ids, 32))
+}
+
+/// 1 ns after each event `hit` picks that follows a capture.
+fn after_captures(trace: &fsim::Trace, hit: impl Fn(&TraceEvent) -> bool) -> Vec<SimTime> {
     let mut captured = false;
-    let mut crash_at = Vec::new();
+    let mut at = Vec::new();
     for e in trace.entries() {
         match e.event {
             TraceEvent::CheckpointTaken { .. } | TraceEvent::DeltaCheckpoint { .. } => {
                 captured = true
             }
-            TraceEvent::GcRun { relocations, .. } if relocations > 0 && captured => {
-                crash_at.push(e.at + SimDuration::from_nanos(1));
-            }
+            ref ev if captured && hit(ev) => at.push(e.at + SimDuration::from_nanos(1)),
             _ => {}
         }
     }
-    assert!(
-        !crash_at.is_empty(),
-        "no GC relocated after a capture: dead test"
-    );
-    let overlap = |a: &ResidentRegion, b: &ResidentRegion| {
-        a.col0 < b.col0 + b.width && b.col0 < a.col0 + a.width
-    };
-    for at in crash_at {
-        let (device, restored): (Claims, Claims) = Default::default();
-        // What the device holds at the crash…
-        let mut crashed = build(&device);
-        let cut = crashed
-            .run_to_cut(Some(at))
+    assert!(!at.is_empty(), "no such event after a capture: dead test");
+    at
+}
+
+#[test]
+fn a_restore_keeps_no_claim_on_columns_a_gc_relocation_rewrote() {
+    // Variable partitions compact on demand: a load that finds enough free
+    // columns but no run wide enough relocates idle residents leftward,
+    // inside the activation. A crash 1 ns after each relocating GC run.
+    let (lib, specs) = crowded();
+    let build = || {
+        let sched = RoundRobinScheduler::new(SimDuration::from_micros(50));
+        partition_system(lib.clone(), sched, specs.clone())
+            .with_checkpoints(CheckpointConfig::new(SimDuration::from_micros(200)))
             .unwrap()
-            .expect("crashes mid-run");
-        crashed.abandon_lost(at);
-        // …and what a journaled restore of the cut believes it holds.
-        let mut sys = build(&restored);
-        sys.restore_cut(cut).unwrap();
-        sys.abandon_lost(at);
-        let device = device.lock().unwrap();
-        for claim in restored.lock().unwrap().iter() {
-            for held in device.iter().filter(|held| overlap(claim, held)) {
-                assert_eq!(
-                    claim, held,
-                    "crash at {at:?}: a restored claim sits on columns the device \
-                     holds another circuit on"
+    };
+    let (_, trace) = build().with_trace().run_traced().unwrap();
+    let gc =
+        |e: &TraceEvent| matches!(e, TraceEvent::GcRun { relocations, .. } if *relocations > 0);
+    for at in after_captures(&trace, gc) {
+        let Some((_, device, restored)) = crash_claims(build, at) else {
+            continue;
+        };
+        assert_no_claim_over_another(&device, &restored, &format!("crash at {at:?}"));
+    }
+}
+
+#[test]
+fn columns_a_gc_run_moved_a_circuit_onto_stay_journaled_after_its_eviction() {
+    // A miss that compacts and still finds no room evicts what it just
+    // moved. The columns the move wrote hold that circuit's frames all the
+    // same, so they are journaled, naming no circuit: none is resident.
+    let (lib, ids) = lib7();
+    let specs = workload(&ids, 24);
+    let build = || {
+        let sched = RoundRobinScheduler::new(SimDuration::from_micros(200));
+        partition_system(lib.clone(), sched, specs.clone())
+            .with_checkpoints(CheckpointConfig::new(SimDuration::from_micros(200)))
+            .unwrap()
+    };
+    let (_, trace) = build().with_trace().run_traced().unwrap();
+    let gc =
+        |e: &TraceEvent| matches!(e, TraceEvent::GcRun { relocations, .. } if *relocations > 0);
+    let mut unnamed = 0;
+    for at in after_captures(&trace, gc) {
+        let Some((cut, device, _)) = crash_claims(build, at) else {
+            continue;
+        };
+        let wal = cut.to_durable().wal;
+        let tick = SimDuration::from_nanos(1);
+        let now: Vec<_> = wal.iter().filter(|r| r.at + tick == at).collect();
+        // The last write at that instant over a column the device holds
+        // names what it holds.
+        for held in &device {
+            let last = now.iter().rev().find(|r| r.overlaps(held.col0, held.width));
+            let named = last.map_or(Some(held.cid), |r| r.cid);
+            assert_eq!(
+                named,
+                Some(held.cid),
+                "crash at {at:?}: {last:?} over {held:?}"
+            );
+        }
+        unnamed += now.iter().filter(|r| r.cid.is_none()).count();
+    }
+    assert!(
+        unnamed > 0,
+        "no GC run moved a circuit it then evicted: dead test"
+    );
+}
+
+/// Whether column `col` is marked rewritten since the last capture, read
+/// off the system's state text.
+fn dirty_cols<M: FpgaManager, S: Scheduler>(sys: &mut System<M, S>, at: SimTime) -> Vec<bool> {
+    let text = sys.state_text(at);
+    let from = text
+        .find("dirty_cols: [")
+        .expect("the run prints its dirty columns");
+    let rows = text[from..].lines().skip(1);
+    let rows = rows.take_while(|l| l.trim() != "],");
+    rows.map(|l| l.trim().trim_end_matches(',') == "true")
+        .collect()
+}
+
+#[test]
+fn a_column_retirement_relocation_is_journaled_and_read_by_the_next_capture() {
+    // Column failures retire fabric under idle residents, which move to
+    // free columns outside any activation. A crash 1 ns after each
+    // retirement that relocated: the journaled restore holds no claim on
+    // the columns the move rewrote, and those columns are marked for the
+    // next delta capture to read.
+    let (lib, ids) = lib4();
+    let cfg = CheckpointConfig::new(SimDuration::from_micros(200)).with_delta_checkpoints(1_000);
+    let mut moves = 0;
+    for seed in [1, 2, 3, 5, 19, 20] {
+        let faults = FaultPlan {
+            seed,
+            download_corruption: 0.0,
+            seu_rate_per_s: 0.0,
+            column_failure_rate_per_s: 150.0,
+        };
+        let build = || {
+            let sched = RoundRobinScheduler::new(SimDuration::from_micros(50));
+            partition_system(lib.clone(), sched, workload(&ids, 32))
+                .with_faults(faults, RecoveryPolicy::default())
+                .with_checkpoints(cfg)
+                .unwrap()
+        };
+        let (_, trace) = build().with_trace().run_traced().unwrap();
+        let moved = |e: &TraceEvent| matches!(e, TraceEvent::ColumnRetired { relocations: 1, .. });
+        for at in after_captures(&trace, moved) {
+            let Some((_, device, restored)) = crash_claims(build, at) else {
+                continue;
+            };
+            let before = crash_claims(build, at - SimDuration::from_nanos(1));
+            let held_before = before.expect("the run is not over before it is").1;
+            assert_no_claim_over_another(&device, &restored, &format!("crash at {at:?}"));
+            let mut crashed = build();
+            crashed.run_to_cut(Some(at)).unwrap();
+            let dirty = dirty_cols(&mut crashed, at);
+            for claim in device.iter().filter(|c| !held_before.contains(c)) {
+                moves += 1;
+                // The move writes the circuit's columns, not the slack of
+                // a wider partition it lands in.
+                let cols = claim.col0..claim.col0 + lib.get(claim.cid).shape().0;
+                assert!(
+                    cols.clone().all(|c| dirty[c as usize]),
+                    "seed {seed}, crash at {at:?}: the next capture would not read \
+                     the columns {cols:?} the move rewrote"
                 );
             }
+        }
+    }
+    assert!(moves > 0, "no retirement moved a circuit: dead test");
+}
+
+#[test]
+fn a_restore_keeps_no_claim_on_columns_a_rejected_download_overwrote() {
+    // Dynamic loading rewrites the same columns on every swap, so a
+    // download the CRC rejects has overwritten whatever circuit the last
+    // capture holds there. A crash 1 ns into each wasted attempt, before
+    // its retry: the restore may claim only what the device holds.
+    let faults = FaultPlan {
+        seed: 5,
+        download_corruption: 0.3,
+        ..FaultPlan::none()
+    };
+    let build = || {
+        build_dynload()
+            .with_faults(faults, RecoveryPolicy::default())
+            .with_checkpoints(CheckpointConfig::new(SimDuration::from_micros(300)))
+            .unwrap()
+    };
+    let (_, trace) = build().with_trace().run_traced().unwrap();
+    let rejected = |e: &TraceEvent| {
+        matches!(
+            e,
+            TraceEvent::CrcMismatch {
+                context: "download",
+                ..
+            }
+        )
+    };
+    for at in after_captures(&trace, rejected) {
+        let Some((_, device, restored)) = crash_claims(build, at) else {
+            continue;
+        };
+        for claim in &restored {
+            assert!(
+                device.contains(claim),
+                "crash at {at:?}: the restore claims {claim:?}, the device holds {device:?}"
+            );
         }
     }
 }

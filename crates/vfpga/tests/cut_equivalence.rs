@@ -28,9 +28,9 @@
 
 mod common;
 
-use common::{four_ops, lib4, timing};
+use common::{assert_no_claim_over_another, crash_claims, four_ops, lib4, lib7, timing};
 use fsim::json::Json;
-use fsim::{FaultPlan, QueueStats, SimDuration, SimTime, Trace};
+use fsim::{FaultPlan, QueueStats, SimDuration, SimTime, Trace, TraceEvent};
 use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex};
 use vfpga::checkpoint::Cut;
@@ -40,7 +40,7 @@ use vfpga::manager::partition::{PartitionManager, PartitionMode};
 use vfpga::manager::PreemptAction;
 use vfpga::sched::{EdfScheduler, RoundRobinScheduler};
 use vfpga::system::{System, SystemConfig};
-use vfpga::task::TaskSpec;
+use vfpga::task::{Op, TaskSpec};
 use vfpga::{
     diff_reports, AdmissionPolicy, CheckpointConfig, CrashState, FpgaManager, RecoveryPolicy,
     Report, Scheduler,
@@ -61,6 +61,32 @@ fn specs(ids: &[CircuitId], n: usize) -> Vec<TaskSpec> {
             TaskSpec::new(format!("t{i}"), at, four_ops(ids[i % ids.len()]))
                 .with_tenant(i as u32 % TENANTS)
                 .with_deadline(SimDuration::from_millis(40))
+        })
+        .collect()
+}
+
+/// `n` tasks 60 µs apart over three tenants, task `i` on [`lib7`]'s
+/// circuit `[5, 2, 0, 1, 3][i mod 5]` for a few hundred cycles: the loads
+/// outrun the part, and a wide one finds room only once GC has compacted
+/// the idle residents.
+fn crowd_specs(ids: &[CircuitId], n: usize) -> Vec<TaskSpec> {
+    (0..n)
+        .map(|i| {
+            let circuit = ids[[5, 2, 0, 1, 3][i % 5]];
+            let at = SimTime::ZERO + us(i as u64 * 60);
+            let ops = vec![
+                Op::Cpu(us(20)),
+                Op::FpgaRun {
+                    circuit,
+                    cycles: 200,
+                },
+                Op::Cpu(us(20)),
+                Op::FpgaRun {
+                    circuit,
+                    cycles: 100,
+                },
+            ];
+            TaskSpec::new(format!("t{i}"), at, ops).with_tenant(i as u32 % TENANTS)
         })
         .collect()
 }
@@ -242,16 +268,20 @@ fn restart_matches_a_fresh_build<M: FpgaManager, S: Scheduler>(
     }
 }
 
-/// How many cuts a sweep made and adopted.
+/// How many cuts a sweep made and adopted, and how many of its run's GC
+/// runs relocated circuits.
 #[derive(Default)]
 struct Tally {
     cuts: usize,
     with_image: usize,
+    relocating_gcs: usize,
 }
 
-/// Cut `build`'s run at every event instant and just after it, adopt each
-/// cut every way in both forms and restarted in place, and compare.
-fn sweep<M: FpgaManager, S: Scheduler>(
+/// Cut `build`'s run at every event instant and just after it, hold the
+/// claims a journaled restore of each cut keeps to what the device holds,
+/// adopt each cut every way in both forms and restarted in place, and
+/// compare.
+fn sweep<M: FpgaManager + 'static, S: Scheduler>(
     label: &str,
     specs: &[TaskSpec],
     delta: bool,
@@ -259,11 +289,17 @@ fn sweep<M: FpgaManager, S: Scheduler>(
 ) -> Tally {
     let (baseline, trace) = build().with_trace().run_traced().unwrap();
     let traced = || build().with_trace();
-    let mut tally = Tally::default();
+    let relocating =
+        |e: &TraceEvent| matches!(*e, TraceEvent::GcRun { relocations, .. } if relocations > 0);
+    let mut tally = Tally {
+        relocating_gcs: trace.entries().filter(|e| relocating(&e.event)).count(),
+        ..Tally::default()
+    };
     for at in instants(&trace) {
-        let Some(cut) = build().run_to_cut(Some(at)).unwrap() else {
+        let Some((cut, device, restored)) = crash_claims(&build, at) else {
             continue; // the run was over by then
         };
+        assert_no_claim_over_another(&device, &restored, &format!("{label} @{at}"));
         let durable = cut.to_durable();
         tally.cuts += 1;
         tally.with_image += usize::from(durable.image.is_some());
@@ -349,7 +385,8 @@ fn restart_rederives<M: FpgaManager, S: Scheduler>(label: &str, build: impl Fn()
 }
 
 /// {dynload, partition variable + delta} × {round-robin, EDF} over `n`
-/// tasks, and the restart cell that derives more from its build.
+/// tasks, the same partitions crowded so that loads compact, and the
+/// restart cell that derives more from its build.
 fn matrix(n: usize) {
     let (lib, ids) = lib4();
     let sp = specs(&ids, n);
@@ -394,6 +431,32 @@ fn matrix(n: usize) {
         true,
         partition_delta,
         EdfScheduler::for_tasks(&sp, Some(quantum))
+    );
+    // A miss here relocates inside the activation, and every instant
+    // after a relocating GC is a cut point.
+    let (crowded, ids7) = lib7();
+    let sp7 = crowd_specs(&ids7, n * 5 / 8);
+    let tally = sweep("partition+gc+delta/rr", &sp7, true, || {
+        let (mgr, ckpt) = partition_delta(&crowded);
+        let ckpt = CheckpointConfig {
+            interval: us(4000),
+            ..ckpt
+        };
+        let sched = RoundRobinScheduler::new(us(50));
+        System::new(crowded.clone(), mgr, sched, SAVE_RESTORE, sp7.clone())
+            .with_checkpoints(ckpt)
+            .unwrap()
+    });
+    eprintln!(
+        "gc cell: {} cuts, {} with image, {} relocating GCs",
+        tally.cuts, tally.with_image, tally.relocating_gcs
+    );
+    assert!(
+        tally.relocating_gcs > 0 && tally.with_image * 2 >= tally.cuts,
+        "partition+gc+delta/rr: {} relocating GC runs, {} of {} cuts with an image",
+        tally.relocating_gcs,
+        tally.with_image,
+        tally.cuts
     );
     restart_rederives("dynload/rr rederived", || {
         let (mgr, _) = dynload(&lib);
