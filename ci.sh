@@ -92,6 +92,11 @@ CARGO_TARGET_DIR="$PWD/target/benchmark" \
 # ROADMAP item 1 wants each to name its invariant or become a VfpgaError.
 echo "crates/: $(find crates -name '*.rs' | xargs cat | wc -l) lines in" \
   "$(find crates -name '*.rs' | wc -l) .rs files"
+# A task's slot, the row of the kernel's table and of every capture
+# (ROADMAP item 11): at 80 bytes a 300k-task table stays under the
+# allocator's mmap-threshold ceiling.
+echo "crates/vfpga: $(cargo test -q -p vfpga --lib task::tests::slot_bytes -- --nocapture |
+  grep -o 'TaskSlot: [0-9]* bytes')"
 find crates -name '*.rs' | sort | xargs awk '
   FNR == 1 { test = (FILENAME ~ /\/tests\// || FILENAME ~ /_tests\.rs$/) }
   /^[[:space:]]*#\[cfg\(test\)\]/ { test = 1 }

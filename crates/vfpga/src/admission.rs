@@ -634,7 +634,7 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
         slot.op_done_so_far = SimDuration::ZERO;
         // Any hardware garbage from an earlier poisoned attempt is moot:
         // the op restarts from scratch in software.
-        slot.poisoned = None;
+        self.run.setbacks.edit(ti, |set| set.poisoned = None);
         self.emit(now, |_| TraceEvent::DegradedDispatch {
             task: tid.0,
             circuit: circuit.0,
@@ -667,10 +667,12 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
         let slot = &mut self.run.slots[ti];
         let lost = slot.op_done_so_far + (now - run.exec_start);
         slot.fpga_time -= slot.op_done_so_far;
-        slot.lost_time += lost;
         slot.op_remaining = slot.op_full;
         slot.op_done_so_far = SimDuration::ZERO;
-        slot.poisoned = None; // discarded along with the progress
+        self.run.setbacks.edit(ti, |set| {
+            set.lost_time += lost;
+            set.poisoned = None; // discarded along with the progress
+        });
 
         // Reclaim the device through the existing machinery: a preemption
         // where the policy supports one, otherwise a forced completion

@@ -584,14 +584,16 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
             Some(old) => (old.tasks, old.latent, old.stale, old.pending),
             None => Default::default(),
         };
-        let had = tasks.len();
-        tasks.extend_from_slice(&self.run.slots[had..]);
+        let slots = &mut tasks.slots;
+        let had = slots.len();
+        slots.extend_from_slice(&self.run.slots[had..]);
         let window = self.run.ckpt_window.range();
         let window = window.start.min(had)..window.end.min(had);
-        tasks[window.clone()].copy_from_slice(&self.run.slots[window.clone()]);
+        slots[window.clone()].copy_from_slice(&self.run.slots[window.clone()]);
+        tasks.setbacks.clone_from(&self.run.setbacks);
         if cfg!(any(test, debug_assertions)) {
             assert!(
-                tasks == self.run.slots,
+                tasks.slots == self.run.slots,
                 "the capture window missed a task slot that changed"
             );
             let copied = (self.run.slots.len() - had + window.len()) as u64;
@@ -635,10 +637,11 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
     pub(crate) fn restore(&mut self, img: &SystemImage) -> Result<(), String> {
         self.begin();
         let n = self.build.specs.len();
-        if img.tasks.len() != n {
-            return Err(format!("image has {} tasks, want {n}", img.tasks.len()));
+        let slots = &img.tasks.slots;
+        if slots.len() != n {
+            return Err(format!("image has {} tasks, want {n}", slots.len()));
         }
-        for (slot, spec) in img.tasks.iter().zip(&self.build.specs) {
+        for (slot, spec) in slots.iter().zip(&self.build.specs) {
             // Right count is not yet right set: arrivals never change.
             if slot.arrival != spec.arrival {
                 return Err(format!("task '{}' arrives at another time", spec.name));
@@ -648,7 +651,7 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
             }
         }
         let pending = img.pending.iter().map(|&(_, ev)| ev);
-        agrees_with_table(&img.tasks, img.running.map(|run| run.tid), pending)?;
+        agrees_with_table(slots, img.running.map(|run| run.tid), pending)?;
         match (img.rng, self.injector.as_mut()) {
             (None, None) => {}
             (Some(states), Some(inj)) => inj.restore_stream_states(states),
@@ -668,7 +671,8 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
         self.manager
             .restore(&img.manager)
             .map_err(|e| format!("manager: {e}"))?;
-        self.run.slots.clone_from(&img.tasks);
+        self.run.slots.clone_from(slots);
+        self.run.setbacks.clone_from(&img.tasks.setbacks);
         self.run.latent.clone_from(&img.latent);
         self.run.stale.clone_from(&img.stale);
         self.run.unfinished = self.run.live_in_table();

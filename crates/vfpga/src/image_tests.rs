@@ -919,7 +919,7 @@ fn damaged_images_are_errors_not_panics() {
     ghost_task.running.as_mut().unwrap().tid.0 = 99;
     assert!(pinned_small(&lib, &ids).restore(&ghost_task).is_err());
     let mut fewer = img.clone();
-    fewer.tasks.pop();
+    fewer.tasks.slots.pop();
     assert!(pinned_small(&lib, &ids).restore(&fewer).is_err());
     let mut unguarded = img.clone();
     unguarded.admission = None;

@@ -217,11 +217,12 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
         // only the progress made before the strike.
         if let Some(run) = &self.run.running {
             if run.fpga.is_some_and(|f| f.cid == r.cid) {
-                let slot = &mut self.run.slots[run.tid.0 as usize];
-                if slot.poisoned.is_none() {
-                    let elapsed = (now - run.exec_start).min(run.dur);
-                    slot.poisoned = Some(slot.op_done_so_far + elapsed);
-                }
+                let ti = run.tid.0 as usize;
+                let elapsed = (now - run.exec_start).min(run.dur);
+                let valid = self.run.slots[ti].op_done_so_far + elapsed;
+                self.run.setbacks.edit(ti, |set| {
+                    set.poisoned.get_or_insert(valid);
+                });
             }
         }
     }
@@ -316,7 +317,7 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
             if !on_this || !self.run.slots[ti].state.is_live() {
                 continue;
             }
-            if let Some(valid) = self.run.slots[ti].poisoned.take() {
+            if let Some(valid) = self.run.setbacks.edit(ti, |set| set.poisoned.take()) {
                 // Combinational circuits lose only post-strike items; a
                 // sequential circuit under Rollback restarts from its
                 // initial inputs.
@@ -330,7 +331,7 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
                 let lost = self.run.slots[ti].op_done_so_far - preserved;
                 if lost > SimDuration::ZERO {
                     self.run.slots[ti].fpga_time -= lost;
-                    self.run.slots[ti].fault_lost_time += lost;
+                    self.run.setbacks.edit(ti, |s| s.fault_lost_time += lost);
                     self.run.fault.work_lost += lost;
                     lost_total += lost;
                 }
@@ -370,8 +371,11 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
         let (ovh, wake) = self.manager.op_done(tid, cid);
         self.run.slots[ti].overhead_time += ovh;
         self.wake(wake, now);
-        self.run.slots[ti].fault_restarts += 1;
-        if self.run.slots[ti].fault_restarts > self.build.recovery.max_op_recoveries {
+        let restarts = self.run.setbacks.edit(ti, |set| {
+            set.fault_restarts += 1;
+            set.fault_restarts
+        });
+        if restarts > self.build.recovery.max_op_recoveries {
             self.give_up(tid, now, "upset recovery limit");
         } else {
             self.make_ready(tid, now);
@@ -451,7 +455,7 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
         self.run.fault.download_faults += 1;
         self.run.fault.crc_mismatches += 1;
         self.run.fault.retry_time += download.config_time;
-        self.run.slots[ti].dl_attempts += 1;
+        self.run.setbacks.edit(ti, |set| set.dl_attempts += 1);
         self.run.slots[ti].overhead_time += o;
         self.emit(now, |_| TraceEvent::FaultInjected {
             kind: "download",
@@ -480,7 +484,7 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
         let run = self.run.running.take().expect("retry-done without runner");
         debug_assert_eq!(run.tid, tid);
         let ti = tid.0 as usize;
-        let attempt = self.run.slots[ti].dl_attempts;
+        let attempt = self.run.setbacks.get(ti).dl_attempts;
         if attempt > self.build.recovery.max_download_retries {
             self.give_up(tid, now, "download retries exhausted");
         } else {

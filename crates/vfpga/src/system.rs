@@ -444,8 +444,10 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
     #[doc(hidden)]
     pub fn finish(self) -> Result<(Report, Trace), VfpgaError> {
         debug_assert_eq!(self.run.unfinished, self.run.live_in_table());
-        for (slot, spec) in self.run.slots.iter().zip(&self.build.specs) {
-            if !slot.state.is_terminal() {
+        if self.run.unfinished > 0 {
+            // Walk the table only to name the first stranded task.
+            let mut slots = self.run.slots.iter().zip(&self.build.specs);
+            if let Some((_, spec)) = slots.find(|(s, _)| !s.state.is_terminal()) {
                 return Err(VfpgaError::Deadlock {
                     task: spec.name.clone(),
                 });
@@ -530,18 +532,19 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
         };
         // Each row is written in the place of its spec: the collect reuses
         // the spec table, the name moves into the row, the program is freed.
+        // The one pass over the rows also finds the makespan.
+        let mut last = SimTime::ZERO;
         let tasks: Vec<TaskMetrics> = build
             .specs
             .into_iter()
             .zip(&run.slots)
-            .map(|(spec, slot)| slot.metrics(spec.name))
+            .enumerate()
+            .map(|(ti, (spec, slot))| {
+                last = last.max(slot.completion);
+                slot.metrics(spec.name, run.setbacks.get(ti))
+            })
             .collect();
-        let makespan = tasks
-            .iter()
-            .map(|m| m.completion)
-            .max()
-            .unwrap_or(SimTime::ZERO)
-            - SimTime::ZERO;
+        let makespan = last - SimTime::ZERO;
         if run.trace.is_enabled() {
             run.reg.set_gauge("makespan_s", makespan.as_secs_f64());
             for m in &tasks {
@@ -618,7 +621,6 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
             Exit::Lost => slot.state,
         };
         slot.completion = at.max(slot.arrival);
-        slot.poisoned = None;
         let missed = kind == Exit::Done && spec.absolute_deadline().is_some_and(|due| at > due);
         slot.deadline_missed |= missed;
         slot.failed |= matches!(kind, Exit::Failed(_));
@@ -633,11 +635,13 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
             // excess is refunded from `overhead_time`, the only quantity
             // booked ahead of time (CPU, FPGA, degraded and lost time are
             // booked when a segment ends).
-            let booked = slot.cpu_time + slot.fpga_time + slot.degraded_time;
-            let booked = booked + slot.lost_time + slot.fault_lost_time;
+            let set = self.run.setbacks.get(ti);
+            let booked = slot.cpu_time + slot.fpga_time + set.degraded_time;
+            let booked = booked + set.lost_time + set.fault_lost_time;
             let lifetime = slot.completion - slot.arrival;
             slot.overhead_time = slot.overhead_time.min(lifetime.saturating_sub(booked));
         }
+        self.run.setbacks.edit(ti, |set| set.poisoned = None);
         self.run.unfinished -= 1;
         self.run.fault.tasks_failed += u64::from(matches!(kind, Exit::Failed(_)));
         let (task, tenant) = (tid.0, spec.tenant);
@@ -829,15 +833,17 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
                             // retry decision happens when it elapses.
                             return;
                         }
-                        self.run.slots[ti].dl_attempts = 0;
                         // Dispatching onto fabric a prior upset corrupted:
                         // nothing computed from here on is trustworthy.
-                        if self.injector.is_some()
-                            && self.run.latent.contains_key(&circuit.0)
-                            && self.run.slots[ti].poisoned.is_none()
-                        {
-                            self.run.slots[ti].poisoned = Some(self.run.slots[ti].op_done_so_far);
-                        }
+                        let upset =
+                            self.injector.is_some() && self.run.latent.contains_key(&circuit.0);
+                        let done = self.run.slots[ti].op_done_so_far;
+                        self.run.setbacks.edit(ti, |set| {
+                            set.dl_attempts = 0;
+                            if upset && set.poisoned.is_none() {
+                                set.poisoned = Some(done);
+                            }
+                        });
                         overhead = o;
                         fpga_ctx = Some(FpgaSeg {
                             cid: circuit,
@@ -1000,7 +1006,7 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
                 if adm.is_some_and(|adm| adm.degraded_run(ti, run.dur)) {
                     // Software-emulation path: useful work, but accounted
                     // apart from real fabric time.
-                    self.run.slots[ti].degraded_time += run.dur;
+                    self.run.setbacks.edit(ti, |s| s.degraded_time += run.dur);
                 } else {
                     self.run.slots[ti].fpga_time += run.dur;
                 }
@@ -1028,16 +1034,18 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
             }
             self.run.slots[ti].op_full = SimDuration::ZERO;
             self.run.slots[ti].op_done_so_far = SimDuration::ZERO;
-            self.run.slots[ti].rollbacks = 0;
-            self.run.slots[ti].fault_restarts = 0;
-            self.run.slots[ti].dl_attempts = 0;
-            if let Some(adm) = self.run.admission.as_mut() {
-                adm.op_completed(ti);
-            }
             // An undetected upset at op completion (no scrub configured, or
             // the pass hasn't come round yet) is *silent* corruption: the
             // simulator, like the real system, delivers the result anyway.
-            self.run.slots[ti].poisoned = None;
+            self.run.setbacks.edit(ti, |set| {
+                set.rollbacks = 0;
+                set.fault_restarts = 0;
+                set.dl_attempts = 0;
+                set.poisoned = None;
+            });
+            if let Some(adm) = self.run.admission.as_mut() {
+                adm.op_completed(ti);
+            }
             if self.run.slots[ti].advance_op(&self.build.specs[ti]) {
                 self.make_ready(tid, now);
             } else {
@@ -1077,13 +1085,17 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
                 if pc.lose_progress {
                     // Everything executed on this op so far is discarded.
                     let slot = &mut self.run.slots[ti];
-                    slot.lost_time += slot.op_done_so_far;
-                    slot.fpga_time -= slot.op_done_so_far;
+                    let lost = slot.op_done_so_far;
+                    slot.fpga_time -= lost;
                     slot.op_remaining = slot.op_full;
                     slot.op_done_so_far = SimDuration::ZERO;
-                    slot.rollbacks += 1;
+                    let rollbacks = self.run.setbacks.edit(ti, |set| {
+                        set.lost_time += lost;
+                        set.rollbacks += 1;
+                        set.rollbacks
+                    });
                     assert!(
-                        slot.rollbacks < 100_000,
+                        rollbacks < 100_000,
                         "task {} is rolling back forever: its FPGA op ({}) never \
                          fits inside the time slice — use SaveRestore or WaitCompletion",
                         self.build.specs[ti].name,
