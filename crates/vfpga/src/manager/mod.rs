@@ -12,7 +12,11 @@
 //! device's [`fpga::ConfigTiming`], counts it in [`ManagerStats`] (and
 //! [`DeltaStats`]), traces it and returns the [`Write`] record, a GC run's
 //! or a column retirement's relocation too. A call reports every write it
-//! made, and the system journals each.
+//! made, and the system journals each. The port of a manager that
+//! allocates columns also keeps what each column holds (`delta.rs`): its
+//! writes update that map themselves, and every other change to the
+//! fabric — eviction, GC, retirement, a CRC discard, a repair, a staged
+//! migration, a restore — is one port method.
 
 pub mod delta;
 pub mod dynload;
@@ -23,9 +27,9 @@ pub mod partition;
 
 pub use delta::DeltaStats;
 
-use crate::circuit::{CircuitId, CircuitLib};
+use crate::circuit::CircuitId;
 use crate::task::TaskId;
-use delta::DeltaTable;
+use delta::ColumnMap;
 use fsim::json::Json;
 use fsim::{SimDuration, TraceEvent};
 
@@ -340,22 +344,24 @@ pub trait FpgaManager {
     }
 
     /// Frames in `[col0, col0 + width)` were rewritten or corrupted outside
-    /// the manager's own download accounting — an SEU landed, a scrub
-    /// repair re-downloaded them, a journal redo replayed over them. Any
-    /// delta base overlapping the range is stale and must be dropped so a
-    /// stale delta is never applied. Default: nothing tracked, nothing to
-    /// invalidate.
+    /// the manager's own downloads — an SEU landed, a scrub repair
+    /// re-downloaded them. A manager that keeps a column map (partitions,
+    /// overlay) drops every ghost the range touches and marks each resident
+    /// whose region it touches dirty, so a stale delta is never applied:
+    /// one call of its port's `repair`. Default: nothing tracked, nothing
+    /// to invalidate.
     fn invalidate_image_range(&mut self, _col0: u32, _width: u32) {}
 
     /// A migration prepare staged `cid`'s configuration frames onto
     /// `[col0, col0 + width)` of this device (the two-phase copy wrote them
-    /// ahead of the placement flip). Managers with delta reconfiguration
-    /// enabled track the staged frames as a ghost base, so the circuit's
-    /// next activation there is priced as a frame diff (an identical image
-    /// diffs to a header-only revalidation) instead of a full download.
-    /// Returns whether a ghost is now anchored at `col0`; the default (no
-    /// delta machinery) tracks nothing and the destination pays a full
-    /// download at next activation, exactly like a failover.
+    /// ahead of the placement flip), columns no resident claims. With delta
+    /// reconfiguration enabled the port's column map holds them as a ghost,
+    /// so the circuit's next activation there is priced as a frame diff
+    /// (an identical image diffs to a header-only revalidation) instead of
+    /// a full download; a dirty circuit is refused. Returns whether a ghost
+    /// of `cid` is now anchored at `col0`; the default (no column map)
+    /// tracks nothing and the destination pays a full download at next
+    /// activation, exactly like a failover.
     fn implant_ghost(&mut self, _col0: u32, _width: u32, _cid: CircuitId) -> bool {
         false
     }
@@ -400,14 +406,15 @@ pub(crate) struct Port<D = ()> {
     timing: fpga::ConfigTiming,
     stats: ManagerStats,
     obs: EventBuf,
-    /// What delta pricing keeps: nothing in a manager that never loads
-    /// over a base, a [`DeltaPort`]'s table in one that can.
-    delta: D,
+    /// What the port keeps of the columns: nothing in a manager that never
+    /// loads over a base, a [`DeltaPort`]'s column map in one that can.
+    map: D,
 }
 
-/// The port of a manager that can price a load as a delta: its table is
-/// `None` until delta downloads are enabled, and every load is full then.
-pub(crate) type DeltaPort = Port<Option<DeltaTable>>;
+/// The port of a manager that allocates columns: it keeps the column map
+/// (`delta.rs`) and prices a load as a delta once delta downloads are
+/// enabled; until then every load is full.
+pub(crate) type DeltaPort = Port<ColumnMap>;
 
 impl<D: Default> Port<D> {
     pub(crate) fn new(timing: fpga::ConfigTiming) -> Self {
@@ -415,7 +422,7 @@ impl<D: Default> Port<D> {
             timing,
             stats: ManagerStats::default(),
             obs: EventBuf::default(),
-            delta: D::default(),
+            map: D::default(),
         }
     }
 
@@ -454,37 +461,6 @@ impl<D: Default> Port<D> {
         d
     }
 
-    /// Move idle resident `cid` onto `[col0, col0 + width)`, the one price
-    /// of a relocation: `width` frames, and a sequential circuit's state
-    /// saved and restored. A GC run's move (`gc`: the task charged) counts
-    /// as a download and two state moves, traced, as GC time.
-    pub(crate) fn relocate(
-        &mut self,
-        gc: Option<TaskId>,
-        lib: &CircuitLib,
-        cid: CircuitId,
-        col0: u32,
-        width: u32,
-    ) -> Write {
-        let (n, sequential) = (width as usize, lib.get(cid).is_sequential());
-        let state = self.timing.readback_time(n) * u64::from(sequential) * 2;
-        self.stats.relocations += 1;
-        let d = match gc {
-            None => self.timing.frame_transfer(n).1,
-            Some(tid) => {
-                // Booked as GC time, not download time, so that an overhead
-                // breakdown's slices stay disjoint.
-                let d = self.write(tid, cid, n, col0, width).config_time;
-                self.stats.config_time -= d;
-                self.stats.state_saves += u64::from(sequential);
-                self.stats.state_restores += u64::from(sequential);
-                self.stats.gc_time += d + state;
-                d
-            }
-        };
-        record(cid, col0, width, WriteKind::Relocate, d + state)
-    }
-
     /// A partial download of `cid`'s `n` frames onto `[col0, col0 + width)`.
     fn write(&mut self, tid: TaskId, cid: CircuitId, n: usize, col0: u32, width: u32) -> Write {
         let (bits, d) = self.timing.frame_transfer(n);
@@ -516,60 +492,13 @@ fn record(cid: CircuitId, col0: u32, width: u32, kind: WriteKind, d: SimDuration
     }
 }
 
-impl DeltaPort {
-    /// Price loads against the frames a base leaves behind from now on.
-    pub(crate) fn enable_delta(&mut self) {
-        self.delta.get_or_insert_with(DeltaTable::new);
-    }
-
-    pub(crate) fn delta_stats(&self) -> Option<DeltaStats> {
-        self.delta.as_ref().map(|d| d.stats)
-    }
-
-    /// Load `cid` onto `[col0, col0 + width)`. With delta downloads on and
-    /// a `base` the columns still hold, the load is priced as the frames
-    /// the two differ in when that is fewer than the circuit's own — a
-    /// [`WriteKind::Delta`] write; otherwise it is a partial download of
-    /// the circuit's frames. Either way the columns now hold `cid`'s image.
-    pub(crate) fn load(
-        &mut self,
-        lib: &CircuitLib,
-        tid: TaskId,
-        cid: CircuitId,
-        base: Option<CircuitId>,
-        col0: u32,
-        width: u32,
-    ) -> Write {
-        let frames = lib.get(cid).frames();
-        let Some(dt) = &mut self.delta else {
-            return self.write(tid, cid, frames, col0, width);
-        };
-        dt.clear_dirty(cid);
-        let delta = base.map(|b| (b, lib.changed_frames(b, cid)));
-        let Some((from, changed)) = delta.filter(|&(_, changed)| changed < frames) else {
-            dt.stats.full_downloads += 1;
-            return self.write(tid, cid, frames, col0, width);
-        };
-        dt.stats.delta_downloads += 1;
-        dt.stats.frames_written += changed as u64;
-        dt.stats.frames_saved += (frames - changed) as u64;
-        let d = self.timing.frame_transfer(changed).1;
-        self.count(changed, d);
-        self.obs.push(|| TraceEvent::DeltaDownload {
-            task: tid.0,
-            from_circuit: from.0,
-            to_circuit: cid.0,
-            frames: changed as u32,
-            full_frames: frames as u32,
-            duration: d,
-        });
-        record(cid, col0, width, WriteKind::Delta, d)
-    }
-}
+#[cfg(test)]
+mod delta_oracle_tests;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::circuit::CircuitLib;
     use fpga::{ConfigPort, ConfigTiming};
     use pnr::{compile, CompileOptions};
 
@@ -739,14 +668,15 @@ mod tests {
                     "load, delta off: the base is ignored, the region is the caller's",
                     false,
                     Box::new(|p: &mut DeltaPort| {
-                        written(p.load(&lib, task, a, Some(near), 2, ww + 3))
+                        p.stage(near, 2, ww);
+                        written(p.load(&lib, task, a, 2, ww + 3))
                     }),
                     seen(dw, Some((2, ww + 3)), false, sw, None, vec![ew.clone()]),
                 ),
                 (
                     "load, no base",
                     true,
-                    Box::new(|p: &mut DeltaPort| written(p.load(&lib, task, a, None, 2, ww))),
+                    Box::new(|p: &mut DeltaPort| written(p.load(&lib, task, a, 2, ww))),
                     seen(
                         dw,
                         Some((2, ww)),
@@ -759,7 +689,10 @@ mod tests {
                 (
                     "load over a base two frames away: delta",
                     true,
-                    Box::new(|p: &mut DeltaPort| written(p.load(&lib, task, a, Some(near), 2, ww))),
+                    Box::new(|p: &mut DeltaPort| {
+                        p.stage(near, 2, ww);
+                        written(p.load(&lib, task, a, 2, ww))
+                    }),
                     seen(
                         d2,
                         Some((2, ww)),
@@ -770,16 +703,29 @@ mod tests {
                     ),
                 ),
                 (
-                    "load over a base every frame away: full",
+                    "load over a base every frame away: full, the base overwritten",
                     true,
-                    Box::new(|p: &mut DeltaPort| written(p.load(&lib, task, a, Some(far), 2, ww))),
+                    Box::new(|p: &mut DeltaPort| {
+                        p.stage(far, 2, ww);
+                        written(p.load(&lib, task, a, 2, ww))
+                    }),
                     seen(
                         dw,
                         Some((2, ww)),
                         false,
                         sw,
-                        Some(counted_full),
-                        vec![ew.clone()],
+                        Some(DeltaStats {
+                            invalidations: 1,
+                            ..counted_full
+                        }),
+                        vec![
+                            ew.clone(),
+                            TraceEvent::DeltaInvalidate {
+                                col0: 2,
+                                width: ww,
+                                reason: "overwrite",
+                            },
+                        ],
                     ),
                 ),
                 (
@@ -844,7 +790,7 @@ mod tests {
     }
 
     /// A load writes the circuit's image whichever way it is priced, so it
-    /// clears the circuit's dirty mark: it may serve as a base again.
+    /// clears the circuit's dirty mark: evicting it leaves a base again.
     #[test]
     fn a_load_leaves_its_circuit_clean() {
         let spec = fpga::device::part("VF400");
@@ -856,11 +802,16 @@ mod tests {
         for base in [None, Some(near)] {
             let mut port = DeltaPort::new(timing);
             port.enable_delta();
-            let dt = port.delta.as_mut().unwrap();
-            dt.mark_dirty(a);
-            let w = port.load(&lib, TaskId(0), a, base, 0, 4);
+            port.repair(0, 4, [(a, 0, 4)], false);
+            if let Some(near) = base {
+                port.stage(near, 0, 4);
+            }
+            let w = port.load(&lib, TaskId(0), a, 0, 4);
             assert_eq!(w.kind == WriteKind::Delta, base.is_some());
-            assert!(!port.delta.as_ref().unwrap().is_dirty(a), "{base:?}");
+            port.evict(a);
+            let dropped = port.delta_stats().unwrap().invalidations;
+            assert_eq!(dropped, 0, "{base:?}: the eviction refused a ghost");
+            assert!(port.implant(8, 4, a), "{base:?}: dirty after the load");
         }
     }
 }

@@ -86,6 +86,12 @@ impl OverlayManager {
         if slot_width == 0 {
             return Err(VfpgaError::NoOverlaySlot);
         }
+        // The port's column map covers a column set, one `u64`.
+        assert!(
+            timing.spec.cols <= u64::BITS,
+            "{} columns do not fit a column set",
+            timing.spec.cols
+        );
         let n_slots = (remaining / slot_width) as usize;
         if n_slots == 0 {
             return Err(VfpgaError::NoOverlaySlot);
@@ -124,8 +130,9 @@ impl OverlayManager {
     }
 
     /// Enable delta reconfiguration: an overlay swap is priced as the
-    /// frame diff against the slot's outgoing occupant instead of a full
-    /// partial download of the incoming circuit.
+    /// frame diff against the slot's outgoing occupant (the run the port's
+    /// column map holds there) instead of a full partial download of the
+    /// incoming circuit.
     pub fn enable_delta(&mut self) {
         self.port.enable_delta();
     }
@@ -166,6 +173,22 @@ impl OverlayManager {
             }
         }
         best.map(|(i, _)| i)
+    }
+
+    /// The slots as `(cid, first column, slot width)`, occupied ones only.
+    pub(super) fn occupied(&self) -> impl Iterator<Item = (CircuitId, u32, u32)> + '_ {
+        let slots = self.slots.iter().enumerate();
+        slots.filter_map(|(i, s)| {
+            s.resident
+                .map(|cid| (cid, self.slot_col0(i), self.slot_width))
+        })
+    }
+
+    /// Debug builds check after every call that changes a slot that the
+    /// port's column map holds each occupant at its slot's first column.
+    fn check(&self) {
+        let claims = self.occupied().map(|(cid, col0, _)| (cid, col0));
+        self.port.check_claims(&self.lib, claims);
     }
 
     fn block(&mut self, tid: TaskId) -> Activation {
@@ -224,20 +247,19 @@ impl FpgaManager for OverlayManager {
                 duration: SimDuration::ZERO, // download charged below
             });
         }
-        // The outgoing occupant is the delta base — its frames are what the
-        // slot physically holds (junk beyond its width is safe: the diff
-        // writes full frames for columns the base does not cover) — unless
-        // a rewrite left them dirty.
-        let delta = self.port.delta.as_ref();
-        let base = old.filter(|&o| delta.is_some_and(|dt| !dt.is_dirty(o)));
+        // The port loads over the outgoing occupant in place: its frames
+        // are the delta base unless a rewrite left them dirty (junk beyond
+        // its width is safe: the diff writes full frames for columns the
+        // base does not cover).
         let col0 = self.slot_col0(i);
-        let write = self.port.load(&self.lib, tid, cid, base, col0, width);
+        let write = self.port.load(&self.lib, tid, cid, col0, width);
         let s = &mut self.slots[i];
         s.resident = Some(cid);
         s.owner = Some(tid);
         s.last_use = stamp;
         s.loaded_at = stamp;
         s.uses = 1;
+        self.check();
         Activation::ready(write.config_time, Some(write))
     }
 
@@ -328,32 +350,20 @@ impl FpgaManager for OverlayManager {
                 self.slots[i].owner = None;
                 self.slots[i].uses = 0;
                 any = true;
-                let (col0, width) = (self.slot_col0(i), self.slot_width);
-                if let Some(dt) = &mut self.port.delta {
-                    dt.count_invalidation(col0, width, "discard", &mut self.port.obs);
-                }
+                let extent = (self.slot_col0(i), self.slot_width);
+                self.port.discard(cid, Some(extent));
             }
         }
+        self.check();
         any
     }
 
     fn invalidate_image_range(&mut self, col0: u32, width: u32) {
-        let common_width = self.common_width();
-        let Some(dt) = &mut self.port.delta else {
-            return;
-        };
-        // Slots whose columns the rewrite touches hold frames that no
-        // longer match their occupant's image: mark the occupant dirty so
-        // it is never used as a swap base until freshly re-downloaded.
-        for (i, s) in self.slots.iter().enumerate() {
-            let s0 = common_width + i as u32 * self.slot_width;
-            if let Some(cid) = s.resident {
-                if s0 < col0 + width && col0 < s0 + self.slot_width {
-                    dt.mark_dirty(cid);
-                    dt.count_invalidation(s0, self.slot_width, "repair", &mut self.port.obs);
-                }
-            }
-        }
+        // An occupant whose slot the rewrite touches is its next swap's
+        // base no more: each is counted over its slot.
+        let extents: Vec<_> = self.occupied().collect();
+        self.port.repair(col0, width, extents, true);
+        self.check();
     }
 
     fn delta_stats(&self) -> Option<DeltaStats> {

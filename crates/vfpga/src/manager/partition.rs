@@ -19,10 +19,10 @@
 //!   origin succeeds ("a garbage-collecting procedure must be introduced
 //!   to merge - when necessary - the idle existing partitions").
 
-use super::delta::{DeltaImage, DeltaStats, DeltaTable};
+use super::delta::{DeltaImage, DeltaStats};
 use super::{
     columns, Activation, DeltaPort, DeviceUsage, FpgaManager, ManagerStats, PreemptCost,
-    ResidentRegion, RetireOutcome, Write, WriteKind,
+    ResidentRegion, RetireOutcome, Write,
 };
 use crate::circuit::{CircuitId, CircuitLib};
 use crate::error::VfpgaError;
@@ -86,10 +86,6 @@ pub struct PartitionManager {
     port: DeltaPort,
     /// Enable the garbage collector (ablation knob for E6).
     pub gc_enabled: bool,
-    /// Circuit id → first column of the partition it is resident in; the
-    /// partition's index is a binary search of `parts`, which is kept in
-    /// column order.
-    home: Vec<Option<u32>>,
     /// [`Self::max_servable_width`], which changes only when a column
     /// retires or an image is restored.
     servable: u32,
@@ -149,7 +145,6 @@ impl PartitionManager {
             }
         };
         let mut m = PartitionManager {
-            home: vec![None; lib.len()],
             lib,
             mode,
             policy,
@@ -165,9 +160,9 @@ impl PartitionManager {
         Ok(m)
     }
 
-    /// Enable delta reconfiguration: evictions leave a tracked *ghost*
-    /// image on the freed columns, and the next load over a tracked base
-    /// is priced as the frame diff instead of a full partial download.
+    /// Enable delta reconfiguration: the next load anchored on an evicted
+    /// circuit's image (a *ghost* the port's column map keeps) is priced as
+    /// the frame diff instead of a full partial download.
     pub fn enable_delta(&mut self) {
         self.port.enable_delta();
     }
@@ -177,9 +172,10 @@ impl PartitionManager {
         self.clock
     }
 
-    /// Index of the partition resident with `cid`, if any.
+    /// Index of the partition resident with `cid`, if any: the port's map
+    /// knows its first column, and `parts` is kept in column order.
     fn find_resident(&self, cid: CircuitId) -> Option<usize> {
-        let col = (*self.home.get(cid.0 as usize)?)?;
+        let col = self.port.origin_of(cid)?;
         Some(self.parts.partition_point(|p| p.col < col))
     }
 
@@ -196,7 +192,6 @@ impl PartitionManager {
             })
             .sum()
     }
-
     /// The widest circuit this manager could still place under ideal
     /// conditions (everything idle, GC done). Requests beyond this are
     /// unservable forever.
@@ -280,19 +275,7 @@ impl PartitionManager {
         }
         let last_use = self.tick();
         let (col, width) = (self.parts[idx].col, self.parts[idx].width);
-        // A usable base is a ghost anchored at this exact column; the port
-        // uses it when its diff is strictly cheaper than a full load.
-        let ghost = self.port.delta.as_ref().and_then(|dt| dt.base_at(col));
-        let base = ghost.map(|g| g.cid);
-        let write = self.port.load(&self.lib, tid, cid, base, col, width);
-        if let Some(dt) = &mut self.port.delta {
-            if write.kind == WriteKind::Delta {
-                dt.consume_base(col);
-            }
-            // Whatever stale images the new frames cover are gone (a
-            // consumed base was already removed without counting).
-            dt.invalidate_overlap(col, need_w, "overwrite", &mut self.port.obs);
-        }
+        let write = self.port.load(&self.lib, tid, cid, col, width);
         self.parts[idx].slot = Slot::Resident {
             cid,
             owner: Some(tid),
@@ -300,7 +283,6 @@ impl PartitionManager {
             last_use,
             saved_for: None,
         };
-        self.home[cid.0 as usize] = Some(col);
         Some(write)
     }
 
@@ -313,7 +295,6 @@ impl PartitionManager {
             std::mem::replace(&mut self.parts[i].slot, Slot::Free)
         {
             self.routing.release(&routes);
-            self.home[cid.0 as usize] = None;
             self.port.obs.push(|| TraceEvent::Custom {
                 tag: "evict",
                 message: format!(
@@ -322,10 +303,7 @@ impl PartitionManager {
                     col + width
                 ),
             });
-            if let Some(dt) = &mut self.port.delta {
-                let gw = self.lib.get(cid).shape().0;
-                dt.record_ghost(col, gw, cid, &mut self.port.obs);
-            }
+            self.port.evict(cid);
         }
         self.port.stats.evictions += 1;
         self.merge_around(i);
@@ -350,7 +328,6 @@ impl PartitionManager {
                 other => unreachable!("relocate_off on {other:?}, not an idle resident"),
             };
         self.routing.release(&routes);
-        self.home[cid.0 as usize] = None;
         let need_w = self.lib.get(cid).shape().0;
         // Candidate destinations: free partitions wide enough, tried in
         // column order. No split — the survivor may sit loosely until the
@@ -363,11 +340,6 @@ impl PartitionManager {
             let origin = (p.col, 0u32);
             let template = self.lib.get(cid).route_template();
             if let Ok(new_routes) = self.routing.route_template(template, origin) {
-                // The relocation download rewrites the destination columns
-                // outside the delta path: stale bases there are gone.
-                if let Some(dt) = &mut self.port.delta {
-                    dt.invalidate_overlap(origin.0, need_w, "relocate", &mut self.port.obs);
-                }
                 let write = self.port.relocate(None, &self.lib, cid, origin.0, need_w);
                 self.parts[i].slot = Slot::Resident {
                     cid,
@@ -376,10 +348,10 @@ impl PartitionManager {
                     last_use,
                     saved_for,
                 };
-                self.home[cid.0 as usize] = Some(origin.0);
                 return Some(write);
             }
         }
+        self.port.discard(cid, None);
         self.port.stats.evictions += 1;
         None
     }
@@ -451,11 +423,9 @@ impl PartitionManager {
     /// for relocation downloads.
     fn garbage_collect(&mut self, tid: TaskId) -> (SimDuration, u64) {
         self.port.stats.gc_runs += 1;
-        // Compaction rewrites arbitrary column ranges; every tracked base
-        // is suspect afterwards. Conservative and correct: drop them all.
-        if let Some(dt) = &mut self.port.delta {
-            dt.invalidate_all("gc", &mut self.port.obs);
-        }
+        // Compaction rewrites arbitrary column ranges; every ghost is
+        // suspect afterwards. Conservative and correct: drop them all.
+        self.port.collect();
         let before = self.port.stats;
         let (mut overhead, mut moved) = (SimDuration::ZERO, 0);
 
@@ -491,7 +461,6 @@ impl PartitionManager {
                             moved |= columns(cursor, p.width);
                             p.col = cursor;
                             *routes = new_routes;
-                            self.home[cid.0 as usize] = Some(cursor);
                         }
                         Err(_) => {
                             // Keep the circuit where it was: the failed attempt
@@ -543,20 +512,17 @@ impl PartitionManager {
     /// Debug builds check the partition list and what is derived from it
     /// after every operation that can change either: the partitions tile
     /// the device in column order, no two free ones are adjacent in
-    /// variable mode, and the residency table and the servable width are
-    /// what a scan finds. Then [`Self::check_routing`].
+    /// variable mode, the servable width is what a scan finds, and the
+    /// port's column map holds exactly the residents, each once (the
+    /// residency lookups read it). Then [`Self::check_routing`].
     fn check(&self) {
         if !cfg!(debug_assertions) {
             return;
         }
-        let (mut home, mut end) = (vec![None; self.home.len()], 0);
+        let mut end = 0;
         for p in &self.parts {
             assert!(p.col == end, "the partitions do not tile the device");
             end += p.width;
-            if let Slot::Resident { cid, .. } = p.slot {
-                let twice = home[cid.0 as usize].replace(p.col).is_some();
-                assert!(!twice, "circuit {} is resident twice", cid.0);
-            }
         }
         assert!(
             end == self.port.timing.spec.cols,
@@ -566,8 +532,9 @@ impl PartitionManager {
         let touching = self.parts.windows(2).any(|w| free(&w[0]) && free(&w[1]));
         let variable = matches!(self.mode, PartitionMode::Variable);
         assert!(!(variable && touching), "two free partitions touch");
-        assert!(home == self.home, "the residency table is stale");
         assert!(self.servable == self.max_servable_width(), "stale width");
+        let claims = residents(&self.parts).map(|(cid, col, _)| (cid, col));
+        self.port.check_claims(&self.lib, claims);
         self.check_routing();
     }
 
@@ -860,7 +827,7 @@ impl FpgaManager for PartitionManager {
         {
             self.routing.release(&routes);
         }
-        self.home[cid.0 as usize] = None;
+        self.port.discard(cid, None);
         self.merge_around(i);
         self.check();
         true
@@ -895,10 +862,7 @@ impl FpgaManager for PartitionManager {
             }
         }
         // Retired fabric can never serve as a delta base.
-        if let Some(dt) = &mut self.port.delta {
-            let (pc, pw) = (self.parts[idx].col, self.parts[idx].width);
-            dt.invalidate_overlap(pc, pw, "retire", &mut self.port.obs);
-        }
+        self.port.retire(self.parts[idx].col, self.parts[idx].width);
         self.carve_retired(idx, col);
         self.servable = self.max_servable_width();
         self.check();
@@ -906,19 +870,9 @@ impl FpgaManager for PartitionManager {
     }
 
     fn invalidate_image_range(&mut self, col0: u32, width: u32) {
-        if let Some(dt) = &mut self.port.delta {
-            dt.invalidate_overlap(col0, width, "repair", &mut self.port.obs);
-            // Residents covered by the range diverged from their image (an
-            // upset landed or an external rewrite covered them): evicting
-            // one must not leave a ghost until a fresh download re-syncs.
-            for p in &self.parts {
-                if let Slot::Resident { cid, .. } = p.slot {
-                    if p.col < col0 + width && col0 < p.col + p.width {
-                        dt.mark_dirty(cid);
-                    }
-                }
-            }
-        }
+        // A resident is dirty when the range touches its partition, slack
+        // included; only the ghosts dropped are counted.
+        self.port.repair(col0, width, residents(&self.parts), false);
     }
 
     fn delta_stats(&self) -> Option<DeltaStats> {
@@ -926,15 +880,7 @@ impl FpgaManager for PartitionManager {
     }
 
     fn implant_ghost(&mut self, col0: u32, width: u32, cid: CircuitId) -> bool {
-        match self.port.delta.as_mut() {
-            Some(dt) => {
-                dt.record_ghost(col0, width, cid, &mut self.port.obs);
-                // A dirty circuit refuses the ghost (record_ghost counted
-                // an invalidation); report what is actually anchored.
-                dt.base_at(col0).is_some_and(|g| g.cid == cid)
-            }
-            None => false,
-        }
+        self.port.implant(col0, width, cid)
     }
 
     fn snapshot(&self) -> Option<Json> {
@@ -944,7 +890,7 @@ impl FpgaManager for PartitionManager {
             clock: self.clock,
             gc_enabled: self.gc_enabled,
             stats: self.port.stats,
-            delta: self.port.delta.as_ref().map(DeltaTable::image),
+            delta: self.port.delta_image(),
         };
         Some(image.json())
     }
@@ -1016,23 +962,23 @@ impl FpgaManager for PartitionManager {
         }
         // Ghosts are never carried across a restore: the fabric was wiped
         // and re-downloaded, so every tracked base would be stale.
-        let delta = match (&self.port.delta, &img.delta) {
-            (Some(_), Some(d)) => Some(DeltaTable::restored(d)?),
-            (None, None) => None,
-            _ => return Err("a delta section belongs exactly to a delta manager".into()),
-        };
+        let claims = residents(&parts).map(|(cid, col, _)| (cid, col));
+        self.port
+            .restore_map(&self.lib, img.delta.as_ref(), claims)?;
         (self.parts, self.routing, self.waiters) = (parts, routing, img.waiters);
-        (
-            self.clock,
-            self.gc_enabled,
-            self.port.stats,
-            self.port.delta,
-        ) = (img.clock, img.gc_enabled, img.stats, delta);
-        self.home = home;
+        (self.clock, self.gc_enabled, self.port.stats) = (img.clock, img.gc_enabled, img.stats);
         self.servable = self.max_servable_width();
         self.check();
         Ok(())
     }
+}
+
+/// Each resident circuit and its partition, `(cid, col, width)`.
+fn residents(parts: &[Partition]) -> impl Iterator<Item = (CircuitId, u32, u32)> + '_ {
+    parts.iter().filter_map(|p| match p.slot {
+        Slot::Resident { cid, .. } => Some((cid, p.col, p.width)),
+        Slot::Free | Slot::Retired => None,
+    })
 }
 
 fsim::record! {
@@ -1122,6 +1068,21 @@ impl Wire for Partition<()> {
         };
         f.end()?;
         Ok(Partition { col, width, slot })
+    }
+}
+
+#[cfg(test)]
+impl PartitionManager {
+    /// Each partition as `(col, width, resident, retired)`.
+    pub(super) fn layout(&self) -> Vec<(u32, u32, Option<CircuitId>, bool)> {
+        let parts = self.parts.iter();
+        parts
+            .map(|p| match p.slot {
+                Slot::Resident { cid, .. } => (p.col, p.width, Some(cid), false),
+                Slot::Free => (p.col, p.width, None, false),
+                Slot::Retired => (p.col, p.width, None, true),
+            })
+            .collect()
     }
 }
 
@@ -1753,19 +1714,25 @@ mod tests {
             m.activate(TaskId(t as u32), cid);
             m.op_done(TaskId(t as u32), cid);
         }
+        m.set_recording(true);
         match m.activate(TaskId(3), ids[3]) {
             Activation::Ready { .. } => {}
             other => panic!("{other:?}"),
         }
-        let ds = m.delta_stats().unwrap();
         let st = m.stats();
-        assert!(st.evictions >= 1 || st.gc_runs >= 1);
-        if st.gc_runs >= 1 {
-            assert!(
-                ds.invalidations >= 1,
-                "GC rewrote the layout; ghosts must have been dropped"
-            );
-        }
+        assert_eq!((st.evictions, st.gc_runs), (2, 1), "{st:?}");
+        // The evicted circuits' ghosts are the ones the collector drops;
+        // the move and the load find nothing left to invalidate.
+        let reasons: Vec<_> = m
+            .drain_events()
+            .into_iter()
+            .filter_map(|e| match e {
+                TraceEvent::DeltaInvalidate { reason, .. } => Some(reason),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(reasons, ["gc", "gc"], "GC rewrote the layout");
+        assert_eq!(m.delta_stats().unwrap().invalidations, 2);
     }
 
     #[test]
