@@ -44,13 +44,15 @@ echo "==> frame-diff oracle and work budgets, release"
 cargo test -q --release -p fpga --test diff_oracle
 cargo test -q --release -p bench --test budgets
 
-echo "==> the churn shape's pinned counters and the column map's oracle, release"
+echo "==> the churn shape's pinned counters, the column map's and the partition sets' oracles, release"
 # `churn` runs the partition manager's first fit, LRU victim, local merges
 # and pair-table pricing in release code; Tier-1 pinned them in debug. The
-# oracle walks partitions and overlay against the ghost list and dirty set
-# the port's column map replaced.
+# first oracle walks partitions and overlay against the ghost list and
+# dirty set the port's column map replaced; the second walks the partition
+# sets against the partition list they replaced, its wide walks only here.
 cargo test -q --release -p bench --test churn_shape
 cargo test -q --release -p vfpga --lib -- delta_oracle
+cargo test -q --release -p vfpga --lib -- partition_oracle --include-ignored
 
 echo "==> codec suite, compile-cache entries, image goldens, image tests and capture window, release"
 # `durable` and `fleet` reps run the release writer, and a release build

@@ -429,6 +429,11 @@ impl RoutingFabric {
         RoutingFabric::new(spec.cols, spec.rows, DEFAULT_CHANNEL_CAPACITY)
     }
 
+    /// An empty fabric of the same size and track capacity.
+    pub fn empty_like(&self) -> Self {
+        RoutingFabric::new(self.cols, self.rows, self.cap)
+    }
+
     fn h_idx(&self, c: u32, r: u32) -> usize {
         (r * (self.cols - 1) + c) as usize
     }

@@ -246,6 +246,12 @@ impl DeltaPort {
         *self.map.origin.get(cid.0 as usize)?
     }
 
+    /// The circuit of the run written from `origin`, which the caller
+    /// knows to be a resident's.
+    pub(crate) fn circuit_at(&self, origin: u32) -> CircuitId {
+        self.map.cid[origin as usize]
+    }
+
     /// Move idle resident `cid` onto `[col0, col0 + width)`, the one price
     /// of a relocation: `width` frames, and a sequential circuit's state
     /// saved and restored. A GC run's move (`gc`: the task charged) counts
@@ -344,20 +350,21 @@ impl DeltaPort {
     /// A migration staged `cid`'s frames onto `[col0, col0 + width)`, which
     /// no resident claims: with pricing on they are a ghost, dropping the
     /// ghosts they touch (`"overwrite"`), unless the circuit is dirty
-    /// (`"dirty"`); with pricing off nothing was staged. Returns whether a
-    /// ghost of `cid` is anchored at `col0`.
+    /// (`"dirty"`); with pricing off nothing was staged. Returns whether
+    /// the staged copy was kept as a ghost — never for a refused one, even
+    /// over an older ghost of `cid` anchored at `col0`.
     pub(crate) fn implant(&mut self, col0: u32, width: u32, cid: CircuitId) -> bool {
         if self.map.stats.is_none() {
             return false;
         }
         if self.map.is_dirty(cid) {
             self.invalidated(col0, width, "dirty");
-        } else {
-            debug_assert!(self.map.claimed & columns(col0, width) == 0);
-            self.drop_ghosts(col0, width, "overwrite");
-            self.map.put(cid, col0, width);
+            return false;
         }
-        !self.map.claims(col0) && self.map.run(col0).is_some_and(|(c, _)| c == cid)
+        debug_assert!(self.map.claimed & columns(col0, width) == 0);
+        self.drop_ghosts(col0, width, "overwrite");
+        self.map.put(cid, col0, width);
+        true
     }
 
     /// The map as a checkpoint carries it; `None` while pricing is off.
@@ -510,6 +517,25 @@ mod tests {
         t.evict(narrow);
         assert_eq!(ghosts(&t).len(), 1, "clean again after a fresh download");
         assert!(t.implant(10, 4, narrow));
+    }
+
+    /// A dirty circuit's staged copy is refused and reported so, even
+    /// where an older ghost of the same circuit is anchored: a migration
+    /// must not count or charge a copy that was not kept.
+    #[test]
+    fn a_refused_implant_over_its_own_ghost_reports_false() {
+        let mut t = port();
+        assert!(t.implant(0, 4, CircuitId(1)));
+        // A repair elsewhere marks the circuit dirty and leaves the ghost.
+        t.repair(10, 1, [(CircuitId(1), 10, 4)], false);
+        assert_eq!(ghosts(&t), [(CircuitId(1), 0, 4)]);
+        assert!(!t.implant(0, 4, CircuitId(1)), "the copy was refused");
+        assert_eq!(ghosts(&t), [(CircuitId(1), 0, 4)], "the old ghost stays");
+        assert_eq!(
+            t.delta_stats().unwrap().invalidations,
+            1,
+            "one dirty refusal"
+        );
     }
 
     #[test]

@@ -64,14 +64,16 @@ impl DeltaTable {
         self.ghosts.iter().copied().find(|g| g.col0 == col0)
     }
 
-    /// Skipped, and counted, when the circuit's frames are dirty.
-    fn record_ghost(&mut self, col0: u32, width: u32, cid: CircuitId) {
+    /// Skipped, and counted, when the circuit's frames are dirty. Returns
+    /// whether the ghost was recorded.
+    fn record_ghost(&mut self, col0: u32, width: u32, cid: CircuitId) -> bool {
         if self.dirty.contains(&cid.0) {
             self.count_invalidation(col0, width, "dirty");
-            return;
+            return false;
         }
         self.invalidate_overlap(col0, width, "overwrite");
         self.ghosts.push(Ghost { col0, width, cid });
+        true
     }
 
     fn count_invalidation(&mut self, col0: u32, width: u32, reason: &'static str) {
@@ -285,11 +287,10 @@ fn replay(
             None
         }
         Call::Implant(col0, w, cid) => {
-            table.record_ghost(col0, w, cid);
-            let anchored = table.base_at(col0).is_some_and(|g| g.cid == cid);
+            let kept = table.record_ghost(col0, w, cid);
             assert_eq!(
                 *outcome,
-                Outcome::Implanted(anchored),
+                Outcome::Implanted(kept),
                 "implant {call:?} over {before:?}: {table:?}"
             );
             None
@@ -312,7 +313,7 @@ enum Outcome {
 /// `[base, narrow, two base variants, a narrow variant, wide]`: two
 /// families whose members price as deltas against each other, and an
 /// unrelated wider circuit.
-fn library(spec: fpga::DeviceSpec) -> Arc<CircuitLib> {
+pub(super) fn library(spec: fpga::DeviceSpec) -> Arc<CircuitLib> {
     let opts = CompileOptions {
         max_height: spec.rows,
         full_height: true,

@@ -358,10 +358,10 @@ pub trait FpgaManager {
     /// reconfiguration enabled the port's column map holds them as a ghost,
     /// so the circuit's next activation there is priced as a frame diff
     /// (an identical image diffs to a header-only revalidation) instead of
-    /// a full download; a dirty circuit is refused. Returns whether a ghost
-    /// of `cid` is now anchored at `col0`; the default (no column map)
-    /// tracks nothing and the destination pays a full download at next
-    /// activation, exactly like a failover.
+    /// a full download; a dirty circuit is refused. Returns whether the
+    /// copy was kept as a ghost; the default (no column map) tracks nothing
+    /// and the destination pays a full download at next activation, exactly
+    /// like a failover.
     fn implant_ghost(&mut self, _col0: u32, _width: u32, _cid: CircuitId) -> bool {
         false
     }
@@ -494,6 +494,8 @@ fn record(cid: CircuitId, col0: u32, width: u32, kind: WriteKind, d: SimDuration
 
 #[cfg(test)]
 mod delta_oracle_tests;
+#[cfg(test)]
+mod partition_oracle_tests;
 
 #[cfg(test)]
 mod tests {

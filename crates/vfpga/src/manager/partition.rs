@@ -18,6 +18,14 @@
 //!   fragments, relocating resident circuits when routing at the new
 //!   origin succeeds ("a garbage-collecting procedure must be introduced
 //!   to merge - when necessary - the idle existing partitions").
+//!
+//! The partitions are column sets, one `u64` word each: where they start,
+//! which columns are free and which retired. Every other partition holds
+//! one resident circuit, which the port's column map names at the
+//! partition's first column, and each resident's record is kept by circuit
+//! id. A hit, a residency check, an op's end and a preemption look nothing
+//! up; a miss's first fit, its eviction victim, a split, a merge and the GC
+//! pass are a few bit operations per partition.
 
 use super::delta::{DeltaImage, DeltaStats};
 use super::{
@@ -46,31 +54,16 @@ pub enum PartitionMode {
     Variable,
 }
 
-/// Content of one partition. A checkpoint image holds it as `Slot<()>`:
-/// routes are derived state, rebuilt by re-routing at the same origin.
+/// A resident circuit's record.
 #[derive(Debug)]
-enum Slot<R = CircuitRoutes> {
-    Free,
-    /// Fabric permanently lost to a column failure; never allocated again.
-    Retired,
-    /// Holds a resident circuit; `owner` is the task currently executing
-    /// on it (None = idle resident).
-    Resident {
-        cid: CircuitId,
-        owner: Option<TaskId>,
-        routes: R,
-        /// Monotone last-use stamp for LRU eviction.
-        last_use: u64,
-        /// Saved FF state pending a restore for `(task)`.
-        saved_for: Option<TaskId>,
-    },
-}
-
-#[derive(Debug)]
-pub(crate) struct Partition<R = CircuitRoutes> {
-    col: u32,
-    width: u32,
-    slot: Slot<R>,
+struct Resident {
+    /// The task currently executing on it (None = idle resident).
+    owner: Option<TaskId>,
+    /// Monotone last-use stamp for LRU eviction.
+    last_use: u64,
+    /// Saved FF state pending a restore for `(task)`.
+    saved_for: Option<TaskId>,
+    routes: CircuitRoutes,
 }
 
 /// Column-partitioned FPGA manager.
@@ -79,7 +72,18 @@ pub struct PartitionManager {
     lib: Arc<CircuitLib>,
     mode: PartitionMode,
     policy: PreemptAction,
-    parts: Vec<Partition>,
+    /// The partitions as column sets (bit `c`: column `c`): the first
+    /// column of each — a partition runs up to the next, the last one to
+    /// the device's edge — and every column of the free ones and of the
+    /// retired ones (fabric lost to a column failure, never allocated
+    /// again). Fixed mode never moves a bound.
+    bounds: u64,
+    free: u64,
+    retired: u64,
+    /// The first columns of the idle residents' partitions.
+    idle: u64,
+    /// Each resident circuit's record, by circuit id.
+    residents: Vec<Option<Resident>>,
     routing: RoutingFabric,
     waiters: VecDeque<(TaskId, CircuitId)>,
     clock: u64,
@@ -91,15 +95,13 @@ pub struct PartitionManager {
     servable: u32,
 }
 
-/// What one walk of the partition list finds for a miss `need_w` wide.
-struct Scan {
-    /// The first free partition at least `need_w` wide.
-    fit: Option<usize>,
-    /// Free columns in total, and the widest free partition.
-    free: u32,
-    widest: u32,
-    /// The least-recently-used idle resident (the first one on a tie).
-    victim: Option<CircuitId>,
+/// The columns in `set`, in column order.
+fn each(mut set: u64) -> impl Iterator<Item = u32> {
+    std::iter::from_fn(move || {
+        let col = set.trailing_zeros();
+        set &= set.wrapping_sub(1);
+        (col < u64::BITS).then_some(col)
+    })
 }
 
 impl PartitionManager {
@@ -113,42 +115,29 @@ impl PartitionManager {
         let cols = timing.spec.cols;
         // A call's moved columns are one `u64`; the widest part has 56.
         assert!(cols <= u64::BITS, "{cols} columns do not fit a column set");
-        let parts = match &mode {
-            PartitionMode::Fixed(widths) => {
-                let sum = widths.iter().sum::<u32>();
-                if sum != cols {
-                    return Err(VfpgaError::BadPartitionWidths { sum, device: cols });
-                }
-                if widths.contains(&0) {
-                    return Err(VfpgaError::ZeroWidthPartition);
-                }
-                let mut c = 0;
-                widths
-                    .iter()
-                    .map(|&w| {
-                        let p = Partition {
-                            col: c,
-                            width: w,
-                            slot: Slot::Free,
-                        };
-                        c += w;
-                        p
-                    })
-                    .collect()
+        let mut bounds = 1;
+        if let PartitionMode::Fixed(widths) = &mode {
+            let sum = widths.iter().sum::<u32>();
+            if sum != cols {
+                return Err(VfpgaError::BadPartitionWidths { sum, device: cols });
             }
-            PartitionMode::Variable => {
-                vec![Partition {
-                    col: 0,
-                    width: cols,
-                    slot: Slot::Free,
-                }]
+            if widths.contains(&0) {
+                return Err(VfpgaError::ZeroWidthPartition);
             }
-        };
+            let mut col = 0;
+            for w in widths {
+                (bounds, col) = (bounds | 1 << col, col + w);
+            }
+        }
         let mut m = PartitionManager {
+            residents: (0..lib.len()).map(|_| None).collect(),
             lib,
             mode,
             policy,
-            parts,
+            bounds,
+            free: columns(0, cols),
+            retired: 0,
+            idle: 0,
             routing: RoutingFabric::for_device(&timing.spec),
             waiters: VecDeque::new(),
             clock: 0,
@@ -172,53 +161,68 @@ impl PartitionManager {
         self.clock
     }
 
-    /// Index of the partition resident with `cid`, if any: the port's map
-    /// knows its first column, and `parts` is kept in column order.
-    fn find_resident(&self, cid: CircuitId) -> Option<usize> {
-        let col = self.port.origin_of(cid)?;
-        Some(self.parts.partition_point(|p| p.col < col))
+    fn variable(&self) -> bool {
+        matches!(self.mode, PartitionMode::Variable)
+    }
+
+    /// The first column past the partition that starts at `col`.
+    fn end(&self, col: u32) -> u32 {
+        let later = u128::from(self.bounds & !columns(0, col + 1));
+        (later | 1 << self.port.timing.spec.cols).trailing_zeros()
+    }
+
+    /// The first columns of the partitions that hold a resident.
+    fn resident_starts(&self) -> u64 {
+        self.bounds & !(self.free | self.retired)
+    }
+
+    /// The widest of the partitions that lie in `set`, whole.
+    fn widest(&self, set: u64) -> u32 {
+        let widths = each(set & self.bounds).map(|c| self.end(c) - c);
+        widths.max().unwrap_or(0)
+    }
+
+    /// The partition starting at `col` as a checkpoint image holds it.
+    fn slot(&self, col: u32) -> Slot {
+        if self.free & 1 << col != 0 {
+            return Slot::Free;
+        }
+        if self.retired & 1 << col != 0 {
+            return Slot::Retired;
+        }
+        let cid = self.port.circuit_at(col);
+        let r = self.residents[cid.0 as usize]
+            .as_ref()
+            .expect("a resident's partition holds a recorded circuit");
+        Slot::Resident {
+            cid,
+            owner: r.owner,
+            last_use: r.last_use,
+            saved_for: r.saved_for,
+        }
     }
 
     /// CLBs currently occupied by resident circuits.
     pub fn resident_clbs(&self) -> u32 {
-        self.parts
-            .iter()
-            .map(|p| match p.slot {
-                Slot::Resident { cid, .. } => {
-                    let (w, h) = self.lib.get(cid).shape();
-                    w * h.min(self.port.timing.spec.rows)
-                }
-                Slot::Free | Slot::Retired => 0,
-            })
-            .sum()
+        let rows = self.port.timing.spec.rows;
+        let shapes =
+            each(self.resident_starts()).map(|c| self.lib.get(self.port.circuit_at(c)).shape());
+        shapes.map(|(w, h)| w * h.min(rows)).sum()
     }
+
     /// The widest circuit this manager could still place under ideal
     /// conditions (everything idle, GC done). Requests beyond this are
     /// unservable forever.
     fn max_servable_width(&self) -> u32 {
+        let live = columns(0, self.port.timing.spec.cols) & !self.retired;
         match self.mode {
             // Fixed boundaries never move: the widest live partition.
-            PartitionMode::Fixed(_) => self
-                .parts
-                .iter()
-                .filter(|p| !matches!(p.slot, Slot::Retired))
-                .map(|p| p.width)
-                .max()
-                .unwrap_or(0),
+            PartitionMode::Fixed(_) => self.widest(live),
             // Variable mode can compact everything movable, so the limit
             // is the widest contiguous run of non-retired columns.
             PartitionMode::Variable => {
-                let mut best = 0u32;
-                let mut run = 0u32;
-                for p in &self.parts {
-                    if matches!(p.slot, Slot::Retired) {
-                        run = 0;
-                    } else {
-                        run += p.width;
-                        best = best.max(run);
-                    }
-                }
-                best
+                let runs = each(live & !(live << 1)).map(|c| (live >> c).trailing_ones());
+                runs.max().unwrap_or(0)
             }
         }
     }
@@ -227,18 +231,11 @@ impl PartitionManager {
     /// placed even though total free columns would suffice, expressed as
     /// `1 - largest_free_run / total_free` (0 when free space is one run).
     pub fn fragmentation(&self) -> f64 {
-        let free: Vec<u32> = self
-            .parts
-            .iter()
-            .filter(|p| matches!(p.slot, Slot::Free))
-            .map(|p| p.width)
-            .collect();
-        let total: u32 = free.iter().sum();
+        let total = self.free.count_ones();
         if total == 0 {
             return 0.0;
         }
-        let largest = free.iter().copied().max().unwrap_or(0);
-        1.0 - largest as f64 / total as f64
+        1.0 - self.widest(self.free) as f64 / total as f64
     }
 
     /// How loads, GC moves and relocations were routed since the manager
@@ -249,105 +246,118 @@ impl PartitionManager {
 
     /// Number of partitions (diagnostic).
     pub fn partition_count(&self) -> usize {
-        self.parts.len()
+        self.bounds.count_ones() as usize
     }
 
-    /// Load `cid` into partition `idx` (assumed free and wide enough),
-    /// splitting in variable mode. Returns the load — its overhead is its
-    /// config time — or None if routing fails at that origin.
-    fn load_into(&mut self, idx: usize, cid: CircuitId, tid: TaskId) -> Option<Write> {
-        let need_w = self.lib.get(cid).shape().0;
-        let origin = (self.parts[idx].col, 0u32);
+    /// Load `cid` into the free partition starting at `col` (assumed wide
+    /// enough), splitting in variable mode. Returns the load — its overhead
+    /// is its config time — or None if routing fails at that origin.
+    fn load_into(&mut self, col: u32, cid: CircuitId, tid: TaskId) -> Option<Write> {
+        let image = self.lib.get(cid);
         let routes = self
             .routing
-            .route_template(self.lib.get(cid).route_template(), origin)
+            .route_template(image.route_template(), (col, 0))
             .ok()?;
+        let (need_w, mut end) = (image.shape().0, self.end(col));
         // Split in variable mode when the partition is wider than needed.
-        if matches!(self.mode, PartitionMode::Variable) && self.parts[idx].width > need_w {
-            let leftover = Partition {
-                col: self.parts[idx].col + need_w,
-                width: self.parts[idx].width - need_w,
-                slot: Slot::Free,
-            };
-            self.parts[idx].width = need_w;
-            self.parts.insert(idx + 1, leftover);
+        if self.variable() && end - col > need_w {
+            end = col + need_w;
+            self.bounds |= 1 << end;
             self.port.stats.splits += 1;
         }
+        self.free &= !columns(col, end - col);
         let last_use = self.tick();
-        let (col, width) = (self.parts[idx].col, self.parts[idx].width);
-        let write = self.port.load(&self.lib, tid, cid, col, width);
-        self.parts[idx].slot = Slot::Resident {
-            cid,
+        let write = self.port.load(&self.lib, tid, cid, col, end - col);
+        self.residents[cid.0 as usize] = Some(Resident {
             owner: Some(tid),
-            routes,
             last_use,
             saved_for: None,
-        };
+            routes,
+        });
         Some(write)
     }
 
-    /// Evict the idle resident in partition `i`, whatever its width, and
-    /// merge the freed columns with free neighbours. Its frames stay on the
-    /// fabric: the freed range is a delta base for the next occupant.
-    fn evict(&mut self, i: usize) {
-        let (col, width) = (self.parts[i].col, self.parts[i].width);
-        if let Slot::Resident { cid, routes, .. } =
-            std::mem::replace(&mut self.parts[i].slot, Slot::Free)
-        {
-            self.routing.release(&routes);
-            self.port.obs.push(|| TraceEvent::Custom {
-                tag: "evict",
-                message: format!(
-                    "evict idle circuit {} from cols [{col}, {})",
-                    cid.0,
-                    col + width
-                ),
-            });
-            self.port.evict(cid);
-        }
-        self.port.stats.evictions += 1;
-        self.merge_around(i);
+    /// Resident `cid`'s record, taken out, its routes released.
+    fn unload(&mut self, cid: CircuitId) -> Option<Resident> {
+        let r = self.residents[cid.0 as usize].take()?;
+        self.routing.release(&r.routes);
+        Some(r)
     }
 
-    /// Move the idle resident out of partition `idx` (to any free
-    /// partition where it routes) or evict it; the partition ends up Free.
-    /// Returns the move, if it routed somewhere. Its cost is the caller's
-    /// (background fault accounting): manager time counters are not
-    /// touched, only the relocation/eviction event counters.
-    fn relocate_off(&mut self, idx: usize) -> Option<Write> {
-        let (cid, routes, last_use, saved_for) =
-            match std::mem::replace(&mut self.parts[idx].slot, Slot::Free) {
-                Slot::Resident {
-                    cid,
-                    owner: None,
-                    routes,
-                    last_use,
-                    saved_for,
-                } => (cid, routes, last_use, saved_for),
-                // `retire_column` is the one caller, from its idle-resident arm.
-                other => unreachable!("relocate_off on {other:?}, not an idle resident"),
-            };
-        self.routing.release(&routes);
-        let need_w = self.lib.get(cid).shape().0;
+    /// Partition `[col, end)` holds nothing now: its columns are free and,
+    /// in variable mode, merged with a free neighbour on either side.
+    fn vacate(&mut self, col: u32, end: u32) {
+        self.idle &= !(1 << col);
+        self.free |= columns(col, end - col);
+        self.merge(col, end);
+    }
+
+    /// Merge the free columns `[col, end)` with a free partition on either
+    /// side (variable mode only). Between calls no two free partitions
+    /// touch there, so these are the only merges freeing columns can need.
+    fn merge(&mut self, col: u32, end: u32) {
+        if !self.variable() {
+            return;
+        }
+        for bound in [end, col] {
+            let inside = 0 < bound && bound < self.port.timing.spec.cols;
+            if inside && self.free >> (bound - 1) & 3 == 3 {
+                self.bounds &= !(1 << bound);
+                self.port.stats.merges += 1;
+            }
+        }
+    }
+
+    /// Evict idle resident `cid` from its partition starting at `col`,
+    /// whatever its width, and merge the freed columns with free
+    /// neighbours. Its frames stay on the fabric: the freed range is a
+    /// delta base for the next occupant.
+    fn evict(&mut self, col: u32, cid: CircuitId) {
+        let end = self.end(col);
+        self.unload(cid);
+        self.port.obs.push(|| TraceEvent::Custom {
+            tag: "evict",
+            message: format!("evict idle circuit {} from cols [{col}, {end})", cid.0),
+        });
+        self.port.evict(cid);
+        self.port.stats.evictions += 1;
+        self.vacate(col, end);
+    }
+
+    /// Move idle resident `cid` out of its partition starting at `col` (to
+    /// any free partition where it routes) or evict it; the partition's
+    /// columns are the caller's to free. Returns the move, if it routed
+    /// somewhere. Its cost is the caller's (background fault accounting):
+    /// manager time counters are not touched, only the relocation/eviction
+    /// event counters.
+    fn relocate_off(&mut self, col: u32, cid: CircuitId) -> Option<Write> {
+        let Resident {
+            last_use,
+            saved_for,
+            ..
+        } = self.unload(cid)?;
+        self.idle &= !(1 << col);
+        let image = self.lib.get(cid);
+        let need_w = image.shape().0;
         // Candidate destinations: free partitions wide enough, tried in
         // column order. No split — the survivor may sit loosely until the
         // next GC tightens things up.
-        for i in 0..self.parts.len() {
-            let p = &self.parts[i];
-            if i == idx || !matches!(p.slot, Slot::Free) || p.width < need_w {
+        for to in each(self.free & self.bounds) {
+            let end = self.end(to);
+            if end - to < need_w {
                 continue;
             }
-            let origin = (p.col, 0u32);
-            let template = self.lib.get(cid).route_template();
-            if let Ok(new_routes) = self.routing.route_template(template, origin) {
-                let write = self.port.relocate(None, &self.lib, cid, origin.0, need_w);
-                self.parts[i].slot = Slot::Resident {
-                    cid,
+            let template = image.route_template();
+            if let Ok(routes) = self.routing.route_template(template, (to, 0)) {
+                let write = self.port.relocate(None, &self.lib, cid, to, need_w);
+                self.free &= !columns(to, end - to);
+                self.idle |= 1 << to;
+                self.residents[cid.0 as usize] = Some(Resident {
                     owner: None,
-                    routes: new_routes,
                     last_use,
                     saved_for,
-                };
+                    routes,
+                });
                 return Some(write);
             }
         }
@@ -356,62 +366,25 @@ impl PartitionManager {
         None
     }
 
-    /// Replace partition `idx` (already Free) with retired fabric covering
-    /// `col`: the whole partition in fixed mode (boundaries are immutable),
-    /// a single carved-out column in variable mode, each free piece left
-    /// over merged with its free neighbour.
-    fn carve_retired(&mut self, idx: usize, col: u32) {
-        match self.mode {
-            PartitionMode::Fixed(_) => self.parts[idx].slot = Slot::Retired,
+    /// Retire column `col` of partition `[start, end)`, which holds nothing
+    /// now: the whole partition in fixed mode (boundaries are immutable),
+    /// the one column in variable mode, each free piece left over merged
+    /// with its free neighbour.
+    fn carve_retired(&mut self, start: u32, end: u32, col: u32) {
+        let dead = match self.mode {
+            PartitionMode::Fixed(_) => columns(start, end - start),
             PartitionMode::Variable => {
-                let (p_col, p_w) = (self.parts[idx].col, self.parts[idx].width);
-                let mut pieces = Vec::with_capacity(3);
-                let (left, right) = (col > p_col, col + 1 < p_col + p_w);
-                if left {
-                    pieces.push(Partition {
-                        col: p_col,
-                        width: col - p_col,
-                        slot: Slot::Free,
-                    });
+                self.bounds |= 1 << col;
+                if col + 1 < end {
+                    self.bounds |= 1 << (col + 1);
                 }
-                pieces.push(Partition {
-                    col,
-                    width: 1,
-                    slot: Slot::Retired,
-                });
-                if right {
-                    pieces.push(Partition {
-                        col: col + 1,
-                        width: p_col + p_w - col - 1,
-                        slot: Slot::Free,
-                    });
-                }
-                self.parts.splice(idx..idx + 1, pieces);
-                if right {
-                    self.merge_around(idx + usize::from(left) + 1);
-                }
-                if left {
-                    self.merge_around(idx);
-                }
+                1 << col
             }
-        }
-    }
-
-    /// Merge free partition `i` with a free neighbour on either side
-    /// (variable mode only). Between calls no two free partitions are
-    /// adjacent there, so these are the only merges freeing `i` can need.
-    fn merge_around(&mut self, i: usize) {
-        if !matches!(self.mode, PartitionMode::Variable) {
-            return;
-        }
-        let free = |p: Option<&Partition>| p.is_some_and(|p| matches!(p.slot, Slot::Free));
-        for j in [i + 1, i] {
-            if j > 0 && free(self.parts.get(j)) && free(self.parts.get(j - 1)) {
-                self.parts[j - 1].width += self.parts[j].width;
-                self.parts.remove(j);
-                self.port.stats.merges += 1;
-            }
-        }
+        };
+        self.free = (self.free | columns(start, end - start)) & !dead;
+        self.retired |= dead;
+        self.merge(col + 1, end);
+        self.merge(start, col);
     }
 
     /// Garbage collection: compact resident circuits leftward so free
@@ -429,76 +402,50 @@ impl PartitionManager {
         let before = self.port.stats;
         let (mut overhead, mut moved) = (SimDuration::ZERO, 0);
 
-        // One pass in column order: an idle resident moves left to `cursor`
-        // (the end of whatever precedes it) when it routes there, everything
-        // else stays, and the gap each leaves behind it becomes one free
-        // partition. Each gap takes the slot of a free partition the pass
-        // drops, so the list is rebuilt in place and never grows.
+        // One pass in column order over the partitions that hold something:
+        // an idle resident moves left to `cursor` (the end of whatever
+        // precedes it) when it routes there, everything else stays, and the
+        // gap each leaves behind it becomes one free partition.
         let cols = self.port.timing.spec.cols;
-        let (mut cursor, mut w) = (0u32, 0);
-        for r in 0..self.parts.len() {
-            let p = &mut self.parts[r];
-            if matches!(p.slot, Slot::Free) {
-                continue;
-            }
-            debug_assert!(p.col >= cursor, "partitions are kept in column order");
-            match &mut p.slot {
-                Slot::Resident {
-                    cid,
-                    owner: None,
-                    routes,
-                    ..
-                } if p.col > cursor => {
-                    let cid = *cid;
-                    let template = self.lib.get(cid).route_template();
-                    self.routing.release(routes);
-                    match self.routing.route_template(template, (cursor, 0)) {
-                        Ok(new_routes) => {
-                            let w = self
-                                .port
-                                .relocate(Some(tid), &self.lib, cid, cursor, p.width);
-                            overhead += w.config_time;
-                            moved |= columns(cursor, p.width);
-                            p.col = cursor;
-                            *routes = new_routes;
-                        }
-                        Err(_) => {
-                            // Keep the circuit where it was: the failed attempt
-                            // rolled back, so exactly its old segments are free.
-                            self.routing.recommit(routes);
-                            self.port.stats.failed_relocations += 1;
-                        }
+        let (mut cursor, mut bounds, mut free) = (0, 0, 0);
+        for mut col in each(self.bounds & !self.free) {
+            let width = self.end(col) - col;
+            if col > cursor && self.idle & 1 << col != 0 {
+                let cid = self.port.circuit_at(col);
+                let template = self.lib.get(cid).route_template();
+                let r = self.residents[cid.0 as usize]
+                    .as_mut()
+                    .expect("an idle partition holds a recorded circuit");
+                self.routing.release(&r.routes);
+                match self.routing.route_template(template, (cursor, 0)) {
+                    Ok(routes) => {
+                        let w = self.port.relocate(Some(tid), &self.lib, cid, cursor, width);
+                        overhead += w.config_time;
+                        moved |= columns(cursor, width);
+                        r.routes = routes;
+                        self.idle ^= 1 << col | 1 << cursor;
+                        col = cursor;
+                    }
+                    Err(_) => {
+                        // Keep the circuit where it was: the failed attempt
+                        // rolled back, so exactly its old segments are free.
+                        self.routing.recommit(&r.routes);
+                        self.port.stats.failed_relocations += 1;
                     }
                 }
-                // Packed already, or busy or retired and so pinned; packing
-                // resumes after it.
-                _ => {}
             }
-            let (col, width) = (p.col, p.width);
+            // Packed already, or busy or retired and so pinned; packing
+            // resumes after it.
             if col > cursor {
-                // The gap's columns were held by free partitions read since
-                // the last gap (a moved resident only shifts them along),
-                // so a dropped slot lies between `w` and `r`.
-                debug_assert!(w < r, "a gap with no free partition behind it");
                 self.port.stats.merges += 1;
-                self.parts[w] = Partition {
-                    col: cursor,
-                    width: col - cursor,
-                    slot: Slot::Free,
-                };
-                w += 1;
+                (bounds, free) = (bounds | 1 << cursor, free | columns(cursor, col - cursor));
             }
-            self.parts.swap(w, r);
-            (cursor, w) = (col + width, w + 1);
+            (bounds, cursor) = (bounds | 1 << col, col + width);
         }
-        self.parts.truncate(w);
         if cursor < cols {
-            self.parts.push(Partition {
-                col: cursor,
-                width: cols - cursor,
-                slot: Slot::Free,
-            });
+            (bounds, free) = (bounds | 1 << cursor, free | columns(cursor, cols - cursor));
         }
+        (self.bounds, self.free) = (bounds, free);
         let after = self.port.stats;
         self.port.obs.push(|| TraceEvent::GcRun {
             merged: (after.merges - before.merges) as u32,
@@ -509,123 +456,113 @@ impl PartitionManager {
         (overhead, moved)
     }
 
-    /// Debug builds check the partition list and what is derived from it
-    /// after every operation that can change either: the partitions tile
-    /// the device in column order, no two free ones are adjacent in
-    /// variable mode, the servable width is what a scan finds, and the
-    /// port's column map holds exactly the residents, each once (the
+    /// Debug builds check the partition sets and what is derived from them
+    /// after every operation that can change either: the bounds tile the
+    /// device, each partition is wholly free, wholly retired or one
+    /// resident's, no two free ones touch in variable mode, the servable
+    /// width is what the sets give, the records and the idle set are
+    /// exactly the residents', and the port's column map claims exactly
+    /// the residents, each once from its partition's first column (the
     /// residency lookups read it). Then [`Self::check_routing`].
     fn check(&self) {
         if !cfg!(debug_assertions) {
             return;
         }
-        let mut end = 0;
-        for p in &self.parts {
-            assert!(p.col == end, "the partitions do not tile the device");
-            end += p.width;
+        let device = columns(0, self.port.timing.spec.cols);
+        let tiled = self.bounds & 1 == 1 && self.bounds & !device == 0;
+        assert!(tiled, "the bounds do not tile the device");
+        let (free, retired) = (self.free, self.retired);
+        assert!(free & retired == 0, "a column both free and retired");
+        assert!((free | retired) & !device == 0, "a column off the device");
+        for col in each(self.bounds) {
+            let part = columns(col, self.end(col) - col);
+            let whole = |set: u64| set & part == 0 || set & part == part;
+            assert!(
+                whole(free) && whole(retired),
+                "a partition at {col} is split"
+            );
         }
-        assert!(
-            end == self.port.timing.spec.cols,
-            "the partitions end short"
-        );
-        let free = |p: &Partition| matches!(p.slot, Slot::Free);
-        let touching = self.parts.windows(2).any(|w| free(&w[0]) && free(&w[1]));
-        let variable = matches!(self.mode, PartitionMode::Variable);
-        assert!(!(variable && touching), "two free partitions touch");
+        let touching = self.bounds & free & free << 1 != 0;
+        assert!(!(self.variable() && touching), "two free partitions touch");
         assert!(self.servable == self.max_servable_width(), "stale width");
-        let claims = residents(&self.parts).map(|(cid, col, _)| (cid, col));
+        let held = self.resident_starts();
+        assert!(self.idle & !held == 0, "an idle bit off the residents");
+        for col in each(held) {
+            let r = self.residents[self.port.circuit_at(col).0 as usize].as_ref();
+            let idle = self.idle & 1 << col != 0;
+            let ok = r.is_some_and(|r| r.owner.is_none() == idle);
+            assert!(
+                ok,
+                "the resident at {col} has no record or a stale idle bit"
+            );
+        }
+        let records = self.residents.iter().flatten().count();
+        assert!(
+            records == held.count_ones() as usize,
+            "a record no partition holds"
+        );
+        let claims = each(held).map(|col| (self.port.circuit_at(col), col));
         self.port.check_claims(&self.lib, claims);
         self.check_routing();
     }
 
-    /// The routing fabric re-derived from the partition list: usage is
-    /// exactly the residents' routes, and — while no searched route is
-    /// live, the only kind that can leave its columns — free and retired
-    /// columns carry nothing, which is what lets the fabric book a load
-    /// into them as its footprint without looking at a segment.
+    /// The routing fabric re-derived from the records: usage is exactly
+    /// the residents' routes, and — while no searched route is live, the
+    /// only kind that can leave its columns — free and retired columns
+    /// carry nothing, which is what lets the fabric book a load into them
+    /// as its footprint without looking at a segment.
     fn check_routing(&self) {
-        let live = || {
-            self.parts.iter().filter_map(|p| match &p.slot {
-                Slot::Resident { routes, .. } => Some(routes),
-                Slot::Free | Slot::Retired => None,
-            })
-        };
+        let live = || self.residents.iter().flatten().map(|r| &r.routes);
         self.routing.assert_usage_is(live());
         if live().any(|r| r.searched()) {
             return;
         }
-        for p in &self.parts {
+        for col in each(self.bounds & (self.free | self.retired)) {
+            let width = self.end(col) - col;
             assert!(
-                matches!(p.slot, Slot::Resident { .. })
-                    || self.routing.columns_are_unused(p.col, p.width),
-                "tracks in use over unoccupied columns [{}, +{})",
-                p.col,
-                p.width
+                self.routing.columns_are_unused(col, width),
+                "tracks in use over unoccupied columns [{col}, +{width})"
             );
         }
     }
 
-    /// One walk of the partition list for a miss `need_w` wide.
-    fn scan(&self, need_w: u32) -> Scan {
-        let mut s = Scan {
-            fit: None,
-            free: 0,
-            widest: 0,
-            victim: None,
-        };
-        let mut oldest = 0;
-        for (i, p) in self.parts.iter().enumerate() {
-            match p.slot {
-                Slot::Free => {
-                    if s.fit.is_none() && p.width >= need_w {
-                        s.fit = Some(i);
-                    }
-                    s.free += p.width;
-                    s.widest = s.widest.max(p.width);
-                }
-                Slot::Resident {
-                    cid,
-                    owner: None,
-                    last_use,
-                    ..
-                } if s.victim.is_none() || last_use < oldest => {
-                    (s.victim, oldest) = (Some(cid), last_use);
-                }
-                Slot::Resident { .. } | Slot::Retired => {}
-            }
-        }
-        s
+    /// The first free partition at least `need_w` wide: its first column.
+    fn first_fit(&self, need_w: u32) -> Option<u32> {
+        each(self.free & self.bounds).find(|&col| self.end(col) - col >= need_w)
+    }
+
+    /// The least-recently-used idle resident, the first in column order on
+    /// a tie: its partition's first column and its circuit.
+    fn lru_idle(&self) -> Option<(u32, CircuitId)> {
+        let idle = each(self.idle).map(|col| (col, self.port.circuit_at(col)));
+        idle.min_by_key(|&(_, cid)| {
+            let r = self.residents[cid.0 as usize].as_ref();
+            r.map_or(0, |r| r.last_use)
+        })
     }
 
     /// [`FpgaManager::activate`] proper.
     fn place(&mut self, tid: TaskId, cid: CircuitId) -> Activation {
         // 1. Already resident?
-        let resident = self.find_resident(cid).map(|i| &mut self.parts[i]);
-        if let Some(Partition {
-            width,
-            slot:
-                Slot::Resident {
-                    owner,
-                    last_use,
-                    saved_for,
-                    ..
-                },
-            ..
-        }) = resident
-        {
+        let resident = self.residents.get_mut(cid.0 as usize);
+        if let (Some(Some(r)), Some(col)) = (resident, self.port.origin_of(cid)) {
             self.clock += 1;
-            if owner.is_some_and(|o| o != tid) {
+            if r.owner.is_some_and(|o| o != tid) {
                 self.port.stats.blocks += 1;
                 self.waiters.push_back((tid, cid));
                 return Activation::Blocked { moved: 0 };
             }
-            *owner = Some(tid);
-            *last_use = self.clock;
+            (r.owner, r.last_use) = (Some(tid), self.clock);
+            let restore = r.saved_for == Some(tid);
+            if restore {
+                r.saved_for = None;
+            }
+            self.idle &= !(1 << col);
             self.port.stats.hits += 1;
             let mut overhead = SimDuration::ZERO;
-            if *saved_for == Some(tid) {
-                *saved_for = None;
-                overhead += self.port.move_state(*width as usize, false);
+            if restore {
+                let width = self.end(col) - col;
+                overhead += self.port.move_state(width as usize, false);
             }
             return Activation::ready(overhead, None);
         }
@@ -641,8 +578,8 @@ impl PartitionManager {
         // The columns GC runs moved circuits onto.
         let mut moved = 0;
         loop {
-            let scan = self.scan(need_w);
-            if let Some(write) = scan.fit.and_then(|i| self.load_into(i, cid, tid)) {
+            let fit = self.first_fit(need_w);
+            if let Some(write) = fit.and_then(|col| self.load_into(col, cid, tid)) {
                 return Activation::Ready {
                     overhead: write.config_time,
                     write: Some(write),
@@ -650,21 +587,21 @@ impl PartitionManager {
                 };
             }
             // Routing failed at any fit (nothing was committed, the
-            // partitions are as scanned) — treat like fragmentation: fall
+            // partitions are as they were) — treat like fragmentation: fall
             // through to GC/eviction below rather than looping on the same
             // partition forever.
-            // 3. Try GC (variable mode) to coalesce free columns.
+            // 3. Try GC (variable mode) to coalesce free columns when there
+            // are enough of them but no partition is wide enough.
             if self.gc_enabled
-                && matches!(self.mode, PartitionMode::Variable)
-                && scan.free >= need_w
-                && scan.widest < need_w
+                && self.variable()
+                && fit.is_none()
+                && self.free.count_ones() >= need_w
             {
                 let (gc_overhead, columns) = self.garbage_collect(tid);
                 moved |= columns;
                 if let Some(write) = self
-                    .scan(need_w)
-                    .fit
-                    .and_then(|i| self.load_into(i, cid, tid))
+                    .first_fit(need_w)
+                    .and_then(|col| self.load_into(col, cid, tid))
                 {
                     return Activation::Ready {
                         overhead: write.config_time + gc_overhead,
@@ -674,10 +611,10 @@ impl PartitionManager {
                 }
             }
             // 4. Evict the LRU idle resident and retry once per eviction.
-            // Compaction keeps the partitions' order and owners, so the
-            // scanned victim is still the one to go.
-            match scan.victim.and_then(|v| self.find_resident(v)) {
-                Some(i) => self.evict(i),
+            // Compaction keeps the residents' order, owners and last uses,
+            // so the victim is the one a scan before it would have chosen.
+            match self.lru_idle() {
+                Some((col, victim)) => self.evict(col, victim),
                 None => {
                     self.port.stats.blocks += 1;
                     self.waiters.push_back((tid, cid));
@@ -724,10 +661,8 @@ impl FpgaManager for PartitionManager {
                 // it left behind, while the segment restored from the
                 // image runs on. Preempting it is still free, and its
                 // next activation pays the download like any other miss.
-                if let Some(i) = self.find_resident(cid) {
-                    if let Slot::Resident { owner, .. } = &self.parts[i].slot {
-                        debug_assert_eq!(*owner, Some(tid));
-                    }
+                if let Some(Some(r)) = self.residents.get(cid.0 as usize) {
+                    debug_assert_eq!(r.owner, Some(tid));
                 }
                 PreemptCost {
                     overhead: SimDuration::ZERO,
@@ -738,16 +673,12 @@ impl FpgaManager for PartitionManager {
     }
 
     fn op_done(&mut self, tid: TaskId, cid: CircuitId) -> (SimDuration, Vec<TaskId>) {
-        if let Some(i) = self.find_resident(cid) {
-            let stamp = self.tick();
-            if let Slot::Resident {
-                owner, last_use, ..
-            } = &mut self.parts[i].slot
-            {
-                if *owner == Some(tid) {
-                    *owner = None;
-                    *last_use = stamp;
-                }
+        let resident = self.residents.get_mut(cid.0 as usize);
+        if let (Some(Some(r)), Some(col)) = (resident, self.port.origin_of(cid)) {
+            self.clock += 1;
+            if r.owner == Some(tid) {
+                (r.owner, r.last_use) = (None, self.clock);
+                self.idle |= 1 << col;
             }
         }
         let wake: Vec<TaskId> = self.waiters.drain(..).map(|(t, _)| t).collect();
@@ -755,16 +686,15 @@ impl FpgaManager for PartitionManager {
     }
 
     fn task_exit(&mut self, tid: TaskId) -> Vec<TaskId> {
-        for p in &mut self.parts {
-            if let Slot::Resident {
-                owner, saved_for, ..
-            } = &mut p.slot
-            {
-                if *owner == Some(tid) {
-                    *owner = None;
+        for col in each(self.resident_starts()) {
+            let cid = self.port.circuit_at(col);
+            if let Some(r) = &mut self.residents[cid.0 as usize] {
+                if r.owner == Some(tid) {
+                    r.owner = None;
+                    self.idle |= 1 << col;
                 }
-                if *saved_for == Some(tid) {
-                    *saved_for = None;
+                if r.saved_for == Some(tid) {
+                    r.saved_for = None;
                 }
             }
         }
@@ -788,11 +718,7 @@ impl FpgaManager for PartitionManager {
         DeviceUsage {
             used_clbs: self.resident_clbs() as u64,
             total_clbs: self.port.timing.spec.clbs() as u64,
-            free_fragments: self
-                .parts
-                .iter()
-                .filter(|p| matches!(p.slot, Slot::Free))
-                .count() as u32,
+            free_fragments: (self.free & self.bounds).count_ones(),
         }
     }
 
@@ -801,51 +727,43 @@ impl FpgaManager for PartitionManager {
     }
 
     fn is_resident(&self, cid: CircuitId) -> bool {
-        self.find_resident(cid).is_some()
+        matches!(self.residents.get(cid.0 as usize), Some(Some(_)))
     }
 
     fn resident_regions(&self) -> Vec<ResidentRegion> {
-        self.parts
-            .iter()
-            .filter_map(|p| match p.slot {
-                Slot::Resident { cid, .. } => Some(ResidentRegion {
-                    cid,
-                    col0: p.col,
-                    width: p.width,
-                }),
-                Slot::Free | Slot::Retired => None,
+        let starts = each(self.resident_starts());
+        starts
+            .map(|col| ResidentRegion {
+                cid: self.port.circuit_at(col),
+                col0: col,
+                width: self.end(col) - col,
             })
             .collect()
     }
 
     fn discard_resident(&mut self, cid: CircuitId) -> bool {
-        let Some(i) = self.find_resident(cid) else {
+        let Some(col) = self.port.origin_of(cid) else {
             return false;
         };
-        if let Slot::Resident { routes, .. } =
-            std::mem::replace(&mut self.parts[i].slot, Slot::Free)
-        {
-            self.routing.release(&routes);
-        }
+        let end = self.end(col);
+        self.unload(cid);
         self.port.discard(cid, None);
-        self.merge_around(i);
+        self.vacate(col, end);
         self.check();
         true
     }
 
     fn retire_column(&mut self, col: u32) -> RetireOutcome {
-        let Some(idx) = self
-            .parts
-            .iter()
-            .position(|p| col >= p.col && col < p.col + p.width)
-        else {
+        if col >= self.port.timing.spec.cols {
             return RetireOutcome::default();
-        };
+        }
+        let start = 63 - (self.bounds & columns(0, col + 1)).leading_zeros();
+        let end = self.end(start);
         let mut out = RetireOutcome {
             applied: true,
             ..Default::default()
         };
-        match &self.parts[idx].slot {
+        match self.slot(start) {
             // A second strike on dead fabric changes nothing.
             Slot::Retired => return out,
             Slot::Free => {}
@@ -857,13 +775,13 @@ impl FpgaManager for PartitionManager {
                     ..Default::default()
                 };
             }
-            Slot::Resident { owner: None, .. } => {
-                out.moved = self.relocate_off(idx);
-            }
+            Slot::Resident {
+                cid, owner: None, ..
+            } => out.moved = self.relocate_off(start, cid),
         }
         // Retired fabric can never serve as a delta base.
-        self.port.retire(self.parts[idx].col, self.parts[idx].width);
-        self.carve_retired(idx, col);
+        self.port.retire(start, end - start);
+        self.carve_retired(start, end, col);
         self.servable = self.max_servable_width();
         self.check();
         out
@@ -872,7 +790,9 @@ impl FpgaManager for PartitionManager {
     fn invalidate_image_range(&mut self, col0: u32, width: u32) {
         // A resident is dirty when the range touches its partition, slack
         // included; only the ghosts dropped are counted.
-        self.port.repair(col0, width, residents(&self.parts), false);
+        let extents = self.resident_regions().into_iter();
+        let extents = extents.map(|r| (r.cid, r.col0, r.width));
+        self.port.repair(col0, width, extents, false);
     }
 
     fn delta_stats(&self) -> Option<DeltaStats> {
@@ -884,8 +804,13 @@ impl FpgaManager for PartitionManager {
     }
 
     fn snapshot(&self) -> Option<Json> {
+        let parts = each(self.bounds).map(|col| Part {
+            col,
+            width: self.end(col) - col,
+            slot: self.slot(col),
+        });
         let image = PartitionImage {
-            parts: self.parts.iter().map(Partition::image).collect(),
+            parts: parts.collect(),
             waiters: self.waiters.clone(),
             clock: self.clock,
             gc_enabled: self.gc_enabled,
@@ -898,38 +823,37 @@ impl FpgaManager for PartitionManager {
     fn restore(&mut self, snap: &Json) -> Result<(), String> {
         let img = PartitionImage::read(snap, "partition snapshot")?;
         let cols = self.port.timing.spec.cols;
-        let mut routing = pnr::RoutingFabric::for_device(&self.port.timing.spec);
-        let mut parts: Vec<Partition> = Vec::with_capacity(img.parts.len());
-        let mut home = vec![None; self.lib.len()];
+        let mut routing = self.routing.empty_like();
+        let (mut bounds, mut free, mut retired, mut idle) = (0u64, 0u64, 0u64, 0u64);
+        let mut residents: Vec<Option<Resident>> = (0..self.lib.len()).map(|_| None).collect();
+        let mut claims = Vec::new();
         // The partitions tile the device: each starts where the last ended.
         let mut next_col = 0;
-        for Partition { col, width, slot } in img.parts {
+        for Part { col, width, slot } in img.parts {
             if col != next_col || width == 0 || width > cols - col {
                 return Err(format!(
                     "partition [{col}, +{width}) does not continue the tiling at column {next_col} of {cols}"
                 ));
             }
             next_col = col + width;
-            let slot = match slot {
+            bounds |= 1 << col;
+            match slot {
                 // A freed partition is merged with its free neighbours, so
                 // in variable mode two free partitions never touch.
-                Slot::Free
-                    if matches!(self.mode, PartitionMode::Variable)
-                        && parts.last().is_some_and(|p| matches!(p.slot, Slot::Free)) =>
-                {
+                Slot::Free if self.variable() && col > 0 && free & 1 << (col - 1) != 0 => {
                     return Err(format!("free partition at column {col} follows another"));
                 }
-                Slot::Free => Slot::Free,
-                Slot::Retired => Slot::Retired,
+                Slot::Free => free |= columns(col, width),
+                Slot::Retired => retired |= columns(col, width),
                 Slot::Resident {
                     cid,
                     owner,
                     last_use,
                     saved_for,
-                    routes: (),
                 } => {
                     self.lib.check_id(cid)?;
-                    if home[cid.0 as usize].replace(col).is_some() {
+                    let record = &mut residents[cid.0 as usize];
+                    if record.is_some() {
                         return Err(format!("circuit {} is resident twice", cid.0));
                     }
                     // Re-route at the original origin; partitions are
@@ -943,16 +867,18 @@ impl FpgaManager for PartitionManager {
                     let routes = routing
                         .route_template(template, (col, 0))
                         .map_err(|e| format!("re-routing circuit {} at col {col}: {e:?}", cid.0))?;
-                    Slot::Resident {
-                        cid,
+                    if owner.is_none() {
+                        idle |= 1 << col;
+                    }
+                    *record = Some(Resident {
                         owner,
-                        routes,
                         last_use,
                         saved_for,
-                    }
+                        routes,
+                    });
+                    claims.push((cid, col));
                 }
-            };
-            parts.push(Partition { col, width, slot });
+            }
         }
         if next_col != cols {
             return Err(format!("partitions cover {next_col} of {cols} columns"));
@@ -962,10 +888,10 @@ impl FpgaManager for PartitionManager {
         }
         // Ghosts are never carried across a restore: the fabric was wiped
         // and re-downloaded, so every tracked base would be stale.
-        let claims = residents(&parts).map(|(cid, col, _)| (cid, col));
         self.port
             .restore_map(&self.lib, img.delta.as_ref(), claims)?;
-        (self.parts, self.routing, self.waiters) = (parts, routing, img.waiters);
+        (self.bounds, self.free, self.retired, self.idle) = (bounds, free, retired, idle);
+        (self.residents, self.routing, self.waiters) = (residents, routing, img.waiters);
         (self.clock, self.gc_enabled, self.port.stats) = (img.clock, img.gc_enabled, img.stats);
         self.servable = self.max_servable_width();
         self.check();
@@ -973,21 +899,14 @@ impl FpgaManager for PartitionManager {
     }
 }
 
-/// Each resident circuit and its partition, `(cid, col, width)`.
-fn residents(parts: &[Partition]) -> impl Iterator<Item = (CircuitId, u32, u32)> + '_ {
-    parts.iter().filter_map(|p| match p.slot {
-        Slot::Resident { cid, .. } => Some((cid, p.col, p.width)),
-        Slot::Free | Slot::Retired => None,
-    })
-}
-
 fsim::record! {
-    /// Everything [`PartitionManager`] carries across a checkpoint. Routes
-    /// are not part of it: they are derived state, rebuilt by re-routing
-    /// each resident circuit at its origin on restore.
+    /// Everything [`PartitionManager`] carries across a checkpoint: its
+    /// partitions in column order. Routes are not part of it: they are
+    /// derived state, rebuilt by re-routing each resident circuit at its
+    /// origin on restore.
     #[derive(Debug)]
     pub(crate) struct PartitionImage {
-        parts: Vec<Partition<()>>,
+        parts: Vec<Part>,
         waiters: VecDeque<(TaskId, CircuitId)>,
         clock: u64,
         gc_enabled: bool,
@@ -999,37 +918,31 @@ fsim::record! {
     }
 }
 
-impl Partition {
-    /// The partition as a checkpoint image holds it: without its routes.
-    fn image(&self) -> Partition<()> {
-        let slot = match self.slot {
-            Slot::Free => Slot::Free,
-            Slot::Retired => Slot::Retired,
-            Slot::Resident {
-                cid,
-                owner,
-                last_use,
-                saved_for,
-                ..
-            } => Slot::Resident {
-                cid,
-                owner,
-                routes: (),
-                last_use,
-                saved_for,
-            },
-        };
-        Partition {
-            col: self.col,
-            width: self.width,
-            slot,
-        }
-    }
+/// One partition as a checkpoint image holds it.
+#[derive(Debug)]
+struct Part {
+    col: u32,
+    width: u32,
+    slot: Slot,
+}
+
+/// What a partition holds, as a checkpoint image has it: a resident
+/// without its routes.
+#[derive(Debug)]
+enum Slot {
+    Free,
+    Retired,
+    Resident {
+        cid: CircuitId,
+        owner: Option<TaskId>,
+        last_use: u64,
+        saved_for: Option<TaskId>,
+    },
 }
 
 /// `{"col", "width", "kind"}`, and a resident's circuit, owner, last use
 /// and saved state after a `"resident"` kind.
-impl Wire for Partition<()> {
+impl Wire for Part {
     fn json(&self) -> Json {
         let o = Obj::new().set("col", self.col).set("width", self.width);
         let o = match self.slot {
@@ -1040,7 +953,6 @@ impl Wire for Partition<()> {
                 owner,
                 last_use,
                 saved_for,
-                ..
             } => o
                 .set("kind", "resident")
                 .set("cid", cid.json())
@@ -1051,7 +963,7 @@ impl Wire for Partition<()> {
         o.build()
     }
 
-    fn read(v: &Json, what: &str) -> Result<Partition<()>, String> {
+    fn read(v: &Json, what: &str) -> Result<Part, String> {
         let mut f = Fields::of(v, what)?;
         let (col, width) = (f.get("col")?, f.get("width")?);
         let slot = match f.get::<String>("kind")?.as_str() {
@@ -1060,27 +972,33 @@ impl Wire for Partition<()> {
             "resident" => Slot::Resident {
                 cid: f.get("cid")?,
                 owner: f.get("owner")?,
-                routes: (),
                 last_use: f.get("last_use")?,
                 saved_for: f.get("saved_for")?,
             },
             other => return Err(format!("unknown partition kind '{other}'")),
         };
         f.end()?;
-        Ok(Partition { col, width, slot })
+        Ok(Part { col, width, slot })
     }
 }
 
 #[cfg(test)]
 impl PartitionManager {
+    /// The manager, fresh, on a routing fabric of `cap` tracks a channel.
+    pub(super) fn with_capacity(mut self, cap: u16) -> Self {
+        let spec = self.port.timing.spec;
+        self.routing = RoutingFabric::new(spec.cols, spec.rows, cap);
+        self
+    }
+
     /// Each partition as `(col, width, resident, retired)`.
     pub(super) fn layout(&self) -> Vec<(u32, u32, Option<CircuitId>, bool)> {
-        let parts = self.parts.iter();
+        let parts = each(self.bounds).map(|col| (col, self.end(col) - col, self.slot(col)));
         parts
-            .map(|p| match p.slot {
-                Slot::Resident { cid, .. } => (p.col, p.width, Some(cid), false),
-                Slot::Free => (p.col, p.width, None, false),
-                Slot::Retired => (p.col, p.width, None, true),
+            .map(|(col, width, slot)| match slot {
+                Slot::Resident { cid, .. } => (col, width, Some(cid), false),
+                Slot::Free => (col, width, None, false),
+                Slot::Retired => (col, width, None, true),
             })
             .collect()
     }
@@ -1304,11 +1222,11 @@ mod tests {
 
     /// A checkpoint image of `parts` (`(col, width, slot)`) with no waiters
     /// and delta off.
-    fn image_of(parts: Vec<(u32, u32, Slot<()>)>) -> Json {
+    fn image_of(parts: Vec<(u32, u32, Slot)>) -> Json {
         PartitionImage {
             parts: parts
                 .into_iter()
-                .map(|(col, width, slot)| Partition { col, width, slot })
+                .map(|(col, width, slot)| Part { col, width, slot })
                 .collect(),
             waiters: VecDeque::new(),
             clock: 9,
@@ -1320,11 +1238,10 @@ mod tests {
     }
 
     /// An idle resident `cid`, last used at `last_use`.
-    fn idle(cid: CircuitId, last_use: u64) -> Slot<()> {
+    fn idle(cid: CircuitId, last_use: u64) -> Slot {
         Slot::Resident {
             cid,
             owner: None,
-            routes: (),
             last_use,
             saved_for: None,
         }
