@@ -79,12 +79,18 @@ echo "==> cut equivalence, wide matrix, release"
 # the durable form; Tier-1 ran the 8-task matrix under debug assertions.
 cargo test -q --release -p vfpga --test cut_equivalence -- --include-ignored
 
-echo "==> repository benchmark (frozen API surface: --check + unit tests)"
+echo "==> repository benchmark (frozen API surface: --check + unit tests; benchmark/Cargo.lock put back as found)"
 # benchmark/ is its own package and nothing in the workspace builds it, so
 # a change that breaks what it uses of the public API (`CrashState`,
 # `CheckpointImage.state`, `restore_from`, the two policy traits) would
 # otherwise pass CI and fail the pipeline. Both build into the workspace
-# target directory.
+# target directory. The build rewrites benchmark/Cargo.lock (the lock
+# lacks the `netlist -> fsim` edge, which only a change to the benchmark
+# may add), so the lock is saved here and put back on exit, pass or fail:
+# no other change can commit a rewritten one.
+bench_lock="$(mktemp)"
+cp benchmark/Cargo.lock "$bench_lock"
+trap 'rm -f "$tier1_log"; cp "$bench_lock" benchmark/Cargo.lock; rm -f "$bench_lock"' EXIT
 CARGO_TARGET_DIR="$PWD/target/benchmark" benchmark/run --check >/dev/null
 CARGO_TARGET_DIR="$PWD/target/benchmark" \
   cargo test -q --offline --manifest-path benchmark/Cargo.toml

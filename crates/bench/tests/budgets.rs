@@ -48,7 +48,10 @@
 //!   report. Seeded violation: a fresh build for every incarnation, as
 //!   `run_with_crashes` did before it restarted the crashed system in
 //!   place, reads 27.611 allocations and 5,277.0 bytes a task (peak live
-//!   bytes level, 859.998).
+//!   bytes level, 859.998). Seeded violation: captures through
+//!   `snapshot()` again (`capture` taking each component's JSON tree, as
+//!   before the components' typed images) read 3.322 allocations, 1,150.4
+//!   bytes and 748.735 peak live bytes a task, failing all three rows.
 //! * `fleet` — the `fleet` benchmark's shape at 2,000 tasks: 32 tenants on
 //!   eight devices under least-loaded placement, the dynamic-loading system
 //!   on every shard, a capture every second, two device crashes a device
@@ -61,7 +64,10 @@
 //!   narrower. Seeded violation: a copy of the source shard's spec and
 //!   index tables for every migration's destination, in place of sharing
 //!   them, reads 21.726 allocations, 4,072.2 bytes and 2,523.9 peak live
-//!   bytes a task, and fails all three `fleet` rows.
+//!   bytes a task, and fails all three `fleet` rows. Seeded violation:
+//!   captures through `snapshot()` again, as under `durable`, read 17.587
+//!   allocations, 3,227.5 bytes and 1,653.319 peak live bytes a task,
+//!   failing all three rows.
 //! * `fabric` — the `fabric` benchmark's pipeline over its 24 netlists on
 //!   a VF1000, once each: compile, route at `(1, 1)`, emit, download, the
 //!   fabric against the gate simulator, readback, and a delta download

@@ -573,15 +573,23 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
     }
 
     /// Copy the full mutable state into a typed image. `recycled` is an
-    /// image nobody needs any more: its per-task buffers are refilled in
-    /// place rather than allocated again. Its task table is taken to
+    /// image nobody needs any more: its per-task buffers and the
+    /// components' records are refilled in place rather than allocated
+    /// again (the components' `image`). Its task table is taken to
     /// differ from this one only inside `ckpt_window` — true of the
     /// capture this system took or adopted last, and of any table while
     /// the window is still a build's or a restart's whole table. A fresh
     /// buffer is filled whole.
     pub(crate) fn capture(&self, now: SimTime, recycled: Option<SystemImage>) -> SystemImage {
-        let (mut tasks, mut latent, mut stale, mut pending) = match recycled {
-            Some(old) => (old.tasks, old.latent, old.stale, old.pending),
+        let (mut tasks, mut latent, mut stale, mut pending, sched, manager) = match recycled {
+            Some(old) => (
+                old.tasks,
+                old.latent,
+                old.stale,
+                old.pending,
+                Some(old.sched),
+                Some(old.manager),
+            ),
             None => Default::default(),
         };
         let slots = &mut tasks.slots;
@@ -618,8 +626,8 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
             fault: self.run.fault,
             rng: self.injector.as_ref().map(|inj| inj.stream_states()),
             admission: self.run.admission.clone(),
-            sched: self.sched.snapshot().expect("validated at enable"),
-            manager: self.manager.snapshot().expect("validated at enable"),
+            sched: self.sched.image(sched).expect("validated at enable"),
+            manager: self.manager.image(manager).expect("validated at enable"),
         }
     }
 
@@ -666,10 +674,10 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
             _ => return Err("admission presence differs from the image".into()),
         }
         self.sched
-            .restore(&img.sched)
+            .restore_image(&img.sched)
             .map_err(|e| format!("scheduler: {e}"))?;
         self.manager
-            .restore(&img.manager)
+            .restore_image(&img.manager)
             .map_err(|e| format!("manager: {e}"))?;
         self.run.slots.clone_from(slots);
         self.run.setbacks.clone_from(&img.tasks.setbacks);

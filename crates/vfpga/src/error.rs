@@ -38,7 +38,7 @@ pub enum VfpgaError {
     /// `run_traced` called without enabling the trace.
     TraceDisabled,
     /// Checkpointing requested on a manager or scheduler whose state
-    /// cannot be snapshotted (its `snapshot()` returns `None`).
+    /// has no checkpoint image (its `image` returns `None`).
     CheckpointUnsupported {
         /// Name of the component that refused.
         component: &'static str,

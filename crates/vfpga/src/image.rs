@@ -5,14 +5,15 @@
 //! [`System`](crate::System) as plain typed data: the task table (one
 //! `Copy` slot per task), the pending events, the running segment, latent
 //! upsets and stale claims, fault accounting and RNG words, the admission
-//! runtime, and the JSON the scheduler's and manager's `snapshot` return.
-//! Capturing one refills the previous capture in place and copies only
-//! what can have changed since: of the task table, the slots live at that
-//! capture and those that arrived or exited after it (a slot that is not
-//! live changes only by arriving or exiting); of the pending events, the
-//! queue's in-flight few. An arrival is not a pending event of the typed
-//! image: it is its task's `Future` slot. JSON enters only where state
-//! leaves the process (a hand-off inside one is a typed
+//! runtime, and the scheduler's and the manager's own records
+//! ([`PolicyImage`]). Capturing one refills the previous capture in place
+//! and copies only what can have changed since: of the task table, the
+//! slots live at that capture and those that arrived or exited after it (a
+//! slot that is not live changes only by arriving or exiting); of the
+//! pending events, the queue's in-flight few; of the two records, their
+//! lists, into the previous capture's buffers. An arrival is not a pending
+//! event of the typed image: it is its task's `Future` slot. JSON enters
+//! only where state leaves the process (a hand-off inside one is a typed
 //! [`Cut`](crate::checkpoint::Cut)), through [`SystemImage::to_json`]: the
 //! `vfpga-ckpt/3` schema, which lists each arrival among the pending
 //! events, where a queue holding it would fire it.
@@ -30,12 +31,18 @@
 
 use crate::admission::AdmissionState;
 use crate::circuit::CircuitId;
+use crate::manager::dynload::DynLoadImage;
+use crate::manager::partition::PartitionImage;
 use crate::recovery::FaultStats;
+use crate::sched::{QueueImage, ReadyImage};
 use crate::system::Ev;
 use crate::task::{SetbackTable, Setbacks, TaskId, TaskSlot, TaskState};
 use fsim::json::{arr_of, kind_of, str_of, tuple, Json, Wire};
 use fsim::{SimDuration, SimTime};
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
+use std::fmt;
+use std::mem::size_of;
 
 /// Schema tag of the rendered image.
 const SCHEMA: &str = "vfpga-ckpt/3";
@@ -116,10 +123,143 @@ fsim::record! {
         /// The injector's three stream states; `None` runs fault-free.
         pub(crate) rng: Option<[[u64; 4]; 3]>,
         pub(crate) admission: Option<AdmissionState>,
-        /// What `Scheduler::snapshot` returned.
-        pub(crate) sched: Json,
-        /// What `FpgaManager::snapshot` returned.
-        pub(crate) manager: Json,
+        /// What `Scheduler::image` returned.
+        pub(crate) sched: PolicyImage,
+        /// What `FpgaManager::image` returned.
+        pub(crate) manager: PolicyImage,
+    }
+}
+
+/// The state a scheduler or a manager carries across a checkpoint, as the
+/// process holds it: the policy's own record when the policy keeps one
+/// ([`FpgaManager::image`](crate::FpgaManager::image),
+/// [`Scheduler::image`](crate::Scheduler::image)), else the JSON its
+/// `snapshot` rendered. It is JSON only at the process edge: its
+/// [`Wire`] form writes the record's rendering, and reads any section
+/// back as the JSON variant, which the policy's restore reads strictly.
+/// Two images are equal, and print the same, when they render the same.
+#[derive(Clone)]
+pub struct PolicyImage(Form);
+
+const _: () = assert!(
+    size_of::<PolicyImage>() == size_of::<Json>(),
+    "a policy image outgrew the JSON section it replaced"
+);
+
+/// Declares [`Form`], one variant a record plus the JSON one, and each
+/// record's [`Record`] impl. A record is boxed, so an image takes no more
+/// room in a [`SystemImage`] than the JSON tree it replaced, and a capture
+/// refills the box with the buffers.
+macro_rules! policy_records {
+    ($($variant:ident($record:ty)),*) => {
+        #[derive(Clone)]
+        enum Form {
+            Json(Json),
+            $($variant(Box<$record>),)*
+        }
+
+        impl Form {
+            fn json(&self) -> Json {
+                match self {
+                    Form::Json(j) => j.clone(),
+                    $(Form::$variant(r) => r.json(),)*
+                }
+            }
+        }
+
+        $(impl Record for $record {
+            fn into_image(self: Box<Self>) -> PolicyImage {
+                PolicyImage(Form::$variant(self))
+            }
+            fn of(image: &PolicyImage) -> Option<&Self> {
+                match &image.0 {
+                    Form::$variant(r) => Some(r),
+                    _ => None,
+                }
+            }
+            fn from_image(image: PolicyImage) -> Option<Box<Self>> {
+                match image.0 {
+                    Form::$variant(r) => Some(r),
+                    _ => None,
+                }
+            }
+        })*
+    };
+}
+
+policy_records!(
+    DynLoad(DynLoadImage),
+    Partition(PartitionImage),
+    Queue(QueueImage),
+    Priority(ReadyImage<(u8, u64, TaskId, SimTime)>),
+    Edf(ReadyImage<(u64, TaskId)>)
+);
+
+/// A policy's checkpoint record: one variant of [`PolicyImage`].
+pub(crate) trait Record: Wire + Clone {
+    fn into_image(self: Box<Self>) -> PolicyImage;
+    /// The record `image` holds, if it holds this kind.
+    fn of(image: &PolicyImage) -> Option<&Self>;
+    fn from_image(image: PolicyImage) -> Option<Box<Self>>;
+}
+
+impl PolicyImage {
+    /// `from`, copied into the buffers of `recycled` when that holds a
+    /// record of the same kind: a steady-state capture allocates nothing.
+    pub(crate) fn refill<R: Record>(recycled: Option<PolicyImage>, from: &R) -> PolicyImage {
+        match recycled.and_then(R::from_image) {
+            Some(mut record) => {
+                R::clone_from(&mut record, from);
+                record.into_image()
+            }
+            None => Box::new(from.clone()).into_image(),
+        }
+    }
+
+    /// The record this image holds, read strictly from its JSON when it
+    /// came from outside the process (or holds another policy's record).
+    pub(crate) fn record<R: Record>(&self, what: &str) -> Result<Cow<'_, R>, String> {
+        match R::of(self) {
+            Some(record) => Ok(Cow::Borrowed(record)),
+            None => R::read(&self.as_json(), what).map(Cow::Owned),
+        }
+    }
+
+    /// The image as the JSON section a `snapshot` renders, borrowed when
+    /// it is one already.
+    pub(crate) fn as_json(&self) -> Cow<'_, Json> {
+        match &self.0 {
+            Form::Json(j) => Cow::Borrowed(j),
+            form => Cow::Owned(form.json()),
+        }
+    }
+}
+
+/// What a policy that only renders its state returned.
+impl From<Json> for PolicyImage {
+    fn from(snapshot: Json) -> Self {
+        PolicyImage(Form::Json(snapshot))
+    }
+}
+
+impl Wire for PolicyImage {
+    fn json(&self) -> Json {
+        self.0.json()
+    }
+    fn read(v: &Json, _what: &str) -> Result<PolicyImage, String> {
+        Ok(PolicyImage::from(v.clone()))
+    }
+}
+
+impl PartialEq for PolicyImage {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_json() == other.as_json()
+    }
+}
+
+impl fmt::Debug for PolicyImage {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&*self.as_json(), f)
     }
 }
 
@@ -143,7 +283,6 @@ pub(crate) struct TaskTable {
 
 /// Heap footprint of a JSON tree: its nodes plus their strings.
 fn json_bytes(v: &Json) -> usize {
-    use std::mem::size_of;
     size_of::<Json>()
         + match v {
             Json::Str(s) => s.len(),
@@ -158,9 +297,9 @@ fn json_bytes(v: &Json) -> usize {
 
 impl SystemImage {
     /// Rough heap footprint of the typed image in bytes, for setting it
-    /// beside the size of its rendered JSON.
+    /// beside the size of its rendered JSON. The two component sections
+    /// count as the JSON trees an image read back from its rendering holds.
     pub fn approx_bytes(&self) -> usize {
-        use std::mem::size_of;
         let admission = self.admission.as_ref().map_or(0, |a| {
             a.wd_seq.len() * size_of::<u64>()
                 + a.wd_trips.len() * size_of::<u32>()
@@ -178,8 +317,8 @@ impl SystemImage {
             + self.latent.len() * size_of::<(u32, Latent)>()
             + self.stale.len() * size_of::<u32>()
             + admission
-            + json_bytes(&self.sched)
-            + json_bytes(&self.manager)
+            + json_bytes(&self.sched.as_json())
+            + json_bytes(&self.manager.as_json())
     }
 
     /// Render the image as a `vfpga-ckpt/3` JSON tree. Its pending list
@@ -465,6 +604,14 @@ pub(crate) mod pending_rows {
 }
 
 #[cfg(test)]
+impl PolicyImage {
+    /// Whether the image is a policy's own record, not JSON.
+    pub(crate) fn is_record(&self) -> bool {
+        !matches!(self.0, Form::Json(_))
+    }
+}
+
+#[cfg(test)]
 mod tests {
     //! The codec suite: every record reads back exactly what it writes,
     //! and nothing a writer would not emit.
@@ -473,7 +620,7 @@ mod tests {
     use crate::admission::AdmissionStats;
     use crate::counters::Counters;
     use crate::manager::delta::{DeltaImage, DeltaStats};
-    use crate::manager::dynload::{DynLoadImage, Saved};
+    use crate::manager::dynload::DynLoadImage;
     use crate::manager::partition::PartitionImage;
     use crate::manager::ManagerStats;
     use crate::sched::{QueueImage, ReadyImage};
@@ -642,7 +789,7 @@ mod tests {
         type PriorityEntry = (u8, u64, TaskId, SimTime);
         sections::<ReadyImage<PriorityEntry>>(&goldens, priority, &["sched"]);
         sections::<ReadyImage<(u64, TaskId)>>(&goldens, edf, &["sched"]);
-        sections::<DynLoadImage<Saved>>(&goldens, dynload, &["manager"]);
+        sections::<DynLoadImage>(&goldens, dynload, &["manager"]);
         sections::<PartitionImage>(&goldens, partition, &["manager"]);
         sections::<DeltaImage>(&goldens, any, &["manager", "delta"]);
         // A column failure, and arrivals pending.

@@ -322,6 +322,67 @@ fn images_round_trip_and_restore_to_themselves() {
     matrix(&mut RoundTrips);
 }
 
+/// The typed path against the JSON one. At every cut of a cell that
+/// leaves a capture: the capture holds the scheduler's and the manager's
+/// own records, no JSON; a capture of the cut system, fresh or refilled
+/// from the cut's, renders each record byte for byte as the component's
+/// `snapshot`; and a system restored from the typed cut reads as one
+/// restored from its durable text, parsed.
+struct TypedIsJson;
+
+impl Cell for TypedIsJson {
+    fn cell<M: FpgaManager, S: Scheduler>(
+        &mut self,
+        name: &str,
+        _drops_ghosts: bool,
+        build: impl Fn() -> System<M, S>,
+    ) {
+        let mut images = 0;
+        for cut_us in CUTS_US {
+            let (at, label) = (SimTime::ZERO + us(cut_us), format!("{name} @{cut_us}us"));
+            let mut sys = build();
+            let Some(cut) = sys.run_to_cut(Some(at)).unwrap() else {
+                continue;
+            };
+            let Some(capture) = &cut.capture else {
+                continue;
+            };
+            images += 1;
+            let fresh = sys.capture(at, None);
+            let refilled = sys.capture(at, Some(capture.image.clone()));
+            for img in [&capture.image, &fresh, &refilled] {
+                let records = img.sched.is_record() && img.manager.is_record();
+                assert!(records, "{label}: a capture holds JSON");
+            }
+            let sched = sys.sched.snapshot().unwrap().render();
+            let manager = sys.manager.snapshot().unwrap().render();
+            for img in [&fresh, &refilled] {
+                assert_eq!(img.sched.as_json().render(), sched, "{label}: scheduler");
+                assert_eq!(img.manager.as_json().render(), manager, "{label}: manager");
+            }
+            let mut durable = cut.to_durable();
+            if let Some(image) = &mut durable.image {
+                image.state = Json::parse(&image.state.render()).unwrap();
+            }
+            let (mut typed, mut parsed) = (build(), build());
+            typed.restore_cut(cut.clone()).unwrap();
+            parsed.restore_from(&durable).unwrap();
+            let (typed, parsed) = (typed.state_text(at), parsed.state_text(at));
+            let first_difference = typed.lines().zip(parsed.lines()).find(|(t, p)| t != p);
+            assert!(
+                typed == parsed,
+                "{label}: the typed restore is not the parsed one: {first_difference:?}"
+            );
+        }
+        assert!(images >= 3, "{name}: only {images} cut points had an image");
+    }
+}
+
+#[test]
+fn typed_images_are_their_snapshots_and_restore_as_the_parsed_text() {
+    matrix(&mut TypedIsJson);
+}
+
 fn variable_delta(lib: &Arc<CircuitLib>) -> PartitionManager {
     let mut mgr = PartitionManager::new(
         lib.clone(),

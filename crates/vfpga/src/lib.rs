@@ -88,7 +88,7 @@ pub use fleet::{
 pub use fsim::{
     CrashPlan, DeviceFaultPlan, FaultInjector, FaultPlan, MigrationCrashWindow, MigrationPlan,
 };
-pub use image::SystemImage;
+pub use image::{PolicyImage, SystemImage};
 pub use manager::{
     Activation, DeviceUsage, FpgaManager, ManagerStats, PreemptAction, PreemptCost, Write,
     WriteKind,

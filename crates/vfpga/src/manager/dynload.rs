@@ -15,29 +15,41 @@ use super::{
     Activation, DeviceUsage, FpgaManager, ManagerStats, Port, PreemptCost, ResidentRegion,
 };
 use crate::circuit::{CircuitId, CircuitLib};
+use crate::image::{PolicyImage, Record};
 use crate::manager::PreemptAction;
 use crate::task::TaskId;
 use fpga::ConfigTiming;
 use fsim::json::Json;
 use fsim::json::Wire;
 use fsim::{SimDuration, TraceEvent};
-use std::borrow::Cow;
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
-/// Saved state per (task, circuit) awaiting restore.
-pub(crate) type Saved = BTreeSet<(TaskId, CircuitId)>;
-
 fsim::record! {
-    /// Everything [`DynLoadManager`] carries across a checkpoint. A
-    /// snapshot lends the manager's saved list, which it keeps in
-    /// ascending order, so it renders as the [`Saved`] set a restore reads.
-    #[derive(Debug)]
-    pub(crate) struct DynLoadImage<S> {
+    /// Everything [`DynLoadManager`] carries across a checkpoint.
+    #[derive(Debug, Clone, Default)]
+    pub(crate) struct DynLoadImage {
         /// Circuit currently in configuration RAM.
         loaded: Option<CircuitId>,
-        saved: S,
+        /// Saved state per (task, circuit) awaiting restore, ascending.
+        #[with(ascending)]
+        saved: Vec<(TaskId, CircuitId)>,
         stats: ManagerStats,
+    }
+}
+
+/// The saved list, read back only in the strictly ascending order the
+/// manager keeps it in.
+mod ascending {
+    use super::*;
+
+    pub(super) fn json(saved: &[(TaskId, CircuitId)]) -> Json {
+        Json::Arr(saved.iter().map(Wire::json).collect())
+    }
+
+    pub(super) fn read(v: &Json, what: &str) -> Result<Vec<(TaskId, CircuitId)>, String> {
+        let saved = Vec::read(v, what)?;
+        fsim::json::ascending(&saved, |p| p, what)?;
+        Ok(saved)
     }
 }
 
@@ -213,21 +225,38 @@ impl FpgaManager for DynLoadManager {
     }
 
     fn snapshot(&self) -> Option<Json> {
-        let image = DynLoadImage {
-            loaded: self.loaded,
-            saved: Cow::Borrowed(&self.saved),
-            stats: self.port.stats,
-        };
-        Some(image.json())
+        self.image(None).map(|image| image.json())
     }
 
     fn restore(&mut self, snap: &Json) -> Result<(), String> {
-        let st = DynLoadImage::<Saved>::read(snap, "dynload snapshot")?;
+        self.restore_record(&DynLoadImage::read(snap, WHAT)?)
+    }
+
+    fn image(&self, recycled: Option<PolicyImage>) -> Option<PolicyImage> {
+        let mut image = recycled
+            .and_then(DynLoadImage::from_image)
+            .unwrap_or_default();
+        image.saved.clone_from(&self.saved);
+        (image.loaded, image.stats) = (self.loaded, self.port.stats);
+        Some(image.into_image())
+    }
+
+    fn restore_image(&mut self, image: &PolicyImage) -> Result<(), String> {
+        self.restore_record(&*image.record::<DynLoadImage>(WHAT)?)
+    }
+}
+
+/// What a damaged dynload image's error names.
+const WHAT: &str = "dynload snapshot";
+
+impl DynLoadManager {
+    /// Take `st`'s state, once every circuit in it is in the library.
+    fn restore_record(&mut self, st: &DynLoadImage) -> Result<(), String> {
         let saved = st.saved.iter().map(|&(_, cid)| cid);
         for cid in st.loaded.into_iter().chain(saved) {
             self.lib.check_id(cid)?;
         }
-        self.saved = st.saved.into_iter().collect();
+        self.saved.clone_from(&st.saved);
         (self.loaded, self.port.stats) = (st.loaded, st.stats);
         Ok(())
     }

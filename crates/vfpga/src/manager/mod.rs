@@ -28,6 +28,7 @@ pub mod partition;
 pub use delta::DeltaStats;
 
 use crate::circuit::CircuitId;
+use crate::image::PolicyImage;
 use crate::task::TaskId;
 use delta::ColumnMap;
 use fsim::json::Json;
@@ -381,6 +382,23 @@ pub trait FpgaManager {
     /// the device.
     fn restore(&mut self, _snap: &Json) -> Result<(), String> {
         Err("manager does not support snapshots".into())
+    }
+
+    /// The state a system checkpoint carries, as the process keeps it —
+    /// what every capture takes. `recycled` is an earlier capture's image
+    /// nobody needs any more, whose buffers a manager that keeps a record
+    /// refills. The default is the [`snapshot`](FpgaManager::snapshot)
+    /// tree; a manager that keeps a record returns it, and renders it as
+    /// its snapshot.
+    fn image(&self, _recycled: Option<PolicyImage>) -> Option<PolicyImage> {
+        self.snapshot().map(PolicyImage::from)
+    }
+
+    /// Restore what [`image`](FpgaManager::image) returned, or an image read
+    /// back from its JSON, exactly as [`restore`](FpgaManager::restore)
+    /// reads the rendering. The default restores the rendering.
+    fn restore_image(&mut self, image: &PolicyImage) -> Result<(), String> {
+        self.restore(&image.as_json())
     }
 }
 

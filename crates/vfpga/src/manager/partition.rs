@@ -34,6 +34,7 @@ use super::{
 };
 use crate::circuit::{CircuitId, CircuitLib};
 use crate::error::VfpgaError;
+use crate::image::{PolicyImage, Record};
 use crate::manager::PreemptAction;
 use crate::task::TaskId;
 use fpga::ConfigTiming;
@@ -804,24 +805,43 @@ impl FpgaManager for PartitionManager {
     }
 
     fn snapshot(&self) -> Option<Json> {
+        self.image(None).map(|image| image.json())
+    }
+
+    fn restore(&mut self, snap: &Json) -> Result<(), String> {
+        self.restore_record(&PartitionImage::read(snap, WHAT)?)
+    }
+
+    fn image(&self, recycled: Option<PolicyImage>) -> Option<PolicyImage> {
+        let mut image = recycled
+            .and_then(PartitionImage::from_image)
+            .unwrap_or_default();
         let parts = each(self.bounds).map(|col| Part {
             col,
             width: self.end(col) - col,
             slot: self.slot(col),
         });
-        let image = PartitionImage {
-            parts: parts.collect(),
-            waiters: self.waiters.clone(),
-            clock: self.clock,
-            gc_enabled: self.gc_enabled,
-            stats: self.port.stats,
-            delta: self.port.delta_image(),
-        };
-        Some(image.json())
+        image.parts.clear();
+        image.parts.extend(parts);
+        image.waiters.clone_from(&self.waiters);
+        (image.clock, image.gc_enabled) = (self.clock, self.gc_enabled);
+        (image.stats, image.delta) = (self.port.stats, self.port.delta_image());
+        Some(image.into_image())
     }
 
-    fn restore(&mut self, snap: &Json) -> Result<(), String> {
-        let img = PartitionImage::read(snap, "partition snapshot")?;
+    fn restore_image(&mut self, image: &PolicyImage) -> Result<(), String> {
+        self.restore_record(&*image.record::<PartitionImage>(WHAT)?)
+    }
+}
+
+/// What a damaged partition image's error names.
+const WHAT: &str = "partition snapshot";
+
+impl PartitionManager {
+    /// Take `img`'s state, once it describes partitions that tile this
+    /// device, each circuit in the library, resident once, and routable
+    /// at its origin.
+    fn restore_record(&mut self, img: &PartitionImage) -> Result<(), String> {
         let cols = self.port.timing.spec.cols;
         let mut routing = self.routing.empty_like();
         let (mut bounds, mut free, mut retired, mut idle) = (0u64, 0u64, 0u64, 0u64);
@@ -829,7 +849,7 @@ impl FpgaManager for PartitionManager {
         let mut claims = Vec::new();
         // The partitions tile the device: each starts where the last ended.
         let mut next_col = 0;
-        for Part { col, width, slot } in img.parts {
+        for &Part { col, width, slot } in &img.parts {
             if col != next_col || width == 0 || width > cols - col {
                 return Err(format!(
                     "partition [{col}, +{width}) does not continue the tiling at column {next_col} of {cols}"
@@ -891,7 +911,8 @@ impl FpgaManager for PartitionManager {
         self.port
             .restore_map(&self.lib, img.delta.as_ref(), claims)?;
         (self.bounds, self.free, self.retired, self.idle) = (bounds, free, retired, idle);
-        (self.residents, self.routing, self.waiters) = (residents, routing, img.waiters);
+        (self.residents, self.routing) = (residents, routing);
+        self.waiters.clone_from(&img.waiters);
         (self.clock, self.gc_enabled, self.port.stats) = (img.clock, img.gc_enabled, img.stats);
         self.servable = self.max_servable_width();
         self.check();
@@ -904,7 +925,7 @@ fsim::record! {
     /// partitions in column order. Routes are not part of it: they are
     /// derived state, rebuilt by re-routing each resident circuit at its
     /// origin on restore.
-    #[derive(Debug)]
+    #[derive(Debug, Clone, Default)]
     pub(crate) struct PartitionImage {
         parts: Vec<Part>,
         waiters: VecDeque<(TaskId, CircuitId)>,
@@ -919,7 +940,7 @@ fsim::record! {
 }
 
 /// One partition as a checkpoint image holds it.
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy)]
 struct Part {
     col: u32,
     width: u32,
@@ -928,7 +949,7 @@ struct Part {
 
 /// What a partition holds, as a checkpoint image has it: a resident
 /// without its routes.
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy)]
 enum Slot {
     Free,
     Retired,

@@ -7,7 +7,8 @@
 //! walked or bisected that list for every question. The walk drives both
 //! through the same random calls — activate (a resumed op too), op done,
 //! preempt, task exit, discard, column retirement, and a checkpoint image
-//! restored into fresh managers, sometimes edited so that the idle
+//! restored into fresh managers (typed, and a third from its rendering,
+//! which must restore the same), sometimes edited so that the idle
 //! residents' last uses tie and saved state is owed — on fixed partitions,
 //! fixed partitions with slack and variable partitions with GC and delta
 //! pricing. After every call the answer, the counters, the usage, the
@@ -19,13 +20,14 @@
 //! --include-ignored`).
 
 use super::delta::{DeltaImage, DeltaStats};
-use super::partition::{PartitionManager, PartitionMode};
+use super::partition::{PartitionImage, PartitionManager, PartitionMode};
 use super::{
     columns, Activation, DeltaPort, DeviceUsage, FpgaManager, ManagerStats, PreemptAction,
     PreemptCost, ResidentRegion, RetireOutcome, Write,
 };
 use crate::circuit::{CircuitId, CircuitLib};
 use crate::error::VfpgaError;
+use crate::image::Record;
 use crate::task::TaskId;
 use fpga::{ConfigPort, ConfigTiming};
 use fsim::json::{Fields, Json, Obj, Wire};
@@ -1074,17 +1076,30 @@ fn walk(setup: &Setup, seed: u64, steps: usize) -> Reached {
                 )
             }
             Call::Restore { edit } => {
+                let mut image = new.image(None).unwrap();
                 let mut snap = new.snapshot().unwrap();
                 if edit {
                     let owed = TaskId(rng.below(holding.len() as u64) as u32);
                     snap = tie_and_owe(&snap, &mut rng, owed);
+                    image = Box::new(PartitionImage::read(&snap, "edited").unwrap()).into_image();
                 }
                 // Re-routing the residents in column order can fail where
                 // their searched routes were found in another order: then
-                // the run goes on with the managers it had.
-                let (mut fresh_new, mut fresh_old) = setup.build();
-                let restored = (fresh_new.restore(&snap), fresh_old.restore(&snap));
+                // the run goes on with the managers it had. The manager
+                // restores its typed image, and a third its rendering.
+                let ((mut fresh_new, mut fresh_old), (mut from_json, _)) =
+                    (setup.build(), setup.build());
+                let restored = (fresh_new.restore_image(&image), fresh_old.restore(&snap));
+                let through_json = from_json.restore(&snap);
+                let paths = format!("{:?} seed {seed} step {step}: the two paths", setup.mode);
+                assert_eq!(through_json, restored.0, "{paths}");
                 if restored.0.is_ok() {
+                    let images = (from_json.snapshot(), fresh_new.snapshot());
+                    assert_eq!(
+                        images.0.unwrap().render(),
+                        images.1.unwrap().render(),
+                        "{paths}"
+                    );
                     (new, old) = (fresh_new, fresh_old);
                 }
                 (Answer::Restored(restored.0), Answer::Restored(restored.1))

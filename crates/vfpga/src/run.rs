@@ -9,11 +9,10 @@ use crate::admission::{AdmissionPolicy, AdmissionState};
 use crate::checkpoint::{CheckpointConfig, CrashStats, SlotWindow, WalRecord};
 use crate::circuit::CircuitLib;
 use crate::fleet::DeviceId;
-use crate::image::{Capture, Latent, Running};
+use crate::image::{Capture, Latent, PolicyImage, Running};
 use crate::recovery::{FaultStats, RecoveryPolicy};
 use crate::system::{Ev, SystemConfig};
 use crate::task::{SetbackTable, TaskId, TaskSlot, TaskSpec, TaskState};
-use fsim::json::Json;
 use fsim::{EventQueue, HistSet, Metrics, QueueStats, ScheduledEvent, SimTime, TimelineSet, Trace};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -92,11 +91,11 @@ pub(crate) enum Boot {
     Captured,
 }
 
-/// The scheduler's and the manager's snapshots and the fault streams'
+/// The scheduler's and the manager's images and the fault streams'
 /// words as built.
 pub(crate) struct BootRecord {
-    pub(crate) sched: Json,
-    pub(crate) manager: Json,
+    pub(crate) sched: PolicyImage,
+    pub(crate) manager: PolicyImage,
     pub(crate) rng: Option<[[u64; 4]; 3]>,
 }
 

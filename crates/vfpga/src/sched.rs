@@ -8,6 +8,7 @@
 //! ([`EdfScheduler`], the deadline-closed policy E18 compares against the
 //! others).
 
+use crate::image::PolicyImage;
 use crate::task::{TaskId, TaskSpec};
 use fsim::json::Json;
 use fsim::json::Wire;
@@ -44,6 +45,46 @@ pub trait Scheduler {
     fn restore(&mut self, _snap: &Json) -> Result<(), String> {
         Err("scheduler does not support snapshots".into())
     }
+
+    /// The state a system checkpoint carries, as the process keeps it,
+    /// refilling `recycled`'s buffers where it can: as
+    /// [`FpgaManager::image`](crate::FpgaManager::image). The default is
+    /// the [`snapshot`](Scheduler::snapshot) tree.
+    fn image(&self, _recycled: Option<PolicyImage>) -> Option<PolicyImage> {
+        self.snapshot().map(PolicyImage::from)
+    }
+
+    /// Restore what [`image`](Scheduler::image) returned, or an image read
+    /// back from its JSON, exactly as [`restore`](Scheduler::restore) reads
+    /// the rendering. The default restores the rendering.
+    fn restore_image(&mut self, image: &PolicyImage) -> Result<(), String> {
+        self.restore(&image.as_json())
+    }
+}
+
+/// The checkpoint methods of a scheduler whose state is its record `st`,
+/// a `$record`: the image is a copy of it, the snapshot its rendering,
+/// and both restores read it (`$what` names it in an error).
+macro_rules! state_is_the_image {
+    ($record:ty, $what:literal) => {
+        fn snapshot(&self) -> Option<Json> {
+            Some(self.st.json())
+        }
+
+        fn restore(&mut self, snap: &Json) -> Result<(), String> {
+            self.st = Wire::read(snap, $what)?;
+            Ok(())
+        }
+
+        fn image(&self, recycled: Option<PolicyImage>) -> Option<PolicyImage> {
+            Some(PolicyImage::refill(recycled, &self.st))
+        }
+
+        fn restore_image(&mut self, image: &PolicyImage) -> Result<(), String> {
+            self.st.clone_from(&*image.record::<$record>($what)?);
+            Ok(())
+        }
+    };
 }
 
 fsim::record! {
@@ -57,10 +98,37 @@ fsim::record! {
 fsim::record! {
     /// The image of the two ordered policies: `{"ready": [entry, …],
     /// "seq": n}`, the ready entries and the next insertion sequence.
-    #[derive(Debug, Clone)]
+    #[derive(Debug)]
     pub(crate) struct ReadyImage<E> {
         ready: Vec<E>,
         seq: u64,
+    }
+}
+
+// By hand, so that a capture refills the last one's buffer.
+impl Clone for QueueImage {
+    fn clone(&self) -> Self {
+        QueueImage {
+            queue: self.queue.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, from: &Self) {
+        self.queue.clone_from(&from.queue);
+    }
+}
+
+impl<E: Clone> Clone for ReadyImage<E> {
+    fn clone(&self) -> Self {
+        ReadyImage {
+            ready: self.ready.clone(),
+            seq: self.seq,
+        }
+    }
+
+    fn clone_from(&mut self, from: &Self) {
+        self.ready.clone_from(&from.ready);
+        self.seq = from.seq;
     }
 }
 
@@ -111,14 +179,7 @@ impl Scheduler for FifoScheduler {
         "fifo"
     }
 
-    fn snapshot(&self) -> Option<Json> {
-        Some(self.st.json())
-    }
-
-    fn restore(&mut self, snap: &Json) -> Result<(), String> {
-        self.st = Wire::read(snap, "fifo snapshot")?;
-        Ok(())
-    }
+    state_is_the_image!(QueueImage, "fifo snapshot");
 }
 
 /// Round-robin with a fixed time slice.
@@ -164,14 +225,7 @@ impl Scheduler for RoundRobinScheduler {
         "round-robin"
     }
 
-    fn snapshot(&self) -> Option<Json> {
-        Some(self.st.json())
-    }
-
-    fn restore(&mut self, snap: &Json) -> Result<(), String> {
-        self.st = Wire::read(snap, "round-robin snapshot")?;
-        Ok(())
-    }
+    state_is_the_image!(QueueImage, "round-robin snapshot");
 }
 
 /// Preemptive priority with round-robin among equal priorities.
@@ -274,14 +328,7 @@ impl Scheduler for PriorityScheduler {
         }
     }
 
-    fn snapshot(&self) -> Option<Json> {
-        Some(self.st.json())
-    }
-
-    fn restore(&mut self, snap: &Json) -> Result<(), String> {
-        self.st = Wire::read(snap, "priority snapshot")?;
-        Ok(())
-    }
+    state_is_the_image!(ReadyImage<(u8, u64, TaskId, SimTime)>, "priority snapshot");
 }
 
 /// Earliest absolute deadline first.
@@ -389,16 +436,9 @@ impl Scheduler for EdfScheduler {
         "edf"
     }
 
-    fn snapshot(&self) -> Option<Json> {
-        // The deadline table is configuration (rebuilt identically with
-        // the scheduler); only the ready queue and seq counter are state.
-        Some(self.st.json())
-    }
-
-    fn restore(&mut self, snap: &Json) -> Result<(), String> {
-        self.st = Wire::read(snap, "edf snapshot")?;
-        Ok(())
-    }
+    // The deadline table is configuration (rebuilt identically with the
+    // scheduler); only the ready queue and seq counter are state.
+    state_is_the_image!(ReadyImage<(u64, TaskId)>, "edf snapshot");
 }
 
 #[cfg(test)]

@@ -279,19 +279,20 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
 
     /// Enable periodic whole-system checkpoints. Fails with
     /// [`VfpgaError::CheckpointUnsupported`] when the manager or the
-    /// scheduler cannot snapshot its state — refusing up front beats
-    /// silently losing state at the first crash.
+    /// scheduler has no checkpoint image of its state (asked through
+    /// `image`, which builds no JSON) — refusing up front beats silently
+    /// losing state at the first crash.
     pub fn with_checkpoints(mut self, cfg: CheckpointConfig) -> Result<Self, VfpgaError> {
         assert!(
             cfg.interval > SimDuration::ZERO,
             "zero checkpoint interval would livelock the event loop"
         );
-        if self.manager.snapshot().is_none() {
+        if self.manager.image(None).is_none() {
             return Err(VfpgaError::CheckpointUnsupported {
                 component: self.manager.name(),
             });
         }
-        if self.sched.snapshot().is_none() {
+        if self.sched.image(None).is_none() {
             return Err(VfpgaError::CheckpointUnsupported {
                 component: self.sched.name(),
             });
@@ -460,8 +461,8 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
     /// built.
     fn boot_record(&self) -> Boot {
         Boot::Recorded(Box::new(BootRecord {
-            sched: self.sched.snapshot().expect("validated at enable"),
-            manager: self.manager.snapshot().expect("validated at enable"),
+            sched: self.sched.image(None).expect("validated at enable"),
+            manager: self.manager.image(None).expect("validated at enable"),
             rng: self.injector.as_ref().map(FaultInjector::stream_states),
         }))
     }
@@ -485,8 +486,8 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
             match std::mem::replace(&mut self.build.boot, Boot::AsBuilt) {
                 Boot::AsBuilt => {}
                 Boot::Recorded(record) => {
-                    self.sched.restore(&record.sched)?;
-                    self.manager.restore(&record.manager)?;
+                    self.sched.restore_image(&record.sched)?;
+                    self.manager.restore_image(&record.manager)?;
                     if let (Some(inj), Some(states)) = (self.injector.as_mut(), record.rng) {
                         inj.restore_stream_states(states);
                     }

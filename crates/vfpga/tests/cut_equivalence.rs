@@ -37,13 +37,13 @@ use vfpga::checkpoint::Cut;
 use vfpga::circuit::{CircuitId, CircuitLib};
 use vfpga::manager::dynload::DynLoadManager;
 use vfpga::manager::partition::{PartitionManager, PartitionMode};
-use vfpga::manager::PreemptAction;
+use vfpga::manager::{DeltaStats, PreemptAction, ResidentRegion, RetireOutcome};
 use vfpga::sched::{EdfScheduler, RoundRobinScheduler};
 use vfpga::system::{System, SystemConfig};
-use vfpga::task::{Op, TaskSpec};
+use vfpga::task::{Op, TaskId, TaskSpec};
 use vfpga::{
-    diff_reports, AdmissionPolicy, CheckpointConfig, CrashState, FpgaManager, RecoveryPolicy,
-    Report, Scheduler,
+    diff_reports, Activation, AdmissionPolicy, CheckpointConfig, CrashState, DeviceUsage,
+    FpgaManager, ManagerStats, PreemptCost, RecoveryPolicy, Report, Scheduler,
 };
 
 const TENANTS: u32 = 3;
@@ -475,6 +475,204 @@ fn every_cut_adopts_the_same_typed_and_through_json() {
 #[ignore = "wide matrix: run with --release -- --ignored"]
 fn every_cut_adopts_the_same_typed_and_through_json_wide() {
     matrix(40);
+}
+
+/// A manager or a scheduler that implements only `snapshot`/`restore` of
+/// the checkpoint methods, as a delegating wrapper outside the crate can:
+/// its captures and restores take the traits' defaults, the JSON tree.
+struct JsonOnly<T>(T);
+
+impl<M: FpgaManager> FpgaManager for JsonOnly<M> {
+    fn name(&self) -> &'static str {
+        self.0.name()
+    }
+    fn activate(&mut self, tid: TaskId, cid: CircuitId) -> Activation {
+        self.0.activate(tid, cid)
+    }
+    fn preempt(&mut self, tid: TaskId, cid: CircuitId) -> PreemptCost {
+        self.0.preempt(tid, cid)
+    }
+    fn op_done(&mut self, tid: TaskId, cid: CircuitId) -> (SimDuration, Vec<TaskId>) {
+        self.0.op_done(tid, cid)
+    }
+    fn task_exit(&mut self, tid: TaskId) -> Vec<TaskId> {
+        self.0.task_exit(tid)
+    }
+    fn stats(&self) -> ManagerStats {
+        self.0.stats()
+    }
+    fn set_recording(&mut self, on: bool) {
+        self.0.set_recording(on)
+    }
+    fn drain_events(&mut self) -> Vec<TraceEvent> {
+        self.0.drain_events()
+    }
+    fn usage(&self) -> DeviceUsage {
+        self.0.usage()
+    }
+    fn timing(&self) -> &fpga::ConfigTiming {
+        self.0.timing()
+    }
+    fn preemptable(&self) -> bool {
+        self.0.preemptable()
+    }
+    fn resident_regions(&self) -> Vec<ResidentRegion> {
+        self.0.resident_regions()
+    }
+    fn is_resident(&self, cid: CircuitId) -> bool {
+        self.0.is_resident(cid)
+    }
+    fn discard_resident(&mut self, cid: CircuitId) -> bool {
+        self.0.discard_resident(cid)
+    }
+    fn retire_column(&mut self, col: u32) -> RetireOutcome {
+        self.0.retire_column(col)
+    }
+    fn delta_stats(&self) -> Option<DeltaStats> {
+        self.0.delta_stats()
+    }
+    fn invalidate_image_range(&mut self, col0: u32, width: u32) {
+        self.0.invalidate_image_range(col0, width)
+    }
+    fn implant_ghost(&mut self, col0: u32, width: u32, cid: CircuitId) -> bool {
+        self.0.implant_ghost(col0, width, cid)
+    }
+    fn snapshot(&self) -> Option<Json> {
+        self.0.snapshot()
+    }
+    fn restore(&mut self, snap: &Json) -> Result<(), String> {
+        self.0.restore(snap)
+    }
+}
+
+impl<S: Scheduler> Scheduler for JsonOnly<S> {
+    fn on_ready(&mut self, tid: TaskId, priority: u8, now: SimTime) {
+        self.0.on_ready(tid, priority, now)
+    }
+    fn pick(&mut self, now: SimTime) -> Option<TaskId> {
+        self.0.pick(now)
+    }
+    fn slice(&self) -> Option<SimDuration> {
+        self.0.slice()
+    }
+    fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+    fn name(&self) -> &'static str {
+        self.0.name()
+    }
+    fn snapshot(&self) -> Option<Json> {
+        self.0.snapshot()
+    }
+    fn restore(&mut self, snap: &Json) -> Result<(), String> {
+        self.0.restore(snap)
+    }
+}
+
+/// Cut `bare`'s run and `json`'s (the same system over [`JsonOnly`]
+/// components) at every event instant: the same durable image, and the
+/// same report and receipt from each adoption — the cut system restored
+/// in place (from its boot record before the first capture), a failover
+/// and a migration split.
+fn json_only_adopts_like_bare<M: FpgaManager, S: Scheduler>(
+    label: &str,
+    specs: &[TaskSpec],
+    delta: bool,
+    bare: impl Fn() -> System<M, S>,
+    json: impl Fn() -> System<JsonOnly<M>, JsonOnly<S>>,
+) {
+    let (_, trace) = bare().with_trace().run_traced().unwrap();
+    assert_eq!(text(&run(json())), text(&run(bare())), "{label}: the run");
+    let mut cuts = 0;
+    // Every other instant: the two paths part at no particular one.
+    for at in instants(&trace).into_iter().step_by(2) {
+        let (mut b, mut j) = (bare(), json());
+        let (Some(bare_cut), Some(json_cut)) = (
+            b.run_to_cut(Some(at)).unwrap(),
+            j.run_to_cut(Some(at)).unwrap(),
+        ) else {
+            continue;
+        };
+        cuts += 1;
+        let (bare_state, json_state) = (bare_cut.to_durable(), json_cut.to_durable());
+        let image = |state: &CrashState| state.image.as_ref().map(|i| i.state.render());
+        assert_eq!(
+            image(&bare_state),
+            image(&json_state),
+            "{label} @{at}: the image"
+        );
+        let resume = bare_state.image.as_ref().map_or(SimTime::ZERO, |i| i.at);
+        b.restore_cut(bare_cut.clone()).unwrap();
+        j.restore_cut(json_cut.clone()).unwrap();
+        assert_eq!(
+            text(&run(b)),
+            text(&run(j)),
+            "{label} @{at}: restored in place"
+        );
+        let (bare_form, json_form) = (Form::Typed(&bare_cut), Form::Typed(&json_cut));
+        let adopted = [
+            (bare_form.fail_over(bare()), json_form.fail_over(json())),
+            (
+                bare_form.migrate((bare(), bare()), specs, (at, resume), delta),
+                json_form.migrate((json(), json()), specs, (at, resume), delta),
+            ),
+        ];
+        for ((b, j), how) in adopted.iter().zip(["failover", "migration"]) {
+            assert_eq!(
+                text(&b.report),
+                text(&j.report),
+                "{label} @{at} {how}: report"
+            );
+            assert_eq!(b.receipt, j.receipt, "{label} @{at} {how}: receipt");
+        }
+    }
+    assert!(cuts >= 32, "{label}: {cuts} cuts: a dead sweep");
+}
+
+/// Components that keep no record of their own — the benchmark's timing
+/// wrappers are such — take the JSON defaults of `image` and
+/// `restore_image`, and checkpoint, crash-restore, fail over and migrate
+/// exactly as the bare types, which capture their records.
+#[test]
+fn snapshot_only_policies_adopt_like_the_bare_ones() {
+    let (lib, ids) = lib4();
+    let sp = specs(&ids, 8);
+    let quantum = us(700);
+    let dynload_rr = || {
+        let (mgr, ckpt) = dynload(&lib);
+        (mgr, RoundRobinScheduler::new(quantum), ckpt)
+    };
+    let partition_edf = || {
+        let (mgr, ckpt) = partition_delta(&lib);
+        (mgr, EdfScheduler::for_tasks(&sp, Some(quantum)), ckpt)
+    };
+    macro_rules! cell {
+        ($label:expr, $delta:expr, $parts:expr) => {
+            json_only_adopts_like_bare(
+                $label,
+                &sp,
+                $delta,
+                || {
+                    let (mgr, sched, ckpt) = $parts();
+                    System::new(lib.clone(), mgr, sched, SAVE_RESTORE, sp.clone())
+                        .with_checkpoints(ckpt)
+                        .unwrap()
+                },
+                || {
+                    let (mgr, sched, ckpt) = $parts();
+                    let (mgr, sched) = (JsonOnly(mgr), JsonOnly(sched));
+                    System::new(lib.clone(), mgr, sched, SAVE_RESTORE, sp.clone())
+                        .with_checkpoints(ckpt)
+                        .unwrap()
+                },
+            )
+        };
+    }
+    cell!("dynload/rr", false, dynload_rr);
+    cell!("partition+delta/edf", true, partition_edf);
 }
 
 /// The field `key` of a JSON object.
