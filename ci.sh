@@ -96,8 +96,12 @@ CARGO_TARGET_DIR="$PWD/target/benchmark" \
   cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
 # The two numbers ROADMAP aim 2 tracks, then how the lines split and how
-# many the experiments take. Files under tests/, *_tests.rs, and
-# everything from a file's #[cfg(test)] on count as test — so "fewer lines" cannot be met by moving code into tests,
+# many the experiments take. Files under tests/ and *_tests.rs count as
+# test, and so does each item a #[cfg(test)] line gates: a `mod x;` line,
+# or the next item up to its closing brace (braces in strings, char
+# literals and // comments aside). Blank and comment lines after a gated
+# item go with the next code line: test before another gated item or at
+# the file's end. So "fewer lines" cannot be met by moving code into tests,
 # and the next god object shows up in every log. Last, by the same rule,
 # the places non-test crates/vfpga/src can panic (comment lines aside):
 # ROADMAP item 1 wants each to name its invariant or become a VfpgaError.
@@ -109,13 +113,28 @@ echo "crates/: $(find crates -name '*.rs' | xargs cat | wc -l) lines in" \
 echo "crates/vfpga: $(cargo test -q -p vfpga --lib task::tests::slot_bytes -- --nocapture |
   grep -o 'TaskSlot: [0-9]* bytes')"
 find crates -name '*.rs' | sort | xargs awk '
-  FNR == 1 { test = (FILENAME ~ /\/tests\// || FILENAME ~ /_tests\.rs$/) }
-  /^[[:space:]]*#\[cfg\(test\)\]/ { test = 1 }
-  { if (test) t++; else { n++; if (++per[FILENAME] > max) { max = per[FILENAME]; big = FILENAME } } }
-  !test && FILENAME ~ /^crates\/bench\/src\/exp\// { e++ }
+  function tally(test, k) {
+    if (test) { t += k; return }
+    n += k; per[FILENAME] += k
+    if (per[FILENAME] > max) { max = per[FILENAME]; big = FILENAME }
+    if (FILENAME ~ /^crates\/bench\/src\/exp\//) e += k
+    if (FILENAME ~ /^crates\/vfpga\/src\//) v += k
+  }
+  FNR == 1 { t += held; held = gate = after = 0
+             whole = (FILENAME ~ /\/tests\// || FILENAME ~ /_tests\.rs$/) }
+  { code = $0; gsub(/\\\\|\\"|\047.\047|\047\\.\047/, "", code); gsub(/"[^"]*"/, "", code)
+    sub(/\/\/.*/, "", code) }
+  after && code !~ /[^[:space:]]/ { held++; next }
+  !gate && /^[[:space:]]*#\[cfg\(test\)\]/ { gate = 1; depth = opened = 0 }
+  after { tally(gate, held); held = after = 0 }
+  { test = whole || gate; tally(test, 1) }
+  gate { o = gsub(/\{/, "", code); depth += o - gsub(/\}/, "", code); opened = opened || o
+         if (opened ? depth == 0 : code ~ /;/) gate = 0; after = !gate }
   !test && FILENAME ~ /^crates\/vfpga\/src\// && !/^[[:space:]]*\/\// {
     p += gsub(/\.unwrap\(\)|\.expect\(|panic!\(|unreachable!\(/, "&") }
-  END { printf "crates/: %d non-test + %d test lines; largest non-test file %s (%d)\n", n, t, big, max
+  END { t += held
+        printf "crates/: %d non-test + %d test lines; largest non-test file %s (%d)\n", n, t, big, max
+        printf "crates/vfpga/src: %d non-test lines\n", v
         printf "crates/bench/src/exp: %d non-test lines (the experiments and their runner)\n", e
         printf "crates/vfpga/src: %d unwrap/expect/panic!/unreachable! sites in non-test code\n", p }'
 # Every ignored test under crates/ with its reason, so a parked reproducer

@@ -17,7 +17,7 @@ use crate::{Exporter, HostProfile};
 use fsim::{SimDuration, SimRng};
 use std::sync::Arc;
 use vfpga::manager::dynload::DynLoadManager;
-use vfpga::manager::merged::MergedManager;
+use vfpga::manager::overlay::OverlayManager;
 use vfpga::{CircuitId, PreemptAction, Report, RoundRobinScheduler, SystemConfig};
 use workload::{poisson_tasks, Domain, MixParams};
 
@@ -51,7 +51,7 @@ pub fn run(args: &RunArgs) -> Result<Exporter, String> {
         let rr = || RoundRobinScheduler::new(SimDuration::from_millis(5));
         let mgr = DynLoadManager::new(lib.clone(), timing, PreemptAction::WaitCompletion);
         let dyn_r = run_traced(&lib, mgr, rr(), SystemConfig::default(), specs.clone());
-        let merged = MergedManager::new(lib.clone(), timing).map_err(|e| e.to_string());
+        let merged = OverlayManager::merged(lib.clone(), timing).map_err(|e| e.to_string());
         let merged = merged.map(|m| run_traced(&lib, m, rr(), SystemConfig::default(), specs));
         Ok::<Out, String>((total_cols, dyn_r, merged))
     };

@@ -24,8 +24,8 @@
 //!   column partitions, splitting, and the garbage collector that merges
 //!   idle fragments via (routing-checked) relocation,
 //! * [`manager::overlay`] — §2 overlaying: resident common functions plus
-//!   a replaceable overlay area (LRU/FIFO/LFU),
-//! * [`manager::merged`] — the §3 "trivial solution": merge all circuits
+//!   a replaceable overlay area (LRU/FIFO/LFU), and its limit, the §3
+//!   "trivial solution" (`OverlayManager::merged`): merge all circuits
 //!   into one and ignore unused outputs,
 //! * [`vmem`] — §2 segmentation and demand pagination of one over-large
 //!   function: a stand-alone reference model E8 drives, not a manager,

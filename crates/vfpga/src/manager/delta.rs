@@ -246,8 +246,8 @@ impl DeltaPort {
         *self.map.origin.get(cid.0 as usize)?
     }
 
-    /// The circuit of the run written from `origin`, which the caller
-    /// knows to be a resident's.
+    /// The circuit of the run last written from `origin`: a resident's
+    /// when `origin_of` names `origin` for it.
     pub(crate) fn circuit_at(&self, origin: u32) -> CircuitId {
         self.map.cid[origin as usize]
     }

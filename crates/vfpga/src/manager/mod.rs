@@ -3,7 +3,9 @@
 //! An [`FpgaManager`] decides how the shared device serves task requests:
 //! whether a circuit is already resident, where a missing one goes, whether
 //! a task must block, and what happens on preemption. One implementation
-//! per technique the paper proposes, plus the baselines it argues against.
+//! per technique the paper proposes, plus the baselines it argues against;
+//! the §3 merged circuit is no type of its own but an overlay with every
+//! circuit common and no slot ([`overlay::OverlayManager::merged`]).
 //!
 //! What the download and readback work costs is not a policy's to say.
 //! Every manager writes the fabric through its one `Port` — the boot
@@ -13,7 +15,8 @@
 //! [`DeltaStats`]), traces it and returns the [`Write`] record, a GC run's
 //! or a column retirement's relocation too. A call reports every write it
 //! made, and the system journals each. The port of a manager that
-//! allocates columns also keeps what each column holds (`delta.rs`): its
+//! allocates columns also keeps what each column holds (`delta.rs`), the
+//! one record of which circuit a partition or an overlay slot holds: its
 //! writes update that map themselves, and every other change to the
 //! fabric — eviction, GC, retirement, a CRC discard, a repair, a staged
 //! migration, a restore — is one port method.
@@ -21,7 +24,6 @@
 pub mod delta;
 pub mod dynload;
 pub mod exclusive;
-pub mod merged;
 pub mod overlay;
 pub mod partition;
 
@@ -512,6 +514,8 @@ fn record(cid: CircuitId, col0: u32, width: u32, kind: WriteKind, d: SimDuration
 
 #[cfg(test)]
 mod delta_oracle_tests;
+#[cfg(test)]
+mod merged_oracle_tests;
 #[cfg(test)]
 mod partition_oracle_tests;
 

@@ -1,4 +1,4 @@
-//! Overlaying (§2).
+//! Overlaying (§2), and the merged circuit (§3) as its limit.
 //!
 //! "Overlaying configures part of the FPGA to compute common functions
 //! which are frequently used, while the remaining part is used to download
@@ -9,7 +9,20 @@
 //! boot with the designated common circuits, and an *overlay* range of
 //! equal-width slots. A task using a common circuit always hits; a task
 //! using a specific circuit faults into an overlay slot, evicting a victim
-//! chosen by the configured replacement policy.
+//! chosen by the configured replacement policy. What a slot holds is the
+//! port's column map: the circuit whose claimed run starts at the slot's
+//! first column.
+//!
+//! "If the FPGA is large enough to accommodate contemporaneously all
+//! circuits required by all applications, a trivial solution is to merge
+//! all circuits into only one: each task will use the part of the merged
+//! circuit in which it is interested and ignore all other outputs."
+//!
+//! That is an overlay with every circuit common and no slot left to swap:
+//! [`OverlayManager::merged`] builds it, one boot download of every
+//! circuit side by side, every activation afterwards free. It *fails* when
+//! the circuits don't all fit — the condition that motivates the whole
+//! VFPGA machinery.
 
 use super::delta::DeltaStats;
 use super::{
@@ -34,9 +47,50 @@ pub enum Replacement {
     Lfu,
 }
 
-#[derive(Debug, Clone)]
+/// Why the merged solution is unavailable.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum MergeError {
+    /// Total circuit columns exceed the device.
+    AreaExceeded {
+        /// Columns demanded.
+        needed: u32,
+        /// Columns available.
+        available: u32,
+    },
+    /// Total I/O pins exceed the package.
+    PinsExceeded {
+        /// Pins demanded.
+        needed: usize,
+        /// Pins available.
+        available: usize,
+    },
+}
+
+impl std::fmt::Display for MergeError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            MergeError::AreaExceeded { needed, available } => {
+                write!(
+                    f,
+                    "merged circuit needs {needed} columns, device has {available}"
+                )
+            }
+            MergeError::PinsExceeded { needed, available } => {
+                write!(
+                    f,
+                    "merged circuit needs {needed} pins, package has {available}"
+                )
+            }
+        }
+    }
+}
+
+impl std::error::Error for MergeError {}
+
+/// An overlay slot's use, for the replacement policy; its occupant is the
+/// port's column map's.
+#[derive(Debug, Clone, Default)]
 struct OverlaySlot {
-    resident: Option<CircuitId>,
     owner: Option<TaskId>,
     last_use: u64,
     loaded_at: u64,
@@ -74,54 +128,77 @@ impl OverlayManager {
         policy: Replacement,
     ) -> Result<Self, VfpgaError> {
         let common_width: u32 = common.iter().map(|&c| lib.get(c).shape().0).sum();
-        let remaining =
-            timing
-                .spec
-                .cols
-                .checked_sub(common_width)
-                .ok_or(VfpgaError::CommonTooWide {
-                    common: common_width,
-                    device: timing.spec.cols,
-                })?;
-        if slot_width == 0 {
+        let Some(remaining) = timing.spec.cols.checked_sub(common_width) else {
+            return Err(VfpgaError::CommonTooWide {
+                common: common_width,
+                device: timing.spec.cols,
+            });
+        };
+        // Zero-width slots are no slots.
+        let n_slots = remaining.checked_div(slot_width).unwrap_or(0) as usize;
+        if n_slots == 0 {
             return Err(VfpgaError::NoOverlaySlot);
         }
+        Ok(OverlayManager {
+            slots: vec![OverlaySlot::default(); n_slots],
+            slot_width,
+            policy,
+            ..Self::with_common(lib, timing, common)
+        })
+    }
+
+    /// The merged circuit (§3): every circuit of `lib` common, in
+    /// registration order, and no overlay slot — one boot download of the
+    /// summed widths, regions packed from column 0, every activation a hit
+    /// that only simultaneous use of the same circuit blocks.
+    ///
+    /// Fails when the circuits' columns exceed the device or their pins
+    /// the package.
+    pub fn merged(lib: Arc<CircuitLib>, timing: ConfigTiming) -> Result<Self, MergeError> {
+        let needed: u32 = lib.iter().map(|(_, c)| c.shape().0).sum();
+        if needed > timing.spec.cols {
+            return Err(MergeError::AreaExceeded {
+                needed,
+                available: timing.spec.cols,
+            });
+        }
+        let pins: usize = lib.iter().map(|(_, c)| c.io_count()).sum();
+        if pins > timing.spec.io_pins as usize {
+            return Err(MergeError::PinsExceeded {
+                needed: pins,
+                available: timing.spec.io_pins as usize,
+            });
+        }
+        let common = lib.iter().map(|(cid, _)| cid).collect();
+        Ok(Self::with_common(lib, timing, common))
+    }
+
+    /// `common` resident, booted, and no overlay slot.
+    fn with_common(lib: Arc<CircuitLib>, timing: ConfigTiming, common: Vec<CircuitId>) -> Self {
         // The port's column map covers a column set, one `u64`.
         assert!(
             timing.spec.cols <= u64::BITS,
             "{} columns do not fit a column set",
             timing.spec.cols
         );
-        let n_slots = (remaining / slot_width) as usize;
-        if n_slots == 0 {
-            return Err(VfpgaError::NoOverlaySlot);
-        }
         let mut m = OverlayManager {
             lib,
             common_owner: vec![None; common.len()],
             common,
-            slots: vec![
-                OverlaySlot {
-                    resident: None,
-                    owner: None,
-                    last_use: 0,
-                    loaded_at: 0,
-                    uses: 0
-                };
-                n_slots
-            ],
-            slot_width,
-            policy,
+            slots: Vec::new(),
+            slot_width: 0,
+            policy: Replacement::Lru,
             waiters: VecDeque::new(),
             clock: 0,
             port: DeltaPort::new(timing),
         };
+        let common_width = m.common_width();
         if common_width > 0 {
             // Boot-time download of the resident region: one download
             // covering the common circuits' frames.
             m.port.boot(common_width as usize);
         }
-        Ok(m)
+        m
     }
 
     /// Number of overlay slots.
@@ -147,6 +224,20 @@ impl OverlayManager {
         self.common_width() + i as u32 * self.slot_width
     }
 
+    /// What slot `i` holds: the circuit whose claimed run starts at its
+    /// first column.
+    fn occupant(&self, i: usize) -> Option<CircuitId> {
+        let col0 = self.slot_col0(i);
+        let cid = self.port.circuit_at(col0);
+        (self.port.origin_of(cid) == Some(col0)).then_some(cid)
+    }
+
+    /// The slot that holds `cid`: only slots' loads claim runs.
+    fn slot_of(&self, cid: CircuitId) -> Option<usize> {
+        let col0 = self.port.origin_of(cid)?;
+        Some(((col0 - self.common_width()) / self.slot_width) as usize)
+    }
+
     fn tick(&mut self) -> u64 {
         self.clock += 1;
         self.clock
@@ -165,7 +256,7 @@ impl OverlayManager {
             if s.owner.is_some() {
                 continue;
             }
-            if s.resident.is_none() {
+            if self.occupant(i).is_none() {
                 return Some(i);
             }
             if best.is_none_or(|(_, k)| key(s) < k) {
@@ -177,18 +268,8 @@ impl OverlayManager {
 
     /// The slots as `(cid, first column, slot width)`, occupied ones only.
     pub(super) fn occupied(&self) -> impl Iterator<Item = (CircuitId, u32, u32)> + '_ {
-        let slots = self.slots.iter().enumerate();
-        slots.filter_map(|(i, s)| {
-            s.resident
-                .map(|cid| (cid, self.slot_col0(i), self.slot_width))
-        })
-    }
-
-    /// Debug builds check after every call that changes a slot that the
-    /// port's column map holds each occupant at its slot's first column.
-    fn check(&self) {
-        let claims = self.occupied().map(|(cid, col0, _)| (cid, col0));
-        self.port.check_claims(&self.lib, claims);
+        (0..self.slots.len())
+            .filter_map(|i| Some((self.occupant(i)?, self.slot_col0(i), self.slot_width)))
     }
 
     fn block(&mut self, tid: TaskId) -> Activation {
@@ -200,7 +281,11 @@ impl OverlayManager {
 
 impl FpgaManager for OverlayManager {
     fn name(&self) -> &'static str {
-        "overlay"
+        if self.slots.is_empty() {
+            "merged"
+        } else {
+            "overlay"
+        }
     }
 
     fn activate(&mut self, tid: TaskId, cid: CircuitId) -> Activation {
@@ -216,7 +301,7 @@ impl FpgaManager for OverlayManager {
             return hit;
         }
         // Specific circuit: look for it in the overlay slots.
-        if let Some(i) = self.slots.iter().position(|s| s.resident == Some(cid)) {
+        if let Some(i) = self.slot_of(cid) {
             let s = &mut self.slots[i];
             if s.owner.is_some_and(|o| o != tid) {
                 return self.block(tid);
@@ -237,8 +322,7 @@ impl FpgaManager for OverlayManager {
             return self.block(tid);
         };
         self.port.stats.misses += 1;
-        let old = self.slots[i].resident;
-        if let Some(old) = old {
+        if let Some(old) = self.occupant(i) {
             self.port.stats.evictions += 1;
             self.port.obs.push(|| TraceEvent::OverlaySwap {
                 task: tid.0,
@@ -253,13 +337,12 @@ impl FpgaManager for OverlayManager {
         // base does not cover).
         let col0 = self.slot_col0(i);
         let write = self.port.load(&self.lib, tid, cid, col0, width);
-        let s = &mut self.slots[i];
-        s.resident = Some(cid);
-        s.owner = Some(tid);
-        s.last_use = stamp;
-        s.loaded_at = stamp;
-        s.uses = 1;
-        self.check();
+        self.slots[i] = OverlaySlot {
+            owner: Some(tid),
+            last_use: stamp,
+            loaded_at: stamp,
+            uses: 1,
+        };
         Activation::ready(write.config_time, Some(write))
     }
 
@@ -277,9 +360,9 @@ impl FpgaManager for OverlayManager {
                 self.common_owner[ci] = None;
             }
         }
-        for s in &mut self.slots {
-            if s.resident == Some(cid) && s.owner == Some(tid) {
-                s.owner = None;
+        if let Some(i) = self.slot_of(cid) {
+            if self.slots[i].owner == Some(tid) {
+                self.slots[i].owner = None;
             }
         }
         (SimDuration::ZERO, self.waiters.drain(..).collect())
@@ -326,36 +409,26 @@ impl FpgaManager for OverlayManager {
             out.push(ResidentRegion { cid, col0, width });
             col0 += width;
         }
-        let common_width: u32 = self.common.iter().map(|&c| self.lib.get(c).shape().0).sum();
-        for (i, s) in self.slots.iter().enumerate() {
-            if let Some(cid) = s.resident {
-                out.push(ResidentRegion {
-                    cid,
-                    col0: common_width + i as u32 * self.slot_width,
-                    width: self.lib.get(cid).shape().0,
-                });
-            }
-        }
+        let slots = self.occupied().map(|(cid, col0, _)| ResidentRegion {
+            cid,
+            col0,
+            width: self.lib.get(cid).shape().0,
+        });
+        out.extend(slots);
         out
     }
 
     fn discard_resident(&mut self, cid: CircuitId) -> bool {
-        let mut any = false;
-        for i in 0..self.slots.len() {
-            if self.slots[i].resident == Some(cid) {
-                // The download was rejected: the slot holds garbage, the
-                // would-be owner gets nothing — and the garbage can never
-                // serve as a delta base.
-                self.slots[i].resident = None;
-                self.slots[i].owner = None;
-                self.slots[i].uses = 0;
-                any = true;
-                let extent = (self.slot_col0(i), self.slot_width);
-                self.port.discard(cid, Some(extent));
-            }
-        }
-        self.check();
-        any
+        let Some(i) = self.slot_of(cid) else {
+            return false;
+        };
+        // The download was rejected: the slot holds garbage, the would-be
+        // owner gets nothing — and the garbage can never serve as a delta
+        // base.
+        (self.slots[i].owner, self.slots[i].uses) = (None, 0);
+        let extent = (self.slot_col0(i), self.slot_width);
+        self.port.discard(cid, Some(extent));
+        true
     }
 
     fn invalidate_image_range(&mut self, col0: u32, width: u32) {
@@ -363,7 +436,6 @@ impl FpgaManager for OverlayManager {
         // base no more: each is counted over its slot.
         let extents: Vec<_> = self.occupied().collect();
         self.port.repair(col0, width, extents, true);
-        self.check();
     }
 
     fn delta_stats(&self) -> Option<DeltaStats> {
@@ -371,22 +443,21 @@ impl FpgaManager for OverlayManager {
     }
 
     fn usage(&self) -> DeviceUsage {
-        let common: u64 = self
-            .common
-            .iter()
-            .map(|&c| self.lib.get(c).blocks() as u64)
-            .sum();
-        let overlays: u64 = self
-            .slots
-            .iter()
-            .filter_map(|s| s.resident)
-            .map(|c| self.lib.get(c).blocks() as u64)
-            .sum();
+        let blocks = |c: CircuitId| self.lib.get(c).blocks() as u64;
+        let common: u64 = self.common.iter().map(|&c| blocks(c)).sum();
+        let overlays: u64 = self.occupied().map(|(c, ..)| blocks(c)).sum();
+        let (used_clbs, total_clbs) = (common + overlays, self.port.timing.spec.clbs() as u64);
+        // Each empty overlay slot is one independently fillable hole; with
+        // no slot (the merged circuit) the free fabric is one, as on the
+        // whole-device managers.
+        let free_fragments = match self.slots.len() {
+            0 => u32::from(used_clbs < total_clbs),
+            n => n as u32 - self.occupied().count() as u32,
+        };
         DeviceUsage {
-            used_clbs: common + overlays,
-            total_clbs: self.port.timing.spec.clbs() as u64,
-            // Each empty overlay slot is one independently fillable hole.
-            free_fragments: self.slots.iter().filter(|s| s.resident.is_none()).count() as u32,
+            used_clbs,
+            total_clbs,
+            free_fragments,
         }
     }
 }
@@ -631,6 +702,78 @@ mod tests {
         )
         .unwrap();
         assert_eq!(m.activate(TaskId(0), big), Activation::Unservable);
+    }
+
+    fn lib_of(widths: &[usize], spec: fpga::DeviceSpec) -> Arc<CircuitLib> {
+        let mut lib = CircuitLib::new();
+        for (i, &w) in widths.iter().enumerate() {
+            let net = netlist::library::arith::ripple_adder(&format!("c{i}"), w);
+            let opts = CompileOptions {
+                max_height: spec.rows,
+                ..Default::default()
+            };
+            lib.register_compiled(compile(&net, opts).unwrap());
+        }
+        Arc::new(lib)
+    }
+
+    #[test]
+    fn small_set_merges_and_activations_are_free() {
+        let spec = fpga::device::part("VF400");
+        let lib = lib_of(&[4, 4, 4], spec);
+        let timing = ConfigTiming {
+            spec,
+            port: ConfigPort::SerialFast,
+        };
+        let mut m = OverlayManager::merged(lib, timing).unwrap();
+        assert_eq!(m.name(), "merged");
+        assert!(m.stats().config_time > SimDuration::ZERO);
+        for t in 0..3u32 {
+            match m.activate(TaskId(t), CircuitId(t)) {
+                Activation::Ready { overhead, .. } => assert_eq!(overhead, SimDuration::ZERO),
+                other => panic!("{other:?}"),
+            }
+        }
+        assert_eq!(m.stats().downloads, 1, "exactly the boot download");
+    }
+
+    #[test]
+    fn oversized_set_fails_with_area() {
+        let spec = fpga::device::part("VF100"); // 10 cols
+        let lib = lib_of(&[8, 8, 8, 8], spec);
+        let timing = ConfigTiming {
+            spec,
+            port: ConfigPort::SerialFast,
+        };
+        match OverlayManager::merged(lib, timing) {
+            Err(MergeError::AreaExceeded { needed, available }) => {
+                assert!(needed > available);
+            }
+            other => panic!("expected AreaExceeded, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn same_subcircuit_serializes() {
+        let spec = fpga::device::part("VF400");
+        let lib = lib_of(&[4, 4], spec);
+        let timing = ConfigTiming {
+            spec,
+            port: ConfigPort::SerialFast,
+        };
+        let mut m = OverlayManager::merged(lib, timing).unwrap();
+        m.activate(TaskId(0), CircuitId(0));
+        assert_eq!(
+            m.activate(TaskId(1), CircuitId(0)),
+            Activation::Blocked { moved: 0 }
+        );
+        // A different sub-circuit is free though.
+        assert!(matches!(
+            m.activate(TaskId(2), CircuitId(1)),
+            Activation::Ready { .. }
+        ));
+        let (_, wake) = m.op_done(TaskId(0), CircuitId(0));
+        assert!(wake.contains(&TaskId(1)));
     }
 
     #[test]

@@ -914,6 +914,8 @@ struct Setup {
     delta: bool,
     /// Tracks a routing channel.
     cap: u16,
+    /// The rare paths its walks must reach.
+    reaches: Reached,
 }
 
 impl Setup {
@@ -941,6 +943,19 @@ struct Reached {
     retire_in_resident: bool,
     /// An eviction with two idle residents last used at the same instant.
     lru_tie: bool,
+    /// A circuit the device once had room for made unservable by
+    /// retirements.
+    retired_unservable: bool,
+}
+
+impl Reached {
+    /// Every path `want` names was reached.
+    fn covers(&self, want: &Reached) -> bool {
+        (self.gc_route_failure || !want.gc_route_failure)
+            && (self.retire_in_resident || !want.retire_in_resident)
+            && (self.lru_tie || !want.lru_tie)
+            && (self.retired_unservable || !want.retired_unservable)
+    }
 }
 
 /// Image `snap` with the idle residents' last uses tied to the oldest of
@@ -982,6 +997,8 @@ fn walk(setup: &Setup, seed: u64, steps: usize) -> Reached {
     let circuits = setup.lib.len() as u64;
     let mut holding: Vec<Option<CircuitId>> = vec![None; 5];
     let (mut retired, mut reached) = (0, Reached::default());
+    let servable = old.servable;
+    let on = format!("{:?} on {}", setup.mode, setup.timing.spec.name);
     for step in 0..steps {
         let call = loop {
             let t = rng.below(holding.len() as u64) as usize;
@@ -1030,6 +1047,8 @@ fn walk(setup: &Setup, seed: u64, steps: usize) -> Reached {
                 let evictions = new.stats().evictions;
                 let a = (new.activate(tid, cid), old.activate(tid, cid));
                 reached.lru_tie |= tie && new.stats().evictions > evictions;
+                let once = setup.lib.get(cid).shape().0 <= servable;
+                reached.retired_unservable |= once && a.1 == Activation::Unservable;
                 if matches!(a.0, Activation::Ready { .. }) {
                     holding[tid.0 as usize] = Some(cid);
                 }
@@ -1091,7 +1110,7 @@ fn walk(setup: &Setup, seed: u64, steps: usize) -> Reached {
                     (setup.build(), setup.build());
                 let restored = (fresh_new.restore_image(&image), fresh_old.restore(&snap));
                 let through_json = from_json.restore(&snap);
-                let paths = format!("{:?} seed {seed} step {step}: the two paths", setup.mode);
+                let paths = format!("{on} seed {seed} step {step}: the two paths");
                 assert_eq!(through_json, restored.0, "{paths}");
                 if restored.0.is_ok() {
                     let images = (from_json.snapshot(), fresh_new.snapshot());
@@ -1105,7 +1124,7 @@ fn walk(setup: &Setup, seed: u64, steps: usize) -> Reached {
                 (Answer::Restored(restored.0), Answer::Restored(restored.1))
             }
         };
-        let at = format!("{:?} seed {seed} step {step}: {call:?}", setup.mode);
+        let at = format!("{on} seed {seed} step {step}: {call:?}");
         assert_eq!(new_answer, old_answer, "{at}: the answer");
         assert_eq!(new.stats(), old.stats(), "{at}: the counters");
         assert_eq!(new.delta_stats(), old.delta_stats(), "{at}: delta");
@@ -1163,39 +1182,56 @@ const SCARCE: u16 = 6;
 
 /// Fixed partitions as wide as some of the library's circuits, delta off;
 /// fixed partitions with slack to spare, delta on; variable partitions
-/// with GC and delta on. The last two route on scarce channels.
-fn setups() -> [Setup; 3] {
-    let spec = fpga::device::part("VF400");
-    let lib = library(spec);
+/// with GC and delta on; and variable partitions on VF100, whose 10
+/// columns a walk's retirements cut into runs narrower than some circuits.
+/// The last three route on scarce channels. Every setup's walks must reach
+/// an LRU tie and a retirement inside a resident's partition; the exact
+/// and the narrow ones a circuit made unservable by retirements, and the
+/// variable one on VF400 a GC move that fails to route.
+fn setups() -> [Setup; 4] {
+    let on = |part| (fpga::device::part(part), library(fpga::device::part(part)));
+    let (vf400, vf100) = (on("VF400"), on("VF100"));
+    let (spec, lib) = &vf400;
     let width = |c: u32| lib.get(CircuitId(c)).shape().0;
     let (w, narrow, sorter) = (width(0), width(1), width(4));
     let exact = vec![w, w, narrow, sorter, spec.cols - 2 * w - narrow - sorter];
     let slack = vec![w + 1, w + 2, narrow + 1, spec.cols - 2 * w - narrow - 4];
-    let timing = ConfigTiming {
-        spec,
-        port: ConfigPort::SerialFast,
+    let setup =
+        |(spec, lib): &(fpga::DeviceSpec, Arc<CircuitLib>), mode, delta, cap, reaches| Setup {
+            lib: lib.clone(),
+            timing: ConfigTiming {
+                spec: *spec,
+                port: ConfigPort::SerialFast,
+            },
+            mode,
+            delta,
+            cap,
+            reaches,
+        };
+    let base = Reached {
+        retire_in_resident: true,
+        lru_tie: true,
+        ..Reached::default()
     };
-    let setup = |mode, delta, cap| Setup {
-        lib: lib.clone(),
-        timing,
-        mode,
-        delta,
-        cap,
+    let unservable = Reached {
+        retired_unservable: true,
+        ..base
     };
+    let gc = Reached {
+        gc_route_failure: true,
+        ..base
+    };
+    let cap = pnr::route::DEFAULT_CHANNEL_CAPACITY;
     [
-        setup(
-            PartitionMode::Fixed(exact),
-            false,
-            pnr::route::DEFAULT_CHANNEL_CAPACITY,
-        ),
-        setup(PartitionMode::Fixed(slack), true, SCARCE),
-        setup(PartitionMode::Variable, true, SCARCE),
+        setup(&vf400, PartitionMode::Fixed(exact), false, cap, unservable),
+        setup(&vf400, PartitionMode::Fixed(slack), true, SCARCE, base),
+        setup(&vf400, PartitionMode::Variable, true, SCARCE, gc),
+        setup(&vf100, PartitionMode::Variable, true, SCARCE, unservable),
     ]
 }
 
-/// Walk every setup from each seed in `seeds`. Each setup's walks must
-/// reach an LRU tie and a retirement inside a resident's partition, and
-/// the variable one's a GC move that fails to route.
+/// Walk every setup from each seed in `seeds`: together they must reach
+/// the rare paths the setup names.
 fn walks(seeds: std::ops::Range<u64>, steps: usize) {
     for setup in setups() {
         let mut reached = Reached::default();
@@ -1204,13 +1240,10 @@ fn walks(seeds: std::ops::Range<u64>, steps: usize) {
             reached.gc_route_failure |= r.gc_route_failure;
             reached.retire_in_resident |= r.retire_in_resident;
             reached.lru_tie |= r.lru_tie;
+            reached.retired_unservable |= r.retired_unservable;
         }
-        let want = Reached {
-            gc_route_failure: setup.mode == PartitionMode::Variable,
-            retire_in_resident: true,
-            lru_tie: true,
-        };
-        assert_eq!(reached, want, "{:?}", setup.mode);
+        let on = format!("{:?} on {}", setup.mode, setup.timing.spec.name);
+        assert!(reached.covers(&setup.reaches), "{on}: {reached:?}");
     }
 }
 

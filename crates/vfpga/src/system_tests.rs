@@ -5,7 +5,6 @@
 use crate::circuit::{CircuitId, CircuitLib};
 use crate::manager::dynload::DynLoadManager;
 use crate::manager::exclusive::ExclusiveManager;
-use crate::manager::merged::MergedManager;
 use crate::manager::overlay::{OverlayManager, Replacement};
 use crate::manager::partition::{PartitionManager, PartitionMode};
 use crate::manager::PreemptAction;
@@ -187,7 +186,7 @@ fn merged_system_has_only_boot_download() {
     let specs: Vec<TaskSpec> = (0..6)
         .map(|i| fpga_task(&format!("t{i}"), i, ids[i as usize % 3], 10_000))
         .collect();
-    let mgr = MergedManager::new(lib.clone(), timing()).expect("three small circuits fit");
+    let mgr = OverlayManager::merged(lib.clone(), timing()).expect("three small circuits fit");
     let r = System::new(
         lib,
         mgr,
