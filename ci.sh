@@ -18,10 +18,19 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
 echo "==> cargo build --release"
 cargo build --release --workspace
 
+echo "==> examples, release"
+# No test runs the five examples/ (a few ms each): each must exit 0.
+cargo build -q --release --examples
+for example in examples/*.rs; do
+  example="$(basename "$example" .rs)"
+  echo "  $example"
+  "./target/release/examples/$example" >/dev/null
+done
+
 echo "==> cargo test"
 # The experiment gates live here too: crates/bench/tests/experiments.rs
-# runs all 21 smoke sweeps against their committed goldens at 1 and 4
-# threads and asserts what each export must mean (DESIGN.md §17 maps every
+# runs all 21 smoke sweeps against their committed goldens, byte for
+# byte, and asserts what each export must mean (DESIGN.md §17 maps every
 # former shell/Python gate to its test). Cargo's `Running` lines are kept
 # (only the harness is quiet) so the slowest binaries can be named below.
 tier1_log="$(mktemp)"
@@ -95,8 +104,8 @@ CARGO_TARGET_DIR="$PWD/target/benchmark" benchmark/run --check >/dev/null
 CARGO_TARGET_DIR="$PWD/target/benchmark" \
   cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
-# The two numbers ROADMAP aim 2 tracks, then how the lines split and how
-# many the experiments take. Files under tests/ and *_tests.rs count as
+# The two numbers ROADMAP aim 2 tracks, then how the lines split, crate
+# by crate too, and how many the experiments take. Files under tests/ and *_tests.rs count as
 # test, and so does each item a #[cfg(test)] line gates: a `mod x;` line,
 # or the next item up to its closing brace (braces in strings, char
 # literals and // comments aside). Blank and comment lines after a gated
@@ -113,9 +122,12 @@ echo "crates/: $(find crates -name '*.rs' | xargs cat | wc -l) lines in" \
 echo "crates/vfpga: $(cargo test -q -p vfpga --lib task::tests::slot_bytes -- --nocapture |
   grep -o 'TaskSlot: [0-9]* bytes')"
 find crates -name '*.rs' | sort | xargs awk '
-  function tally(test, k) {
+  function tally(test, k,   c) {
     if (test) { t += k; return }
     n += k; per[FILENAME] += k
+    c = FILENAME; sub(/^crates\//, "", c); sub(/\/.*/, "", c)
+    if (!(c in crate)) order[++crates] = c
+    crate[c] += k
     if (per[FILENAME] > max) { max = per[FILENAME]; big = FILENAME }
     if (FILENAME ~ /^crates\/bench\/src\/exp\//) e += k
     if (FILENAME ~ /^crates\/vfpga\/src\//) v += k
@@ -134,6 +146,8 @@ find crates -name '*.rs' | sort | xargs awk '
     p += gsub(/\.unwrap\(\)|\.expect\(|panic!\(|unreachable!\(/, "&") }
   END { t += held
         printf "crates/: %d non-test + %d test lines; largest non-test file %s (%d)\n", n, t, big, max
+        by = ""; for (i = 1; i <= crates; i++) by = by (i > 1 ? ", " : "") order[i] " " crate[order[i]]
+        printf "crates/: non-test lines by crate: %s\n", by
         printf "crates/vfpga/src: %d non-test lines\n", v
         printf "crates/bench/src/exp: %d non-test lines (the experiments and their runner)\n", e
         printf "crates/vfpga/src: %d unwrap/expect/panic!/unreachable! sites in non-test code\n", p }'

@@ -1,6 +1,6 @@
 //! The command line of `vfpga-exp`, parsed in one place.
 //!
-//! `vfpga-exp <name> [--smoke] [--seed N] [--threads N] [--json PATH]`;
+//! `vfpga-exp <name> [--smoke] [--seed N] [--json PATH]`;
 //! a value may also be attached as `--flag=value`. Anything else — an
 //! unknown experiment or flag, a missing or non-integer value, `--seed` on
 //! a fixed-seed sweep — is an error, so a misspelt flag cannot silently
@@ -21,8 +21,7 @@ pub struct Cli {
 }
 
 fn usage() -> String {
-    let mut s =
-        String::from("usage: vfpga-exp <name> [--smoke] [--seed N] [--threads N] [--json PATH]");
+    let mut s = String::from("usage: vfpga-exp <name> [--smoke] [--seed N] [--json PATH]");
     s.push_str("\nexperiments:");
     for (name, ..) in ALL {
         s.push_str("\n  ");
@@ -44,7 +43,7 @@ pub fn parse(argv: &[&str]) -> Result<Cli, String> {
     };
     let entry = crate::exp::find(name)
         .ok_or_else(|| format!("unknown experiment {name:?}\n{}", usage()))?;
-    let (mut smoke, mut seed, mut threads, mut json) = (false, None, 1, None);
+    let (mut smoke, mut seed, mut json) = (false, None, None);
     let mut rest = flags.iter();
     while let Some(&arg) = rest.next() {
         let (flag, attached) = match arg.split_once('=') {
@@ -59,7 +58,6 @@ pub fn parse(argv: &[&str]) -> Result<Cli, String> {
         match flag {
             "--smoke" if attached.is_none() => smoke = true,
             "--seed" => seed = Some(int(flag, value()?)?),
-            "--threads" => threads = int(flag, value()?)? as usize,
             "--json" => json = Some(PathBuf::from(value()?)),
             _ => return Err(format!("unknown argument {arg:?}\n{}", usage())),
         }
@@ -74,7 +72,6 @@ pub fn parse(argv: &[&str]) -> Result<Cli, String> {
         run: RunArgs {
             smoke,
             seed: seed.or(entry.1),
-            threads: crate::engine::resolve_threads(threads),
         },
         json,
     })
@@ -91,7 +88,6 @@ mod tests {
         let want = RunArgs {
             smoke: false,
             seed: Some(0xE15),
-            threads: 1,
         };
         assert_eq!(cli.run, want);
         assert!(cli.json.is_none());
@@ -101,8 +97,8 @@ mod tests {
     #[test]
     fn every_flag_in_both_spellings() {
         for flags in [
-            "--smoke --seed 7 --threads 4 --json o.json",
-            "--smoke --seed=7 --threads=4 --json=o.json",
+            "--smoke --seed 7 --json o.json",
+            "--smoke --seed=7 --json=o.json",
         ] {
             let argv: Vec<&str> = std::iter::once("e19_fleet")
                 .chain(flags.split(' '))
@@ -111,12 +107,10 @@ mod tests {
             let want = RunArgs {
                 smoke: true,
                 seed: Some(7),
-                threads: 4,
             };
             assert_eq!(cli.run, want);
             assert_eq!(cli.json, Some(PathBuf::from("o.json")));
         }
-        assert!(parse(&["e19_fleet", "--threads", "0"]).unwrap().run.threads >= 1);
     }
 
     #[test]
@@ -127,12 +121,12 @@ mod tests {
             ("--smoke", "unknown experiment"),
             ("e17_overload --smok", "unknown argument"),
             ("e17_overload --thread 4", "unknown argument"),
+            ("e17_overload --threads 4", "unknown argument"),
             ("e17_overload --smoke=1", "unknown argument"),
             ("e17_overload stray", "unknown argument"),
             ("e17_overload --seed", "requires an argument"),
             ("e17_overload --json", "requires an argument"),
             ("e17_overload --seed x", "integer"),
-            ("e17_overload --threads=-1", "integer"),
             ("e05_partitioning --seed 3", "fixed-seed"),
         ] {
             let argv: Vec<&str> = argv.split_whitespace().collect();

@@ -1,15 +1,15 @@
 //! Run one experiment.
 //!
 //! ```sh
-//! vfpga-exp <name> [--smoke] [--seed N] [--threads N] [--json PATH]
+//! vfpga-exp <name> [--smoke] [--seed N] [--json PATH]
 //! ```
 //!
 //! `<name>` is an entry of [`bench::exp::ALL`] (run without arguments to
 //! list them). The experiment prints its tables; `--json` also writes the
 //! `vfpga-bench/2` export, after reading it back. `--smoke` selects the
 //! CI-sized sweep, `--seed` replaces the default seed of a seeded
-//! experiment (E15–E21), `--threads` fans sweep points across workers
-//! (0 = all cores) without changing a byte outside the `host` section.
+//! experiment (E15–E21). Runs are deterministic: the same arguments give
+//! the same stdout and the same export, byte for byte.
 //! Exit status 0 on success, 1 when a gate inside the experiment or the
 //! export fails, 2 on a usage error.
 

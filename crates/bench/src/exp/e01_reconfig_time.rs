@@ -13,7 +13,7 @@
 use super::grid::{self, fixed, Grid};
 use super::RunArgs;
 use crate::report::ms;
-use crate::{Exporter, HostProfile};
+use crate::Exporter;
 use fpga::{ConfigPort, ConfigTiming, DeviceSpec, PARTS};
 use fsim::{SimTime, Timeline};
 
@@ -100,5 +100,5 @@ pub fn run(args: &RunArgs) -> Result<Exporter, String> {
         ),
         ..Grid::default()
     };
-    grid::run(args, HostProfile::new(args.threads), grid)
+    grid::run(args, grid)
 }

@@ -15,7 +15,7 @@ use super::grid::{self, fixed, Grid};
 use super::RunArgs;
 use crate::report::{f3, pct, secs};
 use crate::setup::{compile_suite_lib, run_traced, save_restore};
-use crate::{Exporter, HostProfile, Json};
+use crate::{Exporter, Json};
 use fpga::{ConfigPort, ConfigTiming};
 use fsim::{SimDuration, SimRng};
 use vfpga::manager::dynload::DynLoadManager;
@@ -29,11 +29,8 @@ const PORTS: [(&str, ConfigPort); 2] = [
 const SLICES_MS: [u64; 10] = [1, 2, 5, 10, 20, 50, 100, 200, 500, 1000];
 
 pub fn run(args: &RunArgs) -> Result<Exporter, String> {
-    let mut host = HostProfile::new(args.threads);
     let spec = fpga::device::part("VF800");
-    let (lib, ids) = host.phase(crate::sections::PHASE_COMPILE, || {
-        compile_suite_lib(&[Domain::Telecom, Domain::Storage], spec)
-    });
+    let (lib, ids) = compile_suite_lib(&[Domain::Telecom, Domain::Storage], spec);
     let slow = ConfigTiming {
         spec,
         port: ConfigPort::SerialSlow,
@@ -93,5 +90,5 @@ pub fn run(args: &RunArgs) -> Result<Exporter, String> {
         ),
         ..Grid::default()
     };
-    grid::run(args, host, grid)
+    grid::run(args, grid)
 }

@@ -13,7 +13,7 @@ use super::grid::{self, Grid};
 use super::RunArgs;
 use crate::report::secs;
 use crate::setup::{compile_suite_lib, run_traced, serial_fast};
-use crate::{Exporter, HostProfile};
+use crate::Exporter;
 use fsim::{SimDuration, SimRng};
 use std::sync::Arc;
 use vfpga::manager::dynload::DynLoadManager;
@@ -26,14 +26,11 @@ use workload::{poisson_tasks, Domain, MixParams};
 type Out = (u32, Report, Result<Report, String>);
 
 pub fn run(args: &RunArgs) -> Result<Exporter, String> {
-    let mut host = HostProfile::new(args.threads);
     let spec = fpga::device::part("VF400");
-    let (full_lib, all_ids) = host.phase(crate::sections::PHASE_COMPILE, || {
-        compile_suite_lib(
-            &[Domain::Telecom, Domain::Storage, Domain::Networking],
-            spec,
-        )
-    });
+    let (full_lib, all_ids) = compile_suite_lib(
+        &[Domain::Telecom, Domain::Storage, Domain::Networking],
+        spec,
+    );
     let cell = |&n: &usize| {
         // Sub-library with circuits renumbered 0..n.
         let lib = Arc::new(full_lib.subset(&all_ids[..n]));
@@ -100,5 +97,5 @@ pub fn run(args: &RunArgs) -> Result<Exporter, String> {
         },
         ..Grid::default()
     };
-    grid::run(args, host, grid)
+    grid::run(args, grid)
 }

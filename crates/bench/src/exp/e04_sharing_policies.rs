@@ -16,7 +16,7 @@ use crate::report::{f3, pct, secs};
 use crate::setup::{
     compile_suite_lib, e4_mix, run_traced, save_restore, serial_fast, variable_partitions,
 };
-use crate::{Exporter, HostProfile};
+use crate::Exporter;
 use fsim::{SimDuration, SimRng};
 use vfpga::manager::dynload::DynLoadManager;
 use vfpga::manager::exclusive::ExclusiveManager;
@@ -24,11 +24,8 @@ use vfpga::{PreemptAction, RoundRobinScheduler, SystemConfig};
 use workload::{poisson_tasks, Domain};
 
 pub fn run(args: &RunArgs) -> Result<Exporter, String> {
-    let mut host = HostProfile::new(args.threads);
     let spec = fpga::device::part("VF800");
-    let (lib, ids) = host.phase(crate::sections::PHASE_COMPILE, || {
-        compile_suite_lib(&[Domain::Telecom, Domain::Storage], spec)
-    });
+    let (lib, ids) = compile_suite_lib(&[Domain::Telecom, Domain::Storage], spec);
     let timing = serial_fast(spec);
     let specs = poisson_tasks(&e4_mix(), &ids, &mut SimRng::new(0xE04));
     let cell = |&manager: &&str| {
@@ -90,5 +87,5 @@ pub fn run(args: &RunArgs) -> Result<Exporter, String> {
         reports: |c| vec![(c.out.manager.into(), &c.out)],
         ..Grid::default()
     };
-    grid::run(args, host, grid)
+    grid::run(args, grid)
 }

@@ -13,7 +13,7 @@ use super::grid::{self, Grid};
 use super::RunArgs;
 use crate::report::{f3, pct, secs};
 use crate::setup::{compile_suite_lib, run_traced, save_restore, serial_fast};
-use crate::{Exporter, HostProfile};
+use crate::Exporter;
 use fsim::{SimDuration, SimRng};
 use vfpga::manager::partition::{PartitionManager, PartitionMode};
 use vfpga::{PreemptAction, Report, RoundRobinScheduler};
@@ -29,11 +29,8 @@ fn feasible(c: &grid::Cell<(String, PartitionMode), Out>, f: fn(&Report) -> Stri
 }
 
 pub fn run(args: &RunArgs) -> Result<Exporter, String> {
-    let mut host = HostProfile::new(args.threads);
     let spec = fpga::device::part("VF400"); // 20 columns
-    let (lib, ids) = host.phase(crate::sections::PHASE_COMPILE, || {
-        compile_suite_lib(&[Domain::Multimedia, Domain::Telecom], spec)
-    });
+    let (lib, ids) = compile_suite_lib(&[Domain::Multimedia, Domain::Telecom], spec);
     // Internal-fragmentation accounting: circuit widths.
     let widths: Vec<u32> = ids.iter().map(|&i| lib.get(i).shape().0).collect();
     let wmax = *widths.iter().max().expect("the suites hold circuits");
@@ -130,5 +127,5 @@ pub fn run(args: &RunArgs) -> Result<Exporter, String> {
         reports: |c| c.out.iter().map(|(r, _)| (c.label.clone(), r)).collect(),
         ..Grid::default()
     };
-    grid::run(args, host, grid)
+    grid::run(args, grid)
 }

@@ -16,7 +16,7 @@
 use super::RunArgs;
 use crate::report::{f3, pct, secs, Table};
 use crate::setup::{save_restore, serial_fast, variable_partitions};
-use crate::{run_sweep, Exporter, HostProfile};
+use crate::Exporter;
 use fsim::{SimDuration, SimRng, SimTime};
 use pnr::{compile_shared, CompileOptions};
 use std::sync::Arc;
@@ -45,7 +45,6 @@ fn build_lib(spec: fpga::DeviceSpec) -> (Arc<CircuitLib>, Vec<CircuitId>, Vec<Ci
 
 /// Part A: the paper's fragmentation scenario, step by step.
 fn micro_trace(
-    threads: usize,
     spec: fpga::DeviceSpec,
     lib: &Arc<CircuitLib>,
     narrow: &[CircuitId],
@@ -65,7 +64,7 @@ fn micro_trace(
             "gc overhead",
         ],
     );
-    let rows = run_sweep(threads, &[true, false], |_, &gc| {
+    for gc in [true, false] {
         let mut m = variable_partitions(lib, timing);
         m.gc_enabled = gc;
         // Fill the device left-to-right with the four narrow circuits,
@@ -88,7 +87,7 @@ fn micro_trace(
         let after = m.stats();
         // How many of the narrow residents survived?
         let survivors = narrow.iter().filter(|&&cid| m.is_resident(cid)).count();
-        vec![
+        t.row(vec![
             if gc { "on" } else { "off" }.into(),
             if loaded { "yes" } else { "NO" }.into(),
             (after.evictions - before.evictions).to_string(),
@@ -99,17 +98,13 @@ fn micro_trace(
                 "{}",
                 (after.config_time - before.config_time) + (after.gc_time - before.gc_time)
             ),
-        ]
-    });
-    for row in rows {
-        t.row(row);
+        ]);
     }
     t.print();
     ex.table(&t);
 }
 
 fn churn(
-    threads: usize,
     spec: fpga::DeviceSpec,
     lib: &Arc<CircuitLib>,
     narrow: &[CircuitId],
@@ -165,7 +160,7 @@ fn churn(
             "overhead frac",
         ],
     );
-    let results = run_sweep(threads, &[true, false], |_, &gc| {
+    for gc in [true, false] {
         let mut mgr = variable_partitions(lib, timing);
         mgr.gc_enabled = gc;
         let r = System::new(
@@ -178,12 +173,9 @@ fn churn(
         .with_trace_capacity(8192)
         .run()
         .unwrap();
-        (gc, r)
-    });
-    for (gc, r) in &results {
-        ex.report(if *gc { "churn/gc-on" } else { "churn/gc-off" }, r);
+        ex.report(if gc { "churn/gc-on" } else { "churn/gc-off" }, &r);
         t.row(vec![
-            if *gc { "on" } else { "off" }.into(),
+            if gc { "on" } else { "off" }.into(),
             secs(r.makespan),
             f3(r.mean_waiting_s()),
             r.manager_stats.downloads.to_string(),
@@ -199,11 +191,9 @@ fn churn(
     ex.table(&t);
 }
 
-pub fn run(args: &RunArgs) -> Result<Exporter, String> {
-    let threads = args.threads;
-    let mut host = HostProfile::new(threads);
+pub fn run(_: &RunArgs) -> Result<Exporter, String> {
     let spec = fpga::device::part("VF400"); // 20 cols
-    let (lib, narrow, wide) = host.phase(crate::sections::PHASE_COMPILE, || build_lib(spec));
+    let (lib, narrow, wide) = build_lib(spec);
     let mut ex = Exporter::new("e06", "fragmentation and garbage collection");
     ex.seed(0xE06)
         .param("device", spec.name)
@@ -220,12 +210,7 @@ pub fn run(args: &RunArgs) -> Result<Exporter, String> {
             .collect::<Vec<_>>(),
         spec.cols
     );
-    host.phase(crate::sections::PHASE_MICRO_TRACE, || {
-        micro_trace(threads, spec, &lib, &narrow, &wide, &mut ex)
-    });
-    host.phase(crate::sections::PHASE_CHURN, || {
-        churn(threads, spec, &lib, &narrow, &wide, &mut ex)
-    });
-    ex.host(host, 4);
+    micro_trace(spec, &lib, &narrow, &wide, &mut ex);
+    churn(spec, &lib, &narrow, &wide, &mut ex);
     Ok(ex)
 }

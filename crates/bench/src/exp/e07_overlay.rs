@@ -14,7 +14,7 @@ use super::grid::{self, fixed, Grid};
 use super::RunArgs;
 use crate::report::{pct, secs};
 use crate::setup::{compile_suite_lib, run_traced, save_restore, serial_fast};
-use crate::{Exporter, HostProfile};
+use crate::Exporter;
 use fsim::rng::Zipf;
 use fsim::{SimDuration, SimRng, SimTime};
 use vfpga::manager::overlay::{OverlayManager, Replacement};
@@ -22,11 +22,8 @@ use vfpga::{Op, RoundRobinScheduler, TaskSpec};
 use workload::Domain;
 
 pub fn run(args: &RunArgs) -> Result<Exporter, String> {
-    let mut host = HostProfile::new(args.threads);
     let spec = fpga::device::part("VF800"); // 32 cols
-    let (lib, ids) = host.phase(crate::sections::PHASE_COMPILE, || {
-        compile_suite_lib(&[Domain::Telecom, Domain::Storage], spec)
-    });
+    let (lib, ids) = compile_suite_lib(&[Domain::Telecom, Domain::Storage], spec);
     let timing = serial_fast(spec);
     // Popularity: rank 0 = most popular (Zipf s=1.2).
     let zipf = Zipf::new(ids.len(), 1.2);
@@ -98,5 +95,5 @@ pub fn run(args: &RunArgs) -> Result<Exporter, String> {
         reports: |c| vec![(c.label.clone(), &c.out.1)],
         ..Grid::default()
     };
-    grid::run(args, host, grid)
+    grid::run(args, grid)
 }

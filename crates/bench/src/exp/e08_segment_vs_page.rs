@@ -14,7 +14,7 @@
 use super::RunArgs;
 use crate::report::{f3, pct, Table};
 use crate::setup::serial_fast;
-use crate::{Exporter, HostProfile};
+use crate::Exporter;
 use fpga::ConfigTiming;
 use fsim::rng::Zipf;
 use fsim::{SimRng, Timeline};
@@ -93,20 +93,17 @@ fn budget_rows(
     (rows, timelines, counters)
 }
 
-pub fn run(args: &RunArgs) -> Result<Exporter, String> {
-    let mut host = HostProfile::new(args.threads);
+pub fn run(_: &RunArgs) -> Result<Exporter, String> {
     let spec = fpga::device::part("VF400");
     let timing = serial_fast(spec);
 
     // Segment widths from real compiled kernels across two domains.
     let mut widths = Vec::new();
-    host.phase(crate::sections::PHASE_COMPILE, || {
-        for d in [Domain::Multimedia, Domain::Networking] {
-            for app in suite(d, spec.rows).apps {
-                widths.push(app.compiled.shape().0);
-            }
+    for d in [Domain::Multimedia, Domain::Networking] {
+        for app in suite(d, spec.rows).apps {
+            widths.push(app.compiled.shape().0);
         }
-    });
+    }
     let func = SegmentedFunction {
         segment_widths: widths.clone(),
     };
@@ -144,11 +141,8 @@ pub fn run(args: &RunArgs) -> Result<Exporter, String> {
         ],
     );
 
-    let budgets = [100u32, 75, 50, 35];
-    let results = host.sweep(&budgets, |_, &budget_pct| {
-        budget_rows(&func, timing, &trace, budget_pct)
-    });
-    for (rows, timelines, counters) in results {
+    for budget_pct in [100u32, 75, 50, 35] {
+        let (rows, timelines, counters) = budget_rows(&func, timing, &trace, budget_pct);
         for (name, tl) in &timelines {
             ex.timeline(name, tl);
         }
@@ -161,6 +155,5 @@ pub fn run(args: &RunArgs) -> Result<Exporter, String> {
     }
     t.print();
     ex.table(&t);
-    ex.host(host, budgets.len());
     Ok(ex)
 }

@@ -16,7 +16,7 @@ use super::grid::{self, fixed, Grid};
 use super::RunArgs;
 use crate::report::{pct, secs};
 use crate::setup::{compile_suite_lib, run_traced, serial_fast};
-use crate::{Exporter, HostProfile};
+use crate::Exporter;
 use fsim::{SimDuration, SimTime};
 use vfpga::manager::dynload::DynLoadManager;
 use vfpga::{Op, PreemptAction, RoundRobinScheduler, SystemConfig, TaskSpec};
@@ -29,11 +29,8 @@ const POLICIES: [PreemptAction; 3] = [
 ];
 
 pub fn run(args: &RunArgs) -> Result<Exporter, String> {
-    let mut host = HostProfile::new(args.threads);
     let spec = fpga::device::part("VF800");
-    let (lib, ids) = host.phase(crate::sections::PHASE_COMPILE, || {
-        compile_suite_lib(&[Domain::Telecom], spec)
-    });
+    let (lib, ids) = compile_suite_lib(&[Domain::Telecom], spec);
     let scrambler = lib.get(ids[0]); // LFSR: sequential
     let timing = serial_fast(spec);
     let per_cycle = scrambler.run_time(1).as_nanos().max(1);
@@ -105,5 +102,5 @@ pub fn run(args: &RunArgs) -> Result<Exporter, String> {
         ),
         ..Grid::default()
     };
-    grid::run(args, host, grid)
+    grid::run(args, grid)
 }

@@ -13,18 +13,15 @@ use super::grid::{self, Grid};
 use super::RunArgs;
 use crate::report::{f3, pct, secs};
 use crate::setup::{compile_suite_lib, run_traced, serial_fast};
-use crate::{Exporter, HostProfile};
+use crate::Exporter;
 use fsim::{SimDuration, SimTime};
 use vfpga::manager::dynload::DynLoadManager;
 use vfpga::{CompletionDetect, FifoScheduler, Op, PreemptAction, SystemConfig, TaskSpec};
 use workload::Domain;
 
 pub fn run(args: &RunArgs) -> Result<Exporter, String> {
-    let mut host = HostProfile::new(args.threads);
     let spec = fpga::device::part("VF800");
-    let (lib, ids) = host.phase(crate::sections::PHASE_COMPILE, || {
-        compile_suite_lib(&[Domain::Networking], spec)
-    });
+    let (lib, ids) = compile_suite_lib(&[Domain::Networking], spec);
     let (circuit, cycles) = (ids[0], 200_000u64);
     let op_ms = lib.get(circuit).run_time(cycles).as_millis_f64();
 
@@ -89,5 +86,5 @@ pub fn run(args: &RunArgs) -> Result<Exporter, String> {
         reports: grid::own_report,
         ..Grid::default()
     };
-    grid::run(args, host, grid)
+    grid::run(args, grid)
 }

@@ -13,7 +13,7 @@ use super::grid::{self, Grid};
 use super::RunArgs;
 use crate::report::f3;
 use crate::setup::serial_fast;
-use crate::{Exporter, HostProfile};
+use crate::Exporter;
 use fsim::{SimDuration, SimTime, Timeline};
 use workload::{suite, App, Domain};
 
@@ -24,15 +24,12 @@ const BATCHES: [u64; 7] = [1, 10, 100, 1_000, 10_000, 100_000, 1_000_000];
 type Out = (u64, [f64; 7], Option<u64>);
 
 pub fn run(args: &RunArgs) -> Result<Exporter, String> {
-    let mut host = HostProfile::new(args.threads);
     let spec = fpga::device::part("VF800");
     let timing = serial_fast(spec);
-    let apps: Vec<App> = host.phase(crate::sections::PHASE_COMPILE, || {
-        Domain::ALL
-            .iter()
-            .flat_map(|&d| suite(d, spec.rows).apps)
-            .collect()
-    });
+    let apps: Vec<App> = Domain::ALL
+        .iter()
+        .flat_map(|&d| suite(d, spec.rows).apps)
+        .collect();
     let cell = |app: &App| {
         let frames = app.compiled.shape().0 as usize;
         let config_ns = timing.frame_transfer(frames).1.as_nanos();
@@ -90,5 +87,5 @@ pub fn run(args: &RunArgs) -> Result<Exporter, String> {
         },
         ..Grid::default()
     };
-    grid::run(args, host, grid)
+    grid::run(args, grid)
 }

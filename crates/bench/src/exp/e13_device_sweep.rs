@@ -10,16 +10,15 @@
 //! and reload; below the widest circuit's footprint the workload becomes
 //! infeasible.
 //!
-//! Each part is an independent sweep point: the per-part suite recompile
-//! is the heaviest compile workload in the repertoire, which makes this
-//! the headline experiment for `--threads N` plus the shared compile
-//! cache (identical kernels across part heights hit the cache).
+//! Each part recompiles the suite: the heaviest compile workload in the
+//! repertoire, which exercises the shared compile cache (identical
+//! kernels across part heights hit it).
 
 use super::grid::{self, Grid};
 use super::RunArgs;
 use crate::report::{f3, pct, secs};
 use crate::setup::{compile_suite_lib, run_traced, save_restore, serial_fast, variable_partitions};
-use crate::{Exporter, HostProfile};
+use crate::Exporter;
 use fpga::{DeviceSpec, PARTS};
 use fsim::{SimDuration, SimRng};
 use vfpga::{Report, RoundRobinScheduler};
@@ -90,5 +89,5 @@ pub fn run(args: &RunArgs) -> Result<Exporter, String> {
             "\nThe cheapest part with acceptable makespan is the right buy — §1's cost argument.\n",
         ..Grid::default()
     };
-    grid::run(args, HostProfile::new(args.threads), grid)
+    grid::run(args, grid)
 }

@@ -14,7 +14,7 @@ use super::grid::{self, fixed, Grid};
 use super::RunArgs;
 use crate::report::{f3, pct, secs};
 use crate::setup::{compile_suite_lib, run_traced, serial_fast, variable_partitions};
-use crate::{Exporter, HostProfile};
+use crate::Exporter;
 use fsim::{SimDuration, SimRng};
 use vfpga::manager::dynload::DynLoadManager;
 use vfpga::manager::exclusive::ExclusiveManager;
@@ -35,11 +35,8 @@ fn hi_prio_turnaround(r: &Report) -> String {
 }
 
 pub fn run(args: &RunArgs) -> Result<Exporter, String> {
-    let mut host = HostProfile::new(args.threads);
     let spec = fpga::device::part("VF800");
-    let (lib, ids) = host.phase(crate::sections::PHASE_COMPILE, || {
-        compile_suite_lib(&[Domain::Telecom, Domain::Storage], spec)
-    });
+    let (lib, ids) = compile_suite_lib(&[Domain::Telecom, Domain::Storage], spec);
     let timing = serial_fast(spec);
     let slice = SimDuration::from_millis(8);
     let mix = MixParams {
@@ -121,5 +118,5 @@ pub fn run(args: &RunArgs) -> Result<Exporter, String> {
                 under partitioning the priority scheduler actually buys latency for hi-prio tasks.\n",
         ..Grid::default()
     };
-    grid::run(args, host, grid)
+    grid::run(args, grid)
 }

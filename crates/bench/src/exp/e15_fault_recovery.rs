@@ -13,14 +13,13 @@
 //! all on the same seeded Poisson workload, reporting what recovery cost
 //! (retries, scrub overhead, work lost, MTTR) and what it bought (tasks
 //! completed vs explicitly failed). Everything is deterministic: the same
-//! `--seed` yields a byte-identical export (modulo the volatile `host`
-//! section) at any `--threads` count.
+//! `--seed` yields a byte-identical export.
 
 use super::grid::{self, axis, fixed, Grid};
 use super::RunArgs;
 use crate::report::{pct, secs};
 use crate::setup::{compile_suite_lib, os_mix, save_restore, serial_fast, variable_partitions};
-use crate::{Exporter, HostProfile};
+use crate::Exporter;
 use fsim::{SimDuration, SimRng};
 use vfpga::{FaultPlan, RecoveryPolicy, Report, RoundRobinScheduler, System, UpsetRecovery};
 use workload::{poisson_tasks, Domain};
@@ -62,11 +61,8 @@ fn fault_frac(r: &Report) -> String {
 
 pub fn run(args: &RunArgs) -> Result<Exporter, String> {
     let seed = args.seed();
-    let mut host = HostProfile::new(args.threads);
     let spec = fpga::device::part("VF800");
-    let (lib, ids) = host.phase(crate::sections::PHASE_COMPILE, || {
-        compile_suite_lib(&[Domain::Telecom, Domain::Storage], spec)
-    });
+    let (lib, ids) = compile_suite_lib(&[Domain::Telecom, Domain::Storage], spec);
     let timing = serial_fast(spec);
     let cell = |&((_, dl, seu, colf), (_, upset), (_, scrub_interval)): &Point| {
         let plan = FaultPlan {
@@ -130,5 +126,5 @@ pub fn run(args: &RunArgs) -> Result<Exporter, String> {
                 repairs, no MTTR — the fault column only shows what detection would buy.\n",
         ..Grid::default()
     };
-    grid::run(args, host, grid)
+    grid::run(args, grid)
 }

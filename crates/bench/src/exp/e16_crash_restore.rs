@@ -18,7 +18,7 @@ use super::grid::{self, axis, fixed, Gate, Grid};
 use super::RunArgs;
 use crate::report::secs;
 use crate::setup::{compile_suite_lib, os_mix, save_restore, serial_fast};
-use crate::{Exporter, HostProfile};
+use crate::Exporter;
 use fsim::{SimDuration, SimRng};
 use vfpga::manager::dynload::DynLoadManager;
 use vfpga::{
@@ -41,11 +41,8 @@ const JOURNALS: [(&str, bool); 2] = [("on", true), ("off", false)];
 
 pub fn run(args: &RunArgs) -> Result<Exporter, String> {
     let seed = args.seed();
-    let mut host = HostProfile::new(args.threads);
     let spec = fpga::device::part("VF400");
-    let (lib, ids) = host.phase(crate::sections::PHASE_COMPILE, || {
-        compile_suite_lib(&[Domain::Telecom, Domain::Storage], spec)
-    });
+    let (lib, ids) = compile_suite_lib(&[Domain::Telecom, Domain::Storage], spec);
     let timing = serial_fast(spec);
 
     // Whole-device dynamic loading: every circuit swap rewrites the same
@@ -58,9 +55,7 @@ pub fn run(args: &RunArgs) -> Result<Exporter, String> {
         let rr = RoundRobinScheduler::new(SimDuration::from_millis(4));
         System::new(lib.clone(), mgr, rr, save_restore(), specs)
     };
-    let baseline = host.phase(crate::sections::PHASE_BASELINE, || {
-        build().run().expect("baseline run")
-    });
+    let baseline = build().run().expect("baseline run");
     let cell = |&((_, rate), (_, interval_us), (_, journal)): &Point| {
         let mut cfg = CheckpointConfig::new(SimDuration::from_micros(interval_us));
         if !journal {
@@ -143,5 +138,5 @@ pub fn run(args: &RunArgs) -> Result<Exporter, String> {
                 write-ahead journal is actually buying.\n",
         ..Grid::default()
     };
-    grid::run(args, host, grid)
+    grid::run(args, grid)
 }

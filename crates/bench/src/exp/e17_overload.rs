@@ -15,14 +15,13 @@
 //! same seeded tenant-tagged Poisson workload (one task hangs forever),
 //! plus a no-admission baseline on the hang-free variant — the only
 //! variant that *can* run without a watchdog. Everything is
-//! deterministic: the same `--seed` yields a byte-identical export
-//! (modulo the volatile `host` section) at any `--threads` count.
+//! deterministic: the same `--seed` yields a byte-identical export.
 
 use super::grid::{self, axis, Column, Grid};
 use super::RunArgs;
 use crate::report::secs;
 use crate::setup::{compile_suite_lib_sw, os_mix, save_restore, serial_fast, variable_partitions};
-use crate::{Exporter, HostProfile};
+use crate::Exporter;
 use fsim::{SimDuration, SimRng};
 use std::collections::BTreeMap;
 use vfpga::{
@@ -102,11 +101,8 @@ const COLUMNS: &[Column<Point, Report>] = &[
 
 pub fn run(args: &RunArgs) -> Result<Exporter, String> {
     let seed = args.seed();
-    let mut host = HostProfile::new(args.threads);
     let spec = fpga::device::part("VF800");
-    let (lib, ids, sw) = host.phase(crate::sections::PHASE_COMPILE, || {
-        compile_suite_lib_sw(&[Domain::Telecom, Domain::Storage], spec)
-    });
+    let (lib, ids, sw) = compile_suite_lib_sw(&[Domain::Telecom, Domain::Storage], spec);
     let timing = serial_fast(spec);
     let cell = |p: &Point| {
         let mix = TenantMixParams {
@@ -176,5 +172,5 @@ pub fn run(args: &RunArgs) -> Result<Exporter, String> {
                 would deadlock; with it the hang costs `max_trips` deadlines, then exile.\n",
         ..Grid::default()
     };
-    grid::run(args, host, grid)
+    grid::run(args, grid)
 }

@@ -21,14 +21,13 @@
 //! The workload is the E17 overload harness (tenant-tagged Poisson mix,
 //! heavy offered load) with a ±50% uniform deadline jitter so the
 //! policies can actually disagree about ordering. Everything is
-//! deterministic: the same `--seed` yields a byte-identical export
-//! (modulo the volatile `host` section) at any `--threads` count.
+//! deterministic: the same `--seed` yields a byte-identical export.
 
 use super::grid::{self, axis, fixed, Grid};
 use super::RunArgs;
 use crate::report::{f3, secs};
 use crate::setup::{compile_suite_lib_sw, os_mix, save_restore, serial_fast, variable_partitions};
-use crate::{Exporter, HostProfile};
+use crate::Exporter;
 use fpga::ConfigTiming;
 use fsim::{LogHistogram, SimDuration, SimRng};
 use std::collections::BTreeMap;
@@ -160,16 +159,11 @@ fn turnaround_quantile(r: &Report, q: f64) -> String {
 
 pub fn run(args: &RunArgs) -> Result<Exporter, String> {
     let seed = args.seed();
-    let mut host = HostProfile::new(args.threads);
     let (spec, spec_small) = (fpga::device::part("VF800"), fpga::device::part("VF200"));
-    let ((lib, ids, _), (lib_s, ids_s, sw_s)) = host.phase(crate::sections::PHASE_COMPILE, || {
-        (
-            compile_suite_lib_sw(&[Domain::Telecom, Domain::Storage], spec),
-            // Every domain: 20 circuits whose column demand exceeds the
-            // small device, so residency churns all run long.
-            compile_suite_lib_sw(&Domain::ALL, spec_small),
-        )
-    });
+    let (lib, ids, _) = compile_suite_lib_sw(&[Domain::Telecom, Domain::Storage], spec);
+    // Every domain: 20 circuits whose column demand exceeds the small
+    // device, so residency churns all run long.
+    let (lib_s, ids_s, sw_s) = compile_suite_lib_sw(&Domain::ALL, spec_small);
     let big: Device = (lib, ids, serial_fast(spec));
     let small: Device = (lib_s, ids_s, serial_fast(spec_small));
     // Software models for only half the suite: in degraded mode the
@@ -247,7 +241,7 @@ pub fn run(args: &RunArgs) -> Result<Exporter, String> {
                 hysteresis pair keeps the degraded-mode decision from flapping at the mark.\n",
         ..Grid::default()
     };
-    grid::run(args, host, grid)
+    grid::run(args, grid)
 }
 
 fn admission_of(c: &grid::Cell<Point, Report>) -> AdmissionStats {

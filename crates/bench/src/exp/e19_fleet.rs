@@ -22,7 +22,7 @@ use super::grid::{self, axis, ensure, Column, Gate, Grid};
 use super::RunArgs;
 use crate::report::{f3, millis};
 use crate::setup::{compile_suite_lib_sw, fleet_shards, fleet_specs, serial_fast};
-use crate::{Exporter, HostProfile};
+use crate::Exporter;
 use fpga::ConfigTiming;
 use fsim::SimDuration;
 use std::collections::BTreeMap;
@@ -187,19 +187,14 @@ const COLUMNS: &[Column<Point, FleetCell>] = &[
 
 pub fn run(args: &RunArgs) -> Result<Exporter, String> {
     let seed = args.seed();
-    let mut host = HostProfile::new(args.threads);
     let spec = fpga::device::part("VF400");
-    let (lib, ids, sw) = host.phase(crate::sections::PHASE_COMPILE, || {
-        compile_suite_lib_sw(&[Domain::Telecom, Domain::Storage], spec)
-    });
+    let (lib, ids, sw) = compile_suite_lib_sw(&[Domain::Telecom, Domain::Storage], spec);
     let sw = Arc::new(sw);
     let timing = serial_fast(spec);
 
     // Uninterrupted single-device reference: what a fleet must not lose.
-    let baseline = host.phase(crate::sections::PHASE_BASELINE, || {
-        single_device(&lib, &sw, timing, &fleet_specs(&ids, seed, 1))
-            .map_err(|e| format!("baseline run failed: {e}"))
-    })?;
+    let baseline = single_device(&lib, &sw, timing, &fleet_specs(&ids, seed, 1))
+        .map_err(|e| format!("baseline run failed: {e}"))?;
 
     let cell = |&p: &Point| {
         let specs = fleet_specs(&ids, seed, p.1 .0);
@@ -265,7 +260,7 @@ pub fn run(args: &RunArgs) -> Result<Exporter, String> {
                 same crashes landing in the disjoint lost_in_flight slice instead.\n",
         ..Grid::default()
     };
-    grid::run(args, host, grid)
+    grid::run(args, grid)
 }
 
 /// A plain single-device system and a 1-device zero-fault fleet of the

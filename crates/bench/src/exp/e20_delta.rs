@@ -22,7 +22,7 @@ use super::no_divergence;
 use super::RunArgs;
 use crate::report::millis;
 use crate::setup::{save_restore, serial_fast, variable_partitions};
-use crate::{Exporter, HostProfile};
+use crate::Exporter;
 use fpga::ConfigTiming;
 use fsim::{SimDuration, SimRng};
 use std::sync::Arc;
@@ -156,23 +156,20 @@ const COLUMNS: &[Column<Point, Twins>] = &[
 
 pub fn run(args: &RunArgs) -> Result<Exporter, String> {
     let seed = args.seed();
-    let mut host = HostProfile::new(args.threads);
     let spec = fpga::device::part("VF100");
     let timing = serial_fast(spec);
 
     // One base circuit, compiled once: full-height columns so every
     // family member is a drop-in column-range occupant.
-    let base = host.phase(crate::sections::PHASE_COMPILE, || {
-        pnr::compile(
-            &netlist::library::arith::array_multiplier("e20mul", 4),
-            pnr::CompileOptions {
-                max_height: spec.rows,
-                full_height: true,
-                ..Default::default()
-            },
-        )
-        .expect("family base compiles")
-    });
+    let base = pnr::compile(
+        &netlist::library::arith::array_multiplier("e20mul", 4),
+        pnr::CompileOptions {
+            max_height: spec.rows,
+            full_height: true,
+            ..Default::default()
+        },
+    )
+    .expect("family base compiles");
     let cell = |&p: &Point| {
         let full = run_cell(&base, timing, p, false, seed);
         let delta = run_cell(&base, timing, p, true, seed);
@@ -225,5 +222,5 @@ pub fn run(args: &RunArgs) -> Result<Exporter, String> {
                 capture) cut the background readback the same way.\n",
         ..Grid::default()
     };
-    grid::run(args, host, grid)
+    grid::run(args, grid)
 }

@@ -25,7 +25,7 @@ use super::RunArgs;
 use crate::report::millis;
 use crate::setup::variable_partitions;
 use crate::setup::{compile_suite_lib_sw, fleet_shards, fleet_specs, serial_fast};
-use crate::{Exporter, HostProfile};
+use crate::Exporter;
 use fsim::MigrationCrashWindow::{self, BetweenCommitAndFree, DestMidCopy, SourceMidPrepare};
 use fsim::SimDuration;
 use std::collections::BTreeSet;
@@ -161,11 +161,8 @@ const COLUMNS: &[Column<Point, FleetCell>] = &[
 
 pub fn run(args: &RunArgs) -> Result<Exporter, String> {
     let seed = args.seed();
-    let mut host = HostProfile::new(args.threads);
     let spec = fpga::device::part("VF400");
-    let (lib, ids, sw) = host.phase(crate::sections::PHASE_COMPILE, || {
-        compile_suite_lib_sw(&[Domain::Telecom, Domain::Storage], spec)
-    });
+    let (lib, ids, sw) = compile_suite_lib_sw(&[Domain::Telecom, Domain::Storage], spec);
     let sw = Arc::new(sw);
     let timing = serial_fast(spec);
     // Partition shards, with delta downloads when the cell copies delta.
@@ -186,12 +183,10 @@ pub fn run(args: &RunArgs) -> Result<Exporter, String> {
 
     // Migration-free references, one per delta flavor: the protocol must
     // reproduce these task outcomes exactly, crashes or not.
-    let baselines: Vec<FleetReport> = host.phase(crate::sections::PHASE_BASELINE, || {
-        [false, true]
-            .map(|delta| fleet(&base_cfg(2), 2, delta))
-            .into_iter()
-            .collect::<Result<_, String>>()
-    })?;
+    let baselines: Vec<FleetReport> = [false, true]
+        .map(|delta| fleet(&base_cfg(2), 2, delta))
+        .into_iter()
+        .collect::<Result<_, String>>()?;
 
     let cell = |&p: &Point| {
         let (_, delta, rebalance) = p;
@@ -261,5 +256,5 @@ pub fn run(args: &RunArgs) -> Result<Exporter, String> {
                 placement drift corrected tenant-by-tenant onto the idle device.\n",
         ..Grid::default()
     };
-    grid::run(args, host, grid)
+    grid::run(args, grid)
 }

@@ -4,13 +4,13 @@
 //! (blocks of base points crossed with smoke/full axes), a cell function,
 //! named gates, the table's columns, the reports each cell exports, the
 //! params and the prose — and [`run`] does everything in between: the
-//! product in nested-loop order, [`HostProfile::sweep`], the gates, the
-//! table, the [`Exporter`], the host section and stdout. Experiments that
+//! product in nested-loop order, each cell in turn, the gates, the
+//! table, the [`Exporter`] and stdout. Experiments that
 //! are not one grid (E6, E8, E9) keep a bespoke `run`.
 
 use super::RunArgs;
 use crate::report::Table;
-use crate::{Exporter, HostProfile, Json};
+use crate::{Exporter, Json};
 use vfpga::Report;
 
 /// One swept point after its cell ran: its label, the point, the output.
@@ -144,7 +144,7 @@ pub struct Grid<'a, P, C> {
     pub points: Vec<Block<'a, P>>,
     pub label: fn(&P) -> String,
     /// Runs one point; `Err` fails the run, naming the cell.
-    pub cell: &'a (dyn Fn(&P) -> Result<C, String> + Sync),
+    pub cell: &'a dyn Fn(&P) -> Result<C, String>,
     /// Checked in order over every cell, then the run, before any output.
     pub gates: &'a [Gate<P, C>],
     pub table: &'a str,
@@ -179,20 +179,15 @@ impl<P, C> Default for Grid<'_, P, C> {
     }
 }
 
-/// Run `grid`: every point through its cell (on `args.threads` workers),
-/// the gates, then the table on stdout and the export.
-pub fn run<P: Clone + Sync, C: Send>(
-    args: &RunArgs,
-    mut host: HostProfile,
-    grid: Grid<'_, P, C>,
-) -> Result<Exporter, String> {
+/// Run `grid`: every point through its cell, in point order, the gates,
+/// then the table on stdout and the export.
+pub fn run<P: Clone, C>(args: &RunArgs, grid: Grid<'_, P, C>) -> Result<Exporter, String> {
     let points = expand(&grid.points, args.smoke);
     print!("{}", grid.intro);
-    let outs = host.sweep(&points, |_, p| (grid.cell)(p));
     let mut cells = Vec::with_capacity(points.len());
-    for (point, out) in points.into_iter().zip(outs) {
+    for point in points {
         let label = (grid.label)(&point);
-        let out = out.map_err(|e| format!("{label}: {e}"))?;
+        let out = (grid.cell)(&point).map_err(|e| format!("{label}: {e}"))?;
         cells.push(Cell { label, point, out });
     }
     for c in &cells {
@@ -227,7 +222,6 @@ pub fn run<P: Clone + Sync, C: Send>(
     (grid.finish)(&cells, &mut ex);
     t.print();
     ex.table(&t);
-    ex.host(host, cells.len());
     print!("{}", grid.outro);
     Ok(ex)
 }
@@ -254,11 +248,7 @@ mod tests {
     }
 
     fn args(smoke: bool) -> RunArgs {
-        RunArgs {
-            smoke,
-            seed: None,
-            threads: 2,
-        }
+        RunArgs { smoke, seed: None }
     }
 
     fn grid<'a>(gates: &'a [Gate<Point, Report>]) -> Grid<'a, Point, Report> {
@@ -308,18 +298,18 @@ mod tests {
         let gates = [Gate::Each("only the first", |c: &Cell<Point, Report>| {
             ensure(c.point.0 == "first", || format!("{} came later", c.point.0))
         })];
-        let err = run(&args(true), HostProfile::new(2), grid(&gates)).err();
+        let err = run(&args(true), grid(&gates)).err();
         assert_eq!(err.as_deref(), Some("a/1: only the first: a came later"));
         let gates = [Gate::All("never", |_: &[Cell<Point, Report>]| {
             Err("no".into())
         })];
-        let err = run(&args(true), HostProfile::new(1), grid(&gates)).err();
+        let err = run(&args(true), grid(&gates)).err();
         assert_eq!(err.as_deref(), Some("never: no"));
     }
 
     #[test]
     fn a_passing_grid_exports_its_rows_and_reports_in_point_order() {
-        let ex = run(&args(false), HostProfile::new(2), grid(&[])).expect("no gates");
+        let ex = run(&args(false), grid(&[])).expect("no gates");
         let doc = ex.to_json();
         let tables = doc.get("tables").and_then(Json::as_arr).unwrap();
         assert_eq!(tables.len(), 1);

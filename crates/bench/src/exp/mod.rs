@@ -41,8 +41,6 @@ pub struct RunArgs {
     pub smoke: bool,
     /// Base RNG seed; `None` exactly for the fixed-seed sweeps.
     pub seed: Option<u64>,
-    /// Sweep-point parallelism, already resolved (never 0).
-    pub threads: usize,
 }
 
 impl RunArgs {

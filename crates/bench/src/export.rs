@@ -15,7 +15,8 @@
 //! carries every flag.
 
 use crate::report::Table;
-use crate::{Json, Obj};
+use crate::Json;
+use fsim::json::Obj;
 use fsim::{Metrics, Timeline, TimelineSet};
 use vfpga::counters::{Counters, Value};
 use vfpga::Report;
@@ -192,7 +193,6 @@ pub struct Exporter {
     timelines: Vec<(String, Json)>,
     tables: Vec<Json>,
     reports: Vec<Json>,
-    host: Option<Json>,
 }
 
 impl Exporter {
@@ -207,7 +207,6 @@ impl Exporter {
             timelines: Vec::new(),
             tables: Vec::new(),
             reports: Vec::new(),
-            host: None,
         }
     }
 
@@ -249,17 +248,6 @@ impl Exporter {
         self
     }
 
-    /// Attach the **volatile** `host` section: wall-clock phase times,
-    /// thread count, throughput, compile-cache statistics. This is the
-    /// only section that may differ between two runs with identical
-    /// parameters and seed — tooling comparing exports must strip it
-    /// first (see [`strip_volatile`] and the `jdiff` binary). Stops the
-    /// run's stopwatch; `points` is how many sweep points it covered.
-    pub fn host(&mut self, profile: crate::HostProfile, points: usize) -> &mut Self {
-        self.host = Some(profile.to_json(points));
-        self
-    }
-
     /// Build the full document.
     pub fn to_json(&self) -> Json {
         let mut params = Obj::new();
@@ -270,7 +258,7 @@ impl Exporter {
         for (k, v) in &self.timelines {
             timelines = timelines.set(k, v.clone());
         }
-        let mut doc = Obj::new()
+        Obj::new()
             .set("schema", SCHEMA)
             .set("experiment", self.experiment.as_str())
             .set("title", self.title.as_str())
@@ -279,13 +267,8 @@ impl Exporter {
             .set("metrics", metrics_json(&self.metrics))
             .set("timelines", timelines)
             .set("tables", Json::Arr(self.tables.clone()))
-            .set("reports", Json::Arr(self.reports.clone()));
-        // Volatile section last, so the deterministic prefix of two
-        // exports lines up even in a plain textual diff.
-        if let Some(h) = &self.host {
-            doc = doc.set(crate::sections::HOST, h.clone());
-        }
-        doc.build()
+            .set("reports", Json::Arr(self.reports.clone()))
+            .build()
     }
 
     /// Render the document and read it back: the text must parse, carry
@@ -304,22 +287,6 @@ impl Exporter {
             ));
         }
         Ok(text)
-    }
-}
-
-/// Drop every section named in [`crate::sections::VOLATILE_SECTIONS`] from
-/// a parsed export document, leaving only the deterministic content. Two
-/// same-seed runs of an experiment must render identically after this —
-/// regardless of `--threads`.
-pub fn strip_volatile(doc: Json) -> Json {
-    match doc {
-        Json::Obj(fields) => Json::Obj(
-            fields
-                .into_iter()
-                .filter(|(k, _)| !crate::sections::VOLATILE_SECTIONS.contains(&k.as_str()))
-                .collect(),
-        ),
-        other => other,
     }
 }
 
@@ -353,25 +320,6 @@ mod tests {
         ] {
             assert!(r.contains(needle), "missing {needle} in:\n{r}");
         }
-    }
-
-    #[test]
-    fn host_section_is_emitted_last_and_strippable() {
-        let mut ex = Exporter::new("e98", "host test");
-        ex.seed(1).param("n", 3u64);
-        let without_host = ex.to_json().render();
-
-        ex.host(crate::HostProfile::new(2), 3);
-        let with_host = ex.to_json().render();
-        assert!(with_host.contains("\"host\""));
-        assert!(
-            with_host.starts_with(without_host.trim_end_matches(['}', '\n'])),
-            "host must extend the document, not reorder it"
-        );
-
-        let stripped = strip_volatile(Json::parse(&with_host).unwrap()).render();
-        let plain = strip_volatile(Json::parse(&without_host).unwrap()).render();
-        assert_eq!(stripped, plain, "the host section is the only difference");
     }
 
     #[test]

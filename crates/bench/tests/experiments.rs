@@ -1,11 +1,10 @@
 //! The experiment gate: what `ci.sh` used to check with 47 binary
-//! invocations, `jdiff` pairs and inline Python, as `cargo test`.
+//! invocations, export diffs and inline Python, as `cargo test`.
 //!
-//! Every entry of [`bench::exp::ALL`] runs its smoke sweep in-process at
-//! `threads` 1 and 4 and must reproduce `golden/<name>.smoke.json` — an
-//! export committed from a known-good build — everywhere outside the
-//! volatile `host` section. That one comparison is also the "same seed
-//! twice" and the "`--threads 4` vs `--threads 1`" check. The per-
+//! Every entry of [`bench::exp::ALL`] runs its smoke sweep in-process and
+//! must reproduce `golden/<name>.smoke.json` — an export committed from a
+//! known-good build — byte for byte. That one comparison is also the
+//! "same seed twice" check. The per-
 //! experiment tests below it assert what the numbers must *mean*, so a
 //! refreshed golden cannot quietly pin a regression. Refresh a golden only
 //! in a change that means to move the numbers:
@@ -16,7 +15,7 @@
 //! ```
 
 use bench::exp::{Entry, RunArgs, ALL};
-use bench::{strip_volatile, Json};
+use bench::Json;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 use std::sync::mpsc::{self, RecvTimeoutError};
@@ -42,18 +41,13 @@ fn parse(name: &str, text: &str) -> Json {
 /// The export of `entry` (smoke or full size), as `vfpga-exp --json`
 /// would write it, from a worker thread so that a run that never ends
 /// fails the test instead of hanging it.
-fn export_text(entry: &Entry, smoke: bool, seed: Option<u64>, threads: usize) -> String {
+fn export_text(entry: &Entry, smoke: bool, seed: Option<u64>) -> String {
     let &(name, _, run) = entry;
     let (tx, rx) = mpsc::channel();
     // Named, so that a panic inside the experiment says whose it is.
-    let worker = std::thread::Builder::new().name(format!("{name} --threads {threads}"));
+    let worker = std::thread::Builder::new().name(name.to_string());
     let worker = worker.spawn(move || {
-        let args = RunArgs {
-            smoke,
-            seed,
-            threads,
-        };
-        let _ = tx.send(run(&args).and_then(|ex| ex.render_checked()));
+        let _ = tx.send(run(&RunArgs { smoke, seed }).and_then(|ex| ex.render_checked()));
     });
     let worker = worker.expect("worker thread spawns");
     match rx.recv_timeout(LIVENESS) {
@@ -70,14 +64,14 @@ fn export_text(entry: &Entry, smoke: bool, seed: Option<u64>, threads: usize) ->
 }
 
 /// The smoke export of `entry`.
-fn smoke_text(entry: &Entry, seed: Option<u64>, threads: usize) -> String {
-    export_text(entry, true, seed, threads)
+fn smoke_text(entry: &Entry, seed: Option<u64>) -> String {
+    export_text(entry, true, seed)
 }
 
-/// The deterministic part of `name`'s fresh smoke export.
+/// `name`'s fresh smoke export.
 fn smoke(name: &str) -> Json {
     let entry = bench::exp::find(name).expect("a name in exp::ALL");
-    strip_volatile(parse(name, &smoke_text(entry, entry.1, 1)))
+    parse(name, &smoke_text(entry, entry.1))
 }
 
 /// `doc.a.b.c` for the dotted `path`, which must exist.
@@ -163,26 +157,21 @@ fn table_is_sorted_and_goldens_match_it_one_to_one() {
 }
 
 #[test]
-fn every_smoke_export_matches_its_golden_at_1_and_4_threads() {
+fn every_smoke_export_matches_its_golden() {
     for entry in ALL {
         let name = entry.0;
-        let text = std::fs::read_to_string(golden(name)).expect("golden is readable");
-        let want = strip_volatile(parse(name, &text)).render();
-        for threads in [1, 4] {
-            let fresh = parse(name, &smoke_text(entry, entry.1, threads));
-            assert!(fresh.get("host").is_some(), "{name}: no host section");
-            let got = strip_volatile(fresh).render();
-            let shorter = want.lines().count().min(got.lines().count());
-            let differ = want.lines().zip(got.lines()).position(|(w, g)| w != g);
-            if let Some(n) = differ.or((want != got).then_some(shorter)) {
-                panic!(
-                    "{name} --smoke --threads {threads} drifted from its golden at line {}:\n  \
-                     golden: {}\n  fresh:  {}",
-                    n + 1,
-                    want.lines().nth(n).unwrap_or("<end>"),
-                    got.lines().nth(n).unwrap_or("<end>"),
-                );
-            }
+        let want = std::fs::read_to_string(golden(name)).expect("golden is readable");
+        let got = smoke_text(entry, entry.1);
+        let shorter = want.lines().count().min(got.lines().count());
+        let differ = want.lines().zip(got.lines()).position(|(w, g)| w != g);
+        if let Some(n) = differ.or((want != got).then_some(shorter)) {
+            panic!(
+                "{name} --smoke drifted from its golden at line {}:\n  \
+                 golden: {}\n  fresh:  {}",
+                n + 1,
+                want.lines().nth(n).unwrap_or("<end>"),
+                got.lines().nth(n).unwrap_or("<end>"),
+            );
         }
     }
 }
@@ -228,16 +217,17 @@ fn every_report_of_every_export_has_the_same_keys() {
 }
 
 /// The goldens pin the default seeds; the in-process gates of E15–E21
-/// (differential verifiers, loss accounting) and thread invariance must
-/// hold at any seed, so run them at a second one.
+/// (differential verifiers, loss accounting) and same-seed determinism
+/// must hold at any seed, so run them twice at a second one.
 #[test]
 fn seeded_experiments_pass_their_gates_at_another_seed() {
     for entry in ALL.iter().filter(|e| e.1.is_some()) {
-        let run = |threads| {
-            let text = smoke_text(entry, Some(3605), threads);
-            strip_volatile(parse(entry.0, &text)).render()
-        };
-        assert!(run(1) == run(4), "{}: --threads changed seed 3605", entry.0);
+        let run = || smoke_text(entry, Some(3605));
+        assert!(
+            run() == run(),
+            "{}: seed 3605 ran differently twice",
+            entry.0
+        );
     }
 }
 
@@ -248,8 +238,8 @@ fn fnv1a(text: &str) -> u64 {
     })
 }
 
-/// FNV-1a of each experiment's full-size export at its default seed,
-/// rendered without the volatile sections, as a known-good build wrote it.
+/// FNV-1a of each experiment's full-size export at its default seed, as a
+/// known-good build wrote it.
 const FULL_DIGESTS: &[(&str, u64)] = &[
     ("e01_reconfig_time", 0x4a4c3bc6489b3c7f),
     ("e02_dynload_overhead", 0x07b4d7addff05387),
@@ -276,7 +266,7 @@ const FULL_DIGESTS: &[(&str, u64)] = &[
 
 /// The goldens pin the smoke sweeps only; the full-size exports are pinned
 /// by digest. A digest moves only in a change that means to move the
-/// numbers — find the first differing line with `jdiff` against the export
+/// numbers — find the first differing line with `cmp` against the export
 /// of a build of the parent commit.
 #[test]
 fn every_full_export_matches_its_pinned_digest() {
@@ -284,13 +274,12 @@ fn every_full_export_matches_its_pinned_digest() {
     let all: Vec<&str> = ALL.iter().map(|e| e.0).collect();
     assert_eq!(names, all, "one pinned digest per experiment");
     for (entry, &(name, want)) in ALL.iter().zip(FULL_DIGESTS) {
-        let text = export_text(entry, false, entry.1, 1);
-        let got = fnv1a(&strip_volatile(parse(name, &text)).render());
+        let got = fnv1a(&export_text(entry, false, entry.1));
         assert!(
             got == want,
             "{name}: full export digest {got:#018x}, pinned {want:#018x}; write the \
              export with `vfpga-exp {name} --json` here and from a build of the parent \
-             commit, and `jdiff` the two"
+             commit, and `cmp` the two"
         );
     }
 }
@@ -474,8 +463,7 @@ fn pnr_disk_cache_is_invisible_to_results() {
             .status()
             .expect("vfpga-exp must spawn");
         assert!(status.success(), "{tag} run failed: {status}");
-        let text = std::fs::read_to_string(out).expect("export was written");
-        strip_volatile(parse(tag, &text)).render()
+        std::fs::read_to_string(out).expect("export was written")
     };
     let entries = || -> Vec<PathBuf> {
         let files = std::fs::read_dir(&cache).expect("cache directory exists");
@@ -495,24 +483,5 @@ fn pnr_disk_cache_is_invisible_to_results() {
         let text = std::fs::read_to_string(&f).expect("entry is readable");
         assert_ne!(text, "not json", "{} was not rewritten", f.display());
     }
-    let _ = std::fs::remove_dir_all(dir);
-}
-
-#[test]
-fn jdiff_ignores_the_host_section_and_nothing_else() {
-    let dir = scratch("jdiff");
-    let fresh = dir.join("e05.json");
-    let e05 = bench::exp::find("e05_partitioning").unwrap();
-    std::fs::write(&fresh, smoke_text(e05, None, 2)).expect("write export");
-    let jdiff = |a: &Path, b: &Path| {
-        let out = Command::new(env!("CARGO_BIN_EXE_jdiff"))
-            .args([a, b])
-            .output();
-        out.expect("jdiff must spawn").status.code()
-    };
-    // Same numbers, different wall clock (the golden's host section is
-    // from the machine that committed it).
-    assert_eq!(jdiff(&golden("e05_partitioning"), &fresh), Some(0));
-    assert_eq!(jdiff(&golden("e06_fragmentation_gc"), &fresh), Some(1));
     let _ = std::fs::remove_dir_all(dir);
 }

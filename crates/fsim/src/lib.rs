@@ -15,7 +15,7 @@
 //!   configuration upsets, permanent column failures, host crashes),
 //! * [`obs`] — a metrics registry and time-weighted utilization timelines,
 //! * [`span`] — a hierarchical scoped-span wall-clock profiler whose
-//!   per-thread buffers merge deterministically at join,
+//!   profiles list their span paths in sorted order,
 //! * [`hash`] — FNV-1a-shaped hashing with exact word fast paths, the one hash
 //!   behind device digests, bitstream checksums and netlist cache keys,
 //! * [`json`] — the hand-rolled JSON value tree shared by checkpoint

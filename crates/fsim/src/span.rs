@@ -2,12 +2,14 @@
 //!
 //! This is the *wall-clock* sibling of the simulated-time observability in
 //! [`crate::obs`]: RAII guards time how long the host spends in a region of
-//! code, nested guards form a span tree, and the per-thread records merge
-//! into a [`SpanProfile`] whose rendering is byte-stable (paths iterate in
-//! sorted order; merging is commutative). It subsumes the ad-hoc
-//! `FlowProfile` timers the compilation flow used to carry: `pnr::compile`
-//! now records `pnr;map`, `pnr;pack`, … spans here, and the `vfpga` event
-//! loop records `system;…` spans at every manager boundary.
+//! code, nested guards form a span tree, and the thread's records come back
+//! as a [`SpanProfile`] whose paths iterate in sorted order. It subsumes
+//! the ad-hoc `FlowProfile` timers the compilation flow used to carry:
+//! `pnr::compile` now records `pnr;map`, `pnr;pack`, … spans here. The
+//! `vfpga` event loop records one `system;<event>` span per event kind
+//! (`system;dispatch`, `system;timer`, …), plus `capture`, `image_json`,
+//! `restore`, `failover`, `migrate_in`, `run_shard` and `fleet`; no span
+//! sits at a manager or scheduler call.
 //!
 //! Recording is **off by default**. A guard then costs one load of a
 //! thread-local `bool` that only [`scoped`] sets — inlined at the call
@@ -30,13 +32,9 @@
 //! assert_eq!(profile.get("work;inner").unwrap().count, 1);
 //! ```
 //!
-//! Thread-local buffers merge deterministically at join: each worker runs
-//! its points under [`scoped`] and the harness merges the returned profiles
-//! in *point* order (the sweep engine already joins results that way), so
-//! the merged span structure is independent of which thread ran what.
-//! Wall-clock durations themselves are inherently volatile — they belong in
-//! the volatile `host` section of any export, never in deterministic
-//! output.
+//! Wall-clock durations are inherently volatile: they are printed by
+//! profiling views (`trace_dump --section profile`) and the benchmark,
+//! never written into deterministic output.
 
 use crate::stats::LogHistogram;
 use std::cell::{Cell, RefCell};
@@ -82,21 +80,6 @@ impl SpanProfile {
     /// An empty profile.
     pub fn new() -> Self {
         SpanProfile::default()
-    }
-
-    /// Fold another profile into this one. Commutative: any merge order
-    /// produces the same structure and sums.
-    pub fn merge(&mut self, other: &SpanProfile) {
-        for (path, s) in &other.spans {
-            if let Some(mine) = self.spans.get_mut(path) {
-                mine.count += s.count;
-                mine.total_ns += s.total_ns;
-                mine.child_ns += s.child_ns;
-                mine.hist.merge(&s.hist);
-            } else {
-                self.spans.insert(path.clone(), s.clone());
-            }
-        }
     }
 
     /// Look up a span by its full path (e.g. `"system;dispatch"`).
@@ -369,37 +352,6 @@ mod tests {
         assert_eq!(p.get("y").unwrap().count, 1);
         let paths: Vec<_> = p.iter().map(|(k, _)| k).collect();
         assert_eq!(paths, vec!["x", "y"], "iteration is path-sorted");
-    }
-
-    #[test]
-    fn merge_is_order_insensitive_on_structure_and_sums() {
-        let mk = |reps: u64| {
-            let ((), p) = scoped(|| {
-                for _ in 0..reps {
-                    let _a = guard("a");
-                    let _b = guard("b");
-                }
-            });
-            p
-        };
-        let p1 = mk(3);
-        let p2 = mk(5);
-        let mut fwd = SpanProfile::new();
-        fwd.merge(&p1);
-        fwd.merge(&p2);
-        let mut rev = SpanProfile::new();
-        rev.merge(&p2);
-        rev.merge(&p1);
-        assert_eq!(fwd.get("a").unwrap().count, 8);
-        assert_eq!(rev.get("a").unwrap().count, 8);
-        assert_eq!(fwd.get("a;b").unwrap().count, 8);
-        assert_eq!(
-            fwd.get("a").unwrap().total_ns,
-            rev.get("a").unwrap().total_ns
-        );
-        let f: Vec<_> = fwd.iter().map(|(k, _)| k.to_string()).collect();
-        let r: Vec<_> = rev.iter().map(|(k, _)| k.to_string()).collect();
-        assert_eq!(f, r);
     }
 
     #[test]

@@ -135,10 +135,9 @@ pub const LOG_BUCKETS: usize = 65;
 ///
 /// The bucket of a value is a pure function of the value (its bit length),
 /// so merging two histograms is bucket-wise addition — commutative and
-/// associative. Merging per-thread histograms therefore yields the same
-/// bytes in any merge order, which is what lets the parallel sweep engine
-/// report tail latencies that are byte-identical at every `--threads`
-/// count. Exact count, sum, min, and max ride along; quantiles are
+/// associative. Merging per-shard histograms therefore yields the same
+/// bytes in any merge order, which is what lets a fleet report tail
+/// latencies that do not depend on the order its shards finish. Exact count, sum, min, and max ride along; quantiles are
 /// estimated by linear interpolation inside the containing bucket using
 /// integer arithmetic only, so the reported values are deterministic.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -32,7 +32,7 @@ pub mod route;
 pub mod timing;
 pub mod variant;
 
-pub use cache::{cache_len, cache_stats, compile_shared, CacheStats};
+pub use cache::{cache_stats, compile_shared, CacheStats};
 pub use disk::{compile_with_disk, DISK_SCHEMA};
 pub use emit::{emit_bitstream, PinAssignment};
 pub use flow::{compile, CompileOptions, CompiledCircuit};

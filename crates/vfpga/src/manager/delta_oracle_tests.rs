@@ -525,20 +525,33 @@ fn fixed_partitions_match_the_ghost_list() {
     assert_eq!(seen, all, "the walks reach every reason but GC's");
 }
 
+/// With no common circuit the slots start at column 0; with the wide
+/// circuit common (booted over columns 0–7) they start past the booted
+/// range, so a repair can land on common columns and every slot load sits
+/// at an offset.
 #[test]
 fn overlay_matches_the_dirty_set() {
     let spec = fpga::device::part("VF400");
     let lib = library(spec);
-    let widest = (0..lib.len() as u32)
-        .map(|c| lib.get(CircuitId(c)).shape().0)
-        .max()
-        .unwrap();
-    let seen = walks(&lib, || {
-        let slot = widest + 1;
-        let mut m =
-            OverlayManager::new(lib.clone(), timing(spec), vec![], slot, Replacement::Lru).unwrap();
-        m.enable_delta();
-        Under::Overlay(m)
-    });
-    assert_eq!(seen, ["discard", "repair"], "the walks reach both reasons");
+    for common in [vec![], vec![CircuitId(5)]] {
+        let widest = (0..lib.len() as u32)
+            .map(CircuitId)
+            .filter(|c| !common.contains(c))
+            .map(|c| lib.get(c).shape().0)
+            .max()
+            .unwrap();
+        let seen = walks(&lib, || {
+            let (timing, slot) = (timing(spec), widest + 1);
+            let m =
+                OverlayManager::new(lib.clone(), timing, common.clone(), slot, Replacement::Lru);
+            let mut m = m.unwrap();
+            m.enable_delta();
+            Under::Overlay(m)
+        });
+        let both = ["discard", "repair"];
+        assert_eq!(
+            seen, both,
+            "common {common:?}: the walks reach both reasons"
+        );
+    }
 }

@@ -340,8 +340,7 @@ impl Scheduler for PriorityScheduler {
 /// [`EdfScheduler::set_deadline`]. Tasks without a deadline sort after
 /// every deadline-bearing task; ties — equal deadlines, and the whole
 /// no-deadline tail — break FIFO by insertion sequence, so every pick is
-/// a deterministic function of enqueue order and `--threads`
-/// byte-identity holds. A slice makes the policy preemptive through the
+/// a deterministic function of enqueue order. A slice makes the policy preemptive through the
 /// existing save/restore machinery: each expiry re-runs the
 /// earliest-deadline decision against whatever became ready meanwhile.
 #[derive(Debug, Clone)]
