@@ -110,7 +110,7 @@ fn report_json(label: &str, r: &Report) -> Json {
             .iter()
             .map(|t| {
                 Obj::new()
-                    .set("name", t.name.as_str())
+                    .set("name", &*t.name)
                     .set("arrival_s", t.arrival.as_secs_f64())
                     .set("completion_s", t.completion.as_secs_f64())
                     .set("cpu_s", t.cpu_time.as_secs_f64())

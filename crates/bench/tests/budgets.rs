@@ -40,6 +40,13 @@
 //!   allocations, 984.1 bytes and 791.9 peak live bytes a task; the report
 //!   collected into a fresh vector instead of over the spec table reads
 //!   784.1 bytes and 783.9 peak live bytes (and fails `churn`'s three rows).
+//!   Seeded violation: a spec clone that deep-copies its name and program
+//!   again (a `Clone` for `TaskSpec` that copies the `Arc<str>` and the
+//!   `Program` into fresh allocations, as the `String` and `Vec<Op>` did)
+//!   reads 4.002 allocations, 644.1 bytes and 644.1 peak live bytes a
+//!   task, and fails every `churn`, `stream`, `durable` and `fleet` row
+//!   (`fleet` 9.335 allocations, 2,855.6 bytes and 1,750.9 peak live bytes
+//!   a task: each shard build copies its specs).
 //! * `durable` — the `durable` benchmark's system at 2,000 tasks: the
 //!   `stream` system at a third of its load, with delta checkpoints every
 //!   5 s (a full image every fourth) and ten seeded host crashes, each

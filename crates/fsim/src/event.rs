@@ -288,6 +288,17 @@ impl<E> EventQueue<E> {
         self.held = 0;
     }
 
+    /// Put the queue back as [`new`](Self::new) makes it — empty, at
+    /// `SimTime::ZERO`, every counter zero — keeping the heap's buffer.
+    pub fn reset(&mut self) {
+        let mut heap = std::mem::take(&mut self.heap);
+        heap.clear();
+        *self = EventQueue {
+            heap,
+            ..Self::new()
+        };
+    }
+
     /// Append every pending event to `out`, in firing order, as `item`
     /// renders it — *without* disturbing the queue: neither the clock nor
     /// the pending set changes. `held` is the caller's held event, if it
@@ -333,6 +344,21 @@ mod tests {
         let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|e| e.event).collect();
         let expect: Vec<u32> = (0..100).collect();
         assert_eq!(order, expect);
+    }
+
+    #[test]
+    fn reset_is_a_new_queue_over_the_old_buffer() {
+        let mut q = EventQueue::new();
+        for i in 0..5u64 {
+            q.schedule_at(SimTime(10 * i), i);
+        }
+        q.pop();
+        q.reserve(SimTime(60));
+        let cap = q.heap.capacity();
+        q.reset();
+        assert_eq!(format!("{q:?}"), format!("{:?}", EventQueue::<u64>::new()));
+        assert_eq!(q.heap.capacity(), cap);
+        assert_eq!(q.schedule_at(SimTime(1), 9), 0, "sequence numbers restart");
     }
 
     #[test]

@@ -398,7 +398,7 @@ pub fn diff_reports(baseline: &Report, restored: &Report) -> Vec<Divergence> {
     let bit = |b: bool| b.to_string();
     for (i, (b, r)) in baseline.tasks.iter().zip(&restored.tasks).enumerate() {
         let fields = [
-            ("name", b.name.clone(), r.name.clone()),
+            ("name", b.name.to_string(), r.name.to_string()),
             ("failed", bit(b.failed), bit(r.failed)),
             ("quarantined", bit(b.quarantined), bit(r.quarantined)),
             ("rejected", bit(b.rejected), bit(r.rejected)),

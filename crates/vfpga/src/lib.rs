@@ -99,7 +99,7 @@ pub use recovery::{FaultStats, RecoveryPolicy, UpsetRecovery};
 pub use sched::{EdfScheduler, FifoScheduler, PriorityScheduler, RoundRobinScheduler, Scheduler};
 pub use syscall::{FpgaHandle, OpenError, OsInterface};
 pub use system::{CompletionDetect, FailoverReceipt, System, SystemConfig};
-pub use task::{Op, TaskId, TaskSpec};
+pub use task::{Op, Program, TaskId, TaskSpec};
 
 #[cfg(test)]
 mod image_tests;

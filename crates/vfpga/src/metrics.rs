@@ -9,12 +9,15 @@ use crate::checkpoint::CrashStats;
 use crate::manager::ManagerStats;
 use crate::recovery::FaultStats;
 use fsim::{Metrics, SimDuration, SimTime, Summary, TimelineSet};
+use std::sync::Arc;
 
-/// Per-task accounting.
+/// Per-task accounting. Aligned to 16 like [`TaskSpec`](crate::TaskSpec),
+/// whose table the report's rows are written over.
 #[derive(Debug, Clone, Default)]
+#[repr(align(16))]
 pub struct TaskMetrics {
-    /// Task name.
-    pub name: String,
+    /// Task name, shared with the task's spec.
+    pub name: Arc<str>,
     /// Arrival time.
     pub arrival: SimTime,
     /// Completion time.

@@ -207,8 +207,9 @@ impl Run {
         setbacks.clear();
         *arrived = 0;
         // What the run schedules is in flight a handful at a time: a
-        // dispatch, a checkpoint, a watchdog, a fault.
-        *queue = EventQueue::new();
+        // dispatch, a checkpoint, a watchdog, a fault. A restart keeps the
+        // last incarnation's buffer.
+        queue.reset();
         if let Some(cfg) = build.ckpt {
             queue.schedule_at(SimTime::ZERO + cfg.interval, Ev::Checkpoint);
         }

@@ -17,6 +17,7 @@ use crate::circuit::{CircuitId, CircuitImage, CircuitLib};
 use crate::task::{Op, TaskSpec};
 use fsim::{SimDuration, SimTime};
 use pnr::CompiledCircuit;
+use std::sync::Arc;
 
 /// Why `fpga_open` refused a circuit.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -78,7 +79,7 @@ impl OsInterface {
     /// either an owned artifact or one shared through the compile cache.
     pub fn open(
         &mut self,
-        compiled: impl Into<std::sync::Arc<CompiledCircuit>>,
+        compiled: impl Into<Arc<CompiledCircuit>>,
     ) -> Result<FpgaHandle, OpenError> {
         let img = CircuitImage::from_shared(compiled.into());
         let (w, h) = img.shape();
@@ -108,29 +109,37 @@ impl OsInterface {
     }
 
     /// Start building a task program against this interface's handles.
-    pub fn program(&self, name: impl Into<String>, arrival: SimTime) -> ProgramBuilder {
+    pub fn program(&self, name: impl Into<Arc<str>>, arrival: SimTime) -> ProgramBuilder {
         ProgramBuilder {
-            spec: TaskSpec::new(name, arrival, Vec::new()),
+            name: name.into(),
+            arrival,
+            priority: 0,
+            ops: Vec::new(),
         }
     }
 }
 
-/// Fluent builder for a task's program.
+/// Fluent builder for a task's program: the ops grow in a `Vec` and are
+/// frozen into the spec's shared [`Program`](crate::task::Program) once,
+/// by [`build`](Self::build).
 #[derive(Debug)]
 pub struct ProgramBuilder {
-    spec: TaskSpec,
+    name: Arc<str>,
+    arrival: SimTime,
+    priority: u8,
+    ops: Vec<Op>,
 }
 
 impl ProgramBuilder {
     /// Append a CPU burst.
     pub fn compute(mut self, d: SimDuration) -> Self {
-        self.spec.ops.push(Op::Cpu(d));
+        self.ops.push(Op::Cpu(d));
         self
     }
 
     /// Append an FPGA run on an opened circuit (`fpga_select` + execute).
     pub fn fpga(mut self, h: FpgaHandle, cycles: u64) -> Self {
-        self.spec.ops.push(Op::FpgaRun {
+        self.ops.push(Op::FpgaRun {
             circuit: h.0,
             cycles,
         });
@@ -139,17 +148,17 @@ impl ProgramBuilder {
 
     /// Set the scheduling priority.
     pub fn priority(mut self, p: u8) -> Self {
-        self.spec.priority = p;
+        self.priority = p;
         self
     }
 
     /// Finish the program. A program with no operations is a declaration
     /// bug, reported as [`VfpgaError::EmptyProgram`](crate::error::VfpgaError::EmptyProgram) rather than a panic.
     pub fn build(self) -> Result<TaskSpec, crate::error::VfpgaError> {
-        if self.spec.ops.is_empty() {
+        if self.ops.is_empty() {
             return Err(crate::error::VfpgaError::EmptyProgram);
         }
-        Ok(self.spec)
+        Ok(TaskSpec::new(self.name, self.arrival, self.ops).with_priority(self.priority))
     }
 }
 
@@ -247,7 +256,6 @@ mod tests {
         use crate::manager::PreemptAction;
         use crate::sched::FifoScheduler;
         use crate::system::{System, SystemConfig};
-        use std::sync::Arc;
 
         let spec = fpga::device::part("VF400");
         let mut os = OsInterface::new(spec);

@@ -450,7 +450,7 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
             let mut slots = self.run.slots.iter().zip(&self.build.specs);
             if let Some((_, spec)) = slots.find(|(s, _)| !s.state.is_terminal()) {
                 return Err(VfpgaError::Deadlock {
-                    task: spec.name.clone(),
+                    task: spec.name.to_string(),
                 });
             }
         }
@@ -650,7 +650,7 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
             Exit::Done => TraceEvent::TaskState {
                 task,
                 state: fsim::TaskState::Done,
-                info: s.build.specs[ti].name.clone(),
+                info: s.build.specs[ti].name.to_string(),
             },
             Exit::Failed(reason) => TraceEvent::TaskFailed { task, reason },
             Exit::Quarantined(reason) => TraceEvent::TaskQuarantined { task, reason },
@@ -736,7 +736,7 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
         self.emit(now, |s| TraceEvent::TaskState {
             task: tid.0,
             state: fsim::TaskState::Arrive,
-            info: s.build.specs[ti].name.clone(),
+            info: s.build.specs[ti].name.to_string(),
         });
         let verdict = match Gate::of(&self.build.admission, &mut self.run.admission) {
             None => Arrival::Admit,

@@ -230,7 +230,13 @@ fn priority_scheduler_orders_completions() {
     .run()
     .unwrap();
     check_invariants(&r);
-    let done = |name: &str| r.tasks.iter().find(|t| t.name == name).unwrap().completion;
+    let done = |name: &str| {
+        r.tasks
+            .iter()
+            .find(|t| &*t.name == name)
+            .unwrap()
+            .completion
+    };
     assert!(done("high") < done("mid"));
     assert!(done("mid") < done("low"));
 }
@@ -558,6 +564,25 @@ fn failover_receipt_partitions_the_source_journal() {
     );
 }
 
+/// The report writes each row over its spec and moves the name in: a
+/// row's name is the very allocation its spec (and every copy) holds.
+#[test]
+fn report_rows_share_their_specs_names() {
+    let (lib, ids) = lib_mixed(2);
+    let specs: Vec<TaskSpec> = (0..4)
+        .map(|i| fpga_task(&format!("t{i}"), i, ids[i as usize % 2], 5_000))
+        .collect();
+    let mgr = DynLoadManager::new(lib.clone(), timing(), PreemptAction::WaitCompletion);
+    let config = SystemConfig::default();
+    let r = System::new(lib, mgr, FifoScheduler::new(), config, specs.clone())
+        .run()
+        .unwrap();
+    assert_eq!(r.tasks.len(), specs.len());
+    for (row, spec) in r.tasks.iter().zip(&specs) {
+        assert!(Arc::ptr_eq(&row.name, &spec.name), "{}", spec.name);
+    }
+}
+
 #[test]
 fn latency_profile_keeps_every_tenant_series() {
     // The per-tenant series are recorded after the report's rows have
@@ -567,9 +592,9 @@ fn latency_profile_keeps_every_tenant_series() {
     let (lib, ids) = lib_mixed(3);
     let specs = (0..30u64)
         .map(|i| {
-            let mut s = fpga_task(&format!("t{i}"), i, ids[i as usize % 3], 20_000 + 3_000 * i);
-            s.ops.push(Op::Cpu(us(300 + 50 * i)));
-            s.with_tenant(i as u32 % 4)
+            let (circuit, cycles) = (ids[i as usize % 3], 20_000 + 3_000 * i);
+            let ops = [Op::FpgaRun { circuit, cycles }, Op::Cpu(us(300 + 50 * i))];
+            TaskSpec::new(format!("t{i}"), SimTime::ZERO + ms(i), ops).with_tenant(i as u32 % 4)
         })
         .collect();
     let preempt = PreemptAction::SaveRestore;

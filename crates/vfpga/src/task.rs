@@ -8,6 +8,8 @@
 use crate::circuit::CircuitId;
 use crate::metrics::TaskMetrics;
 use fsim::{SimDuration, SimTime};
+use std::ops::Deref;
+use std::sync::Arc;
 
 /// Task identifier (index into the system's task table).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -29,11 +31,84 @@ pub enum Op {
     },
 }
 
-/// Static description of a task.
+/// A task's program: its ops, shared by every copy of its spec, so a
+/// clone bumps a reference count. It reads as a plain slice; iterating a
+/// `&mut Program` first copies the ops if another spec shares them (copy
+/// on write), so re-pricing one copy leaves every other copy as it was.
+/// It has no `push`: a program is built whole (from a `Vec`, an array or
+/// an exact-length iterator, which writes the shared allocation
+/// directly) or through [`ProgramBuilder`](crate::syscall::ProgramBuilder).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Program(Arc<[Op]>);
+
+impl Program {
+    /// Whether `self` and `other` are one shared allocation, not just
+    /// equal ops.
+    pub fn shares(&self, other: &Program) -> bool {
+        Arc::ptr_eq(&self.0, &other.0)
+    }
+}
+
+impl Deref for Program {
+    type Target = [Op];
+
+    #[inline]
+    fn deref(&self) -> &[Op] {
+        &self.0
+    }
+}
+
+impl From<Vec<Op>> for Program {
+    fn from(ops: Vec<Op>) -> Self {
+        Program(ops.into())
+    }
+}
+
+impl<const N: usize> From<[Op; N]> for Program {
+    fn from(ops: [Op; N]) -> Self {
+        Program(Arc::new(ops))
+    }
+}
+
+impl FromIterator<Op> for Program {
+    /// One allocation when the iterator knows its exact length (a
+    /// `Range` mapped, an array's); otherwise std collects into a `Vec`
+    /// first.
+    fn from_iter<I: IntoIterator<Item = Op>>(ops: I) -> Self {
+        Program(ops.into_iter().collect())
+    }
+}
+
+impl<'a> IntoIterator for &'a Program {
+    type Item = &'a Op;
+    type IntoIter = std::slice::Iter<'a, Op>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.0.iter()
+    }
+}
+
+/// Copy on write: the ops are copied first if another spec shares them.
+impl<'a> IntoIterator for &'a mut Program {
+    type Item = &'a mut Op;
+    type IntoIter = std::slice::IterMut<'a, Op>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        Arc::make_mut(&mut self.0).iter_mut()
+    }
+}
+
+/// Static description of a task. Its name and program are shared by every
+/// copy: a clone of a spec allocates nothing.
+///
+/// Aligned to 16 like [`TaskMetrics`], so the two keep one size and
+/// alignment (96 bytes) and the report writes its rows over the spec
+/// table in place.
 #[derive(Debug, Clone)]
+#[repr(align(16))]
 pub struct TaskSpec {
     /// Name for reports.
-    pub name: String,
+    pub name: Arc<str>,
     /// Arrival time.
     pub arrival: SimTime,
     /// Scheduling priority (higher runs first under the priority policy).
@@ -52,12 +127,12 @@ pub struct TaskSpec {
     /// it entirely.
     pub affinity: Option<u32>,
     /// The program.
-    pub ops: Vec<Op>,
+    pub ops: Program,
 }
 
 impl TaskSpec {
     /// Convenience constructor.
-    pub fn new(name: impl Into<String>, arrival: SimTime, ops: Vec<Op>) -> Self {
+    pub fn new(name: impl Into<Arc<str>>, arrival: SimTime, ops: impl Into<Program>) -> Self {
         TaskSpec {
             name: name.into(),
             arrival,
@@ -66,7 +141,7 @@ impl TaskSpec {
             deadline: None,
             hang_op: None,
             affinity: None,
-            ops,
+            ops: ops.into(),
         }
     }
 
@@ -365,7 +440,7 @@ impl TaskSlot {
     }
 
     /// The task's report row, with its `setbacks`.
-    pub fn metrics(&self, name: String, setbacks: Setbacks) -> TaskMetrics {
+    pub fn metrics(&self, name: Arc<str>, setbacks: Setbacks) -> TaskMetrics {
         TaskMetrics {
             name,
             arrival: self.arrival,
@@ -421,11 +496,67 @@ mod tests {
         assert_eq!(spec.priority, 3);
     }
 
+    fn two_op_spec() -> TaskSpec {
+        let run = Op::FpgaRun {
+            circuit: CircuitId(1),
+            cycles: 100,
+        };
+        TaskSpec::new("t", SimTime::ZERO, [Op::Cpu(ms(5)), run])
+    }
+
+    #[test]
+    fn a_clone_shares_its_name_and_program() {
+        let spec = two_op_spec();
+        let copy = spec.clone();
+        assert!(Arc::ptr_eq(&spec.name, &copy.name));
+        assert!(spec.ops.shares(&copy.ops));
+        // Equal ops built apart are equal, not shared.
+        let apart = two_op_spec();
+        assert_eq!(apart.ops, spec.ops);
+        assert!(!apart.ops.shares(&spec.ops));
+    }
+
+    /// Re-pricing one copy's FPGA ops as CPU time (what a fleet's software
+    /// fallback does) copies that program first; every other copy keeps
+    /// the original, still shared.
+    #[test]
+    fn rewriting_one_copys_ops_leaves_every_other_copy() {
+        let spec = two_op_spec();
+        let (other, mut soft) = (spec.clone(), spec.clone());
+        for op in &mut soft.ops {
+            if let Op::FpgaRun { cycles, .. } = *op {
+                *op = Op::Cpu(SimDuration::from_nanos(cycles * 10));
+            }
+        }
+        assert_eq!(
+            &soft.ops[..],
+            [Op::Cpu(ms(5)), Op::Cpu(SimDuration::from_nanos(1000))]
+        );
+        assert!(!soft.ops.shares(&spec.ops));
+        assert!(Arc::ptr_eq(&soft.name, &spec.name));
+        assert!(other.ops.shares(&spec.ops));
+        assert_eq!(spec.ops, two_op_spec().ops);
+        // A program no other copy holds is rewritten where it is.
+        let at = soft.ops.as_ptr();
+        for op in &mut soft.ops {
+            *op = Op::Cpu(ms(1));
+        }
+        assert_eq!(soft.ops.as_ptr(), at);
+        assert_eq!(&soft.ops[..], [Op::Cpu(ms(1)); 2]);
+    }
+
     /// The slot's size, which `ci.sh` prints beside the line counts (a
     /// `const` assertion holds it to 80 bytes).
     #[test]
     fn slot_bytes() {
         println!("TaskSlot: {} bytes", size_of::<TaskSlot>());
+        println!(
+            "TaskSpec: {} bytes, align {}; TaskMetrics: {} bytes, align {}",
+            size_of::<TaskSpec>(),
+            align_of::<TaskSpec>(),
+            size_of::<TaskMetrics>(),
+            align_of::<TaskMetrics>()
+        );
     }
 
     #[test]

@@ -6,8 +6,10 @@
 //! mentions).
 
 use fsim::{SimDuration, SimRng, SimTime};
+use std::fmt::Write;
+use std::sync::Arc;
 use vfpga::circuit::CircuitLib;
-use vfpga::{CircuitId, Op, TaskSpec};
+use vfpga::{CircuitId, Op, Program, TaskSpec};
 
 /// Parameters for the Poisson mix.
 #[derive(Debug, Clone, Copy)]
@@ -43,42 +45,50 @@ pub fn poisson_tasks(
     circuits: &[CircuitId],
     rng: &mut SimRng,
 ) -> Vec<TaskSpec> {
-    poisson_named(params, circuits, rng, |i| format!("task{i}"))
+    poisson_named(params, circuits, rng, |buf, i| {
+        name_in(buf, format_args!("task{i}"))
+    })
 }
 
-/// [`poisson_tasks`] with task `i` named `name(i)`. Each program is
-/// allocated once at its final length: `2k + 1` ops for `k` FPGA runs.
+/// `name` written into one shared allocation, through the reused `buf`.
+fn name_in(buf: &mut String, name: std::fmt::Arguments) -> Arc<str> {
+    buf.clear();
+    buf.write_fmt(name).expect("a String takes any write");
+    Arc::from(buf.as_str())
+}
+
+/// [`poisson_tasks`] with task `i` named `name(buf, i)`. Each program is
+/// written straight into its shared allocation at its final length:
+/// `2k + 1` ops for `k` FPGA runs, a CPU burst at every even index.
 fn poisson_named(
     params: &MixParams,
     circuits: &[CircuitId],
     rng: &mut SimRng,
-    name: impl Fn(usize) -> String,
+    name: impl Fn(&mut String, usize) -> Arc<str>,
 ) -> Vec<TaskSpec> {
     assert!(!circuits.is_empty(), "need at least one circuit");
     let mut specs = Vec::with_capacity(params.tasks);
+    let mut buf = String::new();
     let mut at = SimTime::ZERO;
     let runs = params.fpga_ops_per_task;
     let len = 2 * runs + usize::from(runs > 0);
+    let burst = params.mean_cpu_burst.as_secs_f64();
     for i in 0..params.tasks {
         at += SimDuration::from_secs_f64(rng.exp(params.mean_interarrival.as_secs_f64()));
-        let mut ops = Vec::with_capacity(len);
-        for k in 0..params.fpga_ops_per_task {
-            ops.push(Op::Cpu(SimDuration::from_secs_f64(
-                rng.exp(params.mean_cpu_burst.as_secs_f64()).max(1e-6),
-            )));
-            let cid = *rng.choose(circuits);
-            let cycles = rng.range_u64(params.cycles.0, params.cycles.1);
-            ops.push(Op::FpgaRun {
-                circuit: cid,
-                cycles,
-            });
-            if k + 1 == params.fpga_ops_per_task {
-                ops.push(Op::Cpu(SimDuration::from_secs_f64(
-                    rng.exp(params.mean_cpu_burst.as_secs_f64()).max(1e-6),
-                )));
-            }
-        }
-        specs.push(TaskSpec::new(name(i), at, ops));
+        // A mapped range has an exact length, so the collect allocates
+        // the shared slice once and the closure draws in op order.
+        let ops: Program = (0..len)
+            .map(|k| {
+                if k % 2 == 0 {
+                    Op::Cpu(SimDuration::from_secs_f64(rng.exp(burst).max(1e-6)))
+                } else {
+                    let circuit = *rng.choose(circuits);
+                    let cycles = rng.range_u64(params.cycles.0, params.cycles.1);
+                    Op::FpgaRun { circuit, cycles }
+                }
+            })
+            .collect();
+        specs.push(TaskSpec::new(name(&mut buf, i), at, ops));
     }
     specs
 }
@@ -146,8 +156,8 @@ pub fn tenant_tasks(
     );
     let mut dl_rng = rng.derive(0xD11E);
     let tenant_of = |i: usize| i as u32 % params.tenants;
-    let specs = poisson_named(&params.base, circuits, rng, |i| {
-        format!("tn{}-task{i}", tenant_of(i))
+    let specs = poisson_named(&params.base, circuits, rng, |buf, i| {
+        name_in(buf, format_args!("tn{}-task{i}", tenant_of(i)))
     });
     specs
         .into_iter()
@@ -224,14 +234,15 @@ pub fn periodic_tasks(
     cycles: u64,
 ) -> Vec<TaskSpec> {
     let mut specs = Vec::with_capacity(periods.len() * jobs);
+    let mut buf = String::new();
     for (ti, &(cid, period)) in periods.iter().enumerate() {
         for j in 0..jobs {
             let arrival = SimTime::ZERO + period * j as u64;
             specs.push(
                 TaskSpec::new(
-                    format!("p{ti}-job{j}"),
+                    name_in(&mut buf, format_args!("p{ti}-job{j}")),
                     arrival,
-                    vec![
+                    [
                         Op::Cpu(cpu_burst),
                         Op::FpgaRun {
                             circuit: cid,
@@ -441,31 +452,64 @@ mod tests {
         assert!(p0.priority > p1.priority);
     }
 
-    #[test]
-    fn programs_are_allocated_at_their_final_length() {
-        let tenant = TenantMixParams {
-            tenants: 3,
-            ..Default::default()
+    /// Every field of every spec the generators make, folded.
+    fn generated_specs_digest(seed: u64) -> u64 {
+        let mut h = fsim::hash::Digest::new();
+        let mut fold = |specs: Vec<TaskSpec>| {
+            for s in &specs {
+                h.bytes(s.name.as_bytes());
+                h.word(s.arrival.as_nanos());
+                h.word(u64::from(s.priority));
+                h.word(u64::from(s.tenant));
+                h.word(s.deadline.map_or(u64::MAX, |d| d.as_nanos()));
+                h.word(s.hang_op.map_or(u64::MAX, |i| i as u64));
+                h.word(s.affinity.map_or(u64::MAX, u64::from));
+                h.word(s.ops.len() as u64);
+                for op in s.ops.iter() {
+                    match *op {
+                        Op::Cpu(d) => h.word(d.as_nanos()),
+                        Op::FpgaRun { circuit, cycles } => {
+                            h.word(u64::from(circuit.0));
+                            h.word(cycles);
+                        }
+                    }
+                }
+            }
         };
-        let periods = [(CircuitId(0), SimDuration::from_millis(10))];
         for ops_per_task in [0, 1, 4] {
             let base = MixParams {
+                tasks: 40,
                 fpga_ops_per_task: ops_per_task,
                 ..Default::default()
             };
-            let sets = [
-                poisson_tasks(&base, &cids(3), &mut SimRng::new(5)),
-                tenant_tasks(
-                    &TenantMixParams { base, ..tenant },
-                    &cids(3),
-                    &mut SimRng::new(5),
-                ),
-                periodic_tasks(&periods, 3, SimDuration::from_micros(100), 1000),
-            ];
-            for s in sets.iter().flatten() {
-                assert_eq!(s.ops.capacity(), s.ops.len(), "{}", s.name);
-            }
+            fold(poisson_tasks(&base, &cids(3), &mut SimRng::new(seed)));
+            let tenant = TenantMixParams {
+                base,
+                tenants: 3,
+                deadline: Some(SimDuration::from_millis(40)),
+                hang_tasks: if ops_per_task > 0 { 2 } else { 0 },
+                deadline_spread: 0.25,
+                affinity_devices: 2,
+            };
+            fold(tenant_tasks(&tenant, &cids(3), &mut SimRng::new(seed)));
         }
+        let periods = [(CircuitId(0), SimDuration::from_millis(10))];
+        fold(periodic_tasks(
+            &periods,
+            3,
+            SimDuration::from_micros(100),
+            1000,
+        ));
+        h.finish()
+    }
+
+    /// The generators draw in the same order and write the same specs as
+    /// when each program was a `Vec` pushed op by op: digests written by
+    /// that build, at two seeds.
+    #[test]
+    fn generated_specs_keep_their_digest() {
+        assert_eq!(generated_specs_digest(5), 0x788b_0f23_db58_fdd4);
+        assert_eq!(generated_specs_digest(2833), 0xdc2a_d604_c111_281b);
     }
 
     #[test]
