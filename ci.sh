@@ -63,15 +63,19 @@ cargo test -q --release -p bench --test churn_shape
 cargo test -q --release -p vfpga --lib -- delta_oracle
 cargo test -q --release -p vfpga --lib -- partition_oracle --include-ignored
 
-echo "==> codec suite, compile-cache entries, image goldens, image tests and capture window, release"
+echo "==> codec suite, compile-cache entries, image goldens, image tests, capture window and crash restore, release"
 # `durable` and `fleet` reps run the release writer, and a release build
 # wraps where debug panics (a delta image's ghost count once did). The
 # codec itself is fsim's, and the compile cache's entries go through it
 # too. The capture window's copy count and its full-table check run here
 # too: in the benchmark's release build the check is compiled out.
+# `durable` and `fleet` also crash and restore in release code, where the
+# journal a capture ends and the restore that replays it run without the
+# debug build's checks; the crash-restore suite runs here for that.
 cargo test -q --release -p fsim --lib json
 cargo test -q --release -p pnr --lib disk
 cargo test -q --release -p vfpga --lib -- image capture_window
+cargo test -q --release -p vfpga --test crash_restore
 
 echo "==> event queue oracle, the kernel's segment-end gates and rendered arrivals, release"
 # The benchmark's kernel holds the running segment's end outside the

@@ -59,6 +59,11 @@
 //!   `snapshot()` again (`capture` taking each component's JSON tree, as
 //!   before the components' typed images) read 3.322 allocations, 1,150.4
 //!   bytes and 748.735 peak live bytes a task, failing all three rows.
+//!   Seeded violation: a capture that leaves the journal whole (no `clear`
+//!   in `on_checkpoint`, so the journal keeps every record of the run, as
+//!   it did before a capture ended the records it covers) reads 0.120
+//!   allocations, 787.1 bytes and 522.504 peak live bytes a task, failing
+//!   all three rows (and `fleet`'s three: 1.335, 1,976.3 and 977.406).
 //! * `fleet` — the `fleet` benchmark's shape at 2,000 tasks: 32 tenants on
 //!   eight devices under least-loaded placement, the dynamic-loading system
 //!   on every shard, a capture every second, two device crashes a device

@@ -21,8 +21,9 @@
 //! * every column write a manager reports — a load, the columns a GC run
 //!   moved circuits onto, a retirement's relocation, a download the CRC
 //!   rejected — is logged as a [`WalRecord`], the OS-level view of the
-//!   `fpga::journal` write-ahead log. Records after the last checkpoint
-//!   are the ones a restore must reconcile: the device holds them, the
+//!   `fpga::journal` write-ahead log. A capture ends the records it
+//!   covers, so the journal holds only those since the last checkpoint:
+//!   the ones a restore must reconcile, which the device holds and the
 //!   restored tables do not;
 //! * on restart, [`run_with_crashes`] restarts the crashed system in place
 //!   (back to its built state), restores the last [`CheckpointImage`], and
@@ -106,10 +107,6 @@ pub struct CheckpointImage {
     pub seq: u64,
     /// Capture time.
     pub at: SimTime,
-    /// How many [`WalRecord`]s the image covers: records at an index
-    /// `>= wal_len` happened after this checkpoint and must be
-    /// reconciled on restore.
-    pub wal_len: usize,
     /// The state, rendered as a `vfpga-ckpt/3` tree by
     /// [`SystemImage::to_json`](crate::image::SystemImage::to_json) when
     /// the image left its process. A restore reads it back with the strict
@@ -122,8 +119,6 @@ pub struct CheckpointImage {
 /// The OS-level view of one journaled column write.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WalRecord {
-    /// Monotone record number.
-    pub seq: u64,
     /// The circuit the columns now hold; `None` for none a claim may
     /// trust (a download the CRC rejected, or a GC move evicted again).
     pub cid: Option<CircuitId>,
@@ -187,7 +182,8 @@ pub struct CrashState {
     /// Last checkpoint, if any was captured before the crash. `None`
     /// means a cold restart from time zero.
     pub image: Option<CheckpointImage>,
-    /// The full write-ahead log (the journal lives on durable storage).
+    /// The records since the last capture (the journal lives on durable
+    /// storage).
     pub wal: Vec<WalRecord>,
     /// Accounting carried across the restart (work already performed is
     /// not forgotten by the report).
@@ -223,7 +219,6 @@ impl Cut {
         let image = self.capture.as_ref().map(|c| CheckpointImage {
             seq: c.seq,
             at: c.image.at,
-            wal_len: c.wal_len,
             state: c.image.to_json(),
         });
         CrashState {
@@ -247,7 +242,6 @@ impl Cut {
             }
             capture = Some(Capture {
                 seq: durable.seq,
-                wal_len: durable.wal_len,
                 image,
             });
         }
@@ -268,19 +262,6 @@ impl Cut {
             parsed.map(|tree| image.state = tree).is_ok()
         });
         reparsed && Cut::from_durable(&durable).is_ok_and(|back| back == *self)
-    }
-
-    /// Index of the first journal record the capture does not cover. A
-    /// checkpoint claiming more records than the journal holds is corrupt.
-    fn wal_base(&self) -> Result<usize, VfpgaError> {
-        let base = self.capture.as_ref().map_or(0, |c| c.wal_len);
-        if base > self.wal.len() {
-            return Err(corrupt(format!(
-                "image covers {base} journal records, the journal holds {}",
-                self.wal.len()
-            )));
-        }
-        Ok(base)
     }
 
     /// Capture time of the image an adopter resumes from (zero: cold start).
@@ -557,12 +538,9 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
                 });
             }
         }
-        let wal_len = self.run.wal.len();
-        self.keep_capture(Capture {
-            seq,
-            wal_len,
-            image,
-        });
+        self.keep_capture(Capture { seq, image });
+        // The image holds what the journal's records did: they end here.
+        self.run.wal.clear();
     }
 
     /// Keep `capture` as the restore point. Every cut from here on carries
@@ -705,14 +683,13 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
     }
 
     /// Adopt a capture as this incarnation's restore point: load it over
-    /// the restarted system and remember it as the last capture, covering
-    /// `wal_len` records of this device's journal.
-    fn adopt_capture(&mut self, capture: Capture, wal_len: usize) -> Result<(), VfpgaError> {
+    /// the restarted system and remember it as the last capture.
+    fn adopt_capture(&mut self, capture: Capture) -> Result<(), VfpgaError> {
         self.restore(&capture.image).map_err(corrupt)?;
         // The table is the capture's own: the next capture, recycling it,
         // copies only the slots live now and those that arrive or exit.
         self.run.ckpt_window = SlotWindow::whole(self.run.slots.len()).live(&self.run.slots);
-        self.keep_capture(Capture { wal_len, ..capture });
+        self.keep_capture(capture);
         Ok(())
     }
 
@@ -729,7 +706,6 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
         let rewritten = self.run.dirty_cols.iter_mut().skip(col0 as usize);
         rewritten.take(width as usize).for_each(|d| *d = true);
         self.run.wal.push(WalRecord {
-            seq: self.run.wal.len() as u64,
             cid,
             col0,
             width,
@@ -784,14 +760,10 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
     /// durable storage (last checkpoint + journal + accounting).
     pub(crate) fn crash_now(&mut self, now: SimTime) -> Cut {
         self.run.crash.crashes += 1;
-        let base = self.run.last_ckpt.as_ref().map(|i| i.wal_len).unwrap_or(0);
-        let at_risk = (self.run.wal.len() - base) as u32;
-        // Only post-checkpoint records can tear: anything older has its
-        // table effects inside the image already.
-        let torn = self.run.wal[base..]
-            .iter()
-            .filter(|r| r.in_flight_at(now))
-            .count() as u64;
+        let at_risk = self.run.wal.len() as u32;
+        // The journal holds only post-checkpoint records: anything older
+        // has its table effects inside the image already.
+        let torn = self.run.wal.iter().filter(|r| r.in_flight_at(now)).count() as u64;
         self.run.crash.torn_downloads += torn;
         self.emit(now, |_| TraceEvent::Crash {
             downloads_at_risk: at_risk,
@@ -829,18 +801,17 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
         let Some(cfg) = self.build.ckpt else {
             return Err(corrupt("restore_from requires with_checkpoints".into()));
         };
-        let base = cut.wal_base()?;
         self.restart_from(&cut)?;
         self.run.wal = cut.wal;
         // Cold restart (no image): the restarted system IS the restart
         // state — every task is still to arrive and the first checkpoint
         // is scheduled; only the journal below needs attention.
         if let Some(capture) = cut.capture {
-            self.adopt_capture(capture, base)?;
+            self.adopt_capture(capture)?;
         }
         let crash_at = cut.at;
-        // The post-checkpoint records, walked in place.
-        let (post, manager) = (&self.run.wal[base..], &mut self.manager);
+        // The journal holds only post-checkpoint records, walked in place.
+        let (post, manager) = (&self.run.wal, &mut self.manager);
         if post.is_empty() {
             return Ok(());
         }
@@ -924,17 +895,13 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
         if self.build.ckpt.is_none() {
             return Err(corrupt(format!("{who} requires with_checkpoints")));
         }
-        let base = cut.wal_base()?;
         let resume_at = cut.resume_at();
         // The restart leaves the journal empty and the fabric fresh.
         self.restart_from(&cut)?;
         if let Some(capture) = cut.capture {
-            self.adopt_capture(capture, 0)?;
+            self.adopt_capture(capture)?;
         }
-        let torn = cut.wal[base..]
-            .iter()
-            .filter(|r| r.in_flight_at(cut.at))
-            .count() as u32;
+        let torn = cut.wal.iter().filter(|r| r.in_flight_at(cut.at)).count() as u32;
         self.run.crash.records_undone += u64::from(torn);
         let mut discarded = self.manager.resident_regions();
         discarded.retain(|claim| self.manager.discard_resident(claim.cid));
@@ -1139,7 +1106,6 @@ mod tests {
     #[test]
     fn wal_record_windows_and_overlap() {
         let r = WalRecord {
-            seq: 0,
             cid: Some(CircuitId(1)),
             col0: 4,
             width: 3,

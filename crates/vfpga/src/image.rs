@@ -93,8 +93,6 @@ pub(crate) struct Latent {
 pub(crate) struct Capture {
     /// Monotone checkpoint number.
     pub(crate) seq: u64,
-    /// How many [`WalRecord`](crate::WalRecord)s the image covers.
-    pub(crate) wal_len: usize,
     pub(crate) image: SystemImage,
 }
 

@@ -145,7 +145,8 @@ pub(crate) struct Run {
     /// The task slots that may differ from `last_ckpt`'s table: what the
     /// next capture, recycling it, copies.
     pub(crate) ckpt_window: SlotWindow,
-    /// OS-level write-ahead log of configuration downloads (empty unless
+    /// OS-level write-ahead log of configuration downloads since the last
+    /// capture, which ends the records it covers (empty unless
     /// checkpointing is on).
     pub(crate) wal: Vec<WalRecord>,
     /// Per device column (sized as the system is built): a WAL-logged

@@ -441,13 +441,13 @@ fn untraced_run_records_nothing() {
 
 /// Property-style accounting check for `fail_over_cut`: across seeds and
 /// cut instants, the receipt's fields exactly partition the crashed
-/// shard's journal. Every WAL record is either (a) covered by the
-/// restored image (`index < image.wal_len`), (b) post-checkpoint and
+/// shard's journal. A capture ends the records it covers, so every WAL
+/// record the cut carries follows the restored image, and is either (a)
 /// committed by the crash (carried implicitly — its download survives in
 /// no fabric, so it becomes a migrated claim or a cold re-download), or
-/// (c) post-checkpoint and torn mid-flight, counted in `torn_undone`.
-/// The redo window and live-task count must match an independent
-/// recomputation from the `CrashState` alone.
+/// (b) torn mid-flight, counted in `torn_undone`. The redo window and
+/// live-task count must match an independent recomputation from the
+/// `CrashState` alone.
 #[test]
 fn failover_receipt_partitions_the_source_journal() {
     let (lib, ids) = lib_n(3);
@@ -487,27 +487,32 @@ fn failover_receipt_partitions_the_source_journal() {
             crashed_cases += 1;
 
             // Ground truth recomputed from the CrashState alone.
-            let base = state.image.as_ref().map(|i| i.wal_len).unwrap_or(0);
-            assert!(
-                base <= state.wal.len(),
-                "image cannot cover records written after its capture"
-            );
-            let torn = state.wal[base..]
+            let captured_at = state.image.as_ref().map_or(SimTime::ZERO, |i| i.at);
+            for r in &state.wal {
+                assert!(
+                    r.at >= captured_at,
+                    "seed {seed} cut {cut_ms}ms: {r:?} precedes its capture \
+                     at {captured_at:?}, which covers it"
+                );
+            }
+            let torn = state
+                .wal
                 .iter()
                 .filter(|r| r.in_flight_at(state.at))
                 .count() as u32;
-            let committed_post = (state.wal.len() - base) as u32 - torn;
-            // Partition: every journal record is image-covered, committed
-            // post-checkpoint, or torn — nothing is double-counted.
+            let committed = state
+                .wal
+                .iter()
+                .filter(|r| !r.in_flight_at(state.at))
+                .count() as u32;
+            // Partition: every journal record is committed or torn —
+            // nothing is double-counted.
             assert_eq!(
-                base as u32 + committed_post + torn,
+                committed + torn,
                 state.wal.len() as u32,
                 "seed {seed} cut {cut_ms}ms: journal partition leaks records"
             );
-            let expect_redo = match &state.image {
-                Some(img) => state.at - img.at,
-                None => state.at - SimTime::ZERO,
-            };
+            let expect_redo = state.at - captured_at;
 
             let mut dst = build(&specs);
             let cut = crate::checkpoint::Cut::from_durable(&state).unwrap();

@@ -21,7 +21,10 @@
 //!    since the capture took over: a GC relocation inside an activation,
 //!    a column retirement's relocation, a download the CRC rejected —
 //!    every write a manager reports is journaled, and marks its columns
-//!    for the next delta capture.
+//!    for the next delta capture;
+//! 8. a capture ends the journal records it covers, so a restore after a
+//!    capture taken mid-download keeps every record it does not undo, and
+//!    a second crash before the next capture replays them all.
 
 mod common;
 
@@ -626,4 +629,93 @@ fn a_restore_keeps_no_claim_on_columns_a_rejected_download_overwrote() {
             );
         }
     }
+}
+
+#[test]
+fn a_second_crash_replays_every_record_a_restore_after_a_mid_download_capture_kept() {
+    // A capture taken while a download is in flight, a column retirement's
+    // relocation committed after it, and a crash inside that download: the
+    // download tears, the relocation's record is kept. The capture already
+    // holds the download, so its record left the journal there; before,
+    // the journal kept it, the restore dropped it as torn, and every later
+    // record moved down one place, past the count the capture covered — a
+    // second crash before the next capture skipped the relocation.
+    let (lib, ids) = lib4();
+    let interval = SimDuration::from_micros(2_500);
+    let faults = FaultPlan {
+        seed: 19,
+        download_corruption: 0.0,
+        seu_rate_per_s: 0.0,
+        column_failure_rate_per_s: 150.0,
+    };
+    let build = || {
+        let sched = RoundRobinScheduler::new(SimDuration::from_micros(50));
+        partition_system(lib.clone(), sched, workload(&ids, 32))
+            .with_faults(faults, RecoveryPolicy::default())
+            .with_checkpoints(CheckpointConfig::new(interval))
+            .unwrap()
+    };
+    let (baseline, trace) = build().with_trace().run_traced().unwrap();
+    // The capture, the download it was taken inside, and the relocation.
+    let mut download = None;
+    let mut inside = None;
+    let mut crashes = None;
+    for e in trace.entries() {
+        match e.event {
+            TraceEvent::ConfigDownload { duration, .. }
+            | TraceEvent::DeltaDownload { duration, .. } => download = Some(e.at + duration),
+            TraceEvent::CheckpointTaken { .. } | TraceEvent::DeltaCheckpoint { .. } => {
+                inside = download.filter(|&end| e.at < end).map(|end| (e.at, end));
+            }
+            TraceEvent::ColumnRetired {
+                relocations: 1,
+                duration,
+                ..
+            } => {
+                let Some((captured, end)) = inside else {
+                    continue;
+                };
+                let (committed, next) = (e.at + duration, captured + interval);
+                if committed < end.min(next) {
+                    crashes = Some((committed, committed + (next - committed) / 2));
+                    break;
+                }
+            }
+            _ => {}
+        }
+    }
+    let (first, second) = crashes.expect("no relocation commits inside a mid-download capture");
+    let mut sys = build();
+    let cut = sys.run_to_cut(Some(first)).unwrap().expect("the run is on");
+    let mut kept = cut.to_durable().wal;
+    kept.retain(|r| !r.in_flight_at(first));
+    assert!(!kept.is_empty(), "the relocation is not in the journal");
+    sys.restore_cut(cut).unwrap();
+    let cut = sys
+        .run_to_cut(Some(second))
+        .unwrap()
+        .expect("the run is on");
+    let state = cut.to_durable();
+    let (again, since) = state.wal.split_at(kept.len());
+    assert_eq!(
+        again, kept,
+        "the journal a second crash leaves begins with what the first restore kept"
+    );
+    assert!(
+        kept.iter().all(|r| since.contains(r)),
+        "the journal holds the relocation twice: kept, and made again by \
+         the run resumed at the capture"
+    );
+    sys.restore_cut(cut).unwrap();
+    let RunOutcome::Completed(report, _) = sys.run_until(None).unwrap() else {
+        unreachable!("no crash scheduled")
+    };
+    let replayed = |s: &vfpga::CrashStats| s.records_redone + s.records_undone;
+    assert_eq!(
+        replayed(&report.crash) - replayed(&state.stats),
+        state.wal.len() as u64,
+        "the second restore replays the whole journal"
+    );
+    let d = diff_reports(&baseline, &report);
+    assert!(d.is_empty(), "the restored run diverged: {d:?}");
 }
